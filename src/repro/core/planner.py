@@ -103,8 +103,9 @@ class EngineCapabilities:
     num_shards: int = 1
     partitioner: Optional[str] = None
     shard_users: Tuple[int, ...] = ()
-    #: Width of the sharded engine's gather-side search pool (0 = the
-    #: central searches run in-process).
+    #: Width of the sharded engine's gather-side search fan-out — root
+    #: search pool workers, or alive shard hosts on the socket transport
+    #: (0 = the central searches run in-process).
     search_workers: int = 0
 
     @classmethod
@@ -172,8 +173,8 @@ class ShardPlan:
     #: the grid partitioner can do this when users cluster).
     largest_skew: float = 1.0
     #: Observed decision: run the gather-side per-query searches
-    #: in-process even though a root search pool exists (measured
-    #: sub-millisecond searches cannot pay for pool dispatch).
+    #: in-process even though a search fan-out exists (measured
+    #: sub-millisecond searches cannot pay for the dispatch).
     search_inprocess: bool = False
     #: Observed decision: execute the user-axis scatter stages
     #: in-process instead of through the shard pools (measured trivial
@@ -330,7 +331,7 @@ class QueryPlan:
                     f"k-sharing: refine once per (walk, k), memoized across batches"
                 )
                 search = (
-                    f"per-query searches fan out over the root pool x{sp.search_workers}"
+                    f"per-query search fan-out x{sp.search_workers}"
                     if sp.search_workers > 1 and not sp.search_inprocess
                     else "per-query searches run in-process"
                 )
@@ -512,23 +513,23 @@ def _consult_history(
                 rationale=(
                     f"searches averaged {ms:.3f} ms/query over the last "
                     f"{obs.flushes} flushes — under the "
-                    f"{INPROCESS_STAGE_MS:.1f} ms/item bar, the root search "
-                    f"pool cannot pay for its dispatch round-trip"
+                    f"{INPROCESS_STAGE_MS:.1f} ms/item bar, the search "
+                    f"fan-out cannot pay for its dispatch round-trip"
                 ),
             ))
         elif ms is not None:
             decisions.append(PlanDecision(
                 name="search-fanout",
-                choice=f"root pool x{shard.search_workers}",
+                choice=f"search fan-out x{shard.search_workers}",
                 source="observed",
                 rationale=(
                     f"searches averaged {ms:.3f} ms/query over the last "
-                    f"{obs.flushes} flushes — heavy enough that pool "
-                    f"dispatch pays"
+                    f"{obs.flushes} flushes — heavy enough that dispatch "
+                    f"pays"
                 ),
             ))
         else:
-            static("search-fanout", f"root pool x{shard.search_workers}")
+            static("search-fanout", f"search fan-out x{shard.search_workers}")
     if not indexed:
         depth = obs.mean_items("shortlist") if seasoned else None
         ms = obs.per_item_ms("shortlist") if seasoned else None

@@ -257,23 +257,36 @@ class ShardedEngine:
     def shards(self) -> Tuple[_Shard, ...]:
         return tuple(self._shards)
 
+    def _search_width(self) -> int:
+        """Search fan-out width: alive shard hosts on the socket
+        transport, else the root search pool's workers (0 = none)."""
+        if self._registry is not None:
+            return len(self._registry.alive_hosts())
+        return self._search_pool.workers if self._search_pool is not None else 0
+
     def capabilities(self) -> EngineCapabilities:
         return replace(
             EngineCapabilities.of(self.root),
             num_shards=self.config.num_shards,
             partitioner=self.config.partitioner.value,
             shard_users=tuple(self.assignment.counts()),
-            search_workers=(
-                self._search_pool.workers if self._search_pool is not None else 0
-            ),
+            search_workers=self._search_width(),
         )
+
+    def _planning_caps(self, options: QueryOptions) -> EngineCapabilities:
+        caps = self.capabilities()
+        if self._registry is not None and options.mode is Mode.INDEXED:
+            # Shard hosts hold no MIUR-tree: indexed searches stay on
+            # the coordinator, so the plan must not claim a fan-out.
+            caps = replace(caps, search_workers=0)
+        return caps
 
     def plan(
         self, options: Optional[QueryOptions] = None, ks: Sequence[int] = ()
     ) -> QueryPlan:
         """Resolve options against the sharded layout without executing."""
         options = options if options is not None else QueryOptions.default()
-        caps = self.capabilities()
+        caps = self._planning_caps(options)
         if ks:
             return plan_batch(options, caps, list(ks), history=self.flush_history)
         return plan_query(options, caps, history=self.flush_history)
@@ -288,9 +301,7 @@ class ShardedEngine:
             "merge_ms": round(1000 * self._merge_s, 2),
             "search_ms": round(1000 * self._search_s, 2),
             "search_flushes": self._search_flushes,
-            "search_workers": (
-                self._search_pool.workers if self._search_pool is not None else 0
-            ),
+            "search_workers": self._search_width(),
             "partition_skew": round(self.partition_skew, 3),
         }
 
@@ -476,7 +487,8 @@ class ShardedEngine:
         the shared workload spec (:mod:`repro.serve.shardhost`).  The
         engine's executor is swapped for a
         :class:`~repro.serve.transport.SocketExecutor`; pipeline stages
-        run unchanged, scatter rounds cross TCP as
+        run unchanged, scatter rounds — refine and shortlist per shard,
+        the joint searches one lane per alive host — cross TCP as
         :class:`~repro.serve.transport.FrameCodec` frames carrying the
         arena-codec payloads verbatim.  ``retry`` / ``deadline`` are
         the same supervision policies the fork pools take; host death
@@ -602,7 +614,8 @@ class ShardedEngine:
         # the capabilities, but execution always needs the shared-pool
         # batch plan (shared_traversal_k) regardless of shard count.
         plan = plan_batch(
-            opts, self.capabilities(), [query.k], history=self.flush_history
+            opts, self._planning_caps(opts), [query.k],
+            history=self.flush_history,
         )
         return self._execute_batch([query], plan)[0]
 
@@ -642,7 +655,7 @@ class ShardedEngine:
         if not queries:
             return []
         plan = plan_batch(
-            opts, self.capabilities(), [q.k for q in queries],
+            opts, self._planning_caps(opts), [q.k for q in queries],
             history=self.flush_history,
         )
         return self._execute_batch(queries, plan)

@@ -4,8 +4,8 @@
 builds the FULL dataset from the same workload flags and seed as the
 coordinator, partitions it with the same
 :class:`~repro.datagen.partition.UserPartitioner`, and keeps **all** N
-shard datasets keyed by shard id (plus the full dataset for
-whole-dataset rounds).  Dataset generation is deterministic, so every
+shard datasets keyed by shard id (plus the full dataset for the
+negative-id search lanes).  Dataset generation is deterministic, so every
 host's replica of shard K is bitwise-identical to the coordinator's —
 which is what makes re-scattering a failed round to *any* surviving
 host trivially result-identical.
@@ -214,9 +214,18 @@ class ShardHost:
         return cls(dict(enumerate(shard_datasets)), dataset, fault=fault)
 
     def dataset_for(self, shard_id: int) -> Dataset:
-        if shard_id in self.datasets:
-            return self.datasets[shard_id]
-        return self.full_dataset
+        """Negative ids are the whole-dataset search lanes; a
+        non-negative id this host never partitioned means its layout
+        disagrees with the coordinator's — refuse (the round answers an
+        ERROR frame) rather than serve plausible, wrong shortlists."""
+        if shard_id < 0:
+            return self.full_dataset
+        if shard_id not in self.datasets:
+            raise LookupError(
+                f"shard {shard_id} is not in this host's partition layout "
+                f"({len(self.datasets)} shards)"
+            )
+        return self.datasets[shard_id]
 
     # -- lifecycle -----------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:

@@ -27,8 +27,9 @@ Three layers, coordinator side:
   ``ShardedEngine.fault_counters()`` and the server's stats mirror work
   unchanged).
 * :class:`SocketExecutor` — a
-  :class:`~repro.core.pipeline.ShardedExecutor` whose user-axis scatter
-  rounds go to shard hosts instead of fork pools.  Failures map onto
+  :class:`~repro.core.pipeline.ShardedExecutor` whose scatter rounds —
+  the per-shard refine/shortlist lanes and the per-host search lanes —
+  go to shard hosts instead of fork pools.  Failures map onto
   the existing taxonomy (EOF/reset → :class:`WorkerCrashed`, read
   timeout → :class:`FlushDeadlineExceeded`, refused/exhausted →
   :class:`PoolUnavailable`); the retry ladder re-scatters a failed
@@ -40,6 +41,7 @@ Three layers, coordinator side:
 
 from __future__ import annotations
 
+import logging
 import pickle
 import socket
 import struct
@@ -50,11 +52,14 @@ from ..core.pipeline import (
     ScatterFailure,
     ShardHandle,
     ShardedExecutor,
+    _decode_gather,
     _encode_payloads,
     execute_shard_payload,
 )
 from .config import DeadlinePolicy, RetryPolicy
 from .errors import FlushDeadlineExceeded, PoolUnavailable, WorkerCrashed
+
+_log = logging.getLogger("repro.serve.transport")
 
 __all__ = [
     "FrameCodec",
@@ -96,7 +101,9 @@ class FrameCodec:
         magic    4s   b"RPF1"
         kind     u8   SCATTER / RESULT / ERROR / PING / PONG
         flush    u32  coordinator flush sequence (round id)
-        shard    i32  shard id the round targets (-1 = whole dataset)
+        shard    i32  shard id the round targets; negative = a whole-dataset
+                      search lane (``-1 - lane``), answered against the
+                      host's full-dataset replica
         epoch    u32  dataset epoch the payloads were encoded under
         length   u32  body length in bytes
 
@@ -239,7 +246,8 @@ class ShardHostClient:
         body = (
             self._recv_exactly(length, deadline_s, started) if length else b""
         )
-        self.rounds += 1
+        if kind in (FrameCodec.RESULT, FrameCodec.ERROR):
+            self.rounds += 1  # answered rounds only, not heartbeat PONGs
         return kind, flush_seq, shard_id, epoch, body
 
     def _recv_exactly(
@@ -357,10 +365,18 @@ class ShardRegistry:
             )
         return alive[shard_id % len(alive)]
 
-    def mark_dead(self, client: ShardHostClient, reason: Exception) -> None:
+    def mark_dead(
+        self, client: ShardHostClient, reason: Exception, flush_seq: int = 0
+    ) -> None:
+        """Take ``client`` out of rotation (``flush_seq`` names the round
+        that found it dead; 0 = a heartbeat sweep)."""
         if id(client) not in self._dead_counted:
             self._dead_counted.add(id(client))
             self.counters["worker_deaths"] += 1
+            _log.warning(
+                "shard host %s marked dead: flush_seq=%d reason=%r",
+                client.addr, flush_seq, reason,
+            )
         client.close()
         client.last_error = repr(reason)
 
@@ -375,7 +391,10 @@ class ShardRegistry:
         for client in self.clients:
             ok = client.ping(timeout_s)
             if ok:
-                self._dead_counted.discard(id(client))
+                if id(client) in self._dead_counted:
+                    self._dead_counted.discard(id(client))
+                    _log.info("shard host %s resurrected by heartbeat",
+                              client.addr)
             else:
                 self.mark_dead(client, RuntimeError("heartbeat ping failed"))
             results[client.addr] = ok
@@ -408,20 +427,26 @@ class ShardRegistry:
 
 
 class SocketExecutor(ShardedExecutor):
-    """Scatter the user-axis rounds to shard hosts over TCP.
+    """Scatter every fan-out round to shard hosts over TCP.
 
     Same ``split``/``run``/``merge`` contract as the fork-pool
     :class:`~repro.core.pipeline.ShardedExecutor` — the pipeline stages
-    run unchanged; only the round transport differs.  Query-axis stages
-    (the central searches) inherit the base implementation and run
-    in-process on the coordinator.
+    run unchanged; only the round transport differs.  Both scatter axes
+    ride ONE round loop (:meth:`_run_lanes`): the user-axis stages
+    (refine, shortlist) send one lane per engaged shard, addressed by
+    its shard id; the query-axis ``search`` stage sends one lane per
+    alive host, addressed with a negative shard id (``-1 - lane``) that
+    the host answers against its full-dataset replica.  Indexed
+    searches (hosts hold no MIUR-tree and the I/O must replay on the
+    shared counter), single-query flushes and the planner's
+    ``search_inprocess`` verdict keep the inherited in-process path.
 
-    Per failed round the ladder is: mark the host dead, re-scatter the
+    Per failed lane the ladder is: mark the host dead, re-scatter the
     *same* frame body to the next surviving host (``RetryPolicy``
     budget), and past the budget — or with no survivors — run the
-    round's payloads in-process via
+    lane's payloads in-process via
     :func:`~repro.core.pipeline.execute_shard_payload` (pure, so the
-    merged answer is bitwise-identical; the round is counted degraded).
+    merged answer is bitwise-identical; the lane is counted degraded).
     """
 
     def __init__(
@@ -438,10 +463,10 @@ class SocketExecutor(ShardedExecutor):
         self.deadline = deadline if deadline is not None else DeadlinePolicy()
         self._flush_seq = 0
         #: RESULT bodies read off a connection while waiting for a
-        #: different shard's answer.  After a re-scatter two shards
+        #: different lane's answer.  After a re-scatter two lanes
         #: share one host connection, so round responses interleave;
-        #: frames for a sibling shard of the SAME flush round are
-        #: stashed here for that shard's collector, keyed
+        #: frames for a sibling lane of the SAME flush round are
+        #: stashed here for that lane's collector, keyed
         #: ``(flush_seq, shard_id)``.  Cleared per scatter round.
         self._stash: Dict[Tuple[int, int], bytes] = {}
 
@@ -451,10 +476,6 @@ class SocketExecutor(ShardedExecutor):
         queries = ctx.require("queries")
         if stage.name == "refine" and not ctx.require("need_ks"):
             return 0, 0, 0, 0, 0, 0
-        self._flush_seq += 1
-        self._stash.clear()  # orphans of abandoned earlier rounds
-        flush_seq = self._flush_seq
-        epoch = getattr(sharded.dataset, "epoch", 0)
         handles = [
             ShardHandle(
                 shard_id=shard.shard_id,
@@ -471,54 +492,13 @@ class SocketExecutor(ShardedExecutor):
                 handle.stats.queue_depth_peak, items
             )
             handle.stats.scatter_flushes += 1
-        plans = [stage.split(ctx, handle) for handle in handles]
-        codec = getattr(sharded.root, "payload_codec", None)
-        bodies: List[bytes] = []
-        bytes_out = bytes_in = 0
-        for i in range(len(handles)):
-            plans[i] = _encode_payloads(codec, stage.name, plans[i])
-            bodies.append(FrameCodec.encode_body(plans[i]))
-        # Dispatch everything before collecting anything, so hosts run
-        # their rounds concurrently (the host loop is one frame at a
-        # time per connection, but hosts are independent processes).
-        dispatched: List[Optional[ShardHostClient]] = [None] * len(handles)
-        for i, handle in enumerate(handles):
-            frame = FrameCodec.pack(
-                FrameCodec.SCATTER, flush_seq, handle.shard_id, epoch, bodies[i]
-            )
-            client = None
-            try:
-                client = self.registry.host_for(handle.shard_id)
-                client.send_frame(frame)
-            except ScatterFailure as exc:
-                self._note_failure(client, exc)
-            else:
-                dispatched[i] = client
-                bytes_out += len(frame)
-        returned: List[Optional[list]] = [None] * len(handles)
-        retries = degraded = 0
-        deadline_s = self.deadline.flush_deadline_s
-        for i, handle in enumerate(handles):
-            chunks, used_retries, round_out, round_in = self._collect_round(
-                handle, bodies[i], flush_seq, epoch, dispatched[i], deadline_s
-            )
-            retries += used_retries
-            handle.stats.retries += used_retries
-            bytes_out += round_out
-            bytes_in += round_in
-            if chunks is None:
-                # Ladder exhausted (or no surviving host): the same
-                # payloads, in-process — execute_shard_payload is pure
-                # and the decode funnel resolves arena refs in the
-                # parent, so the merged answer is unchanged.
-                returned[i] = [
-                    execute_shard_payload(handle.dataset, payload)
-                    for payload in plans[i]
-                ]
-                degraded += 1
-                handle.stats.degraded_rounds += 1
-            else:
-                returned[i] = self._decode_chunks(chunks)
+        returned, retries, degraded, bytes_out, bytes_in = self._run_lanes(
+            stage,
+            [(h.shard_id, stage.split(ctx, h), h.dataset) for h in handles],
+        )
+        for handle, used, lost in zip(handles, retries, degraded):
+            handle.stats.retries += used
+            handle.stats.degraded_rounds += lost
         self._account(stage, handles, returned, items)
         t_merge = time.perf_counter()
         stage.merge(ctx, returned)
@@ -528,19 +508,133 @@ class SocketExecutor(ShardedExecutor):
             for handle, chunks in zip(handles, returned):
                 for partial in (p for chunk in chunks for p in chunk):
                     handle.rsk_by_k[partial.k] = partial.rsk
-        return len(handles), items, retries, degraded, bytes_out, bytes_in
+        return (len(handles), items, sum(retries), sum(degraded),
+                bytes_out, bytes_in)
+
+    def _scatter_queries(self, stage, ctx):
+        sharded = self.sharded
+        queries = ctx.require("queries")
+        plan = ctx.require("plan")
+        if (
+            stage.name != "search" or len(queries) < 2
+            or (plan.shard is not None and plan.shard.search_inprocess)
+        ):
+            return super()._scatter_queries(stage, ctx)
+        # One lane per alive host.  With none left the single lane finds
+        # no host and degrades through the ladder like any other round.
+        width = max(1, len(self.registry.alive_hosts()))
+        payloads = stage.split(
+            ctx, ShardHandle(shard_id=-1, dataset=sharded.dataset, workers=width)
+        )
+        # ``split`` chunks per k, so a mixed-k flush yields uneven
+        # chunks; a fork pool's workers pull them one by one, a lane is
+        # fixed up front — give each chunk to the lane holding the
+        # fewest queries so far (lanes fill in order: no gaps).
+        load = [0] * width
+        lane_of = []
+        for payload in payloads:
+            lane_of.append(load.index(min(load)))
+            load[lane_of[-1]] += len(payload[1])
+        lanes = [
+            (-1 - lane,
+             [p for p, at in zip(payloads, lane_of) if at == lane],
+             sharded.dataset)
+            for lane in range(width) if load[lane]
+        ]
+        t0 = time.perf_counter()
+        sharded._search_flushes += 1
+        returned, retries, degraded, bytes_out, bytes_in = self._run_lanes(
+            stage, lanes
+        )
+        answered = [iter(lane_chunks) for lane_chunks in returned]
+        chunks = [next(answered[lane]) for lane in lane_of]
+        sharded._search_s += time.perf_counter() - t0
+        stage.merge(ctx, [chunks])
+        return (len(lanes), len(queries), sum(retries), sum(degraded),
+                bytes_out, bytes_in)
+
+    # -- the round loop (both axes) --------------------------------------
+    def _run_lanes(
+        self, stage, lanes: List[Tuple[int, list, object]]
+    ) -> Tuple[List[list], List[int], List[int], int, int]:
+        """One scatter round over ``(wire shard id, payloads, dataset)``
+        lanes: encode, dispatch every lane, then collect each through
+        the retry ladder, degrading a lost lane in-process against its
+        ``dataset``.
+
+        Returns ``(chunks per lane, retries per lane, degraded (0/1)
+        per lane, wire bytes out, wire bytes in)``.
+        """
+        self._flush_seq += 1
+        self._stash.clear()  # orphans of abandoned earlier rounds
+        flush_seq = self._flush_seq
+        epoch = getattr(self.sharded.dataset, "epoch", 0)
+        codec = getattr(self.sharded.root, "payload_codec", None)
+        plans: List[list] = []
+        bodies: List[bytes] = []
+        for _, payloads, _ in lanes:
+            plans.append(_encode_payloads(codec, stage.name, payloads))
+            bodies.append(FrameCodec.encode_body(plans[-1]))
+        # Dispatch everything before collecting anything, so hosts run
+        # their lanes concurrently (the host loop is one frame at a
+        # time per connection, but hosts are independent processes).
+        dispatched: List[Optional[ShardHostClient]] = []
+        bytes_out = bytes_in = 0
+        for (shard_id, _, _), body in zip(lanes, bodies):
+            frame = FrameCodec.pack(
+                FrameCodec.SCATTER, flush_seq, shard_id, epoch, body
+            )
+            client = None
+            try:
+                client = self.registry.host_for(shard_id)
+                client.send_frame(frame)
+            except ScatterFailure as exc:
+                self._note_failure(client, exc)
+                client = None
+            else:
+                bytes_out += len(frame)
+            dispatched.append(client)
+        returned: List[list] = []
+        retries: List[int] = []
+        degraded: List[int] = []
+        deadline_s = self.deadline.flush_deadline_s
+        for i, (shard_id, _, dataset) in enumerate(lanes):
+            chunks, used_retries, round_out, round_in = self._collect_round(
+                shard_id, bodies[i], flush_seq, epoch, dispatched[i], deadline_s
+            )
+            retries.append(used_retries)
+            bytes_out += round_out
+            bytes_in += round_in
+            degraded.append(int(chunks is None))
+            if chunks is None:
+                # Ladder exhausted (or no surviving host): the same
+                # payloads, in-process — execute_shard_payload is pure
+                # and the decode funnel resolves arena refs in the
+                # parent, so the merged answer is unchanged.
+                _log.warning(
+                    "degrading %s round in-process: flush_seq=%d shard=%d "
+                    "retries_used=%d", stage.name, flush_seq, shard_id,
+                    used_retries,
+                )
+                returned.append([
+                    execute_shard_payload(dataset, payload)
+                    for payload in plans[i]
+                ])
+            else:
+                returned.append(_decode_gather(chunks))
+        return returned, retries, degraded, bytes_out, bytes_in
 
     # -- round transport -----------------------------------------------
     def _collect_round(
         self,
-        handle: ShardHandle,
+        shard_id: int,
         body: bytes,
         flush_seq: int,
         epoch: int,
         client: Optional[ShardHostClient],
         deadline_s: Optional[float],
     ) -> Tuple[Optional[list], int, int, int]:
-        """Collect one shard's round, re-scattering across survivors.
+        """Collect one lane's round, re-scattering across survivors.
 
         Returns ``(chunks | None, retries_used, extra_bytes_out,
         bytes_in)`` — ``None`` chunks means the ladder is exhausted and
@@ -550,7 +644,7 @@ class SocketExecutor(ShardedExecutor):
         retries_used = 0
         extra_out = bytes_in = 0
         for attempt in range(attempts):
-            stashed = self._stash.pop((flush_seq, handle.shard_id), None)
+            stashed = self._stash.pop((flush_seq, shard_id), None)
             if stashed is not None:
                 # A sibling shard's collector already read our answer
                 # off the shared connection.
@@ -563,10 +657,9 @@ class SocketExecutor(ShardedExecutor):
                 # (Re-)dispatch: first attempt whose send already
                 # failed, or a retry after a death — pick a survivor.
                 try:
-                    client = self.registry.host_for(handle.shard_id)
+                    client = self.registry.host_for(shard_id)
                     frame = FrameCodec.pack(
-                        FrameCodec.SCATTER, flush_seq, handle.shard_id,
-                        epoch, body,
+                        FrameCodec.SCATTER, flush_seq, shard_id, epoch, body
                     )
                     client.send_frame(frame)
                     extra_out += len(frame)
@@ -581,7 +674,7 @@ class SocketExecutor(ShardedExecutor):
                     continue
             try:
                 rbody = self._recv_matching(
-                    client, flush_seq, handle.shard_id, deadline_s
+                    client, flush_seq, shard_id, deadline_s
                 )
             except PoolUnavailable:
                 return None, retries_used, extra_out, bytes_in
@@ -637,10 +730,4 @@ class SocketExecutor(ShardedExecutor):
         if isinstance(exc, FlushDeadlineExceeded):
             self.registry.counters["deadline_hits"] += 1
         if client is not None:
-            self.registry.mark_dead(client, exc)
-
-    @staticmethod
-    def _decode_chunks(chunks: list) -> list:
-        from ..core.payload import decode_gather_payload
-
-        return [decode_gather_payload(c) for c in chunks]
+            self.registry.mark_dead(client, exc, self._flush_seq)

@@ -11,6 +11,7 @@ sequential engine, whatever the transport did to get there.
 """
 
 import asyncio
+import logging
 import threading
 
 import pytest
@@ -132,6 +133,38 @@ def test_socket_scatter_matches_sequential(num_shards, num_hosts):
         assert scatter["refine"].scatter_width == num_shards
         assert scatter["refine"].payload_bytes_out > 0
         assert scatter["refine"].payload_bytes_in > 0
+        # The searches leave the coordinator too: one lane per host.
+        assert scatter["search"].scatter_width == num_hosts
+        assert scatter["search"].payload_bytes_out > 0
+        assert scatter["search"].payload_bytes_in > 0
+        assert engine.gather_stats()["search_flushes"] == 1
+        assert_results_equal(
+            served, reference_results(engine.dataset, queries, engine)
+        )
+    finally:
+        teardown(engine, hosts)
+
+
+def test_search_lanes_balance_uneven_per_k_chunks():
+    """8 queries over three ks split into chunks of 2,1,2,1,1,1 queries;
+    round-robin would load the lanes 5:3 — each lane must get 4."""
+    engine, hosts, rng, vocab = sharded_with_hosts(2, 2, seed=10)
+    try:
+        connect(engine, hosts)
+        executor = engine._executor
+        run_lanes, loads = executor._run_lanes, []
+
+        def spy(stage, lanes):
+            if stage.name == "search":
+                loads.extend(
+                    sum(len(p[1]) for p in payloads) for _, payloads, _ in lanes
+                )
+            return run_lanes(stage, lanes)
+
+        executor._run_lanes = spy
+        queries = make_queries(rng, vocab, 8, ks=(3, 5, 7))
+        served = engine.query_batch(queries, OPTS)
+        assert loads == [4, 4]
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
         )
@@ -151,6 +184,18 @@ def test_socket_scatter_indexed_mode_matches_sequential():
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
         opts = QueryOptions(method="approx", mode="indexed", backend="python")
         served = engine.query_batch(queries, opts)
+        # Hosts hold no MIUR-tree: the indexed searches stay on the
+        # coordinator and charge the shared counter exactly as without
+        # hosts.
+        search = engine.last_flush_report.stage("indexed-search")
+        assert search.scatter_width == 1
+        assert search.payload_bytes_out == 0
+        assert "search-fanout" not in engine.plan(opts, ks=[3, 5]).explain()
+        plain = ShardedEngine(
+            dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
+        )
+        plain.query_batch(queries, opts)
+        assert engine.io.snapshot() == plain.io.snapshot()
         assert_results_equal(
             served,
             reference_results(engine.dataset, queries, engine, mode="indexed"),
@@ -208,11 +253,148 @@ def test_all_hosts_dead_degrades_in_process():
         served = engine.query_batch(queries, OPTS)
         report = engine.last_flush_report
         assert report.degraded_partitions > 0
+        # No host left for the search lane either: one lane, degraded.
+        search = report.stage("search")
+        assert (search.scatter_width, search.degraded) == (1, 1)
         assert engine.fault_counters()["worker_deaths"] == 2
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
         )
     finally:
+        teardown(engine, hosts)
+
+
+@pytest.mark.parametrize("fault_host,stash_peak", [(0, 0), (1, 1)])
+def test_drop_on_search_frame_rescatters_the_lane(fault_host, stash_peak):
+    """Per host the cold flush's frames are refine (0), shortlist (1),
+    search (2): the drop lands on a search lane, which re-scatters to
+    the survivor.  Lane 0 rides host 1 and is collected first, so when
+    host 1 drops, lane 0 joins lane 1 on host 0's connection and reads
+    its sibling's RESULT first — the stash hands it over."""
+    engine, hosts, rng, vocab = sharded_with_hosts(
+        2, 2, seed=11, fault_on_host={fault_host: FaultPlan.drop_connection(2)}
+    )
+    try:
+        connect(engine, hosts)
+        executor = engine._executor
+        recv_matching, peaks = executor._recv_matching, []
+
+        def spy(*args):
+            try:
+                return recv_matching(*args)
+            finally:
+                peaks.append(len(executor._stash))
+
+        executor._recv_matching = spy
+        queries = make_queries(rng, vocab, 8, ks=(3, 5))
+        served = engine.query_batch(queries, OPTS)
+        report = engine.last_flush_report
+        search = report.stage("search")
+        assert (search.scatter_width, search.retries, search.degraded) == (2, 1, 0)
+        assert report.total_retries == 1
+        assert report.degraded_partitions == 0
+        counters = engine.fault_counters()
+        assert counters["worker_deaths"] == 1
+        assert counters["retries"] == 1
+        assert max(peaks) == stash_peak
+        assert not executor._stash
+        assert_results_equal(
+            served, reference_results(engine.dataset, queries, engine)
+        )
+    finally:
+        teardown(engine, hosts)
+
+
+def test_host_death_and_degrade_are_logged(caplog):
+    engine, hosts, rng, vocab = sharded_with_hosts(2, 2, seed=12)
+    try:
+        connect(engine, hosts)
+        hosts[0].stop()
+        with caplog.at_level(logging.INFO, logger="repro.serve.transport"):
+            engine.query_batch(make_queries(rng, vocab, 4, ks=(3,)), OPTS)
+            hosts[1].stop()
+            engine.query_batch(make_queries(rng, vocab, 4, ks=(5,)), OPTS)
+        records = [
+            r for r in caplog.records if r.name == "repro.serve.transport"
+        ]
+        assert all(r.levelno == logging.WARNING for r in records)
+        deaths = [r.getMessage() for r in records if "marked dead" in r.getMessage()]
+        assert len(deaths) == 2  # once per host, not once per failed lane
+        assert f"127.0.0.1:{hosts[0].port}" in deaths[0]
+        assert "flush_seq=1" in deaths[0] and "reason=" in deaths[0]
+        degrades = [r.getMessage() for r in records if "degrading" in r.getMessage()]
+        assert degrades, "every in-process degrade must be logged"
+        assert any("search round" in m and "shard=-1" in m for m in degrades)
+        assert all("retries_used=" in m for m in degrades)
+    finally:
+        teardown(engine, hosts)
+
+
+# ----------------------------------------------------------------------
+# The planner governs the host fan-out like the pool fan-out
+# ----------------------------------------------------------------------
+
+def test_host_fanout_is_reported_and_explained():
+    engine, hosts, rng, vocab = sharded_with_hosts(2, 2, seed=13)
+    try:
+        assert engine.capabilities().search_workers == 0
+        connect(engine, hosts)
+        assert engine.capabilities().search_workers == 2
+        assert engine.gather_stats()["search_workers"] == 2
+        plan = engine.plan(OPTS, ks=[3, 5])
+        (fanout,) = [d for d in plan.decisions if d.name == "search-fanout"]
+        assert fanout.choice == "search fan-out x2"
+        text = plan.explain()
+        assert "per-query search fan-out x2" in text
+        assert "root pool" not in text
+        hosts[0].stop()
+        engine._registry.ping_all(timeout_s=0.2)
+        assert engine.capabilities().search_workers == 1
+        engine.close_hosts()
+        assert engine.capabilities().search_workers == 0
+        assert engine.gather_stats()["search_workers"] == 0
+    finally:
+        teardown(engine, hosts)
+
+
+@pytest.mark.parametrize("transport", ["pool", "socket"])
+def test_seasoned_sub_ms_searches_stay_in_process(transport):
+    """A history under the INPROCESS_STAGE_MS bar pulls the searches
+    back onto the coordinator — on the socket path as on the pool path."""
+    from repro.core.history import FlushSignature
+    from repro.core.pipeline import FlushReport, StageStats
+    from repro.core.planner import INPROCESS_STAGE_MS
+
+    engine, hosts, rng, vocab = sharded_with_hosts(
+        2, 2 if transport == "socket" else 0, seed=14
+    )
+    try:
+        if transport == "socket":
+            connect(engine, hosts)
+        else:
+            engine.start_pools(1, search_workers=2)
+        signature = FlushSignature(mode="joint", backend="python", scatter_width=2)
+        for _ in range(3):
+            engine.flush_history.record(signature, FlushReport(
+                mode="joint", batch_size=8, stages=[StageStats(
+                    stage="search", items=8,
+                    time_s=8 * 0.2 * INPROCESS_STAGE_MS / 1000.0,
+                )],
+            ))
+        queries = make_queries(rng, vocab, 8, ks=(3, 5))
+        plan = engine.plan(OPTS, ks=[q.k for q in queries])
+        assert plan.shard.search_workers == 2
+        assert plan.shard.search_inprocess is True
+        served = engine.query_batch(queries, OPTS)
+        search = engine.last_flush_report.stage("search")
+        assert search.scatter_width == 1
+        assert search.payload_bytes_out == 0
+        assert engine.gather_stats()["search_flushes"] == 0
+        assert_results_equal(
+            served, reference_results(engine.dataset, queries, engine)
+        )
+    finally:
+        engine.close_pools()
         teardown(engine, hosts)
 
 

@@ -6,6 +6,7 @@ FlushDeadlineExceeded) against throwaway local sockets.  The full
 scatter path over live shard hosts is ``test_multihost.py``.
 """
 
+import logging
 import socket
 import struct
 import threading
@@ -166,7 +167,7 @@ def test_client_counts_wire_bytes():
     assert kind == FrameCodec.PONG
     assert client.bytes_sent == len(ping)
     assert client.bytes_received == len(reply)
-    assert client.rounds == 1
+    assert client.rounds == 0  # a PONG is not an answered round
     thread.join(5)
     srv.close()
     client.close()
@@ -212,3 +213,100 @@ def test_registry_health_rows_shape():
     assert row["pool"] == "host-h:1"
     assert row["state"] == "dead"
     assert set(row) >= {"rounds", "bytes_sent", "bytes_received"}
+
+
+def test_rounds_count_answered_rounds_not_heartbeats():
+    """N scatter rounds + M pings leave the health row at rounds == N."""
+    srv, port = _listener()
+    n_rounds, n_pings = 3, 4
+
+    def peer():
+        conn, _ = srv.accept()
+        for _ in range(n_rounds + n_pings):
+            header = conn.recv(FrameCodec.HEADER_SIZE, socket.MSG_WAITALL)
+            kind, seq, sid, epoch, _ = FrameCodec.unpack_header(header)
+            answer = (
+                FrameCodec.PONG if kind == FrameCodec.PING else FrameCodec.RESULT
+            )
+            conn.sendall(FrameCodec.pack(answer, seq, sid, epoch))
+        conn.close()
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    client = ShardHostClient("127.0.0.1", port)
+    client.connect()
+    registry = ShardRegistry([client])
+    for i in range(n_pings):
+        assert registry.ping_all(timeout_s=5.0) == {client.addr: True}
+        if i < n_rounds:
+            client.send_frame(FrameCodec.pack(FrameCodec.SCATTER, i + 1, 0, 0))
+            kind, *_ = client.recv_frame(5.0)
+            assert kind == FrameCodec.RESULT
+    (row,) = registry.health_rows()
+    assert row["rounds"] == n_rounds
+    thread.join(5)
+    srv.close()
+    client.close()
+
+
+def test_heartbeat_resurrection_is_logged_once(caplog):
+    srv, port = _listener()
+
+    def peer():
+        for _ in range(2):  # the first connection, then the reconnect
+            conn, _ = srv.accept()
+            while conn.recv(FrameCodec.HEADER_SIZE):
+                conn.sendall(FrameCodec.pack(FrameCodec.PONG, 0, -1, 0))
+            conn.close()
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    client = ShardHostClient("127.0.0.1", port)
+    client.connect()
+    registry = ShardRegistry([client])
+    with caplog.at_level(logging.INFO, logger="repro.serve.transport"):
+        registry.mark_dead(client, RuntimeError("boom"), flush_seq=9)
+        registry.mark_dead(client, RuntimeError("boom again"), flush_seq=9)
+        assert registry.ping_all(timeout_s=5.0) == {client.addr: True}
+        assert registry.ping_all(timeout_s=5.0) == {client.addr: True}
+    levels = [(r.levelno, r.getMessage()) for r in caplog.records]
+    assert [level for level, _ in levels] == [logging.WARNING, logging.INFO]
+    assert f"{client.addr} marked dead: flush_seq=9" in levels[0][1]
+    assert f"{client.addr} resurrected" in levels[1][1]
+    client.close()
+    thread.join(5)
+    srv.close()
+
+
+# ----------------------------------------------------------------------
+# Shard host: which replica answers which shard id
+# ----------------------------------------------------------------------
+
+def test_host_serves_full_dataset_only_to_negative_shard_ids():
+    from repro.serve.shardhost import ShardHost
+
+    shard0, shard1, full = object(), object(), object()
+    host = ShardHost({0: shard0, 1: shard1}, full)
+    assert host.dataset_for(0) is shard0
+    assert host.dataset_for(1) is shard1
+    assert host.dataset_for(-1) is full   # search lane 0
+    assert host.dataset_for(-3) is full   # search lane 2
+    with pytest.raises(LookupError, match="shard 2"):
+        host.dataset_for(2)
+
+
+def test_host_answers_unknown_shard_with_error_frame():
+    """A host whose layout disagrees with the coordinator's must not
+    answer the round against the wrong users: typed ERROR frame."""
+    from repro.serve.shardhost import ShardHost
+
+    host = ShardHost({0: object()}, object())
+    body = FrameCodec.encode_body([("refine", None, [3], "python", 5)])
+    frame = host._run_round(7, 5, 0, body)
+    kind, flush_seq, shard_id, _, length = FrameCodec.unpack_header(
+        frame[:FrameCodec.HEADER_SIZE]
+    )
+    assert (kind, flush_seq, shard_id) == (FrameCodec.ERROR, 7, 5)
+    type_name, message = FrameCodec.decode_body(frame[FrameCodec.HEADER_SIZE:])
+    assert type_name == "LookupError"
+    assert "shard 5" in message
