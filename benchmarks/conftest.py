@@ -11,7 +11,10 @@ series.
 
 Scale note: ``BENCH_BASE`` shrinks the default cell (|O| = 1500,
 |U| = 150) relative to the report defaults; both are scaled versions of
-the paper's Table 5 (see DESIGN.md §3 and EXPERIMENTS.md).
+the paper's Table 5: a pure-Python stack cannot index 1M-8M objects in
+benchmark time, so every scale knob is divided while the ratios (users
+per object, keywords per user, area fraction) are kept — see the module
+docstring of ``repro.bench.params``.
 """
 
 from __future__ import annotations

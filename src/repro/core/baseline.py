@@ -46,9 +46,9 @@ def baseline_select_candidate(
     Definition 1 allows ``|W'| <= ws``, and under length-normalized
     text measures a smaller keyword set can strictly dominate, so the
     scan covers every combination size from 0 to ``ws`` (the paper's
-    baseline returns exactly ``ws`` keywords; see DESIGN.md for why we
-    widen it — it keeps the baseline a true optimum and therefore a
-    usable correctness oracle for the pruned exact algorithm).
+    baseline returns exactly ``ws`` keywords; widening it keeps the
+    baseline a true optimum and therefore a usable correctness oracle
+    for the pruned exact algorithm).
     """
     users = dataset.users if users is None else users
     stats = stats if stats is not None else QueryStats()

@@ -42,7 +42,7 @@ if it were the only addition.  Both over-estimates keep the bound sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..model.dataset import Dataset
 from ..model.objects import STObject, SuperUser, User
@@ -228,20 +228,13 @@ class BoundCalculator:
     # ------------------------------------------------------------------
     # Candidate-location bounds (Section 6.1)
     # ------------------------------------------------------------------
-    def location_upper_group(
-        self,
-        location: Point,
-        ox: STObject,
-        candidate_terms: Iterable[int],
-        ws: int,
-        su: SuperUser,
+    def group_upper_text(
+        self, ox: STObject, candidate_terms: Iterable[int], ws: int, su: SuperUser
     ) -> float:
-        """``UBL(l, us)``: best achievable STS of ``ox`` at ``l`` for any
-        grouped user, under the best possible keyword augmentation."""
-        alpha = self.dataset.alpha
-        ss = self.min_spatial_pr(location, su.mbr)
+        """The text term of ``UBL(l, us)``, ``(1 - alpha)`` included: the
+        same at every location, so Algorithm 3 computes it once per query."""
         if su.min_normalizer <= 0.0:
-            return alpha * ss
+            return 0.0
         rel = self.dataset.relevance
         base = sum(
             w
@@ -252,7 +245,23 @@ class BoundCalculator:
             rel, ox.terms, candidate_terms, su.union_terms, ws
         )
         ts = min(1.0, (base + extra) / su.min_normalizer)
-        return alpha * ss + (1.0 - alpha) * ts
+        return (1.0 - self.dataset.alpha) * ts
+
+    def location_upper_group(
+        self,
+        location: Point,
+        ox: STObject,
+        candidate_terms: Iterable[int],
+        ws: int,
+        su: SuperUser,
+        text: Optional[float] = None,
+    ) -> float:
+        """``UBL(l, us)``: best achievable STS of ``ox`` at ``l`` for any
+        grouped user, under the best possible keyword augmentation.
+        ``text`` is a precomputed :meth:`group_upper_text`."""
+        if text is None:
+            text = self.group_upper_text(ox, candidate_terms, ws, su)
+        return self.dataset.alpha * self.min_spatial_pr(location, su.mbr) + text
 
     def location_upper_user(
         self,

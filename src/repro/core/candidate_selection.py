@@ -36,7 +36,7 @@ from ..model.dataset import Dataset
 from ..model.objects import SuperUser, User
 from ..spatial.geometry import Point
 from .bounds import BoundCalculator
-from .kernels import arrays_for, resolve_backend
+from .kernels import SelectionContext, arrays_for, resolve_backend
 from .keyword_selection import (
     KeywordSelection,
     compute_brstknn,
@@ -84,26 +84,37 @@ def shortlist_locations(
     Returns the shortlists plus the number of locations pruned by the
     group bound.  ``rsk_group`` is ``RSk(us)`` from the joint traversal
     (pass 0.0 to disable group pruning, e.g. when thresholds come from
-    the per-user baseline).  With ``backend="numpy"`` the per-user
-    ``UBL(l, u) >= RSk(u)`` test — the hot loop of Algorithm 3 — runs
-    as one vectorized bound kernel per location; membership is
-    guaranteed identical to the scalar path (guard-banded re-check).
+    the per-user baseline).  Only the spatial term of either bound
+    depends on the location: the group's text term is computed once
+    here, and with ``backend="numpy"`` the per-user ``UBL(l, u) >=
+    RSk(u)`` test — the hot loop of Algorithm 3 — runs against a
+    per-query :class:`~repro.core.kernels.SelectionContext` holding the
+    users' rows, thresholds and text term; membership is guaranteed
+    identical to the scalar path (guard-banded re-check).
     """
     su = dataset.super_user if super_user is None else super_user
     users = dataset.users if users is None else users
     bounds = bounds or BoundCalculator(dataset)
-    arrays = arrays_for(dataset) if resolve_backend(backend) == "numpy" else None
+    numpy = resolve_backend(backend) == "numpy"
+    ctx: Optional[SelectionContext] = None  # built at the first surviving location
+    group_text = bounds.group_upper_text(query.ox, query.keywords, query.ws, su)
     shortlists: List[LocationShortlist] = []
     pruned = 0
     for idx, loc in enumerate(query.locations):
-        ub_group = bounds.location_upper_group(loc, query.ox, query.keywords, query.ws, su)
+        ub_group = bounds.location_upper_group(
+            loc, query.ox, query.keywords, query.ws, su, text=group_text
+        )
         if ub_group < rsk_group:
             pruned += 1
             continue
-        if arrays is not None:
-            lu = arrays.shortlist(
-                loc, query.ox, query.keywords, query.ws, users, rsk, bounds=bounds
-            )
+        if numpy:
+            if ctx is None:
+                ctx = SelectionContext(
+                    arrays_for(dataset), query.ox, query.keywords, query.ws
+                )
+                ctx.bind(users, rsk)
+            ctx.move_to(loc)
+            lu = ctx.shortlist()
         else:
             lu = [
                 u

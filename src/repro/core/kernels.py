@@ -34,14 +34,26 @@ itself, so clones from ``with_alpha``/``with_users`` get their own):
 
 Documents then become weight vectors over those term columns and text
 sums become one mat-vec per location/document.
+
+:class:`SelectionContext` holds, per query (built on the first
+candidate location, dropped with the query), the half of Algorithm 3's
+selection that no location changes: ``RSk(u)`` by user row, the text
+half of ``UBL(l, u)``, one full-length text-score vector per distinct
+augmented document, and the greedy selector's flat ``HW_{w,u}`` pair
+table ``(row, w, HW set, TS)``.  A location adds one spatial-score
+vector, a gather and a guard-banded compare.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
+    Sequence, Set, Tuple,
+)
 
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
+from .bounds import BoundCalculator, augmented_document, candidate_term_weight
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model.dataset import Dataset
@@ -60,6 +72,7 @@ __all__ = [
     "GUARD_EPS",
     "CandidatePoolArrays",
     "DatasetArrays",
+    "SelectionContext",
     "TreeArrays",
     "FrontierBounds",
     "arrays_for",
@@ -108,6 +121,25 @@ def _pairwise_norm(dx, dy, p: float):
         # the scalar metric on every platform (np.hypot/C hypot is not).
         return np.sqrt(dx * dx + dy * dy)
     return (dx**p + dy**p) ** (1.0 / p)
+
+
+def _normalized_text(sums, z):
+    """``min(1, sums / Z(u.d))`` per user; 0 for users without a normalizer."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
+
+
+def _guarded_ge(scores, thresholds, exact: Callable[[int], bool]):
+    """Guard-banded ``scores >= thresholds`` as a boolean array.
+
+    Comparisons decided by more than ``GUARD_EPS`` are trusted; every
+    index inside the band is decided by ``exact(i)`` — the scalar code
+    path — so ties resolve exactly as the python backend resolves them.
+    """
+    passed = scores >= thresholds + GUARD_EPS
+    for i in np.nonzero(np.abs(scores - thresholds) < GUARD_EPS)[0]:
+        passed[i] = exact(i)
+    return passed
 
 
 class DatasetArrays:
@@ -225,10 +257,7 @@ class DatasetArrays:
         w = self._doc_weight_vector(doc)
         terms = self.user_terms if rows is None else self.user_terms[rows]
         z = self.user_z if rows is None else self.user_z[rows]
-        sums = terms @ w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ts = np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
-        return ts
+        return _normalized_text(terms @ w, z)
 
     def sts(self, location: Point, doc: Mapping[int, int], rows=None):
         """``STS`` of a (location, document) pair against every user."""
@@ -249,8 +278,6 @@ class DatasetArrays:
         holds and whose gain is positive — the only ones
         ``best_augmentation_weights`` ever sums.
         """
-        from .bounds import candidate_term_weight
-
         rel = self.dataset.relevance
         cols: List[int] = []
         gains: List[float] = []
@@ -269,39 +296,6 @@ class DatasetArrays:
                 gains.append(gain)
         return np.array(cols, dtype=np.intp), np.array(gains, dtype=np.float64)
 
-    def location_upper(
-        self,
-        location: Point,
-        ox: STObject,
-        candidate_terms: Iterable[int],
-        ws: int,
-        rows=None,
-    ):
-        """``UBL(l, u)`` for every selected user (Lemma 3, per-user)."""
-        alpha = self.dataset.alpha
-        ss = self.spatial_scores(location, rows)
-        z = self.user_z if rows is None else self.user_z[rows]
-        terms = self.user_terms if rows is None else self.user_terms[rows]
-
-        base = terms @ self._doc_weight_vector(ox.terms)
-        extra = np.zeros(len(base))
-        if ws > 0:
-            cols, gains = self._augmentation_gains(ox, candidate_terms)
-            if len(cols):
-                per_user = terms[:, cols] * gains
-                if len(cols) > ws:
-                    per_user = -np.sort(-per_user, axis=1)[:, :ws]
-                extra = per_user.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ts = np.where(
-                z > 0.0,
-                np.minimum(1.0, (base + extra) / np.where(z > 0.0, z, 1.0)),
-                0.0,
-            )
-        out = alpha * ss + (1.0 - alpha) * ts
-        # z <= 0 users score alpha * ss exactly (scalar short-circuit).
-        return np.where(z > 0.0, out, alpha * ss)
-
     def location_lower(self, location: Point, ox: STObject, rows=None):
         """``LBL(l, u)``: exact STS of the un-augmented ``ox`` at ``l``."""
         return self.sts(location, ox.terms, rows)
@@ -309,80 +303,39 @@ class DatasetArrays:
     # ------------------------------------------------------------------
     # Decision kernels (guard-banded; results match the scalar backend)
     # ------------------------------------------------------------------
-    def threshold_mask(
-        self,
-        location: Point,
-        doc: Mapping[int, int],
-        users: Sequence[User],
-        rsk: Mapping[int, float],
-    ) -> List[bool]:
-        """Guard-banded ``STS(location, doc, u) >= RSk(u)`` per user.
-
-        Pairs whose vectorized score lands within ``GUARD_EPS`` of the
-        threshold are re-scored with the scalar path, so the decisions
-        match the scalar scan exactly, ties included.
-        """
-        rows = self.rows_for(users)
-        scores = self.sts(location, doc, rows)
-        thresholds = np.array([rsk[u.item_id] for u in users], dtype=np.float64)
-        passed = scores >= thresholds + GUARD_EPS
-        for i in np.nonzero(np.abs(scores - thresholds) < GUARD_EPS)[0]:
-            u = users[i]
-            passed[i] = (
-                self.dataset.sts_parts(location, doc, u) >= rsk[u.item_id]
-            )
-        return passed.tolist()
-
     def threshold_mask_many(
         self,
         location: Point,
         evals: Sequence[Tuple[Mapping[int, int], Sequence[User]]],
         rsk: Mapping[int, float],
     ) -> List[List[bool]]:
-        """:meth:`threshold_mask` for many (document, users) groups at one
-        location in a single kernel dispatch.
+        """Guard-banded ``STS(location, doc, u) >= RSk(u)`` for many
+        (document, users) groups at one location in one kernel dispatch.
 
         All (user, document) pairs share one spatial-score vector and
         one gathered text reduction, which matters when the groups are
-        small (the greedy selector's HW evaluations: tens of documents
-        with a handful of users each per location).
+        small (the exact selector's memo states: many padded documents
+        with a handful of users each).  Pairs inside the guard band are
+        re-scored with the scalar path, ties included.
         """
         if not evals:
             return []
-        ss_full = self.spatial_scores(location)
+        pairs = [(d, u) for d, (_doc, members) in enumerate(evals) for u in members]
+        rows = np.array([self.user_row[u.item_id] for _, u in pairs], dtype=np.intp)
+        docs = np.array([d for d, _ in pairs], dtype=np.intp)
+        thr = np.array([rsk[u.item_id] for _, u in pairs], dtype=np.float64)
         w_mat = np.stack([self._doc_weight_vector(doc) for doc, _ in evals])
-        pair_rows: List[int] = []
-        pair_docs: List[int] = []
-        thresholds: List[float] = []
-        for d, (_doc, members) in enumerate(evals):
-            for u in members:
-                pair_rows.append(self.user_row[u.item_id])
-                pair_docs.append(d)
-                thresholds.append(rsk[u.item_id])
-        rows = np.array(pair_rows, dtype=np.intp)
-        docs = np.array(pair_docs, dtype=np.intp)
-        thr = np.array(thresholds, dtype=np.float64)
         sums = np.einsum("ij,ij->i", self.user_terms[rows], w_mat[docs])
-        z = self.user_z[rows]
-        ts = np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
         alpha = self.dataset.alpha
-        scores = alpha * ss_full[rows] + (1.0 - alpha) * ts
-        passed = scores >= thr + GUARD_EPS
-        banded = np.nonzero(np.abs(scores - thr) < GUARD_EPS)[0]
-        out: List[List[bool]] = []
-        i = 0
-        flat = passed.tolist()
-        banded_set = set(banded.tolist())
-        for doc, members in evals:
-            group: List[bool] = []
-            for u in members:
-                ok = flat[i]
-                if i in banded_set:
-                    ok = self.dataset.sts_parts(location, doc, u) >= rsk[u.item_id]
-                group.append(ok)
-                i += 1
-            out.append(group)
-        return out
+        ts = _normalized_text(sums, self.user_z[rows])
+        scores = alpha * self.spatial_scores(location)[rows] + (1.0 - alpha) * ts
+
+        def exact(i: int) -> bool:
+            d, u = pairs[i]
+            return self.dataset.sts_parts(location, evals[d][0], u) >= rsk[u.item_id]
+
+        flat = iter(_guarded_ge(scores, thr, exact).tolist())
+        return [[next(flat) for _ in members] for _doc, members in evals]
 
     def brstknn(
         self,
@@ -392,51 +345,12 @@ class DatasetArrays:
         users: Sequence[User],
         rsk: Mapping[int, float],
     ) -> frozenset:
-        """Vectorized :func:`~repro.core.keyword_selection.compute_brstknn`.
-
-        Winner membership is ``STS >= RSk(u)`` via :meth:`threshold_mask`.
-        """
-        from .bounds import augmented_document
-
-        if not users:
-            return frozenset()
-        doc = augmented_document(ox.terms, keywords)
-        passed = self.threshold_mask(location, doc, users, rsk)
-        return frozenset(u.item_id for u, ok in zip(users, passed) if ok)
-
-    def shortlist(
-        self,
-        location: Point,
-        ox: STObject,
-        candidate_terms: Sequence[int],
-        ws: int,
-        users: Sequence[User],
-        rsk: Mapping[int, float],
-        bounds=None,
-    ) -> List[User]:
-        """``LU_l``: users with ``UBL(l, u) >= RSk(u)``, scalar-exact.
-
-        Membership identical to the python backend: the guard band sends
-        near-threshold users through ``BoundCalculator.location_upper_user``.
-        """
-        from .bounds import BoundCalculator
-
-        if not users:
-            return []
-        rows = self.rows_for(users)
-        ub = self.location_upper(location, ox, candidate_terms, ws, rows)
-        thresholds = np.array([rsk[u.item_id] for u in users], dtype=np.float64)
-        keep = ub >= thresholds + GUARD_EPS
-        banded = np.abs(ub - thresholds) < GUARD_EPS
-        if banded.any():
-            bounds = bounds or BoundCalculator(self.dataset)
-            for i in np.nonzero(banded)[0]:
-                u = users[i]
-                keep[i] = (
-                    bounds.location_upper_user(location, ox, candidate_terms, ws, u)
-                    >= rsk[u.item_id]
-                )
-        return [u for i, u in enumerate(users) if keep[i]]
+        """Vectorized :func:`~repro.core.keyword_selection.compute_brstknn`:
+        one recount through a throw-away :class:`SelectionContext`."""
+        ctx = SelectionContext(self, ox)
+        ctx.bind(users, rsk)
+        ctx.move_to(location)
+        return ctx.winners(frozenset(keywords))
 
     # ------------------------------------------------------------------
     # Candidate-pool scoring (Algorithm 2 refinement)
@@ -469,10 +383,174 @@ class DatasetArrays:
         for j, c in enumerate(candidates):
             w[:, j] = self._doc_weight_vector(c.obj.terms)
         sums = user_terms @ w
-        z = user_z[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ts = np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
-        return alpha * ss + (1.0 - alpha) * ts
+        return alpha * ss + (1.0 - alpha) * _normalized_text(sums, user_z[:, None])
+
+
+class SelectionContext:
+    """What Algorithm 3's selection computes once per query, not per location.
+
+    ``STS = alpha * SS + (1 - alpha) * TS`` and Algorithm 3 walks the
+    candidate locations with ``ox.d``, ``W``, ``ws`` and every ``RSk(u)``
+    fixed, so only the spatial term differs between locations.  The
+    context keeps the rest — all of it filled lazily, on first use:
+
+    * ``rsk``: ``RSk(u)`` by user row, read from the mapping of the
+      :meth:`bind` call in which the user first appears (the indexed
+      search hands every location its own mapping);
+    * the text half of ``UBL(l, u)`` (:meth:`upper_text`);
+    * one full-length ``TS`` vector per distinct keyword set
+      (:meth:`text`) — recounts hit the same few documents everywhere;
+    * the flat table of the greedy selector's ``HW_{w,u}`` pairs, whose
+      entries ``hw_entries(user)`` defines.
+
+    Use: :meth:`bind` a user list, :meth:`move_to` a location, then
+    ask for decisions there (:meth:`shortlist`, :meth:`luw`,
+    :meth:`winners`).  Every decision is guard-banded against the
+    scalar path, like all decision kernels of this module.
+    """
+
+    def __init__(
+        self,
+        arrays: DatasetArrays,
+        ox: STObject,
+        candidate_terms: Sequence[int] = (),
+        ws: int = 0,
+        hw_entries: Optional[Callable[[User], List[Tuple[FrozenSet[int], int]]]] = None,
+    ) -> None:
+        self.arrays = arrays
+        self.ox = ox
+        self.candidate_terms = candidate_terms
+        self.ws = ws
+        self.hw_entries = hw_entries
+        self.rsk = np.full(arrays.num_users, np.nan)  # NaN: user not seen yet
+        self._upper_text = None
+        self._text: Dict[FrozenSet[int], "np.ndarray"] = {}
+        self.pair_row = np.empty(0, dtype=np.intp)
+        self.pair_w = np.empty(0, dtype=np.int64)
+        self.pair_ts = np.empty(0)
+        self.pair_hw: List[FrozenSet[int]] = []
+
+    def bind(self, users: Sequence[User], rsk: Mapping[int, float]) -> None:
+        """Make ``users`` the subject of the decisions that follow."""
+        self.users = users
+        self.rows = rows = self.arrays.rows_for(users)
+        fresh = np.nonzero(np.isnan(self.rsk[rows]))[0]
+        if len(fresh):
+            self._admit([users[i] for i in fresh], rows[fresh], rsk)
+        self.thresholds = self.rsk[rows]
+
+    def _admit(self, users: List[User], rows, rsk: Mapping[int, float]) -> None:
+        """First sight of ``users``: their thresholds and ``HW_{w,u}`` pairs."""
+        self.rsk[rows] = [rsk[u.item_id] for u in users]
+        if self.hw_entries is None:
+            return
+        pair_row: List[int] = []
+        pair_w: List[int] = []
+        for row, user in zip(rows.tolist(), users):
+            for hw_set, w in self.hw_entries(user):
+                pair_row.append(row)
+                pair_w.append(w)
+                self.pair_hw.append(hw_set)
+        if not pair_row:
+            return
+        new_hw = self.pair_hw[len(self.pair_row):]
+        doc_of = {hw: j for j, hw in enumerate(dict.fromkeys(new_hw))}
+        pair_ts = np.stack([self.text(hw) for hw in doc_of])[
+            [doc_of[hw] for hw in new_hw], pair_row
+        ]
+        self.pair_row = np.concatenate((self.pair_row, np.array(pair_row, dtype=np.intp)))
+        self.pair_w = np.concatenate((self.pair_w, np.array(pair_w, dtype=np.int64)))
+        self.pair_ts = np.concatenate((self.pair_ts, pair_ts))
+
+    def move_to(self, location: Point) -> None:
+        """The one per-location computation: ``SS(location, u)``."""
+        self.location = location
+        self.ss_full = self.arrays.spatial_scores(location)
+        self.ss = self.ss_full[self.rows]
+
+    def text(self, keywords: FrozenSet[int]):
+        """``TS(ox.d ∪ keywords, u.d)`` for every user of the dataset."""
+        ts = self._text.get(keywords)
+        if ts is None:
+            ts = self._text[keywords] = self.arrays.text_scores(
+                augmented_document(self.ox.terms, keywords)
+            )
+        return ts
+
+    def upper_text(self):
+        """Text half of ``UBL(l, u)`` for every user (Lemma 3, per-user)."""
+        if self._upper_text is None:
+            a = self.arrays
+            sums = a.user_terms @ a._doc_weight_vector(self.ox.terms)
+            if self.ws > 0:
+                cols, gains = a._augmentation_gains(self.ox, self.candidate_terms)
+                if len(cols):
+                    per_user = a.user_terms[:, cols] * gains
+                    if len(cols) > self.ws:
+                        per_user = -np.sort(-per_user, axis=1)[:, : self.ws]
+                    sums = sums + per_user.sum(axis=1)
+            self._upper_text = _normalized_text(sums, a.user_z)
+        return self._upper_text
+
+    def location_upper(self):
+        """``UBL(l, u)`` of the bound users at the current location."""
+        alpha = self.arrays.dataset.alpha
+        return alpha * self.ss + (1.0 - alpha) * self.upper_text()[self.rows]
+
+    def shortlist(self) -> List[User]:
+        """``LU_l``: bound users with ``UBL(l, u) >= RSk(u)``, scalar-exact."""
+        users = self.users
+
+        def exact(i: int) -> bool:
+            ub = BoundCalculator(self.arrays.dataset).location_upper_user(
+                self.location, self.ox, self.candidate_terms, self.ws, users[i]
+            )
+            return ub >= self.thresholds[i]
+
+        keep = _guarded_ge(self.location_upper(), self.thresholds, exact)
+        return [users[i] for i in np.nonzero(keep)[0]]
+
+    def winners(self, keywords: FrozenSet[int]) -> FrozenSet[int]:
+        """Bound users with ``STS(l, ox.d ∪ keywords, u) >= RSk(u)``."""
+        a = self.arrays
+        alpha = a.dataset.alpha
+        scores = alpha * self.ss + (1.0 - alpha) * self.text(keywords)[self.rows]
+
+        def exact(i: int) -> bool:
+            doc = augmented_document(self.ox.terms, keywords)
+            score = a.dataset.sts_parts(self.location, doc, self.users[i])
+            return score >= self.thresholds[i]
+
+        passed = _guarded_ge(scores, self.thresholds, exact)
+        return frozenset(a.user_ids[self.rows[passed]].tolist())
+
+    def luw(self) -> Tuple[Dict[int, Set[int]], int]:
+        """Section 6.2.1's ``LUW_w`` sets at the current location: user
+        ``u`` is in ``LUW_w`` when ``STS`` under ``HW_{w,u}`` reaches
+        ``RSk(u)``.  Also returns how many pairs were decided."""
+        a = self.arrays
+        member = np.zeros(a.num_users, dtype=bool)
+        member[self.rows] = True
+        idx = np.nonzero(member[self.pair_row])[0]
+        rows = self.pair_row[idx]
+        alpha = a.dataset.alpha
+        scores = alpha * self.ss_full[rows] + (1.0 - alpha) * self.pair_ts[idx]
+
+        def exact(i: int) -> bool:
+            doc = augmented_document(self.ox.terms, self.pair_hw[idx[i]])
+            score = a.dataset.sts_parts(self.location, doc, a.dataset.users[rows[i]])
+            return score >= thresholds[i]
+
+        thresholds = self.rsk[rows]
+        passed = _guarded_ge(scores, thresholds, exact)
+        won_w = self.pair_w[idx][passed]
+        order = np.argsort(won_w, kind="stable")
+        keys, starts = np.unique(won_w[order], return_index=True)
+        won_user = a.user_ids[rows[passed]][order].tolist()
+        ends = starts[1:].tolist() + [len(won_user)]
+        return {
+            w: set(won_user[s:e]) for w, s, e in zip(keys.tolist(), starts.tolist(), ends)
+        }, len(idx)
 
 
 # ----------------------------------------------------------------------

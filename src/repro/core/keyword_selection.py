@@ -16,12 +16,15 @@ candidates.  Greedy max coverage is the best possible polynomial
 approximation (``1 − 1/e``) unless P = NP.
 
 **Exact (Section 6.2.2, Algorithm 4).**  Enumerates combinations of
-size up to ``ws`` (see DESIGN.md §3.5 on why "up to" rather than the
-paper's "exactly") of the *useful* candidates (``W ∩ Wu`` where ``Wu``
-is the union of the shortlisted users' keywords) with the paper's
-prunings — users outside ``LU_l`` are never touched; a combination
-is scored against a user only through a memoized per-user won/lost
-table (DESIGN.md §3.8) keyed by ``(combo ∩ u.d, |combo|)``, which
+size up to ``ws`` ("up to" rather than the paper's "exactly":
+Definition 1 asks for ``|W'| <= ws``, and under length-normalized
+measures a smaller set can strictly beat every size-``ws`` set) of the
+*useful* candidates (``W ∩ Wu`` where ``Wu`` is the union of the
+shortlisted users' keywords) with the paper's prunings — users outside
+``LU_l`` are never touched; a combination is scored against a user only
+through a memoized per-user won/lost table keyed by ``(combo ∩ u.d,
+|combo|)`` (at a fixed location a user's STS depends on nothing else;
+see the comment in :func:`select_keywords_exact`), which
 turns the scan into set intersections.  The paper's further shortcut
 (users won by location alone count for every combination, lines
 4.6–4.7) is applied *per combination size* instead of globally: under
@@ -40,7 +43,7 @@ from ..model.dataset import Dataset
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
 from .bounds import augmented_document, candidate_term_weight
-from .kernels import arrays_for, resolve_backend
+from .kernels import SelectionContext, arrays_for, resolve_backend
 
 __all__ = [
     "KeywordSelection",
@@ -109,6 +112,17 @@ def greedy_max_coverage(
     return chosen, covered
 
 
+def _hw_entries(
+    user: User, cand_set: Set[int], opt_weight: Mapping[int, float], ws: int
+) -> List[Tuple[FrozenSet[int], int]]:
+    """``(HW_{w,u}, w)`` for every candidate ``w`` the user holds: the
+    ``ws`` highest-weight useful candidates, forced to contain ``w``."""
+    useful = sorted(cand_set & user.keyword_set, key=lambda t: (-opt_weight[t], t))
+    top = frozenset(useful[:ws])
+    head = useful[: max(ws - 1, 0)]
+    return [(top if w in top else frozenset(head + [w]), w) for w in useful]
+
+
 def select_keywords_greedy(
     dataset: Dataset,
     ox: STObject,
@@ -128,7 +142,12 @@ def select_keywords_greedy(
     (Algorithm 3 calls this once per candidate location): the optimistic
     keyword weights and each user's HW sets depend only on
     ``(ox, candidate_keywords, ws)``, so they are computed for the first
-    location and replayed for the rest.
+    location and replayed for the rest.  The numpy backend keeps its
+    :class:`~repro.core.kernels.SelectionContext` there as well — the
+    text score and threshold of every ``HW_{w,u}`` pair and of every
+    recounted keyword set — so a location costs it one spatial-score
+    vector plus a compare; the python backend scores pair by pair at
+    every location and is the oracle the context is tested against.
     """
     rel = dataset.relevance
     cache = cache if cache is not None else {}
@@ -143,63 +162,40 @@ def select_keywords_greedy(
             t: candidate_term_weight(rel, ox.terms, t) for t in cand_set
         }
 
-    # HW_{w,u} evaluations, grouped by the augmented document they
-    # score: distinct HW sets are few (subsets of the candidate pool of
-    # size <= ws), so the numpy backend scores each document once
-    # against all the users that need it instead of one scalar STS per
-    # (user, w) pair — the hot loop of the greedy selector.
-    hw_by_user: Dict[int, List[Tuple[FrozenSet[int], int]]] = cache.setdefault(
-        "hw_by_user", {}
-    )
-    hw_evals: Dict[FrozenSet[int], List[Tuple[User, int]]] = {}
-    scored = 0
-    for user in users:
-        entries = hw_by_user.get(user.item_id)
-        if entries is None:
-            entries = []
-            useful = sorted(
-                cand_set & user.keyword_set, key=lambda t: (-opt_weight[t], t)
-            )
-            top = useful[: max(ws, 1)]
-            for w in useful:
-                # HW_{w,u}: ws highest-weight useful candidates, forced
-                # to contain w.
-                hw = list(top[: max(ws - 1, 0)]) if w not in top[: max(ws, 1)] else list(top[:ws])
-                if w not in hw:
-                    hw = hw[: max(ws - 1, 0)] + [w]
-                entries.append((frozenset(hw), w))
-            hw_by_user[user.item_id] = entries
-        for hw_set, w in entries:
-            hw_evals.setdefault(hw_set, []).append((user, w))
-            scored += 1
+    def hw_entries(user: User) -> List[Tuple[FrozenSet[int], int]]:
+        return _hw_entries(user, cand_set, opt_weight, ws)
 
-    luw: Dict[int, Set[int]] = {}
-    if resolve_backend(backend) == "numpy" and hw_evals:
-        arrays = arrays_for(dataset)
-        groups = [
-            (augmented_document(ox.terms, hw_set), members)
-            for hw_set, members in hw_evals.items()
-        ]
-        masks = arrays.threshold_mask_many(
-            location,
-            [(doc, [u for u, _ in members]) for doc, members in groups],
-            rsk,
-        )
-        for (_doc, members), passed in zip(groups, masks):
-            for ok, (user, w) in zip(passed, members):
-                if ok:
-                    luw.setdefault(w, set()).add(user.item_id)
+    # LUW_w: users that HW_{w,u} — the most optimistic set containing w —
+    # wins at this location; ``recount`` gives a set's actual BRSTkNN.
+    luw: Dict[int, Set[int]]
+    if resolve_backend(backend) == "numpy":
+        ctx = cache.get("context")
+        if ctx is None:
+            ctx = cache["context"] = SelectionContext(
+                arrays_for(dataset), ox, hw_entries=hw_entries
+            )
+        ctx.bind(users, rsk)
+        ctx.move_to(location)
+        luw, scored = ctx.luw()
+        recount = ctx.winners
     else:
-        for hw_set, members in hw_evals.items():
-            doc = augmented_document(ox.terms, hw_set)
-            for user, w in members:
+        hw_by_user = cache.setdefault("hw_by_user", {})
+        luw, scored = {}, 0
+        for user in users:
+            entries = hw_by_user.get(user.item_id)
+            if entries is None:
+                entries = hw_by_user[user.item_id] = hw_entries(user)
+            for hw_set, w in entries:
+                scored += 1
+                doc = augmented_document(ox.terms, hw_set)
                 if dataset.sts_parts(location, doc, user) >= rsk[user.item_id]:
                     luw.setdefault(w, set()).add(user.item_id)
 
+        def recount(keywords: FrozenSet[int]) -> FrozenSet[int]:
+            return compute_brstknn(dataset, ox, location, keywords, users, rsk)
+
     best_set: FrozenSet[int] = frozenset()
-    best_users = compute_brstknn(
-        dataset, ox, location, best_set, users, rsk, backend=backend
-    )
+    best_users = recount(best_set)
 
     coverage_estimate = 0
     if luw:
@@ -211,9 +207,7 @@ def select_keywords_greedy(
         # improves the answer (the full set remains a candidate).
         for end in range(1, len(chosen) + 1):
             prefix = frozenset(chosen[:end])
-            actual = compute_brstknn(
-                dataset, ox, location, prefix, users, rsk, backend=backend
-            )
+            actual = recount(prefix)
             scored += 1
             if len(actual) > len(best_users):
                 best_set, best_users = prefix, actual
@@ -225,7 +219,9 @@ def select_keywords_greedy(
     # fail when weights are skewed (TF-IDF) or heavily tied (KO).  The
     # pool is capped to the candidates with the largest LUW lists so the
     # pass stays a small constant number of actual BRSTkNN evaluations
-    # (DESIGN.md §3); the better of the two greedy answers is returned.
+    # (at most ws * (2 * ws + 6), whatever |W| is — an uncapped pass would
+    # cost |W| evaluations per step at every misled location); the better
+    # of the two greedy answers is returned.
     if luw and len(best_users) >= 0.8 * coverage_estimate:
         return best_set, best_users, scored
     ranked_pool = sorted(
@@ -233,18 +229,14 @@ def select_keywords_greedy(
         key=lambda t: (-len(luw.get(t, ())), t),
     )[: 2 * ws + 6]
     current: FrozenSet[int] = frozenset()
-    current_users = compute_brstknn(
-        dataset, ox, location, current, users, rsk, backend=backend
-    )
+    current_users = recount(current)
     for _ in range(ws):
         step_set, step_users = None, current_users
         for w in ranked_pool:
             if w in current:
                 continue
             trial = current | {w}
-            winners = compute_brstknn(
-                dataset, ox, location, trial, users, rsk, backend=backend
-            )
+            winners = recount(trial)
             scored += 1
             if len(winners) > len(step_users):
                 step_set, step_users = trial, winners
@@ -279,7 +271,7 @@ def select_keywords_exact(
     # a smaller set can strictly beat every size-ws set.  The paper's
     # Algorithm 4 enumerates only size-ws combinations (implicitly
     # assuming monotone text scores); to stay exact for all three
-    # measures we enumerate every size from 0 up to ws.  See DESIGN.md.
+    # measures we enumerate every size from 0 up to ws.
     #
     # Scoring is memoized: for a fixed location and combo size s, a
     # user's STS depends only on (combo ∩ u.d, s) — the other combo

@@ -11,8 +11,10 @@ MIUR-tree is an R-tree in which every node is augmented with:
 Every node therefore *is* a super-user for the users below it: the
 bound machinery of Section 5.3 applies unchanged with the node's MBR,
 union and intersection vectors.  We also propagate the min/max
-user-side normalizer per subtree (the soundness fix documented in
-DESIGN.md §3).
+user-side normalizer per subtree: the paper's group-side normalizer can
+under-estimate a member's text score, so upper bounds divide by the
+smallest ``Z(u.d)`` below the node and lower bounds by the largest (the
+"normalization fix" of :mod:`repro.core.bounds`' module docstring).
 """
 
 from __future__ import annotations

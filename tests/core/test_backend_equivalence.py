@@ -104,3 +104,36 @@ def test_numpy_backend_identical_across_k_and_alpha(alpha, k):
         np_.keywords,
         np_.brstknn,
     )
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("measure", ["LM", "TF"])
+def test_indexed_search_late_users_identical_result_and_stats(seed, measure):
+    """``indexed_search`` shares one greedy-selector cache over a query's
+    locations but hands each call a fresh ``local_rsk`` holding only that
+    location's users.  With scattered users and many locations, most
+    users are first resolved at a late location: the numpy context must
+    take their thresholds from the call that introduces them."""
+    rng = random.Random(1000 + seed)
+    objects = make_random_objects(80, 16, rng, space=40.0)
+    users = make_random_users(30, 16, rng, space=40.0)
+    dataset = Dataset(objects, users, relevance=measure, alpha=0.9)
+    engine = MaxBRSTkNNEngine(dataset, fanout=4, index_users=True)
+    query = MaxBRSTkNNQuery(
+        ox=STObject(item_id=-1, location=Point(20, 20), terms={0: 1}),
+        locations=[Point(rng.uniform(0, 40), rng.uniform(0, 40)) for _ in range(8)],
+        keywords=sorted(rng.sample(range(16), 6)),
+        ws=2,
+        k=3,
+    )
+    py = engine.query(query, method="approx", mode="indexed", backend="python")
+    np_ = engine.query(query, method="approx", mode="indexed", backend="numpy")
+    assert (py.location, py.keywords, py.brstknn) == (
+        np_.location, np_.keywords, np_.brstknn,
+    )
+    for field in (
+        "locations_pruned", "keyword_combinations_scored", "users_pruned",
+        "users_total", "io_node_visits", "io_invfile_blocks",
+    ):
+        assert getattr(py.stats, field) == getattr(np_.stats, field), field

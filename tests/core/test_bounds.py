@@ -86,8 +86,9 @@ class TestLemma2NodeBounds:
 
 
 class TestNormalizationFix:
-    """The DESIGN.md deviation: paper-style group normalization can break
-    Lemma 2; min/max normalizers restore it."""
+    """The deviation explained in ``repro.core.bounds``' module docstring:
+    paper-style group normalization can break Lemma 2; min/max
+    normalizers restore it."""
 
     def test_single_keyword_user_reaches_one(self):
         # User A has one rare keyword 5; object O5 is the only doc with
@@ -129,6 +130,8 @@ class TestLemma3LocationBounds:
         ox = STObject(item_id=-1, location=Point(5, 5), terms={0: 1})
         loc = Point(rng.uniform(0, 10), rng.uniform(0, 10))
         ub_group = bounds.location_upper_group(loc, ox, candidates, ws, su)
+        text = bounds.group_upper_text(ox, candidates, ws, su)  # once per query
+        assert bounds.location_upper_group(loc, ox, candidates, ws, su, text=text) == ub_group
         lb_group = bounds.location_lower_group(loc, ox, su)
         from itertools import combinations
 

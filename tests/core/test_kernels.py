@@ -12,11 +12,14 @@ import random
 
 import pytest
 
-from repro import Dataset
-from repro.core.bounds import BoundCalculator
+from repro import Dataset, MaxBRSTkNNQuery
+from repro.core.bounds import BoundCalculator, augmented_document
+from repro.core.candidate_selection import shortlist_locations
 from repro.core.joint_topk import individual_topk, joint_traversal
-from repro.core.kernels import GUARD_EPS, HAS_NUMPY, arrays_for, resolve_backend
-from repro.core.keyword_selection import compute_brstknn
+from repro.core.kernels import (
+    GUARD_EPS, HAS_NUMPY, SelectionContext, arrays_for, resolve_backend,
+)
+from repro.core.keyword_selection import compute_brstknn, select_keywords_greedy
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
@@ -80,9 +83,12 @@ def test_location_bounds_match_scalar(measure, vocab, ws):
         terms={t: 1 for t in rng.sample(range(vocab), 3)},
     )
     candidates = sorted(rng.sample(range(vocab), min(6, vocab)))
+    ctx = SelectionContext(arrays, ox, candidates, ws)
+    ctx.bind(ds.users, {u.item_id: 0.5 for u in ds.users})
     for _ in range(4):
         loc = Point(rng.uniform(0, 10), rng.uniform(0, 10))
-        ub = arrays.location_upper(loc, ox, candidates, ws)
+        ctx.move_to(loc)
+        ub = ctx.location_upper()
         lb = arrays.location_lower(loc, ox)
         for i, u in enumerate(ds.users):
             assert math.isclose(
@@ -130,10 +136,65 @@ def test_shortlist_kernel_exact_membership(seed):
         for u in ds.users
         if bounds.location_upper_user(loc, ox, candidates, 2, u) >= rsk[u.item_id]
     ]
-    vectorized = [
-        u.item_id for u in arrays.shortlist(loc, ox, candidates, 2, ds.users, rsk)
-    ]
+    ctx = SelectionContext(arrays, ox, candidates, 2)
+    ctx.bind(ds.users, rsk)
+    ctx.move_to(loc)
+    vectorized = [u.item_id for u in ctx.shortlist()]
     assert scalar == vectorized
+
+
+def test_exact_ties_take_the_scalar_recheck(monkeypatch):
+    """``STS == RSk(u)`` for one HW pair and one recount, ``UBL == RSk(u)``
+    for one shortlist row: each banded pair is re-scored by the scalar
+    path and admitted (``>=``); one ulp above the score, it is rejected."""
+    ds, rng = build(23, n_users=12)
+    bounds = BoundCalculator(ds)
+    ox = STObject(item_id=-1, location=Point(5, 5), terms={0: 1})
+    candidates = sorted(rng.sample(range(20), 8))
+    loc, ws = Point(4, 6), 2
+    query = MaxBRSTkNNQuery(ox=ox, locations=[loc], keywords=candidates, ws=ws, k=1)
+    by_pairs = sorted(ds.users, key=lambda u: -len(set(candidates) & u.keyword_set))
+    pair_user, recount_user, bound_user = by_pairs[:3]
+    w = min(set(candidates) & pair_user.keyword_set)
+    hw_doc = augmented_document(ox.terms, {w})  # HW_{w,u} for ws = 1
+    exact = {
+        pair_user.item_id: ds.sts_parts(loc, hw_doc, pair_user),
+        recount_user.item_id: ds.sts_parts(loc, ox.terms, recount_user),
+        bound_user.item_id: bounds.location_upper_user(loc, ox, candidates, ws, bound_user),
+    }
+
+    rescored = []
+    scalar_sts, scalar_ubl = ds.sts_parts, BoundCalculator.location_upper_user
+    monkeypatch.setattr(
+        ds, "sts_parts",
+        lambda l, doc, u: rescored.append(u.item_id) or scalar_sts(l, doc, u),
+    )
+    monkeypatch.setattr(
+        BoundCalculator, "location_upper_user",
+        lambda self, l, o, c, n, u: rescored.append(u.item_id) or scalar_ubl(self, l, o, c, n, u),
+    )
+    for bump, admitted in ((lambda x: x, True), (lambda x: math.nextafter(x, 2.0), False)):
+        rsk = {u.item_id: 2.0 for u in ds.users}  # out of reach: never banded
+        rsk.update({uid: bump(score) for uid, score in exact.items()})
+        py = select_keywords_greedy(ds, ox, loc, candidates, 1, ds.users, rsk, backend="python")
+        del rescored[:]
+        cache = {}
+        assert select_keywords_greedy(
+            ds, ox, loc, candidates, 1, ds.users, rsk, backend="numpy", cache=cache
+        ) == py
+        assert {pair_user.item_id, recount_user.item_id} <= set(rescored)
+        luw, _ = cache["context"].luw()
+        assert (pair_user.item_id in luw.get(w, ())) == admitted
+        assert compute_brstknn(
+            ds, ox, loc, frozenset(), [recount_user], rsk, backend="numpy"
+        ) == (frozenset([recount_user.item_id]) if admitted else frozenset())
+
+        lists_py, _ = shortlist_locations(ds, query, rsk, 0.0, backend="python")
+        del rescored[:]
+        lists_np, _ = shortlist_locations(ds, query, rsk, 0.0, backend="numpy")
+        assert [u.item_id for u in lists_np[0].users] == [u.item_id for u in lists_py[0].users]
+        assert rescored == [bound_user.item_id]  # only the banded row is re-checked
+        assert (bound_user in lists_np[0].users) == admitted
 
 
 def test_individual_topk_backends_identical():

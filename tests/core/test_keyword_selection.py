@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import Dataset
 from repro.core.joint_topk import joint_topk
+from repro.core.kernels import HAS_NUMPY
 from repro.core.keyword_selection import (
     compute_brstknn,
     greedy_max_coverage,
@@ -182,3 +183,62 @@ class TestGreedySelection:
         ds, ox, loc, cands, rsk = build_selection_problem(63)
         chosen, winners, _ = select_keywords_greedy(ds, ox, loc, cands, 2, [], rsk)
         assert winners == frozenset()
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+class TestSelectionContextReuse:
+    """The numpy selector keeps one per-query context in ``cache``; the
+    python selector, called fresh at every location, is its oracle."""
+
+    @given(
+        seed=st.integers(0, 40),
+        ws=st.integers(0, 3),
+        measure=st.sampled_from(["LM", "TF", "KO"]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_context_over_shuffled_locations_and_user_subsets(
+        self, seed, ws, measure, data
+    ):
+        ds, ox, _, cands, rsk = build_selection_problem(seed)
+        ds = Dataset(ds.objects, ds.users, relevance=measure, alpha=0.5)
+        rng = random.Random(seed)
+        locations = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(5)]
+        ids = [u.item_id for u in ds.users]
+        latecomers = data.draw(st.sets(st.sampled_from(ids), max_size=4))
+        visits = []
+        for i, loc in enumerate(data.draw(st.permutations(locations))):
+            pool = [uid for uid in ids if i >= 3 or uid not in latecomers]
+            chosen = data.draw(st.sets(st.sampled_from(pool)))
+            subset = [u for u in ds.users if u.item_id in chosen]
+            # indexed_search's shape: a mapping holding this location's users only
+            visits.append((loc, subset, {u.item_id: rsk[u.item_id] for u in subset}))
+        cache = {}
+        for loc, subset, local_rsk in visits:
+            got = select_keywords_greedy(
+                ds, ox, loc, cands, ws, subset, local_rsk, backend="numpy", cache=cache
+            )
+            want = select_keywords_greedy(
+                ds, ox, loc, cands, ws, subset, local_rsk, backend="python"
+            )
+            assert got == want
+
+    @pytest.mark.parametrize("case", ["no_users", "ws_zero", "unheld_candidates"])
+    def test_degenerate_inputs_match_python(self, case):
+        ds, ox, loc, cands, rsk = build_selection_problem(64)
+        users, ws = ds.users, 2
+        if case == "no_users":
+            users = []
+        elif case == "ws_zero":
+            ws = 0
+        else:
+            cands = [1000, 1001]  # terms no user holds
+        cache = {}
+        for location in (loc, Point(1, 1)):
+            got = select_keywords_greedy(
+                ds, ox, location, cands, ws, users, rsk, backend="numpy", cache=cache
+            )
+            want = select_keywords_greedy(
+                ds, ox, location, cands, ws, users, rsk, backend="python"
+            )
+            assert got == want
