@@ -10,18 +10,14 @@ sanctioned path is ``dispatch()`` / ``collect()`` / ``run_supervised()``
 machine-checked, like the Stage contract.
 
 Flagged (outside ``PersistentWorkerPool`` itself, which implements the
-supervisor and may touch the raw pool):
+supervisor and may touch the raw pool): async ``multiprocessing``
+dispatches (``map_async``, ``apply_async``, ``starmap_async``,
+``imap``, ``imap_unordered``) on a pool-like receiver — each returns a
+result handle whose ``get()``/iteration can hang forever on worker
+death.
 
-* any call of ``run_shard_tasks_async`` — the legacy unsupervised
-  escape hatch, whatever the receiver;
-* async ``multiprocessing`` dispatches (``map_async``, ``apply_async``,
-  ``starmap_async``, ``imap``, ``imap_unordered``) on a pool-like
-  receiver — each returns a result handle whose ``get()``/iteration
-  can hang forever on worker death.
-
-Synchronous ``pool.map`` on an *ephemeral* fork pool (the per-round
-``plan.workers > 1`` path, torn down with the round) is out of scope:
-its blast radius is one call, not a serving runtime.
+Synchronous ``pool.map`` is out of scope: it returns no handle to wait
+on, and the serving stack has no call site for it.
 
 Rules
 -----
@@ -37,9 +33,6 @@ from typing import Iterator, Tuple
 from ..engine import Checker, Finding, ModuleInfo, call_name
 
 __all__ = ["FaultToleranceChecker"]
-
-#: The unsupervised legacy API: flagged on any receiver.
-_RAW_DISPATCH = frozenset({"run_shard_tasks_async"})
 
 #: multiprocessing async-dispatch methods returning result handles that
 #: hang forever if a worker dies (flagged on pool-like receivers).
@@ -75,17 +68,7 @@ class FaultToleranceChecker(Checker):
             target = node.func
             if not isinstance(target, ast.Attribute):
                 continue
-            tail = target.attr
-            if tail in _RAW_DISPATCH:
-                yield self.finding(
-                    "FT501",
-                    f"{call_name(target)}() is the unsupervised dispatch: "
-                    f"a dead worker wedges its result forever; use "
-                    f"run_supervised() (or dispatch()+collect()) so the "
-                    f"deadline/retry ladder applies",
-                    module, node.lineno,
-                )
-            elif tail in _ASYNC_POOL_METHODS and _POOLISH_RE.search(
+            if target.attr in _ASYNC_POOL_METHODS and _POOLISH_RE.search(
                 call_name(target.value)
             ):
                 yield self.finding(

@@ -17,9 +17,9 @@ queues.  Two ways that discipline silently breaks:
   drops its arrays, so workers silently rebuild them: the bug PR 3's
   token-registry fix closed by hand).
 
-This checker flags both at lint time.  Boundary sites are calls to
-``run_selection``/``run_shard_tasks_async``, pool construction
-(``Pool(...)`` ``initializer=``/``initargs=``), pool dispatch methods
+This checker flags both at lint time.  Boundary sites are pool
+construction (``Pool(...)`` ``initializer=``/``initargs=``), pool
+dispatch methods
 (``.map``/``.map_async``/``.apply``/``.apply_async``/``.imap``), and
 scatter payload tuples — tuple literals whose first element is one of
 the :func:`~repro.core.pipeline.execute_shard_payload` kinds.
@@ -54,11 +54,12 @@ COW_ONLY_TYPES = frozenset({
 })
 
 #: First elements of execute_shard_payload work-item tuples.
-PAYLOAD_KINDS = frozenset({"refine", "shortlist", "search", "indexed_search"})
+PAYLOAD_KINDS = frozenset(
+    {"refine", "shortlist", "search", "select", "indexed_search"}
+)
 
 #: Attribute calls that submit work (and their argument roles).
 _SUBMIT_METHODS = frozenset({
-    "run_selection", "run_shard_tasks_async",
     "map", "map_async", "starmap", "starmap_async",
     "imap", "imap_unordered", "apply", "apply_async",
 })

@@ -210,9 +210,9 @@ def _cmd_serve(args) -> int:
     )
     queries = _make_query_pool(workload, args, args.queries)
     if args.transport == "socket":
-        # Shard hosts replace the fork pools: the engine's executor is
-        # swapped for the SocketExecutor before the server starts (the
-        # server itself runs pool-less, pool_workers=0).
+        # Shard hosts replace the fork pools: the engine's executor gets
+        # its socket transport before the server starts (the server
+        # itself runs pool-less, pool_workers=0).
         engine.connect_hosts(
             args.hosts, retry=RetryPolicy(), deadline=deadline
         )

@@ -49,11 +49,10 @@ that (that is the point).
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
+import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from .baseline import baseline_select_candidate
 from .candidate_selection import select_candidate
@@ -257,58 +256,6 @@ def _select_one(
     return result
 
 
-# ----------------------------------------------------------------------
-# Process-pool fan-out (fork only: workers inherit the indexes for free)
-# ----------------------------------------------------------------------
-
-def _select_chunk(dataset, payload: Tuple) -> List[MaxBRSTkNNResult]:
-    """One select-stage chunk: several queries against one shared state.
-
-    The in-process / forked twin of the persistent pool's payload
-    runner (``repro.serve.pool._run_payload``) — same tuple layout, so
-    every execution mode runs identical code.
-    """
-    from .payload import decode_select_payload
-
-    # Identity on plain payloads; arena-encoded select payloads
-    # (config.use_shm) resolve their shared-state ArenaRef here.
-    queries, shared, mode, method, backend = decode_select_payload(payload)
-    return [
-        _select_one(dataset, query, shared, mode, method, backend)
-        for query in queries
-    ]
-
-
-#: State handed to forked workers via copy-on-write memory, not pickling.
-#: Guarded by _FORK_LOCK: concurrent query_batch calls (e.g. a serving
-#: layer with one engine per thread) must not interleave set/fork/clear.
-_FORK_STATE: Optional[Tuple] = None
-_FORK_LOCK = threading.Lock()
-
-
-def _run_forked(i: int) -> List[MaxBRSTkNNResult]:
-    dataset, payloads = _FORK_STATE
-    return _select_chunk(dataset, payloads[i])
-
-
-def _fork_execute(dataset, payloads: List[Tuple], workers: int) -> List[list]:
-    """Run select-stage chunks over an ephemeral fork pool.
-
-    Workers inherit ``dataset`` (and its pre-built kernel arrays)
-    through copy-on-write at fork time; only the chunk index crosses
-    the worker pipe.
-    """
-    global _FORK_STATE
-    with _FORK_LOCK:
-        _FORK_STATE = (dataset, payloads)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(workers, len(payloads))) as fork_pool:
-                return fork_pool.map(_run_forked, range(len(payloads)))
-        finally:
-            _FORK_STATE = None
-
-
 def query_batch(
     engine: "MaxBRSTkNNEngine",
     queries: Sequence[MaxBRSTkNNQuery],
@@ -333,8 +280,9 @@ def query_batch(
         deprecation shim.  Results are identical across backends.
     pool:
         Optional persistent worker pool (``repro.serve.pool``) used for
-        phase 2 instead of a per-call fork pool; amortizes worker
-        startup across batches (the serving layer passes one).
+        phase 2 instead of the call-scoped pool ``workers=N`` opens;
+        amortizes worker startup across batches (the serving layer
+        passes one).
     """
     opts = coerce_options(
         options, method=method, mode=mode, backend=backend, workers=workers,
@@ -364,13 +312,24 @@ def execute_batch(
     the mode's stage list (traverse → refine → select for joint,
     root-traverse → search for indexed, topk → select for baseline) on
     this one engine; per-stage accounting lands on
-    ``engine.last_flush_report``.
+    ``engine.last_flush_report``.  Phase 2 rides the pipe lane over
+    ``pool`` — or, when the plan asked for workers and none was
+    injected, over a supervised pool scoped to this call.
     """
     from .history import signature_of
-    from .pipeline import LocalExecutor
+    from .pipeline import SEARCH_LANE, LocalExecutor
 
-    executor = LocalExecutor(engine, pool=pool)
-    results = executor.execute(queries, plan)
+    scoped = contextlib.nullcontext(pool)
+    if pool is not None or plan.workers > 1:
+        # Imported on demand: repro.serve sits above repro.core.
+        from ..serve.pool import PersistentWorkerPool, PoolTransport
+
+        if pool is None:
+            scoped = PersistentWorkerPool(engine.dataset, plan.workers)
+    with scoped as pool:
+        transport = PoolTransport({SEARCH_LANE: pool}) if pool is not None else None
+        executor = LocalExecutor(engine, transport)
+        results = executor.execute(queries, plan)
     engine.last_flush_report = executor.last_flush_report
     history = getattr(engine, "flush_history", None)
     if history is not None and executor.last_flush_report is not None:

@@ -61,8 +61,6 @@ __all__ = [
     "decode_rsk",
     "encode_shard_payload",
     "decode_shard_payload",
-    "encode_select_payload",
-    "decode_select_payload",
     "encode_gather_payload",
     "decode_gather_payload",
     "resolve_ref",
@@ -429,6 +427,11 @@ def encode_shard_payload(codec: PayloadCodec, payload: tuple) -> tuple:
             "search", packed,
             codec.ship(rsk, "rsk-root", kind="rsk"), rsk_group, method, backend,
         )
+    if kind == "select":
+        # The shared phase-1 state (an O(|U|) ``SharedTopK``)
+        # delta-ships as a blob reference.
+        _, queries, shared, mode, method, backend = payload
+        return ("select", queries, codec.ship(shared, "topk"), mode, method, backend)
     if kind == "indexed_search":
         (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
          io_node_visits, io_invfile_blocks, method, backend) = payload
@@ -467,6 +470,9 @@ def decode_shard_payload(payload: tuple) -> tuple:
             ],
             _maybe(rsk), rsk_group, method, backend,
         )
+    if kind == "select":
+        _, queries, shared, mode, method, backend = payload
+        return ("select", queries, _maybe(shared), mode, method, backend)
     if kind == "indexed_search":
         (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
          io_node_visits, io_invfile_blocks, method, backend) = payload
@@ -476,18 +482,6 @@ def decode_shard_payload(payload: tuple) -> tuple:
             method, backend,
         )
     return payload
-
-
-def encode_select_payload(codec: PayloadCodec, payload: tuple) -> tuple:
-    """Codec form of one select-stage chunk: the shared phase-1 state
-    (an O(|U|) ``SharedTopK``) delta-ships as a blob reference."""
-    queries, shared, mode, method, backend = payload
-    return (queries, codec.ship(shared, "topk"), mode, method, backend)
-
-
-def decode_select_payload(payload: tuple) -> tuple:
-    queries, shared, mode, method, backend = payload
-    return (queries, _maybe(shared), mode, method, backend)
 
 
 # ----------------------------------------------------------------------

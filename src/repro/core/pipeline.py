@@ -1,75 +1,93 @@
-"""Unified phase-pipeline executor: one logical plan, many physical executors.
+"""Phase pipeline: typed stages, and ONE scatter round over lanes.
 
-Before PR 5, batch orchestration lived twice: :mod:`repro.core.batch`
-hand-rolled the single-engine flow (phase-1 sharing, fork fan-out,
-pool chunking) while :mod:`repro.serve.sharded` re-implemented the same
-traverse → refine → shortlist → search flow as per-phase scatter loops.
-Keeping the two in lockstep was manual work, and every asymmetry showed
-up as a planner rejection (``Mode.INDEXED`` could not shard, could not
-share pools across k, could not fan its search out).
-
-This module makes the flow first-class.  A flush is an
-:class:`ExecutionPipeline` — an ordered tuple of typed :class:`Stage`\\ s,
-each with declared inputs/outputs over a :class:`FlushContext`
-blackboard and per-phase time/I-O accounting (:class:`StageStats`).
-Central stages run on the root engine; scatter stages obey a **pure
-scatter contract**::
+A flush is an :class:`ExecutionPipeline` — an ordered tuple of typed
+:class:`Stage`\\ s, each with declared inputs/outputs over a
+:class:`FlushContext` blackboard and per-phase time/I-O accounting
+(:class:`StageStats`).  Central stages run on the root engine; scatter
+stages obey a **pure scatter contract**::
 
     split(ctx, shard)  ->  payload list          (pure, no mutation)
     run(dataset, payload[, context])             (the worker entry)
     merge(ctx, partials per shard)               (gather, writes outputs)
 
-``run`` is :func:`execute_shard_payload` — the ONE worker entry point
-shared by forked pool workers and the deterministic in-process
-fallback, so both execution modes are the same code path.  Two
-executors drive the pipeline:
+``run`` is :func:`execute_shard_payload` — the ONE worker entry, called
+by fork-pool workers, shard hosts and in-process execution alike.
 
-* :class:`LocalExecutor` — one engine, one implicit shard (the full
-  dataset); replaces the hand-rolled orchestration in
-  ``batch.execute_batch``.  Phase 2 optionally fans out over a
-  persistent pool or an ephemeral fork pool, exactly as before.
-* :class:`ShardedExecutor` — N partitioned engines; replaces the
-  per-phase fan-out loops in ``ShardedEngine``.  Refine/shortlist
-  scatter once per shard per phase, the per-query searches fan out
-  over the root search pool.
+The paper's two O(|U|) phases — Algorithm 2's per-user ``RSk(u)``
+refine and Algorithm 3's shortlist + best-first search — are the only
+things ever scattered, and every scatter goes through ONE loop,
+:func:`run_round`::
 
-Pipelines by mode (both executors):
+    encode -> dispatch every lane -> collect each -> degrade -> decode
+
+A :class:`Lane` is ``(wire id, payloads, degrade dataset, worker
+context)``.  A transport is where lanes run — the :class:`Transport`
+protocol: ``dispatch(lanes) -> tickets`` starts every lane before any
+is collected; ``collect(ticket) -> chunks`` runs the transport's own
+recovery ladder and raises :class:`ScatterFailure` once it is
+exhausted, leaving the round's retry/byte counters on the
+:class:`Ticket`.  Three implementations:
+
+* :class:`InlineTransport` — the calling process; no wire, no ladder.
+* :class:`repro.serve.pool.PoolTransport` — supervised fork pools over
+  pipes (worker death / deadline => respawn + retry).
+* :class:`repro.serve.transport.SocketTransport` — shard host processes
+  over TCP frames (host death => re-scatter to a survivor).
+
+A lane whose ladder is exhausted re-runs in-process against its own
+dataset: ``execute_shard_payload`` is pure, so the degraded answer is
+bitwise-identical, only slower — and counted.
+
+Executors are lane *builders*.  :class:`LocalExecutor` (one engine)
+deals the query axis — ``select`` / ``indexed-search`` chunks — over an
+injected or call-scoped pool, else inline.  :class:`ShardedExecutor`
+(N user partitions) builds one lane per engaged shard for the
+user-axis stages (refine, shortlist) and deals the query-axis chunks
+(search, indexed-search) over the transport's search lanes, giving each
+chunk to the lane holding the fewest queries so far; its ``transport``
+is swapped by ``ShardedEngine.start_pools`` / ``connect_hosts``.
+
+Pipelines by mode:
 
 * ``joint``    — traverse → refine → shortlist+search (local fuses the
-  last two per query: with one partition there is nothing to merge
-  between them; sharded splits them so the merge barrier sits exactly
-  where cross-shard data meets).
+  last two per query as ``select``: with one partition there is nothing
+  to merge between them; sharded splits them so the merge barrier sits
+  exactly where cross-shard data meets).
 * ``baseline`` — per-user topk → select (local only; no mergeable
   group traversal).
-* ``indexed``  — root-traverse → best-first search per query.  Since
-  the node-RSk reformulation (:mod:`repro.core.indexed_users`) every
-  per-k quantity derives pool-independently from one ``k_max`` walk,
-  so indexed batches share a single traversal like joint batches do,
-  and the searches fan out over the root search pool against
-  read-only :meth:`~repro.storage.pager.PageStore.ledger_view` stores
-  whose :class:`~repro.storage.pager.IOCharge` ledgers replay onto the
-  engine's counter at gather time.
+* ``indexed``  — root-traverse → best-first search per query.  Every
+  per-k quantity derives pool-independently from one ``k_max`` walk
+  (:mod:`repro.core.indexed_users`), and fanned-out searches run
+  against read-only :meth:`~repro.storage.pager.PageStore.ledger_view`
+  stores whose :class:`~repro.storage.pager.IOCharge` ledgers replay
+  onto the engine's counter at gather time.
 
 Result identity is the invariant throughout: results, I/O traces and
 selection stats equal the single sequential engine's across
-``{joint, indexed}`` × shards × partitioners × mixed-k × backends
-(property-tested in ``tests/core/test_pipeline.py`` and
-``tests/serve/test_sharded.py``).
+``{joint, indexed}`` × shards × partitioners × mixed-k × backends ×
+transports (``tests/core/test_pipeline.py``,
+``tests/serve/test_sharded.py``, ``tests/serve/test_multihost.py``).
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..storage.pager import IOCharge
+# The payload funnels are called through the module attribute (never
+# imported by name) so a wrapper installed on ``repro.core.payload``
+# sees every call.
+from . import payload as _wire
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..serve.pool import PersistentWorkerPool
     from .engine import MaxBRSTkNNEngine
     from .planner import QueryPlan
+
+_log = logging.getLogger("repro.core.pipeline")
 
 __all__ = [
     "ScatterFailure",
@@ -85,6 +103,13 @@ __all__ = [
     "IndexedSearchStage",
     "ExecutionPipeline",
     "build_pipeline",
+    "Lane",
+    "Ticket",
+    "Transport",
+    "InlineTransport",
+    "INLINE",
+    "SEARCH_LANE",
+    "run_round",
     "LocalExecutor",
     "ShardedExecutor",
     "execute_shard_payload",
@@ -209,10 +234,10 @@ class FlushContext(dict):
 def execute_shard_payload(dataset, payload: tuple, context=None):
     """Run one scatter work item against ``dataset``.
 
-    The ONE implementation behind both execution modes: forked pool
-    workers call it with their copy-on-write dataset (and ``context`` —
-    the MIUR-tree for indexed search payloads), the in-process fallback
-    passes both explicitly.  Payload kinds:
+    The ONE implementation behind every transport: forked pool workers
+    call it with their copy-on-write dataset (and ``context`` — the
+    MIUR-tree for indexed search payloads), shard hosts with their
+    replica, in-process lanes pass both explicitly.  Payload kinds:
 
     * ``("refine", traversal, ks, backend, shard_id)`` — Algorithm 2
       for the shard's users at each k against the shared pool.
@@ -221,6 +246,9 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     * ``("search", items, rsk, rsk_group, method, backend)`` — the
       gather-side central best-first searches over merged shortlists
       (``dataset`` = the FULL dataset here).
+    * ``("select", queries, shared, mode, method, backend)`` — the
+      single-partition fusion of the two above: Algorithm 3 whole, per
+      query, against one shared phase-1 state.
     * ``("indexed_search", queries, views, traversal, rsk_group,
       users_total, topk_time_s, io_node_visits, io_invfile_blocks,
       method, backend)`` — per-query best-first MIUR searches, each
@@ -229,16 +257,23 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
       aligns with ``queries``; a view is a tiny (store, charge) pair,
       so shipping them is free); returns ``(result, IOCharge)`` pairs
       so the gather replays the simulated I/O onto the shared counter.
+      ``views=None`` is the ledger-free form, in-process only (a warm
+      LRU buffer's global access order forbids views): ``context`` is
+      then the ENGINE, whose real page store is charged directly (the
+      charge slot is ``None``) and whose memoized
+      :class:`~repro.core.indexed_users.RootTraversal` supplies the
+      per-k canonical pool / kernel arrays instead of a per-chunk
+      rebuild.  Decision-identical to the ledger form — both run
+      :func:`~repro.core.indexed_users.indexed_search` on the same
+      derived inputs.
     """
     from .partial import compute_partial, compute_shortlist_partial
-    from .payload import decode_shard_payload
 
     # The ONE decode funnel: arena-encoded payloads (config.use_shm)
     # resolve their ArenaRefs / packed blocks here; plain pickle
-    # payloads pass through untouched.  Pool workers, degraded
-    # in-process re-runs and the sharded in-process path all land here,
-    # so both transports execute identical inputs.
-    payload = decode_shard_payload(payload)
+    # payloads pass through untouched, so every transport executes
+    # identical inputs.
+    payload = _wire.decode_shard_payload(payload)
     kind = payload[0]
     if kind == "refine":
         _, traversal, ks, backend, shard_id = payload
@@ -267,6 +302,14 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
             )
             out.append(result)
         return out
+    if kind == "select":
+        from .batch import _select_one
+
+        _, queries, shared, mode, method, backend = payload
+        return [
+            _select_one(dataset, query, shared, mode, method, backend)
+            for query in queries
+        ]
     if kind == "indexed_search":
         from .indexed_users import indexed_search
         from .joint_topk import canonical_candidates
@@ -278,14 +321,22 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
                 "indexed_search payload needs the MIUR-tree as worker context"
             )
         # Chunks are grouped per k, so the canonical pool (and its
-        # kernel arrays) is one derivation for the whole chunk — the
-        # worker-side twin of the RootTraversal per-k memoization.
-        canonical = canonical_candidates(traversal, rsk_group)
-        pool_arrays = None
-        if backend == "numpy":
-            from .kernels import CandidatePoolArrays
+        # kernel arrays) is one derivation for the whole chunk.
+        if views is None:
+            user_tree, pool, k = context.user_tree, context._root_pool, queries[0].k
+            canonical = pool.canonical_for(k)
+            pool_arrays = (
+                pool.pool_arrays_for(dataset, k) if backend == "numpy" else None
+            )
+            views = [(context.store, None)] * len(queries)
+        else:
+            user_tree = context
+            canonical = canonical_candidates(traversal, rsk_group)
+            pool_arrays = None
+            if backend == "numpy":
+                from .kernels import CandidatePoolArrays
 
-            pool_arrays = CandidatePoolArrays(dataset, canonical)
+                pool_arrays = CandidatePoolArrays(dataset, canonical)
         out = []
         for query, (store, charge) in zip(queries, views):
             stats = QueryStats(
@@ -295,7 +346,7 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
                 io_invfile_blocks=io_invfile_blocks,
             )
             result = indexed_search(
-                context, dataset, query, traversal, rsk_group, stats,
+                user_tree, dataset, query, traversal, rsk_group, stats,
                 method=method, backend=backend, store=store,
                 canonical=canonical, pool_arrays=pool_arrays,
             )
@@ -561,7 +612,7 @@ class SelectStage(Stage):
             for c in range(n_chunks):
                 chunk = indices[c::n_chunks]
                 payloads.append(
-                    ([keyed[i][0] for i in chunk], shared_by_key[key],
+                    ("select", [keyed[i][0] for i in chunk], shared_by_key[key],
                      plan.mode.value, plan.method.value, plan.backend)
                 )
                 index_groups.append(chunk)
@@ -645,46 +696,6 @@ class IndexedSearchStage(Stage):
             if charge is not None:
                 charge.apply(io_counter)
         ctx["results"] = results
-
-
-def run_indexed_chunk_inprocess(engine, pool_state, payload: tuple) -> list:
-    """One indexed-search chunk against the engine's own page store.
-
-    The in-process twin of the worker-side ``indexed_search`` payload
-    path: charges go straight to the shared counter (no ledger to
-    replay, so the charge slot is ``None``), and the per-k canonical
-    pool / kernel arrays come memoized off the
-    :class:`~repro.core.indexed_users.RootTraversal` instead of being
-    rebuilt per chunk.  Decision-identical to the worker path — both
-    call :func:`~repro.core.indexed_users.indexed_search` on the same
-    derived inputs.
-    """
-    from .indexed_users import indexed_search
-    from .payload import decode_shard_payload
-
-    (_, queries, _views, traversal, rsk_group, users_total, topk_time_s,
-     io_node_visits, io_invfile_blocks, method, backend) = (
-        decode_shard_payload(payload)
-    )
-    out = []
-    for query in queries:
-        stats = QueryStats(
-            users_total=users_total,
-            topk_time_s=topk_time_s,
-            io_node_visits=io_node_visits,
-            io_invfile_blocks=io_invfile_blocks,
-        )
-        result = indexed_search(
-            engine.user_tree, engine.dataset, query, traversal, rsk_group,
-            stats, method=method, backend=backend, store=engine.store,
-            canonical=pool_state.canonical_for(query.k),
-            pool_arrays=(
-                pool_state.pool_arrays_for(engine.dataset, query.k)
-                if backend == "numpy" else None
-            ),
-        )
-        out.append((result, None))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -777,57 +788,151 @@ class DeriveThresholdsStage(Stage):
 
 
 # ----------------------------------------------------------------------
-# Executors
+# The scatter round: lanes, transports, one loop
 # ----------------------------------------------------------------------
 
-def _encode_payloads(codec, stage_name: str, payloads: list) -> list:
-    """Route payloads through the arena codec before a pool dispatch.
-
-    No-op without a codec (``use_shm`` off / arena unavailable) — the
-    payloads cross the pipe as plain pickles, the PR-3 path.
-    """
-    if codec is None:
-        return payloads
-    from .payload import encode_select_payload, encode_shard_payload
-
-    encode = (
-        encode_select_payload if stage_name == "select" else encode_shard_payload
-    )
-    return [encode(codec, p) for p in payloads]
-
-
-def _payloads_nbytes(payloads) -> int:
-    """Serialized size of a pool round's payloads (or returned chunks).
-
-    Measured as pickle bytes — exactly what the pipe carries — on both
-    transports, so the codec's win shows up as a smaller number, not a
-    different metric.
-    """
-    from .payload import payload_nbytes
-
-    return sum(payload_nbytes(p) for p in payloads)
-
-
-def _decode_gather(chunks: list) -> list:
-    """The ONE gather decode funnel for collected pool rounds: inverse
-    of the worker-side :func:`repro.core.payload.encode_gather_payload`
-    (identity on chunks that were never encoded)."""
-    from .payload import decode_gather_payload
-
-    return [decode_gather_payload(c) for c in chunks]
+#: Wire id of the first whole-dataset query lane (the n-th is
+#: ``SEARCH_LANE - n``): the fork-pool search / selection pool's id, and
+#: what a shard host answers against its full-dataset replica.
+SEARCH_LANE = -1
 
 
 @dataclass(slots=True)
+class Lane:
+    """One addressed unit of a scatter round."""
+
+    wire_id: int             # shard id (user axis) or SEARCH_LANE - n
+    payloads: List[tuple]
+    dataset: object          # what an inline or degraded run executes against
+    context: object = None   # ... and its worker context (MIUR-tree / engine)
+
+    def run_inprocess(self) -> list:
+        return [
+            execute_shard_payload(self.dataset, payload, context=self.context)
+            for payload in self.payloads
+        ]
+
+
+@dataclass(slots=True)
+class Ticket:
+    """One dispatched lane; the transport fills the round's counters."""
+
+    lane: Lane
+    handle: object = None    # transport-private in-flight state
+    retries: int = 0         # re-dispatches / re-scatters the ladder used
+    bytes_out: int = 0       # serialized bytes sent (re-sends included)
+    bytes_in: int = 0        # serialized bytes received
+
+
+class Transport(Protocol):
+    """Where the lanes of a scatter round run (see the module docstring)."""
+
+    #: Payloads leave the process: arena-encoded going out,
+    #: gather-decoded coming back, bytes counted.
+    remote: bool
+    #: Query lanes can run ``indexed_search`` payloads (the far side
+    #: holds the MIUR-tree as worker context).
+    serves_indexed: bool
+
+    def chunk_width(self, wire_id: int) -> int:
+        """Worker chunks one lane addressed ``wire_id`` splits into."""
+
+    def search_lanes(self) -> int:
+        """Fixed lanes the query axis deals its chunks over (0 = none)."""
+
+    def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
+        """Start every lane of one round.  Never raises
+        :class:`ScatterFailure`: a failed start is :meth:`collect`'s to
+        recover."""
+
+    def collect(self, ticket: Ticket) -> list:
+        """One lane's chunks, through this transport's recovery ladder;
+        raises :class:`ScatterFailure` once the ladder is exhausted."""
+
+
+class InlineTransport:
+    """Lanes run in the calling process: no wire, no recovery ladder."""
+
+    remote = False
+    serves_indexed = True
+
+    def chunk_width(self, wire_id: int) -> int:
+        return 1
+
+    def search_lanes(self) -> int:
+        return 1
+
+    def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
+        return [Ticket(lane) for lane in lanes]
+
+    def collect(self, ticket: Ticket) -> list:
+        return ticket.lane.run_inprocess()
+
+
+INLINE = InlineTransport()
+
+
+def run_round(
+    stage: "Stage", lanes: Sequence[Lane], transport: Transport, codec=None
+) -> Tuple[List[list], List[int], List[int], int, int]:
+    """THE scatter round — the only place a round is dispatched and
+    collected: encode, start every lane, then collect each through the
+    transport's ladder, re-running a lost lane in-process.
+
+    Returns ``(chunks per lane, retries per lane, degraded (0/1) per
+    lane, bytes out, bytes in)``.  ``codec`` is the engine's arena
+    codec (``None``: payloads cross as plain pickles).
+    """
+    if transport.remote and codec is not None:
+        for lane in lanes:
+            lane.payloads = [
+                _wire.encode_shard_payload(codec, p) for p in lane.payloads
+            ]
+    # Everything is dispatched before anything is collected, so lanes
+    # run concurrently even with one worker / one host each.
+    tickets = transport.dispatch(lanes)
+    returned: List[list] = []
+    degraded: List[int] = []
+    for ticket in tickets:
+        try:
+            chunks = transport.collect(ticket)
+        except ScatterFailure as exc:
+            # execute_shard_payload is pure and its decode funnel
+            # resolves arena refs in the parent too: the same payloads
+            # in-process merge to the unchanged answer.
+            _log.warning(
+                "degrading %s round in-process: shard=%d retries_used=%d "
+                "reason=%r", stage.name, ticket.lane.wire_id, ticket.retries,
+                exc,
+            )
+            returned.append(ticket.lane.run_inprocess())
+            degraded.append(1)
+            continue
+        if transport.remote:
+            chunks = [_wire.decode_gather_payload(c) for c in chunks]
+        returned.append(chunks)
+        degraded.append(0)
+    return (
+        returned,
+        [ticket.retries for ticket in tickets],
+        degraded,
+        sum(ticket.bytes_out for ticket in tickets),
+        sum(ticket.bytes_in for ticket in tickets),
+    )
+
+
+# ----------------------------------------------------------------------
+# Executors (lane builders)
+# ----------------------------------------------------------------------
+
+@dataclass(slots=True)
 class ShardHandle:
-    """What an executor needs to scatter to one partition."""
+    """What ``Stage.split`` needs to know about one partition."""
 
     shard_id: int
     dataset: object
     workers: int = 1                 # worker chunks to split into
-    pool: object = None              # PersistentWorkerPool or None
     rsk_by_k: Dict[int, Dict[int, float]] = field(default_factory=dict)
-    context: object = None           # extra worker context (MIUR-tree)
-    stats: object = None             # ShardRuntimeStats or None
 
 
 class _ExecutorBase:
@@ -889,26 +994,62 @@ class _ExecutorBase:
         payload_bytes_out, payload_bytes_in)``."""
         raise NotImplementedError
 
+    def _scatter_queries(
+        self, stage: Stage, ctx: FlushContext, transport: Transport,
+        dataset, context,
+    ) -> Tuple[int, int, int, int, int, int]:
+        """One query-axis round (select / search / indexed-search).
+
+        ``split`` chunks the queries per k over the transport's whole
+        width, so a mixed-k flush yields uneven chunks; a pool's workers
+        pull them one by one, but a lane is fixed up front — each chunk
+        goes to the lane holding the fewest queries so far (lanes fill
+        in order: no gaps).
+        """
+        n_lanes = transport.search_lanes()
+        per_lane = transport.chunk_width(SEARCH_LANE)
+        payloads = stage.split(
+            ctx, ShardHandle(SEARCH_LANE, dataset, workers=n_lanes * per_lane)
+        )
+        load = [0] * n_lanes
+        lane_of = []
+        for payload in payloads:
+            lane_of.append(load.index(min(load)))
+            load[lane_of[-1]] += len(payload[1])
+        lanes = [
+            Lane(SEARCH_LANE - lane,
+                 [p for p, at in zip(payloads, lane_of) if at == lane],
+                 dataset, context)
+            for lane in range(n_lanes) if load[lane]
+        ]
+        returned, retries, degraded, bytes_out, bytes_in = run_round(
+            stage, lanes, transport,
+            getattr(ctx.require("engine"), "payload_codec", None),
+        )
+        answered = [iter(lane_chunks) for lane_chunks in returned]
+        stage.merge(ctx, [[next(answered[lane]) for lane in lane_of]])
+        return (len(lanes) * per_lane, len(ctx.require("queries")),
+                sum(retries), sum(degraded), bytes_out, bytes_in)
+
 
 class LocalExecutor(_ExecutorBase):
     """Drives the pipeline on one engine (the single implicit shard).
 
-    Scatter stages see one :class:`ShardHandle` over the full dataset.
-    Query-axis stages (``select``) fan out over the injected persistent
-    pool when present, else over an ephemeral fork pool when the plan
-    asked for workers, else run in-process; user-axis stages always run
-    in-process (there is exactly one partition).
+    Only the query axis scatters here (there is exactly one user
+    partition): ``select`` rides ``transport`` — the pipe lane over an
+    injected or call-scoped :class:`~repro.serve.pool.PersistentWorkerPool`
+    (see :func:`repro.core.batch.execute_batch`) — and runs inline
+    without one; ``indexed-search`` always runs inline, ledger-free
+    (the best-first search reads the engine's own page store).
     """
 
     def __init__(self, engine: "MaxBRSTkNNEngine",
-                 pool: Optional["PersistentWorkerPool"] = None) -> None:
+                 transport: Optional[Transport] = None) -> None:
         self.engine = engine
-        self.pool = pool
+        self.transport = transport
         self.last_flush_report: Optional[FlushReport] = None
 
     def execute(self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan") -> List[MaxBRSTkNNResult]:
-        from .kernels import arrays_for
-
         engine = self.engine
         ctx = FlushContext(
             engine=engine,
@@ -918,113 +1059,40 @@ class LocalExecutor(_ExecutorBase):
             store=engine.store,
             users_total=len(engine.user_tree) if engine.user_tree is not None else 0,
         )
-        if plan.backend == "numpy":
-            arrays_for(engine.dataset)  # build before forking: shared via COW
         pipeline = build_pipeline(plan, sharded=False)
         return self._drive(pipeline, ctx)
 
-    # -- scatter routing -----------------------------------------------
     def _run_scatter(
         self, stage: Stage, ctx: FlushContext
     ) -> Tuple[int, int, int, int, int, int]:
-        import multiprocessing
-
-        plan = ctx.require("plan")
-        queries = ctx.require("queries")
-        if stage.name == "indexed-search":
-            # Planned in-process on a single engine (the best-first
-            # search reads the engine's own page store; per-k pools are
-            # memoized on the RootTraversal across flushes).
-            pool_state = ctx.require("pool_state")
-            payloads = stage.split(
-                ctx, ShardHandle(shard_id=0, dataset=self.engine.dataset)
-            )
-            chunks = [
-                run_indexed_chunk_inprocess(self.engine, pool_state, payload)
-                for payload in payloads
-            ]
-            stage.merge(ctx, [chunks])
-            return 1, len(queries), 0, 0, 0, 0
-
-        want_pool = (
-            stage.name == "select" and self.pool is not None
-            and len(queries) > 1 and not plan.select_inprocess
+        engine = self.engine
+        indexed = stage.name == "indexed-search"
+        fan_out = (
+            not indexed
+            and self.transport is not None
+            and len(ctx.require("queries")) > 1
+            and not ctx.require("plan").select_inprocess
         )
-        # A closed/broken pool degrades the round to in-process rather
-        # than failing the flush; the split/merge layout is unchanged,
-        # so the answer is bitwise-identical (only slower).
-        pooled = want_pool and self.pool.available
-        degraded = 1 if (want_pool and not pooled) else 0
-        forked = (
-            not pooled and plan.workers > 1
-            and "fork" in multiprocessing.get_all_start_methods()
+        # Ledger-free indexed chunks take the ENGINE as their context.
+        return self._scatter_queries(
+            stage, ctx, self.transport if fan_out else INLINE,
+            engine.dataset, engine if indexed else engine.user_tree,
         )
-        workers = (
-            self.pool.workers if pooled
-            else plan.workers if forked
-            else 1
-        )
-        shard = ShardHandle(
-            shard_id=0,
-            dataset=self.engine.dataset,
-            workers=workers,
-            pool=self.pool if pooled else None,
-            context=self.engine.user_tree,
-        )
-        payloads = stage.split(ctx, shard)
-        retries = 0
-        bytes_out = bytes_in = 0
-        chunks = None
-        if pooled:
-            payloads = _encode_payloads(
-                getattr(self.engine, "payload_codec", None), stage.name, payloads
-            )
-            bytes_out = _payloads_nbytes(payloads)
-            retries_before = self.pool.health.retries
-            try:
-                chunks = self.pool.run_selection(payloads)
-            except ScatterFailure:
-                # Pool transport failed past its retry budget: same
-                # payloads, in-process — identity preserved (the decode
-                # funnel resolves arena refs in the parent too).
-                degraded = 1
-            else:
-                bytes_in = _payloads_nbytes(chunks)
-                chunks = _decode_gather(chunks)
-            retries = self.pool.health.retries - retries_before
-        if chunks is None:
-            if forked:
-                chunks = self._fork_round(payloads, plan.workers)
-            else:
-                from .batch import _select_chunk
-
-                chunks = [_select_chunk(shard.dataset, p) for p in payloads]
-        stage.merge(ctx, [chunks])
-        return workers, len(queries), retries, degraded, bytes_out, bytes_in
-
-    def _fork_round(self, payloads: List[tuple], workers: int):
-        """Ephemeral fork pool for one select round (plan.workers > 1).
-
-        Workers inherit the dataset through copy-on-write at fork time;
-        only chunk indices cross the pipe — the PR 3 COW discipline,
-        applied per round.
-        """
-        from .batch import _fork_execute
-
-        return _fork_execute(self.engine.dataset, payloads, workers)
 
 
 class ShardedExecutor(_ExecutorBase):
     """Drives the pipeline over a :class:`~repro.serve.sharded.ShardedEngine`.
 
-    User-axis stages scatter once per engaged shard (pool-backed shards
-    via ``map_async`` — all dispatches before any collect, so shard
-    pools run concurrently); query-axis stages scatter over the root
-    search pool.  Refine results memoize on the engine across flushes.
+    User-axis stages build one lane per engaged shard; query-axis
+    stages deal their chunks over the transport's search lanes.
+    ``transport`` is :data:`INLINE` until the engine's ``start_pools``
+    / ``connect_hosts`` swap in the pipe / socket one.  Refine results
+    memoize on the engine across flushes.
     """
 
     def __init__(self, sharded) -> None:
         self.sharded = sharded
+        self.transport: Transport = INLINE
         self.last_flush_report: Optional[FlushReport] = None
 
     def execute(self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan") -> List[MaxBRSTkNNResult]:
@@ -1050,201 +1118,96 @@ class ShardedExecutor(_ExecutorBase):
         pipeline = build_pipeline(plan, sharded=True)
         return self._drive(pipeline, ctx)
 
-    # -- scatter routing -----------------------------------------------
     def _run_scatter(
         self, stage: Stage, ctx: FlushContext
     ) -> Tuple[int, int, int, int, int, int]:
         if stage.name in ("search", "indexed-search"):
-            return self._scatter_queries(stage, ctx)
+            return self._scatter_search(stage, ctx)
         return self._scatter_users(stage, ctx)
 
     def _scatter_users(
         self, stage: Stage, ctx: FlushContext
     ) -> Tuple[int, int, int, int, int, int]:
         sharded = self.sharded
-        queries = ctx.require("queries")
         plan = ctx.require("plan")
-        if stage.name == "refine" and not ctx.require("need_ks"):
+        refine = stage.name == "refine"
+        if refine and not ctx.require("need_ks"):
             # every k already merged (memoized across flushes)
             return 0, 0, 0, 0, 0, 0
-        # Observed planner decision: at trivial queue depth the shard
-        # pools are pure dispatch overhead — run the same payloads
-        # in-process (split/merge and partition layout unchanged).
+        # Observed planner decision, honoured on every transport: at
+        # trivial queue depth a dispatch is pure overhead — run the same
+        # lanes inline (split/merge and partition layout unchanged).
         inprocess = plan.shard is not None and plan.shard.scatter_inprocess
-        degraded = 0
-        handles = []
-        for shard in sharded._shards:
-            if shard.users == 0:
-                continue
-            pool = None if inprocess else shard.pool
-            if pool is not None and not pool.available:
-                # Closed/broken pool: this shard's round runs in-process
-                # (identical payloads, identical answer) — degradation,
-                # not planner choice, so it is counted.
-                pool = None
-                degraded += 1
-                shard.stats.degraded_rounds += 1
-            handles.append(
-                ShardHandle(
-                    shard_id=shard.shard_id,
-                    dataset=shard.engine.dataset,
-                    workers=pool.workers if pool is not None else 1,
-                    pool=pool,
-                    rsk_by_k=shard.rsk_by_k,
-                    stats=shard.stats,
-                )
+        transport = INLINE if inprocess else self.transport
+        shards = [shard for shard in sharded._shards if shard.users > 0]
+        items = len(ctx["need_ks"]) if refine else len(ctx.require("queries"))
+        lanes = []
+        for shard in shards:
+            shard.stats.queue_depth_peak = max(
+                shard.stats.queue_depth_peak, items
             )
-        items = (
-            len(ctx["need_ks"]) if stage.name == "refine" else len(queries)
+            shard.stats.scatter_flushes += 1
+            dataset = shard.engine.dataset
+            handle = ShardHandle(
+                shard.shard_id, dataset,
+                transport.chunk_width(shard.shard_id), shard.rsk_by_k,
+            )
+            lanes.append(Lane(shard.shard_id, stage.split(ctx, handle), dataset))
+        returned, retries, degraded, bytes_out, bytes_in = run_round(
+            stage, lanes, transport, getattr(sharded.root, "payload_codec", None)
         )
-        for handle in handles:
-            handle.stats.queue_depth_peak = max(
-                handle.stats.queue_depth_peak, items
-            )
-            handle.stats.scatter_flushes += 1
-        # Dispatch everything before collecting anything: shard pools
-        # run concurrently even with one worker each.  A dispatch that
-        # fails outright is recovered in the supervised collect below.
-        plans = [stage.split(ctx, handle) for handle in handles]
-        codec = getattr(sharded.root, "payload_codec", None)
-        bytes_out = bytes_in = 0
-        for i, handle in enumerate(handles):
-            if handle.pool is None:
-                continue
-            plans[i] = _encode_payloads(codec, stage.name, plans[i])
-            bytes_out += _payloads_nbytes(plans[i])
-        dispatches: List[Optional[object]] = [None] * len(handles)
-        for i, handle in enumerate(handles):
-            if handle.pool is None:
-                continue
-            try:
-                dispatches[i] = handle.pool.dispatch(plans[i])
-            except ScatterFailure:
-                dispatches[i] = None  # run_supervised re-dispatches
-        returned: List[Optional[list]] = [None] * len(handles)
-        retries = 0
-        for i, handle in enumerate(handles):
-            if handle.pool is None:
-                returned[i] = [
-                    execute_shard_payload(handle.dataset, payload)
-                    for payload in plans[i]
-                ]
-                continue
-            retries_before = handle.pool.health.retries
-            try:
-                returned[i] = handle.pool.run_supervised(
-                    plans[i], dispatch=dispatches[i]
-                )
-            except ScatterFailure:
-                # Supervision exhausted (respawn failed, repeat
-                # deadline, pool broken): re-scatter this shard's round
-                # in-process — execute_shard_payload is pure (and the
-                # decode funnel resolves arena refs in the parent), so
-                # the merged answer is unchanged.
-                returned[i] = [
-                    execute_shard_payload(handle.dataset, payload)
-                    for payload in plans[i]
-                ]
-                degraded += 1
-                handle.stats.degraded_rounds += 1
+        for shard, chunks, used, lost in zip(shards, returned, retries, degraded):
+            stats = shard.stats
+            stats.retries += used
+            stats.degraded_rounds += lost
+            busy_s = sum(p.time_s for chunk in chunks for p in chunk)
+            if refine:
+                stats.refine_tasks += items
+                stats.refine_time_s += busy_s
             else:
-                bytes_in += _payloads_nbytes(returned[i])
-                returned[i] = _decode_gather(returned[i])
-            delta = handle.pool.health.retries - retries_before
-            retries += delta
-            handle.stats.retries += delta
-        self._account(stage, handles, returned, items)
+                stats.queries += items
+                stats.shortlist_time_s += busy_s
         t_merge = time.perf_counter()
         stage.merge(ctx, returned)
-        if stage.name == "shortlist":
-            sharded._merge_s += time.perf_counter() - t_merge
-        if stage.name == "refine":
-            for handle, chunks in zip(handles, returned):
+        if refine:
+            for shard, chunks in zip(shards, returned):
                 for partial in (p for chunk in chunks for p in chunk):
-                    handle.rsk_by_k[partial.k] = partial.rsk
-        return len(handles), items, retries, degraded, bytes_out, bytes_in
+                    shard.rsk_by_k[partial.k] = partial.rsk
+        else:  # shortlist: the cross-shard merge gather_stats() reports
+            sharded._merge_s += time.perf_counter() - t_merge
+        return (len(lanes), items, sum(retries), sum(degraded),
+                bytes_out, bytes_in)
 
-    def _account(self, stage, handles, returned, items) -> None:
-        for handle, chunks in zip(handles, returned):
-            flat = [p for chunk in chunks for p in chunk]
-            if stage.name == "refine":
-                handle.stats.refine_tasks += items
-                handle.stats.refine_time_s += sum(p.time_s for p in flat)
-            else:
-                handle.stats.queries += items
-                handle.stats.shortlist_time_s += sum(p.time_s for p in flat)
-
-    def _scatter_queries(
+    def _scatter_search(
         self, stage: Stage, ctx: FlushContext
     ) -> Tuple[int, int, int, int, int, int]:
+        from .planner import search_fans_out
+
         sharded = self.sharded
-        queries = ctx.require("queries")
-        plan = ctx.require("plan")
-        pool = sharded._search_pool
         root = sharded.root
+        plan = ctx.require("plan")
+        indexed = stage.name == "indexed-search"
+        transport = self.transport
+        width = (
+            transport.search_lanes() * transport.chunk_width(SEARCH_LANE)
+            if transport.serves_indexed or not indexed else 0
+        )
         # Fan out only when it can pay off AND I/O stays replayable:
         # the indexed search reads MIUR pages, so a warm LRU buffer
-        # (global access order) forces the in-process path.  The
-        # observed planner can also pull the searches in-process when
-        # measured per-query cost is under the dispatch bar.
-        want_pool = (
-            pool is not None and len(queries) > 1
-            and (stage.name != "indexed-search" or root.store.buffer is None)
-            and not (plan.shard is not None and plan.shard.search_inprocess)
+        # (global access order) forces the inline, ledger-free path.
+        fan_out = (
+            transport.remote
+            and search_fans_out(width, len(ctx.require("queries")), plan.shard)
+            and (not indexed or root.store.buffer is None)
         )
-        use_pool = want_pool and pool.available
-        degraded = 1 if (want_pool and not use_pool) else 0
-        ctx["use_ledgers"] = use_pool and stage.name == "indexed-search"
-        handle = ShardHandle(
-            shard_id=-1,
-            dataset=sharded.dataset,
-            workers=(pool.workers if use_pool else 1),
-            pool=pool if use_pool else None,
-            context=root.user_tree,
-        )
-        payloads = stage.split(ctx, handle)
+        ctx["use_ledgers"] = fan_out and indexed
         t0 = time.perf_counter()
-        retries = 0
-        bytes_out = bytes_in = 0
-        chunks = None
-        if use_pool:
-            payloads = _encode_payloads(
-                getattr(sharded.root, "payload_codec", None),
-                stage.name, payloads,
-            )
-            bytes_out = _payloads_nbytes(payloads)
+        if fan_out:
             sharded._search_flushes += 1
-            retries_before = pool.health.retries
-            try:
-                chunks = pool.run_supervised(payloads)
-            except ScatterFailure:
-                # Search pool lost past its retry budget: re-run the
-                # same payloads in the parent.  With ledger views the
-                # payloads already carry read-only stores whose
-                # IOCharges replay at merge time, so the degraded round
-                # charges identically.
-                degraded = 1
-            else:
-                bytes_in = _payloads_nbytes(chunks)
-                chunks = _decode_gather(chunks)
-            retries = pool.health.retries - retries_before
-        if chunks is None:
-            if stage.name == "indexed-search" and not ctx["use_ledgers"]:
-                # In-process: charge the engine's real store directly
-                # (ledger-free), including under a warm buffer.
-                chunks = [
-                    run_indexed_chunk_inprocess(
-                        root, ctx.require("pool_state"), payload
-                    )
-                    for payload in payloads
-                ]
-            else:
-                chunks = [
-                    execute_shard_payload(
-                        handle.dataset, payload, context=root.user_tree
-                    )
-                    for payload in payloads
-                ]
+        # Ledger-free indexed chunks take the ENGINE as their context.
+        context = root if indexed and not fan_out else root.user_tree
+        accounting = self._scatter_queries(
+            stage, ctx, transport if fan_out else INLINE, sharded.dataset, context
+        )
         sharded._search_s += time.perf_counter() - t0
-        stage.merge(ctx, [chunks])
-        return handle.workers, len(queries), retries, degraded, bytes_out, bytes_in
+        return accounting

@@ -53,6 +53,7 @@ __all__ = [
     "PlanDecision",
     "plan_query",
     "plan_batch",
+    "search_fans_out",
     "MIN_OBSERVED_FLUSHES",
     "INPROCESS_STAGE_MS",
     "LOW_QUEUE_DEPTH",
@@ -181,6 +182,24 @@ class ShardPlan:
     #: per-shard queue depth) — partition layout and merge order are
     #: unchanged, only the dispatch transport drops.
     scatter_inprocess: bool = False
+
+
+def search_fans_out(
+    search_workers: int, batch_size: int, shard: Optional[ShardPlan]
+) -> bool:
+    """Do a sharded flush's per-query searches leave the coordinator?
+
+    The ONE predicate behind ``QueryPlan.explain()`` and the executor's
+    query-axis lane builder: any fan-out width ships the round — a
+    1-worker search pool or a 1-host registry included — unless there
+    is a single query to search or the observed planner pulled the
+    searches in-process.
+    """
+    return (
+        search_workers >= 1
+        and batch_size > 1
+        and not (shard is not None and shard.search_inprocess)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,7 +351,7 @@ class QueryPlan:
                 )
                 search = (
                     f"per-query search fan-out x{sp.search_workers}"
-                    if sp.search_workers > 1 and not sp.search_inprocess
+                    if search_fans_out(sp.search_workers, self.batch_size, sp)
                     else "per-query searches run in-process"
                 )
                 lines.append(
@@ -342,10 +361,8 @@ class QueryPlan:
                     f"to a single engine)"
                 )
         if self.mode is Mode.INDEXED:
-            if (
-                self.shard is not None
-                and self.shard.search_workers > 1
-                and not self.shard.search_inprocess
+            if self.shard is not None and search_fans_out(
+                self.shard.search_workers, self.batch_size, self.shard
             ):
                 lines.append(
                     f"  phase 2 (best-first MIUR search): fans out over the "

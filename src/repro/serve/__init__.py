@@ -8,7 +8,7 @@ The top layer of the typed API (see ``repro/core/config.py`` and
   :class:`~repro.core.config.QueryOptions` every request runs with;
 * :class:`PersistentWorkerPool` — fork-once worker pool whose workers
   inherit the dataset (and pre-built ``DatasetArrays``) at startup,
-  amortizing the per-call fork cost of ``query_batch(workers=N)``;
+  amortizing the fork that ``query_batch(workers=N)`` pays per call;
 * :class:`MaxBRSTkNNServer` — asyncio front-end: ``await
   server.submit(query)`` futures are collected into micro-batches
   (flush on ``max_batch`` or ``max_wait_ms``; ``max_wait_ms="auto"``
@@ -45,7 +45,7 @@ from .pool import PersistentWorkerPool, PoolHealth, PoolState
 from .server import MaxBRSTkNNServer
 from .sharded import ShardedEngine, make_engine
 from .shardhost import ShardHost, WorkloadSpec, make_workload
-from .transport import FrameCodec, ShardHostClient, ShardRegistry, SocketExecutor
+from .transport import FrameCodec, ShardHostClient, ShardRegistry
 
 __all__ = [
     "AdaptiveWaitController",
@@ -71,7 +71,6 @@ __all__ = [
     "ShardHostClient",
     "ShardRegistry",
     "ShardedEngine",
-    "SocketExecutor",
     "WorkerCrashed",
     "WorkloadSpec",
     "make_engine",

@@ -1,16 +1,13 @@
-"""Supervised persistent fork pool for scatter rounds.
+"""Supervised persistent fork pool — the pipe lane of a scatter round.
 
-``query_batch(workers=N)`` forks a fresh pool on every call — workers
-inherit the indexes through copy-on-write for free, but the fork +
-teardown cost is paid per batch, which PR 1 left on the table.  A
-serving layer answers many batches over one immutable dataset, so this
-module forks **once at startup**: workers inherit the dataset and the
-pre-built :class:`~repro.core.kernels.DatasetArrays` (built *before*
-the fork so the arrays live in shared copy-on-write pages), and each
-batch ships only small per-chunk payloads through the pool's queues —
-queries plus the shared phase-1 thresholds, which the batch executor
-groups so each :class:`SharedTopK` is pickled once per worker chunk,
-not once per query.
+A serving layer answers many batches over one immutable dataset, so the
+pool forks **once**: workers inherit the dataset and the pre-built
+:class:`~repro.core.kernels.DatasetArrays` (built *before* the fork so
+the arrays live in shared copy-on-write pages), and each round ships
+only small per-chunk payloads through the pool's queues.
+``QueryOptions(workers=N)`` without an injected pool opens one scoped
+to the call (:func:`repro.core.batch.execute_batch`) — the same
+supervised lane, paying the fork per batch.
 
 Workers can also carry an optional **context** object inherited the
 same way — the sharded engine's root search pool registers the
@@ -36,8 +33,12 @@ hands out raw async results on the serving path; rounds flow through
   :class:`~repro.serve.config.RetryPolicy` ladder: worker death ⇒
   :meth:`respawn` (capped exponential backoff) and re-dispatch; task
   exception ⇒ plain re-dispatch; budget exhausted or pool broken ⇒ a
-  :class:`~repro.core.pipeline.ScatterFailure` the executors catch to
-  degrade in-process.
+  :class:`~repro.core.pipeline.ScatterFailure`, on which
+  :func:`~repro.core.pipeline.run_round` degrades the lane in-process.
+
+:class:`PoolTransport` adapts a set of pools (one per shard + the root
+search pool, or the single selection pool) to ``run_round``'s
+:class:`~repro.core.pipeline.Transport` protocol.
 
 Health is typed and observable: :class:`PoolHealth` carries the
 :class:`PoolState` machine (HEALTHY → RESPAWNING → HEALTHY | BROKEN,
@@ -62,12 +63,17 @@ import time
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..core.batch import SharedTopK, _select_chunk
 from ..core.kernels import HAS_NUMPY, arrays_for
-from ..core.payload import encode_gather_payload
-from ..core.pipeline import execute_shard_payload
+from ..core.payload import encode_gather_payload, payload_nbytes
+from ..core.pipeline import (
+    SEARCH_LANE,
+    Lane,
+    ScatterFailure,
+    Ticket,
+    execute_shard_payload,
+)
 from .config import DeadlinePolicy, RetryPolicy
 from .errors import (
     FlushDeadlineExceeded,
@@ -78,7 +84,6 @@ from .errors import (
 from .faults import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
     from ..model.dataset import Dataset
 
 __all__ = [
@@ -86,12 +91,9 @@ __all__ = [
     "PoolDispatch",
     "PoolHealth",
     "PoolState",
+    "PoolTransport",
     "execute_shard_payload",
 ]
-
-#: One phase-2 work chunk: several queries sharing one phase-1 state,
-#: so the (O(num_users)-sized) SharedTopK pickles once per chunk.
-Payload = Tuple[List["MaxBRSTkNNQuery"], SharedTopK, str, str, str]
 
 #: Parent-side registry of pool (dataset, context, faults, pool_id,
 #: arena_name) tuples, keyed by a per-pool token.  Forked workers inherit the whole
@@ -172,26 +174,17 @@ def _maybe_inject(payload) -> None:
     )
 
 
-def _run_payload(payload: Payload) -> List["MaxBRSTkNNResult"]:
-    _maybe_inject(payload)
-    return _select_chunk(_WORKER_DATASET, payload)
-
-
-#: One shard-scatter work item: see
-#: :func:`repro.core.pipeline.execute_shard_payload` for the payload
-#: kinds.  The shard's dataset itself never travels: workers hold it
-#: from the fork (COW), in-process execution passes it explicitly.
-ShardPayload = Tuple
-
-
-def _run_shard_payload(payload: ShardPayload):
+def _run_shard_payload(payload: tuple):
+    """THE worker function: every payload kind of
+    :func:`repro.core.pipeline.execute_shard_payload`.  The dataset
+    itself never travels — workers hold it from the fork (COW)."""
     _maybe_inject(payload)
     chunk = execute_shard_payload(
         _WORKER_DATASET, payload, context=_WORKER_CONTEXT
     )
     # Gather funnel: refine/shortlist chunks cross the worker->parent
-    # pipe as ONE binary block; everything else returns unchanged.  The
-    # executors decode at their collect sites.
+    # pipe as ONE binary block; everything else returns unchanged.
+    # run_round decodes at its collect site.
     return encode_gather_payload(chunk)
 
 
@@ -236,7 +229,6 @@ class PoolDispatch:
 
     async_result: object
     payloads: list
-    kind: str                     # "shard" | "selection"
     generation: int               # pool generation it was dispatched on
     deadline_s: Optional[float]   # per-round budget (None = unbounded)
     started_s: float = field(default_factory=time.monotonic)
@@ -423,7 +415,7 @@ class PersistentWorkerPool:
     # ------------------------------------------------------------------
     # Supervised rounds
     # ------------------------------------------------------------------
-    def dispatch(self, payloads: Sequence, kind: str = "shard") -> PoolDispatch:
+    def dispatch(self, payloads: Sequence) -> PoolDispatch:
         """Start one scatter round; returns the ticket for collect().
 
         Dispatch-only so a sharded executor can start every shard's
@@ -445,12 +437,10 @@ class PersistentWorkerPool:
                 raise WorkerCrashed(
                     "injected pool loss (FaultPlan.break_dispatch)"
                 )
-            fn = _run_payload if kind == "selection" else _run_shard_payload
-            async_result = self._pool.map_async(fn, payloads)
+            async_result = self._pool.map_async(_run_shard_payload, payloads)
             return PoolDispatch(
                 async_result=async_result,
                 payloads=payloads,
-                kind=kind,
                 generation=self.health.generation,
                 deadline_s=self.deadline.flush_deadline_s,
             )
@@ -507,7 +497,6 @@ class PersistentWorkerPool:
     def run_supervised(
         self,
         payloads: Sequence,
-        kind: str = "shard",
         dispatch: Optional[PoolDispatch] = None,
     ) -> list:
         """Dispatch + collect + the retry ladder, in one call.
@@ -517,8 +506,8 @@ class PersistentWorkerPool:
         re-dispatches without respawn (the workers are fine).  Retries
         beyond ``RetryPolicy.max_retries``, or a pool gone terminal,
         raise the last failure — a
-        :class:`~repro.core.pipeline.ScatterFailure` the executors
-        catch to degrade the round to in-process execution.  Pass a
+        :class:`~repro.core.pipeline.ScatterFailure` on which
+        ``run_round`` degrades the lane to in-process execution.  Pass a
         pre-made ``dispatch`` ticket to supervise a round already
         started via :meth:`dispatch`.
         """
@@ -529,7 +518,7 @@ class PersistentWorkerPool:
             try:
                 ticket = (
                     dispatch if attempt == 0 and dispatch is not None
-                    else self.dispatch(payloads, kind)
+                    else self.dispatch(payloads)
                 )
                 return self.collect(ticket)
             except PoolUnavailable:
@@ -547,32 +536,6 @@ class PersistentWorkerPool:
                 self.health.retries += 1
         assert failure is not None
         raise failure
-
-    # ------------------------------------------------------------------
-    # Round entry points
-    # ------------------------------------------------------------------
-    def run_selection(
-        self, payloads: Sequence[Payload]
-    ) -> List[List["MaxBRSTkNNResult"]]:
-        """Run phase 2 for every chunk, preserving chunk and query order
-        (supervised: worker death respawns and retries, a hung round
-        hits the deadline instead of wedging the flush)."""
-        if self._closed:
-            raise PoolUnavailable("pool is closed")
-        return self.run_supervised(payloads, kind="selection")
-
-    def run_shard_tasks_async(self, payloads: Sequence[ShardPayload]):
-        """Raw (unsupervised) dispatch — legacy escape hatch.
-
-        Returns the bare ``multiprocessing`` async result: no worker
-        liveness checks, no deadline, no retry — a worker death wedges
-        ``get()`` forever.  Production call sites must use
-        :meth:`dispatch`/:meth:`collect`/:meth:`run_supervised`; lint
-        rule FT501 enforces exactly that.
-        """
-        if self._closed:
-            raise PoolUnavailable("pool is closed")
-        return self._pool.map_async(_run_shard_payload, list(payloads))
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -633,3 +596,53 @@ class PersistentWorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class PoolTransport:
+    """The pipe lane of :func:`repro.core.pipeline.run_round`: each lane
+    rides the supervised pool its wire id addresses — a shard's pool by
+    shard id, the root search pool / a single engine's selection pool
+    at ``SEARCH_LANE``."""
+
+    remote = True
+    serves_indexed = True  # the search pool holds the MIUR-tree as context
+
+    def __init__(self, pools: Dict[int, PersistentWorkerPool]) -> None:
+        self.pools = pools
+
+    def chunk_width(self, wire_id: int) -> int:
+        # A closed/broken pool's lane degrades in-process: one chunk.
+        pool = self.pools.get(wire_id)
+        return pool.workers if pool is not None and pool.available else 1
+
+    def search_lanes(self) -> int:
+        # One lane: the pool's own workers pull its chunks one by one.
+        return 1 if SEARCH_LANE in self.pools else 0
+
+    def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
+        tickets = []
+        for lane in lanes:
+            pool = self.pools[lane.wire_id]
+            ticket = Ticket(lane)
+            if pool.available:
+                # Pickle bytes — exactly what the pipe carries — on both
+                # payload forms, so the codec's win shows as a smaller
+                # number, not a different metric.
+                ticket.bytes_out = sum(payload_nbytes(p) for p in lane.payloads)
+            # A failed start is collect()'s to re-dispatch, supervised.
+            with contextlib.suppress(ScatterFailure):
+                ticket.handle = pool.dispatch(lane.payloads)
+            tickets.append(ticket)
+        return tickets
+
+    def collect(self, ticket: Ticket) -> list:
+        pool = self.pools[ticket.lane.wire_id]
+        retries_before = pool.health.retries
+        try:
+            chunks = pool.run_supervised(
+                ticket.lane.payloads, dispatch=ticket.handle
+            )
+        finally:
+            ticket.retries = pool.health.retries - retries_before
+        ticket.bytes_in = sum(payload_nbytes(c) for c in chunks)
+        return chunks

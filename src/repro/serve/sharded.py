@@ -19,10 +19,13 @@ the user set partitions cleanly:
   threshold ``RSk(us)``, and the best-first search over merged
   shortlists.
 
-Since PR 5 the flow is driven by the unified phase pipeline — a
+The flow is driven by the unified phase pipeline — a
 :class:`~repro.core.pipeline.ShardedExecutor` runs the same typed
-stages the single-engine path does, with the scatter loops living in
-the executor instead of hand-rolled here — and ``Mode.INDEXED`` rides
+stages the single-engine path does and builds the lanes of each scatter
+round, which :func:`~repro.core.pipeline.run_round` carries over
+whichever transport this engine installed (inline by default, fork
+pools after :meth:`ShardedEngine.start_pools`, shard hosts after
+:meth:`ShardedEngine.connect_hosts`) — and ``Mode.INDEXED`` rides
 the same machinery: one central MIUR-root walk per pool generation
 (cross-k, exactly like joint mode), then the per-query best-first
 searches fan out over the root search pool against read-only
@@ -61,12 +64,13 @@ from ..core.config import EngineConfig, Mode, QueryOptions, coerce_options
 from ..core.engine import MaxBRSTkNNEngine
 from ..core.history import FlushHistory, signature_of
 from ..core.partial import MergedThresholds
-from ..core.pipeline import FlushReport, ShardedExecutor
+from ..core.pipeline import INLINE, SEARCH_LANE, FlushReport, ShardedExecutor
 from ..core.planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
 from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
 from ..datagen.partition import ShardAssignment, UserPartitioner
 from ..model.dataset import Dataset
-from .pool import PersistentWorkerPool
+from .faults import SEARCH_POOL_ID
+from .pool import PersistentWorkerPool, PoolTransport
 
 __all__ = ["ShardRuntimeStats", "ShardedEngine", "make_engine"]
 
@@ -275,7 +279,7 @@ class ShardedEngine:
 
     def _planning_caps(self, options: QueryOptions) -> EngineCapabilities:
         caps = self.capabilities()
-        if self._registry is not None and options.mode is Mode.INDEXED:
+        if options.mode is Mode.INDEXED and not self._executor.transport.serves_indexed:
             # Shard hosts hold no MIUR-tree: indexed searches stay on
             # the coordinator, so the plan must not claim a fan-out.
             caps = replace(caps, search_workers=0)
@@ -415,8 +419,6 @@ class ShardedEngine:
                 )
                 shard.stats.pool_workers = workers_per_shard
             if search_workers > 0:
-                from .faults import SEARCH_POOL_ID
-
                 self._search_pool = PersistentWorkerPool(
                     self.dataset, search_workers, context=self.root.user_tree,
                     retry=retry, deadline=deadline, faults=faults,
@@ -428,6 +430,10 @@ class ShardedEngine:
             # reap the partial state here or the forked workers leak.
             self.close_pools()
             raise
+        pools = {s.shard_id: s.pool for s in self._shards if s.pool is not None}
+        if self._search_pool is not None:
+            pools[SEARCH_LANE] = self._search_pool
+        self._executor.transport = PoolTransport(pools)
         self._pools_started = True
         return self
 
@@ -463,6 +469,8 @@ class ShardedEngine:
         # clean close leaves /dev/shm empty — the leak criterion the
         # shm tests scan for.
         self.root.close_arena()
+        if self._pools_started:
+            self._executor.transport = INLINE
         self._pools_started = False
         if failures:
             warnings.warn(
@@ -485,8 +493,8 @@ class ShardedEngine:
         of specs/pairs — one entry per ``repro shard-host`` process,
         each of which rebuilt this engine's exact partition layout from
         the shared workload spec (:mod:`repro.serve.shardhost`).  The
-        engine's executor is swapped for a
-        :class:`~repro.serve.transport.SocketExecutor`; pipeline stages
+        executor's transport becomes a
+        :class:`~repro.serve.transport.SocketTransport`; pipeline stages
         run unchanged, scatter rounds — refine and shortlist per shard,
         the joint searches one lane per alive host — cross TCP as
         :class:`~repro.serve.transport.FrameCodec` frames carrying the
@@ -502,7 +510,7 @@ class ShardedEngine:
             raise RuntimeError("cannot connect hosts: fork pools are running")
         if self._hosts_connected:
             raise RuntimeError("shard hosts already connected")
-        from .transport import ShardRegistry, SocketExecutor
+        from .transport import ShardRegistry, SocketTransport
 
         # Materialize the arena (config.use_shm) BEFORE the first
         # scatter so payload encoding has refs to ship; hosts attach
@@ -513,8 +521,8 @@ class ShardedEngine:
         )
         registry.connect_all()
         self._registry = registry
-        self._executor = SocketExecutor(
-            self, registry, retry=retry, deadline=deadline
+        self._executor.transport = SocketTransport(
+            registry, self.dataset, retry=retry, deadline=deadline
         )
         self._hosts_connected = True
         return self
@@ -531,7 +539,7 @@ class ShardedEngine:
             totals[key] = totals.get(key, 0) + value
         registry.close()
         self._registry = None
-        self._executor = ShardedExecutor(self)
+        self._executor.transport = INLINE
         self._hosts_connected = False
         self.root.close_arena()
 

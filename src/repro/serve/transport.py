@@ -26,17 +26,16 @@ Three layers, coordinator side:
   :class:`~repro.serve.pool.PoolHealth` (so
   ``ShardedEngine.fault_counters()`` and the server's stats mirror work
   unchanged).
-* :class:`SocketExecutor` — a
-  :class:`~repro.core.pipeline.ShardedExecutor` whose scatter rounds —
-  the per-shard refine/shortlist lanes and the per-host search lanes —
-  go to shard hosts instead of fork pools.  Failures map onto
-  the existing taxonomy (EOF/reset → :class:`WorkerCrashed`, read
-  timeout → :class:`FlushDeadlineExceeded`, refused/exhausted →
-  :class:`PoolUnavailable`); the retry ladder re-scatters a failed
-  round to the next surviving host, and past the budget the round
-  degrades to in-process execution — bitwise-identical results either
-  way, because :func:`~repro.core.pipeline.execute_shard_payload` is
-  pure.
+* :class:`SocketTransport` — the socket lane of
+  :func:`~repro.core.pipeline.run_round`: the per-shard refine/shortlist
+  lanes and the per-host search lanes go to shard hosts instead of
+  fork pools.  Failures map onto the existing taxonomy (EOF/reset →
+  :class:`WorkerCrashed`, read timeout → :class:`FlushDeadlineExceeded`,
+  refused/exhausted → :class:`PoolUnavailable`); the retry ladder
+  re-scatters a failed lane to the next surviving host, and past the
+  budget ``run_round`` degrades it to in-process execution —
+  bitwise-identical results either way, because
+  :func:`~repro.core.pipeline.execute_shard_payload` is pure.
 """
 
 from __future__ import annotations
@@ -48,14 +47,7 @@ import struct
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.pipeline import (
-    ScatterFailure,
-    ShardHandle,
-    ShardedExecutor,
-    _decode_gather,
-    _encode_payloads,
-    execute_shard_payload,
-)
+from ..core.pipeline import Lane, ScatterFailure, Ticket
 from .config import DeadlinePolicy, RetryPolicy
 from .errors import FlushDeadlineExceeded, PoolUnavailable, WorkerCrashed
 
@@ -65,7 +57,7 @@ __all__ = [
     "FrameCodec",
     "ShardHostClient",
     "ShardRegistry",
-    "SocketExecutor",
+    "SocketTransport",
     "parse_host_specs",
 ]
 
@@ -426,39 +418,35 @@ class ShardRegistry:
             client.close()
 
 
-class SocketExecutor(ShardedExecutor):
-    """Scatter every fan-out round to shard hosts over TCP.
+class SocketTransport:
+    """The socket lane of :func:`repro.core.pipeline.run_round`.
 
-    Same ``split``/``run``/``merge`` contract as the fork-pool
-    :class:`~repro.core.pipeline.ShardedExecutor` — the pipeline stages
-    run unchanged; only the round transport differs.  Both scatter axes
-    ride ONE round loop (:meth:`_run_lanes`): the user-axis stages
-    (refine, shortlist) send one lane per engaged shard, addressed by
-    its shard id; the query-axis ``search`` stage sends one lane per
-    alive host, addressed with a negative shard id (``-1 - lane``) that
-    the host answers against its full-dataset replica.  Indexed
-    searches (hosts hold no MIUR-tree and the I/O must replay on the
-    shared counter), single-query flushes and the planner's
-    ``search_inprocess`` verdict keep the inherited in-process path.
+    User-axis lanes (refine, shortlist) are addressed by shard id; the
+    query-axis ``search`` stage sends one lane per alive host, addressed
+    with a negative id (``-1 - lane``) that the host answers against its
+    full-dataset replica.  Indexed searches never come here: hosts hold
+    no MIUR-tree and the I/O must replay on the coordinator's counter.
 
     Per failed lane the ladder is: mark the host dead, re-scatter the
     *same* frame body to the next surviving host (``RetryPolicy``
-    budget), and past the budget — or with no survivors — run the
-    lane's payloads in-process via
-    :func:`~repro.core.pipeline.execute_shard_payload` (pure, so the
-    merged answer is bitwise-identical; the lane is counted degraded).
+    budget), and past the budget — or with no survivors —
+    :meth:`collect` raises :class:`PoolUnavailable` for ``run_round`` to
+    degrade the lane in-process.
     """
+
+    remote = True
+    serves_indexed = False
 
     def __init__(
         self,
-        sharded,
         registry: ShardRegistry,
+        dataset,
         *,
         retry: Optional[RetryPolicy] = None,
         deadline: Optional[DeadlinePolicy] = None,
     ) -> None:
-        super().__init__(sharded)
         self.registry = registry
+        self.dataset = dataset
         self.retry = retry if retry is not None else RetryPolicy()
         self.deadline = deadline if deadline is not None else DeadlinePolicy()
         self._flush_seq = 0
@@ -470,224 +458,77 @@ class SocketExecutor(ShardedExecutor):
         #: ``(flush_seq, shard_id)``.  Cleared per scatter round.
         self._stash: Dict[Tuple[int, int], bytes] = {}
 
-    # -- scatter routing -----------------------------------------------
-    def _scatter_users(self, stage, ctx):
-        sharded = self.sharded
-        queries = ctx.require("queries")
-        if stage.name == "refine" and not ctx.require("need_ks"):
-            return 0, 0, 0, 0, 0, 0
-        handles = [
-            ShardHandle(
-                shard_id=shard.shard_id,
-                dataset=shard.engine.dataset,
-                rsk_by_k=shard.rsk_by_k,
-                stats=shard.stats,
-            )
-            for shard in sharded._shards
-            if shard.users > 0
-        ]
-        items = len(ctx["need_ks"]) if stage.name == "refine" else len(queries)
-        for handle in handles:
-            handle.stats.queue_depth_peak = max(
-                handle.stats.queue_depth_peak, items
-            )
-            handle.stats.scatter_flushes += 1
-        returned, retries, degraded, bytes_out, bytes_in = self._run_lanes(
-            stage,
-            [(h.shard_id, stage.split(ctx, h), h.dataset) for h in handles],
-        )
-        for handle, used, lost in zip(handles, retries, degraded):
-            handle.stats.retries += used
-            handle.stats.degraded_rounds += lost
-        self._account(stage, handles, returned, items)
-        t_merge = time.perf_counter()
-        stage.merge(ctx, returned)
-        if stage.name == "shortlist":
-            sharded._merge_s += time.perf_counter() - t_merge
-        if stage.name == "refine":
-            for handle, chunks in zip(handles, returned):
-                for partial in (p for chunk in chunks for p in chunk):
-                    handle.rsk_by_k[partial.k] = partial.rsk
-        return (len(handles), items, sum(retries), sum(degraded),
-                bytes_out, bytes_in)
+    def chunk_width(self, wire_id: int) -> int:
+        return 1  # a host runs one frame at a time per connection
 
-    def _scatter_queries(self, stage, ctx):
-        sharded = self.sharded
-        queries = ctx.require("queries")
-        plan = ctx.require("plan")
-        if (
-            stage.name != "search" or len(queries) < 2
-            or (plan.shard is not None and plan.shard.search_inprocess)
-        ):
-            return super()._scatter_queries(stage, ctx)
+    def search_lanes(self) -> int:
         # One lane per alive host.  With none left the single lane finds
         # no host and degrades through the ladder like any other round.
-        width = max(1, len(self.registry.alive_hosts()))
-        payloads = stage.split(
-            ctx, ShardHandle(shard_id=-1, dataset=sharded.dataset, workers=width)
-        )
-        # ``split`` chunks per k, so a mixed-k flush yields uneven
-        # chunks; a fork pool's workers pull them one by one, a lane is
-        # fixed up front — give each chunk to the lane holding the
-        # fewest queries so far (lanes fill in order: no gaps).
-        load = [0] * width
-        lane_of = []
-        for payload in payloads:
-            lane_of.append(load.index(min(load)))
-            load[lane_of[-1]] += len(payload[1])
-        lanes = [
-            (-1 - lane,
-             [p for p, at in zip(payloads, lane_of) if at == lane],
-             sharded.dataset)
-            for lane in range(width) if load[lane]
-        ]
-        t0 = time.perf_counter()
-        sharded._search_flushes += 1
-        returned, retries, degraded, bytes_out, bytes_in = self._run_lanes(
-            stage, lanes
-        )
-        answered = [iter(lane_chunks) for lane_chunks in returned]
-        chunks = [next(answered[lane]) for lane in lane_of]
-        sharded._search_s += time.perf_counter() - t0
-        stage.merge(ctx, [chunks])
-        return (len(lanes), len(queries), sum(retries), sum(degraded),
-                bytes_out, bytes_in)
+        return max(1, len(self.registry.alive_hosts()))
 
-    # -- the round loop (both axes) --------------------------------------
-    def _run_lanes(
-        self, stage, lanes: List[Tuple[int, list, object]]
-    ) -> Tuple[List[list], List[int], List[int], int, int]:
-        """One scatter round over ``(wire shard id, payloads, dataset)``
-        lanes: encode, dispatch every lane, then collect each through
-        the retry ladder, degrading a lost lane in-process against its
-        ``dataset``.
-
-        Returns ``(chunks per lane, retries per lane, degraded (0/1)
-        per lane, wire bytes out, wire bytes in)``.
-        """
+    def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
         self._flush_seq += 1
         self._stash.clear()  # orphans of abandoned earlier rounds
-        flush_seq = self._flush_seq
-        epoch = getattr(self.sharded.dataset, "epoch", 0)
-        codec = getattr(self.sharded.root, "payload_codec", None)
-        plans: List[list] = []
-        bodies: List[bytes] = []
-        for _, payloads, _ in lanes:
-            plans.append(_encode_payloads(codec, stage.name, payloads))
-            bodies.append(FrameCodec.encode_body(plans[-1]))
-        # Dispatch everything before collecting anything, so hosts run
-        # their lanes concurrently (the host loop is one frame at a
-        # time per connection, but hosts are independent processes).
-        dispatched: List[Optional[ShardHostClient]] = []
-        bytes_out = bytes_in = 0
-        for (shard_id, _, _), body in zip(lanes, bodies):
+        epoch = getattr(self.dataset, "epoch", 0)
+        tickets = []
+        for lane in lanes:
+            body = FrameCodec.encode_body(lane.payloads)
             frame = FrameCodec.pack(
-                FrameCodec.SCATTER, flush_seq, shard_id, epoch, body
+                FrameCodec.SCATTER, self._flush_seq, lane.wire_id, epoch, body
             )
+            ticket = Ticket(lane)
             client = None
             try:
-                client = self.registry.host_for(shard_id)
+                client = self.registry.host_for(lane.wire_id)
                 client.send_frame(frame)
             except ScatterFailure as exc:
                 self._note_failure(client, exc)
                 client = None
             else:
-                bytes_out += len(frame)
-            dispatched.append(client)
-        returned: List[list] = []
-        retries: List[int] = []
-        degraded: List[int] = []
-        deadline_s = self.deadline.flush_deadline_s
-        for i, (shard_id, _, dataset) in enumerate(lanes):
-            chunks, used_retries, round_out, round_in = self._collect_round(
-                shard_id, bodies[i], flush_seq, epoch, dispatched[i], deadline_s
-            )
-            retries.append(used_retries)
-            bytes_out += round_out
-            bytes_in += round_in
-            degraded.append(int(chunks is None))
-            if chunks is None:
-                # Ladder exhausted (or no surviving host): the same
-                # payloads, in-process — execute_shard_payload is pure
-                # and the decode funnel resolves arena refs in the
-                # parent, so the merged answer is unchanged.
-                _log.warning(
-                    "degrading %s round in-process: flush_seq=%d shard=%d "
-                    "retries_used=%d", stage.name, flush_seq, shard_id,
-                    used_retries,
-                )
-                returned.append([
-                    execute_shard_payload(dataset, payload)
-                    for payload in plans[i]
-                ])
-            else:
-                returned.append(_decode_gather(chunks))
-        return returned, retries, degraded, bytes_out, bytes_in
+                ticket.bytes_out = len(frame)
+            ticket.handle = (body, epoch, client)
+            tickets.append(ticket)
+        return tickets
 
-    # -- round transport -----------------------------------------------
-    def _collect_round(
-        self,
-        shard_id: int,
-        body: bytes,
-        flush_seq: int,
-        epoch: int,
-        client: Optional[ShardHostClient],
-        deadline_s: Optional[float],
-    ) -> Tuple[Optional[list], int, int, int]:
-        """Collect one lane's round, re-scattering across survivors.
-
-        Returns ``(chunks | None, retries_used, extra_bytes_out,
-        bytes_in)`` — ``None`` chunks means the ladder is exhausted and
-        the caller must degrade the round in-process.
-        """
+    def collect(self, ticket: Ticket) -> list:
+        """One lane's answer, re-scattering across survivors."""
+        body, epoch, client = ticket.handle
+        shard_id, flush_seq = ticket.lane.wire_id, self._flush_seq
         attempts = self.retry.max_retries + 1
-        retries_used = 0
-        extra_out = bytes_in = 0
         for attempt in range(attempts):
-            stashed = self._stash.pop((flush_seq, shard_id), None)
-            if stashed is not None:
-                # A sibling shard's collector already read our answer
-                # off the shared connection.
-                bytes_in += FrameCodec.HEADER_SIZE + len(stashed)
-                return (
-                    FrameCodec.decode_body(stashed),
-                    retries_used, extra_out, bytes_in,
-                )
-            if client is None:
-                # (Re-)dispatch: first attempt whose send already
-                # failed, or a retry after a death — pick a survivor.
+            # A sibling lane's collector may already have read our
+            # answer off a shared connection.
+            rbody = self._stash.pop((flush_seq, shard_id), None)
+            if rbody is None:
                 try:
-                    client = self.registry.host_for(shard_id)
-                    frame = FrameCodec.pack(
-                        FrameCodec.SCATTER, flush_seq, shard_id, epoch, body
+                    if client is None:
+                        # (Re-)dispatch: the first send already failed,
+                        # or a retry after a death — pick a survivor.
+                        client = self.registry.host_for(shard_id)
+                        frame = FrameCodec.pack(
+                            FrameCodec.SCATTER, flush_seq, shard_id, epoch, body
+                        )
+                        client.send_frame(frame)
+                        ticket.bytes_out += len(frame)
+                    rbody = self._recv_matching(
+                        client, flush_seq, shard_id,
+                        self.deadline.flush_deadline_s,
                     )
-                    client.send_frame(frame)
-                    extra_out += len(frame)
                 except PoolUnavailable:
-                    return None, retries_used, extra_out, bytes_in
+                    raise  # no survivor left to retry on
                 except ScatterFailure as exc:
                     self._note_failure(client, exc)
                     client = None
                     if attempt + 1 < attempts:
-                        retries_used += 1
+                        ticket.retries += 1
                         self.registry.counters["retries"] += 1
                     continue
-            try:
-                rbody = self._recv_matching(
-                    client, flush_seq, shard_id, deadline_s
-                )
-            except PoolUnavailable:
-                return None, retries_used, extra_out, bytes_in
-            except ScatterFailure as exc:
-                self._note_failure(client, exc)
-                client = None
-                if attempt + 1 < attempts:
-                    retries_used += 1
-                    self.registry.counters["retries"] += 1
-                continue
-            bytes_in += FrameCodec.HEADER_SIZE + len(rbody)
-            return FrameCodec.decode_body(rbody), retries_used, extra_out, bytes_in
-        return None, retries_used, extra_out, bytes_in
+            ticket.bytes_in += FrameCodec.HEADER_SIZE + len(rbody)
+            return FrameCodec.decode_body(rbody)
+        raise PoolUnavailable(
+            f"no shard host answered round (seq={flush_seq}, "
+            f"shard={shard_id}) within {self.retry.max_retries} retries"
+        )
 
     def _recv_matching(
         self,

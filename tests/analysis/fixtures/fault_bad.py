@@ -1,11 +1,6 @@
 """FT501 violations: bare pool dispatches that bypass the supervisor."""
 
 
-def legacy_dispatch(pool, payloads):
-    handle = pool.run_shard_tasks_async(payloads)
-    return handle.get()
-
-
 def bare_map_async(worker_pool, fn, items):
     return worker_pool.map_async(fn, items)
 

@@ -6,9 +6,6 @@ class PersistentWorkerPool:
     def dispatch(self, payloads):
         return self._pool.map_async(self._fn, payloads)
 
-    def run_shard_tasks_async(self, payloads):
-        return self._pool.map_async(self._fn, payloads)
-
 
 def supervised(pool, payloads):
     # The sanctioned path: deadline + retry apply.
@@ -21,7 +18,7 @@ def ticketed(pool, payloads):
 
 
 def ephemeral_sync_map(fork_pool, fn, chunks):
-    # Synchronous map on a per-round pool is out of scope.
+    # Synchronous map returns no handle to wait on: out of scope.
     return fork_pool.map(fn, chunks)
 
 

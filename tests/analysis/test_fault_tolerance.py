@@ -10,11 +10,6 @@ def rules_at(report):
 
 
 class TestFaultToleranceViolations:
-    def test_legacy_raw_dispatch_fires_on_any_receiver(self, lint_fixture):
-        report, path = lint_fixture("fault_bad.py", FaultToleranceChecker())
-        needle = "pool.run_shard_tasks_async(payloads)"
-        assert ("FT501", line_of(path, needle)) in rules_at(report)
-
     def test_async_pool_methods_fire_on_poolish_receivers(self, lint_fixture):
         report, path = lint_fixture("fault_bad.py", FaultToleranceChecker())
         found = rules_at(report)
@@ -36,8 +31,8 @@ class TestFaultToleranceCleanCode:
     def test_supervised_and_out_of_scope_patterns_are_silent(self, lint_fixture):
         # Covers: the supervisor class touching its own raw pool, the
         # sanctioned run_supervised/dispatch+collect paths, synchronous
-        # ephemeral fork_pool.map, and async-looking methods on
-        # receivers that are not pools.
+        # fork_pool.map, and async-looking methods on receivers that
+        # are not pools.
         report, _ = lint_fixture("fault_ok.py", FaultToleranceChecker())
         assert report.findings == []
 

@@ -212,6 +212,9 @@ def test_baseline_shared_topk_cache_reused_across_batches():
 
 
 def test_batch_workers_match_inprocess():
+    import multiprocessing
+
+    children_before = set(multiprocessing.active_children())
     engine, rng, vocab = build_engine(seed=9)
     queries = make_queries(rng, vocab, 5)
     inprocess = engine.query_batch(queries, workers=1)
@@ -219,6 +222,13 @@ def test_batch_workers_match_inprocess():
     for a, b in zip(inprocess, fanned):
         assert_result_equal(a, b)
         assert_stats_equal(a.stats, b.stats)
+    # workers=2 rode the supervised pipe lane over a pool scoped to the
+    # call: the round was byte-accounted, and the pool is gone.
+    select = engine.last_flush_report.stage("select")
+    assert select.scatter_width == 2
+    assert select.payload_bytes_out > 0 and select.payload_bytes_in > 0
+    assert (select.retries, select.degraded) == (0, 0)
+    assert set(multiprocessing.active_children()) <= children_before
 
 
 def test_batch_rejects_unknown_mode():

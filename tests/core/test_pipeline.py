@@ -293,3 +293,47 @@ class TestFlushReports:
         ]
         assert report.stage("refine").scatter_width == 2
         assert report.stage("shortlist").items == 4
+
+
+class TestSelectPayload:
+    """``select`` is a payload kind of the ONE worker entry."""
+
+    @pytest.mark.parametrize("mode", ["joint", "baseline"])
+    def test_select_payload_equals_the_select_one_loop(self, mode):
+        """Plain and arena-encoded, ``execute_shard_payload`` on a
+        ``("select", ...)`` chunk is the per-query ``_select_one`` loop."""
+        from repro.core.batch import (
+            _compute_shared_baseline,
+            _derive_shared_topk,
+            _select_one,
+        )
+        from repro.core.payload import ArenaRef, PayloadCodec, encode_shard_payload
+        from repro.storage.shm import ShmArena
+
+        dataset, rng, vocab = build_dataset(seed=8)
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        queries = make_queries(rng, vocab, 3, ks=(3,))
+        if mode == "baseline":
+            shared = _compute_shared_baseline(engine, 3)
+        else:
+            pool = _ensure_traversal_pool(engine, 3, "python")
+            shared = _derive_shared_topk(engine, pool, 3, "python")
+        expected = [
+            _select_one(dataset, q, shared, mode, "approx", "python")
+            for q in queries
+        ]
+        payload = ("select", queries, shared, mode, "approx", "python")
+        with ShmArena() as arena:
+            encoded = encode_shard_payload(PayloadCodec(arena), payload)
+            assert isinstance(encoded[2], ArenaRef)  # the O(|U|) state ships by name
+            assert encoded[:2] + encoded[3:] == payload[:2] + payload[3:]
+            for form in (payload, encoded):
+                got = execute_shard_payload(dataset, form)
+                assert [
+                    (r.location, r.keywords, r.brstknn) for r in got
+                ] == [(r.location, r.keywords, r.brstknn) for r in expected]
+                for a, b in zip(got, expected):
+                    assert a.stats.locations_pruned == b.stats.locations_pruned
+                    assert (a.stats.keyword_combinations_scored
+                            == b.stats.keyword_combinations_scored)
+                    assert a.stats.topk_time_s == b.stats.topk_time_s

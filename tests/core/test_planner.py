@@ -130,6 +130,58 @@ class TestExplain:
         assert "in-process per query" in text
 
 
+class TestSearchFanoutPredicate:
+    """explain() and the executor's lane builder share ONE predicate:
+    any fan-out width >= 1 ships a multi-query round."""
+
+    @staticmethod
+    def sharded_caps(search_workers):
+        from dataclasses import replace
+
+        return replace(
+            CAPS, num_shards=2, partitioner="hash", shard_users=(6, 6),
+            search_workers=search_workers,
+        )
+
+    @pytest.mark.parametrize("search_workers", [0, 1, 2])
+    def test_joint_gather_line_follows_the_predicate(self, search_workers):
+        from repro.core.planner import search_fans_out
+
+        plan = plan_batch(
+            QueryOptions(backend="python"), self.sharded_caps(search_workers),
+            ks=[3, 5],
+        )
+        fans_out = search_fans_out(search_workers, plan.batch_size, plan.shard)
+        assert fans_out == (search_workers >= 1)
+        text = plan.explain()
+        assert (f"per-query search fan-out x{search_workers}" in text) == fans_out
+        assert ("per-query searches run in-process" in text) == (not fans_out)
+
+    @pytest.mark.parametrize("search_workers", [0, 1, 2])
+    def test_indexed_phase_2_line_follows_the_predicate(self, search_workers):
+        text = plan_batch(
+            QueryOptions(mode="indexed"), self.sharded_caps(search_workers),
+            ks=[4, 4],
+        ).explain()
+        fans_out = search_workers >= 1
+        assert (f"root search pool x{search_workers}" in text) == fans_out
+        assert ("in-process per query" in text) == (not fans_out)
+
+    def test_single_query_and_observed_verdict_keep_the_searches_home(self):
+        from dataclasses import replace
+
+        from repro.core.planner import search_fans_out
+
+        plan = plan_batch(
+            QueryOptions(backend="python"), self.sharded_caps(2), ks=[3]
+        )
+        assert not search_fans_out(2, plan.batch_size, plan.shard)
+        assert "per-query searches run in-process" in plan.explain()
+        pulled = replace(plan.shard, search_inprocess=True)
+        assert not search_fans_out(2, 8, pulled)
+        assert search_fans_out(2, 8, None)  # 1-shard engines carry no ShardPlan
+
+
 class TestObservedPlanning:
     """FlushHistory-driven decisions: observed costs vs static fallback."""
 

@@ -6,7 +6,9 @@ result-identity assertion against in-process sequential execution —
 the acceptance bar every recovery path must clear.
 """
 
+import asyncio
 import random
+import threading
 
 from repro import (
     Dataset,
@@ -60,3 +62,40 @@ def assert_results_equal(served, reference):
         assert got.location == want.location
         assert got.keywords == want.keywords
         assert got.brstknn == want.brstknn
+
+
+class HostThread:
+    """One embedded shard host on its own thread + event loop."""
+
+    def __init__(self, host):
+        self.host = host
+        self.loop = None
+        self.port = None
+        self._ready = threading.Event()
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+        assert self._ready.wait(10), "shard host failed to bind"
+
+    def _run(self):
+        self.loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(self.loop)
+        self.port = self.loop.run_until_complete(self.host.start())
+        self._ready.set()
+        try:
+            self.loop.run_until_complete(self.host.serve_forever())
+        except (asyncio.CancelledError, RuntimeError):
+            pass  # cancelled at stop()
+        finally:
+            self.loop.close()
+
+    def stop(self):
+        """Kill the host: every handler dies, connections reset."""
+        if self.loop.is_closed():
+            return
+
+        def _cancel():
+            for task in asyncio.all_tasks(self.loop):
+                task.cancel()
+
+        self.loop.call_soon_threadsafe(_cancel)
+        self.thread.join(10)

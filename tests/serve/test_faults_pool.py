@@ -165,7 +165,6 @@ def _ticket(pool, deadline_s=None, generation=None):
     return PoolDispatch(
         async_result=_NeverReady(),
         payloads=[],
-        kind="shard",
         generation=pool.health.generation if generation is None else generation,
         deadline_s=deadline_s,
     )
@@ -236,9 +235,7 @@ class TestCloseLifecycle:
         with pytest.raises(PoolUnavailable):
             pool.dispatch([])
         with pytest.raises(PoolUnavailable):
-            pool.run_selection([])
-        with pytest.raises(PoolUnavailable):
-            pool.run_shard_tasks_async([])
+            pool.run_supervised([])
         with pytest.raises(PoolUnavailable):
             pool.respawn()
         assert not pool.available

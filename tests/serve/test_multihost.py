@@ -12,7 +12,6 @@ sequential engine, whatever the transport did to get there.
 
 import asyncio
 import logging
-import threading
 
 import pytest
 
@@ -28,47 +27,15 @@ from repro.serve import (
     ShardedEngine,
 )
 
-from .conftest import assert_results_equal, build_dataset, make_queries
+from .conftest import (
+    HostThread,
+    assert_results_equal,
+    build_dataset,
+    make_queries,
+)
 
 OPTS = QueryOptions(method="approx", mode="joint", backend="python")
 FAST = DeadlinePolicy(flush_deadline_s=5.0, poll_interval_s=0.01)
-
-
-class HostThread:
-    """One embedded shard host on its own thread + event loop."""
-
-    def __init__(self, host: ShardHost):
-        self.host = host
-        self.loop = None
-        self.port = None
-        self._ready = threading.Event()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-        assert self._ready.wait(10), "shard host failed to bind"
-
-    def _run(self):
-        self.loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self.loop)
-        self.port = self.loop.run_until_complete(self.host.start())
-        self._ready.set()
-        try:
-            self.loop.run_until_complete(self.host.serve_forever())
-        except (asyncio.CancelledError, RuntimeError):
-            pass  # cancelled at stop()
-        finally:
-            self.loop.close()
-
-    def stop(self):
-        """Kill the host: every handler dies, connections reset."""
-        if self.loop.is_closed():
-            return
-
-        def _cancel():
-            for task in asyncio.all_tasks(self.loop):
-                task.cancel()
-
-        self.loop.call_soon_threadsafe(_cancel)
-        self.thread.join(10)
 
 
 def sharded_with_hosts(num_shards, num_hosts, seed=0, fault_on_host=None,
@@ -151,17 +118,17 @@ def test_search_lanes_balance_uneven_per_k_chunks():
     engine, hosts, rng, vocab = sharded_with_hosts(2, 2, seed=10)
     try:
         connect(engine, hosts)
-        executor = engine._executor
-        run_lanes, loads = executor._run_lanes, []
+        transport = engine._executor.transport
+        dispatch, loads = transport.dispatch, []
 
-        def spy(stage, lanes):
-            if stage.name == "search":
+        def spy(lanes):
+            if lanes[0].wire_id < 0:  # the search round's whole-dataset lanes
                 loads.extend(
-                    sum(len(p[1]) for p in payloads) for _, payloads, _ in lanes
+                    sum(len(p[1]) for p in lane.payloads) for lane in lanes
                 )
-            return run_lanes(stage, lanes)
+            return dispatch(lanes)
 
-        executor._run_lanes = spy
+        transport.dispatch = spy
         queries = make_queries(rng, vocab, 8, ks=(3, 5, 7))
         served = engine.query_batch(queries, OPTS)
         assert loads == [4, 4]
@@ -276,16 +243,16 @@ def test_drop_on_search_frame_rescatters_the_lane(fault_host, stash_peak):
     )
     try:
         connect(engine, hosts)
-        executor = engine._executor
-        recv_matching, peaks = executor._recv_matching, []
+        transport = engine._executor.transport
+        recv_matching, peaks = transport._recv_matching, []
 
         def spy(*args):
             try:
                 return recv_matching(*args)
             finally:
-                peaks.append(len(executor._stash))
+                peaks.append(len(transport._stash))
 
-        executor._recv_matching = spy
+        transport._recv_matching = spy
         queries = make_queries(rng, vocab, 8, ks=(3, 5))
         served = engine.query_batch(queries, OPTS)
         report = engine.last_flush_report
@@ -297,7 +264,7 @@ def test_drop_on_search_frame_rescatters_the_lane(fault_host, stash_peak):
         assert counters["worker_deaths"] == 1
         assert counters["retries"] == 1
         assert max(peaks) == stash_peak
-        assert not executor._stash
+        assert not transport._stash
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
         )
@@ -310,12 +277,15 @@ def test_host_death_and_degrade_are_logged(caplog):
     try:
         connect(engine, hosts)
         hosts[0].stop()
-        with caplog.at_level(logging.INFO, logger="repro.serve.transport"):
+        with caplog.at_level(logging.INFO, logger="repro"):
             engine.query_batch(make_queries(rng, vocab, 4, ks=(3,)), OPTS)
             hosts[1].stop()
             engine.query_batch(make_queries(rng, vocab, 4, ks=(5,)), OPTS)
+        # Host deaths are the transport's to report; degrades are
+        # run_round's, whatever the transport.
         records = [
-            r for r in caplog.records if r.name == "repro.serve.transport"
+            r for r in caplog.records
+            if r.name in ("repro.serve.transport", "repro.core.pipeline")
         ]
         assert all(r.levelno == logging.WARNING for r in records)
         deaths = [r.getMessage() for r in records if "marked dead" in r.getMessage()]
@@ -395,6 +365,64 @@ def test_seasoned_sub_ms_searches_stay_in_process(transport):
         )
     finally:
         engine.close_pools()
+        teardown(engine, hosts)
+
+
+def test_seasoned_low_depth_scatter_stays_in_process_on_sockets():
+    """The planner's ``scatter_inprocess`` verdict holds on the socket
+    transport too: a flush explain() reports as ``scatter-dispatch ->
+    in-process`` must not ship a refine/shortlist frame."""
+    from repro.core.history import FlushSignature
+    from repro.core.pipeline import FlushReport, StageStats
+
+    engine, hosts, rng, vocab = sharded_with_hosts(2, 2, seed=15)
+    try:
+        connect(engine, hosts)
+        signature = FlushSignature(mode="joint", backend="python", scatter_width=2)
+        for _ in range(3):
+            engine.flush_history.record(signature, FlushReport(
+                mode="joint", batch_size=1,
+                stages=[StageStats(stage="shortlist", items=1, time_s=0.0001)],
+            ))
+        queries = make_queries(rng, vocab, 1, ks=(3,))
+        plan = engine.plan(OPTS, ks=[3])
+        assert plan.shard.scatter_inprocess is True
+        assert "scatter-dispatch -> in-process" in plan.explain()
+        before = engine._registry.bytes_totals()
+        served = engine.query_batch(queries, OPTS)
+        assert engine._registry.bytes_totals() == before
+        report = engine.last_flush_report
+        assert report.stage("refine").scatter_width == 2  # layout unchanged
+        assert report.payload_bytes_out == report.payload_bytes_in == 0
+        assert report.degraded_partitions == 0
+        assert report.total_retries == 0
+        assert all(row["degraded_rounds"] == 0 for row in engine.shard_stats())
+        assert_results_equal(
+            served, reference_results(engine.dataset, queries, engine)
+        )
+    finally:
+        teardown(engine, hosts)
+
+
+def test_one_host_registry_ships_the_searches_and_explain_says_so():
+    """A fan-out of width 1 is still a fan-out: explain() and the
+    executor decide it with the same predicate."""
+    engine, hosts, rng, vocab = sharded_with_hosts(2, 1, seed=16)
+    try:
+        connect(engine, hosts)
+        queries = make_queries(rng, vocab, 4, ks=(3, 5))
+        text = engine.plan(OPTS, ks=[q.k for q in queries]).explain()
+        assert "per-query search fan-out x1" in text
+        assert "search-fanout -> search fan-out x1" in text
+        served = engine.query_batch(queries, OPTS)
+        search = engine.last_flush_report.stage("search")
+        assert search.scatter_width == 1
+        assert search.payload_bytes_out > 0
+        assert engine.gather_stats()["search_flushes"] == 1
+        assert_results_equal(
+            served, reference_results(engine.dataset, queries, engine)
+        )
+    finally:
         teardown(engine, hosts)
 
 

@@ -202,7 +202,7 @@ class TestBoundedShutdown:
         pool = PersistentWorkerPool(dataset, workers=1)
         pool.close()  # healthy workers: the unbounded join returns promptly
         with pytest.raises(RuntimeError):
-            pool.run_selection([])
+            pool.run_supervised([])
 
     def test_close_with_timeout_on_healthy_pool_does_not_warn(self):
         import warnings as warnings_mod

@@ -1,0 +1,190 @@
+"""The scatter-round contract: ONE loop, three transports.
+
+``run_round`` is the only dispatch → collect → degrade path; a transport
+only decides *where* a lane runs.  So the same refine, shortlist,
+search and select lanes must come back as the same decoded chunks with
+the same ``(width, chunks, retries, degraded)`` accounting whether they
+ran inline, on 1-worker fork pools, or on one embedded socket host —
+and, when the transport fails past its budget, as the same chunks with
+every lost lane counted degraded exactly once.
+"""
+
+import multiprocessing
+
+import pytest
+
+from repro import EngineConfig, QueryOptions
+from repro.core.partial import PartialResult, ShortlistPartial
+from repro.core.pipeline import (
+    INLINE,
+    DeriveThresholdsStage,
+    FlushContext,
+    Lane,
+    RefineStage,
+    SearchStage,
+    SelectStage,
+    ShardHandle,
+    ShortlistStage,
+    TraverseStage,
+    run_round,
+)
+from repro.serve import (
+    DeadlinePolicy,
+    FaultPlan,
+    RetryPolicy,
+    ShardHost,
+    ShardedEngine,
+)
+
+from .conftest import HostThread, build_dataset, make_queries
+
+pytestmark = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the pipe transport requires the fork start method",
+)
+
+OPTS = QueryOptions(backend="python")
+FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
+FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
+STAGES = ("refine", "shortlist", "search", "select")
+
+
+def canon(item):
+    """A chunk item minus its wall-clock fields."""
+    if isinstance(item, PartialResult):
+        return (item.shard_id, item.k, tuple(item.rsk.items()), item.users_total)
+    if isinstance(item, ShortlistPartial):
+        return (item.shard_id, item.kept, item.users, item.locations_pruned)
+    return (item.location, item.keywords, item.brstknn)
+
+
+class Rig:
+    """A 2-shard engine as scaffold: its shard datasets, root engine and
+    transports, with the four rounds driven by hand through run_round."""
+
+    def __init__(self, seed=0):
+        dataset, rng, vocab = build_dataset(seed, n_obj=70, n_users=24, vocab=18)
+        self.engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
+        self.queries = make_queries(rng, vocab, 6, ks=(3, 5))
+        self.hosts = []
+
+    def install(self, kind, faults=None):
+        engine = self.engine
+        if kind == "pool":
+            engine.start_pools(
+                1, search_workers=1,
+                retry=FAST_RETRY, deadline=FAST_DEADLINE, faults=faults,
+            )
+        elif kind == "socket":
+            replicas = {s.shard_id: s.engine.dataset for s in engine.shards}
+            self.hosts = [HostThread(ShardHost(replicas, engine.dataset))]
+            engine.connect_hosts(
+                [f"127.0.0.1:{h.port}" for h in self.hosts],
+                retry=FAST_RETRY, deadline=FAST_DEADLINE,
+            )
+        return engine._executor.transport
+
+    def close(self):
+        self.engine.close_pools(timeout_s=10.0)
+        self.engine.close_hosts()
+        for host in self.hosts:
+            host.stop()
+
+    def rounds(self, transport):
+        """``{stage: (canonical chunks per lane, (width, chunks, retries,
+        degraded))}`` for the four scatter stages over ``transport``."""
+        engine, root = self.engine, self.engine.root
+        plan = engine.plan(OPTS, ks=[q.k for q in self.queries])
+        ctx = FlushContext(
+            engine=root, plan=plan, queries=list(self.queries),
+            super_user=engine._su, user_pos=engine._user_pos,
+            merged_by_k={}, need_ks=list(plan.distinct_ks),
+        )
+        TraverseStage().run_central(ctx)
+        rsk_by_k = {shard.shard_id: {} for shard in engine.shards}
+        out = {}
+
+        def run(stage, lanes):
+            returned, retries, degraded, _, _ = run_round(stage, lanes, transport)
+            out[stage.name] = (
+                [[[canon(item) for item in chunk] for chunk in lane_chunks]
+                 for lane_chunks in returned],
+                (len(lanes), sum(len(c) for c in returned),
+                 sum(retries), sum(degraded)),
+            )
+            return returned
+
+        for stage in (RefineStage(), ShortlistStage()):
+            lanes = [
+                Lane(
+                    shard.shard_id,
+                    stage.split(ctx, ShardHandle(
+                        shard.shard_id, shard.engine.dataset, 1,
+                        rsk_by_k[shard.shard_id],
+                    )),
+                    shard.engine.dataset,
+                )
+                for shard in engine.shards
+            ]
+            returned = run(stage, lanes)
+            stage.merge(ctx, returned)
+            if stage.name == "refine":
+                for lane, chunks in zip(lanes, returned):
+                    for partial in (p for chunk in chunks for p in chunk):
+                        rsk_by_k[lane.wire_id][partial.k] = partial.rsk
+        whole = ShardHandle(-1, engine.dataset, 1)
+        search = SearchStage()
+        run(search, [Lane(-1, search.split(ctx, whole), engine.dataset)])
+        # The single-partition fusion, against the same full dataset.
+        DeriveThresholdsStage().run_central(ctx)
+        select = SelectStage()
+        run(select, [Lane(-1, select.split(ctx, whole), engine.dataset)])
+        return out
+
+
+@pytest.fixture
+def rig():
+    rig = Rig()
+    try:
+        yield rig
+    finally:
+        rig.close()
+
+
+@pytest.mark.parametrize("kind", ["inline", "pool", "socket"])
+def test_every_transport_returns_the_inline_round(rig, kind):
+    expected = rig.rounds(INLINE)
+    transport = rig.install(kind)
+    assert transport.remote == (kind != "inline")
+    got = rig.rounds(transport)
+    for stage in STAGES:
+        chunks, accounting = got[stage]
+        assert chunks == expected[stage][0], stage
+        assert accounting == expected[stage][1], stage
+        assert accounting[2:] == (0, 0)
+    assert got["refine"][1][0] == got["shortlist"][1][0] == 2  # one lane per shard
+    assert got["search"][1][0] == got["select"][1][0] == 1
+
+
+@pytest.mark.parametrize("kind", ["pool", "socket"])
+def test_a_transport_past_its_budget_degrades_each_lost_lane_once(rig, kind):
+    expected = rig.rounds(INLINE)
+    transport = rig.install(kind, faults=FaultPlan.pool_loss())
+    if kind == "socket":
+        # A round trip first, so the host is serving the connection and
+        # its death resets it (instead of stranding it in the backlog).
+        assert all(rig.engine._registry.ping_all().values())
+        for host in rig.hosts:
+            host.stop()
+    got = rig.rounds(transport)
+    for stage in STAGES:
+        chunks, (width, n_chunks, _, degraded) = got[stage]
+        assert chunks == expected[stage][0], stage
+        assert (width, n_chunks) == expected[stage][1][:2], stage
+        assert degraded == width, stage  # every lane lost, each counted once
+    counters = rig.engine.fault_counters()
+    if kind == "pool":
+        # The respawn itself is what failed: nothing was re-dispatched.
+        assert counters["retries"] == 0
+    else:
+        assert counters["worker_deaths"] == 1

@@ -418,7 +418,7 @@ class TestPersistentPool:
         finally:
             pool.close()
         with pytest.raises(RuntimeError):
-            pool.run_selection([])
+            pool.run_supervised([])
 
     def test_pool_rejects_bad_worker_count(self):
         engine, _, _ = build_engine()

@@ -411,6 +411,8 @@ def test_shard_payload_encode_decode_inverse_and_passthrough():
              "python", 0),
             ("search", [("q0", [(1, 2.0, 0.5)], [[7, 8]], 0, None, 0.0)],
              rsk, {}, "greedy", "python"),
+            ("select", ["q0", "q1"], {"shared": rsk}, "joint", "greedy",
+             "python"),
         ):
             encoded = encode_shard_payload(codec, payload)
             assert encoded[0] == payload[0]
