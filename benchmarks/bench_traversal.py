@@ -1,7 +1,9 @@
-"""Phase-1 isolation: the joint MIR-tree traversal, python vs numpy.
+"""Phase-1 isolation: the joint MIR-tree traversal and its refinement,
+python vs numpy.
 
-Not a paper figure — this isolates the cost PR 3 attacks: Algorithm
-1's frontier traversal, the dominant part of every cold query.  Three
+Not a paper figure — this isolates the two halves of every cold query:
+Algorithm 1's frontier traversal (the cost PR 3 attacked) and
+Algorithm 2's per-user refinement of the pools it returns.  Four
 sections:
 
 1. **TreeArrays build** — the once-per-engine flattening cost the
@@ -11,7 +13,10 @@ sections:
    built-in check that the pools are *bitwise identical* (the frontier
    kernels' exactness contract) and a ≥ 2x speedup acceptance bar on
    the full-size run.
-3. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
+3. **Refinement backends** — best-of-N ``individual_topk`` per backend
+   on those same pools, with a built-in check that the per-user ranked
+   lists are *identical* (scores as floats, ties by id).
+4. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to per-k sequential queries.
 
@@ -22,9 +27,10 @@ Run::
     python benchmarks/bench_traversal.py --json out.json
 
 ``--max-slowdown X`` (used by the CI bench-smoke job) fails the run if
-the numpy backend is more than X times slower than python — a tiny
-dataset cannot show the speedup, but it catches kernel regressions
-that make vectorization a net loss.
+the numpy backend is more than X times slower than python on the walk
+or on the refinement — a tiny dataset cannot show the speedup, but it
+catches kernel regressions that make vectorization a net loss (a
+refinement back at per-candidate Python work is one).
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ sys.path.insert(
 from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
-from repro.core.joint_topk import joint_traversal  # noqa: E402
+from repro.core.joint_topk import individual_topk, joint_traversal  # noqa: E402
 from repro.core.kernels import HAS_NUMPY, tree_arrays_for  # noqa: E402
 from repro.datagen.users import generate_users, query_pool  # noqa: E402
 from repro.storage.iostats import IOCounter  # noqa: E402
@@ -66,18 +72,30 @@ def traversals_identical(a, b) -> bool:
     return True
 
 
-def time_traversal(engine, k, backend, repeats):
-    """Best-of-N cold traversal (fresh I/O counter per run)."""
+def best_of(repeats, run):
+    """Best-of-N wall time of ``run()``, and its last result."""
     best = float("inf")
     result = None
     for _ in range(repeats):
-        store = PageStore(counter=IOCounter())
         t0 = time.perf_counter()
-        result = joint_traversal(
-            engine.object_tree, engine.dataset, k, store=store, backend=backend
-        )
+        result = run()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def time_traversal(engine, k, backend, repeats):
+    """Cold traversal (fresh I/O counter per run)."""
+    return best_of(repeats, lambda: joint_traversal(
+        engine.object_tree, engine.dataset, k,
+        store=PageStore(counter=IOCounter()), backend=backend,
+    ))
+
+
+def time_refine(traversal, dataset, k, backend, repeats):
+    """Algorithm 2 over one traversal's pools."""
+    return best_of(
+        repeats, lambda: individual_topk(traversal, dataset, k, backend=backend)
+    )
 
 
 def main(argv=None) -> int:
@@ -143,6 +161,29 @@ def main(argv=None) -> int:
         return 1
     print("equivalence check: numpy pools bitwise-identical to python")
 
+    refine_timings = {}
+    ranked = {}
+    for backend in ("python", "numpy"):
+        elapsed, per_user = time_refine(
+            results[backend], engine.dataset, config.k, backend, args.repeats
+        )
+        refine_timings[backend] = elapsed
+        ranked[backend] = {uid: res.ranked for uid, res in per_user.items()}
+        print(
+            f"refine    k={config.k} backend={backend:<7}: "
+            f"{1000 * elapsed:8.2f} ms  ({len(per_user)} users)",
+            flush=True,
+        )
+    refine_speedup = (
+        refine_timings["python"] / refine_timings["numpy"]
+        if refine_timings["numpy"] else 0.0
+    )
+    print(f"refine speedup numpy vs python: {refine_speedup:.2f}x")
+    if ranked["python"] != ranked["numpy"]:
+        print("EQUIVALENCE FAILURE: per-user ranked lists differ across backends")
+        return 1
+    print("equivalence check: numpy ranked lists identical to python")
+
     # Cross-k pool sharing: one walk serves a whole mixed-k batch.
     workload = generate_users(
         bench.dataset.objects,
@@ -198,6 +239,8 @@ def main(argv=None) -> int:
             "tree_arrays_build_s": build_s,
             "traversal_s": timings,
             "speedup_numpy": speedup,
+            "refine_s": refine_timings,
+            "refine_speedup_numpy": refine_speedup,
             "mixed_k": {
                 "ks": mixed_ks,
                 "queries": len(queries),
@@ -209,13 +252,14 @@ def main(argv=None) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
 
-    if args.max_slowdown is not None and timings["numpy"] > args.max_slowdown * timings["python"]:
-        print(
-            f"REGRESSION: numpy {1000 * timings['numpy']:.2f} ms is more than "
-            f"{args.max_slowdown:.2f}x slower than python "
-            f"{1000 * timings['python']:.2f} ms"
-        )
-        return 1
+    for phase, took in (("traversal", timings), ("refine", refine_timings)):
+        if args.max_slowdown is not None and took["numpy"] > args.max_slowdown * took["python"]:
+            print(
+                f"REGRESSION: {phase} numpy {1000 * took['numpy']:.2f} ms is more "
+                f"than {args.max_slowdown:.2f}x slower than python "
+                f"{1000 * took['python']:.2f} ms"
+            )
+            return 1
     if not args.tiny and speedup < 2.0:
         print("ACCEPTANCE FAILURE: phase-1 speedup below 2x")
         return 1

@@ -47,7 +47,10 @@ from ..engine import Checker, Finding, ModuleInfo, call_name
 __all__ = ["KernelIdentityChecker", "IDENTITY_FUNCTIONS"]
 
 #: Default allowlist: the decision/bound kernels of core/kernels.py
-#: whose docstrings promise bitwise identity with the scalar backend.
+#: whose docstrings promise bitwise identity with the scalar backend,
+#: and the pair kernel whose floats Algorithm 2 *returns* (the
+#: guard-banded ``candidate_score_matrix`` beside it stays outside: its
+#: BLAS product is the point).
 IDENTITY_FUNCTIONS = frozenset({
     "_pairwise_norm",
     "_masked_segment_sums",
@@ -55,6 +58,7 @@ IDENTITY_FUNCTIONS = frozenset({
     "node_lower_bounds",
     "node_rsk",
     "weights_of",
+    "sts_pairs",
 })
 
 #: Opt-in marker for new identity kernels outside the allowlist.

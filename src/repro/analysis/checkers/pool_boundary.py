@@ -28,8 +28,9 @@ Rules
 -----
 * ``PB201`` lambda or locally-defined function at a boundary site;
 * ``PB202`` known COW-only type (``Dataset``, ``DatasetArrays``,
-  ``TreeArrays``, ``PageStore``, or their factories ``arrays_for`` /
-  ``tree_arrays_for``) flowing into a payload;
+  ``ObjectColumns``, ``TreeArrays``, ``PageStore``, or their factories
+  ``arrays_for`` / ``object_columns_for`` / ``tree_arrays_for``)
+  flowing into a payload;
 * ``PB203`` bound method (``self.x`` / instance attribute) used as a
   pool function — its pickle drags the whole instance through the pipe.
 
@@ -49,8 +50,8 @@ __all__ = ["PoolBoundaryChecker", "COW_ONLY_TYPES", "PAYLOAD_KINDS"]
 #: Types (and their lazy factories) that must stay behind the fork:
 #: workers receive them via copy-on-write memory, never via pickle.
 COW_ONLY_TYPES = frozenset({
-    "Dataset", "DatasetArrays", "TreeArrays", "PageStore",
-    "arrays_for", "tree_arrays_for",
+    "Dataset", "DatasetArrays", "ObjectColumns", "TreeArrays", "PageStore",
+    "arrays_for", "object_columns_for", "tree_arrays_for",
 })
 
 #: First elements of execute_shard_payload work-item tuples.

@@ -68,6 +68,7 @@ from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.pool import PersistentWorkerPool
+    from ..topk.single import TopKResult
     from .engine import MaxBRSTkNNEngine
 
 __all__ = [
@@ -96,15 +97,17 @@ class SharedTraversalPool:
     """Cross-k phase-1 state for ``Mode.JOINT`` batches.
 
     One joint traversal at ``k`` — the largest k any batch has asked
-    this engine for — owns the candidate pools; smaller-k thresholds
-    are derived from the same pools by Algorithm 2 and memoized in
-    ``by_k``.  Subsumption argument: an object outside the ``k_max``
-    pools has ``UB(o, us) < RSk_max(us) <= RSk(us) <= RSk(u)`` for
-    every user and every ``k <= k_max``, so it can appear in nobody's
-    top-k — exactly the objects a dedicated ``k``-traversal is allowed
-    to drop.  Derived thresholds (``RSk(u)`` and ``RSk(us)``) are
-    value-identical to what the dedicated traversal would produce, so
-    downstream selection results match sequential queries exactly.
+    this engine for — owns the candidate pools, and one Algorithm 2
+    pass at that same ``k`` owns the per-user ranked lists
+    (``per_user``); smaller-k thresholds are read off those lists and
+    memoized in ``by_k``.  Subsumption argument: an object outside the
+    ``k_max`` pools has ``UB(o, us) < RSk_max(us) <= RSk(us) <=
+    RSk(u)`` for every user and every ``k <= k_max``, so it can appear
+    in nobody's top-k — exactly the objects a dedicated ``k``-traversal
+    is allowed to drop.  Derived thresholds (``RSk(u)`` and
+    ``RSk(us)``) are value-identical to what the dedicated traversal
+    would produce, so downstream selection results match sequential
+    queries exactly.
     """
 
     k: int
@@ -117,6 +120,9 @@ class SharedTraversalPool:
     #: Memoized per-k group thresholds (RSk(us) is an O(pool log pool)
     #: sort to derive; a serving loop asks for the same ks every flush).
     group_by_k: Dict[int, float] = field(default_factory=dict)
+    #: Algorithm 2's ranked lists at ``k`` (filled by the first
+    #: threshold derivation after the walk).
+    per_user: Optional[Dict[int, TopKResult]] = None
 
     def rsk_group_for(self, k: int) -> float:
         value = self.group_by_k.get(k)
@@ -200,6 +206,10 @@ def _derive_shared_topk(
     user can rank in a top-``k`` (``k <= pool.k``), refinement computes
     exact scores, and ties resolve by ``(score, object id)`` — pool
     membership beyond the necessary objects cannot change the outcome.
+    That total order also makes a user's top-``k`` the first ``k`` of
+    their top-``pool.k``, so the pool is refined once, at ``pool.k``
+    (whichever ``k`` asks first pays for it), and every ``k`` reads its
+    thresholds off the same lists.
     ``RSk(us)`` equals the k-th best candidate lower bound globally:
     any object with a top-k lower bound survives the ``k_max`` walk.
     """
@@ -209,11 +219,14 @@ def _derive_shared_topk(
     if entry is not None:
         return entry
     t0 = time.perf_counter()
-    per_user = individual_topk(pool.traversal, engine.dataset, k, backend=backend)
+    if pool.per_user is None:
+        pool.per_user = individual_topk(
+            pool.traversal, engine.dataset, pool.k, backend=backend
+        )
     rsk_group = derive_rsk_group(pool, k)
     elapsed = time.perf_counter() - t0
     entry = SharedTopK(
-        rsk={uid: res.kth_score for uid, res in per_user.items()},
+        rsk={uid: res.kth_score_at(k) for uid, res in pool.per_user.items()},
         rsk_group=rsk_group,
         topk_time_s=pool.topk_time_s + elapsed,
         io_node_visits=pool.io_node_visits,

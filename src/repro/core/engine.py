@@ -344,9 +344,10 @@ class MaxBRSTkNNEngine:
     def prewarm_kernels(self) -> None:
         """Build the numpy kernel caches up front (server startup hook).
 
-        ``DatasetArrays`` plus the object tree's ``TreeArrays`` — so the
-        first query pays no build cost and pool workers forked later
-        inherit them through copy-on-write.  No-op without numpy.
+        ``DatasetArrays`` (with the per-object-set ``ObjectColumns``
+        Algorithm 2 gathers from) plus the object tree's ``TreeArrays``
+        — so the first query pays no build cost and pool workers forked
+        later inherit them through copy-on-write.  No-op without numpy.
         """
         from .kernels import HAS_NUMPY, arrays_for, tree_arrays_for
 

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,6 +48,10 @@ from ..storage.pager import PageStore
 from ..topk.single import TopKResult
 from .bounds import BoundCalculator
 from .kernels import arrays_for, resolve_backend
+
+#: ``RO`` objects Algorithm 2's numpy backend scores before it evaluates
+#: Example 4's stop (``_individual_topk_numpy``).
+RO_BLOCK = 256
 
 __all__ = [
     "CandidateObject",
@@ -337,11 +343,11 @@ def individual_topk(
     scanned in descending group upper bound and the scan stops per user
     as soon as ``UB(o, us) < RSk(u)`` — no later object can qualify.
 
-    ``backend="numpy"`` scores the whole user x candidate pool as one
-    matrix (see :mod:`repro.core.kernels`); the selected top-k entries
-    are re-scored through the scalar path so the returned scores — and
-    hence every downstream ``RSk(u)`` threshold — are bitwise identical
-    to the python backend.
+    ``backend="numpy"`` applies the stop to whole blocks of ``RO`` and
+    scores users x objects as matrices (see :mod:`repro.core.kernels`);
+    the top-k contenders are re-scored by a bitwise-exact pair kernel
+    so the returned scores — and hence every downstream ``RSk(u)``
+    threshold — are identical floats to the python backend's.
     """
     users = dataset.users if users is None else users
     out: Dict[int, TopKResult] = {}
@@ -381,44 +387,69 @@ def _individual_topk_numpy(
     k: int,
     users: Sequence[User],
 ) -> Dict[int, TopKResult]:
-    """Vectorized Algorithm 2: one score matrix, then per-user selection.
+    """Vectorized Algorithm 2: guard-banded matrix, exact contenders.
 
-    The early-termination scan of the python backend only skips objects
-    that provably cannot enter a top-k, so scoring the full pool yields
-    the same candidates.  Selection is guard-banded like every other
-    decision kernel: a candidate is *surely out* only when its array
-    score trails the k-th best by more than ``GUARD_EPS``; everything
-    else — a superset of the scalar top-k — is re-scored through the
-    scalar path and selected with the scalar heap's exact key, so the
-    returned lists (and the ``RSk(u)`` thresholds read from them) are
-    bitwise identical to the python backend, ties included.
+    **Example 4's stop.**  ``LO`` and the first ``RO_BLOCK`` objects of
+    ``RO`` are scored for every user as one matrix; each user's k-th
+    best score so far is a lower bound of their final ``RSk(u)``, and
+    ``RO`` is in descending ``UB(o, us)``, so only its prefix with
+    ``UB(o, us) >= min_u kth_u - GUARD_EPS`` is scored next.  The guard
+    sits on the conservative side: the matrix scores carry BLAS
+    rounding, so the cut is lowered by the band and the scored prefix
+    is a superset of every object the scalar scan visits for any user —
+    an object left out has ``STS(o, u) <= UB(o, us) < RSk(u)`` for all
+    of them.
+
+    **Contenders.**  Per user, everything whose matrix score reaches
+    the k-th best minus ``GUARD_EPS`` — a superset of the scalar top-k,
+    ties included — is re-scored by the bitwise pair kernel
+    (:meth:`DatasetArrays.sts_pairs`) and ordered by the scalar heap's
+    exact key ``(-score, id)``, so the returned lists (and the
+    ``RSk(u)`` thresholds read from them) are the python backend's
+    floats in the python backend's order.
     """
     import numpy as np
 
     from .kernels import GUARD_EPS
 
     cands = traversal.all_candidates()
-    if not cands:
+    if not cands or not users:
         return {u.item_id: TopKResult(user_id=u.item_id, ranked=[]) for u in users}
     arrays = arrays_for(dataset)
-    rows = arrays.rows_for(users)
-    scores = arrays.candidate_score_matrix(cands, rows)
-    obj_ids = np.array([c.obj.item_id for c in cands], dtype=np.int64)
-    out: Dict[int, TopKResult] = {}
-    for row, user in enumerate(users):
-        srow = scores[row]
-        if len(cands) > k:
-            kth = -np.partition(-srow, k - 1)[k - 1]
-            contenders = np.nonzero(srow >= kth - GUARD_EPS)[0]
-        else:
-            contenders = np.arange(len(cands))
-        # Scalar re-score of the contenders, scalar selection key.
-        ranked = sorted(
-            ((dataset.sts(cands[j].obj, user), int(obj_ids[j])) for j in contenders),
-            key=lambda t: (-t[0], t[1]),
-        )[:k]
-        out[user.item_id] = TopKResult(user_id=user.item_id, ranked=ranked)
-    return out
+    user_rows = arrays.rows_for(users)
+    obj_rows = arrays.objects.rows_for(c.obj.item_id for c in cands)
+
+    def kth_best(scores):
+        n = scores.shape[1]
+        return np.partition(scores, n - k, axis=1)[:, n - k]
+
+    head = min(len(cands), len(traversal.lo) + RO_BLOCK)
+    scores = arrays.candidate_score_matrix(obj_rows[:head], user_rows)
+    if head < len(cands):
+        floor = kth_best(scores).min() - GUARD_EPS if head >= k else -math.inf
+        # First candidate past the head with UB(o, us) < floor.
+        reach = bisect_right(cands, -floor, lo=head, key=lambda c: -c.upper)
+        if reach > head:
+            scores = np.hstack((
+                scores,
+                arrays.candidate_score_matrix(obj_rows[head:reach], user_rows),
+            ))
+    if scores.shape[1] > k:
+        keep = scores >= (kth_best(scores) - GUARD_EPS)[:, None]
+    else:
+        keep = np.ones(scores.shape, dtype=bool)
+    user_pos, col = np.nonzero(keep)
+    exact = arrays.sts_pairs(obj_rows[col], user_rows[user_pos])
+    ids = arrays.objects.ids[obj_rows[col]]
+    order = np.lexsort((ids, -exact, user_pos))
+    pairs = list(zip(exact[order].tolist(), ids[order].tolist()))
+    starts = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))).tolist()
+    return {
+        user.item_id: TopKResult(
+            user_id=user.item_id, ranked=pairs[start:min(start + k, stop)]
+        )
+        for user, start, stop in zip(users, starts, starts[1:])
+    }
 
 
 def joint_topk(

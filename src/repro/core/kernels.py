@@ -13,27 +13,53 @@ Exactness contract
 ------------------
 ``backend="numpy"`` must return *identical results* to the scalar
 ``backend="python"`` reference (the equivalence tests enforce it).
-Floating-point sums evaluated in a different association order can
-differ in the last ulp, so every kernel that feeds a *decision*
-(``score >= threshold``) uses a **guard band**: comparisons decided by
-a margin wider than ``GUARD_EPS`` are trusted, while pairs inside the
-band are re-checked with the scalar code path.  Accumulated rounding
-error across the handful of ``[0, 1]``-bounded terms a score sums is
-orders of magnitude below ``GUARD_EPS``, so the band only ever catches
-genuine ties — which the scalar re-check resolves exactly as the
-python backend does.
+Two kinds of kernel keep that promise in two ways.
+
+**Guard-banded kernels** (the matrix and mat-vec kernels: BLAS
+products, numpy reductions).  Floating-point sums evaluated in a
+different association order can differ in the last ulp, so every such
+kernel that feeds a *decision* (``score >= threshold``) uses a **guard
+band**: comparisons decided by a margin wider than ``GUARD_EPS`` are
+trusted, while pairs inside the band are re-checked with an exact code
+path.  Accumulated rounding error across the handful of
+``[0, 1]``-bounded terms a score sums is orders of magnitude below
+``GUARD_EPS``, so the band only ever catches genuine ties — which the
+exact re-check resolves exactly as the python backend does.  Their
+values are never returned.
+
+**Bitwise kernels** (:meth:`DatasetArrays.sts_pairs`, the traversal
+kernels of :class:`TreeArrays` / :class:`CandidatePoolArrays`).  Their
+floats *are* the scalar path's floats, so they may be returned and
+compared with ``==``.  That holds because every operation is a
+correctly-rounded IEEE-754 op written as the scalar code writes it
+(``sqrt(dx*dx + dy*dy)``, never ``hypot``) and because the
+**summation order is fixed to the scalar one**: strictly left to
+right, one elementwise add per term, never a reduction.  What fixes
+the order differs by kernel — the bound kernels sum ascending term ids
+(``SuperUser.sorted_union``, :func:`_masked_segment_sums`);
+``sts_pairs`` walks each user's terms in the iteration order of
+``set(user.keyword_set)``, the very set ``TextRelevance.score`` loops
+over, captured once at build time.  Terms the scalar loop skips enter
+as ``+ 0.0``, which is exact.  ``repro lint`` (KI301/KI302) bans
+``hypot`` / ``fsum`` / ``@`` / ``.sum`` / ``einsum`` inside them.
 
 Array layout
 ------------
+:class:`ObjectColumns` caches, per *object set* (shared by
+``with_alpha``/``with_users`` clones): object locations ``(N, 2)``, an
+id -> row map and a CSR of every object's term weights.
+
 :class:`DatasetArrays` caches, per dataset (stored on the dataset
 itself, so clones from ``with_alpha``/``with_users`` get their own):
 
 * user locations ``(M, 2)`` and user-side normalizers ``Z(u.d)``;
 * a dense user/term incidence matrix over the *union of user keywords*
-  (terms no user holds can never contribute to any text score).
+  (terms no user holds can never contribute to any text score);
+* the object weights mapped onto those term columns ``(N, T + 1)``, so
+  a refinement gathers candidate rows by id.
 
-Documents then become weight vectors over those term columns and text
-sums become one mat-vec per location/document.
+Query-time documents become weight vectors over the same term columns
+and text sums become one mat-vec per location/document.
 
 :class:`SelectionContext` holds, per query (built on the first
 candidate location, dropped with the query), the half of Algorithm 3's
@@ -72,10 +98,12 @@ __all__ = [
     "GUARD_EPS",
     "CandidatePoolArrays",
     "DatasetArrays",
+    "ObjectColumns",
     "SelectionContext",
     "TreeArrays",
     "FrontierBounds",
     "arrays_for",
+    "object_columns_for",
     "tree_arrays_for",
     "resolve_backend",
 ]
@@ -108,19 +136,33 @@ def resolve_backend(backend: Optional[str]) -> str:
 
 
 def _pairwise_norm(dx, dy, p: float):
-    """Vectorized Lp norm mirroring ``LpMetric._norm`` op for op."""
+    """Vectorized Lp norm mirroring ``LpMetric._norm`` op for op.
+
+    ``dx`` / ``dy`` are arrays.  The two ``abs`` results are this
+    function's own buffers and every later step writes into them: the
+    same ufuncs in the same order, so the same bits, without a fresh
+    full-size temporary per operation.
+    """
     dx = np.abs(dx)
     dy = np.abs(dy)
     if p == float("inf"):
-        return np.maximum(dx, dy)
+        return np.maximum(dx, dy, out=dx)
     if p == 1:
-        return dx + dy
+        dx += dy
+        return dx
     if p == 2:
         # Same expression as LpMetric._norm: *, + and sqrt are all
         # correctly rounded under IEEE-754, so this is bitwise-equal to
         # the scalar metric on every platform (np.hypot/C hypot is not).
-        return np.sqrt(dx * dx + dy * dy)
-    return (dx**p + dy**p) ** (1.0 / p)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
+    dx **= p
+    dy **= p
+    dx += dy
+    dx **= 1.0 / p
+    return dx
 
 
 def _normalized_text(sums, z):
@@ -140,6 +182,76 @@ def _guarded_ge(scores, thresholds, exact: Callable[[int], bool]):
     for i in np.nonzero(np.abs(scores - thresholds) < GUARD_EPS)[0]:
         passed[i] = exact(i)
     return passed
+
+
+class ObjectColumns:
+    """Array mirror of a dataset's *objects*: built once per object set.
+
+    Point coordinates, an id -> row map and one CSR of every object's
+    term weights — the very floats ``relevance.document_weights``
+    returns, which is what :meth:`TextRelevance.score` adds up.  Nothing
+    here depends on the users or on ``alpha``, so ``with_alpha`` /
+    ``with_users`` clones (every shard's subset dataset included) share
+    one instance through ``Dataset._per_object_set``
+    (see :func:`object_columns_for`), and workers forked after
+    ``prewarm_kernels`` inherit it like :class:`TreeArrays`.
+    """
+
+    #: Process-wide construction counter (see DatasetArrays.build_count).
+    build_count = 0
+
+    def __init__(self, dataset: "Dataset") -> None:
+        if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend
+            raise RuntimeError("ObjectColumns requires numpy")
+        ObjectColumns.build_count += 1
+        objects = dataset.objects
+        self.num_objects = len(objects)
+        self.ids = np.array([o.item_id for o in objects], dtype=np.int64)
+        self.row_of: Dict[int, int] = {o.item_id: i for i, o in enumerate(objects)}
+        self.xy = np.array(
+            [(o.location.x, o.location.y) for o in objects], dtype=np.float64
+        ).reshape(self.num_objects, 2)
+        document_weights = dataset.relevance.document_weights
+        counts: List[int] = []
+        term: List[int] = []
+        weight: List[float] = []
+        for o in objects:
+            weights = document_weights(o.terms)
+            counts.append(len(weights))
+            term.extend(weights)
+            weight.extend(weights.values())
+        #: Object row of every CSR entry.
+        self.entry_row = np.repeat(np.arange(self.num_objects), counts)
+        self.term = np.array(term, dtype=np.int64)
+        self.weight = np.array(weight, dtype=np.float64)
+
+    def __reduce__(self):
+        raise TypeError(
+            "ObjectColumns must never be pickled: build once per object set "
+            "and let forked workers inherit it via copy-on-write "
+            "(object_columns_for)."
+        )
+
+    def rows_for(self, object_ids: Iterable[int]) -> "np.ndarray":
+        """Row-index array of the objects with these ids."""
+        row_of = self.row_of
+        return np.array([row_of[i] for i in object_ids], dtype=np.intp)
+
+    def weights_over(self, terms: Sequence[int]) -> "np.ndarray":
+        """Dense ``(objects, len(terms) + 1)`` weights over ascending
+        ``terms``, one vectorised pass over the CSR.
+
+        Column ``j`` holds ``w(terms[j], o.d)`` (0 where the object
+        lacks the term); the extra last column is all zeros — the
+        padding target of :meth:`DatasetArrays.sts_pairs`.
+        """
+        dense = np.zeros((self.num_objects, len(terms) + 1), dtype=np.float64)
+        if len(terms) and len(self.term):
+            wanted = np.array(terms, dtype=np.int64)
+            col = np.minimum(np.searchsorted(wanted, self.term), len(terms) - 1)
+            held = wanted[col] == self.term
+            dense[self.entry_row[held], col[held]] = self.weight[held]
+        return dense
 
 
 class DatasetArrays:
@@ -171,20 +283,33 @@ class DatasetArrays:
         ).reshape(self.num_users, 2)
 
         rel = dataset.relevance
+        # Each user's terms as the very set TextRelevance.score builds:
+        # its iteration order is the scalar summation order, and Z(u.d)
+        # is the scalar normalizer of that same set (see sts_pairs).
+        term_sets = [set(u.keyword_set) for u in users]
         self.user_z = np.array(
-            [rel.user_normalizer(u.keyword_set) for u in users], dtype=np.float64
+            [rel.user_normalizer(terms) for terms in term_sets], dtype=np.float64
         )
         # Term columns: union of all user keywords, ascending for
         # deterministic summation order inside reductions.
-        union: set = set()
-        for u in users:
-            union |= u.keyword_set
-        self.term_col: Dict[int, int] = {t: j for j, t in enumerate(sorted(union))}
+        union = sorted(set().union(*term_sets))
+        self.term_col: Dict[int, int] = {t: j for j, t in enumerate(union)}
         self.num_terms = len(self.term_col)
         self.user_terms = np.zeros((self.num_users, self.num_terms), dtype=np.float64)
-        for i, u in enumerate(users):
-            for t in u.keyword_set:
-                self.user_terms[i, self.term_col[t]] = 1.0
+        #: Per user, the columns of their terms in scalar summation
+        #: order, padded with ``num_terms`` — the all-zero last column
+        #: of ``obj_weights``.
+        self.user_term_cols = np.full(
+            (self.num_users, max(map(len, term_sets), default=0)),
+            self.num_terms, dtype=np.intp,
+        )
+        for i, terms in enumerate(term_sets):
+            cols = [self.term_col[t] for t in terms]
+            self.user_terms[i, cols] = 1.0
+            self.user_term_cols[i, : len(cols)] = cols
+        self.objects = object_columns_for(dataset)
+        #: ``w(t, o.d)`` by (object row, term column) + one zero column.
+        self.obj_weights = self.objects.weights_over(union)
         self._doc_vec_cache: Dict[frozenset, "np.ndarray"] = {}
 
     def __reduce__(self):
@@ -223,8 +348,10 @@ class DatasetArrays:
     def _doc_weight_vector(self, doc: Mapping[int, int]):
         """Document term weights as a vector over the user-term columns.
 
-        Memoized per document content: candidate selection scores the
-        same handful of augmented documents at every candidate location.
+        For query-time documents only (``ox.d`` and its augmentations);
+        objects of ``O`` have their rows in ``obj_weights``.  Memoized
+        per document content: selection meets the same augmented
+        documents again at later locations and in later queries.
         """
         key = frozenset(doc.items())
         w = self._doc_vec_cache.get(key)
@@ -355,35 +482,65 @@ class DatasetArrays:
     # ------------------------------------------------------------------
     # Candidate-pool scoring (Algorithm 2 refinement)
     # ------------------------------------------------------------------
-    def candidate_score_matrix(self, candidates: Sequence, rows=None) -> "np.ndarray":
-        """``STS(o, u)`` for selected users x candidate objects.
+    def candidate_score_matrix(self, obj_rows, rows=None) -> "np.ndarray":
+        """``STS(o, u)`` for selected users x object rows, guard-banded.
 
-        ``candidates`` is a sequence of
-        :class:`~repro.core.joint_topk.CandidateObject`; text weights
-        are recomputed from the full object documents (the traversal's
-        ``weights`` are restricted to the group union, but so are user
-        keyword sets, which is all the text score ever reads).
+        One BLAS product for the text sums — so values may differ from
+        the scalar score in the last ulps and only ever feed decisions
+        taken ``GUARD_EPS`` on the safe side (Algorithm 2's stop and its
+        contender selection); returned scores come from
+        :meth:`sts_pairs`.  Every step after the two coordinate
+        differences and the product writes into one of those buffers.
         """
-        alpha = self.dataset.alpha
-        n = len(candidates)
+        ds = self.dataset
+        alpha = ds.alpha
         user_xy = self.user_xy if rows is None else self.user_xy[rows]
         user_terms = self.user_terms if rows is None else self.user_terms[rows]
         user_z = self.user_z if rows is None else self.user_z[rows]
-        cand_xy = np.array(
-            [(c.obj.location.x, c.obj.location.y) for c in candidates],
-            dtype=np.float64,
-        ).reshape(n, 2)
-        d = _pairwise_norm(
-            user_xy[:, 0:1] - cand_xy[:, 0][None, :],
-            user_xy[:, 1:2] - cand_xy[:, 1][None, :],
-            self.dataset.metric.p,
+        obj_xy = self.objects.xy[obj_rows]
+        score = _pairwise_norm(
+            user_xy[:, 0:1] - obj_xy[:, 0], user_xy[:, 1:2] - obj_xy[:, 1],
+            ds.metric.p,
         )
-        ss = np.clip(1.0 - d / self.dataset.dmax, 0.0, 1.0)
-        w = np.zeros((self.num_terms, n), dtype=np.float64)
-        for j, c in enumerate(candidates):
-            w[:, j] = self._doc_weight_vector(c.obj.terms)
-        sums = user_terms @ w
-        return alpha * ss + (1.0 - alpha) * _normalized_text(sums, user_z[:, None])
+        score /= ds.dmax
+        np.subtract(1.0, score, out=score)
+        np.clip(score, 0.0, 1.0, out=score)
+        score *= alpha
+        text = user_terms @ self.obj_weights[obj_rows, : self.num_terms].T
+        scorable = user_z > 0.0
+        text /= np.where(scorable, user_z, 1.0)[:, None]
+        np.minimum(text, 1.0, out=text)
+        text *= np.where(scorable, 1.0 - alpha, 0.0)[:, None]
+        score += text
+        return score
+
+    def sts_pairs(self, obj_rows, user_rows) -> "np.ndarray":
+        """``STS(o, u)`` per (object row, user row) pair — **bitwise**
+        the float :meth:`Dataset.sts` returns.
+
+        The other kind of kernel (module docstring, "Exactness
+        contract"): the spatial half is ``LpMetric._norm`` /
+        ``Dataset.spatial_score`` op for op; the text half adds the
+        object's weights of the user's terms strictly left to right in
+        the order ``TextRelevance.score`` iterates them
+        (``user_term_cols``, captured from the same ``set`` at build
+        time), where a term the object lacks — or a padding slot —
+        adds an exact ``+ 0.0``; ``Z(u.d)`` is the scalar normalizer of
+        that set.  No reduction, no matrix product, no ``hypot``.
+        """
+        ds = self.dataset
+        alpha = ds.alpha
+        obj_xy = self.objects.xy[obj_rows]
+        user_xy = self.user_xy[user_rows]
+        d = _pairwise_norm(
+            obj_xy[:, 0] - user_xy[:, 0], obj_xy[:, 1] - user_xy[:, 1], ds.metric.p
+        )
+        ss = np.maximum(0.0, np.minimum(1.0, 1.0 - d / ds.dmax))
+        total = np.zeros(len(obj_rows))
+        for cols in self.user_term_cols[user_rows].T:
+            total += self.obj_weights[obj_rows, cols]
+        ts = _normalized_text(total, self.user_z[user_rows])
+        return alpha * ss + (1.0 - alpha) * ts
 
 
 class SelectionContext:
@@ -948,6 +1105,21 @@ def arrays_for(dataset: "Dataset") -> DatasetArrays:
         arrays = DatasetArrays(dataset)
         dataset._kernel_arrays = arrays  # type: ignore[attr-defined]
     return arrays
+
+
+def object_columns_for(dataset: "Dataset") -> ObjectColumns:
+    """The :class:`ObjectColumns` of ``dataset``'s object set.
+
+    Built on first use and kept in ``Dataset._per_object_set``, which
+    ``with_alpha`` / ``with_users`` clones share by reference: the
+    root engine's dataset and every shard's subset resolve to the same
+    instance.
+    """
+    shared = dataset._per_object_set
+    columns = shared.get("columns")
+    if columns is None:
+        columns = shared["columns"] = ObjectColumns(dataset)
+    return columns
 
 
 def tree_arrays_for(tree) -> TreeArrays:

@@ -59,6 +59,7 @@ __all__ = [
     "ShortlistPartial",
     "MergedThresholds",
     "compute_partial",
+    "compute_partials",
     "compute_shortlist_partial",
     "merge_partials",
     "merge_query_shortlist_ids",
@@ -201,6 +202,39 @@ def _rebuild_shortlist_partial(
 # Shard-side computations (run in-process or inside pool workers)
 # ----------------------------------------------------------------------
 
+def compute_partials(
+    dataset: Dataset,
+    traversal: JointTraversalResult,
+    ks: Sequence[int],
+    backend: str = "python",
+    shard_id: int = 0,
+) -> List[PartialResult]:
+    """Algorithm 2 for one shard: exact ``RSk(u)`` for the shard's users
+    at every ``k`` of ``ks``, from ONE refinement at ``max(ks)``.
+
+    ``dataset`` is the shard's subset dataset (shared objects/relevance
+    /``dmax``); ``traversal`` is the *global* pool walked at
+    ``k_pool >= max(ks)`` (subsumption: every object any user can rank
+    in a top-``k`` survives the larger walk, see
+    :class:`repro.core.batch.SharedTraversalPool`).  A top-``k`` list is
+    the first ``k`` entries of the top-``max(ks)`` list over the same
+    pool (:meth:`TopKResult.kth_score_at`), so each ``k`` still gets its
+    own :class:`PartialResult`; the first carries the refinement's time.
+    """
+    partials: List[PartialResult] = []
+    t0 = time.perf_counter()
+    per_user = individual_topk(traversal, dataset, max(ks), backend=backend)
+    for k in ks:
+        rsk = {uid: res.kth_score_at(k) for uid, res in per_user.items()}
+        t1 = time.perf_counter()
+        partials.append(PartialResult(
+            shard_id=shard_id, k=k, rsk=rsk,
+            users_total=len(dataset.users), time_s=t1 - t0,
+        ))
+        t0 = t1
+    return partials
+
+
 def compute_partial(
     dataset: Dataset,
     traversal: JointTraversalResult,
@@ -208,23 +242,8 @@ def compute_partial(
     backend: str = "python",
     shard_id: int = 0,
 ) -> PartialResult:
-    """Algorithm 2 for one shard: exact ``RSk(u)`` for the shard's users.
-
-    ``dataset`` is the shard's subset dataset (shared objects/relevance
-    /``dmax``); ``traversal`` is the *global* pool walked at
-    ``k_pool >= k`` (subsumption: every object any user can rank in a
-    top-``k`` survives the larger walk, see
-    :class:`repro.core.batch.SharedTraversalPool`).
-    """
-    t0 = time.perf_counter()
-    per_user = individual_topk(traversal, dataset, k, backend=backend)
-    return PartialResult(
-        shard_id=shard_id,
-        k=k,
-        rsk={uid: res.kth_score for uid, res in per_user.items()},
-        users_total=len(dataset.users),
-        time_s=time.perf_counter() - t0,
-    )
+    """:func:`compute_partials` at a single ``k``."""
+    return compute_partials(dataset, traversal, [k], backend, shard_id)[0]
 
 
 def compute_shortlist_partial(

@@ -240,7 +240,8 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     replica, in-process lanes pass both explicitly.  Payload kinds:
 
     * ``("refine", traversal, ks, backend, shard_id)`` — Algorithm 2
-      for the shard's users at each k against the shared pool.
+      for the shard's users against the shared pool: one refinement at
+      ``max(ks)``, one ``PartialResult`` per k read off it.
     * ``("shortlist", su, queries, rsk_by_k, group_by_k, backend,
       shard_id)`` — Algorithm 3's per-user shortlist test.
     * ``("search", items, rsk, rsk_group, method, backend)`` — the
@@ -267,7 +268,7 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
       :func:`~repro.core.indexed_users.indexed_search` on the same
       derived inputs.
     """
-    from .partial import compute_partial, compute_shortlist_partial
+    from .partial import compute_partials, compute_shortlist_partial
 
     # The ONE decode funnel: arena-encoded payloads (config.use_shm)
     # resolve their ArenaRefs / packed blocks here; plain pickle
@@ -277,10 +278,9 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     kind = payload[0]
     if kind == "refine":
         _, traversal, ks, backend, shard_id = payload
-        return [
-            compute_partial(dataset, traversal, k, backend=backend, shard_id=shard_id)
-            for k in ks
-        ]
+        return compute_partials(
+            dataset, traversal, ks, backend=backend, shard_id=shard_id
+        )
     if kind == "shortlist":
         _, su, queries, rsk_by_k, group_by_k, backend, shard_id = payload
         return [
@@ -433,10 +433,11 @@ class TraverseStage(Stage):
 class RefineStage(Stage):
     """Phase 1b (scatter over user partitions): exact ``RSk(u)`` per k.
 
-    ``split`` emits one refine payload per worker chunk of the missing
-    ks; ``merge`` unions the disjoint per-shard maps back into the
-    sequential-identical threshold map per k
-    (:func:`repro.core.partial.merge_partials`).
+    ``split`` emits one refine payload per shard carrying every missing
+    k — one refinement at the largest serves them all, so dealing the
+    ks over the shard's workers would only repeat it; ``merge`` unions
+    the disjoint per-shard maps back into the sequential-identical
+    threshold map per k (:func:`repro.core.partial.merge_partials`).
     """
 
     name = "refine"
@@ -445,15 +446,10 @@ class RefineStage(Stage):
     outputs = ("merged_by_k",)
 
     def split(self, ctx: FlushContext, shard) -> List[tuple]:
-        ks = ctx.require("need_ks")
-        plan = ctx.require("plan")
-        pool_state = ctx.require("pool_state")
-        n_chunks = max(1, min(shard.workers, len(ks)))
-        return [
-            ("refine", pool_state.traversal, ks[c::n_chunks], plan.backend,
-             shard.shard_id)
-            for c in range(n_chunks)
-        ]
+        return [(
+            "refine", ctx.require("pool_state").traversal, ctx.require("need_ks"),
+            ctx.require("plan").backend, shard.shard_id,
+        )]
 
     def merge(self, ctx: FlushContext, partials_per_shard: List[list]) -> None:
         from .partial import merge_partials

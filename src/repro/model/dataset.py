@@ -90,6 +90,11 @@ class Dataset:
         self._objects_by_id: Dict[int, STObject] = {o.item_id: o for o in self.objects}
         self._users_by_id: Dict[int, User] = {u.item_id: u for u in self.users}
         self._super_user: Optional[SuperUser] = None
+        #: Kernel state that depends on the objects and the relevance
+        #: model only (``repro.core.kernels.ObjectColumns``).  The
+        #: holder is shared by reference with every ``with_alpha`` /
+        #: ``with_users`` clone, so one build serves the whole family.
+        self._per_object_set: Dict[str, object] = {}
         #: Mutation generation.  Result caches key on it
         #: (:mod:`repro.core.cache`): any future in-place mutation must
         #: call :meth:`bump_epoch`, and every cached answer derived from
@@ -99,13 +104,15 @@ class Dataset:
     def __getstate__(self):
         """Pickle without the cached numpy kernel arrays.
 
-        The arrays (``repro.core.kernels.DatasetArrays``) refuse to be
-        pickled — fork-pool workers must inherit them via copy-on-write,
-        never through a pipe — so a dataset crossing a process boundary
-        drops them and rebuilds lazily on first vectorized use.
+        The arrays (``repro.core.kernels.DatasetArrays`` and the
+        per-object-set ``ObjectColumns``) refuse to be pickled —
+        fork-pool workers must inherit them via copy-on-write, never
+        through a pipe — so a dataset crossing a process boundary drops
+        them and rebuilds lazily on first vectorized use.
         """
         state = self.__dict__.copy()
         state.pop("_kernel_arrays", None)
+        state["_per_object_set"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -211,6 +218,7 @@ class Dataset:
         clone._objects_by_id = self._objects_by_id
         clone._users_by_id = self._users_by_id
         clone._super_user = None
+        clone._per_object_set = self._per_object_set
         clone.epoch = 0
         return clone
 
@@ -227,6 +235,7 @@ class Dataset:
         clone._objects_by_id = self._objects_by_id
         clone._users_by_id = {u.item_id: u for u in clone.users}
         clone._super_user = None
+        clone._per_object_set = self._per_object_set
         clone.epoch = 0
         return clone
 

@@ -323,7 +323,8 @@ class ShardedEngine:
         """Build every numpy cache up front (server startup hook).
 
         Full-dataset arrays, the shared tree arrays, and each shard's
-        ``DatasetArrays`` — so first-query latency pays no build cost
+        ``DatasetArrays`` (all over the one ``ObjectColumns`` the first
+        of them builds) — so first-query latency pays no build cost
         and pools forked later inherit everything via copy-on-write.
         """
         from ..core.kernels import HAS_NUMPY, arrays_for, tree_arrays_for

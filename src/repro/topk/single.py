@@ -40,6 +40,13 @@ class TopKResult:
         """``RSk(u)``: score of the k-th ranked object (0 if fewer)."""
         return self.ranked[-1][0] if self.ranked else 0.0
 
+    def kth_score_at(self, k: int) -> float:
+        """``RSk(u)`` at a smaller ``k``: :attr:`kth_score` of the first
+        ``k`` entries.  The ranking is a total order on (score desc,
+        object id asc), so a prefix of a top-k' list over some pool *is*
+        the top-k list over that pool."""
+        return self.ranked[min(k, len(self.ranked)) - 1][0] if self.ranked else 0.0
+
     def object_ids(self) -> List[int]:
         return [oid for _, oid in self.ranked]
 

@@ -30,3 +30,9 @@ def matmul_kernel(terms, w):  # repro: identity-kernel
         return block @ w  # KI302 (matrix product)
 
     return [inner_step(t) for t in terms]
+
+
+def sts_pairs(user_terms, obj_weights, obj_rows, user_rows):
+    # Allowlisted name (Algorithm 2's pair kernel): the text sums
+    # smuggled in as one product instead of left-to-right adds.
+    return np.matmul(user_terms[user_rows], obj_weights[obj_rows].T)  # KI302

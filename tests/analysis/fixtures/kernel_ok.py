@@ -21,3 +21,12 @@ def guard_banded_scores(terms, w):
     # NOT an identity kernel (not allowlisted, no marker): reductions
     # are allowed under the weaker guard-band contract.
     return terms @ w + math.fsum(w)
+
+
+def sts_pairs(user_term_cols, obj_weights, obj_rows, user_rows):
+    # Allowlisted name, clean body: one elementwise add per term slot,
+    # strictly left to right (a padding slot adds an exact + 0.0).
+    total = np.zeros(len(obj_rows))
+    for cols in user_term_cols[user_rows].T:
+        total += obj_weights[obj_rows, cols]
+    return total

@@ -30,6 +30,13 @@ class TestKernelIdentityViolations:
         report, path = lint_fixture("kernel_bad.py", KernelIdentityChecker())
         assert ("KI302", line_of(path, "block @ w")) in rules_at(report)
 
+    def test_matmul_smuggled_into_the_pair_kernel_fires(self, lint_fixture):
+        """``sts_pairs`` returns floats compared with ``==``: a product
+        in place of its left-to-right adds must be reported (the clean
+        twin in kernel_ok.py stays silent)."""
+        report, path = lint_fixture("kernel_bad.py", KernelIdentityChecker())
+        assert ("KI302", line_of(path, "np.matmul(user_terms")) in rules_at(report)
+
     def test_non_kernel_function_is_exempt(self, lint_fixture):
         report, path = lint_fixture("kernel_bad.py", KernelIdentityChecker())
         exempt_line = line_of(path, "np.hypot(weights, weights)")

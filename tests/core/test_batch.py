@@ -164,6 +164,37 @@ def test_traversal_pool_shared_across_ks_and_batches():
     assert engine._shared_topk_cache == {}
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_mixed_k_batch_refines_the_pool_once(backend, monkeypatch):
+    """ONE Algorithm 2 pass at ``pool.k`` serves every k: a top-k list
+    is a prefix of the top-k' list over the same pool, so the per-k
+    thresholds are read off it — and equal a dedicated refinement's."""
+    import importlib
+
+    batch = importlib.import_module("repro.core.batch")
+    refine = batch.individual_topk
+    refined_at = []
+
+    def spy(traversal, dataset, k, **kwargs):
+        refined_at.append(k)
+        return refine(traversal, dataset, k, **kwargs)
+
+    monkeypatch.setattr(batch, "individual_topk", spy)
+    engine, rng, vocab = build_engine(seed=7)
+    engine.query_batch(make_queries(rng, vocab, 6, ks=(2, 4, 3)), backend=backend)
+    pool = engine._traversal_pool
+    assert refined_at == [4] and set(pool.by_k) == {2, 3, 4}
+    for k, entry in pool.by_k.items():
+        dedicated = refine(pool.traversal, engine.dataset, k, backend="python")
+        assert entry.rsk == {uid: res.kth_score for uid, res in dedicated.items()}
+    # A smaller new k reads the same lists; a larger one re-walks and
+    # refines the new pool, once.
+    engine.query_batch(make_queries(rng, vocab, 1, ks=(1,)), backend=backend)
+    assert refined_at == [4]
+    engine.query_batch(make_queries(rng, vocab, 2, ks=(6, 2)), backend=backend)
+    assert refined_at == [4, 6]
+
+
 def test_warm_pool_plan_and_stats_name_the_walk_actually_used():
     """A smaller-k batch after a bigger-k one reuses the k=5 walk — and
     both the plan and the per-query top-k I/O stats must say so."""

@@ -17,7 +17,9 @@ import random
 import pytest
 
 from repro import Dataset, MaxBRSTkNNEngine, QueryOptions
-from repro.core.kernels import HAS_NUMPY, DatasetArrays, arrays_for
+from repro.core.kernels import (
+    HAS_NUMPY, DatasetArrays, ObjectColumns, arrays_for, object_columns_for,
+)
 from repro.serve import pool as pool_mod
 from repro.serve.pool import PersistentWorkerPool
 
@@ -75,6 +77,31 @@ def test_arrays_for_memoizes_and_dataset_pickles_without_arrays():
     clone = pickle.loads(pickle.dumps(dataset))
     assert getattr(clone, "_kernel_arrays", None) is None
     assert getattr(dataset, "_kernel_arrays", None) is arrays
+
+
+def _object_columns_probe(_):
+    """Runs inside a forked worker: its view of the object columns."""
+    ds = pool_mod._WORKER_DATASET
+    return ObjectColumns.build_count, "columns" in ds._per_object_set
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+def test_workers_inherit_object_columns_and_pickles_shed_them():
+    """The per-object-set columns Algorithm 2 gathers from follow the
+    same rules as ``DatasetArrays``: built pre-fork, inherited, never
+    rebuilt in a worker, never pickled."""
+    dataset, _ = make_dataset(seed=3)
+    with PersistentWorkerPool(dataset, workers=2) as pool:
+        columns = object_columns_for(dataset)
+        assert arrays_for(dataset).objects is columns  # built pre-fork
+        parent_builds = ObjectColumns.build_count
+        probes = pool._pool.map(_object_columns_probe, range(4), chunksize=1)
+    assert probes == [(parent_builds, True)] * 4
+    with pytest.raises(TypeError, match="copy-on-write"):
+        pickle.dumps(columns)
+    clone = pickle.loads(pickle.dumps(dataset.subset_users([0, 1])))
+    assert clone._per_object_set == {}
+    assert object_columns_for(dataset) is columns
 
 
 def test_pool_results_match_inprocess_batches():

@@ -137,6 +137,39 @@ class TestEquivalenceProperty:
                 solo, sharded.query(query, QueryOptions(backend="python"))
             )
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_mixed_k_flush_refines_once_per_shard(self, num_shards, monkeypatch):
+        """One Algorithm 2 pass per shard at the flush's largest missing
+        k; every k still gets its own partial, merged map and
+        ``refine_tasks`` tick, identical to the single engine's."""
+        import importlib
+
+        partial = importlib.import_module("repro.core.partial")
+        refine = partial.individual_topk
+        refined = []
+
+        def spy(traversal, dataset, k, **kwargs):
+            refined.append((len(dataset.users), k))
+            return refine(traversal, dataset, k, **kwargs)
+
+        monkeypatch.setattr(partial, "individual_topk", spy)
+        dataset, rng, vocab = build_dataset(seed=3)
+        queries = make_queries(rng, vocab, 6, ks=(2, 4, 6))
+        single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        reference = single.query_batch(queries, QueryOptions(backend="python"))
+        sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
+        results = sharded.query_batch(queries, QueryOptions(backend="python"))
+        populated = [shard for shard in sharded.shards if shard.users]
+        assert sorted(refined) == sorted((shard.users, 6) for shard in populated)
+        for shard in populated:
+            assert shard.stats.refine_tasks == 3
+            assert set(shard.rsk_by_k) == {2, 4, 6}
+        for k in (2, 4, 6):
+            assert sharded._merged_by_k[k].rsk == single._traversal_pool.by_k[k].rsk
+        for a, b in zip(reference, results):
+            assert_results_equal(a, b)
+            assert_stats_equal(a, b)
+
     def test_consecutive_batches_reuse_the_walk_and_thresholds(self):
         dataset, rng, vocab = build_dataset(seed=1)
         queries = make_queries(rng, vocab, 4, ks=(3,))
