@@ -1,9 +1,10 @@
-"""Phase-1 isolation: the joint MIR-tree traversal and its refinement,
-python vs numpy.
+"""Kernel isolation: the joint MIR-tree traversal, its refinement and
+the candidate selection over its thresholds, python vs numpy.
 
-Not a paper figure — this isolates the two halves of every cold query:
-Algorithm 1's frontier traversal (the cost PR 3 attacked) and
-Algorithm 2's per-user refinement of the pools it returns.  Four
+Not a paper figure — this isolates the three kernels of every query:
+Algorithm 1's frontier traversal (the cost PR 3 attacked), Algorithm
+2's per-user refinement of the pools it returns, and Algorithm 3's
+location/keyword selection over the thresholds that yields.  Five
 sections:
 
 1. **TreeArrays build** — the once-per-engine flattening cost the
@@ -16,7 +17,11 @@ sections:
 3. **Refinement backends** — best-of-N ``individual_topk`` per backend
    on those same pools, with a built-in check that the per-user ranked
    lists are *identical* (scores as floats, ties by id).
-4. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
+4. **Selection backends** — best-of-N ``select_candidate`` per backend
+   over a handful of queries against those fixed thresholds, with a
+   built-in check that ``(location, keywords, brstknn,
+   keyword_combinations_scored)`` are *identical* query by query.
+5. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to per-k sequential queries.
 
@@ -27,10 +32,11 @@ Run::
     python benchmarks/bench_traversal.py --json out.json
 
 ``--max-slowdown X`` (used by the CI bench-smoke job) fails the run if
-the numpy backend is more than X times slower than python on the walk
-or on the refinement — a tiny dataset cannot show the speedup, but it
-catches kernel regressions that make vectorization a net loss (a
-refinement back at per-candidate Python work is one).
+the numpy backend is more than X times slower than python on the walk,
+the refinement or the selection — a tiny dataset cannot show the
+speedup, but it catches kernel regressions that make vectorization a
+net loss (a refinement back at per-candidate Python work, a selection
+back at a per-location loop).
 """
 
 from __future__ import annotations
@@ -48,8 +54,10 @@ sys.path.insert(
 from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
+from repro.core.candidate_selection import select_candidate  # noqa: E402
 from repro.core.joint_topk import individual_topk, joint_traversal  # noqa: E402
 from repro.core.kernels import HAS_NUMPY, tree_arrays_for  # noqa: E402
+from repro.core.query import QueryStats  # noqa: E402
 from repro.datagen.users import generate_users, query_pool  # noqa: E402
 from repro.storage.iostats import IOCounter  # noqa: E402
 from repro.storage.pager import PageStore  # noqa: E402
@@ -96,6 +104,25 @@ def time_refine(traversal, dataset, k, backend, repeats):
     return best_of(
         repeats, lambda: individual_topk(traversal, dataset, k, backend=backend)
     )
+
+
+def time_select(queries, dataset, rsk, rsk_group, backend, repeats):
+    """Algorithm 3 over fixed thresholds, one answer tuple per query."""
+    def run():
+        answers = []
+        for query in queries:
+            stats = QueryStats()
+            result = select_candidate(
+                dataset, query, rsk, rsk_group=rsk_group, stats=stats,
+                backend=backend,
+            )
+            answers.append((
+                result.location, result.keywords, result.brstknn,
+                stats.keyword_combinations_scored,
+            ))
+        return answers
+
+    return best_of(repeats, run)
 
 
 def main(argv=None) -> int:
@@ -163,12 +190,14 @@ def main(argv=None) -> int:
 
     refine_timings = {}
     ranked = {}
+    thresholds = {}
     for backend in ("python", "numpy"):
         elapsed, per_user = time_refine(
             results[backend], engine.dataset, config.k, backend, args.repeats
         )
         refine_timings[backend] = elapsed
         ranked[backend] = {uid: res.ranked for uid, res in per_user.items()}
+        thresholds[backend] = {uid: res.kth_score for uid, res in per_user.items()}
         print(
             f"refine    k={config.k} backend={backend:<7}: "
             f"{1000 * elapsed:8.2f} ms  ({len(per_user)} users)",
@@ -184,7 +213,6 @@ def main(argv=None) -> int:
         return 1
     print("equivalence check: numpy ranked lists identical to python")
 
-    # Cross-k pool sharing: one walk serves a whole mixed-k batch.
     workload = generate_users(
         bench.dataset.objects,
         num_users=config.num_users,
@@ -202,6 +230,32 @@ def main(argv=None) -> int:
         q.k = mixed_ks[i % len(mixed_ks)]
         queries.append(q)
 
+    # Selection reads thresholds, never ``q.k``: the refine row's RSk(u)
+    # at the default k serve the workbench query and the pool alike.
+    select_timings = {}
+    answers = {}
+    for backend in ("python", "numpy"):
+        elapsed, answers[backend] = time_select(
+            [bench.query] + queries, engine.dataset, thresholds[backend],
+            results[backend].rsk_group, backend, args.repeats,
+        )
+        select_timings[backend] = elapsed
+        print(
+            f"select    k={config.k} backend={backend:<7}: "
+            f"{1000 * elapsed:8.2f} ms  ({len(answers[backend])} queries)",
+            flush=True,
+        )
+    select_speedup = (
+        select_timings["python"] / select_timings["numpy"]
+        if select_timings["numpy"] else 0.0
+    )
+    print(f"select speedup numpy vs python: {select_speedup:.2f}x")
+    if answers["python"] != answers["numpy"]:
+        print("EQUIVALENCE FAILURE: selection answers differ across backends")
+        return 1
+    print("equivalence check: numpy selections identical to python")
+
+    # Cross-k pool sharing: one walk serves a whole mixed-k batch.
     sequential = [engine.query(q, QueryOptions(backend="python")) for q in queries]
     engine.clear_topk_cache()
     runs_before = engine.traversal_runs
@@ -241,6 +295,8 @@ def main(argv=None) -> int:
             "speedup_numpy": speedup,
             "refine_s": refine_timings,
             "refine_speedup_numpy": refine_speedup,
+            "select_s": select_timings,
+            "select_speedup_numpy": select_speedup,
             "mixed_k": {
                 "ks": mixed_ks,
                 "queries": len(queries),
@@ -252,7 +308,9 @@ def main(argv=None) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
 
-    for phase, took in (("traversal", timings), ("refine", refine_timings)):
+    for phase, took in (
+        ("traversal", timings), ("refine", refine_timings), ("select", select_timings)
+    ):
         if args.max_slowdown is not None and took["numpy"] > args.max_slowdown * took["python"]:
             print(
                 f"REGRESSION: {phase} numpy {1000 * took['numpy']:.2f} ms is more "

@@ -286,17 +286,11 @@ class BoundCalculator:
         ts = min(1.0, (base + extra) / z)
         return alpha * ss + (1.0 - alpha) * ts
 
-    def location_lower_group(self, location: Point, ox: STObject, su: SuperUser) -> float:
-        """``LBL(l, us)``: guaranteed STS with *no* added keywords.
-
-        Spatial part uses the max distance to the group MBR; text part
-        scores only the original ``ox.d`` against the intersection of the
-        group's keywords (every grouped user has at least those terms).
-        """
-        alpha = self.dataset.alpha
-        ss = self.max_spatial_pr(location, su.mbr)
+    def group_lower_text(self, ox: STObject, su: SuperUser) -> float:
+        """The text term of ``LBL(l, us)``, ``(1 - alpha)`` included: like
+        :meth:`group_upper_text`, the same at every location."""
         if su.max_normalizer <= 0.0 or not su.intersection_terms:
-            return alpha * ss
+            return 0.0
         rel = self.dataset.relevance
         total = sum(
             w
@@ -304,7 +298,25 @@ class BoundCalculator:
             if tid in su.intersection_terms
         ) if ox.terms else 0.0
         ts = min(1.0, total / su.max_normalizer)
-        return alpha * ss + (1.0 - alpha) * ts
+        return (1.0 - self.dataset.alpha) * ts
+
+    def location_lower_group(
+        self,
+        location: Point,
+        ox: STObject,
+        su: SuperUser,
+        text: Optional[float] = None,
+    ) -> float:
+        """``LBL(l, us)``: guaranteed STS with *no* added keywords.
+
+        Spatial part uses the max distance to the group MBR; text part
+        scores only the original ``ox.d`` against the intersection of the
+        group's keywords (every grouped user has at least those terms).
+        ``text`` is a precomputed :meth:`group_lower_text`.
+        """
+        if text is None:
+            text = self.group_lower_text(ox, su)
+        return self.dataset.alpha * self.max_spatial_pr(location, su.mbr) + text
 
     def location_lower_user(self, location: Point, ox: STObject, user: User) -> float:
         """``LBL(l, u)``: exact STS of un-augmented ``ox`` at ``l`` for ``u``."""

@@ -24,12 +24,26 @@ rules:
   regardless of keywords, and keyword selection is skipped.  (We still
   verify against the actual user thresholds, since the group threshold
   is conservative.)
+
+**The numpy backend replays the queue over batched outcomes.**  Nothing
+is ever pushed back on the queue, so its pop order is a sort, known
+before any keyword is touched; and between locations only the spatial
+score changes.  ``backend="numpy"`` therefore evaluates the queue
+``LOCATION_BLOCK`` entries at a time — shortlist mask, ``LUW`` pass,
+greedy max-coverage and recounts as rows of one matrix
+(:class:`~repro.core.kernels.SelectionContext`,
+:func:`~repro.core.keyword_selection.select_greedy_block`) — and then
+walks those outcomes with exactly the rules above, counters included.
+The block is what keeps early termination a *work* saver and not only
+a counting rule: the stop is tested before each block is paid for, so
+at most one block's tail is computed in vain, and the per-block
+temporaries stay bounded however many locations a query brings.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..model.dataset import Dataset
@@ -40,10 +54,18 @@ from .kernels import SelectionContext, arrays_for, resolve_backend
 from .keyword_selection import (
     KeywordSelection,
     compute_brstknn,
+    select_greedy_block,
     select_keywords_exact,
     select_keywords_greedy,
 )
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
+
+#: Candidate locations scored per kernel pass.  Algorithm 3 stops early
+#: (line 3.10) and a Fig. 10 query holds |L| = 300 locations, so the
+#: queue is evaluated a block at a time: at most this many selections
+#: are computed past the stop, and the ``L x P`` / ``L x U`` temporaries
+#: stay under ~1 MB at the benchmark's |U| = 400.
+LOCATION_BLOCK = 32
 
 __all__ = [
     "select_candidate",
@@ -67,6 +89,9 @@ class LocationShortlist:
     upper_group: float
     lower_group: float
     index: int = -1
+    #: Rows of ``users`` in the dataset's ``DatasetArrays`` when a numpy
+    #: producer already had them (``None``: hand-built, or python backend).
+    rows: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
 
 
 def shortlist_locations(
@@ -85,19 +110,20 @@ def shortlist_locations(
     group bound.  ``rsk_group`` is ``RSk(us)`` from the joint traversal
     (pass 0.0 to disable group pruning, e.g. when thresholds come from
     the per-user baseline).  Only the spatial term of either bound
-    depends on the location: the group's text term is computed once
+    depends on the location: both group text terms are computed once
     here, and with ``backend="numpy"`` the per-user ``UBL(l, u) >=
-    RSk(u)`` test — the hot loop of Algorithm 3 — runs against a
-    per-query :class:`~repro.core.kernels.SelectionContext` holding the
-    users' rows, thresholds and text term; membership is guaranteed
-    identical to the scalar path (guard-banded re-check).
+    RSk(u)`` test — the hot loop of Algorithm 3 — is one ``L x U`` mask
+    per block of surviving locations from a per-query
+    :class:`~repro.core.kernels.SelectionContext`; membership is
+    guaranteed identical to the scalar path (guard-banded re-check) and
+    the shortlists carry their users' array rows for the search.
     """
     su = dataset.super_user if super_user is None else super_user
     users = dataset.users if users is None else users
     bounds = bounds or BoundCalculator(dataset)
     numpy = resolve_backend(backend) == "numpy"
-    ctx: Optional[SelectionContext] = None  # built at the first surviving location
     group_text = bounds.group_upper_text(query.ox, query.keywords, query.ws, su)
+    lower_text = bounds.group_lower_text(query.ox, su)
     shortlists: List[LocationShortlist] = []
     pruned = 0
     for idx, loc in enumerate(query.locations):
@@ -108,13 +134,7 @@ def shortlist_locations(
             pruned += 1
             continue
         if numpy:
-            if ctx is None:
-                ctx = SelectionContext(
-                    arrays_for(dataset), query.ox, query.keywords, query.ws
-                )
-                ctx.bind(users, rsk)
-            ctx.move_to(loc)
-            lu = ctx.shortlist()
+            lu = []  # filled below: every surviving location in one pass
         else:
             lu = [
                 u
@@ -127,11 +147,37 @@ def shortlist_locations(
                 location=loc,
                 users=lu,
                 upper_group=ub_group,
-                lower_group=bounds.location_lower_group(loc, query.ox, su),
+                lower_group=bounds.location_lower_group(
+                    loc, query.ox, su, text=lower_text
+                ),
                 index=idx,
             )
         )
+    if numpy and shortlists:
+        _fill_shortlists(dataset, query, rsk, users, shortlists)
     return shortlists, pruned
+
+
+def _fill_shortlists(
+    dataset: Dataset,
+    query: MaxBRSTkNNQuery,
+    rsk: Mapping[int, float],
+    users: Sequence[User],
+    shortlists: Sequence[LocationShortlist],
+) -> None:
+    """``LU_l`` of every surviving location, as users and as array rows:
+    the mask ``UBL(l, u) >= RSk(u)``, ``LOCATION_BLOCK`` locations per
+    kernel pass."""
+    arrays = arrays_for(dataset)
+    ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
+    rows = arrays.rows_for(users)
+    ctx.admit(rows, rsk)
+    for start in range(0, len(shortlists), LOCATION_BLOCK):
+        block = shortlists[start : start + LOCATION_BLOCK]
+        ctx.move_to([sl.location for sl in block])
+        for sl, keep in zip(block, ctx.shortlist(rows)):
+            sl.rows = rows[keep]
+            sl.users = arrays.users[sl.rows].tolist()
 
 
 def select_candidate(
@@ -214,6 +260,8 @@ def search_shortlists(
         raise ValueError(f"unknown keyword-selection method {method!r}")
     backend = resolve_backend(backend)
     stats = stats if stats is not None else QueryStats()
+    if backend == "numpy" and method == "approx":
+        return _search_blocks(dataset, query, rsk, rsk_group, shortlists, stats)
 
     # Max-priority queue on |LU_l| (Algorithm 3's QL).
     heap: List[Tuple[int, int, LocationShortlist]] = []
@@ -273,5 +321,70 @@ def search_shortlists(
         location=best_location,
         keywords=best_keywords,
         brstknn=best_users,
+        stats=stats,
+    )
+
+
+def _search_blocks(
+    dataset: Dataset,
+    query: MaxBRSTkNNQuery,
+    rsk: Mapping[int, float],
+    rsk_group: float,
+    shortlists: Sequence[LocationShortlist],
+    stats: QueryStats,
+) -> MaxBRSTkNNResult:
+    """:func:`search_shortlists` for the numpy backend's greedy selector.
+
+    Nothing is ever pushed back on Algorithm 3's queue, so its pop order
+    is the sort by ``(-|LU_l|, position)``.  The loop below is the
+    scalar loop decision for decision — line 3.10, the keyword-free
+    acceptance path, strict improvement, ``keyword_combinations_scored``
+    counted for popped locations only — except that what it reads at a
+    location (the bare ``ox.d`` recount, the greedy selection) was
+    computed for ``LOCATION_BLOCK`` queue entries at once, on reaching
+    the block's first entry: line 3.10 is tested before a block is paid
+    for, so it still saves the work behind it.
+    """
+    arrays = arrays_for(dataset)
+    ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
+    queue = sorted(shortlists, key=lambda sl: -len(sl.users))  # stable sort
+    best_location: Optional[Point] = None
+    best_keywords: FrozenSet[int] = frozenset()
+    best_count, best_won = 0, None
+    for pos, sl in enumerate(queue):
+        if len(sl.users) <= best_count:
+            break  # Line 3.10: upper bound cannot beat the incumbent
+        i = pos % LOCATION_BLOCK
+        if i == 0:
+            block = queue[pos : pos + LOCATION_BLOCK]
+            selection = select_greedy_block(
+                ctx,
+                [b.location for b in block],
+                [arrays.rows_for(b.users) if b.rows is None else b.rows for b in block],
+                rsk,
+            )
+            base_counts = selection.base.sum(axis=1).tolist()
+            counts = selection.won.sum(axis=1).tolist()
+        if sl.lower_group >= rsk_group and rsk_group > 0.0:
+            # Lines 3.11–3.13: keyword-free acceptance path.
+            stats.keyword_combinations_scored += 1
+            if base_counts[i] > best_count:
+                best_location, best_keywords = sl.location, frozenset()
+                best_count, best_won = base_counts[i], selection.base[i]
+            if base_counts[i] == len(sl.users):
+                continue
+        stats.keyword_combinations_scored += selection.scored[i]
+        if counts[i] > best_count:
+            best_location, best_keywords = sl.location, selection.keywords[i]
+            best_count, best_won = counts[i], selection.won[i]
+
+    if best_location is None and query.locations:
+        best_location = query.locations[0]  # as search_shortlists: nothing won
+    return MaxBRSTkNNResult(
+        location=best_location,
+        keywords=best_keywords,
+        brstknn=frozenset(
+            () if best_won is None else arrays.user_ids[best_won].tolist()
+        ),
         stats=stats,
     )

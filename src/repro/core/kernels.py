@@ -25,7 +25,14 @@ path.  Accumulated rounding error across the handful of
 ``[0, 1]``-bounded terms a score sums is orders of magnitude below
 ``GUARD_EPS``, so the band only ever catches genuine ties — which the
 exact re-check resolves exactly as the python backend does.  Their
-values are never returned.
+values are never returned.  Algorithm 3's selection kernel
+(:class:`SelectionContext`) is of this kind throughout, and its
+decisions are matrices — one row per candidate location — so the band
+is two-dimensional (:func:`_guarded_ge`): an entry reaches the scalar
+re-check (``dataset.sts_parts`` for a ``LUW`` pair or a recount,
+``BoundCalculator.location_upper_user`` for a shortlist row) only if it
+lies inside the band *and* its user belongs to that row's location;
+every other entry of the matrix is trusted or masked.
 
 **Bitwise kernels** (:meth:`DatasetArrays.sts_pairs`, the traversal
 kernels of :class:`TreeArrays` / :class:`CandidatePoolArrays`).  Their
@@ -61,20 +68,26 @@ itself, so clones from ``with_alpha``/``with_users`` get their own):
 Query-time documents become weight vectors over the same term columns
 and text sums become one mat-vec per location/document.
 
-:class:`SelectionContext` holds, per query (built on the first
-candidate location, dropped with the query), the half of Algorithm 3's
-selection that no location changes: ``RSk(u)`` by user row, the text
-half of ``UBL(l, u)``, one full-length text-score vector per distinct
-augmented document, and the greedy selector's flat ``HW_{w,u}`` pair
-table ``(row, w, HW set, TS)``.  A location adds one spatial-score
-vector, a gather and a guard-banded compare.
+:class:`SelectionContext` is Algorithm 3's selection for one query,
+laid out location-major.  **Per query** (dropped with it): ``RSk(u)``
+by user row, the text half of ``UBL(l, u)``, one full-length text-score
+row per distinct augmented document (new ones scored in one stacked
+pass), and the greedy selector's ``HW_{w,u}`` pair table
+(:class:`PairTable`) built by array operations — candidate ranks from a
+row-wise ``cumsum``, the sets bit-packed into integer keys to
+de-duplicate them.  **Per block of candidate locations**: the spatial
+scores as one ``L x U`` matrix, and on it the shortlist mask
+(``L x U``), the ``LUW`` pass (``L x P`` over the pairs), the greedy
+max-coverage of all ``L`` locations at once and the recounts (one row
+per ``(location, keyword set)``).  Winner sets stay boolean rows; only
+a query's final answer becomes a ``frozenset``.
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
-    Sequence, Set, Tuple,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping,
+    NamedTuple, Optional, Sequence, Tuple,
 )
 
 from ..model.objects import STObject, User
@@ -171,17 +184,59 @@ def _normalized_text(sums, z):
         return np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
 
 
-def _guarded_ge(scores, thresholds, exact: Callable[[int], bool]):
-    """Guard-banded ``scores >= thresholds`` as a boolean array.
+def _guarded_ge(scores, thresholds, exact: Callable[..., bool], where=None):
+    """Guard-banded ``scores >= thresholds`` as a boolean array of any rank.
 
-    Comparisons decided by more than ``GUARD_EPS`` are trusted; every
-    index inside the band is decided by ``exact(i)`` — the scalar code
-    path — so ties resolve exactly as the python backend resolves them.
+    Comparisons decided by ``GUARD_EPS`` or more are trusted; every
+    entry inside the band is decided by ``exact(*index)`` — the scalar
+    code path — so ties resolve exactly as the python backend resolves
+    them.  ``where`` (optional, boolean, same shape) masks the entries
+    that are asked at all: the rest come back ``False`` and never reach
+    ``exact``.
     """
-    passed = scores >= thresholds + GUARD_EPS
-    for i in np.nonzero(np.abs(scores - thresholds) < GUARD_EPS)[0]:
-        passed[i] = exact(i)
+    margin = scores - thresholds
+    passed = margin >= GUARD_EPS
+    banded = np.abs(margin) < GUARD_EPS
+    if where is not None:
+        passed &= where
+        banded &= where
+    for index in np.argwhere(banded).tolist():
+        passed[tuple(index)] = exact(*index)
     return passed
+
+
+#: Boolean columns per ``int64`` word of :func:`_pack_rows`.
+_WORD_BITS = 62
+
+
+def _pack_rows(mask) -> "np.ndarray":
+    """Boolean rows bit-packed into exact ``int64`` words, ``n x words``:
+    an integer key per row however wide the rows are."""
+    return np.stack(
+        [
+            mask[:, start : start + _WORD_BITS]
+            @ (1 << np.arange(min(_WORD_BITS, mask.shape[1] - start)))
+            for start in range(0, max(mask.shape[1], 1), _WORD_BITS)
+        ],
+        axis=1,
+    )
+
+
+def _unpack_rows(words, width: int) -> "np.ndarray":
+    """Inverse of :func:`_pack_rows` for rows ``width`` columns wide."""
+    bits = (words[:, :, None] >> np.arange(_WORD_BITS)) & 1
+    return bits.reshape(len(words), words.shape[1] * _WORD_BITS)[:, :width].astype(bool)
+
+
+def _row_labels(words) -> "np.ndarray":
+    """One dense label per *distinct* row of an integer matrix: 1-D
+    ``np.unique`` folded over the columns (``np.unique(axis=0)`` on the
+    boolean rows these words pack is ~30x slower at 1200 x 20)."""
+    labels = np.zeros(len(words), dtype=np.intp)
+    for column in words.T:
+        column = np.unique(column, return_inverse=True)[1]
+        labels = np.unique(labels * len(words) + column, return_inverse=True)[1]
+    return labels
 
 
 class ObjectColumns:
@@ -281,6 +336,10 @@ class DatasetArrays:
         self.user_xy = np.array(
             [(u.location.x, u.location.y) for u in users], dtype=np.float64
         ).reshape(self.num_users, 2)
+        #: ``dataset.users`` as an object column: ``users[rows].tolist()``
+        #: gathers a shortlist in one C loop.
+        self.users = np.empty(self.num_users, dtype=object)
+        self.users[:] = users
 
         rel = dataset.relevance
         # Each user's terms as the very set TextRelevance.score builds:
@@ -311,6 +370,7 @@ class DatasetArrays:
         #: ``w(t, o.d)`` by (object row, term column) + one zero column.
         self.obj_weights = self.objects.weights_over(union)
         self._doc_vec_cache: Dict[frozenset, "np.ndarray"] = {}
+        self._id_order = None  # argsort of user_ids, built by rows_of_ids
 
     def __reduce__(self):
         raise TypeError(
@@ -345,6 +405,24 @@ class DatasetArrays:
             return np.arange(self.num_users)
         return np.array([self.user_row[u.item_id] for u in users], dtype=np.intp)
 
+    def rows_of_ids(self, user_ids) -> "np.ndarray":
+        """:meth:`rows_for` from an id array, one vectorised look-up."""
+        if self._id_order is None:
+            self._id_order = np.argsort(self.user_ids, kind="stable")
+        order = self._id_order
+        found = np.searchsorted(self.user_ids, user_ids, sorter=order)
+        rows = order[np.minimum(found, self.num_users - 1)]
+        if not np.array_equal(self.user_ids[rows], user_ids):
+            raise KeyError("user id not in this dataset")
+        return rows
+
+    def membership(self, rows_per_location: Sequence) -> "np.ndarray":
+        """``L x U`` boolean: which user rows belong to which location."""
+        member = np.zeros((len(rows_per_location), self.num_users), dtype=bool)
+        for i, rows in enumerate(rows_per_location):
+            member[i, rows] = True
+        return member
+
     def _doc_weight_vector(self, doc: Mapping[int, int]):
         """Document term weights as a vector over the user-term columns.
 
@@ -371,27 +449,23 @@ class DatasetArrays:
     # ------------------------------------------------------------------
     # Score kernels (vectorized over users)
     # ------------------------------------------------------------------
+    def spatial_matrix(self, locations: Sequence[Point]):
+        """``SS(l, u)`` of every user at every location, ``L x U``."""
+        ds = self.dataset
+        xy = np.array([(loc.x, loc.y) for loc in locations], dtype=np.float64)
+        xy = xy.reshape(len(locations), 2)
+        ss = _pairwise_norm(
+            self.user_xy[:, 0] - xy[:, 0:1], self.user_xy[:, 1] - xy[:, 1:2],
+            ds.metric.p,
+        )
+        ss /= ds.dmax
+        np.subtract(1.0, ss, out=ss)
+        return np.clip(ss, 0.0, 1.0, out=ss)
+
     def spatial_scores(self, location: Point, rows=None):
         """``SS(location, u)`` for every selected user."""
-        xy = self.user_xy if rows is None else self.user_xy[rows]
-        d = _pairwise_norm(
-            xy[:, 0] - location.x, xy[:, 1] - location.y, self.dataset.metric.p
-        )
-        return np.clip(1.0 - d / self.dataset.dmax, 0.0, 1.0)
-
-    def text_scores(self, doc: Mapping[int, int], rows=None):
-        """``TS(doc, u.d)`` for every selected user."""
-        w = self._doc_weight_vector(doc)
-        terms = self.user_terms if rows is None else self.user_terms[rows]
-        z = self.user_z if rows is None else self.user_z[rows]
-        return _normalized_text(terms @ w, z)
-
-    def sts(self, location: Point, doc: Mapping[int, int], rows=None):
-        """``STS`` of a (location, document) pair against every user."""
-        alpha = self.dataset.alpha
-        return alpha * self.spatial_scores(location, rows) + (
-            1.0 - alpha
-        ) * self.text_scores(doc, rows)
+        scores = self.spatial_matrix([location])[0]
+        return scores if rows is None else scores[rows]
 
     # ------------------------------------------------------------------
     # Bound kernels (Section 6.1, vectorized over users)
@@ -422,10 +496,6 @@ class DatasetArrays:
                 cols.append(col)
                 gains.append(gain)
         return np.array(cols, dtype=np.intp), np.array(gains, dtype=np.float64)
-
-    def location_lower(self, location: Point, ox: STObject, rows=None):
-        """``LBL(l, u)``: exact STS of the un-augmented ``ox`` at ``l``."""
-        return self.sts(location, ox.terms, rows)
 
     # ------------------------------------------------------------------
     # Decision kernels (guard-banded; results match the scalar backend)
@@ -473,11 +543,13 @@ class DatasetArrays:
         rsk: Mapping[int, float],
     ) -> frozenset:
         """Vectorized :func:`~repro.core.keyword_selection.compute_brstknn`:
-        one recount through a throw-away :class:`SelectionContext`."""
+        one recount row through a throw-away :class:`SelectionContext`."""
         ctx = SelectionContext(self, ox)
-        ctx.bind(users, rsk)
-        ctx.move_to(location)
-        return ctx.winners(frozenset(keywords))
+        rows = self.rows_for(users)
+        ctx.admit(rows, rsk)
+        ctx.move_to([location])
+        won = ctx.recount(self.membership([rows]), [0], [frozenset(keywords)])
+        return frozenset(self.user_ids[won[0]].tolist())
 
     # ------------------------------------------------------------------
     # Candidate-pool scoring (Algorithm 2 refinement)
@@ -543,27 +615,59 @@ class DatasetArrays:
         return alpha * ss + (1.0 - alpha) * ts
 
 
+class PairTable(NamedTuple):
+    """The greedy selector's ``HW_{w,u}`` pairs of one query, flat.
+
+    Pair ``p`` is (user row ``row[p]``, candidate ``terms[key[p]]``);
+    its most optimistic keyword set ``HW_{w,u}`` is ``hw[doc[p]]`` and
+    scores ``ts[p]`` against that user's keywords.  ``terms`` ascends,
+    so an ``argmax`` over the key axis breaks ties the way
+    ``greedy_max_coverage`` does, and the pairs are sorted by key:
+    those of key ``k`` start at ``starts[k]``.  ``held[u, k]`` says
+    whether user row ``u`` holds ``terms[k]``; ``pair_of[k, u]`` is that
+    pair's index, ``len(row)`` where there is none (row ``-1``: all none).
+    """
+
+    terms: List[int]
+    held: "np.ndarray"
+    row: "np.ndarray"
+    key: "np.ndarray"
+    starts: "np.ndarray"
+    pair_of: "np.ndarray"
+    doc: "np.ndarray"
+    hw: List[FrozenSet[int]]
+    ts: "np.ndarray"
+
+
 class SelectionContext:
-    """What Algorithm 3's selection computes once per query, not per location.
+    """Algorithm 3's selection for one query, location-major.
 
     ``STS = alpha * SS + (1 - alpha) * TS`` and Algorithm 3 walks the
     candidate locations with ``ox.d``, ``W``, ``ws`` and every ``RSk(u)``
-    fixed, so only the spatial term differs between locations.  The
-    context keeps the rest — all of it filled lazily, on first use:
+    fixed, so only the spatial term differs between locations: the
+    per-location arrays of the selection are rows of one matrix.
 
-    * ``rsk``: ``RSk(u)`` by user row, read from the mapping of the
-      :meth:`bind` call in which the user first appears (the indexed
-      search hands every location its own mapping);
+    **Once per query**, filled lazily, all by array operations:
+
+    * ``rsk``: ``RSk(u)`` by user row (:meth:`admit`), read from the
+      mapping of the call in which the user first appears (the indexed
+      search hands every location its own mapping); NaN = not seen;
     * the text half of ``UBL(l, u)`` (:meth:`upper_text`);
     * one full-length ``TS`` vector per distinct keyword set
-      (:meth:`text`) — recounts hit the same few documents everywhere;
-    * the flat table of the greedy selector's ``HW_{w,u}`` pairs, whose
-      entries ``hw_entries(user)`` defines.
+      (:meth:`text`), any number of new sets scored in one stacked pass;
+    * the :class:`PairTable` of every user's ``HW_{w,u}`` pairs
+      (:meth:`pairs`).
 
-    Use: :meth:`bind` a user list, :meth:`move_to` a location, then
-    ask for decisions there (:meth:`shortlist`, :meth:`luw`,
-    :meth:`winners`).  Every decision is guard-banded against the
-    scalar path, like all decision kernels of this module.
+    **Once per block of locations** (:meth:`move_to`): ``SS`` as an
+    ``L x U`` matrix.  The decisions asked there are matrices too —
+    :meth:`shortlist` (``L x U``), :meth:`luw` (``L x P`` over the
+    pairs), :meth:`cover` (greedy max-coverage for all ``L`` at once)
+    and :meth:`recount` (one row per ``(location, keyword set)``).
+    Every decision goes through :func:`_guarded_ge`; an entry inside the
+    band — and only such an entry, of a user that belongs to the
+    location — is decided by the scalar ``dataset.sts_parts`` /
+    ``BoundCalculator.location_upper_user`` call the python backend
+    makes.
     """
 
     def __init__(
@@ -572,67 +676,40 @@ class SelectionContext:
         ox: STObject,
         candidate_terms: Sequence[int] = (),
         ws: int = 0,
-        hw_entries: Optional[Callable[[User], List[Tuple[FrozenSet[int], int]]]] = None,
     ) -> None:
         self.arrays = arrays
         self.ox = ox
         self.candidate_terms = candidate_terms
         self.ws = ws
-        self.hw_entries = hw_entries
         self.rsk = np.full(arrays.num_users, np.nan)  # NaN: user not seen yet
         self._upper_text = None
-        self._text: Dict[FrozenSet[int], "np.ndarray"] = {}
-        self.pair_row = np.empty(0, dtype=np.intp)
-        self.pair_w = np.empty(0, dtype=np.int64)
-        self.pair_ts = np.empty(0)
-        self.pair_hw: List[FrozenSet[int]] = []
+        self._text = np.empty((0, arrays.num_users))  # one row per keyword set
+        self._text_row: Dict[FrozenSet[int], int] = {}
+        self._pairs: Optional[PairTable] = None
 
-    def bind(self, users: Sequence[User], rsk: Mapping[int, float]) -> None:
-        """Make ``users`` the subject of the decisions that follow."""
-        self.users = users
-        self.rows = rows = self.arrays.rows_for(users)
-        fresh = np.nonzero(np.isnan(self.rsk[rows]))[0]
+    # -- once per query ------------------------------------------------
+    def admit(self, rows, rsk: Mapping[int, float]) -> None:
+        """First sight of the users at ``rows``: read their thresholds."""
+        fresh = rows[np.isnan(self.rsk[rows])]
         if len(fresh):
-            self._admit([users[i] for i in fresh], rows[fresh], rsk)
-        self.thresholds = self.rsk[rows]
+            self.rsk[fresh] = [rsk[uid] for uid in self.arrays.user_ids[fresh].tolist()]
 
-    def _admit(self, users: List[User], rows, rsk: Mapping[int, float]) -> None:
-        """First sight of ``users``: their thresholds and ``HW_{w,u}`` pairs."""
-        self.rsk[rows] = [rsk[u.item_id] for u in users]
-        if self.hw_entries is None:
-            return
-        pair_row: List[int] = []
-        pair_w: List[int] = []
-        for row, user in zip(rows.tolist(), users):
-            for hw_set, w in self.hw_entries(user):
-                pair_row.append(row)
-                pair_w.append(w)
-                self.pair_hw.append(hw_set)
-        if not pair_row:
-            return
-        new_hw = self.pair_hw[len(self.pair_row):]
-        doc_of = {hw: j for j, hw in enumerate(dict.fromkeys(new_hw))}
-        pair_ts = np.stack([self.text(hw) for hw in doc_of])[
-            [doc_of[hw] for hw in new_hw], pair_row
-        ]
-        self.pair_row = np.concatenate((self.pair_row, np.array(pair_row, dtype=np.intp)))
-        self.pair_w = np.concatenate((self.pair_w, np.array(pair_w, dtype=np.int64)))
-        self.pair_ts = np.concatenate((self.pair_ts, pair_ts))
-
-    def move_to(self, location: Point) -> None:
-        """The one per-location computation: ``SS(location, u)``."""
-        self.location = location
-        self.ss_full = self.arrays.spatial_scores(location)
-        self.ss = self.ss_full[self.rows]
-
-    def text(self, keywords: FrozenSet[int]):
-        """``TS(ox.d ∪ keywords, u.d)`` for every user of the dataset."""
-        ts = self._text.get(keywords)
-        if ts is None:
-            ts = self._text[keywords] = self.arrays.text_scores(
-                augmented_document(self.ox.terms, keywords)
+    def text(self, keyword_sets: Sequence[FrozenSet[int]]):
+        """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set.
+        Sets not met before in this query are scored in one stacked pass."""
+        known = self._text_row
+        missing = [ks for ks in dict.fromkeys(keyword_sets) if ks not in known]
+        if missing:
+            a = self.arrays
+            weights = np.stack([
+                a._doc_weight_vector(augmented_document(self.ox.terms, ks))
+                for ks in missing
+            ])
+            known.update(zip(missing, range(len(known), len(known) + len(missing))))
+            self._text = np.concatenate(
+                (self._text, _normalized_text(weights @ a.user_terms.T, a.user_z))
             )
-        return ts
+        return self._text[[known[ks] for ks in keyword_sets]]
 
     def upper_text(self):
         """Text half of ``UBL(l, u)`` for every user (Lemma 3, per-user)."""
@@ -649,65 +726,143 @@ class SelectionContext:
             self._upper_text = _normalized_text(sums, a.user_z)
         return self._upper_text
 
-    def location_upper(self):
-        """``UBL(l, u)`` of the bound users at the current location."""
+    def pairs(self) -> PairTable:
+        """Every user's ``(HW_{w,u}, w)`` entries — what
+        ``keyword_selection._hw_entries`` lists user by user — at once.
+
+        Candidates are ranked once by ``(-optimistic weight, term)``
+        (the user-independent key ``_hw_entries`` sorts by); a row-wise
+        ``cumsum`` over the held ones is each user's rank among their
+        useful candidates, so ``rank <= ws`` is the user's ``top`` set
+        and ``rank <= ws - 1`` the ``head`` every other ``w`` joins.
+        The sets stay bit-packed until they are de-duplicated: only the
+        distinct ones become documents, scored in one :meth:`text` pass.
+        """
+        if self._pairs is not None:
+            return self._pairs
+        a = self.arrays
+        rel = a.dataset.relevance
+        terms = sorted(t for t in set(self.candidate_terms) if t in a.term_col)
+        weight = [candidate_term_weight(rel, self.ox.terms, t) for t in terms]
+        ranked = sorted(range(len(terms)), key=lambda k: (-weight[k], terms[k]))
+        held = a.user_terms[:, [a.term_col[t] for t in terms]] > 0.0
+        rank = np.empty(held.shape, dtype=np.intp)
+        rank[:, ranked] = np.cumsum(held[:, ranked], axis=1)
+        top = held & (rank <= self.ws)
+        head = held & (rank <= self.ws - 1)
+        key, row = np.nonzero(held.T)
+        words = np.where(
+            top[row, key][:, None],
+            _pack_rows(top)[row],
+            _pack_rows(head)[row] | _pack_rows(np.eye(len(terms), dtype=bool))[key],
+        )
+        doc = _row_labels(words)
+        first = np.empty(int(doc.max()) + 1 if len(doc) else 0, dtype=np.intp)
+        first[doc] = np.arange(len(doc))  # any pair of a set: the same words
+        d, k = np.nonzero(_unpack_rows(words[first], len(terms)))
+        members = [terms[i] for i in k.tolist()]
+        ends = np.cumsum(np.bincount(d, minlength=len(first))).tolist()
+        hw = [frozenset(members[s:e]) for s, e in zip([0] + ends, ends)]
+        pair_of = np.full((len(terms) + 1, a.num_users), len(row), dtype=np.intp)
+        pair_of[key, row] = np.arange(len(row))
+        self._pairs = PairTable(
+            terms, held, row, key,
+            starts=np.searchsorted(key, np.arange(len(terms))),
+            pair_of=pair_of, doc=doc, hw=hw,
+            ts=self.text(hw)[doc, row] if hw else np.empty(0),
+        )
+        return self._pairs
+
+    # -- once per block of locations -----------------------------------
+    def move_to(self, locations: Sequence[Point]) -> None:
+        """Make ``locations`` the subject of the decisions that follow:
+        the one computation a location costs, ``SS(l, u)``, as ``L x U``."""
+        self.locations = locations
+        self.ss = self.arrays.spatial_matrix(locations)
+
+    def location_upper(self, rows):
+        """``UBL(l, u)`` as ``L x len(rows)``: column ``i`` is user row
+        ``rows[i]``."""
         alpha = self.arrays.dataset.alpha
-        return alpha * self.ss + (1.0 - alpha) * self.upper_text()[self.rows]
+        return alpha * self.ss[:, rows] + (1.0 - alpha) * self.upper_text()[rows]
 
-    def shortlist(self) -> List[User]:
-        """``LU_l``: bound users with ``UBL(l, u) >= RSk(u)``, scalar-exact."""
-        users = self.users
-
-        def exact(i: int) -> bool:
-            ub = BoundCalculator(self.arrays.dataset).location_upper_user(
-                self.location, self.ox, self.candidate_terms, self.ws, users[i]
-            )
-            return ub >= self.thresholds[i]
-
-        keep = _guarded_ge(self.location_upper(), self.thresholds, exact)
-        return [users[i] for i in np.nonzero(keep)[0]]
-
-    def winners(self, keywords: FrozenSet[int]) -> FrozenSet[int]:
-        """Bound users with ``STS(l, ox.d ∪ keywords, u) >= RSk(u)``."""
-        a = self.arrays
-        alpha = a.dataset.alpha
-        scores = alpha * self.ss + (1.0 - alpha) * self.text(keywords)[self.rows]
-
-        def exact(i: int) -> bool:
-            doc = augmented_document(self.ox.terms, keywords)
-            score = a.dataset.sts_parts(self.location, doc, self.users[i])
-            return score >= self.thresholds[i]
-
-        passed = _guarded_ge(scores, self.thresholds, exact)
-        return frozenset(a.user_ids[self.rows[passed]].tolist())
-
-    def luw(self) -> Tuple[Dict[int, Set[int]], int]:
-        """Section 6.2.1's ``LUW_w`` sets at the current location: user
-        ``u`` is in ``LUW_w`` when ``STS`` under ``HW_{w,u}`` reaches
-        ``RSk(u)``.  Also returns how many pairs were decided."""
-        a = self.arrays
-        member = np.zeros(a.num_users, dtype=bool)
-        member[self.rows] = True
-        idx = np.nonzero(member[self.pair_row])[0]
-        rows = self.pair_row[idx]
-        alpha = a.dataset.alpha
-        scores = alpha * self.ss_full[rows] + (1.0 - alpha) * self.pair_ts[idx]
-
-        def exact(i: int) -> bool:
-            doc = augmented_document(self.ox.terms, self.pair_hw[idx[i]])
-            score = a.dataset.sts_parts(self.location, doc, a.dataset.users[rows[i]])
-            return score >= thresholds[i]
-
+    def shortlist(self, rows):
+        """``UBL(l, u) >= RSk(u)``, laid out as :meth:`location_upper`,
+        scalar-exact."""
+        ds = self.arrays.dataset
         thresholds = self.rsk[rows]
-        passed = _guarded_ge(scores, thresholds, exact)
-        won_w = self.pair_w[idx][passed]
-        order = np.argsort(won_w, kind="stable")
-        keys, starts = np.unique(won_w[order], return_index=True)
-        won_user = a.user_ids[rows[passed]][order].tolist()
-        ends = starts[1:].tolist() + [len(won_user)]
-        return {
-            w: set(won_user[s:e]) for w, s, e in zip(keys.tolist(), starts.tolist(), ends)
-        }, len(idx)
+
+        def exact(l: int, i: int) -> bool:
+            ub = BoundCalculator(ds).location_upper_user(
+                self.locations[l], self.ox, self.candidate_terms, self.ws,
+                ds.users[rows[i]],
+            )
+            return ub >= thresholds[i]
+
+        return _guarded_ge(self.location_upper(rows), thresholds, exact)
+
+    def _wins(self, l: int, keywords: FrozenSet[int], row: int) -> bool:
+        """The scalar decision behind every banded ``STS >= RSk(u)``."""
+        ds = self.arrays.dataset
+        doc = augmented_document(self.ox.terms, keywords)
+        return ds.sts_parts(self.locations[l], doc, ds.users[row]) >= self.rsk[row]
+
+    def luw(self, member):
+        """Section 6.2.1's ``LUW_w`` pass over the pair table, ``L x P``:
+        entry ``(l, p)`` says user ``row[p]`` — one of location ``l``'s
+        users by ``member`` (``L x U``) — reaches ``RSk(u)`` there under
+        ``HW_{w,u}``, i.e. is in ``LUW_w`` for ``w = terms[key[p]]``."""
+        t = self.pairs()
+        alpha = self.arrays.dataset.alpha
+        scores = alpha * self.ss[:, t.row] + (1.0 - alpha) * t.ts
+
+        def exact(l: int, p: int) -> bool:
+            return self._wins(l, t.hw[t.doc[p]], t.row[p])
+
+        return _guarded_ge(scores, self.rsk[t.row], exact, where=member[:, t.row])
+
+    def cover(self, passed):
+        """Greedy max-coverage over the ``LUW_w`` sets of :meth:`luw`,
+        every location at once: ``ws`` rounds of "count each key's
+        not-yet-covered users, take the ``argmax``" — ties to the lowest
+        term id, a location stops when no key adds a user, exactly as
+        ``greedy_max_coverage``.  Returns the chosen keys (``L x ws``
+        indices into ``terms``, ``-1`` = stopped) and ``|covered|``."""
+        t = self.pairs()
+        lanes = np.arange(len(passed))
+        chosen = np.full((len(passed), max(self.ws, 0)), -1, dtype=np.intp)
+        covered = np.zeros((len(passed), self.arrays.num_users), dtype=bool)
+        # A false column at index len(row): where pair_of points for "no pair".
+        padded = np.concatenate((passed, np.zeros((len(passed), 1), dtype=bool)), axis=1)
+        for step in range(self.ws if passed.any() else 0):
+            gains = np.add.reduceat(
+                passed & ~covered[:, t.row], t.starts, axis=1, dtype=np.intp
+            )
+            pick = gains.argmax(axis=1)
+            pick[gains[lanes, pick] == 0] = -1
+            if (pick < 0).all():
+                break
+            chosen[:, step] = pick
+            covered |= np.take_along_axis(padded, t.pair_of[pick], axis=1)
+        return chosen, covered.sum(axis=1)
+
+    def sts(self, index, keyword_sets: Sequence[FrozenSet[int]]):
+        """``STS(l, ox.d ∪ keyword_sets[i], u)`` of every user at location
+        ``index[i]``: one row per evaluation."""
+        alpha = self.arrays.dataset.alpha
+        return alpha * self.ss[index] + (1.0 - alpha) * self.text(keyword_sets)
+
+    def recount(self, member, index, keyword_sets: Sequence[FrozenSet[int]]):
+        """Actual BRSTkNN rows, laid out as :meth:`sts`: entry ``(i, u)``
+        says user row ``u`` — one of location ``index[i]``'s users by
+        ``member`` — has ``STS >= RSk(u)`` there."""
+
+        def exact(i: int, row: int) -> bool:
+            return self._wins(index[i], keyword_sets[i], row)
+
+        return _guarded_ge(
+            self.sts(index, keyword_sets), self.rsk, exact, where=member[index]
+        )
 
 
 # ----------------------------------------------------------------------

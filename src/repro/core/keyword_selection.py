@@ -37,17 +37,22 @@ exhaustive baseline).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set,
+    Tuple,
+)
 
 from ..model.dataset import Dataset
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
 from .bounds import augmented_document, candidate_term_weight
-from .kernels import SelectionContext, arrays_for, resolve_backend
+from .kernels import SelectionContext, arrays_for, np, resolve_backend
 
 __all__ = [
     "KeywordSelection",
+    "BlockSelection",
     "compute_brstknn",
+    "select_greedy_block",
     "select_keywords_greedy",
     "select_keywords_exact",
     "greedy_max_coverage",
@@ -143,14 +148,25 @@ def select_keywords_greedy(
     keyword weights and each user's HW sets depend only on
     ``(ox, candidate_keywords, ws)``, so they are computed for the first
     location and replayed for the rest.  The numpy backend keeps its
-    :class:`~repro.core.kernels.SelectionContext` there as well — the
-    text score and threshold of every ``HW_{w,u}`` pair and of every
-    recounted keyword set — so a location costs it one spatial-score
-    vector plus a compare; the python backend scores pair by pair at
-    every location and is the oracle the context is tested against.
+    :class:`~repro.core.kernels.SelectionContext` there as well and runs
+    this call as the one-location case of :func:`select_greedy_block`,
+    the kernel Algorithm 3 feeds a block of locations at a time; the
+    python backend scores pair by pair at every location and is the
+    oracle that kernel is tested against.
     """
-    rel = dataset.relevance
     cache = cache if cache is not None else {}
+    if resolve_backend(backend) == "numpy":
+        arrays = arrays_for(dataset)
+        ctx = cache.get("context")
+        if ctx is None:
+            ctx = cache["context"] = SelectionContext(
+                arrays, ox, candidate_keywords, ws
+            )
+        block = select_greedy_block(ctx, [location], [arrays.rows_for(users)], rsk)
+        winners = frozenset(arrays.user_ids[block.won[0]].tolist())
+        return block.keywords[0], winners, block.scored[0]
+
+    rel = dataset.relevance
     cand_set = cache.get("cand_set")
     if cand_set is None:
         cand_set = cache["cand_set"] = set(candidate_keywords)
@@ -162,37 +178,25 @@ def select_keywords_greedy(
             t: candidate_term_weight(rel, ox.terms, t) for t in cand_set
         }
 
-    def hw_entries(user: User) -> List[Tuple[FrozenSet[int], int]]:
-        return _hw_entries(user, cand_set, opt_weight, ws)
-
     # LUW_w: users that HW_{w,u} — the most optimistic set containing w —
     # wins at this location; ``recount`` gives a set's actual BRSTkNN.
-    luw: Dict[int, Set[int]]
-    if resolve_backend(backend) == "numpy":
-        ctx = cache.get("context")
-        if ctx is None:
-            ctx = cache["context"] = SelectionContext(
-                arrays_for(dataset), ox, hw_entries=hw_entries
+    hw_by_user = cache.setdefault("hw_by_user", {})
+    luw: Dict[int, Set[int]] = {}
+    scored = 0
+    for user in users:
+        entries = hw_by_user.get(user.item_id)
+        if entries is None:
+            entries = hw_by_user[user.item_id] = _hw_entries(
+                user, cand_set, opt_weight, ws
             )
-        ctx.bind(users, rsk)
-        ctx.move_to(location)
-        luw, scored = ctx.luw()
-        recount = ctx.winners
-    else:
-        hw_by_user = cache.setdefault("hw_by_user", {})
-        luw, scored = {}, 0
-        for user in users:
-            entries = hw_by_user.get(user.item_id)
-            if entries is None:
-                entries = hw_by_user[user.item_id] = hw_entries(user)
-            for hw_set, w in entries:
-                scored += 1
-                doc = augmented_document(ox.terms, hw_set)
-                if dataset.sts_parts(location, doc, user) >= rsk[user.item_id]:
-                    luw.setdefault(w, set()).add(user.item_id)
+        for hw_set, w in entries:
+            scored += 1
+            doc = augmented_document(ox.terms, hw_set)
+            if dataset.sts_parts(location, doc, user) >= rsk[user.item_id]:
+                luw.setdefault(w, set()).add(user.item_id)
 
-        def recount(keywords: FrozenSet[int]) -> FrozenSet[int]:
-            return compute_brstknn(dataset, ox, location, keywords, users, rsk)
+    def recount(keywords: FrozenSet[int]) -> FrozenSet[int]:
+        return compute_brstknn(dataset, ox, location, keywords, users, rsk)
 
     best_set: FrozenSet[int] = frozenset()
     best_users = recount(best_set)
@@ -246,6 +250,98 @@ def select_keywords_greedy(
     if len(current_users) > len(best_users):
         best_set, best_users = current, current_users
     return best_set, best_users, scored
+
+
+class BlockSelection(NamedTuple):
+    """:func:`select_greedy_block`'s answer, one entry per location."""
+
+    keywords: List[FrozenSet[int]]
+    #: ``L x U`` boolean: the users ``keywords[l]`` actually wins at ``l``.
+    won: "np.ndarray"
+    scored: List[int]
+    #: ``L x U`` boolean: the users the bare ``ox.d`` wins (Algorithm 3's
+    #: keyword-free acceptance path asks for exactly this recount).
+    base: "np.ndarray"
+
+
+def select_greedy_block(
+    ctx: SelectionContext,
+    locations: Sequence[Point],
+    rows: Sequence,
+    rsk: Mapping[int, float],
+) -> BlockSelection:
+    """:func:`select_keywords_greedy` at several locations in one pass.
+
+    The numpy backend's whole Section 6.2.1: ``rows[l]`` are the user
+    rows of ``LU_l`` (:meth:`DatasetArrays.rows_for`).  One ``LUW`` pass,
+    one batched greedy max-coverage and one recount call cover the
+    block; winner sets stay boolean rows.  Only the fallback pass —
+    rare, and sequential by nature — runs per location, each of its
+    steps one recount call.  Same decisions, ``scored`` included, as the
+    scalar selector called once per location.
+    """
+    ws = ctx.ws
+    member = ctx.arrays.membership(rows)
+    ctx.admit(np.nonzero(member.any(axis=0))[0], rsk)
+    ctx.move_to(locations)
+    table = ctx.pairs()
+    passed = ctx.luw(member)
+    chosen, coverage = ctx.cover(passed)
+    scored = (member @ table.held.sum(axis=1)).tolist()
+
+    # The LUW lists are optimistic, and under length-normalized measures
+    # a longer keyword set can score *worse*: every greedy prefix is
+    # recounted, the empty one first.
+    index: List[int] = []
+    prefixes: List[FrozenSet[int]] = []
+    spans: List[range] = []  # per location, its rows of the recount
+    for l, keys in enumerate(chosen.tolist()):
+        picked = [table.terms[k] for k in keys if k >= 0]
+        spans.append(range(len(index), len(index) + len(picked) + 1))
+        for end in range(len(picked) + 1):
+            index.append(l)
+            prefixes.append(frozenset(picked[:end]))
+    won = ctx.recount(member, index, prefixes)
+    counts = won.sum(axis=1).tolist()
+    # Strict improvement in prefix order = the first maximum.
+    best = [max(span, key=lambda i: (counts[i], -i)) for span in spans]
+    for l, span in enumerate(spans):
+        scored[l] += len(span) - 1
+    keywords = [prefixes[i] for i in best]
+    base = won[[span[0] for span in spans]]
+    won = won[best]
+
+    # Fallback pass: greedy on the *true* objective where the LUW
+    # optimism demonstrably misled (see select_keywords_greedy); the
+    # better of the two greedy answers is kept.
+    any_luw = passed.any(axis=1).tolist()
+    for l, (i, covered) in enumerate(zip(best, coverage.tolist())):
+        if any_luw[l] and counts[i] >= 0.8 * covered:
+            continue
+        sizes = np.bincount(table.key[passed[l]], minlength=len(table.terms))
+        pool = sorted(
+            np.nonzero(table.held[member[l]].any(axis=0))[0].tolist(),
+            key=lambda k: (-sizes[k], table.terms[k]),
+        )[: 2 * ws + 6]
+        current: FrozenSet[int] = frozenset()
+        current_won = base[l]
+        for _ in range(ws):
+            trials = [
+                current | {table.terms[k]} for k in pool
+                if table.terms[k] not in current
+            ]
+            if not trials:
+                break
+            trial_won = ctx.recount(member, [l] * len(trials), trials)
+            scored[l] += len(trials)
+            trial_counts = trial_won.sum(axis=1)
+            step = int(trial_counts.argmax())  # first maximum, in pool order
+            if trial_counts[step] <= current_won.sum():
+                break
+            current, current_won = trials[step], trial_won[step]
+        if current_won.sum() > counts[i]:
+            keywords[l], won[l] = current, current_won
+    return BlockSelection(keywords, won, scored, base)
 
 
 def select_keywords_exact(

@@ -39,6 +39,7 @@ Determinism contract of the merge
 
 from __future__ import annotations
 
+import itertools
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -52,6 +53,7 @@ from .candidate_selection import (
     shortlist_locations,
 )
 from .joint_topk import JointTraversalResult, individual_topk
+from .kernels import arrays_for, np, resolve_backend
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 __all__ = [
@@ -358,21 +360,41 @@ def materialize_shortlists(
     query: MaxBRSTkNNQuery,
     kept: Sequence[Tuple[int, float, float]],
     ids_per_location: Sequence[Sequence[int]],
+    backend: str = "python",
 ) -> List[LocationShortlist]:
     """Id-level merged shortlists -> the :class:`LocationShortlist`\\ s
     :func:`~repro.core.candidate_selection.search_shortlists` consumes.
 
     ``dataset`` must be the *full* dataset (ids resolve against it).
+    With ``backend="numpy"`` every id of the query is mapped to its
+    array row in one vectorised look-up and the shortlists carry those
+    rows, so the search kernel does not derive them again.
     """
+    rows_per_location: Sequence = [None] * len(kept)
+    if resolve_backend(backend) == "numpy":
+        arrays = arrays_for(dataset)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(ids_per_location), dtype=np.int64
+        )
+        ends = np.cumsum([len(ids) for ids in ids_per_location])
+        rows_per_location = np.split(arrays.rows_of_ids(flat), ends[:-1])
+        users_per_location = [arrays.users[rows].tolist() for rows in rows_per_location]
+    else:
+        users_per_location = [
+            [dataset.user_by_id(uid) for uid in ids] for ids in ids_per_location
+        ]
     return [
         LocationShortlist(
             location=query.locations[loc_index],
-            users=[dataset.user_by_id(uid) for uid in ids],
+            users=users,
             upper_group=upper_group,
             lower_group=lower_group,
             index=loc_index,
+            rows=rows,
         )
-        for (loc_index, upper_group, lower_group), ids in zip(kept, ids_per_location)
+        for (loc_index, upper_group, lower_group), users, rows in zip(
+            kept, users_per_location, rows_per_location
+        )
     ]
 
 
@@ -400,7 +422,9 @@ def run_merged_search(
     Returns ``(result, elapsed_s)``.
     """
     t0 = time.perf_counter()
-    shortlists = materialize_shortlists(dataset, query, kept, ids_per_location)
+    shortlists = materialize_shortlists(
+        dataset, query, kept, ids_per_location, backend=backend
+    )
     stats.locations_pruned += pruned
     result = search_shortlists(
         dataset, query, rsk, rsk_group, shortlists,

@@ -96,14 +96,15 @@ class MIURTree:
                     if inter is None
                     else inter & p.intersection_terms
                 )
-                min_z = min(min_z, p.min_normalizer)
+                if p.min_normalizer > 0.0:  # positive ones only, as from_users
+                    min_z = min(min_z, p.min_normalizer)
                 max_z = max(max_z, p.max_normalizer)
                 count += p.count
             summary = SuperUser.from_parts(
                 mbr=node.rect,
                 union_terms=union,
                 intersection_terms=inter or set(),
-                min_normalizer=min_z,
+                min_normalizer=min_z if max_z > 0.0 else 0.0,
                 max_normalizer=max_z,
                 count=count,
             )

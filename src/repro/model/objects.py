@@ -83,7 +83,11 @@ class SuperUser:
         ``min_u Z(u.d)`` and ``max_u Z(u.d)`` over the grouped users,
         where ``Z`` is the measure's user-side normalizer.  Upper bounds
         divide by the min, lower bounds by the max, which restores the
-        soundness of Lemma 2 for per-user normalized scores.
+        soundness of Lemma 2 for per-user normalized scores.  The min is
+        taken over the *positive* normalizers only (0.0 when there is
+        none): a user with ``Z(u.d) = 0`` scores ``TS = 0`` under every
+        document, so they cannot raise the group's upper bound — and
+        must not zero it for the users who can.
     count:
         Number of users aggregated.
     """
@@ -132,13 +136,14 @@ class SuperUser:
             union |= kws
             inter = set(kws) if inter is None else (inter & kws)
             z = relevance.user_normalizer(kws)
-            min_z = min(min_z, z)
+            if z > 0.0:
+                min_z = min(min_z, z)
             max_z = max(max_z, z)
         return cls(
             mbr=mbr,
             union_terms=frozenset(union),
             intersection_terms=frozenset(inter or set()),
-            min_normalizer=min_z,
+            min_normalizer=min_z if max_z > 0.0 else 0.0,
             max_normalizer=max_z,
             count=len(users),
         )

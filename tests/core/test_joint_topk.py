@@ -7,6 +7,8 @@ import pytest
 from repro import Dataset
 from repro.core.joint_topk import individual_topk, joint_topk, joint_traversal
 from repro.index.irtree import MIRTree
+from repro.model.objects import User
+from repro.spatial.geometry import Point
 from repro.storage.iostats import IOCounter
 from repro.storage.pager import PageStore
 
@@ -73,6 +75,27 @@ class TestJointEqualsBruteForce:
             gold = sorted((ds.sts(o, u) for o in ds.objects), reverse=True)[:k]
             got = [s for s, _ in results[u.item_id].ranked]
             assert got == pytest.approx(gold, abs=1e-9)
+
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_keywordless_user_does_not_zero_the_group_text_bound(self, seed, backend):
+        """One ``Z(u.d) = 0`` user used to make ``min_normalizer`` 0, hence
+        ``MaxTS(E.d, us) = 0`` for the *whole group*: Algorithm 1 pruned
+        objects the other users need (python: a wrong ``RSk(u)`` on 30 of
+        30 seeds of this shape, e.g. 0.565 vs 0.922)."""
+        rng = random.Random(seed)
+        objects = make_random_objects(60, 12, rng)
+        users = [
+            User(u.item_id, u.location, {t: 1 for t in rng.sample(range(12), 2)})
+            for u in make_random_users(6, 12, rng)
+        ]
+        users.append(User(item_id=99, location=Point(rng.uniform(0, 10), rng.uniform(0, 10))))
+        ds = Dataset(objects, users, relevance="LM", alpha=0.3)
+        assert ds.super_user.min_normalizer > 0.0
+        results = joint_topk(MIRTree(objects, ds.relevance, fanout=4), ds, 1, backend=backend)
+        for u in users:
+            assert results[u.item_id].kth_score == brute_force_kth(ds, u, 1)
 
 
 class TestTraversalMechanics:

@@ -51,7 +51,9 @@ def test_sts_kernel_matches_scalar(measure, alpha, seed):
     for _ in range(5):
         loc = Point(rng.uniform(0, 10), rng.uniform(0, 10))
         doc = {t: rng.randint(1, 3) for t in rng.sample(range(20), rng.randint(0, 5))}
-        scores = arrays.sts(loc, doc)
+        ctx = SelectionContext(arrays, STObject(item_id=-1, location=loc, terms=doc))
+        ctx.move_to([loc])
+        scores = ctx.sts([0], [frozenset()])[0]
         for i, u in enumerate(ds.users):
             assert math.isclose(
                 scores[i], ds.sts_parts(loc, doc, u), rel_tol=0.0, abs_tol=TOL
@@ -84,12 +86,12 @@ def test_location_bounds_match_scalar(measure, vocab, ws):
     )
     candidates = sorted(rng.sample(range(vocab), min(6, vocab)))
     ctx = SelectionContext(arrays, ox, candidates, ws)
-    ctx.bind(ds.users, {u.item_id: 0.5 for u in ds.users})
-    for _ in range(4):
-        loc = Point(rng.uniform(0, 10), rng.uniform(0, 10))
-        ctx.move_to(loc)
-        ub = ctx.location_upper()
-        lb = arrays.location_lower(loc, ox)
+    rows = arrays.rows_for(ds.users)
+    ctx.admit(rows, {u.item_id: 0.5 for u in ds.users})
+    locations = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)]
+    ctx.move_to(locations)
+    lower = ctx.sts(range(len(locations)), [frozenset()] * len(locations))
+    for loc, ub, lb in zip(locations, ctx.location_upper(rows), lower):
         for i, u in enumerate(ds.users):
             assert math.isclose(
                 ub[i],
@@ -137,9 +139,10 @@ def test_shortlist_kernel_exact_membership(seed):
         if bounds.location_upper_user(loc, ox, candidates, 2, u) >= rsk[u.item_id]
     ]
     ctx = SelectionContext(arrays, ox, candidates, 2)
-    ctx.bind(ds.users, rsk)
-    ctx.move_to(loc)
-    vectorized = [u.item_id for u in ctx.shortlist()]
+    rows = arrays.rows_for(ds.users)
+    ctx.admit(rows, rsk)
+    ctx.move_to([loc])
+    vectorized = [u.item_id for u in arrays.users[rows[ctx.shortlist(rows)[0]]]]
     assert scalar == vectorized
 
 
@@ -183,8 +186,16 @@ def test_exact_ties_take_the_scalar_recheck(monkeypatch):
             ds, ox, loc, candidates, 1, ds.users, rsk, backend="numpy", cache=cache
         ) == py
         assert {pair_user.item_id, recount_user.item_id} <= set(rescored)
-        luw, _ = cache["context"].luw()
-        assert (pair_user.item_id in luw.get(w, ())) == admitted
+        import numpy as np
+
+        ctx, arrays = cache["context"], arrays_for(ds)
+        table = ctx.pairs()
+        (pair,) = np.nonzero(
+            (table.row == arrays.user_row[pair_user.item_id])
+            & (table.key == table.terms.index(w))
+        )[0]
+        luw = ctx.luw(arrays.membership([arrays.rows_for(ds.users)]))
+        assert luw[0, pair] == admitted
         assert compute_brstknn(
             ds, ox, loc, frozenset(), [recount_user], rsk, backend="numpy"
         ) == (frozenset([recount_user.item_id]) if admitted else frozenset())

@@ -47,20 +47,16 @@ COMMON_TERM = 1       # in every object: TF-IDF weight log(N / N) = 0
 UNSEEN_TERM = 10_000  # in no object: Z(u.d) = 0 for whoever holds only it
 
 
-def build_dataset(seed, measure="LM", p=2.0, alpha=0.5, n_obj=30, unscorable=True):
+def build_dataset(seed, measure="LM", p=2.0, alpha=0.5, n_obj=30):
     """Random objects with documents long enough to share several terms
     with a user (fewer than three addends cannot tell one summation
     order from another) and users of unequal keyword counts (padding),
     one of them with 8+ keywords (a numpy reduction would re-associate).
 
-    ``unscorable`` adds what the pair kernel must not trip on: a term
-    every object holds (TF-IDF weight 0), users with no scorable term
-    (``Z = 0``: no keyword, unseen keywords only, the weight-0 term
-    only) and a user mixing all three kinds.  Refinement tests leave
-    them out: one ``Z = 0`` user zeroes the *group's* text upper bound
-    (``BoundCalculator.max_text`` returns 0 when ``min_normalizer`` is
-    0), so ``UB(o, us)`` stops bounding the other users and the python
-    scan itself — the oracle — breaks too early.
+    Plus what neither the pair kernel nor the group bounds may trip on:
+    a term every object holds (TF-IDF weight 0), users with no scorable
+    term (``Z = 0``: no keyword, unseen keywords only, the weight-0 term
+    only) and a user mixing all three kinds.
     """
     rng = random.Random(seed)
 
@@ -77,13 +73,12 @@ def build_dataset(seed, measure="LM", p=2.0, alpha=0.5, n_obj=30, unscorable=Tru
     ]
     keyword_sets = [rng.sample(TERMS, rng.randint(1, 6)) for _ in range(8)]
     keyword_sets.append(rng.sample(TERMS, rng.randint(8, 12)))
-    if unscorable:
-        for o in objects:
-            o.terms[COMMON_TERM] = rng.randint(1, 2)
-        keyword_sets += [
-            [], [UNSEEN_TERM, UNSEEN_TERM + 1], [COMMON_TERM],
-            [COMMON_TERM, UNSEEN_TERM, rng.choice(TERMS)],
-        ]
+    for o in objects:
+        o.terms[COMMON_TERM] = rng.randint(1, 2)
+    keyword_sets += [
+        [], [UNSEEN_TERM, UNSEEN_TERM + 1], [COMMON_TERM],
+        [COMMON_TERM, UNSEEN_TERM, rng.choice(TERMS)],
+    ]
     users = [item(User, i, terms, 1) for i, terms in enumerate(keyword_sets)]
     return Dataset(
         objects, users, relevance=measure, alpha=alpha, metric=LpMetric(p)
@@ -161,7 +156,7 @@ class TestRefineEqualsPythonBackend:
         """Scores as identical floats, ties by id — for every k
         (``200`` exceeds the pool), any ``users=`` subset, and a stop
         that cuts after 1, 4 or 256 ``RO`` objects."""
-        ds = build_dataset(seed, measure, n_obj=60, unscorable=False)
+        ds = build_dataset(seed, measure, n_obj=60)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
         traversal = joint_traversal(tree, ds, k)
         users = data.draw(st.one_of(

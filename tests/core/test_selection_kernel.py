@@ -1,0 +1,589 @@
+"""Algorithm 3's location-batched selection kernel against its oracle.
+
+``backend="numpy"`` evaluates a query's candidate locations as rows of
+one matrix (``repro.core.kernels.SelectionContext``,
+``keyword_selection.select_greedy_block``,
+``candidate_selection._search_blocks``); ``backend="python"`` scores
+pair by pair, location by location, and is the oracle.  Everything here
+compares the two with ``==`` — keyword sets, winner sets, the
+``scored`` / ``keyword_combinations_scored`` counters, the pruned
+count — on drawn instances whose thresholds are *planted ties*
+(``RSk(u)`` set to the very float some evaluated ``STS`` / ``UBL``
+produces), so the guard band's scalar re-check is exercised, not just
+present.  The last class seeds three mutants the properties must catch.
+"""
+
+import math
+import random
+from typing import NamedTuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Dataset, MaxBRSTkNNQuery
+from repro.core import candidate_selection, kernels
+from repro.core.bounds import (
+    BoundCalculator, augmented_document, candidate_term_weight,
+)
+from repro.core.candidate_selection import (
+    LocationShortlist, search_shortlists, select_candidate, shortlist_locations,
+)
+from repro.core.kernels import SelectionContext, arrays_for
+from repro.core.keyword_selection import (
+    _hw_entries, select_greedy_block, select_keywords_greedy,
+)
+from repro.core.query import QueryStats
+from repro.model.objects import STObject
+from repro.spatial.geometry import Point
+
+from ..conftest import make_random_objects, make_random_users
+
+np = pytest.importorskip("numpy")
+
+MEASURES = ["LM", "TF", "KO"]
+
+
+class Case(NamedTuple):
+    ds: Dataset
+    query: MaxBRSTkNNQuery
+    rsk: dict
+    rng: random.Random
+
+
+def build_case(
+    seed, measure="LM", ws=2, ox_terms=False, wide=False, n_locations=6, plant="mixed"
+):
+    """One selection problem.  ``wide``: |W| = 100 candidates of which
+    more than 62 are held by some user (two de-dup key words).  The
+    candidate list always carries two terms no user holds.
+
+    Thresholds (``plant="mixed"``) mix the realistic (k-th best object
+    score), the extreme (0 — won by everyone; 2 — out of reach) and
+    planted exact ties with an ``STS`` or ``UBL`` the selection is going
+    to evaluate.  ``plant="hw"`` puts *every* user's threshold on one of
+    their own ``HW_{w,u}`` scores at the first location: the LUW lists
+    then promise users the greedy prefixes do not deliver, which is what
+    sends Section 6.2.1 into its fallback pass."""
+    rng = random.Random(seed)
+    vocab = 100 if wide else 14
+    objects = make_random_objects(40, vocab, rng)
+    users = make_random_users(60 if wide else 14, vocab, rng)
+    ds = Dataset(objects, users, relevance=measure, alpha=0.5)
+    ox = STObject(
+        item_id=-1,
+        location=Point(5, 5),
+        terms={t: rng.randint(1, 2) for t in rng.sample(range(vocab), 3)} if ox_terms else {},
+    )
+    held = sorted(range(vocab) if wide else rng.sample(range(vocab), 9))
+    candidates = held + [vocab + 100, vocab + 101]
+    locations = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n_locations)]
+    query = MaxBRSTkNNQuery(ox=ox, locations=locations, keywords=candidates, ws=ws, k=3)
+
+    rel, bounds = ds.relevance, BoundCalculator(ds)
+    weight = {t: candidate_term_weight(rel, ox.terms, t) for t in candidates}
+    rsk = {}
+    for u in users:
+        loc = locations[0] if plant == "hw" else rng.choice(locations)
+        entries = _hw_entries(u, set(candidates), weight, query.ws)
+        kind = plant if plant == "hw" else rng.choice(
+            ["kth", "kth", "zero", "far", "base", "hw", "ubl"]
+        )
+        if kind == "hw" and not entries:
+            kind = "far" if plant == "hw" else "base"
+        if kind == "kth":
+            value = sorted((ds.sts(o, u) for o in objects), reverse=True)[2]
+        elif kind == "zero":
+            value = 0.0
+        elif kind == "far":
+            value = 2.0
+        elif kind == "base":
+            value = ds.sts_parts(loc, ox.terms, u)
+        elif kind == "hw":
+            hw_set, _w = rng.choice(entries)
+            value = ds.sts_parts(loc, augmented_document(ox.terms, hw_set), u)
+        else:
+            value = bounds.location_upper_user(loc, ox, candidates, query.ws, u)
+        rsk[u.item_id] = value
+    return Case(ds, query, rsk, rng)
+
+
+def answer(result):
+    return (
+        result.location, result.keywords, result.brstknn,
+        result.stats.keyword_combinations_scored, result.stats.locations_pruned,
+    )
+
+
+def query_answers(case, rsk_group=0.0):
+    """``select_candidate`` per backend: the per-query ``==`` tuple."""
+    return [
+        answer(select_candidate(
+            case.ds, case.query, case.rsk, rsk_group=rsk_group,
+            stats=QueryStats(), backend=backend,
+        ))
+        for backend in ("numpy", "python")
+    ]
+
+
+def location_answers(case, subsets):
+    """``select_keywords_greedy`` at every location over that location's
+    user subset: numpy through ONE cache (the per-query context), python
+    fresh each time.  The per-location ``==`` triples."""
+    q, cache = case.query, {}
+    got, want = [], []
+    for loc, users in zip(q.locations, subsets):
+        args = (case.ds, q.ox, loc, q.keywords, q.ws, users, case.rsk)
+        got.append(select_keywords_greedy(*args, backend="numpy", cache=cache))
+        want.append(select_keywords_greedy(*args, backend="python"))
+    return got, want
+
+
+def draw_subsets(case, data):
+    """A user subset per location: any, empty, or a single user."""
+    users = case.ds.users
+    return [
+        data.draw(st.one_of(
+            st.just(list(users)),
+            st.just([]),
+            st.sampled_from(users).map(lambda u: [u]),
+            st.sets(st.sampled_from(range(len(users)))).map(
+                lambda picked: [u for i, u in enumerate(users) if i in picked]
+            ),
+        ))
+        for _ in case.query.locations
+    ]
+
+
+def seeded_subsets(case):
+    users, rng = case.ds.users, case.rng
+    return [
+        [u for u in users if rng.random() < rng.choice([0.0, 0.3, 0.7, 1.0])]
+        for _ in case.query.locations
+    ]
+
+
+# ----------------------------------------------------------------------
+# Properties: numpy == python
+# ----------------------------------------------------------------------
+
+class TestKernelEqualsOracle:
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(MEASURES),
+        ws=st.integers(0, 3),
+        ox_terms=st.booleans(),
+        wide=st.booleans(),
+        plant=st.sampled_from(["mixed", "hw"]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_per_location_selection(self, seed, measure, ws, ox_terms, wide, plant, data):
+        case = build_case(seed, measure, ws, ox_terms, wide, plant=plant)
+        got, want = location_answers(case, draw_subsets(case, data))
+        assert got == want
+
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(MEASURES),
+        ws=st.integers(0, 3),
+        ox_terms=st.booleans(),
+        wide=st.booleans(),
+        plant=st.sampled_from(["mixed", "hw"]),
+        group=st.sampled_from(["off", "low", "min"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_per_query_answer_and_counters(
+        self, seed, measure, ws, ox_terms, wide, plant, group
+    ):
+        """``rsk_group`` off (0), low (the keyword-free acceptance path
+        opens: ``lower_group >= rsk_group > 0``) or ``min RSk(u)``
+        (locations get pruned)."""
+        case = build_case(seed, measure, ws, ox_terms, wide, plant=plant)
+        rsk_group = {"off": 0.0, "low": 0.02, "min": min(case.rsk.values())}[group]
+        got, want = query_answers(case, rsk_group)
+        assert got == want
+
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(MEASURES),
+        ws=st.integers(0, 3),
+        accept=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_search_over_hand_built_shortlists(self, seed, measure, ws, accept, data):
+        """Shortlists that differ per location, are empty or hold one
+        user, carry no array rows, and (``accept``) open the
+        keyword-free acceptance path at every location."""
+        case = build_case(seed, measure, ws)
+        shortlists = [
+            LocationShortlist(
+                location=loc, users=users, upper_group=1.0,
+                lower_group=1.0 if accept else 0.0, index=i,
+            )
+            for i, (loc, users) in enumerate(
+                zip(case.query.locations, draw_subsets(case, data))
+            )
+        ]
+        got, want = [
+            answer(search_shortlists(
+                case.ds, case.query, case.rsk, 0.5, shortlists,
+                stats=QueryStats(), backend=backend,
+            ))
+            for backend in ("numpy", "python")
+        ]
+        assert got == want
+
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(MEASURES),
+        ws=st.integers(0, 3),
+        wide=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_locations_at_once_equal_one_by_one(self, seed, measure, ws, wide):
+        case = build_case(seed, measure, ws, wide=wide)
+        ds, q = case.ds, case.query
+        arrays = arrays_for(ds)
+        rows = [arrays.rows_for(users) for users in seeded_subsets(case)]
+        at_once = select_greedy_block(
+            SelectionContext(arrays, q.ox, q.keywords, q.ws), q.locations, rows, case.rsk
+        )
+        single = SelectionContext(arrays, q.ox, q.keywords, q.ws)
+        for l, (loc, r) in enumerate(zip(q.locations, rows)):
+            one = select_greedy_block(single, [loc], [r], case.rsk)
+            assert one.keywords[0] == at_once.keywords[l]
+            assert one.scored[0] == at_once.scored[l]
+            assert (one.won[0] == at_once.won[l]).all()
+            assert (one.base[0] == at_once.base[l]).all()
+
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(MEASURES),
+        ws=st.integers(0, 3),
+        ox_terms=st.booleans(),
+        wide=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pair_table_is_hw_entries(self, seed, measure, ws, ox_terms, wide):
+        """The vectorised table lists the ``(user, w, HW_{w,u})`` triples
+        ``_hw_entries`` lists user by user — KO's all-equal optimistic
+        weights make every rank a tie broken by term id."""
+        case = build_case(seed, measure, ws, ox_terms, wide)
+        ds, q = case.ds, case.query
+        arrays = arrays_for(ds)
+        table = SelectionContext(arrays, q.ox, q.keywords, q.ws).pairs()
+        got = sorted(
+            (int(arrays.user_ids[r]), table.terms[k], sorted(table.hw[d]))
+            for r, k, d in zip(table.row.tolist(), table.key.tolist(), table.doc.tolist())
+        )
+        weight = {
+            t: candidate_term_weight(ds.relevance, q.ox.terms, t) for t in q.keywords
+        }
+        want = sorted(
+            (u.item_id, w, sorted(hw_set))
+            for u in ds.users
+            for hw_set, w in _hw_entries(u, set(q.keywords), weight, q.ws)
+        )
+        assert got == want
+        assert len(set(map(frozenset, (hw for _, _, hw in want)))) == len(table.hw)
+
+
+def test_wide_case_needs_two_key_words():
+    """The ``wide`` cases above really leave one ``int64`` behind."""
+    case = build_case(1, wide=True)
+    q = case.query
+    ctx = SelectionContext(arrays_for(case.ds), q.ox, q.keywords, q.ws)
+    assert len(ctx.pairs().terms) > kernels._WORD_BITS
+
+
+@pytest.mark.parametrize("width", [0, 1, 20, 62, 63, 130])
+def test_row_labels_partition_rows_like_unique(width):
+    rng = np.random.default_rng(width)
+    mask = rng.random((300, width)) < 0.5
+    mask[100:200] = mask[:100]  # guaranteed repeats
+    words = kernels._pack_rows(mask)
+    assert (kernels._unpack_rows(words, width) == mask).all()
+    labels = kernels._row_labels(words)
+    want = np.unique(mask, axis=0, return_inverse=True)[1].ravel()
+    # same partition: each label pairs with exactly one reference label
+    assert len(set(zip(labels.tolist(), want.tolist()))) == len(set(want.tolist()))
+    assert sorted(set(labels.tolist())) == list(range(labels.max() + 1))
+
+
+# ----------------------------------------------------------------------
+# Named paths
+# ----------------------------------------------------------------------
+
+class TestFallbackPass:
+    """Section 6.2.1's second greedy, on the true objective: it runs when
+    no LUW list exists or the best prefix wins less than 0.8 of the
+    coverage estimate — seen here as recount calls beyond the block's one."""
+
+    def run(self, case, monkeypatch):
+        recounts, estimates = [], []
+        recount, cover = SelectionContext.recount, SelectionContext.cover
+        monkeypatch.setattr(
+            SelectionContext, "recount",
+            lambda self, *args: recounts.append(1) or recount(self, *args),
+        )
+        monkeypatch.setattr(
+            SelectionContext, "cover",
+            lambda self, passed: estimates.append(cover(self, passed)) or estimates[-1],
+        )
+        q, loc = case.query, case.query.locations[0]
+        args = (case.ds, q.ox, loc, q.keywords, q.ws, case.ds.users, case.rsk)
+        got = select_keywords_greedy(*args, backend="numpy")
+        assert got == select_keywords_greedy(*args, backend="python")
+        return len(recounts) - 1, int(estimates[0][1][0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fires_when_luw_optimism_misleads(self, seed, monkeypatch):
+        """TF-IDF's skewed weights, ``ws = 3``, thresholds on HW scores:
+        a coverage estimate the prefixes fall well short of, then one
+        recount call per fallback step."""
+        steps, estimate = self.run(
+            build_case(seed, "TF", 3, ox_terms=True, plant="hw"), monkeypatch
+        )
+        assert estimate > 0 and steps > 1
+
+    def test_fires_when_there_is_no_luw_list(self, monkeypatch):
+        case = build_case(2, "TF", 2)
+        case.rsk.update({uid: 2.0 for uid in case.rsk})  # nobody reachable
+        steps, estimate = self.run(case, monkeypatch)
+        assert estimate == 0 and steps == 1  # one round of trials, none wins
+
+    def test_does_not_fire_when_prefixes_deliver(self, monkeypatch):
+        case = build_case(3, "LM", 2)
+        case.rsk.update({uid: 0.0 for uid in case.rsk})  # everyone wins anyway
+        steps, estimate = self.run(case, monkeypatch)
+        assert estimate > 0 and steps == 0
+
+
+class TestEarlyTermination:
+    def shortlists(self, case):
+        users = case.ds.users
+        sizes = [len(users), 5, 5, 3, 2, 0]
+        return [
+            LocationShortlist(
+                location=loc, users=users[:n], upper_group=1.0, lower_group=0.0, index=i
+            )
+            for i, (loc, n) in enumerate(zip(case.query.locations, sizes))
+        ]
+
+    @pytest.mark.parametrize("block", [1, 4, 32])
+    def test_line_3_10_stops_counting_and_stops_work(self, block, monkeypatch):
+        """Every user wins everywhere, so the first location popped (the
+        longest shortlist) takes them all: no other ``|LU_l|`` beats the
+        incumbent, nothing else is counted — and with a block of one,
+        nothing else is computed."""
+        case = build_case(5, "LM", 2)
+        case.rsk.update({uid: 0.0 for uid in case.rsk})
+        shortlists = self.shortlists(case)
+        first = select_keywords_greedy(
+            case.ds, case.query.ox, shortlists[0].location, case.query.keywords,
+            case.query.ws, shortlists[0].users, case.rsk, backend="python",
+        )
+        want = search_shortlists(
+            case.ds, case.query, case.rsk, 0.0, shortlists,
+            stats=QueryStats(), backend="python",
+        )
+        assert want.stats.keyword_combinations_scored == first[2]
+
+        monkeypatch.setattr(candidate_selection, "LOCATION_BLOCK", block)
+        evaluated = []
+        original = candidate_selection.select_greedy_block
+        monkeypatch.setattr(
+            candidate_selection, "select_greedy_block",
+            lambda ctx, locations, rows, rsk: evaluated.append(len(locations))
+            or original(ctx, locations, rows, rsk),
+        )
+        got = search_shortlists(
+            case.ds, case.query, case.rsk, 0.0, shortlists,
+            stats=QueryStats(), backend="numpy",
+        )
+        assert answer(got) == answer(want)
+        assert evaluated == [min(block, len(shortlists))]
+
+    @given(seed=st.integers(0, 10_000), measure=st.sampled_from(MEASURES), ws=st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_block_size_never_changes_the_answer(self, seed, measure, ws):
+        case = build_case(seed, measure, ws, n_locations=9)
+        answers = []
+        for block in (1, 4, 32):
+            saved = candidate_selection.LOCATION_BLOCK
+            candidate_selection.LOCATION_BLOCK = block
+            try:
+                answers.append(query_answers(case, 0.02)[0])
+            finally:
+                candidate_selection.LOCATION_BLOCK = saved
+        assert answers[0] == answers[1] == answers[2] == query_answers(case, 0.02)[1]
+
+
+def test_keyword_free_acceptance_path(monkeypatch):
+    """``rsk_group > 0`` and ``lower_group >= rsk_group``: the bare
+    ``ox.d`` recount is counted (+1), and where it wins the whole
+    shortlist the location's selection is skipped — not counted."""
+    case = build_case(11, "LM", 2)
+    case.rsk.update({uid: 0.0 for uid in case.rsk})
+    users = case.ds.users
+    shortlists = [
+        LocationShortlist(
+            location=loc, users=users[: len(users) - i], upper_group=1.0,
+            lower_group=0.9, index=i,
+        )
+        for i, loc in enumerate(case.query.locations)
+    ]
+    got, want = [
+        search_shortlists(
+            case.ds, case.query, case.rsk, 0.5, shortlists,
+            stats=QueryStats(), backend=backend,
+        )
+        for backend in ("numpy", "python")
+    ]
+    assert answer(got) == answer(want)
+    assert got.keywords == frozenset() and len(got.brstknn) == len(users)
+    assert got.stats.keyword_combinations_scored == 1
+
+
+def test_exact_ties_at_one_location_of_several(monkeypatch):
+    """``STS == RSk(u)`` for one HW pair and one recount, ``UBL == RSk(u)``
+    for one shortlist row — all at the middle location of three.  The
+    2-D band hands exactly those entries to the scalar path: the tied
+    users, at that location, nowhere else; admitted on the tie
+    (``>=``), rejected one ulp above it."""
+    rng = random.Random(23)
+    ds = Dataset(
+        make_random_objects(50, 20, rng), make_random_users(12, 20, rng),
+        relevance="LM", alpha=0.5,
+    )
+    bounds = BoundCalculator(ds)
+    ox = STObject(item_id=-1, location=Point(5, 5), terms={0: 1})
+    candidates = sorted(rng.sample(range(20), 8))
+    locations, ws = [Point(1, 2), Point(4, 6), Point(8, 3)], 1
+    tied = locations[1]
+    query = MaxBRSTkNNQuery(ox=ox, locations=locations, keywords=candidates, ws=ws, k=1)
+    by_pairs = sorted(ds.users, key=lambda u: -len(set(candidates) & u.keyword_set))
+    pair_user, recount_user, bound_user = by_pairs[:3]
+    w = min(set(candidates) & pair_user.keyword_set)
+    exact = {
+        pair_user.item_id: ds.sts_parts(tied, augmented_document(ox.terms, {w}), pair_user),
+        recount_user.item_id: ds.sts_parts(tied, ox.terms, recount_user),
+        bound_user.item_id: bounds.location_upper_user(tied, ox, candidates, ws, bound_user),
+    }
+
+    rescored = []
+    scalar_sts, scalar_ubl = ds.sts_parts, BoundCalculator.location_upper_user
+    monkeypatch.setattr(
+        ds, "sts_parts",
+        lambda l, doc, u: rescored.append((l, u.item_id)) or scalar_sts(l, doc, u),
+    )
+    monkeypatch.setattr(
+        BoundCalculator, "location_upper_user",
+        lambda self, l, o, c, n, u: rescored.append((l, u.item_id))
+        or scalar_ubl(self, l, o, c, n, u),
+    )
+    everyone = [
+        LocationShortlist(location=loc, users=list(ds.users), upper_group=1.0,
+                          lower_group=0.0, index=i)
+        for i, loc in enumerate(locations)
+    ]
+    for bump, admitted in ((lambda x: x, True), (lambda x: math.nextafter(x, 2.0), False)):
+        rsk = {u.item_id: 2.0 for u in ds.users}  # out of reach: never banded
+        rsk.update({uid: bump(score) for uid, score in exact.items()})
+        want = search_shortlists(
+            ds, query, rsk, 0.0, everyone, stats=QueryStats(), backend="python"
+        )
+        del rescored[:]
+        got = search_shortlists(
+            ds, query, rsk, 0.0, everyone, stats=QueryStats(), backend="numpy"
+        )
+        assert answer(got) == answer(want)
+        assert set(rescored) == {(tied, pair_user.item_id), (tied, recount_user.item_id)}
+        assert ({pair_user.item_id, recount_user.item_id} <= got.brstknn) == admitted
+
+        lists_py, _ = shortlist_locations(ds, query, rsk, 0.0, backend="python")
+        del rescored[:]
+        lists_np, _ = shortlist_locations(ds, query, rsk, 0.0, backend="numpy")
+        assert [[u.item_id for u in sl.users] for sl in lists_np] == [
+            [u.item_id for u in sl.users] for sl in lists_py
+        ]
+        assert rescored == [(tied, bound_user.item_id)]  # the one banded entry
+        assert (bound_user in lists_np[1].users) == admitted
+
+
+# ----------------------------------------------------------------------
+# Seeded mutants: the properties have teeth
+# ----------------------------------------------------------------------
+
+def seeded_cases():
+    for seed in range(36):
+        yield build_case(
+            seed, MEASURES[seed % 3], ws=1 + seed % 3, ox_terms=bool(seed % 2),
+            wide=seed % 4 == 3, plant="hw" if seed % 5 == 4 else "mixed",
+        )
+
+
+def mismatches():
+    """Seeded cases on which some numpy answer differs from python's."""
+    bad = 0
+    for case in seeded_cases():
+        got, want = location_answers(case, seeded_subsets(case))
+        bad += got != want or len(set(query_answers(case, 0.02))) > 1
+    return bad
+
+
+class TestMutantsAreCaught:
+    def test_unmutated_kernel_is_clean(self):
+        assert mismatches() == 0
+
+    def test_argmax_in_weight_order(self, monkeypatch):
+        """Greedy ties broken in ``(-optimistic weight, term)`` order —
+        the order HW sets rank candidates by — instead of ascending term
+        id, ``greedy_max_coverage``'s."""
+
+        def cover(self, passed):
+            t = self.pairs()
+            rel = self.arrays.dataset.relevance
+            order = np.array(sorted(
+                range(len(t.terms)),
+                key=lambda k: (
+                    -candidate_term_weight(rel, self.ox.terms, t.terms[k]), t.terms[k]
+                ),
+            ), dtype=np.intp)
+            lanes = np.arange(len(passed))
+            chosen = np.full((len(passed), max(self.ws, 0)), -1, dtype=np.intp)
+            covered = np.zeros((len(passed), self.arrays.num_users), dtype=bool)
+            padded = np.concatenate(
+                (passed, np.zeros((len(passed), 1), dtype=bool)), axis=1
+            )
+            for step in range(self.ws if passed.any() else 0):
+                gains = np.add.reduceat(
+                    passed & ~covered[:, t.row], t.starts, axis=1, dtype=np.intp
+                )
+                pick = order[gains[:, order].argmax(axis=1)]  # the mutation
+                pick[gains[lanes, pick] == 0] = -1
+                chosen[:, step] = pick
+                covered |= np.take_along_axis(padded, t.pair_of[pick], axis=1)
+            return chosen, covered.sum(axis=1)
+
+        monkeypatch.setattr(SelectionContext, "cover", cover)
+        assert mismatches()
+
+    def test_membership_mask_dropped_from_the_pair_pass(self, monkeypatch):
+        original = SelectionContext.luw
+        monkeypatch.setattr(
+            SelectionContext, "luw",
+            lambda self, member: original(self, np.ones_like(member)),
+        )
+        assert mismatches()
+
+    def test_strict_greater_than(self, monkeypatch):
+        def wins(self, l, keywords, row):
+            ds = self.arrays.dataset
+            doc = augmented_document(self.ox.terms, keywords)
+            return ds.sts_parts(self.locations[l], doc, ds.users[row]) > self.rsk[row]
+
+        monkeypatch.setattr(SelectionContext, "_wins", wins)
+        assert mismatches()

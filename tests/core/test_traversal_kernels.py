@@ -23,7 +23,8 @@ import pytest
 from repro import Dataset, MaxBRSTkNNEngine, QueryOptions
 from repro.core.joint_topk import individual_topk, joint_traversal
 from repro.core.kernels import HAS_NUMPY, TreeArrays, tree_arrays_for
-from repro.model.objects import SuperUser
+from repro.model.objects import SuperUser, User
+from repro.spatial.geometry import Point
 from repro.storage.iostats import IOCounter
 from repro.storage.pager import LRUBuffer, PageStore
 
@@ -37,6 +38,16 @@ def random_engine(seed, index_users=False):
     vocab = rng.choice([8, 20, 60])
     objects = make_random_objects(rng.randint(30, 140), vocab, rng)
     users = make_random_users(rng.randint(5, 28), vocab, rng)
+    # Z(u.d) = 0 users — no keyword; one no object holds — sit in the
+    # same groups: their TS is 0, the group's text bound must not be.
+    users += [
+        User(
+            item_id=len(users) + i,
+            location=Point(rng.uniform(0, 10), rng.uniform(0, 10)),
+            terms=terms,
+        )
+        for i, terms in enumerate(({}, {vocab + 5: 1}))
+    ]
     dataset = Dataset(
         objects,
         users,

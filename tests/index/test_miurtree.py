@@ -87,6 +87,33 @@ class TestNodeSummaries:
             assert summary.max_normalizer == pytest.approx(max(zs))
 
 
+    def test_min_normalizer_skips_users_without_one(self):
+        """A ``Z(u.d) = 0`` user (no keyword) has ``TS = 0`` whatever the
+        document: every node's upper-bound divisor is the smallest
+        *positive* normalizer below it, 0 only when there is none."""
+        rng = random.Random(7)
+        objects = make_random_objects(40, 15, rng)
+        users = make_random_users(30, 15, rng)
+        for u in users[::3]:
+            u.terms.clear()
+        rel = make_relevance("LM").fit([o.terms for o in objects])
+        tree = MIURTree(users, rel, fanout=4)
+        by_id = {u.item_id: u for u in users}
+
+        def collect(node):
+            if node.is_leaf:
+                return [by_id[e.item] for e in node.entries]
+            return [u for c in node.children for u in collect(c)]
+
+        for node in tree.rtree.iter_nodes():
+            zs = [rel.user_normalizer(u.keyword_set) for u in collect(node)]
+            positive = [z for z in zs if z > 0.0]
+            assert tree.summary_of(node).min_normalizer == (
+                pytest.approx(min(positive)) if positive else 0.0
+            )
+            assert tree.summary_of(node).max_normalizer == pytest.approx(max(zs))
+
+
 class TestReadChildren:
     def test_internal_read(self, built):
         _, _, tree = built
