@@ -13,9 +13,12 @@ from the flush reports and the registry's wire counters:
   count (that flatness is the PR-9 payload win, reported as context);
 * **per-host wire bytes** (both directions / host count, from the
   socket clients' ledgers, headers included) — the quantity that must
-  scale ~|U|/N: each host computes and gathers back results for only
-  its user partition, so doubling the hosts roughly halves the bytes
-  any one host moves;
+  scale ~1/N.  What crosses the wire is the cold refine gather (16 B
+  per user per k, each host returning only its user partition's
+  ``RSk(u)`` rows) and, every flush, one ``select`` round: the queries
+  and an ``ArenaRef`` out, the answers back, dealt over the hosts by
+  query.  Neither total grows with the host count, so doubling the
+  hosts roughly halves the bytes any one host moves;
 * **flush wall-time** end to end.
 
 Then a **kill-one-host** pass: one shard-host process is SIGKILLed
@@ -26,7 +29,9 @@ survivors — ``worker_deaths``/``retries`` counters prove the path, and
 Results must be identical to a fresh sequential engine everywhere
 (the PR-3 bitwise convention).  The acceptance gate — full runs only —
 is per-host wire bytes at 4 hosts ≤ 0.75x the 2-host figure (ideal is
-0.5x; the slack absorbs per-connection framing constants).
+0.5x; the slack absorbs per-connection framing constants and the
+per-lane copy of each k's ``ArenaRef``; 0.55x measured at PR 19, when
+the per-location shortlist gather left the wire).
 
 Run::
 
@@ -299,7 +304,7 @@ def main(argv=None) -> int:
                   f"ideal 0.5x)")
             return 1
         print(f"scaling: per-host wire bytes 4-host/2-host = "
-              f"{ratio:.2f}x (~|U|/N)")
+              f"{ratio:.2f}x (~1/N)")
     return 0
 
 

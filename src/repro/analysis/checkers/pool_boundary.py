@@ -55,9 +55,7 @@ COW_ONLY_TYPES = frozenset({
 })
 
 #: First elements of execute_shard_payload work-item tuples.
-PAYLOAD_KINDS = frozenset(
-    {"refine", "shortlist", "search", "select", "indexed_search"}
-)
+PAYLOAD_KINDS = frozenset({"refine", "select", "indexed_search"})
 
 #: Attribute calls that submit work (and their argument roles).
 _SUBMIT_METHODS = frozenset({

@@ -244,11 +244,8 @@ def search_shortlists(
 ) -> MaxBRSTkNNResult:
     """Algorithm 3's best-first search over pre-built shortlists.
 
-    Split out of :func:`select_candidate` so the sharded execution path
-    (``repro.serve.sharded``) can scatter the O(|U|) shortlist phase
-    across shards, merge the per-shard contributions
-    (:func:`repro.core.partial.merge_query_shortlists`), and run this
-    — the aggregate-dependent search — once over the merged lists.  The
+    The aggregate-dependent half of :func:`select_candidate` (which is
+    :func:`shortlist_locations` + this), kept callable on its own.  The
     search's every decision (heap order, early termination, the
     keyword-free acceptance path, strict-improvement tie-breaking)
     depends only on the shortlists, ``rsk`` and ``rsk_group``, so

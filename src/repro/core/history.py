@@ -11,8 +11,7 @@ coordinates that change a flush's cost profile — and the planner
 consults :meth:`FlushHistory.observe` per flush to decide, from
 *measured* per-item stage costs, whether dispatching work to a pool can
 possibly pay for its round-trip (e.g. keep the search fan-out
-in-process when the last flushes' searches were sub-millisecond, or
-drop the scatter dispatch when per-shard queue depth is low).  Every
+in-process when the last flushes' searches were sub-millisecond).  Every
 such decision is surfaced by ``QueryPlan.explain()`` with an
 ``observed`` rationale; a cold engine (fewer than
 ``MIN_OBSERVED_FLUSHES`` recorded flushes at the signature) falls back
@@ -87,21 +86,15 @@ class ObservedCosts:
     ``per_item_ms(stage)`` is total stage wall time over total stage
     items across the recorded flushes — milliseconds of work one item
     costs, the number the planner compares against the pool-dispatch
-    bar.  ``mean_items(stage)`` is the mean items-per-flush of a stage,
-    which for user-scatter stages is exactly the per-shard queue depth
-    at dispatch (every engaged shard receives the full work list).
+    bar.
     """
 
     flushes: int
     mean_batch: float
     stage_ms_per_item: Dict[str, float] = field(default_factory=dict)
-    stage_mean_items: Dict[str, float] = field(default_factory=dict)
 
     def per_item_ms(self, stage: str) -> Optional[float]:
         return self.stage_ms_per_item.get(stage)
-
-    def mean_items(self, stage: str) -> Optional[float]:
-        return self.stage_mean_items.get(stage)
 
 
 class FlushHistory:
@@ -141,7 +134,6 @@ class FlushHistory:
             return None
         time_by_stage: Dict[str, float] = {}
         items_by_stage: Dict[str, int] = {}
-        flushes_by_stage: Dict[str, int] = {}
         total_batch = 0
         for rec in buf:
             total_batch += rec.batch_size
@@ -150,21 +142,15 @@ class FlushHistory:
                 time_by_stage[stage] = (
                     time_by_stage.get(stage, 0.0) + rec.stage_time_s[stage]
                 )
-                flushes_by_stage[stage] = flushes_by_stage.get(stage, 0) + 1
         per_item = {
             stage: 1000.0 * time_by_stage[stage] / items
             for stage, items in items_by_stage.items()
             if items > 0
         }
-        mean_items = {
-            stage: items / flushes_by_stage[stage]
-            for stage, items in items_by_stage.items()
-        }
         return ObservedCosts(
             flushes=len(buf),
             mean_batch=total_batch / len(buf),
             stage_ms_per_item=per_item,
-            stage_mean_items=mean_items,
         )
 
     def flushes(self, signature: FlushSignature) -> int:

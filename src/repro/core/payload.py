@@ -3,24 +3,16 @@
 Every flush the executors scatter work to pool workers as payload
 tuples (:func:`repro.core.pipeline.execute_shard_payload`).  Before
 this module, each tuple crossed the worker pipe by pickle — including
-the O(|U|) merged ``RSk(u)`` maps the root search pool consumes and the
-per-shard threshold maps in shortlist payloads, re-serialized per chunk
-per flush.  The codec replaces the heavy elements with:
-
-* :class:`ArenaRef` — a ~100-byte named pointer into the engine's
-  :class:`~repro.storage.shm.ShmArena`.  The referenced block is
-  written to shared memory **once** and *delta-shipped*: repeat flushes
-  whose threshold maps / traversal pools are unchanged (the memoized
-  common case) re-send only the reference.  Blocks are keyed on
-  ``Dataset.epoch`` plus the codec's ship sequence, so a mutated
-  dataset can never alias a stale block.
-* packed index blocks (:class:`PackedIds`, :class:`PackedMergedInput`)
-  — flat little-endian int64/float64 buffers instead of pickled python
-  list-of-list structures for shortlist ids and kept-location tables.
-  Search-stage blocks above :data:`SHIP_ITEMS_MIN_BYTES` are per-flush
-  one-shots, so they cross as a single arena column per chunk
-  (:meth:`PayloadCodec.ship_once` — written, referenced, retired; never
-  memoized) rather than megabytes re-pickled onto the pipe.
+the O(|U|) ``RSk(u)`` map inside every ``select`` chunk's shared
+phase-1 state and the traversal pool of every refine round,
+re-serialized per chunk per flush.  The codec replaces the heavy
+element of each payload with an :class:`ArenaRef` — a ~100-byte named
+pointer into the engine's :class:`~repro.storage.shm.ShmArena`.  The
+referenced block is written to shared memory **once** and
+*delta-shipped*: repeat flushes whose shared states / traversal pools
+are unchanged (the memoized common case) re-send only the reference.
+Blocks are keyed on ``Dataset.epoch`` plus the codec's ship sequence,
+so a mutated dataset can never alias a stale block.
 
 Decoding reconstructs byte-identical python values (dict insertion
 order included), so results stay bitwise identical to the pickle path —
@@ -31,13 +23,17 @@ decode a codec payload because references resolve by *name* via
 :meth:`ShmArena.read_column_bytes` (open, copy, close — no lingering
 worker-side mappings, nothing to leak on SIGKILL).
 
-Encoding for the two binary block kinds:
+Encoding for the two arena block kinds:
 
 * ``rsk`` — ``"RSK1" | n:u32 | ids:int64[n] | values:float64[n]`` in
   dict insertion order;
 * ``blob`` — a pickle of the object (used for the memoized traversal
-  pools, super-user and ``SharedTopK`` states whose win is the delta
-  shipping, not the encoding).
+  pools and ``SharedTopK`` states whose win is the delta shipping, not
+  the encoding).
+
+The gather direction has one block kind: ``GPR1``, a whole refine chunk
+of :class:`~repro.core.partial.PartialResult`\\ s (rows + ``RSK1``
+blobs) as one ``bytes`` — see the gather funnels below.
 """
 
 from __future__ import annotations
@@ -54,8 +50,6 @@ from ..storage.shm import ShmArena, ShmArenaError
 
 __all__ = [
     "ArenaRef",
-    "PackedIds",
-    "PackedMergedInput",
     "PayloadCodec",
     "encode_rsk",
     "decode_rsk",
@@ -113,83 +107,6 @@ def decode_rsk(data: bytes) -> Dict[int, float]:
     values = array("d")
     values.frombytes(data[8 + 8 * n:8 + 16 * n])
     return dict(zip(ids.tolist(), values.tolist()))
-
-
-@dataclass(frozen=True, slots=True)
-class PackedIds:
-    """``List[List[int]]`` as one flat int64 buffer + offsets."""
-
-    offsets: bytes  # int64[groups + 1] prefix offsets
-    flat: bytes     # int64[total] concatenated ids
-
-    @classmethod
-    def pack(cls, groups: List[List[int]]) -> "PackedIds":
-        offsets = array("q", [0])
-        flat = array("q")
-        total = 0
-        for group in groups:
-            flat.extend(group)
-            total += len(group)
-            offsets.append(total)
-        return cls(offsets=offsets.tobytes(), flat=flat.tobytes())
-
-    def unpack(self) -> List[List[int]]:
-        offsets = array("q")
-        offsets.frombytes(self.offsets)
-        flat = array("q")
-        flat.frombytes(self.flat)
-        items = flat.tolist()
-        return [
-            items[offsets[i]:offsets[i + 1]]
-            for i in range(len(offsets) - 1)
-        ]
-
-
-@dataclass(frozen=True, slots=True)
-class PackedMergedInput:
-    """One search-stage item with its tables packed flat.
-
-    Mirrors the ``(query, kept, ids_per_location, pruned, stats,
-    base_selection_s)`` tuples :meth:`ShortlistStage.merge` produces;
-    ``unpack`` restores exactly that tuple (python ints/floats, same
-    order, same values bit for bit).
-    """
-
-    query: object
-    kept_loc: bytes        # int64[kept]
-    kept_ub: bytes         # float64[kept]
-    kept_lb: bytes         # float64[kept]
-    ids: PackedIds         # per kept location, in kept order
-    pruned: int
-    stats: object
-    base_selection_s: float
-
-    @classmethod
-    def pack(cls, item: tuple) -> "PackedMergedInput":
-        query, kept, ids_per_location, pruned, stats, base_selection_s = item
-        return cls(
-            query=query,
-            kept_loc=array("q", (loc for loc, _, _ in kept)).tobytes(),
-            kept_ub=array("d", (ub for _, ub, _ in kept)).tobytes(),
-            kept_lb=array("d", (lb for _, _, lb in kept)).tobytes(),
-            ids=PackedIds.pack(ids_per_location),
-            pruned=pruned,
-            stats=stats,
-            base_selection_s=base_selection_s,
-        )
-
-    def unpack(self) -> tuple:
-        loc = array("q")
-        loc.frombytes(self.kept_loc)
-        ub = array("d")
-        ub.frombytes(self.kept_ub)
-        lb = array("d")
-        lb.frombytes(self.kept_lb)
-        kept = list(zip(loc.tolist(), ub.tolist(), lb.tolist()))
-        return (
-            self.query, kept, self.ids.unpack(), self.pruned, self.stats,
-            self.base_selection_s,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +245,11 @@ class PayloadCodec:
         object in the delta memo would only evict real candidates and
         pin its memory) and scheduled for retirement immediately — the
         column is dropped once it is ``RETIRE_LAG`` ships cold.
+
+        No caller is left in ``src/`` (its one user, the search-stage
+        item blocks, is gone); it stays because ``benchmarks/e2e``
+        wraps it by name and a gain-claiming PR may not edit that —
+        the next benchmark-only PR can release it.
         """
         if self._broken:
             return obj
@@ -382,20 +304,6 @@ class PayloadCodec:
 # and every consumer keep addressing the same tuple slots)
 # ----------------------------------------------------------------------
 
-#: Below this many packed bytes a search-items block stays inline on
-#: the pipe: a ~100-byte ref plus an arena column (page-rounded, plus
-#: directory churn) only pays for itself on real blocks.
-SHIP_ITEMS_MIN_BYTES = 4096
-
-
-def _packed_items_nbytes(packed: List[PackedMergedInput]) -> int:
-    return sum(
-        len(p.kept_loc) + len(p.kept_ub) + len(p.kept_lb)
-        + len(p.ids.offsets) + len(p.ids.flat)
-        for p in packed
-    )
-
-
 def encode_shard_payload(codec: PayloadCodec, payload: tuple) -> tuple:
     """Codec form of one :func:`execute_shard_payload` work item."""
     kind = payload[0]
@@ -404,28 +312,6 @@ def encode_shard_payload(codec: PayloadCodec, payload: tuple) -> tuple:
         return (
             "refine", codec.ship(traversal, f"trav-s{shard_id}"), ks, backend,
             shard_id,
-        )
-    if kind == "shortlist":
-        _, su, queries, rsk_by_k, group_by_k, backend, shard_id = payload
-        return (
-            "shortlist", codec.ship(su, f"su-s{shard_id}"), queries,
-            {
-                k: codec.ship(rsk, f"rsk-s{shard_id}-k{k}", kind="rsk")
-                for k, rsk in rsk_by_k.items()
-            },
-            group_by_k, backend, shard_id,
-        )
-    if kind == "search":
-        _, items, rsk, rsk_group, method, backend = payload
-        packed = [PackedMergedInput.pack(item) for item in items]
-        if _packed_items_nbytes(packed) >= SHIP_ITEMS_MIN_BYTES:
-            # Per-flush blocks, so no delta possible — the win is that
-            # the kept/id tables cross to every worker as a ~100-byte
-            # name instead of re-pickling megabytes onto the pipe.
-            packed = codec.ship_once(packed, "search-items")
-        return (
-            "search", packed,
-            codec.ship(rsk, "rsk-root", kind="rsk"), rsk_group, method, backend,
         )
     if kind == "select":
         # The shared phase-1 state (an O(|U|) ``SharedTopK``)
@@ -453,23 +339,6 @@ def decode_shard_payload(payload: tuple) -> tuple:
     if kind == "refine":
         _, traversal, ks, backend, shard_id = payload
         return ("refine", _maybe(traversal), ks, backend, shard_id)
-    if kind == "shortlist":
-        _, su, queries, rsk_by_k, group_by_k, backend, shard_id = payload
-        return (
-            "shortlist", _maybe(su), queries,
-            {k: _maybe(rsk) for k, rsk in rsk_by_k.items()},
-            group_by_k, backend, shard_id,
-        )
-    if kind == "search":
-        _, items, rsk, rsk_group, method, backend = payload
-        return (
-            "search",
-            [
-                item.unpack() if isinstance(item, PackedMergedInput) else item
-                for item in _maybe(items)
-            ],
-            _maybe(rsk), rsk_group, method, backend,
-        )
     if kind == "select":
         _, queries, shared, mode, method, backend = payload
         return ("select", queries, _maybe(shared), mode, method, backend)
@@ -490,18 +359,16 @@ def decode_shard_payload(payload: tuple) -> tuple:
 # Scatter payloads got the codec in PR 9; the *returned* chunks still
 # crossed back as pickles (``PartialResult.__reduce__`` compacts the
 # per-object blocks, but every object pays pickle framing and rebuild
-# references).  These funnels turn a whole refine/shortlist chunk into
-# ONE self-describing binary block — no pickle at all on the gather
+# references).  These funnels turn a whole refine chunk into ONE
+# self-describing binary block — no pickle at all on the O(|U|) gather
 # direction, which is what the socket transport frames verbatim and
 # what ``payload_bytes_in`` measures on the fork-pool pipe.  Every
-# other chunk shape (search results, indexed ``(result, charge)``
+# other chunk shape (selection results, indexed ``(result, charge)``
 # pairs, empty lists) passes through unchanged, so the decode funnel is
 # safe to apply unconditionally at every collect site.
 
 _GATHER_PARTIALS_MAGIC = b"GPR1"
-_GATHER_SHORTLISTS_MAGIC = b"GSL1"
 _GPR_ROW = "<qqqdI"   # shard_id, k, users_total, time_s, rsk blob len
-_GSL_ROW = "<qqdI"    # shard_id, locations_pruned, time_s, kept count
 
 
 def _encode_gather_partials(chunk) -> bytes:
@@ -536,80 +403,23 @@ def _decode_gather_partials(data: bytes) -> list:
     return out
 
 
-def _encode_gather_shortlists(chunk) -> bytes:
-    parts = [_GATHER_SHORTLISTS_MAGIC, struct.pack("<I", len(chunk))]
-    for p in chunk:
-        loc = array("q", (t[0] for t in p.kept)).tobytes()
-        ub = array("d", (t[1] for t in p.kept)).tobytes()
-        lb = array("d", (t[2] for t in p.kept)).tobytes()
-        ids = PackedIds.pack(p.users)
-        parts.append(struct.pack(
-            _GSL_ROW, p.shard_id, p.locations_pruned, p.time_s, len(p.kept)
-        ))
-        parts.extend((loc, ub, lb))
-        parts.append(struct.pack("<II", len(ids.offsets), len(ids.flat)))
-        parts.extend((ids.offsets, ids.flat))
-    return b"".join(parts)
-
-
-def _decode_gather_shortlists(data: bytes) -> list:
-    from .partial import ShortlistPartial
-
-    (n,) = struct.unpack_from("<I", data, 4)
-    row = struct.calcsize(_GSL_ROW)
-    off = 8
-    out = []
-    for _ in range(n):
-        shard_id, pruned, time_s, kept_n = struct.unpack_from(
-            _GSL_ROW, data, off
-        )
-        off += row
-        loc = array("q")
-        loc.frombytes(data[off:off + 8 * kept_n])
-        off += 8 * kept_n
-        ub = array("d")
-        ub.frombytes(data[off:off + 8 * kept_n])
-        off += 8 * kept_n
-        lb = array("d")
-        lb.frombytes(data[off:off + 8 * kept_n])
-        off += 8 * kept_n
-        off_len, flat_len = struct.unpack_from("<II", data, off)
-        off += 8
-        ids = PackedIds(
-            offsets=data[off:off + off_len],
-            flat=data[off + off_len:off + off_len + flat_len],
-        )
-        off += off_len + flat_len
-        out.append(ShortlistPartial(
-            shard_id=shard_id,
-            kept=list(zip(loc.tolist(), ub.tolist(), lb.tolist())),
-            users=ids.unpack(),
-            locations_pruned=pruned,
-            time_s=time_s,
-        ))
-    return out
-
-
 def encode_gather_payload(chunk):
     """Compact wire form of one worker's returned chunk.
 
     A chunk of :class:`~repro.core.partial.PartialResult`\\ s (refine)
-    or :class:`~repro.core.partial.ShortlistPartial`\\ s (shortlist)
-    becomes one RSK1/PackedIds-packed ``bytes`` block; every other
-    chunk is returned unchanged, so callers can funnel all returns
-    through this without knowing the payload kind.  Decoding restores
-    byte-identical python values (float bits, dict insertion order,
-    list order), preserving the merge layer's determinism contract.
+    becomes one RSK1-packed ``bytes`` block; every other chunk is
+    returned unchanged, so callers can funnel all returns through this
+    without knowing the payload kind.  Decoding restores byte-identical
+    python values (float bits, dict insertion order, list order),
+    preserving the merge layer's determinism contract.
     """
-    from .partial import PartialResult, ShortlistPartial
+    from .partial import PartialResult
 
     if not isinstance(chunk, list) or not chunk:
         return chunk
     try:
         if all(type(p) is PartialResult for p in chunk):
             return _encode_gather_partials(chunk)
-        if all(type(p) is ShortlistPartial for p in chunk):
-            return _encode_gather_shortlists(chunk)
     except (TypeError, OverflowError, struct.error):
         # Unpackable contents (non-int64 ids): stay on the pickle path.
         return chunk
@@ -618,13 +428,11 @@ def encode_gather_payload(chunk):
 
 def decode_gather_payload(chunk):
     """Inverse of :func:`encode_gather_payload`; identity on plain
-    (never-encoded) chunks, so in-process fallback rounds and search
+    (never-encoded) chunks, so in-process fallback rounds and selection
     results flow through the same collect-site funnel untouched."""
     if not isinstance(chunk, (bytes, bytearray)):
         return chunk
     data = bytes(chunk)
     if data[:4] == _GATHER_PARTIALS_MAGIC:
         return _decode_gather_partials(data)
-    if data[:4] == _GATHER_SHORTLISTS_MAGIC:
-        return _decode_gather_shortlists(data)
     return chunk

@@ -14,8 +14,8 @@ stages obey a **pure scatter contract**::
 by fork-pool workers, shard hosts and in-process execution alike.
 
 The paper's two O(|U|) phases — Algorithm 2's per-user ``RSk(u)``
-refine and Algorithm 3's shortlist + best-first search — are the only
-things ever scattered, and every scatter goes through ONE loop,
+refine and Algorithm 3's candidate selection — are the only things ever
+scattered, and every scatter goes through ONE loop,
 :func:`run_round`::
 
     encode -> dispatch every lane -> collect each -> degrade -> decode
@@ -38,21 +38,24 @@ A lane whose ladder is exhausted re-runs in-process against its own
 dataset: ``execute_shard_payload`` is pure, so the degraded answer is
 bitwise-identical, only slower — and counted.
 
-Executors are lane *builders*.  :class:`LocalExecutor` (one engine)
-deals the query axis — ``select`` / ``indexed-search`` chunks — over an
-injected or call-scoped pool, else inline.  :class:`ShardedExecutor`
-(N user partitions) builds one lane per engaged shard for the
-user-axis stages (refine, shortlist) and deals the query-axis chunks
-(search, indexed-search) over the transport's search lanes, giving each
-chunk to the lane holding the fewest queries so far; its ``transport``
-is swapped by ``ShardedEngine.start_pools`` / ``connect_hosts``.
+Executors are lane *builders*.  Both deal the query axis — ``select``
+/ ``indexed-search`` chunks — over their transport's full-dataset
+search lanes, giving each chunk to the lane holding the fewest queries
+so far: :class:`LocalExecutor` (one engine) over an injected or
+call-scoped pool, else inline; :class:`ShardedExecutor` (N user
+partitions) over the root search pool or the alive shard hosts.  The
+sharded executor also builds one lane per engaged shard for the one
+user-axis stage (refine); its ``transport`` is swapped by
+``ShardedEngine.start_pools`` / ``connect_hosts``.
 
 Pipelines by mode:
 
-* ``joint``    — traverse → refine → shortlist+search (local fuses the
-  last two per query as ``select``: with one partition there is nothing
-  to merge between them; sharded splits them so the merge barrier sits
-  exactly where cross-shard data meets).
+* ``joint``    — traverse → refine → select.  Refine is the central
+  per-k derivation on one engine and a scatter over user partitions on
+  a sharded one (per-user work, disjoint ``RSk(u)`` union); select is
+  Algorithm 3 whole per query on BOTH — its keyword-coverage counts sum
+  over all of ``LU_l``, so it cannot run per user partition, and every
+  search lane holds the full dataset anyway.
 * ``baseline`` — per-user topk → select (local only; no mergeable
   group traversal).
 * ``indexed``  — root-traverse → best-first search per query.  Every
@@ -97,8 +100,6 @@ __all__ = [
     "Stage",
     "TraverseStage",
     "RefineStage",
-    "ShortlistStage",
-    "SearchStage",
     "SelectStage",
     "IndexedSearchStage",
     "ExecutionPipeline",
@@ -242,14 +243,9 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     * ``("refine", traversal, ks, backend, shard_id)`` — Algorithm 2
       for the shard's users against the shared pool: one refinement at
       ``max(ks)``, one ``PartialResult`` per k read off it.
-    * ``("shortlist", su, queries, rsk_by_k, group_by_k, backend,
-      shard_id)`` — Algorithm 3's per-user shortlist test.
-    * ``("search", items, rsk, rsk_group, method, backend)`` — the
-      gather-side central best-first searches over merged shortlists
+    * ``("select", queries, shared, mode, method, backend)`` —
+      Algorithm 3 whole, per query, against one shared phase-1 state
       (``dataset`` = the FULL dataset here).
-    * ``("select", queries, shared, mode, method, backend)`` — the
-      single-partition fusion of the two above: Algorithm 3 whole, per
-      query, against one shared phase-1 state.
     * ``("indexed_search", queries, views, traversal, rsk_group,
       users_total, topk_time_s, io_node_visits, io_invfile_blocks,
       method, backend)`` — per-query best-first MIUR searches, each
@@ -268,7 +264,7 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
       :func:`~repro.core.indexed_users.indexed_search` on the same
       derived inputs.
     """
-    from .partial import compute_partials, compute_shortlist_partial
+    from .partial import compute_partials
 
     # The ONE decode funnel: arena-encoded payloads (config.use_shm)
     # resolve their ArenaRefs / packed blocks here; plain pickle
@@ -281,27 +277,6 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
         return compute_partials(
             dataset, traversal, ks, backend=backend, shard_id=shard_id
         )
-    if kind == "shortlist":
-        _, su, queries, rsk_by_k, group_by_k, backend, shard_id = payload
-        return [
-            compute_shortlist_partial(
-                dataset, q, rsk_by_k[q.k], group_by_k[q.k], su,
-                backend=backend, shard_id=shard_id,
-            )
-            for q in queries
-        ]
-    if kind == "search":
-        from .partial import run_merged_search
-
-        _, items, rsk, rsk_group, method, backend = payload
-        out = []
-        for query, kept, ids_per_location, pruned, stats, base_selection_s in items:
-            result, _elapsed = run_merged_search(
-                dataset, query, kept, ids_per_location, pruned, stats,
-                base_selection_s, rsk, rsk_group, method, backend,
-            )
-            out.append(result)
-        return out
     if kind == "select":
         from .batch import _select_one
 
@@ -395,6 +370,20 @@ class Stage:
         raise NotImplementedError
 
 
+def _key_queries(mode: str, queries, shared_for) -> Tuple[list, dict]:
+    """``(keyed, shared_by_key)`` — the slots :class:`SelectStage`
+    reads: every query keyed to the shared phase-1 state
+    ``shared_for(k)`` returns, which counts one hit per query."""
+    keyed, shared_by_key = [], {}
+    for q in queries:
+        key = (mode, q.k)
+        entry = shared_for(q.k)
+        entry.hits += 1
+        shared_by_key[key] = entry
+        keyed.append((q, key))
+    return keyed, shared_by_key
+
+
 class TraverseStage(Stage):
     """Phase 1a (central): ensure the cross-k pool, derive group thresholds.
 
@@ -437,13 +426,20 @@ class RefineStage(Stage):
     k — one refinement at the largest serves them all, so dealing the
     ks over the shard's workers would only repeat it; ``merge`` unions
     the disjoint per-shard maps back into the sequential-identical
-    threshold map per k (:func:`repro.core.partial.merge_partials`).
+    threshold map per k (:func:`repro.core.partial.merge_partials`) and
+    emits what :class:`SelectStage` reads: one
+    :class:`~repro.core.batch.SharedTopK` per k over the merged map.
+    That state is memoized in the traversal pool's ``by_k`` — so it
+    lives exactly as long as the walk whose time and I/O it reports,
+    and warm flushes hand the codec the same object to delta-ship.
+    The executor calls ``merge`` with no partials when every k is
+    already merged.
     """
 
     name = "refine"
     scatter = True
-    inputs = ("pool_state", "need_ks", "plan")
-    outputs = ("merged_by_k",)
+    inputs = ("pool_state", "need_ks", "plan", "queries", "group_by_k")
+    outputs = ("merged_by_k", "keyed", "shared_by_key")
 
     def split(self, ctx: FlushContext, shard) -> List[tuple]:
         return [(
@@ -452,6 +448,7 @@ class RefineStage(Stage):
         )]
 
     def merge(self, ctx: FlushContext, partials_per_shard: List[list]) -> None:
+        from .batch import SharedTopK
         from .partial import merge_partials
 
         ks = ctx.require("need_ks")
@@ -462,131 +459,33 @@ class RefineStage(Stage):
         merged = ctx.setdefault("merged_by_k", {})
         for k in ks:
             merged[k] = merge_partials(by_k[k])
-
-
-class ShortlistStage(Stage):
-    """Phase 2a (scatter over user partitions): per-user admission test.
-
-    One round covers the whole batch; ``merge`` re-orders every
-    location's shard shortlists into dataset user order — the exact
-    sequential scan order — at the id level
-    (:func:`repro.core.partial.merge_query_shortlist_ids`).
-    """
-
-    name = "shortlist"
-    scatter = True
-    inputs = (
-        "queries", "merged_by_k", "group_by_k", "plan", "super_user",
-        "pool_state", "user_pos",
-    )
-    outputs = ("merged_inputs",)
-
-    def split(self, ctx: FlushContext, shard) -> List[tuple]:
-        queries = ctx.require("queries")
-        plan = ctx.require("plan")
+        pool = ctx.require("pool_state")
         group_by_k = ctx.require("group_by_k")
-        rsk_by_k = {k: shard.rsk_by_k[k] for k in group_by_k}
-        n_chunks = max(1, min(shard.workers, len(queries)))
-        return [
-            ("shortlist", ctx.require("super_user"), queries[c::n_chunks],
-             rsk_by_k, group_by_k, plan.backend, shard.shard_id)
-            for c in range(n_chunks)
-        ]
 
-    def merge(self, ctx: FlushContext, partials_per_shard: List[list]) -> None:
-        from .partial import merge_query_shortlist_ids
-
-        queries = ctx.require("queries")
-        merged_by_k = ctx.require("merged_by_k")
-        pool_state = ctx.require("pool_state")
-        user_pos = ctx.require("user_pos")
-        # Restore per-query order inside each shard's chunked return.
-        per_shard: List[List] = []
-        for chunks in partials_per_shard:
-            n_chunks = len(chunks)
-            ordered = [None] * len(queries)
-            for c, chunk in enumerate(chunks):
-                for offset, partial in enumerate(chunk):
-                    ordered[c + offset * n_chunks] = partial
-            per_shard.append(ordered)
-        merged_inputs = []
-        for qi, q in enumerate(queries):
-            merged = merged_by_k[q.k]
-            stats = QueryStats(
-                users_total=merged.users_total,
-                topk_time_s=pool_state.topk_time_s + merged.time_s,
-                io_node_visits=pool_state.io_node_visits,
-                io_invfile_blocks=pool_state.io_invfile_blocks,
-            )
-            partials = [shard_partials[qi] for shard_partials in per_shard]
-            kept, ids_per_location, pruned = merge_query_shortlist_ids(
-                partials, user_pos
-            )
-            base_selection_s = sum(p.time_s for p in partials)
-            merged_inputs.append(
-                (q, kept, ids_per_location, pruned, stats, base_selection_s)
-            )
-        ctx["merged_inputs"] = merged_inputs
-
-
-class SearchStage(Stage):
-    """Phase 2b (scatter over queries): the central best-first searches.
-
-    Each query's search consumes the merged, aggregate-complete inputs,
-    so queries are independent — ``split`` chunks them per k (one rsk
-    map pickled per chunk) over the root search pool.
-    """
-
-    name = "search"
-    scatter = True
-    inputs = ("merged_inputs", "merged_by_k", "group_by_k", "plan")
-    outputs = ("results",)
-    scratch = ("search_index_groups",)
-
-    def split(self, ctx: FlushContext, shard) -> List[tuple]:
-        plan = ctx.require("plan")
-        merged_inputs = ctx.require("merged_inputs")
-        merged_by_k = ctx.require("merged_by_k")
-        group_by_k = ctx.require("group_by_k")
-        by_k: Dict[int, List[int]] = {}
-        for i, item in enumerate(merged_inputs):
-            by_k.setdefault(item[0].k, []).append(i)
-        payloads = []
-        index_groups = []
-        for k, indices in by_k.items():
-            n_chunks = max(1, min(shard.workers, len(indices)))
-            merged = merged_by_k[k]
-            for c in range(n_chunks):
-                chunk = indices[c::n_chunks]
-                payloads.append(
-                    ("search", [merged_inputs[i] for i in chunk], merged.rsk,
-                     group_by_k[k], plan.method.value, plan.backend)
+        def shared_for(k: int):
+            entry = pool.by_k.get(k)
+            if entry is None:
+                entry = pool.by_k[k] = SharedTopK(
+                    rsk=merged[k].rsk,
+                    rsk_group=group_by_k[k],
+                    topk_time_s=pool.topk_time_s + merged[k].time_s,
+                    io_node_visits=pool.io_node_visits,
+                    io_invfile_blocks=pool.io_invfile_blocks,
                 )
-                index_groups.append(chunk)
-        ctx["search_index_groups"] = index_groups
-        return payloads
+            return entry
 
-    def merge(self, ctx: FlushContext, partials_per_shard: List[list]) -> None:
-        merged_inputs = ctx.require("merged_inputs")
-        (chunks,) = partials_per_shard  # one logical shard: the root
-        index_groups = ctx.require("search_index_groups")
-        results: List[Optional[MaxBRSTkNNResult]] = [None] * len(merged_inputs)
-        for indices, group in zip(index_groups, chunks):
-            for i, result in zip(indices, group):
-                results[i] = result
-        ctx["results"] = results
+        ctx["keyed"], ctx["shared_by_key"] = _key_queries(
+            ctx.require("plan").mode.value, ctx.require("queries"), shared_for
+        )
 
 
 class SelectStage(Stage):
-    """Local phase 2 (scatter over queries): fused shortlist + search.
+    """Phase 2 (scatter over queries): Algorithm 3 whole, per query.
 
-    The single-partition specialization: with one user partition there
-    is no cross-shard merge between the shortlist and the search, so
-    the local executor runs Algorithm 3 whole per query
-    (:func:`repro.core.batch._select_one`) — one pool round instead of
-    two.  Result-identical to the split stages by construction
-    (``select_candidate`` *is* ``shortlist_locations`` +
-    ``search_shortlists``).
+    Both executors run :func:`repro.core.batch._select_one` against the
+    full dataset — one round, chunked per shared phase-1 state so each
+    chunk ships one ``SharedTopK`` (a delta-shipped arena reference on
+    warm flushes).
     """
 
     name = "select"
@@ -715,12 +614,12 @@ def build_pipeline(plan: "QueryPlan", sharded: bool) -> ExecutionPipeline:
 
     if plan.mode is Mode.INDEXED:
         stages: Tuple[Stage, ...] = (TraverseStage(), IndexedSearchStage())
-    elif plan.mode is Mode.JOINT and sharded:
-        stages = (TraverseStage(), RefineStage(), ShortlistStage(), SearchStage())
     elif plan.mode is Mode.JOINT:
-        # Single partition: the refine phase is the central per-k
-        # derivation (memoized on the pool), and shortlist+search fuse.
-        stages = (TraverseStage(), DeriveThresholdsStage(), SelectStage())
+        # Refine is the one stage that differs: scattered over user
+        # partitions when sharded, the central per-k derivation on one
+        # engine (both memoize per k on the pool).
+        refine = RefineStage() if sharded else DeriveThresholdsStage()
+        stages = (TraverseStage(), refine, SelectStage())
     else:  # baseline: per-user top-k phase 1, fused per-query phase 2
         stages = (BaselineTopkStage(), SelectStage())
     return ExecutionPipeline(mode=plan.mode.value, stages=stages)
@@ -737,20 +636,17 @@ class BaselineTopkStage(Stage):
         from .batch import _compute_shared_baseline
 
         engine = ctx.require("engine")
-        plan = ctx.require("plan")
-        queries = ctx.require("queries")
+        mode = ctx.require("plan").mode.value
         cache = engine._shared_topk_cache
-        keyed, shared_by_key = [], {}
-        for q in queries:
-            key = (plan.mode.value, q.k)
-            if key not in cache:
-                cache[key] = _compute_shared_baseline(engine, q.k)
-            entry = cache[key]
-            entry.hits += 1
-            shared_by_key[key] = entry
-            keyed.append((q, key))
-        ctx["keyed"] = keyed
-        ctx["shared_by_key"] = shared_by_key
+
+        def shared_for(k: int):
+            if (mode, k) not in cache:
+                cache[mode, k] = _compute_shared_baseline(engine, k)
+            return cache[mode, k]
+
+        ctx["keyed"], ctx["shared_by_key"] = _key_queries(
+            mode, ctx.require("queries"), shared_for
+        )
 
 
 class DeriveThresholdsStage(Stage):
@@ -770,17 +666,11 @@ class DeriveThresholdsStage(Stage):
 
         engine = ctx.require("engine")
         plan = ctx.require("plan")
-        queries = ctx.require("queries")
         pool = ctx.require("pool_state")
-        keyed, shared_by_key = [], {}
-        for q in queries:
-            key = (plan.mode.value, q.k)
-            entry = _derive_shared_topk(engine, pool, q.k, plan.backend)
-            entry.hits += 1
-            shared_by_key[key] = entry
-            keyed.append((q, key))
-        ctx["keyed"] = keyed
-        ctx["shared_by_key"] = shared_by_key
+        ctx["keyed"], ctx["shared_by_key"] = _key_queries(
+            plan.mode.value, ctx.require("queries"),
+            lambda k: _derive_shared_topk(engine, pool, k, plan.backend),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -928,7 +818,6 @@ class ShardHandle:
     shard_id: int
     dataset: object
     workers: int = 1                 # worker chunks to split into
-    rsk_by_k: Dict[int, Dict[int, float]] = field(default_factory=dict)
 
 
 class _ExecutorBase:
@@ -994,7 +883,7 @@ class _ExecutorBase:
         self, stage: Stage, ctx: FlushContext, transport: Transport,
         dataset, context,
     ) -> Tuple[int, int, int, int, int, int]:
-        """One query-axis round (select / search / indexed-search).
+        """One query-axis round (select / indexed-search).
 
         ``split`` chunks the queries per k over the transport's whole
         width, so a mixed-k flush yields uneven chunks; a pool's workers
@@ -1079,11 +968,12 @@ class LocalExecutor(_ExecutorBase):
 class ShardedExecutor(_ExecutorBase):
     """Drives the pipeline over a :class:`~repro.serve.sharded.ShardedEngine`.
 
-    User-axis stages build one lane per engaged shard; query-axis
-    stages deal their chunks over the transport's search lanes.
-    ``transport`` is :data:`INLINE` until the engine's ``start_pools``
-    / ``connect_hosts`` swap in the pipe / socket one.  Refine results
-    memoize on the engine across flushes.
+    The user-axis stage (refine) builds one lane per engaged shard;
+    query-axis stages (select, indexed-search) deal their chunks over
+    the transport's search lanes.  ``transport`` is :data:`INLINE`
+    until the engine's ``start_pools`` / ``connect_hosts`` swap in the
+    pipe / socket one.  Refine results memoize on the engine across
+    flushes, so a warm flush is one round.
     """
 
     def __init__(self, sharded) -> None:
@@ -1101,8 +991,6 @@ class ShardedExecutor(_ExecutorBase):
             plan=plan,
             queries=list(queries),
             io_counter=root.io,
-            super_user=sharded._su,
-            user_pos=sharded._user_pos,
             merged_by_k=sharded._merged_by_k,
             store=root.store,
             users_total=len(root.user_tree) if root.user_tree is not None else 0,
@@ -1117,26 +1005,21 @@ class ShardedExecutor(_ExecutorBase):
     def _run_scatter(
         self, stage: Stage, ctx: FlushContext
     ) -> Tuple[int, int, int, int, int, int]:
-        if stage.name in ("search", "indexed-search"):
-            return self._scatter_search(stage, ctx)
-        return self._scatter_users(stage, ctx)
+        if stage.name == "refine":
+            return self._scatter_refine(stage, ctx)
+        return self._scatter_search(stage, ctx)
 
-    def _scatter_users(
+    def _scatter_refine(
         self, stage: Stage, ctx: FlushContext
     ) -> Tuple[int, int, int, int, int, int]:
         sharded = self.sharded
-        plan = ctx.require("plan")
-        refine = stage.name == "refine"
-        if refine and not ctx.require("need_ks"):
-            # every k already merged (memoized across flushes)
+        items = len(ctx.require("need_ks"))
+        if not items:
+            # every k already merged (memoized across flushes): no
+            # round, merge only keys the queries to the memoized state
+            stage.merge(ctx, [])
             return 0, 0, 0, 0, 0, 0
-        # Observed planner decision, honoured on every transport: at
-        # trivial queue depth a dispatch is pure overhead — run the same
-        # lanes inline (split/merge and partition layout unchanged).
-        inprocess = plan.shard is not None and plan.shard.scatter_inprocess
-        transport = INLINE if inprocess else self.transport
         shards = [shard for shard in sharded._shards if shard.users > 0]
-        items = len(ctx["need_ks"]) if refine else len(ctx.require("queries"))
         lanes = []
         for shard in shards:
             shard.stats.queue_depth_peak = max(
@@ -1144,33 +1027,22 @@ class ShardedExecutor(_ExecutorBase):
             )
             shard.stats.scatter_flushes += 1
             dataset = shard.engine.dataset
-            handle = ShardHandle(
-                shard.shard_id, dataset,
-                transport.chunk_width(shard.shard_id), shard.rsk_by_k,
-            )
+            handle = ShardHandle(shard.shard_id, dataset)
             lanes.append(Lane(shard.shard_id, stage.split(ctx, handle), dataset))
         returned, retries, degraded, bytes_out, bytes_in = run_round(
-            stage, lanes, transport, getattr(sharded.root, "payload_codec", None)
+            stage, lanes, self.transport,
+            getattr(sharded.root, "payload_codec", None),
         )
         for shard, chunks, used, lost in zip(shards, returned, retries, degraded):
             stats = shard.stats
             stats.retries += used
             stats.degraded_rounds += lost
-            busy_s = sum(p.time_s for chunk in chunks for p in chunk)
-            if refine:
-                stats.refine_tasks += items
-                stats.refine_time_s += busy_s
-            else:
-                stats.queries += items
-                stats.shortlist_time_s += busy_s
+            stats.refine_tasks += items
+            stats.refine_time_s += sum(p.time_s for chunk in chunks for p in chunk)
+        # The one cross-shard merge: what gather_stats() reports.
         t_merge = time.perf_counter()
         stage.merge(ctx, returned)
-        if refine:
-            for shard, chunks in zip(shards, returned):
-                for partial in (p for chunk in chunks for p in chunk):
-                    shard.rsk_by_k[partial.k] = partial.rsk
-        else:  # shortlist: the cross-shard merge gather_stats() reports
-            sharded._merge_s += time.perf_counter() - t_merge
+        sharded._merge_s += time.perf_counter() - t_merge
         return (len(lanes), items, sum(retries), sum(degraded),
                 bytes_out, bytes_in)
 

@@ -21,9 +21,7 @@ Since PR 6 planning is also *adaptive*: callers may pass the engine's
 :class:`~repro.core.history.FlushHistory`, and the planner consults the
 observed per-item stage costs at the flush's signature before choosing
 a fan-out — measured sub-millisecond work stays in-process (a pool
-round-trip costs more than it saves), and a joint scatter whose
-per-shard queue depth has been consistently trivial dispatches
-in-process instead of through the shard pools.  Every such decision is
+round-trip costs more than it saves).  Every such decision is
 a :class:`PlanDecision` on the plan, rendered by ``explain()`` with an
 ``observed`` rationale; a cold engine (fewer than
 ``MIN_OBSERVED_FLUSHES`` flushes recorded at the signature) falls back
@@ -56,7 +54,6 @@ __all__ = [
     "search_fans_out",
     "MIN_OBSERVED_FLUSHES",
     "INPROCESS_STAGE_MS",
-    "LOW_QUEUE_DEPTH",
 ]
 
 #: Flushes a signature must accumulate before observed costs override
@@ -67,11 +64,6 @@ MIN_OBSERVED_FLUSHES = 3
 #: Per-item stage cost (ms) under which dispatching that stage's items
 #: to a process pool cannot pay for the pickle/IPC round-trip.
 INPROCESS_STAGE_MS = 1.0
-
-#: Mean per-shard queue depth under which a joint scatter's pool
-#: dispatch is pure overhead (each engaged shard receives the full work
-#: list, so mean stage items per flush *is* the per-shard depth).
-LOW_QUEUE_DEPTH = 2.0
 
 
 def _fork_available() -> bool:
@@ -104,9 +96,9 @@ class EngineCapabilities:
     num_shards: int = 1
     partitioner: Optional[str] = None
     shard_users: Tuple[int, ...] = ()
-    #: Width of the sharded engine's gather-side search fan-out — root
-    #: search pool workers, or alive shard hosts on the socket transport
-    #: (0 = the central searches run in-process).
+    #: Width of the sharded engine's query-axis fan-out (selection /
+    #: indexed search) — root search pool workers, or alive shard hosts
+    #: on the socket transport (0 = those rounds run in-process).
     search_workers: int = 0
 
     @classmethod
@@ -155,12 +147,13 @@ class ShardPlan:
     shard_users:
         Per-shard user counts, for ``explain()`` skew reporting.
     merge:
-        Name of the gather strategy.  ``"ordered-union"``: per-shard
-        ``RSk(u)`` maps union disjointly; per-location shortlists
-        concatenate and re-sort into dataset user order; the best-first
-        search then runs once over the merged inputs, reproducing the
-        sequential tie-breaking (summed RSk thresholds, object-id order
-        inside top-k ties) exactly.
+        Name of the gather strategy.  ``"ordered-union"``: the refine
+        round's per-shard ``RSk(u)`` maps union disjointly, in shard
+        order, into the sequential threshold map (a user reported twice
+        is an error).  It is the only cross-shard merge: Algorithm 3
+        then runs whole per query against that map and the full
+        dataset, so its tie-breaking (summed RSk thresholds, object-id
+        order inside top-k ties) is the single engine's own.
     """
 
     num_shards: int
@@ -173,21 +166,17 @@ class ShardPlan:
     #: even; > num_shards/2 means one shard holds most of the users —
     #: the grid partitioner can do this when users cluster).
     largest_skew: float = 1.0
-    #: Observed decision: run the gather-side per-query searches
-    #: in-process even though a search fan-out exists (measured
-    #: sub-millisecond searches cannot pay for the dispatch).
+    #: Observed decision: run the per-query selections / indexed
+    #: searches in-process even though a search fan-out exists
+    #: (measured sub-millisecond items cannot pay for the dispatch).
     search_inprocess: bool = False
-    #: Observed decision: execute the user-axis scatter stages
-    #: in-process instead of through the shard pools (measured trivial
-    #: per-shard queue depth) — partition layout and merge order are
-    #: unchanged, only the dispatch transport drops.
-    scatter_inprocess: bool = False
 
 
 def search_fans_out(
     search_workers: int, batch_size: int, shard: Optional[ShardPlan]
 ) -> bool:
-    """Do a sharded flush's per-query searches leave the coordinator?
+    """Does a sharded flush's query-axis round (selection, or indexed
+    search) leave the coordinator?
 
     The ONE predicate behind ``QueryPlan.explain()`` and the executor's
     query-axis lane builder: any fan-out width ships the round — a
@@ -312,6 +301,15 @@ class QueryPlan:
                 "  phase 1 (top-k): cold per query (single-query cost matches "
                 "the paper's per-query setting)"
             )
+        # A sharded flush's query-axis round (selection / indexed
+        # search) leaves the coordinator over the search lanes.
+        lanes = (
+            self.shard.search_workers
+            if self.shard is not None and search_fans_out(
+                self.shard.search_workers, self.batch_size, self.shard
+            )
+            else 0
+        )
         if self.shard is not None:
             sp = self.shard
             skew = ""
@@ -339,34 +337,26 @@ class QueryPlan:
                     f"the O(|U|) refine)"
                 )
             else:
-                dispatch = (
-                    ", dispatch in-process (observed low queue depth)"
-                    if sp.scatter_inprocess
-                    else ""
-                )
                 lines.append(
                     f"  scatter: width {sp.scatter_width} of {sp.num_shards} shards "
-                    f"(partitioner={sp.partitioner}{skew}{dispatch}); per-shard "
-                    f"k-sharing: refine once per (walk, k), memoized across batches"
+                    f"(partitioner={sp.partitioner}{skew}); refine by user "
+                    f"partition, per-shard k-sharing: once per (walk, k), "
+                    f"memoized across batches (a warm flush skips the round)"
                 )
-                search = (
-                    f"per-query search fan-out x{sp.search_workers}"
-                    if search_fans_out(sp.search_workers, self.batch_size, sp)
-                    else "per-query searches run in-process"
+                select = (
+                    f"in one round over {lanes} full-dataset lane(s)"
+                    if lanes else "in-process"
                 )
                 lines.append(
-                    f"  gather: merge={sp.merge} — disjoint RSk union + per-location "
-                    f"shortlist concat in dataset user order, then the sequential "
-                    f"best-first search per query ({search}; tie-breaks identical "
-                    f"to a single engine)"
+                    f"  gather: merge={sp.merge} — disjoint RSk union into the "
+                    f"sequential threshold map; selection (Algorithm 3 whole, "
+                    f"per query, against the full dataset) runs {select}"
                 )
         if self.mode is Mode.INDEXED:
-            if self.shard is not None and search_fans_out(
-                self.shard.search_workers, self.batch_size, self.shard
-            ):
+            if lanes:
                 lines.append(
                     f"  phase 2 (best-first MIUR search): fans out over the "
-                    f"root search pool x{self.shard.search_workers} against "
+                    f"root search pool x{lanes} against "
                     f"read-only ledger stores (IOCharge replayed at gather)"
                 )
             else:
@@ -378,6 +368,8 @@ class QueryPlan:
             lines.append(
                 f"  phase 2 (candidate selection): fork pool x{self.workers}"
             )
+        elif lanes:
+            lines.append(f"  phase 2 (candidate selection): search lanes x{lanes}")
         else:
             lines.append("  phase 2 (candidate selection): in-process")
         for d in self.decisions:
@@ -518,10 +510,10 @@ def _consult_history(
             )
         return workers, select_inprocess, shard, tuple(decisions)
 
-    # Sharded executor: gather-side search fan-out, then (joint only)
-    # the user-axis scatter dispatch.
+    # Sharded executor: the one adaptive point is the query-axis
+    # fan-out (joint selection / indexed search) over the search lanes.
     if shard.search_workers > 0:
-        stage = "indexed-search" if indexed else "search"
+        stage = "indexed-search" if indexed else "select"
         ms = obs.per_item_ms(stage) if seasoned else None
         if ms is not None and ms < INPROCESS_STAGE_MS:
             shard = replace(shard, search_inprocess=True)
@@ -547,36 +539,6 @@ def _consult_history(
             ))
         else:
             static("search-fanout", f"search fan-out x{shard.search_workers}")
-    if not indexed:
-        depth = obs.mean_items("shortlist") if seasoned else None
-        ms = obs.per_item_ms("shortlist") if seasoned else None
-        if (
-            depth is not None and depth < LOW_QUEUE_DEPTH
-            and ms is not None and ms < INPROCESS_STAGE_MS
-        ):
-            shard = replace(shard, scatter_inprocess=True)
-            decisions.append(PlanDecision(
-                name="scatter-dispatch", choice="in-process", source="observed",
-                rationale=(
-                    f"per-shard queue depth averaged {depth:.2f} (< "
-                    f"{LOW_QUEUE_DEPTH:.0f}) at {ms:.3f} ms/item over the "
-                    f"last {obs.flushes} flushes — shard-pool dispatch is "
-                    f"pure overhead at this depth"
-                ),
-            ))
-        elif depth is not None:
-            decisions.append(PlanDecision(
-                name="scatter-dispatch",
-                choice=f"shard pools, width {shard.scatter_width}",
-                source="observed",
-                rationale=(
-                    f"per-shard queue depth averaged {depth:.2f} over the "
-                    f"last {obs.flushes} flushes — deep enough to keep the "
-                    f"scatter on the shard pools"
-                ),
-            ))
-        else:
-            static("scatter-dispatch", f"shard pools, width {shard.scatter_width}")
     return workers, select_inprocess, shard, tuple(decisions)
 
 

@@ -1,10 +1,9 @@
 """User-set partitioning for sharded serving.
 
-The MaxBRSTkNN answer aggregates over the *entire* user set, but every
-per-user quantity in the pipeline — ``RSk(u)`` thresholds (Algorithm 2)
-and the per-location shortlist test ``UBL(l, u) >= RSk(u)`` (Algorithm
-3) — depends only on the object side and on ``u`` itself.  The user set
-can therefore be split across shards and the per-shard contributions
+The MaxBRSTkNN answer aggregates over the *entire* user set, but the
+``RSk(u)`` thresholds (Algorithm 2, the O(|U|·pool) phase) depend only
+on the object side and on ``u`` itself.  The user set can therefore be
+split across shards for that phase and the per-shard contributions
 merged back exactly (see ``repro.core.partial``).  This module owns the
 splitting.
 
@@ -23,8 +22,8 @@ Both are **stable**: the assignment is a pure function of (user ids,
 locations, shard count), independent of iteration order, Python hash
 randomization, or process boundaries — the same dataset partitions the
 same way in every worker of a fork pool and across runs.  Users keep
-their original ids; a shard's user list preserves the dataset's user
-order (the merge relies on both).
+their original ids (the merge relies on it); a shard's user list
+preserves the dataset's user order.
 """
 
 from __future__ import annotations

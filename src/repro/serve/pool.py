@@ -150,13 +150,9 @@ def _init_worker(token: int, generation: int = 0) -> None:
 
 def _payload_shard_id(payload: tuple) -> Optional[int]:
     """Shard id carried by a scatter payload (None for selection /
-    search payloads, which run on the root pool)."""
-    if not isinstance(payload, tuple) or not payload:
-        return None
-    if payload[0] == "refine":
+    indexed-search payloads, which run on the root pool)."""
+    if isinstance(payload, tuple) and payload and payload[0] == "refine":
         return payload[4]
-    if payload[0] == "shortlist":
-        return payload[6]
     return None
 
 
@@ -182,8 +178,8 @@ def _run_shard_payload(payload: tuple):
     chunk = execute_shard_payload(
         _WORKER_DATASET, payload, context=_WORKER_CONTEXT
     )
-    # Gather funnel: refine/shortlist chunks cross the worker->parent
-    # pipe as ONE binary block; everything else returns unchanged.
+    # Gather funnel: refine chunks cross the worker->parent pipe as
+    # ONE binary block; everything else returns unchanged.
     # run_round decodes at its collect site.
     return encode_gather_payload(chunk)
 

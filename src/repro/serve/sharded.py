@@ -2,29 +2,35 @@
 
 A single :class:`~repro.core.engine.MaxBRSTkNNEngine` is the
 scalability ceiling of the serving stack: however fast the kernels,
-every query's O(|U|) phases — Algorithm 2 refinement and Algorithm 3's
-per-user shortlist — walk the whole user set in one process.  Because
-both phases are *per-user* computations against shared global state,
-the user set partitions cleanly:
+every cold query's O(|U|·pool) phase — Algorithm 2's per-user ``RSk(u)``
+refinement — walks the whole user set in one process.  Because that
+phase is a *per-user* computation against shared global state, the user
+set partitions cleanly:
 
 * **scatter** — each shard (a full ``MaxBRSTkNNEngine`` over a
   user-subset dataset sharing the root's object MIR-tree) refines
   ``RSk(u)`` for its users against the one globally shared traversal
-  pool, and shortlists its users at every surviving candidate location;
+  pool;
 * **gather** — per-shard partials merge back into the exact sequential
-  inputs (:mod:`repro.core.partial`): disjoint ``RSk(u)`` union,
-  per-location shortlists re-ordered into dataset user order;
-* everything **aggregate**-dependent stays central and sequential: the
+  threshold map (:mod:`repro.core.partial`): a disjoint ``RSk(u)``
+  union, memoized per k, so only a cold flush pays the round;
+* everything **aggregate**-dependent runs against the full dataset: the
   one tree walk (same I/O trace as a single engine), the group
-  threshold ``RSk(us)``, and the best-first search over merged
-  shortlists.
+  threshold ``RSk(us)``, and Algorithm 3 whole — its keyword-coverage
+  counts sum over all of a location's ``LU_l``, so it cannot run per
+  user partition.  Its queries are independent, though, so a flush's
+  selections go out as ONE query-axis ``select`` round over the
+  full-dataset lanes (the root search pool's workers, or the shard
+  hosts), each chunk carrying its k's shared phase-1 state as a
+  delta-shipped arena reference.
 
 The flow is driven by the unified phase pipeline — a
 :class:`~repro.core.pipeline.ShardedExecutor` runs the same typed
-stages the single-engine path does and builds the lanes of each scatter
-round, which :func:`~repro.core.pipeline.run_round` carries over
-whichever transport this engine installed (inline by default, fork
-pools after :meth:`ShardedEngine.start_pools`, shard hosts after
+stages the single-engine path does (only the refine differs) and builds
+the lanes of each scatter round, which
+:func:`~repro.core.pipeline.run_round` carries over whichever transport
+this engine installed (inline by default, fork pools after
+:meth:`ShardedEngine.start_pools`, shard hosts after
 :meth:`ShardedEngine.connect_hosts`) — and ``Mode.INDEXED`` rides
 the same machinery: one central MIUR-root walk per pool generation
 (cross-k, exactly like joint mode), then the per-query best-first
@@ -44,11 +50,11 @@ Execution is in-process by default (deterministic, zero setup); call
 :meth:`ShardedEngine.start_pools` to give every populated shard its own
 :class:`~repro.serve.pool.PersistentWorkerPool` — fork-once workers
 that inherit the shard dataset and its pre-built ``DatasetArrays``
-through copy-on-write — plus a **root search pool** over the full
-dataset (and, when the engine indexes users, the MIUR-tree as worker
-context): after the gather, the batch's central searches are
-independent per query and fan out there.  A whole micro-batch
-therefore fans out once per shard per phase plus one search round,
+through copy-on-write, serving the cold refine rounds — plus a **root
+search pool** over the full dataset (and, when the engine indexes
+users, the MIUR-tree as worker context), serving every flush's
+``select`` / ``indexed-search`` round.  A cold micro-batch therefore
+fans out twice (refine per shard, then select) and a warm one once,
 which is what the :class:`~repro.serve.server.MaxBRSTkNNServer` flush
 path rides: the server detects ``manages_own_pools`` and leaves pool
 ownership here.
@@ -57,7 +63,7 @@ ownership here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.config import EngineConfig, Mode, QueryOptions, coerce_options
@@ -83,12 +89,9 @@ class ShardRuntimeStats:
     users: int
     scatter_flushes: int = 0   # scatter rounds dispatched to this shard
     refine_tasks: int = 0      # (walk, k) refinements executed
-    queries: int = 0           # queries shortlisted on this shard
     refine_time_s: float = 0.0
-    shortlist_time_s: float = 0.0
-    #: Most work items (queries of a shortlist round, ks of a refine
-    #: round) queued for this shard at the instant of a scatter
-    #: dispatch — the per-shard load signal behind the flush.
+    #: Most work items (the ks of a refine round) queued for this shard
+    #: at the instant of a scatter dispatch.
     queue_depth_peak: int = 0
     pool_workers: int = 0      # 0 = in-process scatter
     retries: int = 0           # supervised rounds re-dispatched here
@@ -101,10 +104,8 @@ class ShardRuntimeStats:
             "pool_workers": self.pool_workers,
             "scatter_flushes": self.scatter_flushes,
             "refine_tasks": self.refine_tasks,
-            "queries": self.queries,
             "queue_depth_peak": self.queue_depth_peak,
             "refine_ms": round(1000 * self.refine_time_s, 2),
-            "shortlist_ms": round(1000 * self.shortlist_time_s, 2),
             "retries": self.retries,
             "degraded_rounds": self.degraded_rounds,
         }
@@ -112,15 +113,12 @@ class ShardRuntimeStats:
 
 @dataclass(slots=True)
 class _Shard:
-    """One partition: engine, pool (optional), counters, rsk cache."""
+    """One partition: engine, pool (optional), counters."""
 
     shard_id: int
     engine: MaxBRSTkNNEngine
     stats: ShardRuntimeStats
     pool: Optional[PersistentWorkerPool] = None
-    #: Per-k RSk(u) maps for this shard's users (filled by refine
-    #: rounds, value-stable across pool re-walks by subsumption).
-    rsk_by_k: Dict[int, Dict[int, float]] = field(default_factory=dict)
 
     @property
     def users(self) -> int:
@@ -178,9 +176,6 @@ class ShardedEngine:
             )
             for i, ds in enumerate(shard_datasets)
         ]
-        self._user_pos: Dict[int, int] = {
-            u.item_id: i for i, u in enumerate(dataset.users)
-        }
         # Skew guard (first step toward flush-time rebalancing): the
         # grid partitioner can pile co-located users onto one shard,
         # turning the scatter into a convoy behind the big shard.
@@ -204,10 +199,14 @@ class ShardedEngine:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        # Global super-user, built eagerly so (a) every scatter round
-        # ships the same object and (b) fork pools inherit it instead
-        # of rebuilding per worker.
+        # Global super-user, built eagerly so the search pool's forked
+        # workers inherit it instead of rebuilding it each.
         self._su = dataset.super_user if dataset.users else None
+        #: Merged refine results per k — value-stable across pool
+        #: re-walks by subsumption.  (The per-k ``SharedTopK`` the
+        #: select round ships wraps these maps but also reports the
+        #: walk's time and I/O, so it is memoized on the traversal pool
+        #: itself, ``root._traversal_pool.by_k``, and dies with it.)
         self._merged_by_k: Dict[int, MergedThresholds] = {}
         self._search_pool: Optional[PersistentWorkerPool] = None
         self._pools_started = False
@@ -220,8 +219,8 @@ class ShardedEngine:
         self._closed_fault_totals: Dict[str, int] = {
             "respawns": 0, "worker_deaths": 0, "deadline_hits": 0, "retries": 0,
         }
-        #: Gather-side accounting: merge + central search wall time and
-        #: search fan-out rounds (``gather_stats()``).
+        #: Gather-side accounting (``gather_stats()``): refine-merge
+        #: and select / indexed-search wall time, fan-out round count.
         self._merge_s = 0.0
         self._search_s = 0.0
         self._search_flushes = 0
@@ -300,7 +299,10 @@ class ShardedEngine:
         return [shard.stats.snapshot() for shard in self._shards]
 
     def gather_stats(self) -> dict:
-        """Gather-side counters: merge and central-search accounting."""
+        """Gather-side counters: ``merge_ms`` is the cross-shard
+        ``RSk`` union of refine rounds; ``search_ms`` /
+        ``search_flushes`` time / count the query-axis round (select,
+        indexed-search)."""
         return {
             "merge_ms": round(1000 * self._merge_s, 2),
             "search_ms": round(1000 * self._search_s, 2),
@@ -310,11 +312,10 @@ class ShardedEngine:
         }
 
     def clear_topk_cache(self) -> None:
-        """Drop the shared pools and every merged/per-shard threshold."""
+        """Drop the shared pools (and with them the per-k states the
+        select round ships) and every merged threshold map."""
         self.root.clear_topk_cache()
         self._merged_by_k.clear()
-        for shard in self._shards:
-            shard.rsk_by_k.clear()
 
     def reset_io(self) -> None:
         self.root.reset_io()
@@ -372,14 +373,15 @@ class ShardedEngine:
         """Fork one persistent pool per populated shard + a search pool.
 
         Workers inherit their shard dataset (and its pre-built
-        ``DatasetArrays``) via copy-on-write at fork time; scatter
-        rounds then ship only the small per-batch payloads.  The root
-        **search pool** holds the full dataset — plus the MIUR-tree as
-        worker context when the engine indexes users — and answers the
-        gather-side per-query searches, ``search_workers`` wide
-        (defaults to ``num_shards``; 0 disables it, keeping the
-        searches in-process).  Idempotent start is an error (mirrors
-        the server lifecycle).
+        ``DatasetArrays``) via copy-on-write at fork time; the shard
+        pools serve the cold refine rounds, which then ship only the
+        traversal pool's reference.  The root **search pool** holds the
+        full dataset — plus the MIUR-tree as worker context when the
+        engine indexes users — and answers every flush's query-axis
+        round (joint ``select``, ``indexed-search``), ``search_workers``
+        wide (defaults to ``num_shards``; 0 disables it, keeping those
+        rounds in-process).  Idempotent start is an error (mirrors the
+        server lifecycle).
 
         If any pool construction fails partway (fork unavailable, out
         of memory), every pool already forked is torn down before the
@@ -496,8 +498,8 @@ class ShardedEngine:
         the shared workload spec (:mod:`repro.serve.shardhost`).  The
         executor's transport becomes a
         :class:`~repro.serve.transport.SocketTransport`; pipeline stages
-        run unchanged, scatter rounds — refine and shortlist per shard,
-        the joint searches one lane per alive host — cross TCP as
+        run unchanged, scatter rounds — refine per shard, the joint
+        selections one lane per alive host — cross TCP as
         :class:`~repro.serve.transport.FrameCodec` frames carrying the
         arena-codec payloads verbatim.  ``retry`` / ``deadline`` are
         the same supervision policies the fork pools take; host death

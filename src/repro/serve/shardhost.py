@@ -4,19 +4,20 @@
 builds the FULL dataset from the same workload flags and seed as the
 coordinator, partitions it with the same
 :class:`~repro.datagen.partition.UserPartitioner`, and keeps **all** N
-shard datasets keyed by shard id (plus the full dataset for the
-negative-id search lanes).  Dataset generation is deterministic, so every
-host's replica of shard K is bitwise-identical to the coordinator's —
-which is what makes re-scattering a failed round to *any* surviving
-host trivially result-identical.
+shard datasets keyed by shard id (for the cold refine rounds) plus the
+full dataset (for the negative-id lanes every flush's ``select`` round
+rides).  Dataset generation is deterministic, so every host's replica
+is bitwise-identical to the coordinator's — which is what makes
+re-scattering a failed round to *any* surviving host trivially
+result-identical.
 
 The host then serves the :class:`~repro.serve.transport.FrameCodec`
-protocol over asyncio: a ``SCATTER`` frame carrying shard K's payload
+protocol over asyncio: a ``SCATTER`` frame carrying a lane's payload
 round runs :func:`~repro.core.pipeline.execute_shard_payload` against
-the local replica of shard K and answers one ``RESULT`` frame whose
-body is the compact gather encoding
-(:func:`~repro.core.payload.encode_gather_payload`) of the chunks —
-the same bytes the fork-pool path moves, minus the fork.
+the local replica the lane id names and answers one ``RESULT`` frame
+whose body is the chunks, funnelled through
+:func:`~repro.core.payload.encode_gather_payload` — the same bytes the
+fork-pool path moves, minus the fork.
 
 Shared-memory discipline: the host is a *foreign attacher* of the
 coordinator's arena (payloads carry
@@ -217,7 +218,7 @@ class ShardHost:
         """Negative ids are the whole-dataset search lanes; a
         non-negative id this host never partitioned means its layout
         disagrees with the coordinator's — refuse (the round answers an
-        ERROR frame) rather than serve plausible, wrong shortlists."""
+        ERROR frame) rather than serve plausible, wrong thresholds."""
         if shard_id < 0:
             return self.full_dataset
         if shard_id not in self.datasets:

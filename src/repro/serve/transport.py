@@ -4,7 +4,7 @@ The fork pools of :mod:`repro.serve.pool` cap scatter parallelism at
 one machine: every worker is a child of the serving process.  This
 module carries the exact same scatter contract over TCP to independent
 **shard host processes** (:mod:`repro.serve.shardhost`), each owning a
-local engine replica, so the per-user phases fan out across processes
+local engine replica, so the scatter rounds fan out across processes
 that share nothing with the coordinator but a workload spec and — with
 ``use_shm`` — the shared-memory arena.
 
@@ -14,9 +14,10 @@ Three layers, coordinator side:
   fixed 21-byte header (magic, kind, flush sequence, shard id, epoch,
   body length) and a pickled body.  Scatter bodies carry the PR 9
   payloads **verbatim** — :class:`~repro.core.payload.ArenaRef`
-  descriptors and packed blocks pickle as the same few hundred bytes
-  that cross a fork pipe; result bodies carry the compact gather frames
-  of :func:`~repro.core.payload.encode_gather_payload`.  Every pickle
+  descriptors pickle as the same few hundred bytes that cross a fork
+  pipe; result bodies carry the compact gather frames of
+  :func:`~repro.core.payload.encode_gather_payload` (refine) or the
+  per-query results (select).  Every pickle
   on the socket path funnels through this class (the ``TR701`` lint
   contract).
 * :class:`ShardHostClient` / :class:`ShardRegistry` — one blocking
@@ -27,9 +28,9 @@ Three layers, coordinator side:
   ``ShardedEngine.fault_counters()`` and the server's stats mirror work
   unchanged).
 * :class:`SocketTransport` — the socket lane of
-  :func:`~repro.core.pipeline.run_round`: the per-shard refine/shortlist
-  lanes and the per-host search lanes go to shard hosts instead of
-  fork pools.  Failures map onto the existing taxonomy (EOF/reset →
+  :func:`~repro.core.pipeline.run_round`: the per-shard refine lanes
+  and the per-host select lanes go to shard hosts instead of fork
+  pools.  Failures map onto the existing taxonomy (EOF/reset →
   :class:`WorkerCrashed`, read timeout → :class:`FlushDeadlineExceeded`,
   refused/exhausted → :class:`PoolUnavailable`); the retry ladder
   re-scatters a failed lane to the next surviving host, and past the
@@ -100,11 +101,12 @@ class FrameCodec:
         length   u32  body length in bytes
 
     Bodies are pickles: a scatter body is the round's payload list
-    (small tuples of :class:`~repro.core.payload.ArenaRef` descriptors
-    and packed blocks — the PR 9 codec output, shipped verbatim), a
-    result body is the list of gather frames the host produced (mostly
-    ``bytes`` from :func:`~repro.core.payload.encode_gather_payload`),
-    an error body is a ``(type_name, message)`` pair.  This class is
+    (small tuples of queries and :class:`~repro.core.payload.ArenaRef`
+    descriptors — the PR 9 codec output, shipped verbatim), a result
+    body is the list of chunks the host produced (``bytes`` from
+    :func:`~repro.core.payload.encode_gather_payload` for a refine
+    round, per-query results for a select round), an error body is a
+    ``(type_name, message)`` pair.  This class is
     the ONE pickle funnel of the socket path — raw ``pickle.dumps`` /
     ``loads`` anywhere else in a transport module is a ``TR701`` lint
     finding.
@@ -421,11 +423,13 @@ class ShardRegistry:
 class SocketTransport:
     """The socket lane of :func:`repro.core.pipeline.run_round`.
 
-    User-axis lanes (refine, shortlist) are addressed by shard id; the
-    query-axis ``search`` stage sends one lane per alive host, addressed
-    with a negative id (``-1 - lane``) that the host answers against its
-    full-dataset replica.  Indexed searches never come here: hosts hold
-    no MIUR-tree and the I/O must replay on the coordinator's counter.
+    The user-axis lanes (refine, cold flushes only) are addressed by
+    shard id; the query-axis ``select`` stage sends one lane per alive
+    host, addressed with a negative id (``-1 - lane``) that the host
+    answers against its full-dataset replica — a few KB each way per
+    flush, independent of |U|.  Indexed searches never come here: hosts
+    hold no MIUR-tree and the I/O must replay on the coordinator's
+    counter.
 
     Per failed lane the ladder is: mark the host dead, re-scatter the
     *same* frame body to the next surviving host (``RetryPolicy``

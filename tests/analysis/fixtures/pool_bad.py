@@ -25,7 +25,7 @@ def dataset_into_payload(pool, queries):
 def arrays_constructed_inline(pool, queries):
     return pool.map(
         run_payload,  # noqa: F821
-        [("search", DatasetArrays(None), queries)],  # noqa: F821  PB202
+        [("select", DatasetArrays(None), queries)],  # noqa: F821  PB202
     )
 
 

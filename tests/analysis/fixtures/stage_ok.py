@@ -27,7 +27,7 @@ class CleanScatterStage(Stage):  # noqa: F821
     def split(self, ctx, shard):
         queries = ctx["queries"]
         ctx["chunk_groups"] = [list(range(len(queries)))]
-        return [("search", queries)]
+        return [("select", queries)]
 
     def merge(self, ctx, partials_per_shard):
         groups = ctx["chunk_groups"]

@@ -26,13 +26,8 @@ class TestSelfCheck:
     def test_pipeline_stages_declare_their_scratch(self):
         # The drift this PR fixed stays fixed: the scatter stages
         # declare their split->merge plumbing slots.
-        from repro.core.pipeline import (
-            IndexedSearchStage,
-            SearchStage,
-            SelectStage,
-        )
+        from repro.core.pipeline import IndexedSearchStage, SelectStage
 
-        assert SearchStage.scratch == ("search_index_groups",)
         assert SelectStage.scratch == ("select_index_groups",)
         assert IndexedSearchStage.scratch == ("indexed_index_groups",)
         assert IndexedSearchStage.optional == ("use_ledgers",)

@@ -38,9 +38,7 @@ class TestRecordObserve:
         assert obs.mean_batch == 4.0
         # 12 ms over 6 items = 2 ms/item.
         assert obs.per_item_ms("select") == pytest.approx(2.0)
-        assert obs.mean_items("select") == pytest.approx(3.0)
         assert obs.per_item_ms("unknown-stage") is None
-        assert obs.mean_items("unknown-stage") is None
 
     def test_signatures_do_not_bleed(self):
         history = FlushHistory()

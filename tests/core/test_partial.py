@@ -4,18 +4,10 @@ import random
 
 import pytest
 
-from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, STObject
-from repro.core.batch import _ensure_traversal_pool, derive_rsk_group
-from repro.core.candidate_selection import shortlist_locations
-from repro.core.partial import (
-    PartialResult,
-    compute_partial,
-    compute_shortlist_partial,
-    merge_partials,
-    merge_query_shortlists,
-)
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine
+from repro.core.batch import _ensure_traversal_pool
+from repro.core.partial import PartialResult, compute_partial, merge_partials
 from repro.datagen.partition import partition_users
-from repro.spatial.geometry import Point
 
 from ..conftest import make_random_objects, make_random_users
 
@@ -30,16 +22,6 @@ def build(seed=0, n_users=20):
     )
     engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     return dataset, engine, rng
-
-
-def make_query(rng, vocab=16, k=3, locations=3):
-    return MaxBRSTkNNQuery(
-        ox=STObject(item_id=-1, location=Point(5, 5), terms={}),
-        locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(locations)],
-        keywords=sorted(rng.sample(range(vocab), 5)),
-        ws=2,
-        k=k,
-    )
 
 
 class TestRefineMerge:
@@ -76,64 +58,3 @@ class TestRefineMerge:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             merge_partials([])
-
-
-class TestShortlistMerge:
-    def test_merged_equals_sequential_shortlists(self):
-        dataset, engine, rng = build(seed=2)
-        query = make_query(rng)
-        pool = _ensure_traversal_pool(engine, query.k, "python")
-        from repro.core.joint_topk import individual_topk
-
-        rsk = {
-            uid: res.kth_score
-            for uid, res in individual_topk(pool.traversal, dataset, query.k).items()
-        }
-        rsk_group = derive_rsk_group(pool, query.k)
-        sequential, seq_pruned = shortlist_locations(
-            dataset, query, rsk, rsk_group, super_user=dataset.super_user
-        )
-        _, shard_datasets = partition_users(dataset, 4, "grid")
-        partials = [
-            compute_shortlist_partial(
-                ds, query,
-                {u.item_id: rsk[u.item_id] for u in ds.users},
-                rsk_group, dataset.super_user, shard_id=i,
-            )
-            for i, ds in enumerate(shard_datasets)
-            if ds.users
-        ]
-        merged, pruned = merge_query_shortlists(dataset, query, partials)
-        assert pruned == seq_pruned
-        assert len(merged) == len(sequential)
-        for a, b in zip(sequential, merged):
-            assert a.index == b.index
-            assert a.location == b.location
-            assert a.upper_group == b.upper_group
-            assert a.lower_group == b.lower_group
-            # same users, same (sequential) order
-            assert [u.item_id for u in a.users] == [u.item_id for u in b.users]
-
-    def test_disagreeing_shards_raise(self):
-        dataset, engine, rng = build(seed=3)
-        query = make_query(rng)
-        pool = _ensure_traversal_pool(engine, query.k, "python")
-        from repro.core.joint_topk import individual_topk
-
-        rsk = {
-            uid: res.kth_score
-            for uid, res in individual_topk(pool.traversal, dataset, query.k).items()
-        }
-        _, shard_datasets = partition_users(dataset, 2, "hash")
-        partials = []
-        for i, ds in enumerate(shard_datasets):
-            # Different rsk_group per shard -> different group pruning.
-            partials.append(
-                compute_shortlist_partial(
-                    ds, query,
-                    {u.item_id: rsk[u.item_id] for u in ds.users},
-                    0.0 if i == 0 else 10.0, dataset.super_user, shard_id=i,
-                )
-            )
-        with pytest.raises(ValueError, match="disagrees"):
-            merge_query_shortlists(dataset, query, partials)

@@ -2,11 +2,11 @@
 
 Three layers of guarantees:
 
-* **Stage round-trips** — for every scatter stage, ``merge(split(...))``
-  over any partition of the user set reconstructs the sequential
-  inputs *exactly* (same rsk maps, same shortlist ids in dataset user
-  order), because ``run`` is the shared worker entry both executors
-  use.
+* **Stage round-trips** — the user-axis scatter stage's
+  ``merge(split(...))`` over any partition of the user set reconstructs
+  the sequential inputs *exactly* (same rsk maps, and from them the
+  very phase-1 state the single engine hands its ``select`` stage),
+  because ``run`` is the shared worker entry both executors use.
 * **Pipeline shapes** — ``build_pipeline`` wires the right typed
   stages per (mode, executor), with validated inputs/outputs.
 * **Executor identity** — the LocalExecutor (via ``query_batch``) and
@@ -28,12 +28,10 @@ from repro import (
 )
 from repro.core.batch import _ensure_traversal_pool, derive_rsk_group
 from repro.core.joint_topk import individual_topk
-from repro.core.partial import merge_query_shortlist_ids
 from repro.core.pipeline import (
     FlushContext,
     RefineStage,
     ShardHandle,
-    ShortlistStage,
     build_pipeline,
     execute_shard_payload,
 )
@@ -86,12 +84,10 @@ def scatter_context(dataset, queries, num_shards, partitioner, seed):
         pool_state=pool,
         need_ks=list(plan.distinct_ks),
         group_by_k={k: derive_rsk_group(pool, k) for k in plan.distinct_ks},
-        super_user=dataset.super_user,
-        user_pos={u.item_id: i for i, u in enumerate(dataset.users)},
     )
     _, shard_datasets = UserPartitioner(partitioner, num_shards).split(dataset)
     handles = [
-        ShardHandle(shard_id=i, dataset=ds, workers=1, rsk_by_k={})
+        ShardHandle(shard_id=i, dataset=ds, workers=1)
         for i, ds in enumerate(shard_datasets)
         if ds.users
     ]
@@ -131,48 +127,46 @@ class TestStageRoundTrips:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("num_shards", [2, 3])
-    def test_shortlist_merge_split_restores_sequential_user_order(
+    def test_refine_merge_emits_the_single_engines_select_inputs(
         self, seed, num_shards
     ):
-        """Merged shortlist ids per location == the sequential scan's
-        ``[u for u in users if UBL >= RSk(u)]``, in dataset user order."""
-        from repro.core.candidate_selection import shortlist_locations
+        """What ``RefineStage.merge`` hands ``SelectStage`` is, per k,
+        the state the single engine derives from the same walk: equal
+        thresholds, group threshold and walk I/O — one object per k
+        (memoized on the pool, so warm flushes re-ship it by identity)
+        with one hit per query."""
+        from repro.core.batch import _derive_shared_topk
 
         dataset, rng, vocab = build_dataset(seed=seed + 10)
-        queries = make_queries(rng, vocab, 3, ks=(3,))
+        queries = make_queries(rng, vocab, 5, ks=(2, 3))
         engine, ctx, handles = scatter_context(
             dataset, queries, num_shards, "hash", seed
         )
-        # Refine first (shortlist reads the per-shard rsk maps).
-        refine = RefineStage()
-        refine_partials = [
-            [execute_shard_payload(h.dataset, p) for p in refine.split(ctx, h)]
-            for h in handles
-        ]
-        refine.merge(ctx, refine_partials)
-        for h, chunks in zip(handles, refine_partials):
-            for partial in (p for chunk in chunks for p in chunk):
-                h.rsk_by_k[partial.k] = partial.rsk
-        stage = ShortlistStage()
-        partials_per_shard = [
+        stage = RefineStage()
+        stage.merge(ctx, [
             [execute_shard_payload(h.dataset, p) for p in stage.split(ctx, h)]
             for h in handles
-        ]
-        stage.merge(ctx, partials_per_shard)
-        merged = ctx["merged_by_k"]
-        for q, (q2, kept, ids_per_location, pruned, _stats, _t) in zip(
-            queries, ctx["merged_inputs"]
-        ):
-            assert q is q2
-            sequential, seq_pruned = shortlist_locations(
-                dataset, q, merged[q.k].rsk, ctx["group_by_k"][q.k],
-                super_user=dataset.super_user, backend="python",
-            )
-            assert pruned == seq_pruned
-            assert [loc for loc, _, _ in kept] == [sl.index for sl in sequential]
-            assert ids_per_location == [
-                [u.item_id for u in sl.users] for sl in sequential
-            ]
+        ])
+        assert [q for q, _ in ctx["keyed"]] == queries
+        assert [key for _, key in ctx["keyed"]] == [("joint", q.k) for q in queries]
+        pool = ctx["pool_state"]
+        reference = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        ref_pool = _ensure_traversal_pool(reference, pool.k, "python")
+        for k in (2, 3):
+            shared = ctx["shared_by_key"]["joint", k]
+            single = _derive_shared_topk(reference, ref_pool, k, "python")
+            assert shared.rsk == single.rsk
+            assert shared.rsk_group == single.rsk_group
+            assert shared.io_node_visits == single.io_node_visits
+            assert shared.io_invfile_blocks == single.io_invfile_blocks
+            assert shared.hits == sum(q.k == k for q in queries)
+            assert pool.by_k[k] is shared
+        # A warm flush: nothing to refine, merge only re-keys the
+        # queries to the SAME memoized objects.
+        first = dict(ctx["shared_by_key"])
+        ctx["need_ks"] = []
+        stage.merge(ctx, [])
+        assert all(ctx["shared_by_key"][key] is first[key] for key in first)
 
     def test_merge_rejects_overlapping_shards(self):
         """The refine merge is a *disjoint* union — overlap raises."""
@@ -187,21 +181,6 @@ class TestStageRoundTrips:
         duplicated = [partials[0], partials[0]]  # same users twice
         with pytest.raises(ValueError, match="re-reports"):
             stage.merge(ctx, duplicated)
-
-    def test_shortlist_merge_checks_group_agreement(self):
-        dataset, rng, vocab = build_dataset(seed=3)
-        from repro.core.partial import ShortlistPartial
-
-        good = ShortlistPartial(
-            shard_id=0, kept=[(0, 1.0, 0.5)], users=[[1]],
-            locations_pruned=1, time_s=0.0,
-        )
-        bad = ShortlistPartial(
-            shard_id=1, kept=[(0, 0.9, 0.5)], users=[[2]],
-            locations_pruned=1, time_s=0.0,
-        )
-        with pytest.raises(ValueError, match="disagrees"):
-            merge_query_shortlist_ids([good, bad], {1: 0, 2: 1})
 
 
 class TestPipelineShapes:
@@ -220,7 +199,7 @@ class TestPipelineShapes:
             "traverse", "refine", "select",
         )
         assert build_pipeline(joint, sharded=True).stage_names() == (
-            "traverse", "refine", "shortlist", "search",
+            "traverse", "refine", "select",
         )
         assert build_pipeline(indexed, sharded=False).stage_names() == (
             "traverse", "indexed-search",
@@ -238,8 +217,7 @@ class TestPipelineShapes:
         plan = plan_batch(QueryOptions(backend="python"), engine.capabilities(), [3])
         pipeline = build_pipeline(plan, sharded=True)
         produced = {"engine", "plan", "queries", "io_counter", "need_ks",
-                    "super_user", "user_pos", "merged_by_k", "users_total",
-                    "store"}
+                    "merged_by_k", "users_total", "store"}
         for stage in pipeline.stages:
             assert stage.inputs, stage.name
             missing = [s for s in stage.inputs if s not in produced]
@@ -289,10 +267,10 @@ class TestFlushReports:
         sharded.query_batch(queries, QueryOptions(backend="python"))
         report = sharded.last_flush_report
         assert [s.stage for s in report.stages] == [
-            "traverse", "refine", "shortlist", "search",
+            "traverse", "refine", "select",
         ]
         assert report.stage("refine").scatter_width == 2
-        assert report.stage("shortlist").items == 4
+        assert report.stage("select").items == 4
 
 
 class TestSelectPayload:

@@ -154,8 +154,17 @@ class TestSearchFanoutPredicate:
         fans_out = search_fans_out(search_workers, plan.batch_size, plan.shard)
         assert fans_out == (search_workers >= 1)
         text = plan.explain()
-        assert (f"per-query search fan-out x{search_workers}" in text) == fans_out
-        assert ("per-query searches run in-process" in text) == (not fans_out)
+        lanes = f"in one round over {search_workers} full-dataset lane(s)"
+        assert (lanes in text) == fans_out
+        assert ("per query, against the full dataset) runs in-process" in text) \
+            == (not fans_out)
+        assert "refine by user partition" in text
+        assert "disjoint RSk union" in text
+        # The phase-2 line agrees with the gather line on where it runs.
+        assert (f"phase 2 (candidate selection): search lanes x{search_workers}"
+                in text) == fans_out
+        assert ("phase 2 (candidate selection): in-process" in text) \
+            == (not fans_out)
 
     @pytest.mark.parametrize("search_workers", [0, 1, 2])
     def test_indexed_phase_2_line_follows_the_predicate(self, search_workers):
@@ -176,7 +185,7 @@ class TestSearchFanoutPredicate:
             QueryOptions(backend="python"), self.sharded_caps(2), ks=[3]
         )
         assert not search_fans_out(2, plan.batch_size, plan.shard)
-        assert "per-query searches run in-process" in plan.explain()
+        assert "against the full dataset) runs in-process" in plan.explain()
         pulled = replace(plan.shard, search_inprocess=True)
         assert not search_fans_out(2, 8, pulled)
         assert search_fans_out(2, 8, None)  # 1-shard engines carry no ShardPlan
@@ -301,7 +310,7 @@ class TestObservedPlanning:
 
     def test_sharded_sub_ms_search_goes_in_process(self):
         history = self.seasoned_history(
-            self.sharded_signature(), stage="search", per_item_ms=0.2
+            self.sharded_signature(), stage="select", per_item_ms=0.2
         )
         plan = plan_batch(
             QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
@@ -311,45 +320,35 @@ class TestObservedPlanning:
         by_name = {d.name: d for d in plan.decisions}
         assert by_name["search-fanout"].source == "observed"
         assert by_name["search-fanout"].choice == "in-process"
-        # No shortlist timings recorded yet: the scatter stays static.
-        assert by_name["scatter-dispatch"].source == "static"
-        assert plan.shard.scatter_inprocess is False
-        assert "per-query searches run in-process" in plan.explain()
+        # The search fan-out is the sharded planner's one adaptive point.
+        assert set(by_name) == {"search-fanout"}
+        assert "against the full dataset) runs in-process" in plan.explain()
 
-    def test_sharded_low_queue_depth_drops_the_scatter_dispatch(self):
-        from repro.core.history import FlushHistory
-        from repro.core.pipeline import FlushReport, StageStats
-
-        history = FlushHistory()
-        for _ in range(3):
-            history.record(self.sharded_signature(), FlushReport(
-                mode="joint",
-                batch_size=1,
-                stages=[StageStats(stage="shortlist", items=1, time_s=0.0001)],
-            ))
-        plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(search_workers=0),
-            ks=[3], history=history,
-        )
-        assert plan.shard.scatter_inprocess is True
-        (decision,) = plan.decisions
-        assert decision.name == "scatter-dispatch"
-        assert decision.source == "observed"
-        assert "dispatch in-process (observed low queue depth)" in plan.explain()
-
-    def test_sharded_deep_queue_keeps_the_shard_pools(self):
-        history = self.seasoned_history(
-            self.sharded_signature(), stage="shortlist", per_item_ms=0.2,
-            items=8,
+    def test_sharded_joint_fanout_reads_the_select_stage(self):
+        """The joint search-fanout decision follows the stage list: a
+        history that only ever timed a stage named ``search`` (the old
+        second round) must leave it static, a heavy ``select`` keeps
+        the fan-out with an observed rationale."""
+        stale = self.seasoned_history(
+            self.sharded_signature(), stage="search", per_item_ms=0.2
         )
         plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(search_workers=0),
-            ks=[3] * 8, history=history,
+            QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
+            history=stale,
         )
-        assert plan.shard.scatter_inprocess is False
+        (decision,) = plan.decisions
+        assert (decision.name, decision.source) == ("search-fanout", "static")
+        heavy = self.seasoned_history(
+            self.sharded_signature(), stage="select", per_item_ms=2.5
+        )
+        plan = plan_batch(
+            QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
+            history=heavy,
+        )
         (decision,) = plan.decisions
         assert decision.source == "observed"
-        assert "shard pools" in decision.choice
+        assert decision.choice == "search fan-out x2"
+        assert plan.shard.search_inprocess is False
 
     def test_engine_records_history_and_plans_observed(self, tiny_dataset):
         """End to end: flushes season the engine's own history."""

@@ -100,10 +100,10 @@ def test_socket_scatter_matches_sequential(num_shards, num_hosts):
         assert scatter["refine"].scatter_width == num_shards
         assert scatter["refine"].payload_bytes_out > 0
         assert scatter["refine"].payload_bytes_in > 0
-        # The searches leave the coordinator too: one lane per host.
-        assert scatter["search"].scatter_width == num_hosts
-        assert scatter["search"].payload_bytes_out > 0
-        assert scatter["search"].payload_bytes_in > 0
+        # The selections leave the coordinator too: one lane per host.
+        assert scatter["select"].scatter_width == num_hosts
+        assert scatter["select"].payload_bytes_out > 0
+        assert scatter["select"].payload_bytes_in > 0
         assert engine.gather_stats()["search_flushes"] == 1
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
@@ -122,7 +122,7 @@ def test_search_lanes_balance_uneven_per_k_chunks():
         dispatch, loads = transport.dispatch, []
 
         def spy(lanes):
-            if lanes[0].wire_id < 0:  # the search round's whole-dataset lanes
+            if lanes[0].wire_id < 0:  # the select round's whole-dataset lanes
                 loads.extend(
                     sum(len(p[1]) for p in lane.payloads) for lane in lanes
                 )
@@ -220,9 +220,9 @@ def test_all_hosts_dead_degrades_in_process():
         served = engine.query_batch(queries, OPTS)
         report = engine.last_flush_report
         assert report.degraded_partitions > 0
-        # No host left for the search lane either: one lane, degraded.
-        search = report.stage("search")
-        assert (search.scatter_width, search.degraded) == (1, 1)
+        # No host left for the select lane either: one lane, degraded.
+        select = report.stage("select")
+        assert (select.scatter_width, select.degraded) == (1, 1)
         assert engine.fault_counters()["worker_deaths"] == 2
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
@@ -233,13 +233,13 @@ def test_all_hosts_dead_degrades_in_process():
 
 @pytest.mark.parametrize("fault_host,stash_peak", [(0, 0), (1, 1)])
 def test_drop_on_search_frame_rescatters_the_lane(fault_host, stash_peak):
-    """Per host the cold flush's frames are refine (0), shortlist (1),
-    search (2): the drop lands on a search lane, which re-scatters to
-    the survivor.  Lane 0 rides host 1 and is collected first, so when
+    """Per host the cold flush's frames are refine (0), select (1): the
+    drop lands on a select lane, which re-scatters to the survivor.
+    Lane 0 rides host 1 and is collected first, so when
     host 1 drops, lane 0 joins lane 1 on host 0's connection and reads
     its sibling's RESULT first — the stash hands it over."""
     engine, hosts, rng, vocab = sharded_with_hosts(
-        2, 2, seed=11, fault_on_host={fault_host: FaultPlan.drop_connection(2)}
+        2, 2, seed=11, fault_on_host={fault_host: FaultPlan.drop_connection(1)}
     )
     try:
         connect(engine, hosts)
@@ -256,8 +256,8 @@ def test_drop_on_search_frame_rescatters_the_lane(fault_host, stash_peak):
         queries = make_queries(rng, vocab, 8, ks=(3, 5))
         served = engine.query_batch(queries, OPTS)
         report = engine.last_flush_report
-        search = report.stage("search")
-        assert (search.scatter_width, search.retries, search.degraded) == (2, 1, 0)
+        select = report.stage("select")
+        assert (select.scatter_width, select.retries, select.degraded) == (2, 1, 0)
         assert report.total_retries == 1
         assert report.degraded_partitions == 0
         counters = engine.fault_counters()
@@ -294,7 +294,7 @@ def test_host_death_and_degrade_are_logged(caplog):
         assert "flush_seq=1" in deaths[0] and "reason=" in deaths[0]
         degrades = [r.getMessage() for r in records if "degrading" in r.getMessage()]
         assert degrades, "every in-process degrade must be logged"
-        assert any("search round" in m and "shard=-1" in m for m in degrades)
+        assert any("select round" in m and "shard=-1" in m for m in degrades)
         assert all("retries_used=" in m for m in degrades)
     finally:
         teardown(engine, hosts)
@@ -315,7 +315,7 @@ def test_host_fanout_is_reported_and_explained():
         (fanout,) = [d for d in plan.decisions if d.name == "search-fanout"]
         assert fanout.choice == "search fan-out x2"
         text = plan.explain()
-        assert "per-query search fan-out x2" in text
+        assert "in one round over 2 full-dataset lane(s)" in text
         assert "root pool" not in text
         hosts[0].stop()
         engine._registry.ping_all(timeout_s=0.2)
@@ -329,7 +329,7 @@ def test_host_fanout_is_reported_and_explained():
 
 @pytest.mark.parametrize("transport", ["pool", "socket"])
 def test_seasoned_sub_ms_searches_stay_in_process(transport):
-    """A history under the INPROCESS_STAGE_MS bar pulls the searches
+    """A history under the INPROCESS_STAGE_MS bar pulls the selections
     back onto the coordinator — on the socket path as on the pool path."""
     from repro.core.history import FlushSignature
     from repro.core.pipeline import FlushReport, StageStats
@@ -347,7 +347,7 @@ def test_seasoned_sub_ms_searches_stay_in_process(transport):
         for _ in range(3):
             engine.flush_history.record(signature, FlushReport(
                 mode="joint", batch_size=8, stages=[StageStats(
-                    stage="search", items=8,
+                    stage="select", items=8,
                     time_s=8 * 0.2 * INPROCESS_STAGE_MS / 1000.0,
                 )],
             ))
@@ -356,51 +356,15 @@ def test_seasoned_sub_ms_searches_stay_in_process(transport):
         assert plan.shard.search_workers == 2
         assert plan.shard.search_inprocess is True
         served = engine.query_batch(queries, OPTS)
-        search = engine.last_flush_report.stage("search")
-        assert search.scatter_width == 1
-        assert search.payload_bytes_out == 0
+        select = engine.last_flush_report.stage("select")
+        assert select.scatter_width == 1
+        assert select.payload_bytes_out == 0
         assert engine.gather_stats()["search_flushes"] == 0
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
         )
     finally:
         engine.close_pools()
-        teardown(engine, hosts)
-
-
-def test_seasoned_low_depth_scatter_stays_in_process_on_sockets():
-    """The planner's ``scatter_inprocess`` verdict holds on the socket
-    transport too: a flush explain() reports as ``scatter-dispatch ->
-    in-process`` must not ship a refine/shortlist frame."""
-    from repro.core.history import FlushSignature
-    from repro.core.pipeline import FlushReport, StageStats
-
-    engine, hosts, rng, vocab = sharded_with_hosts(2, 2, seed=15)
-    try:
-        connect(engine, hosts)
-        signature = FlushSignature(mode="joint", backend="python", scatter_width=2)
-        for _ in range(3):
-            engine.flush_history.record(signature, FlushReport(
-                mode="joint", batch_size=1,
-                stages=[StageStats(stage="shortlist", items=1, time_s=0.0001)],
-            ))
-        queries = make_queries(rng, vocab, 1, ks=(3,))
-        plan = engine.plan(OPTS, ks=[3])
-        assert plan.shard.scatter_inprocess is True
-        assert "scatter-dispatch -> in-process" in plan.explain()
-        before = engine._registry.bytes_totals()
-        served = engine.query_batch(queries, OPTS)
-        assert engine._registry.bytes_totals() == before
-        report = engine.last_flush_report
-        assert report.stage("refine").scatter_width == 2  # layout unchanged
-        assert report.payload_bytes_out == report.payload_bytes_in == 0
-        assert report.degraded_partitions == 0
-        assert report.total_retries == 0
-        assert all(row["degraded_rounds"] == 0 for row in engine.shard_stats())
-        assert_results_equal(
-            served, reference_results(engine.dataset, queries, engine)
-        )
-    finally:
         teardown(engine, hosts)
 
 
@@ -412,12 +376,12 @@ def test_one_host_registry_ships_the_searches_and_explain_says_so():
         connect(engine, hosts)
         queries = make_queries(rng, vocab, 4, ks=(3, 5))
         text = engine.plan(OPTS, ks=[q.k for q in queries]).explain()
-        assert "per-query search fan-out x1" in text
+        assert "in one round over 1 full-dataset lane(s)" in text
         assert "search-fanout -> search fan-out x1" in text
         served = engine.query_batch(queries, OPTS)
-        search = engine.last_flush_report.stage("search")
-        assert search.scatter_width == 1
-        assert search.payload_bytes_out > 0
+        select = engine.last_flush_report.stage("select")
+        assert select.scatter_width == 1
+        assert select.payload_bytes_out > 0
         assert engine.gather_stats()["search_flushes"] == 1
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)

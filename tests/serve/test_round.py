@@ -1,10 +1,10 @@
 """The scatter-round contract: ONE loop, three transports.
 
 ``run_round`` is the only dispatch → collect → degrade path; a transport
-only decides *where* a lane runs.  So the same refine, shortlist,
-search and select lanes must come back as the same decoded chunks with
-the same ``(width, chunks, retries, degraded)`` accounting whether they
-ran inline, on 1-worker fork pools, or on one embedded socket host —
+only decides *where* a lane runs.  So the same refine and select lanes
+must come back as the same decoded chunks with the same ``(width,
+chunks, retries, degraded)`` accounting whether they ran inline, on
+1-worker fork pools, or on one embedded socket host —
 and, when the transport fails past its budget, as the same chunks with
 every lost lane counted degraded exactly once.
 """
@@ -14,17 +14,14 @@ import multiprocessing
 import pytest
 
 from repro import EngineConfig, QueryOptions
-from repro.core.partial import PartialResult, ShortlistPartial
+from repro.core.partial import PartialResult
 from repro.core.pipeline import (
     INLINE,
-    DeriveThresholdsStage,
     FlushContext,
     Lane,
     RefineStage,
-    SearchStage,
     SelectStage,
     ShardHandle,
-    ShortlistStage,
     TraverseStage,
     run_round,
 )
@@ -46,21 +43,19 @@ pytestmark = pytest.mark.skipif(
 OPTS = QueryOptions(backend="python")
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
 FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
-STAGES = ("refine", "shortlist", "search", "select")
+STAGES = ("refine", "select")
 
 
 def canon(item):
     """A chunk item minus its wall-clock fields."""
     if isinstance(item, PartialResult):
         return (item.shard_id, item.k, tuple(item.rsk.items()), item.users_total)
-    if isinstance(item, ShortlistPartial):
-        return (item.shard_id, item.kept, item.users, item.locations_pruned)
     return (item.location, item.keywords, item.brstknn)
 
 
 class Rig:
     """A 2-shard engine as scaffold: its shard datasets, root engine and
-    transports, with the four rounds driven by hand through run_round."""
+    transports, with the two rounds driven by hand through run_round."""
 
     def __init__(self, seed=0):
         dataset, rng, vocab = build_dataset(seed, n_obj=70, n_users=24, vocab=18)
@@ -92,16 +87,16 @@ class Rig:
 
     def rounds(self, transport):
         """``{stage: (canonical chunks per lane, (width, chunks, retries,
-        degraded))}`` for the four scatter stages over ``transport``."""
+        degraded))}`` for the two scatter stages over ``transport``."""
         engine, root = self.engine, self.engine.root
         plan = engine.plan(OPTS, ks=[q.k for q in self.queries])
         ctx = FlushContext(
             engine=root, plan=plan, queries=list(self.queries),
-            super_user=engine._su, user_pos=engine._user_pos,
             merged_by_k={}, need_ks=list(plan.distinct_ks),
         )
         TraverseStage().run_central(ctx)
-        rsk_by_k = {shard.shard_id: {} for shard in engine.shards}
+        # A fresh per-k state every call, like a freshly walked pool.
+        ctx["pool_state"].by_k.clear()
         out = {}
 
         def run(stage, lanes):
@@ -114,29 +109,20 @@ class Rig:
             )
             return returned
 
-        for stage in (RefineStage(), ShortlistStage()):
-            lanes = [
-                Lane(
-                    shard.shard_id,
-                    stage.split(ctx, ShardHandle(
-                        shard.shard_id, shard.engine.dataset, 1,
-                        rsk_by_k[shard.shard_id],
-                    )),
-                    shard.engine.dataset,
-                )
-                for shard in engine.shards
-            ]
-            returned = run(stage, lanes)
-            stage.merge(ctx, returned)
-            if stage.name == "refine":
-                for lane, chunks in zip(lanes, returned):
-                    for partial in (p for chunk in chunks for p in chunk):
-                        rsk_by_k[lane.wire_id][partial.k] = partial.rsk
+        refine = RefineStage()
+        lanes = [
+            Lane(
+                shard.shard_id,
+                refine.split(
+                    ctx, ShardHandle(shard.shard_id, shard.engine.dataset)
+                ),
+                shard.engine.dataset,
+            )
+            for shard in engine.shards
+        ]
+        refine.merge(ctx, run(refine, lanes))
+        # Algorithm 3 whole, against the full dataset and the merged map.
         whole = ShardHandle(-1, engine.dataset, 1)
-        search = SearchStage()
-        run(search, [Lane(-1, search.split(ctx, whole), engine.dataset)])
-        # The single-partition fusion, against the same full dataset.
-        DeriveThresholdsStage().run_central(ctx)
         select = SelectStage()
         run(select, [Lane(-1, select.split(ctx, whole), engine.dataset)])
         return out
@@ -162,8 +148,8 @@ def test_every_transport_returns_the_inline_round(rig, kind):
         assert chunks == expected[stage][0], stage
         assert accounting == expected[stage][1], stage
         assert accounting[2:] == (0, 0)
-    assert got["refine"][1][0] == got["shortlist"][1][0] == 2  # one lane per shard
-    assert got["search"][1][0] == got["select"][1][0] == 1
+    assert got["refine"][1][0] == 2  # one lane per shard
+    assert got["select"][1][0] == 1
 
 
 @pytest.mark.parametrize("kind", ["pool", "socket"])

@@ -163,9 +163,10 @@ class TestEquivalenceProperty:
         assert sorted(refined) == sorted((shard.users, 6) for shard in populated)
         for shard in populated:
             assert shard.stats.refine_tasks == 3
-            assert set(shard.rsk_by_k) == {2, 4, 6}
         for k in (2, 4, 6):
-            assert sharded._merged_by_k[k].rsk == single._traversal_pool.by_k[k].rsk
+            merged = sharded._merged_by_k[k]
+            assert merged.per_shard_users == [shard.users for shard in populated]
+            assert merged.rsk == single._traversal_pool.by_k[k].rsk
         for a, b in zip(reference, results):
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
@@ -184,6 +185,67 @@ class TestEquivalenceProperty:
         for a, b, c in zip(reference, first, second):
             assert_results_equal(a, b)
             assert_results_equal(a, c)
+
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_shared_state_never_outlives_the_walk_it_reports(self, num_shards):
+        """The per-k state the select round ships is memoized, but keyed
+        to the traversal-pool generation: after ``k=5 -> k=20 -> k=5``
+        the merged thresholds survive the re-walk (no second refine at
+        5) while every stat reports the k=20 walk now serving — and a
+        cleared cache reports a fresh k=5 walk again.  A memo keyed on k
+        alone passes the answers and fails the stats, silently."""
+        from repro.serve.shardhost import WorkloadSpec, make_workload
+
+        # Clustered users under a spatial-heavy alpha: the walk prunes,
+        # so its I/O depends on k (the uniform builders' never does).
+        dataset, workload = make_workload(WorkloadSpec(
+            objects=600, users=30, area=0.2, locations=4, alpha=0.9, seed=1,
+        ))
+        rng = random.Random(9)
+
+        def queries_at(k, count=3):
+            return [
+                MaxBRSTkNNQuery(
+                    ox=workload.query_object(-(i + 1)),
+                    locations=workload.locations,
+                    keywords=sorted(rng.sample(workload.candidate_keywords, 5)),
+                    ws=2,
+                    k=k,
+                )
+                for i in range(count)
+            ]
+
+        options = QueryOptions(backend="python")
+        single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
+
+        def flush(queries):
+            results = sharded.query_batch(queries, options)
+            for a, b in zip(single.query_batch(queries, options), results):
+                assert_results_equal(a, b)
+                assert_stats_equal(a, b)
+            stats = results[0].stats
+            return stats.io_node_visits, stats.io_invfile_blocks
+
+        walks = [flush(queries_at(k)) for k in (5, 20, 5, 5)]
+        assert walks[0] != walks[1]  # the two walks' I/O really differ
+        assert walks[2] == walks[3] == walks[1]
+        assert sharded.traversal_runs == 2
+        for shard in sharded.shards:
+            if shard.users:
+                assert shard.stats.refine_tasks == 2  # k=5 once, k=20 once
+        # Warm flushes hand the codec ONE object per k to delta-ship,
+        # counting a hit per query served.
+        shared = sharded.root._traversal_pool.by_k[5]
+        assert shared.hits == 6
+        flush(queries_at(5, count=2))
+        assert sharded.root._traversal_pool.by_k[5] is shared
+        assert shared.hits == 8
+        single.clear_topk_cache()
+        sharded.clear_topk_cache()
+        assert flush(queries_at(5)) == walks[0]  # a fresh k=5 walk again
+        assert sharded.root._traversal_pool.by_k[5] is not shared
 
 
 class TestIndexedEquivalenceProperty:

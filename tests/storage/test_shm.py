@@ -10,7 +10,7 @@ Three contracts under test, each an acceptance item of the tier:
   finalizer: ``/dev/shm`` holds zero ``reproshm-`` segments after any
   teardown order, including an injected worker SIGKILL mid-flush;
 * **codec correctness** — encode/decode are exact inverses over
-  randomized ``PartialResult``/shortlist inputs, delta shipping memoizes
+  randomized ``PartialResult`` inputs, delta shipping memoizes
   by object identity + dataset epoch, and every fallback path keeps the
   payload on plain pickle rather than failing the flush.
 """
@@ -21,11 +21,9 @@ import struct
 
 import pytest
 
-from repro.core.partial import PartialResult, ShortlistPartial
+from repro.core.partial import PartialResult
 from repro.core.payload import (
     ArenaRef,
-    PackedIds,
-    PackedMergedInput,
     PayloadCodec,
     _clear_ref_cache,
     decode_gather_payload,
@@ -274,34 +272,6 @@ def test_rsk_codec_round_trips_with_insertion_order():
         decode_rsk(b"nope" + b"\x00" * 16)
 
 
-def test_packed_ids_round_trips_ragged_groups():
-    rng = random.Random(13)
-    for _ in range(25):
-        groups = [
-            [rng.randrange(-(2**40), 2**40) for _ in range(rng.randint(0, 9))]
-            for _ in range(rng.randint(0, 12))
-        ]
-        assert PackedIds.pack(groups).unpack() == groups
-    assert PackedIds.pack([]).unpack() == []
-    assert PackedIds.pack([[], [], []]).unpack() == [[], [], []]
-
-
-def test_packed_merged_input_restores_exact_tuple():
-    rng = random.Random(17)
-    for _ in range(10):
-        kept = [
-            (rng.randrange(0, 500), rng.uniform(0, 50), rng.uniform(-50, 0))
-            for _ in range(rng.randint(0, 8))
-        ]
-        ids = [
-            [rng.randrange(0, 1000) for _ in range(rng.randint(0, 5))]
-            for _ in kept
-        ]
-        item = ("query-sentinel", kept, ids, rng.randint(0, 99),
-                {"stats": rng.random()}, rng.random())
-        assert PackedMergedInput.pack(item).unpack() == item
-
-
 def test_partial_result_pickle_round_trip_randomized():
     rng = random.Random(19)
     for _ in range(15):
@@ -313,25 +283,6 @@ def test_partial_result_pickle_round_trip_randomized():
         clone = pickle.loads(pickle.dumps(partial))
         assert clone == partial
         assert list(clone.rsk.items()) == list(partial.rsk.items())
-
-
-def test_shortlist_partial_pickle_round_trip_randomized():
-    rng = random.Random(23)
-    for _ in range(15):
-        kept = [
-            (rng.randrange(300), rng.uniform(0, 9), rng.uniform(-9, 0))
-            for _ in range(rng.randint(0, 7))
-        ]
-        users = [
-            [rng.randrange(500) for _ in range(rng.randint(0, 6))]
-            for _ in kept
-        ]
-        partial = ShortlistPartial(
-            shard_id=rng.randrange(8), kept=kept, users=users,
-            locations_pruned=rng.randrange(50), time_s=rng.random(),
-        )
-        clone = pickle.loads(pickle.dumps(partial))
-        assert clone == partial  # exact tuples: merge's agreement check holds
 
 
 def test_partial_result_falls_back_to_plain_pickle_on_odd_keys():
@@ -399,18 +350,31 @@ def test_superseded_blocks_retire_after_the_lag():
         assert f"{arena.name}.{old_ref.column}" not in arena_segments()
 
 
+def test_ship_once_writes_unmemoized_blocks_that_retire():
+    # No src/ caller is left (benchmarks/e2e wraps it by name), so this
+    # is the method's whole contract: a fresh column per call, never a
+    # delta hit, dropped once RETIRE_LAG ships cold.
+    with ShmArena() as arena:
+        codec = PayloadCodec(arena)
+        items = [("q0", [1, 2, 3])]
+        first = codec.ship_once(items, "items")
+        second = codec.ship_once(items, "items")
+        assert isinstance(first, ArenaRef) and first.column != second.column
+        assert codec.delta_hits == 0
+        _clear_ref_cache()
+        assert resolve_ref(first) == items
+        for i in range(PayloadCodec.RETIRE_LAG + 1):
+            codec.ship_once(i, f"t{i}")
+        assert first.column not in arena
+
+
 def test_shard_payload_encode_decode_inverse_and_passthrough():
     rng = random.Random(41)
     rsk = random_rsk(rng, n=12)
-    rsk_by_k = {2: random_rsk(rng, n=6), 4: random_rsk(rng, n=6)}
     with ShmArena() as arena:
         codec = PayloadCodec(arena)
         for payload in (
             ("refine", {"pool": [1, 2, 3]}, [2, 4], "python", 1),
-            ("shortlist", {"su": True}, ["q0"], rsk_by_k, {2: ["q0"]},
-             "python", 0),
-            ("search", [("q0", [(1, 2.0, 0.5)], [[7, 8]], 0, None, 0.0)],
-             rsk, {}, "greedy", "python"),
             ("select", ["q0", "q1"], {"shared": rsk}, "joint", "greedy",
              "python"),
         ):
@@ -528,24 +492,6 @@ def _random_partials(rng):
     ]
 
 
-def _random_shortlists(rng):
-    out = []
-    for shard_id in range(3):
-        kept_n = rng.randrange(0, 6)
-        kept = [
-            (rng.randrange(0, 50), rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6))
-            for _ in range(kept_n)
-        ]
-        users = [
-            rng.sample(range(10_000), rng.randrange(0, 8)) for _ in range(kept_n)
-        ]
-        out.append(ShortlistPartial(
-            shard_id=shard_id, kept=kept, users=users,
-            locations_pruned=rng.randrange(0, 20), time_s=rng.uniform(0.0, 1.0),
-        ))
-    return out
-
-
 def test_gather_partials_round_trip_is_exact():
     rng = random.Random(11)
     chunk = _random_partials(rng)
@@ -565,29 +511,11 @@ def test_gather_partials_round_trip_is_exact():
         assert encode_rsk(got.rsk) == encode_rsk(orig.rsk)      # bitwise
 
 
-def test_gather_shortlists_round_trip_is_exact():
-    rng = random.Random(12)
-    chunk = _random_shortlists(rng)
-    wire = encode_gather_payload(chunk)
-    assert isinstance(wire, bytes)
-    back = decode_gather_payload(wire)
-    assert len(back) == len(chunk)
-    for orig, got in zip(chunk, back):
-        assert got.shard_id == orig.shard_id
-        assert got.locations_pruned == orig.locations_pruned
-        assert struct.pack("<d", got.time_s) == struct.pack("<d", orig.time_s)
-        assert got.kept == orig.kept
-        assert [
-            struct.pack("<dd", ub, lb) for _, ub, lb in got.kept
-        ] == [struct.pack("<dd", ub, lb) for _, ub, lb in orig.kept]
-        assert got.users == orig.users
-
-
 def test_gather_funnel_is_identity_on_plain_chunks():
     rng = random.Random(13)
     plain = [
         [],                                   # empty chunk
-        ["result-a", "result-b"],             # search-result-ish chunk
+        ["result-a", "result-b"],             # select-result-ish chunk
         [(object(), None)],                   # indexed (result, charge)-ish
         ("refine", None, [3], "python", 0),   # a payload tuple, not a chunk
         None,
@@ -595,7 +523,7 @@ def test_gather_funnel_is_identity_on_plain_chunks():
     for chunk in plain:
         assert encode_gather_payload(chunk) is chunk
         assert decode_gather_payload(chunk) is chunk
-    mixed = _random_partials(rng) + _random_shortlists(rng)
+    mixed = _random_partials(rng) + ["result-a"]
     assert encode_gather_payload(mixed) is mixed  # heterogeneous: untouched
     assert decode_gather_payload(b"NOPE" + b"\x00" * 16) == b"NOPE" + b"\x00" * 16
 
@@ -605,9 +533,6 @@ def test_gather_funnel_falls_back_on_unpackable_contents():
     chunk = _random_partials(rng)
     chunk[1].rsk = {2**70: 1.0}  # key overflows int64: stay on pickle
     assert encode_gather_payload(chunk) is chunk
-    bad = _random_shortlists(rng)
-    bad[0].kept = [("not-an-int", 0.0, 0.0)]
-    assert encode_gather_payload(bad) is bad
 
 
 # ----------------------------------------------------------------------
