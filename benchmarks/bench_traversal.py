@@ -4,7 +4,7 @@ the candidate selection over its thresholds, python vs numpy.
 Not a paper figure — this isolates the three kernels of every query:
 Algorithm 1's frontier traversal (the cost PR 3 attacked), Algorithm
 2's per-user refinement of the pools it returns, and Algorithm 3's
-location/keyword selection over the thresholds that yields.  Five
+location/keyword selection over the thresholds that yields.  Six
 sections:
 
 1. **TreeArrays build** — the once-per-engine flattening cost the
@@ -17,11 +17,17 @@ sections:
 3. **Refinement backends** — best-of-N ``individual_topk`` per backend
    on those same pools, with a built-in check that the per-user ranked
    lists are *identical* (scores as floats, ties by id).
-4. **Selection backends** — best-of-N ``select_candidate`` per backend
+4. **The hand-off** — per ``k`` in {5, 10, 20}: the cells Algorithm 2's
+   block-wise per-user stop scores against ``users x pool`` and against
+   the one-shot cut it replaced (PR 17: one prefix of ``RO`` for every
+   user — the block-wise stop must never score more), and the bytes
+   the numpy walk's pool pickles to (id / bound columns, no
+   ``STObject``) against the python walk's object pool.
+5. **Selection backends** — best-of-N ``select_candidate`` per backend
    over a handful of queries against those fixed thresholds, with a
    built-in check that ``(location, keywords, brstknn,
    keyword_combinations_scored)`` are *identical* query by query.
-5. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
+6. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to per-k sequential queries.
 
@@ -44,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 import time
 
@@ -55,8 +62,12 @@ from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
 from repro.core.candidate_selection import select_candidate  # noqa: E402
-from repro.core.joint_topk import individual_topk, joint_traversal  # noqa: E402
-from repro.core.kernels import HAS_NUMPY, tree_arrays_for  # noqa: E402
+from repro.core.joint_topk import (  # noqa: E402
+    RO_BLOCK, individual_topk, joint_traversal,
+)
+from repro.core.kernels import (  # noqa: E402
+    GUARD_EPS, HAS_NUMPY, DatasetArrays, arrays_for, tree_arrays_for,
+)
 from repro.core.query import QueryStats  # noqa: E402
 from repro.datagen.users import generate_users, query_pool  # noqa: E402
 from repro.storage.iostats import IOCounter  # noqa: E402
@@ -123,6 +134,40 @@ def time_select(queries, dataset, rsk, rsk_group, backend, repeats):
         return answers
 
     return best_of(repeats, run)
+
+
+def refine_cells(traversal, dataset, k):
+    """``(scored, one_shot)`` matrix cells of one numpy refinement: what
+    the block-wise per-user stop scored, and what the one-shot cut it
+    replaced — ``LO`` + one block for everyone, then the prefix of
+    ``RO`` the weakest user's k-th best still reaches, for everyone —
+    would have on the same pool."""
+    import numpy as np
+
+    kernel = DatasetArrays.candidate_score_matrix
+    scored = []
+
+    def spy(self, obj_rows, rows=None):
+        users = self.num_users if rows is None else len(rows)
+        scored.append(len(obj_rows) * users)
+        return kernel(self, obj_rows, rows)
+
+    DatasetArrays.candidate_score_matrix = spy
+    try:
+        individual_topk(traversal, dataset, k, backend="numpy")
+    finally:
+        DatasetArrays.candidate_score_matrix = kernel
+
+    arrays = arrays_for(dataset)
+    rows = traversal.pool.object_rows(arrays.objects)
+    upper = traversal.pool.columns()[2]
+    head = min(len(rows), traversal.n_lo + RO_BLOCK)
+    reach = len(rows)
+    if k <= head < len(rows):
+        kth = np.partition(kernel(arrays, rows[:head]), head - k, axis=1)[:, head - k]
+        floor = kth.min() - GUARD_EPS
+        reach = head + int(np.searchsorted(-upper[head:], -floor, side="right"))
+    return sum(scored), arrays.num_users * reach
 
 
 def main(argv=None) -> int:
@@ -213,6 +258,44 @@ def main(argv=None) -> int:
         return 1
     print("equivalence check: numpy ranked lists identical to python")
 
+    handoff = {}
+    for k in (5, 10, 20):
+        walks = {
+            backend: joint_traversal(
+                engine.object_tree, engine.dataset, k, backend=backend
+            )
+            for backend in ("python", "numpy")
+        }
+        scored, one_shot = refine_cells(walks["numpy"], engine.dataset, k)
+        blobs = {
+            backend: pickle.dumps(walk, protocol=pickle.HIGHEST_PROTOCOL)
+            for backend, walk in walks.items()
+        }
+        pool = len(walks["numpy"].pool)
+        handoff[k] = {
+            "pool": pool,
+            "refine_cells_scored": scored,
+            "refine_cells_one_shot": one_shot,
+            "refine_cells_users_x_pool": len(engine.dataset.users) * pool,
+            "pool_pickle_bytes": len(blobs["numpy"]),
+            "pool_pickle_bytes_objects": len(blobs["python"]),
+        }
+        print(
+            f"hand-off  k={k:<2}: refine scored {scored} cells "
+            f"(one-shot cut {one_shot}, users x pool "
+            f"{handoff[k]['refine_cells_users_x_pool']}); pool pickles to "
+            f"{len(blobs['numpy'])} B (as objects {len(blobs['python'])} B)",
+            flush=True,
+        )
+        if scored > one_shot:
+            print(f"ACCEPTANCE FAILURE: k={k} block-wise stop scored more "
+                  "cells than the one-shot cut")
+            return 1
+        if b"STObject" in blobs["numpy"] or len(blobs["numpy"]) >= len(blobs["python"]):
+            print(f"ACCEPTANCE FAILURE: k={k} numpy pool does not ship as columns")
+            return 1
+    print("hand-off check: cells <= one-shot cut at every k; pools ship as columns")
+
     workload = generate_users(
         bench.dataset.objects,
         num_users=config.num_users,
@@ -295,6 +378,7 @@ def main(argv=None) -> int:
             "speedup_numpy": speedup,
             "refine_s": refine_timings,
             "refine_speedup_numpy": refine_speedup,
+            "handoff": handoff,
             "select_s": select_timings,
             "select_speedup_numpy": select_speedup,
             "mixed_k": {

@@ -117,8 +117,8 @@ class SharedTraversalPool:
     io_invfile_blocks: int
     by_k: Dict[int, SharedTopK]
     hits: int = 0  # queries served from this pool (introspection)
-    #: Memoized per-k group thresholds (RSk(us) is an O(pool log pool)
-    #: sort to derive; a serving loop asks for the same ks every flush).
+    #: Memoized per-k group thresholds (an order statistic of the pool's
+    #: lower bounds; a serving loop asks for the same ks every flush).
     group_by_k: Dict[int, float] = field(default_factory=dict)
     #: Algorithm 2's ranked lists at ``k`` (filled by the first
     #: threshold derivation after the walk).

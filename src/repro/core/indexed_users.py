@@ -66,6 +66,7 @@ from ..storage.pager import PageStore
 from .bounds import BoundCalculator
 from .joint_topk import (
     CandidateObject,
+    CandidatePool,
     JointTraversalResult,
     canonical_candidates,
     derive_rsk_group,
@@ -167,7 +168,7 @@ class RootTraversal:
     #: Per-k derivations, memoized: group threshold, canonical pool,
     #: and (numpy) the flattened pool arrays the node-RSk kernel reads.
     _rsk_group_by_k: Dict[int, float] = field(default_factory=dict)
-    _canonical_by_k: Dict[int, List[CandidateObject]] = field(default_factory=dict)
+    _canonical_by_k: Dict[int, CandidatePool] = field(default_factory=dict)
     _arrays_by_k: Dict[int, object] = field(default_factory=dict)
 
     def rsk_group_for(self, k: int) -> float:
@@ -177,7 +178,7 @@ class RootTraversal:
             self._rsk_group_by_k[k] = value
         return value
 
-    def canonical_for(self, k: int) -> List[CandidateObject]:
+    def canonical_for(self, k: int) -> CandidatePool:
         pool = self._canonical_by_k.get(k)
         if pool is None:
             pool = canonical_candidates(self.traversal, self.rsk_group_for(k))

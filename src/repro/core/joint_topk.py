@@ -29,6 +29,14 @@ whole user group:
 
 The result is identical to running the baseline per user (the gold
 tests check this), at a fraction of the I/O.
+
+**The hand-off between the two** is a :class:`CandidatePool`: a sequence
+of :class:`CandidateObject` to the python backend, and to the numpy
+backend three columns — object ids, ``lower``, ``upper`` — that the
+numpy walk fills from its heaps of tree-entry indices without building
+one object, that Algorithm 2 turns into ``ObjectColumns`` rows with one
+look-up, and that are all a pool carries across a process boundary
+(object ids are what every replica of the object set shares).
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,14 +54,17 @@ from ..spatial.geometry import Rect
 from ..storage.pager import PageStore
 from ..topk.single import TopKResult
 from .bounds import BoundCalculator
-from .kernels import arrays_for, resolve_backend
+from .kernels import GUARD_EPS, arrays_for, object_columns_for, resolve_backend
+from .kernels import np  # None without numpy: only the column form needs it
 
-#: ``RO`` objects Algorithm 2's numpy backend scores before it evaluates
-#: Example 4's stop (``_individual_topk_numpy``).
+#: ``RO`` objects per block of Algorithm 2's numpy backend: Example 4's
+#: stop is evaluated per user between blocks (``_individual_topk_numpy``).
 RO_BLOCK = 256
 
 __all__ = [
     "CandidateObject",
+    "CandidatePool",
+    "CandidatePoolError",
     "JointTraversalResult",
     "joint_traversal",
     "individual_topk",
@@ -64,9 +74,21 @@ __all__ = [
 ]
 
 
+class CandidatePoolError(ValueError):
+    """A candidate pool does not fit the dataset it is refined against:
+    its columns disagree in length, ``n_lo`` lies outside them, or it
+    names an object id the object set does not hold (a pool that crossed
+    a process boundary meets a replica's dataset, not the walk's)."""
+
+
 @dataclass(slots=True)
 class CandidateObject:
-    """An object surviving the traversal, with its group-level bounds."""
+    """An object surviving the traversal, with its group-level bounds.
+
+    The python walk builds one per pooled object.  A column pool builds
+    them only for whoever reads it as a sequence (the python backend,
+    the scalar ``_node_rsk``, tests) — see :class:`CandidatePool`.
+    """
 
     obj: STObject
     lower: float
@@ -75,16 +97,204 @@ class CandidateObject:
     weights: Dict[int, Tuple[float, float]] = field(default_factory=dict)
 
 
-@dataclass(slots=True)
+class CandidatePool(Sequence[CandidateObject]):
+    """Candidates in pool order: a sequence of :class:`CandidateObject`.
+
+    Two forms behind the one interface:
+
+    * **objects** — ``CandidatePool(candidates)``: the list the python
+      walk (or a test) built.  ``ids`` is ``None``.
+    * **columns** — :meth:`from_columns`: ``ids`` / ``lower`` / ``upper``
+      arrays, what the numpy walk produces and every numpy consumer
+      reads (:meth:`columns`, :meth:`object_rows`).  Its
+      :class:`CandidateObject` views — weight dicts included — are built
+      on first sequence access, from the walk's
+      :class:`~repro.core.kernels.FrontierBounds`, and only in the
+      process the walk ran in: pickling ships the three columns
+      (``STObject``-free), so a pool that crossed a process boundary has
+      no views to give (:meth:`JointTraversalResult.readable_by` picks
+      the form a remote reader needs).
+
+    ``len()``, slices and :meth:`take` never build a view.
+    """
+
+    __slots__ = ("ids", "lower", "upper", "_views", "_source", "_rows")
+
+    def __init__(self, candidates: Sequence[CandidateObject] = ()) -> None:
+        self.ids = self.lower = self.upper = None
+        self._views: Optional[List[CandidateObject]] = list(candidates)
+        self._source = None  # (FrontierBounds, tree-entry index array)
+        self._rows = None    # (ObjectColumns, rows): the last look-up
+
+    @classmethod
+    def from_columns(cls, ids, lower, upper, source=None) -> "CandidatePool":
+        pool = cls.__new__(cls)
+        pool.ids, pool.lower, pool.upper = ids, lower, upper
+        pool._views = None
+        pool._source = source
+        pool._rows = None
+        return pool
+
+    def __reduce__(self):
+        if self.ids is None:
+            return CandidatePool, (self._views,)
+        return CandidatePool.from_columns, (self.ids, self.lower, self.upper)
+
+    def __len__(self) -> int:
+        return len(self._views) if self.ids is None else len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        return self._candidates()[index]
+
+    def __iter__(self):
+        return iter(self._candidates())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _candidates(self) -> List[CandidateObject]:
+        if self._views is None:
+            if self._source is None:
+                raise CandidatePoolError(
+                    "this pool crossed a process boundary as id/bound columns; "
+                    "CandidateObject views exist only where the walk ran "
+                    "(ship JointTraversalResult.readable_by('python') instead)"
+                )
+            bounds, entries = self._source
+            payload = bounds.arrays.ent_payload
+            self._views = [
+                CandidateObject(payload[e], lo, up, bounds.weights_of(e))
+                for e, lo, up in zip(
+                    entries.tolist(), self.lower.tolist(), self.upper.tolist()
+                )
+            ]
+        return self._views
+
+    def take(self, index) -> "CandidatePool":
+        """The sub-pool at ``index`` — a slice, or (column form) an
+        index array — in the same form, views not built."""
+        if self.ids is None:
+            return CandidatePool(self._views[index])
+        source = self._source
+        if source is not None:
+            source = (source[0], source[1][index])
+        return CandidatePool.from_columns(
+            self.ids[index], self.lower[index], self.upper[index], source
+        )
+
+    def columns(self):
+        """``(ids, lower, upper)`` as arrays (built from the objects
+        when that is the form this pool has)."""
+        if self.ids is not None:
+            return self.ids, self.lower, self.upper
+        views = self._views
+        return (
+            np.fromiter((c.obj.item_id for c in views), np.int64, len(views)),
+            np.fromiter((c.lower for c in views), np.float64, len(views)),
+            np.fromiter((c.upper for c in views), np.float64, len(views)),
+        )
+
+    def object_rows(self, objects):
+        """Each candidate's row in ``objects`` (an
+        :class:`~repro.core.kernels.ObjectColumns`), one vectorised
+        look-up; a column pool remembers its last one (the indexed
+        search refines the same pool once per MIUR leaf)."""
+        if self._rows is not None and self._rows[0] is objects:
+            return self._rows[1]
+        try:
+            rows = objects.rows_of_ids(self.columns()[0])
+        except KeyError as exc:
+            raise CandidatePoolError(
+                "candidate pool names an object id this dataset does not hold"
+            ) from exc
+        if self.ids is not None:
+            self._rows = (objects, rows)
+        return rows
+
+
 class JointTraversalResult:
-    """Output of Algorithm 1: the candidate pools and the threshold."""
+    """Output of Algorithm 1: the candidate pool and the threshold.
 
-    lo: List[CandidateObject]  # the k best-lower-bound objects
-    ro: List[CandidateObject]  # descending upper bound
-    rsk_group: float  # RSk(us)
+    ``pool`` holds ``LO`` — the ``n_lo`` best-lower-bound objects, best
+    first — then ``RO`` in (stable) descending upper bound.
+    ``JointTraversalResult(lo=..., ro=..., rsk_group=...)`` builds the
+    object form from two candidate lists; the numpy walk builds the
+    column form with :meth:`of_pool`.
+    """
 
-    def all_candidates(self) -> List[CandidateObject]:
-        return self.lo + self.ro
+    __slots__ = ("pool", "n_lo", "rsk_group")
+
+    def __init__(
+        self,
+        lo: Sequence[CandidateObject],
+        ro: Sequence[CandidateObject],
+        rsk_group: float,
+    ) -> None:
+        self.pool = CandidatePool([*lo, *ro])
+        self.n_lo = len(lo)
+        self.rsk_group = rsk_group  # RSk(us)
+
+    @classmethod
+    def of_pool(
+        cls, pool: CandidatePool, n_lo: int, rsk_group: float
+    ) -> "JointTraversalResult":
+        result = cls.__new__(cls)
+        result.pool, result.n_lo, result.rsk_group = pool, n_lo, rsk_group
+        return result
+
+    def __reduce__(self):
+        return JointTraversalResult.of_pool, (self.pool, self.n_lo, self.rsk_group)
+
+    @property
+    def lo(self) -> CandidatePool:
+        """The k best-lower-bound objects (sized without building views)."""
+        return self.pool[: self.n_lo]
+
+    @property
+    def ro(self) -> CandidatePool:
+        """The rest, in descending upper bound."""
+        return self.pool[self.n_lo :]
+
+    def all_candidates(self) -> CandidatePool:
+        return self.pool
+
+    def check(self, dataset: Dataset) -> None:
+        """Raise :class:`CandidatePoolError` unless this pool can be
+        refined against ``dataset``: the columns agree in length,
+        ``n_lo`` lies inside them and ``dataset`` holds every object
+        they name — what must hold before anything slices or gathers by
+        them (a pool off the wire is outside input)."""
+        pool = self.pool
+        if not 0 <= self.n_lo <= len(pool):
+            raise CandidatePoolError(
+                f"n_lo={self.n_lo} outside a pool of {len(pool)} candidates"
+            )
+        if pool.ids is None:
+            return  # the object form carries its objects: nothing to resolve
+        if not len(pool.ids) == len(pool.lower) == len(pool.upper):
+            raise CandidatePoolError(
+                f"candidate pool columns disagree: {len(pool.ids)} ids, "
+                f"{len(pool.lower)} lower, {len(pool.upper)} upper bounds"
+            )
+        pool.object_rows(object_columns_for(dataset))
+
+    def readable_by(self, backend: str) -> "JointTraversalResult":
+        """The form a reader on ``backend`` needs *on the far side of a
+        process boundary*: numpy reads the columns any form gives; the
+        python backend reads objects, which a column pool can only build
+        here, where its walk ran."""
+        if backend == "numpy" or self.pool.ids is None:
+            return self
+        views = list(self.pool)  # built once, kept by the pool
+        return JointTraversalResult(
+            views[: self.n_lo], views[self.n_lo :], self.rsk_group
+        )
 
 
 def joint_traversal(
@@ -198,12 +408,16 @@ def _joint_traversal_numpy(
     files.  Because the bound values are bitwise identical to the
     scalar path, every decision — and therefore the pools, the
     threshold, and the I/O trace — is identical too.
+
+    ``LO`` and ``RO`` hold tree-entry indices where the scalar walk
+    holds :class:`CandidateObject` values; the result's id / bound columns
+    are three gathers by those indices at the end.
     """
     from .kernels import tree_arrays_for
 
     ta = tree_arrays_for(tree)
     fb = ta.frontier_bounds(dataset, su, store=store)
-    lb_arr, ub_arr = fb.lb, fb.ub  # python lists: O(1) cheap reads
+    lb_arr, ub_arr = fb.lb.tolist(), fb.ub.tolist()  # O(1) cheap reads
 
     counter = itertools.count()
     # PQ payload encoding: >= 0 is an object's entry index; < 0 is a
@@ -212,37 +426,28 @@ def _joint_traversal_numpy(
     pq: List[Tuple[float, int, int]] = []
     heapq.heappush(pq, (0.0, next(counter), -(ta.root_index + 1)))
 
-    lo_heap: List[Tuple[float, int, CandidateObject]] = []
-    ro: List[CandidateObject] = []
+    # LO: min-heap of (lower_bound, tiebreak, entry index), size <= k.
+    lo_heap: List[Tuple[float, int, int]] = []
+    ro: List[int] = []
     rsk = float("-inf")
 
-    def make_cand(idx: int, lower: float, upper: float) -> CandidateObject:
-        return CandidateObject(
-            obj=ta.ent_payload[idx], lower=lower, upper=upper,
-            weights=fb.weights_of(idx),
-        )
-
     def admit(lower: float, upper: float, idx: int) -> None:
-        """Lines 1.9–1.18, with the CandidateObject built only when the
-        entry actually enters a pool (dropped entries never need the
-        weight dict)."""
+        """Lines 1.9–1.18 over entry indices."""
         nonlocal rsk
         if len(lo_heap) < k:
-            heapq.heappush(lo_heap, (lower, next(counter), make_cand(idx, lower, upper)))
+            heapq.heappush(lo_heap, (lower, next(counter), idx))
             if len(lo_heap) == k:
                 rsk = lo_heap[0][0]
             return
         if upper < rsk:
             return
         if lower > lo_heap[0][0]:
-            _, __, displaced = heapq.heapreplace(
-                lo_heap, (lower, next(counter), make_cand(idx, lower, upper))
-            )
+            _, __, displaced = heapq.heapreplace(lo_heap, (lower, next(counter), idx))
             rsk = lo_heap[0][0]
-            if displaced.upper >= rsk:
+            if ub_arr[displaced] >= rsk:
                 ro.append(displaced)
         else:
-            ro.append(make_cand(idx, lower, upper))
+            ro.append(idx)
 
     while pq:
         neg_lb, _, code = heapq.heappop(pq)
@@ -277,14 +482,20 @@ def _joint_traversal_numpy(
             for i in survivors:
                 heapq.heappush(pq, (-lb_arr[i], next(counter), -(child[i] + 1)))
 
-    lo = [cand for _, __, cand in sorted(lo_heap, key=lambda t: -t[0])]
-    ro.sort(key=lambda c: -c.upper)
-    return JointTraversalResult(
-        lo=lo, ro=ro, rsk_group=(rsk if rsk != float("-inf") else 0.0)
+    # The scalar walk's two stable sorts, on the same keys.
+    lo = [idx for _, __, idx in sorted(lo_heap, key=lambda t: -t[0])]
+    ro.sort(key=lambda idx: -ub_arr[idx])
+    entries = np.array(lo + ro, dtype=np.intp)
+    pool = CandidatePool.from_columns(
+        ta.ent_object_id[entries], fb.lb[entries], fb.ub[entries],
+        source=(fb, entries),
+    )
+    return JointTraversalResult.of_pool(
+        pool, len(lo), rsk if rsk != float("-inf") else 0.0
     )
 
 
-def derive_rsk_group(traversal: JointTraversalResult, walk_k: int, k: int) -> float:
+def derive_rsk_group(traversal: JointTraversalResult, walk_k: int, k: int) -> float:  # repro: identity-kernel
     """``RSk(us)`` at ``k`` from a traversal walked at ``walk_k >= k``.
 
     For ``k == walk_k`` it is the walk's own threshold; for smaller
@@ -297,18 +508,26 @@ def derive_rsk_group(traversal: JointTraversalResult, walk_k: int, k: int) -> fl
     Shared by joint cross-k pool sharing (:mod:`repro.core.batch`), the
     sharded gather, and the indexed MIUR-root pool
     (:mod:`repro.core.indexed_users`).
+
+    On a column pool the order statistic is one ``np.partition`` of the
+    ``lower`` column: the same element of the same multiset the sort
+    picks, so the same float.
     """
     if k > walk_k:
         raise ValueError(f"pool walked at k={walk_k} cannot serve k={k}")
     if k == walk_k:
         return traversal.rsk_group
-    lows = sorted((c.lower for c in traversal.all_candidates()), reverse=True)
-    return lows[k - 1] if 0 < k <= len(lows) else 0.0
+    pool = traversal.pool
+    if not 0 < k <= len(pool):
+        return 0.0
+    if pool.ids is not None:
+        return float(np.partition(pool.lower, len(pool) - k)[len(pool) - k])
+    return sorted((c.lower for c in pool), reverse=True)[k - 1]
 
 
-def canonical_candidates(
+def canonical_candidates(  # repro: identity-kernel
     traversal: JointTraversalResult, rsk_group: float
-) -> List[CandidateObject]:
+) -> CandidatePool:
     """The pool-independent candidate set at one ``k``.
 
     ``{o : UB(o, us) >= RSk_k(us)}``, read off any pool walked at
@@ -323,11 +542,16 @@ def canonical_candidates(
     lower bound is an order statistic of a *canonical* multiset.
     Candidates are returned in a total, pool-independent order —
     (lower bound desc, object id asc) — so downstream consumers never
-    see pool-dependent tie ordering.
+    see pool-dependent tie ordering.  The result has the pool's own
+    form: a column pool is filtered and ordered by array operations.
     """
-    kept = [c for c in traversal.all_candidates() if c.upper >= rsk_group]
+    pool = traversal.pool
+    if pool.ids is not None:
+        kept = np.flatnonzero(pool.upper >= rsk_group)
+        return pool.take(kept[np.lexsort((pool.ids[kept], -pool.lower[kept]))])
+    kept = [c for c in pool if c.upper >= rsk_group]
     kept.sort(key=lambda c: (-c.lower, c.obj.item_id))
-    return kept
+    return CandidatePool(kept)
 
 
 def individual_topk(
@@ -343,11 +567,12 @@ def individual_topk(
     scanned in descending group upper bound and the scan stops per user
     as soon as ``UB(o, us) < RSk(u)`` — no later object can qualify.
 
-    ``backend="numpy"`` applies the stop to whole blocks of ``RO`` and
-    scores users x objects as matrices (see :mod:`repro.core.kernels`);
-    the top-k contenders are re-scored by a bitwise-exact pair kernel
-    so the returned scores — and hence every downstream ``RSk(u)``
-    threshold — are identical floats to the python backend's.
+    ``backend="numpy"`` scores users x objects as matrices, one block of
+    ``RO`` at a time, and applies the stop per user between blocks (see
+    :func:`_individual_topk_numpy`); the top-k contenders are re-scored
+    by a bitwise-exact pair kernel so the returned scores — and hence
+    every downstream ``RSk(u)`` threshold — are identical floats to the
+    python backend's.
     """
     users = dataset.users if users is None else users
     out: Dict[int, TopKResult] = {}
@@ -355,10 +580,13 @@ def individual_topk(
         return {u.item_id: TopKResult(user_id=u.item_id, ranked=[]) for u in users}
     if resolve_backend(backend) == "numpy":
         return _individual_topk_numpy(traversal, dataset, k, users)
+    # Through the pool itself: a column pool builds its views once.
+    candidates = list(traversal.pool)
+    lo, ro = candidates[: traversal.n_lo], candidates[traversal.n_lo :]
     for user in users:
         # Min-heap of the k best (score, -object_id).
         best: List[Tuple[float, int]] = []
-        for cand in traversal.lo:
+        for cand in lo:
             score = dataset.sts(cand.obj, user)
             entry = (score, -cand.obj.item_id)
             if len(best) < k:
@@ -366,7 +594,7 @@ def individual_topk(
             elif entry > best[0]:
                 heapq.heapreplace(best, entry)
         rsk_u = best[0][0] if len(best) >= k else float("-inf")
-        for cand in traversal.ro:
+        for cand in ro:
             if len(best) >= k and cand.upper < rsk_u:
                 break  # Example 4's per-user early termination
             score = dataset.sts(cand.obj, user)
@@ -381,74 +609,105 @@ def individual_topk(
     return out
 
 
+def _still_active(kth, upper, start: int):
+    """Example 4's stop for the block of ``RO`` that begins at pool
+    position ``start``: which of these users — ``kth`` their running
+    k-th best matrix scores — the block's first, largest ``UB(o, us)``
+    still reaches.  The guard sits on the conservative side (the matrix
+    scores carry BLAS rounding): a user is retired only when every
+    object from here on has ``STS(o, u) <= UB(o, us) < RSk(u)``."""
+    return kth - GUARD_EPS <= upper[start]
+
+
+def _contenders(blocks, kth):
+    """``(user position, pool position)`` of every scored cell that
+    reaches its user's final k-th best matrix score minus ``GUARD_EPS``
+    — per user a superset of the scalar top-k, ties included.
+    ``blocks`` holds ``(user positions, first pool position, scores)``
+    per scored block."""
+    user_pos, col = [], []
+    for block_users, start, scores in blocks:
+        u, c = np.nonzero(scores >= (kth[block_users] - GUARD_EPS)[:, None])
+        user_pos.append(block_users[u])
+        col.append(start + c)
+    return np.concatenate(user_pos), np.concatenate(col)
+
+
 def _individual_topk_numpy(
     traversal: JointTraversalResult,
     dataset: Dataset,
     k: int,
     users: Sequence[User],
 ) -> Dict[int, TopKResult]:
-    """Vectorized Algorithm 2: guard-banded matrix, exact contenders.
+    """Vectorized Algorithm 2: guard-banded blocks, exact contenders.
 
-    **Example 4's stop.**  ``LO`` and the first ``RO_BLOCK`` objects of
-    ``RO`` are scored for every user as one matrix; each user's k-th
-    best score so far is a lower bound of their final ``RSk(u)``, and
-    ``RO`` is in descending ``UB(o, us)``, so only its prefix with
-    ``UB(o, us) >= min_u kth_u - GUARD_EPS`` is scored next.  The guard
-    sits on the conservative side: the matrix scores carry BLAS
-    rounding, so the cut is lowered by the band and the scored prefix
-    is a superset of every object the scalar scan visits for any user —
-    an object left out has ``STS(o, u) <= UB(o, us) < RSk(u)`` for all
-    of them.
+    **Example 4's stop, per user, block by block.**  ``LO`` and the
+    first ``RO_BLOCK`` objects of ``RO`` are scored for every user as
+    one matrix.  Each user's k-th best score so far (kept in a ``users x
+    k`` best-so-far matrix, one ``partition`` over ``k + block`` columns
+    per block) is a lower bound of their final ``RSk(u)``, and ``RO`` is
+    in descending ``UB(o, us)``, so a further block is scored only for
+    the users :func:`_still_active` keeps, and only as far as the
+    weakest of them still reaches.  The set scored for a user is a
+    superset of what the scalar scan visits for them: an object left
+    out has ``STS(o, u) <= UB(o, us) < RSk(u)``.
 
-    **Contenders.**  Per user, everything whose matrix score reaches
-    the k-th best minus ``GUARD_EPS`` — a superset of the scalar top-k,
-    ties included — is re-scored by the bitwise pair kernel
-    (:meth:`DatasetArrays.sts_pairs`) and ordered by the scalar heap's
-    exact key ``(-score, id)``, so the returned lists (and the
-    ``RSk(u)`` thresholds read from them) are the python backend's
-    floats in the python backend's order.
+    **Contenders.**  Per user, every scored cell within ``GUARD_EPS`` of
+    the *final* k-th best (:func:`_contenders`) is re-scored by the
+    bitwise pair kernel (:meth:`DatasetArrays.sts_pairs`) and ordered
+    by the scalar heap's exact key ``(-score, id)``, so the returned
+    lists (and the ``RSk(u)`` thresholds read from them) are the python
+    backend's floats in the python backend's order.
     """
-    import numpy as np
-
-    from .kernels import GUARD_EPS
-
-    cands = traversal.all_candidates()
-    if not cands or not users:
+    pool = traversal.pool
+    if not len(pool) or not users:
         return {u.item_id: TopKResult(user_id=u.item_id, ranked=[]) for u in users}
     arrays = arrays_for(dataset)
     user_rows = arrays.rows_for(users)
-    obj_rows = arrays.objects.rows_for(c.obj.item_id for c in cands)
+    obj_rows = pool.object_rows(arrays.objects)
+    ids, _, upper = pool.columns()
+    n = len(obj_rows)
 
-    def kth_best(scores):
-        n = scores.shape[1]
-        return np.partition(scores, n - k, axis=1)[:, n - k]
+    def top_k(scores):
+        """The k best of every row, the k-th best first."""
+        cols = scores.shape[1]
+        return np.partition(scores, cols - k, axis=1)[:, cols - k:]
 
-    head = min(len(cands), len(traversal.lo) + RO_BLOCK)
-    scores = arrays.candidate_score_matrix(obj_rows[:head], user_rows)
-    if head < len(cands):
-        floor = kth_best(scores).min() - GUARD_EPS if head >= k else -math.inf
-        # First candidate past the head with UB(o, us) < floor.
-        reach = bisect_right(cands, -floor, lo=head, key=lambda c: -c.upper)
-        if reach > head:
-            scores = np.hstack((
-                scores,
-                arrays.candidate_score_matrix(obj_rows[head:reach], user_rows),
-            ))
-    if scores.shape[1] > k:
-        keep = scores >= (kth_best(scores) - GUARD_EPS)[:, None]
-    else:
-        keep = np.ones(scores.shape, dtype=bool)
-    user_pos, col = np.nonzero(keep)
+    stop = min(n, traversal.n_lo + RO_BLOCK)
+    active = np.arange(len(users))
+    scores = arrays.candidate_score_matrix(obj_rows[:stop], user_rows)
+    blocks = [(active, 0, scores)]
+    # -inf until a user has k scores: nobody stops on fewer.
+    best = top_k(np.hstack((np.full((len(users), k), -math.inf), scores)))
+    kth = best[:, 0].copy()
+    neg_upper = -upper
+    while stop < n:
+        start = stop
+        active = active[_still_active(kth[active], upper, start)]
+        if not len(active):
+            break
+        # ... and only up to the first UB(o, us) no active user reaches.
+        floor = kth[active].min() - GUARD_EPS
+        reach = start + int(np.searchsorted(neg_upper[start:], -floor, side="right"))
+        stop = min(reach, start + RO_BLOCK)
+        scores = arrays.candidate_score_matrix(obj_rows[start:stop], user_rows[active])
+        blocks.append((active, start, scores))
+        best[active] = top_k(np.hstack((best[active], scores)))
+        kth[active] = best[active, 0]
+
+    user_pos, col = _contenders(blocks, kth)
     exact = arrays.sts_pairs(obj_rows[col], user_rows[user_pos])
-    ids = arrays.objects.ids[obj_rows[col]]
-    order = np.lexsort((ids, -exact, user_pos))
-    pairs = list(zip(exact[order].tolist(), ids[order].tolist()))
-    starts = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))).tolist()
+    col_ids = ids[col]
+    order = np.lexsort((col_ids, -exact, user_pos))
+    pairs = list(zip(exact[order].tolist(), col_ids[order].tolist()))
+    starts = np.concatenate(
+        ([0], np.cumsum(np.bincount(user_pos, minlength=len(users))))
+    ).tolist()
     return {
         user.item_id: TopKResult(
-            user_id=user.item_id, ranked=pairs[start:min(start + k, stop)]
+            user_id=user.item_id, ranked=pairs[start:min(start + k, end)]
         )
-        for user, start, stop in zip(users, starts, starts[1:])
+        for user, start, end in zip(users, starts, starts[1:])
     }
 
 

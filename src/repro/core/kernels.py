@@ -53,8 +53,9 @@ as ``+ 0.0``, which is exact.  ``repro lint`` (KI301/KI302) bans
 Array layout
 ------------
 :class:`ObjectColumns` caches, per *object set* (shared by
-``with_alpha``/``with_users`` clones): object locations ``(N, 2)``, an
-id -> row map and a CSR of every object's term weights.
+``with_alpha``/``with_users`` clones): object locations ``(N, 2)``, a
+vectorised id -> row look-up (how a candidate pool, which names objects
+by id, becomes rows) and a CSR of every object's term weights.
 
 :class:`DatasetArrays` caches, per dataset (stored on the dataset
 itself, so clones from ``with_alpha``/``with_users`` get their own):
@@ -205,6 +206,18 @@ def _guarded_ge(scores, thresholds, exact: Callable[..., bool], where=None):
     return passed
 
 
+def _rows_of_ids(ids, order, wanted, what: str):
+    """Row of each ``wanted`` id in the id column ``ids`` (``order`` its
+    stable argsort), one vectorised look-up; ``KeyError`` if any is
+    absent — never a clamped or wrapped neighbour's row."""
+    wanted = np.asarray(wanted, dtype=np.int64)
+    found = np.searchsorted(ids, wanted, sorter=order)
+    rows = order[np.minimum(found, len(ids) - 1)]
+    if not np.array_equal(ids[rows], wanted):
+        raise KeyError(f"{what} id not in this dataset")
+    return rows
+
+
 #: Boolean columns per ``int64`` word of :func:`_pack_rows`.
 _WORD_BITS = 62
 
@@ -242,12 +255,15 @@ def _row_labels(words) -> "np.ndarray":
 class ObjectColumns:
     """Array mirror of a dataset's *objects*: built once per object set.
 
-    Point coordinates, an id -> row map and one CSR of every object's
-    term weights — the very floats ``relevance.document_weights``
-    returns, which is what :meth:`TextRelevance.score` adds up.  Nothing
-    here depends on the users or on ``alpha``, so ``with_alpha`` /
-    ``with_users`` clones (every shard's subset dataset included) share
-    one instance through ``Dataset._per_object_set``
+    Point coordinates, a vectorised id -> row look-up and one CSR of
+    every object's term weights — the very floats
+    ``relevance.document_weights`` returns, which is what
+    :meth:`TextRelevance.score` adds up — each object's entries in
+    ascending term order, the bound kernels' summation order
+    (:class:`CandidatePoolArrays` gathers its segments from here).
+    Nothing here depends on the users or on ``alpha``, so ``with_alpha``
+    / ``with_users`` clones (every shard's subset dataset included)
+    share one instance through ``Dataset._per_object_set``
     (see :func:`object_columns_for`), and workers forked after
     ``prewarm_kernels`` inherit it like :class:`TreeArrays`.
     """
@@ -262,7 +278,8 @@ class ObjectColumns:
         objects = dataset.objects
         self.num_objects = len(objects)
         self.ids = np.array([o.item_id for o in objects], dtype=np.int64)
-        self.row_of: Dict[int, int] = {o.item_id: i for i, o in enumerate(objects)}
+        #: ``ids`` ascending, for :meth:`rows_of_ids`.
+        self._id_order = np.argsort(self.ids, kind="stable")
         self.xy = np.array(
             [(o.location.x, o.location.y) for o in objects], dtype=np.float64
         ).reshape(self.num_objects, 2)
@@ -275,10 +292,14 @@ class ObjectColumns:
             counts.append(len(weights))
             term.extend(weights)
             weight.extend(weights.values())
-        #: Object row of every CSR entry.
+        #: Object row of every CSR entry; row ``r`` owns
+        #: ``indptr[r]:indptr[r + 1]``.
         self.entry_row = np.repeat(np.arange(self.num_objects), counts)
-        self.term = np.array(term, dtype=np.int64)
-        self.weight = np.array(weight, dtype=np.float64)
+        self.indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        terms = np.array(term, dtype=np.int64)
+        ascending = np.lexsort((terms, self.entry_row))  # within each row
+        self.term = terms[ascending]
+        self.weight = np.array(weight, dtype=np.float64)[ascending]
 
     def __reduce__(self):
         raise TypeError(
@@ -287,10 +308,10 @@ class ObjectColumns:
             "(object_columns_for)."
         )
 
-    def rows_for(self, object_ids: Iterable[int]) -> "np.ndarray":
-        """Row-index array of the objects with these ids."""
-        row_of = self.row_of
-        return np.array([row_of[i] for i in object_ids], dtype=np.intp)
+    def rows_of_ids(self, object_ids) -> "np.ndarray":
+        """Row-index array of the objects with these ids, one vectorised
+        look-up; ``KeyError`` if this object set lacks any of them."""
+        return _rows_of_ids(self.ids, self._id_order, object_ids, "object")
 
     def weights_over(self, terms: Sequence[int]) -> "np.ndarray":
         """Dense ``(objects, len(terms) + 1)`` weights over ascending
@@ -409,12 +430,7 @@ class DatasetArrays:
         """:meth:`rows_for` from an id array, one vectorised look-up."""
         if self._id_order is None:
             self._id_order = np.argsort(self.user_ids, kind="stable")
-        order = self._id_order
-        found = np.searchsorted(self.user_ids, user_ids, sorter=order)
-        rows = order[np.minimum(found, self.num_users - 1)]
-        if not np.array_equal(self.user_ids[rows], user_ids):
-            raise KeyError("user id not in this dataset")
-        return rows
+        return _rows_of_ids(self.user_ids, self._id_order, user_ids, "user")
 
     def membership(self, rows_per_location: Sequence) -> "np.ndarray":
         """``L x U`` boolean: which user rows belong to which location."""
@@ -927,6 +943,7 @@ class TreeArrays:
         ent_rect: List[Tuple[float, float, float, float]] = []
         ent_payload: List[object] = []      # STObject (leaf) | RTreeNode
         ent_child: List[int] = []           # child node index, -1 for objects
+        ent_object_id: List[int] = []       # object id, -1 for child pointers
         ent_indptr: List[int] = [0]
         ent_term: List[int] = []
         ent_maxw: List[float] = []
@@ -957,6 +974,7 @@ class TreeArrays:
                     ent_rect.append((x, y, x, y))
                     ent_payload.append(obj)
                     ent_child.append(-1)
+                    ent_object_id.append(entry.item)
                     for tid in sorted(weights):
                         w = weights[tid]
                         ent_term.append(tid)
@@ -970,6 +988,7 @@ class TreeArrays:
                     ent_rect.append((r.min_x, r.min_y, r.max_x, r.max_y))
                     ent_payload.append(child)
                     ent_child.append(node_index[child.page_id])
+                    ent_object_id.append(-1)
                     for tid in sorted(max_w):
                         ent_term.append(tid)
                         ent_maxw.append(max_w[tid])
@@ -992,6 +1011,9 @@ class TreeArrays:
         self.ent_rect = np.array(ent_rect, dtype=np.float64).reshape(len(ent_rect), 4)
         self.ent_payload = ent_payload
         self.ent_child = ent_child
+        #: What a candidate pool names its objects by: every replica of
+        #: the object set shares the ids, not this tree's entry numbering.
+        self.ent_object_id = np.array(ent_object_id, dtype=np.int64)
         self.ent_indptr = ent_indptr
         self.ent_term = ent_term
         self.ent_maxw = ent_maxw
@@ -1100,31 +1122,34 @@ class TreeArrays:
 class FrontierBounds:
     """Per-traversal view over :class:`TreeArrays`: bounds + I/O charges.
 
-    ``lb``/``ub``/``in_union``/``node_blocks`` are plain python lists —
-    the frontier loop and the weight-dict builder read them one element
-    at a time, and a single ``.tolist()`` here beats thousands of numpy
-    scalar reads there.
+    ``lb`` / ``ub`` are arrays by entry index — the frontier loop takes
+    one ``.tolist()`` of each (thousands of element-wise reads), the
+    candidate pool gathers its ``lower`` / ``upper`` columns from them.
+    ``node_blocks`` is a plain list (read one node at a time).
     """
 
     __slots__ = ("arrays", "lb", "ub", "in_union", "node_blocks")
 
     def __init__(self, arrays: TreeArrays, lb, ub, in_union, node_blocks) -> None:
         self.arrays = arrays
-        self.lb = lb.tolist()
-        self.ub = ub.tolist()
-        self.in_union = in_union.tolist()
+        self.lb = lb
+        self.ub = ub
+        self.in_union = in_union
         self.node_blocks = node_blocks.tolist() if node_blocks is not None else None
 
     def weights_of(self, entry: int) -> Dict[int, Tuple[float, float]]:
         """The entry's ``{term: (maxw, minw)}`` restricted to the union —
-        exactly what ``InvertedFile.entry_weights`` hands the scalar path."""
+        exactly what ``InvertedFile.entry_weights`` hands the scalar path.
+        Built on demand, for the object views of a pool
+        (:class:`repro.core.joint_topk.CandidatePool`); the walk itself
+        never reads it."""
         ta = self.arrays
-        in_union = self.in_union
+        start, end = ta.ent_indptr[entry], ta.ent_indptr[entry + 1]
         terms, maxw, minw = ta.ent_term, ta.ent_maxw, ta.ent_minw
         return {
             terms[j]: (maxw[j], minw[j])
-            for j in range(ta.ent_indptr[entry], ta.ent_indptr[entry + 1])
-            if in_union[j]
+            for j, held in zip(range(start, end), self.in_union[start:end].tolist())
+            if held
         }
 
 
@@ -1140,6 +1165,16 @@ class CandidatePoolArrays:
     ``(term, min weight)`` in ascending term order) and evaluates every
     candidate's ``LB(o, node)`` as a few array passes per node.
 
+    The pool is named by object id — all a pool that crossed a process
+    boundary carries — and flattened by gathering the candidates' rows
+    and CSR segments out of the dataset's :class:`ObjectColumns`: array
+    operations, whichever replica of the object set runs them.  A
+    segment is the object's *whole* document, where the scalar
+    candidates' weight dicts hold only the terms of the walk's
+    super-user; the difference never reaches a sum, because ``MinTS``
+    reads the intersection terms of a summary of (some of) that
+    super-user's users, all of which the restriction keeps.
+
     Exactness contract — the PR 3 convention, not a guard band: every
     expression mirrors the scalar :class:`~repro.core.bounds
     .BoundCalculator` operation for operation (point-rect max distance
@@ -1151,25 +1186,24 @@ class CandidatePoolArrays:
     path (property-tested in ``tests/core/test_node_rsk_kernel.py``).
     """
 
-    def __init__(self, dataset: "Dataset", candidates: Sequence) -> None:
+    def __init__(self, dataset: "Dataset", candidates) -> None:
+        """``candidates``: a :class:`repro.core.joint_topk.CandidatePool`."""
         if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend
             raise RuntimeError("CandidatePoolArrays requires numpy")
         self.dataset = dataset
         self.size = len(candidates)
-        self.x = np.array([c.obj.location.x for c in candidates], dtype=np.float64)
-        self.y = np.array([c.obj.location.y for c in candidates], dtype=np.float64)
-        indptr: List[int] = [0]
-        term: List[int] = []
-        minw: List[float] = []
-        for c in candidates:
-            for tid in sorted(c.weights):
-                term.append(tid)
-                minw.append(c.weights[tid][1])
-            indptr.append(len(term))
-        self.indptr = np.array(indptr, dtype=np.intp)
-        self.term = np.array(term, dtype=np.int64)
-        self.minw = np.array(minw, dtype=np.float64)
-        self.max_term = int(self.term.max()) if term else -1
+        objects = object_columns_for(dataset)
+        rows = candidates.object_rows(objects)
+        self.x = objects.xy[rows, 0]
+        self.y = objects.xy[rows, 1]
+        starts = objects.indptr[rows]
+        counts = objects.indptr[rows + 1] - starts
+        self.indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        # Entry j of candidate i sits at starts[i] + j in the object CSR.
+        entries = np.repeat(starts - self.indptr[:-1], counts) + np.arange(self.indptr[-1])
+        self.term = objects.term[entries]
+        self.minw = objects.weight[entries]
+        self.max_term = int(self.term.max()) if len(self.term) else -1
 
     #: Dense buffers the shared-memory tier lifts into arena columns.
     SHARED_ATTRS = ("x", "y", "indptr", "term", "minw")

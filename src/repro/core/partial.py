@@ -133,7 +133,15 @@ def compute_partials(
     the first ``k`` entries of the top-``max(ks)`` list over the same
     pool (:meth:`TopKResult.kth_score_at`), so each ``k`` still gets its
     own :class:`PartialResult`; the first carries the refinement's time.
+
+    The pool may have crossed a process boundary: it is checked first,
+    so one that does not fit this replica — columns of unequal length,
+    ``n_lo`` outside them, an object id ``dataset`` does not hold —
+    raises :class:`~repro.core.joint_topk.CandidatePoolError` (an
+    ``ERROR`` frame from a shard host, the degrade ladder of a worker
+    pool) instead of gathering by a bad index.
     """
+    traversal.check(dataset)
     partials: List[PartialResult] = []
     t0 = time.perf_counter()
     per_user = individual_topk(traversal, dataset, max(ks), backend=backend)

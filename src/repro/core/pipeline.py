@@ -242,7 +242,10 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
 
     * ``("refine", traversal, ks, backend, shard_id)`` — Algorithm 2
       for the shard's users against the shared pool: one refinement at
-      ``max(ks)``, one ``PartialResult`` per k read off it.
+      ``max(ks)``, one ``PartialResult`` per k read off it.  The pool
+      crosses as id / bound columns (object ids are what every replica
+      shares; :meth:`JointTraversalResult.readable_by`) and is checked
+      against ``dataset`` before anything is gathered by it.
     * ``("select", queries, shared, mode, method, backend)`` —
       Algorithm 3 whole, per query, against one shared phase-1 state
       (``dataset`` = the FULL dataset here).
@@ -306,6 +309,7 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
             views = [(context.store, None)] * len(queries)
         else:
             user_tree = context
+            traversal.check(dataset)  # off the wire, like a refine pool
             canonical = canonical_candidates(traversal, rsk_group)
             pool_arrays = None
             if backend == "numpy":
@@ -413,7 +417,7 @@ class TraverseStage(Stage):
         pool.hits += len(ctx.require("queries"))
         ctx["pool_state"] = pool
         # Both pool kinds memoize the per-k derivation, so repeat
-        # flushes pay a dict hit, not an O(pool log pool) sort.
+        # flushes pay a dict hit, not a pass over the pool.
         ctx["group_by_k"] = {
             k: pool.rsk_group_for(k) for k in plan.distinct_ks
         }
@@ -442,9 +446,10 @@ class RefineStage(Stage):
     outputs = ("merged_by_k", "keyed", "shared_by_key")
 
     def split(self, ctx: FlushContext, shard) -> List[tuple]:
+        backend = ctx.require("plan").backend
         return [(
-            "refine", ctx.require("pool_state").traversal, ctx.require("need_ks"),
-            ctx.require("plan").backend, shard.shard_id,
+            "refine", ctx.require("pool_state").traversal.readable_by(backend),
+            ctx.require("need_ks"), backend, shard.shard_id,
         )]
 
     def merge(self, ctx: FlushContext, partials_per_shard: List[list]) -> None:
@@ -553,6 +558,7 @@ class IndexedSearchStage(Stage):
         # executor sets the flag; in-process execution charges the real
         # store and never builds views — a warm LRU buffer forbids them).
         use_ledgers = bool(ctx.get("use_ledgers"))
+        traversal = pool.traversal.readable_by(plan.backend)
         by_k: Dict[int, List[int]] = {}
         for i, q in enumerate(queries):
             by_k.setdefault(q.k, []).append(i)
@@ -566,7 +572,7 @@ class IndexedSearchStage(Stage):
                 )
                 payloads.append(
                     ("indexed_search", [queries[i] for i in chunk], views,
-                     pool.traversal, group_by_k[k], users_total,
+                     traversal, group_by_k[k], users_total,
                      pool.topk_time_s, pool.io_node_visits,
                      pool.io_invfile_blocks, plan.method.value, plan.backend)
                 )

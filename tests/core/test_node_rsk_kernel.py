@@ -37,17 +37,23 @@ def build_engine(seed):
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernels")
+@pytest.mark.parametrize("walk", ["python", "numpy"])
 @pytest.mark.parametrize("seed", range(8))
-def test_node_rsk_bitwise_identical_on_random_trees(seed):
+def test_node_rsk_bitwise_identical_on_random_trees(seed, walk):
+    """Either pool form: the kernel gathers the candidates' documents
+    from the object columns by id; the scalar loop reads the weight
+    dicts (a column pool builds them, restricted to the walk's union)."""
     dataset, engine = build_engine(seed)
     bounds = BoundCalculator(dataset)
     from repro.core.kernels import CandidatePoolArrays
 
     for k in (1, 2, 5, 9):
         shared = compute_root_traversal(
-            engine.object_tree, engine.user_tree, dataset, k, store=engine.store
+            engine.object_tree, engine.user_tree, dataset, k, store=engine.store,
+            backend=walk,
         )
         canonical = shared.canonical_for(k)
+        assert (canonical.ids is not None) == (walk == "numpy")
         arrays = CandidatePoolArrays(dataset, canonical)
         checked = 0
         for summary in walk_summaries(engine.user_tree):
@@ -122,9 +128,10 @@ def test_empty_pool_returns_zero():
         make_random_users(6, 10, rng),
         relevance="LM",
     )
+    from repro.core.joint_topk import CandidatePool
     from repro.core.kernels import CandidatePoolArrays
 
-    arrays = CandidatePoolArrays(dataset, [])
+    arrays = CandidatePoolArrays(dataset, CandidatePool([]))
     assert arrays.node_rsk(dataset.super_user, 1) == 0.0
 
 

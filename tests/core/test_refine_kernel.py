@@ -7,13 +7,16 @@ Two kernels carry the refinement (``repro.core.kernels``):
   :meth:`Dataset.sts`, never ``approx``;
 * :meth:`DatasetArrays.candidate_score_matrix` — the guard-banded
   matrix that only decides which pairs the pair kernel sees (Example
-  4's stop and the contender sets).
+  4's stop, taken per user block by block, and the contender sets).
 
-The python backend is the oracle throughout.
+The python backend is the oracle throughout; the last classes hold what
+the array hand-off is *for* (no per-candidate object on the cold path,
+a pool that ships as columns) and three seeded mutants of the stop.
 """
 
 import importlib
 import math
+import pickle
 import random
 
 import pytest
@@ -22,11 +25,14 @@ from hypothesis import strategies as st
 
 from repro import Dataset, MaxBRSTkNNEngine, QueryOptions
 from repro.core.joint_topk import (
-    CandidateObject, JointTraversalResult, individual_topk, joint_traversal,
+    CandidateObject, CandidatePool, CandidatePoolError, JointTraversalResult,
+    individual_topk, joint_traversal,
 )
 from repro.core.kernels import (
-    HAS_NUMPY, DatasetArrays, ObjectColumns, arrays_for, object_columns_for,
+    HAS_NUMPY, DatasetArrays, FrontierBounds, ObjectColumns, arrays_for,
+    object_columns_for,
 )
+from repro.core.partial import compute_partials
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject, User
 from repro.spatial.geometry import Point
@@ -149,16 +155,18 @@ class TestRefineEqualsPythonBackend:
         measure=st.sampled_from(["LM", "TF", "KO"]),
         k=st.sampled_from([1, 3, 8, 200]),
         block=st.sampled_from([1, 4, 256]),
+        walk=st.sampled_from(["python", "numpy"]),
         data=st.data(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_ranked_lists_identical(self, seed, measure, k, block, data):
+    @settings(max_examples=60, deadline=None)
+    def test_ranked_lists_identical(self, seed, measure, k, block, walk, data):
         """Scores as identical floats, ties by id — for every k
-        (``200`` exceeds the pool), any ``users=`` subset, and a stop
-        that cuts after 1, 4 or 256 ``RO`` objects."""
+        (``200`` exceeds the pool), any ``users=`` subset (keyword-less
+        users among them), a pool in either form, and blocks of 1, 4 or
+        256 ``RO`` objects (the last longer than ``RO`` itself)."""
         ds = build_dataset(seed, measure, n_obj=60)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
-        traversal = joint_traversal(tree, ds, k)
+        traversal = joint_traversal(tree, ds, k, backend=walk)
         users = data.draw(st.one_of(
             st.none(), st.lists(st.sampled_from(ds.users), unique_by=id)
         ))
@@ -168,6 +176,35 @@ class TestRefineEqualsPythonBackend:
         finally:
             joint_topk_module.RO_BLOCK = saved
         assert got == ranked_lists(traversal, ds, k, "python", users)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(["LM", "TF", "KO"]),
+        block=st.sampled_from([2, 256]),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_shard_refines_mixed_k_off_one_pool(self, seed, measure, block, data):
+        """The sharded call: a ``subset_users`` dataset refines the
+        full dataset's pool — as it arrives off the wire, columns only —
+        once at ``max(ks)`` and reads every ``k`` off that."""
+        ds = build_dataset(seed, measure, n_obj=60)
+        tree = MIRTree(ds.objects, ds.relevance, fanout=4)
+        ks = data.draw(st.lists(st.sampled_from([1, 2, 5, 9]), min_size=1, unique=True))
+        walked = joint_traversal(tree, ds, max(ks), backend="numpy")
+        shard = ds.subset_users(
+            data.draw(st.sets(st.sampled_from([u.item_id for u in ds.users])))
+        )
+        saved, joint_topk_module.RO_BLOCK = joint_topk_module.RO_BLOCK, block
+        try:
+            got = compute_partials(shard, pickle.loads(pickle.dumps(walked)), ks, "numpy")
+        finally:
+            joint_topk_module.RO_BLOCK = saved
+        want = compute_partials(shard, walked, ks, "python")
+        assert [(p.k, p.rsk) for p in got] == [(p.k, p.rsk) for p in want]
+        for k, partial in zip(ks, want):  # ... and a dedicated k-refine agrees
+            dedicated = individual_topk(joint_traversal(tree, ds, k), shard, k)
+            assert partial.rsk == {u: r.kth_score for u, r in dedicated.items()}
 
     def test_exact_ties_order_by_id(self):
         """Duplicate objects — one point, one document — score the same
@@ -309,3 +346,245 @@ class TestStopAndHoists:
         assert Memo.clears == 0
         assert memo and not (memo.keys() & object_docs)
         assert sizes[0] <= sizes[1] < 200  # selection documents only, kept
+
+
+class TestArrayHandOff:
+    """What the column pool is for."""
+
+    def test_cold_numpy_queries_build_no_candidate_object(self, monkeypatch):
+        from repro.datagen import query_pool
+
+        engine, workload = flickr_engine(objects=600, users=40)
+        queries = query_pool(workload, 3, num_locations=5, ws=2, seed=0, seed_stride=101)
+        for i, query in enumerate(queries):
+            query.k = (5, 10, 20)[i]
+        built = []
+
+        class Counted(CandidateObject):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        weights_of = FrontierBounds.weights_of
+        monkeypatch.setattr(joint_topk_module, "CandidateObject", Counted)
+        monkeypatch.setattr(
+            FrontierBounds, "weights_of",
+            lambda self, entry: built.append(1) or weights_of(self, entry),
+        )
+        options = QueryOptions(backend="numpy")
+        cold = [engine.query(q, options) for q in queries]
+        batched = engine.query_batch(queries, options)
+        assert built == []
+        # The same counters do see the python backend build its pool.
+        reference = [engine.query(q, QueryOptions(backend="python")) for q in queries]
+        assert built
+        for got in (cold, batched):
+            assert [(r.location, r.keywords, r.brstknn) for r in got] == [
+                (r.location, r.keywords, r.brstknn) for r in reference
+            ]
+
+    def test_default_cell_pool_ships_under_100_kb(self):
+        """O4000/U400 at k = 20: ~2.5k candidates, 440 105 bytes as
+        pickled ``CandidateObject``\\ s — a shard host paid that to
+        ``loads`` on every cold round."""
+        engine, _ = flickr_engine(objects=4000, users=400)
+        walked = joint_traversal(
+            engine.object_tree, engine.dataset, 20, backend="numpy"
+        )
+        assert len(walked.pool) > 2000
+        blob = pickle.dumps(walked, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < 100_000
+        assert b"STObject" not in blob
+
+    def test_pool_round_trips_both_wire_forms_to_a_replica(self):
+        """Arena-encoded shard payload and socket frame body alike: a
+        replica dataset (its own objects, rows and columns) refines the
+        arrived pool to the coordinator's thresholds."""
+        from repro.core.payload import (
+            PayloadCodec, decode_shard_payload, encode_shard_payload,
+        )
+        from repro.serve.transport import FrameCodec
+        from repro.storage.shm import ShmArena
+
+        engine, _ = flickr_engine(objects=500, users=40)
+        ds = engine.dataset
+        walked = joint_traversal(engine.object_tree, ds, 10, backend="numpy")
+        want = compute_partials(ds, walked, [5, 10], "python")
+        replica = pickle.loads(pickle.dumps(ds))
+        assert replica.objects[0] is not ds.objects[0]
+        payload = ("refine", walked, [5, 10], "numpy", 0)
+        with ShmArena() as arena:
+            encoded = encode_shard_payload(PayloadCodec(arena), payload)
+            forms = [
+                decode_shard_payload(encoded),
+                FrameCodec.decode_body(FrameCodec.encode_body([payload]))[0],
+                FrameCodec.decode_body(FrameCodec.encode_body([encoded]))[0],
+            ]
+            for form in forms:
+                _, arrived, ks, backend, _ = decode_shard_payload(form)
+                assert arrived is not walked and arrived.pool._source is None
+                got = compute_partials(replica, arrived, ks, backend)
+                assert [(p.k, p.rsk) for p in got] == [(p.k, p.rsk) for p in want]
+
+    def test_a_pool_that_does_not_fit_the_replica_is_refused(self):
+        """Typed, and before any gather: an id the replica lacks must
+        not wrap to some other row, short columns must not slice."""
+        import numpy as np
+
+        engine, _ = flickr_engine(objects=300, users=30)
+        ds = engine.dataset
+        walked = joint_traversal(engine.object_tree, ds, 5, backend="numpy")
+        ids, lower, upper = walked.pool.columns()
+
+        def arrived(ids=ids, lower=lower, upper=upper, n_lo=walked.n_lo):
+            return JointTraversalResult.of_pool(
+                CandidatePool.from_columns(ids, lower, upper), n_lo, walked.rsk_group
+            )
+
+        unknown = ids.copy()
+        unknown[3] = -1
+        beyond = ids.copy()
+        beyond[-1] = max(o.item_id for o in ds.objects) + 7
+        for bad in (
+            arrived(ids=unknown),
+            arrived(ids=beyond),
+            arrived(lower=lower[:-1]),
+            arrived(upper=np.concatenate((upper, upper))),
+            arrived(n_lo=len(ids) + 1),
+            arrived(n_lo=-1),
+        ):
+            for backend in ("numpy", "python"):
+                with pytest.raises(CandidatePoolError):
+                    compute_partials(ds, bad, [5], backend)
+        assert compute_partials(ds, arrived(), [5], "numpy")[0].rsk == (
+            compute_partials(ds, walked, [5], "python")[0].rsk
+        )
+
+
+# ----------------------------------------------------------------------
+# Seeded mutants of the per-user stop: the properties have teeth
+# ----------------------------------------------------------------------
+
+def tight_pool(seed):
+    """Every object twice — the twin under the smaller id, later in
+    ``RO`` — in a hand-built pool whose bounds are *tight*
+    (``upper = max_u STS(o, u)``): some user's running k-th best sits
+    exactly on the ``UB(o, us)`` of a twin that wins the tie."""
+    measure = ["LM", "TF", "KO"][seed % 3]
+    base = build_dataset(seed, measure, n_obj=40)
+    objects = [
+        STObject(item_id=2 * o.item_id + 1 - twin, location=o.location, terms=dict(o.terms))
+        for o in base.objects for twin in (0, 1)
+    ]
+    ds = Dataset(objects, base.users, relevance=measure, alpha=0.5)
+    k = 1 + seed % 3
+
+    def candidate(o):
+        scores = [ds.sts(o, u) for u in ds.users]
+        return CandidateObject(obj=o, lower=min(scores), upper=max(scores))
+
+    by_lower = sorted(map(candidate, objects), key=lambda c: -c.lower)
+    pool = JointTraversalResult(
+        by_lower[:k], sorted(by_lower[k:], key=lambda c: -c.upper), 0.0
+    )
+    return ds, pool, k, None
+
+
+def rounded_up_pools(seeds=range(40)):
+    """Pools planted on a cell ``(o, u)`` the guard band exists for: the
+    matrix scores it above ``STS(o, u)``, by the BLAS product's last
+    ulp.  ``o`` is ``LO``; its twin — smaller id, so it wins the tie —
+    closes ``RO`` behind a crowd ``u`` scores lower, with ``UB`` exactly
+    ``STS(o, u)``: barely not prunable."""
+    import numpy as np
+
+    def planted(ds, matrix):
+        for u, user in enumerate(ds.users):
+            for j in range(0, len(ds.objects), 2):
+                first, twin = ds.objects[j], ds.objects[j + 1]
+                score = ds.sts(first, user)
+                if matrix[u, j] <= score:
+                    continue
+                crowd = [c for c in ds.objects if ds.sts(c, user) < score]
+                if crowd:
+                    return JointTraversalResult(
+                        [CandidateObject(obj=first, lower=0.0, upper=1.0)],
+                        [CandidateObject(obj=c, lower=0.0, upper=1.0) for c in crowd]
+                        + [CandidateObject(obj=twin, lower=0.0, upper=score)],
+                        0.0,
+                    ), [user]
+        return None
+
+    for seed in seeds:
+        ds, _, _, _ = tight_pool(seed)
+        matrix = arrays_for(ds).candidate_score_matrix(np.arange(len(ds.objects)))
+        plant = planted(ds, matrix)
+        if plant is not None:
+            yield ds, plant[0], 1, plant[1]
+
+
+def stop_mismatches(pools, block):
+    """Seeded pools on which the numpy lists differ from python's."""
+    bad = cases = 0
+    saved, joint_topk_module.RO_BLOCK = joint_topk_module.RO_BLOCK, block
+    try:
+        for ds, pool, k, users in pools:
+            cases += 1
+            bad += ranked_lists(pool, ds, k, "numpy", users) != ranked_lists(
+                pool, ds, k, "python", users
+            )
+    finally:
+        joint_topk_module.RO_BLOCK = saved
+    assert cases
+    return bad
+
+
+class TestStopMutantsAreCaught:
+    def test_unmutated_stop_is_clean(self):
+        for block in (1, 3):
+            assert stop_mismatches(map(tight_pool, range(24)), block) == 0
+        assert stop_mismatches(rounded_up_pools(), 1) == 0
+
+    def test_guard_band_dropped_from_the_activity_test(self, monkeypatch):
+        """``kth <= UB`` on matrix scores: a k-th best the BLAS product
+        rounded up retires its user one object before the tie winner."""
+        monkeypatch.setattr(
+            joint_topk_module, "_still_active",
+            lambda kth, upper, start: kth <= upper[start],
+        )
+        assert stop_mismatches(rounded_up_pools(), 1)
+
+    def test_user_retired_one_block_early(self, monkeypatch):
+        """The stop read off the *next* block's first ``UB(o, us)``."""
+        from repro.core.kernels import GUARD_EPS
+
+        def early(kth, upper, start):
+            ahead = min(start + joint_topk_module.RO_BLOCK, len(upper) - 1)
+            return kth - GUARD_EPS <= upper[ahead]
+
+        monkeypatch.setattr(joint_topk_module, "_still_active", early)
+        assert stop_mismatches(map(tight_pool, range(24)), 3)
+
+    def test_block_contenders_credited_to_block_local_users(self, monkeypatch):
+        """A later block's rows are the still-active users only; taking
+        its contenders' row numbers for user positions hands them to
+        whoever sits at those positions in the full user list.
+
+        (ISSUE 22 asked for "contenders taken against the running
+        instead of the final k-th" here.  That mutant cannot fail: a
+        running k-th best never exceeds the final one, so it selects a
+        superset and the exact re-score returns the same lists.)"""
+        import numpy as np
+
+        from repro.core.kernels import GUARD_EPS
+
+        def block_local(blocks, kth):
+            user_pos, col = [], []
+            for block_users, start, scores in blocks:
+                u, c = np.nonzero(scores >= (kth[block_users] - GUARD_EPS)[:, None])
+                user_pos.append(u)  # the mutation: not block_users[u]
+                col.append(start + c)
+            return np.concatenate(user_pos), np.concatenate(col)
+
+        monkeypatch.setattr(joint_topk_module, "_contenders", block_local)
+        assert stop_mismatches(map(tight_pool, range(24)), 3)

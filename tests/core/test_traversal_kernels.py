@@ -8,6 +8,9 @@ Two families of guarantees:
   and the same simulated-I/O trace — the frontier kernels sum in the
   scalar association order on purpose (see repro/core/kernels.py,
   "Exactness contract"), so these asserts use ``==``, never approx.
+  The numpy walk's pool is three columns filled from entry-index heaps
+  (``CandidatePool``); its object views are built on demand and must be
+  the python walk's objects.
 
 * **Cross-k subsumption.**  The candidate pool of a ``k_max``
   traversal subsumes the pool of every smaller ``k`` and yields
@@ -19,11 +22,16 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Dataset, MaxBRSTkNNEngine, QueryOptions
-from repro.core.joint_topk import individual_topk, joint_traversal
+from repro.core.joint_topk import (
+    CandidatePoolError, canonical_candidates, derive_rsk_group, individual_topk,
+    joint_traversal,
+)
 from repro.core.kernels import HAS_NUMPY, TreeArrays, tree_arrays_for
-from repro.model.objects import SuperUser, User
+from repro.model.objects import STObject, SuperUser, User
 from repro.spatial.geometry import Point
 from repro.storage.iostats import IOCounter
 from repro.storage.pager import LRUBuffer, PageStore
@@ -33,10 +41,16 @@ from ..conftest import make_random_objects, make_random_users
 pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 
-def random_engine(seed, index_users=False):
+def random_engine(seed, index_users=False, twins=0):
     rng = random.Random(seed)
     vocab = rng.choice([8, 20, 60])
     objects = make_random_objects(rng.randint(30, 140), vocab, rng)
+    # Twins — one point, one document, a fresh id: equal LB and UB, so
+    # only the stable sorts and the heap's tie-break counter order them.
+    objects += [
+        STObject(item_id=len(objects) + i, location=o.location, terms=dict(o.terms))
+        for i, o in enumerate(rng.choices(objects, k=twins))
+    ]
     users = make_random_users(rng.randint(5, 28), vocab, rng)
     # Z(u.d) = 0 users — no keyword; one no object holds — sit in the
     # same groups: their TS is 0, the group's text bound must not be.
@@ -128,6 +142,100 @@ def test_numpy_traversal_identical_with_buffered_store():
         assert stores[0].counter.invfile_blocks == stores[1].counter.invfile_blocks
         assert stores[0].buffer.hits == stores[1].buffer.hits
         assert stores[0].buffer.misses == stores[1].buffer.misses
+
+
+class TestColumnPool:
+    """The numpy walk's hand-off: id / bound columns off index heaps."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.sampled_from([1, 2, 5, 11, 400]),
+        twins=st.sampled_from([0, 12, 60]),
+        group=st.sampled_from(["all", "miur-root", "half"]),
+        buffer=st.sampled_from([None, 0, 16]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_columns_and_views_equal_the_python_walk(
+        self, seed, k, twins, group, buffer
+    ):
+        engine, _ = random_engine(seed, index_users=True, twins=twins)
+        ds = engine.dataset
+        su = {
+            "all": None,
+            "miur-root": engine.user_tree.root.summary,
+            "half": SuperUser.from_users(
+                ds.users[: max(2, len(ds.users) // 2)], ds.relevance
+            ),
+        }[group]
+        stores = [
+            PageStore(
+                counter=IOCounter(),
+                buffer=None if buffer is None else LRUBuffer(buffer),
+            )
+            for _ in range(2)
+        ]
+        py, columns = (
+            joint_traversal(
+                engine.object_tree, ds, k, super_user=su, store=store,
+                backend=backend,
+            )
+            for store, backend in zip(stores, ("python", "numpy"))
+        )
+        pool = columns.pool
+        assert py.pool.ids is None and pool.ids is not None
+        assert pool.ids.tolist() == [c.obj.item_id for c in py.pool]
+        assert pool.lower.tolist() == [c.lower for c in py.pool]
+        assert pool.upper.tolist() == [c.upper for c in py.pool]
+        assert (columns.n_lo, columns.rsk_group) == (py.n_lo, py.rsk_group)
+        for a, b in zip(stores, stores[1:]):
+            assert a.counter.node_visits == b.counter.node_visits
+            assert a.counter.invfile_blocks == b.counter.invfile_blocks
+            if buffer is not None:
+                assert (a.buffer.hits, a.buffer.misses) == (
+                    b.buffer.hits, b.buffer.misses
+                )
+        # Everything above — and sizing LO / RO, as the pool-size probe
+        # does — read columns only; the views are the python walk's.
+        assert len(columns.lo) + len(columns.ro) == len(py.pool)
+        assert pool._views is None
+        assert_traversals_identical(py, columns)
+        assert list(pool) == list(py.pool)
+        # Per-k derivations read the same pool in either form.
+        for small in {1, min(k, 3), k}:
+            group_rsk = derive_rsk_group(columns, k, small)
+            assert group_rsk == derive_rsk_group(py, k, small)
+            canonical = canonical_candidates(columns, group_rsk)
+            assert canonical.ids is not None
+            assert list(canonical) == list(canonical_candidates(py, group_rsk))
+
+    def test_pool_crosses_a_process_boundary_as_columns_only(self):
+        engine, _ = random_engine(6)
+        ds = engine.dataset
+        walked = joint_traversal(engine.object_tree, ds, 5, backend="numpy")
+        blob = pickle.dumps(walked, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"STObject" not in blob and b"CandidateObject" not in blob
+        arrived = pickle.loads(blob)
+        assert arrived.pool.ids.tolist() == walked.pool.ids.tolist()
+        assert arrived.pool.lower.tolist() == walked.pool.lower.tolist()
+        assert arrived.pool.upper.tolist() == walked.pool.upper.tolist()
+        assert (arrived.n_lo, arrived.rsk_group) == (walked.n_lo, walked.rsk_group)
+        ranked = {
+            uid: res.ranked
+            for uid, res in individual_topk(arrived, ds, 5, backend="numpy").items()
+        }
+        assert ranked == {
+            uid: res.ranked
+            for uid, res in individual_topk(walked, ds, 5, backend="python").items()
+        }
+        # No tree on the far side: sized, sliced, refined — never viewed.
+        assert len(arrived.lo) == walked.n_lo
+        with pytest.raises(CandidatePoolError, match="process boundary"):
+            arrived.ro[0]
+        # ... so a python reader is shipped the object form instead.
+        for_python = pickle.loads(pickle.dumps(walked.readable_by("python")))
+        assert for_python.pool.ids is None
+        assert_traversals_identical(for_python, walked)
+        assert walked.readable_by("numpy") is walked
 
 
 @pytest.mark.parametrize("seed", range(5))

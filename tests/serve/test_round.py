@@ -174,3 +174,71 @@ def test_a_transport_past_its_budget_degrades_each_lost_lane_once(rig, kind):
         assert counters["retries"] == 0
     else:
         assert counters["worker_deaths"] == 1
+
+
+# ----------------------------------------------------------------------
+# A candidate pool crosses the wire as id / bound columns: one that does
+# not fit the far side's object set is refused there, typed, and the
+# round takes the transport's ordinary ladder.
+# ----------------------------------------------------------------------
+
+def numpy_refine_lanes(engine, traversal, k=3):
+    return [
+        Lane(shard.shard_id,
+             [("refine", traversal, [k], "numpy", shard.shard_id)],
+             shard.engine.dataset)
+        for shard in engine.shards
+    ]
+
+
+def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
+    pytest.importorskip("numpy")
+    from repro import Dataset
+    from repro.core.joint_topk import joint_traversal
+
+    engine = rig.engine
+    full = engine.dataset
+    walked = joint_traversal(engine.root.object_tree, full, 3, backend="numpy")
+    expected, *_ = run_round(RefineStage(), numpy_refine_lanes(engine, walked), INLINE)
+    # A host that generated its object set one object short.
+    kept = [o for o in full.objects if o.item_id != int(walked.pool.ids[0])]
+    stale = {
+        s.shard_id: Dataset(kept, s.engine.dataset.users, relevance="LM")
+        for s in engine.shards
+    }
+    rig.hosts = [HostThread(ShardHost(stale, full))]
+    engine.connect_hosts(
+        [f"127.0.0.1:{h.port}" for h in rig.hosts],
+        retry=FAST_RETRY, deadline=FAST_DEADLINE,
+    )
+    returned, _, degraded, _, _ = run_round(
+        RefineStage(), numpy_refine_lanes(engine, walked), engine._executor.transport
+    )
+    assert degraded == [1, 1]  # an ERROR frame each, never a wrong row
+    assert [[[canon(p) for p in chunk] for chunk in lane] for lane in returned] == [
+        [[canon(p) for p in chunk] for chunk in lane] for lane in expected
+    ]
+    assert engine.fault_counters()["worker_deaths"] >= 1
+
+
+def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
+    np = pytest.importorskip("numpy")
+    from repro.core.joint_topk import (
+        CandidatePool, CandidatePoolError, JointTraversalResult, joint_traversal,
+    )
+
+    engine = rig.engine
+    transport = rig.install("pool")
+    walked = joint_traversal(
+        engine.root.object_tree, engine.dataset, 3, backend="numpy"
+    )
+    ids, lower, upper = walked.pool.columns()
+    unknown = np.where(np.arange(len(ids)) == 1, -1, ids)  # -1: no wrapped row
+    bad = JointTraversalResult.of_pool(
+        CandidatePool.from_columns(unknown, lower, upper), walked.n_lo, 0.0
+    )
+    # Workers raise it (a task error: retried, counted), and so does the
+    # in-process degrade — the coordinator holds no such object either.
+    with pytest.raises(CandidatePoolError, match="does not hold"):
+        run_round(RefineStage(), numpy_refine_lanes(engine, bad)[:1], transport)
+    assert engine.fault_counters()["retries"] == 1
