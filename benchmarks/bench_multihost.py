@@ -8,13 +8,14 @@ rebuilding the workload from the same spec, connects a coordinator
 query pool in flush-sized batches.  For each host count it reports,
 from the flush reports and the registry's wire counters:
 
-* **per-shard refine dispatch bytes** — with the arena codec these are
-  ~100-byte ``ArenaRef`` names per shard, near-constant in the host
-  count (that flatness is the PR-9 payload win, reported as context);
+* **per-lane refine dispatch bytes** — with the arena codec these are
+  ~100-byte ``ArenaRef`` names plus a row range per lane, near-constant
+  in the host count (that flatness is the PR-9 payload win, reported as
+  context);
 * **per-host wire bytes** (both directions / host count, from the
   socket clients' ledgers, headers included) — the quantity that must
   scale ~1/N.  What crosses the wire is the cold refine gather (16 B
-  per user per k, each host returning only its user partition's
+  per user per k, each host returning only its row range's
   ``RSk(u)`` rows) and, every flush, one ``select`` round: the queries
   and an ``ArenaRef`` out, the answers back, dealt over the hosts by
   query.  Neither total grows with the host count, so doubling the
@@ -136,7 +137,7 @@ def run_hosts(dataset, queries, options, spec, *, num_hosts, batch_size,
         elapsed = time.perf_counter() - t0
         wire_out, wire_in = engine._registry.bytes_totals()
         counters = dict(engine.fault_counters())
-        degraded = engine.last_flush_report.degraded_partitions
+        degraded = engine.last_flush_report.degraded_lanes
     finally:
         engine.close_hosts()
         stop_hosts(procs)
@@ -150,7 +151,7 @@ def run_hosts(dataset, queries, options, spec, *, num_hosts, batch_size,
         "flushes": flushes,
         "total_ms": 1000 * elapsed,
         "counters": counters,
-        "degraded_partitions": degraded,
+        "degraded_lanes": degraded,
     }
 
 
@@ -217,9 +218,9 @@ def main(argv=None) -> int:
             print(f"EQUIVALENCE FAILURE: hosts={num_hosts}: socket results "
                   f"differ from the sequential engine")
             ok = False
-        if run["counters"].get("worker_deaths") or run["degraded_partitions"]:
+        if run["counters"].get("worker_deaths") or run["degraded_lanes"]:
             print(f"FAULT FAILURE: hosts={num_hosts}: clean run saw "
-                  f"{run['counters']} degraded={run['degraded_partitions']}")
+                  f"{run['counters']} degraded={run['degraded_lanes']}")
             ok = False
         per_host_at[num_hosts] = run["per_host_wire_bytes"]
         print(f"{num_hosts:>5} {run['per_shard_refine_bytes'] / 1024:>17.1f} "
@@ -249,7 +250,7 @@ def main(argv=None) -> int:
     deaths = run["counters"].get("worker_deaths", 0)
     retries = run["counters"].get("retries", 0)
     print(f"\nkill-one-host @ {kill_hosts} hosts: worker_deaths={deaths} "
-          f"retries={retries} degraded={run['degraded_partitions']} "
+          f"retries={retries} degraded={run['degraded_lanes']} "
           f"identical={same}")
     if not same:
         print("EQUIVALENCE FAILURE: kill-one-host results differ")
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     if deaths < 1 or retries < 1:
         print("FAULT FAILURE: kill-one-host run never exercised re-scatter")
         ok = False
-    if kill_hosts > 1 and run["degraded_partitions"]:
+    if kill_hosts > 1 and run["degraded_lanes"]:
         print("FAULT FAILURE: survivors should have absorbed the dead "
               "host's shard without in-process degrade")
         ok = False
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
         "hosts": kill_hosts,
         "worker_deaths": deaths,
         "retries": retries,
-        "degraded_partitions": run["degraded_partitions"],
+        "degraded_lanes": run["degraded_lanes"],
         "identical_results": same,
     }
 

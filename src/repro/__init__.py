@@ -18,7 +18,7 @@ Quickstart
 >>> engine = MaxBRSTkNNEngine(ds)
 """
 
-from .core.config import Backend, EngineConfig, Method, Mode, Partitioner, QueryOptions
+from .core.config import Backend, EngineConfig, Method, Mode, QueryOptions
 from .core.engine import MaxBRSTkNNEngine
 from .core.planner import QueryPlan
 from .core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
@@ -38,7 +38,6 @@ __all__ = [
     "MaxBRSTkNNResult",
     "Method",
     "Mode",
-    "Partitioner",
     "QueryOptions",
     "QueryPlan",
     "QueryStats",

@@ -192,7 +192,6 @@ def _cmd_serve(args) -> int:
         EngineConfig(
             index_users=(args.mode == "indexed"),
             num_shards=args.shards,
-            partitioner=args.partitioner,
             use_shm=args.shm,
         ),
     )
@@ -223,7 +222,7 @@ def _cmd_serve(args) -> int:
         async with MaxBRSTkNNServer(engine, config) as server:
             if args.explain:
                 # Inside the server context: pools (including a sharded
-                # engine's root search pool) are started, so explain()
+                # engine's worker pool) are started, so explain()
                 # reports the execution that will actually happen.
                 print(engine.plan(options, ks=[q.k for q in queries]).explain())
             async def timed(q):
@@ -321,9 +320,6 @@ def _cmd_shard_host(args) -> int:
         workload_spec_from_args,
     )
 
-    if args.shards < 1:
-        print("shard-host: --shards must be >= 1", file=sys.stderr)
-        return 2
     host, _, port_s = args.listen.rpartition(":")
     if not host:
         print(f"shard-host: --listen must be host:port, got {args.listen!r}",
@@ -336,8 +332,6 @@ def _cmd_shard_host(args) -> int:
         return 2
     return run_host(
         workload_spec_from_args(args),
-        args.shards,
-        partitioner=args.partitioner,
         listen=(host, int(port_s)),
         fault=fault,
         arena=args.arena,
@@ -417,13 +411,11 @@ def main(argv=None) -> int:
                        help="micro-batch window in ms, or 'auto' to tune it "
                             "from the observed arrival rate")
     serve.add_argument("--pool-workers", type=int, default=0,
-                       help="persistent pool size (0 = in-process); per shard "
+                       help="persistent pool size (0 = in-process); per lane "
                             "when --shards > 1")
     serve.add_argument("--shards", type=int, default=1,
-                       help="partition users across N engines behind the "
-                            "server (scatter/gather, result-identical)")
-    serve.add_argument("--partitioner", choices=["hash", "grid"], default="hash",
-                       help="user partitioning strategy for --shards > 1")
+                       help="deal each flush over N full-dataset lanes behind "
+                            "the server (scatter/gather, result-identical)")
     serve.add_argument("--shm", default=False,
                        action=argparse.BooleanOptionalAction,
                        help="publish the engine's dense arrays into a shared-"
@@ -470,10 +462,9 @@ def main(argv=None) -> int:
                                  "bound port is printed as 'SHARDHOST "
                                  "LISTENING <port>')")
     shard_host.add_argument("--shards", type=int, default=2,
-                            help="the coordinator's shard count (partition "
-                                 "layout must match)")
-    shard_host.add_argument("--partitioner", choices=["hash", "grid"],
-                            default="hash")
+                            help="the coordinator's lane count; accepted so "
+                                 "launch lines stay valid, unused — a host "
+                                 "holds the full dataset and answers any lane")
     shard_host.add_argument("--arena", default=None,
                             help="shared-memory arena name to probe at "
                                  "startup (fail fast before serving)")

@@ -330,7 +330,7 @@ def execute_batch(
     injected, over a supervised pool scoped to this call.
     """
     from .history import signature_of
-    from .pipeline import SEARCH_LANE, LocalExecutor
+    from .pipeline import LocalExecutor
 
     scoped = contextlib.nullcontext(pool)
     if pool is not None or plan.workers > 1:
@@ -340,7 +340,7 @@ def execute_batch(
         if pool is None:
             scoped = PersistentWorkerPool(engine.dataset, plan.workers)
     with scoped as pool:
-        transport = PoolTransport({SEARCH_LANE: pool}) if pool is not None else None
+        transport = PoolTransport(pool) if pool is not None else None
         executor = LocalExecutor(engine, transport)
         results = executor.execute(queries, plan)
     engine.last_flush_report = executor.last_flush_report

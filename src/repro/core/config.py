@@ -35,7 +35,6 @@ __all__ = [
     "Method",
     "Mode",
     "Backend",
-    "Partitioner",
     "CachePolicy",
     "EngineConfig",
     "QueryOptions",
@@ -102,17 +101,6 @@ class Backend(_CoercingEnum):
         return resolve_backend(self.value)
 
 
-class Partitioner(_CoercingEnum):
-    """User-set partitioning strategy for sharded execution.
-
-    The strategies themselves live in :mod:`repro.datagen.partition`;
-    this enum is the typed configuration handle.
-    """
-
-    HASH = "hash"  # deterministic id mix, statistically even shards
-    GRID = "grid"  # spatial grid cells dealt round-robin, co-located users
-
-
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
     """How a :class:`MaxBRSTkNNEngine` builds its indexes.
@@ -126,15 +114,13 @@ class EngineConfig:
     buffer_pages:
         LRU buffer capacity in pages; 0 = cold queries (paper setting).
     num_shards:
-        Partition the user set across this many engines behind a
-        :class:`~repro.serve.sharded.ShardedEngine` (scatter/gather
-        execution, results identical to a single engine).  ``1`` (the
-        default) means an ordinary single engine; a plain
-        :class:`MaxBRSTkNNEngine` refuses configs with more shards —
-        build through :func:`repro.serve.sharded.make_engine`.
-    partitioner:
-        How users are split across shards; strings coerce
-        (``"hash"`` / ``"grid"``).  Ignored when ``num_shards == 1``.
+        Lane count of a :class:`~repro.serve.sharded.ShardedEngine`:
+        how many full-dataset lanes (fork workers, shard hosts) a
+        scatter round is dealt over — the cold refine by user row
+        range, the selections by query — with results identical to a
+        single engine.  ``1`` (the default) means an ordinary single
+        engine; a plain :class:`MaxBRSTkNNEngine` refuses configs with
+        more — build through :func:`repro.serve.sharded.make_engine`.
     use_shm:
         Publish the engine's dense arrays into a named
         :class:`~repro.storage.shm.ShmArena` and ship scatter payloads
@@ -147,7 +133,6 @@ class EngineConfig:
     index_users: bool = False
     buffer_pages: int = 0
     num_shards: int = 1
-    partitioner: Partitioner = Partitioner.HASH
     use_shm: bool = False
 
     def __post_init__(self) -> None:
@@ -160,7 +145,6 @@ class EngineConfig:
             )
         if not isinstance(self.use_shm, bool):
             raise ValueError(f"use_shm must be a bool, got {self.use_shm!r}")
-        object.__setattr__(self, "partitioner", Partitioner.coerce(self.partitioner))
 
     def with_(self, **kwargs) -> "EngineConfig":
         """Functional update (frozen dataclass)."""

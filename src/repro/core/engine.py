@@ -64,8 +64,8 @@ class MaxBRSTkNNEngine:
         error.
     object_tree:
         Optional pre-built MIR-tree over the *same* object set to share
-        instead of building one (the sharded serving layer reuses the
-        root engine's tree across all shard engines).
+        instead of building one (``repro serve --verify`` builds its
+        reference engine over the served engine's tree).
     """
 
     #: Serving-layer contract (shared with ShardedEngine, which sets
@@ -112,7 +112,7 @@ class MaxBRSTkNNEngine:
             config = EngineConfig(**legacy)
         if config.num_shards != 1:
             raise ValueError(
-                "MaxBRSTkNNEngine executes one partition; for "
+                "MaxBRSTkNNEngine runs in one process; for "
                 f"num_shards={config.num_shards} build a "
                 "repro.serve.sharded.ShardedEngine (or make_engine(dataset, config))"
             )
@@ -123,10 +123,9 @@ class MaxBRSTkNNEngine:
         self.store = PageStore(counter=self.io, buffer=buffer)
         if object_tree is not None:
             # Share an existing (immutable at query time) MIR-tree built
-            # over the same object set — the sharded serving layer hands
-            # every shard engine the root engine's tree instead of
-            # paying N identical builds.  I/O still charges to *this*
-            # engine's store (read_node takes the store per call).
+            # over the same object set instead of paying an identical
+            # build.  I/O still charges to *this* engine's store
+            # (read_node takes the store per call).
             if object_tree._objects.keys() != {o.item_id for o in dataset.objects}:
                 raise ValueError(
                     "shared object_tree was built over a different object set "

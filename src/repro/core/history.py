@@ -48,7 +48,7 @@ class FlushSignature:
 
     Two flushes with the same signature are comparable: same pipeline
     (``mode``), same kernels (``backend``), same scatter layout
-    (``scatter_width`` — engaged shards, or 1 on a single engine).
+    (``scatter_width`` — the lane count, or 1 on a single engine).
     Batch size varies *within* a cell; the per-item normalization in
     :class:`ObservedCosts` absorbs it.
     """
@@ -64,7 +64,7 @@ def signature_of(plan: "QueryPlan") -> FlushSignature:
     return FlushSignature(
         mode=plan.mode.value,
         backend=plan.backend,
-        scatter_width=shard.scatter_width if shard is not None else 1,
+        scatter_width=shard.num_shards if shard is not None else 1,
     )
 
 

@@ -262,9 +262,9 @@ class ObjectColumns:
     ascending term order, the bound kernels' summation order
     (:class:`CandidatePoolArrays` gathers its segments from here).
     Nothing here depends on the users or on ``alpha``, so ``with_alpha``
-    / ``with_users`` clones (every shard's subset dataset included)
-    share one instance through ``Dataset._per_object_set``
-    (see :func:`object_columns_for`), and workers forked after
+    / ``with_users`` clones share one instance through
+    ``Dataset._per_object_set`` (see :func:`object_columns_for`), and
+    workers forked after
     ``prewarm_kernels`` inherit it like :class:`TreeArrays`.
     """
 
@@ -1300,9 +1300,7 @@ def object_columns_for(dataset: "Dataset") -> ObjectColumns:
     """The :class:`ObjectColumns` of ``dataset``'s object set.
 
     Built on first use and kept in ``Dataset._per_object_set``, which
-    ``with_alpha`` / ``with_users`` clones share by reference: the
-    root engine's dataset and every shard's subset resolve to the same
-    instance.
+    ``with_alpha`` / ``with_users`` clones share by reference.
     """
     shared = dataset._per_object_set
     columns = shared.get("columns")

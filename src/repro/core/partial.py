@@ -1,46 +1,51 @@
-"""Mergeable per-shard results for sharded MaxBRSTkNN execution.
+"""Mergeable per-lane results of the sharded cold refine.
 
-The sharded serving layer (``repro.serve.sharded``) partitions the
-*user* set across N engines and runs Algorithm 2 — the **refine**, the
-one O(|U|·pool) phase — per shard: each shard resolves exact ``RSk(u)``
-thresholds for *its* users against the one shared traversal pool.  That
-is per-user work, independent across users, so per-shard maps are a
-disjoint cover of the sequential map and merge by plain union.
+Algorithm 2 — the **refine**, the one O(|U|·pool) phase — is per-user
+work against one shared traversal pool, independent across users.  A
+sharded engine (``repro.serve.sharded``) therefore deals the rows of
+``dataset.users`` over its full-dataset lanes as contiguous half-open
+ranges: each lane resolves exact ``RSk(u)`` thresholds for *its* rows,
+and the per-lane maps are a disjoint cover of the sequential map that
+merges by plain union.  Which lane refined which user cannot change a
+value — every lane holds the same dataset and the same pool.
 
 Everything *aggregate*-dependent (the group threshold ``RSk(us)``, and
 the whole of Algorithm 3, whose keyword-coverage counts sum over every
-user of a location's ``LU_l``) runs on the merged map against the full
-dataset, which is why sharded answers are identical to the
-single-engine answers: the merge reconstructs the sequential thresholds
-bit for bit, and the sequential code consumes them.
+user of a location's ``LU_l``) runs on the merged map, which is why
+sharded answers are identical to the single-engine answers: the merge
+reconstructs the sequential thresholds bit for bit, and the sequential
+code consumes them.
 
 Determinism contract of the merge
 ---------------------------------
-* ``RSk(u)`` values merge keyed by original user id (stable remapping:
-  shards never renumber users), and a user id appearing in two partials
-  is an error, not a last-write-wins.
+* ``RSk(u)`` values merge keyed by user id in lane order — ranges are
+  dealt in row order, so the merged map iterates like the sequential
+  one — and the merge is the guard on what came off the wire: a user
+  reported twice, or a user of the dataset reported by no lane, is an
+  error, not a last-write-wins or a silent gap.
 * Within the per-user top-k lists behind each ``RSk(u)``, ties were
   already broken by (score desc, object id asc); the merge preserves
   those values untouched, so the summed-RSk / object-id tie-breaking of
-  the sequential pipeline survives sharding exactly.
-* Per-shard refine times are *summed* across partials (the total
+  the sequential pipeline survives exactly.
+* Per-lane refine times are *summed* across partials (the total
   scatter work, not wall clock).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..model.dataset import Dataset
+from ..model.objects import User
 from .candidate_selection import search_shortlists, shortlist_locations
 from .joint_topk import JointTraversalResult, individual_topk
 
 __all__ = [
     "PartialResult",
     "MergedThresholds",
-    "compute_partial",
+    "UserRangeError",
     "compute_partials",
     "merge_partials",
     # Not used here any more: benchmarks/e2e/layers.py still patches
@@ -50,14 +55,23 @@ __all__ = [
 ]
 
 
+class UserRangeError(ValueError):
+    """A refine payload's user-row range does not fit this replica's
+    ``dataset.users`` (a host started with a different ``--users``, a
+    stale or hostile frame)."""
+
+
 @dataclass(slots=True)
 class PartialResult:
-    """One shard's phase-1 contribution at one ``k``.
+    """One lane's phase-1 contribution at one ``k``.
 
-    ``rsk`` holds the exact ``RSk(u)`` of every user living on the
-    shard (original ids).  The values are computed against the globally
-    shared traversal pool, so they are bitwise identical to what the
-    sequential Algorithm 2 produces for the same users.
+    ``rsk`` holds the exact ``RSk(u)`` of every user in the lane's row
+    range, keyed by user id; ``shard_id`` is the lane's index.  The
+    values are computed against the globally shared traversal pool, so
+    they are bitwise identical to what the sequential Algorithm 2
+    produces for the same users.  A refine chunk crosses a process
+    boundary as one ``GPR1`` block (:func:`repro.core.payload.
+    encode_gather_payload`), never as pickled instances.
     """
 
     shard_id: int
@@ -65,25 +79,6 @@ class PartialResult:
     rsk: Dict[int, float]
     users_total: int
     time_s: float
-
-    def __reduce__(self):
-        # Compact wire form: the rsk map — the payload's bulk — crosses
-        # the worker->parent pipe as one RSK1 binary block instead of a
-        # pickled dict (repro.core.payload).  Decode restores the dict
-        # in insertion order, so the merge sees identical inputs.
-        from .payload import encode_rsk
-
-        try:
-            blob = encode_rsk(self.rsk)
-        except (TypeError, OverflowError):
-            return (
-                PartialResult,
-                (self.shard_id, self.k, self.rsk, self.users_total, self.time_s),
-            )
-        return (
-            _rebuild_partial,
-            (self.shard_id, self.k, blob, self.users_total, self.time_s),
-        )
 
 
 @dataclass(slots=True)
@@ -93,26 +88,11 @@ class MergedThresholds:
     k: int
     rsk: Dict[int, float]
     users_total: int
-    time_s: float  # summed shard refine time (scatter work, not wall clock)
-    shards: int = 0
-    per_shard_users: List[int] = field(default_factory=list)
+    time_s: float  # summed lane refine time (scatter work, not wall clock)
 
 
 # ----------------------------------------------------------------------
-# Wire-form rebuilder (module-level so pickles resolve it by name)
-# ----------------------------------------------------------------------
-
-def _rebuild_partial(shard_id, k, rsk_blob, users_total, time_s):
-    from .payload import decode_rsk
-
-    return PartialResult(
-        shard_id=shard_id, k=k, rsk=decode_rsk(rsk_blob),
-        users_total=users_total, time_s=time_s,
-    )
-
-
-# ----------------------------------------------------------------------
-# Shard-side computations (run in-process or inside pool workers)
+# Lane-side computation (runs in-process or inside pool workers / hosts)
 # ----------------------------------------------------------------------
 
 def compute_partials(
@@ -121,64 +101,76 @@ def compute_partials(
     ks: Sequence[int],
     backend: str = "python",
     shard_id: int = 0,
+    rows: Optional[Tuple[int, int]] = None,
 ) -> List[PartialResult]:
-    """Algorithm 2 for one shard: exact ``RSk(u)`` for the shard's users
-    at every ``k`` of ``ks``, from ONE refinement at ``max(ks)``.
+    """Algorithm 2 for one lane: exact ``RSk(u)`` for the users in rows
+    ``[lo, hi)`` of ``dataset.users`` (``rows=None``: all of them) at
+    every ``k`` of ``ks``, from ONE refinement at ``max(ks)``.
 
-    ``dataset`` is the shard's subset dataset (shared objects/relevance
-    /``dmax``); ``traversal`` is the *global* pool walked at
-    ``k_pool >= max(ks)`` (subsumption: every object any user can rank
-    in a top-``k`` survives the larger walk, see
+    ``dataset`` is the full dataset; ``traversal`` is the *global* pool
+    walked at ``k_pool >= max(ks)`` (subsumption: every object any user
+    can rank in a top-``k`` survives the larger walk, see
     :class:`repro.core.batch.SharedTraversalPool`).  A top-``k`` list is
     the first ``k`` entries of the top-``max(ks)`` list over the same
     pool (:meth:`TopKResult.kth_score_at`), so each ``k`` still gets its
     own :class:`PartialResult`; the first carries the refinement's time.
+    Example 4's stop is taken per user, so a user's list does not
+    depend on which rows it was refined with.
 
-    The pool may have crossed a process boundary: it is checked first,
-    so one that does not fit this replica — columns of unequal length,
-    ``n_lo`` outside them, an object id ``dataset`` does not hold —
-    raises :class:`~repro.core.joint_topk.CandidatePoolError` (an
-    ``ERROR`` frame from a shard host, the degrade ladder of a worker
-    pool) instead of gathering by a bad index.
+    Pool and range may have crossed a process boundary: both are
+    checked first, so a pool that does not fit this replica — columns
+    of unequal length, ``n_lo`` outside them, an object id ``dataset``
+    does not hold — raises
+    :class:`~repro.core.joint_topk.CandidatePoolError`, and a range
+    outside ``0 <= lo <= hi <= len(dataset.users)`` raises
+    :class:`UserRangeError` (an ``ERROR`` frame from a shard host, the
+    degrade ladder of a worker pool) instead of gathering by a bad
+    index.  An empty range answers empty partials.
     """
     traversal.check(dataset)
+    lo, hi = (0, len(dataset.users)) if rows is None else rows
+    if not (
+        isinstance(lo, int) and isinstance(hi, int)
+        and 0 <= lo <= hi <= len(dataset.users)
+    ):
+        raise UserRangeError(
+            f"user rows [{lo!r}, {hi!r}) do not fit this replica's "
+            f"{len(dataset.users)} users"
+        )
+    users = dataset.users[lo:hi]
     partials: List[PartialResult] = []
     t0 = time.perf_counter()
-    per_user = individual_topk(traversal, dataset, max(ks), backend=backend)
+    per_user = individual_topk(
+        traversal, dataset, max(ks), users=users, backend=backend
+    )
     for k in ks:
         rsk = {uid: res.kth_score_at(k) for uid, res in per_user.items()}
         t1 = time.perf_counter()
         partials.append(PartialResult(
             shard_id=shard_id, k=k, rsk=rsk,
-            users_total=len(dataset.users), time_s=t1 - t0,
+            users_total=len(users), time_s=t1 - t0,
         ))
         t0 = t1
     return partials
-
-
-def compute_partial(
-    dataset: Dataset,
-    traversal: JointTraversalResult,
-    k: int,
-    backend: str = "python",
-    shard_id: int = 0,
-) -> PartialResult:
-    """:func:`compute_partials` at a single ``k``."""
-    return compute_partials(dataset, traversal, [k], backend, shard_id)[0]
 
 
 # ----------------------------------------------------------------------
 # Gather-side reducer
 # ----------------------------------------------------------------------
 
-def merge_partials(partials: Sequence[PartialResult]) -> MergedThresholds:
-    """Union the per-shard ``RSk(u)`` maps into the sequential map.
+def merge_partials(
+    partials: Sequence[PartialResult], users: Sequence[User]
+) -> MergedThresholds:
+    """Union the per-lane ``RSk(u)`` maps into the sequential map over
+    ``users`` (the coordinator's ``dataset.users``).
 
-    Shard contributions are disjoint by construction (each user lives
-    on exactly one shard); an overlap means the partitioner or the
-    scatter is broken, so it raises instead of silently preferring one
-    shard's value.  Per-shard times are summed — the total refine work,
-    which equals the sequential refine cost modulo parallelism.
+    Lane contributions are a disjoint cover by construction (each row
+    falls in exactly one range); a user reported twice, or one of
+    ``users`` reported by no lane, means the dealing or a remote
+    replica is broken, so it raises instead of silently preferring one
+    lane's value or serving a short map.  Per-lane times are summed —
+    the total refine work, which equals the sequential refine cost
+    modulo parallelism.
     """
     if not partials:
         raise ValueError("merge_partials needs at least one partial")
@@ -186,25 +178,22 @@ def merge_partials(partials: Sequence[PartialResult]) -> MergedThresholds:
     if len(ks) > 1:
         raise ValueError(f"cannot merge partials across k values {sorted(ks)}")
     merged: Dict[int, float] = {}
-    total = 0
     time_s = 0.0
-    per_shard: List[int] = []
     for p in sorted(partials, key=lambda p: p.shard_id):
         overlap = merged.keys() & p.rsk.keys()
         if overlap:
             raise ValueError(
-                f"shard {p.shard_id} re-reports users {sorted(overlap)[:5]} "
-                "already merged from another shard"
+                f"lane {p.shard_id} re-reports users {sorted(overlap)[:5]} "
+                "already merged from another lane"
             )
         merged.update(p.rsk)
-        total += p.users_total
         time_s += p.time_s
-        per_shard.append(p.users_total)
+    missing = [u.item_id for u in users if u.item_id not in merged]
+    if missing or len(merged) != len(users):
+        raise ValueError(
+            f"refine lanes cover {len(merged)} users, the dataset holds "
+            f"{len(users)} (first missing: {missing[:5]})"
+        )
     return MergedThresholds(
-        k=next(iter(ks)),
-        rsk=merged,
-        users_total=total,
-        time_s=time_s,
-        shards=len(partials),
-        per_shard_users=per_shard,
+        k=next(iter(ks)), rsk=merged, users_total=len(merged), time_s=time_s
     )

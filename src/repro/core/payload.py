@@ -168,7 +168,7 @@ class PayloadCodec:
     """
 
     #: Delta-memo capacity: the live working set is one traversal pool,
-    #: one super-user and a handful of per-(shard, k) threshold maps;
+    #: one super-user and a handful of per-k threshold maps;
     #: evicted entries only cost a re-ship.
     MEMO_MAX = 64
 
@@ -308,11 +308,9 @@ def encode_shard_payload(codec: PayloadCodec, payload: tuple) -> tuple:
     """Codec form of one :func:`execute_shard_payload` work item."""
     kind = payload[0]
     if kind == "refine":
-        _, traversal, ks, backend, shard_id = payload
-        return (
-            "refine", codec.ship(traversal, f"trav-s{shard_id}"), ks, backend,
-            shard_id,
-        )
+        # One pool object for every lane of the round: the first lane
+        # writes the block, the rest delta-hit the same reference.
+        return ("refine", codec.ship(payload[1], "trav")) + payload[2:]
     if kind == "select":
         # The shared phase-1 state (an O(|U|) ``SharedTopK``)
         # delta-ships as a blob reference.
@@ -337,8 +335,7 @@ def decode_shard_payload(payload: tuple) -> tuple:
         return payload
     kind = payload[0]
     if kind == "refine":
-        _, traversal, ks, backend, shard_id = payload
-        return ("refine", _maybe(traversal), ks, backend, shard_id)
+        return ("refine", _maybe(payload[1])) + payload[2:]
     if kind == "select":
         _, queries, shared, mode, method, backend = payload
         return ("select", queries, _maybe(shared), mode, method, backend)
@@ -357,10 +354,8 @@ def decode_shard_payload(payload: tuple) -> tuple:
 # Gather funnels (worker -> parent direction)
 # ----------------------------------------------------------------------
 # Scatter payloads got the codec in PR 9; the *returned* chunks still
-# crossed back as pickles (``PartialResult.__reduce__`` compacts the
-# per-object blocks, but every object pays pickle framing and rebuild
-# references).  These funnels turn a whole refine chunk into ONE
-# self-describing binary block — no pickle at all on the O(|U|) gather
+# crossed back as pickles.  These funnels turn a whole refine chunk into
+# ONE self-describing binary block — no pickle at all on the O(|U|) gather
 # direction, which is what the socket transport frames verbatim and
 # what ``payload_bytes_in`` measures on the fork-pool pipe.  Every
 # other chunk shape (selection results, indexed ``(result, charge)``
@@ -368,7 +363,7 @@ def decode_shard_payload(payload: tuple) -> tuple:
 # safe to apply unconditionally at every collect site.
 
 _GATHER_PARTIALS_MAGIC = b"GPR1"
-_GPR_ROW = "<qqqdI"   # shard_id, k, users_total, time_s, rsk blob len
+_GPR_ROW = "<qqqdI"   # lane (shard_id), k, users_total, time_s, rsk blob len
 
 
 def _encode_gather_partials(chunk) -> bytes:

@@ -6,9 +6,9 @@ A flush is an :class:`ExecutionPipeline` — an ordered tuple of typed
 (:class:`StageStats`).  Central stages run on the root engine; scatter
 stages obey a **pure scatter contract**::
 
-    split(ctx, shard)  ->  payload list          (pure, no mutation)
+    split(ctx, width)  ->  payload list          (pure, no mutation)
     run(dataset, payload[, context])             (the worker entry)
-    merge(ctx, partials per shard)               (gather, writes outputs)
+    merge(ctx, chunks in payload order)          (gather, writes outputs)
 
 ``run`` is :func:`execute_shard_payload` — the ONE worker entry, called
 by fork-pool workers, shard hosts and in-process execution alike.
@@ -21,41 +21,40 @@ scattered, and every scatter goes through ONE loop,
     encode -> dispatch every lane -> collect each -> degrade -> decode
 
 A :class:`Lane` is ``(wire id, payloads, degrade dataset, worker
-context)``.  A transport is where lanes run — the :class:`Transport`
-protocol: ``dispatch(lanes) -> tickets`` starts every lane before any
-is collected; ``collect(ticket) -> chunks`` runs the transport's own
+context)``; every lane, on every transport, holds the full dataset.  A
+transport is where lanes run — the :class:`Transport` protocol:
+``dispatch(lanes) -> tickets`` starts every lane before any is
+collected; ``collect(ticket) -> chunks`` runs the transport's own
 recovery ladder and raises :class:`ScatterFailure` once it is
 exhausted, leaving the round's retry/byte counters on the
 :class:`Ticket`.  Three implementations:
 
 * :class:`InlineTransport` — the calling process; no wire, no ladder.
-* :class:`repro.serve.pool.PoolTransport` — supervised fork pools over
-  pipes (worker death / deadline => respawn + retry).
+* :class:`repro.serve.pool.PoolTransport` — one supervised fork pool
+  over pipes (worker death / deadline => respawn + retry).
 * :class:`repro.serve.transport.SocketTransport` — shard host processes
   over TCP frames (host death => re-scatter to a survivor).
 
-A lane whose ladder is exhausted re-runs in-process against its own
-dataset: ``execute_shard_payload`` is pure, so the degraded answer is
-bitwise-identical, only slower — and counted.
+A lane whose ladder is exhausted re-runs its payloads in-process
+against the coordinator's dataset: ``execute_shard_payload`` is pure,
+so the degraded answer is bitwise-identical, only slower — and counted.
 
-Executors are lane *builders*.  Both deal the query axis — ``select``
-/ ``indexed-search`` chunks — over their transport's full-dataset
-search lanes, giving each chunk to the lane holding the fewest queries
-so far: :class:`LocalExecutor` (one engine) over an injected or
-call-scoped pool, else inline; :class:`ShardedExecutor` (N user
-partitions) over the root search pool or the alive shard hosts.  The
-sharded executor also builds one lane per engaged shard for the one
-user-axis stage (refine); its ``transport`` is swapped by
-``ShardedEngine.start_pools`` / ``connect_hosts``.
+Executors are lane *builders*, and there is one way to build them:
+``split`` cuts a stage's work into payloads — ``select`` /
+``indexed-search`` chunks of queries, ``refine`` ranges of user rows —
+and each payload goes to the lane carrying the least work so far.
+:class:`LocalExecutor` (one engine) deals over an injected or
+call-scoped pool, else inline; :class:`ShardedExecutor` over the
+engine's worker pool or the alive shard hosts (its ``transport`` is
+swapped by ``ShardedEngine.start_pools`` / ``connect_hosts``).
 
 Pipelines by mode:
 
 * ``joint``    — traverse → refine → select.  Refine is the central
-  per-k derivation on one engine and a scatter over user partitions on
-  a sharded one (per-user work, disjoint ``RSk(u)`` union); select is
+  per-k derivation on one engine and a scatter of user-row ranges on a
+  sharded one (per-user work, disjoint ``RSk(u)`` union); select is
   Algorithm 3 whole per query on BOTH — its keyword-coverage counts sum
-  over all of ``LU_l``, so it cannot run per user partition, and every
-  search lane holds the full dataset anyway.
+  over all of ``LU_l``, so it is dealt by query, never by user.
 * ``baseline`` — per-user topk → select (local only; no mergeable
   group traversal).
 * ``indexed``  — root-traverse → best-first search per query.  Every
@@ -67,8 +66,8 @@ Pipelines by mode:
 
 Result identity is the invariant throughout: results, I/O traces and
 selection stats equal the single sequential engine's across
-``{joint, indexed}`` × shards × partitioners × mixed-k × backends ×
-transports (``tests/core/test_pipeline.py``,
+``{joint, indexed}`` × lane counts × mixed-k × backends × transports
+(``tests/core/test_pipeline.py``,
 ``tests/serve/test_sharded.py``, ``tests/serve/test_multihost.py``).
 """
 
@@ -109,8 +108,8 @@ __all__ = [
     "Transport",
     "InlineTransport",
     "INLINE",
-    "SEARCH_LANE",
     "run_round",
+    "user_row_ranges",
     "LocalExecutor",
     "ShardedExecutor",
     "execute_shard_payload",
@@ -142,12 +141,12 @@ class StageStats:
 
     stage: str
     items: int = 0          # work items (queries, ks) the stage covered
-    scatter_width: int = 1  # partitions/pools the stage fanned out to
+    scatter_width: int = 1  # lanes (refine: row ranges) the stage fanned out to
     time_s: float = 0.0
     io_node_visits: int = 0
     io_invfile_blocks: int = 0
     retries: int = 0        # supervised pool rounds re-dispatched
-    degraded: int = 0       # partitions that fell back to in-process
+    degraded: int = 0       # lanes that fell back to in-process
     #: Serialized bytes crossing the pool pipes this stage: dispatched
     #: payloads out, returned chunks in.  0 for in-process rounds (the
     #: payloads never leave the parent, there is nothing to serialize).
@@ -189,8 +188,8 @@ class FlushReport:
         return sum(st.retries for st in self.stages)
 
     @property
-    def degraded_partitions(self) -> int:
-        """Partitions that fell back to in-process across all stages."""
+    def degraded_lanes(self) -> int:
+        """Lanes that fell back to in-process across all stages."""
         return sum(st.degraded for st in self.stages)
 
     @property
@@ -240,12 +239,15 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     MIUR-tree for indexed search payloads), shard hosts with their
     replica, in-process lanes pass both explicitly.  Payload kinds:
 
-    * ``("refine", traversal, ks, backend, shard_id)`` — Algorithm 2
-      for the shard's users against the shared pool: one refinement at
-      ``max(ks)``, one ``PartialResult`` per k read off it.  The pool
-      crosses as id / bound columns (object ids are what every replica
-      shares; :meth:`JointTraversalResult.readable_by`) and is checked
-      against ``dataset`` before anything is gathered by it.
+    * ``("refine", traversal, ks, backend, None, lane, lo, hi)`` —
+      Algorithm 2 for rows ``[lo, hi)`` of ``dataset.users`` against
+      the shared pool: one refinement at ``max(ks)``, one
+      ``PartialResult`` per k read off it.  The pool crosses as id /
+      bound columns (object ids are what every replica shares;
+      :meth:`JointTraversalResult.readable_by`); pool and range are
+      checked against ``dataset`` before anything is gathered by them.
+      (Slot 4 is always ``None``: the traced benchmark probe reads it
+      as "which dataset answers", ``None`` meaning the full one.)
     * ``("select", queries, shared, mode, method, backend)`` —
       Algorithm 3 whole, per query, against one shared phase-1 state
       (``dataset`` = the FULL dataset here).
@@ -276,9 +278,10 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     payload = _wire.decode_shard_payload(payload)
     kind = payload[0]
     if kind == "refine":
-        _, traversal, ks, backend, shard_id = payload
+        _, traversal, ks, backend, _, lane, lo, hi = payload
         return compute_partials(
-            dataset, traversal, ks, backend=backend, shard_id=shard_id
+            dataset, traversal, ks, backend=backend, shard_id=lane,
+            rows=(lo, hi),
         )
     if kind == "select":
         from .batch import _select_one
@@ -363,14 +366,22 @@ class Stage:
     def run_central(self, ctx: FlushContext) -> None:
         raise NotImplementedError
 
-    def split(self, ctx: FlushContext, shard) -> List[tuple]:
+    def split(self, ctx: FlushContext, width: int) -> List[tuple]:
+        """Cut the stage's work into (about) ``width`` payloads."""
         raise NotImplementedError
+
+    @staticmethod
+    def weight(payload: tuple) -> int:
+        """Work one payload carries, for dealing payloads over lanes
+        (query-axis payloads: their queries)."""
+        return len(payload[1])
 
     #: The scatter contract's `run` — stages share the module-level
     #: worker entry so pooled and in-process execution cannot diverge.
     run = staticmethod(execute_shard_payload)
 
-    def merge(self, ctx: FlushContext, partials_per_shard: List[list]) -> None:
+    def merge(self, ctx: FlushContext, chunks: list) -> None:
+        """Gather: ``chunks`` answer ``split``'s payloads, in order."""
         raise NotImplementedError
 
 
@@ -423,47 +434,64 @@ class TraverseStage(Stage):
         }
 
 
-class RefineStage(Stage):
-    """Phase 1b (scatter over user partitions): exact ``RSk(u)`` per k.
+def user_row_ranges(n_users: int, n_lanes: int) -> List[Tuple[int, int]]:
+    """``n_lanes`` contiguous half-open row ranges covering
+    ``range(n_users)`` exactly once, as evenly as ``i * n_users //
+    n_lanes`` cuts (lanes beyond ``n_users`` get empty ranges)."""
+    cuts = [i * n_users // n_lanes for i in range(n_lanes + 1)]
+    return list(zip(cuts, cuts[1:]))
 
-    ``split`` emits one refine payload per shard carrying every missing
-    k — one refinement at the largest serves them all, so dealing the
-    ks over the shard's workers would only repeat it; ``merge`` unions
-    the disjoint per-shard maps back into the sequential-identical
-    threshold map per k (:func:`repro.core.partial.merge_partials`) and
-    emits what :class:`SelectStage` reads: one
-    :class:`~repro.core.batch.SharedTopK` per k over the merged map.
-    That state is memoized in the traversal pool's ``by_k`` — so it
-    lives exactly as long as the walk whose time and I/O it reports,
-    and warm flushes hand the codec the same object to delta-ship.
-    The executor calls ``merge`` with no partials when every k is
-    already merged.
+
+class RefineStage(Stage):
+    """Phase 1b (scatter over user-row ranges): exact ``RSk(u)`` per k.
+
+    ``split`` emits one refine payload per lane, each carrying the
+    shared pool, every missing k — one refinement at the largest serves
+    them all — and its range of ``dataset.users`` rows; ``merge``
+    unions the disjoint per-lane maps back into the
+    sequential-identical threshold map per k
+    (:func:`repro.core.partial.merge_partials`, which refuses a user
+    reported twice or not at all) and emits what :class:`SelectStage`
+    reads: one :class:`~repro.core.batch.SharedTopK` per k over the
+    merged map.  That state is memoized in the traversal pool's
+    ``by_k`` — so it lives exactly as long as the walk whose time and
+    I/O it reports, and warm flushes hand the codec the same object to
+    delta-ship.  The executor calls ``merge`` with no chunks when every
+    k is already merged.
     """
 
     name = "refine"
     scatter = True
-    inputs = ("pool_state", "need_ks", "plan", "queries", "group_by_k")
+    inputs = ("engine", "pool_state", "need_ks", "plan", "queries",
+              "group_by_k")
     outputs = ("merged_by_k", "keyed", "shared_by_key")
 
-    def split(self, ctx: FlushContext, shard) -> List[tuple]:
+    def split(self, ctx: FlushContext, width: int) -> List[tuple]:
         backend = ctx.require("plan").backend
-        return [(
-            "refine", ctx.require("pool_state").traversal.readable_by(backend),
-            ctx.require("need_ks"), backend, shard.shard_id,
-        )]
+        traversal = ctx.require("pool_state").traversal.readable_by(backend)
+        ks = ctx.require("need_ks")
+        n_users = len(ctx.require("engine").dataset.users)
+        return [
+            ("refine", traversal, ks, backend, None, lane, lo, hi)
+            for lane, (lo, hi) in enumerate(user_row_ranges(n_users, width))
+        ]
 
-    def merge(self, ctx: FlushContext, partials_per_shard: List[list]) -> None:
+    @staticmethod
+    def weight(payload: tuple) -> int:
+        return payload[7] - payload[6]  # user rows
+
+    def merge(self, ctx: FlushContext, chunks: list) -> None:
         from .batch import SharedTopK
         from .partial import merge_partials
 
         ks = ctx.require("need_ks")
         by_k: Dict[int, list] = {k: [] for k in ks}
-        for chunks in partials_per_shard:
-            for partial in (p for chunk in chunks for p in chunk):
-                by_k[partial.k].append(partial)
+        for partial in (p for chunk in chunks for p in chunk):
+            by_k[partial.k].append(partial)
         merged = ctx.setdefault("merged_by_k", {})
+        users = ctx.require("engine").dataset.users
         for k in ks:
-            merged[k] = merge_partials(by_k[k])
+            merged[k] = merge_partials(by_k[k], users)
         pool = ctx.require("pool_state")
         group_by_k = ctx.require("group_by_k")
 
@@ -499,7 +527,7 @@ class SelectStage(Stage):
     outputs = ("results",)
     scratch = ("select_index_groups",)
 
-    def split(self, ctx: FlushContext, shard) -> List[tuple]:
+    def split(self, ctx: FlushContext, width: int) -> List[tuple]:
         plan = ctx.require("plan")
         keyed = ctx.require("keyed")
         shared_by_key = ctx.require("shared_by_key")
@@ -508,7 +536,7 @@ class SelectStage(Stage):
             by_key.setdefault(key, []).append(i)
         payloads, index_groups = [], []
         for key, indices in by_key.items():
-            n_chunks = max(1, min(shard.workers, len(indices)))
+            n_chunks = max(1, min(width, len(indices)))
             for c in range(n_chunks):
                 chunk = indices[c::n_chunks]
                 payloads.append(
@@ -519,9 +547,8 @@ class SelectStage(Stage):
         ctx["select_index_groups"] = index_groups
         return payloads
 
-    def merge(self, ctx: FlushContext, partials_per_shard: List[list]) -> None:
+    def merge(self, ctx: FlushContext, chunks: list) -> None:
         keyed = ctx.require("keyed")
-        (chunks,) = partials_per_shard
         index_groups = ctx.require("select_index_groups")
         results: List[Optional[MaxBRSTkNNResult]] = [None] * len(keyed)
         for indices, group in zip(index_groups, chunks):
@@ -547,7 +574,7 @@ class IndexedSearchStage(Stage):
     scratch = ("indexed_index_groups",)
     optional = ("use_ledgers",)
 
-    def split(self, ctx: FlushContext, shard) -> List[tuple]:
+    def split(self, ctx: FlushContext, width: int) -> List[tuple]:
         plan = ctx.require("plan")
         queries = ctx.require("queries")
         pool = ctx.require("pool_state")
@@ -564,7 +591,7 @@ class IndexedSearchStage(Stage):
             by_k.setdefault(q.k, []).append(i)
         payloads, index_groups = [], []
         for k, indices in by_k.items():
-            n_chunks = max(1, min(shard.workers, len(indices)))
+            n_chunks = max(1, min(width, len(indices)))
             for c in range(n_chunks):
                 chunk = indices[c::n_chunks]
                 views = (
@@ -580,10 +607,9 @@ class IndexedSearchStage(Stage):
         ctx["indexed_index_groups"] = index_groups
         return payloads
 
-    def merge(self, ctx: FlushContext, partials_per_shard: List[list]) -> None:
+    def merge(self, ctx: FlushContext, chunks: list) -> None:
         queries = ctx.require("queries")
         io_counter = ctx.require("io_counter")
-        (chunks,) = partials_per_shard
         index_groups = ctx.require("indexed_index_groups")
         results: List[Optional[MaxBRSTkNNResult]] = [None] * len(queries)
         charges: List[Optional[IOCharge]] = [None] * len(queries)
@@ -621,8 +647,8 @@ def build_pipeline(plan: "QueryPlan", sharded: bool) -> ExecutionPipeline:
     if plan.mode is Mode.INDEXED:
         stages: Tuple[Stage, ...] = (TraverseStage(), IndexedSearchStage())
     elif plan.mode is Mode.JOINT:
-        # Refine is the one stage that differs: scattered over user
-        # partitions when sharded, the central per-k derivation on one
+        # Refine is the one stage that differs: scattered by user-row
+        # range when sharded, the central per-k derivation on one
         # engine (both memoize per k on the pool).
         refine = RefineStage() if sharded else DeriveThresholdsStage()
         stages = (TraverseStage(), refine, SelectStage())
@@ -658,7 +684,7 @@ class BaselineTopkStage(Stage):
 class DeriveThresholdsStage(Stage):
     """Local joint phase 1b (central): per-k thresholds off the pool.
 
-    The single-partition refine: Algorithm 2 over the full user set,
+    The unscattered refine: Algorithm 2 over the full user set,
     memoized per k on the engine's pool (``pool.by_k``) — value- and
     hit-count-compatible with the pre-pipeline batch path.
     """
@@ -683,17 +709,11 @@ class DeriveThresholdsStage(Stage):
 # The scatter round: lanes, transports, one loop
 # ----------------------------------------------------------------------
 
-#: Wire id of the first whole-dataset query lane (the n-th is
-#: ``SEARCH_LANE - n``): the fork-pool search / selection pool's id, and
-#: what a shard host answers against its full-dataset replica.
-SEARCH_LANE = -1
-
-
 @dataclass(slots=True)
 class Lane:
     """One addressed unit of a scatter round."""
 
-    wire_id: int             # shard id (user axis) or SEARCH_LANE - n
+    wire_id: int             # lane index: which worker pool / host answers
     payloads: List[tuple]
     dataset: object          # what an inline or degraded run executes against
     context: object = None   # ... and its worker context (MIUR-tree / engine)
@@ -722,15 +742,15 @@ class Transport(Protocol):
     #: Payloads leave the process: arena-encoded going out,
     #: gather-decoded coming back, bytes counted.
     remote: bool
-    #: Query lanes can run ``indexed_search`` payloads (the far side
-    #: holds the MIUR-tree as worker context).
+    #: Lanes can run ``indexed_search`` payloads (the far side holds
+    #: the MIUR-tree as worker context).
     serves_indexed: bool
 
-    def chunk_width(self, wire_id: int) -> int:
-        """Worker chunks one lane addressed ``wire_id`` splits into."""
+    def chunk_width(self) -> int:
+        """Worker chunks one lane splits into."""
 
-    def search_lanes(self) -> int:
-        """Fixed lanes the query axis deals its chunks over (0 = none)."""
+    def lanes(self) -> int:
+        """Fixed lanes a round deals its payloads over."""
 
     def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
         """Start every lane of one round.  Never raises
@@ -748,10 +768,10 @@ class InlineTransport:
     remote = False
     serves_indexed = True
 
-    def chunk_width(self, wire_id: int) -> int:
+    def chunk_width(self) -> int:
         return 1
 
-    def search_lanes(self) -> int:
+    def lanes(self) -> int:
         return 1
 
     def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
@@ -793,7 +813,7 @@ def run_round(
             # resolves arena refs in the parent too: the same payloads
             # in-process merge to the unchanged answer.
             _log.warning(
-                "degrading %s round in-process: shard=%d retries_used=%d "
+                "degrading %s round in-process: lane=%d retries_used=%d "
                 "reason=%r", stage.name, ticket.lane.wire_id, ticket.retries,
                 exc,
             )
@@ -816,15 +836,6 @@ def run_round(
 # ----------------------------------------------------------------------
 # Executors (lane builders)
 # ----------------------------------------------------------------------
-
-@dataclass(slots=True)
-class ShardHandle:
-    """What ``Stage.split`` needs to know about one partition."""
-
-    shard_id: int
-    dataset: object
-    workers: int = 1                 # worker chunks to split into
-
 
 class _ExecutorBase:
     """Shared drive loop: wiring validation + per-stage accounting."""
@@ -885,49 +896,64 @@ class _ExecutorBase:
         payload_bytes_out, payload_bytes_in)``."""
         raise NotImplementedError
 
+    def _deal(
+        self, stage: Stage, ctx: FlushContext, payloads: List[tuple],
+        transport: Transport, dataset, context,
+    ) -> Tuple[list, List[int], List[int], List[int], int, int]:
+        """Deal ``payloads`` over the transport's lanes and run the round.
+
+        A pool's workers pull their lane's payloads one by one, but a
+        lane is fixed up front — so each payload goes to the lane
+        carrying the least work so far (``stage.weight``; lanes fill in
+        order: no gaps).  Returns ``(chunks in payload order, lane of
+        each payload, retries per lane, degraded (0/1) per lane, bytes
+        out, bytes in)``.
+        """
+        n_lanes = transport.lanes()
+        load = [0] * n_lanes
+        lane_of: List[int] = []
+        for payload in payloads:
+            lane_of.append(load.index(min(load)))
+            load[lane_of[-1]] += stage.weight(payload)
+        engaged = sorted(set(lane_of))
+        lanes = [
+            Lane(at, [p for p, to in zip(payloads, lane_of) if to == at],
+                 dataset, context)
+            for at in engaged
+        ]
+        returned, used, lost, bytes_out, bytes_in = run_round(
+            stage, lanes, transport,
+            getattr(ctx.require("engine"), "payload_codec", None),
+        )
+        retries, degraded = [0] * n_lanes, [0] * n_lanes
+        for at, lane_retries, lane_lost in zip(engaged, used, lost):
+            retries[at], degraded[at] = lane_retries, lane_lost
+        answered = dict(zip(engaged, map(iter, returned)))
+        return ([next(answered[at]) for at in lane_of], lane_of,
+                retries, degraded, bytes_out, bytes_in)
+
     def _scatter_queries(
         self, stage: Stage, ctx: FlushContext, transport: Transport,
         dataset, context,
     ) -> Tuple[int, int, int, int, int, int]:
-        """One query-axis round (select / indexed-search).
-
-        ``split`` chunks the queries per k over the transport's whole
-        width, so a mixed-k flush yields uneven chunks; a pool's workers
-        pull them one by one, but a lane is fixed up front — each chunk
-        goes to the lane holding the fewest queries so far (lanes fill
-        in order: no gaps).
-        """
-        n_lanes = transport.search_lanes()
-        per_lane = transport.chunk_width(SEARCH_LANE)
-        payloads = stage.split(
-            ctx, ShardHandle(SEARCH_LANE, dataset, workers=n_lanes * per_lane)
+        """One query-axis round (select / indexed-search): ``split``
+        chunks the queries per k over the transport's whole width, so a
+        mixed-k flush yields uneven chunks for :meth:`_deal` to level."""
+        per_lane = transport.chunk_width()
+        payloads = stage.split(ctx, transport.lanes() * per_lane)
+        chunks, lane_of, retries, degraded, bytes_out, bytes_in = self._deal(
+            stage, ctx, payloads, transport, dataset, context
         )
-        load = [0] * n_lanes
-        lane_of = []
-        for payload in payloads:
-            lane_of.append(load.index(min(load)))
-            load[lane_of[-1]] += len(payload[1])
-        lanes = [
-            Lane(SEARCH_LANE - lane,
-                 [p for p, at in zip(payloads, lane_of) if at == lane],
-                 dataset, context)
-            for lane in range(n_lanes) if load[lane]
-        ]
-        returned, retries, degraded, bytes_out, bytes_in = run_round(
-            stage, lanes, transport,
-            getattr(ctx.require("engine"), "payload_codec", None),
-        )
-        answered = [iter(lane_chunks) for lane_chunks in returned]
-        stage.merge(ctx, [[next(answered[lane]) for lane in lane_of]])
-        return (len(lanes) * per_lane, len(ctx.require("queries")),
+        stage.merge(ctx, chunks)
+        return (len(set(lane_of)) * per_lane, len(ctx.require("queries")),
                 sum(retries), sum(degraded), bytes_out, bytes_in)
 
 
 class LocalExecutor(_ExecutorBase):
-    """Drives the pipeline on one engine (the single implicit shard).
+    """Drives the pipeline on one engine.
 
-    Only the query axis scatters here (there is exactly one user
-    partition): ``select`` rides ``transport`` — the pipe lane over an
+    Only the query axis scatters here (the refine is the central
+    derivation): ``select`` rides ``transport`` — the pipe lane over an
     injected or call-scoped :class:`~repro.serve.pool.PersistentWorkerPool`
     (see :func:`repro.core.batch.execute_batch`) — and runs inline
     without one; ``indexed-search`` always runs inline, ledger-free
@@ -974,12 +1000,13 @@ class LocalExecutor(_ExecutorBase):
 class ShardedExecutor(_ExecutorBase):
     """Drives the pipeline over a :class:`~repro.serve.sharded.ShardedEngine`.
 
-    The user-axis stage (refine) builds one lane per engaged shard;
-    query-axis stages (select, indexed-search) deal their chunks over
-    the transport's search lanes.  ``transport`` is :data:`INLINE`
-    until the engine's ``start_pools`` / ``connect_hosts`` swap in the
-    pipe / socket one.  Refine results memoize on the engine across
-    flushes, so a warm flush is one round.
+    Every scatter stage deals its payloads over the same full-dataset
+    lanes: the refine one user-row range per configured lane
+    (``num_shards``), the query-axis stages (select, indexed-search)
+    their per-k chunks.  ``transport`` is :data:`INLINE` until the
+    engine's ``start_pools`` / ``connect_hosts`` swap in the pipe /
+    socket one.  Refine results memoize on the engine across flushes,
+    so a warm flush is one round.
     """
 
     def __init__(self, sharded) -> None:
@@ -1025,31 +1052,22 @@ class ShardedExecutor(_ExecutorBase):
             # round, merge only keys the queries to the memoized state
             stage.merge(ctx, [])
             return 0, 0, 0, 0, 0, 0
-        shards = [shard for shard in sharded._shards if shard.users > 0]
-        lanes = []
-        for shard in shards:
-            shard.stats.queue_depth_peak = max(
-                shard.stats.queue_depth_peak, items
-            )
-            shard.stats.scatter_flushes += 1
-            dataset = shard.engine.dataset
-            handle = ShardHandle(shard.shard_id, dataset)
-            lanes.append(Lane(shard.shard_id, stage.split(ctx, handle), dataset))
-        returned, retries, degraded, bytes_out, bytes_in = run_round(
-            stage, lanes, self.transport,
-            getattr(sharded.root, "payload_codec", None),
+        payloads = stage.split(ctx, sharded.config.num_shards)
+        chunks, lane_of, retries, degraded, bytes_out, bytes_in = self._deal(
+            stage, ctx, payloads, self.transport, sharded.dataset, None
         )
-        for shard, chunks, used, lost in zip(shards, returned, retries, degraded):
-            stats = shard.stats
-            stats.retries += used
-            stats.degraded_rounds += lost
+        for stats, chunk, at in zip(sharded.lane_stats, chunks, lane_of):
+            stats.scatter_flushes += 1
+            stats.queue_depth_peak = max(stats.queue_depth_peak, items)
+            stats.retries += retries[at]
+            stats.degraded_rounds += degraded[at]
             stats.refine_tasks += items
-            stats.refine_time_s += sum(p.time_s for chunk in chunks for p in chunk)
-        # The one cross-shard merge: what gather_stats() reports.
+            stats.refine_time_s += sum(p.time_s for p in chunk)
+        # The one cross-lane merge: what gather_stats() reports.
         t_merge = time.perf_counter()
-        stage.merge(ctx, returned)
+        stage.merge(ctx, chunks)
         sharded._merge_s += time.perf_counter() - t_merge
-        return (len(lanes), items, sum(retries), sum(degraded),
+        return (len(payloads), items, sum(retries), sum(degraded),
                 bytes_out, bytes_in)
 
     def _scatter_search(
@@ -1063,7 +1081,7 @@ class ShardedExecutor(_ExecutorBase):
         indexed = stage.name == "indexed-search"
         transport = self.transport
         width = (
-            transport.search_lanes() * transport.chunk_width(SEARCH_LANE)
+            transport.lanes() * transport.chunk_width()
             if transport.serves_indexed or not indexed else 0
         )
         # Fan out only when it can pay off AND I/O stays replayable:

@@ -90,15 +90,14 @@ class EngineCapabilities:
     #: batches), if one exists — the indexed twin of
     #: ``traversal_pool_k``.
     root_pool_k: Optional[int] = None
-    #: > 1 when the engine is a ShardedEngine scattering over user
-    #: partitions; plans then carry a ShardPlan and reject baseline
-    #: mode (the only pipeline without a mergeable decomposition).
+    #: > 1 when the engine is a ShardedEngine dealing work over that
+    #: many full-dataset lanes; plans then carry a ShardPlan and reject
+    #: baseline mode (the only pipeline without a mergeable
+    #: decomposition).
     num_shards: int = 1
-    partitioner: Optional[str] = None
-    shard_users: Tuple[int, ...] = ()
     #: Width of the sharded engine's query-axis fan-out (selection /
-    #: indexed search) — root search pool workers, or alive shard hosts
-    #: on the socket transport (0 = those rounds run in-process).
+    #: indexed search) — pool workers, or alive shard hosts on the
+    #: socket transport (0 = those rounds run in-process).
     search_workers: int = 0
 
     @classmethod
@@ -134,38 +133,25 @@ class PlanDecision:
 
 @dataclass(frozen=True, slots=True)
 class ShardPlan:
-    """How a batch scatters over user partitions and gathers back.
+    """How a batch is dealt over a sharded engine's lanes and gathered.
 
     Attributes
     ----------
-    num_shards / partitioner:
-        The ShardedEngine's layout (``EngineConfig.num_shards`` /
-        ``EngineConfig.partitioner``).
-    scatter_width:
-        Shards that actually receive work — shards with zero users are
-        skipped (their contribution to every merge is empty).
-    shard_users:
-        Per-shard user counts, for ``explain()`` skew reporting.
-    merge:
-        Name of the gather strategy.  ``"ordered-union"``: the refine
-        round's per-shard ``RSk(u)`` maps union disjointly, in shard
-        order, into the sequential threshold map (a user reported twice
-        is an error).  It is the only cross-shard merge: Algorithm 3
-        then runs whole per query against that map and the full
-        dataset, so its tie-breaking (summed RSk thresholds, object-id
-        order inside top-k ties) is the single engine's own.
+    num_shards:
+        The ShardedEngine's lane count (``EngineConfig.num_shards``):
+        the cold refine is dealt as that many user-row ranges.
+
+    The gather is an *ordered union*: the refine round's per-lane
+    ``RSk(u)`` maps union disjointly, in lane (= row) order, into the
+    sequential threshold map (a user reported twice, or by no lane, is
+    an error).  It is the only cross-lane merge: Algorithm 3 then runs
+    whole per query against that map and the full dataset, so its
+    tie-breaking (summed RSk thresholds, object-id order inside top-k
+    ties) is the single engine's own.
     """
 
     num_shards: int
-    partitioner: str
-    scatter_width: int
-    shard_users: Tuple[int, ...] = ()
-    merge: str = "ordered-union"
     search_workers: int = 0
-    #: Largest shard size over the ideal equal share (1.0 = perfectly
-    #: even; > num_shards/2 means one shard holds most of the users —
-    #: the grid partitioner can do this when users cluster).
-    largest_skew: float = 1.0
     #: Observed decision: run the per-query selections / indexed
     #: searches in-process even though a search fan-out exists
     #: (measured sub-millisecond items cannot pay for the dispatch).
@@ -180,7 +166,7 @@ def search_fans_out(
 
     The ONE predicate behind ``QueryPlan.explain()`` and the executor's
     query-axis lane builder: any fan-out width ships the round — a
-    1-worker search pool or a 1-host registry included — unless there
+    1-worker pool or a 1-host registry included — unless there
     is a single query to search or the observed planner pulled the
     searches in-process.
     """
@@ -312,43 +298,25 @@ class QueryPlan:
         )
         if self.shard is not None:
             sp = self.shard
-            skew = ""
-            if sp.shard_users:
-                lo, hi = min(sp.shard_users), max(sp.shard_users)
-                total = sum(sp.shard_users)
-                # Same condition as the build-time warning: a bare
-                # 2-shard majority is noise; flag only a shard holding
-                # most users at well over its ideal share.
-                unbalanced = (
-                    total > 0 and hi > 0.5 * total and sp.largest_skew > 1.5
-                )
-                skew = (
-                    f", shard users min/max {lo}/{hi} "
-                    f"(skew {sp.largest_skew:.2f}x ideal"
-                    + (", UNBALANCED" if unbalanced else "")
-                    + ")"
-                )
             if self.mode is Mode.INDEXED:
                 lines.append(
-                    f"  scatter: {sp.num_shards}-shard layout "
-                    f"(partitioner={sp.partitioner}{skew}); indexed flushes "
-                    f"run one central MIUR-root walk, then fan the per-query "
-                    f"searches out (user partitions idle — pruning replaces "
-                    f"the O(|U|) refine)"
+                    f"  scatter: {sp.num_shards} full-dataset lanes; indexed "
+                    f"flushes run one central MIUR-root walk, then fan the "
+                    f"per-query searches out (no refine round — pruning "
+                    f"replaces the O(|U|) refine)"
                 )
             else:
                 lines.append(
-                    f"  scatter: width {sp.scatter_width} of {sp.num_shards} shards "
-                    f"(partitioner={sp.partitioner}{skew}); refine by user "
-                    f"partition, per-shard k-sharing: once per (walk, k), "
-                    f"memoized across batches (a warm flush skips the round)"
+                    f"  scatter: refine by user row range x{sp.num_shards} "
+                    f"over full-dataset lanes, once per (walk, k), memoized "
+                    f"across batches (a warm flush skips the round)"
                 )
                 select = (
                     f"in one round over {lanes} full-dataset lane(s)"
                     if lanes else "in-process"
                 )
                 lines.append(
-                    f"  gather: merge={sp.merge} — disjoint RSk union into the "
+                    "  gather: merge=ordered-union — disjoint RSk union into the "
                     f"sequential threshold map; selection (Algorithm 3 whole, "
                     f"per query, against the full dataset) runs {select}"
                 )
@@ -356,7 +324,7 @@ class QueryPlan:
             if lanes:
                 lines.append(
                     f"  phase 2 (best-first MIUR search): fans out over the "
-                    f"root search pool x{lanes} against "
+                    f"worker pool x{lanes} against "
                     f"read-only ledger stores (IOCharge replayed at gather)"
                 )
             else:
@@ -394,22 +362,8 @@ def _validate(options: QueryOptions, caps: EngineCapabilities) -> str:
 def _shard_plan(caps: EngineCapabilities) -> Optional[ShardPlan]:
     if caps.num_shards <= 1:
         return None
-    users = caps.shard_users
-    total = sum(users)
-    skew = (
-        max(users) / (total / caps.num_shards)
-        if users and total > 0
-        else 1.0
-    )
     return ShardPlan(
-        num_shards=caps.num_shards,
-        partitioner=caps.partitioner or "hash",
-        scatter_width=(
-            sum(1 for n in users if n > 0) if users else caps.num_shards
-        ),
-        shard_users=users,
-        search_workers=caps.search_workers,
-        largest_skew=skew,
+        num_shards=caps.num_shards, search_workers=caps.search_workers
     )
 
 
@@ -431,7 +385,7 @@ def _consult_history(
     sig = FlushSignature(
         mode=options.mode.value,
         backend=backend,
-        scatter_width=shard.scatter_width if shard is not None else 1,
+        scatter_width=shard.num_shards if shard is not None else 1,
     )
     obs = history.observe(sig)
     seasoned = obs is not None and obs.flushes >= MIN_OBSERVED_FLUSHES
@@ -595,8 +549,8 @@ def plan_batch(
         and len(ks) > 1
         and not indexed
         and caps.fork_available
-        # Sharded engines get their parallelism from the scatter and
-        # the root search pool (ShardedEngine.start_pools), never from
+        # Sharded engines get their parallelism from their lanes
+        # (ShardedEngine.start_pools / connect_hosts), never from
         # QueryOptions.workers — plan workers=1 so explain() stays
         # truthful about what will execute.
         and caps.num_shards == 1

@@ -1,18 +1,14 @@
 """Synthetic workload generation (stand-ins for Flickr and Yelp)."""
 
-from .partition import ShardAssignment, UserPartitioner, partition_users
 from .synthetic import SpaceConfig, flickr_like, yelp_like, zipf_term_sampler
 from .users import UserWorkload, candidate_locations, generate_users, query_pool
 
 __all__ = [
-    "ShardAssignment",
     "SpaceConfig",
-    "UserPartitioner",
     "UserWorkload",
     "candidate_locations",
     "flickr_like",
     "generate_users",
-    "partition_users",
     "query_pool",
     "yelp_like",
     "zipf_term_sampler",

@@ -238,22 +238,3 @@ class Dataset:
         clone._per_object_set = self._per_object_set
         clone.epoch = 0
         return clone
-
-    def subset_users(self, user_ids: Iterable[int]) -> "Dataset":
-        """Clone restricted to ``user_ids``, preserving the user order.
-
-        The scoring context (relevance model, ``dmax``, metric, alpha)
-        is **shared with the parent**, not re-derived from the subset:
-        every ``STS(o, u)`` computed against the subset is therefore
-        bitwise identical to the same pair scored against the full
-        dataset — the invariant the sharded scatter/gather execution
-        (``repro.serve.sharded``) rests on.  User ids keep their
-        original values (stable remapping: merging per-shard results
-        back is a plain disjoint union keyed by id).  Unknown ids
-        raise ``KeyError``; the subset may be empty.
-        """
-        wanted = set(user_ids)
-        missing = wanted - self._users_by_id.keys()
-        if missing:
-            raise KeyError(f"unknown user ids: {sorted(missing)[:5]}")
-        return self.with_users([u for u in self.users if u.item_id in wanted])

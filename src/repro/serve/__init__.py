@@ -15,8 +15,9 @@ The top layer of the typed API (see ``repro/core/config.py`` and
   tunes the window from the observed arrival rate) and executed through
   ``query_batch``, so concurrent callers share the top-k phase without
   coordinating;
-* :class:`ShardedEngine` — N partitioned engines over user shards with
-  an exact scatter/gather merge; the server takes either engine type
+* :class:`ShardedEngine` — one engine dealing each flush over N
+  full-dataset lanes (fork workers or shard hosts) with an exact
+  scatter/gather merge; the server takes either engine type
   unchanged (``make_engine`` picks by ``EngineConfig.num_shards``).
 
 >>> async with MaxBRSTkNNServer(engine) as server:

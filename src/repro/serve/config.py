@@ -177,7 +177,7 @@ class ServerConfig:
         (default) runs phase 2 in-process — right for CPU-starved
         hosts; the pool pays off once real cores are available.  For a
         :class:`~repro.serve.sharded.ShardedEngine` this is the
-        *per-shard* worker count (the engine owns the pools).
+        *per-lane* worker count (the engine owns the pool).
     options:
         The :class:`QueryOptions` every submitted query is answered
         with (one server = one contract; run several servers for mixed

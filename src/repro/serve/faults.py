@@ -17,10 +17,11 @@ A :class:`FaultPlan` is a frozen description of *what* to break and
   the parent.
 * ``hang_on_task=N`` — the N-th task sleeps ``hang_s`` seconds instead
   of finishing, exercising the flush-deadline path.
-* ``exception_on_shard=K`` — any task carrying shard id ``K`` raises
-  :class:`InjectedFault`, exercising the task-exception retry path.
-* ``exception_on_task=N`` — the N-th task raises regardless of shard
-  (covers the root search pool, whose payloads carry no shard id).
+* ``exception_on_shard=K`` — any refine task for lane ``K`` (the K-th
+  user-row range) raises :class:`InjectedFault`, exercising the
+  task-exception retry path.
+* ``exception_on_task=N`` — the N-th task raises whatever it carries
+  (covers selection / indexed-search payloads, which name no lane).
 * ``break_dispatch`` / ``break_respawn`` — parent-side hooks: dispatch
   fails as if the pool transport were gone; respawn fails as if forking
   were impossible (driving the pool into its terminal BROKEN state and
@@ -49,9 +50,7 @@ armed only while the pool is in one of the listed ``generations``
 supervisor respawns the pool, generation 1's workers run fault-free, so
 "kill → respawn → retry succeeds" is a deterministic sequence, not a
 race.  ``generations=None`` arms the fault forever (for tests of
-persistent degradation).  ``pool_id`` scopes a plan to one pool of a
-sharded engine (shard pools get their shard id, the root search pool
-``SEARCH_POOL_ID``); ``None`` applies to every pool.
+persistent degradation).
 
 The plan rides into workers through the same fork-registry mechanism as
 the dataset (:mod:`repro.serve.pool`), so arming a fault costs nothing
@@ -66,15 +65,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["FaultPlan", "InjectedFault", "KILL_EXIT_CODE", "SEARCH_POOL_ID"]
+__all__ = ["FaultPlan", "InjectedFault", "KILL_EXIT_CODE"]
 
 #: Exit status of a worker felled by ``kill_worker_on_task`` — distinct
 #: from 0 so the supervisor's exitcode sweep sees an abnormal death.
 KILL_EXIT_CODE = 3
-
-#: ``pool_id`` of the sharded engine's root search pool (shard pools
-#: use their non-negative shard ids).
-SEARCH_POOL_ID = -1
 
 
 class InjectedFault(RuntimeError):
@@ -83,7 +78,7 @@ class InjectedFault(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
-    """What to break, where, and in which pool generations."""
+    """What to break, and in which pool generations."""
 
     kill_worker_on_task: Optional[int] = None
     hang_on_task: Optional[int] = None
@@ -97,7 +92,6 @@ class FaultPlan:
     stall_read_on_frame: Optional[int] = None
     stall_s: float = 5.0
     refuse_accept: bool = False
-    pool_id: Optional[int] = None
     generations: Optional[Tuple[int, ...]] = (0,)
 
     def __post_init__(self) -> None:
@@ -118,21 +112,16 @@ class FaultPlan:
             object.__setattr__(self, "generations", tuple(self.generations))
 
     # -- arming --------------------------------------------------------
-    def armed(self, generation: int, pool_id: Optional[int]) -> bool:
-        """Is this plan live for ``(generation, pool_id)``?"""
-        if self.pool_id is not None and pool_id != self.pool_id:
-            return False
-        if self.generations is not None and generation not in self.generations:
-            return False
-        return True
+    def armed(self, generation: int) -> bool:
+        """Is this plan live in pool ``generation``?"""
+        return self.generations is None or generation in self.generations
 
     # -- worker-side hook ----------------------------------------------
     def worker_hook(
         self,
         task_index: int,
         generation: int,
-        pool_id: Optional[int],
-        shard_id: Optional[int],
+        lane: Optional[int],
     ) -> None:
         """Fire (or not) for one task about to run inside a worker.
 
@@ -140,7 +129,7 @@ class FaultPlan:
         own 0-based task counter; deterministic because each worker
         counts its own tasks and faults are generation-gated.
         """
-        if not self.armed(generation, pool_id):
+        if not self.armed(generation):
             return
         if self.kill_worker_on_task is not None and \
                 task_index == self.kill_worker_on_task:
@@ -154,13 +143,13 @@ class FaultPlan:
                 task_index == self.exception_on_task:
             raise InjectedFault(
                 f"injected exception on task {task_index} "
-                f"(pool {pool_id}, generation {generation})"
+                f"(generation {generation})"
             )
         if self.exception_on_shard is not None and \
-                shard_id == self.exception_on_shard:
+                lane == self.exception_on_shard:
             raise InjectedFault(
-                f"injected exception on shard {shard_id} "
-                f"(pool {pool_id}, generation {generation})"
+                f"injected exception on refine lane {lane} "
+                f"(generation {generation})"
             )
 
     # -- convenience constructors (the CLI's --fault vocabulary) -------
@@ -176,7 +165,7 @@ class FaultPlan:
 
     @classmethod
     def shard_exception(cls, shard_id: int = 0, **kwargs) -> "FaultPlan":
-        """Tasks for ``shard_id`` raise (first generation only)."""
+        """Refine tasks for lane ``shard_id`` raise (first generation only)."""
         return cls(exception_on_shard=shard_id, **kwargs)
 
     @classmethod

@@ -10,8 +10,8 @@ to the call (:func:`repro.core.batch.execute_batch`) — the same
 supervised lane, paying the fork per batch.
 
 Workers can also carry an optional **context** object inherited the
-same way — the sharded engine's root search pool registers the
-MIUR-tree here so ``indexed_search`` payloads
+same way — the sharded engine's pool registers the MIUR-tree here so
+``indexed_search`` payloads
 (:func:`repro.core.pipeline.execute_shard_payload`) can run the
 best-first search in-worker against read-only ledger stores.
 
@@ -22,8 +22,7 @@ the flush and every future parked on it.  The pool therefore never
 hands out raw async results on the serving path; rounds flow through
 
 * :meth:`dispatch` — start a round, returning a :class:`PoolDispatch`
-  ticket (so a sharded executor can start every shard's round before
-  collecting any);
+  ticket;
 * :meth:`collect` — await one ticket with *supervision*: polls worker
   liveness (any exitcode outside {None, 0}, or a replacement pid
   appearing) and the :class:`~repro.serve.config.DeadlinePolicy`
@@ -36,8 +35,8 @@ hands out raw async results on the serving path; rounds flow through
   :class:`~repro.core.pipeline.ScatterFailure`, on which
   :func:`~repro.core.pipeline.run_round` degrades the lane in-process.
 
-:class:`PoolTransport` adapts a set of pools (one per shard + the root
-search pool, or the single selection pool) to ``run_round``'s
+:class:`PoolTransport` adapts one pool (a sharded engine's, or a single
+engine's selection pool) to ``run_round``'s
 :class:`~repro.core.pipeline.Transport` protocol.
 
 Health is typed and observable: :class:`PoolHealth` carries the
@@ -68,7 +67,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from ..core.kernels import HAS_NUMPY, arrays_for
 from ..core.payload import encode_gather_payload, payload_nbytes
 from ..core.pipeline import (
-    SEARCH_LANE,
     Lane,
     ScatterFailure,
     Ticket,
@@ -95,11 +93,11 @@ __all__ = [
     "execute_shard_payload",
 ]
 
-#: Parent-side registry of pool (dataset, context, faults, pool_id,
-#: arena_name) tuples, keyed by a per-pool token.  Forked workers inherit the whole
+#: Parent-side registry of pool (dataset, context, faults, arena_name)
+#: tuples, keyed by a per-pool token.  Forked workers inherit the whole
 #: registry through copy-on-write and the initializer resolves their
 #: token into ``_WORKER_DATASET`` / ``_WORKER_CONTEXT`` (plus the
-#: fault-injection plan and pool identity) — only the *token* and the
+#: fault-injection plan) — only the *token* and the
 #: pool generation (two ints) ever cross the worker pipe.  Passing the
 #: dataset itself as Pool ``initargs`` would *pickle* it per worker,
 #: silently dropping the pre-built DatasetArrays (Dataset.__getstate__
@@ -113,7 +111,6 @@ __all__ = [
 _WORKER_DATASET = None
 _WORKER_CONTEXT = None
 _WORKER_FAULTS: Optional[FaultPlan] = None
-_WORKER_POOL_ID: Optional[int] = None
 _WORKER_GENERATION = 0
 _WORKER_TASK_INDEX = 0
 #: Name of the shm arena this worker verified it can map (None when the
@@ -128,11 +125,9 @@ _FORK_TOKENS = itertools.count()
 
 def _init_worker(token: int, generation: int = 0) -> None:
     global _WORKER_DATASET, _WORKER_CONTEXT, _WORKER_FAULTS
-    global _WORKER_POOL_ID, _WORKER_GENERATION, _WORKER_TASK_INDEX
-    global _WORKER_ARENA_NAME
-    entry = _FORK_DATASETS[token]
-    (_WORKER_DATASET, _WORKER_CONTEXT, _WORKER_FAULTS, _WORKER_POOL_ID,
-     arena_name) = entry
+    global _WORKER_GENERATION, _WORKER_TASK_INDEX, _WORKER_ARENA_NAME
+    (_WORKER_DATASET, _WORKER_CONTEXT, _WORKER_FAULTS,
+     arena_name) = _FORK_DATASETS[token]
     _WORKER_GENERATION = generation
     _WORKER_TASK_INDEX = 0
     _WORKER_ARENA_NAME = None
@@ -148,11 +143,11 @@ def _init_worker(token: int, generation: int = 0) -> None:
         _WORKER_ARENA_NAME = arena_name
 
 
-def _payload_shard_id(payload: tuple) -> Optional[int]:
-    """Shard id carried by a scatter payload (None for selection /
-    indexed-search payloads, which run on the root pool)."""
+def _payload_lane(payload: tuple) -> Optional[int]:
+    """Refine lane (row range index) a scatter payload carries (None
+    for selection / indexed-search payloads)."""
     if isinstance(payload, tuple) and payload and payload[0] == "refine":
-        return payload[4]
+        return payload[5]
     return None
 
 
@@ -166,7 +161,7 @@ def _maybe_inject(payload) -> None:
     index = _WORKER_TASK_INDEX
     _WORKER_TASK_INDEX = index + 1
     _WORKER_FAULTS.worker_hook(
-        index, _WORKER_GENERATION, _WORKER_POOL_ID, _payload_shard_id(payload)
+        index, _WORKER_GENERATION, _payload_lane(payload)
     )
 
 
@@ -243,8 +238,8 @@ class PersistentWorkerPool:
         Number of worker processes (>= 1).
     context:
         Optional extra object workers inherit via copy-on-write (the
-        sharded engine's root search pool passes the MIUR-tree so
-        indexed-search payloads can run in-worker).
+        sharded engine passes the MIUR-tree so indexed-search payloads
+        can run in-worker).
     retry / deadline:
         Supervision policies (:class:`~repro.serve.config.RetryPolicy`,
         :class:`~repro.serve.config.DeadlinePolicy`); defaults retry
@@ -252,9 +247,6 @@ class PersistentWorkerPool:
     faults:
         Optional :class:`~repro.serve.faults.FaultPlan` inherited by the
         workers — deterministic fault injection for tests/CI.
-    pool_id:
-        Identity for fault scoping and health reporting (shard id for
-        shard pools, ``SEARCH_POOL_ID`` for the root search pool).
     arena_name:
         Name of the engine-owned :class:`~repro.storage.shm.ShmArena`
         (``None`` without one).  Every worker generation's initializer
@@ -271,7 +263,6 @@ class PersistentWorkerPool:
         retry: Optional[RetryPolicy] = None,
         deadline: Optional[DeadlinePolicy] = None,
         faults: Optional[FaultPlan] = None,
-        pool_id: Optional[int] = None,
         arena_name: Optional[str] = None,
     ) -> None:
         if workers < 1:
@@ -288,7 +279,6 @@ class PersistentWorkerPool:
         self.retry = retry if retry is not None else RetryPolicy()
         self.deadline = deadline if deadline is not None else DeadlinePolicy()
         self.faults = faults
-        self.pool_id = pool_id
         self.arena_name = arena_name
         self.health = PoolHealth()
         self._ctx = multiprocessing.get_context("fork")
@@ -296,9 +286,7 @@ class PersistentWorkerPool:
         #: the lock, and respawn's spawn path re-enters helpers.
         self._lock = threading.RLock()
         self._token = next(_FORK_TOKENS)
-        _FORK_DATASETS[self._token] = (
-            dataset, context, faults, pool_id, arena_name
-        )
+        _FORK_DATASETS[self._token] = (dataset, context, faults, arena_name)
         self._closed = False
         self._pool = None
         self._known_pids: set = set()
@@ -357,7 +345,7 @@ class PersistentWorkerPool:
                 raise PoolUnavailable("pool is broken (previous respawn failed)")
             plan = self.faults
             if plan is not None and plan.break_respawn and plan.armed(
-                self.health.generation, self.pool_id
+                self.health.generation
             ):
                 self.health.state = PoolState.BROKEN
                 self.health.last_error = "injected respawn failure"
@@ -412,12 +400,7 @@ class PersistentWorkerPool:
     # Supervised rounds
     # ------------------------------------------------------------------
     def dispatch(self, payloads: Sequence) -> PoolDispatch:
-        """Start one scatter round; returns the ticket for collect().
-
-        Dispatch-only so a sharded executor can start every shard's
-        round before collecting any — shards run concurrently even with
-        one worker each.
-        """
+        """Start one scatter round; returns the ticket for collect()."""
         payloads = list(payloads)
         with self._lock:
             if self._closed:
@@ -426,7 +409,7 @@ class PersistentWorkerPool:
                 raise PoolUnavailable("pool is broken (respawn failed)")
             plan = self.faults
             if plan is not None and plan.break_dispatch and plan.armed(
-                self.health.generation, self.pool_id
+                self.health.generation
             ):
                 self.health.consecutive_failures += 1
                 self.health.last_error = "injected pool loss at dispatch"
@@ -595,30 +578,27 @@ class PersistentWorkerPool:
 
 
 class PoolTransport:
-    """The pipe lane of :func:`repro.core.pipeline.run_round`: each lane
-    rides the supervised pool its wire id addresses — a shard's pool by
-    shard id, the root search pool / a single engine's selection pool
-    at ``SEARCH_LANE``."""
+    """The pipe lane of :func:`repro.core.pipeline.run_round`: ONE lane
+    — the supervised pool, whose workers pull the lane's payloads one
+    by one."""
 
     remote = True
-    serves_indexed = True  # the search pool holds the MIUR-tree as context
+    serves_indexed = True  # a sharded engine's pool holds the MIUR-tree
 
-    def __init__(self, pools: Dict[int, PersistentWorkerPool]) -> None:
-        self.pools = pools
+    def __init__(self, pool: PersistentWorkerPool) -> None:
+        self.pool = pool
 
-    def chunk_width(self, wire_id: int) -> int:
+    def chunk_width(self) -> int:
         # A closed/broken pool's lane degrades in-process: one chunk.
-        pool = self.pools.get(wire_id)
-        return pool.workers if pool is not None and pool.available else 1
+        return self.pool.workers if self.pool.available else 1
 
-    def search_lanes(self) -> int:
-        # One lane: the pool's own workers pull its chunks one by one.
-        return 1 if SEARCH_LANE in self.pools else 0
+    def lanes(self) -> int:
+        return 1
 
     def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
+        pool = self.pool
         tickets = []
         for lane in lanes:
-            pool = self.pools[lane.wire_id]
             ticket = Ticket(lane)
             if pool.available:
                 # Pickle bytes — exactly what the pipe carries — on both
@@ -632,7 +612,7 @@ class PoolTransport:
         return tickets
 
     def collect(self, ticket: Ticket) -> list:
-        pool = self.pools[ticket.lane.wire_id]
+        pool = self.pool
         retries_before = pool.health.retries
         try:
             chunks = pool.run_supervised(

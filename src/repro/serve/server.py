@@ -55,8 +55,8 @@ class MaxBRSTkNNServer:
     The engine may be a plain :class:`MaxBRSTkNNEngine` or a
     :class:`~repro.serve.sharded.ShardedEngine` — the submit/flush path
     is identical; only worker-pool ownership differs (a sharded engine
-    declares ``manages_own_pools`` and the server starts *its* per-shard
-    pools instead of wrapping it in a selection pool).
+    declares ``manages_own_pools`` and the server starts *its* worker
+    pool instead of wrapping it in a selection pool).
     """
 
     def __init__(
@@ -110,16 +110,15 @@ class MaxBRSTkNNServer:
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
         if self.config.options.backend.resolve() == "numpy":
-            # Both engine types declare this hook (sharded engines also
-            # build per-shard arrays behind it).
+            # Both engine types declare this hook.
             self.engine.prewarm_kernels()
         if self.config.pool_workers > 0:
             cfg = self.config
             try:
                 if self.engine.manages_own_pools:
-                    # Sharded engines scatter to their own per-shard
-                    # pools; pool_workers sizes each of them.  A failed
-                    # start reaps its own partial state before raising.
+                    # Sharded engines scatter to their own pool;
+                    # pool_workers sizes it per lane.  A failed start
+                    # reaps its own partial state before raising.
                     self.engine.start_pools(
                         cfg.pool_workers,
                         retry=cfg.retry, deadline=cfg.deadline,
@@ -253,10 +252,10 @@ class MaxBRSTkNNServer:
         return list(await asyncio.gather(*(self.submit(q) for q in queries)))
 
     def stats_snapshot(self) -> dict:
-        """Server counters plus per-shard and adaptive-window detail.
+        """Server counters plus per-lane and adaptive-window detail.
 
         Extends :meth:`ServerStats.snapshot` with the sharded engine's
-        per-shard queue depth / flush counters (when the engine exposes
+        per-lane queue depth / flush counters (when the engine exposes
         ``shard_stats``) and the adaptive controller's current state
         (when ``max_wait_ms="auto"``).
         """
@@ -264,11 +263,6 @@ class MaxBRSTkNNServer:
         shard_stats = getattr(self.engine, "shard_stats", None)
         if shard_stats is not None:
             snap["shards"] = shard_stats()
-        skew = getattr(self.engine, "partition_skew", None)
-        if skew is not None:
-            # Build-time imbalance guard (largest shard / ideal share);
-            # > num_shards/2 means one shard dominates the scatter.
-            snap["partition_skew"] = round(skew, 3)
         if self._wait is not None:
             snap["adaptive_wait_ms"] = round(self._wait.window_ms(), 3)
             if self._wait.ewma_ms is not None:
@@ -332,7 +326,7 @@ class MaxBRSTkNNServer:
         self.stats.bytes_shipped += (
             report.payload_bytes_out + report.payload_bytes_in
         )
-        if report.degraded_partitions > 0:
+        if report.degraded_lanes > 0:
             self.stats.degraded_flushes += 1
 
     # ------------------------------------------------------------------

@@ -1,20 +1,18 @@
 """Shard host process: one engine replica behind a TCP frame loop.
 
-``python -m repro shard-host --listen 127.0.0.1:0 --shards 4 ...``
-builds the FULL dataset from the same workload flags and seed as the
-coordinator, partitions it with the same
-:class:`~repro.datagen.partition.UserPartitioner`, and keeps **all** N
-shard datasets keyed by shard id (for the cold refine rounds) plus the
-full dataset (for the negative-id lanes every flush's ``select`` round
-rides).  Dataset generation is deterministic, so every host's replica
-is bitwise-identical to the coordinator's — which is what makes
+``python -m repro shard-host --listen 127.0.0.1:0 ...`` builds the
+FULL dataset from the same workload flags and seed as the coordinator
+and answers every lane against it — a cold flush's refine rounds (each
+payload names the user rows it covers) and every flush's ``select``
+round alike.  Dataset generation is deterministic, so every host's
+replica is bitwise-identical to the coordinator's — which is what makes
 re-scattering a failed round to *any* surviving host trivially
 result-identical.
 
 The host then serves the :class:`~repro.serve.transport.FrameCodec`
 protocol over asyncio: a ``SCATTER`` frame carrying a lane's payload
 round runs :func:`~repro.core.pipeline.execute_shard_payload` against
-the local replica the lane id names and answers one ``RESULT`` frame
+the local replica and answers one ``RESULT`` frame
 whose body is the chunks, funnelled through
 :func:`~repro.core.payload.encode_gather_payload` — the same bytes the
 fork-pool path moves, minus the fork.
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.pipeline import execute_shard_payload
 from ..model.dataset import Dataset
@@ -174,7 +172,7 @@ def parse_socket_fault(spec: str) -> Optional[FaultPlan]:
 # ----------------------------------------------------------------------
 
 class ShardHost:
-    """Frame-serving loop over local shard dataset replicas.
+    """Frame-serving loop over a local full-dataset replica.
 
     Embeddable (the transport tests run hosts on background threads)
     and the engine behind the ``repro shard-host`` process.  One frame
@@ -183,14 +181,8 @@ class ShardHost:
     proceed while a stalled one sleeps.
     """
 
-    def __init__(
-        self,
-        datasets: Dict[int, Dataset],
-        full_dataset: Dataset,
-        fault: Optional[FaultPlan] = None,
-    ) -> None:
-        self.datasets = dict(datasets)
-        self.full_dataset = full_dataset
+    def __init__(self, dataset: Dataset, fault: Optional[FaultPlan] = None) -> None:
+        self.dataset = dataset
         self.fault = fault
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -198,35 +190,6 @@ class ShardHost:
         #: the fire-once socket faults count against.
         self.scatter_frames = 0
         self._fired: set = set()
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: WorkloadSpec,
-        num_shards: int,
-        partitioner: str = "hash",
-        fault: Optional[FaultPlan] = None,
-    ) -> "ShardHost":
-        """Replicate the coordinator's partition layout from its spec."""
-        from ..datagen.partition import UserPartitioner
-
-        dataset, _ = make_workload(spec)
-        _, shard_datasets = UserPartitioner(partitioner, num_shards).split(dataset)
-        return cls(dict(enumerate(shard_datasets)), dataset, fault=fault)
-
-    def dataset_for(self, shard_id: int) -> Dataset:
-        """Negative ids are the whole-dataset search lanes; a
-        non-negative id this host never partitioned means its layout
-        disagrees with the coordinator's — refuse (the round answers an
-        ERROR frame) rather than serve plausible, wrong thresholds."""
-        if shard_id < 0:
-            return self.full_dataset
-        if shard_id not in self.datasets:
-            raise LookupError(
-                f"shard {shard_id} is not in this host's partition layout "
-                f"({len(self.datasets)} shards)"
-            )
-        return self.datasets[shard_id]
 
     # -- lifecycle -----------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
@@ -315,9 +278,10 @@ class ShardHost:
 
         try:
             payloads = FrameCodec.decode_body(body)
-            dataset = self.dataset_for(shard_id)
             chunks = [
-                encode_gather_payload(execute_shard_payload(dataset, payload))
+                encode_gather_payload(
+                    execute_shard_payload(self.dataset, payload)
+                )
                 for payload in payloads
             ]
             rbody = FrameCodec.encode_body(chunks)
@@ -333,9 +297,7 @@ class ShardHost:
 
 def run_host(
     spec: WorkloadSpec,
-    num_shards: int,
     *,
-    partitioner: str = "hash",
     listen: Tuple[str, int] = ("127.0.0.1", 0),
     fault: Optional[FaultPlan] = None,
     arena: Optional[str] = None,
@@ -354,7 +316,7 @@ def run_host(
     set_untracked_attach(True)
     if arena:
         ShmArena.attach(arena).close()  # fail fast on a bad --arena
-    host = ShardHost.from_spec(spec, num_shards, partitioner, fault=fault)
+    host = ShardHost(make_workload(spec)[0], fault=fault)
 
     async def _main() -> None:
         port = await host.start(listen[0], listen[1])

@@ -22,15 +22,15 @@ Three layers, coordinator side:
   contract).
 * :class:`ShardHostClient` / :class:`ShardRegistry` — one blocking
   client per shard host with send/recv byte counters, plus the registry
-  that assigns shards to surviving hosts, marks hosts dead, and
+  that assigns lanes to surviving hosts, marks hosts dead, and
   aggregates fault counters in the same vocabulary as
   :class:`~repro.serve.pool.PoolHealth` (so
   ``ShardedEngine.fault_counters()`` and the server's stats mirror work
   unchanged).
 * :class:`SocketTransport` — the socket lane of
-  :func:`~repro.core.pipeline.run_round`: the per-shard refine lanes
-  and the per-host select lanes go to shard hosts instead of fork
-  pools.  Failures map onto the existing taxonomy (EOF/reset →
+  :func:`~repro.core.pipeline.run_round`: one lane per alive host,
+  for refine and select rounds alike, instead of a fork pool.
+  Failures map onto the existing taxonomy (EOF/reset →
   :class:`WorkerCrashed`, read timeout → :class:`FlushDeadlineExceeded`,
   refused/exhausted → :class:`PoolUnavailable`); the retry ladder
   re-scatters a failed lane to the next surviving host, and past the
@@ -94,9 +94,9 @@ class FrameCodec:
         magic    4s   b"RPF1"
         kind     u8   SCATTER / RESULT / ERROR / PING / PONG
         flush    u32  coordinator flush sequence (round id)
-        shard    i32  shard id the round targets; negative = a whole-dataset
-                      search lane (``-1 - lane``), answered against the
-                      host's full-dataset replica
+        shard    i32  lane index the round was dealt to (answers are
+                      matched back by it; every lane is answered
+                      against the host's full-dataset replica)
         epoch    u32  dataset epoch the payloads were encoded under
         length   u32  body length in bytes
 
@@ -303,9 +303,9 @@ class ShardRegistry:
     Static host list for now; liveness comes from :meth:`ping_all`
     heartbeats and from in-band failures (the executor marks a host
     dead the moment a round on it crashes or misses its deadline).
-    Shard→host assignment is deterministic over the *surviving* hosts
-    — ``shard_id % len(alive)`` — so a re-scatter after a death lands
-    on a well-defined survivor.
+    Lane→host assignment is deterministic over the *surviving* hosts
+    — ``lane % len(alive)`` — so a re-scatter after a death lands on a
+    well-defined survivor.
     """
 
     def __init__(self, clients: Sequence[ShardHostClient]) -> None:
@@ -423,13 +423,11 @@ class ShardRegistry:
 class SocketTransport:
     """The socket lane of :func:`repro.core.pipeline.run_round`.
 
-    The user-axis lanes (refine, cold flushes only) are addressed by
-    shard id; the query-axis ``select`` stage sends one lane per alive
-    host, addressed with a negative id (``-1 - lane``) that the host
-    answers against its full-dataset replica — a few KB each way per
-    flush, independent of |U|.  Indexed searches never come here: hosts
-    hold no MIUR-tree and the I/O must replay on the coordinator's
-    counter.
+    One lane per alive host, each answered against the host's
+    full-dataset replica: a cold flush's refine ranges, then every
+    flush's ``select`` chunks — a few KB each way per warm flush,
+    independent of |U|.  Indexed searches never come here: hosts hold
+    no MIUR-tree and the I/O must replay on the coordinator's counter.
 
     Per failed lane the ladder is: mark the host dead, re-scatter the
     *same* frame body to the next surviving host (``RetryPolicy``
@@ -462,10 +460,10 @@ class SocketTransport:
         #: ``(flush_seq, shard_id)``.  Cleared per scatter round.
         self._stash: Dict[Tuple[int, int], bytes] = {}
 
-    def chunk_width(self, wire_id: int) -> int:
+    def chunk_width(self) -> int:
         return 1  # a host runs one frame at a time per connection
 
-    def search_lanes(self) -> int:
+    def lanes(self) -> int:
         # One lane per alive host.  With none left the single lane finds
         # no host and degrades through the ladder like any other round.
         return max(1, len(self.registry.alive_hosts()))
@@ -544,8 +542,8 @@ class SocketTransport:
         """Read frames until this round's RESULT body arrives.
 
         After a re-scatter a host connection can carry rounds for more
-        than one shard; responses arrive in the host's execution order,
-        not ours.  RESULT frames for sibling shards of the same flush
+        than one lane; responses arrive in the host's execution order,
+        not ours.  RESULT frames for sibling lanes of the same flush
         round are stashed for their own collectors; anything stale (an
         abandoned earlier round) is discarded.
         """

@@ -6,11 +6,11 @@ def bare_map_async(worker_pool, fn, items):
 
 
 def bare_apply(self, fn):
-    return self._search_pool.apply_async(fn)
+    return self._pool.apply_async(fn)
 
 
-def bare_imap(shard_pool, fn, items):
-    return list(shard_pool.imap(fn, items))
+def bare_imap(lane_pool, fn, items):
+    return list(lane_pool.imap(fn, items))
 
 
 class ShardRunner:

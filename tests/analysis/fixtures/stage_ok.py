@@ -24,14 +24,14 @@ class CleanScatterStage(Stage):  # noqa: F821
     outputs = ("results",)
     scratch = ("chunk_groups",)
 
-    def split(self, ctx, shard):
+    def split(self, ctx, width):
         queries = ctx["queries"]
         ctx["chunk_groups"] = [list(range(len(queries)))]
         return [("select", queries)]
 
-    def merge(self, ctx, partials_per_shard):
+    def merge(self, ctx, chunks):
         groups = ctx["chunk_groups"]
-        ctx["results"] = [partials_per_shard, groups]
+        ctx["results"] = [chunks, groups]
 
 
 class InheritingStage(CleanCentralStage):

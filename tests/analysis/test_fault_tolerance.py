@@ -15,8 +15,8 @@ class TestFaultToleranceViolations:
         found = rules_at(report)
         for needle in (
             "worker_pool.map_async(fn, items)",
-            "self._search_pool.apply_async(fn)",
-            "shard_pool.imap(fn, items)",
+            "self._pool.apply_async(fn)",
+            "lane_pool.imap(fn, items)",
             "self.pool.starmap_async(fn, plans)",
         ):
             assert ("FT501", line_of(path, needle)) in found

@@ -106,8 +106,6 @@ class TestSignatureOf:
             numpy_available=HAS_NUMPY,
             fork_available=True,
             num_shards=2,
-            partitioner="hash",
-            shard_users=(6, 6),
         )
         plan = plan_batch(QueryOptions(backend="python"), caps, ks=[3, 3])
         assert signature_of(plan) == FlushSignature(

@@ -2,9 +2,9 @@
 
 Three layers of guarantees:
 
-* **Stage round-trips** — the user-axis scatter stage's
-  ``merge(split(...))`` over any partition of the user set reconstructs
-  the sequential inputs *exactly* (same rsk maps, and from them the
+* **Stage round-trips** — the refine stage's ``merge(split(...))`` over
+  any number of user-row ranges reconstructs the sequential inputs
+  *exactly* (same rsk maps, and from them the
   very phase-1 state the single engine hands its ``select`` stage),
   because ``run`` is the shared worker entry both executors use.
 * **Pipeline shapes** — ``build_pipeline`` wires the right typed
@@ -31,12 +31,10 @@ from repro.core.joint_topk import individual_topk
 from repro.core.pipeline import (
     FlushContext,
     RefineStage,
-    ShardHandle,
     build_pipeline,
     execute_shard_payload,
 )
 from repro.core.planner import plan_batch
-from repro.datagen.partition import UserPartitioner
 from repro.spatial.geometry import Point
 
 from ..conftest import make_random_objects, make_random_users
@@ -69,8 +67,8 @@ def make_queries(rng, vocab, count, ks=(3, 5)):
     ]
 
 
-def scatter_context(dataset, queries, num_shards, partitioner, seed):
-    """A joint-mode FlushContext plus shard handles over a partition."""
+def scatter_context(dataset, queries):
+    """A joint-mode FlushContext as the refine stage finds it."""
     engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     plan = plan_batch(
         QueryOptions(backend="python"), engine.capabilities(),
@@ -85,34 +83,28 @@ def scatter_context(dataset, queries, num_shards, partitioner, seed):
         need_ks=list(plan.distinct_ks),
         group_by_k={k: derive_rsk_group(pool, k) for k in plan.distinct_ks},
     )
-    _, shard_datasets = UserPartitioner(partitioner, num_shards).split(dataset)
-    handles = [
-        ShardHandle(shard_id=i, dataset=ds, workers=1)
-        for i, ds in enumerate(shard_datasets)
-        if ds.users
-    ]
-    return engine, ctx, handles
+    return engine, ctx
+
+
+def run_lanes(stage, ctx, dataset, lanes):
+    """One chunk per refine payload, through the shared worker entry."""
+    return [execute_shard_payload(dataset, p) for p in stage.split(ctx, lanes)]
 
 
 class TestStageRoundTrips:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    @pytest.mark.parametrize("partitioner", ["hash", "grid"])
-    def test_refine_merge_split_roundtrips_to_sequential(
-        self, seed, num_shards, partitioner
-    ):
-        """merge(split(...)) == the sequential Algorithm 2 map, exactly."""
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 7, 64])
+    def test_refine_merge_split_roundtrips_to_sequential(self, seed, lanes):
+        """merge(split(...)) == the sequential Algorithm 2 map, exactly —
+        uneven ranges and more lanes than users included."""
         dataset, rng, vocab = build_dataset(seed=seed)
         queries = make_queries(rng, vocab, 4, ks=(2, 5))
-        engine, ctx, handles = scatter_context(
-            dataset, queries, num_shards, partitioner, seed
-        )
+        engine, ctx = scatter_context(dataset, queries)
         stage = RefineStage()
-        partials_per_shard = [
-            [execute_shard_payload(h.dataset, p) for p in stage.split(ctx, h)]
-            for h in handles
-        ]
-        stage.merge(ctx, partials_per_shard)
+        payloads = stage.split(ctx, lanes)
+        assert [p[4] for p in payloads] == [None] * lanes  # the full dataset
+        assert [p[5] for p in payloads] == list(range(lanes))
+        stage.merge(ctx, run_lanes(stage, ctx, dataset, lanes))
         pool = ctx["pool_state"]
         for k in ctx["need_ks"]:
             sequential = {
@@ -123,6 +115,7 @@ class TestStageRoundTrips:
             }
             merged = ctx["merged_by_k"][k]
             assert merged.rsk == sequential  # exact, not approx
+            assert list(merged.rsk) == list(sequential)  # in row order
             assert merged.users_total == len(dataset.users)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -139,14 +132,9 @@ class TestStageRoundTrips:
 
         dataset, rng, vocab = build_dataset(seed=seed + 10)
         queries = make_queries(rng, vocab, 5, ks=(2, 3))
-        engine, ctx, handles = scatter_context(
-            dataset, queries, num_shards, "hash", seed
-        )
+        engine, ctx = scatter_context(dataset, queries)
         stage = RefineStage()
-        stage.merge(ctx, [
-            [execute_shard_payload(h.dataset, p) for p in stage.split(ctx, h)]
-            for h in handles
-        ])
+        stage.merge(ctx, run_lanes(stage, ctx, dataset, num_shards))
         assert [q for q, _ in ctx["keyed"]] == queries
         assert [key for _, key in ctx["keyed"]] == [("joint", q.k) for q in queries]
         pool = ctx["pool_state"]
@@ -168,19 +156,18 @@ class TestStageRoundTrips:
         stage.merge(ctx, [])
         assert all(ctx["shared_by_key"][key] is first[key] for key in first)
 
-    def test_merge_rejects_overlapping_shards(self):
-        """The refine merge is a *disjoint* union — overlap raises."""
+    def test_merge_rejects_overlapping_and_missing_lanes(self):
+        """The refine merge is a *disjoint cover* — a lane answered
+        twice, or not at all, raises."""
         dataset, rng, vocab = build_dataset(seed=2)
         queries = make_queries(rng, vocab, 2, ks=(3,))
-        engine, ctx, handles = scatter_context(dataset, queries, 2, "hash", 2)
+        engine, ctx = scatter_context(dataset, queries)
         stage = RefineStage()
-        partials = [
-            [execute_shard_payload(h.dataset, p) for p in stage.split(ctx, h)]
-            for h in handles
-        ]
-        duplicated = [partials[0], partials[0]]  # same users twice
+        chunks = run_lanes(stage, ctx, dataset, 2)
         with pytest.raises(ValueError, match="re-reports"):
-            stage.merge(ctx, duplicated)
+            stage.merge(ctx, [chunks[0], chunks[0]])  # same users twice
+        with pytest.raises(ValueError, match="first missing"):
+            stage.merge(ctx, [chunks[0]])  # lane 1 never answered
 
 
 class TestPipelineShapes:

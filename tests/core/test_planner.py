@@ -138,10 +138,7 @@ class TestSearchFanoutPredicate:
     def sharded_caps(search_workers):
         from dataclasses import replace
 
-        return replace(
-            CAPS, num_shards=2, partitioner="hash", shard_users=(6, 6),
-            search_workers=search_workers,
-        )
+        return replace(CAPS, num_shards=2, search_workers=search_workers)
 
     @pytest.mark.parametrize("search_workers", [0, 1, 2])
     def test_joint_gather_line_follows_the_predicate(self, search_workers):
@@ -158,7 +155,7 @@ class TestSearchFanoutPredicate:
         assert (lanes in text) == fans_out
         assert ("per query, against the full dataset) runs in-process" in text) \
             == (not fans_out)
-        assert "refine by user partition" in text
+        assert "refine by user row range x2" in text
         assert "disjoint RSk union" in text
         # The phase-2 line agrees with the gather line on where it runs.
         assert (f"phase 2 (candidate selection): search lanes x{search_workers}"
@@ -173,7 +170,7 @@ class TestSearchFanoutPredicate:
             ks=[4, 4],
         ).explain()
         fans_out = search_workers >= 1
-        assert (f"root search pool x{search_workers}" in text) == fans_out
+        assert (f"worker pool x{search_workers}" in text) == fans_out
         assert ("in-process per query" in text) == (not fans_out)
 
     def test_single_query_and_observed_verdict_keep_the_searches_home(self):
@@ -294,13 +291,7 @@ class TestObservedPlanning:
     def sharded_caps(search_workers=2):
         from dataclasses import replace
 
-        return replace(
-            CAPS,
-            num_shards=2,
-            partitioner="hash",
-            shard_users=(6, 6),
-            search_workers=search_workers,
-        )
+        return replace(CAPS, num_shards=2, search_workers=search_workers)
 
     @staticmethod
     def sharded_signature():

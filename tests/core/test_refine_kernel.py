@@ -113,19 +113,15 @@ class TestPairKernelBitwise:
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_equals_scalar_sts_on_full_and_sharded_rows(
+    def test_equals_scalar_sts_on_full_and_lane_rows(
         self, seed, measure, p, alpha, data
     ):
         ds = build_dataset(seed, measure, p, alpha)
         assert pair_mismatches(ds, arrays_for(ds), ds.users) == []
-        # The sharded call: a subset dataset has its own rows and term
-        # columns over the same object columns, and a user-row subset.
-        ids = data.draw(st.sets(st.sampled_from([u.item_id for u in ds.users])))
-        shard = ds.subset_users(ids)
-        shard_arrays = arrays_for(shard)
-        assert shard_arrays.objects is arrays_for(ds).objects
-        some = data.draw(st.lists(st.sampled_from(shard.users))) if ids else []
-        assert pair_mismatches(ds, shard_arrays, some) == []
+        # The sharded call: a lane's contiguous row range of the users.
+        lo = data.draw(st.integers(0, len(ds.users)))
+        hi = data.draw(st.integers(lo, len(ds.users)))
+        assert pair_mismatches(ds, arrays_for(ds), ds.users[lo:hi]) == []
 
     def test_ascending_term_order_mutant_is_caught(self):
         """The property has teeth: summing each user's terms in
@@ -184,26 +180,30 @@ class TestRefineEqualsPythonBackend:
         data=st.data(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_shard_refines_mixed_k_off_one_pool(self, seed, measure, block, data):
-        """The sharded call: a ``subset_users`` dataset refines the
-        full dataset's pool — as it arrives off the wire, columns only —
-        once at ``max(ks)`` and reads every ``k`` off that."""
+    def test_lane_refines_mixed_k_off_one_pool(self, seed, measure, block, data):
+        """The sharded call: a lane refines its row range of the full
+        dataset against the pool — as it arrives off the wire, columns
+        only — once at ``max(ks)`` and reads every ``k`` off that."""
         ds = build_dataset(seed, measure, n_obj=60)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
         ks = data.draw(st.lists(st.sampled_from([1, 2, 5, 9]), min_size=1, unique=True))
         walked = joint_traversal(tree, ds, max(ks), backend="numpy")
-        shard = ds.subset_users(
-            data.draw(st.sets(st.sampled_from([u.item_id for u in ds.users])))
-        )
+        lo = data.draw(st.integers(0, len(ds.users)))
+        rows = (lo, data.draw(st.integers(lo, len(ds.users))))
         saved, joint_topk_module.RO_BLOCK = joint_topk_module.RO_BLOCK, block
         try:
-            got = compute_partials(shard, pickle.loads(pickle.dumps(walked)), ks, "numpy")
+            got = compute_partials(
+                ds, pickle.loads(pickle.dumps(walked)), ks, "numpy", rows=rows
+            )
         finally:
             joint_topk_module.RO_BLOCK = saved
-        want = compute_partials(shard, walked, ks, "python")
+        want = compute_partials(ds, walked, ks, "python", rows=rows)
         assert [(p.k, p.rsk) for p in got] == [(p.k, p.rsk) for p in want]
+        lane_users = ds.users[rows[0]:rows[1]]
         for k, partial in zip(ks, want):  # ... and a dedicated k-refine agrees
-            dedicated = individual_topk(joint_traversal(tree, ds, k), shard, k)
+            dedicated = individual_topk(
+                joint_traversal(tree, ds, k), ds, k, users=lane_users
+            )
             assert partial.rsk == {u: r.kth_score for u, r in dedicated.items()}
 
     def test_exact_ties_order_by_id(self):
@@ -311,7 +311,7 @@ class TestStopAndHoists:
         engine.prewarm_kernels()
         assert ObjectColumns.build_count == before + 1
         columns = object_columns_for(ds)
-        for clone in (ds.with_alpha(0.9), ds.subset_users([u.item_id for u in ds.users[:7]])):
+        for clone in (ds.with_alpha(0.9), ds.with_users(ds.users[:7])):
             assert arrays_for(clone).objects is columns
         assert ObjectColumns.build_count == before + 1
 

@@ -76,7 +76,7 @@ class TestRecoveryLadder:
         assert health.generation == 1
         assert health.deadline_hits == 0
         assert health.consecutive_failures == 0  # reset by the clean retry
-        assert report.degraded_partitions == 0
+        assert report.degraded_lanes == 0
 
     def test_hung_round_hits_deadline_then_recovers(self):
         health, state, report = run_identity(
@@ -88,7 +88,7 @@ class TestRecoveryLadder:
         assert health.respawns == 1
         assert health.retries == 1
         assert health.worker_deaths == 0
-        assert report.degraded_partitions == 0
+        assert report.degraded_lanes == 0
 
     def test_task_exception_retries_without_respawn(self):
         # One worker, so its task counter is deterministic: task 0
@@ -101,7 +101,7 @@ class TestRecoveryLadder:
         assert health.respawns == 0
         assert health.worker_deaths == 0
         assert health.generation == 0  # the workers were never torn down
-        assert report.degraded_partitions == 0
+        assert report.degraded_lanes == 0
 
     def test_persistent_dispatch_failure_degrades_round_in_process(self):
         # Dispatch fails in every generation: retry ladder exhausts
@@ -113,7 +113,7 @@ class TestRecoveryLadder:
         assert state is PoolState.HEALTHY  # the respawn itself worked
         assert health.respawns == 1
         assert health.retries == 1
-        assert report.degraded_partitions == 1
+        assert report.degraded_lanes == 1
 
     def test_broken_pool_is_terminal_and_skipped(self):
         engine, rng, vocab = build_engine(seed=1)
@@ -127,7 +127,7 @@ class TestRecoveryLadder:
         ) as pool:
             # Dispatch fails, then the respawn fails too: BROKEN.
             first = engine.query_batch(queries, OPTIONS, pool=pool)
-            assert engine.last_flush_report.degraded_partitions == 1
+            assert engine.last_flush_report.degraded_lanes == 1
             assert pool.health.state is PoolState.BROKEN
             assert not pool.available
             with pytest.raises(PoolUnavailable):

@@ -1,9 +1,10 @@
-"""Sharded engine under injected faults: re-scatter identity, per-shard
-degradation, and aggregated pool teardown.
+"""Sharded engine under injected faults: re-dispatch identity, lane
+degradation, and pool teardown.
 
-Faults are scoped per pool (shard pools carry their shard id, the root
-search pool ``SEARCH_POOL_ID``), so these tests can break exactly one
-failure domain and assert the others kept their pooled fast path.
+Every round of a sharded engine rides ONE pool, so a fault is scoped by
+*what the task carries* — ``exception_on_shard`` fires on refine tasks
+for one lane (row range) — and by pool generation; these tests break
+one round and assert the others kept their pooled fast path.
 """
 
 import multiprocessing
@@ -39,9 +40,7 @@ def test_shard_worker_kill_recovers_identity():
     queries = make_queries(rng, vocab, 8)
     reference = inproc.query_batch(queries, OPTIONS)
     pooled.start_pools(
-        1, search_workers=1,
-        retry=FAST_RETRY, deadline=FAST_DEADLINE,
-        faults=FaultPlan.kill_worker(),
+        1, retry=FAST_RETRY, deadline=FAST_DEADLINE, faults=FaultPlan.kill_worker(),
     )
     try:
         results = pooled.query_batch(queries, OPTIONS)
@@ -57,40 +56,41 @@ def test_shard_worker_kill_recovers_identity():
     assert totals["deadline_hits"] == 0
 
 
-def test_shard_exception_retries_then_degrades_only_that_shard():
+def test_lane_exception_retries_then_degrades_only_the_refine_round():
     pooled, inproc, rng, vocab = build_pair(seed=1)
     queries = make_queries(rng, vocab, 8)
     reference = inproc.query_batch(queries, OPTIONS)
     pooled.start_pools(
-        1, search_workers=1,
-        retry=FAST_RETRY, deadline=FAST_DEADLINE,
-        faults=FaultPlan.shard_exception(0),
+        1, retry=FAST_RETRY, deadline=FAST_DEADLINE, faults=FaultPlan.shard_exception(0),
     )
     try:
         results = pooled.query_batch(queries, OPTIONS)
+        report = pooled.last_flush_report
         rows = {row["shard"]: row for row in pooled.shard_stats()}
     finally:
         pooled.close_pools(timeout_s=10.0)
     assert_results_equal(results, reference)
-    # Shard 0's rounds raised, were retried, then ran in-process; the
-    # workers never died, and shard 1 stayed on its pooled fast path.
+    # Lane 0's refine task raised in generation 0, the round was
+    # retried there (the workers never died, so no respawn disarmed the
+    # plan), raised again and ran in-process — both ranges, since they
+    # rode one pool lane; the select round stayed on its pooled path.
     totals = pooled.fault_counters()
-    assert totals["retries"] >= 1
+    assert totals["retries"] == 1
     assert totals["respawns"] == 0
     assert totals["worker_deaths"] == 0
-    assert rows[0]["degraded_rounds"] >= 1
-    assert rows[1]["degraded_rounds"] == 0
+    assert (report.stage("refine").retries, report.stage("refine").degraded) == (1, 1)
+    assert (report.stage("select").retries, report.stage("select").degraded) == (0, 0)
+    assert [rows[i]["retries"] for i in (0, 1)] == [1, 1]
+    assert [rows[i]["degraded_rounds"] for i in (0, 1)] == [1, 1]
 
 
-def test_search_pool_kill_recovers_in_indexed_mode():
+def test_worker_kill_recovers_in_indexed_mode():
     pooled, inproc, rng, vocab = build_pair(seed=2, index_users=True)
     options = QueryOptions(mode="indexed", backend="python")
     queries = make_queries(rng, vocab, 8)
     reference = inproc.query_batch(queries, options)
     pooled.start_pools(
-        1, search_workers=2,
-        retry=FAST_RETRY, deadline=FAST_DEADLINE,
-        faults=FaultPlan.kill_worker(),
+        1, retry=FAST_RETRY, deadline=FAST_DEADLINE, faults=FaultPlan.kill_worker(),
     )
     try:
         results = pooled.query_batch(queries, options)
@@ -102,14 +102,12 @@ def test_search_pool_kill_recovers_in_indexed_mode():
     assert totals["retries"] == totals["worker_deaths"]
 
 
-def test_pool_loss_breaks_pools_and_degrades_in_process():
+def test_pool_loss_breaks_the_pool_and_degrades_in_process():
     pooled, inproc, rng, vocab = build_pair(seed=3)
     queries = make_queries(rng, vocab, 8)
     reference = inproc.query_batch(queries, OPTIONS)
     pooled.start_pools(
-        1, search_workers=1,
-        retry=FAST_RETRY, deadline=FAST_DEADLINE,
-        faults=FaultPlan.pool_loss(),
+        1, retry=FAST_RETRY, deadline=FAST_DEADLINE, faults=FaultPlan.pool_loss(),
     )
     try:
         results = pooled.query_batch(queries, OPTIONS)
@@ -118,42 +116,34 @@ def test_pool_loss_breaks_pools_and_degrades_in_process():
     finally:
         pooled.close_pools(timeout_s=10.0)
     assert_results_equal(results, reference)
-    assert health, "expected live pools in the health report"
+    assert len(health) == 1, "expected the one live pool in the health report"
     assert all(row["state"] == "broken" for row in health)
     assert all(row["degraded_rounds"] >= 1 for row in rows.values())
     # No round was ever re-dispatched: respawn itself is what failed.
     assert pooled.fault_counters()["retries"] == 0
 
 
-def test_close_pools_aggregates_failures_into_one_warning():
-    pooled, _, _, _ = build_pair(seed=4)
-    pooled.start_pools(1, search_workers=1)
+def test_close_pools_turns_a_close_failure_into_a_warning():
+    pooled, _, _, _ = build_pair(seed=4, use_shm=True)
+    pooled.start_pools(1)
+    pool, arena = pooled._pool, pooled.arena_name
+    real_close = pool.close
 
-    def sabotage(pool):
-        real_close = pool.close
+    def bad_close(timeout_s=None):
+        real_close(timeout_s=timeout_s)  # actually release the workers
+        raise RuntimeError("injected close failure")
 
-        def bad_close(timeout_s=None):
-            real_close(timeout_s=timeout_s)  # actually release the workers
-            raise RuntimeError("injected close failure")
-
-        pool.close = bad_close
-
-    sabotaged = [shard for shard in pooled._shards if shard.pool is not None]
-    assert len(sabotaged) == 2
-    for shard in sabotaged:
-        sabotage(shard.pool)
-
+    pool.close = bad_close
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pooled.close_pools(timeout_s=10.0)
     runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert len(runtime) == 1, "close errors must aggregate into ONE warning"
-    message = str(runtime[0].message)
-    assert "2 worker pool(s) failed to close cleanly" in message
-    assert "shard 0" in message and "shard 1" in message
-    # The sweep still completed: every slot cleared, search pool included.
-    assert all(shard.pool is None for shard in pooled._shards)
-    assert pooled._search_pool is None
+    assert len(runtime) == 1
+    assert "failed to close cleanly" in str(runtime[0].message)
+    assert "injected close failure" in str(runtime[0].message)
+    # The teardown still completed: pool slot cleared, arena released.
+    assert pooled._pool is None and pooled.arena_name is None
+    assert arena is not None
     # Idempotent second close: silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -2,9 +2,9 @@
 
 Shard hosts run as embedded asyncio servers on background threads —
 real TCP, real frames, real failure modes (a stopped thread looks like
-a killed host process to the coordinator) — with the same shard
-dataset replicas the engine holds, which is exactly what a spawned
-``repro shard-host`` process reconstructs from the workload spec.
+a killed host process to the coordinator) — over the very dataset the
+engine holds, which is exactly what a spawned ``repro shard-host``
+process reconstructs from the workload spec.
 
 The acceptance bar everywhere: results bitwise-identical to a fresh
 sequential engine, whatever the transport did to get there.
@@ -40,21 +40,18 @@ FAST = DeadlinePolicy(flush_deadline_s=5.0, poll_interval_s=0.01)
 
 def sharded_with_hosts(num_shards, num_hosts, seed=0, fault_on_host=None,
                        **dataset_kwargs):
-    """A ShardedEngine plus ``num_hosts`` embedded hosts over its shards.
+    """A ShardedEngine plus ``num_hosts`` embedded full-dataset hosts.
 
-    The hosts hold the engine's own shard datasets — byte-identical
-    replicas, the in-process analog of a shard-host process rebuilding
-    them from the workload spec.
+    The hosts hold the engine's own dataset — a byte-identical replica,
+    the in-process analog of a shard-host process rebuilding it from
+    the workload spec.
     """
     dataset, rng, vocab = build_dataset(seed, **dataset_kwargs)
     engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
-    replicas = {
-        shard.shard_id: shard.engine.dataset for shard in engine.shards
-    }
     hosts = []
     for i in range(num_hosts):
         fault = fault_on_host.get(i) if fault_on_host else None
-        hosts.append(HostThread(ShardHost(replicas, dataset, fault=fault)))
+        hosts.append(HostThread(ShardHost(dataset, fault=fault)))
     return engine, hosts, rng, vocab
 
 
@@ -83,7 +80,7 @@ def reference_results(dataset, queries, engine, mode="joint"):
 
 
 # ----------------------------------------------------------------------
-# Identity: shard counts x host counts x modes x mixed k
+# Identity: lane counts x host counts x modes x mixed k
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("num_shards,num_hosts", [(2, 2), (4, 4), (4, 2)])
@@ -94,13 +91,16 @@ def test_socket_scatter_matches_sequential(num_shards, num_hosts):
         queries = make_queries(rng, vocab, 8, ks=(3, 5))
         served = engine.query_batch(queries, OPTS)
         report = engine.last_flush_report
-        assert report.degraded_partitions == 0
+        assert report.degraded_lanes == 0
         assert report.total_retries == 0
         scatter = {s.stage: s for s in report.stages}
+        # One row range per configured lane, dealt over the hosts ...
         assert scatter["refine"].scatter_width == num_shards
         assert scatter["refine"].payload_bytes_out > 0
         assert scatter["refine"].payload_bytes_in > 0
-        # The selections leave the coordinator too: one lane per host.
+        assert [row["scatter_flushes"] for row in engine.shard_stats()] \
+            == [1] * num_shards
+        # ... and the selections ride the same hosts: one lane each.
         assert scatter["select"].scatter_width == num_hosts
         assert scatter["select"].payload_bytes_out > 0
         assert scatter["select"].payload_bytes_in > 0
@@ -112,26 +112,31 @@ def test_socket_scatter_matches_sequential(num_shards, num_hosts):
         teardown(engine, hosts)
 
 
-def test_search_lanes_balance_uneven_per_k_chunks():
+def test_lanes_balance_uneven_per_k_chunks_and_row_ranges():
     """8 queries over three ks split into chunks of 2,1,2,1,1,1 queries;
-    round-robin would load the lanes 5:3 — each lane must get 4."""
-    engine, hosts, rng, vocab = sharded_with_hosts(2, 2, seed=10)
+    round-robin would load the lanes 5:3 — each lane must get 4.  The
+    refine's three ranges of 16 users (5, 5, 6) are dealt the same
+    way: least-loaded lane first, ties to the lower lane."""
+    engine, hosts, rng, vocab = sharded_with_hosts(3, 2, seed=10)
     try:
         connect(engine, hosts)
         transport = engine._executor.transport
-        dispatch, loads = transport.dispatch, []
+        dispatch, loads = transport.dispatch, {}
 
         def spy(lanes):
-            if lanes[0].wire_id < 0:  # the select round's whole-dataset lanes
-                loads.extend(
-                    sum(len(p[1]) for p in lane.payloads) for lane in lanes
-                )
+            kind = lanes[0].payloads[0][0]
+            weigh = (lambda p: p[7] - p[6]) if kind == "refine" else (
+                lambda p: len(p[1]))
+            loads[kind] = [
+                sum(weigh(p) for p in lane.payloads) for lane in lanes
+            ]
+            assert [lane.wire_id for lane in lanes] == [0, 1]
             return dispatch(lanes)
 
         transport.dispatch = spy
         queries = make_queries(rng, vocab, 8, ks=(3, 5, 7))
         served = engine.query_batch(queries, OPTS)
-        assert loads == [4, 4]
+        assert loads == {"refine": [11, 5], "select": [4, 4]}
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
         )
@@ -144,8 +149,7 @@ def test_socket_scatter_indexed_mode_matches_sequential():
     engine = ShardedEngine(
         dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
     )
-    replicas = {s.shard_id: s.engine.dataset for s in engine.shards}
-    hosts = [HostThread(ShardHost(replicas, dataset)) for _ in range(2)]
+    hosts = [HostThread(ShardHost(dataset)) for _ in range(2)]
     try:
         connect(engine, hosts)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
@@ -199,7 +203,7 @@ def test_host_death_rescatters_to_survivor():
         served = engine.query_batch(queries, OPTS)
         report = engine.last_flush_report
         assert report.total_retries >= 1
-        assert report.degraded_partitions == 0
+        assert report.degraded_lanes == 0
         counters = engine.fault_counters()
         assert counters["worker_deaths"] == 1
         assert counters["retries"] >= 1
@@ -219,7 +223,7 @@ def test_all_hosts_dead_degrades_in_process():
         queries = make_queries(rng, vocab, 4, ks=(3, 5))
         served = engine.query_batch(queries, OPTS)
         report = engine.last_flush_report
-        assert report.degraded_partitions > 0
+        assert report.degraded_lanes > 0
         # No host left for the select lane either: one lane, degraded.
         select = report.stage("select")
         assert (select.scatter_width, select.degraded) == (1, 1)
@@ -231,12 +235,12 @@ def test_all_hosts_dead_degrades_in_process():
         teardown(engine, hosts)
 
 
-@pytest.mark.parametrize("fault_host,stash_peak", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("fault_host,stash_peak", [(0, 1), (1, 0)])
 def test_drop_on_search_frame_rescatters_the_lane(fault_host, stash_peak):
     """Per host the cold flush's frames are refine (0), select (1): the
     drop lands on a select lane, which re-scatters to the survivor.
-    Lane 0 rides host 1 and is collected first, so when
-    host 1 drops, lane 0 joins lane 1 on host 0's connection and reads
+    Lane 0 rides host 0 and is collected first, so when
+    host 0 drops, lane 0 joins lane 1 on host 1's connection and reads
     its sibling's RESULT first — the stash hands it over."""
     engine, hosts, rng, vocab = sharded_with_hosts(
         2, 2, seed=11, fault_on_host={fault_host: FaultPlan.drop_connection(1)}
@@ -259,7 +263,7 @@ def test_drop_on_search_frame_rescatters_the_lane(fault_host, stash_peak):
         select = report.stage("select")
         assert (select.scatter_width, select.retries, select.degraded) == (2, 1, 0)
         assert report.total_retries == 1
-        assert report.degraded_partitions == 0
+        assert report.degraded_lanes == 0
         counters = engine.fault_counters()
         assert counters["worker_deaths"] == 1
         assert counters["retries"] == 1
@@ -294,7 +298,7 @@ def test_host_death_and_degrade_are_logged(caplog):
         assert "flush_seq=1" in deaths[0] and "reason=" in deaths[0]
         degrades = [r.getMessage() for r in records if "degrading" in r.getMessage()]
         assert degrades, "every in-process degrade must be logged"
-        assert any("select round" in m and "shard=-1" in m for m in degrades)
+        assert any("select round" in m and "lane=0" in m for m in degrades)
         assert all("retries_used=" in m for m in degrades)
     finally:
         teardown(engine, hosts)
@@ -342,7 +346,7 @@ def test_seasoned_sub_ms_searches_stay_in_process(transport):
         if transport == "socket":
             connect(engine, hosts)
         else:
-            engine.start_pools(1, search_workers=2)
+            engine.start_pools(1)
         signature = FlushSignature(mode="joint", backend="python", scatter_width=2)
         for _ in range(3):
             engine.flush_history.record(signature, FlushReport(
@@ -413,7 +417,7 @@ def test_connect_hosts_excludes_fork_pools():
             engine.start_pools(1)
         engine.close_hosts()
         engine.start_pools(1)
-        with pytest.raises(RuntimeError, match="pools are running"):
+        with pytest.raises(RuntimeError, match="fork pool is running"):
             engine.connect_hosts([f"127.0.0.1:{hosts[0].port}"])
         engine.close_pools()
     finally:

@@ -99,7 +99,7 @@ def test_workers_inherit_object_columns_and_pickles_shed_them():
     assert probes == [(parent_builds, True)] * 4
     with pytest.raises(TypeError, match="copy-on-write"):
         pickle.dumps(columns)
-    clone = pickle.loads(pickle.dumps(dataset.subset_users([0, 1])))
+    clone = pickle.loads(pickle.dumps(dataset.with_users(dataset.users[:2])))
     assert clone._per_object_set == {}
     assert object_columns_for(dataset) is columns
 

@@ -1,15 +1,17 @@
 """The scatter-round contract: ONE loop, three transports.
 
-``run_round`` is the only dispatch → collect → degrade path; a transport
-only decides *where* a lane runs.  So the same refine and select lanes
-must come back as the same decoded chunks with the same ``(width,
-chunks, retries, degraded)`` accounting whether they ran inline, on
-1-worker fork pools, or on one embedded socket host —
-and, when the transport fails past its budget, as the same chunks with
-every lost lane counted degraded exactly once.
+``run_round`` is the only dispatch → collect → degrade path and
+``_deal`` the only lane builder; a transport only decides *where* a
+lane runs.  So the same refine ranges and select chunks must come back
+as the same decoded chunks with the same ``(lanes, chunks, retries,
+degraded)`` accounting whether they ran inline, on a fork pool, or on
+one embedded socket host — and, when the transport fails past its
+budget, as the same chunks with every lost lane counted degraded
+exactly once and re-run in-process for exactly the rows it carried.
 """
 
 import multiprocessing
+import threading
 
 import pytest
 
@@ -21,7 +23,6 @@ from repro.core.pipeline import (
     Lane,
     RefineStage,
     SelectStage,
-    ShardHandle,
     TraverseStage,
     run_round,
 )
@@ -54,8 +55,8 @@ def canon(item):
 
 
 class Rig:
-    """A 2-shard engine as scaffold: its shard datasets, root engine and
-    transports, with the two rounds driven by hand through run_round."""
+    """A 2-lane engine as scaffold: its root engine and transports,
+    with the two rounds dealt by hand through the executor."""
 
     def __init__(self, seed=0):
         dataset, rng, vocab = build_dataset(seed, n_obj=70, n_users=24, vocab=18)
@@ -63,19 +64,19 @@ class Rig:
         self.queries = make_queries(rng, vocab, 6, ks=(3, 5))
         self.hosts = []
 
-    def install(self, kind, faults=None):
+    def install(self, kind, faults=None, hosts=1, retry=FAST_RETRY):
         engine = self.engine
         if kind == "pool":
             engine.start_pools(
-                1, search_workers=1,
-                retry=FAST_RETRY, deadline=FAST_DEADLINE, faults=faults,
+                1, retry=retry, deadline=FAST_DEADLINE, faults=faults,
             )
         elif kind == "socket":
-            replicas = {s.shard_id: s.engine.dataset for s in engine.shards}
-            self.hosts = [HostThread(ShardHost(replicas, engine.dataset))]
+            self.hosts = [
+                HostThread(ShardHost(engine.dataset)) for _ in range(hosts)
+            ]
             engine.connect_hosts(
                 [f"127.0.0.1:{h.port}" for h in self.hosts],
-                retry=FAST_RETRY, deadline=FAST_DEADLINE,
+                retry=retry, deadline=FAST_DEADLINE,
             )
         return engine._executor.transport
 
@@ -86,8 +87,9 @@ class Rig:
             host.stop()
 
     def rounds(self, transport):
-        """``{stage: (canonical chunks per lane, (width, chunks, retries,
-        degraded))}`` for the two scatter stages over ``transport``."""
+        """``{stage: (canonical chunks in payload order, (lanes, chunks,
+        retries, degraded per lane))}`` for the two scatter stages
+        over ``transport``."""
         engine, root = self.engine, self.engine.root
         plan = engine.plan(OPTS, ks=[q.k for q in self.queries])
         ctx = FlushContext(
@@ -99,32 +101,21 @@ class Rig:
         ctx["pool_state"].by_k.clear()
         out = {}
 
-        def run(stage, lanes):
-            returned, retries, degraded, _, _ = run_round(stage, lanes, transport)
-            out[stage.name] = (
-                [[[canon(item) for item in chunk] for chunk in lane_chunks]
-                 for lane_chunks in returned],
-                (len(lanes), sum(len(c) for c in returned),
-                 sum(retries), sum(degraded)),
+        def run(stage, payloads):
+            chunks, lane_of, retries, degraded, _, _ = engine._executor._deal(
+                stage, ctx, payloads, transport, engine.dataset, None
             )
-            return returned
+            out[stage.name] = (
+                [[canon(item) for item in chunk] for chunk in chunks],
+                (len(set(lane_of)), len(chunks), sum(retries), degraded),
+            )
+            return chunks
 
         refine = RefineStage()
-        lanes = [
-            Lane(
-                shard.shard_id,
-                refine.split(
-                    ctx, ShardHandle(shard.shard_id, shard.engine.dataset)
-                ),
-                shard.engine.dataset,
-            )
-            for shard in engine.shards
-        ]
-        refine.merge(ctx, run(refine, lanes))
+        refine.merge(ctx, run(refine, refine.split(ctx, 2)))
         # Algorithm 3 whole, against the full dataset and the merged map.
-        whole = ShardHandle(-1, engine.dataset, 1)
         select = SelectStage()
-        run(select, [Lane(-1, select.split(ctx, whole), engine.dataset)])
+        run(select, select.split(ctx, 1))
         return out
 
 
@@ -147,9 +138,9 @@ def test_every_transport_returns_the_inline_round(rig, kind):
         chunks, accounting = got[stage]
         assert chunks == expected[stage][0], stage
         assert accounting == expected[stage][1], stage
-        assert accounting[2:] == (0, 0)
-    assert got["refine"][1][0] == 2  # one lane per shard
-    assert got["select"][1][0] == 1
+        assert accounting[2:] == (0, [0])
+    assert got["refine"][1][:2] == (1, 2)  # two row ranges down one lane
+    assert got["select"][1][:2] == (1, 2)  # one chunk per k
 
 
 @pytest.mark.parametrize("kind", ["pool", "socket"])
@@ -167,7 +158,7 @@ def test_a_transport_past_its_budget_degrades_each_lost_lane_once(rig, kind):
         chunks, (width, n_chunks, _, degraded) = got[stage]
         assert chunks == expected[stage][0], stage
         assert (width, n_chunks) == expected[stage][1][:2], stage
-        assert degraded == width, stage  # every lane lost, each counted once
+        assert degraded == [1] * width, stage  # every lane lost, counted once
     counters = rig.engine.fault_counters()
     if kind == "pool":
         # The respawn itself is what failed: nothing was re-dispatched.
@@ -176,18 +167,82 @@ def test_a_transport_past_its_budget_degrades_each_lost_lane_once(rig, kind):
         assert counters["worker_deaths"] == 1
 
 
+def coordinator_refines(monkeypatch):
+    """Row ranges refined in THIS process's main thread — i.e. by the
+    in-process degrade, not by a forked worker or an embedded host."""
+    import importlib
+
+    partial = importlib.import_module("repro.core.partial")
+    inner, seen = partial.compute_partials, []
+
+    def spy(*args, rows=None, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            seen.append(rows)
+        return inner(*args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(partial, "compute_partials", spy)
+    return seen
+
+
+def test_a_dead_host_degrades_exactly_its_row_range(rig, monkeypatch):
+    """Two hosts, one range each; the one that dies past the retry
+    budget is re-run on the coordinator's own dataset for its rows
+    only — the survivor's lane stays remote."""
+    expected = rig.rounds(INLINE)
+    transport = rig.install(
+        "socket", hosts=2, retry=RetryPolicy(max_retries=0, backoff_base_s=0.0)
+    )
+    assert all(rig.engine._registry.ping_all().values())
+    rig.hosts[1].stop()
+    seen = coordinator_refines(monkeypatch)
+    got = rig.rounds(transport)
+    chunks, (lanes, n_chunks, retries, degraded) = got["refine"]
+    assert chunks == expected["refine"][0]
+    assert (lanes, n_chunks, retries, degraded) == (2, 2, 0, [0, 1])
+    n_users = len(rig.engine.dataset.users)
+    assert seen == [(n_users // 2, n_users)]
+    assert got["select"][0] == expected["select"][0]
+    assert rig.engine.fault_counters()["worker_deaths"] == 1
+
+
+def test_a_pool_killed_past_its_retries_degrades_the_ranges_it_held(
+    rig, monkeypatch
+):
+    """Every generation's first task dies: kill, respawn, kill again —
+    the pool lane is lost for good and both ranges it carried re-run
+    in-process, each for exactly its rows."""
+    expected = rig.rounds(INLINE)
+    seen = coordinator_refines(monkeypatch)
+    transport = rig.install("pool", faults=FaultPlan.kill_worker(generations=None))
+    got = rig.rounds(transport)
+    chunks, (lanes, n_chunks, retries, degraded) = got["refine"]
+    assert chunks == expected["refine"][0]
+    assert (lanes, n_chunks, retries, degraded) == (1, 2, 1, [1])
+    n_users = len(rig.engine.dataset.users)
+    assert seen == [(0, n_users // 2), (n_users // 2, n_users)]
+    # The select round rode the same doomed pool: the same ladder again.
+    assert got["select"][0] == expected["select"][0]
+    assert got["select"][1][2:] == (1, [1])
+    counters = rig.engine.fault_counters()
+    assert counters["worker_deaths"] == 4 and counters["respawns"] == 2
+    # Lost tasks never complete, so a graceful join would wait forever.
+    with pytest.warns(RuntimeWarning, match="did not shut down"):
+        rig.engine.close_pools(timeout_s=0.5)
+
+
 # ----------------------------------------------------------------------
-# A candidate pool crosses the wire as id / bound columns: one that does
-# not fit the far side's object set is refused there, typed, and the
+# Pool and row range cross the wire: one that does not fit the far
+# side's replica is refused there, typed, before any gather, and the
 # round takes the transport's ordinary ladder.
 # ----------------------------------------------------------------------
 
 def numpy_refine_lanes(engine, traversal, k=3):
+    n_users = len(engine.dataset.users)
+    cut = n_users // 2
     return [
-        Lane(shard.shard_id,
-             [("refine", traversal, [k], "numpy", shard.shard_id)],
-             shard.engine.dataset)
-        for shard in engine.shards
+        Lane(lane, [("refine", traversal, [k], "numpy", None, lane, lo, hi)],
+             engine.dataset)
+        for lane, (lo, hi) in enumerate([(0, cut), (cut, n_users)])
     ]
 
 
@@ -202,11 +257,7 @@ def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
     expected, *_ = run_round(RefineStage(), numpy_refine_lanes(engine, walked), INLINE)
     # A host that generated its object set one object short.
     kept = [o for o in full.objects if o.item_id != int(walked.pool.ids[0])]
-    stale = {
-        s.shard_id: Dataset(kept, s.engine.dataset.users, relevance="LM")
-        for s in engine.shards
-    }
-    rig.hosts = [HostThread(ShardHost(stale, full))]
+    rig.hosts = [HostThread(ShardHost(Dataset(kept, full.users, relevance="LM")))]
     engine.connect_hosts(
         [f"127.0.0.1:{h.port}" for h in rig.hosts],
         retry=FAST_RETRY, deadline=FAST_DEADLINE,
@@ -241,4 +292,54 @@ def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
     # in-process degrade — the coordinator holds no such object either.
     with pytest.raises(CandidatePoolError, match="does not hold"):
         run_round(RefineStage(), numpy_refine_lanes(engine, bad)[:1], transport)
+    assert engine.fault_counters()["retries"] == 1
+
+
+def test_host_started_with_fewer_users_refuses_the_range_and_degrades(rig):
+    """A host built with a different ``--users``: the range does not fit
+    its replica, so it answers an ERROR frame (typed, before any gather)
+    and the lane re-runs on the coordinator — never a short or shifted
+    ``RSk`` map."""
+    pytest.importorskip("numpy")
+    from repro import Dataset
+    from repro.core.joint_topk import joint_traversal
+
+    engine = rig.engine
+    full = engine.dataset
+    walked = joint_traversal(engine.root.object_tree, full, 3, backend="numpy")
+    expected, *_ = run_round(RefineStage(), numpy_refine_lanes(engine, walked), INLINE)
+    short = Dataset(full.objects, full.users[:-1], relevance="LM")
+    rig.hosts = [HostThread(ShardHost(short))]
+    engine.connect_hosts(
+        [f"127.0.0.1:{h.port}" for h in rig.hosts],
+        retry=FAST_RETRY, deadline=FAST_DEADLINE,
+    )
+    returned, _, degraded, _, _ = run_round(
+        RefineStage(), numpy_refine_lanes(engine, walked), engine._executor.transport
+    )
+    # Lane 0's rows exist on the short host too; lane 1 reaches past it.
+    assert degraded == [0, 1]
+    assert [[[canon(p) for p in chunk] for chunk in lane] for lane in returned] == [
+        [[canon(p) for p in chunk] for chunk in lane] for lane in expected
+    ]
+    assert "UserRangeError" in engine._registry.clients[0].last_error
+    assert engine.fault_counters()["worker_deaths"] == 1
+
+
+def test_pool_workers_refuse_a_range_outside_the_dataset(rig):
+    from repro.core.joint_topk import joint_traversal
+    from repro.core.partial import UserRangeError
+
+    engine = rig.engine
+    transport = rig.install("pool")
+    walked = joint_traversal(engine.root.object_tree, engine.dataset, 3)
+    n_users = len(engine.dataset.users)
+    lane = Lane(
+        0, [("refine", walked, [3], "python", None, 0, 0, n_users + 1)],
+        engine.dataset,
+    )
+    # Workers raise it (a task error: retried, counted), and so does the
+    # in-process degrade — the coordinator holds no such row either.
+    with pytest.raises(UserRangeError, match="do not fit"):
+        run_round(RefineStage(), [lane], transport)
     assert engine.fault_counters()["retries"] == 1

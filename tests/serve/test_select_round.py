@@ -1,18 +1,18 @@
 """A sharded joint flush is ONE query-axis round over full-dataset lanes.
 
 Algorithm 3's keyword-coverage counts sum over all of a location's
-``LU_l``, so it never runs per user partition: after the (cold-only)
-refine round the whole selection goes out as one ``select`` round whose
-chunks carry their k's shared phase-1 state by arena reference.  Held
-here, per transport:
+``LU_l``, so it is never dealt by user: after the (cold-only) refine
+round the whole selection goes out as one ``select`` round over the
+same lanes, whose chunks carry their k's shared phase-1 state by arena
+reference.  Held here, per transport:
 
 * **one round, small gather** — a warm flush dispatches exactly once, a
   cold one twice, and what comes back is the answers, not ``LU_l``;
 * **delta ship** — warm flushes re-send references only, and a cleared
   cache can never re-ship stale thresholds by identity;
-* **the ladder on the new round** — a search-pool worker killed
-  mid-``select`` respawns and retries, a lost pool degrades in-process
-  (host drop / all-hosts-dead live in ``test_multihost.py``).
+* **the ladder on the round** — a pool worker killed mid-``select``
+  respawns and retries, a lost pool degrades in-process (host drop /
+  all-hosts-dead live in ``test_multihost.py``).
 """
 
 import logging
@@ -29,7 +29,6 @@ from repro.serve import (
     ShardHost,
     ShardedEngine,
 )
-from repro.serve.faults import SEARCH_POOL_ID
 
 from .conftest import HostThread, assert_results_equal, build_dataset, make_queries
 
@@ -44,10 +43,11 @@ FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
 
 
 class Served:
-    """A 2-shard engine on one transport, every dispatch recorded as
-    its lanes' payload counts."""
+    """A 2-lane engine on one transport, every dispatch recorded as
+    its lanes' payload counts.  ``warm_first`` refines in-process before
+    the transport exists, so the first served flush is select-only."""
 
-    def __init__(self, kind, n_users=40, faults=None):
+    def __init__(self, kind, n_users=40, faults=None, warm_first=False):
         dataset, self.rng, self.vocab = build_dataset(
             3, n_obj=80, n_users=n_users, vocab=16
         )
@@ -55,14 +55,14 @@ class Served:
         self.engine = engine = ShardedEngine(dataset, config)
         self.reference = ShardedEngine(dataset, config)  # in-process twin
         self.hosts = []
+        if warm_first:
+            engine.query_batch(make_queries(self.rng, self.vocab, 2), OPTS)
         if kind == "pool":
             engine.start_pools(
-                1, search_workers=2,
-                retry=FAST_RETRY, deadline=FAST_DEADLINE, faults=faults,
+                1, retry=FAST_RETRY, deadline=FAST_DEADLINE, faults=faults,
             )
         else:
-            replicas = {s.shard_id: s.engine.dataset for s in engine.shards}
-            self.hosts = [HostThread(ShardHost(replicas, dataset)) for _ in range(2)]
+            self.hosts = [HostThread(ShardHost(dataset)) for _ in range(2)]
             engine.connect_hosts(
                 [f"127.0.0.1:{h.port}" for h in self.hosts],
                 retry=FAST_RETRY, deadline=FAST_DEADLINE,
@@ -117,8 +117,8 @@ def test_warm_flush_is_one_round_with_a_gather_of_answers(serve, kind):
         served = serve(kind, n_users=n_users)
         queries = served.queries()
         _, cold = served.flush(queries)
-        assert len(cold) == 2  # refine per shard, then select
-        assert len(cold[0]) == 2
+        assert len(cold) == 2  # refine by row range, then select
+        assert sum(cold[0]) == 2  # one range per lane
         results, warm = served.flush(queries)
         assert len(warm) == 1  # refine is memoized: select only
         report = served.engine.last_flush_report
@@ -157,13 +157,13 @@ def test_warm_flushes_delta_ship_the_shared_state(serve, kind):
     assert codec.arena_bytes_written > written
 
 
-def test_search_pool_worker_killed_mid_select_respawns_and_retries(serve):
-    served = serve("pool", faults=FaultPlan.kill_worker(pool_id=SEARCH_POOL_ID))
+def test_pool_worker_killed_mid_select_respawns_and_retries(serve):
+    served = serve("pool", faults=FaultPlan.kill_worker(), warm_first=True)
     served.flush(served.queries())
     report = served.engine.last_flush_report
     select = report.stage("select")
     assert (select.retries, select.degraded) == (1, 0)
-    assert report.stage("refine").retries == 0  # the shard pools were spared
+    assert report.stage("refine").scatter_width == 0  # memoized: no round
     totals = served.engine.fault_counters()
     assert (totals["worker_deaths"], totals["respawns"], totals["retries"]) \
         == (1, 1, 1)
@@ -171,8 +171,8 @@ def test_search_pool_worker_killed_mid_select_respawns_and_retries(serve):
     assert served.engine.last_flush_report.total_retries == 0
 
 
-def test_lost_search_pool_degrades_the_select_round_in_process(serve, caplog):
-    served = serve("pool", faults=FaultPlan.pool_loss(pool_id=SEARCH_POOL_ID))
+def test_lost_pool_degrades_the_select_round_in_process(serve, caplog):
+    served = serve("pool", faults=FaultPlan.pool_loss(), warm_first=True)
     with caplog.at_level(logging.WARNING, logger="repro.core.pipeline"):
         served.flush(served.queries())
     report = served.engine.last_flush_report
@@ -182,4 +182,15 @@ def test_lost_search_pool_degrades_the_select_round_in_process(serve, caplog):
     assert all(row["degraded_rounds"] == 0 for row in served.engine.shard_stats())
     assert served.engine.fault_counters()["retries"] == 0
     messages = [r.getMessage() for r in caplog.records]
-    assert any("degrading select round in-process: shard=-1" in m for m in messages)
+    assert any("degrading select round in-process: lane=0" in m for m in messages)
+
+
+def test_lost_pool_degrades_both_rounds_of_a_cold_flush(serve):
+    """Refine and select ride the same pool: losing it degrades both,
+    and every refine lane's counters say so."""
+    served = serve("pool", faults=FaultPlan.pool_loss())
+    served.flush(served.queries())
+    report = served.engine.last_flush_report
+    assert report.stage("refine").degraded == 1
+    assert report.stage("select").degraded == 1
+    assert [row["degraded_rounds"] for row in served.engine.shard_stats()] == [1, 1]

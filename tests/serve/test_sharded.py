@@ -1,10 +1,11 @@
 """ShardedEngine: result identity with a single engine, plus plumbing.
 
-The headline property: for randomized datasets and mixed-k batches, a
-``ShardedEngine`` returns *exactly* the single-engine answer — results
-(location, keywords, BRSTkNN), I/O counters and selection stats — for
-shards in {1, 2, 4}, both partitioners, both backends and both keyword
-selectors.
+For randomized datasets and mixed-k batches a ``ShardedEngine`` returns
+*exactly* the single-engine answer — results (location, keywords,
+BRSTkNN), I/O counters and selection stats.  The joint-mode property
+over lane counts, backends and transports lives in ``test_lanes.py``;
+here: both keyword selectors, indexed mode, memoization across flushes,
+edge cases and the pool / server plumbing.
 """
 
 import asyncio
@@ -75,26 +76,6 @@ def assert_stats_equal(a, b):
 
 
 class TestEquivalenceProperty:
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("partitioner", ["hash", "grid"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_sharded_equals_single_engine_batch(self, seed, partitioner, num_shards):
-        dataset, rng, vocab = build_dataset(seed=seed)
-        queries = make_queries(rng, vocab, 6, ks=(2, 4, 6))
-        single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        options = QueryOptions(backend="python")
-        reference = single.query_batch(queries, options)
-
-        sharded = ShardedEngine(
-            dataset,
-            EngineConfig(fanout=4, num_shards=num_shards, partitioner=partitioner),
-        )
-        results = sharded.query_batch(queries, options)
-        assert sharded.traversal_runs == 1  # one walk, like the single engine
-        for a, b in zip(reference, results):
-            assert_results_equal(a, b)
-            assert_stats_equal(a, b)
-
     @pytest.mark.parametrize("method", ["approx", "exact"])
     def test_both_selectors(self, method):
         dataset, rng, vocab = build_dataset(seed=7)
@@ -113,9 +94,7 @@ class TestEquivalenceProperty:
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         reference = single.query_batch(queries, QueryOptions(backend="python"))
-        sharded = ShardedEngine(
-            dataset, EngineConfig(fanout=4, num_shards=2, partitioner="grid")
-        )
+        sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
         for a, b in zip(
             reference, sharded.query_batch(queries, QueryOptions(backend="numpy"))
         ):
@@ -138,19 +117,20 @@ class TestEquivalenceProperty:
             )
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_mixed_k_flush_refines_once_per_shard(self, num_shards, monkeypatch):
-        """One Algorithm 2 pass per shard at the flush's largest missing
-        k; every k still gets its own partial, merged map and
-        ``refine_tasks`` tick, identical to the single engine's."""
+    def test_mixed_k_flush_refines_once_per_lane(self, num_shards, monkeypatch):
+        """One Algorithm 2 pass per lane at the flush's largest missing
+        k, over the lane's rows of the FULL dataset; every k still gets
+        its own partial, merged map and ``refine_tasks`` tick, identical
+        to the single engine's."""
         import importlib
 
         partial = importlib.import_module("repro.core.partial")
         refine = partial.individual_topk
         refined = []
 
-        def spy(traversal, dataset, k, **kwargs):
-            refined.append((len(dataset.users), k))
-            return refine(traversal, dataset, k, **kwargs)
+        def spy(traversal, dataset, k, users, **kwargs):
+            refined.append((len(dataset.users), len(users), k))
+            return refine(traversal, dataset, k, users=users, **kwargs)
 
         monkeypatch.setattr(partial, "individual_topk", spy)
         dataset, rng, vocab = build_dataset(seed=3)
@@ -159,14 +139,17 @@ class TestEquivalenceProperty:
         reference = single.query_batch(queries, QueryOptions(backend="python"))
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
         results = sharded.query_batch(queries, QueryOptions(backend="python"))
-        populated = [shard for shard in sharded.shards if shard.users]
-        assert sorted(refined) == sorted((shard.users, 6) for shard in populated)
-        for shard in populated:
-            assert shard.stats.refine_tasks == 3
+        lanes = sharded.lane_stats
+        assert len(lanes) == num_shards
+        assert sum(lane.users for lane in lanes) == len(dataset.users)
+        assert refined == [(len(dataset.users), lane.users, 6) for lane in lanes]
+        for lane in lanes:
+            assert lane.refine_tasks == 3
         for k in (2, 4, 6):
             merged = sharded._merged_by_k[k]
-            assert merged.per_shard_users == [shard.users for shard in populated]
+            assert merged.users_total == len(dataset.users)
             assert merged.rsk == single._traversal_pool.by_k[k].rsk
+            assert list(merged.rsk) == list(single._traversal_pool.by_k[k].rsk)
         for a, b in zip(reference, results):
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
@@ -180,8 +163,8 @@ class TestEquivalenceProperty:
         first = sharded.query_batch(queries, QueryOptions(backend="python"))
         second = sharded.query_batch(queries, QueryOptions(backend="python"))
         assert sharded.traversal_runs == 1
-        for shard in sharded.shards:
-            assert shard.stats.refine_tasks == 1  # memoized across batches
+        for lane in sharded.lane_stats:
+            assert lane.refine_tasks == 1  # memoized across batches
         for a, b, c in zip(reference, first, second):
             assert_results_equal(a, b)
             assert_results_equal(a, c)
@@ -232,9 +215,8 @@ class TestEquivalenceProperty:
         assert walks[0] != walks[1]  # the two walks' I/O really differ
         assert walks[2] == walks[3] == walks[1]
         assert sharded.traversal_runs == 2
-        for shard in sharded.shards:
-            if shard.users:
-                assert shard.stats.refine_tasks == 2  # k=5 once, k=20 once
+        for lane in sharded.lane_stats:
+            assert lane.refine_tasks == 2  # k=5 once, k=20 once
         # Warm flushes hand the codec ONE object per k to delta-ship,
         # counting a hit per query served.
         shared = sharded.root._traversal_pool.by_k[5]
@@ -254,11 +236,8 @@ class TestIndexedEquivalenceProperty:
     sequential engine, one k_max walk per flush."""
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("partitioner", ["hash", "grid"])
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_indexed_sharded_equals_single_engine_batch(
-        self, seed, partitioner, num_shards
-    ):
+    def test_indexed_sharded_equals_single_engine_batch(self, seed, num_shards):
         dataset, rng, vocab = build_dataset(seed=seed)
         queries = make_queries(rng, vocab, 6, ks=(2, 4, 6))  # mixed k
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
@@ -268,10 +247,7 @@ class TestIndexedEquivalenceProperty:
 
         sharded = ShardedEngine(
             dataset,
-            EngineConfig(
-                fanout=4, num_shards=num_shards, partitioner=partitioner,
-                index_users=True,
-            ),
+            EngineConfig(fanout=4, num_shards=num_shards, index_users=True),
         )
         results = sharded.query_batch(queries, options)
         assert sharded.traversal_runs == 1  # one k_max walk per flush
@@ -331,8 +307,7 @@ class TestIndexedEquivalenceProperty:
         )
         sharded = ShardedEngine(
             dataset,
-            EngineConfig(fanout=4, num_shards=2, partitioner="grid",
-                         index_users=True),
+            EngineConfig(fanout=4, num_shards=2, index_users=True),
         )
         for a, b in zip(
             reference,
@@ -343,7 +318,7 @@ class TestIndexedEquivalenceProperty:
 
     @pytest.mark.skipif(not HAS_FORK, reason="search pool requires fork")
     def test_indexed_search_pool_fanout_matches_in_process(self):
-        """The per-query searches fan out over the root search pool with
+        """The per-query searches fan out over the worker pool with
         IOCharge ledgers — results AND the shared counter identical to
         the in-process path."""
         dataset, rng, vocab = build_dataset(seed=14)
@@ -356,7 +331,7 @@ class TestIndexedEquivalenceProperty:
         pooled = ShardedEngine(
             dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
         )
-        pooled.start_pools(1, search_workers=2)
+        pooled.start_pools(1)
         try:
             results = pooled.query_batch(queries, options)
         finally:
@@ -390,11 +365,11 @@ class TestIndexedEquivalenceProperty:
         text = sharded.plan(QueryOptions(mode="indexed"), ks=[3, 5]).explain()
         assert "MIUR-root joint traversal" in text
         assert "one walk at k=5" in text
-        assert "in-process per query" in text  # no search pool running
-        sharded.start_pools(1, search_workers=2)
+        assert "in-process per query" in text  # no pool running
+        sharded.start_pools(1)
         try:
             text = sharded.plan(QueryOptions(mode="indexed"), ks=[3, 5]).explain()
-            assert "root search pool x2" in text
+            assert "worker pool x2" in text
             assert "ledger" in text
         finally:
             sharded.close_pools()
@@ -407,41 +382,9 @@ class TestEdgeCases:
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         reference = single.query_batch(queries, QueryOptions(backend="python"))
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=8))
-        plan = sharded.plan(QueryOptions(), ks=[2])
-        assert plan.shard is not None
-        assert plan.shard.scatter_width <= 3  # empty shards never engaged
-        for a, b in zip(
-            reference, sharded.query_batch(queries, QueryOptions(backend="python"))
-        ):
-            assert_results_equal(a, b)
-            assert_stats_equal(a, b)
-
-    def test_colocated_users_on_grid(self):
-        rng = random.Random(9)
-        from repro.model.objects import User
-
-        objects = make_random_objects(50, 14, rng)
-        users = [
-            User(item_id=i, location=Point(3.0, 3.0), terms={t: 1})
-            for i, t in enumerate(rng.choices(range(14), k=12))
-        ]
-        dataset = Dataset(objects, users, relevance="LM", alpha=0.5)
-        queries = make_queries(rng, 14, 3, ks=(3,))
-        single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        reference = single.query_batch(queries, QueryOptions(backend="python"))
-        # Skew guard satellite: one shard holding everything warns at
-        # build time and is surfaced in stats and the plan.
-        with pytest.warns(RuntimeWarning, match="unbalanced partition"):
-            sharded = ShardedEngine(
-                dataset, EngineConfig(fanout=4, num_shards=4, partitioner="grid")
-            )
-        # every user in one grid cell -> a single engaged shard
-        assert sorted(sharded.assignment.counts()) == [0, 0, 0, 12]
-        assert sharded.partition_skew == 4.0
-        assert sharded.gather_stats()["partition_skew"] == 4.0
-        plan_text = sharded.plan(QueryOptions(), ks=[3]).explain()
-        assert "skew 4.00x ideal" in plan_text
-        assert "UNBALANCED" in plan_text
+        # 3 users over 8 lanes: five ranges are empty, none overlaps.
+        assert sorted(row["users"] for row in sharded.shard_stats()) \
+            == [0] * 5 + [1] * 3
         for a, b in zip(
             reference, sharded.query_batch(queries, QueryOptions(backend="python"))
         ):
@@ -481,15 +424,12 @@ class TestValidation:
     def test_sharded_accepts_index_users(self):
         dataset, _, _ = build_dataset()
         sharded = ShardedEngine(dataset, EngineConfig(num_shards=2, index_users=True))
-        assert sharded.user_tree is not None
-        # Only the root engine carries an MIUR-tree; shard engines run
-        # the per-user joint phases and never need one.
-        assert all(shard.engine.user_tree is None for shard in sharded.shards)
+        assert sharded.user_tree is sharded.root.user_tree is not None
 
     def test_sharded_rejects_external_pool(self):
         dataset, rng, vocab = build_dataset()
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
-        with pytest.raises(TypeError, match="per-shard pools"):
+        with pytest.raises(TypeError, match="owns its worker pool"):
             sharded.query_batch(make_queries(rng, vocab, 2), pool=object())
 
     def test_make_engine_dispatch(self):
@@ -502,8 +442,8 @@ class TestValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="num_shards"):
             EngineConfig(num_shards=0)
-        with pytest.raises(ValueError, match="partitioner"):
-            EngineConfig(partitioner="zorp")
+        with pytest.raises(TypeError, match="partitioner"):
+            EngineConfig(partitioner="hash")  # the knob is gone
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="shard pools require fork")
@@ -514,7 +454,7 @@ class TestPools:
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         reference = single.query_batch(queries, QueryOptions(backend="python"))
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
-        sharded.start_pools(1, search_workers=2)
+        sharded.start_pools(1)
         try:
             results = sharded.query_batch(queries, QueryOptions(backend="python"))
         finally:
@@ -522,14 +462,12 @@ class TestPools:
         for a, b in zip(reference, results):
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
-        for shard in sharded.shards:
-            if shard.users:
-                assert shard.stats.scatter_flushes >= 1
+        assert [row["scatter_flushes"] for row in sharded.shard_stats()] == [1, 1]
 
     def test_double_start_raises_and_close_is_idempotent(self):
         dataset, _, _ = build_dataset()
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
-        sharded.start_pools(1, search_workers=0)
+        sharded.start_pools(1)
         with pytest.raises(RuntimeError):
             sharded.start_pools(1)
         sharded.close_pools()
@@ -557,12 +495,13 @@ class TestServerIntegration:
         results, snapshot = asyncio.run(run())
         for a, b in zip(reference, results):
             assert_results_equal(a, b)
-        # satellite: per-shard queue depth / flush counters surfaced
-        assert "shards" in snapshot
-        assert len(snapshot["shards"]) == 2
+        # per-lane refine counters surfaced, keyed by lane
+        assert [row["shard"] for row in snapshot["shards"]] == [0, 1]
         for row in snapshot["shards"]:
             assert row["scatter_flushes"] >= 1
-            assert "queue_depth_peak" in row
+            assert row["refine_tasks"] >= 1 and row["refine_ms"] >= 0
+            assert row["queue_depth_peak"] >= 1
+            assert (row["retries"], row["degraded_rounds"]) == (0, 0)
         assert snapshot["queue_depth_peak"] >= 1
 
     @pytest.mark.skipif(not HAS_FORK, reason="shard pools require fork")
@@ -588,33 +527,31 @@ class TestServerIntegration:
 
 @pytest.mark.skipif(not HAS_FORK, reason="shard pools require fork")
 class TestStartPoolsFailure:
-    """A construction failure mid-start must not leak forked pools."""
+    """A construction failure must leave no pool, no arena, no flag."""
 
-    def test_partial_failure_tears_down_and_reraises(self, monkeypatch):
+    def test_failed_start_restores_the_in_process_state(self, monkeypatch):
         import repro.serve.sharded as sharded_mod
+        from repro.storage.shm import arena_segments
 
         dataset, rng, vocab = build_dataset(seed=3)
-        engine = make_engine(dataset, EngineConfig(fanout=4, num_shards=2))
+        engine = make_engine(
+            dataset, EngineConfig(fanout=4, num_shards=2, use_shm=True)
+        )
         real_pool = sharded_mod.PersistentWorkerPool
-        created = []
 
-        def flaky(*args, **kwargs):
-            if created:  # first pool forks fine, second construction dies
-                raise RuntimeError("boom: fork failed")
-            pool = real_pool(*args, **kwargs)
-            created.append(pool)
-            return pool
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom: fork failed")
 
-        monkeypatch.setattr(sharded_mod, "PersistentWorkerPool", flaky)
+        monkeypatch.setattr(sharded_mod, "PersistentWorkerPool", broken)
+        before = set(arena_segments())
         with pytest.raises(RuntimeError, match="boom"):
             engine.start_pools(1)
-        # The pool forked before the failure was reaped, not leaked...
-        assert created and all(pool._closed for pool in created)
-        # ...and the engine is back in its clean in-process state.
+        # The arena materialized for the fork was released again ...
+        assert set(arena_segments()) == before
+        assert engine.arena_name is None
+        # ... and the engine is back in its clean in-process state.
         assert engine._pools_started is False
-        assert all(shard.pool is None for shard in engine._shards)
-        assert all(shard.stats.pool_workers == 0 for shard in engine._shards)
-        assert engine._search_pool is None
+        assert engine._pool is None
         queries = make_queries(rng, vocab, 2, ks=(3,))
         assert len(engine.query_batch(queries, QueryOptions())) == 2
         # A later healthy start is not blocked by the failed one.
@@ -622,45 +559,20 @@ class TestStartPoolsFailure:
         engine.start_pools(1)
         try:
             assert engine._pools_started is True
+            assert engine._pool.workers == 2
         finally:
             engine.close_pools()
-
-    def test_search_pool_failure_reaps_every_shard_pool(self, monkeypatch):
-        import repro.serve.sharded as sharded_mod
-
-        dataset, _, _ = build_dataset(seed=4)
-        engine = make_engine(dataset, EngineConfig(fanout=4, num_shards=2))
-        real_pool = sharded_mod.PersistentWorkerPool
-        created = []
-
-        def flaky(*args, **kwargs):
-            if "context" in kwargs:  # only the root search pool passes it
-                raise RuntimeError("boom: search pool failed")
-            pool = real_pool(*args, **kwargs)
-            created.append(pool)
-            return pool
-
-        monkeypatch.setattr(sharded_mod, "PersistentWorkerPool", flaky)
-        with pytest.raises(RuntimeError, match="boom"):
-            # search_workers > 0: every shard pool forks, then the root
-            # search pool construction fails last.
-            engine.start_pools(1, search_workers=2)
-        assert len(created) == 2
-        assert all(pool._closed for pool in created)
-        assert engine._pools_started is False
 
 
 class TestPlanner:
     def test_plan_reports_scatter_and_merge(self):
         dataset, _, _ = build_dataset()
-        sharded = ShardedEngine(
-            dataset, EngineConfig(fanout=4, num_shards=4, partitioner="grid")
-        )
+        sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=4))
         text = sharded.plan(QueryOptions(), ks=[3, 5]).explain()
-        assert "scatter: width" in text
-        assert "partitioner=grid" in text
+        assert "scatter: refine by user row range x4" in text
+        assert "partition" not in text
         assert "merge=ordered-union" in text
-        assert "k-sharing" in text
+        assert "once per (walk, k)" in text
 
     def test_shard_plan_absent_on_single_engine(self):
         dataset, _, _ = build_dataset()

@@ -279,34 +279,41 @@ def test_heartbeat_resurrection_is_logged_once(caplog):
 
 
 # ----------------------------------------------------------------------
-# Shard host: which replica answers which shard id
+# Shard host: one full replica answers every lane
 # ----------------------------------------------------------------------
 
-def test_host_serves_full_dataset_only_to_negative_shard_ids():
+def test_host_answers_a_range_outside_its_replica_with_error_frame():
+    """A host whose user set disagrees with the coordinator's must not
+    answer the round against the wrong rows: typed ERROR frame, echoing
+    the lane the round was dealt to."""
+    from repro import MaxBRSTkNNEngine
+    from repro.core.joint_topk import joint_traversal
     from repro.serve.shardhost import ShardHost
 
-    shard0, shard1, full = object(), object(), object()
-    host = ShardHost({0: shard0, 1: shard1}, full)
-    assert host.dataset_for(0) is shard0
-    assert host.dataset_for(1) is shard1
-    assert host.dataset_for(-1) is full   # search lane 0
-    assert host.dataset_for(-3) is full   # search lane 2
-    with pytest.raises(LookupError, match="shard 2"):
-        host.dataset_for(2)
+    from .conftest import build_dataset
 
+    dataset, _, _ = build_dataset(0)
+    tree = MaxBRSTkNNEngine(dataset, fanout=4).object_tree
+    walked = joint_traversal(tree, dataset, 3)
+    host = ShardHost(dataset)
+    n_users = len(dataset.users)
 
-def test_host_answers_unknown_shard_with_error_frame():
-    """A host whose layout disagrees with the coordinator's must not
-    answer the round against the wrong users: typed ERROR frame."""
-    from repro.serve.shardhost import ShardHost
+    def answer(lo, hi):
+        body = FrameCodec.encode_body(
+            [("refine", walked, [3], "python", None, 5, lo, hi)]
+        )
+        frame = host._run_round(7, 5, 0, body)
+        header = FrameCodec.unpack_header(frame[:FrameCodec.HEADER_SIZE])
+        return header[:3], FrameCodec.decode_body(frame[FrameCodec.HEADER_SIZE:])
 
-    host = ShardHost({0: object()}, object())
-    body = FrameCodec.encode_body([("refine", None, [3], "python", 5)])
-    frame = host._run_round(7, 5, 0, body)
-    kind, flush_seq, shard_id, _, length = FrameCodec.unpack_header(
-        frame[:FrameCodec.HEADER_SIZE]
-    )
-    assert (kind, flush_seq, shard_id) == (FrameCodec.ERROR, 7, 5)
-    type_name, message = FrameCodec.decode_body(frame[FrameCodec.HEADER_SIZE:])
-    assert type_name == "LookupError"
-    assert "shard 5" in message
+    header, (type_name, message) = answer(0, n_users + 1)
+    assert header == (FrameCodec.ERROR, 7, 5)
+    assert type_name == "UserRangeError"
+    assert f"{n_users} users" in message
+    header, chunks = answer(2, 2)  # an empty range is a valid, empty answer
+    assert header == (FrameCodec.RESULT, 7, 5)
+    from repro.core.payload import decode_gather_payload
+
+    (chunk,) = chunks
+    (partial,) = decode_gather_payload(chunk)
+    assert (partial.shard_id, partial.k, partial.rsk) == (5, 3, {})

@@ -409,7 +409,7 @@ def _serving_round(use_shm, faults=None, seed=5, prebuilt=None):
         dataset, EngineConfig(fanout=4, num_shards=2, use_shm=use_shm)
     )
     engine.start_pools(
-        1, 1, faults=faults, retry=RetryPolicy(max_retries=1, backoff_base_s=0.0)
+        1, faults=faults, retry=RetryPolicy(max_retries=1, backoff_base_s=0.0)
     )
     try:
         arena_name = engine.arena_name

@@ -63,15 +63,15 @@ class TestCLI:
         rc = main([
             "serve", "--objects", "200", "--users", "20", "--locations", "3",
             "--k", "3", "--queries", "6", "--max-batch", "4",
-            "--shards", "2", "--partitioner", "grid", "--max-wait-ms", "auto",
+            "--shards", "2", "--max-wait-ms", "auto",
             "--verify", "--explain",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "scatter: width" in out
-        assert "shard[0]:" in out  # per-shard counters surfaced
+        assert "scatter: refine by user row range x2" in out
+        assert "shard[0]:" in out  # per-lane refine counters surfaced
+        assert "refine_tasks=" in out and "degraded_rounds=" in out
         assert "adaptive_wait_ms" in out
-        assert "partition_skew" in out
         assert (
             "verify: served results == sequential on 6 queries "
             "(mode=joint, shards=2)" in out
