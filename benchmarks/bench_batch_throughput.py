@@ -13,6 +13,10 @@ Run::
 
     python benchmarks/bench_batch_throughput.py            # full sweep
     python benchmarks/bench_batch_throughput.py --tiny     # CI smoke
+    python benchmarks/bench_batch_throughput.py --tiny --shards 2
+
+``--shards N`` (N >= 2) builds the engine through ``make_engine`` and
+deals every batch over N full-dataset lanes (one fork worker each).
 
 The script exits non-zero if any batch produces results that differ
 from sequential python-backend queries (a built-in equivalence check).
@@ -21,6 +25,7 @@ from sequential python-backend queries (a built-in equivalence check).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,8 +38,10 @@ sys.path.insert(
 from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
+from repro.core.config import EngineConfig  # noqa: E402
 from repro.core.kernels import HAS_NUMPY  # noqa: E402
 from repro.datagen.users import query_pool  # noqa: E402
+from repro.serve import make_engine  # noqa: E402
 
 
 def make_queries(workload, config, count: int):
@@ -45,7 +52,7 @@ def make_queries(workload, config, count: int):
     )
 
 
-def time_batch(engine, queries, backend, workers, method, repeats):
+def time_batch(engine, queries, backend, method, repeats):
     """Best-of-N wall time for one cold batch call."""
     best = float("inf")
     results = None
@@ -53,8 +60,7 @@ def time_batch(engine, queries, backend, workers, method, repeats):
         engine.clear_topk_cache()
         t0 = time.perf_counter()
         results = engine.query_batch(
-            queries,
-            QueryOptions(method=method, backend=backend, workers=workers),
+            queries, QueryOptions(method=method, backend=backend)
         )
         best = min(best, time.perf_counter() - t0)
     return best, results
@@ -75,7 +81,12 @@ def main(argv=None) -> int:
         default="auto",
         help="kernels used by the batched runs (batch-1 included)",
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="deal each batch over N full-dataset lanes (1 = in-process)",
+    )
     parser.add_argument(
         "--batch-sizes",
         type=int,
@@ -101,6 +112,8 @@ def main(argv=None) -> int:
         "as artifacts to track the perf trajectory across PRs)",
     )
     args = parser.parse_args(argv)
+    if args.shards < 1:
+        parser.error("--shards must be >= 1")
 
     config = DEFAULTS.with_(
         num_objects=args.objects,
@@ -120,7 +133,10 @@ def main(argv=None) -> int:
 
     print(f"dataset: {config.label()}", flush=True)
     bench = build_workbench(config, cached=False)
-    engine = MaxBRSTkNNEngine(bench.dataset, fanout=config.fanout)
+    engine = make_engine(
+        bench.dataset,
+        EngineConfig(fanout=config.fanout, num_shards=args.shards),
+    )
     # The workbench query object is regenerated per query below.
     from repro.datagen.users import generate_users
     workload = generate_users(
@@ -135,17 +151,19 @@ def main(argv=None) -> int:
     backend = args.backend if HAS_NUMPY or args.backend == "python" else "python"
 
     rows = []
-    for size in args.batch_sizes:
-        elapsed, results = time_batch(
-            engine, queries[:size], backend, args.workers, args.method, args.repeats
-        )
-        qps = size / elapsed if elapsed > 0 else float("inf")
-        rows.append((size, elapsed, qps, results))
-        print(
-            f"batch {size:>4}: {1000 * elapsed:8.1f} ms total  "
-            f"{1000 * elapsed / size:7.2f} ms/query  {qps:8.2f} queries/sec",
-            flush=True,
-        )
+    lanes = engine.start_pools() if args.shards > 1 else contextlib.nullcontext()
+    with lanes:
+        for size in args.batch_sizes:
+            elapsed, results = time_batch(
+                engine, queries[:size], backend, args.method, args.repeats
+            )
+            qps = size / elapsed if elapsed > 0 else float("inf")
+            rows.append((size, elapsed, qps, results))
+            print(
+                f"batch {size:>4}: {1000 * elapsed:8.1f} ms total  "
+                f"{1000 * elapsed / size:7.2f} ms/query  {qps:8.2f} queries/sec",
+                flush=True,
+            )
 
     base_qps = rows[0][2]
     print(f"\nspeedup vs batch size {rows[0][0]}:")
@@ -158,7 +176,7 @@ def main(argv=None) -> int:
             "dataset": config.label(),
             "backend": backend,
             "method": args.method,
-            "workers": args.workers,
+            "shards": args.shards,
             "rows": [
                 {
                     "batch_size": size,
@@ -175,10 +193,17 @@ def main(argv=None) -> int:
 
     if not args.no_verify:
         largest = rows[-1]
-        engine.clear_topk_cache()
+        # An independent single engine (sharing only the immutable
+        # object tree): no memoized pool crosses the comparison.
+        reference = MaxBRSTkNNEngine(
+            bench.dataset, EngineConfig(fanout=config.fanout),
+            object_tree=engine.object_tree,
+        )
         mismatches = 0
         for q, batched in zip(queries[: largest[0]], largest[3]):
-            solo = engine.query(q, QueryOptions(method=args.method, backend="python"))
+            solo = reference.query(
+                q, QueryOptions(method=args.method, backend="python")
+            )
             if (
                 solo.location != batched.location
                 or solo.keywords != batched.keywords

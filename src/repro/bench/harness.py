@@ -41,7 +41,6 @@ __all__ = [
     "measure_topk_baseline",
     "measure_topk_joint",
     "measure_selection",
-    "measure_batch_throughput",
     "measure_user_index",
     "clear_cache",
 ]
@@ -223,38 +222,6 @@ def approximation_ratio(bench: Workbench) -> float:
     if exact.cardinality == 0:
         return 1.0
     return approx.cardinality / exact.cardinality
-
-
-# ----------------------------------------------------------------------
-# Batch engine: queries/sec at config.batch_size with config.backend
-# ----------------------------------------------------------------------
-
-def measure_batch_throughput(bench: Workbench, workers: int = 1) -> TopKMetrics:
-    """Cold ``query_batch`` of ``config.batch_size`` copies of the
-    workbench query (the ``batch_size`` sweep in ``params.SWEEPS``).
-
-    Duplicate queries amortize the shared top-k phase exactly like
-    distinct same-k queries do, so this times the batch-engine scaling
-    without needing workload regeneration; ``mrpu_ms`` is mean runtime
-    per *query* here.  Distinct-query sweeps live in
-    ``benchmarks/bench_batch_throughput.py``.
-    """
-    config = bench.config
-    queries = [bench.query] * max(1, config.batch_size)
-    engine = bench.engine
-    engine.clear_topk_cache()
-    engine.reset_io()
-    t0 = time.perf_counter()
-    engine.query_batch(queries, config.query_options(workers=workers))
-    elapsed = time.perf_counter() - t0
-    io = engine.io.total
-    n = len(queries)
-    return TopKMetrics(
-        mrpu_ms=1000.0 * elapsed / n,
-        miocpu=io / n,
-        total_ms=1000.0 * elapsed,
-        total_io=io,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -46,9 +46,9 @@ class ExperimentConfig:
         """Functional update (frozen dataclass)."""
         return replace(self, **kwargs)
 
-    def query_options(self, workers: int = 1) -> QueryOptions:
+    def query_options(self) -> QueryOptions:
         """The typed :class:`QueryOptions` this experiment cell runs with."""
-        return QueryOptions(backend=self.backend, workers=workers)
+        return QueryOptions(backend=self.backend)
 
     def label(self) -> str:
         label = (

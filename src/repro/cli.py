@@ -19,14 +19,16 @@ Commands
 ``lint``        contract-aware static analysis (:mod:`repro.analysis`).
 
 All query commands build one :class:`repro.core.config.QueryOptions`
-from their flags — the CLI is a consumer of the typed API, not of the
-legacy string kwargs.
+from their flags; ``--shards N`` builds the engine through
+:func:`repro.serve.sharded.make_engine`, whose lanes are the only
+worker processes a query reaches.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import math
 import sys
 import time
@@ -49,14 +51,19 @@ def _make_workload(args):
     return make_workload(workload_spec_from_args(args))
 
 
-def _query_options(args, workers: int = 1) -> QueryOptions:
+def _query_options(args) -> QueryOptions:
     """One QueryOptions from the shared CLI flags."""
     return QueryOptions(
         method=args.method,
         mode=getattr(args, "mode", "joint"),
         backend=args.backend,
-        workers=workers,
     )
+
+
+#: Why worker flags need lanes (the server's refusal says the same).
+_NEEDS_LANES = ("worker processes belong to the lanes of "
+                "make_engine(..., EngineConfig(num_shards=N)); pass --shards N "
+                "(N >= 2)")
 
 
 def _make_query_pool(workload, args, count: int) -> List[MaxBRSTkNNQuery]:
@@ -100,22 +107,41 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    """Answer ``--batch-size`` queries as one batch and report throughput."""
+    """Answer ``--batch-size`` queries as one batch and report throughput.
+
+    ``--shards N`` (N >= 2) deals the batch over N full-dataset lanes,
+    one fork worker each, for the duration of the call.
+    """
+    from .serve import make_engine
+
+    if args.shards < 1:
+        print("batch: --shards must be >= 1", file=sys.stderr)
+        return 2
     dataset, workload = _make_workload(args)
-    engine = MaxBRSTkNNEngine(dataset)
-    options = _query_options(args, workers=args.workers)
+    engine = make_engine(dataset, EngineConfig(num_shards=args.shards))
+    options = _query_options(args)
     queries = _make_query_pool(workload, args, args.batch_size)
-    if args.explain:
-        print(engine.plan(options, ks=[q.k for q in queries]).explain())
-    t0 = time.perf_counter()
-    results = engine.query_batch(queries, options)
-    elapsed = time.perf_counter() - t0
+    ks = [q.k for q in queries]
+    try:
+        # Plan before forking: an impossible request (baseline over
+        # lanes, indexed without a user tree) is refused up front.
+        engine.plan(options, ks=ks)
+    except ValueError as exc:
+        print(f"batch: {exc}", file=sys.stderr)
+        return 2
+    lanes = engine.start_pools() if args.shards > 1 else contextlib.nullcontext()
+    with lanes:
+        if args.explain:  # after the fork: the plan names the lanes
+            print(engine.plan(options, ks=ks).explain())
+        t0 = time.perf_counter()
+        results = engine.query_batch(queries, options)
+        elapsed = time.perf_counter() - t0
     for i, result in enumerate(results[: args.show]):
         print(f"[{i}] {result.summary()}")
     qps = len(queries) / elapsed if elapsed > 0 else float("inf")
     print(f"batch of {len(queries)}: {1000 * elapsed:.1f} ms total, "
           f"{qps:.1f} queries/sec (backend={options.backend}, "
-          f"workers={options.workers})")
+          f"shards={args.shards})")
     return 0
 
 
@@ -154,9 +180,14 @@ def _cmd_serve(args) -> int:
     if args.cache_entries < 1:
         print("serve: --cache-entries must be >= 1", file=sys.stderr)
         return 2
-    if args.fault != "none" and args.pool_workers < 1:
-        print("serve: --fault needs --pool-workers >= 1 (faults are injected "
-              "into the worker pools)", file=sys.stderr)
+    if args.pool_workers > 0 and args.shards < 2:
+        print(f"serve: --pool-workers needs lanes: {_NEEDS_LANES}",
+              file=sys.stderr)
+        return 2
+    if args.fault != "none" and (args.shards < 2 or args.pool_workers < 1):
+        print(f"serve: --fault is injected into the lanes' worker pool and "
+              f"needs --shards >= 2 --pool-workers >= 1: {_NEEDS_LANES}",
+              file=sys.stderr)
         return 2
     if args.transport == "socket":
         if not args.hosts:
@@ -240,10 +271,10 @@ def _cmd_serve(args) -> int:
     finally:
         if args.transport == "socket":
             engine.close_hosts()
-    if args.explain:
-        # The same plan again, now that the engine's FlushHistory holds
-        # the served flushes: decisions rendered "static" on the cold
-        # engine re-resolve as "observed" from measured stage timings.
+    if args.explain and args.shards > 1:
+        # The same plan again, now that the lane engine's FlushHistory
+        # holds the served flushes: decisions rendered "static" on the
+        # cold engine re-resolve as "observed" from measured timings.
         print("plan after serving (flush history warm):")
         print(engine.plan(options, ks=[q.k for q in queries]).explain())
     latencies.sort()
@@ -394,7 +425,9 @@ def main(argv=None) -> int:
     _add_workload_args(batch)
     _add_query_args(batch)
     batch.add_argument("--batch-size", type=int, default=16)
-    batch.add_argument("--workers", type=int, default=1)
+    batch.add_argument("--shards", type=int, default=1,
+                       help="deal the batch over N full-dataset lanes, one "
+                            "fork worker each (1 = in-process)")
     batch.add_argument("--show", type=int, default=3,
                        help="print the first N results")
     batch.set_defaults(func=_cmd_batch)
@@ -411,8 +444,8 @@ def main(argv=None) -> int:
                        help="micro-batch window in ms, or 'auto' to tune it "
                             "from the observed arrival rate")
     serve.add_argument("--pool-workers", type=int, default=0,
-                       help="persistent pool size (0 = in-process); per lane "
-                            "when --shards > 1")
+                       help="fork workers per lane (needs --shards >= 2; "
+                            "0 = in-process)")
     serve.add_argument("--shards", type=int, default=1,
                        help="deal each flush over N full-dataset lanes behind "
                             "the server (scatter/gather, result-identical)")

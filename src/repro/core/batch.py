@@ -17,8 +17,8 @@ is ever pruned at ``k_max``), and each k's thresholds are derived from
 the shared pool by Algorithm 2 (:class:`SharedTraversalPool`, memoized
 on the engine across batches).  A mixed-k batch therefore pays for a
 *single* tree walk.  Candidate selection stays per query, optionally
-vectorized (``Backend.NUMPY``) and optionally fanned out over a
-process pool (``QueryOptions.workers``).  Since PR 5, ``Mode.INDEXED``
+vectorized (``Backend.NUMPY``), in this process (a sharded engine deals
+it over its lanes instead).  Since PR 5, ``Mode.INDEXED``
 batches pool across k the same way: the node-RSk reformulation
 (:mod:`repro.core.indexed_users`) made every per-k quantity derive
 pool-independently from one MIUR-root walk at ``k_max``, memoized on
@@ -49,10 +49,9 @@ that (that is the point).
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .baseline import baseline_select_candidate
 from .candidate_selection import select_candidate
@@ -67,7 +66,6 @@ from .planner import EngineCapabilities, QueryPlan, plan_batch
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..serve.pool import PersistentWorkerPool
     from ..topk.single import TopKResult
     from .engine import MaxBRSTkNNEngine
 
@@ -272,13 +270,7 @@ def _select_one(
 def query_batch(
     engine: "MaxBRSTkNNEngine",
     queries: Sequence[MaxBRSTkNNQuery],
-    options: Union[QueryOptions, str, None] = None,
-    *,
-    method: Optional[str] = None,
-    mode: Optional[str] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    pool: Optional["PersistentWorkerPool"] = None,
+    options: Optional[QueryOptions] = None,
 ) -> List[MaxBRSTkNNResult]:
     """Answer many MaxBRSTkNN queries, sharing phase 1 per distinct k.
 
@@ -288,63 +280,33 @@ def query_batch(
         Any number of queries (the empty batch returns ``[]``).  Queries
         may repeat; duplicates cost only a selection pass each.
     options:
-        A :class:`QueryOptions`; the legacy ``method=`` / ``mode=`` /
-        ``backend=`` / ``workers=`` kwargs keep working through the
-        deprecation shim.  Results are identical across backends.
-    pool:
-        Optional persistent worker pool (``repro.serve.pool``) used for
-        phase 2 instead of the call-scoped pool ``workers=N`` opens;
-        amortizes worker startup across batches (the serving layer
-        passes one).
+        A :class:`QueryOptions` (``None``: the shared default).  Results
+        are identical across backends.
     """
-    opts = coerce_options(
-        options, method=method, mode=mode, backend=backend, workers=workers,
-        api="query_batch",
-    )
+    opts = coerce_options(options, api="query_batch")
     queries = list(queries)
     if not queries:
         return []
-    plan = plan_batch(
-        opts,
-        EngineCapabilities.of(engine),
-        [q.k for q in queries],
-        history=getattr(engine, "flush_history", None),
-    )
-    return execute_batch(engine, queries, plan, pool=pool)
+    plan = plan_batch(opts, EngineCapabilities.of(engine), [q.k for q in queries])
+    return execute_batch(engine, queries, plan)
 
 
 def execute_batch(
     engine: "MaxBRSTkNNEngine",
     queries: Sequence[MaxBRSTkNNQuery],
     plan: QueryPlan,
-    pool: Optional["PersistentWorkerPool"] = None,
 ) -> List[MaxBRSTkNNResult]:
     """Carry out a planned batch through the unified phase pipeline.
 
     Thin wrapper: a :class:`repro.core.pipeline.LocalExecutor` drives
     the mode's stage list (traverse → refine → select for joint,
     root-traverse → search for indexed, topk → select for baseline) on
-    this one engine; per-stage accounting lands on
-    ``engine.last_flush_report``.  Phase 2 rides the pipe lane over
-    ``pool`` — or, when the plan asked for workers and none was
-    injected, over a supervised pool scoped to this call.
+    this one engine, in this process; per-stage accounting lands on
+    ``engine.last_flush_report``.
     """
-    from .history import signature_of
     from .pipeline import LocalExecutor
 
-    scoped = contextlib.nullcontext(pool)
-    if pool is not None or plan.workers > 1:
-        # Imported on demand: repro.serve sits above repro.core.
-        from ..serve.pool import PersistentWorkerPool, PoolTransport
-
-        if pool is None:
-            scoped = PersistentWorkerPool(engine.dataset, plan.workers)
-    with scoped as pool:
-        transport = PoolTransport(pool) if pool is not None else None
-        executor = LocalExecutor(engine, transport)
-        results = executor.execute(queries, plan)
+    executor = LocalExecutor(engine)
+    results = executor.execute(queries, plan)
     engine.last_flush_report = executor.last_flush_report
-    history = getattr(engine, "flush_history", None)
-    if history is not None and executor.last_flush_report is not None:
-        history.record(signature_of(plan), executor.last_flush_report)
     return results

@@ -1,30 +1,24 @@
 """Typed configuration for the layered query API.
 
-The public query surface used to be stringly-typed: ``method=`` /
-``mode=`` / ``backend=`` / ``workers=`` strings threaded separately
-through :meth:`MaxBRSTkNNEngine.query`, :func:`query_batch`, the CLI
-and the bench harness — with *different defaults per entry point*
-(``query`` defaulted ``backend="python"`` while ``query_batch``
-defaulted ``None``).  This module replaces the kwarg soup with two
-frozen dataclasses:
+Two frozen dataclasses carry every knob of the query surface:
 
 * :class:`EngineConfig` — how indexes are built (fanout, MIUR-tree,
   buffer pages); one value per engine lifetime.
 * :class:`QueryOptions` — how one query (or batch) is answered
-  (method / mode / backend as :class:`enum.Enum`\\ s, selection
-  fan-out ``workers``); validated on construction, shared by every
-  entry point, with **one** default: :meth:`QueryOptions.default`.
+  (method / mode / backend as :class:`enum.Enum`\\ s); validated on
+  construction, shared by every entry point, with **one** default:
+  :meth:`QueryOptions.default`.
 
-Legacy string kwargs keep working through :func:`coerce_options`,
-which maps them onto a :class:`QueryOptions` and emits a single
-:class:`DeprecationWarning` per call.
+Parallelism is not a query option: it belongs to the lanes of a
+:class:`~repro.serve.sharded.ShardedEngine`
+(``make_engine(dataset, EngineConfig(num_shards=N))`` then
+``start_pools()`` / ``connect_hosts()``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -198,24 +192,18 @@ class QueryOptions:
         Pipeline; strings are coerced.
     backend:
         Scoring kernels; strings are coerced.  The single shared
-        default is :attr:`Backend.AUTO` — ``query`` and ``query_batch``
-        used to disagree ("python" vs ``None``); both now resolve
-        through :meth:`default`.
-    workers:
-        Fan candidate selection out over a process pool (batches only;
-        a single query always runs in-process).
+        default is :attr:`Backend.AUTO`, for ``query`` and
+        ``query_batch`` alike (:meth:`default`).
     """
 
     method: Method = Method.APPROX
     mode: Mode = Mode.JOINT
     backend: Backend = Backend.AUTO
-    workers: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method.coerce(self.method))
         object.__setattr__(self, "mode", Mode.coerce(self.mode))
         object.__setattr__(self, "backend", Backend.coerce(self.backend))
-        _require_int("workers", self.workers, minimum=1)
 
     @classmethod
     def default(cls) -> "QueryOptions":
@@ -231,60 +219,17 @@ _DEFAULT_OPTIONS = QueryOptions()
 
 
 def coerce_options(
-    options: Union[QueryOptions, str, None] = None,
-    *,
-    method: Optional[str] = None,
-    mode: Optional[str] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    api: str = "query",
+    options: Optional[QueryOptions] = None, *, api: str = "query"
 ) -> QueryOptions:
-    """Resolve the (options | legacy kwargs) surface to a QueryOptions.
+    """``options``, or the shared default when ``None``.
 
-    The deprecation shim for the pre-typed API: legacy string kwargs
-    (and the legacy positional ``method`` string in the ``options``
-    slot) are mapped onto a validated :class:`QueryOptions` with
-    exactly one :class:`DeprecationWarning` per call.  ``None`` kwargs
-    mean "not passed" and fall through to the shared default — this is
-    what unifies ``query``'s old ``backend="python"`` default with
-    ``query_batch``'s old ``backend=None``.
+    Anything but a :class:`QueryOptions` is a ``TypeError`` naming
+    ``api`` — a method string or a dict is refused, not interpreted.
     """
-    if isinstance(options, str):
-        # Legacy positional call: engine.query(q, "exact").
-        if method is not None:
-            raise TypeError(f"{api}() got two values for 'method'")
-        method, options = options, None
-    legacy = {
-        name: value
-        for name, value in (
-            ("method", method),
-            ("mode", mode),
-            ("backend", backend),
-            ("workers", workers),
-        )
-        if value is not None
-    }
-    if options is not None:
-        if legacy:
-            raise TypeError(
-                f"{api}() takes either options=QueryOptions(...) or legacy "
-                f"kwargs, not both (got {sorted(legacy)})"
-            )
-        if not isinstance(options, QueryOptions):
-            raise TypeError(
-                f"{api}() options must be a QueryOptions, got {type(options).__name__}"
-            )
-        return options
-    if not legacy:
+    if options is None:
         return QueryOptions.default()
-    if legacy.get("workers") == 0:
-        # PR-1 query_batch treated workers=0 like 1 (in-process); keep
-        # that call form working.  QueryOptions itself stays strict.
-        legacy["workers"] = 1
-    warnings.warn(
-        f"passing {'/'.join(sorted(legacy))} to {api}() as loose kwargs is "
-        f"deprecated; pass options=QueryOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return QueryOptions(**legacy)
+    if not isinstance(options, QueryOptions):
+        raise TypeError(
+            f"{api}() options must be a QueryOptions, got {type(options).__name__}"
+        )
+    return options

@@ -12,11 +12,12 @@ the simulated page store, the joint top-k, and the candidate selection
 The three layers (see also ``repro/serve`` for the one above):
 
 * :class:`~repro.core.config.QueryOptions` / ``EngineConfig`` — typed,
-  validated configuration (strings coerce; legacy kwargs map through a
-  deprecation shim);
+  validated configuration (enum fields accept their string values);
 * :mod:`repro.core.planner` — resolves options against the engine's
   capabilities into an executable :class:`QueryPlan`;
-* execution — this facade plus :mod:`repro.core.batch`.
+* execution — this facade plus :mod:`repro.core.batch`, always in this
+  process (worker processes belong to the lanes of
+  :class:`~repro.serve.sharded.ShardedEngine`).
 
 Modes
 -----
@@ -29,7 +30,7 @@ Modes
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..index.irtree import MIRTree
 from ..index.miurtree import MIURTree
@@ -41,7 +42,6 @@ from .baseline import baseline_maxbrstknn
 from .batch import query_batch
 from .candidate_selection import select_candidate
 from .config import EngineConfig, Mode, QueryOptions, coerce_options
-from .history import FlushHistory
 from .indexed_users import indexed_users_maxbrstknn
 from .joint_topk import individual_topk, joint_traversal
 from .planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
@@ -67,12 +67,6 @@ class MaxBRSTkNNEngine:
         instead of building one (``repro serve --verify`` builds its
         reference engine over the served engine's tree).
     """
-
-    #: Serving-layer contract (shared with ShardedEngine, which sets
-    #: True): whether the engine owns its worker pools — the server
-    #: wraps pool-less engines in a PersistentWorkerPool and leaves
-    #: pool-owning engines to size their own via start_pools().
-    manages_own_pools = False
 
     def __init__(
         self,
@@ -174,11 +168,6 @@ class MaxBRSTkNNEngine:
         #: Per-stage accounting of the most recent pipeline flush
         #: (:class:`repro.core.pipeline.FlushReport`), introspection.
         self.last_flush_report = None
-        #: Ring buffers of executed-flush accounting per (mode, backend,
-        #: scatter-width) signature — the planner's observed-cost model
-        #: reads it per flush (:mod:`repro.core.history`).  Survives
-        #: :meth:`clear_topk_cache`: it holds timings, never answers.
-        self.flush_history = FlushHistory()
         #: Zero-copy storage tier (``config.use_shm``): the owned
         #: :class:`~repro.storage.shm.ShmArena` holding this engine's
         #: dense columns, and the :class:`~repro.core.payload.PayloadCodec`
@@ -207,8 +196,8 @@ class MaxBRSTkNNEngine:
         options = options if options is not None else QueryOptions.default()
         caps = self.capabilities()
         if ks:
-            return plan_batch(options, caps, list(ks), history=self.flush_history)
-        return plan_query(options, caps, history=self.flush_history)
+            return plan_batch(options, caps, list(ks))
+        return plan_query(options, caps)
 
     # ------------------------------------------------------------------
     # Top-k entry points (benchmarked separately: Figures 5a/5b etc.)
@@ -230,24 +219,15 @@ class MaxBRSTkNNEngine:
     def query(
         self,
         query: MaxBRSTkNNQuery,
-        options: Union[QueryOptions, str, None] = None,
-        *,
-        method: Optional[str] = None,
-        mode: Optional[str] = None,
-        backend: Optional[str] = None,
+        options: Optional[QueryOptions] = None,
     ) -> MaxBRSTkNNResult:
         """Answer one MaxBRSTkNN query.
 
-        ``options`` is a :class:`QueryOptions`; the legacy string
-        kwargs (``method=`` / ``mode=`` / ``backend=``) keep working
-        through the deprecation shim.  Results are identical across
-        backends (``Mode.BASELINE`` is the scalar oracle and ignores
-        the choice).
+        ``options`` is a :class:`QueryOptions` (``None``: the shared
+        default).  Results are identical across backends
+        (``Mode.BASELINE`` is the scalar oracle and ignores the choice).
         """
-        opts = coerce_options(
-            options, method=method, mode=mode, backend=backend,
-            api="MaxBRSTkNNEngine.query",
-        )
+        opts = coerce_options(options, api="MaxBRSTkNNEngine.query")
         plan = plan_query(opts, self.capabilities(), k=query.k)
         return self._execute_single(query, plan)
 
@@ -310,29 +290,16 @@ class MaxBRSTkNNEngine:
     def query_batch(
         self,
         queries: Sequence[MaxBRSTkNNQuery],
-        options: Union[QueryOptions, str, None] = None,
-        *,
-        method: Optional[str] = None,
-        mode: Optional[str] = None,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        pool=None,
+        options: Optional[QueryOptions] = None,
     ) -> List[MaxBRSTkNNResult]:
         """Answer a batch of queries, sharing phase 1 per distinct k.
 
         See :func:`repro.core.batch.query_batch`; the shared phase is
         memoized on the engine, so consecutive batches with the same k
-        skip it entirely (:meth:`clear_topk_cache` drops it).  ``pool``
-        optionally injects a persistent
-        :class:`repro.serve.pool.PersistentWorkerPool` for phase 2.
+        skip it entirely (:meth:`clear_topk_cache` drops it).  The whole
+        batch runs in this process.
         """
-        # Coerce here (not in batch.query_batch) so the deprecation
-        # warning's stacklevel lands on the user's call site.
-        opts = coerce_options(
-            options, method=method, mode=mode, backend=backend, workers=workers,
-            api="MaxBRSTkNNEngine.query_batch",
-        )
-        return query_batch(self, queries, opts, pool=pool)
+        return query_batch(self, queries, options)
 
     def clear_topk_cache(self) -> None:
         """Drop the shared phase-1 caches used by ``query_batch``."""
@@ -345,7 +312,7 @@ class MaxBRSTkNNEngine:
 
         ``DatasetArrays`` (with the per-object-set ``ObjectColumns``
         Algorithm 2 gathers from) plus the object tree's ``TreeArrays``
-        — so the first query pays no build cost and pool workers forked
+        — so the first query pays no build cost and lane workers forked
         later inherit them through copy-on-write.  No-op without numpy.
         """
         from .kernels import HAS_NUMPY, arrays_for, tree_arrays_for

@@ -4,13 +4,14 @@ Every executed flush leaves a :class:`~repro.core.pipeline.FlushReport`
 with per-stage wall time, item counts and scatter width — but until
 this module nothing *consumed* it: the planner re-derived the same
 static plan per flush regardless of what the last hundred flushes
-actually cost.  :class:`FlushHistory` closes the loop.  Engines record
-every report into a small ring buffer keyed by the flush's
-:class:`FlushSignature` — ``(mode, backend, scatter_width)``, the three
-coordinates that change a flush's cost profile — and the planner
+actually cost.  :class:`FlushHistory` closes the loop.  Lane engines
+(:class:`~repro.serve.sharded.ShardedEngine`) record every report into
+a small ring buffer keyed by the flush's :class:`FlushSignature` —
+``(mode, backend, scatter_width)``, the three coordinates that change a
+flush's cost profile — and the planner
 consults :meth:`FlushHistory.observe` per flush to decide, from
-*measured* per-item stage costs, whether dispatching work to a pool can
-possibly pay for its round-trip (e.g. keep the search fan-out
+*measured* per-item stage costs, whether dispatching work to the lanes
+can possibly pay for its round-trip (e.g. keep the search fan-out
 in-process when the last flushes' searches were sub-millisecond).  Every
 such decision is surfaced by ``QueryPlan.explain()`` with an
 ``observed`` rationale; a cold engine (fewer than
@@ -48,7 +49,7 @@ class FlushSignature:
 
     Two flushes with the same signature are comparable: same pipeline
     (``mode``), same kernels (``backend``), same scatter layout
-    (``scatter_width`` — the lane count, or 1 on a single engine).
+    (``scatter_width`` — the lane count).
     Batch size varies *within* a cell; the per-item normalization in
     :class:`ObservedCosts` absorbs it.
     """
@@ -60,11 +61,10 @@ class FlushSignature:
 
 def signature_of(plan: "QueryPlan") -> FlushSignature:
     """The history cell a planned flush records into / reads from."""
-    shard = plan.shard
     return FlushSignature(
         mode=plan.mode.value,
         backend=plan.backend,
-        scatter_width=shard.num_shards if shard is not None else 1,
+        scatter_width=plan.shard.num_shards if plan.shard is not None else 1,
     )
 
 

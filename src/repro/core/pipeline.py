@@ -43,10 +43,11 @@ Executors are lane *builders*, and there is one way to build them:
 ``split`` cuts a stage's work into payloads — ``select`` /
 ``indexed-search`` chunks of queries, ``refine`` ranges of user rows —
 and each payload goes to the lane carrying the least work so far.
-:class:`LocalExecutor` (one engine) deals over an injected or
-call-scoped pool, else inline; :class:`ShardedExecutor` over the
-engine's worker pool or the alive shard hosts (its ``transport`` is
-swapped by ``ShardedEngine.start_pools`` / ``connect_hosts``).
+:class:`LocalExecutor` (one engine) runs every round inline;
+:class:`ShardedExecutor` deals over the engine's worker pool or the
+alive shard hosts (its ``transport`` is swapped by
+``ShardedEngine.start_pools`` / ``connect_hosts``) — the only owner of
+worker processes.
 
 Pipelines by mode:
 
@@ -950,20 +951,16 @@ class _ExecutorBase:
 
 
 class LocalExecutor(_ExecutorBase):
-    """Drives the pipeline on one engine.
+    """Drives the pipeline on one engine, in this process.
 
     Only the query axis scatters here (the refine is the central
-    derivation): ``select`` rides ``transport`` — the pipe lane over an
-    injected or call-scoped :class:`~repro.serve.pool.PersistentWorkerPool`
-    (see :func:`repro.core.batch.execute_batch`) — and runs inline
-    without one; ``indexed-search`` always runs inline, ledger-free
+    derivation), and only over :data:`INLINE`: ``select`` and
+    ``indexed-search`` run as one inline round, the latter ledger-free
     (the best-first search reads the engine's own page store).
     """
 
-    def __init__(self, engine: "MaxBRSTkNNEngine",
-                 transport: Optional[Transport] = None) -> None:
+    def __init__(self, engine: "MaxBRSTkNNEngine") -> None:
         self.engine = engine
-        self.transport = transport
         self.last_flush_report: Optional[FlushReport] = None
 
     def execute(self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan") -> List[MaxBRSTkNNResult]:
@@ -983,18 +980,9 @@ class LocalExecutor(_ExecutorBase):
         self, stage: Stage, ctx: FlushContext
     ) -> Tuple[int, int, int, int, int, int]:
         engine = self.engine
-        indexed = stage.name == "indexed-search"
-        fan_out = (
-            not indexed
-            and self.transport is not None
-            and len(ctx.require("queries")) > 1
-            and not ctx.require("plan").select_inprocess
-        )
         # Ledger-free indexed chunks take the ENGINE as their context.
-        return self._scatter_queries(
-            stage, ctx, self.transport if fan_out else INLINE,
-            engine.dataset, engine if indexed else engine.user_tree,
-        )
+        context = engine if stage.name == "indexed-search" else engine.user_tree
+        return self._scatter_queries(stage, ctx, INLINE, engine.dataset, context)
 
 
 class ShardedExecutor(_ExecutorBase):

@@ -2,10 +2,10 @@
 
 The middle layer of the typed API.  :class:`QueryOptions` says what the
 caller *wants*; :class:`EngineCapabilities` says what the engine *has*
-(an MIUR-tree? numpy? a ``fork`` start method?); the planner resolves
-the pair into an executable :class:`QueryPlan` — which pipeline runs,
-which kernels score, whether the shared top-k cache applies, and how
-phase 2 fans out — and rejects impossible combinations up front
+(an MIUR-tree? numpy? lanes?); the planner resolves the pair into an
+executable :class:`QueryPlan` — which pipeline runs, which kernels
+score, whether the shared top-k cache applies, and whether phase 2
+leaves the coordinator — and rejects impossible combinations up front
 (``Mode.INDEXED`` without a user tree, ``Backend.NUMPY`` without
 numpy) before any work is done.
 
@@ -17,13 +17,15 @@ the object tree against the MIUR-tree root summary depends only on
 ``(dataset, k)``), so batched indexed queries amortize the same phase
 batched joint queries always did.
 
-Since PR 6 planning is also *adaptive*: callers may pass the engine's
+Planning on a lane engine is also *adaptive*: a
+:class:`~repro.serve.sharded.ShardedEngine` passes its
 :class:`~repro.core.history.FlushHistory`, and the planner consults the
-observed per-item stage costs at the flush's signature before choosing
-a fan-out — measured sub-millisecond work stays in-process (a pool
-round-trip costs more than it saves).  Every such decision is
-a :class:`PlanDecision` on the plan, rendered by ``explain()`` with an
-``observed`` rationale; a cold engine (fewer than
+observed per-item stage costs at the flush's signature before shipping
+the query-axis round over the lanes — measured sub-millisecond work
+stays in-process (a lane round-trip costs more than it saves).  A plain
+engine never leaves its process, so it has no adaptive point.  Every
+such decision is a :class:`PlanDecision` on the plan, rendered by
+``explain()`` with an ``observed`` rationale; a cold engine (fewer than
 ``MIN_OBSERVED_FLUSHES`` flushes recorded at the signature) falls back
 to the static plan and says so.
 
@@ -33,9 +35,8 @@ layer and the CLI surface it for observability.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .config import Method, Mode, QueryOptions
 from .history import FlushHistory, FlushSignature
@@ -66,10 +67,6 @@ MIN_OBSERVED_FLUSHES = 3
 INPROCESS_STAGE_MS = 1.0
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 @dataclass(frozen=True, slots=True)
 class EngineCapabilities:
     """What one engine instance can execute.
@@ -82,7 +79,6 @@ class EngineCapabilities:
 
     has_user_tree: bool
     numpy_available: bool = HAS_NUMPY
-    fork_available: bool = True
     num_users: int = 0
     num_objects: int = 0
     traversal_pool_k: Optional[int] = None
@@ -107,7 +103,6 @@ class EngineCapabilities:
         return cls(
             has_user_tree=engine.user_tree is not None,
             numpy_available=HAS_NUMPY,
-            fork_available=_fork_available(),
             num_users=len(engine.dataset.users),
             num_objects=len(engine.dataset.objects),
             traversal_pool_k=pool.k if pool is not None else None,
@@ -214,16 +209,10 @@ class QueryPlan:
         per-k candidate set (pool-size-independent, so the best-first
         search makes identical decisions under any qualifying walk).
         ``None`` for baseline batches (no group traversal).
-    workers:
-        Resolved phase-2 fan-out width; 1 means in-process.
     shard:
         Scatter/gather layout when the executing engine is sharded
-        (:class:`ShardPlan`); ``None`` for single-engine execution.
-    select_inprocess:
-        Observed decision: keep the local selection stage in-process
-        even though the caller asked for workers (measured per-query
-        selection cost under the pool-dispatch bar); ``workers`` is
-        forced to 1 alongside.
+        (:class:`ShardPlan`); ``None`` for single-engine execution,
+        which runs every phase in-process.
     decisions:
         The :class:`PlanDecision` trail — what the planner chose at
         each adaptive point and whether measured history or the static
@@ -238,10 +227,8 @@ class QueryPlan:
     distinct_ks: Tuple[int, ...]
     shared_topk: bool
     shared_traversal: bool
-    workers: int
     shared_traversal_k: Optional[int] = None
     shard: Optional[ShardPlan] = None
-    select_inprocess: bool = False
     decisions: Tuple[PlanDecision, ...] = ()
 
     # ------------------------------------------------------------------
@@ -332,10 +319,6 @@ class QueryPlan:
                     "  phase 2 (best-first MIUR search): in-process per query "
                     "(charges the engine's page store directly)"
                 )
-        elif self.workers > 1:
-            lines.append(
-                f"  phase 2 (candidate selection): fork pool x{self.workers}"
-            )
         elif lanes:
             lines.append(f"  phase 2 (candidate selection): search lanes x{lanes}")
         else:
@@ -371,129 +354,61 @@ def _consult_history(
     history: FlushHistory,
     options: QueryOptions,
     backend: str,
-    workers: int,
-    shard: Optional[ShardPlan],
-) -> Tuple[int, bool, Optional[ShardPlan], Tuple[PlanDecision, ...]]:
-    """Apply the observed-cost model to the static plan's fan-outs.
+    shard: ShardPlan,
+) -> Tuple[ShardPlan, Tuple[PlanDecision, ...]]:
+    """Apply the observed-cost model to a lane engine's query-axis round.
 
-    Returns ``(workers, select_inprocess, shard, decisions)``.  Each
-    adaptive point emits exactly one :class:`PlanDecision`: ``observed``
-    when the signature has accumulated ``MIN_OBSERVED_FLUSHES`` flushes
-    of history (whether or not the measurement changed the choice),
-    ``static`` while the engine is cold at this signature.
+    Returns ``(shard, decisions)``.  The one adaptive point — the
+    selection / indexed search fan-out over the lanes — emits exactly
+    one :class:`PlanDecision`: ``observed`` when the signature has
+    accumulated ``MIN_OBSERVED_FLUSHES`` flushes of history (whether or
+    not the measurement changed the choice), ``static`` while the engine
+    is cold at this signature.
     """
+    if shard.search_workers <= 0:
+        return shard, ()
     sig = FlushSignature(
-        mode=options.mode.value,
-        backend=backend,
-        scatter_width=shard.num_shards if shard is not None else 1,
+        mode=options.mode.value, backend=backend, scatter_width=shard.num_shards
     )
     obs = history.observe(sig)
-    seasoned = obs is not None and obs.flushes >= MIN_OBSERVED_FLUSHES
-    decisions: List[PlanDecision] = []
-    select_inprocess = False
-
-    def static(name: str, choice: str) -> None:
-        if obs is None:
-            why = (
-                f"no flush history at signature {sig.mode}/{sig.backend}/"
-                f"x{sig.scatter_width} yet (cold engine)"
-            )
-        else:
-            why = (
-                f"only {obs.flushes} flush(es) recorded at this signature "
-                f"(need {MIN_OBSERVED_FLUSHES}) — static plan until seasoned"
-            )
-        decisions.append(
-            PlanDecision(name=name, choice=choice, source="static", rationale=why)
+    stage = "indexed-search" if options.mode is Mode.INDEXED else "select"
+    ms = (
+        obs.per_item_ms(stage)
+        if obs is not None and obs.flushes >= MIN_OBSERVED_FLUSHES
+        else None
+    )
+    fan_out = f"search fan-out x{shard.search_workers}"
+    if ms is not None and ms < INPROCESS_STAGE_MS:
+        shard = replace(shard, search_inprocess=True)
+        decision = PlanDecision(
+            name="search-fanout", choice="in-process", source="observed",
+            rationale=(
+                f"searches averaged {ms:.3f} ms/query over the last "
+                f"{obs.flushes} flushes — under the "
+                f"{INPROCESS_STAGE_MS:.1f} ms/item bar, the search "
+                f"fan-out cannot pay for its dispatch round-trip"
+            ),
         )
-
-    indexed = options.mode is Mode.INDEXED
-    if shard is None:
-        # Local executor: the one adaptive point is the selection /
-        # search fan-out over the query axis.
-        stage = "indexed-search" if indexed else "select"
-        ms = obs.per_item_ms(stage) if seasoned else None
-        if indexed:
-            # Single-engine indexed searches always run in-process (they
-            # charge the engine's own page store); report the measured
-            # cost so the choice is still auditable.
-            if ms is not None:
-                decisions.append(PlanDecision(
-                    name="search-fanout", choice="in-process", source="observed",
-                    rationale=(
-                        f"searches averaged {ms:.3f} ms/query over the last "
-                        f"{obs.flushes} flushes; single-engine indexed "
-                        f"searches charge the engine's page store directly"
-                    ),
-                ))
-            else:
-                static("search-fanout", "in-process")
-        elif ms is not None and ms < INPROCESS_STAGE_MS:
-            choice = "in-process"
-            if workers > 1:
-                workers = 1
-                select_inprocess = True
-            decisions.append(PlanDecision(
-                name="select-fanout", choice=choice, source="observed",
-                rationale=(
-                    f"selection averaged {ms:.3f} ms/query over the last "
-                    f"{obs.flushes} flushes — under the "
-                    f"{INPROCESS_STAGE_MS:.1f} ms/item bar, a fork pool "
-                    f"cannot pay for its dispatch round-trip"
-                ),
-            ))
-        elif ms is not None:
-            choice = f"fork pool x{workers}" if workers > 1 else "in-process"
-            extra = (
-                ""
-                if workers > 1
-                else "; pass QueryOptions(workers=N) to fan out"
-            )
-            decisions.append(PlanDecision(
-                name="select-fanout", choice=choice, source="observed",
-                rationale=(
-                    f"selection averaged {ms:.3f} ms/query over the last "
-                    f"{obs.flushes} flushes — heavy enough that dispatch "
-                    f"pays{extra}"
-                ),
-            ))
-        else:
-            static(
-                "select-fanout",
-                f"fork pool x{workers}" if workers > 1 else "in-process",
-            )
-        return workers, select_inprocess, shard, tuple(decisions)
-
-    # Sharded executor: the one adaptive point is the query-axis
-    # fan-out (joint selection / indexed search) over the search lanes.
-    if shard.search_workers > 0:
-        stage = "indexed-search" if indexed else "select"
-        ms = obs.per_item_ms(stage) if seasoned else None
-        if ms is not None and ms < INPROCESS_STAGE_MS:
-            shard = replace(shard, search_inprocess=True)
-            decisions.append(PlanDecision(
-                name="search-fanout", choice="in-process", source="observed",
-                rationale=(
-                    f"searches averaged {ms:.3f} ms/query over the last "
-                    f"{obs.flushes} flushes — under the "
-                    f"{INPROCESS_STAGE_MS:.1f} ms/item bar, the search "
-                    f"fan-out cannot pay for its dispatch round-trip"
-                ),
-            ))
-        elif ms is not None:
-            decisions.append(PlanDecision(
-                name="search-fanout",
-                choice=f"search fan-out x{shard.search_workers}",
-                source="observed",
-                rationale=(
-                    f"searches averaged {ms:.3f} ms/query over the last "
-                    f"{obs.flushes} flushes — heavy enough that dispatch "
-                    f"pays"
-                ),
-            ))
-        else:
-            static("search-fanout", f"search fan-out x{shard.search_workers}")
-    return workers, select_inprocess, shard, tuple(decisions)
+    elif ms is not None:
+        decision = PlanDecision(
+            name="search-fanout", choice=fan_out, source="observed",
+            rationale=(
+                f"searches averaged {ms:.3f} ms/query over the last "
+                f"{obs.flushes} flushes — heavy enough that dispatch pays"
+            ),
+        )
+    else:
+        why = (
+            f"no flush history at signature {sig.mode}/{sig.backend}/"
+            f"x{sig.scatter_width} yet (cold engine)"
+            if obs is None else
+            f"only {obs.flushes} flush(es) recorded at this signature "
+            f"(need {MIN_OBSERVED_FLUSHES}) — static plan until seasoned"
+        )
+        decision = PlanDecision(
+            name="search-fanout", choice=fan_out, source="static", rationale=why
+        )
+    return shard, (decision,)
 
 
 def plan_query(
@@ -520,7 +435,6 @@ def plan_query(
         distinct_ks=(k,) if k else (),
         shared_topk=False,
         shared_traversal=False,
-        workers=1,
         shard=_shard_plan(caps),
     )
 
@@ -531,30 +445,17 @@ def plan_batch(
     ks: Sequence[int],
     history: Optional[FlushHistory] = None,
 ) -> QueryPlan:
-    """Plan a batch: share phase 1 per distinct k, fan out phase 2.
+    """Plan a batch: share phase 1 per distinct k.
 
     ``ks`` are the queries' ``k`` values (one per query, duplicates
-    expected).  Indexed batches share the root traversal but keep the
-    best-first search in-process — its MIUR-tree page reads must hit
-    the engine's page store, which a forked worker could not report
-    back.  With ``history``, observed per-item costs at the flush's
-    signature may pull planned fan-outs back in-process (see
-    :func:`_consult_history`); the decision trail lands on
-    ``QueryPlan.decisions``.
+    expected).  Phase 2 leaves the process only over a lane engine's
+    lanes (``caps.num_shards > 1``); with ``history``, observed
+    per-item costs at the flush's signature may pull that round back
+    in-process (see :func:`_consult_history`); the decision trail lands
+    on ``QueryPlan.decisions``.
     """
     backend = _validate(options, caps)
     indexed = options.mode is Mode.INDEXED
-    fan_out = (
-        options.workers > 1
-        and len(ks) > 1
-        and not indexed
-        and caps.fork_available
-        # Sharded engines get their parallelism from their lanes
-        # (ShardedEngine.start_pools / connect_hosts), never from
-        # QueryOptions.workers — plan workers=1 so explain() stays
-        # truthful about what will execute.
-        and caps.num_shards == 1
-    )
     distinct_ks = tuple(sorted(set(ks)))
     # Both group-traversal modes run one tree walk at k_max and reuse
     # its pool for every smaller k (joint since PR 3; indexed since the
@@ -571,13 +472,9 @@ def plan_batch(
     else:
         shared_traversal_k = None
     shard = _shard_plan(caps)
-    workers = options.workers if fan_out else 1
-    select_inprocess = False
     decisions: Tuple[PlanDecision, ...] = ()
-    if history is not None:
-        workers, select_inprocess, shard, decisions = _consult_history(
-            history, options, backend, workers, shard
-        )
+    if history is not None and shard is not None:
+        shard, decisions = _consult_history(history, options, backend, shard)
     return QueryPlan(
         mode=options.mode,
         method=options.method,
@@ -586,9 +483,7 @@ def plan_batch(
         distinct_ks=distinct_ks,
         shared_topk=not indexed,
         shared_traversal=indexed,
-        workers=workers,
         shared_traversal_k=shared_traversal_k,
         shard=shard,
-        select_inprocess=select_inprocess,
         decisions=decisions,
     )

@@ -4,11 +4,11 @@ The top layer of the typed API (see ``repro/core/config.py`` and
 ``repro/core/planner.py`` for the two below):
 
 * :class:`ServerConfig` — micro-batch window (``max_batch`` /
-  ``max_wait_ms``), persistent pool size, and the
+  ``max_wait_ms``), workers per lane, and the
   :class:`~repro.core.config.QueryOptions` every request runs with;
 * :class:`PersistentWorkerPool` — fork-once worker pool whose workers
-  inherit the dataset (and pre-built ``DatasetArrays``) at startup,
-  amortizing the fork that ``query_batch(workers=N)`` pays per call;
+  inherit the dataset (and pre-built ``DatasetArrays``) at startup —
+  the lanes of a :class:`ShardedEngine`;
 * :class:`MaxBRSTkNNServer` — asyncio front-end: ``await
   server.submit(query)`` futures are collected into micro-batches
   (flush on ``max_batch`` or ``max_wait_ms``; ``max_wait_ms="auto"``
@@ -17,8 +17,9 @@ The top layer of the typed API (see ``repro/core/config.py`` and
   coordinating;
 * :class:`ShardedEngine` — one engine dealing each flush over N
   full-dataset lanes (fork workers or shard hosts) with an exact
-  scatter/gather merge; the server takes either engine type
-  unchanged (``make_engine`` picks by ``EngineConfig.num_shards``).
+  scatter/gather merge, and the only owner of worker processes; the
+  server takes either engine type unchanged (``make_engine`` picks by
+  ``EngineConfig.num_shards``).
 
 >>> async with MaxBRSTkNNServer(engine) as server:
 ...     results = await asyncio.gather(*(server.submit(q) for q in qs))

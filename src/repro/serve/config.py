@@ -173,11 +173,11 @@ class ServerConfig:
         Upper clamp (latency budget) for the adaptive window; only read
         when ``max_wait_ms="auto"``.
     pool_workers:
-        Size of the persistent fork pool answering selection; ``0``
-        (default) runs phase 2 in-process — right for CPU-starved
-        hosts; the pool pays off once real cores are available.  For a
-        :class:`~repro.serve.sharded.ShardedEngine` this is the
-        *per-lane* worker count (the engine owns the pool).
+        Fork workers per lane of a
+        :class:`~repro.serve.sharded.ShardedEngine` (the server calls
+        its ``start_pools``); ``0`` (default) runs every round
+        in-process — right for CPU-starved hosts.  A plain engine has
+        no lanes: the server refuses it with ``pool_workers > 0``.
     options:
         The :class:`QueryOptions` every submitted query is answered
         with (one server = one contract; run several servers for mixed

@@ -4,13 +4,11 @@ A serving layer answers many batches over one immutable dataset, so the
 pool forks **once**: workers inherit the dataset and the pre-built
 :class:`~repro.core.kernels.DatasetArrays` (built *before* the fork so
 the arrays live in shared copy-on-write pages), and each round ships
-only small per-chunk payloads through the pool's queues.
-``QueryOptions(workers=N)`` without an injected pool opens one scoped
-to the call (:func:`repro.core.batch.execute_batch`) — the same
-supervised lane, paying the fork per batch.
+only small per-chunk payloads through the pool's queues.  The one
+owner of such a pool is :meth:`repro.serve.sharded.ShardedEngine.start_pools`.
 
 Workers can also carry an optional **context** object inherited the
-same way — the sharded engine's pool registers the MIUR-tree here so
+same way — the engine registers the MIUR-tree here so
 ``indexed_search`` payloads
 (:func:`repro.core.pipeline.execute_shard_payload`) can run the
 best-first search in-worker against read-only ledger stores.
@@ -35,8 +33,7 @@ hands out raw async results on the serving path; rounds flow through
   :class:`~repro.core.pipeline.ScatterFailure`, on which
   :func:`~repro.core.pipeline.run_round` degrades the lane in-process.
 
-:class:`PoolTransport` adapts one pool (a sharded engine's, or a single
-engine's selection pool) to ``run_round``'s
+:class:`PoolTransport` adapts the sharded engine's pool to ``run_round``'s
 :class:`~repro.core.pipeline.Transport` protocol.
 
 Health is typed and observable: :class:`PoolHealth` carries the

@@ -10,7 +10,7 @@ caller on a future, a single flusher task collects everything pending
 has elapsed since the batch opened, whichever comes first), executes
 the micro-batch through ``engine.query_batch`` in a worker thread, and
 resolves the futures.  Concurrent callers therefore share the top-k
-phase — and the persistent fork pool, if configured — without knowing
+phase — and a sharded engine's lanes, if configured — without knowing
 about each other.
 
 Results are identical to sequential ``engine.query`` calls (that is
@@ -32,7 +32,7 @@ from ..core.pipeline import ScatterFailure
 from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
 from .config import AdaptiveWaitController, ServerConfig, ServerStats
 from .errors import ServerOverloaded, ServerStopped
-from .pool import PersistentWorkerPool
+from .sharded import ShardedEngine
 
 __all__ = ["MaxBRSTkNNServer"]
 
@@ -54,9 +54,11 @@ class MaxBRSTkNNServer:
 
     The engine may be a plain :class:`MaxBRSTkNNEngine` or a
     :class:`~repro.serve.sharded.ShardedEngine` — the submit/flush path
-    is identical; only worker-pool ownership differs (a sharded engine
-    declares ``manages_own_pools`` and the server starts *its* worker
-    pool instead of wrapping it in a selection pool).
+    is identical.  Worker processes belong to the sharded engine's
+    lanes: ``config.pool_workers > 0`` starts them
+    (:meth:`ShardedEngine.start_pools`, that many workers per lane) and
+    is refused with a ``ValueError`` for a plain engine, which always
+    answers in-process.
     """
 
     def __init__(
@@ -64,12 +66,18 @@ class MaxBRSTkNNServer:
     ) -> None:
         self.engine = engine
         self.config = config if config is not None else ServerConfig()
+        if self.config.pool_workers > 0 and not isinstance(engine, ShardedEngine):
+            raise ValueError(
+                f"pool_workers={self.config.pool_workers} needs worker lanes, "
+                f"which a {type(engine).__name__} does not have: build the "
+                "engine with make_engine(..., EngineConfig(num_shards=N)), or "
+                "serve it in-process with pool_workers=0"
+            )
         self.stats = ServerStats()
         self._pending: Deque[_PendingItem] = deque()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wakeup: Optional[asyncio.Event] = None
         self._flusher: Optional["asyncio.Task[None]"] = None
-        self._pool: Optional[PersistentWorkerPool] = None
         self._wait: Optional[AdaptiveWaitController] = (
             self.config.make_wait_controller() if self.config.adaptive else None
         )
@@ -79,7 +87,6 @@ class MaxBRSTkNNServer:
         self._cache: Optional[ResultCache] = (
             ResultCache(self.config.cache) if self.config.cache is not None else None
         )
-        self._engine_pools_started = False
         self._stopping = False
         self._started = False
         #: Set when pool startup failed and serving continues degraded
@@ -94,12 +101,12 @@ class MaxBRSTkNNServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "MaxBRSTkNNServer":
-        """Start the flusher task (and the persistent pool, if sized).
+        """Start the flusher task (and the engine's lanes, if sized).
 
         When the numpy backend will serve, both kernel caches are built
         eagerly here — the :class:`~repro.core.kernels.DatasetArrays`
         *and* the :class:`~repro.core.kernels.TreeArrays` of the object
-        tree — so the first query pays no build cost and pool workers
+        tree — so the first query pays no build cost and lane workers
         fork *after* the arrays exist, inheriting them through
         copy-on-write instead of rebuilding per process.
         """
@@ -115,33 +122,17 @@ class MaxBRSTkNNServer:
         if self.config.pool_workers > 0:
             cfg = self.config
             try:
-                if self.engine.manages_own_pools:
-                    # Sharded engines scatter to their own pool;
-                    # pool_workers sizes it per lane.  A failed start
-                    # reaps its own partial state before raising.
-                    self.engine.start_pools(
-                        cfg.pool_workers,
-                        retry=cfg.retry, deadline=cfg.deadline,
-                        faults=cfg.faults,
-                    )
-                    self._engine_pools_started = True
-                else:
-                    # Materialize the zero-copy arena (config.use_shm)
-                    # before forking so workers inherit the shm-backed
-                    # views and can re-attach it by name after respawn.
-                    arena = self.engine.ensure_arena()
-                    self._pool = PersistentWorkerPool(
-                        self.engine.dataset, cfg.pool_workers,
-                        retry=cfg.retry, deadline=cfg.deadline,
-                        faults=cfg.faults,
-                        arena_name=arena.name if arena is not None else None,
-                    )
+                # pool_workers sizes the engine's pool per lane.  A
+                # failed start reaps its own partial state before raising.
+                self.engine.start_pools(
+                    cfg.pool_workers,
+                    retry=cfg.retry, deadline=cfg.deadline, faults=cfg.faults,
+                )
             except Exception as exc:  # noqa: BLE001 - degrade, keep serving
                 # Graceful degradation: no pools means in-process
                 # sequential execution — identical results, only
                 # latency degrades.  Refusing to serve would turn a
                 # capacity problem into an outage.
-                self._pool = None
                 self._pools_unavailable = True
                 warnings.warn(
                     f"worker pools unavailable ({exc!r}); serving "
@@ -186,23 +177,18 @@ class MaxBRSTkNNServer:
                     f"server stopped before this query was flushed{detail}"
                 ))
         self._sync_fault_counters()
-        # Bounded shutdown: a pool worker killed or hung mid-task must
-        # not stall stop() forever (config.shutdown_timeout_s; None
-        # waits unbounded).
-        timeout_s = self.config.shutdown_timeout_s
-        if self._pool is not None:
-            # Blocking the loop is intended here: the flusher has
-            # drained, no queries are in flight, and the close is
-            # bounded by shutdown_timeout_s.
-            self._pool.close(timeout_s=timeout_s)  # repro: noqa[AB402]
-            self._pool = None
-        if self._engine_pools_started:
-            # Same bounded-drain argument as above.
-            self.engine.close_pools(timeout_s=timeout_s)  # repro: noqa[AB402]
-            self._engine_pools_started = False
-        # Unlink the arena after the workers are gone (sharded engines
-        # already did this inside close_pools; close_arena is
-        # idempotent) — a stopped server leaves /dev/shm clean.
+        if self.config.pool_workers > 0:
+            # Bounded shutdown: a pool worker killed or hung mid-task
+            # must not stall stop() forever (config.shutdown_timeout_s;
+            # None waits unbounded).  Blocking the loop is intended: the
+            # flusher has drained and no queries are in flight.
+            # close_pools is idempotent, so a failed start is fine too.
+            self.engine.close_pools(  # repro: noqa[AB402]
+                timeout_s=self.config.shutdown_timeout_s
+            )
+        # Unlink the arena after the workers are gone (close_pools
+        # already did; close_arena is idempotent) — a stopped server
+        # leaves /dev/shm clean.
         close_arena = getattr(self.engine, "close_arena", None)
         if callable(close_arena):
             close_arena()
@@ -276,38 +262,27 @@ class MaxBRSTkNNServer:
         pool_health = getattr(self.engine, "pool_health", None)
         if callable(pool_health):
             snap["pool_health"] = pool_health()
-        elif self._pool is not None:
-            snap["pool_health"] = [
-                {"pool": "selection", **self._pool.health.snapshot()}
-            ]
         return snap
 
     def _sync_fault_counters(self) -> None:
         """Mirror pool-level fault totals onto ``ServerStats``.
 
-        Pools own the ground truth (their counters survive respawns and
-        banking on close); the server copies the totals so one
-        ``stats.snapshot()`` tells the whole recovery story.
+        The engine's pools own the ground truth (their counters survive
+        respawns and banking on close); the server copies the totals so
+        one ``stats.snapshot()`` tells the whole recovery story.
         """
-        respawns = deaths = deadlines = retries = 0
         engine_counters = getattr(self.engine, "fault_counters", None)
-        if callable(engine_counters):
-            totals = engine_counters()
-            respawns += totals.get("respawns", 0)
-            deaths += totals.get("worker_deaths", 0)
-            deadlines += totals.get("deadline_hits", 0)
-            retries += totals.get("retries", 0)
-        if self._pool is not None:
-            health = self._pool.health
-            respawns += health.respawns
-            deaths += health.worker_deaths
-            deadlines += health.deadline_hits
-            retries += health.retries
-        self.stats.pool_respawns = max(self.stats.pool_respawns, respawns)
-        self.stats.worker_deaths = max(self.stats.worker_deaths, deaths)
-        self.stats.deadline_hits = max(self.stats.deadline_hits, deadlines)
-        self.stats.flush_retries = max(
-            self.stats.flush_retries, retries + self._rescue_retries
+        totals = engine_counters() if callable(engine_counters) else {}
+        stats = self.stats
+        stats.pool_respawns = max(stats.pool_respawns, totals.get("respawns", 0))
+        stats.worker_deaths = max(
+            stats.worker_deaths, totals.get("worker_deaths", 0)
+        )
+        stats.deadline_hits = max(
+            stats.deadline_hits, totals.get("deadline_hits", 0)
+        )
+        stats.flush_retries = max(
+            stats.flush_retries, totals.get("retries", 0) + self._rescue_retries
         )
 
     def _account_flush_faults(self, error: Optional[Exception]) -> None:
@@ -458,10 +433,7 @@ class MaxBRSTkNNServer:
         error: Optional[Exception] = None
         if misses:
             run = partial(
-                self.engine.query_batch,
-                [queries[i] for i in misses],
-                options,
-                pool=self._pool,
+                self.engine.query_batch, [queries[i] for i in misses], options
             )
             try:
                 try:

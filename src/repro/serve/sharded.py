@@ -55,8 +55,10 @@ workers that inherit the dataset and its pre-built ``DatasetArrays``
 (and, when the engine indexes users, the MIUR-tree as worker context)
 through copy-on-write.  A cold micro-batch fans out twice over it
 (refine, then select) and a warm one once, which is what the
-:class:`~repro.serve.server.MaxBRSTkNNServer` flush path rides: the
-server detects ``manages_own_pools`` and leaves pool ownership here.
+:class:`~repro.serve.server.MaxBRSTkNNServer` flush path rides:
+``ServerConfig.pool_workers`` sizes this pool per lane.  These lanes are
+the only worker processes a query ever reaches; a plain
+:class:`MaxBRSTkNNEngine` answers in-process.
 """
 
 from __future__ import annotations
@@ -132,10 +134,6 @@ class ShardedEngine:
         flushes are central + search fan-out).
     """
 
-    #: The serving layer must not wrap this engine in its own worker
-    #: pool — scatter parallelism is owned here.
-    manages_own_pools = True
-
     def __init__(self, dataset: Dataset, config: Optional[EngineConfig] = None) -> None:
         config = config if config is not None else EngineConfig()
         if not isinstance(config, EngineConfig):
@@ -181,8 +179,9 @@ class ShardedEngine:
         self._search_s = 0.0
         self._search_flushes = 0
         self._executor = ShardedExecutor(self)
-        #: Observed-cost feedback for the planner (same contract as the
-        #: single engine's ``flush_history``); survives
+        #: Observed-cost feedback for the planner: ring buffers of
+        #: executed-flush accounting per (mode, backend, lane count)
+        #: signature (:mod:`repro.core.history`).  Survives
         #: :meth:`clear_topk_cache` — it holds timings, never answers.
         self.flush_history = FlushHistory()
 
@@ -471,11 +470,7 @@ class ShardedEngine:
     def query(
         self,
         query: MaxBRSTkNNQuery,
-        options: Union[QueryOptions, str, None] = None,
-        *,
-        method: Optional[str] = None,
-        mode: Optional[str] = None,
-        backend: Optional[str] = None,
+        options: Optional[QueryOptions] = None,
     ) -> MaxBRSTkNNResult:
         """Answer one query (executed as a scatter/gather batch of one).
 
@@ -485,10 +480,7 @@ class ShardedEngine:
         guarantee; PR 5 extended it to the indexed node-RSk), so
         results still match sequential queries exactly.
         """
-        opts = coerce_options(
-            options, method=method, mode=mode, backend=backend,
-            api="ShardedEngine.query",
-        )
+        opts = coerce_options(options, api="ShardedEngine.query")
         # Plan as a batch of one directly (not plan_query): a 1-shard
         # ShardedEngine is indistinguishable from a single engine in
         # the capabilities, but execution always needs the shared-pool
@@ -502,35 +494,11 @@ class ShardedEngine:
     def query_batch(
         self,
         queries: Sequence[MaxBRSTkNNQuery],
-        options: Union[QueryOptions, str, None] = None,
-        *,
-        method: Optional[str] = None,
-        mode: Optional[str] = None,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        pool=None,
+        options: Optional[QueryOptions] = None,
     ) -> List[MaxBRSTkNNResult]:
-        """Answer a batch: one shared walk, one scatter round per phase.
-
-        ``QueryOptions.workers`` does not apply here — parallelism
-        comes from the lanes (:meth:`start_pools` /
-        :meth:`connect_hosts`); the planner resolves sharded plans to
-        ``workers=1`` so ``explain()`` reflects that.
-        """
-        if pool is not None:
-            raise TypeError(
-                "ShardedEngine owns its worker pool (start_pools()); "
-                "an external selection pool cannot be injected"
-            )
-        opts = coerce_options(
-            options, method=method, mode=mode, backend=backend, workers=workers,
-            api="ShardedEngine.query_batch",
-        )
-        if opts.workers != 1:
-            # The lanes are the only parallelism here; drop
-            # the fork fan-out request before planning so the plan (and
-            # explain()) never claims a pool this engine will not run.
-            opts = opts.with_(workers=1)
+        """Answer a batch: one shared walk, one scatter round per phase
+        over the lanes (:meth:`start_pools` / :meth:`connect_hosts`)."""
+        opts = coerce_options(options, api="ShardedEngine.query_batch")
         queries = list(queries)
         if not queries:
             return []

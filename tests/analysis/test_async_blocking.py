@@ -49,12 +49,12 @@ class TestAsyncBlockingCleanCode:
         )
 
     def test_shipped_server_reports_only_suppressed(self):
-        # The real server's stop() carries two documented AB402
-        # suppressions; nothing else in serve/ may fire.
+        # The real server's stop() carries one documented AB402
+        # suppression (the bounded close_pools); nothing else may fire.
         import repro.serve.server as server_mod
 
         from repro.analysis import run_paths
 
         report = run_paths([server_mod.__file__], [AsyncBlockingChecker()])
         assert report.findings == []
-        assert report.suppressed == 2
+        assert report.suppressed == 1

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro.core.config import QueryOptions
 from repro.core.kernels import HAS_NUMPY
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
@@ -46,7 +47,7 @@ def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM
 def test_modes_agree_on_optimal_cardinality(seed, k, alpha):
     engine, query = build_case(seed, k=k, alpha=alpha)
     results = {
-        mode: engine.query(query, method="exact", mode=mode)
+        mode: engine.query(query, QueryOptions(method="exact", mode=mode))
         for mode in ("joint", "baseline", "indexed")
     }
     cards = {mode: r.cardinality for mode, r in results.items()}
@@ -63,7 +64,7 @@ def test_modes_agree_on_optimal_cardinality(seed, k, alpha):
 def test_modes_agree_across_vocab_sizes(seed, vocab):
     engine, query = build_case(seed + 100, vocab=vocab)
     cards = {
-        mode: engine.query(query, method="exact", mode=mode).cardinality
+        mode: engine.query(query, QueryOptions(method="exact", mode=mode)).cardinality
         for mode in ("joint", "baseline", "indexed")
     }
     assert len(set(cards.values())) == 1, cards
@@ -80,8 +81,8 @@ def test_modes_agree_across_vocab_sizes(seed, vocab):
 ])
 def test_numpy_backend_identical_results(seed, measure, mode, method):
     engine, query = build_case(seed, measure=measure)
-    py = engine.query(query, method=method, mode=mode, backend="python")
-    np_ = engine.query(query, method=method, mode=mode, backend="numpy")
+    py = engine.query(query, QueryOptions(method=method, mode=mode, backend="python"))
+    np_ = engine.query(query, QueryOptions(method=method, mode=mode, backend="numpy"))
     assert py.location == np_.location
     assert py.keywords == np_.keywords
     assert py.brstknn == np_.brstknn
@@ -97,8 +98,8 @@ def test_numpy_backend_identical_across_k_and_alpha(alpha, k):
     """Parametrized over k and alpha, including the pure-spatial and
     pure-textual corners where scores tie heavily."""
     engine, query = build_case(42, alpha=alpha, k=k)
-    py = engine.query(query, method="approx", mode="joint", backend="python")
-    np_ = engine.query(query, method="approx", mode="joint", backend="numpy")
+    py = engine.query(query, QueryOptions(method="approx", mode="joint", backend="python"))
+    np_ = engine.query(query, QueryOptions(method="approx", mode="joint", backend="numpy"))
     assert (py.location, py.keywords, py.brstknn) == (
         np_.location,
         np_.keywords,
@@ -127,8 +128,8 @@ def test_indexed_search_late_users_identical_result_and_stats(seed, measure):
         ws=2,
         k=3,
     )
-    py = engine.query(query, method="approx", mode="indexed", backend="python")
-    np_ = engine.query(query, method="approx", mode="indexed", backend="numpy")
+    py = engine.query(query, QueryOptions(method="approx", mode="indexed", backend="python"))
+    np_ = engine.query(query, QueryOptions(method="approx", mode="indexed", backend="numpy"))
     assert (py.location, py.keywords, py.brstknn) == (
         np_.location, np_.keywords, np_.brstknn,
     )

@@ -11,11 +11,12 @@ query in the batch and equal to the sequential ``k_max`` trace.  Only
 wall-clock timings may differ beyond that.
 """
 
+import multiprocessing
 import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions
 from repro.core.kernels import HAS_NUMPY
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
@@ -79,8 +80,8 @@ def assert_selection_stats_equal(a, b):
 def test_batch_equals_sequential(backend, mode):
     engine, rng, vocab = build_engine()
     queries = make_queries(rng, vocab, 6, ks=(3, 5))  # mixed k values
-    sequential = [engine.query(q, mode=mode, backend="python") for q in queries]
-    batched = engine.query_batch(queries, mode=mode, backend=backend)
+    sequential = [engine.query(q, QueryOptions(mode=mode, backend="python")) for q in queries]
+    batched = engine.query_batch(queries, QueryOptions(mode=mode, backend=backend))
     assert len(batched) == len(sequential)
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
@@ -106,9 +107,9 @@ def test_batch_equals_sequential_indexed(backend):
     engine, rng, vocab = build_engine(index_users=True)
     queries = make_queries(rng, vocab, 3)
     sequential = [
-        engine.query(q, mode="indexed", backend="python") for q in queries
+        engine.query(q, QueryOptions(mode="indexed", backend="python")) for q in queries
     ]
-    batched = engine.query_batch(queries, mode="indexed", backend=backend)
+    batched = engine.query_batch(queries, QueryOptions(mode="indexed", backend=backend))
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
         assert_stats_equal(solo.stats, bat.stats)
@@ -122,13 +123,13 @@ def test_empty_batch():
 def test_duplicate_queries_get_identical_results():
     engine, rng, vocab = build_engine(seed=5)
     query = make_queries(rng, vocab, 1)[0]
-    batched = engine.query_batch([query, query, query], backend="python")
+    batched = engine.query_batch([query, query, query], QueryOptions(backend="python"))
     assert len(batched) == 3
     for other in batched[1:]:
         assert_result_equal(batched[0], other)
         assert_stats_equal(batched[0].stats, other.stats)
     # ...and they match a sequential call too.
-    solo = engine.query(query, backend="python")
+    solo = engine.query(query, QueryOptions(backend="python"))
     assert_result_equal(solo, batched[0])
 
 
@@ -181,7 +182,7 @@ def test_mixed_k_batch_refines_the_pool_once(backend, monkeypatch):
 
     monkeypatch.setattr(batch, "individual_topk", spy)
     engine, rng, vocab = build_engine(seed=7)
-    engine.query_batch(make_queries(rng, vocab, 6, ks=(2, 4, 3)), backend=backend)
+    engine.query_batch(make_queries(rng, vocab, 6, ks=(2, 4, 3)), QueryOptions(backend=backend))
     pool = engine._traversal_pool
     assert refined_at == [4] and set(pool.by_k) == {2, 3, 4}
     for k, entry in pool.by_k.items():
@@ -189,9 +190,9 @@ def test_mixed_k_batch_refines_the_pool_once(backend, monkeypatch):
         assert entry.rsk == {uid: res.kth_score for uid, res in dedicated.items()}
     # A smaller new k reads the same lists; a larger one re-walks and
     # refines the new pool, once.
-    engine.query_batch(make_queries(rng, vocab, 1, ks=(1,)), backend=backend)
+    engine.query_batch(make_queries(rng, vocab, 1, ks=(1,)), QueryOptions(backend=backend))
     assert refined_at == [4]
-    engine.query_batch(make_queries(rng, vocab, 2, ks=(6, 2)), backend=backend)
+    engine.query_batch(make_queries(rng, vocab, 2, ks=(6, 2)), QueryOptions(backend=backend))
     assert refined_at == [4, 6]
 
 
@@ -230,11 +231,11 @@ def test_warm_pool_plan_and_stats_name_the_walk_actually_used():
 def test_baseline_shared_topk_cache_reused_across_batches():
     engine, rng, vocab = build_engine(seed=7)
     queries = make_queries(rng, vocab, 4, ks=(2, 4))
-    engine.query_batch(queries, mode="baseline")
+    engine.query_batch(queries, QueryOptions(mode="baseline"))
     cache = engine._shared_topk_cache
     assert set(cache) == {("baseline", 2), ("baseline", 4)}
     hits = {key: entry.hits for key, entry in cache.items()}
-    engine.query_batch(queries, mode="baseline")  # no phase-1 recompute
+    engine.query_batch(queries, QueryOptions(mode="baseline"))  # no phase-1 recompute
     assert set(cache) == {("baseline", 2), ("baseline", 4)}
     for key, entry in cache.items():
         assert entry.hits == hits[key] + 2
@@ -242,31 +243,68 @@ def test_baseline_shared_topk_cache_reused_across_batches():
     assert engine._shared_topk_cache == {}
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker lanes require the fork start method",
+)
 def test_batch_workers_match_inprocess():
-    import multiprocessing
+    """Fanning a batch out over worker processes is a 2-lane
+    ShardedEngine with its pool started: same answers and selection
+    counters as the plain engine in-process, a byte-accounted select
+    round over both lanes, and no worker left once the engine closes."""
+    from repro import EngineConfig
+    from repro.serve import make_engine
 
     children_before = set(multiprocessing.active_children())
     engine, rng, vocab = build_engine(seed=9)
     queries = make_queries(rng, vocab, 5)
-    inprocess = engine.query_batch(queries, workers=1)
-    fanned = engine.query_batch(queries, workers=2)
+    options = QueryOptions(backend="python")
+    inprocess = engine.query_batch(queries, options)
+    with make_engine(engine.dataset, EngineConfig(fanout=4, num_shards=2)) as lanes:
+        lanes.start_pools(1)
+        fanned = lanes.query_batch(queries, options)
+        select = lanes.last_flush_report.stage("select")
     for a, b in zip(inprocess, fanned):
         assert_result_equal(a, b)
-        assert_stats_equal(a.stats, b.stats)
-    # workers=2 rode the supervised pipe lane over a pool scoped to the
-    # call: the round was byte-accounted, and the pool is gone.
-    select = engine.last_flush_report.stage("select")
+        assert_selection_stats_equal(a.stats, b.stats)
     assert select.scatter_width == 2
     assert select.payload_bytes_out > 0 and select.payload_bytes_in > 0
     assert (select.retries, select.degraded) == (0, 0)
     assert set(multiprocessing.active_children()) <= children_before
 
 
+def test_plain_engine_batch_never_forks(monkeypatch):
+    """Worker processes belong to a ShardedEngine's lanes: a plain
+    engine answers a mixed-k batch without starting one, and its plan
+    names no pool."""
+    import multiprocessing
+    from multiprocessing.process import BaseProcess
+
+    def refuse_start(self):
+        raise AssertionError(f"plain engine started a process: {self!r}")
+
+    engine, rng, vocab = build_engine(seed=9)
+    queries = make_queries(rng, vocab, 8, ks=(2, 3, 5))
+    options = QueryOptions(backend="python")
+    monkeypatch.setattr(BaseProcess, "start", refuse_start)
+    batched = engine.query_batch(queries, options)
+    assert multiprocessing.active_children() == []
+    sequential = [engine.query(q, options) for q in queries]
+    for a, b in zip(batched, sequential):
+        assert_result_equal(a, b)
+        assert_selection_stats_equal(a.stats, b.stats)
+    select = engine.last_flush_report.stage("select")
+    assert (select.scatter_width, select.payload_bytes_out) == (1, 0)
+    text = engine.plan(options, ks=[q.k for q in queries]).explain()
+    assert "pool x" not in text and "lane" not in text
+    assert "phase 2 (candidate selection): in-process" in text
+
+
 def test_batch_rejects_unknown_mode():
     engine, rng, vocab = build_engine()
     queries = make_queries(rng, vocab, 1)
     with pytest.raises(ValueError):
-        engine.query_batch(queries, mode="warp")
+        engine.query_batch(queries, QueryOptions(mode="warp"))
 
 
 def test_indexed_batch_shares_one_kmax_root_traversal():
@@ -375,9 +413,9 @@ def test_batch_method_exact_matches_sequential():
     engine, rng, vocab = build_engine(seed=11)
     queries = make_queries(rng, vocab, 3)
     sequential = [
-        engine.query(q, method="exact", backend="python") for q in queries
+        engine.query(q, QueryOptions(method="exact", backend="python")) for q in queries
     ]
-    batched = engine.query_batch(queries, method="exact", backend="numpy")
+    batched = engine.query_batch(queries, QueryOptions(method="exact", backend="numpy"))
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
         assert_stats_equal(solo.stats, bat.stats)

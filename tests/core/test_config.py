@@ -45,7 +45,6 @@ class TestQueryOptions:
         assert opts.method is Method.APPROX
         assert opts.mode is Mode.JOINT
         assert opts.backend is Backend.AUTO
-        assert opts.workers == 1
 
     def test_strings_coerce_in_constructor(self):
         opts = QueryOptions(method="exact", mode="baseline", backend="python")
@@ -61,21 +60,21 @@ class TestQueryOptions:
         with pytest.raises(ValueError):
             QueryOptions(backend="cuda")
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
-    def test_invalid_workers_rejected(self, workers):
-        with pytest.raises(ValueError):
-            QueryOptions(workers=workers)
+    def test_workers_is_not_an_option(self):
+        # Parallelism belongs to a ShardedEngine's lanes, not to a query.
+        with pytest.raises(TypeError):
+            QueryOptions(workers=2)
 
     def test_frozen(self):
         opts = QueryOptions()
         with pytest.raises(AttributeError):
-            opts.workers = 4
+            opts.method = Method.EXACT
 
     def test_with_(self):
-        opts = QueryOptions().with_(method="exact", workers=3)
+        opts = QueryOptions().with_(method="exact", backend="python")
         assert opts.method is Method.EXACT
-        assert opts.workers == 3
-        assert QueryOptions().workers == 1  # original untouched
+        assert opts.backend is Backend.PYTHON
+        assert QueryOptions().method is Method.APPROX  # original untouched
 
     def test_shared_default_is_auto_backend(self):
         """Regression: query defaulted "python", query_batch None.
@@ -207,19 +206,67 @@ class TestCoerceOptions:
         opts = QueryOptions(method="exact")
         assert coerce_options(opts) is opts
 
+    @pytest.mark.parametrize("value", [42, "exact", {"method": "exact"}])
+    def test_wrong_type_rejected(self, value):
+        with pytest.raises(TypeError, match="must be a QueryOptions"):
+            coerce_options(value)
+
     def test_options_plus_legacy_rejected(self):
         with pytest.raises(TypeError):
             coerce_options(QueryOptions(), backend="python")
 
-    def test_wrong_type_rejected(self):
-        with pytest.raises(TypeError):
-            coerce_options(42)
-
-    def test_legacy_positional_method_string(self):
-        with pytest.warns(DeprecationWarning):
-            opts = coerce_options("exact")
-        assert opts.method is Method.EXACT
-
     def test_positional_string_plus_method_kwarg_rejected(self):
         with pytest.raises(TypeError):
             coerce_options("exact", method="approx")
+
+    @staticmethod
+    def _engine_and_query(dataset, sharded):
+        from repro.core.query import MaxBRSTkNNQuery
+        from repro.model.objects import STObject
+        from repro.serve import make_engine
+        from repro.spatial.geometry import Point
+
+        engine = make_engine(dataset, EngineConfig(num_shards=2 if sharded else 1))
+        query = MaxBRSTkNNQuery(
+            ox=STObject(item_id=-1, location=Point(1.0, 1.0), terms={}),
+            locations=[Point(2.0, 2.0), Point(5.0, 5.0)],
+            keywords=[0, 1, 2],
+            ws=1,
+            k=2,
+        )
+        return engine, query
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            pytest.param(("exact",), id="positional-method-string"),
+            *(
+                pytest.param({kwarg: None}, id=f"{kwarg}-kwarg")
+                for kwarg in ("method", "mode", "backend", "workers", "pool")
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["query", "query_batch"])
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_query_entry_points_take_only_query_options(
+        self, tiny_dataset, sharded, entry, legacy
+    ):
+        """The string-kwarg API is gone on both engines: a positional
+        method string is a TypeError, and loose kwargs are unknown
+        arguments."""
+        engine, query = self._engine_and_query(tiny_dataset, sharded)
+        call = getattr(engine, entry)
+        arg = query if entry == "query" else [query]
+        with pytest.raises(TypeError):
+            if isinstance(legacy, tuple):
+                call(arg, *legacy)
+            else:
+                call(arg, **legacy)
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_query_options_answer_positionally(self, tiny_dataset, sharded):
+        engine, query = self._engine_and_query(tiny_dataset, sharded)
+        exact = QueryOptions(method="exact")
+        assert engine.query(query, exact).location == engine.query_batch(
+            [query], exact
+        )[0].location

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro.core.config import QueryOptions
 from repro.core.joint_topk import joint_topk
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject, User
@@ -69,7 +70,7 @@ class TestDegenerateText:
             ws=0,
             k=3,
         )
-        res = engine.query(q, method="exact")
+        res = engine.query(q, QueryOptions(method="exact"))
         assert res.keywords == frozenset()
         assert res.location == q.locations[0]
 
@@ -88,7 +89,7 @@ class TestDegenerateText:
             ws=1,
             k=3,
         )
-        res = engine.query(q, method="exact")
+        res = engine.query(q, QueryOptions(method="exact"))
         assert res.cardinality >= 0  # must not crash; winning is possible
 
 
@@ -106,12 +107,12 @@ class TestSingleEntityWorlds:
             k=1,
         )
         for mode in ("joint", "baseline", "indexed"):
-            res = engine.query(q, method="exact", mode=mode)
+            res = engine.query(q, QueryOptions(method="exact", mode=mode))
             # ox matches the user's keyword and is closer than o0? Either
             # way all modes must agree.
             assert res.cardinality in (0, 1)
         cards = {
-            mode: engine.query(q, method="exact", mode=mode).cardinality
+            mode: engine.query(q, QueryOptions(method="exact", mode=mode)).cardinality
             for mode in ("joint", "baseline", "indexed")
         }
         assert len(set(cards.values())) == 1
@@ -131,6 +132,6 @@ class TestSingleEntityWorlds:
             ws=2,
             k=10,
         )
-        res = engine.query(q, method="exact")
-        base = engine.query(q, method="exact", mode="baseline")
+        res = engine.query(q, QueryOptions(method="exact"))
+        base = engine.query(q, QueryOptions(method="exact", mode="baseline"))
         assert res.cardinality == base.cardinality

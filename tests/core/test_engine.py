@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro.core.config import QueryOptions
 from repro.core.query import QueryStats
 
 
@@ -22,7 +23,7 @@ class TestEngineModes:
         engine = MaxBRSTkNNEngine(ds, index_users=True)
         q = make_query(workload)
         results = {
-            mode: engine.query(q, method="exact", mode=mode)
+            mode: engine.query(q, QueryOptions(method="exact", mode=mode))
             for mode in ("baseline", "joint", "indexed")
         }
         cards = {m: r.cardinality for m, r in results.items()}
@@ -32,8 +33,8 @@ class TestEngineModes:
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
         q = make_query(workload)
-        exact = engine.query(q, method="exact", mode="joint")
-        approx = engine.query(q, method="approx", mode="joint")
+        exact = engine.query(q, QueryOptions(method="exact", mode="joint"))
+        approx = engine.query(q, QueryOptions(method="approx", mode="joint"))
         assert approx.cardinality <= exact.cardinality
         if exact.cardinality:
             assert approx.cardinality / exact.cardinality >= 0.6
@@ -42,18 +43,18 @@ class TestEngineModes:
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
         with pytest.raises(ValueError):
-            engine.query(make_query(workload), mode="indexed")
+            engine.query(make_query(workload), QueryOptions(mode="indexed"))
 
     def test_unknown_mode_rejected(self, small_flickr):
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
         with pytest.raises(ValueError):
-            engine.query(make_query(workload), mode="turbo")
+            engine.query(make_query(workload), QueryOptions(mode="turbo"))
 
     def test_stats_populated(self, small_flickr):
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
-        res = engine.query(make_query(workload), method="approx", mode="joint")
+        res = engine.query(make_query(workload), QueryOptions(method="approx", mode="joint"))
         assert isinstance(res.stats, QueryStats)
         assert res.stats.topk_time_s > 0
         assert res.stats.io_total > 0
@@ -62,7 +63,7 @@ class TestEngineModes:
     def test_indexed_mode_prunes_users(self, small_flickr):
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds, index_users=True)
-        res = engine.query(make_query(workload), method="approx", mode="indexed")
+        res = engine.query(make_query(workload), QueryOptions(method="approx", mode="indexed"))
         assert 0 <= res.stats.users_pruned <= len(ds.users)
         assert res.stats.users_pruned_pct == pytest.approx(
             100.0 * res.stats.users_pruned / len(ds.users)

@@ -94,9 +94,7 @@ class TestSnapshot:
 
 class TestSignatureOf:
     def test_local_plan_signature(self):
-        caps = EngineCapabilities(
-            has_user_tree=False, numpy_available=HAS_NUMPY, fork_available=True
-        )
+        caps = EngineCapabilities(has_user_tree=False, numpy_available=HAS_NUMPY)
         plan = plan_batch(QueryOptions(backend="python"), caps, ks=[3, 3])
         assert signature_of(plan) == SIG
 
@@ -104,7 +102,6 @@ class TestSignatureOf:
         caps = EngineCapabilities(
             has_user_tree=False,
             numpy_available=HAS_NUMPY,
-            fork_available=True,
             num_shards=2,
         )
         plan = plan_batch(QueryOptions(backend="python"), caps, ks=[3, 3])

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro.core.config import QueryOptions
 from repro.core.indexed_users import indexed_users_maxbrstknn
 from repro.index.irtree import MIRTree
 from repro.index.miurtree import MIURTree
@@ -39,7 +40,7 @@ class TestCorrectness:
     def test_exact_cardinality_matches_flat_mode(self, seed):
         ds, obj_tree, user_tree, query = build(seed)
         engine = MaxBRSTkNNEngine(ds)
-        flat = engine.query(query, method="exact", mode="joint")
+        flat = engine.query(query, QueryOptions(method="exact", mode="joint"))
         indexed = indexed_users_maxbrstknn(
             obj_tree, user_tree, ds, query, method="exact"
         )

@@ -6,12 +6,8 @@ from repro import Backend, EngineConfig, MaxBRSTkNNEngine, Method, Mode, QueryOp
 from repro.core.kernels import HAS_NUMPY
 from repro.core.planner import EngineCapabilities, plan_batch, plan_query
 
-CAPS = EngineCapabilities(
-    has_user_tree=True, numpy_available=HAS_NUMPY, fork_available=True
-)
-CAPS_NO_TREE = EngineCapabilities(
-    has_user_tree=False, numpy_available=HAS_NUMPY, fork_available=True
-)
+CAPS = EngineCapabilities(has_user_tree=True, numpy_available=HAS_NUMPY)
+CAPS_NO_TREE = EngineCapabilities(has_user_tree=False, numpy_available=HAS_NUMPY)
 
 
 class TestPlanQuery:
@@ -20,11 +16,11 @@ class TestPlanQuery:
         assert plan.backend == ("numpy" if HAS_NUMPY else "python")
 
     def test_single_query_never_shares_or_fans_out(self):
-        plan = plan_query(QueryOptions(workers=8), CAPS, k=5)
+        plan = plan_query(QueryOptions(), CAPS, k=5)
         assert plan.batch_size == 1
         assert plan.shared_topk is False
         assert plan.shared_traversal is False
-        assert plan.workers == 1
+        assert plan.shard is None
 
     def test_indexed_requires_user_tree(self):
         with pytest.raises(ValueError, match="index_users"):
@@ -80,24 +76,17 @@ class TestPlanBatch:
         plan = plan_batch(QueryOptions(mode="indexed"), warm, ks=[3, 7])
         assert plan.shared_traversal_k == 9  # names the walk actually used
 
-    def test_indexed_batch_keeps_selection_in_process(self):
-        plan = plan_batch(QueryOptions(mode="indexed", workers=4), CAPS, ks=[3, 3])
-        assert plan.workers == 1
-
-    def test_workers_fan_out_when_possible(self):
-        plan = plan_batch(QueryOptions(workers=4), CAPS, ks=[3, 3])
-        assert plan.workers == 4
-
-    def test_no_fan_out_without_fork(self):
-        caps = EngineCapabilities(
-            has_user_tree=False, numpy_available=HAS_NUMPY, fork_available=False
-        )
-        plan = plan_batch(QueryOptions(workers=4), caps, ks=[3, 3])
-        assert plan.workers == 1
-
-    def test_no_fan_out_for_single_query_batch(self):
-        plan = plan_batch(QueryOptions(workers=4), CAPS, ks=[3])
-        assert plan.workers == 1
+    @pytest.mark.parametrize("mode", ["joint", "baseline", "indexed"])
+    def test_single_engine_batches_stay_in_process(self, mode):
+        """Without lanes nothing leaves the process: no ShardPlan, and
+        explain() names no pool or fan-out for phase 2."""
+        plan = plan_batch(QueryOptions(mode=mode), CAPS, ks=[3, 3, 5])
+        assert plan.shard is None
+        text = plan.explain()
+        for absent in ("fork pool", "worker pool", "lane", "fan-out", "scatter"):
+            assert absent not in text
+        (phase_2,) = [line for line in text.splitlines() if "phase 2" in line]
+        assert "in-process" in phase_2
 
 
 class TestExplain:
@@ -107,13 +96,13 @@ class TestExplain:
         assert "backend=python" in text
         assert "cold per query" in text
 
-    def test_batch_explain_mentions_sharing_and_fanout(self):
+    def test_batch_explain_mentions_sharing_and_in_process_selection(self):
         text = plan_batch(
-            QueryOptions(backend="python", workers=3), CAPS, ks=[3, 5, 3]
+            QueryOptions(backend="python"), CAPS, ks=[3, 5, 3]
         ).explain()
         assert "batch of 3" in text
         assert "k=3,5" in text
-        assert "fork pool x3" in text
+        assert "phase 2 (candidate selection): in-process" in text
 
     def test_joint_batch_explain_reports_cross_k_reuse(self):
         text = plan_batch(
@@ -209,83 +198,63 @@ class TestObservedPlanning:
             ))
         return history
 
-    @staticmethod
-    def local_signature(mode="joint"):
+    @pytest.mark.parametrize("mode,stage", [
+        ("joint", "select"), ("indexed", "indexed-search"),
+    ])
+    @pytest.mark.parametrize("per_item_ms", [0.1, 5.0])
+    def test_single_engine_has_no_adaptive_point(self, mode, stage, per_item_ms):
+        """A plain engine never ships a round, so even a seasoned
+        history at its signature decides nothing."""
         from repro.core.history import FlushSignature
 
-        return FlushSignature(mode=mode, backend="python", scatter_width=1)
-
-    def test_sub_ms_selection_pulls_fanout_in_process(self):
-        history = self.seasoned_history(self.local_signature(), per_item_ms=0.1)
+        history = self.seasoned_history(
+            FlushSignature(mode=mode, backend="python", scatter_width=1),
+            stage=stage, per_item_ms=per_item_ms,
+        )
         plan = plan_batch(
-            QueryOptions(backend="python", workers=4), CAPS, ks=[3, 3],
+            QueryOptions(mode=mode, backend="python"), CAPS, ks=[3, 3],
             history=history,
         )
-        assert plan.workers == 1
-        assert plan.select_inprocess is True
-        (decision,) = plan.decisions
-        assert decision.source == "observed"
-        assert decision.name == "select-fanout"
-        assert decision.choice == "in-process"
-        text = plan.explain()
-        assert "observed: select-fanout -> in-process" in text
-        assert "phase 2 (candidate selection): in-process" in text
+        assert plan.decisions == ()
+        assert plan.shard is None
 
-    def test_heavy_selection_keeps_the_fork_pool(self):
-        history = self.seasoned_history(self.local_signature(), per_item_ms=5.0)
-        plan = plan_batch(
-            QueryOptions(backend="python", workers=4), CAPS, ks=[3, 3],
-            history=history,
-        )
-        assert plan.workers == 4
-        assert plan.select_inprocess is False
-        (decision,) = plan.decisions
-        assert decision.source == "observed"
-        assert "fork pool x4" in decision.choice
+    def test_no_history_no_decisions(self):
+        plan = plan_batch(QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3])
+        assert plan.decisions == ()
 
     def test_cold_engine_falls_back_to_static(self):
         from repro.core.history import FlushHistory
 
         plan = plan_batch(
-            QueryOptions(backend="python", workers=4), CAPS, ks=[3, 3],
+            QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
             history=FlushHistory(),
         )
-        assert plan.workers == 4  # static plan untouched
+        assert plan.shard.search_inprocess is False  # static plan untouched
         (decision,) = plan.decisions
         assert decision.source == "static"
         assert "cold engine" in decision.rationale
-        assert "static: select-fanout" in plan.explain()
+        assert "static: search-fanout -> search fan-out x2" in plan.explain()
 
     def test_unseasoned_history_stays_static(self):
         history = self.seasoned_history(
-            self.local_signature(), per_item_ms=0.1, flushes=2
+            self.sharded_signature(), per_item_ms=0.1, flushes=2
         )
         plan = plan_batch(
-            QueryOptions(backend="python", workers=4), CAPS, ks=[3, 3],
+            QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
             history=history,
         )
-        assert plan.workers == 4
+        assert plan.shard.search_inprocess is False
         (decision,) = plan.decisions
         assert decision.source == "static"
         assert "need 3" in decision.rationale
 
-    def test_no_history_no_decisions(self):
-        plan = plan_batch(QueryOptions(backend="python"), CAPS, ks=[3, 3])
-        assert plan.decisions == ()
-
-    def test_indexed_local_search_reports_observed_but_stays_in_process(self):
-        history = self.seasoned_history(
-            self.local_signature(mode="indexed"),
-            stage="indexed-search", per_item_ms=9.0,
-        )
+    def test_lanes_without_workers_have_no_adaptive_point(self):
+        history = self.seasoned_history(self.sharded_signature(), per_item_ms=0.1)
         plan = plan_batch(
-            QueryOptions(mode="indexed", backend="python"), CAPS, ks=[3, 3],
-            history=history,
+            QueryOptions(backend="python"), self.sharded_caps(search_workers=0),
+            ks=[3, 3], history=history,
         )
-        (decision,) = plan.decisions
-        assert decision.source == "observed"
-        assert decision.name == "search-fanout"
-        assert decision.choice == "in-process"
+        assert plan.decisions == ()
 
     @staticmethod
     def sharded_caps(search_workers=2):
@@ -342,14 +311,15 @@ class TestObservedPlanning:
         assert plan.shard.search_inprocess is False
 
     def test_engine_records_history_and_plans_observed(self, tiny_dataset):
-        """End to end: flushes season the engine's own history."""
+        """End to end: flushes season a lane engine's own history."""
         import random
 
         from repro import MaxBRSTkNNQuery
         from repro.model.objects import STObject
+        from repro.serve import ShardedEngine
         from repro.spatial.geometry import Point
 
-        engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
+        engine = ShardedEngine(tiny_dataset, EngineConfig(fanout=4, num_shards=2))
         rng = random.Random(5)
         queries = [
             MaxBRSTkNNQuery(
@@ -366,13 +336,14 @@ class TestObservedPlanning:
             for i in range(4)
         ]
         options = QueryOptions(backend="python")
-        cold = engine.plan(options, ks=[q.k for q in queries])
-        assert all(d.source == "static" for d in cold.decisions)
-        for _ in range(3):
-            engine.query_batch(queries, options)
-        assert len(engine.flush_history) >= 3
-        warm = engine.plan(options, ks=[q.k for q in queries])
-        assert any(d.source == "observed" for d in warm.decisions)
+        with engine.start_pools(1):
+            cold = engine.plan(options, ks=[q.k for q in queries])
+            assert [d.source for d in cold.decisions] == ["static"]
+            for _ in range(3):
+                engine.query_batch(queries, options)
+            assert len(engine.flush_history) >= 3
+            warm = engine.plan(options, ks=[q.k for q in queries])
+        assert [d.source for d in warm.decisions] == ["observed"]
         assert "observed:" in warm.explain()
 
 

@@ -8,6 +8,7 @@ baseline pipeline, on both dataset flavours and all three measures.
 import pytest
 
 from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro.core.config import QueryOptions
 from repro.datagen import candidate_locations, flickr_like, generate_users, yelp_like
 
 
@@ -37,25 +38,25 @@ class TestOptimizedEqualsBaseline:
     def test_exact_joint_equals_baseline(self, kind, measure):
         ds, query = build_workload(kind, seed=31, measure=measure)
         engine = MaxBRSTkNNEngine(ds, index_users=True)
-        joint = engine.query(query, method="exact", mode="joint")
-        base = engine.query(query, method="exact", mode="baseline")
-        indexed = engine.query(query, method="exact", mode="indexed")
+        joint = engine.query(query, QueryOptions(method="exact", mode="joint"))
+        base = engine.query(query, QueryOptions(method="exact", mode="baseline"))
+        indexed = engine.query(query, QueryOptions(method="exact", mode="indexed"))
         assert joint.cardinality == base.cardinality == indexed.cardinality
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_seeds(self, seed):
         ds, query = build_workload("flickr", seed=seed)
         engine = MaxBRSTkNNEngine(ds)
-        joint = engine.query(query, method="exact", mode="joint")
-        base = engine.query(query, method="exact", mode="baseline")
+        joint = engine.query(query, QueryOptions(method="exact", mode="joint"))
+        base = engine.query(query, QueryOptions(method="exact", mode="baseline"))
         assert joint.cardinality == base.cardinality
 
     @pytest.mark.parametrize("alpha", [0.1, 0.9])
     def test_alpha_extremes(self, alpha):
         ds, query = build_workload("flickr", seed=44, alpha=alpha)
         engine = MaxBRSTkNNEngine(ds)
-        joint = engine.query(query, method="exact", mode="joint")
-        base = engine.query(query, method="exact", mode="baseline")
+        joint = engine.query(query, QueryOptions(method="exact", mode="joint"))
+        base = engine.query(query, QueryOptions(method="exact", mode="baseline"))
         assert joint.cardinality == base.cardinality
 
 
@@ -89,7 +90,7 @@ class TestPerformanceShape:
                 ws=ws,
                 k=query.k,
             )
-            return engine.query(q, method=method).stats.keyword_combinations_scored
+            return engine.query(q, QueryOptions(method=method)).stats.keyword_combinations_scored
 
         growth_exact = combos("exact", 4) / max(1, combos("exact", 1))
         growth_approx = combos("approx", 4) / max(1, combos("approx", 1))
@@ -100,8 +101,8 @@ class TestPerformanceShape:
         for seed in (61, 62, 63):
             ds, query = build_workload("flickr", seed=seed)
             engine = MaxBRSTkNNEngine(ds)
-            exact = engine.query(query, method="exact", mode="joint")
-            approx = engine.query(query, method="approx", mode="joint")
+            exact = engine.query(query, QueryOptions(method="exact", mode="joint"))
+            approx = engine.query(query, QueryOptions(method="approx", mode="joint"))
             if exact.cardinality:
                 ratios.append(approx.cardinality / exact.cardinality)
         assert ratios and min(ratios) >= 0.6  # paper reports 0.6–1.0

@@ -20,6 +20,7 @@ from repro import (
     STObject,
     User,
 )
+from repro.core.config import QueryOptions
 from repro.text.vocabulary import Vocabulary
 
 
@@ -63,7 +64,7 @@ class TestFigure1:
         engine = MaxBRSTkNNEngine(dataset, fanout=4, index_users=True)
         if mode == "baseline" and method == "approx":
             pytest.skip("baseline has no approximate variant")
-        result = engine.query(query, method=method, mode=mode)
+        result = engine.query(query, QueryOptions(method=method, mode=mode))
         assert result.cardinality == 3
         # The narrative's optimum: menu 'sushi', winning u1, u2, u3.
         # (In this coordinate layout more than one location achieves the

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import Dataset
+from repro.core.config import QueryOptions
 from repro.maxbrknn import (
     NLC,
     best_candidate_location,
@@ -110,6 +111,6 @@ class TestCrossCheckWithEngine:
             ws=0,
             k=k,
         )
-        result = engine.query(query, method="exact")
+        result = engine.query(query, QueryOptions(method="exact"))
         _, gold = best_candidate_location(nlcs, candidates)
         assert result.cardinality == gold

@@ -34,6 +34,16 @@ def build_engine(seed=0, **dataset_kwargs):
     return MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4)), rng, vocab
 
 
+def build_lanes(seed=0, num_shards=2, **dataset_kwargs):
+    """``build_engine``'s dataset behind a ShardedEngine: the engine a
+    server forks worker processes for (``pool_workers`` per lane)."""
+    from repro.serve import ShardedEngine
+
+    dataset, rng, vocab = build_dataset(seed, **dataset_kwargs)
+    config = EngineConfig(fanout=4, num_shards=num_shards)
+    return ShardedEngine(dataset, config), rng, vocab
+
+
 def make_queries(rng, vocab, count, ks=(3, 5)):
     queries = []
     for i in range(count):

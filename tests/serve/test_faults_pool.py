@@ -12,7 +12,8 @@ Determinism comes from generation gating: worker-side faults are armed
 only in generation 0 by default, so "fault -> respawn -> retry
 succeeds" is a sequence, not a race.  Every recovery test asserts exact
 health-counter values *and* bitwise result identity with in-process
-execution.
+execution.  The ladder runs under a lane engine's warm flush: its one
+scatter round is the ``select`` round over the engine's pool.
 """
 
 import multiprocessing
@@ -35,7 +36,7 @@ from repro.serve import (
 )
 from repro.serve.pool import PoolDispatch
 
-from .conftest import assert_results_equal, build_dataset, build_engine, make_queries
+from .conftest import assert_results_equal, build_dataset, build_lanes, make_queries
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -48,22 +49,31 @@ FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
 OPTIONS = QueryOptions(backend="python")
 
 
-def run_identity(faults, *, deadline=FAST_DEADLINE, workers=2, seed=0):
-    """One pooled batch under ``faults``; asserts identity with the
-    in-process answer and returns (health, state-before-close, report)."""
-    engine, rng, vocab = build_engine(seed=seed)
+def pooled_lanes(faults, *, deadline=FAST_DEADLINE, workers=2, seed=0):
+    """A lane engine (one lane per worker) whose in-process reference
+    flush warmed every threshold, then forked with ``faults`` armed:
+    its next flush is exactly one pooled ``select`` round."""
+    engine, rng, vocab = build_lanes(seed=seed, num_shards=workers)
     queries = make_queries(rng, vocab, 8)
     reference = engine.query_batch(queries, OPTIONS)
-    engine.clear_topk_cache()
-    with PersistentWorkerPool(
-        engine.dataset, workers,
-        retry=FAST_RETRY, deadline=deadline, faults=faults,
-    ) as pool:
-        faulted = engine.query_batch(queries, OPTIONS, pool=pool)
-        state = pool.health.state
-        health = pool.health
+    engine.start_pools(1, retry=FAST_RETRY, deadline=deadline, faults=faults)
+    return engine, queries, reference
+
+
+def run_identity(faults, *, deadline=FAST_DEADLINE, workers=2, seed=0):
+    """One pooled round under ``faults``; asserts identity with the
+    in-process answer and returns (health, state-before-close, report)."""
+    engine, queries, reference = pooled_lanes(
+        faults, deadline=deadline, workers=workers, seed=seed
+    )
+    with engine:
+        faulted = engine.query_batch(queries, OPTIONS)
+        state = engine._pool.health.state
+        health = engine._pool.health
     assert_results_equal(faulted, reference)
-    return health, state, engine.last_flush_report
+    report = engine.last_flush_report
+    assert report.stage("refine").items == 0  # warm: select is the one round
+    return health, state, report
 
 
 class TestRecoveryLadder:
@@ -116,17 +126,11 @@ class TestRecoveryLadder:
         assert report.degraded_lanes == 1
 
     def test_broken_pool_is_terminal_and_skipped(self):
-        engine, rng, vocab = build_engine(seed=1)
-        queries = make_queries(rng, vocab, 8)
-        reference = engine.query_batch(queries, OPTIONS)
-        engine.clear_topk_cache()
-        with PersistentWorkerPool(
-            engine.dataset, 2,
-            retry=FAST_RETRY, deadline=FAST_DEADLINE,
-            faults=FaultPlan.pool_loss(),
-        ) as pool:
+        engine, queries, reference = pooled_lanes(FaultPlan.pool_loss(), seed=1)
+        with engine:
+            pool = engine._pool
             # Dispatch fails, then the respawn fails too: BROKEN.
-            first = engine.query_batch(queries, OPTIONS, pool=pool)
+            first = engine.query_batch(queries, OPTIONS)
             assert engine.last_flush_report.degraded_lanes == 1
             assert pool.health.state is PoolState.BROKEN
             assert not pool.available
@@ -135,7 +139,7 @@ class TestRecoveryLadder:
             # A broken pool is skipped outright on later flushes
             # (degraded before any dispatch), never revived.
             engine.clear_topk_cache()
-            second = engine.query_batch(queries, OPTIONS, pool=pool)
+            second = engine.query_batch(queries, OPTIONS)
         assert_results_equal(first, reference)
         assert_results_equal(second, reference)
 

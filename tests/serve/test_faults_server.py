@@ -4,7 +4,9 @@ admission/shutdown failures, exact recovery counters.
 The acceptance bar: under every injected fault the server keeps
 answering, the answers are bitwise-identical to a fresh sequential
 engine, and ``ServerStats`` reports exactly what recovery work was done
-(respawns, retries, degraded flushes, shed requests).
+(respawns, retries, degraded flushes, shed requests).  The pooled cases
+run over a 2-lane ShardedEngine with one worker per lane — the only
+engine a server forks workers for.
 """
 
 import asyncio
@@ -23,7 +25,7 @@ from repro.serve import (
     ServerStopped,
 )
 
-from .conftest import assert_results_equal, build_engine, make_queries
+from .conftest import assert_results_equal, build_engine, build_lanes, make_queries
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -54,13 +56,13 @@ def reference_results(engine, queries):
 @pytest.mark.skipif(not HAS_FORK, reason="persistent pool requires fork")
 class TestPooledRecovery:
     def test_worker_kill_recovers_with_identity_and_exact_counts(self):
-        engine, rng, vocab = build_engine()
+        engine, rng, vocab = build_lanes()
         queries = make_queries(rng, vocab, 8)
         reference = reference_results(engine, queries)
         results, stats, snap = serve_all(
             engine, queries,
             ServerConfig(
-                max_batch=8, max_wait_ms=5.0, pool_workers=2,
+                max_batch=8, max_wait_ms=5.0, pool_workers=1,
                 retry=FAST_RETRY, deadline=FAST_DEADLINE,
                 faults=FaultPlan.kill_worker(),
             ),
@@ -75,17 +77,17 @@ class TestPooledRecovery:
         assert stats.pool_respawns == 1
         assert stats.flush_retries == 1
         assert stats.degraded_flushes == 0
-        assert snap["pool_health"][0]["pool"] == "selection"
+        assert snap["pool_health"][0]["pool"] == "workers"
         assert snap["pool_health"][0]["state"] == "healthy"
 
     def test_hung_flush_recovers_via_deadline(self):
-        engine, rng, vocab = build_engine(seed=1)
+        engine, rng, vocab = build_lanes(seed=1)
         queries = make_queries(rng, vocab, 8)
         reference = reference_results(engine, queries)
         results, stats, _ = serve_all(
             engine, queries,
             ServerConfig(
-                max_batch=8, max_wait_ms=5.0, pool_workers=2,
+                max_batch=8, max_wait_ms=5.0, pool_workers=1,
                 retry=FAST_RETRY,
                 deadline=DeadlinePolicy(
                     flush_deadline_s=0.3, poll_interval_s=0.01
@@ -101,13 +103,13 @@ class TestPooledRecovery:
         assert stats.degraded_flushes == 0
 
     def test_pool_loss_degrades_flushes_but_keeps_identity(self):
-        engine, rng, vocab = build_engine(seed=2)
+        engine, rng, vocab = build_lanes(seed=2)
         queries = make_queries(rng, vocab, 8)
         reference = reference_results(engine, queries)
         results, stats, snap = serve_all(
             engine, queries,
             ServerConfig(
-                max_batch=8, max_wait_ms=5.0, pool_workers=2,
+                max_batch=8, max_wait_ms=5.0, pool_workers=1,
                 retry=FAST_RETRY, deadline=FAST_DEADLINE,
                 faults=FaultPlan.pool_loss(),
             ),
@@ -120,18 +122,18 @@ class TestPooledRecovery:
 
 class TestDegradedStart:
     def test_pool_startup_failure_degrades_to_in_process(self, monkeypatch):
-        engine, rng, vocab = build_engine(seed=3)
+        engine, rng, vocab = build_lanes(seed=3)
         queries = make_queries(rng, vocab, 6)
         reference = reference_results(engine, queries)
 
         def boom(*args, **kwargs):
             raise RuntimeError("fork refused")
 
-        monkeypatch.setattr("repro.serve.server.PersistentWorkerPool", boom)
+        monkeypatch.setattr("repro.serve.sharded.PersistentWorkerPool", boom)
 
         async def run():
             server = MaxBRSTkNNServer(
-                engine, ServerConfig(max_batch=4, max_wait_ms=2.0, pool_workers=2)
+                engine, ServerConfig(max_batch=4, max_wait_ms=2.0, pool_workers=1)
             )
             with pytest.warns(RuntimeWarning, match="degrades to in-process"):
                 await server.start()

@@ -16,10 +16,11 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, QueryOptions
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions
 from repro.core.kernels import (
     HAS_NUMPY, DatasetArrays, ObjectColumns, arrays_for, object_columns_for,
 )
+from repro.serve import make_engine
 from repro.serve import pool as pool_mod
 from repro.serve.pool import PersistentWorkerPool
 
@@ -105,6 +106,7 @@ def test_workers_inherit_object_columns_and_pickles_shed_them():
 
 
 def test_pool_results_match_inprocess_batches():
+    """The lanes' pool answers what the plain engine answers in-process."""
     dataset, rng = make_dataset(seed=2)
     engine = MaxBRSTkNNEngine(dataset, fanout=4)
     from repro.core.query import MaxBRSTkNNQuery
@@ -126,9 +128,11 @@ def test_pool_results_match_inprocess_batches():
         for i in range(4)
     ]
     inprocess = engine.query_batch(queries, QueryOptions())
-    engine.clear_topk_cache()
-    with PersistentWorkerPool(dataset, workers=2) as pool:
-        pooled = engine.query_batch(queries, QueryOptions(), pool=pool)
+    with make_engine(dataset, EngineConfig(fanout=4, num_shards=2)) as lanes:
+        lanes.start_pools(1)
+        assert isinstance(lanes._pool, PersistentWorkerPool)
+        pooled = lanes.query_batch(queries, QueryOptions())
+    assert lanes._pool is None
     for a, b in zip(inprocess, pooled):
         assert a.location == b.location
         assert a.keywords == b.keywords

@@ -8,7 +8,7 @@ import pytest
 
 from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions
 from repro.model.objects import STObject
-from repro.serve import MaxBRSTkNNServer, PersistentWorkerPool, ServerConfig
+from repro.serve import MaxBRSTkNNServer, PersistentWorkerPool, ServerConfig, make_engine
 from repro.spatial.geometry import Point
 
 from ..conftest import make_random_objects, make_random_users
@@ -16,12 +16,13 @@ from ..conftest import make_random_objects, make_random_users
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-def build_engine(seed=0, n_obj=60, n_users=12, vocab=16):
+def build_engine(seed=0, n_obj=60, n_users=12, vocab=16, num_shards=1):
     rng = random.Random(seed)
     objects = make_random_objects(n_obj, vocab, rng)
     users = make_random_users(n_users, vocab, rng)
     dataset = Dataset(objects, users, relevance="LM", alpha=0.5)
-    return MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4)), rng, vocab
+    config = EngineConfig(fanout=4, num_shards=num_shards)
+    return make_engine(dataset, config), rng, vocab
 
 
 def make_queries(rng, vocab, count, ks=(3,)):
@@ -388,35 +389,50 @@ class TestCancellation:
                 assert cancelled
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="persistent pool requires fork")
 class TestPersistentPool:
+    @pytest.mark.parametrize("pool_workers", [1, 2])
+    def test_plain_engine_with_pool_workers_is_refused(self, pool_workers):
+        """Worker processes belong to a ShardedEngine's lanes: a plain
+        engine asking for them is a typed refusal at construction, not
+        a silent second pool."""
+        engine, _, _ = build_engine()
+        with pytest.raises(ValueError, match=r"make_engine\(\.\.\., EngineConfig\(num_shards=N\)\)"):
+            MaxBRSTkNNServer(engine, ServerConfig(pool_workers=pool_workers))
+        MaxBRSTkNNServer(engine, ServerConfig(pool_workers=0))  # in-process is fine
+
+    @pytest.mark.skipif(not HAS_FORK, reason="persistent pool requires fork")
     def test_server_with_pool_matches_sequential(self):
-        engine, rng, vocab = build_engine(seed=8)
+        engine, rng, vocab = build_engine(seed=8, num_shards=2)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
         results, stats = serve_all(
             engine,
             queries,
-            ServerConfig(max_batch=6, max_wait_ms=2.0, pool_workers=2),
+            ServerConfig(max_batch=6, max_wait_ms=2.0, pool_workers=1),
         )
+        fresh = MaxBRSTkNNEngine(engine.dataset, EngineConfig(fanout=4))
         reference = QueryOptions(backend="python")
         for query, served in zip(queries, results):
-            assert_result_equal(engine.query(query, reference), served)
+            assert_result_equal(fresh.query(query, reference), served)
         assert stats.queries_completed == 6
+        # The pool was the engine's: one pool, closed with the server.
+        assert engine._pool is None
 
+    @pytest.mark.skipif(not HAS_FORK, reason="persistent pool requires fork")
     def test_pool_direct_usage_and_close(self):
-        engine, rng, vocab = build_engine(seed=9)
-        pool = PersistentWorkerPool(engine.dataset, workers=2)
+        """Driving the lanes' pool without a server: answers match the
+        plain engine in-process, and a closed pool refuses work."""
+        engine, rng, vocab = build_engine(seed=9, num_shards=2)
+        engine.start_pools(1)
+        pool = engine._pool
         try:
             queries = make_queries(rng, vocab, 4)
-            batched = engine.query_batch(
-                queries, QueryOptions(backend="python"), pool=pool
-            )
-            engine.clear_topk_cache()
-            inprocess = engine.query_batch(queries, QueryOptions(backend="python"))
-            for a, b in zip(inprocess, batched):
-                assert_result_equal(a, b)
+            batched = engine.query_batch(queries, QueryOptions(backend="python"))
         finally:
-            pool.close()
+            engine.close_pools()
+        plain = MaxBRSTkNNEngine(engine.dataset, EngineConfig(fanout=4))
+        inprocess = plain.query_batch(queries, QueryOptions(backend="python"))
+        for a, b in zip(inprocess, batched):
+            assert_result_equal(a, b)
         with pytest.raises(RuntimeError):
             pool.run_supervised([])
 
@@ -425,20 +441,21 @@ class TestPersistentPool:
         with pytest.raises(ValueError):
             PersistentWorkerPool(engine.dataset, workers=0)
 
+    @pytest.mark.skipif(not HAS_FORK, reason="persistent pool requires fork")
     def test_stop_with_dead_worker_is_bounded(self):
         """A worker killed mid-life must not hang server.stop() forever."""
         import os
         import signal
         import time
 
-        engine, _, _ = build_engine(seed=14)
+        engine, _, _ = build_engine(seed=14, num_shards=2)
         config = ServerConfig(
             pool_workers=1, max_wait_ms=0.0, shutdown_timeout_s=0.5
         )
 
         async def run():
             server = await MaxBRSTkNNServer(engine, config).start()
-            victim = server._pool._pool._pool[0]
+            victim = server.engine._pool._pool._pool[0]
             # SIGSTOP is the harshest case: the worker never reads the
             # close sentinel AND leaves SIGTERM pending, so only the
             # SIGKILL escalation inside the bounded close can reap it.

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Dataset
+from repro.core.config import QueryOptions
 from repro.core.joint_topk import joint_topk
 from repro.index.irtree import MIRTree
 from repro.spatial.geometry import Point, Rect
@@ -114,7 +115,7 @@ class TestEndToEndWithLpMetrics:
             k=4,
         )
         cards = {
-            mode: engine.query(q, method="exact", mode=mode).cardinality
+            mode: engine.query(q, QueryOptions(method="exact", mode=mode)).cardinality
             for mode in ("baseline", "joint", "indexed")
         }
         assert len(set(cards.values())) == 1

@@ -47,6 +47,43 @@ class TestCLI:
         assert "plan: batch of 4" in out
         assert "queries/sec" in out
 
+    def test_batch_over_lanes_reaps_its_workers(self, capsys):
+        import multiprocessing
+
+        rc = main([
+            "batch", "--objects", "200", "--users", "20", "--locations", "3",
+            "--k", "3", "--batch-size", "4", "--shards", "2", "--explain",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "scatter: refine by user row range x2" in out
+        assert "search lanes x2" in out  # the plan names the started lanes
+        assert "shards=2" in out
+        assert multiprocessing.active_children() == []
+
+    def test_batch_refuses_baseline_over_lanes(self, capsys):
+        rc = main([
+            "batch", "--objects", "200", "--users", "20", "--batch-size", "2",
+            "--shards", "2", "--mode", "baseline",
+        ])
+        assert rc == 2
+        assert "no mergeable per-user decomposition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--pool-workers", "2"],
+        ["--pool-workers", "1", "--fault", "kill-worker"],
+        ["--shards", "2", "--fault", "kill-worker"],
+    ])
+    def test_serve_refuses_worker_flags_without_lanes(self, capsys, flags):
+        rc = main([
+            "serve", "--objects", "200", "--users", "20", "--queries", "2",
+            *flags,
+        ])
+        assert rc == 2
+        assert "make_engine(..., EngineConfig(num_shards=N))" in (
+            capsys.readouterr().err
+        )
+
     def test_serve_command_verifies_against_sequential(self, capsys):
         rc = main([
             "serve", "--objects", "200", "--users", "20", "--locations", "3",
