@@ -482,10 +482,12 @@ def _joint_traversal_numpy(
             for i in survivors:
                 heapq.heappush(pq, (-lb_arr[i], next(counter), -(child[i] + 1)))
 
-    # The scalar walk's two stable sorts, on the same keys.
+    # The scalar walk's two stable sorts, on the same keys (RO's as one
+    # stable argsort: the same permutation).
     lo = [idx for _, __, idx in sorted(lo_heap, key=lambda t: -t[0])]
-    ro.sort(key=lambda idx: -ub_arr[idx])
-    entries = np.array(lo + ro, dtype=np.intp)
+    ro = np.array(ro, dtype=np.intp)
+    ro = ro[np.argsort(-fb.ub[ro], kind="stable")]
+    entries = np.concatenate((np.array(lo, dtype=np.intp), ro))
     pool = CandidatePool.from_columns(
         ta.ent_object_id[entries], fb.lb[entries], fb.ub[entries],
         source=(fb, entries),
@@ -609,14 +611,23 @@ def individual_topk(
     return out
 
 
-def _still_active(kth, upper, start: int):
-    """Example 4's stop for the block of ``RO`` that begins at pool
-    position ``start``: which of these users — ``kth`` their running
-    k-th best matrix scores — the block's first, largest ``UB(o, us)``
-    still reaches.  The guard sits on the conservative side (the matrix
-    scores carry BLAS rounding): a user is retired only when every
-    object from here on has ``STS(o, u) <= UB(o, us) < RSk(u)``."""
-    return kth - GUARD_EPS <= upper[start]
+def _suffix_max(block_max):
+    """Per keyword set (row), the max over block ``j`` and every later
+    block (column) of ``block_max``: one ``np.maximum.accumulate``
+    taken back to front."""
+    backward = block_max[:, ::-1]
+    return np.maximum.accumulate(backward, axis=1, out=backward)[:, ::-1]
+
+
+def _still_active(kth, sets, reaches, block: int):
+    """Example 4's stop per keyword set, for ``RO`` block ``block``:
+    which of these users — ``kth`` their running k-th best matrix
+    scores, ``sets`` their rows of ``reaches`` (:func:`_suffix_max` of
+    the set bounds) — some object from that block on may still reach.
+    The guard sits on the conservative side (scores and bounds carry
+    BLAS rounding): a user is retired only when every object from here
+    on has ``STS(o, u) <= UB(o, S(u)) < RSk(u)``."""
+    return kth - GUARD_EPS <= reaches[sets, block]
 
 
 def _contenders(blocks, kth):
@@ -644,13 +655,19 @@ def _individual_topk_numpy(
     **Example 4's stop, per user, block by block.**  ``LO`` and the
     first ``RO_BLOCK`` objects of ``RO`` are scored for every user as
     one matrix.  Each user's k-th best score so far (kept in a ``users x
-    k`` best-so-far matrix, one ``partition`` over ``k + block`` columns
-    per block) is a lower bound of their final ``RSk(u)``, and ``RO`` is
-    in descending ``UB(o, us)``, so a further block is scored only for
-    the users :func:`_still_active` keeps, and only as far as the
-    weakest of them still reaches.  The set scored for a user is a
-    superset of what the scalar scan visits for them: an object left
-    out has ``STS(o, u) <= UB(o, us) < RSk(u)``.
+    k`` best-so-far matrix, re-``partition``\\ ed only for the rows a
+    block improves) is a lower bound of their final ``RSk(u)``, and
+    ``RO`` is in descending ``UB(o, us)``: nothing past the first
+    ``UB(o, us)`` below the weakest of them (the *reach*) is scored.
+    Up to the reach the stop reads a tighter bound that keeps each
+    user's own keyword set ``S`` — ``UB(o, S)``
+    (:meth:`DatasetArrays.set_bound_matrix`, capped at ``UB(o, us)``),
+    one ``objects x sets`` matrix whose suffix max (:func:`_suffix_max`)
+    bounds every object from a block on.  A further block is scored
+    only for the users :func:`_still_active` keeps, and only as far as
+    the weakest of them reaches by ``UB(o, us)``.  The set scored for a
+    user is a superset of what the scalar scan visits for them: an
+    object left out has ``STS(o, u) <= UB(o, S(u)) < RSk(u)``.
 
     **Contenders.**  Per user, every scored cell within ``GUARD_EPS`` of
     the *final* k-th best (:func:`_contenders`) is re-scored by the
@@ -681,19 +698,38 @@ def _individual_topk_numpy(
     best = top_k(np.hstack((np.full((len(users), k), -math.inf), scores)))
     kth = best[:, 0].copy()
     neg_upper = -upper
-    while stop < n:
+    first = stop
+    # No user needs an object past the first UB(o, us) below the weakest
+    # k-th best: the reach, which only shrinks from here.
+    reach = first + int(
+        np.searchsorted(neg_upper[first:], GUARD_EPS - kth.min(), side="right")
+    )
+    if first < reach:
+        # Every block but a last cut short starts at first + j * RO_BLOCK.
+        bounds, sets = arrays.set_bound_matrix(obj_rows[first:reach], user_rows)
+        block_starts = np.arange(0, reach - first, RO_BLOCK)
+        block_max = np.maximum.reduceat(bounds, block_starts, axis=1)
+        np.minimum(block_max, upper[first + block_starts], out=block_max)
+        reaches = _suffix_max(block_max)
+    while stop < reach:
         start = stop
-        active = active[_still_active(kth[active], upper, start)]
+        block = (start - first) // RO_BLOCK
+        active = active[_still_active(kth[active], sets[active], reaches, block)]
         if not len(active):
             break
-        # ... and only up to the first UB(o, us) no active user reaches.
+        # ... and only up to the first UB(o, us) no active user reaches
+        # (at least one object: reaches[:, block] <= UB(o, us) at start).
         floor = kth[active].min() - GUARD_EPS
-        reach = start + int(np.searchsorted(neg_upper[start:], -floor, side="right"))
+        reach = start + int(np.searchsorted(neg_upper[start:reach], -floor, side="right"))
         stop = min(reach, start + RO_BLOCK)
         scores = arrays.candidate_score_matrix(obj_rows[start:stop], user_rows[active])
         blocks.append((active, start, scores))
-        best[active] = top_k(np.hstack((best[active], scores)))
-        kth[active] = best[active, 0]
+        # Only a row the block beats its k-th best in is re-partitioned.
+        improved = scores.max(axis=1) > kth[active]
+        if improved.any():
+            grew = active[improved]
+            best[grew] = top_k(np.hstack((best[grew], scores[improved])))
+            kth[grew] = best[grew, 0]
 
     user_pos, col = _contenders(blocks, kth)
     exact = arrays.sts_pairs(obj_rows[col], user_rows[user_pos])

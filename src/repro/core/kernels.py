@@ -179,6 +179,18 @@ def _pairwise_norm(dx, dy, p: float):
     return dx
 
 
+def _norm_of_differences(dx, dy, p: float):
+    """The Lp norm of the coordinate differences ``dx`` / ``dy``, in
+    place, for the guard-banded kernels only: at ``p = 2`` the squares
+    need no ``abs``; otherwise :func:`_pairwise_norm`."""
+    if p != 2:
+        return _pairwise_norm(dx, dy, p)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
 def _normalized_text(sums, z):
     """``min(1, sums / Z(u.d))`` per user; 0 for users without a normalizer."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -390,6 +402,35 @@ class DatasetArrays:
         self.objects = object_columns_for(dataset)
         #: ``w(t, o.d)`` by (object row, term column) + one zero column.
         self.obj_weights = self.objects.weights_over(union)
+
+        # Algorithm 2's operands with alpha folded in (the guard-banded
+        # candidate_score_matrix and set_bound_matrix).  Coordinates are
+        # moved to the data's own corner, then scaled by alpha / dmax:
+        # norms of them are alpha * dist / dmax.
+        alpha = dataset.alpha
+        points = np.concatenate((self.objects.xy, self.user_xy))
+        corner = points.min(axis=0) if len(points) else np.zeros(2)
+        self.obj_xy_folded = (self.objects.xy - corner) * (alpha / dataset.dmax)
+        self.user_xy_folded = (self.user_xy - corner) * (alpha / dataset.dmax)
+        #: Each user's term row times ``(1 - alpha) / Z(u.d)`` (zero where
+        #: ``Z = 0``): one product gives ``(1 - alpha) * sums / Z``.
+        fold = np.divide(
+            1.0 - alpha, self.user_z, out=np.zeros(self.num_users), where=self.user_z > 0.0
+        )
+        self.user_text = self.user_terms * fold[:, None]
+        #: Keyword-set id of every user: equal sets share ``Z(u.d)``, so a
+        #: set's folded row scores the text half of all its holders.
+        set_ids: Dict[FrozenSet[int], int] = {}
+        self.user_set = np.array(
+            [set_ids.setdefault(frozenset(terms), len(set_ids)) for terms in term_sets],
+            dtype=np.intp,
+        )
+        #: One folded row per set, plus a last column of ones that adds
+        #: whatever an object row carries in ``obj_weights``' zero column.
+        self.set_text = np.hstack((
+            self.user_text[np.unique(self.user_set, return_index=True)[1]],
+            np.ones((len(set_ids), 1)),
+        ))
         self._doc_vec_cache: Dict[frozenset, "np.ndarray"] = {}
         self._id_order = None  # argsort of user_ids, built by rows_of_ids
 
@@ -573,34 +614,55 @@ class DatasetArrays:
     def candidate_score_matrix(self, obj_rows, rows=None) -> "np.ndarray":
         """``STS(o, u)`` for selected users x object rows, guard-banded.
 
-        One BLAS product for the text sums — so values may differ from
-        the scalar score in the last ulps and only ever feed decisions
-        taken ``GUARD_EPS`` on the safe side (Algorithm 2's stop and its
+        One BLAS product for the text sums over rows that fold in
+        ``(1 - alpha) / Z(u.d)``, and distances between coordinates
+        pre-scaled by ``alpha / dmax`` — so values may differ from the
+        scalar score in the last ulps and only ever feed decisions taken
+        ``GUARD_EPS`` on the safe side (Algorithm 2's stop and its
         contender selection); returned scores come from
         :meth:`sts_pairs`.  Every step after the two coordinate
         differences and the product writes into one of those buffers.
         """
-        ds = self.dataset
-        alpha = ds.alpha
-        user_xy = self.user_xy if rows is None else self.user_xy[rows]
-        user_terms = self.user_terms if rows is None else self.user_terms[rows]
-        user_z = self.user_z if rows is None else self.user_z[rows]
-        obj_xy = self.objects.xy[obj_rows]
-        score = _pairwise_norm(
+        alpha = self.dataset.alpha
+        user_xy = self.user_xy_folded if rows is None else self.user_xy_folded[rows]
+        user_text = self.user_text if rows is None else self.user_text[rows]
+        obj_xy = self.obj_xy_folded[obj_rows]
+        score = _norm_of_differences(
             user_xy[:, 0:1] - obj_xy[:, 0], user_xy[:, 1:2] - obj_xy[:, 1],
-            ds.metric.p,
+            self.dataset.metric.p,
         )
-        score /= ds.dmax
-        np.subtract(1.0, score, out=score)
-        np.clip(score, 0.0, 1.0, out=score)
-        score *= alpha
-        text = user_terms @ self.obj_weights[obj_rows, : self.num_terms].T
-        scorable = user_z > 0.0
-        text /= np.where(scorable, user_z, 1.0)[:, None]
-        np.minimum(text, 1.0, out=text)
-        text *= np.where(scorable, 1.0 - alpha, 0.0)[:, None]
+        # alpha * max(0, 1 - dist / dmax), from alpha * dist / dmax.
+        np.subtract(alpha, score, out=score)
+        np.maximum(score, 0.0, out=score)
+        text = user_text @ self.obj_weights[obj_rows, : self.num_terms].T
+        np.minimum(text, 1.0 - alpha, out=text)
         score += text
         return score
+
+    def set_bound_matrix(self, obj_rows, user_rows):
+        """``UB(o, S) = alpha * SS_best(o, MBR) + (1 - alpha) * TS(o, S)``
+        per keyword set ``S`` held at ``user_rows`` x object row, with
+        ``MBR`` the box of those users — guard-banded, like
+        :meth:`candidate_score_matrix`.  Returns the matrix and each
+        user row's row in it.
+
+        Every holder ``u`` of ``S`` among ``user_rows`` has
+        ``SS(o, u) <= SS_best(o, MBR)`` and ``TS(o, u) = TS(o, S)`` (the
+        text score reads only the set and its ``Z``), so
+        ``STS(o, u) <= UB(o, S)``: Example 4's stop per keyword set.
+        ``TS`` enters without its ``min(1, .)``, which only lowers it,
+        so the spatial half rides in the product as one more column.
+        """
+        users = self.user_xy_folded[user_rows]
+        obj_xy = self.obj_xy_folded[obj_rows]
+        gap = np.maximum(users.min(axis=0) - obj_xy, obj_xy - users.max(axis=0))
+        np.maximum(gap, 0.0, out=gap)
+        spatial = _norm_of_differences(gap[:, 0], gap[:, 1], self.dataset.metric.p)
+        weights = self.obj_weights[obj_rows]  # a copy: its zero column is ours
+        np.subtract(self.dataset.alpha, spatial, out=weights[:, -1])
+        np.maximum(weights[:, -1], 0.0, out=weights[:, -1])
+        sets, column = np.unique(self.user_set[user_rows], return_inverse=True)
+        return self.set_text[sets] @ weights.T, column
 
     def sts_pairs(self, obj_rows, user_rows) -> "np.ndarray":
         """``STS(o, u)`` per (object row, user row) pair — **bitwise**

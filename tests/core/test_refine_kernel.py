@@ -91,6 +91,28 @@ def build_dataset(seed, measure="LM", p=2.0, alpha=0.5, n_obj=30):
     )
 
 
+def build_shared_dataset(seed, p, alpha, one_point=False, n_obj=60):
+    """:func:`build_dataset`'s objects, users drawn *per keyword set*, so
+    Example 4's set-wise stop has groups to get wrong: several holders
+    of one set at different locations, a set held only by ``Z = 0``
+    users (no keyword / unseen keywords only), a set held by one user —
+    and, with ``one_point``, every user on the same point (the MBR of
+    the users being refined has zero area)."""
+    base = build_dataset(seed, p=p, alpha=alpha, n_obj=n_obj)
+    rng = random.Random(seed)
+    spot = Point(rng.uniform(0, 10), rng.uniform(0, 10))
+    shared = [rng.sample(TERMS, rng.randint(1, 5)) for _ in range(4)]
+    holders = [(terms, rng.randint(2, 5)) for terms in shared]
+    holders += [([], 2), ([UNSEEN_TERM], 2), (rng.sample(TERMS, 9), 1)]
+    users = []
+    for terms, count in holders:
+        for _ in range(count):
+            location = spot if one_point else Point(rng.uniform(0, 10), rng.uniform(0, 10))
+            users.append(User(item_id=len(users), location=location, terms=dict.fromkeys(terms, 1)))
+    rng.shuffle(users)
+    return Dataset(base.objects, users, alpha=alpha, metric=LpMetric(p))
+
+
 def pair_mismatches(scored, arrays, users):
     """(object, user) pairs where ``sts_pairs`` is not *bitwise* the
     scalar ``scored.sts`` — every object of the set x ``users``."""
@@ -205,6 +227,41 @@ class TestRefineEqualsPythonBackend:
                 joint_traversal(tree, ds, k), ds, k, users=lane_users
             )
             assert partial.rsk == {u: r.kth_score for u, r in dedicated.items()}
+
+    @given(
+        seed=st.integers(0, 10_000),
+        p=st.sampled_from([1.0, 2.0, math.inf]),
+        alpha=st.sampled_from([0.0, 0.5, 1.0]),
+        one_point=st.booleans(),
+        k=st.sampled_from([1, 3, 8]),
+        block=st.sampled_from([1, 4, 256]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_users_sharing_keyword_sets(self, seed, p, alpha, one_point, k, block, data):
+        """Example 4's stop per keyword set, where sets group users:
+        ranked lists ``==`` python's for all users and for a lane's row
+        range (its own, smaller MBR), whose ``compute_partials`` off the
+        pool as it arrives over the wire ``==`` python's too."""
+        ds = build_shared_dataset(seed, p, alpha, one_point)
+        assert len(set(arrays_for(ds).user_set.tolist())) < len(ds.users)
+        tree = MIRTree(ds.objects, ds.relevance, fanout=4)
+        walked = joint_traversal(tree, ds, k, backend="numpy")
+        arrived = pickle.loads(pickle.dumps(walked))
+        lo = data.draw(st.integers(0, len(ds.users)))
+        rows = (lo, data.draw(st.integers(lo, len(ds.users))))
+        lane_users = ds.users[rows[0]:rows[1]]
+        saved, joint_topk_module.RO_BLOCK = joint_topk_module.RO_BLOCK, block
+        try:
+            got = ranked_lists(walked, ds, k, "numpy")
+            got_lane = ranked_lists(arrived, ds, k, "numpy", lane_users)
+            partials = compute_partials(ds, arrived, [k], "numpy", rows=rows)
+        finally:
+            joint_topk_module.RO_BLOCK = saved
+        assert got == ranked_lists(walked, ds, k, "python")
+        assert got_lane == ranked_lists(walked, ds, k, "python", lane_users)
+        want = compute_partials(ds, walked, [k], "python", rows=rows)
+        assert [(p.k, p.rsk) for p in partials] == [(p.k, p.rsk) for p in want]
 
     def test_exact_ties_order_by_id(self):
         """Duplicate objects — one point, one document — score the same
@@ -550,19 +607,48 @@ class TestStopMutantsAreCaught:
         rounded up retires its user one object before the tie winner."""
         monkeypatch.setattr(
             joint_topk_module, "_still_active",
-            lambda kth, upper, start: kth <= upper[start],
+            lambda kth, sets, reaches, block: kth <= reaches[sets, block],
         )
         assert stop_mismatches(rounded_up_pools(), 1)
 
     def test_user_retired_one_block_early(self, monkeypatch):
-        """The stop read off the *next* block's first ``UB(o, us)``."""
+        """The stop read off the *next* block's bound."""
         from repro.core.kernels import GUARD_EPS
 
-        def early(kth, upper, start):
-            ahead = min(start + joint_topk_module.RO_BLOCK, len(upper) - 1)
-            return kth - GUARD_EPS <= upper[ahead]
+        def early(kth, sets, reaches, block):
+            ahead = min(block + 1, reaches.shape[1] - 1)
+            return kth - GUARD_EPS <= reaches[sets, ahead]
 
         monkeypatch.setattr(joint_topk_module, "_still_active", early)
+        assert stop_mismatches(map(tight_pool, range(24)), 3)
+
+    def test_set_bound_without_its_spatial_half(self, monkeypatch):
+        """``UB(o, S)`` as ``(1 - alpha) * TS(o, S)`` alone: no longer a
+        bound of ``STS(o, u)`` wherever ``u`` scores ``o`` spatially."""
+        import numpy as np
+
+        def text_only(self, obj_rows, user_rows):
+            sets, column = np.unique(self.user_set[user_rows], return_inverse=True)
+            # obj_weights' last column is zero: the spatial column left out.
+            return self.set_text[sets] @ self.obj_weights[obj_rows].T, column
+
+        monkeypatch.setattr(DatasetArrays, "set_bound_matrix", text_only)
+        assert stop_mismatches(map(tight_pool, range(24)), 3)
+
+    def test_bound_read_at_the_block_own_max(self, monkeypatch):
+        """Each block's own max in place of the suffix max: an object a
+        user still needs two blocks on no longer keeps them active."""
+        monkeypatch.setattr(joint_topk_module, "_suffix_max", lambda block_max: block_max)
+        assert stop_mismatches(map(tight_pool, range(24)), 1)
+
+    def test_user_read_against_a_neighbouring_set(self, monkeypatch):
+        """Column off by one: a user stopped on another set's bound."""
+        from repro.core.kernels import GUARD_EPS
+
+        def neighbour(kth, sets, reaches, block):
+            return kth - GUARD_EPS <= reaches[(sets + 1) % len(reaches), block]
+
+        monkeypatch.setattr(joint_topk_module, "_still_active", neighbour)
         assert stop_mismatches(map(tight_pool, range(24)), 3)
 
     def test_block_contenders_credited_to_block_local_users(self, monkeypatch):
