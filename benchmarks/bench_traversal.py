@@ -16,7 +16,13 @@ sections:
    the full-size run.
 3. **Refinement backends** — best-of-N ``individual_topk`` per backend
    on those same pools, with a built-in check that the per-user ranked
-   lists are *identical* (scores as floats, ties by id).
+   lists are *identical* (scores as floats, ties by id) and that the
+   ``RSk(u)`` vectors read off the two tables (``table.rsk(k)``) are
+   ``==``.  Beside it, per backend, the time of the hand-off itself —
+   ``individual_topk`` + ``rsk(k)``, refine output to the vector
+   Algorithm 3 reads — and of ``frontier_bounds``, Algorithm 1's one
+   vectorised bound wave (numpy only: the scalar walk computes each
+   entry's bounds inside its loop).
 4. **The hand-off** — per ``k`` in {5, 10, 20}: the cells Algorithm 2's
    block-wise per-user stop scores against ``users x pool`` and against
    the one-shot cut it replaced (PR 17: one prefix of ``RO`` for every
@@ -115,6 +121,23 @@ def time_refine(traversal, dataset, k, backend, repeats):
     return best_of(
         repeats, lambda: individual_topk(traversal, dataset, k, backend=backend)
     )
+
+
+def time_handoff(traversal, dataset, k, backend, repeats):
+    """Algorithm 2 to the ``RSk(u)`` vector Algorithm 3 reads."""
+    return best_of(
+        repeats,
+        lambda: individual_topk(traversal, dataset, k, backend=backend).rsk(k),
+    )
+
+
+def time_frontier_bounds(engine, repeats):
+    """Algorithm 1's bound wave over every tree entry (numpy walk)."""
+    arrays = tree_arrays_for(engine.object_tree)
+    dataset = engine.dataset
+    return best_of(repeats, lambda: arrays.frontier_bounds(
+        dataset, dataset.super_user, store=PageStore(counter=IOCounter())
+    ))[0]
 
 
 def time_select(queries, dataset, rsk, rsk_group, backend, repeats):
@@ -234,18 +257,31 @@ def main(argv=None) -> int:
     print("equivalence check: numpy pools bitwise-identical to python")
 
     refine_timings = {}
+    handoff_timings = {}
+    bounds_timings = {"python": None, "numpy": time_frontier_bounds(engine, args.repeats)}
     ranked = {}
     thresholds = {}
     for backend in ("python", "numpy"):
-        elapsed, per_user = time_refine(
+        elapsed, table = time_refine(
             results[backend], engine.dataset, config.k, backend, args.repeats
         )
         refine_timings[backend] = elapsed
-        ranked[backend] = {uid: res.ranked for uid, res in per_user.items()}
-        thresholds[backend] = {uid: res.kth_score for uid, res in per_user.items()}
+        ranked[backend] = {uid: res.ranked for uid, res in table.items()}
+        handoff_timings[backend], thresholds[backend] = time_handoff(
+            results[backend], engine.dataset, config.k, backend, args.repeats
+        )
         print(
             f"refine    k={config.k} backend={backend:<7}: "
-            f"{1000 * elapsed:8.2f} ms  ({len(per_user)} users)",
+            f"{1000 * elapsed:8.2f} ms  ({len(table)} users)",
+            flush=True,
+        )
+    for backend in ("python", "numpy"):
+        bounds = bounds_timings[backend]
+        print(
+            f"hand-off  k={config.k} backend={backend:<7}: individual_topk + "
+            f"rsk(k) {1000 * handoff_timings[backend]:8.2f} ms; frontier_bounds "
+            + ("n/a (per entry, inside the scalar walk)" if bounds is None
+               else f"{1000 * bounds:.2f} ms"),
             flush=True,
         )
     refine_speedup = (
@@ -256,7 +292,13 @@ def main(argv=None) -> int:
     if ranked["python"] != ranked["numpy"]:
         print("EQUIVALENCE FAILURE: per-user ranked lists differ across backends")
         return 1
-    print("equivalence check: numpy ranked lists identical to python")
+    if (
+        thresholds["python"].ids.tolist() != thresholds["numpy"].ids.tolist()
+        or thresholds["python"].values.tolist() != thresholds["numpy"].values.tolist()
+    ):
+        print("EQUIVALENCE FAILURE: RSk(u) vectors differ across backends")
+        return 1
+    print("equivalence check: numpy ranked lists and RSk(u) identical to python")
 
     handoff = {}
     for k in (5, 10, 20):
@@ -378,6 +420,8 @@ def main(argv=None) -> int:
             "speedup_numpy": speedup,
             "refine_s": refine_timings,
             "refine_speedup_numpy": refine_speedup,
+            "handoff_s": handoff_timings,
+            "frontier_bounds_s": bounds_timings,
             "handoff": handoff,
             "select_s": select_timings,
             "select_speedup_numpy": select_speedup,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Mapping, Tuple
 
 from ..core.baseline import baseline_select_candidate
 from ..core.candidate_selection import select_candidate
@@ -75,8 +75,8 @@ class Workbench:
     query: MaxBRSTkNNQuery
     #: RSk(u) computed once by the joint pipeline (candidate-selection
     #: benchmarks reuse it so they time *selection* only, as the paper
-    #: separates phases).
-    rsk: Dict[int, float] = field(default_factory=dict)
+    #: separates phases): a Thresholds by user row.
+    rsk: Mapping[int, float] = field(default_factory=dict)
     rsk_group: float = 0.0
 
     @property
@@ -121,8 +121,8 @@ def _build(config: ExperimentConfig) -> Workbench:
     traversal = joint_traversal(
         engine.object_tree, dataset, config.k, backend=config.backend
     )
-    per_user = individual_topk(traversal, dataset, config.k, backend=config.backend)
-    bench.rsk = {uid: r.kth_score for uid, r in per_user.items()}
+    table = individual_topk(traversal, dataset, config.k, backend=config.backend)
+    bench.rsk = table.rsk(config.k)
     bench.rsk_group = traversal.rsk_group
     return bench
 

@@ -51,13 +51,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from .baseline import baseline_select_candidate
 from .candidate_selection import select_candidate
 from .config import QueryOptions, coerce_options
 from .joint_topk import (
     JointTraversalResult,
+    TopKTable,
     derive_rsk_group as _derive_rsk_group_at,
     individual_topk,
     joint_traversal,
@@ -66,7 +67,6 @@ from .planner import EngineCapabilities, QueryPlan, plan_batch
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..topk.single import TopKResult
     from .engine import MaxBRSTkNNEngine
 
 __all__ = [
@@ -80,9 +80,13 @@ __all__ = [
 
 @dataclass(slots=True)
 class SharedTopK:
-    """Query-independent phase-1 state for one ``(mode, k)`` cell."""
+    """Query-independent phase-1 state for one ``(mode, k)`` cell.
 
-    rsk: Dict[int, float]
+    ``rsk`` is a :class:`~repro.core.thresholds.Thresholds` by user row
+    on the joint paths (a plain dict for the baseline's per-user scans):
+    two arrays, so the state pickles small into ``select`` payloads."""
+
+    rsk: Mapping[int, float]
     rsk_group: float
     topk_time_s: float
     io_node_visits: int
@@ -96,9 +100,9 @@ class SharedTraversalPool:
 
     One joint traversal at ``k`` — the largest k any batch has asked
     this engine for — owns the candidate pools, and one Algorithm 2
-    pass at that same ``k`` owns the per-user ranked lists
-    (``per_user``); smaller-k thresholds are read off those lists and
-    memoized in ``by_k``.  Subsumption argument: an object outside the
+    pass at that same ``k`` owns the per-user top-k scores (``table``);
+    smaller-k thresholds are read off that table and memoized in
+    ``by_k``.  Subsumption argument: an object outside the
     ``k_max`` pools has ``UB(o, us) < RSk_max(us) <= RSk(us) <=
     RSk(u)`` for every user and every ``k <= k_max``, so it can appear
     in nobody's top-k — exactly the objects a dedicated ``k``-traversal
@@ -118,9 +122,9 @@ class SharedTraversalPool:
     #: Memoized per-k group thresholds (an order statistic of the pool's
     #: lower bounds; a serving loop asks for the same ks every flush).
     group_by_k: Dict[int, float] = field(default_factory=dict)
-    #: Algorithm 2's ranked lists at ``k`` (filled by the first
-    #: threshold derivation after the walk).
-    per_user: Optional[Dict[int, TopKResult]] = None
+    #: Algorithm 2's table at ``k`` (filled by the first threshold
+    #: derivation after the walk).
+    table: Optional[TopKTable] = None
 
     def rsk_group_for(self, k: int) -> float:
         value = self.group_by_k.get(k)
@@ -207,7 +211,7 @@ def _derive_shared_topk(
     That total order also makes a user's top-``k`` the first ``k`` of
     their top-``pool.k``, so the pool is refined once, at ``pool.k``
     (whichever ``k`` asks first pays for it), and every ``k`` reads its
-    thresholds off the same lists.
+    thresholds off the same :class:`~repro.core.joint_topk.TopKTable`.
     ``RSk(us)`` equals the k-th best candidate lower bound globally:
     any object with a top-k lower bound survives the ``k_max`` walk.
     """
@@ -217,14 +221,14 @@ def _derive_shared_topk(
     if entry is not None:
         return entry
     t0 = time.perf_counter()
-    if pool.per_user is None:
-        pool.per_user = individual_topk(
+    if pool.table is None:
+        pool.table = individual_topk(
             pool.traversal, engine.dataset, pool.k, backend=backend
         )
     rsk_group = derive_rsk_group(pool, k)
     elapsed = time.perf_counter() - t0
     entry = SharedTopK(
-        rsk={uid: res.kth_score_at(k) for uid, res in pool.per_user.items()},
+        rsk=pool.table.rsk(k),
         rsk_group=rsk_group,
         topk_time_s=pool.topk_time_s + elapsed,
         io_node_visits=pool.io_node_visits,

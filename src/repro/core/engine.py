@@ -43,7 +43,7 @@ from .batch import query_batch
 from .candidate_selection import select_candidate
 from .config import EngineConfig, Mode, QueryOptions, coerce_options
 from .indexed_users import indexed_users_maxbrstknn
-from .joint_topk import individual_topk, joint_traversal
+from .joint_topk import TopKTable, individual_topk, joint_traversal
 from .planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
@@ -202,8 +202,9 @@ class MaxBRSTkNNEngine:
     # ------------------------------------------------------------------
     # Top-k entry points (benchmarked separately: Figures 5a/5b etc.)
     # ------------------------------------------------------------------
-    def topk_joint(self, k: int) -> Dict[int, TopKResult]:
-        """Joint top-k (Algorithms 1+2) for every user."""
+    def topk_joint(self, k: int) -> TopKTable:
+        """Joint top-k (Algorithms 1+2) for every user (a mapping from
+        user id to their ranked list)."""
         traversal = joint_traversal(self.object_tree, self.dataset, k, store=self.store)
         return individual_topk(traversal, self.dataset, k)
 
@@ -264,7 +265,7 @@ class MaxBRSTkNNEngine:
             self.object_tree, self.dataset, query.k, store=self.store,
             backend=plan.backend,
         )
-        per_user = individual_topk(
+        table = individual_topk(
             traversal, self.dataset, query.k, backend=plan.backend
         )
         stats.topk_time_s = time.perf_counter() - t0
@@ -272,7 +273,7 @@ class MaxBRSTkNNEngine:
         stats.io_node_visits = delta.node_visits
         stats.io_invfile_blocks = delta.invfile_blocks
 
-        rsk = {uid: res.kth_score for uid, res in per_user.items()}
+        rsk = table.rsk(query.k)  # RSk(u) by user row, one vector
         t1 = time.perf_counter()
         result = select_candidate(
             self.dataset,

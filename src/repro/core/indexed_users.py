@@ -73,9 +73,10 @@ from .joint_topk import (
     individual_topk,
     joint_traversal,
 )
-from .kernels import resolve_backend
+from .kernels import np, resolve_backend
 from .keyword_selection import select_keywords_exact, select_keywords_greedy
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
+from .thresholds import Thresholds
 
 __all__ = [
     "RootTraversal",
@@ -288,21 +289,26 @@ def indexed_search(
 
         pool_arrays = CandidatePoolArrays(dataset, canonical)
 
-    # Per-resolved-user exact thresholds, filled lazily per leaf group.
+    # Per-resolved-user exact thresholds, filled lazily per leaf group:
+    # by id for the scalar admission test, and by user row (NaN = not
+    # refined yet) for the per-location Thresholds selection reads.
     rsk: Dict[int, float] = {}
-    resolved_users: Dict[int, User] = {}
+    user_ids = np.fromiter(
+        (u.item_id for u in dataset.users), np.int64, len(dataset.users)
+    )
+    row_of = {uid: row for row, uid in enumerate(user_ids.tolist())}
+    rsk_by_row = np.full(len(user_ids), np.nan)
 
     def resolve_users(users: Sequence[User]) -> None:
         """Algorithm 2 restricted to one leaf's user group."""
         fresh = [u for u in users if u.item_id not in rsk]
         if not fresh:
             return
-        results = individual_topk(
+        got = individual_topk(
             traversal, dataset, query.k, users=fresh, backend=backend
-        )
-        for u in fresh:
-            rsk[u.item_id] = results[u.item_id].kth_score
-            resolved_users[u.item_id] = u
+        ).rsk(query.k)
+        rsk.update(zip(got.ids.tolist(), got.values.tolist()))
+        rsk_by_row[[row_of[u.item_id] for u in fresh]] = got.values
 
     # Node-level RSk cache over the canonical per-k candidate set.
     node_rsk_cache: Dict[int, float] = {}
@@ -391,10 +397,9 @@ def indexed_search(
         users_l = [e for e in st.entries if isinstance(e, User)]
         if not users_l:
             continue
-        local_rsk = {u.item_id: rsk[u.item_id] for u in users_l}
         keywords, winners, scored = selector(
             dataset, query.ox, st.location, query.keywords, query.ws, users_l,
-            local_rsk, **selector_kwargs,
+            Thresholds(user_ids, rsk_by_row.copy()), **selector_kwargs,
         )
         stats.keyword_combinations_scored += scored
         if len(winners) > len(best_users):

@@ -37,6 +37,13 @@ numpy walk fills from its heaps of tree-entry indices without building
 one object, that Algorithm 2 turns into ``ObjectColumns`` rows with one
 look-up, and that are all a pool carries across a process boundary
 (object ids are what every replica of the object set shares).
+
+**What Algorithm 2 hands Algorithm 3** is a :class:`TopKTable` — every
+refined user's top-k exact scores as one ``users x k`` matrix — off
+which :meth:`TopKTable.rsk` reads ``RSk(u)`` at any ``k`` as one gather:
+a :class:`~repro.core.thresholds.Thresholds` vector by user row, what
+the selection kernels read.  Per-user ranked lists are built only for
+a reader of the table as a mapping.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..index.irtree import IRTree, MIRTree
 from ..model.dataset import Dataset
@@ -56,6 +63,7 @@ from ..topk.single import TopKResult
 from .bounds import BoundCalculator
 from .kernels import GUARD_EPS, arrays_for, object_columns_for, resolve_backend
 from .kernels import np  # None without numpy: only the column form needs it
+from .thresholds import Thresholds
 
 #: ``RO`` objects per block of Algorithm 2's numpy backend: Example 4's
 #: stop is evaluated per user between blocks (``_individual_topk_numpy``).
@@ -66,6 +74,7 @@ __all__ = [
     "CandidatePool",
     "CandidatePoolError",
     "JointTraversalResult",
+    "TopKTable",
     "joint_traversal",
     "individual_topk",
     "joint_topk",
@@ -418,44 +427,48 @@ def _joint_traversal_numpy(
     ta = tree_arrays_for(tree)
     fb = ta.frontier_bounds(dataset, su, store=store)
     lb_arr, ub_arr = fb.lb.tolist(), fb.ub.tolist()  # O(1) cheap reads
+    neg_lb = (-fb.lb).tolist()  # the priority-queue keys, negated once
+    node_start, node_end = ta.node_start, ta.node_end
+    node_is_leaf, child = ta.node_is_leaf, ta.ent_child
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
 
-    counter = itertools.count()
     # PQ payload encoding: >= 0 is an object's entry index; < 0 is a
-    # node encoded as -(node_index + 1).  Unique counters mean payloads
-    # are never compared.
-    pq: List[Tuple[float, int, int]] = []
-    heapq.heappush(pq, (0.0, next(counter), -(ta.root_index + 1)))
+    # node encoded as -(node_index + 1).  Unique tie-breaks mean payloads
+    # are never compared: ``count`` takes the values the scalar walk's
+    # ``itertools.count`` takes, at the same pushes.
+    pq: List[Tuple[float, int, int]] = [(0.0, 0, -(ta.root_index + 1))]
+    count = 1
 
     # LO: min-heap of (lower_bound, tiebreak, entry index), size <= k.
+    # Once it holds k entries, ``rsk`` is its minimum, lo_heap[0][0].
     lo_heap: List[Tuple[float, int, int]] = []
     ro: List[int] = []
     rsk = float("-inf")
-
-    def admit(lower: float, upper: float, idx: int) -> None:
-        """Lines 1.9–1.18 over entry indices."""
-        nonlocal rsk
-        if len(lo_heap) < k:
-            heapq.heappush(lo_heap, (lower, next(counter), idx))
-            if len(lo_heap) == k:
-                rsk = lo_heap[0][0]
-            return
-        if upper < rsk:
-            return
-        if lower > lo_heap[0][0]:
-            _, __, displaced = heapq.heapreplace(lo_heap, (lower, next(counter), idx))
-            rsk = lo_heap[0][0]
-            if ub_arr[displaced] >= rsk:
-                ro.append(displaced)
-        else:
-            ro.append(idx)
+    full = False
 
     while pq:
-        neg_lb, _, code = heapq.heappop(pq)
+        code = pop(pq)[2]
         if code >= 0:
-            admit(lb_arr[code], ub_arr[code], code)
+            # Lines 1.9–1.18 over entry indices (the scalar ``admit``).
+            lower = lb_arr[code]
+            if not full:
+                push(lo_heap, (lower, count, code))
+                count += 1
+                if len(lo_heap) == k:
+                    full = True
+                    rsk = lo_heap[0][0]
+            elif ub_arr[code] < rsk:
+                pass  # cannot be in any user's top-k
+            elif lower > rsk:
+                displaced = replace(lo_heap, (lower, count, code))[2]
+                count += 1
+                rsk = lo_heap[0][0]
+                if ub_arr[displaced] >= rsk:
+                    ro.append(displaced)
+            else:
+                ro.append(code)
             continue
         nidx = -code - 1
-        node = ta.nodes[nidx]
         if store is not None:
             if fb.node_blocks is not None:
                 # Cold store: charge the node visit plus the exact block
@@ -463,24 +476,24 @@ def _joint_traversal_numpy(
                 store.counter.visit_node()
                 store.counter.load_blocks(fb.node_blocks[nidx])
             else:
+                node = ta.nodes[nidx]
                 store.read_node(ta.index_name, node.page_id)
                 tree.invfile_of(node).charge_lists(
                     store, ta.index_name, node.page_id, su.union_terms
                 )
-        start, end = ta.node_start[nidx], ta.node_end[nidx]
-        if len(lo_heap) >= k:
-            # Prune the node's whole child wave against RSk(us); the
-            # bounds themselves were one vectorized evaluation.
-            survivors = [i for i in range(start, end) if ub_arr[i] >= rsk]
+        # The node's whole child wave, pruned against RSk(us) — -inf, so
+        # pruning nothing, until LO is full; the bounds themselves were
+        # one vectorized evaluation.
+        if node_is_leaf[nidx]:
+            for i in range(node_start[nidx], node_end[nidx]):
+                if ub_arr[i] >= rsk:
+                    push(pq, (neg_lb[i], count, i))
+                    count += 1
         else:
-            survivors = range(start, end)
-        if ta.node_is_leaf[nidx]:
-            for i in survivors:
-                heapq.heappush(pq, (-lb_arr[i], next(counter), i))
-        else:
-            child = ta.ent_child
-            for i in survivors:
-                heapq.heappush(pq, (-lb_arr[i], next(counter), -(child[i] + 1)))
+            for i in range(node_start[nidx], node_end[nidx]):
+                if ub_arr[i] >= rsk:
+                    push(pq, (neg_lb[i], count, -(child[i] + 1)))
+                    count += 1
 
     # The scalar walk's two stable sorts, on the same keys (RO's as one
     # stable argsort: the same permutation).
@@ -556,13 +569,129 @@ def canonical_candidates(  # repro: identity-kernel
     return CandidatePool(kept)
 
 
+def _ragged_rows(user_pos, values, n_rows: int):
+    """``values`` grouped into rows by ``user_pos``: an ``n_rows x
+    width`` matrix holding each row's values left-aligned, in their
+    given order, ``-inf`` beyond — one stable integer sort and one
+    scatter — and the count per row.  ``width`` is the longest row."""
+    order = np.argsort(user_pos, kind="stable")
+    rows = user_pos[order]
+    counts = np.bincount(user_pos, minlength=n_rows)
+    width = int(counts.max()) if len(rows) else 0
+    starts = np.cumsum(counts) - counts
+    dense = np.full(n_rows * width, -math.inf)
+    dense[rows * width + (np.arange(len(rows)) - starts[rows])] = values[order]
+    return dense.reshape(n_rows, width), counts
+
+
+class TopKTable(Mapping[int, TopKResult]):
+    """Algorithm 2's output: every refined user's top-k scores as arrays.
+
+    ``users`` holds the user ids (int64) in the order they were refined;
+    ``scores`` is a ``users x k`` matrix of exact STS floats, descending
+    per row, ``-inf`` past ``counts[u]`` — the length of user ``u``'s
+    top-k list (short when the pool holds fewer than ``k`` objects).
+    :meth:`rsk` reads ``RSk(u)`` at any ``k' <= k`` off it as one
+    gather: a :class:`~repro.core.thresholds.Thresholds`, what Algorithm
+    3 reads.
+
+    The table is also a ``Mapping`` from user id to
+    :class:`~repro.topk.single.TopKResult`, the ranked ``(score, id)``
+    lists ordered by ``(-score, id)``.  Those lists are built on first
+    mapping access only (tests, ``MaxBRSTkNNEngine.topk_joint``, the
+    bench harness): from the contenders the numpy backend kept, or —
+    python backend — they are the oracle's own lists, whose floats the
+    matrix copies.
+    """
+
+    __slots__ = ("users", "k", "counts", "scores", "_contenders", "_results")
+
+    def __init__(self, users, k: int, counts, scores) -> None:
+        self.users = users
+        self.k = k
+        self.counts = counts
+        self.scores = scores
+        self._contenders = None  # (user positions, scores, object ids)
+        self._results: Optional[Dict[int, TopKResult]] = None
+
+    @classmethod
+    def of_contenders(
+        cls, users, k: int, user_pos, scores, object_ids
+    ) -> "TopKTable":
+        """The table over contender cells ``(user_pos[i], object_ids[i])``
+        scoring ``scores[i]`` — per user a superset of their top-k, ties
+        included: the cells grouped into rows (:func:`_ragged_rows`),
+        each row sorted, the first ``k`` columns kept."""
+        dense, counts = _ragged_rows(user_pos, scores, len(users))
+        if dense.shape[1] < k:  # every row short: pad to k columns
+            pad = np.full((len(users), k - dense.shape[1]), -math.inf)
+            dense = np.hstack((dense, pad))
+        dense.sort(axis=1)
+        table = cls(users, k, np.minimum(counts, k), dense[:, ::-1][:, :k])
+        table._contenders = (user_pos, scores, object_ids)
+        return table
+
+    @classmethod
+    def of_results(cls, users, k: int, results: Dict[int, TopKResult]) -> "TopKTable":
+        """The table over ranked lists ``results`` (by user id)."""
+        scores = np.full((len(users), k), -math.inf)
+        counts = np.zeros(len(users), dtype=np.intp)
+        for row, uid in enumerate(users.tolist()):
+            ranked = results[uid].ranked
+            counts[row] = len(ranked)
+            scores[row, : len(ranked)] = [score for score, _ in ranked]
+        table = cls(users, k, counts, scores)
+        table._results = results
+        return table
+
+    def rsk(self, k: int) -> Thresholds:
+        """``RSk(u)`` at ``k`` for every user of the table: the entry at
+        position ``min(k, counts[u]) - 1`` of each row, ``0.0`` for an
+        empty row.  A top-``k`` list is the first ``k`` entries of the
+        top-``self.k`` list over the same pool (the order is total), so
+        any ``1 <= k <= self.k`` is answered; anything else raises."""
+        if not 1 <= k <= self.k:
+            raise ValueError(
+                f"RSk at k={k} is outside 1..{self.k}, the k this table was "
+                "refined at"
+            )
+        last = np.minimum(self.counts, k) - 1
+        values = self.scores[np.arange(len(last)), last]
+        values[last < 0] = 0.0
+        return Thresholds(self.users, values)
+
+    def _by_id(self) -> Dict[int, TopKResult]:
+        if self._results is None:
+            user_pos, scores, ids = self._contenders
+            order = np.lexsort((ids, -scores, user_pos))
+            pairs = list(zip(scores[order].tolist(), ids[order].tolist()))
+            starts = np.concatenate(
+                ([0], np.cumsum(np.bincount(user_pos, minlength=len(self.users))))
+            ).tolist()
+            k = self.k
+            self._results = {
+                uid: TopKResult(user_id=uid, ranked=pairs[start:min(start + k, end)])
+                for uid, start, end in zip(self.users.tolist(), starts, starts[1:])
+            }
+        return self._results
+
+    def __getitem__(self, uid: int) -> TopKResult:
+        return self._by_id()[uid]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.users.tolist())
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+
 def individual_topk(
     traversal: JointTraversalResult,
     dataset: Dataset,
     k: int,
     users: Optional[Sequence[User]] = None,
     backend: str = "python",
-) -> Dict[int, TopKResult]:
+) -> TopKTable:
     """Algorithm 2: refine the candidate pools into per-user top-k lists.
 
     ``LO`` objects are scored exactly for every user; ``RO`` objects are
@@ -574,14 +703,17 @@ def individual_topk(
     :func:`_individual_topk_numpy`); the top-k contenders are re-scored
     by a bitwise-exact pair kernel so the returned scores — and hence
     every downstream ``RSk(u)`` threshold — are identical floats to the
-    python backend's.
+    python backend's.  Either way the answer is a :class:`TopKTable`.
     """
     users = dataset.users if users is None else users
+    if resolve_backend(backend) == "numpy":
+        return _individual_topk_numpy(traversal, dataset, max(k, 0), users)
+    ids = np.fromiter((u.item_id for u in users), np.int64, len(users))
     out: Dict[int, TopKResult] = {}
     if k <= 0:
-        return {u.item_id: TopKResult(user_id=u.item_id, ranked=[]) for u in users}
-    if resolve_backend(backend) == "numpy":
-        return _individual_topk_numpy(traversal, dataset, k, users)
+        return TopKTable.of_results(
+            ids, 0, {u.item_id: TopKResult(user_id=u.item_id, ranked=[]) for u in users}
+        )
     # Through the pool itself: a column pool builds its views once.
     candidates = list(traversal.pool)
     lo, ro = candidates[: traversal.n_lo], candidates[traversal.n_lo :]
@@ -608,7 +740,7 @@ def individual_topk(
             rsk_u = best[0][0] if len(best) >= k else float("-inf")
         ranked = sorted(((s, -negid) for s, negid in best), key=lambda t: (-t[0], t[1]))
         out[user.item_id] = TopKResult(user_id=user.item_id, ranked=ranked)
-    return out
+    return TopKTable.of_results(ids, k, out)
 
 
 def _suffix_max(block_max):
@@ -649,7 +781,7 @@ def _individual_topk_numpy(
     dataset: Dataset,
     k: int,
     users: Sequence[User],
-) -> Dict[int, TopKResult]:
+) -> TopKTable:
     """Vectorized Algorithm 2: guard-banded blocks, exact contenders.
 
     **Example 4's stop, per user, block by block.**  ``LO`` and the
@@ -671,31 +803,41 @@ def _individual_topk_numpy(
 
     **Contenders.**  Per user, every scored cell within ``GUARD_EPS`` of
     the *final* k-th best (:func:`_contenders`) is re-scored by the
-    bitwise pair kernel (:meth:`DatasetArrays.sts_pairs`) and ordered
-    by the scalar heap's exact key ``(-score, id)``, so the returned
-    lists (and the ``RSk(u)`` thresholds read from them) are the python
-    backend's floats in the python backend's order.
+    bitwise pair kernel (:meth:`DatasetArrays.sts_pairs`); the
+    :class:`TopKTable` sorts each user's exact scores, so the ``RSk(u)``
+    thresholds read off it (and its ranked lists, ordered by the scalar
+    heap's exact key ``(-score, id)`` when asked for) are the python
+    backend's floats.
     """
-    pool = traversal.pool
-    if not len(pool) or not users:
-        return {u.item_id: TopKResult(user_id=u.item_id, ranked=[]) for u in users}
     arrays = arrays_for(dataset)
-    user_rows = arrays.rows_for(users)
+    if users is dataset.users:
+        user_rows, user_ids = np.arange(arrays.num_users), arrays.user_ids
+    else:
+        user_rows = arrays.rows_for(users)
+        user_ids = arrays.user_ids[user_rows]
+    pool = traversal.pool
+    if k <= 0 or not len(pool) or not len(users):
+        none = np.empty(0, dtype=np.intp)
+        return TopKTable.of_contenders(
+            user_ids, k, none, np.empty(0), np.empty(0, dtype=np.int64)
+        )
     obj_rows = pool.object_rows(arrays.objects)
     ids, _, upper = pool.columns()
     n = len(obj_rows)
 
-    def top_k(scores):
-        """The k best of every row, the k-th best first."""
-        cols = scores.shape[1]
-        return np.partition(scores, cols - k, axis=1)[:, cols - k:]
+    def top_k(best, scores):
+        """The k best of every row of ``best`` and ``scores`` side by
+        side, the k-th best first."""
+        both = np.hstack((best, scores))
+        both.partition(both.shape[1] - k, axis=1)
+        return both[:, -k:]
 
     stop = min(n, traversal.n_lo + RO_BLOCK)
     active = np.arange(len(users))
     scores = arrays.candidate_score_matrix(obj_rows[:stop], user_rows)
     blocks = [(active, 0, scores)]
     # -inf until a user has k scores: nobody stops on fewer.
-    best = top_k(np.hstack((np.full((len(users), k), -math.inf), scores)))
+    best = top_k(np.full((len(users), k), -math.inf), scores)
     kth = best[:, 0].copy()
     neg_upper = -upper
     first = stop
@@ -728,23 +870,12 @@ def _individual_topk_numpy(
         improved = scores.max(axis=1) > kth[active]
         if improved.any():
             grew = active[improved]
-            best[grew] = top_k(np.hstack((best[grew], scores[improved])))
+            best[grew] = top_k(best[grew], scores[improved])
             kth[grew] = best[grew, 0]
 
     user_pos, col = _contenders(blocks, kth)
     exact = arrays.sts_pairs(obj_rows[col], user_rows[user_pos])
-    col_ids = ids[col]
-    order = np.lexsort((col_ids, -exact, user_pos))
-    pairs = list(zip(exact[order].tolist(), col_ids[order].tolist()))
-    starts = np.concatenate(
-        ([0], np.cumsum(np.bincount(user_pos, minlength=len(users))))
-    ).tolist()
-    return {
-        user.item_id: TopKResult(
-            user_id=user.item_id, ranked=pairs[start:min(start + k, end)]
-        )
-        for user, start, end in zip(users, starts, starts[1:])
-    }
+    return TopKTable.of_contenders(user_ids, k, user_pos, exact, ids[col])
 
 
 def joint_topk(
@@ -753,7 +884,7 @@ def joint_topk(
     k: int,
     store: Optional[PageStore] = None,
     backend: str = "python",
-) -> Dict[int, TopKResult]:
+) -> TopKTable:
     """Sections 5.4's full pipeline: traversal + individual refinement."""
     traversal = joint_traversal(tree, dataset, k, store=store, backend=backend)
     return individual_topk(traversal, dataset, k, backend=backend)

@@ -47,8 +47,15 @@ the order differs by kernel — the bound kernels sum ascending term ids
 ``sts_pairs`` walks each user's terms in the iteration order of
 ``set(user.keyword_set)``, the very set ``TextRelevance.score`` loops
 over, captured once at build time.  Terms the scalar loop skips enter
-as ``+ 0.0``, which is exact.  ``repro lint`` (KI301/KI302) bans
-``hypot`` / ``fsum`` / ``@`` / ``.sum`` / ``einsum`` inside them.
+as ``+ 0.0``, which is exact.  :func:`_masked_segment_sums` adds no
+such term at all: it orders the CSR segments by how many of their
+entries the mask keeps, longest first, so the segments that still have
+a ``j``-th kept entry are a prefix of that order, and column ``j`` is
+one add of those entries into that prefix of accumulators — each
+segment's kept weights enter its ``0.0`` accumulator once each, left to
+right, exactly the scalar ``total += w`` sequence.  ``repro lint``
+(KI301/KI302) bans ``hypot`` / ``fsum`` / ``@`` / ``.sum`` / ``einsum``
+inside them.
 
 Array layout
 ------------
@@ -94,6 +101,7 @@ from typing import (
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
 from .bounds import BoundCalculator, augmented_document, candidate_term_weight
+from .thresholds import Thresholds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model.dataset import Dataset
@@ -727,9 +735,10 @@ class SelectionContext:
 
     **Once per query**, filled lazily, all by array operations:
 
-    * ``rsk``: ``RSk(u)`` by user row (:meth:`admit`), read from the
-      mapping of the call in which the user first appears (the indexed
-      search hands every location its own mapping); NaN = not seen;
+    * ``rsk``: ``RSk(u)`` by user row (:meth:`admit`), gathered from
+      the :class:`~repro.core.thresholds.Thresholds` of the call in
+      which the user first appears (the indexed search hands every
+      location its own vector); NaN = not seen;
     * the text half of ``UBL(l, u)`` (:meth:`upper_text`);
     * one full-length ``TS`` vector per distinct keyword set
       (:meth:`text`), any number of new sets scored in one stacked pass;
@@ -760,17 +769,36 @@ class SelectionContext:
         self.candidate_terms = candidate_terms
         self.ws = ws
         self.rsk = np.full(arrays.num_users, np.nan)  # NaN: user not seen yet
+        self._admitted: Optional[Thresholds] = None  # last vector checked
         self._upper_text = None
         self._text = np.empty((0, arrays.num_users))  # one row per keyword set
         self._text_row: Dict[FrozenSet[int], int] = {}
         self._pairs: Optional[PairTable] = None
 
     # -- once per query ------------------------------------------------
-    def admit(self, rows, rsk: Mapping[int, float]) -> None:
-        """First sight of the users at ``rows``: read their thresholds."""
+    def admit(self, rows, rsk: Thresholds) -> None:
+        """First sight of the users at ``rows``: gather their thresholds
+        from ``rsk``, which must be laid out by user row — its ``ids``
+        are checked against this dataset's once per threshold object, so
+        a vector of some other user order raises instead of mis-reading.
+        (A plain mapping by user id is laid out first, for callers off
+        the refine path: tests, scalar-oracle helpers.)"""
+        if not isinstance(rsk, Thresholds):
+            rsk = Thresholds.over(self.arrays.user_ids, rsk)
+        elif rsk is not self._admitted:
+            ids = self.arrays.user_ids
+            if rsk.ids is not ids and not np.array_equal(rsk.ids, ids):
+                raise ValueError(
+                    "thresholds are not laid out by this dataset's user rows"
+                )
+            self._admitted = rsk
         fresh = rows[np.isnan(self.rsk[rows])]
         if len(fresh):
-            self.rsk[fresh] = [rsk[uid] for uid in self.arrays.user_ids[fresh].tolist()]
+            values = rsk.values[fresh]
+            if np.isnan(values).any():
+                missing = self.arrays.user_ids[fresh[np.isnan(values)]]
+                raise KeyError(f"no RSk(u) for users {missing[:5].tolist()}")
+            self.rsk[fresh] = values
 
     def text(self, keyword_sets: Sequence[FrozenSet[int]]):
         """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set.
@@ -1320,27 +1348,35 @@ class CandidatePoolArrays:
 def _masked_segment_sums(values, mask, indptr):
     """Per-segment sums of ``values[mask]`` with scalar-exact association.
 
-    Each CSR segment is summed **strictly left to right** (ascending
-    term order) into a ``0.0`` accumulator, reproducing the scalar
-    ``total += w`` loop bit for bit — ``np.add.reduceat`` re-associates
-    segments longer than a few elements and is *not* usable here.  The
-    column loop touches each relevant value exactly once, so the total
-    work is O(relevant nnz) plus one vectorized pass per frontier
-    "column" (the j-th relevant term of every entry advances together).
+    Each CSR segment's kept values are summed **strictly left to right**
+    (ascending term order) into a ``0.0`` accumulator, reproducing the
+    scalar ``total += w`` loop bit for bit — ``np.add.reduceat``
+    re-associates segments longer than a few elements and is *not*
+    usable here.  The kept positions come from one ``flatnonzero`` and
+    each segment's share of them from one ``searchsorted`` of ``indptr``;
+    the segments are then ordered by kept count, longest first, so the
+    segments that still have a ``j``-th kept value are a prefix of that
+    order and column ``j`` is one slice-wise add.  Every kept value is
+    read once, no addend is padding, and the working memory is O(nnz): no
+    ``segments x longest`` temporary.
     """
-    vals = values[mask]
-    csum = np.concatenate(([0], np.cumsum(mask)))
-    counts = csum[indptr[1:]] - csum[indptr[:-1]]
-    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    ends = starts + counts
+    kept = np.flatnonzero(mask)
+    bounds = np.searchsorted(kept, indptr)
+    counts = bounds[1:] - bounds[:-1]
+    order = np.argsort(-counts)
+    ranked = counts[order]
+    pos = bounds[:-1][order]
     totals = np.zeros(len(counts))
-    pos = starts.copy()
-    active = np.nonzero(counts > 0)[0]
-    while active.size:
-        totals[active] += vals[pos[active]]
-        pos[active] += 1
-        active = active[pos[active] < ends[active]]
-    return totals
+    longest = int(ranked[0]) if len(ranked) else 0
+    # active[j]: how many segments hold more than j kept values.
+    active = np.searchsorted(-ranked, -np.arange(longest), side="left").tolist()
+    vals = values[kept]
+    for width in active:
+        totals[:width] += vals[pos[:width]]
+        pos[:width] += 1
+    out = np.empty(len(counts))
+    out[order] = totals
+    return out
 
 
 def arrays_for(dataset: "Dataset") -> DatasetArrays:

@@ -4,9 +4,10 @@ Algorithm 2 — the **refine**, the one O(|U|·pool) phase — is per-user
 work against one shared traversal pool, independent across users.  A
 sharded engine (``repro.serve.sharded``) therefore deals the rows of
 ``dataset.users`` over its full-dataset lanes as contiguous half-open
-ranges: each lane resolves exact ``RSk(u)`` thresholds for *its* rows,
-and the per-lane maps are a disjoint cover of the sequential map that
-merges by plain union.  Which lane refined which user cannot change a
+ranges: each lane resolves exact ``RSk(u)`` thresholds for *its* rows
+(a :class:`~repro.core.thresholds.Thresholds` — id and value columns),
+and the per-lane vectors are a disjoint cover of the sequential vector
+that merges by concatenation.  Which lane refined which user cannot change a
 value — every lane holds the same dataset and the same pool.
 
 Everything *aggregate*-dependent (the group threshold ``RSk(us)``, and
@@ -18,11 +19,11 @@ code consumes them.
 
 Determinism contract of the merge
 ---------------------------------
-* ``RSk(u)`` values merge keyed by user id in lane order — ranges are
-  dealt in row order, so the merged map iterates like the sequential
-  one — and the merge is the guard on what came off the wire: a user
-  reported twice, or a user of the dataset reported by no lane, is an
-  error, not a last-write-wins or a silent gap.
+* ``RSk(u)`` values merge in user-row order — ranges are dealt in row
+  order, so the lane-order concatenation already is; any other order
+  is put back into it — and the merge is the guard on what came off
+  the wire: a user reported twice, or a user of the dataset reported
+  by no lane, is an error, not a last-write-wins or a silent gap.
 * Within the per-user top-k lists behind each ``RSk(u)``, ties were
   already broken by (score desc, object id asc); the merge preserves
   those values untouched, so the summed-RSk / object-id tie-breaking of
@@ -35,12 +36,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..model.dataset import Dataset
 from ..model.objects import User
 from .candidate_selection import search_shortlists, shortlist_locations
 from .joint_topk import JointTraversalResult, individual_topk
+from .thresholds import Thresholds
 
 __all__ = [
     "PartialResult",
@@ -66,7 +70,9 @@ class PartialResult:
     """One lane's phase-1 contribution at one ``k``.
 
     ``rsk`` holds the exact ``RSk(u)`` of every user in the lane's row
-    range, keyed by user id; ``shard_id`` is the lane's index.  The
+    range, in row order (a :class:`~repro.core.thresholds.Thresholds`;
+    any ``Mapping`` by user id is accepted); ``shard_id`` is the lane's
+    index.  The
     values are computed against the globally shared traversal pool, so
     they are bitwise identical to what the sequential Algorithm 2
     produces for the same users.  A refine chunk crosses a process
@@ -76,17 +82,18 @@ class PartialResult:
 
     shard_id: int
     k: int
-    rsk: Dict[int, float]
+    rsk: Mapping[int, float]
     users_total: int
     time_s: float
 
 
 @dataclass(slots=True)
 class MergedThresholds:
-    """The gathered phase-1 state: a full, sequential-identical rsk map."""
+    """The gathered phase-1 state: the full, sequential-identical
+    ``RSk(u)`` vector, by user row."""
 
     k: int
-    rsk: Dict[int, float]
+    rsk: Thresholds
     users_total: int
     time_s: float  # summed lane refine time (scatter work, not wall clock)
 
@@ -112,8 +119,9 @@ def compute_partials(
     can rank in a top-``k`` survives the larger walk, see
     :class:`repro.core.batch.SharedTraversalPool`).  A top-``k`` list is
     the first ``k`` entries of the top-``max(ks)`` list over the same
-    pool (:meth:`TopKResult.kth_score_at`), so each ``k`` still gets its
-    own :class:`PartialResult`; the first carries the refinement's time.
+    pool (:meth:`~repro.core.joint_topk.TopKTable.rsk`), so each ``k``
+    still gets its own :class:`PartialResult`; the first carries the
+    refinement's time.
     Example 4's stop is taken per user, so a user's list does not
     depend on which rows it was refined with.
 
@@ -140,11 +148,11 @@ def compute_partials(
     users = dataset.users[lo:hi]
     partials: List[PartialResult] = []
     t0 = time.perf_counter()
-    per_user = individual_topk(
+    table = individual_topk(
         traversal, dataset, max(ks), users=users, backend=backend
     )
     for k in ks:
-        rsk = {uid: res.kth_score_at(k) for uid, res in per_user.items()}
+        rsk = table.rsk(k)
         t1 = time.perf_counter()
         partials.append(PartialResult(
             shard_id=shard_id, k=k, rsk=rsk,
@@ -161,39 +169,46 @@ def compute_partials(
 def merge_partials(
     partials: Sequence[PartialResult], users: Sequence[User]
 ) -> MergedThresholds:
-    """Union the per-lane ``RSk(u)`` maps into the sequential map over
-    ``users`` (the coordinator's ``dataset.users``).
+    """Concatenate the per-lane ``RSk(u)`` vectors into the sequential
+    vector over ``users`` (the coordinator's ``dataset.users``), by row.
 
     Lane contributions are a disjoint cover by construction (each row
     falls in exactly one range); a user reported twice, or one of
     ``users`` reported by no lane, means the dealing or a remote
     replica is broken, so it raises instead of silently preferring one
-    lane's value or serving a short map.  Per-lane times are summed —
-    the total refine work, which equals the sequential refine cost
-    modulo parallelism.
+    lane's value or serving a short vector.  Both checks are array
+    operations on the id columns.  Per-lane times are summed — the
+    total refine work, which equals the sequential refine cost modulo
+    parallelism.
     """
     if not partials:
         raise ValueError("merge_partials needs at least one partial")
     ks = {p.k for p in partials}
     if len(ks) > 1:
         raise ValueError(f"cannot merge partials across k values {sorted(ks)}")
-    merged: Dict[int, float] = {}
-    time_s = 0.0
-    for p in sorted(partials, key=lambda p: p.shard_id):
-        overlap = merged.keys() & p.rsk.keys()
-        if overlap:
+    lanes = sorted(partials, key=lambda p: p.shard_id)
+    columns = [Thresholds.of(p.rsk) for p in lanes]
+    ids = np.concatenate([c.ids for c in columns])
+    values = np.concatenate([c.values for c in columns])
+    time_s = sum(p.time_s for p in lanes)
+    want = np.fromiter((u.item_id for u in users), np.int64, len(users))
+    if not np.array_equal(ids, want):
+        unique, seen = np.unique(ids, return_counts=True)
+        if (seen > 1).any():
             raise ValueError(
-                f"lane {p.shard_id} re-reports users {sorted(overlap)[:5]} "
+                f"a lane re-reports users {unique[seen > 1][:5].tolist()} "
                 "already merged from another lane"
             )
-        merged.update(p.rsk)
-        time_s += p.time_s
-    missing = [u.item_id for u in users if u.item_id not in merged]
-    if missing or len(merged) != len(users):
-        raise ValueError(
-            f"refine lanes cover {len(merged)} users, the dataset holds "
-            f"{len(users)} (first missing: {missing[:5]})"
-        )
+        missing = want[~np.isin(want, ids)]
+        if len(missing) or len(ids) != len(want):
+            raise ValueError(
+                f"refine lanes cover {len(ids)} users, the dataset holds "
+                f"{len(users)} (first missing: {missing[:5].tolist()})"
+            )
+        # The same users in another order: back into row order.
+        by_id = np.argsort(ids)
+        values = values[by_id[np.searchsorted(ids, want, sorter=by_id)]]
     return MergedThresholds(
-        k=next(iter(ks)), rsk=merged, users_total=len(merged), time_s=time_s
+        k=next(iter(ks)), rsk=Thresholds(want, values), users_total=len(want),
+        time_s=time_s,
     )

@@ -14,9 +14,10 @@ are unchanged (the memoized common case) re-send only the reference.
 Blocks are keyed on ``Dataset.epoch`` plus the codec's ship sequence,
 so a mutated dataset can never alias a stale block.
 
-Decoding reconstructs byte-identical python values (dict insertion
-order included), so results stay bitwise identical to the pickle path —
-the PR-3 convention.  The pickle path itself remains intact: payloads
+Decoding reconstructs byte-identical values (an ``RSK1`` block becomes
+the same :class:`~repro.core.thresholds.Thresholds` columns, in the same
+order), so results stay bitwise identical to the pickle path — the PR-3
+convention.  The pickle path itself remains intact: payloads
 that never meet a codec (in-process execution, degraded mode,
 ``--no-shm``) are passed through untouched, and a worker can always
 decode a codec payload because references resolve by *name* via
@@ -25,8 +26,9 @@ worker-side mappings, nothing to leak on SIGKILL).
 
 Encoding for the two arena block kinds:
 
-* ``rsk`` — ``"RSK1" | n:u32 | ids:int64[n] | values:float64[n]`` in
-  dict insertion order;
+* ``rsk`` — ``"RSK1" | n:u32 | ids:int64[n] | values:float64[n]``: a
+  :class:`~repro.core.thresholds.Thresholds`' two columns (a mapping's
+  items in iteration order);
 * ``blob`` — a pickle of the object (used for the memoized traversal
   pools and ``SharedTopK`` states whose win is the delta shipping, not
   the encoding).
@@ -41,12 +43,14 @@ from __future__ import annotations
 import pickle
 import struct
 import threading
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..storage.shm import ShmArena, ShmArenaError
+from .thresholds import Thresholds
 
 __all__ = [
     "ArenaRef",
@@ -80,33 +84,28 @@ def payload_nbytes(obj) -> int:
 
 
 # ----------------------------------------------------------------------
-# Binary block encodings (array-module based: no numpy requirement)
+# Binary block encodings
 # ----------------------------------------------------------------------
 
-def encode_rsk(rsk: Dict[int, float]) -> bytes:
-    """``{user_id: RSk(u)}`` -> flat int64/float64 block.
-
-    Preserves insertion order so the decoded dict iterates identically
-    to the original — lookups *and* any order-sensitive consumer see
-    the same mapping.
-    """
-    ids = array("q", rsk.keys())
-    values = array("d", rsk.values())
+def encode_rsk(rsk: Mapping[int, float]) -> bytes:
+    """``RSk(u)`` per user -> flat int64/float64 block: the id column,
+    then the value column, in the order of ``rsk`` — so the decoded
+    vector reads like the original, lookups *and* row order alike.
+    ``OverflowError`` for an id outside int64."""
+    rsk = Thresholds.of(rsk)
     return b"".join((
         _RSK_MAGIC, struct.pack("<I", len(rsk)),
-        ids.tobytes(), values.tobytes(),
+        rsk.ids.tobytes(), rsk.values.tobytes(),
     ))
 
 
-def decode_rsk(data: bytes) -> Dict[int, float]:
+def decode_rsk(data: bytes) -> Thresholds:
     if data[:4] != _RSK_MAGIC:
         raise ValueError("not an RSK block")
     (n,) = struct.unpack_from("<I", data, 4)
-    ids = array("q")
-    ids.frombytes(data[8:8 + 8 * n])
-    values = array("d")
-    values.frombytes(data[8 + 8 * n:8 + 16 * n])
-    return dict(zip(ids.tolist(), values.tolist()))
+    ids = np.frombuffer(data, np.int64, n, 8).copy()
+    values = np.frombuffer(data, np.float64, n, 8 + 8 * n).copy()
+    return Thresholds(ids, values)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +211,7 @@ class PayloadCodec:
                 data = encode_rsk(obj) if kind == "rsk" else pickle.dumps(
                     obj, protocol=pickle.HIGHEST_PROTOCOL
                 )
-            except (TypeError, OverflowError, pickle.PicklingError):
+            except (TypeError, ValueError, OverflowError, pickle.PicklingError):
                 # Unencodable (non-int64 keys, unpicklable object):
                 # leave it inline on the pickle path.
                 self.inline_fallbacks += 1
@@ -259,7 +258,7 @@ class PayloadCodec:
                 data = encode_rsk(obj) if kind == "rsk" else pickle.dumps(
                     obj, protocol=pickle.HIGHEST_PROTOCOL
                 )
-            except (TypeError, OverflowError, pickle.PicklingError):
+            except (TypeError, ValueError, OverflowError, pickle.PicklingError):
                 self.inline_fallbacks += 1
                 return obj
             self._seq += 1
@@ -415,7 +414,7 @@ def encode_gather_payload(chunk):
     try:
         if all(type(p) is PartialResult for p in chunk):
             return _encode_gather_partials(chunk)
-    except (TypeError, OverflowError, struct.error):
+    except (TypeError, ValueError, OverflowError, struct.error):
         # Unpackable contents (non-int64 ids): stay on the pickle path.
         return chunk
     return chunk

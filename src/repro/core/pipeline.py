@@ -449,12 +449,12 @@ class RefineStage(Stage):
     ``split`` emits one refine payload per lane, each carrying the
     shared pool, every missing k — one refinement at the largest serves
     them all — and its range of ``dataset.users`` rows; ``merge``
-    unions the disjoint per-lane maps back into the
-    sequential-identical threshold map per k
+    concatenates the disjoint per-lane ``RSk(u)`` vectors back into the
+    sequential-identical vector per k, by user row
     (:func:`repro.core.partial.merge_partials`, which refuses a user
     reported twice or not at all) and emits what :class:`SelectStage`
     reads: one :class:`~repro.core.batch.SharedTopK` per k over the
-    merged map.  That state is memoized in the traversal pool's
+    merged vector.  That state is memoized in the traversal pool's
     ``by_k`` — so it lives exactly as long as the walk whose time and
     I/O it reports, and warm flushes hand the codec the same object to
     delta-ship.  The executor calls ``merge`` with no chunks when every

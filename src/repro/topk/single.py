@@ -25,7 +25,7 @@ from ..model.dataset import Dataset
 from ..model.objects import User
 from ..storage.pager import PageStore
 
-__all__ = ["TopKResult", "topk_single_user", "topk_all_users_individually", "kth_score"]
+__all__ = ["TopKResult", "topk_single_user", "topk_all_users_individually"]
 
 
 @dataclass(slots=True)
@@ -37,15 +37,8 @@ class TopKResult:
 
     @property
     def kth_score(self) -> float:
-        """``RSk(u)``: score of the k-th ranked object (0 if fewer)."""
+        """``RSk(u)``: score of the last ranked object (0 if none)."""
         return self.ranked[-1][0] if self.ranked else 0.0
-
-    def kth_score_at(self, k: int) -> float:
-        """``RSk(u)`` at a smaller ``k``: :attr:`kth_score` of the first
-        ``k`` entries.  The ranking is a total order on (score desc,
-        object id asc), so a prefix of a top-k' list over some pool *is*
-        the top-k list over that pool."""
-        return self.ranked[min(k, len(self.ranked)) - 1][0] if self.ranked else 0.0
 
     def object_ids(self) -> List[int]:
         return [oid for _, oid in self.ranked]
@@ -141,8 +134,3 @@ def topk_all_users_individually(
     return {
         u.item_id: topk_single_user(tree, dataset, u, k, store) for u in users
     }
-
-
-def kth_score(results: Dict[int, TopKResult], user_id: int) -> float:
-    """``RSk(u)`` lookup helper used by candidate selection."""
-    return results[user_id].kth_score

@@ -59,7 +59,7 @@ class TestParams:
 class TestWorkbench:
     def test_build_populates_rsk(self, bench):
         assert len(bench.rsk) == 30
-        assert all(0.0 <= v <= 1.0 for v in bench.rsk.values())
+        assert all(0.0 <= v <= 1.0 for v in bench.rsk.values.tolist())
         assert 0.0 <= bench.rsk_group <= 1.0
 
     def test_query_matches_config(self, bench):

@@ -330,6 +330,169 @@ class TestRefineEqualsPythonBackend:
         assert got[loner.item_id] == [(traversal.ro[-1].upper, twin.item_id)]
 
 
+def twinned(ds, measure):
+    """``ds`` with every object twice — same point, same document, the
+    twin under the next id: exact ties for every user at every rank."""
+    objects = [
+        STObject(item_id=2 * o.item_id + twin, location=o.location, terms=dict(o.terms))
+        for o in ds.objects for twin in (0, 1)
+    ]
+    return Dataset(objects, ds.users, relevance=measure, alpha=ds.alpha, metric=ds.metric)
+
+
+def oracle_rsk(ranked, k):
+    """``RSk(u)`` at ``k`` read off the python backend's ranked list."""
+    return ranked[min(k, len(ranked)) - 1][0] if ranked else 0.0
+
+
+def table_mismatches(traversal, ds, k, backend, users=None):
+    """Where ``individual_topk``'s table disagrees with the python
+    oracle's ranked lists: its user order, ``rsk(k')`` for every
+    ``1 <= k' <= k`` (``==`` on the floats), or its mapping view."""
+    order = [u.item_id for u in (ds.users if users is None else users)]
+    oracle = ranked_lists(traversal, ds, k, "python", users)
+    table = individual_topk(traversal, ds, k, users=users, backend=backend)
+    bad = [] if table.users.tolist() == order else ["users"]
+    for at in range(1, k + 1):
+        got = table.rsk(at)
+        if got.ids.tolist() != order or got.values.tolist() != [
+            oracle_rsk(oracle[uid], at) for uid in order
+        ]:
+            bad.append(at)
+    if {uid: res.ranked for uid, res in table.items()} != oracle:
+        bad.append("ranked")
+    return bad
+
+
+def dataset_draw(seed, measure, n_obj, twins):
+    ds = build_dataset(seed, measure, n_obj=n_obj)
+    return twinned(ds, measure) if twins else ds
+
+
+class TestTopKTableExact:
+    """Algorithm 2's output is a table; every threshold read off it is
+    the oracle's float."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(["LM", "TF", "KO"]),
+        n_obj=st.sampled_from([3, 12, 40]),
+        twins=st.booleans(),
+        k=st.sampled_from([1, 2, 5, 20]),
+        walk=st.sampled_from(["python", "numpy"]),
+        backend=st.sampled_from(["python", "numpy"]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rsk_at_every_k_equals_the_oracle(
+        self, seed, measure, n_obj, twins, k, walk, backend, data
+    ):
+        """Keyword-less users (``build_dataset``), exact ties (twins),
+        pools smaller than ``k`` (short rows) and any ``users=`` subset."""
+        ds = dataset_draw(seed, measure, n_obj, twins)
+        tree = MIRTree(ds.objects, ds.relevance, fanout=4)
+        traversal = joint_traversal(tree, ds, k, backend=walk)
+        users = data.draw(st.one_of(
+            st.none(), st.lists(st.sampled_from(ds.users), unique_by=id)
+        ))
+        assert table_mismatches(traversal, ds, k, backend, users) == []
+
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(["LM", "TF", "KO"]),
+        twins=st.booleans(),
+        lanes=st.integers(1, 5),
+        backend=st.sampled_from(["python", "numpy"]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_merged_lane_vectors_equal_the_oracle(
+        self, seed, measure, twins, lanes, backend, data
+    ):
+        """The sharded call: lanes refine row ranges off the pool as it
+        arrives off the wire, one refinement at ``max(ks)`` each; the
+        merged vector per ``k`` is the oracle's, by user row."""
+        from repro.core.partial import merge_partials
+        from repro.core.pipeline import user_row_ranges
+
+        ds = dataset_draw(seed, measure, 30, twins)
+        tree = MIRTree(ds.objects, ds.relevance, fanout=4)
+        ks = sorted(data.draw(st.sets(st.integers(1, 9), min_size=1)))
+        walked = joint_traversal(tree, ds, max(ks), backend="numpy")
+        arrived = pickle.loads(pickle.dumps(walked.readable_by(backend)))
+        partials = [
+            p
+            for lane, rows in enumerate(user_row_ranges(len(ds.users), lanes))
+            for p in compute_partials(ds, arrived, ks, backend, shard_id=lane, rows=rows)
+        ]
+        oracle = ranked_lists(walked, ds, max(ks), "python")
+        order = [u.item_id for u in ds.users]
+        for k in ks:
+            merged = merge_partials([p for p in partials if p.k == k], ds.users).rsk
+            assert merged.ids.tolist() == order
+            assert merged.values.tolist() == [oracle_rsk(oracle[uid], k) for uid in order]
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_rsk_refuses_a_k_outside_the_refined_one(self, backend):
+        """``kth_score_at(0)`` used to answer the *last* entry's score,
+        and a ``k`` above the refined one the refined ``k``'s threshold."""
+        ds = build_dataset(3)
+        tree = MIRTree(ds.objects, ds.relevance, fanout=4)
+        table = individual_topk(joint_traversal(tree, ds, 4), ds, 4, backend=backend)
+        assert len(table.rsk(4)) == len(ds.users)
+        for k in (0, -1, 5):
+            with pytest.raises(ValueError, match="outside 1..4"):
+                table.rsk(k)
+
+
+def table_mismatch_count(seeds):
+    """Seeded draws on which the numpy table disagrees with the oracle."""
+    caught = 0
+    for seed in seeds:
+        ds = dataset_draw(seed, ["LM", "TF", "KO"][seed % 3], 40, seed % 2)
+        tree = MIRTree(ds.objects, ds.relevance, fanout=4)
+        k = 1 + seed % 5
+        caught += bool(table_mismatches(joint_traversal(tree, ds, k), ds, k, "numpy"))
+    return caught
+
+
+class TestTopKTableMutantsAreCaught:
+    def test_unmutated_table_is_clean(self):
+        assert table_mismatch_count(range(12)) == 0
+
+    def test_thresholds_read_from_the_banded_matrix(self, monkeypatch):
+        """Contenders scored by the guard-banded BLAS matrix — the
+        ``best`` matrix's floats — instead of the exact pair kernel."""
+        import numpy as np
+
+        def banded(self, obj_rows, user_rows):
+            every = np.arange(self.objects.num_objects)
+            return self.candidate_score_matrix(every)[user_rows, obj_rows]
+
+        monkeypatch.setattr(DatasetArrays, "sts_pairs", banded)
+        assert table_mismatch_count(range(12))
+
+    def test_dense_slot_shifted_by_one(self, monkeypatch):
+        """Every contender written one slot further along the flattened
+        ``users x width`` buffer: a full row's last contender lands in
+        the next user's row."""
+        import numpy as np
+
+        def shifted(user_pos, values, n_rows):
+            order = np.argsort(user_pos, kind="stable")
+            rows = user_pos[order]
+            counts = np.bincount(user_pos, minlength=n_rows)
+            width = int(counts.max()) if len(rows) else 0
+            starts = np.cumsum(counts) - counts
+            dense = np.full(n_rows * width, -math.inf)
+            slot = np.arange(len(rows)) - starts[rows] + 1  # the mutation
+            dense[np.minimum(rows * width + slot, len(dense) - 1)] = values[order]
+            return dense.reshape(n_rows, width), counts
+
+        monkeypatch.setattr(joint_topk_module, "_ragged_rows", shifted)
+        assert table_mismatch_count(range(12))
+
+
 def flickr_engine(objects, users):
     """The benchmark's dataset shape (``benchmarks/e2e``), smaller."""
     from repro.serve import WorkloadSpec
@@ -439,6 +602,74 @@ class TestArrayHandOff:
             assert [(r.location, r.keywords, r.brstknn) for r in got] == [
                 (r.location, r.keywords, r.brstknn) for r in reference
             ]
+
+    @pytest.mark.parametrize("path", ["query", "batch", "lanes-inline", "lanes-pool"])
+    def test_no_per_user_object_between_refine_and_select(self, path, monkeypatch):
+        """Refine hands select one ``RSk(u)`` vector on every cold path:
+        no ``TopKResult`` is built, in this process or in a pool worker
+        (the counters are shared memory, so forked workers count too),
+        and ``SelectionContext.admit`` is handed a ``Thresholds``."""
+        import multiprocessing
+
+        from repro import EngineConfig
+        from repro.core.kernels import SelectionContext
+        from repro.core.thresholds import Thresholds
+        from repro.datagen import query_pool
+        from repro.serve import ShardedEngine
+        from repro.topk import single
+
+        if path == "lanes-pool" and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the pool transport forks")
+        built = multiprocessing.Value("i", 0)
+        admitted = multiprocessing.Value("i", 0)
+        not_vectors = multiprocessing.Value("i", 0)
+
+        class Counted(single.TopKResult):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                with built.get_lock():
+                    built.value += 1
+                super().__init__(*args, **kwargs)
+
+        admit = SelectionContext.admit
+
+        def spy(self, rows, rsk):
+            with admitted.get_lock():
+                admitted.value += 1
+                not_vectors.value += not isinstance(rsk, Thresholds)
+            return admit(self, rows, rsk)
+
+        monkeypatch.setattr(joint_topk_module, "TopKResult", Counted)
+        monkeypatch.setattr(single, "TopKResult", Counted)
+        monkeypatch.setattr(SelectionContext, "admit", spy)
+
+        engine, workload = flickr_engine(objects=600, users=40)
+        queries = query_pool(workload, 3, num_locations=5, ws=2, seed=0, seed_stride=101)
+        for i, query in enumerate(queries):
+            query.k = (5, 10, 20)[i]
+        options = QueryOptions(backend="numpy")
+        if path == "query":
+            got = [engine.query(q, options) for q in queries]
+        elif path == "batch":
+            got = engine.query_batch(queries, options)
+        else:
+            sharded = ShardedEngine(engine.dataset, EngineConfig(num_shards=2))
+            try:
+                if path == "lanes-pool":
+                    sharded.start_pools(1)
+                got = sharded.query_batch(queries, options)
+                assert sharded.last_flush_report.degraded_lanes == 0
+            finally:
+                sharded.close_pools()
+        assert built.value == 0
+        assert admitted.value > 0 and not_vectors.value == 0
+        # The counter does count: the scalar oracle builds its lists.
+        want = [engine.query(q, QueryOptions(backend="python")) for q in queries]
+        assert built.value > 0
+        assert [(r.location, r.keywords, r.brstknn) for r in got] == [
+            (r.location, r.keywords, r.brstknn) for r in want
+        ]
 
     def test_default_cell_pool_ships_under_100_kb(self):
         """O4000/U400 at k = 20: ~2.5k candidates, 440 105 bytes as

@@ -333,3 +333,90 @@ def test_tree_arrays_flatten_the_whole_tree():
     for e in range(arrays.num_entries):
         seg = arrays.ent_term[arrays.ent_indptr[e]:arrays.ent_indptr[e + 1]]
         assert list(seg) == sorted(seg)
+
+
+# ----------------------------------------------------------------------
+# The segment-sum kernel on its own: bitwise the scalar loop, O(nnz)
+# ----------------------------------------------------------------------
+
+def scalar_segment_sums(values, mask, indptr):
+    """The scalar reference: ``total = 0.0; total += w`` per segment,
+    left to right over its kept entries."""
+    out = []
+    for start, end in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        total = 0.0
+        for w, kept in zip(values[start:end].tolist(), mask[start:end].tolist()):
+            if kept:
+                total += w
+        out.append(total)
+    return out
+
+
+@st.composite
+def csr_draws(draw):
+    """Segments of 0..12 entries (empty ones included), weights from
+    1e-8 to 1e2, and a mask anywhere from all-kept to all-dropped."""
+    import numpy as np
+
+    lengths = draw(st.lists(st.integers(0, 12), max_size=40))
+    nnz = sum(lengths)
+    values = draw(st.lists(
+        st.floats(1e-8, 1e2, allow_nan=False, allow_infinity=False),
+        min_size=nnz, max_size=nnz,
+    ))
+    kind = draw(st.sampled_from(["random", "none", "all"]))
+    if kind == "random":
+        mask = draw(st.lists(st.booleans(), min_size=nnz, max_size=nnz))
+    else:
+        mask = [kind == "all"] * nnz
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp))).astype(np.intp)
+    return (
+        np.array(values, dtype=np.float64).reshape(nnz),
+        np.array(mask, dtype=bool).reshape(nnz),
+        indptr,
+    )
+
+
+class TestMaskedSegmentSums:
+    @given(csr=csr_draws())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_the_scalar_loop(self, csr):
+        import numpy as np
+
+        from repro.core.kernels import _masked_segment_sums
+
+        values, mask, indptr = csr
+        got = _masked_segment_sums(values, mask, indptr)
+        want = np.array(scalar_segment_sums(values, mask, indptr), dtype=np.float64)
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_one_long_segment_among_empty_ones_stays_o_nnz(self):
+        """100 k entries in one segment beside 100 k empty segments: a
+        ``segments x longest`` temporary would be 10^10 floats.  Peak
+        traced memory stays a small multiple of the input size."""
+        import tracemalloc
+
+        import numpy as np
+
+        from repro.core.kernels import _masked_segment_sums
+
+        n = 100_000
+        rng = np.random.default_rng(7)
+        values = rng.uniform(1e-8, 1e2, n)
+        mask = rng.random(n) < 0.9
+        lengths = np.zeros(n + 1, dtype=np.intp)
+        lengths[n // 2] = n
+        indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+        tracemalloc.start()
+        try:
+            got = _masked_segment_sums(values, mask, indptr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        input_bytes = values.nbytes + mask.nbytes + indptr.nbytes
+        assert peak < 8 * input_bytes
+        total = 0.0
+        for w in values[mask].tolist():
+            total += w
+        assert got[n // 2] == total and not got[: n // 2].any() and not got[n // 2 + 1:].any()
