@@ -19,7 +19,8 @@ Run::
 deals every batch over N full-dataset lanes (one fork worker each).
 
 The script exits non-zero if any batch produces results that differ
-from sequential python-backend queries (a built-in equivalence check).
+from the oracle's sequential answers (``repro.oracle.query``, a built-in
+equivalence check).
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
+from repro import MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
 from repro.core.config import EngineConfig  # noqa: E402
-from repro.core.kernels import HAS_NUMPY  # noqa: E402
 from repro.datagen.users import query_pool  # noqa: E402
 from repro.serve import make_engine  # noqa: E402
 
@@ -52,16 +52,14 @@ def make_queries(workload, config, count: int):
     )
 
 
-def time_batch(engine, queries, backend, method, repeats):
+def time_batch(engine, queries, method, repeats):
     """Best-of-N wall time for one cold batch call."""
     best = float("inf")
     results = None
     for _ in range(repeats):
         engine.clear_topk_cache()
         t0 = time.perf_counter()
-        results = engine.query_batch(
-            queries, QueryOptions(method=method, backend=backend)
-        )
+        results = engine.query_batch(queries, QueryOptions(method=method))
         best = min(best, time.perf_counter() - t0)
     return best, results
 
@@ -75,12 +73,6 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=DEFAULTS.k)
     parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
     parser.add_argument("--method", choices=["approx", "exact"], default="approx")
-    parser.add_argument(
-        "--backend",
-        choices=["python", "numpy", "auto"],
-        default="auto",
-        help="kernels used by the batched runs (batch-1 included)",
-    )
     parser.add_argument(
         "--shards",
         type=int,
@@ -122,7 +114,6 @@ def main(argv=None) -> int:
         measure=args.measure,
         k=args.k,
         seed=args.seed,
-        backend=args.backend,
     )
     if args.tiny:
         config = config.with_(num_objects=300, num_users=40, num_locations=5)
@@ -148,14 +139,13 @@ def main(argv=None) -> int:
         seed=config.seed,
     )
     queries = make_queries(workload, config, max(args.batch_sizes))
-    backend = args.backend if HAS_NUMPY or args.backend == "python" else "python"
 
     rows = []
     lanes = engine.start_pools() if args.shards > 1 else contextlib.nullcontext()
     with lanes:
         for size in args.batch_sizes:
             elapsed, results = time_batch(
-                engine, queries[:size], backend, args.method, args.repeats
+                engine, queries[:size], args.method, args.repeats
             )
             qps = size / elapsed if elapsed > 0 else float("inf")
             rows.append((size, elapsed, qps, results))
@@ -174,7 +164,6 @@ def main(argv=None) -> int:
         payload = {
             "benchmark": "batch_throughput",
             "dataset": config.label(),
-            "backend": backend,
             "method": args.method,
             "shards": args.shards,
             "rows": [
@@ -201,9 +190,7 @@ def main(argv=None) -> int:
         )
         mismatches = 0
         for q, batched in zip(queries[: largest[0]], largest[3]):
-            solo = reference.query(
-                q, QueryOptions(method=args.method, backend="python")
-            )
+            solo = oracle.query(reference, q, QueryOptions(method=args.method))
             if (
                 solo.location != batched.location
                 or solo.keywords != batched.keywords

@@ -27,7 +27,7 @@ between flushes and the next flush must complete via re-scatter to the
 survivors — ``worker_deaths``/``retries`` counters prove the path, and
 ``degraded == 0`` proves no in-process fallback was needed.
 
-Results must be identical to a fresh sequential engine everywhere
+Results must be identical to the oracle's sequential answers everywhere
 (the PR-3 bitwise convention).  The acceptance gate — full runs only —
 is per-host wire bytes at 4 hosts ≤ 0.75x the 2-host figure (ideal is
 0.5x; the slack absorbs per-connection framing constants and the
@@ -54,7 +54,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions  # noqa: E402
+from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
 from repro.datagen import query_pool  # noqa: E402
 from repro.serve import RetryPolicy, ShardedEngine, WorkloadSpec  # noqa: E402
 from repro.serve.shardhost import make_workload  # noqa: E402
@@ -194,14 +194,14 @@ def main(argv=None) -> int:
         workload, args.queries, num_locations=spec.locations,
         k=args.k, seed=spec.seed, seed_stride=101,
     )
-    options = QueryOptions(method="approx", mode="joint", backend="python")
+    options = QueryOptions(method="approx", mode="joint")
 
     print(f"workload: objects={spec.objects} users={spec.users} "
           f"queries={len(queries)} batch={args.batch_size} "
           f"hosts={args.hosts} (cpus={os.cpu_count()})", flush=True)
 
     reference = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-    expected = [reference.query(q, options) for q in queries]
+    expected = [oracle.query(reference, q, options) for q in queries]
 
     print(f"\n{'hosts':>5} {'refine KiB/shard':>17} {'wire out KiB':>13} "
           f"{'wire in KiB':>12} {'KiB/host':>9} {'total ms':>9}")

@@ -15,8 +15,9 @@ the same stream three ways through :class:`MaxBRSTkNNServer`:
   cache, isolating pure cache-hit serving throughput.
 
 Every served result — cached and fresh alike — is compared against a
-reference computed once per distinct query on an independent
-sequential python-backend engine, so a cache keying bug cannot pass.
+reference computed once per distinct query by the oracle
+(``repro.oracle.query``) on an independent engine, so a cache keying bug
+cannot pass.
 
 Run::
 
@@ -44,7 +45,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
+from repro import MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.metrics import percentile  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
@@ -136,8 +137,6 @@ def main(argv=None) -> int:
     parser.add_argument("--locations", type=int, default=DEFAULTS.num_locations)
     parser.add_argument("--k", type=int, default=DEFAULTS.k)
     parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    parser.add_argument("--backend", choices=["python", "numpy", "auto"],
-                        default="auto")
     parser.add_argument("--pool", type=int, default=24,
                         help="distinct queries in the pool")
     parser.add_argument("--stream", type=int, default=192,
@@ -161,7 +160,6 @@ def main(argv=None) -> int:
         num_locations=args.locations,
         k=args.k,
         seed=args.seed,
-        backend=args.backend,
     )
     if args.tiny:
         config = config.with_(num_objects=300, num_users=40, num_locations=5)
@@ -188,17 +186,16 @@ def main(argv=None) -> int:
     )
     stream = zipf_stream(args.pool, args.stream, args.zipf_s, args.seed)
     stream_queries = [pool[i] for i in stream]
-    options = QueryOptions(backend=args.backend)
+    options = QueryOptions()
 
-    # Reference answers, one per *distinct* query, from an independent
-    # sequential python-backend engine (no shared pools or caches).
+    # Reference answers, one per *distinct* query: the oracle's on an
+    # independent engine (no shared pools or caches).
     reference = None
     if not args.no_verify:
         ref_engine = MaxBRSTkNNEngine(
             bench.dataset, fanout=config.fanout, object_tree=engine.object_tree
         )
-        ref_options = QueryOptions(backend="python")
-        reference = [ref_engine.query(q, ref_options) for q in pool]
+        reference = [oracle.query(ref_engine, q, options) for q in pool]
 
     def check(label, results):
         if reference is None:

@@ -49,7 +49,7 @@ async def main():
     config = ServerConfig(
         max_batch=NUM_CLIENTS,
         max_wait_ms=2.0,
-        options=QueryOptions(method="approx", backend="auto"),
+        options=QueryOptions(method="approx"),
     )
     t0 = time.perf_counter()
     async with MaxBRSTkNNServer(engine, config) as server:

@@ -18,7 +18,7 @@ Quickstart
 >>> engine = MaxBRSTkNNEngine(ds)
 """
 
-from .core.config import Backend, EngineConfig, Method, Mode, QueryOptions
+from .core.config import EngineConfig, Method, Mode, QueryOptions
 from .core.engine import MaxBRSTkNNEngine
 from .core.planner import QueryPlan
 from .core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
@@ -29,7 +29,6 @@ from .spatial.geometry import Point, Rect
 __version__ = "1.2.0"
 
 __all__ = [
-    "Backend",
     "Dataset",
     "DatasetStats",
     "EngineConfig",

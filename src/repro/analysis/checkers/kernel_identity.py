@@ -47,7 +47,7 @@ from ..engine import Checker, Finding, ModuleInfo, call_name
 __all__ = ["KernelIdentityChecker", "IDENTITY_FUNCTIONS"]
 
 #: Default allowlist: the decision/bound kernels of core/kernels.py
-#: whose docstrings promise bitwise identity with the scalar backend,
+#: whose docstrings promise bitwise identity with the oracle,
 #: and the pair kernel whose floats Algorithm 2 *returns* (the
 #: guard-banded ``candidate_score_matrix`` beside it stays outside: its
 #: BLAS product is the point).

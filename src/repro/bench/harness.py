@@ -11,6 +11,10 @@ functions compute exactly the four quantities the paper's figures plot:
 
 Workbenches are cached per config so pytest-benchmark rounds and the
 report generator never rebuild indexes redundantly.
+
+The joint pipeline and the selectors are timed in their scalar form —
+the oracle's (:mod:`repro.oracle`) — so every column compares like with
+like: scalar Joint against the scalar per-user Baseline.
 """
 
 from __future__ import annotations
@@ -20,12 +24,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Tuple
 
+from .. import oracle
 from ..core.baseline import baseline_select_candidate
-from ..core.candidate_selection import select_candidate
 from ..core.config import QueryOptions
 from ..core.engine import MaxBRSTkNNEngine
-from ..core.indexed_users import indexed_users_maxbrstknn
-from ..core.joint_topk import joint_traversal, individual_topk
 from ..core.query import MaxBRSTkNNQuery
 from ..model.dataset import Dataset
 from ..datagen.synthetic import flickr_like, yelp_like
@@ -118,10 +120,8 @@ def _build(config: ExperimentConfig) -> Workbench:
         k=config.k,
     )
     bench = Workbench(config=config, dataset=dataset, engine=engine, query=query)
-    traversal = joint_traversal(
-        engine.object_tree, dataset, config.k, backend=config.backend
-    )
-    table = individual_topk(traversal, dataset, config.k, backend=config.backend)
+    traversal = oracle.joint_traversal(engine.object_tree, dataset, config.k)
+    table = oracle.individual_topk(traversal, dataset, config.k)
     bench.rsk = table.rsk(config.k)
     bench.rsk_group = traversal.rsk_group
     return bench
@@ -166,21 +166,15 @@ def measure_topk_baseline(bench: Workbench) -> TopKMetrics:
 
 
 def measure_topk_joint(bench: Workbench) -> TopKMetrics:
-    """Joint top-k (Algorithms 1+2) for the same users.
-
-    Runs with ``config.backend`` ("python" by default, matching the
-    paper's setting; "numpy" exercises the vectorized frontier
-    traversal — results and I/O are backend-identical by contract).
-    """
+    """Joint top-k (Algorithms 1+2) for the same users, in the oracle's
+    scalar form (the engine's kernels charge the same I/O)."""
     engine = bench.engine
-    backend = bench.config.backend
     engine.reset_io()
     t0 = time.perf_counter()
-    traversal = joint_traversal(
-        engine.object_tree, bench.dataset, bench.config.k, store=engine.store,
-        backend=backend,
+    traversal = oracle.joint_traversal(
+        engine.object_tree, bench.dataset, bench.config.k, store=engine.store
     )
-    individual_topk(traversal, bench.dataset, bench.config.k, backend=backend)
+    oracle.individual_topk(traversal, bench.dataset, bench.config.k)
     elapsed = time.perf_counter() - t0
     io = engine.io.total
     n = max(1, bench.num_users)
@@ -202,7 +196,7 @@ def measure_selection(bench: Workbench, method: str) -> SelectionMetrics:
     if method == "baseline":
         result = baseline_select_candidate(bench.dataset, bench.query, bench.rsk)
     elif method in ("exact", "approx"):
-        result = select_candidate(
+        result = oracle.select_candidate(
             bench.dataset, bench.query, bench.rsk, bench.rsk_group, method=method
         )
     else:
@@ -251,7 +245,7 @@ def measure_user_index(bench: Workbench) -> Tuple[int, int, float]:
 
     engine.reset_io()
     assert engine.user_tree is not None
-    result = indexed_users_maxbrstknn(
+    result = oracle.indexed_users_maxbrstknn(
         engine.object_tree,
         engine.user_tree,
         bench.dataset,

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
-from ..core.config import QueryOptions
-
 __all__ = ["ExperimentConfig", "DEFAULTS", "SWEEPS", "PAPER_SWEEPS", "config_for"]
 
 
@@ -39,16 +37,11 @@ class ExperimentConfig:
     measure: str = "LM"          # LM | TF | KO
     seed: int = 0
     fanout: int = 32
-    backend: str = "python"      # scoring kernels: python | numpy | auto
     batch_size: int = 1          # queries per query_batch call
 
     def with_(self, **kwargs) -> "ExperimentConfig":
         """Functional update (frozen dataclass)."""
         return replace(self, **kwargs)
-
-    def query_options(self) -> QueryOptions:
-        """The typed :class:`QueryOptions` this experiment cell runs with."""
-        return QueryOptions(backend=self.backend)
 
     def label(self) -> str:
         label = (
@@ -56,8 +49,8 @@ class ExperimentConfig:
             f"-a{self.alpha}-UL{self.ul}-UW{self.uw}-A{self.area}"
             f"-L{self.num_locations}-ws{self.ws}-{self.measure}-s{self.seed}"
         )
-        if self.backend != "python" or self.batch_size != 1:
-            label += f"-{self.backend}-b{self.batch_size}"
+        if self.batch_size != 1:
+            label += f"-b{self.batch_size}"
         return label
 
 

@@ -53,11 +53,7 @@ def _make_workload(args):
 
 def _query_options(args) -> QueryOptions:
     """One QueryOptions from the shared CLI flags."""
-    return QueryOptions(
-        method=args.method,
-        mode=getattr(args, "mode", "joint"),
-        backend=args.backend,
-    )
+    return QueryOptions(method=args.method, mode=getattr(args, "mode", "joint"))
 
 
 #: Why worker flags need lanes (the server's refusal says the same).
@@ -140,8 +136,7 @@ def _cmd_batch(args) -> int:
         print(f"[{i}] {result.summary()}")
     qps = len(queries) / elapsed if elapsed > 0 else float("inf")
     print(f"batch of {len(queries)}: {1000 * elapsed:.1f} ms total, "
-          f"{qps:.1f} queries/sec (backend={options.backend}, "
-          f"shards={args.shards})")
+          f"{qps:.1f} queries/sec (shards={args.shards})")
     return 0
 
 
@@ -306,17 +301,15 @@ def _cmd_serve(args) -> int:
             )
             print(f"  pool[{row['pool']}]: {detail}")
     if args.verify:
+        from . import oracle
+
         mismatches = 0
-        reference = QueryOptions(
-            method=options.method, mode=options.mode, backend="python"
-        )
-        # Verify against an INDEPENDENT sequential single engine — for
-        # both the sharded front-end and the plain one, and for
-        # mode=indexed as well as joint (the reference engine builds
-        # its own MIUR-tree when the served mode needs one; the
-        # immutable object MIR-tree is shared, so that is the only
-        # extra index build).  Comparing the served answers to a fresh
-        # engine's cold sequential queries is the strongest check: no
+        # Verify against the oracle's cold, sequential, all-scalar
+        # answers on an INDEPENDENT single engine — for both the sharded
+        # front-end and the plain one, and for mode=indexed as well as
+        # joint (the reference engine builds its own MIUR-tree when the
+        # served mode needs one; the immutable object MIR-tree is
+        # shared, so that is the only extra index build).  No kernel,
         # memoized pool or cache is shared between the two sides.
         ref_engine = MaxBRSTkNNEngine(
             dataset,
@@ -324,7 +317,7 @@ def _cmd_serve(args) -> int:
             object_tree=engine.object_tree,
         )
         for query, served in zip(queries, results):
-            solo = ref_engine.query(query, reference)
+            solo = oracle.query(ref_engine, query, options)
             if (
                 solo.location != served.location
                 or solo.keywords != served.keywords
@@ -405,8 +398,6 @@ def _add_query_args(p: argparse.ArgumentParser, modes=("joint", "baseline", "ind
     p.add_argument("--ws", type=int, default=2)
     p.add_argument("--method", choices=["approx", "exact"], default="approx")
     p.add_argument("--mode", choices=list(modes), default="joint")
-    p.add_argument("--backend", choices=["python", "numpy", "auto"],
-                   default="auto", help="scoring kernels")
     p.add_argument("--explain", action="store_true",
                    help="print the resolved QueryPlan before running")
 

@@ -8,28 +8,17 @@ from .engine import MaxBRSTkNNEngine
 from .extensions import Placement, collective_placement, top_placements
 from .indexed_users import indexed_users_maxbrstknn
 from .joint_topk import individual_topk, joint_topk, joint_traversal
-from .kernels import (
-    BACKENDS,
-    HAS_NUMPY,
-    DatasetArrays,
-    TreeArrays,
-    arrays_for,
-    resolve_backend,
-    tree_arrays_for,
-)
+from .kernels import DatasetArrays, TreeArrays, arrays_for, tree_arrays_for
 from .keyword_selection import (
     compute_brstknn,
-    greedy_max_coverage,
     select_keywords_exact,
     select_keywords_greedy,
 )
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 __all__ = [
-    "BACKENDS",
     "BoundCalculator",
     "DatasetArrays",
-    "HAS_NUMPY",
     "MaxBRSTkNNEngine",
     "MaxBRSTkNNQuery",
     "MaxBRSTkNNResult",
@@ -45,13 +34,11 @@ __all__ = [
     "baseline_select_candidate",
     "collective_placement",
     "compute_brstknn",
-    "greedy_max_coverage",
     "indexed_users_maxbrstknn",
     "individual_topk",
     "joint_topk",
     "joint_traversal",
     "query_batch",
-    "resolve_backend",
     "select_candidate",
     "select_keywords_exact",
     "select_keywords_greedy",

@@ -16,13 +16,12 @@ subsume the pools of every smaller ``k`` in the batch
 is ever pruned at ``k_max``), and each k's thresholds are derived from
 the shared pool by Algorithm 2 (:class:`SharedTraversalPool`, memoized
 on the engine across batches).  A mixed-k batch therefore pays for a
-*single* tree walk.  Candidate selection stays per query, optionally
-vectorized (``Backend.NUMPY``), in this process (a sharded engine deals
-it over its lanes instead).  Since PR 5, ``Mode.INDEXED``
-batches pool across k the same way: the node-RSk reformulation
-(:mod:`repro.core.indexed_users`) made every per-k quantity derive
-pool-independently from one MIUR-root walk at ``k_max``, memoized on
-the engine as ``engine._root_pool``.  ``Mode.BASELINE`` shares its
+*single* tree walk.  Candidate selection stays per query, in this
+process (a sharded engine deals it over its lanes instead).
+``Mode.INDEXED`` batches pool across k the same way: the node-RSk
+reformulation (:mod:`repro.core.indexed_users`) made every per-k
+quantity derive pool-independently from one MIUR-root walk at
+``k_max``, memoized on the engine as ``engine._root_pool``.  ``Mode.BASELINE`` shares its
 per-user top-k per distinct k as before.
 
 Execution strategy is decided by :func:`repro.core.planner.plan_batch`
@@ -158,17 +157,14 @@ def _compute_shared_baseline(engine: "MaxBRSTkNNEngine", k: int) -> SharedTopK:
     )
 
 
-def _ensure_traversal_pool(
-    engine: "MaxBRSTkNNEngine", k: int, backend: str
-) -> SharedTraversalPool:
+def _ensure_traversal_pool(engine: "MaxBRSTkNNEngine", k: int) -> SharedTraversalPool:
     """The engine's cross-k pool, (re)walked only when ``k`` outgrows it."""
     pool = engine._traversal_pool
     if pool is None or pool.k < k:
         before = engine.io.snapshot()
         t0 = time.perf_counter()
         traversal = joint_traversal(
-            engine.object_tree, engine.dataset, k, store=engine.store,
-            backend=backend,
+            engine.object_tree, engine.dataset, k, store=engine.store
         )
         elapsed = time.perf_counter() - t0
         delta = engine.io.snapshot() - before
@@ -199,7 +195,7 @@ def derive_rsk_group(pool: SharedTraversalPool, k: int) -> float:
 
 
 def _derive_shared_topk(
-    engine: "MaxBRSTkNNEngine", pool: SharedTraversalPool, k: int, backend: str
+    engine: "MaxBRSTkNNEngine", pool: SharedTraversalPool, k: int
 ) -> SharedTopK:
     """Per-k thresholds from the shared pool (Algorithm 2, memoized).
 
@@ -222,9 +218,7 @@ def _derive_shared_topk(
         return entry
     t0 = time.perf_counter()
     if pool.table is None:
-        pool.table = individual_topk(
-            pool.traversal, engine.dataset, pool.k, backend=backend
-        )
+        pool.table = individual_topk(pool.traversal, engine.dataset, pool.k)
     rsk_group = derive_rsk_group(pool, k)
     elapsed = time.perf_counter() - t0
     entry = SharedTopK(
@@ -244,7 +238,6 @@ def _select_one(
     shared: SharedTopK,
     mode: str,
     method: str,
-    backend: str,
 ) -> MaxBRSTkNNResult:
     """Phase 2 for one query against the shared thresholds."""
     stats = QueryStats(
@@ -264,7 +257,6 @@ def _select_one(
             rsk_group=shared.rsk_group,
             method=method,
             stats=stats,
-            backend=backend,
         )
     stats.selection_time_s = time.perf_counter() - t0
     result.stats = stats
@@ -284,8 +276,7 @@ def query_batch(
         Any number of queries (the empty batch returns ``[]``).  Queries
         may repeat; duplicates cost only a selection pass each.
     options:
-        A :class:`QueryOptions` (``None``: the shared default).  Results
-        are identical across backends.
+        A :class:`QueryOptions` (``None``: the shared default).
     """
     opts = coerce_options(options, api="query_batch")
     queries = list(queries)

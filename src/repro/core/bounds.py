@@ -170,9 +170,9 @@ class BoundCalculator:
 
         Terms are summed in ascending id order — the canonical
         association the numpy frontier kernels reproduce exactly, so
-        both backends compute bitwise-identical bounds (floating-point
-        addition is not associative; a shared order makes the traversal
-        backends interchangeable down to heap tie-breaks).
+        the engine and the oracle compute bitwise-identical bounds
+        (floating-point addition is not associative; a shared order
+        makes the two traversals agree down to heap tie-breaks).
         """
         if su.min_normalizer <= 0.0:
             return 0.0

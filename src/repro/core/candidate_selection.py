@@ -25,10 +25,10 @@ rules:
   verify against the actual user thresholds, since the group threshold
   is conservative.)
 
-**The numpy backend replays the queue over batched outcomes.**  Nothing
-is ever pushed back on the queue, so its pop order is a sort, known
+**The engine replays the queue over batched outcomes.**  Nothing is
+ever pushed back on the queue, so its pop order is a sort, known
 before any keyword is touched; and between locations only the spatial
-score changes.  ``backend="numpy"`` therefore evaluates the queue
+score changes.  The greedy search therefore evaluates the queue
 ``LOCATION_BLOCK`` entries at a time — shortlist mask, ``LUW`` pass,
 greedy max-coverage and recounts as rows of one matrix
 (:class:`~repro.core.kernels.SelectionContext`,
@@ -37,7 +37,10 @@ walks those outcomes with exactly the rules above, counters included.
 The block is what keeps early termination a *work* saver and not only
 a counting rule: the stop is tested before each block is paid for, so
 at most one block's tail is computed in vain, and the per-block
-temporaries stay bounded however many locations a query brings.
+temporaries stay bounded however many locations a query brings.  The
+queue loop itself — what the exact selector runs, and what the oracle
+(:mod:`repro.oracle`) runs with its scalar selectors — is
+:func:`_search_queue`.
 """
 
 from __future__ import annotations
@@ -50,13 +53,12 @@ from ..model.dataset import Dataset
 from ..model.objects import SuperUser, User
 from ..spatial.geometry import Point
 from .bounds import BoundCalculator
-from .kernels import SelectionContext, arrays_for, resolve_backend
+from .kernels import SelectionContext, arrays_for
 from .keyword_selection import (
     KeywordSelection,
     compute_brstknn,
     select_greedy_block,
     select_keywords_exact,
-    select_keywords_greedy,
 )
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
@@ -89,8 +91,8 @@ class LocationShortlist:
     upper_group: float
     lower_group: float
     index: int = -1
-    #: Rows of ``users`` in the dataset's ``DatasetArrays`` when a numpy
-    #: producer already had them (``None``: hand-built, or python backend).
+    #: Rows of ``users`` in the dataset's ``DatasetArrays`` when the
+    #: producer already had them (``None``: hand-built, or the oracle's).
     rows: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
 
 
@@ -102,7 +104,6 @@ def shortlist_locations(
     super_user: Optional[SuperUser] = None,
     users: Optional[Sequence[User]] = None,
     bounds: Optional[BoundCalculator] = None,
-    backend: str = "python",
 ) -> Tuple[List[LocationShortlist], int]:
     """Build ``LU_l`` for every surviving location.
 
@@ -111,17 +112,17 @@ def shortlist_locations(
     (pass 0.0 to disable group pruning, e.g. when thresholds come from
     the per-user baseline).  Only the spatial term of either bound
     depends on the location: both group text terms are computed once
-    here, and with ``backend="numpy"`` the per-user ``UBL(l, u) >=
-    RSk(u)`` test — the hot loop of Algorithm 3 — is one ``L x U`` mask
-    per block of surviving locations from a per-query
+    here, and the per-user ``UBL(l, u) >= RSk(u)`` test — the hot loop
+    of Algorithm 3 — is one ``L x U`` mask per block of surviving
+    locations from a per-query
     :class:`~repro.core.kernels.SelectionContext`; membership is
-    guaranteed identical to the scalar path (guard-banded re-check) and
-    the shortlists carry their users' array rows for the search.
+    guaranteed identical to the oracle's user-by-user scan (guard-banded
+    re-check), and the shortlists carry their users' array rows for the
+    search.
     """
     su = dataset.super_user if super_user is None else super_user
     users = dataset.users if users is None else users
     bounds = bounds or BoundCalculator(dataset)
-    numpy = resolve_backend(backend) == "numpy"
     group_text = bounds.group_upper_text(query.ox, query.keywords, query.ws, su)
     lower_text = bounds.group_lower_text(query.ox, su)
     shortlists: List[LocationShortlist] = []
@@ -133,19 +134,10 @@ def shortlist_locations(
         if ub_group < rsk_group:
             pruned += 1
             continue
-        if numpy:
-            lu = []  # filled below: every surviving location in one pass
-        else:
-            lu = [
-                u
-                for u in users
-                if bounds.location_upper_user(loc, query.ox, query.keywords, query.ws, u)
-                >= rsk[u.item_id]
-            ]
         shortlists.append(
             LocationShortlist(
                 location=loc,
-                users=lu,
+                users=[],  # filled below: every surviving location in one pass
                 upper_group=ub_group,
                 lower_group=bounds.location_lower_group(
                     loc, query.ox, su, text=lower_text
@@ -153,7 +145,7 @@ def shortlist_locations(
                 index=idx,
             )
         )
-    if numpy and shortlists:
+    if shortlists:
         _fill_shortlists(dataset, query, rsk, users, shortlists)
     return shortlists, pruned
 
@@ -189,7 +181,6 @@ def select_candidate(
     super_user: Optional[SuperUser] = None,
     users: Optional[Sequence[User]] = None,
     stats: Optional[QueryStats] = None,
-    backend: str = "python",
 ) -> MaxBRSTkNNResult:
     """Algorithm 3: best-first search over candidate locations.
 
@@ -202,13 +193,9 @@ def select_candidate(
     method:
         ``"approx"`` (greedy, Section 6.2.1) or ``"exact"``
         (Algorithm 4).
-    backend:
-        ``"python"`` (scalar reference) or ``"numpy"`` (vectorized
-        kernels, identical results).
     """
     if method not in ("approx", "exact"):
         raise ValueError(f"unknown keyword-selection method {method!r}")
-    backend = resolve_backend(backend)
     stats = stats if stats is not None else QueryStats()
     su = dataset.super_user if super_user is None else super_user
     users = dataset.users if users is None else users
@@ -222,12 +209,10 @@ def select_candidate(
         super_user=su,
         users=users,
         bounds=bounds,
-        backend=backend,
     )
     stats.locations_pruned += pruned
     return search_shortlists(
-        dataset, query, rsk, rsk_group, shortlists,
-        method=method, stats=stats, backend=backend,
+        dataset, query, rsk, rsk_group, shortlists, method=method, stats=stats
     )
 
 
@@ -240,7 +225,6 @@ def search_shortlists(
     *,
     method: str = "approx",
     stats: Optional[QueryStats] = None,
-    backend: str = "python",
 ) -> MaxBRSTkNNResult:
     """Algorithm 3's best-first search over pre-built shortlists.
 
@@ -251,15 +235,38 @@ def search_shortlists(
     depends only on the shortlists, ``rsk`` and ``rsk_group``, so
     identical inputs reproduce the sequential answer and the selection
     stats exactly.  ``shortlists`` must be ordered by location
-    ``index`` (the order :func:`shortlist_locations` emits).
+    ``index`` (the order :func:`shortlist_locations` emits).  The greedy
+    search runs block-wise (:func:`_search_blocks`), the exact one
+    location by location (:func:`_search_queue`).
     """
     if method not in ("approx", "exact"):
         raise ValueError(f"unknown keyword-selection method {method!r}")
-    backend = resolve_backend(backend)
     stats = stats if stats is not None else QueryStats()
-    if backend == "numpy" and method == "approx":
+    if method == "approx":
         return _search_blocks(dataset, query, rsk, rsk_group, shortlists, stats)
+    return _search_queue(
+        dataset, query, rsk, rsk_group, shortlists, stats,
+        select=select_keywords_exact, brstknn=compute_brstknn,
+    )
 
+
+def _search_queue(
+    dataset: Dataset,
+    query: MaxBRSTkNNQuery,
+    rsk: Mapping[int, float],
+    rsk_group: float,
+    shortlists: Sequence[LocationShortlist],
+    stats: QueryStats,
+    *,
+    select: Callable[..., KeywordSelection],
+    brstknn: Callable[..., FrozenSet[int]],
+) -> MaxBRSTkNNResult:
+    """:func:`search_shortlists` popping Algorithm 3's queue location by
+    location, scoring with ``select`` (:func:`select_keywords_exact`'s
+    signature) and, on the keyword-free acceptance path, ``brstknn``
+    (:func:`compute_brstknn`'s).  The exact search runs it with those
+    two; the oracle with its scalar selectors, for either method.
+    """
     # Max-priority queue on |LU_l| (Algorithm 3's QL).
     heap: List[Tuple[int, int, LocationShortlist]] = []
     for idx, sl in enumerate(shortlists):
@@ -269,15 +276,6 @@ def search_shortlists(
     best_keywords: FrozenSet[int] = frozenset()
     best_users: FrozenSet[int] = frozenset()
 
-    selector: Callable[..., KeywordSelection] = (
-        select_keywords_greedy if method == "approx" else select_keywords_exact
-    )
-    # Per-query scratch shared across the greedy calls (HW sets and
-    # optimistic weights are location-independent).
-    selector_kwargs = {"backend": backend}
-    if method == "approx":
-        selector_kwargs["cache"] = {}
-
     while heap:
         neg_size, _, sl = heapq.heappop(heap)
         if -neg_size <= len(best_users):
@@ -286,9 +284,8 @@ def search_shortlists(
             # Lines 3.11–3.13: keyword-free acceptance path.  The group
             # lower bound is conservative, so confirm per user with the
             # original description only.
-            winners = compute_brstknn(
-                dataset, query.ox, sl.location, frozenset(), sl.users, rsk,
-                backend=backend,
+            winners = brstknn(
+                dataset, query.ox, sl.location, frozenset(), sl.users, rsk
             )
             stats.keyword_combinations_scored += 1
             if len(winners) > len(best_users):
@@ -301,9 +298,8 @@ def search_shortlists(
             # unless nothing can improve.
             if len(winners) == len(sl.users):
                 continue
-        keywords, winners, scored = selector(
-            dataset, query.ox, sl.location, query.keywords, query.ws, sl.users, rsk,
-            **selector_kwargs,
+        keywords, winners, scored = select(
+            dataset, query.ox, sl.location, query.keywords, query.ws, sl.users, rsk
         )
         stats.keyword_combinations_scored += scored
         if len(winners) > len(best_users):
@@ -330,7 +326,7 @@ def _search_blocks(
     shortlists: Sequence[LocationShortlist],
     stats: QueryStats,
 ) -> MaxBRSTkNNResult:
-    """:func:`search_shortlists` for the numpy backend's greedy selector.
+    """:func:`search_shortlists` for the greedy selector, block-wise.
 
     Nothing is ever pushed back on Algorithm 3's queue, so its pop order
     is the sort by ``(-|LU_l|, position)``.  The loop below is the

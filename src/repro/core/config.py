@@ -5,7 +5,7 @@ Two frozen dataclasses carry every knob of the query surface:
 * :class:`EngineConfig` — how indexes are built (fanout, MIUR-tree,
   buffer pages); one value per engine lifetime.
 * :class:`QueryOptions` — how one query (or batch) is answered
-  (method / mode / backend as :class:`enum.Enum`\\ s); validated on
+  (method / mode as :class:`enum.Enum`\\ s); validated on
   construction, shared by every entry point, with **one** default:
   :meth:`QueryOptions.default`.
 
@@ -23,12 +23,10 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from ..spatial.rtree import DEFAULT_FANOUT
-from .kernels import resolve_backend
 
 __all__ = [
     "Method",
     "Mode",
-    "Backend",
     "CachePolicy",
     "EngineConfig",
     "QueryOptions",
@@ -81,18 +79,6 @@ class Mode(_CoercingEnum):
     JOINT = "joint"        # Section 5: joint top-k + Algorithm 3
     BASELINE = "baseline"  # Section 4: per-user top-k + exhaustive scan
     INDEXED = "indexed"    # Section 7: users on disk under the MIUR-tree
-
-
-class Backend(_CoercingEnum):
-    """Scoring-kernel implementation (results are backend-identical)."""
-
-    PYTHON = "python"  # scalar reference
-    NUMPY = "numpy"    # vectorized kernels (repro.core.kernels)
-    AUTO = "auto"      # numpy when importable, python otherwise
-
-    def resolve(self) -> str:
-        """Concrete backend name ("python" / "numpy") for the kernels."""
-        return resolve_backend(self.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,20 +176,17 @@ class QueryOptions:
         Keyword selector; strings are coerced (``"exact"`` works).
     mode:
         Pipeline; strings are coerced.
-    backend:
-        Scoring kernels; strings are coerced.  The single shared
-        default is :attr:`Backend.AUTO`, for ``query`` and
-        ``query_batch`` alike (:meth:`default`).
+
+    The single shared default (:meth:`default`) serves ``query`` and
+    ``query_batch`` alike.
     """
 
     method: Method = Method.APPROX
     mode: Mode = Mode.JOINT
-    backend: Backend = Backend.AUTO
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method.coerce(self.method))
         object.__setattr__(self, "mode", Mode.coerce(self.mode))
-        object.__setattr__(self, "backend", Backend.coerce(self.backend))
 
     @classmethod
     def default(cls) -> "QueryOptions":

@@ -225,8 +225,8 @@ class MaxBRSTkNNEngine:
         """Answer one MaxBRSTkNN query.
 
         ``options`` is a :class:`QueryOptions` (``None``: the shared
-        default).  Results are identical across backends
-        (``Mode.BASELINE`` is the scalar oracle and ignores the choice).
+        default).  :func:`repro.oracle.query` answers the same query
+        with the scalar reference kernels.
         """
         opts = coerce_options(options, api="MaxBRSTkNNEngine.query")
         plan = plan_query(opts, self.capabilities(), k=query.k)
@@ -250,7 +250,6 @@ class MaxBRSTkNNEngine:
                 query,
                 method=plan.method.value,
                 store=self.store,
-                backend=plan.backend,
             )
 
         # Deliberately cold (no shared-phase cache): single-query cost
@@ -262,12 +261,9 @@ class MaxBRSTkNNEngine:
         t0 = time.perf_counter()
         self.traversal_runs += 1
         traversal = joint_traversal(
-            self.object_tree, self.dataset, query.k, store=self.store,
-            backend=plan.backend,
+            self.object_tree, self.dataset, query.k, store=self.store
         )
-        table = individual_topk(
-            traversal, self.dataset, query.k, backend=plan.backend
-        )
+        table = individual_topk(traversal, self.dataset, query.k)
         stats.topk_time_s = time.perf_counter() - t0
         delta = self.io.snapshot() - before
         stats.io_node_visits = delta.node_visits
@@ -282,7 +278,6 @@ class MaxBRSTkNNEngine:
             rsk_group=traversal.rsk_group,
             method=plan.method.value,
             stats=stats,
-            backend=plan.backend,
         )
         stats.selection_time_s = time.perf_counter() - t1
         result.stats = stats
@@ -309,17 +304,15 @@ class MaxBRSTkNNEngine:
         self._root_pool = None
 
     def prewarm_kernels(self) -> None:
-        """Build the numpy kernel caches up front (server startup hook).
+        """Build the kernel caches up front (server startup hook).
 
         ``DatasetArrays`` (with the per-object-set ``ObjectColumns``
         Algorithm 2 gathers from) plus the object tree's ``TreeArrays``
         — so the first query pays no build cost and lane workers forked
-        later inherit them through copy-on-write.  No-op without numpy.
+        later inherit them through copy-on-write.
         """
-        from .kernels import HAS_NUMPY, arrays_for, tree_arrays_for
+        from .kernels import arrays_for, tree_arrays_for
 
-        if not HAS_NUMPY:
-            return
         arrays_for(self.dataset)
         tree_arrays_for(self.object_tree)
         self.ensure_arena()
@@ -340,8 +333,7 @@ class MaxBRSTkNNEngine:
     def ensure_arena(self):
         """Materialize the shm arena + payload codec (idempotent).
 
-        Returns the arena, or ``None`` when ``config.use_shm`` is off or
-        numpy is unavailable (the dense columns *are* the numpy arrays).
+        Returns the arena, or ``None`` when ``config.use_shm`` is off.
         Must run before pool workers fork so they inherit shm-backed
         views through copy-on-write; respawned workers re-attach by
         name (:func:`repro.serve.pool._init_worker`).
@@ -350,10 +342,7 @@ class MaxBRSTkNNEngine:
             return None
         if self._arena is not None:
             return self._arena
-        from .kernels import HAS_NUMPY, arrays_for, tree_arrays_for
-
-        if not HAS_NUMPY:
-            return None
+        from .kernels import arrays_for, tree_arrays_for
         from .payload import PayloadCodec
         from ..storage.shm import ShmArena
 

@@ -7,8 +7,8 @@ static plan per flush regardless of what the last hundred flushes
 actually cost.  :class:`FlushHistory` closes the loop.  Lane engines
 (:class:`~repro.serve.sharded.ShardedEngine`) record every report into
 a small ring buffer keyed by the flush's :class:`FlushSignature` —
-``(mode, backend, scatter_width)``, the three coordinates that change a
-flush's cost profile — and the planner
+``(mode, scatter_width)``, the two coordinates that change a flush's
+cost profile — and the planner
 consults :meth:`FlushHistory.observe` per flush to decide, from
 *measured* per-item stage costs, whether dispatching work to the lanes
 can possibly pay for its round-trip (e.g. keep the search fan-out
@@ -48,14 +48,13 @@ class FlushSignature:
     """The cost-profile coordinates one history cell aggregates over.
 
     Two flushes with the same signature are comparable: same pipeline
-    (``mode``), same kernels (``backend``), same scatter layout
-    (``scatter_width`` — the lane count).
+    (``mode``), same scatter layout (``scatter_width`` — the lane
+    count).
     Batch size varies *within* a cell; the per-item normalization in
     :class:`ObservedCosts` absorbs it.
     """
 
     mode: str
-    backend: str
     scatter_width: int
 
 
@@ -63,7 +62,6 @@ def signature_of(plan: "QueryPlan") -> FlushSignature:
     """The history cell a planned flush records into / reads from."""
     return FlushSignature(
         mode=plan.mode.value,
-        backend=plan.backend,
         scatter_width=plan.shard.num_shards if plan.shard is not None else 1,
     )
 
@@ -169,7 +167,7 @@ class FlushHistory:
         out = {}
         for sig in self._by_signature:
             obs = self.observe(sig)
-            key = f"{sig.mode}/{sig.backend}/x{sig.scatter_width}"
+            key = f"{sig.mode}/x{sig.scatter_width}"
             out[key] = {
                 "flushes": obs.flushes,
                 "mean_batch": round(obs.mean_batch, 2),

@@ -47,6 +47,11 @@ would have made.
 
 The fraction of users whose top-k was never resolved is the paper's
 "Users pruned (%)" metric (Figure 15).
+
+The search's leaves — Algorithm 2 per leaf group, ``RSk(node)``, the
+keyword selector — are the engine's kernels; the oracle
+(:func:`repro.oracle.indexed_search`) runs the same best-first loop with
+its scalar leaves passed in as arguments.
 """
 
 from __future__ import annotations
@@ -55,17 +60,17 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from ..index.irtree import MIRTree
 from ..index.miurtree import MIURTree, UserNodeView
 from ..model.dataset import Dataset
-from ..model.objects import SuperUser, User
-from ..spatial.geometry import Point, Rect
+from ..model.objects import User
+from ..spatial.geometry import Point
 from ..storage.pager import PageStore
 from .bounds import BoundCalculator
 from .joint_topk import (
-    CandidateObject,
     CandidatePool,
     JointTraversalResult,
     canonical_candidates,
@@ -73,7 +78,7 @@ from .joint_topk import (
     individual_topk,
     joint_traversal,
 )
-from .kernels import np, resolve_backend
+from .kernels import CandidatePoolArrays, np
 from .keyword_selection import select_keywords_exact, select_keywords_greedy
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 from .thresholds import Thresholds
@@ -106,43 +111,6 @@ class _LocationState:
         return any(isinstance(e, UserNodeView) for e in self.entries)
 
 
-def _node_rsk(
-    candidates: Sequence[CandidateObject],
-    bounds: BoundCalculator,
-    summary: SuperUser,
-    k: int,
-    pool_arrays=None,
-) -> float:
-    """``RSk(node)``: k-th best canonical-candidate lower bound.
-
-    Lower bounds w.r.t. a subtree summary under-estimate every member
-    user's STS, so the k-th best is <= every member's true ``RSk(u)``.
-    ``candidates`` must be the canonical per-k set
-    (:func:`~repro.core.joint_topk.canonical_candidates`) — a total,
-    pool-size-independent order — so the value is identical whether the
-    pool came from a dedicated ``k``-walk or a shared ``k_max`` walk.
-    (The canonical set always holds >= k members when any walk kept k:
-    the walk's own top-k lower bounds all clear the group threshold.)
-
-    ``pool_arrays`` injects a
-    :class:`~repro.core.kernels.CandidatePoolArrays` built over the
-    *same* canonical set (numpy backend): the per-node scalar loop
-    collapses into a few array passes with **bitwise identical** bound
-    values — the PR 3 convention, so the best-first search visits the
-    same nodes in the same order either way.
-    """
-    if pool_arrays is not None:
-        return pool_arrays.node_rsk(summary, k)
-    lows: List[float] = []
-    for cand in candidates:
-        rect = Rect.from_point(cand.obj.location)
-        lows.append(bounds.node_lower(rect, cand.weights, summary))
-    if len(lows) < k:
-        return 0.0
-    lows.sort(reverse=True)
-    return lows[k - 1]
-
-
 @dataclass
 class RootTraversal:
     """Query-independent phase-1 state for indexed queries — cross-k.
@@ -167,7 +135,7 @@ class RootTraversal:
     io_invfile_blocks: int
     hits: int = 0  # queries served from this entry (introspection)
     #: Per-k derivations, memoized: group threshold, canonical pool,
-    #: and (numpy) the flattened pool arrays the node-RSk kernel reads.
+    #: and the flattened pool arrays the node-RSk kernel reads.
     _rsk_group_by_k: Dict[int, float] = field(default_factory=dict)
     _canonical_by_k: Dict[int, CandidatePool] = field(default_factory=dict)
     _arrays_by_k: Dict[int, object] = field(default_factory=dict)
@@ -189,8 +157,6 @@ class RootTraversal:
     def pool_arrays_for(self, dataset: Dataset, k: int):
         arrays = self._arrays_by_k.get(k)
         if arrays is None:
-            from .kernels import CandidatePoolArrays
-
             arrays = CandidatePoolArrays(dataset, self.canonical_for(k))
             self._arrays_by_k[k] = arrays
         return arrays
@@ -202,19 +168,13 @@ def compute_root_traversal(
     dataset: Dataset,
     k: int,
     store: Optional[PageStore] = None,
-    backend: str = "python",
 ) -> RootTraversal:
-    """Run the shared phase once: joint traversal vs the root summary.
-
-    ``backend="numpy"`` uses the wave-vectorized frontier traversal
-    (bitwise-identical pools and I/O; see :mod:`repro.core.kernels`).
-    """
+    """Run the shared phase once: joint traversal vs the root summary."""
     counter = store.counter if store is not None else None
     before = counter.snapshot() if counter is not None else None
     t0 = time.perf_counter()
     traversal = joint_traversal(
-        object_tree, dataset, k, super_user=user_tree.root.summary, store=store,
-        backend=backend,
+        object_tree, dataset, k, super_user=user_tree.root.summary, store=store
     )
     elapsed = time.perf_counter() - t0
     if counter is not None:
@@ -231,7 +191,7 @@ def compute_root_traversal(
     )
 
 
-def ensure_root_pool(engine, k: int, backend: str) -> RootTraversal:
+def ensure_root_pool(engine, k: int) -> RootTraversal:
     """The engine's cross-k MIUR-root pool, (re)walked only when ``k``
     outgrows it — the indexed twin of
     :func:`repro.core.batch._ensure_traversal_pool`."""
@@ -240,7 +200,7 @@ def ensure_root_pool(engine, k: int, backend: str) -> RootTraversal:
         assert engine.user_tree is not None  # planner validated
         pool = compute_root_traversal(
             engine.object_tree, engine.user_tree, engine.dataset, k,
-            store=engine.store, backend=backend,
+            store=engine.store,
         )
         engine.traversal_runs += 1
         engine._root_pool = pool
@@ -255,10 +215,11 @@ def indexed_search(
     rsk_group: float,
     stats: QueryStats,
     method: str = "approx",
-    backend: str = "python",
     store: Optional[PageStore] = None,
-    canonical: Optional[Sequence[CandidateObject]] = None,
+    canonical: Optional[CandidatePool] = None,
     pool_arrays=None,
+    refine: Optional[Callable] = None,
+    select: Optional[Callable] = None,
 ) -> MaxBRSTkNNResult:
     """The per-query best-first MIUR search (Section 7, phase 2).
 
@@ -271,11 +232,20 @@ def indexed_search(
     ``k_max`` walk and fan this search out to forked workers against
     :meth:`~repro.storage.pager.PageStore.ledger_view` stores.
 
+    ``pool_arrays`` answers ``node_rsk(summary, k)`` — ``RSk(node)``,
+    the k-th best canonical-candidate lower bound w.r.t. a node
+    summary (a :class:`~repro.core.kernels.CandidatePoolArrays` over
+    ``canonical`` when omitted).  ``refine`` (Algorithm 2, with
+    :func:`~repro.core.joint_topk.individual_topk`'s signature) and
+    ``select`` (the keyword selector, with
+    :func:`~repro.core.keyword_selection.select_keywords_greedy`'s) default
+    to the engine's kernels for ``method``; the oracle passes its scalar
+    ones.
+
     ``stats`` must arrive primed with the phase-1 fields
     (``users_total``, ``topk_time_s``, ``io_*``); the search adds its
     own selection time, I/O delta, and pruning counters.
     """
-    backend = resolve_backend(backend)
     bounds = BoundCalculator(dataset)
     root = user_tree.root
     io_counter = store.counter if store is not None else None
@@ -284,10 +254,16 @@ def indexed_search(
 
     if canonical is None:
         canonical = canonical_candidates(traversal, rsk_group)
-    if pool_arrays is None and backend == "numpy":
-        from .kernels import CandidatePoolArrays
-
+    if pool_arrays is None:
         pool_arrays = CandidatePoolArrays(dataset, canonical)
+    refine = individual_topk if refine is None else refine
+    if select is None:
+        if method == "approx":
+            # Per-query scratch shared across the greedy calls (HW sets
+            # and optimistic weights are location-independent).
+            select = partial(select_keywords_greedy, cache={})
+        else:
+            select = select_keywords_exact
 
     # Per-resolved-user exact thresholds, filled lazily per leaf group:
     # by id for the scalar admission test, and by user row (NaN = not
@@ -304,21 +280,20 @@ def indexed_search(
         fresh = [u for u in users if u.item_id not in rsk]
         if not fresh:
             return
-        got = individual_topk(
-            traversal, dataset, query.k, users=fresh, backend=backend
-        ).rsk(query.k)
+        got = refine(traversal, dataset, query.k, users=fresh).rsk(query.k)
         rsk.update(zip(got.ids.tolist(), got.values.tolist()))
         rsk_by_row[[row_of[u.item_id] for u in fresh]] = got.values
 
-    # Node-level RSk cache over the canonical per-k candidate set.
+    # Node-level RSk cache over the canonical per-k candidate set.  The
+    # k-th best lower bound w.r.t. a subtree summary under-estimates
+    # every member user's STS, so it is <= every member's true RSk(u);
+    # over the canonical set it is the same whichever walk kept the pool.
     node_rsk_cache: Dict[int, float] = {}
 
     def rsk_of_node(view: UserNodeView) -> float:
         val = node_rsk_cache.get(view.page_id)
         if val is None:
-            val = _node_rsk(
-                canonical, bounds, view.summary, query.k, pool_arrays=pool_arrays
-            )
+            val = pool_arrays.node_rsk(view.summary, query.k)
             node_rsk_cache[view.page_id] = val
         return val
 
@@ -351,12 +326,6 @@ def indexed_search(
     best_location: Optional[Point] = None
     best_keywords: FrozenSet[int] = frozenset()
     best_users: FrozenSet[int] = frozenset()
-    selector: Callable = (
-        select_keywords_greedy if method == "approx" else select_keywords_exact
-    )
-    selector_kwargs = {"backend": backend}
-    if method == "approx":
-        selector_kwargs["cache"] = {}
 
     while heap:
         neg_count, _, st = heapq.heappop(heap)
@@ -397,9 +366,9 @@ def indexed_search(
         users_l = [e for e in st.entries if isinstance(e, User)]
         if not users_l:
             continue
-        keywords, winners, scored = selector(
+        keywords, winners, scored = select(
             dataset, query.ox, st.location, query.keywords, query.ws, users_l,
-            Thresholds(user_ids, rsk_by_row.copy()), **selector_kwargs,
+            Thresholds(user_ids, rsk_by_row.copy()),
         )
         stats.keyword_combinations_scored += scored
         if len(winners) > len(best_users):
@@ -428,7 +397,6 @@ def indexed_users_maxbrstknn(
     query: MaxBRSTkNNQuery,
     method: str = "approx",
     store: Optional[PageStore] = None,
-    backend: str = "python",
     shared: Optional[RootTraversal] = None,
 ) -> MaxBRSTkNNResult:
     """Answer a MaxBRSTkNN query with both sets on (simulated) disk.
@@ -444,19 +412,15 @@ def indexed_users_maxbrstknn(
     """
     if method not in ("approx", "exact"):
         raise ValueError(f"unknown keyword-selection method {method!r}")
-    backend = resolve_backend(backend)
     if shared is None:
         shared = compute_root_traversal(
-            object_tree, user_tree, dataset, query.k, store=store, backend=backend
+            object_tree, user_tree, dataset, query.k, store=store
         )
     stats = QueryStats(
         users_total=len(user_tree),
         topk_time_s=shared.topk_time_s,
         io_node_visits=shared.io_node_visits,
         io_invfile_blocks=shared.io_invfile_blocks,
-    )
-    pool_arrays = (
-        shared.pool_arrays_for(dataset, query.k) if backend == "numpy" else None
     )
     return indexed_search(
         user_tree,
@@ -466,8 +430,7 @@ def indexed_users_maxbrstknn(
         shared.rsk_group_for(query.k),
         stats,
         method=method,
-        backend=backend,
         store=store,
         canonical=shared.canonical_for(query.k),
-        pool_arrays=pool_arrays,
+        pool_arrays=shared.pool_arrays_for(dataset, query.k),
     )

@@ -30,13 +30,13 @@ whole user group:
 The result is identical to running the baseline per user (the gold
 tests check this), at a fraction of the I/O.
 
-**The hand-off between the two** is a :class:`CandidatePool`: a sequence
-of :class:`CandidateObject` to the python backend, and to the numpy
-backend three columns — object ids, ``lower``, ``upper`` — that the
-numpy walk fills from its heaps of tree-entry indices without building
-one object, that Algorithm 2 turns into ``ObjectColumns`` rows with one
-look-up, and that are all a pool carries across a process boundary
-(object ids are what every replica of the object set shares).
+**The hand-off between the two** is a :class:`CandidatePool`: three
+columns — object ids, ``lower``, ``upper`` — that the walk fills from
+its heaps of tree-entry indices without building one object, that
+Algorithm 2 turns into ``ObjectColumns`` rows with one look-up, and
+that are all a pool carries across a process boundary (object ids are
+what every replica of the object set shares).  The scalar reference of
+both algorithms is :mod:`repro.oracle`.
 
 **What Algorithm 2 hands Algorithm 3** is a :class:`TopKTable` — every
 refined user's top-k exact scores as one ``users x k`` matrix — off
@@ -49,24 +49,22 @@ a reader of the table as a mapping.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..index.irtree import IRTree, MIRTree
 from ..model.dataset import Dataset
 from ..model.objects import STObject, SuperUser, User
-from ..spatial.geometry import Rect
 from ..storage.pager import PageStore
 from ..topk.single import TopKResult
-from .bounds import BoundCalculator
-from .kernels import GUARD_EPS, arrays_for, object_columns_for, resolve_backend
-from .kernels import np  # None without numpy: only the column form needs it
+from .kernels import GUARD_EPS, arrays_for, object_columns_for, tree_arrays_for
 from .thresholds import Thresholds
 
-#: ``RO`` objects per block of Algorithm 2's numpy backend: Example 4's
-#: stop is evaluated per user between blocks (``_individual_topk_numpy``).
+#: ``RO`` objects per block of Algorithm 2: Example 4's stop is
+#: evaluated per user between blocks (:func:`individual_topk`).
 RO_BLOCK = 256
 
 __all__ = [
@@ -94,9 +92,9 @@ class CandidatePoolError(ValueError):
 class CandidateObject:
     """An object surviving the traversal, with its group-level bounds.
 
-    The python walk builds one per pooled object.  A column pool builds
-    them only for whoever reads it as a sequence (the python backend,
-    the scalar ``_node_rsk``, tests) — see :class:`CandidatePool`.
+    The oracle's walk builds one per pooled object.  The engine's pool
+    builds them only for whoever reads it as a sequence (the oracle's
+    Algorithm 2 and ``_node_rsk``, tests) — see :class:`CandidatePool`.
     """
 
     obj: STObject
@@ -109,20 +107,16 @@ class CandidateObject:
 class CandidatePool(Sequence[CandidateObject]):
     """Candidates in pool order: a sequence of :class:`CandidateObject`.
 
-    Two forms behind the one interface:
-
-    * **objects** — ``CandidatePool(candidates)``: the list the python
-      walk (or a test) built.  ``ids`` is ``None``.
-    * **columns** — :meth:`from_columns`: ``ids`` / ``lower`` / ``upper``
-      arrays, what the numpy walk produces and every numpy consumer
-      reads (:meth:`columns`, :meth:`object_rows`).  Its
-      :class:`CandidateObject` views — weight dicts included — are built
-      on first sequence access, from the walk's
-      :class:`~repro.core.kernels.FrontierBounds`, and only in the
-      process the walk ran in: pickling ships the three columns
-      (``STObject``-free), so a pool that crossed a process boundary has
-      no views to give (:meth:`JointTraversalResult.readable_by` picks
-      the form a remote reader needs).
+    Always three columns — ``ids`` / ``lower`` / ``upper`` arrays — what
+    the walk produces and every consumer reads (:meth:`object_rows`).
+    :meth:`from_columns` is how the walk builds one;
+    ``CandidatePool(candidates)`` (the oracle's walk, hand-built test
+    pools) fills the columns from the objects and keeps them as its
+    views.  Otherwise the :class:`CandidateObject` views — weight dicts
+    included — are built on first sequence access, from the walk's
+    :class:`~repro.core.kernels.FrontierBounds`, and only in the process
+    the walk ran in: pickling ships the three columns (``STObject``-free),
+    so a pool that crossed a process boundary has no views to give.
 
     ``len()``, slices and :meth:`take` never build a view.
     """
@@ -130,8 +124,12 @@ class CandidatePool(Sequence[CandidateObject]):
     __slots__ = ("ids", "lower", "upper", "_views", "_source", "_rows")
 
     def __init__(self, candidates: Sequence[CandidateObject] = ()) -> None:
-        self.ids = self.lower = self.upper = None
-        self._views: Optional[List[CandidateObject]] = list(candidates)
+        views = list(candidates)
+        n = len(views)
+        self.ids = np.fromiter((c.obj.item_id for c in views), np.int64, n)
+        self.lower = np.fromiter((c.lower for c in views), np.float64, n)
+        self.upper = np.fromiter((c.upper for c in views), np.float64, n)
+        self._views: Optional[List[CandidateObject]] = views
         self._source = None  # (FrontierBounds, tree-entry index array)
         self._rows = None    # (ObjectColumns, rows): the last look-up
 
@@ -145,12 +143,10 @@ class CandidatePool(Sequence[CandidateObject]):
         return pool
 
     def __reduce__(self):
-        if self.ids is None:
-            return CandidatePool, (self._views,)
         return CandidatePool.from_columns, (self.ids, self.lower, self.upper)
 
     def __len__(self) -> int:
-        return len(self._views) if self.ids is None else len(self.ids)
+        return len(self.ids)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -172,8 +168,7 @@ class CandidatePool(Sequence[CandidateObject]):
             if self._source is None:
                 raise CandidatePoolError(
                     "this pool crossed a process boundary as id/bound columns; "
-                    "CandidateObject views exist only where the walk ran "
-                    "(ship JointTraversalResult.readable_by('python') instead)"
+                    "CandidateObject views exist only where the walk ran"
                 )
             bounds, entries = self._source
             payload = bounds.arrays.ent_payload
@@ -186,44 +181,36 @@ class CandidatePool(Sequence[CandidateObject]):
         return self._views
 
     def take(self, index) -> "CandidatePool":
-        """The sub-pool at ``index`` — a slice, or (column form) an
-        index array — in the same form, views not built."""
-        if self.ids is None:
-            return CandidatePool(self._views[index])
+        """The sub-pool at ``index`` — a slice or an index array — with
+        no view built (views already built are carried over)."""
         source = self._source
         if source is not None:
             source = (source[0], source[1][index])
-        return CandidatePool.from_columns(
+        pool = CandidatePool.from_columns(
             self.ids[index], self.lower[index], self.upper[index], source
         )
-
-    def columns(self):
-        """``(ids, lower, upper)`` as arrays (built from the objects
-        when that is the form this pool has)."""
-        if self.ids is not None:
-            return self.ids, self.lower, self.upper
         views = self._views
-        return (
-            np.fromiter((c.obj.item_id for c in views), np.int64, len(views)),
-            np.fromiter((c.lower for c in views), np.float64, len(views)),
-            np.fromiter((c.upper for c in views), np.float64, len(views)),
-        )
+        if views is not None:
+            pool._views = (
+                views[index] if isinstance(index, slice)
+                else [views[i] for i in np.asarray(index).tolist()]
+            )
+        return pool
 
     def object_rows(self, objects):
         """Each candidate's row in ``objects`` (an
         :class:`~repro.core.kernels.ObjectColumns`), one vectorised
-        look-up; a column pool remembers its last one (the indexed
-        search refines the same pool once per MIUR leaf)."""
+        look-up; the pool remembers its last one (the indexed search
+        refines the same pool once per MIUR leaf)."""
         if self._rows is not None and self._rows[0] is objects:
             return self._rows[1]
         try:
-            rows = objects.rows_of_ids(self.columns()[0])
+            rows = objects.rows_of_ids(self.ids)
         except KeyError as exc:
             raise CandidatePoolError(
                 "candidate pool names an object id this dataset does not hold"
             ) from exc
-        if self.ids is not None:
-            self._rows = (objects, rows)
+        self._rows = (objects, rows)
         return rows
 
 
@@ -233,8 +220,8 @@ class JointTraversalResult:
     ``pool`` holds ``LO`` — the ``n_lo`` best-lower-bound objects, best
     first — then ``RO`` in (stable) descending upper bound.
     ``JointTraversalResult(lo=..., ro=..., rsk_group=...)`` builds the
-    object form from two candidate lists; the numpy walk builds the
-    column form with :meth:`of_pool`.
+    pool from two candidate lists (the oracle's walk); the engine's walk
+    hands its column pool to :meth:`of_pool`.
     """
 
     __slots__ = ("pool", "n_lo", "rsk_group")
@@ -284,26 +271,12 @@ class JointTraversalResult:
             raise CandidatePoolError(
                 f"n_lo={self.n_lo} outside a pool of {len(pool)} candidates"
             )
-        if pool.ids is None:
-            return  # the object form carries its objects: nothing to resolve
         if not len(pool.ids) == len(pool.lower) == len(pool.upper):
             raise CandidatePoolError(
                 f"candidate pool columns disagree: {len(pool.ids)} ids, "
                 f"{len(pool.lower)} lower, {len(pool.upper)} upper bounds"
             )
         pool.object_rows(object_columns_for(dataset))
-
-    def readable_by(self, backend: str) -> "JointTraversalResult":
-        """The form a reader on ``backend`` needs *on the far side of a
-        process boundary*: numpy reads the columns any form gives; the
-        python backend reads objects, which a column pool can only build
-        here, where its walk ran."""
-        if backend == "numpy" or self.pool.ids is None:
-            return self
-        views = list(self.pool)  # built once, kept by the pool
-        return JointTraversalResult(
-            views[: self.n_lo], views[self.n_lo :], self.rsk_group
-        )
 
 
 def joint_traversal(
@@ -312,118 +285,34 @@ def joint_traversal(
     k: int,
     super_user: Optional[SuperUser] = None,
     store: Optional[PageStore] = None,
-    backend: str = "python",
 ) -> JointTraversalResult:
     """Algorithm 1: single best-lower-bound-first traversal for a group.
 
     ``super_user`` defaults to the dataset-wide super-user; the
     MIUR-tree mode of Section 7 passes node summaries instead.
 
-    ``backend="numpy"`` runs the wave-vectorized frontier traversal: the
-    tree's entry bounds are evaluated against ``su`` in a handful of
-    array passes over the flattened :class:`~repro.core.kernels.TreeArrays`
-    (built once per tree), and the frontier loop prunes each expanded
-    node's children as one vectorized wave.  The kernels are bitwise
-    identical to the scalar :class:`BoundCalculator` (see the exactness
+    Wave-vectorized over the flattened
+    :class:`~repro.core.kernels.TreeArrays` (built once per tree): every
+    entry bound is an O(1) lookup into :meth:`TreeArrays.frontier_bounds`
+    (one vectorized wave over all tree entries per traversal), each
+    expanded node's children are pruned with one array comparison, and
+    node visits charge their precomputed inverted-list blocks instead of
+    walking the inverted files.  The control flow is the scalar walk's
+    (:func:`repro.oracle.joint_traversal`) statement for statement —
+    same priority-queue discipline, same tie-breaking counter sequence,
+    same admit logic — and the bounds are bitwise identical to the
+    scalar :class:`~repro.core.bounds.BoundCalculator` (the exactness
     contract in :mod:`repro.core.kernels`), so the returned pools,
-    ``rsk_group``, and every simulated-I/O charge match the python
-    backend exactly.
-    """
-    if k <= 0:
-        return JointTraversalResult(lo=[], ro=[], rsk_group=0.0)
-    su = dataset.super_user if super_user is None else super_user
-    if resolve_backend(backend) == "numpy":
-        return _joint_traversal_numpy(tree, dataset, k, su, store)
-    bounds = BoundCalculator(dataset)
-
-    counter = itertools.count()
-    # Max-heap on the lower bound (negated); holds nodes and objects.
-    pq: List[Tuple[float, int, object]] = []
-    root = tree.root
-    heapq.heappush(pq, (0.0, next(counter), ("node", root)))
-
-    # LO: min-heap of (lower_bound, tiebreak, CandidateObject), size <= k.
-    lo_heap: List[Tuple[float, int, CandidateObject]] = []
-    ro: List[CandidateObject] = []
-    rsk = float("-inf")
-
-    def admit(cand: CandidateObject) -> None:
-        """Lines 1.9–1.18: maintain LO/RO and the RSk(us) threshold."""
-        nonlocal rsk
-        if len(lo_heap) < k:
-            heapq.heappush(lo_heap, (cand.lower, next(counter), cand))
-            if len(lo_heap) == k:
-                rsk = lo_heap[0][0]
-            return
-        if cand.upper < rsk:
-            return  # cannot be in any user's top-k
-        if cand.lower > lo_heap[0][0]:
-            _, __, displaced = heapq.heapreplace(
-                lo_heap, (cand.lower, next(counter), cand)
-            )
-            rsk = lo_heap[0][0]
-            if displaced.upper >= rsk:
-                ro.append(displaced)
-        else:
-            ro.append(cand)
-
-    while pq:
-        neg_lb, _, payload = heapq.heappop(pq)
-        kind, item = payload  # type: ignore[misc]
-        if kind == "object":
-            admit(item)  # type: ignore[arg-type]
-            continue
-        node = item
-        # Line 1.20: expand only while the node may contribute.
-        children, objects = tree.read_node(node, su.union_terms, store)
-        for ov in objects:
-            rect = Rect.from_point(ov.obj.location)
-            ub = bounds.node_upper(rect, ov.weights, su)
-            if len(lo_heap) >= k and ub < rsk:
-                continue
-            lb = bounds.node_lower(rect, ov.weights, su)
-            cand = CandidateObject(obj=ov.obj, lower=lb, upper=ub, weights=ov.weights)
-            heapq.heappush(pq, (-lb, next(counter), ("object", cand)))
-        for cv in children:
-            ub = bounds.node_upper(cv.node.rect, cv.weights, su)
-            if len(lo_heap) >= k and ub < rsk:
-                continue
-            lb = bounds.node_lower(cv.node.rect, cv.weights, su)
-            heapq.heappush(pq, (-lb, next(counter), ("node", cv.node)))
-
-    lo = [cand for _, __, cand in sorted(lo_heap, key=lambda t: -t[0])]
-    ro.sort(key=lambda c: -c.upper)
-    return JointTraversalResult(
-        lo=lo, ro=ro, rsk_group=(rsk if rsk != float("-inf") else 0.0)
-    )
-
-
-def _joint_traversal_numpy(
-    tree: MIRTree | IRTree,
-    dataset: Dataset,
-    k: int,
-    su: SuperUser,
-    store: Optional[PageStore],
-) -> JointTraversalResult:
-    """Wave-vectorized Algorithm 1 over the flattened tree arrays.
-
-    The control flow mirrors the scalar traversal statement for
-    statement — same priority-queue discipline, same tie-breaking
-    counter sequence, same admit logic — but every bound is an O(1)
-    lookup into :meth:`TreeArrays.frontier_bounds` (one vectorized wave
-    over all tree entries per traversal), each expanded node's children
-    are pruned with one array comparison, and node visits charge their
-    precomputed inverted-list blocks instead of walking the inverted
-    files.  Because the bound values are bitwise identical to the
-    scalar path, every decision — and therefore the pools, the
-    threshold, and the I/O trace — is identical too.
+    ``rsk_group``, and every simulated-I/O charge match the oracle
+    exactly.
 
     ``LO`` and ``RO`` hold tree-entry indices where the scalar walk
     holds :class:`CandidateObject` values; the result's id / bound columns
     are three gathers by those indices at the end.
     """
-    from .kernels import tree_arrays_for
-
+    if k <= 0:
+        return JointTraversalResult(lo=[], ro=[], rsk_group=0.0)
+    su = dataset.super_user if super_user is None else super_user
     ta = tree_arrays_for(tree)
     fb = ta.frontier_bounds(dataset, su, store=store)
     lb_arr, ub_arr = fb.lb.tolist(), fb.ub.tolist()  # O(1) cheap reads
@@ -524,9 +413,9 @@ def derive_rsk_group(traversal: JointTraversalResult, walk_k: int, k: int) -> fl
     sharded gather, and the indexed MIUR-root pool
     (:mod:`repro.core.indexed_users`).
 
-    On a column pool the order statistic is one ``np.partition`` of the
-    ``lower`` column: the same element of the same multiset the sort
-    picks, so the same float.
+    The order statistic is one ``np.partition`` of the ``lower``
+    column: the same element of the same multiset a sort picks, so the
+    same float.
     """
     if k > walk_k:
         raise ValueError(f"pool walked at k={walk_k} cannot serve k={k}")
@@ -535,9 +424,7 @@ def derive_rsk_group(traversal: JointTraversalResult, walk_k: int, k: int) -> fl
     pool = traversal.pool
     if not 0 < k <= len(pool):
         return 0.0
-    if pool.ids is not None:
-        return float(np.partition(pool.lower, len(pool) - k)[len(pool) - k])
-    return sorted((c.lower for c in pool), reverse=True)[k - 1]
+    return float(np.partition(pool.lower, len(pool) - k)[len(pool) - k])
 
 
 def canonical_candidates(  # repro: identity-kernel
@@ -557,16 +444,12 @@ def canonical_candidates(  # repro: identity-kernel
     lower bound is an order statistic of a *canonical* multiset.
     Candidates are returned in a total, pool-independent order —
     (lower bound desc, object id asc) — so downstream consumers never
-    see pool-dependent tie ordering.  The result has the pool's own
-    form: a column pool is filtered and ordered by array operations.
+    see pool-dependent tie ordering.  The pool is filtered and ordered
+    by array operations.
     """
     pool = traversal.pool
-    if pool.ids is not None:
-        kept = np.flatnonzero(pool.upper >= rsk_group)
-        return pool.take(kept[np.lexsort((pool.ids[kept], -pool.lower[kept]))])
-    kept = [c for c in pool if c.upper >= rsk_group]
-    kept.sort(key=lambda c: (-c.lower, c.obj.item_id))
-    return CandidatePool(kept)
+    kept = np.flatnonzero(pool.upper >= rsk_group)
+    return pool.take(kept[np.lexsort((pool.ids[kept], -pool.lower[kept]))])
 
 
 def _ragged_rows(user_pos, values, n_rows: int):
@@ -599,9 +482,9 @@ class TopKTable(Mapping[int, TopKResult]):
     :class:`~repro.topk.single.TopKResult`, the ranked ``(score, id)``
     lists ordered by ``(-score, id)``.  Those lists are built on first
     mapping access only (tests, ``MaxBRSTkNNEngine.topk_joint``, the
-    bench harness): from the contenders the numpy backend kept, or —
-    python backend — they are the oracle's own lists, whose floats the
-    matrix copies.
+    bench harness) from the contenders the refine kept — or, for a
+    table of the oracle's Algorithm 2 (:meth:`of_results`), they are its
+    own lists, whose floats the matrix copies.
     """
 
     __slots__ = ("users", "k", "counts", "scores", "_contenders", "_results")
@@ -685,64 +568,6 @@ class TopKTable(Mapping[int, TopKResult]):
         return len(self.users)
 
 
-def individual_topk(
-    traversal: JointTraversalResult,
-    dataset: Dataset,
-    k: int,
-    users: Optional[Sequence[User]] = None,
-    backend: str = "python",
-) -> TopKTable:
-    """Algorithm 2: refine the candidate pools into per-user top-k lists.
-
-    ``LO`` objects are scored exactly for every user; ``RO`` objects are
-    scanned in descending group upper bound and the scan stops per user
-    as soon as ``UB(o, us) < RSk(u)`` — no later object can qualify.
-
-    ``backend="numpy"`` scores users x objects as matrices, one block of
-    ``RO`` at a time, and applies the stop per user between blocks (see
-    :func:`_individual_topk_numpy`); the top-k contenders are re-scored
-    by a bitwise-exact pair kernel so the returned scores — and hence
-    every downstream ``RSk(u)`` threshold — are identical floats to the
-    python backend's.  Either way the answer is a :class:`TopKTable`.
-    """
-    users = dataset.users if users is None else users
-    if resolve_backend(backend) == "numpy":
-        return _individual_topk_numpy(traversal, dataset, max(k, 0), users)
-    ids = np.fromiter((u.item_id for u in users), np.int64, len(users))
-    out: Dict[int, TopKResult] = {}
-    if k <= 0:
-        return TopKTable.of_results(
-            ids, 0, {u.item_id: TopKResult(user_id=u.item_id, ranked=[]) for u in users}
-        )
-    # Through the pool itself: a column pool builds its views once.
-    candidates = list(traversal.pool)
-    lo, ro = candidates[: traversal.n_lo], candidates[traversal.n_lo :]
-    for user in users:
-        # Min-heap of the k best (score, -object_id).
-        best: List[Tuple[float, int]] = []
-        for cand in lo:
-            score = dataset.sts(cand.obj, user)
-            entry = (score, -cand.obj.item_id)
-            if len(best) < k:
-                heapq.heappush(best, entry)
-            elif entry > best[0]:
-                heapq.heapreplace(best, entry)
-        rsk_u = best[0][0] if len(best) >= k else float("-inf")
-        for cand in ro:
-            if len(best) >= k and cand.upper < rsk_u:
-                break  # Example 4's per-user early termination
-            score = dataset.sts(cand.obj, user)
-            entry = (score, -cand.obj.item_id)
-            if len(best) < k:
-                heapq.heappush(best, entry)
-            elif entry > best[0]:
-                heapq.heapreplace(best, entry)
-            rsk_u = best[0][0] if len(best) >= k else float("-inf")
-        ranked = sorted(((s, -negid) for s, negid in best), key=lambda t: (-t[0], t[1]))
-        out[user.item_id] = TopKResult(user_id=user.item_id, ranked=ranked)
-    return TopKTable.of_results(ids, k, out)
-
-
 def _suffix_max(block_max):
     """Per keyword set (row), the max over block ``j`` and every later
     block (column) of ``block_max``: one ``np.maximum.accumulate``
@@ -776,13 +601,21 @@ def _contenders(blocks, kth):
     return np.concatenate(user_pos), np.concatenate(col)
 
 
-def _individual_topk_numpy(
+def individual_topk(
     traversal: JointTraversalResult,
     dataset: Dataset,
     k: int,
-    users: Sequence[User],
+    users: Optional[Sequence[User]] = None,
 ) -> TopKTable:
-    """Vectorized Algorithm 2: guard-banded blocks, exact contenders.
+    """Algorithm 2: refine the candidate pools into per-user top-k lists.
+
+    ``LO`` objects are scored exactly for every user; ``RO`` objects are
+    scanned in descending group upper bound and the scan stops per user
+    as soon as ``UB(o, us) < RSk(u)`` — no later object can qualify.
+    Users x objects are scored as matrices, one block of ``RO`` at a
+    time — guard-banded blocks, exact contenders — and the answer is a
+    :class:`TopKTable` whose floats are the scalar scan's
+    (:func:`repro.oracle.individual_topk`).
 
     **Example 4's stop, per user, block by block.**  ``LO`` and the
     first ``RO_BLOCK`` objects of ``RO`` are scored for every user as
@@ -806,9 +639,11 @@ def _individual_topk_numpy(
     bitwise pair kernel (:meth:`DatasetArrays.sts_pairs`); the
     :class:`TopKTable` sorts each user's exact scores, so the ``RSk(u)``
     thresholds read off it (and its ranked lists, ordered by the scalar
-    heap's exact key ``(-score, id)`` when asked for) are the python
-    backend's floats.
+    heap's exact key ``(-score, id)`` when asked for) are the oracle's
+    floats.
     """
+    users = dataset.users if users is None else users
+    k = max(k, 0)
     arrays = arrays_for(dataset)
     if users is dataset.users:
         user_rows, user_ids = np.arange(arrays.num_users), arrays.user_ids
@@ -822,7 +657,7 @@ def _individual_topk_numpy(
             user_ids, k, none, np.empty(0), np.empty(0, dtype=np.int64)
         )
     obj_rows = pool.object_rows(arrays.objects)
-    ids, _, upper = pool.columns()
+    ids, upper = pool.ids, pool.upper
     n = len(obj_rows)
 
     def top_k(best, scores):
@@ -883,8 +718,7 @@ def joint_topk(
     dataset: Dataset,
     k: int,
     store: Optional[PageStore] = None,
-    backend: str = "python",
 ) -> TopKTable:
     """Sections 5.4's full pipeline: traversal + individual refinement."""
-    traversal = joint_traversal(tree, dataset, k, store=store, backend=backend)
-    return individual_topk(traversal, dataset, k, backend=backend)
+    traversal = joint_traversal(tree, dataset, k, store=store)
+    return individual_topk(traversal, dataset, k)

@@ -1,7 +1,8 @@
-"""NumPy-vectorized scoring kernels for batch query processing.
+"""NumPy-vectorized scoring kernels: the engine's query processing.
 
-The scalar pipeline scores one ``(user, object/location)`` pair at a
-time through :meth:`repro.model.dataset.Dataset.sts_parts` and the
+The scalar reference, the oracle (:mod:`repro.oracle`), scores one
+``(user, object/location)`` pair at a time through
+:meth:`repro.model.dataset.Dataset.sts_parts` and the
 :class:`~repro.core.bounds.BoundCalculator` methods.  Every per-query
 hot loop in the system — the per-user shortlist test ``UBL(l, u) >=
 RSk(u)`` of Algorithm 3, the BRSTkNN winner scan of the keyword
@@ -11,9 +12,9 @@ this module evaluates as array arithmetic instead of Python loops.
 
 Exactness contract
 ------------------
-``backend="numpy"`` must return *identical results* to the scalar
-``backend="python"`` reference (the equivalence tests enforce it).
-Two kinds of kernel keep that promise in two ways.
+The engine must return *identical results* to the oracle (the
+equivalence tests enforce it).  Two kinds of kernel keep that promise
+in two ways.
 
 **Guard-banded kernels** (the matrix and mat-vec kernels: BLAS
 products, numpy reductions).  Floating-point sums evaluated in a
@@ -24,7 +25,7 @@ trusted, while pairs inside the band are re-checked with an exact code
 path.  Accumulated rounding error across the handful of
 ``[0, 1]``-bounded terms a score sums is orders of magnitude below
 ``GUARD_EPS``, so the band only ever catches genuine ties — which the
-exact re-check resolves exactly as the python backend does.  Their
+exact re-check resolves exactly as the oracle does.  Their
 values are never returned.  Algorithm 3's selection kernel
 (:class:`SelectionContext`) is of this kind throughout, and its
 decisions are matrices — one row per candidate location — so the band
@@ -98,6 +99,8 @@ from typing import (
     NamedTuple, Optional, Sequence, Tuple,
 )
 
+import numpy as np
+
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
 from .bounds import BoundCalculator, augmented_document, candidate_term_weight
@@ -106,17 +109,7 @@ from .thresholds import Thresholds
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model.dataset import Dataset
 
-try:  # numpy is an optional accelerator; everything gates on HAS_NUMPY
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
-
 __all__ = [
-    "HAS_NUMPY",
-    "BACKENDS",
     "GUARD_EPS",
     "CandidatePoolArrays",
     "DatasetArrays",
@@ -127,34 +120,13 @@ __all__ = [
     "arrays_for",
     "object_columns_for",
     "tree_arrays_for",
-    "resolve_backend",
 ]
-
-#: Recognized backend names; "auto" resolves to numpy when available.
-BACKENDS = ("python", "numpy", "auto")
 
 #: Width of the guard band around decision thresholds.  Must exceed the
 #: worst-case association-order rounding difference between a numpy
 #: reduction and the scalar sum of the same values (scores sum tens of
 #: values bounded by 1, so the true difference is ~1e-15).
 GUARD_EPS = 1e-9
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Map a user-facing backend choice to "python" or "numpy".
-
-    ``None`` and ``"auto"`` pick numpy when it is importable.  Asking
-    for ``"numpy"`` explicitly without numpy installed is an error.
-    """
-    if backend is None:
-        backend = "auto"
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if backend == "numpy" and not HAS_NUMPY:
-        raise RuntimeError("backend='numpy' requested but numpy is not installed")
-    return backend
 
 
 def _pairwise_norm(dx, dy, p: float):
@@ -210,10 +182,9 @@ def _guarded_ge(scores, thresholds, exact: Callable[..., bool], where=None):
 
     Comparisons decided by ``GUARD_EPS`` or more are trusted; every
     entry inside the band is decided by ``exact(*index)`` — the scalar
-    code path — so ties resolve exactly as the python backend resolves
-    them.  ``where`` (optional, boolean, same shape) masks the entries
-    that are asked at all: the rest come back ``False`` and never reach
-    ``exact``.
+    code path — so ties resolve exactly as the oracle resolves them.
+    ``where`` (optional, boolean, same shape) masks the entries that are
+    asked at all: the rest come back ``False`` and never reach ``exact``.
     """
     margin = scores - thresholds
     passed = margin >= GUARD_EPS
@@ -292,8 +263,6 @@ class ObjectColumns:
     build_count = 0
 
     def __init__(self, dataset: "Dataset") -> None:
-        if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("ObjectColumns requires numpy")
         ObjectColumns.build_count += 1
         objects = dataset.objects
         self.num_objects = len(objects)
@@ -364,8 +333,6 @@ class DatasetArrays:
     build_count = 0
 
     def __init__(self, dataset: "Dataset") -> None:
-        if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("DatasetArrays requires numpy")
         DatasetArrays.build_count += 1
         self.dataset = dataset
         users = dataset.users
@@ -563,7 +530,7 @@ class DatasetArrays:
         return np.array(cols, dtype=np.intp), np.array(gains, dtype=np.float64)
 
     # ------------------------------------------------------------------
-    # Decision kernels (guard-banded; results match the scalar backend)
+    # Decision kernels (guard-banded; results match the oracle)
     # ------------------------------------------------------------------
     def threshold_mask_many(
         self,
@@ -753,8 +720,7 @@ class SelectionContext:
     Every decision goes through :func:`_guarded_ge`; an entry inside the
     band — and only such an entry, of a user that belongs to the
     location — is decided by the scalar ``dataset.sts_parts`` /
-    ``BoundCalculator.location_upper_user`` call the python backend
-    makes.
+    ``BoundCalculator.location_upper_user`` call the oracle makes.
     """
 
     def __init__(
@@ -834,7 +800,7 @@ class SelectionContext:
 
     def pairs(self) -> PairTable:
         """Every user's ``(HW_{w,u}, w)`` entries — what
-        ``keyword_selection._hw_entries`` lists user by user — at once.
+        ``repro.oracle._hw_entries`` lists user by user — at once.
 
         Candidates are ranked once by ``(-optimistic weight, term)``
         (the user-independent key ``_hw_entries`` sorts by); a row-wise
@@ -1005,7 +971,7 @@ class TreeArrays:
     expressions mirror the scalar ones operation for operation.
     Identical bound values make
     every priority-queue pop, pruning decision, pool admission, and
-    I/O charge of the numpy traversal identical to the python one — the
+    I/O charge of the numpy traversal identical to the oracle's — the
     property tests in ``tests/core/test_traversal_kernels.py`` assert
     pool-level equality (LO/RO, ``rsk_group``, per-phase stats) on
     randomized MIR-trees.
@@ -1015,8 +981,6 @@ class TreeArrays:
     build_count = 0
 
     def __init__(self, tree) -> None:
-        if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("TreeArrays requires numpy")
         TreeArrays.build_count += 1
         self.tree = tree
         self.index_name = tree.index_name
@@ -1278,8 +1242,6 @@ class CandidatePoolArrays:
 
     def __init__(self, dataset: "Dataset", candidates) -> None:
         """``candidates``: a :class:`repro.core.joint_topk.CandidatePool`."""
-        if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("CandidatePoolArrays requires numpy")
         self.dataset = dataset
         self.size = len(candidates)
         objects = object_columns_for(dataset)

@@ -38,15 +38,15 @@ from __future__ import annotations
 
 from itertools import combinations
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set,
-    Tuple,
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
 from ..model.dataset import Dataset
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
-from .bounds import augmented_document, candidate_term_weight
-from .kernels import SelectionContext, arrays_for, np, resolve_backend
+from .bounds import augmented_document
+from .kernels import SelectionContext, arrays_for, np
 
 __all__ = [
     "KeywordSelection",
@@ -55,7 +55,6 @@ __all__ = [
     "select_greedy_block",
     "select_keywords_greedy",
     "select_keywords_exact",
-    "greedy_max_coverage",
 ]
 
 
@@ -72,60 +71,14 @@ def compute_brstknn(
     keywords: Iterable[int],
     users: Sequence[User],
     rsk: Mapping[int, float],
-    backend: str = "python",
 ) -> FrozenSet[int]:
     """Users for whom ``ox`` at ``location`` with ``ox.d ∪ keywords``
     enters the top-k (``STS >= RSk(u)``, ties admit as in the paper).
 
-    ``backend="numpy"`` scores all users as one kernel call; the winner
-    set is guaranteed identical to the scalar scan (guard-banded).
+    All users are scored as one kernel call; the winner set is the
+    scalar scan's (guard-banded; :func:`repro.oracle.compute_brstknn`).
     """
-    if resolve_backend(backend) == "numpy":
-        return arrays_for(dataset).brstknn(ox, location, keywords, users, rsk)
-    doc = augmented_document(ox.terms, keywords)
-    winners = {
-        u.item_id
-        for u in users
-        if dataset.sts_parts(location, doc, u) >= rsk[u.item_id]
-    }
-    return frozenset(winners)
-
-
-def greedy_max_coverage(
-    sets: Mapping[int, Set[int]], budget: int
-) -> Tuple[List[int], Set[int]]:
-    """Plain greedy Maximum Coverage over ``{key: element-set}``.
-
-    Picks up to ``budget`` keys, each step taking the key covering the
-    most yet-uncovered elements (ties broken by key for determinism).
-    Stops early when no key adds coverage.  Exposed separately so the
-    property tests can verify the ``(1 − 1/e)`` guarantee directly.
-    """
-    chosen: List[int] = []
-    covered: Set[int] = set()
-    remaining = dict(sets)
-    for _ in range(max(0, budget)):
-        best_key, best_gain = None, 0
-        for key in sorted(remaining):
-            gain = len(remaining[key] - covered)
-            if gain > best_gain:
-                best_key, best_gain = key, gain
-        if best_key is None:
-            break
-        chosen.append(best_key)
-        covered |= remaining.pop(best_key)
-    return chosen, covered
-
-
-def _hw_entries(
-    user: User, cand_set: Set[int], opt_weight: Mapping[int, float], ws: int
-) -> List[Tuple[FrozenSet[int], int]]:
-    """``(HW_{w,u}, w)`` for every candidate ``w`` the user holds: the
-    ``ws`` highest-weight useful candidates, forced to contain ``w``."""
-    useful = sorted(cand_set & user.keyword_set, key=lambda t: (-opt_weight[t], t))
-    top = frozenset(useful[:ws])
-    head = useful[: max(ws - 1, 0)]
-    return [(top if w in top else frozenset(head + [w]), w) for w in useful]
+    return arrays_for(dataset).brstknn(ox, location, keywords, users, rsk)
 
 
 def select_keywords_greedy(
@@ -136,7 +89,6 @@ def select_keywords_greedy(
     ws: int,
     users: Sequence[User],
     rsk: Mapping[int, float],
-    backend: str = "python",
     cache: Optional[Dict] = None,
 ) -> KeywordSelection:
     """Section 6.2.1: greedy approximate keyword selection at ``location``.
@@ -144,112 +96,25 @@ def select_keywords_greedy(
     ``users`` is the shortlist ``LU_l`` of Algorithm 3 (only they can be
     BRSTkNNs by the location upper bound); ``rsk`` maps user id to
     ``RSk(u)``.  ``cache`` is an optional per-query scratch dict
-    (Algorithm 3 calls this once per candidate location): the optimistic
-    keyword weights and each user's HW sets depend only on
-    ``(ox, candidate_keywords, ws)``, so they are computed for the first
-    location and replayed for the rest.  The numpy backend keeps its
-    :class:`~repro.core.kernels.SelectionContext` there as well and runs
-    this call as the one-location case of :func:`select_greedy_block`,
-    the kernel Algorithm 3 feeds a block of locations at a time; the
-    python backend scores pair by pair at every location and is the
-    oracle that kernel is tested against.
+    (Algorithm 3 calls this once per candidate location): it keeps the
+    query's :class:`~repro.core.kernels.SelectionContext`, whose
+    optimistic keyword weights and ``HW`` sets depend only on ``(ox,
+    candidate_keywords, ws)``, and this call runs as the one-location
+    case of :func:`select_greedy_block`, the kernel Algorithm 3 feeds a
+    block of locations at a time.  The scalar selector scoring pair by
+    pair at every location (:func:`repro.oracle.select_keywords_greedy`)
+    is the oracle that kernel is tested against.
     """
     cache = cache if cache is not None else {}
-    if resolve_backend(backend) == "numpy":
-        arrays = arrays_for(dataset)
-        ctx = cache.get("context")
-        if ctx is None:
-            ctx = cache["context"] = SelectionContext(
-                arrays, ox, candidate_keywords, ws
-            )
-        block = select_greedy_block(ctx, [location], [arrays.rows_for(users)], rsk)
-        winners = frozenset(arrays.user_ids[block.won[0]].tolist())
-        return block.keywords[0], winners, block.scored[0]
-
-    rel = dataset.relevance
-    cand_set = cache.get("cand_set")
-    if cand_set is None:
-        cand_set = cache["cand_set"] = set(candidate_keywords)
-    # Optimistic per-keyword weight (Lemma 3 style): candidate added to
-    # ox.d alone.  Used to rank candidates inside HW_{w,u}.
-    opt_weight = cache.get("opt_weight")
-    if opt_weight is None:
-        opt_weight = cache["opt_weight"] = {
-            t: candidate_term_weight(rel, ox.terms, t) for t in cand_set
-        }
-
-    # LUW_w: users that HW_{w,u} — the most optimistic set containing w —
-    # wins at this location; ``recount`` gives a set's actual BRSTkNN.
-    hw_by_user = cache.setdefault("hw_by_user", {})
-    luw: Dict[int, Set[int]] = {}
-    scored = 0
-    for user in users:
-        entries = hw_by_user.get(user.item_id)
-        if entries is None:
-            entries = hw_by_user[user.item_id] = _hw_entries(
-                user, cand_set, opt_weight, ws
-            )
-        for hw_set, w in entries:
-            scored += 1
-            doc = augmented_document(ox.terms, hw_set)
-            if dataset.sts_parts(location, doc, user) >= rsk[user.item_id]:
-                luw.setdefault(w, set()).add(user.item_id)
-
-    def recount(keywords: FrozenSet[int]) -> FrozenSet[int]:
-        return compute_brstknn(dataset, ox, location, keywords, users, rsk)
-
-    best_set: FrozenSet[int] = frozenset()
-    best_users = recount(best_set)
-
-    coverage_estimate = 0
-    if luw:
-        chosen, covered = greedy_max_coverage(luw, ws)
-        coverage_estimate = len(covered)
-        # The LUW lists are optimistic, and under length-normalized
-        # measures a longer keyword set can score *worse*; evaluating
-        # every greedy prefix costs ws extra evaluations and only
-        # improves the answer (the full set remains a candidate).
-        for end in range(1, len(chosen) + 1):
-            prefix = frozenset(chosen[:end])
-            actual = recount(prefix)
-            scored += 1
-            if len(actual) > len(best_users):
-                best_set, best_users = prefix, actual
-
-    # Fallback pass: greedy on the *true* objective, run only when the
-    # LUW optimism demonstrably misled — the actual wins fall well short
-    # of the coverage estimate.  The LUW lists rank keywords by what
-    # they could win under the most optimistic companion set, which can
-    # fail when weights are skewed (TF-IDF) or heavily tied (KO).  The
-    # pool is capped to the candidates with the largest LUW lists so the
-    # pass stays a small constant number of actual BRSTkNN evaluations
-    # (at most ws * (2 * ws + 6), whatever |W| is — an uncapped pass would
-    # cost |W| evaluations per step at every misled location); the better
-    # of the two greedy answers is returned.
-    if luw and len(best_users) >= 0.8 * coverage_estimate:
-        return best_set, best_users, scored
-    ranked_pool = sorted(
-        cand_set & {t for u in users for t in u.keyword_set},
-        key=lambda t: (-len(luw.get(t, ())), t),
-    )[: 2 * ws + 6]
-    current: FrozenSet[int] = frozenset()
-    current_users = recount(current)
-    for _ in range(ws):
-        step_set, step_users = None, current_users
-        for w in ranked_pool:
-            if w in current:
-                continue
-            trial = current | {w}
-            winners = recount(trial)
-            scored += 1
-            if len(winners) > len(step_users):
-                step_set, step_users = trial, winners
-        if step_set is None:
-            break
-        current, current_users = step_set, step_users
-    if len(current_users) > len(best_users):
-        best_set, best_users = current, current_users
-    return best_set, best_users, scored
+    arrays = arrays_for(dataset)
+    ctx = cache.get("context")
+    if ctx is None:
+        ctx = cache["context"] = SelectionContext(
+            arrays, ox, candidate_keywords, ws
+        )
+    block = select_greedy_block(ctx, [location], [arrays.rows_for(users)], rsk)
+    winners = frozenset(arrays.user_ids[block.won[0]].tolist())
+    return block.keywords[0], winners, block.scored[0]
 
 
 class BlockSelection(NamedTuple):
@@ -272,7 +137,7 @@ def select_greedy_block(
 ) -> BlockSelection:
     """:func:`select_keywords_greedy` at several locations in one pass.
 
-    The numpy backend's whole Section 6.2.1: ``rows[l]`` are the user
+    The engine's whole Section 6.2.1: ``rows[l]`` are the user
     rows of ``LU_l`` (:meth:`DatasetArrays.rows_for`).  One ``LUW`` pass,
     one batched greedy max-coverage and one recount call cover the
     block; winner sets stay boolean rows.  Only the fallback pass —
@@ -312,8 +177,9 @@ def select_greedy_block(
     won = won[best]
 
     # Fallback pass: greedy on the *true* objective where the LUW
-    # optimism demonstrably misled (see select_keywords_greedy); the
-    # better of the two greedy answers is kept.
+    # optimism demonstrably misled (see the scalar selector,
+    # repro.oracle.select_keywords_greedy); the better of the two greedy
+    # answers is kept.
     any_luw = passed.any(axis=1).tolist()
     for l, (i, covered) in enumerate(zip(best, coverage.tolist())):
         if any_luw[l] and counts[i] >= 0.8 * covered:
@@ -352,9 +218,19 @@ def select_keywords_exact(
     ws: int,
     users: Sequence[User],
     rsk: Mapping[int, float],
-    backend: str = "python",
+    mask_many: Optional[Callable[..., List[List[bool]]]] = None,
 ) -> KeywordSelection:
-    """Algorithm 4: exact keyword selection with pruning at ``location``."""
+    """Algorithm 4: exact keyword selection with pruning at ``location``.
+
+    ``mask_many(location, [(document, users), ...], rsk)`` decides
+    ``STS(location, document, u) >= RSk(u)`` for groups of users; it
+    defaults to the guard-banded
+    :meth:`~repro.core.kernels.DatasetArrays.threshold_mask_many`, and
+    the oracle passes its pair-by-pair scan
+    (:func:`repro.oracle.select_keywords_exact`).
+    """
+    if mask_many is None:
+        mask_many = arrays_for(dataset).threshold_mask_many
     # Pruning 1+2: only shortlisted users; only candidates some
     # shortlisted user actually has.
     wu: Set[int] = set()
@@ -385,17 +261,17 @@ def select_keywords_exact(
     # nothing with them — and per-size base counts replace the
     # "always in" set.
     best_set: FrozenSet[int] = frozenset()
+    bare = mask_many(location, [(augmented_document(ox.terms, ()), users)], rsk)[0]
     best_users: FrozenSet[int] = frozenset(
-        compute_brstknn(dataset, ox, location, frozenset(), users, rsk, backend=backend)
+        u.item_id for u, ok in zip(users, bare) if ok
     )
     scored = 1
     max_size = min(ws, len(useful))
 
     # won[user_index][(matched_subset, size)] -> bool.  Entries are
-    # grouped by their (subset, size) document first: the numpy backend
+    # grouped by their (subset, size) document first: ``mask_many``
     # scores each distinct padded document once against every user that
-    # reaches that state, the scalar backend evaluates the same groups
-    # pair by pair.
+    # reaches that state.
     won: List[Dict[Tuple[FrozenSet[int], int], bool]] = [{} for _ in users]
     user_useful: List[FrozenSet[int]] = []
     by_keyword: Dict[int, List[int]] = {t: [] for t in useful}
@@ -419,23 +295,14 @@ def select_keywords_exact(
         for f in fillers[: size - len(sub)]:
             doc[f] = 1
         state_docs.append(((sub, size), doc, indices))
-    if resolve_backend(backend) == "numpy" and state_docs:
-        arrays = arrays_for(dataset)
-        masks = arrays.threshold_mask_many(
-            location,
-            [(doc, [users[idx] for idx in indices]) for _, doc, indices in state_docs],
-            rsk,
-        )
-        for (key, _doc, indices), passed in zip(state_docs, masks):
-            for idx, ok in zip(indices, passed):
-                won[idx][key] = ok
-    else:
-        for key, doc, indices in state_docs:
-            for idx in indices:
-                u = users[idx]
-                won[idx][key] = (
-                    dataset.sts_parts(location, doc, u) >= rsk[u.item_id]
-                )
+    masks = mask_many(
+        location,
+        [(doc, [users[idx] for idx in indices]) for _, doc, indices in state_docs],
+        rsk,
+    )
+    for (key, _doc, indices), passed in zip(state_docs, masks):
+        for idx, ok in zip(indices, passed):
+            won[idx][key] = ok
 
     # Users winning a size-s combination they share no keyword with.
     empty = frozenset()

@@ -106,7 +106,6 @@ def compute_partials(
     dataset: Dataset,
     traversal: JointTraversalResult,
     ks: Sequence[int],
-    backend: str = "python",
     shard_id: int = 0,
     rows: Optional[Tuple[int, int]] = None,
 ) -> List[PartialResult]:
@@ -148,9 +147,7 @@ def compute_partials(
     users = dataset.users[lo:hi]
     partials: List[PartialResult] = []
     t0 = time.perf_counter()
-    table = individual_topk(
-        traversal, dataset, max(ks), users=users, backend=backend
-    )
+    table = individual_topk(traversal, dataset, max(ks), users=users)
     for k in ks:
         rsk = table.rsk(k)
         t1 = time.perf_counter()

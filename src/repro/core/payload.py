@@ -313,15 +313,15 @@ def encode_shard_payload(codec: PayloadCodec, payload: tuple) -> tuple:
     if kind == "select":
         # The shared phase-1 state (an O(|U|) ``SharedTopK``)
         # delta-ships as a blob reference.
-        _, queries, shared, mode, method, backend = payload
-        return ("select", queries, codec.ship(shared, "topk"), mode, method, backend)
+        _, queries, shared, mode, method = payload
+        return ("select", queries, codec.ship(shared, "topk"), mode, method)
     if kind == "indexed_search":
         (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
-         io_node_visits, io_invfile_blocks, method, backend) = payload
+         io_node_visits, io_invfile_blocks, method) = payload
         return (
             "indexed_search", queries, views, codec.ship(traversal, "root-trav"),
             rsk_group, users_total, topk_time_s, io_node_visits,
-            io_invfile_blocks, method, backend,
+            io_invfile_blocks, method,
         )
     return payload  # unknown kinds pass through untouched
 
@@ -336,15 +336,15 @@ def decode_shard_payload(payload: tuple) -> tuple:
     if kind == "refine":
         return ("refine", _maybe(payload[1])) + payload[2:]
     if kind == "select":
-        _, queries, shared, mode, method, backend = payload
-        return ("select", queries, _maybe(shared), mode, method, backend)
+        _, queries, shared, mode, method = payload
+        return ("select", queries, _maybe(shared), mode, method)
     if kind == "indexed_search":
         (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
-         io_node_visits, io_invfile_blocks, method, backend) = payload
+         io_node_visits, io_invfile_blocks, method) = payload
         return (
             "indexed_search", queries, views, _maybe(traversal), rsk_group,
             users_total, topk_time_s, io_node_visits, io_invfile_blocks,
-            method, backend,
+            method,
         )
     return payload
 

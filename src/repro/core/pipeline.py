@@ -67,7 +67,7 @@ Pipelines by mode:
 
 Result identity is the invariant throughout: results, I/O traces and
 selection stats equal the single sequential engine's across
-``{joint, indexed}`` × lane counts × mixed-k × backends × transports
+``{joint, indexed}`` × lane counts × mixed-k × transports
 (``tests/core/test_pipeline.py``,
 ``tests/serve/test_sharded.py``, ``tests/serve/test_multihost.py``).
 """
@@ -240,21 +240,21 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     MIUR-tree for indexed search payloads), shard hosts with their
     replica, in-process lanes pass both explicitly.  Payload kinds:
 
-    * ``("refine", traversal, ks, backend, None, lane, lo, hi)`` —
+    * ``("refine", traversal, ks, lane, None, lo, hi)`` —
       Algorithm 2 for rows ``[lo, hi)`` of ``dataset.users`` against
       the shared pool: one refinement at ``max(ks)``, one
       ``PartialResult`` per k read off it.  The pool crosses as id /
-      bound columns (object ids are what every replica shares;
-      :meth:`JointTraversalResult.readable_by`); pool and range are
-      checked against ``dataset`` before anything is gathered by them.
+      bound columns (object ids are what every replica shares); pool
+      and range are checked against ``dataset`` before anything is
+      gathered by them.
       (Slot 4 is always ``None``: the traced benchmark probe reads it
       as "which dataset answers", ``None`` meaning the full one.)
-    * ``("select", queries, shared, mode, method, backend)`` —
+    * ``("select", queries, shared, mode, method)`` —
       Algorithm 3 whole, per query, against one shared phase-1 state
       (``dataset`` = the FULL dataset here).
     * ``("indexed_search", queries, views, traversal, rsk_group,
       users_total, topk_time_s, io_node_visits, io_invfile_blocks,
-      method, backend)`` — per-query best-first MIUR searches, each
+      method)`` — per-query best-first MIUR searches, each
       against its own read-only
       :meth:`~repro.storage.pager.PageStore.ledger_view` (``views``
       aligns with ``queries``; a view is a tiny (store, charge) pair,
@@ -279,25 +279,20 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     payload = _wire.decode_shard_payload(payload)
     kind = payload[0]
     if kind == "refine":
-        _, traversal, ks, backend, _, lane, lo, hi = payload
-        return compute_partials(
-            dataset, traversal, ks, backend=backend, shard_id=lane,
-            rows=(lo, hi),
-        )
+        _, traversal, ks, lane, _, lo, hi = payload
+        return compute_partials(dataset, traversal, ks, shard_id=lane, rows=(lo, hi))
     if kind == "select":
         from .batch import _select_one
 
-        _, queries, shared, mode, method, backend = payload
-        return [
-            _select_one(dataset, query, shared, mode, method, backend)
-            for query in queries
-        ]
+        _, queries, shared, mode, method = payload
+        return [_select_one(dataset, query, shared, mode, method) for query in queries]
     if kind == "indexed_search":
         from .indexed_users import indexed_search
         from .joint_topk import canonical_candidates
+        from .kernels import CandidatePoolArrays
 
         (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
-         io_node_visits, io_invfile_blocks, method, backend) = payload
+         io_node_visits, io_invfile_blocks, method) = payload
         if context is None:
             raise RuntimeError(
                 "indexed_search payload needs the MIUR-tree as worker context"
@@ -307,19 +302,13 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
         if views is None:
             user_tree, pool, k = context.user_tree, context._root_pool, queries[0].k
             canonical = pool.canonical_for(k)
-            pool_arrays = (
-                pool.pool_arrays_for(dataset, k) if backend == "numpy" else None
-            )
+            pool_arrays = pool.pool_arrays_for(dataset, k)
             views = [(context.store, None)] * len(queries)
         else:
             user_tree = context
             traversal.check(dataset)  # off the wire, like a refine pool
             canonical = canonical_candidates(traversal, rsk_group)
-            pool_arrays = None
-            if backend == "numpy":
-                from .kernels import CandidatePoolArrays
-
-                pool_arrays = CandidatePoolArrays(dataset, canonical)
+            pool_arrays = CandidatePoolArrays(dataset, canonical)
         out = []
         for query, (store, charge) in zip(queries, views):
             stats = QueryStats(
@@ -330,7 +319,7 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
             )
             result = indexed_search(
                 user_tree, dataset, query, traversal, rsk_group, stats,
-                method=method, backend=backend, store=store,
+                method=method, store=store,
                 canonical=canonical, pool_arrays=pool_arrays,
             )
             out.append((result, charge))
@@ -423,9 +412,9 @@ class TraverseStage(Stage):
         plan = ctx.require("plan")
         assert plan.shared_traversal_k is not None
         if plan.mode is Mode.INDEXED:
-            pool = ensure_root_pool(engine, plan.shared_traversal_k, plan.backend)
+            pool = ensure_root_pool(engine, plan.shared_traversal_k)
         else:
-            pool = _ensure_traversal_pool(engine, plan.shared_traversal_k, plan.backend)
+            pool = _ensure_traversal_pool(engine, plan.shared_traversal_k)
         pool.hits += len(ctx.require("queries"))
         ctx["pool_state"] = pool
         # Both pool kinds memoize the per-k derivation, so repeat
@@ -468,18 +457,17 @@ class RefineStage(Stage):
     outputs = ("merged_by_k", "keyed", "shared_by_key")
 
     def split(self, ctx: FlushContext, width: int) -> List[tuple]:
-        backend = ctx.require("plan").backend
-        traversal = ctx.require("pool_state").traversal.readable_by(backend)
+        traversal = ctx.require("pool_state").traversal
         ks = ctx.require("need_ks")
         n_users = len(ctx.require("engine").dataset.users)
         return [
-            ("refine", traversal, ks, backend, None, lane, lo, hi)
+            ("refine", traversal, ks, lane, None, lo, hi)
             for lane, (lo, hi) in enumerate(user_row_ranges(n_users, width))
         ]
 
     @staticmethod
     def weight(payload: tuple) -> int:
-        return payload[7] - payload[6]  # user rows
+        return payload[6] - payload[5]  # user rows
 
     def merge(self, ctx: FlushContext, chunks: list) -> None:
         from .batch import SharedTopK
@@ -542,7 +530,7 @@ class SelectStage(Stage):
                 chunk = indices[c::n_chunks]
                 payloads.append(
                     ("select", [keyed[i][0] for i in chunk], shared_by_key[key],
-                     plan.mode.value, plan.method.value, plan.backend)
+                     plan.mode.value, plan.method.value)
                 )
                 index_groups.append(chunk)
         ctx["select_index_groups"] = index_groups
@@ -586,7 +574,7 @@ class IndexedSearchStage(Stage):
         # executor sets the flag; in-process execution charges the real
         # store and never builds views — a warm LRU buffer forbids them).
         use_ledgers = bool(ctx.get("use_ledgers"))
-        traversal = pool.traversal.readable_by(plan.backend)
+        traversal = pool.traversal
         by_k: Dict[int, List[int]] = {}
         for i, q in enumerate(queries):
             by_k.setdefault(q.k, []).append(i)
@@ -602,7 +590,7 @@ class IndexedSearchStage(Stage):
                     ("indexed_search", [queries[i] for i in chunk], views,
                      traversal, group_by_k[k], users_total,
                      pool.topk_time_s, pool.io_node_visits,
-                     pool.io_invfile_blocks, plan.method.value, plan.backend)
+                     pool.io_invfile_blocks, plan.method.value)
                 )
                 index_groups.append(chunk)
         ctx["indexed_index_groups"] = index_groups
@@ -702,7 +690,7 @@ class DeriveThresholdsStage(Stage):
         pool = ctx.require("pool_state")
         ctx["keyed"], ctx["shared_by_key"] = _key_queries(
             plan.mode.value, ctx.require("queries"),
-            lambda k: _derive_shared_topk(engine, pool, k, plan.backend),
+            lambda k: _derive_shared_topk(engine, pool, k),
         )
 
 

@@ -2,12 +2,11 @@
 
 The middle layer of the typed API.  :class:`QueryOptions` says what the
 caller *wants*; :class:`EngineCapabilities` says what the engine *has*
-(an MIUR-tree? numpy? lanes?); the planner resolves the pair into an
-executable :class:`QueryPlan` — which pipeline runs, which kernels
-score, whether the shared top-k cache applies, and whether phase 2
-leaves the coordinator — and rejects impossible combinations up front
-(``Mode.INDEXED`` without a user tree, ``Backend.NUMPY`` without
-numpy) before any work is done.
+(an MIUR-tree? lanes?); the planner resolves the pair into an
+executable :class:`QueryPlan` — which pipeline runs, whether the shared
+top-k cache applies, and whether phase 2 leaves the coordinator — and
+rejects impossible combinations up front (``Mode.INDEXED`` without a
+user tree, ``Mode.BASELINE`` on lanes) before any work is done.
 
 Planning is also where batch execution strategies are chosen.  In
 particular, ``Mode.INDEXED`` batches used to fall back silently to
@@ -40,7 +39,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .config import Method, Mode, QueryOptions
 from .history import FlushHistory, FlushSignature
-from .kernels import HAS_NUMPY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import MaxBRSTkNNEngine
@@ -78,7 +76,6 @@ class EngineCapabilities:
     """
 
     has_user_tree: bool
-    numpy_available: bool = HAS_NUMPY
     num_users: int = 0
     num_objects: int = 0
     traversal_pool_k: Optional[int] = None
@@ -102,7 +99,6 @@ class EngineCapabilities:
         root_pool = engine._root_pool
         return cls(
             has_user_tree=engine.user_tree is not None,
-            numpy_available=HAS_NUMPY,
             num_users=len(engine.dataset.users),
             num_objects=len(engine.dataset.objects),
             traversal_pool_k=pool.k if pool is not None else None,
@@ -180,9 +176,6 @@ class QueryPlan:
     ----------
     mode / method:
         The validated pipeline and keyword selector.
-    backend:
-        Concrete kernel backend ("python" or "numpy") — ``Backend.AUTO``
-        is resolved here, once, instead of at every call site.
     batch_size:
         Number of queries this plan covers (1 = single query).
     distinct_ks:
@@ -222,7 +215,6 @@ class QueryPlan:
 
     mode: Mode
     method: Method
-    backend: str
     batch_size: int
     distinct_ks: Tuple[int, ...]
     shared_topk: bool
@@ -240,8 +232,7 @@ class QueryPlan:
             else f"batch of {self.batch_size}"
         )
         lines = [
-            f"plan: {scope} -> mode={self.mode} method={self.method} "
-            f"backend={self.backend}"
+            f"plan: {scope} -> mode={self.mode} method={self.method}"
         ]
         ks = ",".join(str(k) for k in self.distinct_ks) or "?"
         if self.shared_traversal_k is not None and self.mode is Mode.INDEXED:
@@ -328,8 +319,8 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def _validate(options: QueryOptions, caps: EngineCapabilities) -> str:
-    """Shared option/capability checks; returns the concrete backend."""
+def _validate(options: QueryOptions, caps: EngineCapabilities) -> None:
+    """Shared option/capability checks."""
     if caps.num_shards > 1 and options.mode is Mode.BASELINE:
         raise ValueError(
             f"sharded engines execute mode=joint or mode=indexed (got "
@@ -338,8 +329,6 @@ def _validate(options: QueryOptions, caps: EngineCapabilities) -> str:
         )
     if options.mode is Mode.INDEXED and not caps.has_user_tree:
         raise ValueError("engine built without index_users=True")
-    # Backend.NUMPY without numpy raises resolve()'s canonical RuntimeError.
-    return options.backend.resolve()
 
 
 def _shard_plan(caps: EngineCapabilities) -> Optional[ShardPlan]:
@@ -353,7 +342,6 @@ def _shard_plan(caps: EngineCapabilities) -> Optional[ShardPlan]:
 def _consult_history(
     history: FlushHistory,
     options: QueryOptions,
-    backend: str,
     shard: ShardPlan,
 ) -> Tuple[ShardPlan, Tuple[PlanDecision, ...]]:
     """Apply the observed-cost model to a lane engine's query-axis round.
@@ -367,9 +355,7 @@ def _consult_history(
     """
     if shard.search_workers <= 0:
         return shard, ()
-    sig = FlushSignature(
-        mode=options.mode.value, backend=backend, scatter_width=shard.num_shards
-    )
+    sig = FlushSignature(mode=options.mode.value, scatter_width=shard.num_shards)
     obs = history.observe(sig)
     stage = "indexed-search" if options.mode is Mode.INDEXED else "select"
     ms = (
@@ -399,8 +385,8 @@ def _consult_history(
         )
     else:
         why = (
-            f"no flush history at signature {sig.mode}/{sig.backend}/"
-            f"x{sig.scatter_width} yet (cold engine)"
+            f"no flush history at signature {sig.mode}/x{sig.scatter_width} "
+            "yet (cold engine)"
             if obs is None else
             f"only {obs.flushes} flush(es) recorded at this signature "
             f"(need {MIN_OBSERVED_FLUSHES}) — static plan until seasoned"
@@ -423,14 +409,13 @@ def plan_query(
     as a batch of one against the shared pool — ``shared_traversal_k``
     names the walk, exactly like :func:`plan_batch` does).
     """
-    backend = _validate(options, caps)
+    _validate(options, caps)
     if caps.num_shards > 1 and k:
         # batch of one, shared pool
         return plan_batch(options, caps, [k], history=history)
     return QueryPlan(
         mode=options.mode,
         method=options.method,
-        backend=backend,
         batch_size=1,
         distinct_ks=(k,) if k else (),
         shared_topk=False,
@@ -454,7 +439,7 @@ def plan_batch(
     in-process (see :func:`_consult_history`); the decision trail lands
     on ``QueryPlan.decisions``.
     """
-    backend = _validate(options, caps)
+    _validate(options, caps)
     indexed = options.mode is Mode.INDEXED
     distinct_ks = tuple(sorted(set(ks)))
     # Both group-traversal modes run one tree walk at k_max and reuse
@@ -474,11 +459,10 @@ def plan_batch(
     shard = _shard_plan(caps)
     decisions: Tuple[PlanDecision, ...] = ()
     if history is not None and shard is not None:
-        shard, decisions = _consult_history(history, options, backend, shard)
+        shard, decisions = _consult_history(history, options, shard)
     return QueryPlan(
         mode=options.mode,
         method=options.method,
-        backend=backend,
         batch_size=len(ks),
         distinct_ks=distinct_ks,
         shared_topk=not indexed,

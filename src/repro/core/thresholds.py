@@ -1,7 +1,7 @@
 """``RSk(u)`` as two columns: what Algorithm 2 hands Algorithm 3.
 
 Algorithm 3 reads one float per user — their threshold ``RSk(u)`` —
-and its numpy kernels read it *by user row*
+and its kernels read it *by user row*
 (:class:`~repro.core.kernels.SelectionContext`).  A
 :class:`Thresholds` is that vector with its id column beside it:
 ``ids`` (int64) and ``values`` (float64), aligned.  Algorithm 2's
@@ -11,8 +11,8 @@ and its numpy kernels read it *by user row*
 range, the merge concatenates them, and the ``RSK1`` block
 (:mod:`repro.core.payload`) is the two columns' bytes.
 
-The scalar code paths (the python backend, the baseline, tests) read
-thresholds by user id, so a :class:`Thresholds` is also a read-only
+The scalar code paths (the oracle, :mod:`repro.oracle`; the baseline;
+tests) read thresholds by user id, so a :class:`Thresholds` is also a read-only
 ``Mapping[int, float]``; the dict behind that view is built on first
 use only.  (``values`` is the value column, which takes the place of
 the ``Mapping.values()`` view.)  It holds no

@@ -99,8 +99,8 @@ class SuperUser:
     max_normalizer: float
     count: int
     #: Lazily cached ascending term lists.  Bound computations sum term
-    #: weights in this canonical order so the scalar backend and the
-    #: numpy frontier kernels produce bitwise-identical bounds (see
+    #: weights in this canonical order so the oracle and the numpy
+    #: frontier kernels produce bitwise-identical bounds (see
     #: repro/core/kernels.py, "Exactness contract").
     _sorted_union: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False

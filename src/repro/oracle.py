@@ -1,0 +1,464 @@
+"""The scalar reference the engine's kernels are held to.
+
+The engine (:mod:`repro.core`) runs Algorithms 1–3 and Section 7's
+search as numpy kernels.  This module states them one ``(user,
+object/location)`` pair at a time through ``Dataset.sts`` /
+``sts_parts`` and :class:`~repro.core.bounds.BoundCalculator`, as the
+paper does; every kernel must equal it — pools, I/O and ``RSk(u)``
+bitwise, every selection decision and counter exactly.  Only tests,
+``repro serve --verify`` and :mod:`repro.bench` import it.  Where the
+two share control flow — Algorithm 3's queue loop, the exact selector,
+the best-first MIUR search — the loop lives once in :mod:`repro.core`
+and these functions pass it their scalar leaves.  :func:`query` is the
+cold, sequential, all-scalar answer to one query, its I/O charged to
+the engine's page store.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+import time
+from functools import partial
+from types import SimpleNamespace
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
+
+from .core import candidate_selection, indexed_users, keyword_selection
+from .core.baseline import baseline_maxbrstknn
+from .core.bounds import BoundCalculator, augmented_document, candidate_term_weight
+from .core.config import Mode, QueryOptions, coerce_options
+from .core.candidate_selection import LocationShortlist
+from .core.joint_topk import (
+    CandidateObject, JointTraversalResult, TopKTable, canonical_candidates,
+)
+from .core.keyword_selection import KeywordSelection
+from .core.planner import EngineCapabilities, plan_query
+from .core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
+from .model.dataset import Dataset
+from .model.objects import SuperUser, User
+from .spatial.geometry import Rect
+from .topk.single import TopKResult
+
+__all__ = [
+    "joint_traversal",
+    "individual_topk",
+    "shortlist_locations",
+    "compute_brstknn",
+    "greedy_max_coverage",
+    "select_keywords_greedy",
+    "select_keywords_exact",
+    "search_shortlists",
+    "select_candidate",
+    "indexed_search",
+    "indexed_users_maxbrstknn",
+    "query",
+]
+
+
+# ----------------------------------------------------------------------
+# Algorithms 1–2: the joint top-k
+# ----------------------------------------------------------------------
+
+def joint_traversal(
+    tree, dataset: Dataset, k: int, super_user: Optional[SuperUser] = None, store=None
+) -> JointTraversalResult:
+    """Algorithm 1: single best-lower-bound-first traversal for a group,
+    one :class:`BoundCalculator` call per entry and one
+    :class:`CandidateObject` per pooled object."""
+    if k <= 0:
+        return JointTraversalResult(lo=[], ro=[], rsk_group=0.0)
+    su = dataset.super_user if super_user is None else super_user
+    bounds = BoundCalculator(dataset)
+    counter = itertools.count()
+    # Max-heap on the lower bound (negated); holds nodes and objects.
+    pq: List[Tuple[float, int, tuple]] = [(0.0, next(counter), ("node", tree.root))]
+    # LO: min-heap of (lower_bound, tiebreak, CandidateObject), size <= k.
+    lo_heap: List[Tuple[float, int, CandidateObject]] = []
+    ro: List[CandidateObject] = []
+    rsk = float("-inf")
+
+    def admit(cand: CandidateObject) -> None:
+        """Lines 1.9–1.18: maintain LO/RO and the RSk(us) threshold."""
+        nonlocal rsk
+        if len(lo_heap) < k:
+            heapq.heappush(lo_heap, (cand.lower, next(counter), cand))
+            if len(lo_heap) == k:
+                rsk = lo_heap[0][0]
+        elif cand.upper < rsk:
+            pass  # cannot be in any user's top-k
+        elif cand.lower > lo_heap[0][0]:
+            displaced = heapq.heapreplace(lo_heap, (cand.lower, next(counter), cand))[2]
+            rsk = lo_heap[0][0]
+            if displaced.upper >= rsk:
+                ro.append(displaced)
+        else:
+            ro.append(cand)
+
+    while pq:
+        kind, item = heapq.heappop(pq)[2]
+        if kind == "object":
+            admit(item)
+            continue
+        # Line 1.20: expand only while the node may contribute.
+        children, objects = tree.read_node(item, su.union_terms, store)
+        entries = [
+            ("object", ov.obj, Rect.from_point(ov.obj.location), ov.weights)
+            for ov in objects
+        ] + [("node", cv.node, cv.node.rect, cv.weights) for cv in children]
+        for child_kind, child, rect, weights in entries:
+            ub = bounds.node_upper(rect, weights, su)
+            if len(lo_heap) >= k and ub < rsk:
+                continue
+            lb = bounds.node_lower(rect, weights, su)
+            if child_kind == "object":
+                child = CandidateObject(child, lb, ub, weights)
+            heapq.heappush(pq, (-lb, next(counter), (child_kind, child)))
+
+    lo = [cand for _, __, cand in sorted(lo_heap, key=lambda t: -t[0])]
+    ro.sort(key=lambda c: -c.upper)
+    return JointTraversalResult(lo, ro, rsk if rsk != float("-inf") else 0.0)
+
+
+def individual_topk(
+    traversal: JointTraversalResult, dataset: Dataset, k: int,
+    users: Optional[Sequence[User]] = None,
+) -> TopKTable:
+    """Algorithm 2: per user, exact STS against ``LO``, then ``RO`` in
+    descending upper bound until Example 4's stop ``UB(o, us) <
+    RSk(u)``; ties ranked by ``(score desc, object id asc)``.  Reads the
+    pool as objects, so it must have been walked in this process."""
+    users = dataset.users if users is None else users
+    ids = np.fromiter((u.item_id for u in users), np.int64, len(users))
+    k = max(k, 0)
+    candidates = list(traversal.pool) if k else []
+    out: Dict[int, TopKResult] = {}
+    for user in users:
+        best: List[Tuple[float, int]] = []  # min-heap of the k best (score, -id)
+        for i, cand in enumerate(candidates):
+            if i >= traversal.n_lo and len(best) >= k and cand.upper < best[0][0]:
+                break  # Example 4's per-user early termination
+            entry = (dataset.sts(cand.obj, user), -cand.obj.item_id)
+            if len(best) < k:
+                heapq.heappush(best, entry)
+            elif entry > best[0]:
+                heapq.heapreplace(best, entry)
+        ranked = sorted(((s, -negid) for s, negid in best), key=lambda t: (-t[0], t[1]))
+        out[user.item_id] = TopKResult(user_id=user.item_id, ranked=ranked)
+    return TopKTable.of_results(ids, k, out)
+
+
+# ----------------------------------------------------------------------
+# Algorithm 3 and Section 6.2: candidate and keyword selection
+# ----------------------------------------------------------------------
+
+def shortlist_locations(dataset, query, rsk, rsk_group, super_user=None, users=None):
+    """Algorithm 3's shortlists: the locations the group bound keeps,
+    each with ``LU_l`` scanned user by user (``UBL(l, u) >= RSk(u)``);
+    the pruned-location count alongside."""
+    su = dataset.super_user if super_user is None else super_user
+    users = dataset.users if users is None else users
+    bounds = BoundCalculator(dataset)
+    ox, keywords, ws = query.ox, query.keywords, query.ws
+    group_text = bounds.group_upper_text(ox, keywords, ws, su)
+    lower_text = bounds.group_lower_text(ox, su)
+    shortlists, pruned = [], 0
+    for idx, loc in enumerate(query.locations):
+        ub_group = bounds.location_upper_group(loc, ox, keywords, ws, su, text=group_text)
+        if ub_group < rsk_group:
+            pruned += 1
+            continue
+        shortlists.append(LocationShortlist(
+            location=loc,
+            users=[
+                u for u in users
+                if bounds.location_upper_user(loc, ox, keywords, ws, u) >= rsk[u.item_id]
+            ],
+            upper_group=ub_group,
+            lower_group=bounds.location_lower_group(loc, ox, su, text=lower_text),
+            index=idx,
+        ))
+    return shortlists, pruned
+
+
+def compute_brstknn(dataset, ox, location, keywords, users, rsk) -> FrozenSet[int]:
+    """Users for whom ``ox`` at ``location`` with ``ox.d ∪ keywords``
+    scores ``STS >= RSk(u)``, one ``sts_parts`` call each."""
+    doc = augmented_document(ox.terms, keywords)
+    return frozenset(
+        u.item_id for u in users if dataset.sts_parts(location, doc, u) >= rsk[u.item_id]
+    )
+
+
+def _mask_many(dataset: Dataset, location, evals, rsk) -> List[List[bool]]:
+    """``STS(location, doc, u) >= RSk(u)`` per ``(doc, users)`` group,
+    pair by pair: the leaf :func:`select_keywords_exact` scores with."""
+    return [
+        [dataset.sts_parts(location, doc, u) >= rsk[u.item_id] for u in members]
+        for doc, members in evals
+    ]
+
+
+def greedy_max_coverage(
+    sets: Mapping[int, Set[int]], budget: int
+) -> Tuple[List[int], Set[int]]:
+    """Plain greedy Maximum Coverage over ``{key: element-set}``: up to
+    ``budget`` keys, each covering the most yet-uncovered elements (ties
+    to the smaller key); stops when no key adds coverage."""
+    chosen: List[int] = []
+    covered: Set[int] = set()
+    remaining = dict(sets)
+    for _ in range(max(0, budget)):
+        best_key, best_gain = None, 0
+        for key in sorted(remaining):
+            gain = len(remaining[key] - covered)
+            if gain > best_gain:
+                best_key, best_gain = key, gain
+        if best_key is None:
+            break
+        chosen.append(best_key)
+        covered |= remaining.pop(best_key)
+    return chosen, covered
+
+
+def _hw_entries(
+    user: User, cand_set: Set[int], opt_weight: Mapping[int, float], ws: int
+) -> List[Tuple[FrozenSet[int], int]]:
+    """``(HW_{w,u}, w)`` for every candidate ``w`` the user holds: the
+    ``ws`` highest-weight useful candidates, forced to contain ``w``."""
+    useful = sorted(cand_set & user.keyword_set, key=lambda t: (-opt_weight[t], t))
+    top = frozenset(useful[:ws])
+    head = useful[: max(ws - 1, 0)]
+    return [(top if w in top else frozenset(head + [w]), w) for w in useful]
+
+
+def select_keywords_greedy(
+    dataset, ox, location, candidate_keywords, ws, users, rsk, cache=None
+) -> KeywordSelection:
+    """Section 6.2.1 at one location, pair by pair.
+
+    ``LUW_w`` holds the users ``HW_{w,u}`` — the most optimistic set
+    containing ``w`` — wins; greedy max coverage picks ``ws`` keywords
+    over those lists and every greedy prefix is recounted.  ``cache``
+    (per query) keeps the location-independent weights and ``HW`` sets.
+    """
+    cache = cache if cache is not None else {}
+    if "cand_set" not in cache:
+        cache["cand_set"] = set(candidate_keywords)
+        # Optimistic per-keyword weight (Lemma 3): the candidate added
+        # to ox.d alone.  Ranks the candidates inside HW_{w,u}.
+        cache["opt_weight"] = {
+            t: candidate_term_weight(dataset.relevance, ox.terms, t)
+            for t in cache["cand_set"]
+        }
+    cand_set, opt_weight = cache["cand_set"], cache["opt_weight"]
+    hw_by_user = cache.setdefault("hw_by_user", {})
+    luw: Dict[int, Set[int]] = {}
+    scored = 0
+    for user in users:
+        entries = hw_by_user.get(user.item_id)
+        if entries is None:
+            entries = hw_by_user[user.item_id] = _hw_entries(
+                user, cand_set, opt_weight, ws
+            )
+        for hw_set, w in entries:
+            scored += 1
+            doc = augmented_document(ox.terms, hw_set)
+            if dataset.sts_parts(location, doc, user) >= rsk[user.item_id]:
+                luw.setdefault(w, set()).add(user.item_id)
+
+    def recount(keywords: FrozenSet[int]) -> FrozenSet[int]:
+        return compute_brstknn(dataset, ox, location, keywords, users, rsk)
+
+    best_set: FrozenSet[int] = frozenset()
+    best_users = recount(best_set)
+    coverage_estimate = 0
+    if luw:
+        chosen, covered = greedy_max_coverage(luw, ws)
+        coverage_estimate = len(covered)
+        # The LUW lists are optimistic, and under length-normalized
+        # measures a longer keyword set can score *worse*: every greedy
+        # prefix is evaluated (the full set remains a candidate).
+        for end in range(1, len(chosen) + 1):
+            prefix = frozenset(chosen[:end])
+            actual = recount(prefix)
+            scored += 1
+            if len(actual) > len(best_users):
+                best_set, best_users = prefix, actual
+    # Fallback pass: greedy on the *true* objective, only where the LUW
+    # optimism demonstrably misled (skewed TF-IDF weights, heavily tied
+    # KO), over the 2 * ws + 6 candidates with the largest LUW lists;
+    # the better of the two greedy answers is returned.
+    if luw and len(best_users) >= 0.8 * coverage_estimate:
+        return best_set, best_users, scored
+    ranked_pool = sorted(
+        cand_set & {t for u in users for t in u.keyword_set},
+        key=lambda t: (-len(luw.get(t, ())), t),
+    )[: 2 * ws + 6]
+    current: FrozenSet[int] = frozenset()
+    current_users = recount(current)
+    for _ in range(ws):
+        step_set, step_users = None, current_users
+        for w in ranked_pool:
+            if w in current:
+                continue
+            trial = current | {w}
+            winners = recount(trial)
+            scored += 1
+            if len(winners) > len(step_users):
+                step_set, step_users = trial, winners
+        if step_set is None:
+            break
+        current, current_users = step_set, step_users
+    if len(current_users) > len(best_users):
+        best_set, best_users = current, current_users
+    return best_set, best_users, scored
+
+
+def select_keywords_exact(dataset, *args) -> KeywordSelection:
+    """Algorithm 4 at one location (the arguments of
+    :func:`repro.core.keyword_selection.select_keywords_exact`), its memo
+    states scored pair by pair."""
+    return keyword_selection.select_keywords_exact(
+        dataset, *args, mask_many=partial(_mask_many, dataset)
+    )
+
+
+def _selector(method: str):
+    """The scalar keyword selector for ``method`` (a fresh per-query
+    cache for the greedy one)."""
+    if method == "approx":
+        return partial(select_keywords_greedy, cache={})
+    return select_keywords_exact
+
+
+def search_shortlists(
+    dataset, query, rsk, rsk_group, shortlists, *, method="approx", stats=None
+) -> MaxBRSTkNNResult:
+    """Algorithm 3's best-first search (the arguments of
+    :func:`repro.core.candidate_selection.search_shortlists`), location
+    by location, with the scalar selectors."""
+    if method not in ("approx", "exact"):
+        raise ValueError(f"unknown keyword-selection method {method!r}")
+    return candidate_selection._search_queue(
+        dataset, query, rsk, rsk_group, shortlists,
+        stats if stats is not None else QueryStats(),
+        select=_selector(method), brstknn=compute_brstknn,
+    )
+
+
+def select_candidate(
+    dataset, query, rsk, rsk_group=0.0, method="approx", super_user=None,
+    users=None, stats=None,
+) -> MaxBRSTkNNResult:
+    """Algorithm 3: :func:`shortlist_locations` + :func:`search_shortlists`."""
+    if method not in ("approx", "exact"):
+        raise ValueError(f"unknown keyword-selection method {method!r}")
+    stats = stats if stats is not None else QueryStats()
+    shortlists, pruned = shortlist_locations(
+        dataset, query, rsk, rsk_group, super_user=super_user, users=users
+    )
+    stats.locations_pruned += pruned
+    return search_shortlists(
+        dataset, query, rsk, rsk_group, shortlists, method=method, stats=stats
+    )
+
+
+# ----------------------------------------------------------------------
+# Section 7: users under the MIUR-tree
+# ----------------------------------------------------------------------
+
+def _node_rsk(
+    candidates: Sequence[CandidateObject], bounds: BoundCalculator,
+    summary: SuperUser, k: int,
+) -> float:
+    """``RSk(node)``: the k-th best canonical-candidate lower bound
+    w.r.t. a node summary, one ``node_lower`` call per candidate."""
+    lows = sorted(
+        (bounds.node_lower(Rect.from_point(c.obj.location), c.weights, summary)
+         for c in candidates),
+        reverse=True,
+    )
+    return lows[k - 1] if len(lows) >= k else 0.0
+
+
+def indexed_search(
+    user_tree, dataset, query, traversal, rsk_group, stats, method="approx",
+    store=None, canonical=None,
+) -> MaxBRSTkNNResult:
+    """Section 7's best-first MIUR search with scalar ``RSk(node)``,
+    Algorithm 2 and keyword selection."""
+    if canonical is None:
+        canonical = canonical_candidates(traversal, rsk_group)
+    node_bounds = partial(_node_rsk, canonical, BoundCalculator(dataset))
+    return indexed_users.indexed_search(
+        user_tree, dataset, query, traversal, rsk_group, stats,
+        method=method, store=store, canonical=canonical,
+        pool_arrays=SimpleNamespace(node_rsk=node_bounds),
+        refine=individual_topk, select=_selector(method),
+    )
+
+
+def indexed_users_maxbrstknn(
+    object_tree, user_tree, dataset, query, method="approx", store=None
+) -> MaxBRSTkNNResult:
+    """A cold Section 7 query: the scalar walk against the MIUR-tree
+    root summary, then :func:`indexed_search`."""
+    if method not in ("approx", "exact"):
+        raise ValueError(f"unknown keyword-selection method {method!r}")
+    counter = store.counter if store is not None else None
+    before = counter.snapshot() if counter is not None else None
+    t0 = time.perf_counter()
+    traversal = joint_traversal(
+        object_tree, dataset, query.k, super_user=user_tree.root.summary, store=store
+    )
+    stats = QueryStats(users_total=len(user_tree), topk_time_s=time.perf_counter() - t0)
+    if counter is not None:
+        delta = counter.snapshot() - before
+        stats.io_node_visits = delta.node_visits
+        stats.io_invfile_blocks = delta.invfile_blocks
+    return indexed_search(
+        user_tree, dataset, query, traversal, traversal.rsk_group, stats,
+        method=method, store=store,
+    )
+
+
+# ----------------------------------------------------------------------
+# One whole query
+# ----------------------------------------------------------------------
+
+def query(
+    engine, query: MaxBRSTkNNQuery, options: Optional[QueryOptions] = None
+) -> MaxBRSTkNNResult:
+    """The cold, sequential, all-scalar answer to ``query`` on ``engine``
+    (a :class:`~repro.core.engine.MaxBRSTkNNEngine`): what
+    ``engine.query(query, options)`` must return, stats included, with
+    the simulated I/O charged to ``engine``'s page store.
+    ``Mode.BASELINE`` is scalar in the engine too and runs as such."""
+    opts = coerce_options(options, api="repro.oracle.query")
+    plan = plan_query(opts, EngineCapabilities.of(engine), k=query.k)
+    dataset, store, method = engine.dataset, engine.store, plan.method.value
+    if plan.mode is Mode.BASELINE:
+        return baseline_maxbrstknn(engine.object_tree, dataset, query, store=store)
+    if plan.mode is Mode.INDEXED:
+        return indexed_users_maxbrstknn(
+            engine.object_tree, engine.user_tree, dataset, query, method, store
+        )
+    stats = QueryStats(users_total=len(dataset.users))
+    before = engine.io.snapshot()
+    t0 = time.perf_counter()
+    traversal = joint_traversal(engine.object_tree, dataset, query.k, store=store)
+    table = individual_topk(traversal, dataset, query.k)
+    stats.topk_time_s = time.perf_counter() - t0
+    delta = engine.io.snapshot() - before
+    stats.io_node_visits = delta.node_visits
+    stats.io_invfile_blocks = delta.invfile_blocks
+    t1 = time.perf_counter()
+    result = select_candidate(
+        dataset, query, table.rsk(query.k), rsk_group=traversal.rsk_group,
+        method=method, stats=stats,
+    )
+    stats.selection_time_s = time.perf_counter() - t1
+    result.stats = stats
+    return result

@@ -61,7 +61,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..core.kernels import HAS_NUMPY, arrays_for
+from ..core.kernels import arrays_for
 from ..core.payload import encode_gather_payload, payload_nbytes
 from ..core.pipeline import (
     Lane,
@@ -144,7 +144,7 @@ def _payload_lane(payload: tuple) -> Optional[int]:
     """Refine lane (row range index) a scatter payload carries (None
     for selection / indexed-search payloads)."""
     if isinstance(payload, tuple) and payload and payload[0] == "refine":
-        return payload[5]
+        return payload[3]
     return None
 
 
@@ -268,8 +268,7 @@ class PersistentWorkerPool:
             raise RuntimeError(
                 "PersistentWorkerPool requires the 'fork' start method"
             )
-        if HAS_NUMPY:
-            arrays_for(dataset)  # build before forking: shared via COW
+        arrays_for(dataset)  # build before forking: shared via COW
         self.dataset = dataset
         self.workers = workers
         self.context = context

@@ -103,12 +103,12 @@ class MaxBRSTkNNServer:
     async def start(self) -> "MaxBRSTkNNServer":
         """Start the flusher task (and the engine's lanes, if sized).
 
-        When the numpy backend will serve, both kernel caches are built
-        eagerly here — the :class:`~repro.core.kernels.DatasetArrays`
-        *and* the :class:`~repro.core.kernels.TreeArrays` of the object
-        tree — so the first query pays no build cost and lane workers
-        fork *after* the arrays exist, inheriting them through
-        copy-on-write instead of rebuilding per process.
+        Both kernel caches are built eagerly here — the
+        :class:`~repro.core.kernels.DatasetArrays` *and* the
+        :class:`~repro.core.kernels.TreeArrays` of the object tree — so
+        the first query pays no build cost and lane workers fork *after*
+        the arrays exist, inheriting them through copy-on-write instead
+        of rebuilding per process.
         """
         if self._started:
             raise RuntimeError("server already started")
@@ -116,9 +116,8 @@ class MaxBRSTkNNServer:
         self._stopping = False
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
-        if self.config.options.backend.resolve() == "numpy":
-            # Both engine types declare this hook.
-            self.engine.prewarm_kernels()
+        # Both engine types declare this hook.
+        self.engine.prewarm_kernels()
         if self.config.pool_workers > 0:
             cfg = self.config
             try:

@@ -180,7 +180,7 @@ class ShardedEngine:
         self._search_flushes = 0
         self._executor = ShardedExecutor(self)
         #: Observed-cost feedback for the planner: ring buffers of
-        #: executed-flush accounting per (mode, backend, lane count)
+        #: executed-flush accounting per (mode, lane count)
         #: signature (:mod:`repro.core.history`).  Survives
         #: :meth:`clear_topk_cache` — it holds timings, never answers.
         self.flush_history = FlushHistory()
@@ -268,7 +268,7 @@ class ShardedEngine:
         self.root.reset_io()
 
     def prewarm_kernels(self) -> None:
-        """Build every numpy cache up front (server startup hook), so
+        """Build every kernel cache up front (server startup hook), so
         first-query latency pays no build cost and a pool forked later
         inherits everything via copy-on-write."""
         self.root.prewarm_kernels()

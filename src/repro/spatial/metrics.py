@@ -50,7 +50,7 @@ class LpMetric:
             # kernels reproduce this value bit for bit by writing the
             # same expression — math.hypot is correctly rounded too
             # (CPython >= 3.8) but C libm's hypot, which numpy calls,
-            # is not, and the traversal backends must agree exactly.
+            # is not, and the engine must agree with the oracle exactly.
             # Coordinates are dataspace-sized, so the classic
             # overflow/underflow caveat of the naive form cannot bite.
             return math.sqrt(dx * dx + dy * dy)

@@ -79,13 +79,7 @@ import threading
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # optional, like repro.core.kernels: blobs work without numpy
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
-    HAS_NUMPY = False
+import numpy as np
 
 __all__ = [
     "ShmArena",
@@ -430,8 +424,6 @@ class ShmArena:
         """
         with self._lock:
             self._require_owner("add_array")
-            if not HAS_NUMPY:
-                raise ShmArenaError("add_array requires numpy")
             array = np.ascontiguousarray(array)
             seg = self._new_segment(column, array.nbytes)
             view = np.ndarray(array.shape, dtype=array.dtype, buffer=seg.buf)
@@ -500,8 +492,6 @@ class ShmArena:
                 raise ShmArenaError(
                     f"column {column!r} is a byte blob; use get_bytes"
                 )
-            if not HAS_NUMPY:
-                raise ShmArenaError("array views require numpy")
             seg = self._segments.get(column)
             if seg is None:
                 seg = self._open(f"{self.name}.{column}", create=False)

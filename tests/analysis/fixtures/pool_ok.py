@@ -17,9 +17,9 @@ def start_pool(ctx, token, payloads):
     return pool.map(_run_payload, list(payloads))
 
 
-def token_payloads(pool, queries, method, backend):
+def token_payloads(pool, queries, method, mode):
     # Payload tuples carry only small plain data, never arrays.
-    payloads = [("refine", list(queries), method, backend)]
+    payloads = [("refine", list(queries), method, mode)]
     return pool.map(_run_payload, payloads)
 
 

@@ -16,15 +16,11 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions
-from repro.core.kernels import HAS_NUMPY
+from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions, oracle
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
 
 from ..conftest import make_random_objects, make_random_users
-
-BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
-
 
 def build_engine(seed=0, n_obj=70, n_users=14, vocab=18, index_users=False):
     rng = random.Random(seed)
@@ -75,13 +71,12 @@ def assert_selection_stats_equal(a, b):
     assert a.users_pruned == b.users_pruned
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("mode", ["joint", "baseline"])
-def test_batch_equals_sequential(backend, mode):
+def test_batch_equals_sequential(mode):
     engine, rng, vocab = build_engine()
     queries = make_queries(rng, vocab, 6, ks=(3, 5))  # mixed k values
-    sequential = [engine.query(q, QueryOptions(mode=mode, backend="python")) for q in queries]
-    batched = engine.query_batch(queries, QueryOptions(mode=mode, backend=backend))
+    sequential = [oracle.query(engine, q, QueryOptions(mode=mode)) for q in queries]
+    batched = engine.query_batch(queries, QueryOptions(mode=mode))
     assert len(batched) == len(sequential)
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
@@ -102,14 +97,12 @@ def test_batch_equals_sequential(backend, mode):
             )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_equals_sequential_indexed(backend):
+def test_batch_equals_sequential_indexed():
     engine, rng, vocab = build_engine(index_users=True)
     queries = make_queries(rng, vocab, 3)
-    sequential = [
-        engine.query(q, QueryOptions(mode="indexed", backend="python")) for q in queries
-    ]
-    batched = engine.query_batch(queries, QueryOptions(mode="indexed", backend=backend))
+    options = QueryOptions(mode="indexed")
+    sequential = [oracle.query(engine, q, options) for q in queries]
+    batched = engine.query_batch(queries, options)
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
         assert_stats_equal(solo.stats, bat.stats)
@@ -123,13 +116,13 @@ def test_empty_batch():
 def test_duplicate_queries_get_identical_results():
     engine, rng, vocab = build_engine(seed=5)
     query = make_queries(rng, vocab, 1)[0]
-    batched = engine.query_batch([query, query, query], QueryOptions(backend="python"))
+    batched = engine.query_batch([query, query, query], QueryOptions())
     assert len(batched) == 3
     for other in batched[1:]:
         assert_result_equal(batched[0], other)
         assert_stats_equal(batched[0].stats, other.stats)
     # ...and they match a sequential call too.
-    solo = engine.query(query, QueryOptions(backend="python"))
+    solo = oracle.query(engine, query, QueryOptions())
     assert_result_equal(solo, batched[0])
 
 
@@ -165,8 +158,7 @@ def test_traversal_pool_shared_across_ks_and_batches():
     assert engine._shared_topk_cache == {}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_mixed_k_batch_refines_the_pool_once(backend, monkeypatch):
+def test_mixed_k_batch_refines_the_pool_once(monkeypatch):
     """ONE Algorithm 2 pass at ``pool.k`` serves every k: a top-k list
     is a prefix of the top-k' list over the same pool, so the per-k
     thresholds are read off it — and equal a dedicated refinement's."""
@@ -182,17 +174,17 @@ def test_mixed_k_batch_refines_the_pool_once(backend, monkeypatch):
 
     monkeypatch.setattr(batch, "individual_topk", spy)
     engine, rng, vocab = build_engine(seed=7)
-    engine.query_batch(make_queries(rng, vocab, 6, ks=(2, 4, 3)), QueryOptions(backend=backend))
+    engine.query_batch(make_queries(rng, vocab, 6, ks=(2, 4, 3)), QueryOptions())
     pool = engine._traversal_pool
     assert refined_at == [4] and set(pool.by_k) == {2, 3, 4}
     for k, entry in pool.by_k.items():
-        dedicated = refine(pool.traversal, engine.dataset, k, backend="python")
+        dedicated = oracle.individual_topk(pool.traversal, engine.dataset, k)
         assert entry.rsk == {uid: res.kth_score for uid, res in dedicated.items()}
     # A smaller new k reads the same lists; a larger one re-walks and
     # refines the new pool, once.
-    engine.query_batch(make_queries(rng, vocab, 1, ks=(1,)), QueryOptions(backend=backend))
+    engine.query_batch(make_queries(rng, vocab, 1, ks=(1,)), QueryOptions())
     assert refined_at == [4]
-    engine.query_batch(make_queries(rng, vocab, 2, ks=(6, 2)), QueryOptions(backend=backend))
+    engine.query_batch(make_queries(rng, vocab, 2, ks=(6, 2)), QueryOptions())
     assert refined_at == [4, 6]
 
 
@@ -258,7 +250,7 @@ def test_batch_workers_match_inprocess():
     children_before = set(multiprocessing.active_children())
     engine, rng, vocab = build_engine(seed=9)
     queries = make_queries(rng, vocab, 5)
-    options = QueryOptions(backend="python")
+    options = QueryOptions()
     inprocess = engine.query_batch(queries, options)
     with make_engine(engine.dataset, EngineConfig(fanout=4, num_shards=2)) as lanes:
         lanes.start_pools(1)
@@ -285,7 +277,7 @@ def test_plain_engine_batch_never_forks(monkeypatch):
 
     engine, rng, vocab = build_engine(seed=9)
     queries = make_queries(rng, vocab, 8, ks=(2, 3, 5))
-    options = QueryOptions(backend="python")
+    options = QueryOptions()
     monkeypatch.setattr(BaseProcess, "start", refuse_start)
     batched = engine.query_batch(queries, options)
     assert multiprocessing.active_children() == []
@@ -358,7 +350,7 @@ def test_indexed_mixed_k_batch_equals_sequential_results():
     queries = make_queries(rng, vocab, 6, ks=(2, 4, 5))
     fresh, _, _ = build_engine(seed=23, index_users=True)
     sequential = [
-        fresh.query(q, QueryOptions(mode="indexed", backend="python"))
+        oracle.query(fresh, q, QueryOptions(mode="indexed"))
         for q in queries
     ]
     # Cold per-k walk I/O, to split the sequential stats into their
@@ -371,7 +363,7 @@ def test_indexed_mixed_k_batch_equals_sequential_results():
             store=walker.store,
         )
         walk_io[k] = (t.io_node_visits, t.io_invfile_blocks)
-    batched = engine.query_batch(queries, QueryOptions(mode="indexed", backend="python"))
+    batched = engine.query_batch(queries, QueryOptions(mode="indexed"))
     assert engine.traversal_runs == 1
     pool = engine._root_pool
     assert pool.k == 5
@@ -398,7 +390,7 @@ def test_indexed_batch_stats_match_sequential_per_phase():
     engine, rng, vocab = build_engine(seed=15, index_users=True)
     queries = make_queries(rng, vocab, 3)
     sequential = [
-        engine.query(q, QueryOptions(mode="indexed", backend="python"))
+        oracle.query(engine, q, QueryOptions(mode="indexed"))
         for q in queries
     ]
     batched = engine.query_batch(queries, QueryOptions(mode="indexed"))
@@ -408,14 +400,13 @@ def test_indexed_batch_stats_match_sequential_per_phase():
         assert bat.stats.io_invfile_blocks == solo.stats.io_invfile_blocks
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_batch_method_exact_matches_sequential():
     engine, rng, vocab = build_engine(seed=11)
     queries = make_queries(rng, vocab, 3)
     sequential = [
-        engine.query(q, QueryOptions(method="exact", backend="python")) for q in queries
+        oracle.query(engine, q, QueryOptions(method="exact")) for q in queries
     ]
-    batched = engine.query_batch(queries, QueryOptions(method="exact", backend="numpy"))
+    batched = engine.query_batch(queries, QueryOptions(method="exact"))
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
         assert_stats_equal(solo.stats, bat.stats)

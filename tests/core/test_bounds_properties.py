@@ -21,7 +21,6 @@ import pytest
 
 from repro import Dataset
 from repro.core.bounds import BoundCalculator, augmented_document
-from repro.core.indexed_users import _node_rsk
 from repro.core.joint_topk import (
     canonical_candidates,
     individual_topk,
@@ -30,6 +29,7 @@ from repro.core.joint_topk import (
 from repro.index.irtree import MIRTree
 from repro.index.miurtree import MIURTree
 from repro.model.objects import STObject, SuperUser
+from repro.oracle import _node_rsk
 from repro.spatial.geometry import Point
 
 from ..conftest import make_random_objects, make_random_users

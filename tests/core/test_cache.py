@@ -8,7 +8,7 @@ from repro.core.config import CachePolicy
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
 
-OPTS = QueryOptions(backend="python")
+OPTS = QueryOptions()
 
 
 def make_query(item_id=-1, x=1.0, terms=None, locations=((2.0, 2.0),),
@@ -63,7 +63,7 @@ class TestResultCache:
     def test_options_separate_entries(self):
         cache = ResultCache()
         cache.store(make_query(), OPTS, 0, object())
-        exact = QueryOptions(backend="python", method="exact")
+        exact = QueryOptions(method="exact")
         assert cache.lookup(make_query(), exact, epoch=0) is None
 
     def test_epoch_bump_invalidates(self):

@@ -1,17 +1,17 @@
 """Typed configuration layer: enums, QueryOptions, EngineConfig."""
 
+import dataclasses
+
 import pytest
 
-from repro import Backend, EngineConfig, Method, Mode, QueryOptions
+from repro import EngineConfig, Method, Mode, QueryOptions
 from repro.core.config import coerce_options
-from repro.core.kernels import HAS_NUMPY
 
 
 class TestEnums:
     def test_string_coercion(self):
         assert Method.coerce("exact") is Method.EXACT
         assert Mode.coerce("indexed") is Mode.INDEXED
-        assert Backend.coerce("numpy") is Backend.NUMPY
 
     def test_coercion_is_case_insensitive(self):
         assert Method.coerce("EXACT") is Method.EXACT
@@ -25,18 +25,11 @@ class TestEnums:
             Method.coerce("fuzzy")
         with pytest.raises(ValueError):
             Mode.coerce("turbo")
-        with pytest.raises(ValueError):
-            Backend.coerce("cuda")
 
     def test_str_mixin(self):
         # Enums render as their value (log/CLI friendly) and compare to it.
         assert str(Mode.JOINT) == "joint"
-        assert Backend.PYTHON == "python"
-
-    def test_backend_resolve(self):
-        assert Backend.PYTHON.resolve() == "python"
-        expected = "numpy" if HAS_NUMPY else "python"
-        assert Backend.AUTO.resolve() == expected
+        assert Method.EXACT == "exact"
 
 
 class TestQueryOptions:
@@ -44,21 +37,26 @@ class TestQueryOptions:
         opts = QueryOptions()
         assert opts.method is Method.APPROX
         assert opts.mode is Mode.JOINT
-        assert opts.backend is Backend.AUTO
+
+    def test_two_fields(self):
+        # The kernels are not a choice: numpy is the engine, and
+        # repro.oracle is the scalar reference tests compare it with.
+        assert [f.name for f in dataclasses.fields(QueryOptions)] == ["method", "mode"]
 
     def test_strings_coerce_in_constructor(self):
-        opts = QueryOptions(method="exact", mode="baseline", backend="python")
+        opts = QueryOptions(method="exact", mode="baseline")
         assert opts.method is Method.EXACT
         assert opts.mode is Mode.BASELINE
-        assert opts.backend is Backend.PYTHON
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             QueryOptions(method="fuzzy")
         with pytest.raises(ValueError):
             QueryOptions(mode="turbo")
-        with pytest.raises(ValueError):
-            QueryOptions(backend="cuda")
+
+    def test_backend_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            QueryOptions(backend="python")
 
     def test_workers_is_not_an_option(self):
         # Parallelism belongs to a ShardedEngine's lanes, not to a query.
@@ -71,12 +69,12 @@ class TestQueryOptions:
             opts.method = Method.EXACT
 
     def test_with_(self):
-        opts = QueryOptions().with_(method="exact", backend="python")
+        opts = QueryOptions().with_(method="exact")
         assert opts.method is Method.EXACT
-        assert opts.backend is Backend.PYTHON
+        assert opts.mode is Mode.JOINT
         assert QueryOptions().method is Method.APPROX  # original untouched
 
-    def test_shared_default_is_auto_backend(self):
+    def test_shared_default(self):
         """Regression: query defaulted "python", query_batch None.
 
         Both entry points now resolve through this one default; pinning
@@ -84,7 +82,7 @@ class TestQueryOptions:
         """
         default = QueryOptions.default()
         assert default == QueryOptions()
-        assert default.backend is Backend.AUTO
+        assert (default.method, default.mode) == (Method.APPROX, Mode.JOINT)
 
 
 class TestSharedDefaultAcrossEntryPoints:
@@ -213,7 +211,7 @@ class TestCoerceOptions:
 
     def test_options_plus_legacy_rejected(self):
         with pytest.raises(TypeError):
-            coerce_options(QueryOptions(), backend="python")
+            coerce_options(QueryOptions(), method="exact")
 
     def test_positional_string_plus_method_kwarg_rejected(self):
         with pytest.raises(TypeError):

@@ -10,10 +10,9 @@ from repro.core.history import (
 from repro.core.pipeline import FlushReport, StageStats
 from repro.core.planner import EngineCapabilities, plan_batch
 from repro.core.config import QueryOptions
-from repro.core.kernels import HAS_NUMPY
 
-SIG = FlushSignature(mode="joint", backend="python", scatter_width=1)
-OTHER = FlushSignature(mode="indexed", backend="python", scatter_width=1)
+SIG = FlushSignature(mode="joint", scatter_width=1)
+OTHER = FlushSignature(mode="indexed", scatter_width=1)
 
 
 def report(batch_size=4, stage="select", items=4, time_s=0.004):
@@ -85,8 +84,8 @@ class TestSnapshot:
         history = FlushHistory()
         history.record(SIG, report(items=4, time_s=0.004))
         snap = history.snapshot()
-        assert set(snap) == {"joint/python/x1"}
-        cell = snap["joint/python/x1"]
+        assert set(snap) == {"joint/x1"}
+        cell = snap["joint/x1"]
         assert cell["flushes"] == 1
         assert cell["mean_batch"] == 4.0
         assert cell["stage_ms_per_item"] == {"select": 1.0}
@@ -94,17 +93,16 @@ class TestSnapshot:
 
 class TestSignatureOf:
     def test_local_plan_signature(self):
-        caps = EngineCapabilities(has_user_tree=False, numpy_available=HAS_NUMPY)
-        plan = plan_batch(QueryOptions(backend="python"), caps, ks=[3, 3])
+        caps = EngineCapabilities(has_user_tree=False)
+        plan = plan_batch(QueryOptions(), caps, ks=[3, 3])
         assert signature_of(plan) == SIG
 
     def test_sharded_plan_signature_carries_scatter_width(self):
         caps = EngineCapabilities(
             has_user_tree=False,
-            numpy_available=HAS_NUMPY,
             num_shards=2,
         )
-        plan = plan_batch(QueryOptions(backend="python"), caps, ks=[3, 3])
+        plan = plan_batch(QueryOptions(), caps, ks=[3, 3])
         assert signature_of(plan) == FlushSignature(
-            mode="joint", backend="python", scatter_width=2
+            mode="joint", scatter_width=2
         )

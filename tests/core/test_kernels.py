@@ -1,10 +1,10 @@
 """Vectorized kernels vs the scalar reference, value for value.
 
-The equivalence suite (``test_backend_equivalence``) checks whole-query
+The equivalence suite (``test_oracle_equivalence``) checks whole-query
 results; these tests pin the kernel layer itself: every array a
 :class:`DatasetArrays` kernel returns must match the scalar code path
 element-wise, and every guard-banded *decision* kernel must match the
-scalar decision exactly.
+oracle's decision exactly.
 """
 
 import math
@@ -12,13 +12,11 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNQuery
+from repro import Dataset, MaxBRSTkNNQuery, oracle
 from repro.core.bounds import BoundCalculator, augmented_document
 from repro.core.candidate_selection import shortlist_locations
 from repro.core.joint_topk import individual_topk, joint_traversal
-from repro.core.kernels import (
-    GUARD_EPS, HAS_NUMPY, SelectionContext, arrays_for, resolve_backend,
-)
+from repro.core.kernels import GUARD_EPS, SelectionContext, arrays_for
 from repro.core.keyword_selection import compute_brstknn, select_keywords_greedy
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject
@@ -26,8 +24,6 @@ from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
 from ..conftest import make_random_objects, make_random_users
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 #: Element-wise kernels may differ from the scalar reference only far
 #: below the guard band that protects decisions.
@@ -117,9 +113,9 @@ def test_brstknn_kernel_exact_membership(seed):
     keywords = frozenset(rng.sample(range(20), 2))
     for rsk_value in (0.0, 0.3, 0.7):
         rsk = {u.item_id: rsk_value for u in ds.users}
-        scalar = compute_brstknn(ds, ox, loc, keywords, ds.users, rsk, backend="python")
+        scalar = oracle.compute_brstknn(ds, ox, loc, keywords, ds.users, rsk)
         vectorized = compute_brstknn(
-            ds, ox, loc, keywords, ds.users, rsk, backend="numpy"
+            ds, ox, loc, keywords, ds.users, rsk
         )
         assert scalar == vectorized
 
@@ -179,11 +175,11 @@ def test_exact_ties_take_the_scalar_recheck(monkeypatch):
     for bump, admitted in ((lambda x: x, True), (lambda x: math.nextafter(x, 2.0), False)):
         rsk = {u.item_id: 2.0 for u in ds.users}  # out of reach: never banded
         rsk.update({uid: bump(score) for uid, score in exact.items()})
-        py = select_keywords_greedy(ds, ox, loc, candidates, 1, ds.users, rsk, backend="python")
+        py = oracle.select_keywords_greedy(ds, ox, loc, candidates, 1, ds.users, rsk)
         del rescored[:]
         cache = {}
         assert select_keywords_greedy(
-            ds, ox, loc, candidates, 1, ds.users, rsk, backend="numpy", cache=cache
+            ds, ox, loc, candidates, 1, ds.users, rsk, cache=cache
         ) == py
         assert {pair_user.item_id, recount_user.item_id} <= set(rescored)
         import numpy as np
@@ -197,25 +193,25 @@ def test_exact_ties_take_the_scalar_recheck(monkeypatch):
         luw = ctx.luw(arrays.membership([arrays.rows_for(ds.users)]))
         assert luw[0, pair] == admitted
         assert compute_brstknn(
-            ds, ox, loc, frozenset(), [recount_user], rsk, backend="numpy"
+            ds, ox, loc, frozenset(), [recount_user], rsk
         ) == (frozenset([recount_user.item_id]) if admitted else frozenset())
 
-        lists_py, _ = shortlist_locations(ds, query, rsk, 0.0, backend="python")
+        lists_py, _ = oracle.shortlist_locations(ds, query, rsk, 0.0)
         del rescored[:]
-        lists_np, _ = shortlist_locations(ds, query, rsk, 0.0, backend="numpy")
+        lists_np, _ = shortlist_locations(ds, query, rsk, 0.0)
         assert [u.item_id for u in lists_np[0].users] == [u.item_id for u in lists_py[0].users]
         assert rescored == [bound_user.item_id]  # only the banded row is re-checked
         assert (bound_user in lists_np[0].users) == admitted
 
 
-def test_individual_topk_backends_identical():
+def test_individual_topk_identical_to_oracle():
     """Vectorized Algorithm 2 returns bitwise-identical TopKResults."""
     ds, _ = build(11, n_obj=80, n_users=16)
     tree = MIRTree(ds.objects, ds.relevance, fanout=4)
     for k in (1, 4, 10):
         traversal = joint_traversal(tree, ds, k)
-        py = individual_topk(traversal, ds, k, backend="python")
-        np_ = individual_topk(traversal, ds, k, backend="numpy")
+        py = oracle.individual_topk(traversal, ds, k)
+        np_ = individual_topk(traversal, ds, k)
         assert py.keys() == np_.keys()
         for uid in py:
             assert py[uid].ranked == np_[uid].ranked
@@ -253,10 +249,3 @@ def test_arrays_cache_does_not_leak_datasets():
     gc.collect()
     assert ref() is None
 
-
-def test_resolve_backend():
-    assert resolve_backend(None) == "numpy"
-    assert resolve_backend("auto") == "numpy"
-    assert resolve_backend("python") == "python"
-    with pytest.raises(ValueError):
-        resolve_backend("fortran")

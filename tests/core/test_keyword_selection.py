@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Dataset
+from repro import Dataset, oracle
 from repro.core.joint_topk import joint_topk
-from repro.core.kernels import HAS_NUMPY
 from repro.core.keyword_selection import (
     compute_brstknn,
-    greedy_max_coverage,
     select_keywords_exact,
     select_keywords_greedy,
 )
+from repro.oracle import greedy_max_coverage
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
@@ -44,7 +43,7 @@ def brute_force_best(ds, ox, location, candidates, ws, users, rsk):
     pool = sorted(candidates)
     for size in range(0, ws + 1):
         for combo in combinations(pool, size):
-            winners = compute_brstknn(ds, ox, location, combo, users, rsk)
+            winners = oracle.compute_brstknn(ds, ox, location, combo, users, rsk)
             if len(winners) > best_n:
                 best, best_n = frozenset(winners), len(winners)
     return best_n
@@ -141,6 +140,17 @@ class TestExactSelection:
         gold = brute_force_best(ds, ox, loc, cands[:2], 5, ds.users, rsk)
         assert len(winners) == gold
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("ws", [1, 2, 3])
+    def test_identical_to_the_oracle(self, seed, ws):
+        """The memo states scored by the guard-banded kernel decide
+        exactly as the oracle's pair-by-pair scan."""
+        ds, ox, loc, cands, rsk = build_selection_problem(seed + 30)
+        for users in (ds.users, ds.users[::2], []):
+            assert select_keywords_exact(
+                ds, ox, loc, cands, ws, users, rsk
+            ) == oracle.select_keywords_exact(ds, ox, loc, cands, ws, users, rsk)
+
     def test_respects_ws_budget(self):
         ds, ox, loc, cands, rsk = build_selection_problem(61)
         for ws in (1, 2, 3):
@@ -185,10 +195,9 @@ class TestGreedySelection:
         assert winners == frozenset()
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 class TestSelectionContextReuse:
-    """The numpy selector keeps one per-query context in ``cache``; the
-    python selector, called fresh at every location, is its oracle."""
+    """The engine's selector keeps one per-query context in ``cache``;
+    the oracle's, called fresh at every location, is its reference."""
 
     @given(
         seed=st.integers(0, 40),
@@ -216,15 +225,15 @@ class TestSelectionContextReuse:
         cache = {}
         for loc, subset, local_rsk in visits:
             got = select_keywords_greedy(
-                ds, ox, loc, cands, ws, subset, local_rsk, backend="numpy", cache=cache
+                ds, ox, loc, cands, ws, subset, local_rsk, cache=cache
             )
-            want = select_keywords_greedy(
-                ds, ox, loc, cands, ws, subset, local_rsk, backend="python"
+            want = oracle.select_keywords_greedy(
+                ds, ox, loc, cands, ws, subset, local_rsk
             )
             assert got == want
 
     @pytest.mark.parametrize("case", ["no_users", "ws_zero", "unheld_candidates"])
-    def test_degenerate_inputs_match_python(self, case):
+    def test_degenerate_inputs_match_the_oracle(self, case):
         ds, ox, loc, cands, rsk = build_selection_problem(64)
         users, ws = ds.users, 2
         if case == "no_users":
@@ -236,9 +245,9 @@ class TestSelectionContextReuse:
         cache = {}
         for location in (loc, Point(1, 1)):
             got = select_keywords_greedy(
-                ds, ox, location, cands, ws, users, rsk, backend="numpy", cache=cache
+                ds, ox, location, cands, ws, users, rsk, cache=cache
             )
-            want = select_keywords_greedy(
-                ds, ox, location, cands, ws, users, rsk, backend="python"
+            want = oracle.select_keywords_greedy(
+                ds, ox, location, cands, ws, users, rsk
             )
             assert got == want

@@ -1,15 +1,17 @@
-"""Vectorized ``_node_rsk``: bitwise identity with the scalar path —
-plus the PR 5 pool-independence property that unlocks cross-k sharing."""
+"""Vectorized ``RSk(node)``: bitwise identity with the oracle's scalar
+``_node_rsk`` — plus the pool-independence property that unlocks
+cross-k sharing."""
 
 import random
 
 import pytest
 
-from repro import Dataset, EngineConfig, MaxBRSTkNNEngine
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, oracle
 from repro.core.bounds import BoundCalculator
-from repro.core.indexed_users import _node_rsk, compute_root_traversal
-from repro.core.joint_topk import canonical_candidates, derive_rsk_group
-from repro.core.kernels import HAS_NUMPY
+from repro.core.indexed_users import compute_root_traversal
+from repro.core.joint_topk import canonical_candidates, derive_rsk_group, joint_traversal
+from repro.core.kernels import CandidatePoolArrays
+from repro.oracle import _node_rsk
 
 from ..conftest import make_random_objects, make_random_users
 
@@ -36,31 +38,27 @@ def build_engine(seed):
     return dataset, MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernels")
-@pytest.mark.parametrize("walk", ["python", "numpy"])
+@pytest.mark.parametrize("walk", [oracle.joint_traversal, joint_traversal],
+                         ids=["oracle-walk", "engine-walk"])
 @pytest.mark.parametrize("seed", range(8))
 def test_node_rsk_bitwise_identical_on_random_trees(seed, walk):
-    """Either pool form: the kernel gathers the candidates' documents
-    from the object columns by id; the scalar loop reads the weight
-    dicts (a column pool builds them, restricted to the walk's union)."""
+    """A pool off either walk: the kernel gathers the candidates'
+    documents from the object columns by id; the scalar loop reads the
+    weight dicts (the engine's pool builds them, restricted to the walk's
+    union)."""
     dataset, engine = build_engine(seed)
     bounds = BoundCalculator(dataset)
-    from repro.core.kernels import CandidatePoolArrays
-
     for k in (1, 2, 5, 9):
-        shared = compute_root_traversal(
-            engine.object_tree, engine.user_tree, dataset, k, store=engine.store,
-            backend=walk,
+        traversal = walk(
+            engine.object_tree, dataset, k,
+            super_user=engine.user_tree.root.summary, store=engine.store,
         )
-        canonical = shared.canonical_for(k)
-        assert (canonical.ids is not None) == (walk == "numpy")
+        canonical = canonical_candidates(traversal, traversal.rsk_group)
         arrays = CandidatePoolArrays(dataset, canonical)
         checked = 0
         for summary in walk_summaries(engine.user_tree):
             scalar = _node_rsk(canonical, bounds, summary, k)
-            vectorized = _node_rsk(
-                canonical, bounds, summary, k, pool_arrays=arrays
-            )
+            vectorized = arrays.node_rsk(summary, k)
             assert scalar == vectorized  # bitwise, not approx
             checked += 1
         assert checked >= 1
@@ -120,7 +118,6 @@ def test_derive_rsk_group_matches_dedicated_walks(seed):
         )
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernels")
 def test_empty_pool_returns_zero():
     rng = random.Random(1)
     dataset = Dataset(
@@ -129,13 +126,11 @@ def test_empty_pool_returns_zero():
         relevance="LM",
     )
     from repro.core.joint_topk import CandidatePool
-    from repro.core.kernels import CandidatePoolArrays
 
     arrays = CandidatePoolArrays(dataset, CandidatePool([]))
     assert arrays.node_rsk(dataset.super_user, 1) == 0.0
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernels")
 def test_pool_smaller_than_k_matches_scalar():
     rng = random.Random(2)
     dataset = Dataset(
@@ -147,8 +142,6 @@ def test_pool_smaller_than_k_matches_scalar():
     shared = compute_root_traversal(
         engine.object_tree, engine.user_tree, dataset, 2, store=engine.store
     )
-    from repro.core.kernels import CandidatePoolArrays
-
     canonical = shared.canonical_for(2)
     arrays = CandidatePoolArrays(dataset, canonical)
     big_k = len(canonical) + 1

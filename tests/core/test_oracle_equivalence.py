@@ -1,4 +1,4 @@
-"""Cross-method and cross-backend equivalence on random datasets.
+"""Cross-method and engine-vs-oracle equivalence on random datasets.
 
 Two families of guarantees:
 
@@ -7,18 +7,18 @@ Two families of guarantees:
   agree on the optimal cardinality (the baseline is the exhaustive
   oracle; locations/keyword sets may differ only between equal-quality
   ties).
-* **Across backends** — ``backend="numpy"`` is a pure acceleration of
-  ``backend="python"``: identical location, keyword set, BRSTkNN user
-  set, and deterministic stats for every mode and method.
+* **Engine against oracle** — the engine's numpy kernels are a pure
+  acceleration of the scalar reference (:func:`repro.oracle.query`):
+  identical location, keyword set, BRSTkNN user set, and deterministic
+  stats for every mode and method.
 """
 
 import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery, oracle
 from repro.core.config import QueryOptions
-from repro.core.kernels import HAS_NUMPY
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
 
@@ -70,7 +70,6 @@ def test_modes_agree_across_vocab_sizes(seed, vocab):
     assert len(set(cards.values())) == 1, cards
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
 @pytest.mark.parametrize("mode,method", [
@@ -79,10 +78,11 @@ def test_modes_agree_across_vocab_sizes(seed, vocab):
     ("indexed", "approx"),
     ("indexed", "exact"),
 ])
-def test_numpy_backend_identical_results(seed, measure, mode, method):
+def test_engine_identical_to_oracle(seed, measure, mode, method):
     engine, query = build_case(seed, measure=measure)
-    py = engine.query(query, QueryOptions(method=method, mode=mode, backend="python"))
-    np_ = engine.query(query, QueryOptions(method=method, mode=mode, backend="numpy"))
+    options = QueryOptions(method=method, mode=mode)
+    py = oracle.query(engine, query, options)
+    np_ = engine.query(query, options)
     assert py.location == np_.location
     assert py.keywords == np_.keywords
     assert py.brstknn == np_.brstknn
@@ -91,15 +91,15 @@ def test_numpy_backend_identical_results(seed, measure, mode, method):
     assert py.stats.users_pruned == np_.stats.users_pruned
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_numpy_backend_identical_across_k_and_alpha(alpha, k):
+def test_engine_identical_to_oracle_across_k_and_alpha(alpha, k):
     """Parametrized over k and alpha, including the pure-spatial and
     pure-textual corners where scores tie heavily."""
     engine, query = build_case(42, alpha=alpha, k=k)
-    py = engine.query(query, QueryOptions(method="approx", mode="joint", backend="python"))
-    np_ = engine.query(query, QueryOptions(method="approx", mode="joint", backend="numpy"))
+    options = QueryOptions(method="approx", mode="joint")
+    py = oracle.query(engine, query, options)
+    np_ = engine.query(query, options)
     assert (py.location, py.keywords, py.brstknn) == (
         np_.location,
         np_.keywords,
@@ -107,15 +107,15 @@ def test_numpy_backend_identical_across_k_and_alpha(alpha, k):
     )
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("measure", ["LM", "TF"])
 def test_indexed_search_late_users_identical_result_and_stats(seed, measure):
     """``indexed_search`` shares one greedy-selector cache over a query's
     locations but hands each call a fresh ``local_rsk`` holding only that
     location's users.  With scattered users and many locations, most
-    users are first resolved at a late location: the numpy context must
-    take their thresholds from the call that introduces them."""
+    users are first resolved at a late location: the engine's selection
+    context must take their thresholds from the call that introduces
+    them."""
     rng = random.Random(1000 + seed)
     objects = make_random_objects(80, 16, rng, space=40.0)
     users = make_random_users(30, 16, rng, space=40.0)
@@ -128,8 +128,9 @@ def test_indexed_search_late_users_identical_result_and_stats(seed, measure):
         ws=2,
         k=3,
     )
-    py = engine.query(query, QueryOptions(method="approx", mode="indexed", backend="python"))
-    np_ = engine.query(query, QueryOptions(method="approx", mode="indexed", backend="numpy"))
+    options = QueryOptions(method="approx", mode="indexed")
+    py = oracle.query(engine, query, options)
+    np_ = engine.query(query, options)
     assert (py.location, py.keywords, py.brstknn) == (
         np_.location, np_.keywords, np_.brstknn,
     )
@@ -138,3 +139,44 @@ def test_indexed_search_late_users_identical_result_and_stats(seed, measure):
         "users_total", "io_node_visits", "io_invfile_blocks",
     ):
         assert getattr(py.stats, field) == getattr(np_.stats, field), field
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("method", ["approx", "exact"])
+def test_indexed_pipeline_identical_to_oracle(seed, method):
+    """Section 7 piece by piece: the cold indexed query, and the
+    best-first search alone over one shared walk's pool — the oracle's
+    scalar leaves (Algorithm 2, ``RSk(node)``, keyword selection) against
+    the engine's kernels, counters and I/O charges included."""
+    from repro.core.indexed_users import (
+        compute_root_traversal, indexed_search, indexed_users_maxbrstknn,
+    )
+    from repro.core.query import QueryStats
+
+    engine, query = build_case(seed + 7)
+    engine_side = MaxBRSTkNNEngine(engine.dataset, fanout=4, index_users=True)
+    pairs = []
+    for side, maxbrstknn in ((engine_side, indexed_users_maxbrstknn),
+                             (engine, oracle.indexed_users_maxbrstknn)):
+        pairs.append(maxbrstknn(
+            side.object_tree, side.user_tree, side.dataset, query,
+            method=method, store=side.store,
+        ))
+    shared = compute_root_traversal(
+        engine.object_tree, engine.user_tree, engine.dataset, query.k + 2
+    )
+    for search in (indexed_search, oracle.indexed_search):
+        pairs.append(search(
+            engine.user_tree, engine.dataset, query, shared.traversal,
+            shared.rsk_group_for(query.k), QueryStats(users_total=12),
+            method=method, canonical=shared.canonical_for(query.k),
+        ))
+    for got, want in (pairs[:2], pairs[2:]):
+        assert (got.location, got.keywords, got.brstknn) == (
+            want.location, want.keywords, want.brstknn,
+        )
+        for field in (
+            "locations_pruned", "keyword_combinations_scored", "users_pruned",
+            "io_node_visits", "io_invfile_blocks",
+        ):
+            assert getattr(got.stats, field) == getattr(want.stats, field), field

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from repro import Dataset, EngineConfig, MaxBRSTkNNEngine
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, oracle
 from repro.core.batch import _ensure_traversal_pool
-from repro.core.joint_topk import individual_topk
 from repro.core.partial import (
     PartialResult,
     UserRangeError,
@@ -49,25 +48,22 @@ class TestRowRanges:
 class TestRefineMerge:
     def test_union_equals_central_refinement(self):
         dataset, engine, _ = build()
-        pool = _ensure_traversal_pool(engine, 3, "python")
+        pool = _ensure_traversal_pool(engine, 3)
         partials = [
             compute_partials(dataset, pool.traversal, [3], shard_id=i, rows=rows)[0]
             for i, rows in enumerate(user_row_ranges(len(dataset.users), 3))
         ]
         merged = merge_partials(partials, dataset.users)
-        central = individual_topk(pool.traversal, dataset, 3)
+        central = oracle.individual_topk(pool.traversal, dataset, 3)
         assert merged.rsk == {uid: res.kth_score for uid, res in central.items()}
         assert list(merged.rsk) == [u.item_id for u in dataset.users]
         assert merged.users_total == len(dataset.users)
 
     def test_empty_range_answers_an_empty_partial(self):
         dataset, engine, _ = build()
-        pool = _ensure_traversal_pool(engine, 3, "python")
-        for backend in ("python", "numpy"):
-            (empty,) = compute_partials(
-                dataset, pool.traversal, [3], backend=backend, rows=(5, 5)
-            )
-            assert empty.rsk == {} and empty.users_total == 0
+        pool = _ensure_traversal_pool(engine, 3)
+        (empty,) = compute_partials(dataset, pool.traversal, [3], rows=(5, 5))
+        assert empty.rsk == {} and empty.users_total == 0
 
     @pytest.mark.parametrize(
         "rows", [(-1, 4), (4, 2), (0, 21), (21, 21), (0.0, 4), (None, 4)]
@@ -78,7 +74,7 @@ class TestRefineMerge:
 
         partial_mod = importlib.import_module("repro.core.partial")
         dataset, engine, _ = build()
-        pool = _ensure_traversal_pool(engine, 3, "python")
+        pool = _ensure_traversal_pool(engine, 3)
         monkeypatch.setattr(
             partial_mod, "individual_topk",
             lambda *a, **k: pytest.fail("refined a bad range"),

@@ -25,9 +25,9 @@ from repro import (
     MaxBRSTkNNQuery,
     QueryOptions,
     STObject,
+    oracle,
 )
 from repro.core.batch import _ensure_traversal_pool, derive_rsk_group
-from repro.core.joint_topk import individual_topk
 from repro.core.pipeline import (
     FlushContext,
     RefineStage,
@@ -71,10 +71,10 @@ def scatter_context(dataset, queries):
     """A joint-mode FlushContext as the refine stage finds it."""
     engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     plan = plan_batch(
-        QueryOptions(backend="python"), engine.capabilities(),
+        QueryOptions(), engine.capabilities(),
         [q.k for q in queries],
     )
-    pool = _ensure_traversal_pool(engine, plan.shared_traversal_k, "python")
+    pool = _ensure_traversal_pool(engine, plan.shared_traversal_k)
     ctx = FlushContext(
         engine=engine,
         plan=plan,
@@ -103,14 +103,14 @@ class TestStageRoundTrips:
         stage = RefineStage()
         payloads = stage.split(ctx, lanes)
         assert [p[4] for p in payloads] == [None] * lanes  # the full dataset
-        assert [p[5] for p in payloads] == list(range(lanes))
+        assert [p[3] for p in payloads] == list(range(lanes))
         stage.merge(ctx, run_lanes(stage, ctx, dataset, lanes))
         pool = ctx["pool_state"]
         for k in ctx["need_ks"]:
             sequential = {
                 uid: res.kth_score
-                for uid, res in individual_topk(
-                    pool.traversal, dataset, k, backend="python"
+                for uid, res in oracle.individual_topk(
+                    pool.traversal, dataset, k
                 ).items()
             }
             merged = ctx["merged_by_k"][k]
@@ -139,11 +139,14 @@ class TestStageRoundTrips:
         assert [key for _, key in ctx["keyed"]] == [("joint", q.k) for q in queries]
         pool = ctx["pool_state"]
         reference = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        ref_pool = _ensure_traversal_pool(reference, pool.k, "python")
+        ref_pool = _ensure_traversal_pool(reference, pool.k)
         for k in (2, 3):
             shared = ctx["shared_by_key"]["joint", k]
-            single = _derive_shared_topk(reference, ref_pool, k, "python")
+            single = _derive_shared_topk(reference, ref_pool, k)
             assert shared.rsk == single.rsk
+            assert shared.rsk == oracle.individual_topk(
+                ref_pool.traversal, dataset, pool.k
+            ).rsk(k)
             assert shared.rsk_group == single.rsk_group
             assert shared.io_node_visits == single.io_node_visits
             assert shared.io_invfile_blocks == single.io_invfile_blocks
@@ -175,12 +178,12 @@ class TestPipelineShapes:
         dataset, rng, vocab = build_dataset()
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
         caps = engine.capabilities()
-        joint = plan_batch(QueryOptions(backend="python"), caps, [3, 5])
+        joint = plan_batch(QueryOptions(), caps, [3, 5])
         indexed = plan_batch(
-            QueryOptions(mode="indexed", backend="python"), caps, [3, 5]
+            QueryOptions(mode="indexed"), caps, [3, 5]
         )
         baseline = plan_batch(
-            QueryOptions(mode="baseline", backend="python"), caps, [3]
+            QueryOptions(mode="baseline"), caps, [3]
         )
         assert build_pipeline(joint, sharded=False).stage_names() == (
             "traverse", "refine", "select",
@@ -201,7 +204,7 @@ class TestPipelineShapes:
     def test_stages_declare_io_slots(self):
         dataset, _, _ = build_dataset()
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        plan = plan_batch(QueryOptions(backend="python"), engine.capabilities(), [3])
+        plan = plan_batch(QueryOptions(), engine.capabilities(), [3])
         pipeline = build_pipeline(plan, sharded=True)
         produced = {"engine", "plan", "queries", "io_counter", "need_ks",
                     "merged_by_k", "users_total", "store"}
@@ -223,7 +226,7 @@ class TestFlushReports:
         dataset, rng, vocab = build_dataset(seed=4)
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         queries = make_queries(rng, vocab, 4, ks=(2, 4))
-        engine.query_batch(queries, QueryOptions(backend="python"))
+        engine.query_batch(queries, QueryOptions())
         report = engine.last_flush_report
         assert report is not None
         assert report.mode == "joint"
@@ -238,7 +241,7 @@ class TestFlushReports:
         dataset, rng, vocab = build_dataset(seed=5)
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
         queries = make_queries(rng, vocab, 3, ks=(3,))
-        engine.query_batch(queries, QueryOptions(mode="indexed", backend="python"))
+        engine.query_batch(queries, QueryOptions(mode="indexed"))
         report = engine.last_flush_report
         assert [s.stage for s in report.stages] == ["traverse", "indexed-search"]
         search = report.stage("indexed-search")
@@ -251,7 +254,7 @@ class TestFlushReports:
         dataset, rng, vocab = build_dataset(seed=6)
         queries = make_queries(rng, vocab, 4, ks=(3,))
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
-        sharded.query_batch(queries, QueryOptions(backend="python"))
+        sharded.query_batch(queries, QueryOptions())
         report = sharded.last_flush_report
         assert [s.stage for s in report.stages] == [
             "traverse", "refine", "select",
@@ -281,13 +284,13 @@ class TestSelectPayload:
         if mode == "baseline":
             shared = _compute_shared_baseline(engine, 3)
         else:
-            pool = _ensure_traversal_pool(engine, 3, "python")
-            shared = _derive_shared_topk(engine, pool, 3, "python")
+            pool = _ensure_traversal_pool(engine, 3)
+            shared = _derive_shared_topk(engine, pool, 3)
         expected = [
-            _select_one(dataset, q, shared, mode, "approx", "python")
+            _select_one(dataset, q, shared, mode, "approx")
             for q in queries
         ]
-        payload = ("select", queries, shared, mode, "approx", "python")
+        payload = ("select", queries, shared, mode, "approx")
         with ShmArena() as arena:
             encoded = encode_shard_payload(PayloadCodec(arena), payload)
             assert isinstance(encoded[2], ArenaRef)  # the O(|U|) state ships by name

@@ -2,19 +2,14 @@
 
 import pytest
 
-from repro import Backend, EngineConfig, MaxBRSTkNNEngine, Method, Mode, QueryOptions
-from repro.core.kernels import HAS_NUMPY
+from repro import EngineConfig, MaxBRSTkNNEngine, Method, Mode, QueryOptions
 from repro.core.planner import EngineCapabilities, plan_batch, plan_query
 
-CAPS = EngineCapabilities(has_user_tree=True, numpy_available=HAS_NUMPY)
-CAPS_NO_TREE = EngineCapabilities(has_user_tree=False, numpy_available=HAS_NUMPY)
+CAPS = EngineCapabilities(has_user_tree=True)
+CAPS_NO_TREE = EngineCapabilities(has_user_tree=False)
 
 
 class TestPlanQuery:
-    def test_resolves_auto_backend(self):
-        plan = plan_query(QueryOptions(backend="auto"), CAPS)
-        assert plan.backend == ("numpy" if HAS_NUMPY else "python")
-
     def test_single_query_never_shares_or_fans_out(self):
         plan = plan_query(QueryOptions(), CAPS, k=5)
         assert plan.batch_size == 1
@@ -27,11 +22,6 @@ class TestPlanQuery:
             plan_query(QueryOptions(mode="indexed"), CAPS_NO_TREE)
         plan = plan_query(QueryOptions(mode="indexed"), CAPS)
         assert plan.mode is Mode.INDEXED
-
-    @pytest.mark.skipif(HAS_NUMPY, reason="needs numpy to be absent")
-    def test_numpy_backend_without_numpy_raises(self):  # pragma: no cover
-        with pytest.raises(RuntimeError):
-            plan_query(QueryOptions(backend="numpy"), CAPS)
 
 
 class TestPlanBatch:
@@ -91,14 +81,15 @@ class TestPlanBatch:
 
 class TestExplain:
     def test_single_query_explain(self):
-        text = plan_query(QueryOptions(backend="python"), CAPS, k=7).explain()
-        assert "single query" in text
-        assert "backend=python" in text
+        text = plan_query(QueryOptions(), CAPS, k=7).explain()
+        assert text.splitlines()[0] == (
+            "plan: single query -> mode=joint method=approx"
+        )
         assert "cold per query" in text
 
     def test_batch_explain_mentions_sharing_and_in_process_selection(self):
         text = plan_batch(
-            QueryOptions(backend="python"), CAPS, ks=[3, 5, 3]
+            QueryOptions(), CAPS, ks=[3, 5, 3]
         ).explain()
         assert "batch of 3" in text
         assert "k=3,5" in text
@@ -106,7 +97,7 @@ class TestExplain:
 
     def test_joint_batch_explain_reports_cross_k_reuse(self):
         text = plan_batch(
-            QueryOptions(backend="python"), CAPS, ks=[1, 5, 10]
+            QueryOptions(), CAPS, ks=[1, 5, 10]
         ).explain()
         assert "one MIR-tree walk at k=10" in text
         assert "reused for k=1,5,10" in text
@@ -134,7 +125,7 @@ class TestSearchFanoutPredicate:
         from repro.core.planner import search_fans_out
 
         plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(search_workers),
+            QueryOptions(), self.sharded_caps(search_workers),
             ks=[3, 5],
         )
         fans_out = search_fans_out(search_workers, plan.batch_size, plan.shard)
@@ -168,7 +159,7 @@ class TestSearchFanoutPredicate:
         from repro.core.planner import search_fans_out
 
         plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(2), ks=[3]
+            QueryOptions(), self.sharded_caps(2), ks=[3]
         )
         assert not search_fans_out(2, plan.batch_size, plan.shard)
         assert "against the full dataset) runs in-process" in plan.explain()
@@ -208,25 +199,25 @@ class TestObservedPlanning:
         from repro.core.history import FlushSignature
 
         history = self.seasoned_history(
-            FlushSignature(mode=mode, backend="python", scatter_width=1),
+            FlushSignature(mode=mode, scatter_width=1),
             stage=stage, per_item_ms=per_item_ms,
         )
         plan = plan_batch(
-            QueryOptions(mode=mode, backend="python"), CAPS, ks=[3, 3],
+            QueryOptions(mode=mode), CAPS, ks=[3, 3],
             history=history,
         )
         assert plan.decisions == ()
         assert plan.shard is None
 
     def test_no_history_no_decisions(self):
-        plan = plan_batch(QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3])
+        plan = plan_batch(QueryOptions(), self.sharded_caps(), ks=[3, 3])
         assert plan.decisions == ()
 
     def test_cold_engine_falls_back_to_static(self):
         from repro.core.history import FlushHistory
 
         plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
+            QueryOptions(), self.sharded_caps(), ks=[3, 3],
             history=FlushHistory(),
         )
         assert plan.shard.search_inprocess is False  # static plan untouched
@@ -240,7 +231,7 @@ class TestObservedPlanning:
             self.sharded_signature(), per_item_ms=0.1, flushes=2
         )
         plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
+            QueryOptions(), self.sharded_caps(), ks=[3, 3],
             history=history,
         )
         assert plan.shard.search_inprocess is False
@@ -251,7 +242,7 @@ class TestObservedPlanning:
     def test_lanes_without_workers_have_no_adaptive_point(self):
         history = self.seasoned_history(self.sharded_signature(), per_item_ms=0.1)
         plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(search_workers=0),
+            QueryOptions(), self.sharded_caps(search_workers=0),
             ks=[3, 3], history=history,
         )
         assert plan.decisions == ()
@@ -266,14 +257,14 @@ class TestObservedPlanning:
     def sharded_signature():
         from repro.core.history import FlushSignature
 
-        return FlushSignature(mode="joint", backend="python", scatter_width=2)
+        return FlushSignature(mode="joint", scatter_width=2)
 
     def test_sharded_sub_ms_search_goes_in_process(self):
         history = self.seasoned_history(
             self.sharded_signature(), stage="select", per_item_ms=0.2
         )
         plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
+            QueryOptions(), self.sharded_caps(), ks=[3, 3],
             history=history,
         )
         assert plan.shard.search_inprocess is True
@@ -293,7 +284,7 @@ class TestObservedPlanning:
             self.sharded_signature(), stage="search", per_item_ms=0.2
         )
         plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
+            QueryOptions(), self.sharded_caps(), ks=[3, 3],
             history=stale,
         )
         (decision,) = plan.decisions
@@ -302,7 +293,7 @@ class TestObservedPlanning:
             self.sharded_signature(), stage="select", per_item_ms=2.5
         )
         plan = plan_batch(
-            QueryOptions(backend="python"), self.sharded_caps(), ks=[3, 3],
+            QueryOptions(), self.sharded_caps(), ks=[3, 3],
             history=heavy,
         )
         (decision,) = plan.decisions
@@ -335,7 +326,7 @@ class TestObservedPlanning:
             )
             for i in range(4)
         ]
-        options = QueryOptions(backend="python")
+        options = QueryOptions()
         with engine.start_pools(1):
             cold = engine.plan(options, ks=[q.k for q in queries])
             assert [d.source for d in cold.decisions] == ["static"]
@@ -350,9 +341,9 @@ class TestObservedPlanning:
 class TestEnginePlan:
     def test_engine_plan_wrapper(self, tiny_dataset):
         engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
-        single = engine.plan(QueryOptions(backend="python"))
+        single = engine.plan(QueryOptions())
         assert single.batch_size == 1
-        batch = engine.plan(QueryOptions(backend="python"), ks=[2, 2, 4])
+        batch = engine.plan(QueryOptions(), ks=[2, 2, 4])
         assert batch.batch_size == 3
         assert batch.distinct_ks == (2, 4)
 
@@ -370,4 +361,4 @@ class TestEnginePlan:
         engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
         plan = engine.plan()
         assert plan.method is Method.APPROX
-        assert plan.backend == Backend.AUTO.resolve()
+        assert plan.mode is Mode.JOINT

@@ -1,4 +1,4 @@
-"""Algorithm 2's numpy backend: the exactness contract, generatively.
+"""Algorithm 2's kernels: the exactness contract, generatively.
 
 Two kernels carry the refinement (``repro.core.kernels``):
 
@@ -9,7 +9,7 @@ Two kernels carry the refinement (``repro.core.kernels``):
   matrix that only decides which pairs the pair kernel sees (Example
   4's stop, taken per user block by block, and the contender sets).
 
-The python backend is the oracle throughout; the last classes hold what
+:mod:`repro.oracle` is the reference throughout; the last classes hold what
 the array hand-off is *for* (no per-candidate object on the cold path,
 a pool that ships as columns) and three seeded mutants of the stop.
 """
@@ -23,14 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Dataset, MaxBRSTkNNEngine, QueryOptions
+from repro import Dataset, MaxBRSTkNNEngine, QueryOptions, oracle
 from repro.core.joint_topk import (
     CandidateObject, CandidatePool, CandidatePoolError, JointTraversalResult,
     individual_topk, joint_traversal,
 )
 from repro.core.kernels import (
-    HAS_NUMPY, DatasetArrays, FrontierBounds, ObjectColumns, arrays_for,
-    object_columns_for,
+    DatasetArrays, FrontierBounds, ObjectColumns, arrays_for, object_columns_for,
 )
 from repro.core.partial import compute_partials
 from repro.index.irtree import MIRTree
@@ -39,8 +38,6 @@ from repro.spatial.geometry import Point
 from repro.spatial.metrics import LpMetric
 
 from ..conftest import make_random_objects, make_random_users
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 # ``repro.core`` re-exports the joint_topk *function* under the
 # submodule's own name; fetch the module itself (for RO_BLOCK).
@@ -162,38 +159,54 @@ class TestPairKernelBitwise:
         assert caught
 
 
-def ranked_lists(traversal, ds, k, backend, users=None):
-    result = individual_topk(traversal, ds, k, users=users, backend=backend)
+#: Algorithm 2 and Algorithm 1 by side: the engine's kernels, the oracle's
+#: scalar scan.
+REFINE = {"engine": individual_topk, "oracle": oracle.individual_topk}
+WALK = {"engine": joint_traversal, "oracle": oracle.joint_traversal}
+
+
+def ranked_lists(traversal, ds, k, side, users=None):
+    result = REFINE[side](traversal, ds, k, users=users)
     return {uid: res.ranked for uid, res in result.items()}
 
 
-class TestRefineEqualsPythonBackend:
+def oracle_partials(ds, walked, ks, rows=None):
+    """``(k, RSk(u))`` per ``k`` that ``compute_partials`` must answer:
+    the oracle's Algorithm 2 over the lane's rows, refined at ``max(ks)``
+    (``walked`` must be the walk of this process: the oracle reads
+    objects)."""
+    lo, hi = (0, len(ds.users)) if rows is None else rows
+    table = oracle.individual_topk(walked, ds, max(ks), users=ds.users[lo:hi])
+    return [(k, table.rsk(k)) for k in ks]
+
+
+class TestRefineEqualsOracle:
     @given(
         seed=st.integers(0, 10_000),
         measure=st.sampled_from(["LM", "TF", "KO"]),
         k=st.sampled_from([1, 3, 8, 200]),
         block=st.sampled_from([1, 4, 256]),
-        walk=st.sampled_from(["python", "numpy"]),
+        walk=st.sampled_from(["oracle", "engine"]),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
     def test_ranked_lists_identical(self, seed, measure, k, block, walk, data):
         """Scores as identical floats, ties by id — for every k
         (``200`` exceeds the pool), any ``users=`` subset (keyword-less
-        users among them), a pool in either form, and blocks of 1, 4 or
+        users among them), a pool of either walk, and blocks of 1, 4 or
         256 ``RO`` objects (the last longer than ``RO`` itself)."""
         ds = build_dataset(seed, measure, n_obj=60)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
-        traversal = joint_traversal(tree, ds, k, backend=walk)
+        traversal = WALK[walk](tree, ds, k)
         users = data.draw(st.one_of(
             st.none(), st.lists(st.sampled_from(ds.users), unique_by=id)
         ))
         saved, joint_topk_module.RO_BLOCK = joint_topk_module.RO_BLOCK, block
         try:
-            got = ranked_lists(traversal, ds, k, "numpy", users)
+            got = ranked_lists(traversal, ds, k, "engine", users)
         finally:
             joint_topk_module.RO_BLOCK = saved
-        assert got == ranked_lists(traversal, ds, k, "python", users)
+        assert got == ranked_lists(traversal, ds, k, "oracle", users)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -209,24 +222,24 @@ class TestRefineEqualsPythonBackend:
         ds = build_dataset(seed, measure, n_obj=60)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
         ks = data.draw(st.lists(st.sampled_from([1, 2, 5, 9]), min_size=1, unique=True))
-        walked = joint_traversal(tree, ds, max(ks), backend="numpy")
+        walked = joint_traversal(tree, ds, max(ks))
         lo = data.draw(st.integers(0, len(ds.users)))
         rows = (lo, data.draw(st.integers(lo, len(ds.users))))
         saved, joint_topk_module.RO_BLOCK = joint_topk_module.RO_BLOCK, block
         try:
             got = compute_partials(
-                ds, pickle.loads(pickle.dumps(walked)), ks, "numpy", rows=rows
+                ds, pickle.loads(pickle.dumps(walked)), ks, rows=rows
             )
         finally:
             joint_topk_module.RO_BLOCK = saved
-        want = compute_partials(ds, walked, ks, "python", rows=rows)
-        assert [(p.k, p.rsk) for p in got] == [(p.k, p.rsk) for p in want]
+        want = oracle_partials(ds, walked, ks, rows)
+        assert [(p.k, p.rsk) for p in got] == want
         lane_users = ds.users[rows[0]:rows[1]]
-        for k, partial in zip(ks, want):  # ... and a dedicated k-refine agrees
-            dedicated = individual_topk(
-                joint_traversal(tree, ds, k), ds, k, users=lane_users
+        for k, rsk in want:  # ... and a dedicated k-refine agrees
+            dedicated = oracle.individual_topk(
+                oracle.joint_traversal(tree, ds, k), ds, k, users=lane_users
             )
-            assert partial.rsk == {u: r.kth_score for u, r in dedicated.items()}
+            assert rsk == {u: r.kth_score for u, r in dedicated.items()}
 
     @given(
         seed=st.integers(0, 10_000),
@@ -240,28 +253,27 @@ class TestRefineEqualsPythonBackend:
     @settings(max_examples=60, deadline=None)
     def test_users_sharing_keyword_sets(self, seed, p, alpha, one_point, k, block, data):
         """Example 4's stop per keyword set, where sets group users:
-        ranked lists ``==`` python's for all users and for a lane's row
-        range (its own, smaller MBR), whose ``compute_partials`` off the
-        pool as it arrives over the wire ``==`` python's too."""
+        ranked lists ``==`` the oracle's for all users and for a lane's
+        row range (its own, smaller MBR), whose ``compute_partials`` off
+        the pool as it arrives over the wire ``==`` the oracle's too."""
         ds = build_shared_dataset(seed, p, alpha, one_point)
         assert len(set(arrays_for(ds).user_set.tolist())) < len(ds.users)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
-        walked = joint_traversal(tree, ds, k, backend="numpy")
+        walked = joint_traversal(tree, ds, k)
         arrived = pickle.loads(pickle.dumps(walked))
         lo = data.draw(st.integers(0, len(ds.users)))
         rows = (lo, data.draw(st.integers(lo, len(ds.users))))
         lane_users = ds.users[rows[0]:rows[1]]
         saved, joint_topk_module.RO_BLOCK = joint_topk_module.RO_BLOCK, block
         try:
-            got = ranked_lists(walked, ds, k, "numpy")
-            got_lane = ranked_lists(arrived, ds, k, "numpy", lane_users)
-            partials = compute_partials(ds, arrived, [k], "numpy", rows=rows)
+            got = ranked_lists(walked, ds, k, "engine")
+            got_lane = ranked_lists(arrived, ds, k, "engine", lane_users)
+            partials = compute_partials(ds, arrived, [k], rows=rows)
         finally:
             joint_topk_module.RO_BLOCK = saved
-        assert got == ranked_lists(walked, ds, k, "python")
-        assert got_lane == ranked_lists(walked, ds, k, "python", lane_users)
-        want = compute_partials(ds, walked, [k], "python", rows=rows)
-        assert [(p.k, p.rsk) for p in partials] == [(p.k, p.rsk) for p in want]
+        assert got == ranked_lists(walked, ds, k, "oracle")
+        assert got_lane == ranked_lists(walked, ds, k, "oracle", lane_users)
+        assert [(p.k, p.rsk) for p in partials] == oracle_partials(ds, walked, [k], rows)
 
     def test_exact_ties_order_by_id(self):
         """Duplicate objects — one point, one document — score the same
@@ -279,10 +291,10 @@ class TestRefineEqualsPythonBackend:
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
         for k in (1, 2, 4, 6, 9):
             traversal = joint_traversal(tree, ds, k)
-            got = ranked_lists(traversal, ds, k, "numpy")
-            assert got == ranked_lists(traversal, ds, k, "python")
+            got = ranked_lists(traversal, ds, k, "engine")
+            assert got == ranked_lists(traversal, ds, k, "oracle")
         nearest = min(ds.users, key=lambda u: ds.metric.distance(u.location, Point(4, 6)))
-        top = ranked_lists(joint_traversal(tree, ds, 4), ds, 4, "numpy")[nearest.item_id]
+        top = ranked_lists(joint_traversal(tree, ds, 4), ds, 4, "engine")[nearest.item_id]
         tied = [oid for score, oid in top if score == ds.sts(twins[0], nearest)]
         assert tied == sorted(tied)
 
@@ -325,8 +337,8 @@ class TestRefineEqualsPythonBackend:
             rsk_group=0.0,
         )
         assert traversal.ro[-1].obj is twin  # 10 blocks deep
-        got = ranked_lists(traversal, ds, 1, "numpy")
-        assert got == ranked_lists(traversal, ds, 1, "python")
+        got = ranked_lists(traversal, ds, 1, "engine")
+        assert got == ranked_lists(traversal, ds, 1, "oracle")
         assert got[loner.item_id] == [(traversal.ro[-1].upper, twin.item_id)]
 
 
@@ -341,25 +353,25 @@ def twinned(ds, measure):
 
 
 def oracle_rsk(ranked, k):
-    """``RSk(u)`` at ``k`` read off the python backend's ranked list."""
+    """``RSk(u)`` at ``k`` read off the oracle's ranked list."""
     return ranked[min(k, len(ranked)) - 1][0] if ranked else 0.0
 
 
-def table_mismatches(traversal, ds, k, backend, users=None):
-    """Where ``individual_topk``'s table disagrees with the python
-    oracle's ranked lists: its user order, ``rsk(k')`` for every
-    ``1 <= k' <= k`` (``==`` on the floats), or its mapping view."""
+def table_mismatches(traversal, ds, k, side, users=None):
+    """Where ``side``'s table disagrees with the oracle's ranked lists:
+    its user order, ``rsk(k')`` for every ``1 <= k' <= k`` (``==`` on
+    the floats), or its mapping view."""
     order = [u.item_id for u in (ds.users if users is None else users)]
-    oracle = ranked_lists(traversal, ds, k, "python", users)
-    table = individual_topk(traversal, ds, k, users=users, backend=backend)
+    want = ranked_lists(traversal, ds, k, "oracle", users)
+    table = REFINE[side](traversal, ds, k, users=users)
     bad = [] if table.users.tolist() == order else ["users"]
     for at in range(1, k + 1):
         got = table.rsk(at)
         if got.ids.tolist() != order or got.values.tolist() != [
-            oracle_rsk(oracle[uid], at) for uid in order
+            oracle_rsk(want[uid], at) for uid in order
         ]:
             bad.append(at)
-    if {uid: res.ranked for uid, res in table.items()} != oracle:
+    if {uid: res.ranked for uid, res in table.items()} != want:
         bad.append("ranked")
     return bad
 
@@ -379,35 +391,34 @@ class TestTopKTableExact:
         n_obj=st.sampled_from([3, 12, 40]),
         twins=st.booleans(),
         k=st.sampled_from([1, 2, 5, 20]),
-        walk=st.sampled_from(["python", "numpy"]),
-        backend=st.sampled_from(["python", "numpy"]),
+        walk=st.sampled_from(["oracle", "engine"]),
+        side=st.sampled_from(["oracle", "engine"]),
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
     def test_rsk_at_every_k_equals_the_oracle(
-        self, seed, measure, n_obj, twins, k, walk, backend, data
+        self, seed, measure, n_obj, twins, k, walk, side, data
     ):
         """Keyword-less users (``build_dataset``), exact ties (twins),
         pools smaller than ``k`` (short rows) and any ``users=`` subset."""
         ds = dataset_draw(seed, measure, n_obj, twins)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
-        traversal = joint_traversal(tree, ds, k, backend=walk)
+        traversal = WALK[walk](tree, ds, k)
         users = data.draw(st.one_of(
             st.none(), st.lists(st.sampled_from(ds.users), unique_by=id)
         ))
-        assert table_mismatches(traversal, ds, k, backend, users) == []
+        assert table_mismatches(traversal, ds, k, side, users) == []
 
     @given(
         seed=st.integers(0, 10_000),
         measure=st.sampled_from(["LM", "TF", "KO"]),
         twins=st.booleans(),
         lanes=st.integers(1, 5),
-        backend=st.sampled_from(["python", "numpy"]),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
     def test_merged_lane_vectors_equal_the_oracle(
-        self, seed, measure, twins, lanes, backend, data
+        self, seed, measure, twins, lanes, data
     ):
         """The sharded call: lanes refine row ranges off the pool as it
         arrives off the wire, one refinement at ``max(ks)`` each; the
@@ -418,27 +429,27 @@ class TestTopKTableExact:
         ds = dataset_draw(seed, measure, 30, twins)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
         ks = sorted(data.draw(st.sets(st.integers(1, 9), min_size=1)))
-        walked = joint_traversal(tree, ds, max(ks), backend="numpy")
-        arrived = pickle.loads(pickle.dumps(walked.readable_by(backend)))
+        walked = joint_traversal(tree, ds, max(ks))
+        arrived = pickle.loads(pickle.dumps(walked))
         partials = [
             p
             for lane, rows in enumerate(user_row_ranges(len(ds.users), lanes))
-            for p in compute_partials(ds, arrived, ks, backend, shard_id=lane, rows=rows)
+            for p in compute_partials(ds, arrived, ks, shard_id=lane, rows=rows)
         ]
-        oracle = ranked_lists(walked, ds, max(ks), "python")
+        want = ranked_lists(walked, ds, max(ks), "oracle")
         order = [u.item_id for u in ds.users]
         for k in ks:
             merged = merge_partials([p for p in partials if p.k == k], ds.users).rsk
             assert merged.ids.tolist() == order
-            assert merged.values.tolist() == [oracle_rsk(oracle[uid], k) for uid in order]
+            assert merged.values.tolist() == [oracle_rsk(want[uid], k) for uid in order]
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_rsk_refuses_a_k_outside_the_refined_one(self, backend):
+    @pytest.mark.parametrize("side", ["oracle", "engine"])
+    def test_rsk_refuses_a_k_outside_the_refined_one(self, side):
         """``kth_score_at(0)`` used to answer the *last* entry's score,
         and a ``k`` above the refined one the refined ``k``'s threshold."""
         ds = build_dataset(3)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
-        table = individual_topk(joint_traversal(tree, ds, 4), ds, 4, backend=backend)
+        table = REFINE[side](joint_traversal(tree, ds, 4), ds, 4)
         assert len(table.rsk(4)) == len(ds.users)
         for k in (0, -1, 5):
             with pytest.raises(ValueError, match="outside 1..4"):
@@ -446,13 +457,13 @@ class TestTopKTableExact:
 
 
 def table_mismatch_count(seeds):
-    """Seeded draws on which the numpy table disagrees with the oracle."""
+    """Seeded draws on which the engine's table disagrees with the oracle."""
     caught = 0
     for seed in seeds:
         ds = dataset_draw(seed, ["LM", "TF", "KO"][seed % 3], 40, seed % 2)
         tree = MIRTree(ds.objects, ds.relevance, fanout=4)
         k = 1 + seed % 5
-        caught += bool(table_mismatches(joint_traversal(tree, ds, k), ds, k, "numpy"))
+        caught += bool(table_mismatches(joint_traversal(tree, ds, k), ds, k, "engine"))
     return caught
 
 
@@ -508,7 +519,7 @@ class TestStopAndHoists:
     def test_stop_scores_fewer_columns_than_the_pool_holds(self, monkeypatch):
         engine, _ = flickr_engine(objects=1500, users=60)
         ds = engine.dataset
-        traversal = joint_traversal(engine.object_tree, ds, 5, backend="numpy")
+        traversal = joint_traversal(engine.object_tree, ds, 5)
         pool = len(traversal.all_candidates())
         scored = []
         kernel = DatasetArrays.candidate_score_matrix
@@ -518,11 +529,11 @@ class TestStopAndHoists:
             return kernel(self, obj_rows, rows)
 
         monkeypatch.setattr(DatasetArrays, "candidate_score_matrix", spy)
-        got = ranked_lists(traversal, ds, 5, "numpy")
+        got = ranked_lists(traversal, ds, 5, "engine")
         assert pool > joint_topk_module.RO_BLOCK + 5  # the stop had a say
         assert sum(scored) < pool
         monkeypatch.undo()
-        assert got == ranked_lists(traversal, ds, 5, "python")
+        assert got == ranked_lists(traversal, ds, 5, "oracle")
 
     def test_object_columns_are_built_once_per_object_set(self):
         engine, _ = flickr_engine(objects=300, users=30)
@@ -561,7 +572,7 @@ class TestStopAndHoists:
             # A tf no object carries: ox.d and its augmentations cannot
             # coincide with an object's document.
             query.ox.terms[next(iter(query.keywords))] = 99
-            engine.query(query, QueryOptions(backend="numpy"))
+            engine.query(query, QueryOptions())
             sizes.append(len(memo))
         assert Memo.clears == 0
         assert memo and not (memo.keys() & object_docs)
@@ -571,7 +582,7 @@ class TestStopAndHoists:
 class TestArrayHandOff:
     """What the column pool is for."""
 
-    def test_cold_numpy_queries_build_no_candidate_object(self, monkeypatch):
+    def test_cold_queries_build_no_candidate_object(self, monkeypatch):
         from repro.datagen import query_pool
 
         engine, workload = flickr_engine(objects=600, users=40)
@@ -591,12 +602,13 @@ class TestArrayHandOff:
             FrontierBounds, "weights_of",
             lambda self, entry: built.append(1) or weights_of(self, entry),
         )
-        options = QueryOptions(backend="numpy")
+        options = QueryOptions()
         cold = [engine.query(q, options) for q in queries]
         batched = engine.query_batch(queries, options)
         assert built == []
-        # The same counters do see the python backend build its pool.
-        reference = [engine.query(q, QueryOptions(backend="python")) for q in queries]
+        # The same counters do see the oracle build its pool.
+        monkeypatch.setattr(oracle, "CandidateObject", Counted)
+        reference = [oracle.query(engine, q, options) for q in queries]
         assert built
         for got in (cold, batched):
             assert [(r.location, r.keywords, r.brstknn) for r in got] == [
@@ -642,13 +654,14 @@ class TestArrayHandOff:
 
         monkeypatch.setattr(joint_topk_module, "TopKResult", Counted)
         monkeypatch.setattr(single, "TopKResult", Counted)
+        monkeypatch.setattr(oracle, "TopKResult", Counted)
         monkeypatch.setattr(SelectionContext, "admit", spy)
 
         engine, workload = flickr_engine(objects=600, users=40)
         queries = query_pool(workload, 3, num_locations=5, ws=2, seed=0, seed_stride=101)
         for i, query in enumerate(queries):
             query.k = (5, 10, 20)[i]
-        options = QueryOptions(backend="numpy")
+        options = QueryOptions()
         if path == "query":
             got = [engine.query(q, options) for q in queries]
         elif path == "batch":
@@ -665,7 +678,7 @@ class TestArrayHandOff:
         assert built.value == 0
         assert admitted.value > 0 and not_vectors.value == 0
         # The counter does count: the scalar oracle builds its lists.
-        want = [engine.query(q, QueryOptions(backend="python")) for q in queries]
+        want = [oracle.query(engine, q, options) for q in queries]
         assert built.value > 0
         assert [(r.location, r.keywords, r.brstknn) for r in got] == [
             (r.location, r.keywords, r.brstknn) for r in want
@@ -677,7 +690,7 @@ class TestArrayHandOff:
         ``loads`` on every cold round."""
         engine, _ = flickr_engine(objects=4000, users=400)
         walked = joint_traversal(
-            engine.object_tree, engine.dataset, 20, backend="numpy"
+            engine.object_tree, engine.dataset, 20
         )
         assert len(walked.pool) > 2000
         blob = pickle.dumps(walked, protocol=pickle.HIGHEST_PROTOCOL)
@@ -696,11 +709,11 @@ class TestArrayHandOff:
 
         engine, _ = flickr_engine(objects=500, users=40)
         ds = engine.dataset
-        walked = joint_traversal(engine.object_tree, ds, 10, backend="numpy")
-        want = compute_partials(ds, walked, [5, 10], "python")
+        walked = joint_traversal(engine.object_tree, ds, 10)
+        want = oracle_partials(ds, walked, [5, 10])
         replica = pickle.loads(pickle.dumps(ds))
         assert replica.objects[0] is not ds.objects[0]
-        payload = ("refine", walked, [5, 10], "numpy", 0)
+        payload = ("refine", walked, [5, 10], 0, None)
         with ShmArena() as arena:
             encoded = encode_shard_payload(PayloadCodec(arena), payload)
             forms = [
@@ -709,10 +722,10 @@ class TestArrayHandOff:
                 FrameCodec.decode_body(FrameCodec.encode_body([encoded]))[0],
             ]
             for form in forms:
-                _, arrived, ks, backend, _ = decode_shard_payload(form)
+                _, arrived, ks, _, _ = decode_shard_payload(form)
                 assert arrived is not walked and arrived.pool._source is None
-                got = compute_partials(replica, arrived, ks, backend)
-                assert [(p.k, p.rsk) for p in got] == [(p.k, p.rsk) for p in want]
+                got = compute_partials(replica, arrived, ks)
+                assert [(p.k, p.rsk) for p in got] == want
 
     def test_a_pool_that_does_not_fit_the_replica_is_refused(self):
         """Typed, and before any gather: an id the replica lacks must
@@ -721,8 +734,8 @@ class TestArrayHandOff:
 
         engine, _ = flickr_engine(objects=300, users=30)
         ds = engine.dataset
-        walked = joint_traversal(engine.object_tree, ds, 5, backend="numpy")
-        ids, lower, upper = walked.pool.columns()
+        walked = joint_traversal(engine.object_tree, ds, 5)
+        ids, lower, upper = walked.pool.ids, walked.pool.lower, walked.pool.upper
 
         def arrived(ids=ids, lower=lower, upper=upper, n_lo=walked.n_lo):
             return JointTraversalResult.of_pool(
@@ -741,11 +754,10 @@ class TestArrayHandOff:
             arrived(n_lo=len(ids) + 1),
             arrived(n_lo=-1),
         ):
-            for backend in ("numpy", "python"):
-                with pytest.raises(CandidatePoolError):
-                    compute_partials(ds, bad, [5], backend)
-        assert compute_partials(ds, arrived(), [5], "numpy")[0].rsk == (
-            compute_partials(ds, walked, [5], "python")[0].rsk
+            with pytest.raises(CandidatePoolError):
+                compute_partials(ds, bad, [5])
+        assert compute_partials(ds, arrived(), [5])[0].rsk == (
+            oracle_partials(ds, walked, [5])[0][1]
         )
 
 
@@ -812,14 +824,14 @@ def rounded_up_pools(seeds=range(40)):
 
 
 def stop_mismatches(pools, block):
-    """Seeded pools on which the numpy lists differ from python's."""
+    """Seeded pools on which the engine's lists differ from the oracle's."""
     bad = cases = 0
     saved, joint_topk_module.RO_BLOCK = joint_topk_module.RO_BLOCK, block
     try:
         for ds, pool, k, users in pools:
             cases += 1
-            bad += ranked_lists(pool, ds, k, "numpy", users) != ranked_lists(
-                pool, ds, k, "python", users
+            bad += ranked_lists(pool, ds, k, "engine", users) != ranked_lists(
+                pool, ds, k, "oracle", users
             )
     finally:
         joint_topk_module.RO_BLOCK = saved

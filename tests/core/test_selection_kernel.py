@@ -1,10 +1,10 @@
 """Algorithm 3's location-batched selection kernel against its oracle.
 
-``backend="numpy"`` evaluates a query's candidate locations as rows of
-one matrix (``repro.core.kernels.SelectionContext``,
+The engine evaluates a query's candidate locations as rows of one
+matrix (``repro.core.kernels.SelectionContext``,
 ``keyword_selection.select_greedy_block``,
-``candidate_selection._search_blocks``); ``backend="python"`` scores
-pair by pair, location by location, and is the oracle.  Everything here
+``candidate_selection._search_blocks``); :mod:`repro.oracle` scores
+pair by pair, location by location.  Everything here
 compares the two with ``==`` — keyword sets, winner sets, the
 ``scored`` / ``keyword_combinations_scored`` counters, the pruned
 count — on drawn instances whose thresholds are *planted ties*
@@ -17,11 +17,12 @@ import math
 import random
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Dataset, MaxBRSTkNNQuery
+from repro import Dataset, MaxBRSTkNNQuery, oracle
 from repro.core import candidate_selection, kernels
 from repro.core.bounds import (
     BoundCalculator, augmented_document, candidate_term_weight,
@@ -30,16 +31,13 @@ from repro.core.candidate_selection import (
     LocationShortlist, search_shortlists, select_candidate, shortlist_locations,
 )
 from repro.core.kernels import SelectionContext, arrays_for
-from repro.core.keyword_selection import (
-    _hw_entries, select_greedy_block, select_keywords_greedy,
-)
+from repro.core.keyword_selection import select_greedy_block, select_keywords_greedy
 from repro.core.query import QueryStats
 from repro.model.objects import STObject
+from repro.oracle import _hw_entries
 from repro.spatial.geometry import Point
 
 from ..conftest import make_random_objects, make_random_users
-
-np = pytest.importorskip("numpy")
 
 MEASURES = ["LM", "TF", "KO"]
 
@@ -116,26 +114,26 @@ def answer(result):
 
 
 def query_answers(case, rsk_group=0.0):
-    """``select_candidate`` per backend: the per-query ``==`` tuple."""
+    """``select_candidate``, engine then oracle: the per-query ``==``
+    tuple."""
     return [
-        answer(select_candidate(
-            case.ds, case.query, case.rsk, rsk_group=rsk_group,
-            stats=QueryStats(), backend=backend,
+        answer(select(
+            case.ds, case.query, case.rsk, rsk_group=rsk_group, stats=QueryStats(),
         ))
-        for backend in ("numpy", "python")
+        for select in (select_candidate, oracle.select_candidate)
     ]
 
 
 def location_answers(case, subsets):
     """``select_keywords_greedy`` at every location over that location's
-    user subset: numpy through ONE cache (the per-query context), python
-    fresh each time.  The per-location ``==`` triples."""
+    user subset: the engine through ONE cache (the per-query context),
+    the oracle fresh each time.  The per-location ``==`` triples."""
     q, cache = case.query, {}
     got, want = [], []
     for loc, users in zip(q.locations, subsets):
         args = (case.ds, q.ox, loc, q.keywords, q.ws, users, case.rsk)
-        got.append(select_keywords_greedy(*args, backend="numpy", cache=cache))
-        want.append(select_keywords_greedy(*args, backend="python"))
+        got.append(select_keywords_greedy(*args, cache=cache))
+        want.append(oracle.select_keywords_greedy(*args))
     return got, want
 
 
@@ -164,7 +162,7 @@ def seeded_subsets(case):
 
 
 # ----------------------------------------------------------------------
-# Properties: numpy == python
+# Properties: engine == oracle
 # ----------------------------------------------------------------------
 
 class TestKernelEqualsOracle:
@@ -227,11 +225,10 @@ class TestKernelEqualsOracle:
             )
         ]
         got, want = [
-            answer(search_shortlists(
-                case.ds, case.query, case.rsk, 0.5, shortlists,
-                stats=QueryStats(), backend=backend,
+            answer(search(
+                case.ds, case.query, case.rsk, 0.5, shortlists, stats=QueryStats(),
             ))
-            for backend in ("numpy", "python")
+            for search in (search_shortlists, oracle.search_shortlists)
         ]
         assert got == want
 
@@ -334,8 +331,8 @@ class TestFallbackPass:
         )
         q, loc = case.query, case.query.locations[0]
         args = (case.ds, q.ox, loc, q.keywords, q.ws, case.ds.users, case.rsk)
-        got = select_keywords_greedy(*args, backend="numpy")
-        assert got == select_keywords_greedy(*args, backend="python")
+        got = select_keywords_greedy(*args)
+        assert got == oracle.select_keywords_greedy(*args)
         return len(recounts) - 1, int(estimates[0][1][0])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -381,13 +378,12 @@ class TestEarlyTermination:
         case = build_case(5, "LM", 2)
         case.rsk.update({uid: 0.0 for uid in case.rsk})
         shortlists = self.shortlists(case)
-        first = select_keywords_greedy(
+        first = oracle.select_keywords_greedy(
             case.ds, case.query.ox, shortlists[0].location, case.query.keywords,
-            case.query.ws, shortlists[0].users, case.rsk, backend="python",
+            case.query.ws, shortlists[0].users, case.rsk,
         )
-        want = search_shortlists(
-            case.ds, case.query, case.rsk, 0.0, shortlists,
-            stats=QueryStats(), backend="python",
+        want = oracle.search_shortlists(
+            case.ds, case.query, case.rsk, 0.0, shortlists, stats=QueryStats(),
         )
         assert want.stats.keyword_combinations_scored == first[2]
 
@@ -400,8 +396,7 @@ class TestEarlyTermination:
             or original(ctx, locations, rows, rsk),
         )
         got = search_shortlists(
-            case.ds, case.query, case.rsk, 0.0, shortlists,
-            stats=QueryStats(), backend="numpy",
+            case.ds, case.query, case.rsk, 0.0, shortlists, stats=QueryStats(),
         )
         assert answer(got) == answer(want)
         assert evaluated == [min(block, len(shortlists))]
@@ -436,11 +431,8 @@ def test_keyword_free_acceptance_path(monkeypatch):
         for i, loc in enumerate(case.query.locations)
     ]
     got, want = [
-        search_shortlists(
-            case.ds, case.query, case.rsk, 0.5, shortlists,
-            stats=QueryStats(), backend=backend,
-        )
-        for backend in ("numpy", "python")
+        search(case.ds, case.query, case.rsk, 0.5, shortlists, stats=QueryStats())
+        for search in (search_shortlists, oracle.search_shortlists)
     ]
     assert answer(got) == answer(want)
     assert got.keywords == frozenset() and len(got.brstknn) == len(users)
@@ -492,20 +484,20 @@ def test_exact_ties_at_one_location_of_several(monkeypatch):
     for bump, admitted in ((lambda x: x, True), (lambda x: math.nextafter(x, 2.0), False)):
         rsk = {u.item_id: 2.0 for u in ds.users}  # out of reach: never banded
         rsk.update({uid: bump(score) for uid, score in exact.items()})
-        want = search_shortlists(
-            ds, query, rsk, 0.0, everyone, stats=QueryStats(), backend="python"
+        want = oracle.search_shortlists(
+            ds, query, rsk, 0.0, everyone, stats=QueryStats()
         )
         del rescored[:]
         got = search_shortlists(
-            ds, query, rsk, 0.0, everyone, stats=QueryStats(), backend="numpy"
+            ds, query, rsk, 0.0, everyone, stats=QueryStats()
         )
         assert answer(got) == answer(want)
         assert set(rescored) == {(tied, pair_user.item_id), (tied, recount_user.item_id)}
         assert ({pair_user.item_id, recount_user.item_id} <= got.brstknn) == admitted
 
-        lists_py, _ = shortlist_locations(ds, query, rsk, 0.0, backend="python")
+        lists_py, _ = oracle.shortlist_locations(ds, query, rsk, 0.0)
         del rescored[:]
-        lists_np, _ = shortlist_locations(ds, query, rsk, 0.0, backend="numpy")
+        lists_np, _ = shortlist_locations(ds, query, rsk, 0.0)
         assert [[u.item_id for u in sl.users] for sl in lists_np] == [
             [u.item_id for u in sl.users] for sl in lists_py
         ]
@@ -526,7 +518,7 @@ def seeded_cases():
 
 
 def mismatches():
-    """Seeded cases on which some numpy answer differs from python's."""
+    """Seeded cases on which some engine answer differs from the oracle's."""
     bad = 0
     for case in seeded_cases():
         got, want = location_answers(case, seeded_subsets(case))
@@ -541,7 +533,7 @@ class TestMutantsAreCaught:
     def test_argmax_in_weight_order(self, monkeypatch):
         """Greedy ties broken in ``(-optimistic weight, term)`` order —
         the order HW sets rank candidates by — instead of ascending term
-        id, ``greedy_max_coverage``'s."""
+        id, ``repro.oracle.greedy_max_coverage``'s."""
 
         def cover(self, passed):
             t = self.pairs()

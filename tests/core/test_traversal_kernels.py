@@ -2,15 +2,15 @@
 
 Two families of guarantees:
 
-* **Backend identity.**  ``joint_traversal(backend="numpy")`` must
-  reproduce the python traversal *bitwise*: same LO/RO pools (object
-  ids, lower/upper bounds, weight dicts, order), same ``rsk_group``,
-  and the same simulated-I/O trace — the frontier kernels sum in the
-  scalar association order on purpose (see repro/core/kernels.py,
-  "Exactness contract"), so these asserts use ``==``, never approx.
-  The numpy walk's pool is three columns filled from entry-index heaps
-  (``CandidatePool``); its object views are built on demand and must be
-  the python walk's objects.
+* **Oracle identity.**  ``joint_traversal`` must reproduce the
+  oracle's scalar walk (``repro.oracle.joint_traversal``) *bitwise*:
+  same LO/RO pools (object ids, lower/upper bounds, weight dicts,
+  order), same ``rsk_group``, and the same simulated-I/O trace — the
+  frontier kernels sum in the scalar association order on purpose (see
+  repro/core/kernels.py, "Exactness contract"), so these asserts use
+  ``==``, never approx.  The engine's pool is three columns filled from
+  entry-index heaps (``CandidatePool``); its object views are built on
+  demand and must be the oracle walk's objects.
 
 * **Cross-k subsumption.**  The candidate pool of a ``k_max``
   traversal subsumes the pool of every smaller ``k`` and yields
@@ -25,12 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Dataset, MaxBRSTkNNEngine, QueryOptions
+from repro import Dataset, MaxBRSTkNNEngine, QueryOptions, oracle
 from repro.core.joint_topk import (
     CandidatePoolError, canonical_candidates, derive_rsk_group, individual_topk,
     joint_traversal,
 )
-from repro.core.kernels import HAS_NUMPY, TreeArrays, tree_arrays_for
+from repro.core.kernels import TreeArrays, tree_arrays_for
 from repro.model.objects import STObject, SuperUser, User
 from repro.spatial.geometry import Point
 from repro.storage.iostats import IOCounter
@@ -38,7 +38,9 @@ from repro.storage.pager import LRUBuffer, PageStore
 
 from ..conftest import make_random_objects, make_random_users
 
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+#: Algorithms 1 and 2 by side: the oracle's scalar forms, the engine's.
+WALK = {"oracle": oracle.joint_traversal, "engine": joint_traversal}
+REFINE = {"oracle": oracle.individual_topk, "engine": individual_topk}
 
 
 def random_engine(seed, index_users=False, twins=0):
@@ -88,8 +90,8 @@ def assert_traversals_identical(a, b):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_numpy_traversal_identical_on_random_trees(seed):
-    """numpy == python: pools, threshold, and I/O trace, bitwise."""
+def test_traversal_identical_to_oracle_on_random_trees(seed):
+    """engine == oracle: pools, threshold, and I/O trace, bitwise."""
     engine, rng = random_engine(seed, index_users=True)
     summaries = [
         None,  # dataset-wide super-user
@@ -103,16 +105,15 @@ def test_numpy_traversal_identical_on_random_trees(seed):
         for su in summaries:
             counters = []
             results = []
-            for backend in ("python", "numpy"):
+            for walk in (oracle.joint_traversal, joint_traversal):
                 counter = IOCounter()
                 results.append(
-                    joint_traversal(
+                    walk(
                         engine.object_tree,
                         engine.dataset,
                         k,
                         super_user=su,
                         store=PageStore(counter=counter),
-                        backend=backend,
                     )
                 )
                 counters.append(counter)
@@ -121,7 +122,7 @@ def test_numpy_traversal_identical_on_random_trees(seed):
             assert counters[0].invfile_blocks == counters[1].invfile_blocks
 
 
-def test_numpy_traversal_identical_with_buffered_store():
+def test_traversal_identical_to_oracle_with_buffered_store():
     """The LRU-buffer fallback path charges exactly like the scalar one."""
     engine, _ = random_engine(3)
     for capacity in (0, 16):
@@ -129,14 +130,10 @@ def test_numpy_traversal_identical_with_buffered_store():
         for _ in range(2):
             counter = IOCounter()
             stores.append(PageStore(counter=counter, buffer=LRUBuffer(capacity)))
-        py = joint_traversal(
-            engine.object_tree, engine.dataset, 4, store=stores[0],
-            backend="python",
+        py = oracle.joint_traversal(
+            engine.object_tree, engine.dataset, 4, store=stores[0]
         )
-        np_ = joint_traversal(
-            engine.object_tree, engine.dataset, 4, store=stores[1],
-            backend="numpy",
-        )
+        np_ = joint_traversal(engine.object_tree, engine.dataset, 4, store=stores[1])
         assert_traversals_identical(py, np_)
         assert stores[0].counter.node_visits == stores[1].counter.node_visits
         assert stores[0].counter.invfile_blocks == stores[1].counter.invfile_blocks
@@ -145,7 +142,7 @@ def test_numpy_traversal_identical_with_buffered_store():
 
 
 class TestColumnPool:
-    """The numpy walk's hand-off: id / bound columns off index heaps."""
+    """The engine walk's hand-off: id / bound columns off index heaps."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -155,7 +152,7 @@ class TestColumnPool:
         buffer=st.sampled_from([None, 0, 16]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_columns_and_views_equal_the_python_walk(
+    def test_columns_and_views_equal_the_oracle_walk(
         self, seed, k, twins, group, buffer
     ):
         engine, _ = random_engine(seed, index_users=True, twins=twins)
@@ -175,14 +172,10 @@ class TestColumnPool:
             for _ in range(2)
         ]
         py, columns = (
-            joint_traversal(
-                engine.object_tree, ds, k, super_user=su, store=store,
-                backend=backend,
-            )
-            for store, backend in zip(stores, ("python", "numpy"))
+            walk(engine.object_tree, ds, k, super_user=su, store=store)
+            for store, walk in zip(stores, (oracle.joint_traversal, joint_traversal))
         )
         pool = columns.pool
-        assert py.pool.ids is None and pool.ids is not None
         assert pool.ids.tolist() == [c.obj.item_id for c in py.pool]
         assert pool.lower.tolist() == [c.lower for c in py.pool]
         assert pool.upper.tolist() == [c.upper for c in py.pool]
@@ -195,23 +188,22 @@ class TestColumnPool:
                     b.buffer.hits, b.buffer.misses
                 )
         # Everything above — and sizing LO / RO, as the pool-size probe
-        # does — read columns only; the views are the python walk's.
+        # does — read columns only; the views are the oracle walk's.
         assert len(columns.lo) + len(columns.ro) == len(py.pool)
         assert pool._views is None
         assert_traversals_identical(py, columns)
         assert list(pool) == list(py.pool)
-        # Per-k derivations read the same pool in either form.
+        # Per-k derivations read the same pool off either walk.
         for small in {1, min(k, 3), k}:
             group_rsk = derive_rsk_group(columns, k, small)
             assert group_rsk == derive_rsk_group(py, k, small)
             canonical = canonical_candidates(columns, group_rsk)
-            assert canonical.ids is not None
             assert list(canonical) == list(canonical_candidates(py, group_rsk))
 
     def test_pool_crosses_a_process_boundary_as_columns_only(self):
         engine, _ = random_engine(6)
         ds = engine.dataset
-        walked = joint_traversal(engine.object_tree, ds, 5, backend="numpy")
+        walked = joint_traversal(engine.object_tree, ds, 5)
         blob = pickle.dumps(walked, protocol=pickle.HIGHEST_PROTOCOL)
         assert b"STObject" not in blob and b"CandidateObject" not in blob
         arrived = pickle.loads(blob)
@@ -221,55 +213,43 @@ class TestColumnPool:
         assert (arrived.n_lo, arrived.rsk_group) == (walked.n_lo, walked.rsk_group)
         ranked = {
             uid: res.ranked
-            for uid, res in individual_topk(arrived, ds, 5, backend="numpy").items()
+            for uid, res in individual_topk(arrived, ds, 5).items()
         }
         assert ranked == {
             uid: res.ranked
-            for uid, res in individual_topk(walked, ds, 5, backend="python").items()
+            for uid, res in oracle.individual_topk(walked, ds, 5).items()
         }
         # No tree on the far side: sized, sliced, refined — never viewed.
         assert len(arrived.lo) == walked.n_lo
         with pytest.raises(CandidatePoolError, match="process boundary"):
             arrived.ro[0]
-        # ... so a python reader is shipped the object form instead.
-        for_python = pickle.loads(pickle.dumps(walked.readable_by("python")))
-        assert for_python.pool.ids is None
-        assert_traversals_identical(for_python, walked)
-        assert walked.readable_by("numpy") is walked
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_kmax_pool_subsumes_every_smaller_k(seed, backend):
+@pytest.mark.parametrize("side", ["oracle", "engine"])
+def test_kmax_pool_subsumes_every_smaller_k(seed, side):
     """Objects any k-traversal keeps are all in the k_max pool, and the
     derived per-k thresholds are value-identical to dedicated runs."""
     engine, _ = random_engine(seed)
     kmax = 9
-    pool = joint_traversal(
-        engine.object_tree, engine.dataset, kmax, backend=backend
-    )
+    pool = WALK[side](engine.object_tree, engine.dataset, kmax)
     pool_ids = {c.obj.item_id for c in pool.all_candidates()}
     lows = sorted((c.lower for c in pool.all_candidates()), reverse=True)
     for k in (1, 2, 4, kmax):
-        dedicated = joint_traversal(
-            engine.object_tree, engine.dataset, k, backend=backend
-        )
+        dedicated = WALK[side](engine.object_tree, engine.dataset, k)
         dedicated_ids = {c.obj.item_id for c in dedicated.all_candidates()}
         assert dedicated_ids <= pool_ids
         # RSk(us) derived from the pool == the dedicated traversal's.
         derived_rsk_group = lows[k - 1] if k <= len(lows) else 0.0
         assert derived_rsk_group == dedicated.rsk_group
         # Algorithm 2 over the k_max pool == over the dedicated pool.
-        via_pool = individual_topk(pool, engine.dataset, k, backend=backend)
-        via_dedicated = individual_topk(
-            dedicated, engine.dataset, k, backend=backend
-        )
+        via_pool = REFINE[side](pool, engine.dataset, k)
+        via_dedicated = REFINE[side](dedicated, engine.dataset, k)
         for uid, res in via_dedicated.items():
             assert via_pool[uid].ranked == res.ranked
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_mixed_k_batch_runs_one_traversal_and_matches_sequential(backend):
+def test_mixed_k_batch_runs_one_traversal_and_matches_sequential():
     """The PR-3 acceptance shape: k in {1, 5, 10} -> one tree walk."""
     engine, rng = random_engine(17)
     from repro.core.query import MaxBRSTkNNQuery
@@ -294,11 +274,9 @@ def test_mixed_k_batch_runs_one_traversal_and_matches_sequential(backend):
                 k=k,
             )
         )
-    sequential = [
-        engine.query(q, QueryOptions(backend="python")) for q in queries
-    ]
+    sequential = [oracle.query(engine, q, QueryOptions()) for q in queries]
     runs_before = engine.traversal_runs
-    batched = engine.query_batch(queries, QueryOptions(backend=backend))
+    batched = engine.query_batch(queries, QueryOptions())
     assert engine.traversal_runs == runs_before + 1  # exactly one walk
     assert engine._traversal_pool.k == 10
     for solo, bat in zip(sequential, batched):

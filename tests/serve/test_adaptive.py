@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle
 from repro.serve import (
     AdaptiveWaitController,
     MaxBRSTkNNServer,
@@ -140,9 +140,9 @@ class TestServerAutoMode:
         results, snapshot = asyncio.run(run())
         assert len(results) == 8
         assert "adaptive_wait_ms" in snapshot
-        reference = QueryOptions(backend="python")
+        reference = QueryOptions()
         for query, served in zip(queries, results):
-            solo = engine.query(query, reference)
+            solo = oracle.query(engine, query, reference)
             assert solo.location == served.location
             assert solo.keywords == served.keywords
             assert solo.brstknn == served.brstknn

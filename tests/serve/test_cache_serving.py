@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle
 from repro.core.config import CachePolicy
 from repro.serve import MaxBRSTkNNServer, ServerConfig, make_engine
 
@@ -73,9 +73,9 @@ class TestCachedServingIdentity:
         ref = MaxBRSTkNNEngine(
             dataset, EngineConfig(fanout=4, index_users=(mode == "indexed"))
         )
-        reference = QueryOptions(mode=mode, backend="python")
+        reference = QueryOptions(mode=mode)
         for query, a, b in zip(queries, first, second):
-            solo = ref.query(query, reference)
+            solo = oracle.query(ref, query, reference)
             assert_result_equal(solo, a)
             assert_result_equal(solo, b)
 
@@ -91,9 +91,9 @@ class TestCachedServingIdentity:
         )
         assert stats.cache_hits == 0
         assert stats.cache_misses == 2 * len(queries)
-        reference = QueryOptions(backend="python")
+        reference = QueryOptions()
         for query, a, b in zip(queries, first, second):
-            solo = engine.query(query, reference)
+            solo = oracle.query(engine, query, reference)
             assert_result_equal(solo, a)
             assert_result_equal(solo, b)
 

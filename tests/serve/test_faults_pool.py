@@ -46,7 +46,7 @@ pytestmark = pytest.mark.skipif(
 #: Fast supervision for tests: retry once, no backoff sleep, tight polls.
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
 FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
-OPTIONS = QueryOptions(backend="python")
+OPTIONS = QueryOptions()
 
 
 def pooled_lanes(faults, *, deadline=FAST_DEADLINE, workers=2, seed=0):

@@ -49,7 +49,7 @@ def serve_all(engine, queries, config):
 def reference_results(engine, queries):
     """A fresh sequential engine over the same dataset: the identity bar."""
     fresh = MaxBRSTkNNEngine(engine.dataset, EngineConfig(fanout=4))
-    options = QueryOptions(backend="python")
+    options = QueryOptions()
     return [fresh.query(query, options) for query in queries]
 
 

@@ -24,7 +24,7 @@ pytestmark = pytest.mark.skipif(
 
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
 FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
-OPTIONS = QueryOptions(backend="python")
+OPTIONS = QueryOptions()
 
 
 def build_pair(seed=0, **config_kwargs):
@@ -86,7 +86,7 @@ def test_lane_exception_retries_then_degrades_only_the_refine_round():
 
 def test_worker_kill_recovers_in_indexed_mode():
     pooled, inproc, rng, vocab = build_pair(seed=2, index_users=True)
-    options = QueryOptions(mode="indexed", backend="python")
+    options = QueryOptions(mode="indexed")
     queries = make_queries(rng, vocab, 8)
     reference = inproc.query_batch(queries, options)
     pooled.start_pools(

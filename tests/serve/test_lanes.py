@@ -6,8 +6,9 @@ full-dataset lanes as contiguous row ranges and must return *exactly*
 the single engine's answer.  The one property here holds that — with
 ``==``, never ``approx`` — over lane counts 1…9 (uneven ranges, more
 lanes than it pays to have), mixed k read off one k_max refinement,
-keyword-less users, both backends and all three transports, and two
-seeded mutants of the dealing show it has teeth.  Below it, the
+keyword-less users and all three transports — and the oracle
+(:mod:`repro.oracle`) agrees with both sides — and two seeded mutants
+of the dealing show it has teeth.  Below it, the
 regression test for what the change is for: a 2-lane engine runs 2
 worker processes, not 4.
 """
@@ -28,9 +29,9 @@ from repro import (
     QueryOptions,
     STObject,
     User,
+    oracle,
 )
 from repro.core import pipeline
-from repro.core.kernels import HAS_NUMPY
 from repro.serve import MaxBRSTkNNServer, ServerConfig, ShardHost, ShardedEngine
 from repro.spatial.geometry import Point
 from repro.storage.shm import arena_segments
@@ -97,11 +98,21 @@ def serve_on(engine, transport, hosts):
         engine.connect_hosts([f"127.0.0.1:{h.port}" for h in hosts])
 
 
-def check_lanes_equal_single_engine(seed, n_users, lanes, backend, ks, transport):
+def selection_key(result):
+    """What a batch shares with a cold sequential query: the answer and
+    the selection counters (the top-k I/O reports the shared walk)."""
+    return (
+        result.location, result.keywords, result.brstknn,
+        result.stats.locations_pruned, result.stats.keyword_combinations_scored,
+    )
+
+
+def check_lanes_equal_single_engine(seed, n_users, lanes, ks, transport):
     dataset, rng = build_dataset(seed, n_users)
-    options = QueryOptions(backend=backend)
+    options = QueryOptions()
     batches = [make_queries(rng, ks), make_queries(rng, ks[:1])]  # cold, warm
     single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+    reference = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=lanes))
     hosts = []
     try:
@@ -110,13 +121,19 @@ def check_lanes_equal_single_engine(seed, n_users, lanes, backend, ks, transport
             want = single.query_batch(queries, options)
             got = sharded.query_batch(queries, options)
             assert [answer_key(r) for r in got] == [answer_key(r) for r in want]
+            assert [selection_key(r) for r in got] == [
+                selection_key(oracle.query(reference, q, options)) for q in queries
+            ]
         # One walk, one refinement at k_max: every k's RSk map is the
         # single engine's, value for value and in its row order.
         assert sharded.traversal_runs == single.traversal_runs == 1
+        pool = single._traversal_pool
+        scalar = oracle.individual_topk(pool.traversal, dataset, pool.k)
         for k in set(ks):
             merged = sharded._merged_by_k[k].rsk
-            central = single._traversal_pool.by_k[k].rsk
+            central = pool.by_k[k].rsk
             assert merged == central and list(merged) == list(central)
+            assert merged.values.tolist() == scalar.rsk(k).values.tolist()
         assert sharded.io.snapshot() == single.io.snapshot()  # the I/O trace
         assert [row["refine_tasks"] for row in sharded.shard_stats()] \
             == [len(set(ks))] * lanes
@@ -136,30 +153,28 @@ TRANSPORTS = ["inline"] + (["pool", "socket"] if HAS_FORK else [])
     seed=st.integers(0, 10_000),
     n_users=st.integers(1, 30),
     lanes=st.integers(1, 9),
-    backend=st.sampled_from(["python"] + (["numpy"] if HAS_NUMPY else [])),
     ks=st.lists(st.sampled_from([1, 2, 4, 7]), min_size=1, max_size=4),
     transport=st.sampled_from(TRANSPORTS),
 )
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_any_lane_count_answers_like_a_single_engine(
-    seed, n_users, lanes, backend, ks, transport
+    seed, n_users, lanes, ks, transport
 ):
-    check_lanes_equal_single_engine(seed, n_users, lanes, backend, ks, transport)
+    check_lanes_equal_single_engine(seed, n_users, lanes, ks, transport)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-@pytest.mark.parametrize("backend", ["python"] + (["numpy"] if HAS_NUMPY else []))
 @pytest.mark.parametrize("lanes", range(1, 10))
-def test_every_lane_count_on_every_transport(lanes, backend, transport):
+def test_every_lane_count_on_every_transport(lanes, transport):
     """The sweep the 40 drawn examples cannot promise: each lane count
-    on each transport and backend, every run (23 users: uneven ranges
-    for every count but 1)."""
-    check_lanes_equal_single_engine(lanes, 23, lanes, backend, [2, 5, 2], transport)
+    on each transport, every run (23 users: uneven ranges for every
+    count but 1)."""
+    check_lanes_equal_single_engine(lanes, 23, lanes, [2, 5, 2], transport)
 
 
 def test_more_lanes_than_users_neither_crash_nor_double_report():
-    check_lanes_equal_single_engine(3, 30, 64, "python", [2, 5], "inline")
+    check_lanes_equal_single_engine(3, 30, 64, [2, 5], "inline")
 
 
 @pytest.mark.parametrize("mutant", ["overlap-by-one-row", "last-range-dropped"])
@@ -180,7 +195,7 @@ def test_a_mutated_dealing_fails_the_property(mutant, monkeypatch):
         overlapping if mutant == "overlap-by-one-row" else dropped,
     )
     with pytest.raises(ValueError, match="re-reports|first missing"):
-        check_lanes_equal_single_engine(5, 20, 3, "python", [2, 4], "inline")
+        check_lanes_equal_single_engine(5, 20, 3, [2, 4], "inline")
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +229,7 @@ def test_two_lane_server_runs_two_workers_and_leaves_nothing_behind():
     import asyncio
 
     dataset, rng = build_dataset(11, 24)
-    options = QueryOptions(backend="python")
+    options = QueryOptions()
     single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     engine = ShardedEngine(
         dataset, EngineConfig(fanout=4, num_shards=2, use_shm=True)

@@ -15,7 +15,7 @@ import logging
 
 import pytest
 
-from repro import EngineConfig, MaxBRSTkNNEngine
+from repro import EngineConfig, MaxBRSTkNNEngine, oracle
 from repro.core.config import QueryOptions
 from repro.serve import (
     DeadlinePolicy,
@@ -34,7 +34,7 @@ from .conftest import (
     make_queries,
 )
 
-OPTS = QueryOptions(method="approx", mode="joint", backend="python")
+OPTS = QueryOptions(method="approx", mode="joint")
 FAST = DeadlinePolicy(flush_deadline_s=5.0, poll_interval_s=0.01)
 
 
@@ -75,8 +75,8 @@ def reference_results(dataset, queries, engine, mode="joint"):
         EngineConfig(fanout=4, index_users=(mode == "indexed")),
         object_tree=engine.object_tree,
     )
-    opts = QueryOptions(method="approx", mode=mode, backend="python")
-    return [ref.query(q, opts) for q in queries]
+    opts = QueryOptions(method="approx", mode=mode)
+    return [oracle.query(ref, q, opts) for q in queries]
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_lanes_balance_uneven_per_k_chunks_and_row_ranges():
 
         def spy(lanes):
             kind = lanes[0].payloads[0][0]
-            weigh = (lambda p: p[7] - p[6]) if kind == "refine" else (
+            weigh = (lambda p: p[6] - p[5]) if kind == "refine" else (
                 lambda p: len(p[1]))
             loads[kind] = [
                 sum(weigh(p) for p in lane.payloads) for lane in lanes
@@ -153,7 +153,7 @@ def test_socket_scatter_indexed_mode_matches_sequential():
     try:
         connect(engine, hosts)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
-        opts = QueryOptions(method="approx", mode="indexed", backend="python")
+        opts = QueryOptions(method="approx", mode="indexed")
         served = engine.query_batch(queries, opts)
         # Hosts hold no MIUR-tree: the indexed searches stay on the
         # coordinator and charge the shared counter exactly as without
@@ -347,7 +347,7 @@ def test_seasoned_sub_ms_searches_stay_in_process(transport):
             connect(engine, hosts)
         else:
             engine.start_pools(1)
-        signature = FlushSignature(mode="joint", backend="python", scatter_width=2)
+        signature = FlushSignature(mode="joint", scatter_width=2)
         for _ in range(3):
             engine.flush_history.record(signature, FlushReport(
                 mode="joint", batch_size=8, stages=[StageStats(

@@ -18,7 +18,7 @@ import pytest
 
 from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions
 from repro.core.kernels import (
-    HAS_NUMPY, DatasetArrays, ObjectColumns, arrays_for, object_columns_for,
+    DatasetArrays, ObjectColumns, arrays_for, object_columns_for,
 )
 from repro.serve import make_engine
 from repro.serve import pool as pool_mod
@@ -43,13 +43,12 @@ def _probe_worker(_):
     """Runs inside a forked worker: report its view of the arrays."""
     ds = pool_mod._WORKER_DATASET
     return (
-        DatasetArrays.build_count if HAS_NUMPY else 0,
+        DatasetArrays.build_count,
         ds is not None,
         getattr(ds, "_kernel_arrays", None) is not None if ds is not None else False,
     )
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_workers_inherit_prebuilt_arrays_without_rebuilding():
     dataset, _ = make_dataset()
     with PersistentWorkerPool(dataset, workers=2) as pool:
@@ -65,7 +64,6 @@ def test_workers_inherit_prebuilt_arrays_without_rebuilding():
         assert worker_builds == parent_builds
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_arrays_for_memoizes_and_dataset_pickles_without_arrays():
     dataset, _ = make_dataset(seed=1)
     arrays = arrays_for(dataset)
@@ -86,7 +84,6 @@ def _object_columns_probe(_):
     return ObjectColumns.build_count, "columns" in ds._per_object_set
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_workers_inherit_object_columns_and_pickles_shed_them():
     """The per-object-set columns Algorithm 2 gathers from follow the
     same rules as ``DatasetArrays``: built pre-fork, inherited, never
@@ -144,11 +141,10 @@ def _arena_probe_worker(_):
     return (
         pool_mod._WORKER_ARENA_NAME,
         pool_mod._WORKER_GENERATION,
-        DatasetArrays.build_count if HAS_NUMPY else 0,
+        DatasetArrays.build_count,
     )
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 class TestArenaReattach:
     """The zero-copy respawn contract: a generation-N+1 worker maps the
     arena *by name* (its fork happened after SIGKILL recovery, so it

@@ -41,7 +41,7 @@ pytestmark = pytest.mark.skipif(
     reason="the pipe transport requires the fork start method",
 )
 
-OPTS = QueryOptions(backend="python")
+OPTS = QueryOptions()
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
 FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
 STAGES = ("refine", "select")
@@ -236,25 +236,24 @@ def test_a_pool_killed_past_its_retries_degrades_the_ranges_it_held(
 # round takes the transport's ordinary ladder.
 # ----------------------------------------------------------------------
 
-def numpy_refine_lanes(engine, traversal, k=3):
+def refine_lanes(engine, traversal, k=3):
     n_users = len(engine.dataset.users)
     cut = n_users // 2
     return [
-        Lane(lane, [("refine", traversal, [k], "numpy", None, lane, lo, hi)],
+        Lane(lane, [("refine", traversal, [k], lane, None, lo, hi)],
              engine.dataset)
         for lane, (lo, hi) in enumerate([(0, cut), (cut, n_users)])
     ]
 
 
 def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
-    pytest.importorskip("numpy")
     from repro import Dataset
     from repro.core.joint_topk import joint_traversal
 
     engine = rig.engine
     full = engine.dataset
-    walked = joint_traversal(engine.root.object_tree, full, 3, backend="numpy")
-    expected, *_ = run_round(RefineStage(), numpy_refine_lanes(engine, walked), INLINE)
+    walked = joint_traversal(engine.root.object_tree, full, 3)
+    expected, *_ = run_round(RefineStage(), refine_lanes(engine, walked), INLINE)
     # A host that generated its object set one object short.
     kept = [o for o in full.objects if o.item_id != int(walked.pool.ids[0])]
     rig.hosts = [HostThread(ShardHost(Dataset(kept, full.users, relevance="LM")))]
@@ -263,7 +262,7 @@ def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
         retry=FAST_RETRY, deadline=FAST_DEADLINE,
     )
     returned, _, degraded, _, _ = run_round(
-        RefineStage(), numpy_refine_lanes(engine, walked), engine._executor.transport
+        RefineStage(), refine_lanes(engine, walked), engine._executor.transport
     )
     assert degraded == [1, 1]  # an ERROR frame each, never a wrong row
     assert [[[canon(p) for p in chunk] for chunk in lane] for lane in returned] == [
@@ -273,7 +272,8 @@ def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
 
 
 def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
-    np = pytest.importorskip("numpy")
+    import numpy as np
+
     from repro.core.joint_topk import (
         CandidatePool, CandidatePoolError, JointTraversalResult, joint_traversal,
     )
@@ -281,9 +281,9 @@ def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
     engine = rig.engine
     transport = rig.install("pool")
     walked = joint_traversal(
-        engine.root.object_tree, engine.dataset, 3, backend="numpy"
+        engine.root.object_tree, engine.dataset, 3
     )
-    ids, lower, upper = walked.pool.columns()
+    ids, lower, upper = walked.pool.ids, walked.pool.lower, walked.pool.upper
     unknown = np.where(np.arange(len(ids)) == 1, -1, ids)  # -1: no wrapped row
     bad = JointTraversalResult.of_pool(
         CandidatePool.from_columns(unknown, lower, upper), walked.n_lo, 0.0
@@ -291,7 +291,7 @@ def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
     # Workers raise it (a task error: retried, counted), and so does the
     # in-process degrade — the coordinator holds no such object either.
     with pytest.raises(CandidatePoolError, match="does not hold"):
-        run_round(RefineStage(), numpy_refine_lanes(engine, bad)[:1], transport)
+        run_round(RefineStage(), refine_lanes(engine, bad)[:1], transport)
     assert engine.fault_counters()["retries"] == 1
 
 
@@ -300,14 +300,13 @@ def test_host_started_with_fewer_users_refuses_the_range_and_degrades(rig):
     its replica, so it answers an ERROR frame (typed, before any gather)
     and the lane re-runs on the coordinator — never a short or shifted
     ``RSk`` map."""
-    pytest.importorskip("numpy")
     from repro import Dataset
     from repro.core.joint_topk import joint_traversal
 
     engine = rig.engine
     full = engine.dataset
-    walked = joint_traversal(engine.root.object_tree, full, 3, backend="numpy")
-    expected, *_ = run_round(RefineStage(), numpy_refine_lanes(engine, walked), INLINE)
+    walked = joint_traversal(engine.root.object_tree, full, 3)
+    expected, *_ = run_round(RefineStage(), refine_lanes(engine, walked), INLINE)
     short = Dataset(full.objects, full.users[:-1], relevance="LM")
     rig.hosts = [HostThread(ShardHost(short))]
     engine.connect_hosts(
@@ -315,7 +314,7 @@ def test_host_started_with_fewer_users_refuses_the_range_and_degrades(rig):
         retry=FAST_RETRY, deadline=FAST_DEADLINE,
     )
     returned, _, degraded, _, _ = run_round(
-        RefineStage(), numpy_refine_lanes(engine, walked), engine._executor.transport
+        RefineStage(), refine_lanes(engine, walked), engine._executor.transport
     )
     # Lane 0's rows exist on the short host too; lane 1 reaches past it.
     assert degraded == [0, 1]
@@ -335,7 +334,7 @@ def test_pool_workers_refuse_a_range_outside_the_dataset(rig):
     walked = joint_traversal(engine.root.object_tree, engine.dataset, 3)
     n_users = len(engine.dataset.users)
     lane = Lane(
-        0, [("refine", walked, [3], "python", None, 0, 0, n_users + 1)],
+        0, [("refine", walked, [3], 0, None, 0, n_users + 1)],
         engine.dataset,
     )
     # Workers raise it (a task error: retried, counted), and so does the

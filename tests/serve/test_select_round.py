@@ -37,7 +37,7 @@ pytestmark = pytest.mark.skipif(
     reason="the pipe transport requires the fork start method",
 )
 
-OPTS = QueryOptions(backend="numpy")
+OPTS = QueryOptions()
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
 FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
 

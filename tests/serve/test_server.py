@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions
+from repro import (
+    Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions, oracle,
+)
 from repro.model.objects import STObject
 from repro.serve import MaxBRSTkNNServer, PersistentWorkerPool, ServerConfig, make_engine
 from repro.spatial.geometry import Point
@@ -70,9 +72,9 @@ class TestEquivalence:
         results, stats = serve_all(
             engine, queries, ServerConfig(max_batch=4, max_wait_ms=2.0)
         )
-        reference = QueryOptions(backend="python")
+        reference = QueryOptions()
         for query, served in zip(queries, results):
-            assert_result_equal(engine.query(query, reference), served)
+            assert_result_equal(oracle.query(engine, query, reference), served)
         assert stats.queries_submitted == 8
         assert stats.queries_completed == 8
         assert stats.queries_failed == 0
@@ -91,9 +93,9 @@ class TestEquivalence:
             return first + second
 
         results = asyncio.run(run())
-        reference = QueryOptions(backend="python")
+        reference = QueryOptions()
         for query, served in zip(queries, results):
-            assert_result_equal(engine.query(query, reference), served)
+            assert_result_equal(oracle.query(engine, query, reference), served)
 
 
 class TestMicroBatching:
@@ -174,9 +176,9 @@ class TestLifecycle:
         assert len(results) == 4
         assert stats.drain_flushes >= 1
         assert stats.queries_completed == 4
-        reference = QueryOptions(backend="python")
+        reference = QueryOptions()
         for query, served in zip(queries, results):
-            assert_result_equal(engine.query(query, reference), served)
+            assert_result_equal(oracle.query(engine, query, reference), served)
 
     def test_submit_after_stop_raises(self):
         engine, rng, vocab = build_engine()
@@ -281,12 +283,12 @@ class TestCancellation:
         assert stats.queries_failed == 0
         assert stats.in_flight == 0
         assert executed == [3]  # cancelled queries never reached the engine
-        reference = QueryOptions(backend="python")
+        reference = QueryOptions()
         for i, (query, out) in enumerate(zip(queries, outcomes)):
             if i % 2 == 0:
                 assert isinstance(out, asyncio.CancelledError)
             else:
-                assert_result_equal(engine.query(query, reference), out)
+                assert_result_equal(oracle.query(engine, query, reference), out)
 
     def test_fully_cancelled_batch_executes_nothing(self):
         engine, rng, vocab = build_engine(seed=11)
@@ -346,7 +348,7 @@ class TestCancellation:
         assert stats.in_flight == 0
         assert isinstance(outcomes[0], asyncio.CancelledError)
         assert_result_equal(
-            engine.query(queries[1], QueryOptions(backend="python")), outcomes[1]
+            oracle.query(engine, queries[1], QueryOptions()), outcomes[1]
         )
 
     @pytest.mark.parametrize("seed", range(4))
@@ -379,12 +381,12 @@ class TestCancellation:
         )
         assert stats.in_flight == 0
         assert stats.queries_failed == 0
-        reference = QueryOptions(backend="python")
+        reference = QueryOptions()
         for query, cancelled, out in zip(queries, cancel_mask, outcomes):
             if not isinstance(out, asyncio.CancelledError):
                 # Either never cancelled, or the cancel lost the race to
                 # the flush — the answer must be right in both cases.
-                assert_result_equal(engine.query(query, reference), out)
+                assert_result_equal(oracle.query(engine, query, reference), out)
             else:
                 assert cancelled
 
@@ -410,9 +412,9 @@ class TestPersistentPool:
             ServerConfig(max_batch=6, max_wait_ms=2.0, pool_workers=1),
         )
         fresh = MaxBRSTkNNEngine(engine.dataset, EngineConfig(fanout=4))
-        reference = QueryOptions(backend="python")
+        reference = QueryOptions()
         for query, served in zip(queries, results):
-            assert_result_equal(fresh.query(query, reference), served)
+            assert_result_equal(oracle.query(fresh, query, reference), served)
         assert stats.queries_completed == 6
         # The pool was the engine's: one pool, closed with the server.
         assert engine._pool is None
@@ -426,11 +428,11 @@ class TestPersistentPool:
         pool = engine._pool
         try:
             queries = make_queries(rng, vocab, 4)
-            batched = engine.query_batch(queries, QueryOptions(backend="python"))
+            batched = engine.query_batch(queries, QueryOptions())
         finally:
             engine.close_pools()
         plain = MaxBRSTkNNEngine(engine.dataset, EngineConfig(fanout=4))
-        inprocess = plain.query_batch(queries, QueryOptions(backend="python"))
+        inprocess = plain.query_batch(queries, QueryOptions())
         for a, b in zip(inprocess, batched):
             assert_result_equal(a, b)
         with pytest.raises(RuntimeError):

@@ -3,7 +3,7 @@
 For randomized datasets and mixed-k batches a ``ShardedEngine`` returns
 *exactly* the single-engine answer — results (location, keywords,
 BRSTkNN), I/O counters and selection stats.  The joint-mode property
-over lane counts, backends and transports lives in ``test_lanes.py``;
+over lane counts and transports lives in ``test_lanes.py``;
 here: both keyword selectors, indexed mode, memoization across flushes,
 edge cases and the pool / server plumbing.
 """
@@ -21,8 +21,8 @@ from repro import (
     MaxBRSTkNNQuery,
     QueryOptions,
     STObject,
+    oracle,
 )
-from repro.core.kernels import HAS_NUMPY
 from repro.serve import MaxBRSTkNNServer, ServerConfig, ShardedEngine, make_engine
 from repro.spatial.geometry import Point
 
@@ -66,6 +66,14 @@ def assert_results_equal(a, b):
     assert a.brstknn == b.brstknn
 
 
+def assert_selection_stats_equal(a, b):
+    """What a batch shares with a cold sequential query: the selection
+    counters (its top-k I/O reports the shared walk)."""
+    assert a.stats.users_total == b.stats.users_total
+    assert a.stats.locations_pruned == b.stats.locations_pruned
+    assert a.stats.keyword_combinations_scored == b.stats.keyword_combinations_scored
+
+
 def assert_stats_equal(a, b):
     """Non-time stats must match the single-engine batch exactly."""
     assert a.stats.users_total == b.stats.users_total
@@ -81,31 +89,30 @@ class TestEquivalenceProperty:
         dataset, rng, vocab = build_dataset(seed=7)
         queries = make_queries(rng, vocab, 4, ks=(3,))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        options = QueryOptions(method=method, backend="python")
+        options = QueryOptions(method=method)
         reference = single.query_batch(queries, options)
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=3))
         for a, b in zip(reference, sharded.query_batch(queries, options)):
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend")
-    def test_numpy_backend_matches_python_reference(self):
+    def test_sharded_matches_the_oracle(self):
         dataset, rng, vocab = build_dataset(seed=4)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        reference = single.query_batch(queries, QueryOptions(backend="python"))
+        reference = [oracle.query(single, q, QueryOptions()) for q in queries]
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
         for a, b in zip(
-            reference, sharded.query_batch(queries, QueryOptions(backend="numpy"))
+            reference, sharded.query_batch(queries, QueryOptions())
         ):
             assert_results_equal(a, b)
-            assert_stats_equal(a, b)
+            assert_selection_stats_equal(a, b)
 
     def test_single_query_matches_sequential(self):
         dataset, rng, vocab = build_dataset(seed=2)
         query = make_queries(rng, vocab, 1, ks=(4,))[0]
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        solo = single.query(query, QueryOptions(backend="python"))
+        solo = oracle.query(single, query, QueryOptions())
         # num_shards=1 included: query() must work on the degenerate
         # sharded layout too (it plans as a batch of one either way).
         for num_shards in (1, 2):
@@ -113,7 +120,7 @@ class TestEquivalenceProperty:
                 dataset, EngineConfig(fanout=4, num_shards=num_shards)
             )
             assert_results_equal(
-                solo, sharded.query(query, QueryOptions(backend="python"))
+                solo, sharded.query(query, QueryOptions())
             )
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
@@ -136,9 +143,9 @@ class TestEquivalenceProperty:
         dataset, rng, vocab = build_dataset(seed=3)
         queries = make_queries(rng, vocab, 6, ks=(2, 4, 6))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        reference = single.query_batch(queries, QueryOptions(backend="python"))
+        reference = single.query_batch(queries, QueryOptions())
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
-        results = sharded.query_batch(queries, QueryOptions(backend="python"))
+        results = sharded.query_batch(queries, QueryOptions())
         lanes = sharded.lane_stats
         assert len(lanes) == num_shards
         assert sum(lane.users for lane in lanes) == len(dataset.users)
@@ -158,10 +165,10 @@ class TestEquivalenceProperty:
         dataset, rng, vocab = build_dataset(seed=1)
         queries = make_queries(rng, vocab, 4, ks=(3,))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        reference = single.query_batch(queries, QueryOptions(backend="python"))
+        reference = single.query_batch(queries, QueryOptions())
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
-        first = sharded.query_batch(queries, QueryOptions(backend="python"))
-        second = sharded.query_batch(queries, QueryOptions(backend="python"))
+        first = sharded.query_batch(queries, QueryOptions())
+        second = sharded.query_batch(queries, QueryOptions())
         assert sharded.traversal_runs == 1
         for lane in sharded.lane_stats:
             assert lane.refine_tasks == 1  # memoized across batches
@@ -199,7 +206,7 @@ class TestEquivalenceProperty:
                 for i in range(count)
             ]
 
-        options = QueryOptions(backend="python")
+        options = QueryOptions()
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
 
@@ -241,7 +248,7 @@ class TestIndexedEquivalenceProperty:
         dataset, rng, vocab = build_dataset(seed=seed)
         queries = make_queries(rng, vocab, 6, ks=(2, 4, 6))  # mixed k
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        options = QueryOptions(mode="indexed", backend="python")
+        options = QueryOptions(mode="indexed")
         reference = single.query_batch(queries, options)
         assert single.traversal_runs == 1  # indexed cross-k sharing
 
@@ -264,7 +271,7 @@ class TestIndexedEquivalenceProperty:
         sequential execution — the node-RSk reformulation guarantee."""
         dataset, rng, vocab = build_dataset(seed=11)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
-        options = QueryOptions(mode="indexed", backend="python")
+        options = QueryOptions(mode="indexed")
         sequential = []
         for q in queries:
             fresh = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
@@ -288,7 +295,7 @@ class TestIndexedEquivalenceProperty:
         dataset, rng, vocab = build_dataset(seed=12)
         queries = make_queries(rng, vocab, 4, ks=(3,))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        options = QueryOptions(mode="indexed", method=method, backend="python")
+        options = QueryOptions(mode="indexed", method=method)
         reference = single.query_batch(queries, options)
         sharded = ShardedEngine(
             dataset, EngineConfig(fanout=4, num_shards=3, index_users=True)
@@ -297,24 +304,23 @@ class TestIndexedEquivalenceProperty:
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend")
-    def test_indexed_numpy_backend_matches_python_reference(self):
+    def test_indexed_sharded_matches_the_oracle(self):
         dataset, rng, vocab = build_dataset(seed=13)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        reference = single.query_batch(
-            queries, QueryOptions(mode="indexed", backend="python")
-        )
+        reference = [
+            oracle.query(single, q, QueryOptions(mode="indexed")) for q in queries
+        ]
         sharded = ShardedEngine(
             dataset,
             EngineConfig(fanout=4, num_shards=2, index_users=True),
         )
         for a, b in zip(
             reference,
-            sharded.query_batch(queries, QueryOptions(mode="indexed", backend="numpy")),
+            sharded.query_batch(queries, QueryOptions(mode="indexed")),
         ):
             assert_results_equal(a, b)
-            assert_stats_equal(a, b)
+            assert_selection_stats_equal(a, b)
 
     @pytest.mark.skipif(not HAS_FORK, reason="search pool requires fork")
     def test_indexed_search_pool_fanout_matches_in_process(self):
@@ -323,7 +329,7 @@ class TestIndexedEquivalenceProperty:
         the in-process path."""
         dataset, rng, vocab = build_dataset(seed=14)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
-        options = QueryOptions(mode="indexed", backend="python")
+        options = QueryOptions(mode="indexed")
         inproc = ShardedEngine(
             dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
         )
@@ -346,7 +352,7 @@ class TestIndexedEquivalenceProperty:
         dataset, rng, vocab = build_dataset(seed=15)
         query = make_queries(rng, vocab, 1, ks=(4,))[0]
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        solo = single.query(query, QueryOptions(mode="indexed", backend="python"))
+        solo = oracle.query(single, query, QueryOptions(mode="indexed"))
         for num_shards in (1, 2):
             sharded = ShardedEngine(
                 dataset,
@@ -354,7 +360,7 @@ class TestIndexedEquivalenceProperty:
             )
             assert_results_equal(
                 solo,
-                sharded.query(query, QueryOptions(mode="indexed", backend="python")),
+                sharded.query(query, QueryOptions(mode="indexed")),
             )
 
     def test_indexed_plan_reports_pooling_and_fanout(self):
@@ -380,13 +386,13 @@ class TestEdgeCases:
         dataset, rng, vocab = build_dataset(seed=3, n_users=3)
         queries = make_queries(rng, vocab, 3, ks=(2,))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        reference = single.query_batch(queries, QueryOptions(backend="python"))
+        reference = single.query_batch(queries, QueryOptions())
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=8))
         # 3 users over 8 lanes: five ranges are empty, none overlaps.
         assert sorted(row["users"] for row in sharded.shard_stats()) \
             == [0] * 5 + [1] * 3
         for a, b in zip(
-            reference, sharded.query_batch(queries, QueryOptions(backend="python"))
+            reference, sharded.query_batch(queries, QueryOptions())
         ):
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
@@ -454,11 +460,11 @@ class TestPools:
         dataset, rng, vocab = build_dataset(seed=6)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        reference = single.query_batch(queries, QueryOptions(backend="python"))
+        reference = single.query_batch(queries, QueryOptions())
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
         sharded.start_pools(1)
         try:
-            results = sharded.query_batch(queries, QueryOptions(backend="python"))
+            results = sharded.query_batch(queries, QueryOptions())
         finally:
             sharded.close_pools()
         for a, b in zip(reference, results):
@@ -481,9 +487,7 @@ class TestServerIntegration:
         dataset, rng, vocab = build_dataset(seed=8)
         queries = make_queries(rng, vocab, 8, ks=(3, 5))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        reference = [
-            single.query(q, QueryOptions(backend="python")) for q in queries
-        ]
+        reference = [oracle.query(single, q, QueryOptions()) for q in queries]
         engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
 
         async def run():
@@ -524,7 +528,7 @@ class TestServerIntegration:
         assert not engine._pools_started  # closed on server stop
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         for q, served in zip(queries, results):
-            assert_results_equal(single.query(q, QueryOptions(backend="python")), served)
+            assert_results_equal(oracle.query(single, q, QueryOptions()), served)
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="shard pools require fork")

@@ -31,7 +31,7 @@ from repro.serve.transport import (
 # ----------------------------------------------------------------------
 
 def test_frame_round_trip():
-    body = FrameCodec.encode_body([("refine", None, [3, 5], "python", 1)])
+    body = FrameCodec.encode_body([("refine", None, [3, 5], 1, None, 0, 4)])
     frame = FrameCodec.pack(FrameCodec.SCATTER, 7, 1, 42, body)
     header, rest = frame[:FrameCodec.HEADER_SIZE], frame[FrameCodec.HEADER_SIZE:]
     kind, flush_seq, shard_id, epoch, length = FrameCodec.unpack_header(header)
@@ -41,7 +41,7 @@ def test_frame_round_trip():
     assert epoch == 42
     assert length == len(body)
     assert rest == body
-    assert FrameCodec.decode_body(rest) == [("refine", None, [3, 5], "python", 1)]
+    assert FrameCodec.decode_body(rest) == [("refine", None, [3, 5], 1, None, 0, 4)]
 
 
 def test_frame_header_is_21_bytes_and_supports_negative_shard():
@@ -300,7 +300,7 @@ def test_host_answers_a_range_outside_its_replica_with_error_frame():
 
     def answer(lo, hi):
         body = FrameCodec.encode_body(
-            [("refine", walked, [3], "python", None, 5, lo, hi)]
+            [("refine", walked, [3], 5, None, lo, hi)]
         )
         frame = host._run_round(7, 5, 0, body)
         header = FrameCodec.unpack_header(frame[:FrameCodec.HEADER_SIZE])

@@ -19,6 +19,7 @@ import pickle
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core.partial import PartialResult
@@ -35,10 +36,7 @@ from repro.core.payload import (
     payload_nbytes,
     resolve_ref,
 )
-from repro.storage.shm import HAS_NUMPY, ShmArena, ShmArenaError, arena_segments
-
-if HAS_NUMPY:
-    import numpy as np
+from repro.storage.shm import ShmArena, ShmArenaError, arena_segments
 
 
 def random_rsk(rng, n=None):
@@ -52,7 +50,6 @@ def random_rsk(rng, n=None):
 # Arena: round-trip identity
 # ----------------------------------------------------------------------
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_array_round_trip_is_bitwise_across_attach():
     rng = np.random.default_rng(7)
     originals = {
@@ -84,9 +81,8 @@ def test_bytes_round_trip_and_blob_guard():
         arena.add_bytes("blob", blob)
         assert arena.get_bytes("blob") == blob
         assert ShmArena.read_column_bytes(arena.name, "blob") == blob
-        if HAS_NUMPY:
-            with pytest.raises(ShmArenaError, match="byte blob"):
-                arena.get("blob")
+        with pytest.raises(ShmArenaError, match="byte blob"):
+            arena.get("blob")
 
 
 def test_attached_reader_sees_columns_added_after_attach():
@@ -101,7 +97,6 @@ def test_attached_reader_sees_columns_added_after_attach():
             attached.close()
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_share_arrays_repoints_attributes_and_skips_none():
     class Holder:
         def __init__(self):
@@ -122,7 +117,6 @@ def test_share_arrays_repoints_attributes_and_skips_none():
             arena.share_arrays(holder, ("a",), prefix="h")
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_close_restores_shared_attributes_to_private_copies():
     # SharedMemory.close() unmaps even with numpy views exported, so
     # teardown must hand the host object private copies back — else any
@@ -150,7 +144,6 @@ def test_close_restores_shared_attributes_to_private_copies():
     assert not arena_segments()
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_close_leaves_replaced_attributes_alone():
     class Holder:
         def __init__(self):
@@ -235,7 +228,6 @@ def test_attach_only_handle_cannot_mutate():
             attached.close()
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_unlink_keeps_existing_mappings_valid():
     arena = ShmArena()
     want = np.arange(64, dtype=np.int64)
@@ -374,9 +366,8 @@ def test_shard_payload_encode_decode_inverse_and_passthrough():
     with ShmArena() as arena:
         codec = PayloadCodec(arena)
         for payload in (
-            ("refine", {"pool": [1, 2, 3]}, [2, 4], "python", 1),
-            ("select", ["q0", "q1"], {"shared": rsk}, "joint", "greedy",
-             "python"),
+            ("refine", {"pool": [1, 2, 3]}, [2, 4], 1, None, 0, 5),
+            ("select", ["q0", "q1"], {"shared": rsk}, "joint", "greedy"),
         ):
             encoded = encode_shard_payload(codec, payload)
             assert encoded[0] == payload[0]
@@ -414,7 +405,7 @@ def _serving_round(use_shm, faults=None, seed=5, prebuilt=None):
     try:
         arena_name = engine.arena_name
         results = engine.query_batch(
-            make_queries(rng, vocab, 6), QueryOptions(backend="python")
+            make_queries(rng, vocab, 6), QueryOptions()
         )
         report = engine.last_flush_report
     finally:
@@ -422,7 +413,7 @@ def _serving_round(use_shm, faults=None, seed=5, prebuilt=None):
     return results, arena_name, report
 
 
-@pytest.mark.skipif(not (HAS_FORK and HAS_NUMPY), reason="needs fork + numpy")
+@pytest.mark.skipif(not HAS_FORK, reason="needs fork")
 def test_engine_results_identical_with_and_without_shm():
     plain, arena_plain, _ = _serving_round(use_shm=False)
     shm, arena_shm, report = _serving_round(use_shm=True)
@@ -436,7 +427,7 @@ def test_engine_results_identical_with_and_without_shm():
     assert not arena_segments(), "serving leaked /dev/shm segments"
 
 
-@pytest.mark.skipif(not (HAS_FORK and HAS_NUMPY), reason="needs fork + numpy")
+@pytest.mark.skipif(not HAS_FORK, reason="needs fork")
 def test_shared_dataset_survives_shm_engine_teardown():
     # Regression: arena teardown used to unmap the segments backing the
     # dataset's memoized DatasetArrays/TreeArrays views, so EVERY later
@@ -460,7 +451,7 @@ def test_shared_dataset_survives_shm_engine_teardown():
     assert not arena_segments()
 
 
-@pytest.mark.skipif(not (HAS_FORK and HAS_NUMPY), reason="needs fork + numpy")
+@pytest.mark.skipif(not HAS_FORK, reason="needs fork")
 def test_killed_worker_leaks_no_segments_and_results_survive():
     from repro.serve import FaultPlan
 
@@ -517,7 +508,7 @@ def test_gather_funnel_is_identity_on_plain_chunks():
         [],                                   # empty chunk
         ["result-a", "result-b"],             # select-result-ish chunk
         [(object(), None)],                   # indexed (result, charge)-ish
-        ("refine", None, [3], "python", 0),   # a payload tuple, not a chunk
+        ("refine", None, [3], 0, None, 0, 3),  # a payload tuple, not a chunk
         None,
     ]
     for chunk in plain:
