@@ -33,7 +33,11 @@ sections:
 5. **Selection** — best-of-N ``select_candidate``, oracle and engine,
    over a handful of queries against those fixed thresholds, with a
    built-in check that ``(location, keywords, brstknn,
-   keyword_combinations_scored)`` are *identical* query by query.
+   locations_pruned, keyword_combinations_scored)`` are *identical*
+   query by query; and the ``select-batch`` row — the same queries
+   answered by the engine as one ``SelectionBatch`` (a ``select``
+   payload's stacked pass: one selection context per keyword side),
+   checked the same way against the oracle's per-query answers.
 6. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to the oracle's per-k sequential
@@ -47,7 +51,7 @@ Run::
 
 ``--max-slowdown X`` (used by the CI bench-smoke job) fails the run if
 the engine is more than X times slower than the oracle on the walk,
-the refinement or the selection — a tiny dataset cannot show the
+the refinement, the selection or the stacked selection — a tiny dataset cannot show the
 speedup, but it catches kernel regressions that make vectorization a
 net loss (a refinement back at per-candidate Python work, a selection
 back at a per-location loop).
@@ -69,7 +73,9 @@ sys.path.insert(
 from repro import MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
-from repro.core.candidate_selection import select_candidate  # noqa: E402
+from repro.core.candidate_selection import (  # noqa: E402
+    SelectionBatch, select_candidate,
+)
 from repro.core.joint_topk import (  # noqa: E402
     RO_BLOCK, individual_topk, joint_traversal,
 )
@@ -144,18 +150,21 @@ def time_frontier_bounds(engine, repeats):
     ))[0]
 
 
-def time_select(queries, dataset, rsk, rsk_group, side, repeats):
-    """Algorithm 3 over fixed thresholds, one answer tuple per query."""
+def time_select(queries, dataset, rsk, rsk_group, side, repeats, stacked=False):
+    """Algorithm 3 over fixed thresholds, one answer tuple per query
+    (``stacked``: the engine's queries as one ``SelectionBatch``)."""
     def run():
+        batch = SelectionBatch(queries) if stacked else None
+        extra = {} if batch is None else {"batch": batch}
         answers = []
         for query in queries:
             stats = QueryStats()
             result = SELECT[side](
-                dataset, query, rsk, rsk_group=rsk_group, stats=stats
+                dataset, query, rsk, rsk_group=rsk_group, stats=stats, **extra
             )
             answers.append((
                 result.location, result.keywords, result.brstknn,
-                stats.keyword_combinations_scored,
+                stats.locations_pruned, stats.keyword_combinations_scored,
             ))
         return answers
 
@@ -375,6 +384,30 @@ def main(argv=None) -> int:
         return 1
     print("equivalence check: engine selections identical to the oracle's")
 
+    # The stacked pass a select payload runs: every query in one batch.
+    select_batch_timings = {"oracle": select_timings["oracle"]}
+    select_batch_timings["engine"], stacked = time_select(
+        [bench.query] + queries, engine.dataset, thresholds["engine"],
+        results["engine"].rsk_group, "engine", args.repeats, stacked=True,
+    )
+    for side in SIDES:
+        print(
+            f"select-batch k={config.k} {side:<7}: "
+            f"{1000 * select_batch_timings[side]:8.2f} ms  ({len(stacked)} queries"
+            + (", one SelectionBatch)" if side == "engine" else ", one by one)"),
+            flush=True,
+        )
+    select_batch_speedup = (
+        select_batch_timings["oracle"] / select_batch_timings["engine"]
+        if select_batch_timings["engine"] else 0.0
+    )
+    print(f"select-batch speedup engine vs oracle: {select_batch_speedup:.2f}x")
+    if stacked != answers["oracle"]:
+        print("EQUIVALENCE FAILURE: engine stacked selection answers differ "
+              "from the oracle's per-query answers")
+        return 1
+    print("equivalence check: engine stacked selections identical to the oracle's")
+
     # Cross-k pool sharing: one walk serves a whole mixed-k batch.
     sequential = [oracle.query(engine, q, QueryOptions()) for q in queries]
     engine.clear_topk_cache()
@@ -420,6 +453,8 @@ def main(argv=None) -> int:
             "handoff": handoff,
             "select_s": select_timings,
             "select_speedup_numpy": select_speedup,
+            "select_batch_s": select_batch_timings,
+            "select_batch_speedup_numpy": select_batch_speedup,
             "mixed_k": {
                 "ks": mixed_ks,
                 "queries": len(queries),
@@ -432,7 +467,8 @@ def main(argv=None) -> int:
         print(f"wrote {args.json}")
 
     for phase, took in (
-        ("traversal", timings), ("refine", refine_timings), ("select", select_timings)
+        ("traversal", timings), ("refine", refine_timings), ("select", select_timings),
+        ("select-batch", select_batch_timings),
     ):
         if args.max_slowdown is not None and took["engine"] > args.max_slowdown * took["oracle"]:
             print(

@@ -16,8 +16,12 @@ subsume the pools of every smaller ``k`` in the batch
 is ever pruned at ``k_max``), and each k's thresholds are derived from
 the shared pool by Algorithm 2 (:class:`SharedTraversalPool`, memoized
 on the engine across batches).  A mixed-k batch therefore pays for a
-*single* tree walk.  Candidate selection stays per query, in this
-process (a sharded engine deals it over its lanes instead).
+*single* tree walk.  Candidate selection is answered per payload of
+same-k queries, in this process (a sharded engine deals the payloads
+over its lanes instead): queries that also share ``(ox.d, W, ws)`` are
+selected as one stacked location block over one selection context
+(:class:`~repro.core.candidate_selection.SelectionBatch`), each answer
+and counter still the query's own.
 ``Mode.INDEXED`` batches pool across k the same way: the node-RSk
 reformulation (:mod:`repro.core.indexed_users`) made every per-k
 quantity derive pool-independently from one MIUR-root walk at
@@ -53,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from .baseline import baseline_select_candidate
-from .candidate_selection import select_candidate
+from .candidate_selection import SelectionBatch, select_candidate
 from .config import QueryOptions, coerce_options
 from .joint_topk import (
     JointTraversalResult,
@@ -238,17 +242,20 @@ def _select_one(
     shared: SharedTopK,
     mode: str,
     method: str,
+    batch: Optional[SelectionBatch] = None,
 ) -> MaxBRSTkNNResult:
-    """Phase 2 for one query against the shared thresholds."""
+    """Phase 2 for one query against the shared thresholds (``batch``:
+    the payload's :class:`SelectionBatch` the query belongs to)."""
     stats = QueryStats(
         users_total=len(dataset.users),
         topk_time_s=shared.topk_time_s,
         io_node_visits=shared.io_node_visits,
         io_invfile_blocks=shared.io_invfile_blocks,
     )
-    t0 = time.perf_counter()
     if mode == "baseline":
+        t0 = time.perf_counter()
         result = baseline_select_candidate(dataset, query, shared.rsk, stats=stats)
+        stats.selection_time_s = time.perf_counter() - t0
     else:
         result = select_candidate(
             dataset,
@@ -257,10 +264,28 @@ def _select_one(
             rsk_group=shared.rsk_group,
             method=method,
             stats=stats,
+            batch=batch,
         )
-    stats.selection_time_s = time.perf_counter() - t0
     result.stats = stats
     return result
+
+
+def _select_payload(
+    dataset,
+    queries: Sequence[MaxBRSTkNNQuery],
+    shared: SharedTopK,
+    mode: str,
+    method: str,
+) -> List[MaxBRSTkNNResult]:
+    """Phase 2 for a ``select`` payload's queries, one shared phase-1
+    state: the greedy joint selection answers them as one
+    :class:`SelectionBatch` (stacked per keyword side, computed inside
+    the first query's :func:`select_candidate` call), the rest one by
+    one.  Answers and selection counters are the per-query ones."""
+    batch = (
+        SelectionBatch(queries) if mode != "baseline" and method == "approx" else None
+    )
+    return [_select_one(dataset, query, shared, mode, method, batch) for query in queries]
 
 
 def query_batch(

@@ -25,20 +25,31 @@ rules:
   verify against the actual user thresholds, since the group threshold
   is conservative.)
 
-**The engine replays the queue over batched outcomes.**  Nothing is
-ever pushed back on the queue, so its pop order is a sort, known
-before any keyword is touched; and between locations only the spatial
-score changes.  The greedy search therefore evaluates the queue
-``LOCATION_BLOCK`` entries at a time — shortlist mask, ``LUW`` pass,
-greedy max-coverage and recounts as rows of one matrix
-(:class:`~repro.core.kernels.SelectionContext`,
+**The engine replays the queue over batched outcomes, across the
+payload's queries.**  Nothing is ever pushed back on the queue, so its
+pop order is a sort, known before any keyword is touched; and between
+locations only the spatial score changes.  The greedy search therefore
+evaluates the queue ``LOCATION_BLOCK`` entries at a time — shortlist
+mask, ``LUW`` pass, greedy max-coverage and recounts as rows of one
+matrix (:class:`~repro.core.kernels.SelectionContext`,
 :func:`~repro.core.keyword_selection.select_greedy_block`) — and then
 walks those outcomes with exactly the rules above, counters included.
 The block is what keeps early termination a *work* saver and not only
 a counting rule: the stop is tested before each block is paid for, so
 at most one block's tail is computed in vain, and the per-block
-temporaries stay bounded however many locations a query brings.  The
-queue loop itself — what the exact selector runs, and what the oracle
+temporaries stay bounded however many locations a query brings.
+
+The rows need not belong to one query.  The queries of a ``select``
+payload share one ``RSk(u)`` vector, and those that also share
+``(ox.d, W, ws)`` differ only in their locations — so a
+:class:`SelectionBatch` answers each such group with ONE context (one
+keyword side), one shortlist pass over every surviving location and,
+round by round, one :func:`select_greedy_block` call over block ``r``
+of every query that line 3.10 has not stopped; each query then replays
+its own rows.  Passes hold at most ``STACK_ROWS`` locations, so a batch
+of any size keeps its temporaries bounded.  A single query is the
+one-query batch: there is one greedy code path.  The queue loop itself
+— what the exact selector runs, and what the oracle
 (:mod:`repro.oracle`) runs with its scalar selectors — is
 :func:`_search_queue`.
 """
@@ -46,8 +57,11 @@ queue loop itself — what the exact selector runs, and what the oracle
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..model.dataset import Dataset
 from ..model.objects import SuperUser, User
@@ -55,12 +69,14 @@ from ..spatial.geometry import Point
 from .bounds import BoundCalculator
 from .kernels import SelectionContext, arrays_for
 from .keyword_selection import (
+    BlockSelection,
     KeywordSelection,
     compute_brstknn,
     select_greedy_block,
     select_keywords_exact,
 )
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
+from .thresholds import Thresholds
 
 #: Candidate locations scored per kernel pass.  Algorithm 3 stops early
 #: (line 3.10) and a Fig. 10 query holds |L| = 300 locations, so the
@@ -69,8 +85,17 @@ from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 #: stay under ~1 MB at the benchmark's |U| = 400.
 LOCATION_BLOCK = 32
 
+#: Location rows one stacked pass of a :class:`SelectionBatch` holds
+#: (4 x ``LOCATION_BLOCK``): queries join a pass while their surviving
+#: locations fit, the rest go into the next pass, so a batch of any
+#: size allocates no more than this many rows of ``L x U`` / ``L x P``
+#: temporaries at once.  A query with more locations than this is a
+#: pass of its own, searched a block at a time as always.
+STACK_ROWS = 128
+
 __all__ = [
     "select_candidate",
+    "SelectionBatch",
     "LocationShortlist",
     "shortlist_locations",
     "search_shortlists",
@@ -96,6 +121,66 @@ class LocationShortlist:
     rows: Optional[Sequence[int]] = field(default=None, compare=False, repr=False)
 
 
+def _keyword_side(query: MaxBRSTkNNQuery) -> tuple:
+    """What a :class:`~repro.core.kernels.SelectionContext` fixes besides
+    ``RSk(u)``: ``ox.d`` (in its own order, which scalar sums follow),
+    ``W`` and ``ws``.  Queries with equal keys share one context."""
+    return (tuple(query.ox.terms.items()), tuple(query.keywords), query.ws)
+
+
+def _group_bounds(
+    bounds: BoundCalculator,
+    query: MaxBRSTkNNQuery,
+    su: SuperUser,
+    rsk_group: float,
+    texts: Tuple[float, float],
+) -> Tuple[List[LocationShortlist], int]:
+    """The scalar group bounds ``UBL(l, us)`` / ``LBL(l, us)`` of every
+    location: the survivors (``LU_l`` still empty) and the pruned count.
+    ``texts`` are the location-independent text terms of both bounds."""
+    upper_text, lower_text = texts
+    shortlists: List[LocationShortlist] = []
+    pruned = 0
+    for idx, loc in enumerate(query.locations):
+        ub_group = bounds.location_upper_group(
+            loc, query.ox, query.keywords, query.ws, su, text=upper_text
+        )
+        if ub_group < rsk_group:
+            pruned += 1
+            continue
+        shortlists.append(
+            LocationShortlist(
+                location=loc,
+                users=[],
+                upper_group=ub_group,
+                lower_group=bounds.location_lower_group(
+                    loc, query.ox, su, text=lower_text
+                ),
+                index=idx,
+            )
+        )
+    return shortlists, pruned
+
+
+def _group_texts(
+    bounds: BoundCalculator, query: MaxBRSTkNNQuery, su: SuperUser
+) -> Tuple[float, float]:
+    return (
+        bounds.group_upper_text(query.ox, query.keywords, query.ws, su),
+        bounds.group_lower_text(query.ox, su),
+    )
+
+
+def _shortlist_rows(ctx: SelectionContext, rows, locations: Sequence[Point]) -> list:
+    """``LU_l`` of every location as user rows: the mask
+    ``UBL(l, u) >= RSk(u)``, ``STACK_ROWS`` locations per kernel pass."""
+    found = []
+    for start in range(0, len(locations), STACK_ROWS):
+        ctx.move_to(locations[start : start + STACK_ROWS])
+        found.extend(rows[keep] for keep in ctx.shortlist(rows))
+    return found
+
+
 def shortlist_locations(
     dataset: Dataset,
     query: MaxBRSTkNNQuery,
@@ -114,62 +199,26 @@ def shortlist_locations(
     depends on the location: both group text terms are computed once
     here, and the per-user ``UBL(l, u) >= RSk(u)`` test — the hot loop
     of Algorithm 3 — is one ``L x U`` mask per block of surviving
-    locations from a per-query
-    :class:`~repro.core.kernels.SelectionContext`; membership is
-    guaranteed identical to the oracle's user-by-user scan (guard-banded
-    re-check), and the shortlists carry their users' array rows for the
-    search.
+    locations from a :class:`~repro.core.kernels.SelectionContext`;
+    membership is guaranteed identical to the oracle's user-by-user
+    scan (guard-banded re-check), and the shortlists carry their users'
+    array rows for the search.
     """
     su = dataset.super_user if super_user is None else super_user
-    users = dataset.users if users is None else users
     bounds = bounds or BoundCalculator(dataset)
-    group_text = bounds.group_upper_text(query.ox, query.keywords, query.ws, su)
-    lower_text = bounds.group_lower_text(query.ox, su)
-    shortlists: List[LocationShortlist] = []
-    pruned = 0
-    for idx, loc in enumerate(query.locations):
-        ub_group = bounds.location_upper_group(
-            loc, query.ox, query.keywords, query.ws, su, text=group_text
-        )
-        if ub_group < rsk_group:
-            pruned += 1
-            continue
-        shortlists.append(
-            LocationShortlist(
-                location=loc,
-                users=[],  # filled below: every surviving location in one pass
-                upper_group=ub_group,
-                lower_group=bounds.location_lower_group(
-                    loc, query.ox, su, text=lower_text
-                ),
-                index=idx,
-            )
-        )
+    shortlists, pruned = _group_bounds(
+        bounds, query, su, rsk_group, _group_texts(bounds, query, su)
+    )
     if shortlists:
-        _fill_shortlists(dataset, query, rsk, users, shortlists)
+        arrays = arrays_for(dataset)
+        ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
+        rows = arrays.rows_for(users)
+        ctx.admit(rows, rsk)
+        found = _shortlist_rows(ctx, rows, [sl.location for sl in shortlists])
+        for sl, lu in zip(shortlists, found):
+            sl.rows = lu
+            sl.users = arrays.users[lu].tolist()
     return shortlists, pruned
-
-
-def _fill_shortlists(
-    dataset: Dataset,
-    query: MaxBRSTkNNQuery,
-    rsk: Mapping[int, float],
-    users: Sequence[User],
-    shortlists: Sequence[LocationShortlist],
-) -> None:
-    """``LU_l`` of every surviving location, as users and as array rows:
-    the mask ``UBL(l, u) >= RSk(u)``, ``LOCATION_BLOCK`` locations per
-    kernel pass."""
-    arrays = arrays_for(dataset)
-    ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
-    rows = arrays.rows_for(users)
-    ctx.admit(rows, rsk)
-    for start in range(0, len(shortlists), LOCATION_BLOCK):
-        block = shortlists[start : start + LOCATION_BLOCK]
-        ctx.move_to([sl.location for sl in block])
-        for sl, keep in zip(block, ctx.shortlist(rows)):
-            sl.rows = rows[keep]
-            sl.users = arrays.users[sl.rows].tolist()
 
 
 def select_candidate(
@@ -181,6 +230,7 @@ def select_candidate(
     super_user: Optional[SuperUser] = None,
     users: Optional[Sequence[User]] = None,
     stats: Optional[QueryStats] = None,
+    batch: Optional["SelectionBatch"] = None,
 ) -> MaxBRSTkNNResult:
     """Algorithm 3: best-first search over candidate locations.
 
@@ -193,27 +243,34 @@ def select_candidate(
     method:
         ``"approx"`` (greedy, Section 6.2.1) or ``"exact"``
         (Algorithm 4).
+    batch:
+        The greedy :class:`SelectionBatch` ``query`` belongs to: the
+        first call naming it answers every query in it (with these
+        ``dataset`` / ``rsk`` / ``rsk_group`` / ``super_user`` /
+        ``users``, which later calls must repeat), the others read their
+        answer.  ``None``: the one-query batch.
+
+    Sets ``stats.selection_time_s`` (see :class:`QueryStats` for how a
+    batch shares its passes out) and adds to the selection counters.
     """
     if method not in ("approx", "exact"):
         raise ValueError(f"unknown keyword-selection method {method!r}")
     stats = stats if stats is not None else QueryStats()
-    su = dataset.super_user if super_user is None else super_user
-    users = dataset.users if users is None else users
-    bounds = BoundCalculator(dataset)
-
+    if method == "approx":
+        batch = SelectionBatch([query]) if batch is None else batch
+        return batch.answer(dataset, query, rsk, rsk_group, super_user, users, stats)
+    if batch is not None:
+        raise ValueError("a SelectionBatch answers the greedy selection only")
+    t0 = time.perf_counter()
     shortlists, pruned = shortlist_locations(
-        dataset,
-        query,
-        rsk,
-        rsk_group,
-        super_user=su,
-        users=users,
-        bounds=bounds,
+        dataset, query, rsk, rsk_group, super_user=super_user, users=users
     )
     stats.locations_pruned += pruned
-    return search_shortlists(
+    result = search_shortlists(
         dataset, query, rsk, rsk_group, shortlists, method=method, stats=stats
     )
+    stats.selection_time_s = time.perf_counter() - t0
+    return result
 
 
 def search_shortlists(
@@ -236,18 +293,28 @@ def search_shortlists(
     identical inputs reproduce the sequential answer and the selection
     stats exactly.  ``shortlists`` must be ordered by location
     ``index`` (the order :func:`shortlist_locations` emits).  The greedy
-    search runs block-wise (:func:`_search_blocks`), the exact one
-    location by location (:func:`_search_queue`).
+    search runs block-wise (:func:`_search_rounds`, one query), the
+    exact one location by location (:func:`_search_queue`).
     """
     if method not in ("approx", "exact"):
         raise ValueError(f"unknown keyword-selection method {method!r}")
     stats = stats if stats is not None else QueryStats()
-    if method == "approx":
-        return _search_blocks(dataset, query, rsk, rsk_group, shortlists, stats)
-    return _search_queue(
-        dataset, query, rsk, rsk_group, shortlists, stats,
-        select=select_keywords_exact, brstknn=compute_brstknn,
+    if method == "exact":
+        return _search_queue(
+            dataset, query, rsk, rsk_group, shortlists, stats,
+            select=select_keywords_exact, brstknn=compute_brstknn,
+        )
+    arrays = arrays_for(dataset)
+    search = _Search(query, rsk_group, list(shortlists), 0)
+    search.enqueue([
+        arrays.rows_for(sl.users) if sl.rows is None else sl.rows
+        for sl in shortlists
+    ])
+    _search_rounds(
+        SelectionContext(arrays, query.ox, query.keywords, query.ws),
+        [search], _by_row(arrays, rsk),
     )
+    return search.result(arrays, stats)
 
 
 def _search_queue(
@@ -318,66 +385,266 @@ def _search_queue(
     )
 
 
-def _search_blocks(
-    dataset: Dataset,
-    query: MaxBRSTkNNQuery,
-    rsk: Mapping[int, float],
-    rsk_group: float,
-    shortlists: Sequence[LocationShortlist],
-    stats: QueryStats,
-) -> MaxBRSTkNNResult:
-    """:func:`search_shortlists` for the greedy selector, block-wise.
+class _Search:
+    """One query's walk down Algorithm 3's queue, greedy selector.
 
-    Nothing is ever pushed back on Algorithm 3's queue, so its pop order
-    is the sort by ``(-|LU_l|, position)``.  The loop below is the
-    scalar loop decision for decision — line 3.10, the keyword-free
-    acceptance path, strict improvement, ``keyword_combinations_scored``
-    counted for popped locations only — except that what it reads at a
-    location (the bare ``ox.d`` recount, the greedy selection) was
-    computed for ``LOCATION_BLOCK`` queue entries at once, on reaching
-    the block's first entry: line 3.10 is tested before a block is paid
-    for, so it still saves the work behind it.
+    Nothing is ever pushed back on the queue, so its pop order is the
+    sort by ``(-|LU_l|, position)``.  :meth:`replay` is the scalar loop
+    decision for decision — line 3.10, the keyword-free acceptance
+    path, strict improvement, ``keyword_combinations_scored`` counted
+    for popped locations only — except that what it reads at a location
+    (the bare ``ox.d`` recount, the greedy selection) was computed for
+    :meth:`block`'s ``LOCATION_BLOCK`` queue entries at once, possibly
+    stacked with other queries' blocks: line 3.10 is tested before a
+    block joins a round, so it still saves the work behind it.
     """
-    arrays = arrays_for(dataset)
-    ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
-    queue = sorted(shortlists, key=lambda sl: -len(sl.users))  # stable sort
-    best_location: Optional[Point] = None
-    best_keywords: FrozenSet[int] = frozenset()
-    best_count, best_won = 0, None
-    for pos, sl in enumerate(queue):
-        if len(sl.users) <= best_count:
-            break  # Line 3.10: upper bound cannot beat the incumbent
-        i = pos % LOCATION_BLOCK
-        if i == 0:
-            block = queue[pos : pos + LOCATION_BLOCK]
-            selection = select_greedy_block(
-                ctx,
-                [b.location for b in block],
-                [arrays.rows_for(b.users) if b.rows is None else b.rows for b in block],
-                rsk,
-            )
-            base_counts = selection.base.sum(axis=1).tolist()
-            counts = selection.won.sum(axis=1).tolist()
-        if sl.lower_group >= rsk_group and rsk_group > 0.0:
-            # Lines 3.11–3.13: keyword-free acceptance path.
-            stats.keyword_combinations_scored += 1
-            if base_counts[i] > best_count:
-                best_location, best_keywords = sl.location, frozenset()
-                best_count, best_won = base_counts[i], selection.base[i]
-            if base_counts[i] == len(sl.users):
-                continue
-        stats.keyword_combinations_scored += selection.scored[i]
-        if counts[i] > best_count:
-            best_location, best_keywords = sl.location, selection.keywords[i]
-            best_count, best_won = counts[i], selection.won[i]
 
-    if best_location is None and query.locations:
-        best_location = query.locations[0]  # as search_shortlists: nothing won
-    return MaxBRSTkNNResult(
-        location=best_location,
-        keywords=best_keywords,
-        brstknn=frozenset(
-            () if best_won is None else arrays.user_ids[best_won].tolist()
-        ),
-        stats=stats,
+    __slots__ = (
+        "query", "rsk_group", "shortlists", "pruned", "scored", "time_s",
+        "queue", "pos", "best_location", "best_keywords", "best_count",
+        "best_won",
     )
+
+    def __init__(
+        self,
+        query: MaxBRSTkNNQuery,
+        rsk_group: float,
+        shortlists: List[LocationShortlist],
+        pruned: int,
+    ) -> None:
+        self.query = query
+        self.rsk_group = rsk_group
+        self.shortlists = shortlists  # the group bound's survivors
+        self.pruned = pruned
+        self.scored = 0
+        self.time_s = 0.0  # selection time charged to this query
+        self.queue: List[tuple] = []
+        self.pos = 0
+        self.best_location: Optional[Point] = None
+        self.best_keywords: FrozenSet[int] = frozenset()
+        self.best_count = 0
+        self.best_won = None
+
+    def enqueue(self, rows: Sequence) -> None:
+        """Algorithm 3's queue over the survivors, ``rows[i]`` being
+        ``LU_l`` of ``shortlists[i]``: ``(|LU_l|, location,
+        LBL(l, us), rows)`` entries, stably sorted by size."""
+        self.queue = sorted(
+            (
+                (len(lu), sl.location, sl.lower_group, lu)
+                for sl, lu in zip(self.shortlists, rows)
+            ),
+            key=lambda entry: -entry[0],
+        )
+
+    def block(self) -> List[tuple]:
+        """The next ``LOCATION_BLOCK`` queue entries — none once line
+        3.10 stops the search."""
+        if self.pos < len(self.queue) and self.queue[self.pos][0] > self.best_count:
+            return self.queue[self.pos : self.pos + LOCATION_BLOCK]
+        return []
+
+    def replay(
+        self,
+        block: List[tuple],
+        selection: BlockSelection,
+        start: int,
+        base_counts: List[int],
+        counts: List[int],
+    ) -> None:
+        """Pop ``block`` — rows ``start, start + 1, …`` of ``selection``
+        (whose per-row winner counts are ``base_counts`` / ``counts``)."""
+        rsk_group = self.rsk_group
+        for i, (size, location, lower_group, _) in enumerate(block, start):
+            if size <= self.best_count:
+                self.pos = len(self.queue)  # Line 3.10: cannot beat the incumbent
+                return
+            self.pos += 1
+            if lower_group >= rsk_group and rsk_group > 0.0:
+                # Lines 3.11–3.13: keyword-free acceptance path.
+                self.scored += 1
+                if base_counts[i] > self.best_count:
+                    self.best_location, self.best_keywords = location, frozenset()
+                    self.best_count, self.best_won = base_counts[i], selection.base[i]
+                if base_counts[i] == size:
+                    continue
+            self.scored += selection.scored[i]
+            if counts[i] > self.best_count:
+                self.best_location = location
+                self.best_keywords = selection.keywords[i]
+                self.best_count, self.best_won = counts[i], selection.won[i]
+
+    def result(self, arrays, stats: QueryStats) -> MaxBRSTkNNResult:
+        """The answer, its counters added to ``stats``."""
+        stats.locations_pruned += self.pruned
+        stats.keyword_combinations_scored += self.scored
+        location = self.best_location
+        if location is None and self.query.locations:
+            location = self.query.locations[0]  # as _search_queue: nothing won
+        return MaxBRSTkNNResult(
+            location=location,
+            keywords=self.best_keywords,
+            brstknn=frozenset(
+                () if self.best_won is None
+                else arrays.user_ids[self.best_won].tolist()
+            ),
+            stats=stats,
+        )
+
+
+def _search_rounds(ctx: SelectionContext, searches: Sequence[_Search], rsk) -> None:
+    """Walk every search's queue, stacked: round ``r`` scores block
+    ``r`` of each search line 3.10 has not stopped in ONE
+    :func:`select_greedy_block` call, then each search replays its own
+    rows.  Replay time is charged to its search."""
+    while True:
+        blocks = [(search, search.block()) for search in searches]
+        blocks = [(search, block) for search, block in blocks if block]
+        if not blocks:
+            return
+        entries = [entry for _, block in blocks for entry in block]
+        selection = select_greedy_block(
+            ctx, [entry[1] for entry in entries], [entry[3] for entry in entries], rsk
+        )
+        base_counts = selection.base.sum(axis=1).tolist()
+        counts = selection.won.sum(axis=1).tolist()
+        start = 0
+        for search, block in blocks:
+            t0 = time.perf_counter()
+            search.replay(block, selection, start, base_counts, counts)
+            search.time_s += time.perf_counter() - t0
+            start += len(block)
+
+
+def _passes(searches: Sequence[_Search]) -> Iterator[List[_Search]]:
+    """Consecutive searches, dealt into passes of at most ``STACK_ROWS``
+    surviving locations (a search with more is a pass of its own)."""
+    part: List[_Search] = []
+    rows = 0
+    for search in searches:
+        n = len(search.shortlists)
+        if part and rows + n > STACK_ROWS:
+            yield part
+            part, rows = [], 0
+        part.append(search)
+        rows += n
+    if part:
+        yield part
+
+
+def _by_row(arrays, rsk: Mapping[int, float]) -> Thresholds:
+    """``rsk`` laid out by user row, once, for the kernel calls to come."""
+    return rsk if isinstance(rsk, Thresholds) else Thresholds.over(arrays.user_ids, rsk)
+
+
+class SelectionBatch:
+    """The queries of one ``select`` payload, selected together (greedy).
+
+    A payload's queries share one ``RSk(u)`` vector and ``RSk(us)``, and
+    Algorithm 3 varies only the location — so queries that also share
+    their keyword side ``(ox.d, W, ws)`` are answered by ONE
+    :class:`~repro.core.kernels.SelectionContext`: the keyword side
+    (``UBL`` text half, ``HW_{w,u}`` pair table, recounted keyword sets)
+    is computed once per group, and each pass of at most
+    ``STACK_ROWS`` locations computes ``SS(l, u)`` once, shortlists
+    every location in one mask and runs its greedy rounds as single
+    :func:`select_greedy_block` calls (:func:`_search_rounds`).  The
+    group bounds stay scalar and per query.  Every answer and counter
+    is the query's own, ``==`` to the one-query run.
+
+    :func:`select_candidate` is the entry: the first call naming the
+    batch computes every answer, later calls read theirs — so the
+    stacked work runs inside a ``select_candidate`` call, like one
+    query's work does.  Queries are found by identity.
+    """
+
+    def __init__(self, queries: Sequence[MaxBRSTkNNQuery]) -> None:
+        self.queries = list(queries)
+        self._at: Dict[int, int] = {}
+        for i, query in enumerate(self.queries):
+            self._at.setdefault(id(query), i)
+        self._inputs: Optional[tuple] = None
+        self._searches: Optional[List[_Search]] = None
+
+    def answer(
+        self,
+        dataset: Dataset,
+        query: MaxBRSTkNNQuery,
+        rsk: Mapping[int, float],
+        rsk_group: float,
+        super_user: Optional[SuperUser],
+        users: Optional[Sequence[User]],
+        stats: QueryStats,
+    ) -> MaxBRSTkNNResult:
+        """``query``'s answer, computing the whole batch on first use."""
+        at = self._at.get(id(query))
+        if at is None:
+            raise ValueError("query is not part of this selection batch")
+        inputs = (dataset, rsk, super_user, users)
+        if self._searches is None:
+            self._inputs = inputs + (rsk_group,)
+            self._searches = self._select(dataset, rsk, rsk_group, super_user, users)
+        elif (
+            any(a is not b for a, b in zip(inputs, self._inputs))
+            or rsk_group != self._inputs[-1]
+        ):
+            raise ValueError(
+                "a selection batch answers one dataset, RSk(u) and RSk(us)"
+            )
+        search = self._searches[at]
+        stats.selection_time_s = search.time_s
+        return search.result(arrays_for(dataset), stats)
+
+    def _select(self, dataset, rsk, rsk_group, super_user, users) -> List[_Search]:
+        """Every query's finished search.  ``time_s`` charges each query
+        its own group bounds and replays plus an equal share of its
+        group's setup and of every pass it took part in."""
+        arrays = arrays_for(dataset)
+        su = dataset.super_user if super_user is None else super_user
+        bounds = BoundCalculator(dataset)
+        rsk = _by_row(arrays, rsk)
+        rows = arrays.rows_for(users)
+        queries = self.queries
+        groups: Dict[tuple, List[int]] = {}
+        for i, query in enumerate(queries):
+            groups.setdefault(_keyword_side(query), []).append(i)
+        searches: List[Optional[_Search]] = [None] * len(queries)
+        for members in groups.values():
+            t0 = time.perf_counter()
+            first = queries[members[0]]
+            ctx = SelectionContext(arrays, first.ox, first.keywords, first.ws)
+            ctx.admit(rows, rsk)
+            texts = _group_texts(bounds, first, su)
+            shared = (time.perf_counter() - t0) / len(members)
+            for i in members:
+                t0 = time.perf_counter()
+                searches[i] = _Search(
+                    queries[i], rsk_group,
+                    *_group_bounds(bounds, queries[i], su, rsk_group, texts),
+                )
+                searches[i].time_s = shared + time.perf_counter() - t0
+            for part in _passes([searches[i] for i in members]):
+                own = sum(search.time_s for search in part)
+                t0 = time.perf_counter()
+                _run_pass(ctx, rows, rsk, part)
+                shared = time.perf_counter() - t0 - (
+                    sum(search.time_s for search in part) - own
+                )
+                for search in part:
+                    search.time_s += shared / len(part)
+        return searches
+
+
+def _run_pass(ctx: SelectionContext, rows, rsk: Thresholds, part: List[_Search]) -> None:
+    """One stacked pass: ``SS(l, u)`` of the pass's locations once (the
+    greedy rounds gather its rows), ``LU_l`` of all of them in one mask,
+    then the rounds."""
+    locations = [sl.location for search in part for sl in search.shortlists]
+    if not locations:
+        return
+    ctx.pin(locations if len(locations) <= STACK_ROWS else ())
+    found = iter(_shortlist_rows(ctx, rows, locations))
+    for search in part:
+        search.enqueue([next(found) for _ in search.shortlists])
+    _search_rounds(ctx, part, rsk)
+    ctx.pin(())

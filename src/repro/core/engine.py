@@ -270,8 +270,7 @@ class MaxBRSTkNNEngine:
         stats.io_invfile_blocks = delta.invfile_blocks
 
         rsk = table.rsk(query.k)  # RSk(u) by user row, one vector
-        t1 = time.perf_counter()
-        result = select_candidate(
+        return select_candidate(  # sets stats.selection_time_s
             self.dataset,
             query,
             rsk,
@@ -279,9 +278,6 @@ class MaxBRSTkNNEngine:
             method=plan.method.value,
             stats=stats,
         )
-        stats.selection_time_s = time.perf_counter() - t1
-        result.stats = stats
-        return result
 
     def query_batch(
         self,

@@ -500,36 +500,6 @@ class DatasetArrays:
         return scores if rows is None else scores[rows]
 
     # ------------------------------------------------------------------
-    # Bound kernels (Section 6.1, vectorized over users)
-    # ------------------------------------------------------------------
-    def _augmentation_gains(
-        self, ox: STObject, candidate_terms: Iterable[int]
-    ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Per-candidate optimistic gains (Lemma 3), user-independent.
-
-        Returns (column indices, gains) for the candidates some user
-        holds and whose gain is positive — the only ones
-        ``best_augmentation_weights`` ever sums.
-        """
-        rel = self.dataset.relevance
-        cols: List[int] = []
-        gains: List[float] = []
-        for t in sorted(set(candidate_terms)):
-            col = self.term_col.get(t)
-            if col is None:
-                continue
-            optimistic = candidate_term_weight(rel, ox.terms, t)
-            gain = (
-                optimistic - rel.term_weight(t, ox.terms)
-                if t in ox.terms
-                else optimistic
-            )
-            if gain > 0.0:
-                cols.append(col)
-                gains.append(gain)
-        return np.array(cols, dtype=np.intp), np.array(gains, dtype=np.float64)
-
-    # ------------------------------------------------------------------
     # Decision kernels (guard-banded; results match the oracle)
     # ------------------------------------------------------------------
     def threshold_mask_many(
@@ -693,19 +663,25 @@ class PairTable(NamedTuple):
 
 
 class SelectionContext:
-    """Algorithm 3's selection for one query, location-major.
+    """Algorithm 3's selection for one keyword side, location-major.
 
     ``STS = alpha * SS + (1 - alpha) * TS`` and Algorithm 3 walks the
     candidate locations with ``ox.d``, ``W``, ``ws`` and every ``RSk(u)``
     fixed, so only the spatial term differs between locations: the
-    per-location arrays of the selection are rows of one matrix.
+    per-location arrays of the selection are rows of one matrix — and
+    the locations may as well belong to several queries, as long as
+    they share ``(ox.d, W, ws)`` and the ``RSk(u)`` vector (the queries
+    of one ``select`` payload do;
+    :class:`~repro.core.candidate_selection.SelectionBatch` stacks them).
 
-    **Once per query**, filled lazily, all by array operations:
+    **Once per context**, filled lazily, all by array operations:
 
     * ``rsk``: ``RSk(u)`` by user row (:meth:`admit`), gathered from
       the :class:`~repro.core.thresholds.Thresholds` of the call in
       which the user first appears (the indexed search hands every
       location its own vector); NaN = not seen;
+    * the candidates' optimistic weights (:meth:`_candidates`), read by
+      both of the next two;
     * the text half of ``UBL(l, u)`` (:meth:`upper_text`);
     * one full-length ``TS`` vector per distinct keyword set
       (:meth:`text`), any number of new sets scored in one stacked pass;
@@ -713,7 +689,8 @@ class SelectionContext:
       (:meth:`pairs`).
 
     **Once per block of locations** (:meth:`move_to`): ``SS`` as an
-    ``L x U`` matrix.  The decisions asked there are matrices too —
+    ``L x U`` matrix, computed once per location while it is pinned
+    (:meth:`pin`).  The decisions asked there are matrices too —
     :meth:`shortlist` (``L x U``), :meth:`luw` (``L x P`` over the
     pairs), :meth:`cover` (greedy max-coverage for all ``L`` at once)
     and :meth:`recount` (one row per ``(location, keyword set)``).
@@ -736,12 +713,15 @@ class SelectionContext:
         self.ws = ws
         self.rsk = np.full(arrays.num_users, np.nan)  # NaN: user not seen yet
         self._admitted: Optional[Thresholds] = None  # last vector checked
+        self._weights: Optional[Tuple[List[int], List[float]]] = None
         self._upper_text = None
         self._text = np.empty((0, arrays.num_users))  # one row per keyword set
         self._text_row: Dict[FrozenSet[int], int] = {}
         self._pairs: Optional[PairTable] = None
+        self._pinned: Dict[Point, int] = {}
+        self._pinned_ss = None
 
-    # -- once per query ------------------------------------------------
+    # -- once per context ----------------------------------------------
     def admit(self, rows, rsk: Thresholds) -> None:
         """First sight of the users at ``rows``: gather their thresholds
         from ``rsk``, which must be laid out by user row — its ``ids``
@@ -783,15 +763,39 @@ class SelectionContext:
             )
         return self._text[[known[ks] for ks in keyword_sets]]
 
+    def _candidates(self) -> Tuple[List[int], List[float]]:
+        """The candidates some user holds, ascending, and the optimistic
+        weight of adding each to ``ox.d`` alone (Lemma 3's per-term
+        bound, :func:`~repro.core.bounds.candidate_term_weight`)."""
+        if self._weights is None:
+            a = self.arrays
+            rel = a.dataset.relevance
+            terms = sorted(t for t in set(self.candidate_terms) if t in a.term_col)
+            self._weights = (
+                terms, [candidate_term_weight(rel, self.ox.terms, t) for t in terms]
+            )
+        return self._weights
+
     def upper_text(self):
-        """Text half of ``UBL(l, u)`` for every user (Lemma 3, per-user)."""
+        """Text half of ``UBL(l, u)`` for every user (Lemma 3, per-user):
+        ``ox.d``'s weights plus the user's ``ws`` largest candidate gains
+        — a candidate already in ``ox.d`` gains only its increase."""
         if self._upper_text is None:
             a = self.arrays
             sums = a.user_terms @ a._doc_weight_vector(self.ox.terms)
             if self.ws > 0:
-                cols, gains = a._augmentation_gains(self.ox, self.candidate_terms)
-                if len(cols):
-                    per_user = a.user_terms[:, cols] * gains
+                rel, base = a.dataset.relevance, self.ox.terms
+                cols, gains = [], []
+                for t, optimistic in zip(*self._candidates()):
+                    gain = (
+                        optimistic - rel.term_weight(t, base) if t in base
+                        else optimistic
+                    )
+                    if gain > 0.0:
+                        cols.append(a.term_col[t])
+                        gains.append(gain)
+                if cols:
+                    per_user = a.user_terms[:, cols] * np.array(gains)
                     if len(cols) > self.ws:
                         per_user = -np.sort(-per_user, axis=1)[:, : self.ws]
                     sums = sums + per_user.sum(axis=1)
@@ -813,9 +817,7 @@ class SelectionContext:
         if self._pairs is not None:
             return self._pairs
         a = self.arrays
-        rel = a.dataset.relevance
-        terms = sorted(t for t in set(self.candidate_terms) if t in a.term_col)
-        weight = [candidate_term_weight(rel, self.ox.terms, t) for t in terms]
+        terms, weight = self._candidates()
         ranked = sorted(range(len(terms)), key=lambda k: (-weight[k], terms[k]))
         held = a.user_terms[:, [a.term_col[t] for t in terms]] > 0.0
         rank = np.empty(held.shape, dtype=np.intp)
@@ -846,11 +848,25 @@ class SelectionContext:
         return self._pairs
 
     # -- once per block of locations -----------------------------------
+    def pin(self, locations: Sequence[Point]) -> None:
+        """Compute ``SS(l, u)`` of ``locations`` now and keep it: until
+        the next pin, :meth:`move_to` gathers their rows instead of
+        recomputing them (every row is its location's alone, so a
+        gathered row holds the bits a fresh one would).  ``pin(())``
+        releases the matrix."""
+        self._pinned = {loc: i for i, loc in enumerate(locations)}
+        self._pinned_ss = self.arrays.spatial_matrix(locations) if locations else None
+
     def move_to(self, locations: Sequence[Point]) -> None:
         """Make ``locations`` the subject of the decisions that follow:
-        the one computation a location costs, ``SS(l, u)``, as ``L x U``."""
+        the one computation a location costs, ``SS(l, u)``, as ``L x U``
+        (rows of the pinned matrix where every location is pinned)."""
         self.locations = locations
-        self.ss = self.arrays.spatial_matrix(locations)
+        at = [self._pinned.get(loc, -1) for loc in locations]
+        if self._pinned and -1 not in at:
+            self.ss = self._pinned_ss[at]
+        else:
+            self.ss = self.arrays.spatial_matrix(locations)
 
     def location_upper(self, rows):
         """``UBL(l, u)`` as ``L x len(rows)``: column ``i`` is user row

@@ -250,8 +250,12 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
       (Slot 4 is always ``None``: the traced benchmark probe reads it
       as "which dataset answers", ``None`` meaning the full one.)
     * ``("select", queries, shared, mode, method)`` —
-      Algorithm 3 whole, per query, against one shared phase-1 state
-      (``dataset`` = the FULL dataset here).
+      Algorithm 3 whole against one shared phase-1 state (``dataset`` =
+      the FULL dataset here): greedy joint payloads as one
+      :class:`~repro.core.candidate_selection.SelectionBatch` — the
+      queries that share ``(ox.d, W, ws)`` stacked over one selection
+      context — every other payload query by query; one answer per
+      query either way.
     * ``("indexed_search", queries, views, traversal, rsk_group,
       users_total, topk_time_s, io_node_visits, io_invfile_blocks,
       method)`` — per-query best-first MIUR searches, each
@@ -282,10 +286,10 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
         _, traversal, ks, lane, _, lo, hi = payload
         return compute_partials(dataset, traversal, ks, shard_id=lane, rows=(lo, hi))
     if kind == "select":
-        from .batch import _select_one
+        from .batch import _select_payload
 
         _, queries, shared, mode, method = payload
-        return [_select_one(dataset, query, shared, mode, method) for query in queries]
+        return _select_payload(dataset, queries, shared, mode, method)
     if kind == "indexed_search":
         from .indexed_users import indexed_search
         from .joint_topk import canonical_candidates
@@ -502,9 +506,10 @@ class RefineStage(Stage):
 
 
 class SelectStage(Stage):
-    """Phase 2 (scatter over queries): Algorithm 3 whole, per query.
+    """Phase 2 (scatter over queries): Algorithm 3 whole, one answer per
+    query (``items`` counts queries, however a payload stacks them).
 
-    Both executors run :func:`repro.core.batch._select_one` against the
+    Both executors run :func:`repro.core.batch._select_payload` against the
     full dataset — one round, chunked per shared phase-1 state so each
     chunk ships one ``SharedTopK`` (a delta-shipped arena reference on
     warm flushes).

@@ -54,7 +54,18 @@ class MaxBRSTkNNQuery:
 
 @dataclass(slots=True)
 class QueryStats:
-    """Instrumentation collected while answering one query."""
+    """Instrumentation collected while answering one query.
+
+    ``selection_time_s`` is Algorithm 3's time for this query.  A query
+    selected in a stacked batch (one ``select`` payload,
+    :class:`~repro.core.candidate_selection.SelectionBatch`) shares its
+    kernel passes with the others: it is charged its own group bounds
+    and queue replay plus an equal share of its keyword side's setup
+    and of every stacked pass it took part in, so a payload's times add
+    up to its selection wall time.  The selection counters
+    (``locations_pruned``, ``keyword_combinations_scored``) are always
+    the query's own.
+    """
 
     topk_time_s: float = 0.0
     selection_time_s: float = 0.0

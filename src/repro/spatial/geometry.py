@@ -42,6 +42,17 @@ class Point:
         yield self.x
         yield self.y
 
+    # The state a frozen slots dataclass pickles by default ([x, y]; the
+    # same bytes), without its per-object ``fields()`` walk: every query
+    # a scatter round ships carries |L| points, and the pool transport
+    # also pickles its payloads once more to count their bytes.
+    def __getstate__(self) -> list:
+        return [self.x, self.y]
+
+    def __setstate__(self, state) -> None:
+        object.__setattr__(self, "x", state[0])
+        object.__setattr__(self, "y", state[1])
+
 
 def point_distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points (module-level convenience)."""

@@ -3,7 +3,7 @@
 The engine evaluates a query's candidate locations as rows of one
 matrix (``repro.core.kernels.SelectionContext``,
 ``keyword_selection.select_greedy_block``,
-``candidate_selection._search_blocks``); :mod:`repro.oracle` scores
+``candidate_selection._search_rounds``); :mod:`repro.oracle` scores
 pair by pair, location by location.  Everything here
 compares the two with ``==`` — keyword sets, winner sets, the
 ``scored`` / ``keyword_combinations_scored`` counters, the pruned

@@ -1,0 +1,386 @@
+"""Algorithm 3 once per ``select`` payload: the stacked greedy selection.
+
+A :class:`~repro.core.candidate_selection.SelectionBatch` answers the
+queries of one payload (one ``RSk(u)`` vector, one ``RSk(us)``) with one
+selection context per keyword side ``(ox.d, W, ws)``, one shortlist
+mask per pass and one ``select_greedy_block`` call per round, then
+replays each query over its own rows.  Everything here holds it to
+:func:`repro.oracle.select_candidate`, run query by query, with ``==``
+on ``(location, keywords, brstknn, locations_pruned,
+keyword_combinations_scored)`` — at several block sizes and row
+budgets, so multi-round and multi-pass stacking both run — and pins
+the cost shape the stacking buys.  Two seeded mutants (a replay that
+reads its neighbour's rows, a group key without ``ws``) must be caught.
+"""
+
+import contextlib
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions, oracle,
+)
+from repro.core import candidate_selection
+from repro.core.batch import _derive_shared_topk, _ensure_traversal_pool
+from repro.core.candidate_selection import SelectionBatch, select_candidate
+from repro.core.history import FlushSignature
+from repro.core.kernels import SelectionContext
+from repro.core.pipeline import execute_shard_payload
+from repro.core.query import QueryStats
+from repro.model.objects import STObject
+from repro.serve.sharded import ShardedEngine
+from repro.spatial.geometry import Point
+
+from ..conftest import make_random_objects, make_random_users
+
+MEASURES = ["LM", "TF", "KO"]
+VOCAB = 14
+
+#: (LOCATION_BLOCK, STACK_ROWS) settings: one block per query and one
+#: pass per batch, through many rounds and many passes.
+BUDGETS = [(32, 128), (4, 128), (1, 128), (32, 12), (4, 12), (1, 5)]
+
+
+@contextlib.contextmanager
+def budget(block, rows):
+    saved = candidate_selection.LOCATION_BLOCK, candidate_selection.STACK_ROWS
+    candidate_selection.LOCATION_BLOCK, candidate_selection.STACK_ROWS = block, rows
+    try:
+        yield
+    finally:
+        candidate_selection.LOCATION_BLOCK, candidate_selection.STACK_ROWS = saved
+
+
+def build_batch(seed, measure, n_queries):
+    """One dataset, thresholds and a batch over it.
+
+    Keyword sides: two share ``ox.d = ∅`` and ``W`` and differ only in
+    ``ws``; one has a non-empty ``ox.d``; one has another ``W``.  The
+    batch holds queries of up to 40 locations (past a 32-block), a query
+    repeated as the same object and as an equal copy, and a query
+    (``ws = 0``, bare ``ox.d``) whose locations all lie past ``dmax`` of
+    every user, so any ``RSk(us) > 0`` prunes every one of them."""
+    rng = random.Random(seed)
+    objects = make_random_objects(40, VOCAB, rng)
+    users = make_random_users(16, VOCAB, rng)
+    ds = Dataset(objects, users, relevance=measure, alpha=0.5)
+    rsk = {}
+    for u in users:
+        kind = rng.choice(["kth", "kth", "kth", "zero", "far"])
+        if kind == "kth":
+            rsk[u.item_id] = sorted((ds.sts(o, u) for o in objects), reverse=True)[2]
+        else:
+            rsk[u.item_id] = 0.0 if kind == "zero" else 2.0
+
+    held = sorted(rng.sample(range(VOCAB), 8))
+    other = sorted(rng.sample(range(VOCAB), 6)) + [VOCAB + 7]
+    bare = {}
+    sides = [
+        (bare, held, 1),
+        (bare, held, 2),
+        ({t: rng.randint(1, 2) for t in rng.sample(range(VOCAB), 2)}, held, 2),
+        (bare, other, rng.randint(0, 3)),
+    ]
+
+    def query(side, n_locations, far=False):
+        terms, keywords, ws = side
+        spot = (lambda: Point(rng.uniform(900, 1000), rng.uniform(900, 1000))) if far \
+            else (lambda: Point(rng.uniform(0, 10), rng.uniform(0, 10)))
+        return MaxBRSTkNNQuery(
+            ox=STObject(item_id=-1, location=Point(5, 5), terms=dict(terms)),
+            locations=[spot() for _ in range(n_locations)],
+            keywords=list(keywords), ws=ws, k=3,
+        )
+
+    queries = [
+        query(rng.choice(sides), rng.choice([1, 3, 6, 9]))
+        for _ in range(n_queries)
+    ]
+    queries.append(query(rng.choice(sides), 40))
+    queries.append(query((bare, held, 0), 3, far=True))
+    twin = queries[0]
+    queries.append(twin)  # the same object twice
+    queries.append(MaxBRSTkNNQuery(
+        ox=STObject(item_id=-1, location=twin.ox.location, terms=dict(twin.ox.terms)),
+        locations=list(twin.locations), keywords=list(twin.keywords),
+        ws=twin.ws, k=twin.k,
+    ))
+    rng.shuffle(queries)
+    return ds, rsk, queries
+
+
+def answer(result, stats):
+    return (
+        result.location, result.keywords, result.brstknn,
+        stats.locations_pruned, stats.keyword_combinations_scored,
+    )
+
+
+def stacked_answers(ds, rsk, rsk_group, queries):
+    batch = SelectionBatch(queries)
+    out = []
+    for q in queries:
+        stats = QueryStats()
+        result = select_candidate(ds, q, rsk, rsk_group=rsk_group, stats=stats, batch=batch)
+        out.append(answer(result, stats))
+    return out
+
+
+def oracle_answers(ds, rsk, rsk_group, queries):
+    out = []
+    for q in queries:
+        stats = QueryStats()
+        result = oracle.select_candidate(ds, q, rsk, rsk_group=rsk_group, stats=stats)
+        out.append(answer(result, stats))
+    return out
+
+
+def rsk_groups(rsk):
+    """Off, low (the keyword-free acceptance path opens) and the least
+    ``RSk(u)`` (locations get pruned)."""
+    return [0.0, 0.02, min(v for v in rsk.values() if v > 0.0)]
+
+
+# ----------------------------------------------------------------------
+# Property: stacked == oracle, query by query
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("block,rows", BUDGETS)
+@given(
+    seed=st.integers(0, 10_000),
+    measure=st.sampled_from(MEASURES),
+    n_queries=st.integers(1, 7),
+    group=st.integers(0, 2),
+)
+@settings(max_examples=25, deadline=None)
+def test_stacked_batch_equals_oracle_per_query(block, rows, seed, measure, n_queries, group):
+    ds, rsk, queries = build_batch(seed, measure, n_queries)
+    rsk_group = rsk_groups(rsk)[group]
+    want = oracle_answers(ds, rsk, rsk_group, queries)
+    with budget(block, rows):
+        got = stacked_answers(ds, rsk, rsk_group, queries)
+    assert got == want
+
+
+def test_drawn_batches_reach_every_path(monkeypatch):
+    """The batches above really hold what the property claims to cover:
+    several keyword sides, queues longer than a block, duplicates, a
+    query pruned whole, and the keyword-free acceptance path taken."""
+    ds, rsk, queries = build_batch(3, "LM", 7)
+    sides = {candidate_selection._keyword_side(q) for q in queries}
+    assert len(sides) >= 2
+    assert len({q.ws for q in queries}) >= 2
+    assert any(len(q.locations) > candidate_selection.LOCATION_BLOCK for q in queries)
+    assert len({id(q) for q in queries}) < len(queries)
+    rsk_group = rsk_groups(rsk)[1]
+    answers = oracle_answers(ds, rsk, rsk_group, queries)
+    assert any(pruned == len(q.locations) for q, (*_, pruned, _) in zip(queries, answers))
+
+    taken = []
+    original = candidate_selection._Search.replay
+
+    def replay(self, block, *args):
+        taken.extend(entry for entry in block if entry[2] >= self.rsk_group > 0.0)
+        return original(self, block, *args)
+
+    monkeypatch.setattr(candidate_selection._Search, "replay", replay)
+    assert stacked_answers(ds, rsk, rsk_group, queries) == answers
+    assert taken
+
+
+def test_exact_method_refuses_a_batch():
+    ds, rsk, queries = build_batch(1, "LM", 2)
+    with pytest.raises(ValueError, match="greedy"):
+        select_candidate(ds, queries[0], rsk, method="exact", batch=SelectionBatch(queries))
+
+
+def test_batch_refuses_other_inputs_and_strangers():
+    ds, rsk, queries = build_batch(2, "LM", 3)
+    batch = SelectionBatch(queries[:2])
+    select_candidate(ds, queries[0], rsk, batch=batch)
+    with pytest.raises(ValueError, match="one dataset"):
+        select_candidate(ds, queries[1], dict(rsk), batch=batch)
+    with pytest.raises(ValueError, match="one dataset"):
+        select_candidate(ds, queries[1], rsk, rsk_group=0.5, batch=batch)
+    stranger = next(q for q in queries if all(q is not p for p in queries[:2]))
+    with pytest.raises(ValueError, match="not part"):
+        select_candidate(ds, stranger, rsk, batch=batch)
+
+
+# ----------------------------------------------------------------------
+# Seeded mutants: the property has teeth
+# ----------------------------------------------------------------------
+
+def mismatches():
+    """Seeded batches (every budget) on which some stacked answer
+    differs from the oracle's; a crash counts as one."""
+    bad = 0
+    for seed in range(8):
+        ds, rsk, queries = build_batch(seed, MEASURES[seed % 3], 6)
+        for rsk_group in rsk_groups(rsk)[:2]:
+            want = oracle_answers(ds, rsk, rsk_group, queries)
+            for block, rows in BUDGETS[:4]:
+                with budget(block, rows):
+                    try:
+                        bad += stacked_answers(ds, rsk, rsk_group, queries) != want
+                    except (IndexError, ValueError):
+                        bad += 1
+    return bad
+
+
+class TestMutantsAreCaught:
+    def test_unmutated_stacking_is_clean(self):
+        assert mismatches() == 0
+
+    def test_replay_reads_the_neighbours_rows(self, monkeypatch):
+        original = candidate_selection._Search.replay
+        previous = [0]
+
+        def replay(self, block, selection, start, base_counts, counts):
+            shifted = previous[0] if start else start  # the query before's offset
+            previous[0] = start
+            return original(self, block, selection, shifted, base_counts, counts)
+
+        monkeypatch.setattr(candidate_selection._Search, "replay", replay)
+        assert mismatches()
+
+    def test_group_key_without_ws(self, monkeypatch):
+        monkeypatch.setattr(
+            candidate_selection, "_keyword_side",
+            lambda q: (tuple(q.ox.terms.items()), tuple(q.keywords)),
+        )
+        assert mismatches()
+
+
+# ----------------------------------------------------------------------
+# Cost shape: what the stacking saves, counted
+# ----------------------------------------------------------------------
+
+def count_kernel_calls(monkeypatch):
+    """Counters of ``SelectionContext`` builds and ``select_greedy_block``
+    calls (the one the candidate search makes)."""
+    calls = {"contexts": 0, "blocks": 0}
+    init, block = SelectionContext.__init__, candidate_selection.select_greedy_block
+
+    def counting_init(self, *args, **kwargs):
+        calls["contexts"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_block(*args):
+        calls["blocks"] += 1
+        return block(*args)
+
+    monkeypatch.setattr(SelectionContext, "__init__", counting_init)
+    monkeypatch.setattr(candidate_selection, "select_greedy_block", counting_block)
+    return calls
+
+
+def engine_and_queries(n, n_locations=5, seed=4):
+    """A joint engine and ``n`` same-side queries (``ox.d = ∅``, one
+    ``W``, ``ws = 2``) as the benchmark's query pool has them."""
+    rng = random.Random(seed)
+    ds = Dataset(
+        make_random_objects(80, VOCAB, rng), make_random_users(20, VOCAB, rng),
+        relevance="LM", alpha=0.5,
+    )
+    keywords = sorted(rng.sample(range(VOCAB), 6))
+    queries = [
+        MaxBRSTkNNQuery(
+            ox=STObject(item_id=-(i + 1), location=Point(5, 5), terms={}),
+            locations=[
+                Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n_locations)
+            ],
+            keywords=keywords, ws=2, k=3,
+        )
+        for i in range(n)
+    ]
+    return MaxBRSTkNNEngine(ds, EngineConfig(fanout=4)), queries
+
+
+class TestCostShape:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_a_payload_is_one_context_and_one_block_call(self, n, monkeypatch):
+        engine, queries = engine_and_queries(n)
+        shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
+        want = [
+            (r.location, r.keywords, r.brstknn, r.stats.keyword_combinations_scored)
+            for r in (
+                oracle.select_candidate(
+                    engine.dataset, q, shared.rsk, rsk_group=shared.rsk_group,
+                    stats=QueryStats(),
+                )
+                for q in queries
+            )
+        ]
+        calls = count_kernel_calls(monkeypatch)
+        got = execute_shard_payload(
+            engine.dataset, ("select", queries, shared, "joint", "approx")
+        )
+        assert calls == {"contexts": 1, "blocks": 1}
+        assert [
+            (r.location, r.keywords, r.brstknn, r.stats.keyword_combinations_scored)
+            for r in got
+        ] == want
+
+    def test_engine_query_builds_one_context(self, monkeypatch):
+        engine, queries = engine_and_queries(1)
+        want = oracle.query(engine, queries[0], QueryOptions())
+        calls = count_kernel_calls(monkeypatch)
+        got = engine.query(queries[0], QueryOptions())
+        assert calls["contexts"] == 1
+        assert (got.location, got.keywords, got.brstknn) == (
+            want.location, want.keywords, want.brstknn
+        )
+
+    def test_row_budget_splits_a_payload_into_passes(self, monkeypatch):
+        """8 queries x 5 locations under a 12-row budget: passes of two
+        queries — four block calls, still one context."""
+        engine, queries = engine_and_queries(8)
+        shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
+        monkeypatch.setattr(candidate_selection, "STACK_ROWS", 12)
+        calls = count_kernel_calls(monkeypatch)
+        execute_shard_payload(
+            engine.dataset, ("select", queries, shared, "joint", "approx")
+        )
+        assert calls == {"contexts": 1, "blocks": 4}
+
+    def test_selection_time_is_shared_out(self):
+        """Each query's ``selection_time_s`` is its own work plus a share
+        of the passes: positive, and summing to at most the payload's
+        wall time."""
+        import time
+
+        engine, queries = engine_and_queries(6)
+        shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
+        t0 = time.perf_counter()
+        got = execute_shard_payload(
+            engine.dataset, ("select", queries, shared, "joint", "approx")
+        )
+        wall = time.perf_counter() - t0
+        times = [r.stats.selection_time_s for r in got]
+        assert all(t > 0.0 for t in times)
+        assert sum(times) <= wall
+
+
+# ----------------------------------------------------------------------
+# The planner's unit: the select stage still counts queries
+# ----------------------------------------------------------------------
+
+def test_select_items_count_queries_not_passes():
+    """``FlushHistory.per_item_ms("select")`` — what the search fan-out
+    bar is compared with — divides by queries however few passes the
+    stacked selection took."""
+    engine, queries = engine_and_queries(6)
+    sharded = ShardedEngine(engine.dataset, EngineConfig(fanout=4, num_shards=2))
+    select_ms = 0.0
+    for _ in range(3):
+        sharded.query_batch(queries, QueryOptions())
+        select = sharded.last_flush_report.stage("select")
+        assert select.items == len(queries)
+        select_ms += 1000.0 * select.time_s
+    observed = sharded.flush_history.observe(FlushSignature(mode="joint", scatter_width=2))
+    assert observed.flushes == 3
+    assert observed.per_item_ms("select") == pytest.approx(select_ms / (3 * len(queries)))

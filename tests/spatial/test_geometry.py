@@ -1,6 +1,8 @@
 """Unit and property tests for geometry primitives."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,14 @@ class TestPoint:
         r = Point(3, 4).as_rect()
         assert r.is_point()
         assert r.area == 0.0
+
+    @given(point_strategy())
+    def test_pickles_as_the_dataclass_default(self, p):
+        """Same state (so the same pickle bytes) as a frozen slots
+        dataclass's default, and the same point back."""
+        assert p.__getstate__() == dataclasses._dataclass_getstate(p)
+        back = pickle.loads(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
+        assert back == p and hash(back) == hash(p)
 
 
 class TestRectBasics:
