@@ -37,7 +37,12 @@ sections:
    query by query; and the ``select-batch`` row — the same queries
    answered by the engine as one ``SelectionBatch`` (a ``select``
    payload's stacked pass: one selection context per keyword side),
-   checked the same way against the oracle's per-query answers.
+   checked the same way against the oracle's per-query answers; its
+   mixed-k variant — the same queries at their own ks, each reading its
+   k's thresholds, still one ``SelectionBatch`` — checked against the
+   oracle run with each query's own thresholds; and, where stacking
+   cannot share, the queries given one keyword side each, one by one
+   and as one batch.
 6. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to the oracle's per-k sequential
@@ -51,7 +56,8 @@ Run::
 
 ``--max-slowdown X`` (used by the CI bench-smoke job) fails the run if
 the engine is more than X times slower than the oracle on the walk,
-the refinement, the selection or the stacked selection — a tiny dataset cannot show the
+the refinement, the selection or the stacked selection (same-k and
+mixed-k) — a tiny dataset cannot show the
 speedup, but it catches kernel regressions that make vectorization a
 net loss (a refinement back at per-candidate Python work, a selection
 back at a per-location loop).
@@ -60,6 +66,7 @@ back at a per-location loop).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import pickle
@@ -73,8 +80,11 @@ sys.path.insert(
 from repro import MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
+from repro.core.batch import (  # noqa: E402
+    _derive_shared_topk, _ensure_traversal_pool,
+)
 from repro.core.candidate_selection import (  # noqa: E402
-    SelectionBatch, select_candidate,
+    SelectionBatch, _keyword_side, select_candidate,
 )
 from repro.core.joint_topk import (  # noqa: E402
     RO_BLOCK, individual_topk, joint_traversal,
@@ -150,14 +160,15 @@ def time_frontier_bounds(engine, repeats):
     ))[0]
 
 
-def time_select(queries, dataset, rsk, rsk_group, side, repeats, stacked=False):
-    """Algorithm 3 over fixed thresholds, one answer tuple per query
-    (``stacked``: the engine's queries as one ``SelectionBatch``)."""
+def time_select(queries, dataset, pairs, side, repeats, stacked=False):
+    """Algorithm 3 over fixed thresholds — ``pairs[i]`` is query ``i``'s
+    ``(RSk(u), RSk(us))`` — one answer tuple per query (``stacked``: the
+    engine's queries as one ``SelectionBatch``, whatever their k)."""
     def run():
-        batch = SelectionBatch(queries) if stacked else None
+        batch = SelectionBatch(queries, pairs) if stacked else None
         extra = {} if batch is None else {"batch": batch}
         answers = []
-        for query in queries:
+        for query, (rsk, rsk_group) in zip(queries, pairs):
             stats = QueryStats()
             result = SELECT[side](
                 dataset, query, rsk, rsk_group=rsk_group, stats=stats, **extra
@@ -363,10 +374,12 @@ def main(argv=None) -> int:
     # at the default k serve the workbench query and the pool alike.
     select_timings = {}
     answers = {}
+    selected = [bench.query] + queries
     for side in SIDES:
         elapsed, answers[side] = time_select(
-            [bench.query] + queries, engine.dataset, thresholds[side],
-            results[side].rsk_group, side, args.repeats,
+            selected, engine.dataset,
+            [(thresholds[side], results[side].rsk_group)] * len(selected),
+            side, args.repeats,
         )
         select_timings[side] = elapsed
         print(
@@ -387,8 +400,9 @@ def main(argv=None) -> int:
     # The stacked pass a select payload runs: every query in one batch.
     select_batch_timings = {"oracle": select_timings["oracle"]}
     select_batch_timings["engine"], stacked = time_select(
-        [bench.query] + queries, engine.dataset, thresholds["engine"],
-        results["engine"].rsk_group, "engine", args.repeats, stacked=True,
+        selected, engine.dataset,
+        [(thresholds["engine"], results["engine"].rsk_group)] * len(selected),
+        "engine", args.repeats, stacked=True,
     )
     for side in SIDES:
         print(
@@ -407,6 +421,68 @@ def main(argv=None) -> int:
               "from the oracle's per-query answers")
         return 1
     print("equivalence check: engine stacked selections identical to the oracle's")
+
+    # The same queries at their own ks (cycling over mixed_ks), each
+    # reading its k's thresholds: one SelectionBatch across k — what a
+    # select payload dealt over a mixed-k flush runs.
+    shared_pool = _ensure_traversal_pool(engine, max(q.k for q in selected))
+    by_k = {
+        k: (entry.rsk, entry.rsk_group)
+        for k in {q.k for q in selected}
+        for entry in [_derive_shared_topk(engine, shared_pool, k)]
+    }
+    mixed_pairs = [by_k[q.k] for q in selected]
+    select_mixed_timings, mixed_answers = {}, {}
+    for side in SIDES:
+        select_mixed_timings[side], mixed_answers[side] = time_select(
+            selected, engine.dataset, mixed_pairs, side, args.repeats,
+            stacked=side == "engine",
+        )
+        print(
+            f"select-batch mixed-k {side:<7}: "
+            f"{1000 * select_mixed_timings[side]:8.2f} ms  ({len(selected)} "
+            f"queries, k in {{{','.join(map(str, sorted(by_k)))}}}"
+            + (", one SelectionBatch)" if side == "engine" else ", one by one)"),
+            flush=True,
+        )
+    if mixed_answers["engine"] != mixed_answers["oracle"]:
+        print("EQUIVALENCE FAILURE: engine mixed-k stacked selection answers "
+              "differ from the oracle's per-query answers")
+        return 1
+    print("equivalence check: engine mixed-k stacked selections identical to the oracle's")
+
+    # Where stacking cannot share: every query its own keyword side
+    # (its own ox.d term and ws), one by one vs one SelectionBatch.
+    terms = queries[0].keywords
+    distinct = [
+        dataclasses.replace(
+            q, ox=dataclasses.replace(q.ox, terms={terms[i % len(terms)]: 1}),
+            ws=1 + (i // len(terms)) % 3,
+        )
+        for i, q in enumerate(selected)
+    ]
+    assert len({_keyword_side(q) for q in distinct}) == len(distinct)
+    distinct_pairs = [(thresholds["engine"], results["engine"].rsk_group)] * len(distinct)
+    distinct_timings, distinct_answers = {}, {}
+    for label, stack in (("one-by-one", False), ("stacked", True)):
+        distinct_timings[label], distinct_answers[label] = time_select(
+            distinct, engine.dataset, distinct_pairs, "engine", args.repeats,
+            stacked=stack,
+        )
+        print(
+            f"select distinct sides engine {label:<10}: "
+            f"{1000 * distinct_timings[label]:8.2f} ms  ({len(distinct)} queries, "
+            f"{len(distinct)} keyword sides)",
+            flush=True,
+        )
+    _, distinct_oracle = time_select(
+        distinct, engine.dataset, distinct_pairs, "oracle", 1,
+    )
+    if any(got != distinct_oracle for got in distinct_answers.values()):
+        print("EQUIVALENCE FAILURE: engine distinct-side selection answers "
+              "differ from the oracle's")
+        return 1
+    print("equivalence check: engine distinct-side selections identical to the oracle's")
 
     # Cross-k pool sharing: one walk serves a whole mixed-k batch.
     sequential = [oracle.query(engine, q, QueryOptions()) for q in queries]
@@ -455,6 +531,8 @@ def main(argv=None) -> int:
             "select_speedup_numpy": select_speedup,
             "select_batch_s": select_batch_timings,
             "select_batch_speedup_numpy": select_batch_speedup,
+            "select_batch_mixed_k_s": select_mixed_timings,
+            "select_distinct_sides_s": distinct_timings,
             "mixed_k": {
                 "ks": mixed_ks,
                 "queries": len(queries),
@@ -469,6 +547,7 @@ def main(argv=None) -> int:
     for phase, took in (
         ("traversal", timings), ("refine", refine_timings), ("select", select_timings),
         ("select-batch", select_batch_timings),
+        ("select-batch mixed-k", select_mixed_timings),
     ):
         if args.max_slowdown is not None and took["engine"] > args.max_slowdown * took["oracle"]:
             print(

@@ -16,12 +16,14 @@ subsume the pools of every smaller ``k`` in the batch
 is ever pruned at ``k_max``), and each k's thresholds are derived from
 the shared pool by Algorithm 2 (:class:`SharedTraversalPool`, memoized
 on the engine across batches).  A mixed-k batch therefore pays for a
-*single* tree walk.  Candidate selection is answered per payload of
-same-k queries, in this process (a sharded engine deals the payloads
-over its lanes instead): queries that also share ``(ox.d, W, ws)`` are
-selected as one stacked location block over one selection context
-(:class:`~repro.core.candidate_selection.SelectionBatch`), each answer
-and counter still the query's own.
+*single* tree walk.  Candidate selection is answered per ``select``
+payload, in this process (a sharded engine deals the flush's queries
+into one balanced payload per lane instead), whatever the queries'
+``k``: each query carries its own k's :class:`SharedTopK`, and queries
+that share ``(ox.d, W, ws)`` are selected as one stacked location block
+over one selection context whose location rows read their own query's
+``RSk(u)`` (:class:`~repro.core.candidate_selection.SelectionBatch`),
+each answer and counter still the query's own.
 ``Mode.INDEXED`` batches pool across k the same way: the node-RSk
 reformulation (:mod:`repro.core.indexed_users`) made every per-k
 quantity derive pool-independently from one MIUR-root walk at
@@ -273,19 +275,24 @@ def _select_one(
 def _select_payload(
     dataset,
     queries: Sequence[MaxBRSTkNNQuery],
-    shared: SharedTopK,
+    shared: Sequence[SharedTopK],
     mode: str,
     method: str,
 ) -> List[MaxBRSTkNNResult]:
-    """Phase 2 for a ``select`` payload's queries, one shared phase-1
-    state: the greedy joint selection answers them as one
-    :class:`SelectionBatch` (stacked per keyword side, computed inside
-    the first query's :func:`select_candidate` call), the rest one by
-    one.  Answers and selection counters are the per-query ones."""
+    """Phase 2 for a ``select`` payload's queries, ``shared[i]`` being
+    query ``i``'s phase-1 state (one object per k): the greedy joint
+    selection answers them as one :class:`SelectionBatch` (stacked per
+    keyword side across k, computed inside the first query's
+    :func:`select_candidate` call), the rest one by one.  Answers and
+    selection counters are the per-query ones."""
     batch = (
-        SelectionBatch(queries) if mode != "baseline" and method == "approx" else None
+        SelectionBatch(queries, [(s.rsk, s.rsk_group) for s in shared])
+        if mode != "baseline" and method == "approx" else None
     )
-    return [_select_one(dataset, query, shared, mode, method, batch) for query in queries]
+    return [
+        _select_one(dataset, query, entry, mode, method, batch)
+        for query, entry in zip(queries, shared)
+    ]
 
 
 def query_batch(

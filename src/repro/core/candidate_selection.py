@@ -39,11 +39,12 @@ a counting rule: the stop is tested before each block is paid for, so
 at most one block's tail is computed in vain, and the per-block
 temporaries stay bounded however many locations a query brings.
 
-The rows need not belong to one query.  The queries of a ``select``
-payload share one ``RSk(u)`` vector, and those that also share
-``(ox.d, W, ws)`` differ only in their locations — so a
-:class:`SelectionBatch` answers each such group with ONE context (one
-keyword side), one shortlist pass over every surviving location and,
+The rows need not belong to one query, nor to one ``k``.  Queries
+that share ``(ox.d, W, ws)`` differ only in their locations and their
+thresholds — so a :class:`SelectionBatch` answers each such group of a
+``select`` payload with ONE context (one keyword side, one threshold
+row per distinct ``RSk(u)`` vector, each location row reading its own
+query's), one shortlist pass over every surviving location and,
 round by round, one :func:`select_greedy_block` call over block ``r``
 of every query that line 3.10 has not stopped; each query then replays
 its own rows.  Passes hold at most ``STACK_ROWS`` locations, so a batch
@@ -67,7 +68,7 @@ from ..model.dataset import Dataset
 from ..model.objects import SuperUser, User
 from ..spatial.geometry import Point
 from .bounds import BoundCalculator
-from .kernels import SelectionContext, arrays_for
+from .kernels import SelectionContext, arrays_for, np
 from .keyword_selection import (
     BlockSelection,
     KeywordSelection,
@@ -76,7 +77,6 @@ from .keyword_selection import (
     select_keywords_exact,
 )
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
-from .thresholds import Thresholds
 
 #: Candidate locations scored per kernel pass.  Algorithm 3 stops early
 #: (line 3.10) and a Fig. 10 query holds |L| = 300 locations, so the
@@ -171,12 +171,16 @@ def _group_texts(
     )
 
 
-def _shortlist_rows(ctx: SelectionContext, rows, locations: Sequence[Point]) -> list:
+def _shortlist_rows(
+    ctx: SelectionContext, rows, locations: Sequence[Point], at: Sequence[int]
+) -> list:
     """``LU_l`` of every location as user rows: the mask
-    ``UBL(l, u) >= RSk(u)``, ``STACK_ROWS`` locations per kernel pass."""
+    ``UBL(l, u) >= RSk(u)`` against threshold row ``at[i]`` of ``ctx``
+    for location ``i``, ``STACK_ROWS`` locations per kernel pass."""
     found = []
     for start in range(0, len(locations), STACK_ROWS):
-        ctx.move_to(locations[start : start + STACK_ROWS])
+        end = start + STACK_ROWS
+        ctx.move_to(locations[start:end], at[start:end])
         found.extend(rows[keep] for keep in ctx.shortlist(rows))
     return found
 
@@ -213,8 +217,10 @@ def shortlist_locations(
         arrays = arrays_for(dataset)
         ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
         rows = arrays.rows_for(users)
-        ctx.admit(rows, rsk)
-        found = _shortlist_rows(ctx, rows, [sl.location for sl in shortlists])
+        at = ctx.admit(rows, rsk)
+        found = _shortlist_rows(
+            ctx, rows, [sl.location for sl in shortlists], [at] * len(shortlists)
+        )
         for sl, lu in zip(shortlists, found):
             sl.rows = lu
             sl.users = arrays.users[lu].tolist()
@@ -246,9 +252,10 @@ def select_candidate(
     batch:
         The greedy :class:`SelectionBatch` ``query`` belongs to: the
         first call naming it answers every query in it (with these
-        ``dataset`` / ``rsk`` / ``rsk_group`` / ``super_user`` /
-        ``users``, which later calls must repeat), the others read their
-        answer.  ``None``: the one-query batch.
+        ``dataset`` / ``super_user`` / ``users``, which later calls must
+        repeat), the others read their answer.  ``rsk`` / ``rsk_group``
+        must be the pair the batch registered for ``query``.  ``None``:
+        the one-query batch.
 
     Sets ``stats.selection_time_s`` (see :class:`QueryStats` for how a
     batch shares its passes out) and adds to the selection counters.
@@ -257,7 +264,8 @@ def select_candidate(
         raise ValueError(f"unknown keyword-selection method {method!r}")
     stats = stats if stats is not None else QueryStats()
     if method == "approx":
-        batch = SelectionBatch([query]) if batch is None else batch
+        if batch is None:
+            batch = SelectionBatch([query], [(rsk, rsk_group)])
         return batch.answer(dataset, query, rsk, rsk_group, super_user, users, stats)
     if batch is not None:
         raise ValueError("a SelectionBatch answers the greedy selection only")
@@ -305,15 +313,12 @@ def search_shortlists(
             select=select_keywords_exact, brstknn=compute_brstknn,
         )
     arrays = arrays_for(dataset)
-    search = _Search(query, rsk_group, list(shortlists), 0)
-    search.enqueue([
-        arrays.rows_for(sl.users) if sl.rows is None else sl.rows
-        for sl in shortlists
-    ])
-    _search_rounds(
-        SelectionContext(arrays, query.ox, query.keywords, query.ws),
-        [search], _by_row(arrays, rsk),
-    )
+    ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
+    lu = [arrays.rows_for(sl.users) if sl.rows is None else sl.rows for sl in shortlists]
+    at = ctx.admit(np.concatenate([np.empty(0, dtype=np.intp), *lu]), rsk)
+    search = _Search(query, rsk_group, at, list(shortlists), 0)
+    search.enqueue(lu)
+    _search_rounds(ctx, [search])
     return search.result(arrays, stats)
 
 
@@ -400,7 +405,7 @@ class _Search:
     """
 
     __slots__ = (
-        "query", "rsk_group", "shortlists", "pruned", "scored", "time_s",
+        "query", "rsk_group", "at", "shortlists", "pruned", "scored", "time_s",
         "queue", "pos", "best_location", "best_keywords", "best_count",
         "best_won",
     )
@@ -409,11 +414,13 @@ class _Search:
         self,
         query: MaxBRSTkNNQuery,
         rsk_group: float,
+        at: int,
         shortlists: List[LocationShortlist],
         pruned: int,
     ) -> None:
         self.query = query
-        self.rsk_group = rsk_group
+        self.rsk_group = rsk_group  # this query's own RSk(us)
+        self.at = at  # the context's threshold row of this query's RSk(u)
         self.shortlists = shortlists  # the group bound's survivors
         self.pruned = pruned
         self.scored = 0
@@ -492,11 +499,12 @@ class _Search:
         )
 
 
-def _search_rounds(ctx: SelectionContext, searches: Sequence[_Search], rsk) -> None:
+def _search_rounds(ctx: SelectionContext, searches: Sequence[_Search]) -> None:
     """Walk every search's queue, stacked: round ``r`` scores block
     ``r`` of each search line 3.10 has not stopped in ONE
-    :func:`select_greedy_block` call, then each search replays its own
-    rows.  Replay time is charged to its search."""
+    :func:`select_greedy_block` call, each location against its own
+    search's threshold row, then each search replays its own rows.
+    Replay time is charged to its search."""
     while True:
         blocks = [(search, search.block()) for search in searches]
         blocks = [(search, block) for search, block in blocks if block]
@@ -504,7 +512,8 @@ def _search_rounds(ctx: SelectionContext, searches: Sequence[_Search], rsk) -> N
             return
         entries = [entry for _, block in blocks for entry in block]
         selection = select_greedy_block(
-            ctx, [entry[1] for entry in entries], [entry[3] for entry in entries], rsk
+            ctx, [entry[1] for entry in entries], [entry[3] for entry in entries],
+            [search.at for search, block in blocks for _ in block],
         )
         base_counts = selection.base.sum(axis=1).tolist()
         counts = selection.won.sum(axis=1).tolist()
@@ -532,34 +541,42 @@ def _passes(searches: Sequence[_Search]) -> Iterator[List[_Search]]:
         yield part
 
 
-def _by_row(arrays, rsk: Mapping[int, float]) -> Thresholds:
-    """``rsk`` laid out by user row, once, for the kernel calls to come."""
-    return rsk if isinstance(rsk, Thresholds) else Thresholds.over(arrays.user_ids, rsk)
-
-
 class SelectionBatch:
     """The queries of one ``select`` payload, selected together (greedy).
 
-    A payload's queries share one ``RSk(u)`` vector and ``RSk(us)``, and
-    Algorithm 3 varies only the location — so queries that also share
-    their keyword side ``(ox.d, W, ws)`` are answered by ONE
-    :class:`~repro.core.kernels.SelectionContext`: the keyword side
-    (``UBL`` text half, ``HW_{w,u}`` pair table, recounted keyword sets)
-    is computed once per group, and each pass of at most
-    ``STACK_ROWS`` locations computes ``SS(l, u)`` once, shortlists
-    every location in one mask and runs its greedy rounds as single
-    :func:`select_greedy_block` calls (:func:`_search_rounds`).  The
-    group bounds stay scalar and per query.  Every answer and counter
-    is the query's own, ``==`` to the one-query run.
+    Algorithm 3 varies only the location, and ``k`` enters it only
+    through the thresholds — so queries that share their keyword side
+    ``(ox.d, W, ws)`` are answered by ONE
+    :class:`~repro.core.kernels.SelectionContext`, whatever their ``k``:
+    the keyword side (``UBL`` text half, ``HW_{w,u}`` pair table,
+    recounted keyword sets) is computed once per group, every query's
+    ``RSk(u)`` vector is one threshold row of the context (queries of
+    equal ``k`` share theirs), and each pass of at most ``STACK_ROWS``
+    locations computes ``SS(l, u)`` once, shortlists every location in
+    one mask and runs its greedy rounds as single
+    :func:`select_greedy_block` calls (:func:`_search_rounds`), each
+    location row reading its own query's thresholds.  The group bounds
+    stay scalar and per query, against the query's own ``RSk(us)``.
+    Every answer and counter is the query's own, ``==`` to the
+    one-query run.
 
+    ``thresholds[i]`` is query ``i``'s ``(RSk(u), RSk(us))`` pair.
     :func:`select_candidate` is the entry: the first call naming the
-    batch computes every answer, later calls read theirs — so the
-    stacked work runs inside a ``select_candidate`` call, like one
-    query's work does.  Queries are found by identity.
+    batch computes every answer, later calls read theirs, and each call
+    must pass the pair registered for its query — so the stacked work
+    runs inside a ``select_candidate`` call, like one query's work does.
+    Queries are found by identity.
     """
 
-    def __init__(self, queries: Sequence[MaxBRSTkNNQuery]) -> None:
+    def __init__(
+        self,
+        queries: Sequence[MaxBRSTkNNQuery],
+        thresholds: Sequence[Tuple[Mapping[int, float], float]],
+    ) -> None:
         self.queries = list(queries)
+        self.thresholds = list(thresholds)
+        if len(self.thresholds) != len(self.queries):
+            raise ValueError("a selection batch needs one (RSk(u), RSk(us)) per query")
         self._at: Dict[int, int] = {}
         for i, query in enumerate(self.queries):
             self._at.setdefault(id(query), i)
@@ -580,29 +597,29 @@ class SelectionBatch:
         at = self._at.get(id(query))
         if at is None:
             raise ValueError("query is not part of this selection batch")
-        inputs = (dataset, rsk, super_user, users)
-        if self._searches is None:
-            self._inputs = inputs + (rsk_group,)
-            self._searches = self._select(dataset, rsk, rsk_group, super_user, users)
-        elif (
-            any(a is not b for a, b in zip(inputs, self._inputs))
-            or rsk_group != self._inputs[-1]
-        ):
+        registered, registered_group = self.thresholds[at]
+        if rsk is not registered or rsk_group != registered_group:
             raise ValueError(
-                "a selection batch answers one dataset, RSk(u) and RSk(us)"
+                "not the RSk(u) / RSk(us) this selection batch registered "
+                "for the query"
             )
+        inputs = (dataset, super_user, users)
+        if self._searches is None:
+            self._inputs = inputs
+            self._searches = self._select(dataset, super_user, users)
+        elif any(a is not b for a, b in zip(inputs, self._inputs)):
+            raise ValueError("a selection batch answers one dataset")
         search = self._searches[at]
         stats.selection_time_s = search.time_s
         return search.result(arrays_for(dataset), stats)
 
-    def _select(self, dataset, rsk, rsk_group, super_user, users) -> List[_Search]:
+    def _select(self, dataset, super_user, users) -> List[_Search]:
         """Every query's finished search.  ``time_s`` charges each query
         its own group bounds and replays plus an equal share of its
         group's setup and of every pass it took part in."""
         arrays = arrays_for(dataset)
         su = dataset.super_user if super_user is None else super_user
         bounds = BoundCalculator(dataset)
-        rsk = _by_row(arrays, rsk)
         rows = arrays.rows_for(users)
         queries = self.queries
         groups: Dict[tuple, List[int]] = {}
@@ -613,20 +630,23 @@ class SelectionBatch:
             t0 = time.perf_counter()
             first = queries[members[0]]
             ctx = SelectionContext(arrays, first.ox, first.keywords, first.ws)
-            ctx.admit(rows, rsk)
             texts = _group_texts(bounds, first, su)
             shared = (time.perf_counter() - t0) / len(members)
             for i in members:
                 t0 = time.perf_counter()
+                rsk, rsk_group = self.thresholds[i]
                 searches[i] = _Search(
-                    queries[i], rsk_group,
+                    queries[i], rsk_group, ctx.admit(rows, rsk),
                     *_group_bounds(bounds, queries[i], su, rsk_group, texts),
                 )
                 searches[i].time_s = shared + time.perf_counter() - t0
-            for part in _passes([searches[i] for i in members]):
+            # Grouped by threshold row, a round's locations read their
+            # thresholds in one run per k.
+            ordered = sorted((searches[i] for i in members), key=lambda s: s.at)
+            for part in _passes(ordered):
                 own = sum(search.time_s for search in part)
                 t0 = time.perf_counter()
-                _run_pass(ctx, rows, rsk, part)
+                _run_pass(ctx, rows, part)
                 shared = time.perf_counter() - t0 - (
                     sum(search.time_s for search in part) - own
                 )
@@ -635,16 +655,17 @@ class SelectionBatch:
         return searches
 
 
-def _run_pass(ctx: SelectionContext, rows, rsk: Thresholds, part: List[_Search]) -> None:
+def _run_pass(ctx: SelectionContext, rows, part: List[_Search]) -> None:
     """One stacked pass: ``SS(l, u)`` of the pass's locations once (the
     greedy rounds gather its rows), ``LU_l`` of all of them in one mask,
-    then the rounds."""
+    each against its own query's threshold row, then the rounds."""
     locations = [sl.location for search in part for sl in search.shortlists]
     if not locations:
         return
     ctx.pin(locations if len(locations) <= STACK_ROWS else ())
-    found = iter(_shortlist_rows(ctx, rows, locations))
+    at = [search.at for search in part for _ in search.shortlists]
+    found = iter(_shortlist_rows(ctx, rows, locations, at))
     for search in part:
         search.enqueue([next(found) for _ in search.shortlists])
-    _search_rounds(ctx, part, rsk)
+    _search_rounds(ctx, part)
     ctx.pin(())

@@ -79,7 +79,8 @@ and text sums become one mat-vec per location/document.
 
 :class:`SelectionContext` is Algorithm 3's selection for one query,
 laid out location-major.  **Per query** (dropped with it): ``RSk(u)``
-by user row, the text half of ``UBL(l, u)``, one full-length text-score
+by user row (one row per k the context serves), the text half of
+``UBL(l, u)``, one full-length text-score
 row per distinct augmented document (new ones scored in one stacked
 pass), and the greedy selector's ``HW_{w,u}`` pair table
 (:class:`PairTable`) built by array operations — candidate ranks from a
@@ -186,9 +187,14 @@ def _guarded_ge(scores, thresholds, exact: Callable[..., bool], where=None):
     ``where`` (optional, boolean, same shape) masks the entries that are
     asked at all: the rest come back ``False`` and never reach ``exact``.
     """
-    margin = scores - thresholds
+    return _guarded_margin(scores - thresholds, exact, where)
+
+
+def _guarded_margin(margin, exact: Callable[..., bool], where=None):
+    """:func:`_guarded_ge` from ``margin = scores - thresholds``, which
+    it overwrites (the band test takes its absolute value in place)."""
     passed = margin >= GUARD_EPS
-    banded = np.abs(margin) < GUARD_EPS
+    banded = np.abs(margin, out=margin) < GUARD_EPS
     if where is not None:
         passed &= where
         banded &= where
@@ -670,16 +676,21 @@ class SelectionContext:
     fixed, so only the spatial term differs between locations: the
     per-location arrays of the selection are rows of one matrix — and
     the locations may as well belong to several queries, as long as
-    they share ``(ox.d, W, ws)`` and the ``RSk(u)`` vector (the queries
-    of one ``select`` payload do;
-    :class:`~repro.core.candidate_selection.SelectionBatch` stacks them).
+    they share ``(ox.d, W, ws)``, whatever their ``k``
+    (:class:`~repro.core.candidate_selection.SelectionBatch` stacks the
+    queries of one ``select`` payload so): ``k`` only decides which
+    ``RSk(u)`` row a location reads.
 
     **Once per context**, filled lazily, all by array operations:
 
-    * ``rsk``: ``RSk(u)`` by user row (:meth:`admit`), gathered from
-      the :class:`~repro.core.thresholds.Thresholds` of the call in
-      which the user first appears (the indexed search hands every
-      location its own vector); NaN = not seen;
+    * one threshold row per distinct
+      :class:`~repro.core.thresholds.Thresholds` admitted
+      (:meth:`admit`: ``RSk(u)`` by user row, the vector's own column),
+      and per current location the row it reads (:meth:`move_to`) —
+      one broadcast vector when the locations share a row (one query,
+      one k, the indexed search's single location), one per run of
+      locations that share one otherwise (:meth:`_less_rsk`; no
+      threshold matrix is ever gathered);
     * the candidates' optimistic weights (:meth:`_candidates`), read by
       both of the next two;
     * the text half of ``UBL(l, u)`` (:meth:`upper_text`);
@@ -711,8 +722,14 @@ class SelectionContext:
         self.ox = ox
         self.candidate_terms = candidate_terms
         self.ws = ws
-        self.rsk = np.full(arrays.num_users, np.nan)  # NaN: user not seen yet
-        self._admitted: Optional[Thresholds] = None  # last vector checked
+        #: Threshold rows: row ``r`` is the ``values`` of the ``r``-th
+        #: distinct :class:`Thresholds` admitted (identity-keyed, held).
+        self._rows: List[np.ndarray] = []
+        self._row_of: Dict[int, Tuple[int, Thresholds]] = {}
+        #: What the current locations read (:meth:`move_to`): the one
+        #: row they share (``_loc_rows`` None), else each one's row.
+        self.rsk = None
+        self._loc_rows = None
         self._weights: Optional[Tuple[List[int], List[float]]] = None
         self._upper_text = None
         self._text = np.empty((0, arrays.num_users))  # one row per keyword set
@@ -722,29 +739,31 @@ class SelectionContext:
         self._pinned_ss = None
 
     # -- once per context ----------------------------------------------
-    def admit(self, rows, rsk: Thresholds) -> None:
-        """First sight of the users at ``rows``: gather their thresholds
-        from ``rsk``, which must be laid out by user row — its ``ids``
-        are checked against this dataset's once per threshold object, so
-        a vector of some other user order raises instead of mis-reading.
-        (A plain mapping by user id is laid out first, for callers off
-        the refine path: tests, scalar-oracle helpers.)"""
+    def admit(self, rows, rsk: Thresholds) -> int:
+        """The threshold row holding ``rsk``, which must be laid out by
+        user row — its ``ids`` are checked against this dataset's once
+        per threshold object, so a vector of some other user order
+        raises instead of mis-reading — and hold a value for every user
+        at ``rows``.  (A plain mapping by user id is laid out first, as
+        a row of its own, for callers off the refine path: tests,
+        scalar-oracle helpers, the indexed search's per-location
+        vectors.)"""
         if not isinstance(rsk, Thresholds):
             rsk = Thresholds.over(self.arrays.user_ids, rsk)
-        elif rsk is not self._admitted:
+        entry = self._row_of.get(id(rsk))
+        if entry is None:
             ids = self.arrays.user_ids
             if rsk.ids is not ids and not np.array_equal(rsk.ids, ids):
                 raise ValueError(
                     "thresholds are not laid out by this dataset's user rows"
                 )
-            self._admitted = rsk
-        fresh = rows[np.isnan(self.rsk[rows])]
-        if len(fresh):
-            values = rsk.values[fresh]
-            if np.isnan(values).any():
-                missing = self.arrays.user_ids[fresh[np.isnan(values)]]
-                raise KeyError(f"no RSk(u) for users {missing[:5].tolist()}")
-            self.rsk[fresh] = values
+            entry = self._row_of[id(rsk)] = (len(self._rows), rsk)
+            self._rows.append(rsk.values)
+        values = rsk.values[rows]
+        if np.isnan(values).any():
+            missing = self.arrays.user_ids[rows[np.isnan(values)]]
+            raise KeyError(f"no RSk(u) for users {missing[:5].tolist()}")
+        return entry[0]
 
     def text(self, keyword_sets: Sequence[FrozenSet[int]]):
         """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set.
@@ -857,16 +876,51 @@ class SelectionContext:
         self._pinned = {loc: i for i, loc in enumerate(locations)}
         self._pinned_ss = self.arrays.spatial_matrix(locations) if locations else None
 
-    def move_to(self, locations: Sequence[Point]) -> None:
+    def move_to(self, locations: Sequence[Point], at=None) -> None:
         """Make ``locations`` the subject of the decisions that follow:
         the one computation a location costs, ``SS(l, u)``, as ``L x U``
-        (rows of the pinned matrix where every location is pinned)."""
+        (rows of the pinned matrix where every location is pinned), and
+        the threshold row each reads — ``at``, a row :meth:`admit`
+        returned, for all of them or one per location (``None``: the
+        row admitted last).  Locations that all read one row keep it as
+        ``rsk``, the one-query case."""
         self.locations = locations
-        at = [self._pinned.get(loc, -1) for loc in locations]
-        if self._pinned and -1 not in at:
-            self.ss = self._pinned_ss[at]
+        per_location = None
+        if at is None:
+            at = len(self._rows) - 1  # -1: nothing admitted, no thresholds
+        elif not isinstance(at, int):
+            per_location = np.asarray(at, dtype=np.intp)
+            at = int(per_location[0]) if len(per_location) else -1
+            if (per_location == at).all():
+                per_location = None
+        self._loc_rows = per_location
+        self.rsk = self._rows[at] if per_location is None and at >= 0 else None
+        where = [self._pinned.get(loc, -1) for loc in locations]
+        if self._pinned and -1 not in where:
+            self.ss = self._pinned_ss[where]
         else:
             self.ss = self.arrays.spatial_matrix(locations)
+
+    def _threshold(self, l: int, row: int) -> float:
+        """``RSk(u)`` of user row ``row`` as location ``l`` reads it."""
+        if self._loc_rows is None:
+            return self.rsk[row]
+        return self._rows[self._loc_rows[l]][row]
+
+    def _less_rsk(self, scores, cols=slice(None), index=None):
+        """``scores`` less ``RSk(u)``, in place: entry ``(i, j)`` less the
+        threshold of user row ``cols[j]`` as location ``index[i]`` reads
+        it (``index`` None: row ``i`` is location ``i``).  Locations
+        sharing a row subtract it as one broadcast vector, run by run —
+        no threshold matrix is gathered."""
+        if self._loc_rows is None:
+            scores -= self.rsk[cols]
+            return scores
+        rows = self._loc_rows if index is None else self._loc_rows[index]
+        cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+            scores[lo:hi] -= self._rows[rows[lo]][cols]
+        return scores
 
     def location_upper(self, rows):
         """``UBL(l, u)`` as ``L x len(rows)``: column ``i`` is user row
@@ -878,22 +932,21 @@ class SelectionContext:
         """``UBL(l, u) >= RSk(u)``, laid out as :meth:`location_upper`,
         scalar-exact."""
         ds = self.arrays.dataset
-        thresholds = self.rsk[rows]
 
         def exact(l: int, i: int) -> bool:
             ub = BoundCalculator(ds).location_upper_user(
                 self.locations[l], self.ox, self.candidate_terms, self.ws,
                 ds.users[rows[i]],
             )
-            return ub >= thresholds[i]
+            return ub >= self._threshold(l, rows[i])
 
-        return _guarded_ge(self.location_upper(rows), thresholds, exact)
+        return _guarded_margin(self._less_rsk(self.location_upper(rows), rows), exact)
 
     def _wins(self, l: int, keywords: FrozenSet[int], row: int) -> bool:
         """The scalar decision behind every banded ``STS >= RSk(u)``."""
         ds = self.arrays.dataset
         doc = augmented_document(self.ox.terms, keywords)
-        return ds.sts_parts(self.locations[l], doc, ds.users[row]) >= self.rsk[row]
+        return ds.sts_parts(self.locations[l], doc, ds.users[row]) >= self._threshold(l, row)
 
     def luw(self, member):
         """Section 6.2.1's ``LUW_w`` pass over the pair table, ``L x P``:
@@ -902,12 +955,16 @@ class SelectionContext:
         ``HW_{w,u}``, i.e. is in ``LUW_w`` for ``w = terms[key[p]]``."""
         t = self.pairs()
         alpha = self.arrays.dataset.alpha
-        scores = alpha * self.ss[:, t.row] + (1.0 - alpha) * t.ts
+        scores = self.ss[:, t.row]
+        scores *= alpha
+        scores += (1.0 - alpha) * t.ts
 
         def exact(l: int, p: int) -> bool:
             return self._wins(l, t.hw[t.doc[p]], t.row[p])
 
-        return _guarded_ge(scores, self.rsk[t.row], exact, where=member[:, t.row])
+        return _guarded_margin(
+            self._less_rsk(scores, t.row), exact, where=member[:, t.row]
+        )
 
     def cover(self, passed):
         """Greedy max-coverage over the ``LUW_w`` sets of :meth:`luw`,
@@ -948,8 +1005,9 @@ class SelectionContext:
         def exact(i: int, row: int) -> bool:
             return self._wins(index[i], keyword_sets[i], row)
 
-        return _guarded_ge(
-            self.sts(index, keyword_sets), self.rsk, exact, where=member[index]
+        return _guarded_margin(
+            self._less_rsk(self.sts(index, keyword_sets), index=index), exact,
+            where=member[index],
         )
 
 

@@ -133,12 +133,15 @@ def select_greedy_block(
     ctx: SelectionContext,
     locations: Sequence[Point],
     rows: Sequence,
-    rsk: Mapping[int, float],
+    rsk: Mapping[int, float] | Sequence[int],
 ) -> BlockSelection:
     """:func:`select_keywords_greedy` at several locations in one pass.
 
     The engine's whole Section 6.2.1: ``rows[l]`` are the user
-    rows of ``LU_l`` (:meth:`DatasetArrays.rows_for`).  One ``LUW`` pass,
+    rows of ``LU_l`` (:meth:`DatasetArrays.rows_for`); ``rsk`` is the
+    ``RSk(u)`` mapping every location reads, or — locations of queries
+    with different ``k`` — the threshold row ``ctx`` admitted each
+    location's vector as (:meth:`SelectionContext.admit`).  One ``LUW`` pass,
     one batched greedy max-coverage and one recount call cover the
     block; winner sets stay boolean rows.  Only the fallback pass —
     rare, and sequential by nature — runs per location, each of its
@@ -147,8 +150,9 @@ def select_greedy_block(
     """
     ws = ctx.ws
     member = ctx.arrays.membership(rows)
-    ctx.admit(np.nonzero(member.any(axis=0))[0], rsk)
-    ctx.move_to(locations)
+    if isinstance(rsk, Mapping):
+        rsk = ctx.admit(np.nonzero(member.any(axis=0))[0], rsk)
+    ctx.move_to(locations, rsk)
     table = ctx.pairs()
     passed = ctx.luw(member)
     chosen, coverage = ctx.cover(passed)

@@ -3,8 +3,8 @@
 Every flush the executors scatter work to pool workers as payload
 tuples (:func:`repro.core.pipeline.execute_shard_payload`).  Before
 this module, each tuple crossed the worker pipe by pickle — including
-the O(|U|) ``RSk(u)`` map inside every ``select`` chunk's shared
-phase-1 state and the traversal pool of every refine round,
+the O(|U|) ``RSk(u)`` map inside every ``select`` payload's shared
+phase-1 states and the traversal pool of every refine round,
 re-serialized per chunk per flush.  The codec replaces the heavy
 element of each payload with an :class:`ArenaRef` — a ~100-byte named
 pointer into the engine's :class:`~repro.storage.shm.ShmArena`.  The
@@ -311,10 +311,18 @@ def encode_shard_payload(codec: PayloadCodec, payload: tuple) -> tuple:
         # writes the block, the rest delta-hit the same reference.
         return ("refine", codec.ship(payload[1], "trav")) + payload[2:]
     if kind == "select":
-        # The shared phase-1 state (an O(|U|) ``SharedTopK``)
-        # delta-ships as a blob reference.
+        # Each query's phase-1 state (an O(|U|) ``SharedTopK``, one
+        # object per k) delta-ships as a blob reference: shipped once
+        # per payload per k, and a memo hit on every later payload.
         _, queries, shared, mode, method = payload
-        return ("select", queries, codec.ship(shared, "topk"), mode, method)
+        refs = {}
+        for state in shared:
+            if id(state) not in refs:
+                refs[id(state)] = codec.ship(state, "topk")
+        return (
+            "select", queries, tuple(refs[id(state)] for state in shared),
+            mode, method,
+        )
     if kind == "indexed_search":
         (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
          io_node_visits, io_invfile_blocks, method) = payload
@@ -337,7 +345,7 @@ def decode_shard_payload(payload: tuple) -> tuple:
         return ("refine", _maybe(payload[1])) + payload[2:]
     if kind == "select":
         _, queries, shared, mode, method = payload
-        return ("select", queries, _maybe(shared), mode, method)
+        return ("select", queries, tuple(map(_maybe, shared)), mode, method)
     if kind == "indexed_search":
         (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
          io_node_visits, io_invfile_blocks, method) = payload

@@ -250,12 +250,13 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
       (Slot 4 is always ``None``: the traced benchmark probe reads it
       as "which dataset answers", ``None`` meaning the full one.)
     * ``("select", queries, shared, mode, method)`` —
-      Algorithm 3 whole against one shared phase-1 state (``dataset`` =
-      the FULL dataset here): greedy joint payloads as one
+      Algorithm 3 whole, ``shared[i]`` being query ``i``'s phase-1
+      state (one ``SharedTopK`` object per k; ``dataset`` = the FULL
+      dataset here): greedy joint payloads as one
       :class:`~repro.core.candidate_selection.SelectionBatch` — the
       queries that share ``(ox.d, W, ws)`` stacked over one selection
-      context — every other payload query by query; one answer per
-      query either way.
+      context, whatever their k — every other payload query by query;
+      one answer per query either way.
     * ``("indexed_search", queries, views, traversal, rsk_group,
       users_total, topk_time_s, io_node_visits, io_invfile_blocks,
       method)`` — per-query best-first MIUR searches, each
@@ -510,9 +511,15 @@ class SelectStage(Stage):
     query (``items`` counts queries, however a payload stacks them).
 
     Both executors run :func:`repro.core.batch._select_payload` against the
-    full dataset — one round, chunked per shared phase-1 state so each
-    chunk ships one ``SharedTopK`` (a delta-shipped arena reference on
-    warm flushes).
+    full dataset — one round, the flush's queries dealt into
+    ``min(width, n)`` payloads whose sizes differ by at most one,
+    whatever their k: ``k`` only changes the thresholds Algorithm 3
+    reads, so a payload carries each query's own ``SharedTopK`` (queries
+    of one k share the object, which the codec ships once — a
+    delta-shipped arena reference on warm flushes) and answers its
+    queries as one stacked selection per keyword side.  Queries are
+    ordered by keyword side before the cut, so a side's queries share
+    payloads — and thereby selection contexts — where they can.
     """
 
     name = "select"
@@ -522,24 +529,26 @@ class SelectStage(Stage):
     scratch = ("select_index_groups",)
 
     def split(self, ctx: FlushContext, width: int) -> List[tuple]:
+        from .candidate_selection import _keyword_side
+
         plan = ctx.require("plan")
         keyed = ctx.require("keyed")
         shared_by_key = ctx.require("shared_by_key")
-        by_key: Dict[tuple, List[int]] = {}
-        for i, (_, key) in enumerate(keyed):
-            by_key.setdefault(key, []).append(i)
-        payloads, index_groups = [], []
-        for key, indices in by_key.items():
-            n_chunks = max(1, min(width, len(indices)))
-            for c in range(n_chunks):
-                chunk = indices[c::n_chunks]
-                payloads.append(
-                    ("select", [keyed[i][0] for i in chunk], shared_by_key[key],
-                     plan.mode.value, plan.method.value)
-                )
-                index_groups.append(chunk)
+        by_side: Dict[tuple, List[int]] = {}
+        for i, (query, _) in enumerate(keyed):
+            by_side.setdefault(_keyword_side(query), []).append(i)
+        order = [i for members in by_side.values() for i in members]
+        index_groups = [
+            order[lo:hi]
+            for lo, hi in user_row_ranges(len(order), max(1, min(width, len(order))))
+        ]
         ctx["select_index_groups"] = index_groups
-        return payloads
+        return [
+            ("select", [keyed[i][0] for i in chunk],
+             tuple(shared_by_key[keyed[i][1]] for i in chunk),
+             plan.mode.value, plan.method.value)
+            for chunk in index_groups
+        ]
 
     def merge(self, ctx: FlushContext, chunks: list) -> None:
         keyed = ctx.require("keyed")
@@ -930,9 +939,10 @@ class _ExecutorBase:
         self, stage: Stage, ctx: FlushContext, transport: Transport,
         dataset, context,
     ) -> Tuple[int, int, int, int, int, int]:
-        """One query-axis round (select / indexed-search): ``split``
-        chunks the queries per k over the transport's whole width, so a
-        mixed-k flush yields uneven chunks for :meth:`_deal` to level."""
+        """One query-axis round over the transport's whole width:
+        ``split`` deals select's queries into balanced payloads whatever
+        their k, and chunks indexed-search's per k — uneven chunks for
+        :meth:`_deal` to level."""
         per_lane = transport.chunk_width()
         payloads = stage.split(ctx, transport.lanes() * per_lane)
         chunks, lane_of, retries, degraded, bytes_out, bytes_in = self._deal(
@@ -983,11 +993,11 @@ class ShardedExecutor(_ExecutorBase):
 
     Every scatter stage deals its payloads over the same full-dataset
     lanes: the refine one user-row range per configured lane
-    (``num_shards``), the query-axis stages (select, indexed-search)
-    their per-k chunks.  ``transport`` is :data:`INLINE` until the
-    engine's ``start_pools`` / ``connect_hosts`` swap in the pipe /
-    socket one.  Refine results memoize on the engine across flushes,
-    so a warm flush is one round.
+    (``num_shards``), the query-axis stages their payloads (select one
+    per worker / host, indexed-search per-k chunks).  ``transport`` is
+    :data:`INLINE` until the engine's ``start_pools`` /
+    ``connect_hosts`` swap in the pipe / socket one.  Refine results
+    memoize on the engine across flushes, so a warm flush is one round.
     """
 
     def __init__(self, sharded) -> None:

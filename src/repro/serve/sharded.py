@@ -20,8 +20,9 @@ partitioned; work is *dealt*:
   round;
 * **by query** — Algorithm 3 runs whole per query (its keyword-coverage
   counts sum over all of a location's ``LU_l``), so a flush's
-  selections go out as ONE ``select`` round over the same lanes, each
-  chunk carrying its k's shared phase-1 state as a delta-shipped arena
+  selections go out as ONE ``select`` round over the same lanes, one
+  payload per worker / host whatever the queries' k, each query
+  carrying its k's shared phase-1 state as a delta-shipped arena
   reference;
 * everything **aggregate**-dependent stays on the coordinator: the one
   tree walk (same I/O trace as a single engine) and the group threshold

@@ -28,6 +28,7 @@ from repro import (
     oracle,
 )
 from repro.core.batch import _ensure_traversal_pool, derive_rsk_group
+from repro.core.payload import decode_shard_payload
 from repro.core.pipeline import (
     FlushContext,
     RefineStage,
@@ -290,10 +291,11 @@ class TestSelectPayload:
             _select_one(dataset, q, shared, mode, "approx")
             for q in queries
         ]
-        payload = ("select", queries, shared, mode, "approx")
+        payload = ("select", queries, (shared,) * len(queries), mode, "approx")
         with ShmArena() as arena:
             encoded = encode_shard_payload(PayloadCodec(arena), payload)
-            assert isinstance(encoded[2], ArenaRef)  # the O(|U|) state ships by name
+            # the O(|U|) state ships by name, once
+            assert len(set(encoded[2])) == 1 and isinstance(encoded[2][0], ArenaRef)
             assert encoded[:2] + encoded[3:] == payload[:2] + payload[3:]
             for form in (payload, encoded):
                 got = execute_shard_payload(dataset, form)
@@ -305,3 +307,54 @@ class TestSelectPayload:
                     assert (a.stats.keyword_combinations_scored
                             == b.stats.keyword_combinations_scored)
                     assert a.stats.topk_time_s == b.stats.topk_time_s
+
+    def test_cross_k_select_payload_ships_each_state_once(self):
+        """A select payload mixing ks encodes each distinct
+        ``SharedTopK`` once — its repeats share the reference, and the
+        next flush's payload re-sends it as a delta hit — and decodes to
+        the plain payload's answers."""
+        from repro.core.batch import _derive_shared_topk, _select_one
+        from repro.core.payload import (
+            ArenaRef, PayloadCodec, _clear_ref_cache, encode_shard_payload,
+        )
+        from repro.storage.shm import ShmArena
+
+        dataset, rng, vocab = build_dataset(seed=9)
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        queries = make_queries(rng, vocab, 6, ks=(3, 5, 3))
+        pool = _ensure_traversal_pool(engine, 5)
+        shared = tuple(_derive_shared_topk(engine, pool, q.k) for q in queries)
+        assert len({id(s) for s in shared}) == 2
+
+        def key(r):
+            return (
+                r.location, r.keywords, r.brstknn, r.stats.locations_pruned,
+                r.stats.keyword_combinations_scored, r.stats.topk_time_s,
+            )
+
+        expected = [
+            key(_select_one(dataset, q, s, "joint", "approx"))
+            for q, s in zip(queries, shared)
+        ]
+        payload = ("select", queries, shared, "joint", "approx")
+        with ShmArena() as arena:
+            codec = PayloadCodec(arena)
+            encoded = encode_shard_payload(codec, payload)
+            assert all(isinstance(ref, ArenaRef) for ref in encoded[2])
+            assert [ref == encoded[2][0] for ref in encoded[2]] == [
+                s is shared[0] for s in shared
+            ]
+            assert len(set(encoded[2])) == 2
+            written = codec.arena_bytes_written
+            assert codec.delta_hits == 0 and written > 0
+            assert encode_shard_payload(codec, payload) == encoded  # next flush
+            assert codec.arena_bytes_written == written
+            assert codec.delta_hits == 2
+            _clear_ref_cache()
+            decoded = decode_shard_payload(encoded)
+            assert [id(s) for s in decoded[2]] == [
+                id(decoded[2][0]) if s is shared[0] else id(decoded[2][1])
+                for s in shared
+            ]
+            for form in (encoded, payload):
+                assert [key(r) for r in execute_shard_payload(dataset, form)] == expected

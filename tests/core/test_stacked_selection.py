@@ -16,6 +16,7 @@ reads its neighbour's rows, a group key without ``ws``) must be caught.
 import contextlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from repro.core.history import FlushSignature
 from repro.core.kernels import SelectionContext
 from repro.core.pipeline import execute_shard_payload
 from repro.core.query import QueryStats
+from repro.core.thresholds import Thresholds
 from repro.model.objects import STObject
 from repro.serve.sharded import ShardedEngine
 from repro.spatial.geometry import Point
@@ -120,7 +122,7 @@ def answer(result, stats):
 
 
 def stacked_answers(ds, rsk, rsk_group, queries):
-    batch = SelectionBatch(queries)
+    batch = SelectionBatch(queries, [(rsk, rsk_group)] * len(queries))
     out = []
     for q in queries:
         stats = QueryStats()
@@ -194,17 +196,22 @@ def test_drawn_batches_reach_every_path(monkeypatch):
 def test_exact_method_refuses_a_batch():
     ds, rsk, queries = build_batch(1, "LM", 2)
     with pytest.raises(ValueError, match="greedy"):
-        select_candidate(ds, queries[0], rsk, method="exact", batch=SelectionBatch(queries))
+        select_candidate(
+            ds, queries[0], rsk, method="exact",
+            batch=SelectionBatch(queries, [(rsk, 0.0)] * len(queries)),
+        )
 
 
 def test_batch_refuses_other_inputs_and_strangers():
     ds, rsk, queries = build_batch(2, "LM", 3)
-    batch = SelectionBatch(queries[:2])
+    batch = SelectionBatch(queries[:2], [(rsk, 0.0)] * 2)
     select_candidate(ds, queries[0], rsk, batch=batch)
-    with pytest.raises(ValueError, match="one dataset"):
+    with pytest.raises(ValueError, match="registered"):
         select_candidate(ds, queries[1], dict(rsk), batch=batch)
-    with pytest.raises(ValueError, match="one dataset"):
+    with pytest.raises(ValueError, match="registered"):
         select_candidate(ds, queries[1], rsk, rsk_group=0.5, batch=batch)
+    with pytest.raises(ValueError, match="one dataset"):
+        select_candidate(ds, queries[1], rsk, batch=batch, users=ds.users[:3])
     stranger = next(q for q in queries if all(q is not p for p in queries[:2]))
     with pytest.raises(ValueError, match="not part"):
         select_candidate(ds, stranger, rsk, batch=batch)
@@ -253,6 +260,151 @@ class TestMutantsAreCaught:
             lambda q: (tuple(q.ox.terms.items()), tuple(q.keywords)),
         )
         assert mismatches()
+
+
+# ----------------------------------------------------------------------
+# Across k: one payload, several RSk(u) vectors and RSk(us) values
+# ----------------------------------------------------------------------
+
+#: The ks a cross-k batch mixes, and each one's ``RSk(us)``: off, low
+#: (the keyword-free acceptance path opens) and the least ``RSk(u)``.
+CROSS_KS = (1, 3, 6)
+
+
+def thresholds_at(ds, base, k):
+    """``RSk(u)`` at ``k`` by user row, as refine hands it to select:
+    the k-th best ``STS(o, u)``, except for the users ``base`` (a
+    ``build_batch`` map) gives 0.0 or 2.0, who keep theirs at every k."""
+    values = [
+        base[u.item_id] if base[u.item_id] in (0.0, 2.0)
+        else sorted((ds.sts(o, u) for o in ds.objects), reverse=True)[k - 1]
+        for u in ds.users
+    ]
+    return Thresholds(np.array([u.item_id for u in ds.users]), np.array(values))
+
+
+def build_cross_k_batch(seed, measure, n_queries):
+    """``build_batch``'s queries, each given one of ``CROSS_KS`` — the
+    two first distinct queries different ones, the query pruned whole a
+    k with ``RSk(us) > 0``, the repeated object one k for both copies
+    and its equal copy its own draw — and per k its own pair
+    ``(RSk(u), RSk(us))``, one ``RSk(us)`` being 0.0."""
+    ds, rsk, queries = build_batch(seed, measure, n_queries)
+    rng = random.Random(seed)
+    pairs = {}
+    for k, group in zip(CROSS_KS, range(3)):
+        vector = thresholds_at(ds, rsk, k)
+        pairs[k] = (vector, [0.0, 0.02, min(v for v in vector.values if v > 0.0)][group])
+    distinct = list({id(q): q for q in queries}.values())
+    for i, q in enumerate(distinct):
+        q.k = CROSS_KS[i] if i < 2 else rng.choice(CROSS_KS)
+        if all(loc.x > 100 for loc in q.locations):  # the far query
+            q.k = rng.choice(CROSS_KS[1:])
+    return ds, pairs, queries
+
+
+def cross_k_stacked(ds, pairs, queries):
+    batch = SelectionBatch(queries, [pairs[q.k] for q in queries])
+    out = []
+    for q in queries:
+        stats = QueryStats()
+        rsk, rsk_group = pairs[q.k]
+        result = select_candidate(ds, q, rsk, rsk_group=rsk_group, stats=stats, batch=batch)
+        out.append(answer(result, stats))
+    return out
+
+
+def cross_k_oracle(ds, pairs, queries):
+    out = []
+    for q in queries:
+        stats = QueryStats()
+        rsk, rsk_group = pairs[q.k]
+        result = oracle.select_candidate(ds, q, rsk, rsk_group=rsk_group, stats=stats)
+        out.append(answer(result, stats))
+    return out
+
+
+@pytest.mark.parametrize("block,rows", BUDGETS)
+@given(
+    seed=st.integers(0, 10_000),
+    measure=st.sampled_from(MEASURES),
+    n_queries=st.integers(1, 7),
+)
+@settings(max_examples=20, deadline=None)
+def test_cross_k_batch_equals_oracle_per_query(block, rows, seed, measure, n_queries):
+    """Every query of a payload mixing ks and keyword sides answers
+    ``==`` the oracle run with that query's own thresholds."""
+    ds, pairs, queries = build_cross_k_batch(seed, measure, n_queries)
+    want = cross_k_oracle(ds, pairs, queries)
+    with budget(block, rows):
+        got = cross_k_stacked(ds, pairs, queries)
+    assert got == want
+
+
+def test_cross_k_batches_reach_every_path():
+    """What the property claims to draw: at least two ks (distinct
+    vectors and ``RSk(us)``, one of them 0.0), at least two keyword
+    sides sharing k-mixed groups, duplicates, a query pruned whole."""
+    ds, pairs, queries = build_cross_k_batch(3, "LM", 7)
+    ks = {q.k for q in queries}
+    assert len(ks) >= 2
+    assert len({id(pairs[k][0]) for k in ks}) == len(ks)
+    assert len({pairs[k][1] for k in ks}) == len(ks)
+    assert 0.0 in {pairs[k][1] for k in CROSS_KS}
+    sides = {}
+    for q in queries:
+        sides.setdefault(candidate_selection._keyword_side(q), set()).add(q.k)
+    assert len(sides) >= 2 and any(len(side_ks) >= 2 for side_ks in sides.values())
+    assert len({id(q) for q in queries}) < len(queries)
+    answers = cross_k_oracle(ds, pairs, queries)
+    assert any(pruned == len(q.locations) for q, (*_, pruned, _) in zip(queries, answers))
+
+
+def cross_k_mismatches():
+    """Seeded cross-k batches on which some stacked answer differs from
+    the oracle's; a crash counts as one."""
+    bad = 0
+    for seed in range(8):
+        ds, pairs, queries = build_cross_k_batch(seed, MEASURES[seed % 3], 6)
+        want = cross_k_oracle(ds, pairs, queries)
+        for block, rows in BUDGETS[:4]:
+            with budget(block, rows):
+                try:
+                    bad += cross_k_stacked(ds, pairs, queries) != want
+                except (IndexError, ValueError, KeyError):
+                    bad += 1
+    return bad
+
+
+class TestCrossKMutantsAreCaught:
+    def test_unmutated_cross_k_stacking_is_clean(self):
+        assert cross_k_mismatches() == 0
+
+    def test_location_row_reads_the_neighbouring_ks_thresholds(self, monkeypatch):
+        original = SelectionContext.move_to
+
+        def move_to(self, locations, at=None):
+            if at is not None and not isinstance(at, int):
+                at = [(row + 1) % len(self._rows) for row in at]
+            return original(self, locations, at)
+
+        monkeypatch.setattr(SelectionContext, "move_to", move_to)
+        assert cross_k_mismatches()
+
+    def test_first_querys_rsk_group_for_every_query(self, monkeypatch):
+        original = SelectionBatch._select
+
+        def select(self, *args):
+            registered = self.thresholds
+            first = registered[0][1]
+            self.thresholds = [(rsk, first) for rsk, _ in registered]
+            try:
+                return original(self, *args)
+            finally:
+                self.thresholds = registered
+
+        monkeypatch.setattr(SelectionBatch, "_select", select)
+        assert cross_k_mismatches()
 
 
 # ----------------------------------------------------------------------
@@ -317,6 +469,34 @@ class TestCostShape:
         ]
         calls = count_kernel_calls(monkeypatch)
         got = execute_shard_payload(
+            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")
+        )
+        assert calls == {"contexts": 1, "blocks": 1}
+        assert [
+            (r.location, r.keywords, r.brstknn, r.stats.keyword_combinations_scored)
+            for r in got
+        ] == want
+
+    def test_a_mixed_k_same_side_payload_is_one_context(self, monkeypatch):
+        """Six same-side queries over three ks: one context (one threshold
+        row per k), one block call, every answer the oracle's at its k."""
+        engine, queries = engine_and_queries(6)
+        pool = _ensure_traversal_pool(engine, 6)
+        for q, k in zip(queries, (2, 4, 6, 2, 4, 6)):
+            q.k = k
+        shared = tuple(_derive_shared_topk(engine, pool, q.k) for q in queries)
+        want = [
+            (r.location, r.keywords, r.brstknn, r.stats.keyword_combinations_scored)
+            for r in (
+                oracle.select_candidate(
+                    engine.dataset, q, entry.rsk, rsk_group=entry.rsk_group,
+                    stats=QueryStats(),
+                )
+                for q, entry in zip(queries, shared)
+            )
+        ]
+        calls = count_kernel_calls(monkeypatch)
+        got = execute_shard_payload(
             engine.dataset, ("select", queries, shared, "joint", "approx")
         )
         assert calls == {"contexts": 1, "blocks": 1}
@@ -343,7 +523,7 @@ class TestCostShape:
         monkeypatch.setattr(candidate_selection, "STACK_ROWS", 12)
         calls = count_kernel_calls(monkeypatch)
         execute_shard_payload(
-            engine.dataset, ("select", queries, shared, "joint", "approx")
+            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")
         )
         assert calls == {"contexts": 1, "blocks": 4}
 
@@ -357,7 +537,7 @@ class TestCostShape:
         shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
         t0 = time.perf_counter()
         got = execute_shard_payload(
-            engine.dataset, ("select", queries, shared, "joint", "approx")
+            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")
         )
         wall = time.perf_counter() - t0
         times = [r.stats.selection_time_s for r in got]

@@ -115,7 +115,7 @@ class Rig:
         refine.merge(ctx, run(refine, refine.split(ctx, 2)))
         # Algorithm 3 whole, against the full dataset and the merged map.
         select = SelectStage()
-        run(select, select.split(ctx, 1))
+        run(select, select.split(ctx, 2))
         return out
 
 
@@ -140,7 +140,7 @@ def test_every_transport_returns_the_inline_round(rig, kind):
         assert accounting == expected[stage][1], stage
         assert accounting[2:] == (0, [0])
     assert got["refine"][1][:2] == (1, 2)  # two row ranges down one lane
-    assert got["select"][1][:2] == (1, 2)  # one chunk per k
+    assert got["select"][1][:2] == (1, 2)  # two balanced payloads, ks mixed
 
 
 @pytest.mark.parametrize("kind", ["pool", "socket"])

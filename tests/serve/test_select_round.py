@@ -3,8 +3,8 @@
 Algorithm 3's keyword-coverage counts sum over all of a location's
 ``LU_l``, so it is never dealt by user: after the (cold-only) refine
 round the whole selection goes out as one ``select`` round over the
-same lanes, whose chunks carry their k's shared phase-1 state by arena
-reference.  Held here, per transport:
+same lanes, whose payloads carry each query's k's shared phase-1 state
+by arena reference.  Held here, per transport:
 
 * **one round, small gather** — a warm flush dispatches exactly once, a
   cold one twice, and what comes back is the answers, not ``LU_l``;
@@ -68,10 +68,15 @@ class Served:
                 retry=FAST_RETRY, deadline=FAST_DEADLINE,
             )
         transport = engine._executor.transport
-        dispatch, self.dispatched = transport.dispatch, []
+        dispatch, self.dispatched, self.states = transport.dispatch, [], []
 
         def spy(lanes):
             self.dispatched.append([len(lane.payloads) for lane in lanes])
+            # distinct phase-1 states (references) per select payload
+            self.states.append(sum(
+                len({id(state) for state in p[2]})
+                for lane in lanes for p in lane.payloads if p[0] == "select"
+            ))
             return dispatch(lanes)
 
         transport.dispatch = spy
@@ -143,9 +148,9 @@ def test_warm_flushes_delta_ship_the_shared_state(serve, kind):
     served.flush(queries)
     served.flush(queries)
     hits, written = codec.delta_hits, codec.arena_bytes_written
-    _, warm = served.flush(served.queries())
-    chunks = sum(warm[0])
-    assert codec.delta_hits - hits == chunks  # one ArenaRef per chunk, re-sent
+    served.flush(served.queries())
+    # one ArenaRef per (payload, k), re-sent
+    assert codec.delta_hits - hits == served.states[-1]
     assert codec.arena_bytes_written == written
     # A cleared cache re-walks and re-refines: fresh states, fresh
     # blocks — a memo outliving the walk would re-ship the old ones by
