@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     build_s = time.perf_counter() - t0
     print(
         f"TreeArrays build: {1000 * build_s:.1f} ms "
-        f"({arrays.num_entries} entries, {len(arrays.ent_term)} summary terms; "
+        f"({arrays.num_entries} entries, {len(arrays.ent_term_np)} summary terms; "
         f"once per engine)"
     )
 

@@ -32,6 +32,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..index.irtree import MIRTree
 from ..index.miurtree import MIURTree
 from ..model.dataset import Dataset
@@ -120,7 +122,9 @@ class MaxBRSTkNNEngine:
             # over the same object set instead of paying an identical
             # build.  I/O still charges to *this* engine's store
             # (read_node takes the store per call).
-            if object_tree._objects.keys() != {o.item_id for o in dataset.objects}:
+            if object_tree.table is not dataset.table and not np.array_equal(
+                np.sort(object_tree.table.ids), np.sort(dataset.table.ids)
+            ):
                 raise ValueError(
                     "shared object_tree was built over a different object set "
                     "(object ids do not match this dataset)"

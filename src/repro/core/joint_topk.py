@@ -171,9 +171,9 @@ class CandidatePool(Sequence[CandidateObject]):
                     "CandidateObject views exist only where the walk ran"
                 )
             bounds, entries = self._source
-            payload = bounds.arrays.ent_payload
+            payload = bounds.arrays.payload
             self._views = [
-                CandidateObject(payload[e], lo, up, bounds.weights_of(e))
+                CandidateObject(payload(e), lo, up, bounds.weights_of(e))
                 for e, lo, up in zip(
                     entries.tolist(), self.lower.tolist(), self.upper.tolist()
                 )
@@ -365,10 +365,10 @@ def joint_traversal(
                 store.counter.visit_node()
                 store.counter.load_blocks(fb.node_blocks[nidx])
             else:
-                node = ta.nodes[nidx]
-                store.read_node(ta.index_name, node.page_id)
-                tree.invfile_of(node).charge_lists(
-                    store, ta.index_name, node.page_id, su.union_terms
+                page = ta.node_page[nidx]
+                store.read_node(ta.index_name, page)
+                tree.invfile_at(page).charge_lists(
+                    store, ta.index_name, page, su.union_terms
                 )
         # The node's whole child wave, pruned against RSk(us) — -inf, so
         # pruning nothing, until LO is full; the bounds themselves were

@@ -102,8 +102,10 @@ from typing import (
 
 import numpy as np
 
+from ..model.columns import segment_rows
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
+from ..storage.pager import TERM_HEADER_BYTES
 from .bounds import BoundCalculator, augmented_document, candidate_term_weight
 from .thresholds import Thresholds
 
@@ -253,8 +255,9 @@ class ObjectColumns:
     """Array mirror of a dataset's *objects*: built once per object set.
 
     Point coordinates, a vectorised id -> row look-up and one CSR of
-    every object's term weights — the very floats
-    ``relevance.document_weights`` returns, which is what
+    every object's term weights — the dataset's
+    :attr:`~repro.model.dataset.Dataset.object_weights`, bitwise the
+    floats ``relevance.document_weights`` returns, which is what
     :meth:`TextRelevance.score` adds up — each object's entries in
     ascending term order, the bound kernels' summation order
     (:class:`CandidatePoolArrays` gathers its segments from here).
@@ -270,31 +273,19 @@ class ObjectColumns:
 
     def __init__(self, dataset: "Dataset") -> None:
         ObjectColumns.build_count += 1
-        objects = dataset.objects
-        self.num_objects = len(objects)
-        self.ids = np.array([o.item_id for o in objects], dtype=np.int64)
+        table = dataset.table
+        self.num_objects = len(table)
+        self.ids = table.ids
         #: ``ids`` ascending, for :meth:`rows_of_ids`.
         self._id_order = np.argsort(self.ids, kind="stable")
-        self.xy = np.array(
-            [(o.location.x, o.location.y) for o in objects], dtype=np.float64
-        ).reshape(self.num_objects, 2)
-        document_weights = dataset.relevance.document_weights
-        counts: List[int] = []
-        term: List[int] = []
-        weight: List[float] = []
-        for o in objects:
-            weights = document_weights(o.terms)
-            counts.append(len(weights))
-            term.extend(weights)
-            weight.extend(weights.values())
+        self.xy = table.xy
         #: Object row of every CSR entry; row ``r`` owns
         #: ``indptr[r]:indptr[r + 1]``.
-        self.entry_row = np.repeat(np.arange(self.num_objects), counts)
-        self.indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
-        terms = np.array(term, dtype=np.int64)
-        ascending = np.lexsort((terms, self.entry_row))  # within each row
-        self.term = terms[ascending]
-        self.weight = np.array(weight, dtype=np.float64)[ascending]
+        self.entry_row = table.entry_row
+        self.indptr = table.indptr.astype(np.intp)
+        ascending = table.ascending()
+        self.term = table.terms[ascending]
+        self.weight = dataset.object_weights[ascending]
 
     def __reduce__(self):
         raise TypeError(
@@ -1030,7 +1021,10 @@ class TreeArrays:
     sizes for exact I/O charging.  A traversal then derives the bounds
     of *all* entries with a handful of array passes
     (:meth:`frontier_bounds`) and the frontier loop does O(1) lookups
-    and bulk pruning instead of per-entry dict arithmetic.
+    and bulk pruning instead of per-entry dict arithmetic.  The
+    flattening itself is gathers from the tree's columnar build
+    (``IRTree.shape`` / ``IRTree.summaries``): no node object, inverted
+    file or posting is visited.
 
     Exactness contract
     ------------------
@@ -1058,103 +1052,103 @@ class TreeArrays:
         TreeArrays.build_count += 1
         self.tree = tree
         self.index_name = tree.index_name
+        shape, summaries, table = tree.shape, tree.summaries, tree.table
 
-        # Walk the tree once; entries of one node form a contiguous row
-        # span, in the node's own child/entry order (the order the
-        # scalar traversal pushes them, which tie-breaks the heap).
-        self.nodes: List = []               # RTreeNode per node index
-        node_index: Dict[int, int] = {}     # page_id -> node index
-        node_start: List[int] = []
-        node_end: List[int] = []
-        node_is_leaf: List[bool] = []
+        # Nodes in depth-first pre-order (children in order); a node's
+        # entries form a contiguous row span in its own child/entry
+        # order (the order the scalar traversal pushes them, which
+        # tie-breaks the heap).  Everything below gathers from the
+        # tree's level arrays; nodes are numbered globally level by
+        # level, bottom-up.
+        level_nodes = [len(pages) for pages in shape.page]
+        node_offset = np.concatenate(([0], np.cumsum(level_nodes)))
+        by_pre = np.empty(shape.num_nodes, dtype=np.int64)
+        for level, pre in enumerate(shape.pre):
+            by_pre[pre] = node_offset[level] + np.arange(len(pre))
+        node_level = np.repeat(np.arange(shape.height), level_nodes)[by_pre]
 
-        ent_rect: List[Tuple[float, float, float, float]] = []
-        ent_payload: List[object] = []      # STObject (leaf) | RTreeNode
-        ent_child: List[int] = []           # child node index, -1 for objects
-        ent_object_id: List[int] = []       # object id, -1 for child pointers
-        ent_indptr: List[int] = [0]
-        ent_term: List[int] = []
-        ent_maxw: List[float] = []
-        ent_minw: List[float] = []
+        # Entries: every node's slots, in pre-order.
+        slot_offset = np.concatenate(([0], np.cumsum([len(m) for m in shape.members])))
+        slot_ptr = np.concatenate([[0]] + [
+            shape.ptr[level][1:] + slot_offset[level] for level in range(shape.height)
+        ])
+        slots = segment_rows(slot_ptr, by_pre)
+        sizes = np.diff(slot_ptr)[by_pre]
+        member = np.concatenate(shape.members)[slots]
+        slot_level = np.searchsorted(slot_offset, slots, side="right") - 1
+        is_object = slot_level == 0
 
-        nio_indptr: List[int] = [0]
-        nio_term: List[int] = []
-        nio_bytes: List[int] = []
+        # One combined CSR of summary rows: the objects' weights (min ==
+        # max, ascending terms within an object), then each level's node
+        # summaries.  An entry reads the row of its object or its child.
+        object_ptr, object_term, object_weight = tree.ascending_weights()
+        parts = [(object_ptr, object_term, object_weight, object_weight)] + [
+            (s.ptr, s.term, s.maxw, s.minw) for s in summaries
+        ]
+        row_offset = np.concatenate(([0], np.cumsum([len(p[0]) - 1 for p in parts])))
+        at = np.concatenate(([0], np.cumsum([p[0][-1] for p in parts])))
+        src_ptr = np.concatenate([[0]] + [p[0][1:] + at[i] for i, p in enumerate(parts)])
+        src_term, src_max, src_min = (
+            np.concatenate([p[k] for p in parts]) for k in (1, 2, 3)
+        )
+        del parts
+        src_row = row_offset[slot_level] + member
+        entries = segment_rows(src_ptr, src_row)
 
-        stack = [tree.root]
-        order = []
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if not node.is_leaf:
-                stack.extend(reversed(node.children))
-        for node in order:
-            node_index[node.page_id] = len(self.nodes)
-            self.nodes.append(node)
-        for node in order:
-            node_start.append(len(ent_rect))
-            node_is_leaf.append(node.is_leaf)
-            if node.is_leaf:
-                for entry in node.entries:
-                    obj = tree.object_by_id(entry.item)
-                    weights = tree.document_weights(entry.item)
-                    x, y = obj.location.x, obj.location.y
-                    ent_rect.append((x, y, x, y))
-                    ent_payload.append(obj)
-                    ent_child.append(-1)
-                    ent_object_id.append(entry.item)
-                    for tid in sorted(weights):
-                        w = weights[tid]
-                        ent_term.append(tid)
-                        ent_maxw.append(w)
-                        ent_minw.append(w)
-                    ent_indptr.append(len(ent_term))
-            else:
-                for child in node.children:
-                    max_w, min_w = tree.subtree_summary(child)
-                    r = child.rect
-                    ent_rect.append((r.min_x, r.min_y, r.max_x, r.max_y))
-                    ent_payload.append(child)
-                    ent_child.append(node_index[child.page_id])
-                    ent_object_id.append(-1)
-                    for tid in sorted(max_w):
-                        ent_term.append(tid)
-                        ent_maxw.append(max_w[tid])
-                        ent_minw.append(min_w.get(tid, 0.0))
-                    ent_indptr.append(len(ent_term))
-            node_end.append(len(ent_rect))
-            inv = tree.invfile_of(node)
-            for tid in sorted(inv.terms()):
-                nio_term.append(tid)
-                nio_bytes.append(inv.list_bytes(tid))
-            nio_indptr.append(len(nio_term))
+        rect = np.empty((len(slots), 4))
+        child = np.full(len(slots), -1, dtype=np.int64)
+        rows = member[is_object]
+        rect[is_object] = np.column_stack(
+            (table.x[rows], table.y[rows], table.x[rows], table.y[rows])
+        )
+        for level in range(1, shape.height):
+            here = slot_level == level
+            rect[here] = shape.rects[level - 1][member[here]]
+            child[here] = shape.pre[level - 1][member[here]]
+        object_id = np.full(len(slots), -1, dtype=np.int64)
+        object_id[is_object] = table.ids[rows]
 
-        self.root_index = node_index[tree.root.page_id]
-        # Plain-python twins of the per-entry structures: the frontier
-        # loop reads bounds/terms element-wise, where list indexing is
+        self.root_index = 0
+        node_end = np.cumsum(sizes)
+        # Plain-python twins of the per-node / per-entry structures the
+        # frontier loop reads element-wise, where list indexing is
         # several times faster than numpy scalar indexing.
-        self.node_start = node_start
-        self.node_end = node_end
-        self.node_is_leaf = node_is_leaf
-        self.ent_rect = np.array(ent_rect, dtype=np.float64).reshape(len(ent_rect), 4)
-        self.ent_payload = ent_payload
-        self.ent_child = ent_child
+        self.node_start = (node_end - sizes).tolist()
+        self.node_end = node_end.tolist()
+        self.node_is_leaf = (node_level == 0).tolist()
+        self.ent_child = child.tolist()
+        #: Page id of every node, by node index.
+        self.node_page = np.concatenate(shape.page)[by_pre].tolist()
+        self.ent_rect = rect
         #: What a candidate pool names its objects by: every replica of
         #: the object set shares the ids, not this tree's entry numbering.
-        self.ent_object_id = np.array(ent_object_id, dtype=np.int64)
-        self.ent_indptr = ent_indptr
-        self.ent_term = ent_term
-        self.ent_maxw = ent_maxw
-        self.ent_minw = ent_minw
-        self.ent_indptr_np = np.array(ent_indptr, dtype=np.intp)
-        self.ent_term_np = np.array(ent_term, dtype=np.int64)
-        self.ent_maxw_np = np.array(ent_maxw, dtype=np.float64)
-        self.ent_minw_np = np.array(ent_minw, dtype=np.float64)
-        self.nio_indptr = np.array(nio_indptr, dtype=np.intp)
-        self.nio_term = np.array(nio_term, dtype=np.int64)
-        self.nio_bytes = np.array(nio_bytes, dtype=np.int64)
-        self.max_term = int(self.ent_term_np.max()) if ent_term else -1
-        self.num_entries = len(ent_rect)
+        self.ent_object_id = object_id
+        self.ent_indptr_np = np.concatenate(
+            ([0], np.cumsum(np.diff(src_ptr)[src_row]))
+        ).astype(np.intp)
+        self.ent_term_np = src_term[entries]
+        self.ent_maxw_np = src_max[entries]
+        self.ent_minw_np = src_min[entries]
+        self.ent_indptr = self.ent_indptr_np.tolist()
+
+        # Every node's own posting-list sizes (its summary's counts), for
+        # exact I/O charging.
+        nodes_ptr = np.concatenate([[0]] + [
+            s.ptr[1:] + at[level + 1] - at[1] for level, s in enumerate(summaries)
+        ])
+        own = segment_rows(nodes_ptr, by_pre)
+        self.nio_indptr = np.concatenate(
+            ([0], np.cumsum(np.diff(nodes_ptr)[by_pre]))
+        ).astype(np.intp)
+        counts = np.concatenate([s.count for s in summaries])[own]
+        self.nio_term = src_term[at[1] + own]
+        self.nio_bytes = TERM_HEADER_BYTES + counts * tree.posting_entry_bytes
+        self.max_term = int(self.ent_term_np.max()) if len(self.ent_term_np) else -1
+        self.num_entries = len(slots)
+
+    def payload(self, entry: int) -> STObject:
+        """The object behind a leaf entry."""
+        return self.tree.object_by_id(int(self.ent_object_id[entry]))
 
     def __reduce__(self):
         raise TypeError(
@@ -1163,8 +1157,8 @@ class TreeArrays:
         )
 
     #: Dense buffers the shared-memory tier lifts into arena columns.
-    #: The plain-python twins (``ent_term``/``ent_maxw``/…) and the node
-    #: payload lists stay process-local — they hold object references.
+    #: The plain-python twins (``node_start``/``ent_child``/…) stay
+    #: process-local.
     SHARED_ATTRS = (
         "ent_rect", "ent_indptr_np", "ent_term_np", "ent_maxw_np",
         "ent_minw_np", "nio_indptr", "nio_term", "nio_bytes",
@@ -1273,10 +1267,12 @@ class FrontierBounds:
         never reads it."""
         ta = self.arrays
         start, end = ta.ent_indptr[entry], ta.ent_indptr[entry + 1]
-        terms, maxw, minw = ta.ent_term, ta.ent_maxw, ta.ent_minw
         return {
-            terms[j]: (maxw[j], minw[j])
-            for j, held in zip(range(start, end), self.in_union[start:end].tolist())
+            term: (maxw, minw)
+            for term, maxw, minw, held in zip(
+                ta.ent_term_np[start:end].tolist(), ta.ent_maxw_np[start:end].tolist(),
+                ta.ent_minw_np[start:end].tolist(), self.in_union[start:end].tolist(),
+            )
             if held
         }
 

@@ -100,7 +100,7 @@ class EngineCapabilities:
         return cls(
             has_user_tree=engine.user_tree is not None,
             num_users=len(engine.dataset.users),
-            num_objects=len(engine.dataset.objects),
+            num_objects=engine.dataset.num_objects,
             traversal_pool_k=pool.k if pool is not None else None,
             root_pool_k=root_pool.k if root_pool is not None else None,
         )

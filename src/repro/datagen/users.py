@@ -17,12 +17,14 @@ the same area.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..model.columns import ObjectTable, segment_rows
 from ..model.objects import STObject, User
-from ..spatial.geometry import Point, Rect
+from ..spatial.geometry import EPSILON, Point, Rect
+from .synthetic import ExactChoice
 
 __all__ = ["UserWorkload", "generate_users", "candidate_locations", "query_pool"]
 
@@ -51,31 +53,38 @@ class UserWorkload:
 
 
 def _pick_area(
-    rng: np.random.Generator, objects: Sequence[STObject], area_side: float
-) -> Tuple[Rect, List[STObject]]:
-    """Pick an area of side ``area_side`` containing enough objects.
+    rng: np.random.Generator, table: ObjectTable, area_side: float
+) -> Tuple[Rect, np.ndarray]:
+    """Pick an area of side ``area_side`` containing enough objects;
+    returns it with the rows of the objects inside.
 
     Areas are centred on randomly chosen objects so dense regions are
     preferred, like picking a populated 5x5-degree window on Flickr.
+    Each candidate is one vectorised ``Rect.contains_point`` over the
+    location columns.
     """
-    best: Tuple[int, Rect, List[STObject]] = (-1, Rect(0, 0, area_side, area_side), [])
+    x, y = table.x, table.y
+    xs, ys = x.tolist(), y.tolist()
+    best: Tuple[int, Rect, np.ndarray] = (
+        -1, Rect(0, 0, area_side, area_side), np.zeros(0, dtype=np.int64)
+    )
     for _ in range(32):
-        anchor = objects[int(rng.integers(0, len(objects)))]
+        anchor = int(rng.integers(0, len(table)))
         half = area_side / 2.0
         rect = Rect(
-            anchor.location.x - half,
-            anchor.location.y - half,
-            anchor.location.x + half,
-            anchor.location.y + half,
+            xs[anchor] - half, ys[anchor] - half, xs[anchor] + half, ys[anchor] + half
         )
-        inside = [o for o in objects if rect.contains_point(o.location)]
+        inside = np.flatnonzero(
+            (rect.min_x - EPSILON <= x) & (x <= rect.max_x + EPSILON)
+            & (rect.min_y - EPSILON <= y) & (y <= rect.max_y + EPSILON)
+        )
         if len(inside) > best[0]:
             best = (len(inside), rect, inside)
     return best[1], best[2]
 
 
 def generate_users(
-    objects: Sequence[STObject],
+    objects: Union[ObjectTable, Sequence[STObject]],
     num_users: int = 400,
     keywords_per_user: int = 3,
     unique_keywords: int = 20,
@@ -87,45 +96,48 @@ def generate_users(
     Parameters map one-to-one onto the paper's knobs: ``num_users`` is
     ``|U|``, ``keywords_per_user`` is ``UL``, ``unique_keywords`` is
     ``UW``, ``area_side`` is ``Area`` (the user-MBR side length).
+    ``objects`` is read as columns (a list of objects is converted).
     """
-    if not objects:
+    if not len(objects):
         raise ValueError("cannot generate users from an empty object set")
     if keywords_per_user > unique_keywords:
         raise ValueError("UL cannot exceed UW (users draw from the pooled keywords)")
+    table = ObjectTable.of(objects)
     rng = np.random.default_rng(seed)
-    area, inside = _pick_area(rng, objects, area_side)
-    pool_objects = inside if inside else list(objects)
+    area, rows = _pick_area(rng, table, area_side)
+    if not len(rows):
+        rows = np.arange(len(table))
 
     # User locations: |U| object locations from the area (with
     # replacement when the area holds fewer objects than users).
-    replace = len(pool_objects) < num_users
-    idx = rng.choice(len(pool_objects), size=num_users, replace=replace)
-    locations = [pool_objects[i].location for i in idx]
+    replace = len(rows) < num_users
+    idx = rows[rng.choice(len(rows), size=num_users, replace=replace)]
+    locations = [Point(x, y) for x, y in zip(table.x[idx].tolist(), table.y[idx].tolist())]
 
     # Keyword pool: UW distinct keywords sampled from the area's
     # objects, weighted by how often they occur there (so the pool
     # follows the local tag distribution).
-    term_freq: Dict[int, int] = {}
-    for o in pool_objects:
-        for tid, tf in o.terms.items():
-            term_freq[tid] = term_freq.get(tid, 0) + tf
-    all_terms = sorted(term_freq)
-    if not all_terms:
+    entries = segment_rows(table.indptr, rows)
+    term_freq = np.bincount(
+        table.terms[entries], weights=table.tfs[entries]
+    ).astype(np.int64)
+    all_terms = np.flatnonzero(term_freq)
+    if not len(all_terms):
         raise ValueError("area objects carry no keywords")
-    weights = np.array([term_freq[t] for t in all_terms], dtype=np.float64)
+    weights = term_freq[all_terms].astype(np.float64)
     weights /= weights.sum()
     take = min(unique_keywords, len(all_terms))
     pool = rng.choice(all_terms, size=take, replace=False, p=weights)
     pool = [int(t) for t in pool]
 
     # Distribute pool keywords to users following the pool distribution.
-    pool_w = np.array([term_freq[t] for t in pool], dtype=np.float64)
+    pool_w = term_freq[pool].astype(np.float64)
     pool_w /= pool_w.sum()
+    choose = ExactChoice(pool_w)
+    ul = min(keywords_per_user, len(pool))
     users: List[User] = []
     for uid, loc in enumerate(locations):
-        ul = min(keywords_per_user, len(pool))
-        chosen = rng.choice(len(pool), size=ul, replace=False, p=pool_w)
-        terms = {pool[int(c)]: 1 for c in chosen}
+        terms = {pool[c]: 1 for c in choose(rng, ul).tolist()}
         users.append(User(item_id=uid, location=loc, terms=terms))
 
     return UserWorkload(users=users, candidate_keywords=sorted(pool), area=area)

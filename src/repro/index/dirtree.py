@@ -25,11 +25,14 @@ grouping (the bounds stay sound), only the I/O changes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Union
 
+import numpy as np
+
+from ..model.columns import ObjectTable
 from ..model.objects import STObject
 from ..spatial.geometry import Rect
-from ..spatial.rtree import RTree, RTreeEntry, RTreeNode, DEFAULT_FANOUT
+from ..spatial.rtree import DEFAULT_FANOUT, PackedLevels
 from ..text.relevance import TextRelevance
 from .irtree import IRTree
 
@@ -75,7 +78,7 @@ class MDIRTree(IRTree):
 
     def __init__(
         self,
-        objects: Sequence[STObject],
+        objects: Union[ObjectTable, Sequence[STObject]],
         relevance: TextRelevance,
         fanout: int = DEFAULT_FANOUT,
         beta: float = 0.5,
@@ -87,60 +90,54 @@ class MDIRTree(IRTree):
             raise ValueError("refinement_passes must be non-negative")
         self.beta = beta
         self.refinement_passes = refinement_passes
-        self._objects_for_build = {o.item_id: o for o in objects}
         super().__init__(objects, relevance, fanout=fanout, minmax=True)
 
     # ------------------------------------------------------------------
-    def _build_rtree(
-        self, entries: List[RTreeEntry[int]], fanout: int
-    ) -> RTree[int]:
-        base = RTree.bulk_load(entries, fanout=fanout)
-        if base.root is None or base.root.is_leaf or self.refinement_passes == 0:
-            return base
-        leaves = [n for n in base.rtree_leaves()] if hasattr(base, "rtree_leaves") else [
-            n for n in base.iter_nodes() if n.is_leaf
-        ]
-        groups = [[e for e in leaf.entries] for leaf in leaves]
-        groups = self._refine_groups(groups, fanout)
-        # Re-pack: leaves from the refined groups, upper levels by STR.
-        rebuilt = RTree(fanout=fanout)
-        leaf_nodes: List[RTreeNode[int]] = []
-        for group in groups:
-            if not group:
-                continue
-            node = RTreeNode[int](
-                is_leaf=True,
-                rect=Rect.from_rects([e.rect for e in group]),
-                entries=list(group),
-            )
-            node.subtree_count = len(group)
-            leaf_nodes.append(node)
-        level = leaf_nodes
-        while len(level) > 1:
-            level = rebuilt._pack_internal(level)
-        rebuilt.root = level[0]
-        rebuilt._size = sum(len(g) for g in groups)
-        rebuilt._assign_page_ids()
-        return rebuilt
+    def _leaf_groups(self):
+        """STR leaves, refined by cost-improving swaps; the levels above
+        are packed by STR over the refined leaves, as for any tree."""
+        table = self.table
+        base = PackedLevels(table.x, table.y, self.fanout)
+        if base.height == 1 or self.refinement_passes == 0:
+            return None
+        self._xs, self._ys = table.x.tolist(), table.y.tolist()
+        terms, bounds = table.terms.tolist(), table.indptr.tolist()
+        self._keywords = [set(terms[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        members, bounds = base.members[0].tolist(), base.ptr[0].tolist()
+        # The leaves right to left: the order a stack walk of the STR
+        # tree's nodes meets them, which the swap passes start from.
+        leaves = np.argsort(base.page[0])[::-1].tolist()
+        groups = [members[bounds[g]:bounds[g + 1]] for g in leaves]
+        groups = self._refine_groups(groups, self.fanout)
+        del self._xs, self._ys, self._keywords
+        sizes = [len(g) for g in groups]
+        return (
+            np.array([row for g in groups for row in g], dtype=np.int64),
+            np.concatenate(([0], np.cumsum(sizes))),
+        )
 
-    # ------------------------------------------------------------------
-    def _group_cost(self, group: List[RTreeEntry[int]]) -> float:
+    def _rect(self, group: List[int]) -> Rect:
+        xs = [self._xs[r] for r in group]
+        ys = [self._ys[r] for r in group]
+        return Rect(min(xs), min(ys), max(xs), max(ys))
+
+    def _group_cost(self, group: List[int]) -> float:
         """beta * margin + (1 - beta) * unshared vocabulary size."""
         if not group:
             return 0.0
-        rect = Rect.from_rects([e.rect for e in group])
+        rect = self._rect(group)
         union: Set[int] = set()
         inter: Set[int] | None = None
-        for e in group:
-            terms = self._objects_for_build[e.item].keyword_set
+        for row in group:
+            terms = self._keywords[row]
             union |= terms
             inter = set(terms) if inter is None else inter & terms
         unshared = len(union) - len(inter or set())
         return self.beta * rect.margin + (1.0 - self.beta) * float(unshared)
 
     def _refine_groups(
-        self, groups: List[List[RTreeEntry[int]]], fanout: int
-    ) -> List[List[RTreeEntry[int]]]:
+        self, groups: List[List[int]], fanout: int
+    ) -> List[List[int]]:
         """Greedy cost-improving *swaps* of objects between nearby leaves.
 
         STR leaves are packed to capacity, so one-way moves rarely have
@@ -151,9 +148,7 @@ class MDIRTree(IRTree):
             return groups
         for _ in range(self.refinement_passes):
             swapped = 0
-            centers = [
-                Rect.from_rects([e.rect for e in g]).center for g in groups
-            ]
+            centers = [self._rect(g).center for g in groups]
             for gi, group in enumerate(groups):
                 neighbors = sorted(
                     (j for j in range(len(groups)) if j != gi),
@@ -189,10 +184,8 @@ class MDIRTree(IRTree):
                         groups[j].remove(partner)
                         group.append(partner)
                         groups[j].append(entry)
-                        centers[gi] = Rect.from_rects([e.rect for e in group]).center
-                        centers[j] = Rect.from_rects(
-                            [e.rect for e in groups[j]]
-                        ).center
+                        centers[gi] = self._rect(group).center
+                        centers[j] = self._rect(groups[j]).center
                         swapped += 1
             if swapped == 0:
                 break
@@ -207,4 +200,4 @@ class MDIRTree(IRTree):
         assert it).  Defined on any IR-tree-shaped index via
         :func:`leaf_cohesion`.
         """
-        return leaf_cohesion(self, self._objects_for_build)
+        return leaf_cohesion(self, {o.item_id: o for o in self.table})

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..storage.pager import (
     PageStore,
     POSTING_ENTRY_BYTES_IR,
@@ -48,20 +50,68 @@ class Posting:
 
 
 class InvertedFile:
-    """Inverted file of one tree node: term id -> list of postings."""
+    """Inverted file of one tree node: term id -> list of postings.
+
+    The postings live in four parallel arrays (term, entry key, max
+    weight, min weight), ordered by term and, within a term, by the
+    node's entry order — the order the lists are written in.  The
+    MIR-tree hands each node's arrays over from its columnar build
+    (:meth:`from_arrays`); :class:`Posting` objects are built only when
+    :meth:`postings` is asked for a list.
+    """
 
     def __init__(self, minmax: bool = True) -> None:
         #: True for MIR-tree layout (12-byte postings), False for IR-tree.
         self.minmax = minmax
-        self._lists: Dict[int, List[Posting]] = {}
+        self._set(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
+
+    @classmethod
+    def from_arrays(cls, minmax: bool, term, key, max_weight, min_weight) -> "InvertedFile":
+        """Postings given in entry order (any term order within an entry)."""
+        inv = cls.__new__(cls)
+        inv.minmax = minmax
+        inv._set(
+            np.asarray(term, dtype=np.int64), np.asarray(key, dtype=np.int64),
+            np.asarray(max_weight, dtype=np.float64),
+            np.asarray(min_weight, dtype=np.float64),
+        )
+        return inv
+
+    def _set(self, term, key, max_weight, min_weight) -> None:
+        if len(term) and bool(np.any(min_weight > max_weight + 1e-12)):
+            raise ValueError("posting min weight exceeds its max weight")
+        order = np.argsort(term, kind="stable")
+        self._term = term[order]
+        self._key = key[order]
+        self._max = max_weight[order]
+        self._min = min_weight[order]
+        self._terms, starts = np.unique(self._term, return_index=True)
+        self._bounds = np.append(starts, len(self._term))
+        self._where: Optional[Dict[int, Tuple[int, int]]] = None
+
+    def _append(self, term, key, max_weight, min_weight) -> None:
+        self._set(
+            np.concatenate((self._term, np.asarray(term, dtype=np.int64))),
+            np.concatenate((self._key, np.asarray(key, dtype=np.int64))),
+            np.concatenate((self._max, np.asarray(max_weight, dtype=np.float64))),
+            np.concatenate((self._min, np.asarray(min_weight, dtype=np.float64))),
+        )
+
+    def _range(self, term_id: int) -> Tuple[int, int]:
+        if self._where is None:
+            bounds = self._bounds.tolist()
+            self._where = {
+                t: (a, b) for t, a, b in zip(self._terms.tolist(), bounds[:-1], bounds[1:])
+            }
+        return self._where.get(term_id, (0, 0))
 
     # ------------------------------------------------------------------
-    # Construction
+    # Construction (one entry at a time)
     # ------------------------------------------------------------------
     def add_document(self, entry_key: int, weights: Mapping[int, float]) -> None:
         """Add a leaf document: min == max == actual weight."""
-        for tid, w in weights.items():
-            self._lists.setdefault(tid, []).append(Posting(entry_key, w, w))
+        w = list(weights.values())
+        self._append(list(weights), [entry_key] * len(w), w, w)
 
     def add_summary(
         self,
@@ -74,29 +124,38 @@ class InvertedFile:
         ``max_weights`` covers the union of subtree terms; a term absent
         from ``min_weights`` has minimum weight 0 (not in intersection).
         """
-        for tid, maxw in max_weights.items():
-            minw = min_weights.get(tid, 0.0)
-            self._lists.setdefault(tid, []).append(Posting(entry_key, maxw, minw))
+        self._append(
+            list(max_weights), [entry_key] * len(max_weights),
+            list(max_weights.values()),
+            [min_weights.get(tid, 0.0) for tid in max_weights],
+        )
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     def postings(self, term_id: int) -> List[Posting]:
-        """Posting list of ``term_id`` (empty when absent)."""
-        return self._lists.get(term_id, [])
+        """Posting list of ``term_id`` (empty when absent), as objects."""
+        a, b = self._range(term_id)
+        return [
+            Posting(key, maxw, minw)
+            for key, maxw, minw in zip(
+                self._key[a:b].tolist(), self._max[a:b].tolist(), self._min[a:b].tolist()
+            )
+        ]
 
     def terms(self) -> Iterator[int]:
-        return iter(self._lists)
+        """Distinct term ids, ascending."""
+        return iter(self._terms.tolist())
 
     def __contains__(self, term_id: int) -> bool:
-        return term_id in self._lists
+        return self._range(term_id)[1] > 0
 
     def __len__(self) -> int:
         """Number of distinct terms."""
-        return len(self._lists)
+        return len(self._terms)
 
     def num_postings(self) -> int:
-        return sum(len(v) for v in self._lists.values())
+        return len(self._term)
 
     # ------------------------------------------------------------------
     # Per-entry views (what the traversal needs after loading lists)
@@ -112,8 +171,11 @@ class InvertedFile:
         """
         out: Dict[int, Dict[int, Tuple[float, float]]] = {}
         for tid in set(term_ids):
-            for p in self._lists.get(tid, []):
-                out.setdefault(p.entry_key, {})[tid] = (p.max_weight, p.min_weight)
+            a, b = self._range(tid)
+            for key, maxw, minw in zip(
+                self._key[a:b].tolist(), self._max[a:b].tolist(), self._min[a:b].tolist()
+            ):
+                out.setdefault(key, {})[tid] = (maxw, minw)
         return out
 
     # ------------------------------------------------------------------
@@ -124,13 +186,13 @@ class InvertedFile:
         return POSTING_ENTRY_BYTES_MIR if self.minmax else POSTING_ENTRY_BYTES_IR
 
     def list_bytes(self, term_id: int) -> int:
-        plist = self._lists.get(term_id)
-        if not plist:
+        a, b = self._range(term_id)
+        if b == a:
             return 0
-        return PageStore.posting_list_bytes(len(plist), self.posting_entry_bytes)
+        return PageStore.posting_list_bytes(b - a, self.posting_entry_bytes)
 
     def total_bytes(self) -> int:
-        return sum(self.list_bytes(t) for t in self._lists)
+        return sum(self.list_bytes(t) for t in self.terms())
 
     def charge_lists(
         self,

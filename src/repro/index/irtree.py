@@ -17,21 +17,43 @@ Both trees share this implementation; ``minmax=False`` gives the classic
 IR-tree (8-byte postings), ``minmax=True`` the MIR-tree (12-byte
 postings).  Construction, splitting and updates are identical to the
 R-tree substrate, matching the paper's cost analysis.
+
+Construction is columnar.  The tree reads the object table
+(:class:`~repro.model.columns.ObjectTable`) and its relevance weights as
+arrays, packs the leaves by STR on the coordinate columns
+(:class:`~repro.spatial.rtree.PackedLevels`) and computes, level by
+level, every node's summary as one CSR of ``(term, max weight, min
+weight, posting count)`` by segment reductions over its entries — the
+summary a parent's postings carry, and the sizes of the node's own
+posting lists.  :class:`~repro.core.kernels.TreeArrays` flattens those
+arrays directly.  Node objects (:attr:`IRTree.rtree`), per-node
+:class:`~repro.index.invfile.InvertedFile` views and the objects
+themselves are built on first access, for the scalar walks (the oracle,
+the baseline) and tests; answering a query through the kernels needs
+none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from ..model.columns import ObjectTable, group_order, segment_rows
 from ..model.objects import STObject
-from ..spatial.geometry import Rect
-from ..spatial.rtree import RTree, RTreeEntry, RTreeNode, DEFAULT_FANOUT
-from ..storage.pager import PageStore
+from ..spatial.geometry import Point, Rect
+from ..spatial.rtree import DEFAULT_FANOUT, PackedLevels, RTree, RTreeEntry, RTreeNode
+from ..storage.pager import (
+    POSTING_ENTRY_BYTES_IR,
+    POSTING_ENTRY_BYTES_MIR,
+    PageStore,
+    TERM_HEADER_BYTES,
+)
 from ..text.relevance import TextRelevance
 from .invfile import InvertedFile, merge_minmax
 
-__all__ = ["IRTree", "MIRTree", "ChildView", "ObjectView"]
+__all__ = ["IRTree", "MIRTree", "ChildView", "ObjectView", "NodeSummaries"]
 
 
 @dataclass(slots=True)
@@ -59,16 +81,66 @@ class ObjectView:
         return Rect.from_point(self.obj.location)
 
 
+class NodeSummaries(NamedTuple):
+    """One level's subtree summaries as a CSR over its nodes.
+
+    Node ``g`` owns ``term[ptr[g]:ptr[g + 1]]`` (ascending): ``maxw`` is
+    the term's maximum weight in the subtree, ``minw`` its minimum over
+    the subtree's documents when every one of them holds it (``inter``)
+    and 0 otherwise, ``count`` the number of the node's entries holding
+    it — the length of the node's posting list for the term.
+    """
+
+    ptr: np.ndarray
+    term: np.ndarray
+    maxw: np.ndarray
+    minw: np.ndarray
+    inter: np.ndarray
+    count: np.ndarray
+
+
+def _summarize(group, term, maxw, minw, inter, entries_per_node) -> NodeSummaries:
+    """Merge entry summaries into node summaries: per ``(group, term)``
+    the max of the maxima, the min of the minima, and intersection only
+    where every one of the node's entries is in it."""
+    order = group_order(group, term)
+    g, t = group[order], term[order]
+    fresh = np.ones(len(g), dtype=bool)
+    fresh[1:] = (g[1:] != g[:-1]) | (t[1:] != t[:-1])
+    starts = np.flatnonzero(fresh)
+    nodes = len(entries_per_node)
+    if not len(starts):
+        empty = np.zeros(0)
+        return NodeSummaries(
+            np.zeros(nodes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            empty, empty, np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64),
+        )
+    count = np.diff(np.append(starts, len(g)))
+    node = g[starts]
+    held = np.add.reduceat(inter[order].astype(np.int64), starts)
+    both = held == entries_per_node[node]
+    low = np.minimum.reduceat(minw[order], starts)
+    return NodeSummaries(
+        ptr=np.concatenate(([0], np.cumsum(np.bincount(node, minlength=nodes)))),
+        term=t[starts],
+        maxw=np.maximum.reduceat(maxw[order], starts),
+        minw=np.where(both, low, 0.0),
+        inter=both,
+        count=count,
+    )
+
+
 class IRTree:
     """Spatial-textual tree over objects; see module docstring.
 
     Parameters
     ----------
     objects:
-        The object set ``O``.
+        The object set ``O``: an :class:`ObjectTable` (a sequence of
+        objects is converted).
     relevance:
-        A *fitted* text relevance measure; its ``document_weights`` are
-        what the posting lists store.
+        A *fitted* text relevance measure; its weights of the objects'
+        documents are what the posting lists store.
     fanout:
         R-tree fanout.
     minmax:
@@ -79,71 +151,94 @@ class IRTree:
 
     def __init__(
         self,
-        objects: Sequence[STObject],
+        objects: Union[ObjectTable, Sequence[STObject]],
         relevance: TextRelevance,
         fanout: int = DEFAULT_FANOUT,
         minmax: bool = False,
     ) -> None:
-        if not objects:
-            raise ValueError("cannot index an empty object set")
-        self.relevance = relevance
-        self.minmax = minmax
-        self.fanout = fanout
-        self._objects: Dict[int, STObject] = {o.item_id: o for o in objects}
-        if len(self._objects) != len(objects):
-            raise ValueError("duplicate object ids in the object set")
-        self._doc_weights: Dict[int, Dict[int, float]] = {
-            o.item_id: relevance.document_weights(o.terms) for o in objects
-        }
-        entries = [RTreeEntry(point=o.location, item=o.item_id) for o in objects]
-        self.rtree: RTree[int] = self._build_rtree(entries, fanout)
-        # page_id -> inverted file of that node; page_id -> (max, min)
-        # subtree summaries used while building parent files.
-        self._invfiles: Dict[int, InvertedFile] = {}
-        self._summaries: Dict[int, Tuple[Dict[int, float], Dict[int, float]]] = {}
-        root = self.rtree.root
-        assert root is not None
-        self._build_node(root)
+        self._setup(ObjectTable.of(objects), relevance, fanout, minmax)
+        self._index(self._leaf_groups())
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_rtree(
-        self, entries: List[RTreeEntry[int]], fanout: int
-    ) -> RTree[int]:
-        """Build the spatial skeleton; subclasses override the grouping.
+    def _setup(
+        self, table: ObjectTable, relevance: TextRelevance, fanout: int, minmax: bool
+    ) -> None:
+        if not len(table):
+            raise ValueError("cannot index an empty object set")
+        if not table.has_unique_ids():
+            raise ValueError("duplicate object ids in the object set")
+        self.table = table
+        self.relevance = relevance
+        self.minmax = minmax
+        self.fanout = fanout
+        #: ``w(t, o.d)`` aligned with the table's document CSR.
+        self.weights = table.weights(relevance)
+        self._rtree: Optional[RTree[int]] = None
+        self._invfiles: Dict[int, InvertedFile] = {}
 
-        The base IR/MIR-tree packs purely spatially (STR); the DIR-tree
-        variant refines leaf membership with textual cohesion.
-        """
-        return RTree.bulk_load(entries, fanout=fanout)
+    def _leaf_groups(self):
+        """Leaf grouping of the object rows as ``(order, ptr)``; ``None``
+        packs by STR (the DIR-tree variant groups by text as well)."""
+        return None
 
-    def _build_node(
-        self, node: RTreeNode[int]
-    ) -> Tuple[Dict[int, float], Dict[int, float]]:
-        """Build this node's inverted file; return its subtree summary."""
-        inv = InvertedFile(minmax=self.minmax)
-        if node.is_leaf:
-            docs = []
-            for entry in node.entries:
-                weights = self._doc_weights[entry.item]
-                inv.add_document(entry.item, weights)
-                docs.append(weights)
-            summary = merge_minmax(docs)
-        else:
-            child_summaries = []
-            for child in node.children:
-                child_summary = self._build_node(child)
-                inv.add_summary(child.page_id, child_summary[0], child_summary[1])
-                child_summaries.append(child_summary)
-            summary = _merge_summaries(child_summaries)
-        self._invfiles[node.page_id] = inv
-        self._summaries[node.page_id] = summary
-        return summary
+    def _index(self, leaves=None, upper=None) -> None:
+        """Pack the levels and summarise every node, bottom-up."""
+        table = self.table
+        self.shape = PackedLevels(
+            table.x, table.y, self.fanout, leaves=leaves, upper=upper
+        )
+        shape = self.shape
+        doc_len = np.diff(table.indptr)
+        # Leaves: the objects' own weights; min == max, all in the
+        # intersection of their one-document subtree.
+        members = shape.members[0]
+        sizes = shape.sizes(0)
+        entries = segment_rows(table.indptr, members)
+        slot_node = np.repeat(np.arange(len(sizes)), sizes)
+        group = np.repeat(slot_node, doc_len[members])
+        w = self.weights[entries]
+        summaries = [_summarize(
+            group, table.terms[entries], w, w, np.ones(len(w), dtype=bool), sizes
+        )]
+        for level in range(1, shape.height):
+            below = summaries[-1]
+            members, sizes = shape.members[level], shape.sizes(level)
+            entries = segment_rows(below.ptr, members)
+            slot_node = np.repeat(np.arange(len(sizes)), sizes)
+            group = np.repeat(slot_node, np.diff(below.ptr)[members])
+            summaries.append(_summarize(
+                group, below.term[entries], below.maxw[entries],
+                below.minw[entries], below.inter[entries], sizes,
+            ))
+        #: Per level, every node's :class:`NodeSummaries` row.
+        self.summaries: List[NodeSummaries] = summaries
+        page_level = np.empty(shape.num_nodes, dtype=np.int64)
+        page_node = np.empty(shape.num_nodes, dtype=np.int64)
+        for level, pages in enumerate(shape.page):
+            page_level[pages] = level
+            page_node[pages] = np.arange(len(pages))
+        self._page_level = page_level
+        self._page_node = page_node
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def rtree(self) -> RTree[int]:
+        """The tree as node objects (built on first access)."""
+        if self._rtree is None:
+            table = self.table
+            entries = [
+                RTreeEntry(point=Point(x, y), item=oid)
+                for oid, x, y in zip(table.ids.tolist(), table.x.tolist(), table.y.tolist())
+            ]
+            rtree: RTree[int] = RTree(fanout=self.fanout)
+            self.shape.fill(rtree, entries)
+            self._rtree = rtree
+        return self._rtree
+
     @property
     def root(self) -> RTreeNode[int]:
         root = self.rtree.root
@@ -151,26 +246,78 @@ class IRTree:
         return root
 
     def __len__(self) -> int:
-        return len(self.rtree)
+        return len(self.table)
 
     def object_by_id(self, object_id: int) -> STObject:
-        return self._objects[object_id]
+        return self.table.object(object_id)
 
     def document_weights(self, object_id: int) -> Dict[int, float]:
         """Actual term weights of one object's document."""
-        return self._doc_weights[object_id]
+        row = self.table.row_of(object_id)
+        a, b = int(self.table.indptr[row]), int(self.table.indptr[row + 1])
+        return dict(zip(self.table.terms[a:b].tolist(), self.weights[a:b].tolist()))
+
+    def ascending_weights(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, term, weight)``: every object's weights with its
+        terms ascending (what a leaf entry's bounds sum over)."""
+        ascending = self.table.ascending()
+        return self.table.indptr, self.table.terms[ascending], self.weights[ascending]
+
+    @property
+    def posting_entry_bytes(self) -> int:
+        return POSTING_ENTRY_BYTES_MIR if self.minmax else POSTING_ENTRY_BYTES_IR
 
     def invfile_of(self, node: RTreeNode[int]) -> InvertedFile:
-        return self._invfiles[node.page_id]
+        return self.invfile_at(node.page_id)
+
+    def invfile_at(self, page_id: int) -> InvertedFile:
+        """The inverted file of the node with this page id, as a view
+        over the level arrays (built on first access)."""
+        inv = self._invfiles.get(page_id)
+        if inv is None:
+            level = int(self._page_level[page_id])
+            node = int(self._page_node[page_id])
+            ptr, members = self.shape.ptr[level], self.shape.members[level]
+            slots = members[ptr[node]:ptr[node + 1]]
+            if level == 0:
+                src_ptr, term = self.table.indptr, self.table.terms
+                maxw = minw = self.weights
+                keys = self.table.ids[slots]
+            else:
+                below = self.summaries[level - 1]
+                src_ptr, term, maxw, minw = below.ptr, below.term, below.maxw, below.minw
+                keys = self.shape.page[level - 1][slots]
+            entries = segment_rows(src_ptr, slots)
+            inv = InvertedFile.from_arrays(
+                self.minmax, term[entries],
+                np.repeat(keys, np.diff(src_ptr)[slots]),
+                maxw[entries], minw[entries],
+            )
+            self._invfiles[page_id] = inv
+        return inv
 
     def subtree_summary(
         self, node: RTreeNode[int]
     ) -> Tuple[Dict[int, float], Dict[int, float]]:
         """(max weights over union, min weights over intersection)."""
-        return self._summaries[node.page_id]
+        level = int(self._page_level[node.page_id])
+        g = int(self._page_node[node.page_id])
+        s = self.summaries[level]
+        a, b = int(s.ptr[g]), int(s.ptr[g + 1])
+        terms = s.term[a:b].tolist()
+        max_w = dict(zip(terms, s.maxw[a:b].tolist()))
+        min_w = {
+            t: m for t, m, both in zip(terms, s.minw[a:b].tolist(), s.inter[a:b].tolist())
+            if both
+        }
+        return max_w, min_w
 
     def total_inverted_bytes(self) -> int:
-        return sum(inv.total_bytes() for inv in self._invfiles.values())
+        return sum(
+            len(s.term) * TERM_HEADER_BYTES
+            + int(s.count.sum()) * self.posting_entry_bytes
+            for s in self.summaries
+        )
 
     # ------------------------------------------------------------------
     # Charged access (the only path algorithms use)
@@ -191,13 +338,13 @@ class IRTree:
         terms = set(term_ids)
         if store is not None:
             store.read_node(self.index_name, node.page_id)
-        inv = self._invfiles[node.page_id]
+        inv = self.invfile_at(node.page_id)
         inv.charge_lists(store, self.index_name, node.page_id, terms)
         by_entry = inv.entry_weights(terms)
         if node.is_leaf:
             objects = [
                 ObjectView(
-                    obj=self._objects[entry.item],
+                    obj=self.object_by_id(entry.item),
                     weights=by_entry.get(entry.item, {}),
                 )
                 for entry in node.entries
@@ -219,9 +366,9 @@ class IRTree:
         self._check_node(root)
 
     def _check_node(self, node: RTreeNode[int]) -> Tuple[Dict[int, float], Dict[int, float]]:
-        max_w, min_w = self._summaries[node.page_id]
+        max_w, min_w = self.subtree_summary(node)
         if node.is_leaf:
-            expect = merge_minmax([self._doc_weights[e.item] for e in node.entries])
+            expect = merge_minmax([self.document_weights(e.item) for e in node.entries])
         else:
             expect = _merge_summaries([self._check_node(c) for c in node.children])
         assert _weights_close(max_w, expect[0]), "stale max summary"
@@ -239,7 +386,7 @@ class MIRTree(IRTree):
 
     def __init__(
         self,
-        objects: Sequence[STObject],
+        objects: Union[ObjectTable, Sequence[STObject]],
         relevance: TextRelevance,
         fanout: int = DEFAULT_FANOUT,
     ) -> None:

@@ -5,17 +5,32 @@ relevance measure and the spatial normalizer ``dmax``, because every
 score in the system — Eq. 1's ``STS`` — needs all three.  The scoring
 helpers live here so that algorithms, indexes and tests all share one
 definition of the ranking function.
+
+The objects are held as columns (:class:`~repro.model.columns.ObjectTable`,
+what the generators emit; a list of objects is converted at the door).
+From them the dataset fits the relevance model and derives every
+object's term weights once, one array aligned with the table's
+document CSR (:attr:`Dataset.object_weights`) that the MIR-tree and
+the kernel columns read.  ``dataset.objects`` is the table itself: its
+length needs no object, and iterating it builds the
+:class:`~repro.model.objects.STObject` rows once, for the callers that
+want them (the oracle, the baseline, tests, examples).  Users stay
+objects.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from ..spatial.geometry import Point, Rect
 from ..spatial.metrics import EUCLIDEAN, LpMetric
 from ..text.relevance import TextRelevance, make_relevance
 from ..text.vocabulary import Vocabulary
+from .columns import ObjectTable
 from .objects import STObject, SuperUser, User
 
 __all__ = ["Dataset", "DatasetStats"]
@@ -48,7 +63,8 @@ class Dataset:
     Parameters
     ----------
     objects / users:
-        The two colors of Definition 1.
+        The two colors of Definition 1; ``objects`` as an
+        :class:`ObjectTable` or a sequence of :class:`STObject`.
     relevance:
         A text relevance measure instance or its short name
         ("LM" / "TF" / "KO").  It is fit on the *object* documents —
@@ -67,27 +83,28 @@ class Dataset:
 
     def __init__(
         self,
-        objects: Sequence[STObject],
+        objects: Union[ObjectTable, Sequence[STObject]],
         users: Sequence[User],
         relevance: TextRelevance | str = "LM",
         alpha: float = 0.5,
         vocabulary: Optional[Vocabulary] = None,
         metric: LpMetric = EUCLIDEAN,
     ) -> None:
-        if not objects:
+        if not len(objects):
             raise ValueError("dataset requires at least one object")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        self.objects: List[STObject] = list(objects)
+        #: The object set as columns — the dataset's only object table.
+        self.table: ObjectTable = ObjectTable.of(objects)
         self.users: List[User] = list(users)
         self.alpha = alpha
         self.vocabulary = vocabulary
         self.metric = metric
         if isinstance(relevance, str):
             relevance = make_relevance(relevance)
-        self.relevance: TextRelevance = relevance.fit([o.terms for o in self.objects])
+        self.table.fit(relevance)
+        self.relevance: TextRelevance = relevance
         self.dmax = self._compute_dmax()
-        self._objects_by_id: Dict[int, STObject] = {o.item_id: o for o in self.objects}
         self._users_by_id: Dict[int, User] = {u.item_id: u for u in self.users}
         self._super_user: Optional[SuperUser] = None
         #: Kernel state that depends on the objects and the relevance
@@ -127,9 +144,26 @@ class Dataset:
         at opposite corners), which keeps ``SS`` within [0, 1] for
         every pair.
         """
-        points = [o.location for o in self.objects] + [u.location for u in self.users]
-        diam = self.metric.diameter(Rect.from_points(points))
+        xs = np.concatenate((self.table.x, [u.location.x for u in self.users]))
+        ys = np.concatenate((self.table.y, [u.location.y for u in self.users]))
+        rect = Rect(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
+        diam = self.metric.diameter(rect)
         return diam if diam > 0 else 1.0
+
+    @property
+    def objects(self) -> ObjectTable:
+        """``O`` as a ``Sequence[STObject]`` — the columns themselves;
+        iterating builds the objects (once)."""
+        return self.table
+
+    @property
+    def num_objects(self) -> int:
+        return len(self.table)
+
+    @property
+    def object_weights(self) -> np.ndarray:
+        """``w(t, o.d)`` of every entry of the table's document CSR."""
+        return self.table.weights(self.relevance)
 
     @property
     def super_user(self) -> SuperUser:
@@ -140,13 +174,29 @@ class Dataset:
             self._super_user = SuperUser.from_users(self.users, self.relevance)
         return self._super_user
 
+    def fingerprint(self) -> str:
+        """SHA-256 over what replicas must agree on: the object columns,
+        the users (ids, locations, terms), ``alpha`` and the measure."""
+        users = self.users
+        h = hashlib.sha256(self.table.digest().encode("ascii"))
+        h.update(np.array([u.item_id for u in users], dtype=np.int64).tobytes())
+        h.update(np.array(
+            [(u.location.x, u.location.y) for u in users], dtype=np.float64
+        ).tobytes())
+        h.update(np.array(
+            [len(u.terms) for u in users] + [t for u in users for t in u.terms],
+            dtype=np.int64,
+        ).tobytes())
+        h.update(repr((self.alpha, self.relevance.name, self.metric.p)).encode())
+        return h.hexdigest()
+
     def bump_epoch(self) -> int:
         """Advance the mutation generation, invalidating keyed caches."""
         self.epoch += 1
         return self.epoch
 
     def object_by_id(self, object_id: int) -> STObject:
-        return self._objects_by_id[object_id]
+        return self.table.object(object_id)
 
     def user_by_id(self, user_id: int) -> User:
         return self._users_by_id[user_id]
@@ -188,34 +238,25 @@ class Dataset:
     # Reporting
     # ------------------------------------------------------------------
     def stats(self) -> DatasetStats:
-        unique: set = set()
-        total_terms = 0
-        unique_per_obj = 0
-        for o in self.objects:
-            unique |= o.keyword_set
-            unique_per_obj += len(o.keyword_set)
-            total_terms += o.doc_length
+        table = self.table
         return DatasetStats(
-            num_objects=len(self.objects),
+            num_objects=len(table),
             num_users=len(self.users),
-            num_unique_terms=len(unique),
-            avg_unique_terms_per_object=(
-                unique_per_obj / len(self.objects) if self.objects else 0.0
-            ),
-            total_terms=total_terms,
+            num_unique_terms=len(np.unique(table.terms)),
+            avg_unique_terms_per_object=len(table.terms) / len(table),
+            total_terms=int(table.tfs.sum()),
         )
 
     def with_alpha(self, alpha: float) -> "Dataset":
         """Cheap re-parameterization sharing the fitted relevance model."""
         clone = object.__new__(Dataset)
-        clone.objects = self.objects
+        clone.table = self.table
         clone.users = self.users
         clone.alpha = alpha
         clone.vocabulary = self.vocabulary
         clone.metric = self.metric
         clone.relevance = self.relevance
         clone.dmax = self.dmax
-        clone._objects_by_id = self._objects_by_id
         clone._users_by_id = self._users_by_id
         clone._super_user = None
         clone._per_object_set = self._per_object_set
@@ -225,14 +266,13 @@ class Dataset:
     def with_users(self, users: Sequence[User]) -> "Dataset":
         """Clone with a different user set (same objects and relevance)."""
         clone = object.__new__(Dataset)
-        clone.objects = self.objects
+        clone.table = self.table
         clone.users = list(users)
         clone.alpha = self.alpha
         clone.vocabulary = self.vocabulary
         clone.metric = self.metric
         clone.relevance = self.relevance
         clone.dmax = self.dmax
-        clone._objects_by_id = self._objects_by_id
         clone._users_by_id = {u.item_id: u for u in clone.users}
         clone._super_user = None
         clone._per_object_set = self._per_object_set

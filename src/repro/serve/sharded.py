@@ -76,6 +76,7 @@ from ..core.pipeline import INLINE, FlushReport, ShardedExecutor, user_row_range
 from ..core.planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
 from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
 from ..model.dataset import Dataset
+from .errors import PoolUnavailable
 from .pool import PersistentWorkerPool, PoolTransport
 
 __all__ = ["ShardRuntimeStats", "ShardedEngine", "make_engine"]
@@ -401,6 +402,9 @@ class ShardedEngine:
         the same supervision policies the fork pool takes; host death
         re-scatters a round to a surviving host, exhaustion degrades it
         to in-process execution — results bitwise-identical throughout.
+        A host whose ``PONG`` carries another dataset's digest
+        (:meth:`~repro.model.dataset.Dataset.fingerprint`) is refused
+        with :class:`~repro.serve.errors.PoolUnavailable`.
 
         Mutually exclusive with :meth:`start_pools` (one transport at a
         time); undo with :meth:`close_hosts`.
@@ -419,6 +423,11 @@ class ShardedEngine:
             hosts, connect_timeout_s=connect_timeout_s
         )
         registry.connect_all()
+        try:
+            registry.verify_replicas(self.dataset.fingerprint())
+        except PoolUnavailable:
+            registry.close()
+            raise
         self._registry = registry
         self._executor.transport = SocketTransport(
             registry, self.dataset, retry=retry, deadline=deadline

@@ -7,7 +7,10 @@ payload names the user rows it covers) and every flush's ``select``
 round alike.  Dataset generation is deterministic, so every host's
 replica is bitwise-identical to the coordinator's — which is what makes
 re-scattering a failed round to *any* surviving host trivially
-result-identical.
+result-identical.  The host does not take that on faith: it answers a
+``PING`` with its replica's digest, and
+:meth:`~repro.serve.sharded.ShardedEngine.connect_hosts` refuses a host
+whose digest is not the coordinator's.
 
 The host then serves the :class:`~repro.serve.transport.FrameCodec`
 protocol over asyncio: a ``SCATTER`` frame carrying a lane's payload
@@ -190,6 +193,14 @@ class ShardHost:
         #: the fire-once socket faults count against.
         self.scatter_frames = 0
         self._fired: set = set()
+        self._fingerprint: Optional[str] = None
+
+    @property
+    def fingerprint(self) -> str:
+        """Digest of the replica (:meth:`Dataset.fingerprint`)."""
+        if self._fingerprint is None:
+            self._fingerprint = self.dataset.fingerprint()
+        return self._fingerprint
 
     # -- lifecycle -----------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
@@ -236,8 +247,12 @@ class ShardHost:
                 )
                 body = await reader.readexactly(length) if length else b""
                 if kind == FrameCodec.PING:
-                    writer.write(FrameCodec.pack(FrameCodec.PONG, flush_seq,
-                                                 shard_id, epoch))
+                    # The PONG body is this replica's dataset digest: the
+                    # coordinator refuses a host built from other data.
+                    writer.write(FrameCodec.pack(
+                        FrameCodec.PONG, flush_seq, shard_id, epoch,
+                        self.fingerprint.encode("ascii"),
+                    ))
                     await writer.drain()
                     continue
                 if kind != FrameCodec.SCATTER:
@@ -295,6 +310,31 @@ class ShardHost:
             )
 
 
+#: ``mallopt`` parameter number of glibc's ``M_TOP_PAD``.
+_M_TOP_PAD = -2
+_HEAP_PAD_BYTES = 16 << 20
+
+
+def _pad_heap() -> None:
+    """Keep 16 MB free at the top of the C heap (glibc only).
+
+    A select payload allocates and frees ~2 MB of array temporaries.
+    The host's replica is built from columns, so its heap is compact:
+    glibc trims the freed top back to the OS after every payload and
+    the next one faults it in again — ~510 minor page faults a payload,
+    ~8 % of a warm ``serve-socket`` flush (2 vCPU, 4k/400 cell).  With
+    a 16 MB top pad the heap keeps those pages between payloads.
+    """
+    import ctypes
+    import ctypes.util
+
+    try:
+        libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
+        libc.mallopt(_M_TOP_PAD, _HEAP_PAD_BYTES)
+    except (OSError, AttributeError):  # not glibc: nothing to tune
+        pass
+
+
 def run_host(
     spec: WorkloadSpec,
     *,
@@ -317,6 +357,7 @@ def run_host(
     if arena:
         ShmArena.attach(arena).close()  # fail fast on a bad --arena
     host = ShardHost(make_workload(spec)[0], fault=fault)
+    _pad_heap()
 
     async def _main() -> None:
         port = await host.start(listen[0], listen[1])

@@ -283,6 +283,15 @@ class ShardHostClient:
         return bytes(buf)
 
     # -- liveness ------------------------------------------------------
+    def fingerprint(self, timeout_s: float = 2.0) -> str:
+        """The host replica's dataset digest: the body of its ``PONG``."""
+        self.send_frame(FrameCodec.pack(FrameCodec.PING, 0, -1, 0))
+        kind, _seq, _shard, _epoch, body = self.recv_frame(timeout_s)
+        if kind != FrameCodec.PONG:
+            self.close()
+            raise WorkerCrashed(f"shard host {self.addr} answered PING with kind {kind}")
+        return body.decode("ascii")
+
     def ping(self, timeout_s: float = 2.0) -> bool:
         """One PING/PONG round trip; marks the client dead on failure."""
         try:
@@ -347,6 +356,31 @@ class ShardRegistry:
             raise PoolUnavailable(
                 f"no shard host reachable out of {len(self.clients)}"
             ) from last
+
+    def verify_replicas(self, digest: str) -> None:
+        """Refuse hosts whose replica is not the coordinator's dataset.
+
+        Every reachable host answers a ``PING`` with the digest of the
+        dataset it built (:meth:`~repro.model.dataset.Dataset.fingerprint`);
+        one that differs raises :class:`PoolUnavailable` naming the host
+        and both digests.  A host that does not answer is left to the
+        rounds' own failure handling, as before this check existed.
+        """
+        for client in self.alive_hosts():
+            try:
+                theirs = client.fingerprint()
+            except ScatterFailure:
+                client.close()
+                try:
+                    client.connect()
+                except PoolUnavailable:
+                    pass
+                continue
+            if theirs != digest:
+                raise PoolUnavailable(
+                    f"shard host {client.addr} serves a different dataset: "
+                    f"host digest {theirs} != coordinator digest {digest}"
+                )
 
     def alive_hosts(self) -> List[ShardHostClient]:
         return [c for c in self.clients if c.alive]

@@ -7,7 +7,11 @@ supports:
 
 * **STR bulk loading** (Sort-Tile-Recursive), the standard way to build a
   packed tree from a static dataset — matching the paper's setting where
-  the object set ``O`` is indexed once and queried many times;
+  the object set ``O`` is indexed once and queried many times.  The
+  packing runs on coordinate arrays (:class:`PackedLevels`: two stable
+  ``lexsort``s per level, MBRs by segment reductions, page ids and the
+  pre-order numbered by array arithmetic); node objects are one view of
+  that shape, built for whoever walks the tree;
 * **dynamic insertion** with Guttman's quadratic split, so incremental
   updates behave like the original IR-tree ("the update costs of the
   MIR-tree are the same as the IR-tree");
@@ -24,9 +28,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
+import numpy as np
+
 from .geometry import Point, Rect
 
-__all__ = ["RTreeEntry", "RTreeNode", "RTree", "DEFAULT_FANOUT"]
+__all__ = [
+    "RTreeEntry", "RTreeNode", "RTree", "DEFAULT_FANOUT", "PackedLevels", "str_groups",
+]
 
 T = TypeVar("T")
 
@@ -147,45 +155,16 @@ class RTree(Generic[T]):
 
         Entries are sorted by x, cut into vertical slabs of
         ``ceil(sqrt(n / fanout))`` runs, each slab sorted by y and packed
-        into leaves of ``fanout`` entries; the process recurses upward.
+        into leaves of ``fanout`` entries; the process recurses upward
+        (:class:`PackedLevels` does it on coordinate arrays).
         """
         tree = cls(fanout=fanout)
         if not entries:
             return tree
-        leaves = tree._pack_leaves(list(entries))
-        level: List[RTreeNode[T]] = leaves
-        while len(level) > 1:
-            level = tree._pack_internal(level)
-        tree.root = level[0]
-        tree._size = len(entries)
-        tree._assign_page_ids()
+        x = np.array([e.point.x for e in entries], dtype=np.float64)
+        y = np.array([e.point.y for e in entries], dtype=np.float64)
+        PackedLevels(x, y, fanout).fill(tree, list(entries))
         return tree
-
-    def _pack_leaves(self, entries: List[RTreeEntry[T]]) -> List[RTreeNode[T]]:
-        groups = _str_partition(entries, self.fanout, key=lambda e: e.point)
-        leaves: List[RTreeNode[T]] = []
-        for group in groups:
-            node = RTreeNode[T](
-                is_leaf=True,
-                rect=Rect.from_rects([e.rect for e in group]),
-                entries=group,
-            )
-            node.subtree_count = len(group)
-            leaves.append(node)
-        return leaves
-
-    def _pack_internal(self, nodes: List[RTreeNode[T]]) -> List[RTreeNode[T]]:
-        groups = _str_partition(nodes, self.fanout, key=lambda n: n.rect.center)
-        parents: List[RTreeNode[T]] = []
-        for group in groups:
-            parent = RTreeNode[T](
-                is_leaf=False,
-                rect=Rect.from_rects([n.rect for n in group]),
-                children=group,
-            )
-            parent.subtree_count = sum(n.subtree_count for n in group)
-            parents.append(parent)
-        return parents
 
     def _assign_page_ids(self) -> None:
         """Number nodes breadth-first so page ids are deterministic."""
@@ -335,21 +314,147 @@ class RTree(Generic[T]):
 # Helpers
 # ----------------------------------------------------------------------
 
-def _str_partition(items: List, fanout: int, key: Callable) -> List[List]:
-    """Sort-Tile-Recursive partition of ``items`` into runs of ``fanout``."""
-    n = len(items)
+def str_groups(x: np.ndarray, y: np.ndarray, fanout: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort-Tile-Recursive partition of points given as two arrays.
+
+    Returns ``(order, ptr)``: group ``g`` holds the points
+    ``order[ptr[g]:ptr[g + 1]]``.  The points are sorted by ``(x, y)``,
+    cut into slabs of ``ceil(sqrt(pages)) * fanout``, each slab sorted
+    by ``(y, x)`` and cut into runs of ``fanout`` — both sorts stable,
+    so ties keep their input order.  ``n <= fanout`` is one group in
+    input order.
+    """
+    n = len(x)
     if n <= fanout:
-        return [list(items)]
+        return np.arange(n), np.array([0, n])
     pages = math.ceil(n / fanout)
-    slabs = math.ceil(math.sqrt(pages))
-    per_slab = slabs * fanout
-    by_x = sorted(items, key=lambda it: (key(it).x, key(it).y))
-    groups: List[List] = []
-    for i in range(0, n, per_slab):
-        slab = sorted(by_x[i : i + per_slab], key=lambda it: (key(it).y, key(it).x))
-        for j in range(0, len(slab), fanout):
-            groups.append(slab[j : j + fanout])
-    return groups
+    per_slab = math.ceil(math.sqrt(pages)) * fanout
+    by_x = np.lexsort((y, x))
+    slab = np.arange(n) // per_slab
+    order = by_x[np.lexsort((x[by_x], y[by_x], slab))]
+    starts = np.flatnonzero(np.arange(n) % per_slab % fanout == 0)
+    return order, np.append(starts, n)
+
+
+def _segment_rects(min_x, min_y, max_x, max_y, ptr) -> np.ndarray:
+    """``(groups, 4)`` MBRs of consecutive segments ``ptr``."""
+    at = ptr[:-1]
+    return np.column_stack((
+        np.minimum.reduceat(min_x, at), np.minimum.reduceat(min_y, at),
+        np.maximum.reduceat(max_x, at), np.maximum.reduceat(max_y, at),
+    ))
+
+
+class PackedLevels:
+    """A packed tree's shape as arrays, built bottom-up from points.
+
+    Level 0 groups the points into leaves (STR unless ``leaves`` gives
+    the grouping); every level above groups the one below by STR over
+    the nodes' MBR centres (unless ``upper`` gives each level's
+    grouping), until one node is left.  Per level ``L``:
+
+    * ``members[L]`` / ``ptr[L]``: node ``g``'s entries are
+      ``members[L][ptr[L][g]:ptr[L][g + 1]]`` — point rows at level 0,
+      node indices of level ``L - 1`` above it;
+    * ``rects[L]``: ``(nodes, 4)`` MBRs ``(min_x, min_y, max_x, max_y)``;
+    * ``page[L]``: page ids, breadth-first from the root as
+      :meth:`RTree._assign_page_ids` numbers them;
+    * ``pre[L]``: the node's position in a depth-first pre-order walk
+      (children in order).
+
+    Node objects are not needed to answer queries from the arrays;
+    :meth:`fill` builds them for the callers that walk a tree.
+    """
+
+    def __init__(self, x, y, fanout: int, leaves=None, upper=None) -> None:
+        order, ptr = leaves if leaves is not None else str_groups(x, y, fanout)
+        self.fanout = fanout
+        self.members: List[np.ndarray] = [np.asarray(order)]
+        self.ptr: List[np.ndarray] = [np.asarray(ptr)]
+        px, py = x[order], y[order]
+        self.rects: List[np.ndarray] = [_segment_rects(px, py, px, py, ptr)]
+        planned = iter(upper or ())
+        while len(self.ptr[-1]) > 2:
+            rect = self.rects[-1]
+            if upper is not None:
+                order, ptr = next(planned)
+            else:
+                order, ptr = str_groups(
+                    (rect[:, 0] + rect[:, 2]) / 2.0, (rect[:, 1] + rect[:, 3]) / 2.0,
+                    fanout,
+                )
+            self.members.append(np.asarray(order))
+            self.ptr.append(np.asarray(ptr))
+            r = rect[order]
+            self.rects.append(_segment_rects(r[:, 0], r[:, 1], r[:, 2], r[:, 3], ptr))
+        self._number()
+
+    @property
+    def height(self) -> int:
+        return len(self.members)
+
+    def sizes(self, level: int) -> np.ndarray:
+        """Entries per node of ``level``."""
+        return np.diff(self.ptr[level])
+
+    def _number(self) -> None:
+        top = len(self.members) - 1
+        self.page: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * (top + 1)
+        self.pre: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * (top + 1)
+        subtree = [np.ones(len(self.ptr[0]) - 1, dtype=np.int64)]
+        for level in range(1, top + 1):
+            below = subtree[-1][self.members[level]]
+            subtree.append(1 + np.add.reduceat(below, self.ptr[level][:-1]))
+        self.page[top] = np.zeros(1, dtype=np.int64)
+        self.pre[top] = np.zeros(1, dtype=np.int64)
+        offset = 1
+        for level in range(top, 0, -1):
+            members, counts = self.members[level], self.sizes(level)
+            slot_parent = np.repeat(np.arange(len(counts)), counts)
+            bfs = members[np.argsort(self.page[level][slot_parent], kind="stable")]
+            page = np.empty(len(members), dtype=np.int64)
+            page[bfs] = offset + np.arange(len(bfs))
+            offset += len(bfs)
+            size = subtree[level - 1][members]
+            before = np.cumsum(size) - size
+            pre = np.empty(len(members), dtype=np.int64)
+            pre[members] = (
+                np.repeat(self.pre[level] + 1 - before[self.ptr[level][:-1]], counts)
+                + before
+            )
+            self.page[level - 1] = page
+            self.pre[level - 1] = pre
+        self.num_nodes = offset
+
+    def fill(self, tree: "RTree[T]", entries: List[RTreeEntry[T]]) -> None:
+        """Give ``tree`` this shape as node objects over ``entries``
+        (point row ``r`` is ``entries[r]``)."""
+        nodes: List = []
+        for level in range(self.height):
+            members = self.members[level].tolist()
+            bounds = self.ptr[level].tolist()
+            rects = self.rects[level].tolist()
+            pages = self.page[level].tolist()
+            built = []
+            for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if level == 0:
+                    node = RTreeNode[T](
+                        is_leaf=True, rect=Rect(*rects[g]),
+                        entries=[entries[r] for r in members[a:b]],
+                    )
+                    node.subtree_count = b - a
+                else:
+                    children = [nodes[c] for c in members[a:b]]
+                    node = RTreeNode[T](
+                        is_leaf=False, rect=Rect(*rects[g]), children=children
+                    )
+                    node.subtree_count = sum(c.subtree_count for c in children)
+                node.page_id = pages[g]
+                built.append(node)
+            nodes = built
+        tree.root = nodes[0]
+        tree._size = len(entries)
+        tree._next_page = self.num_nodes
 
 
 def _choose_subtree(children: List[RTreeNode], rect: Rect) -> RTreeNode:

@@ -24,6 +24,12 @@ The image is a sequence of length-prefixed records::
 Documents (term-frequency maps) are stored in a trailing dictionary so
 a reloaded tree can answer queries without the original dataset object.
 All integers are little-endian; floats are IEEE-754.
+
+Reloading rebuilds the tree the way a build does: the documents and
+leaf points become an :class:`~repro.model.columns.ObjectTable`, the
+image's node groupings replace STR, and the summaries and posting lists
+are derived from the documents under the given relevance measure (the
+image's own lists are read past, not trusted).
 """
 
 from __future__ import annotations
@@ -33,11 +39,12 @@ import struct
 import zlib
 from typing import BinaryIO, Dict, List, Tuple
 
-from ..index.invfile import InvertedFile, Posting
+import numpy as np
+
+from ..index.invfile import InvertedFile
 from ..index.irtree import IRTree, MIRTree
-from ..model.objects import STObject
-from ..spatial.geometry import Point, Rect
-from ..spatial.rtree import RTree, RTreeNode, RTreeEntry
+from ..model.columns import ObjectTable
+from ..spatial.rtree import RTreeNode
 from ..text.relevance import TextRelevance
 
 __all__ = ["serialize_irtree", "deserialize_irtree", "image_size", "SerdeError"]
@@ -75,22 +82,13 @@ def _write_invfile(buf: BinaryIO, inv: InvertedFile) -> None:
                 _w("Id", buf, p.entry_key, p.max_weight)
 
 
-def _read_invfile(buf: BinaryIO, minmax: bool) -> InvertedFile:
-    inv = InvertedFile(minmax=minmax)
+def _skip_invfile(buf: BinaryIO, minmax: bool) -> None:
+    """Read past one inverted file: a reloaded tree derives its posting
+    lists from the documents, like a freshly built one."""
     (term_count,) = _r("I", buf)
     for _ in range(term_count):
-        tid, n = _r("II", buf)
-        max_w: Dict[int, float] = {}
-        min_w: Dict[int, float] = {}
-        plist = inv._lists.setdefault(tid, [])  # serde is a friend module
-        for _ in range(n):
-            if minmax:
-                key, maxw, minw = _r("Idd", buf)
-            else:
-                key, maxw = _r("Id", buf)
-                minw = maxw
-            plist.append(Posting(key, maxw, minw))
-    return inv
+        _tid, n = _r("II", buf)
+        buf.read(n * struct.calcsize("<Idd" if minmax else "<Id"))
 
 
 def _write_node(buf: BinaryIO, tree: IRTree, node: RTreeNode[int]) -> None:
@@ -152,99 +150,64 @@ def deserialize_irtree(data: bytes, relevance: TextRelevance) -> IRTree:
     node_count, object_count = _r("II", buf)
     (root_id,) = _r("I", buf)
 
-    raw_nodes: Dict[int, Tuple[bool, Rect, List, InvertedFile]] = {}
+    raw_nodes: Dict[int, Tuple[bool, List]] = {}
     for _ in range(node_count):
         page_id, flags = _r("IB", buf)
-        x0, y0, x1, y1 = _r("dddd", buf)
-        rect = Rect(x0, y0, x1, y1)
+        _r("dddd", buf)  # the MBR: recomputed from the points
         (entry_count,) = _r("H", buf)
         is_leaf = bool(flags & 1)
-        entries: List = []
-        for _ in range(entry_count):
-            if is_leaf:
-                item, x, y = _r("Idd", buf)
-                entries.append((item, Point(x, y)))
-            else:
-                entries.append(_r("I", buf)[0])
-        inv = _read_invfile(buf, bool(minmax))
-        raw_nodes[page_id] = (is_leaf, rect, entries, inv)
+        fmt = "Idd" if is_leaf else "I"
+        entries = [_r(fmt, buf) for _ in range(entry_count)]
+        _skip_invfile(buf, bool(minmax))
+        raw_nodes[page_id] = (is_leaf, entries)
 
-    docs: Dict[int, Dict[int, int]] = {}
+    ids: List[int] = []
+    counts: List[int] = []
+    terms: List[int] = []
+    tfs: List[int] = []
     for _ in range(object_count):
         oid, nterms = _r("II", buf)
-        docs[oid] = {}
+        ids.append(oid)
+        counts.append(nterms)
         for _ in range(nterms):
             tid, tf = _r("II", buf)
-            docs[oid][tid] = tf
+            terms.append(tid)
+            tfs.append(tf)
+    points = {
+        item: (x, y)
+        for is_leaf, entries in raw_nodes.values() if is_leaf
+        for item, x, y in entries
+    }
+    if set(points) != set(ids):
+        raise SerdeError("leaf entries and documents name different objects")
+    table = ObjectTable(
+        ids, [points[i][0] for i in ids], [points[i][1] for i in ids],
+        np.concatenate(([0], np.cumsum(counts, dtype=np.int64))), terms, tfs,
+    )
 
-    # Reassemble RTreeNode graph.
-    built: Dict[int, RTreeNode[int]] = {}
+    # The node graph level by level from the root, each level in page
+    # (breadth-first) order, then bottom-up groupings for the builder.
+    depths = [[root_id]]
+    while not raw_nodes[depths[-1][0]][0]:
+        depths.append([c for page in depths[-1] for (c,) in raw_nodes[page][1]])
+    depths.reverse()
+    row = {oid: r for r, oid in enumerate(ids)}
+    groupings = []
+    for level, pages in enumerate(depths):
+        below = {} if level == 0 else {p: i for i, p in enumerate(depths[level - 1])}
+        members = [
+            row[e[0]] if level == 0 else below[e[0]]
+            for page in pages for e in raw_nodes[page][1]
+        ]
+        sizes = [len(raw_nodes[page][1]) for page in pages]
+        groupings.append((
+            np.array(members, dtype=np.int64), np.concatenate(([0], np.cumsum(sizes)))
+        ))
 
-    def build(page_id: int) -> RTreeNode[int]:
-        if page_id in built:
-            return built[page_id]
-        is_leaf, rect, entries, _inv = raw_nodes[page_id]
-        if is_leaf:
-            node = RTreeNode[int](
-                is_leaf=True,
-                rect=rect,
-                entries=[RTreeEntry(point=p, item=item) for item, p in entries],
-            )
-            node.subtree_count = len(entries)
-        else:
-            children = [build(cid) for cid in entries]
-            node = RTreeNode[int](is_leaf=False, rect=rect, children=children)
-            node.subtree_count = sum(c.subtree_count for c in children)
-        node.page_id = page_id
-        built[page_id] = node
-        return node
-
-    root = build(root_id)
-
-    # Assemble the tree object without re-running construction.
     tree = object.__new__(MIRTree if minmax else IRTree)
-    tree.relevance = relevance
-    tree.minmax = bool(minmax)
-    tree.fanout = fanout
-    objects = {
-        oid: STObject(item_id=oid, location=_object_location(raw_nodes, oid), terms=terms)
-        for oid, terms in docs.items()
-    }
-    tree._objects = objects
-    tree._doc_weights = {
-        oid: relevance.document_weights(terms) for oid, terms in docs.items()
-    }
-    rtree: RTree[int] = RTree(fanout=fanout)
-    rtree.root = root
-    rtree._size = object_count
-    rtree._next_page = max(raw_nodes) + 1
-    tree.rtree = rtree
-    tree._invfiles = {pid: raw_nodes[pid][3] for pid in raw_nodes}
-    tree._summaries = {}
-    _rebuild_summaries(tree, root)
+    tree._setup(table, relevance, fanout, bool(minmax))
+    tree._index(groupings[0], groupings[1:])
     return tree
-
-
-def _object_location(raw_nodes, oid: int) -> Point:
-    for is_leaf, _rect, entries, _inv in raw_nodes.values():
-        if is_leaf:
-            for item, p in entries:
-                if item == oid:
-                    return p
-    raise SerdeError(f"object {oid} missing from leaf entries")
-
-
-def _rebuild_summaries(tree: IRTree, node: RTreeNode[int]):
-    """Recompute subtree summaries from the reloaded posting lists."""
-    from ..index.invfile import merge_minmax
-    from ..index.irtree import _merge_summaries
-
-    if node.is_leaf:
-        summary = merge_minmax([tree._doc_weights[e.item] for e in node.entries])
-    else:
-        summary = _merge_summaries([_rebuild_summaries(tree, c) for c in node.children])
-    tree._summaries[node.page_id] = summary
-    return summary
 
 
 def image_size(tree: IRTree) -> int:

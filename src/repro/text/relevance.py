@@ -25,8 +25,12 @@ concatenation of all object documents):
 * **KO**:       ``w(t, d) = 1``  and  ``Z(u.d) = |u.d|``
 
 Per-term collection maxima ``max_{o'} w(t, o'.d)`` are precomputed once
-(:meth:`TextRelevance.fit`) and reused by every query, index node and
-bound computation.
+(:meth:`TextRelevance.fit_columns`) and reused by every query, index
+node and bound computation.  Fitting reads the objects as one document
+CSR (:class:`repro.model.columns.ObjectTable`) and weighs all of its
+entries in a few array operations (:meth:`TextRelevance.column_weights`)
+that round exactly like the scalar ``_weight`` a query-time document
+goes through.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
-from .vocabulary import CollectionStats
+import numpy as np
+
+from .vocabulary import CollectionStats, document_columns
 
 __all__ = [
     "TextRelevance",
@@ -66,15 +72,21 @@ class TextRelevance:
     # ------------------------------------------------------------------
     def fit(self, documents: Sequence[Mapping[int, int]]) -> "TextRelevance":
         """Compute collection statistics and per-term weight maxima."""
-        self.stats = CollectionStats.from_documents(documents)
-        self._max_weight = {}
-        for doc in documents:
-            doc_len = sum(doc.values())
-            for tid, tf in doc.items():
-                w = self._weight(tid, tf, doc_len)
-                if w > self._max_weight.get(tid, 0.0):
-                    self._max_weight[tid] = w
+        self.fit_columns(*document_columns(documents))
         return self
+
+    def fit_columns(self, indptr, terms, tfs) -> "np.ndarray":
+        """:meth:`fit` on a document CSR; returns the weights of its
+        entries (what the posting lists store), which the maxima are
+        taken over."""
+        self.stats = CollectionStats.from_columns(indptr, terms, tfs)
+        weights = self.column_weights(indptr, terms, tfs)
+        terms = np.asarray(terms, dtype=np.int64)
+        top = np.zeros(int(terms.max()) + 1 if len(terms) else 0)
+        np.maximum.at(top, terms, weights)
+        held = np.flatnonzero(top > 0.0).tolist()
+        self._max_weight = dict(zip(held, top[held].tolist()))
+        return weights
 
     def _require_fit(self) -> CollectionStats:
         if self.stats is None:
@@ -86,6 +98,14 @@ class TextRelevance:
     # ------------------------------------------------------------------
     def _weight(self, term_id: int, tf: int, doc_len: int) -> float:
         """Measure-specific object-side weight; ``tf`` must be > 0."""
+        raise NotImplementedError
+
+    def column_weights(self, indptr, terms, tfs) -> "np.ndarray":
+        """``w(t, d)`` of every entry of a document CSR, as an array.
+
+        Bitwise :meth:`_weight` entry by entry: each measure writes the
+        scalar expression with the same correctly-rounded operations.
+        """
         raise NotImplementedError
 
     def term_weight(self, term_id: int, doc: Mapping[int, int]) -> float:
@@ -170,6 +190,19 @@ class TfIdfRelevance(TextRelevance):
             return 0.0
         return tf * math.log(stats.num_docs / df)
 
+    def column_weights(self, indptr, terms, tfs) -> "np.ndarray":
+        stats = self._require_fit()
+        # math.log per distinct term, as the scalar path takes it (numpy's
+        # log is not guaranteed to round like libm's).
+        idf = {
+            tid: math.log(stats.num_docs / df) if df > 0 else 0.0
+            for tid, df in stats.doc_frequency.items()
+        }
+        terms = np.asarray(terms, dtype=np.int64)
+        table = np.zeros(int(terms.max()) + 1 if len(terms) else 0)
+        table[list(idf)] = list(idf.values())
+        return np.asarray(tfs, dtype=np.int64) * table[terms]
+
 
 class LanguageModelRelevance(TextRelevance):
     """Jelinek–Mercer smoothed language model (Eq. 3 / Eq. 4).
@@ -198,6 +231,23 @@ class LanguageModelRelevance(TextRelevance):
         background = stats.tf_c(term_id) / stats.collection_length
         return (1.0 - self.smoothing) * ml + self.smoothing * background
 
+    def column_weights(self, indptr, terms, tfs) -> "np.ndarray":
+        stats = self._require_fit()
+        terms = np.asarray(terms, dtype=np.int64)
+        tfs = np.asarray(tfs, dtype=np.int64)
+        if stats.collection_length <= 0:
+            return np.zeros(len(terms))
+        # int / int true division: both sides are exact doubles, so the
+        # quotient rounds as Python's does.
+        csum = np.concatenate(([0], np.cumsum(tfs)))
+        lengths = csum[indptr[1:]] - csum[indptr[:-1]]
+        doc_len = np.repeat(lengths, np.diff(indptr))
+        ctf = np.zeros(int(terms.max()) + 1 if len(terms) else 0, dtype=np.int64)
+        ctf[list(stats.collection_tf)] = list(stats.collection_tf.values())
+        ml = tfs / doc_len
+        background = ctf[terms] / stats.collection_length
+        return (1.0 - self.smoothing) * ml + self.smoothing * background
+
 
 class KeywordOverlapRelevance(TextRelevance):
     """Keyword Overlap: ``TS(o.d, u.d) = |u.d ∩ o.d| / |u.d|``.
@@ -212,6 +262,9 @@ class KeywordOverlapRelevance(TextRelevance):
 
     def _weight(self, term_id: int, tf: int, doc_len: int) -> float:
         return 1.0
+
+    def column_weights(self, indptr, terms, tfs) -> "np.ndarray":
+        return np.ones(len(terms))
 
     def max_term_weight(self, term_id: int) -> float:
         # Every present term weighs exactly 1; a term absent from the

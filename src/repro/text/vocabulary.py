@@ -19,7 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-__all__ = ["Vocabulary", "CollectionStats"]
+import numpy as np
+
+__all__ = ["Vocabulary", "CollectionStats", "document_columns"]
+
+
+def document_columns(documents: Sequence[Mapping[int, int]]):
+    """``(indptr, terms, tfs)``: term-frequency dicts as one CSR, each
+    document's entries in its dict order."""
+    counts = [len(doc) for doc in documents]
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    terms = np.array([t for doc in documents for t in doc], dtype=np.int64)
+    tfs = np.array([f for doc in documents for f in doc.values()], dtype=np.int64)
+    return indptr, terms, tfs
 
 
 class Vocabulary:
@@ -28,6 +40,16 @@ class Vocabulary:
     def __init__(self) -> None:
         self._term_to_id: Dict[str, int] = {}
         self._id_to_term: List[str] = []
+
+    @classmethod
+    def from_terms(cls, terms: Iterable[str]) -> "Vocabulary":
+        """Vocabulary whose ids are the positions of distinct ``terms``."""
+        vocab = cls()
+        vocab._id_to_term = list(terms)
+        vocab._term_to_id = {t: i for i, t in enumerate(vocab._id_to_term)}
+        if len(vocab._term_to_id) != len(vocab._id_to_term):
+            raise ValueError("duplicate term strings")
+        return vocab
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -90,15 +112,24 @@ class CollectionStats:
     @classmethod
     def from_documents(cls, documents: Sequence[Mapping[int, int]]) -> "CollectionStats":
         """Aggregate from term-frequency dicts (one per document)."""
-        stats = cls()
-        stats.num_docs = len(documents)
-        for doc in documents:
-            for tid, tf in doc.items():
-                if tf <= 0:
-                    raise ValueError(f"non-positive term frequency for term {tid}")
-                stats.collection_length += tf
-                stats.collection_tf[tid] = stats.collection_tf.get(tid, 0) + tf
-                stats.doc_frequency[tid] = stats.doc_frequency.get(tid, 0) + 1
+        return cls.from_columns(*document_columns(documents))
+
+    @classmethod
+    def from_columns(cls, indptr, terms, tfs) -> "CollectionStats":
+        """Aggregate from a document CSR (see :func:`document_columns`);
+        each document holds a term at most once."""
+        terms = np.asarray(terms, dtype=np.int64)
+        tfs = np.asarray(tfs, dtype=np.int64)
+        if len(tfs) and int(tfs.min()) <= 0:
+            raise ValueError("non-positive term frequency in a document")
+        if len(terms) and int(terms.min()) < 0:
+            raise ValueError("negative term id in a document")
+        stats = cls(num_docs=len(indptr) - 1, collection_length=int(tfs.sum()))
+        df = np.bincount(terms)
+        ctf = np.bincount(terms, weights=tfs).astype(np.int64)
+        present = np.flatnonzero(df).tolist()
+        stats.collection_tf = dict(zip(present, ctf[present].tolist()))
+        stats.doc_frequency = dict(zip(present, df[present].tolist()))
         return stats
 
     def add_document(self, doc: Mapping[int, int]) -> None:

@@ -302,14 +302,14 @@ def test_tree_arrays_flatten_the_whole_tree():
     # Leaf entries = objects; every node owns a contiguous entry span.
     object_entries = sum(
         arrays.node_end[i] - arrays.node_start[i]
-        for i, node in enumerate(arrays.nodes)
-        if node.is_leaf
+        for i, leaf in enumerate(arrays.node_is_leaf)
+        if leaf
     )
     assert object_entries == len(engine.dataset.objects)
     assert arrays.num_entries == len(arrays.ent_indptr) - 1
     # CSR terms are ascending within every entry (the canonical order).
     for e in range(arrays.num_entries):
-        seg = arrays.ent_term[arrays.ent_indptr[e]:arrays.ent_indptr[e + 1]]
+        seg = arrays.ent_term_np[arrays.ent_indptr[e]:arrays.ent_indptr[e + 1]].tolist()
         assert list(seg) == sorted(seg)
 
 

@@ -15,12 +15,13 @@ import logging
 
 import pytest
 
-from repro import EngineConfig, MaxBRSTkNNEngine, oracle
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, oracle
 from repro.core.config import QueryOptions
 from repro.serve import (
     DeadlinePolicy,
     FaultPlan,
     MaxBRSTkNNServer,
+    PoolUnavailable,
     RetryPolicy,
     ServerConfig,
     ShardHost,
@@ -516,3 +517,48 @@ def test_refuse_accept_fault_degrades_every_flush_in_process():
         )
     finally:
         teardown(engine, hosts)
+
+
+# ----------------------------------------------------------------------
+# Replica fingerprint: a host built from other data is refused
+# ----------------------------------------------------------------------
+
+def test_pong_carries_the_replica_digest():
+    engine, hosts, rng, vocab = sharded_with_hosts(2, 1, seed=3)
+    try:
+        connect(engine, hosts)
+        (client,) = engine._registry.clients
+        assert client.fingerprint() == engine.dataset.fingerprint()
+    finally:
+        teardown(engine, hosts)
+
+
+@pytest.mark.parametrize("replica", ["another seed", "one user fewer"])
+def test_connect_refuses_a_host_with_another_replica(replica):
+    engine, hosts, rng, vocab = sharded_with_hosts(2, 1, seed=3)
+    if replica == "another seed":
+        other, _, _ = build_dataset(4)
+    else:
+        full = engine.dataset
+        other = Dataset(full.objects, full.users[:-1], relevance=full.relevance.name)
+    stranger = HostThread(ShardHost(other))
+    try:
+        addrs = [f"127.0.0.1:{hosts[0].port}", f"127.0.0.1:{stranger.port}"]
+        with pytest.raises(PoolUnavailable) as info:
+            engine.connect_hosts(addrs)
+        message = str(info.value)
+        assert addrs[1] in message
+        assert engine.dataset.fingerprint() in message
+        assert other.fingerprint() in message
+        assert engine._registry is None
+        # The refusal left no transport behind: the engine still answers.
+        queries = make_queries(rng, vocab, 2, ks=(3,))
+        assert_results_equal(
+            engine.query_batch(queries, OPTS),
+            reference_results(engine.dataset, queries, engine),
+        )
+    finally:
+        engine.close_hosts()
+        stranger.stop()
+        for h in hosts:
+            h.stop()

@@ -254,13 +254,16 @@ def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
     full = engine.dataset
     walked = joint_traversal(engine.root.object_tree, full, 3)
     expected, *_ = run_round(RefineStage(), refine_lanes(engine, walked), INLINE)
-    # A host that generated its object set one object short.
-    kept = [o for o in full.objects if o.item_id != int(walked.pool.ids[0])]
-    rig.hosts = [HostThread(ShardHost(Dataset(kept, full.users, relevance="LM")))]
+    # A host whose replica lost an object after the connect-time digest
+    # check (a mismatch at connect is refused outright).
+    host = ShardHost(full)
+    rig.hosts = [HostThread(host)]
     engine.connect_hosts(
         [f"127.0.0.1:{h.port}" for h in rig.hosts],
         retry=FAST_RETRY, deadline=FAST_DEADLINE,
     )
+    kept = [o for o in full.objects if o.item_id != int(walked.pool.ids[0])]
+    host.dataset = Dataset(kept, full.users, relevance="LM")
     returned, _, degraded, _, _ = run_round(
         RefineStage(), refine_lanes(engine, walked), engine._executor.transport
     )
@@ -296,10 +299,11 @@ def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
 
 
 def test_host_started_with_fewer_users_refuses_the_range_and_degrades(rig):
-    """A host built with a different ``--users``: the range does not fit
-    its replica, so it answers an ERROR frame (typed, before any gather)
-    and the lane re-runs on the coordinator — never a short or shifted
-    ``RSk`` map."""
+    """A host whose replica holds fewer users than the coordinator's
+    (swapped in after the connect-time digest check, which refuses such
+    a host outright): the range does not fit its replica, so it answers
+    an ERROR frame (typed, before any gather) and the lane re-runs on
+    the coordinator — never a short or shifted ``RSk`` map."""
     from repro import Dataset
     from repro.core.joint_topk import joint_traversal
 
@@ -307,12 +311,13 @@ def test_host_started_with_fewer_users_refuses_the_range_and_degrades(rig):
     full = engine.dataset
     walked = joint_traversal(engine.root.object_tree, full, 3)
     expected, *_ = run_round(RefineStage(), refine_lanes(engine, walked), INLINE)
-    short = Dataset(full.objects, full.users[:-1], relevance="LM")
-    rig.hosts = [HostThread(ShardHost(short))]
+    host = ShardHost(full)
+    rig.hosts = [HostThread(host)]
     engine.connect_hosts(
         [f"127.0.0.1:{h.port}" for h in rig.hosts],
         retry=FAST_RETRY, deadline=FAST_DEADLINE,
     )
+    host.dataset = Dataset(full.objects, full.users[:-1], relevance="LM")
     returned, _, degraded, _, _ = run_round(
         RefineStage(), refine_lanes(engine, walked), engine._executor.transport
     )

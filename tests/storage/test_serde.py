@@ -52,7 +52,7 @@ class TestRoundTrip:
         loaded = deserialize_irtree(serialize_irtree(tree), ds.relevance)
         for node in tree.rtree.iter_nodes():
             orig = tree.invfile_of(node)
-            got = loaded._invfiles[node.page_id]
+            got = loaded.invfile_at(node.page_id)
             assert sorted(orig.terms()) == sorted(got.terms())
             for tid in orig.terms():
                 a = [(p.entry_key, p.max_weight, p.min_weight) for p in orig.postings(tid)]
