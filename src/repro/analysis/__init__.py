@@ -1,10 +1,10 @@
 """Contract-aware static analysis for the repro codebase.
 
-``repro lint`` runs seven repo-specific AST checkers — Stage I/O
-contract drift, fork-pool pickle safety, bitwise-identity kernel
-discipline, async event-loop blocking, supervised pool-dispatch
-discipline, shm payload hygiene, and the socket-transport pickle
-funnel — without importing the target files.  See
+``repro lint`` runs six repo-specific AST checkers — Stage I/O
+contract drift, COW-only state in scatter payloads, bitwise-identity
+kernel discipline, async event-loop blocking, shm payload hygiene, and
+the socket-transport pickle funnel — without importing the target
+files.  See
 :mod:`repro.analysis.engine` for the engine and
 :mod:`repro.analysis.checkers` for the rule families.
 """
@@ -12,7 +12,6 @@ funnel — without importing the target files.  See
 from .checkers import (
     ALL_CHECKERS,
     AsyncBlockingChecker,
-    FaultToleranceChecker,
     KernelIdentityChecker,
     PoolBoundaryChecker,
     ShmPayloadChecker,
@@ -37,7 +36,6 @@ __all__ = [
     "ALL_CHECKERS",
     "AsyncBlockingChecker",
     "Checker",
-    "FaultToleranceChecker",
     "Finding",
     "KernelIdentityChecker",
     "LintReport",

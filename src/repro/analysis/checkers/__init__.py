@@ -1,4 +1,4 @@
-"""The seven repo-specific checker families.
+"""The six repo-specific checker families.
 
 ``ALL_CHECKERS`` is the ordered default set ``repro lint`` runs;
 :func:`checkers_for` resolves ``--rule`` selections (family names or
@@ -11,7 +11,6 @@ from typing import List, Sequence
 
 from ..engine import Checker, LintUsageError
 from .async_blocking import AsyncBlockingChecker
-from .fault_tolerance import FaultToleranceChecker
 from .kernel_identity import KernelIdentityChecker
 from .pool_boundary import PoolBoundaryChecker
 from .shm_payload import ShmPayloadChecker
@@ -25,7 +24,6 @@ __all__ = [
     "PoolBoundaryChecker",
     "KernelIdentityChecker",
     "AsyncBlockingChecker",
-    "FaultToleranceChecker",
     "ShmPayloadChecker",
     "TransportChecker",
 ]
@@ -36,7 +34,6 @@ ALL_CHECKERS = (
     PoolBoundaryChecker,
     KernelIdentityChecker,
     AsyncBlockingChecker,
-    FaultToleranceChecker,
     ShmPayloadChecker,
     TransportChecker,
 )

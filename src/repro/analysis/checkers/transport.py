@@ -18,8 +18,7 @@ Rules
   outside a ``class FrameCodec`` / ``class PayloadCodec`` body.
 
 Modules that never import ``socket`` or ``asyncio`` are out of scope:
-pickling to disk or down a multiprocessing pipe is the pool-boundary
-family's business, not this one's.
+pickling to disk is not a wire format.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The codebase rests on conventions that ordinary linters cannot see:
 :class:`~repro.core.pipeline.Stage` declares the context slots it reads
-and writes, the fork-pool boundary silently breaks when unpicklable
-state sneaks into payloads, the bitwise-identity kernels in
+and writes, the copy-on-write boundary silently breaks when COW-only
+state sneaks into scatter payloads, the bitwise-identity kernels in
 :mod:`repro.core.kernels` ban re-associating reductions, and blocking
 calls inside ``async def`` bodies stall the serving event loop.  Each of
 those one-off code-review rules lives here as a :class:`Checker` the

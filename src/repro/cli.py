@@ -10,7 +10,7 @@ Commands
                 queries through the async micro-batching front-end, and
                 print latency percentiles plus server stats
                 (``--transport socket`` scatters to shard-host
-                processes over TCP instead of fork pools);
+                processes over TCP instead of forked local hosts);
 ``shard-host``  serve shard scatter rounds over TCP: one process per
                 host, rebuilt from the same workload spec as the
                 coordinator;
@@ -57,6 +57,9 @@ def _query_options(args) -> QueryOptions:
 
 
 #: Why worker flags need lanes (the server's refusal says the same).
+_FAULTS = ("none, kill-worker[:N], hang-task[:N[:S]], shard-exception[:K], "
+           "pool-loss, drop-frame[:N], stall-read[:N[:S]] or refuse-accept")
+
 _NEEDS_LANES = ("worker processes belong to the lanes of "
                 "make_engine(..., EngineConfig(num_shards=N)); pass --shards N "
                 "(N >= 2)")
@@ -106,7 +109,7 @@ def _cmd_batch(args) -> int:
     """Answer ``--batch-size`` queries as one batch and report throughput.
 
     ``--shards N`` (N >= 2) deals the batch over N full-dataset lanes,
-    one fork worker each, for the duration of the call.
+    one forked shard host each, for the duration of the call.
     """
     from .serve import make_engine
 
@@ -145,12 +148,12 @@ def _cmd_serve(args) -> int:
     from .bench.metrics import percentile
     from .serve import (
         DeadlinePolicy,
-        FaultPlan,
         MaxBRSTkNNServer,
         RetryPolicy,
         ServerConfig,
         make_engine,
     )
+    from .serve.faults import parse_fault
 
     if args.queries < 1:
         print("serve: --queries must be >= 1", file=sys.stderr)
@@ -179,8 +182,13 @@ def _cmd_serve(args) -> int:
         print(f"serve: --pool-workers needs lanes: {_NEEDS_LANES}",
               file=sys.stderr)
         return 2
-    if args.fault != "none" and (args.shards < 2 or args.pool_workers < 1):
-        print(f"serve: --fault is injected into the lanes' worker pool and "
+    try:
+        faults = parse_fault(args.fault)
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
+    if faults is not None and (args.shards < 2 or args.pool_workers < 1):
+        print(f"serve: --fault is injected into the lanes' local hosts and "
               f"needs --shards >= 2 --pool-workers >= 1: {_NEEDS_LANES}",
               file=sys.stderr)
         return 2
@@ -194,20 +202,13 @@ def _cmd_serve(args) -> int:
                   "scatter rides the sharded engine)", file=sys.stderr)
             return 2
         if args.pool_workers > 0:
-            print("serve: --transport socket replaces the fork pools; drop "
+            print("serve: --transport socket replaces the local hosts; drop "
                   "--pool-workers", file=sys.stderr)
             return 2
     # Deterministic fault injection (CI's fault-smoke job): every plan
-    # is armed for pool generation 0 only, so the recovery — respawn,
+    # is armed for host generation 0 only, so the recovery — re-fork,
     # retry, or in-process degradation — must produce results identical
     # to the sequential reference for --verify to pass.
-    faults = {
-        "none": None,
-        "kill-worker": FaultPlan.kill_worker(),
-        "hang-task": FaultPlan.hang_task(),
-        "shard-exception": FaultPlan.shard_exception(0),
-        "pool-loss": FaultPlan.pool_loss(),
-    }[args.fault]
     if args.flush_deadline_ms is not None:
         deadline = DeadlinePolicy(flush_deadline_s=args.flush_deadline_ms / 1000.0)
     else:
@@ -235,9 +236,9 @@ def _cmd_serve(args) -> int:
     )
     queries = _make_query_pool(workload, args, args.queries)
     if args.transport == "socket":
-        # Shard hosts replace the fork pools: the engine's executor gets
-        # its socket transport before the server starts (the server
-        # itself runs pool-less, pool_workers=0).
+        # Remote shard hosts replace the local ones: the engine's
+        # executor gets its transport before the server starts (the
+        # server itself forks nothing, pool_workers=0).
         engine.connect_hosts(
             args.hosts, retry=RetryPolicy(), deadline=deadline
         )
@@ -247,8 +248,8 @@ def _cmd_serve(args) -> int:
     async def run():
         async with MaxBRSTkNNServer(engine, config) as server:
             if args.explain:
-                # Inside the server context: pools (including a sharded
-                # engine's worker pool) are started, so explain()
+                # Inside the server context: a sharded engine's local
+                # hosts are forked, so explain()
                 # reports the execution that will actually happen.
                 print(engine.plan(options, ks=[q.k for q in queries]).explain())
             async def timed(q):
@@ -338,11 +339,8 @@ def _cmd_serve(args) -> int:
 
 def _cmd_shard_host(args) -> int:
     """Run one shard host process (blocks until killed)."""
-    from .serve.shardhost import (
-        parse_socket_fault,
-        run_host,
-        workload_spec_from_args,
-    )
+    from .serve.faults import parse_fault
+    from .serve.shardhost import run_host, workload_spec_from_args
 
     host, _, port_s = args.listen.rpartition(":")
     if not host:
@@ -350,7 +348,7 @@ def _cmd_shard_host(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        fault = parse_socket_fault(args.fault)
+        fault = parse_fault(args.fault)
     except ValueError as exc:
         print(f"shard-host: {exc}", file=sys.stderr)
         return 2
@@ -418,7 +416,7 @@ def main(argv=None) -> int:
     batch.add_argument("--batch-size", type=int, default=16)
     batch.add_argument("--shards", type=int, default=1,
                        help="deal the batch over N full-dataset lanes, one "
-                            "fork worker each (1 = in-process)")
+                            "forked shard host each (1 = in-process)")
     batch.add_argument("--show", type=int, default=3,
                        help="print the first N results")
     batch.set_defaults(func=_cmd_batch)
@@ -435,8 +433,8 @@ def main(argv=None) -> int:
                        help="micro-batch window in ms, or 'auto' to tune it "
                             "from the observed arrival rate")
     serve.add_argument("--pool-workers", type=int, default=0,
-                       help="fork workers per lane (needs --shards >= 2; "
-                            "0 = in-process)")
+                       help="local shard hosts forked per lane (needs "
+                            "--shards >= 2; 0 = in-process)")
     serve.add_argument("--shards", type=int, default=1,
                        help="deal each flush over N full-dataset lanes behind "
                             "the server (scatter/gather, result-identical)")
@@ -454,13 +452,10 @@ def main(argv=None) -> int:
                        help="LRU capacity of the result cache (with --cache)")
     serve.add_argument("--verify", action="store_true",
                        help="compare served results against sequential queries")
-    serve.add_argument("--fault",
-                       choices=["none", "kill-worker", "hang-task",
-                                "shard-exception", "pool-loss"],
-                       default="none",
-                       help="inject a deterministic fault into the worker "
-                            "pools (fault-smoke: recovery must keep --verify "
-                            "green)")
+    serve.add_argument("--fault", default="none",
+                       help=f"inject a deterministic fault into the local "
+                            f"hosts: {_FAULTS} (fault-smoke: recovery must "
+                            f"keep --verify green)")
     serve.add_argument("--flush-deadline-ms", type=float, default=None,
                        help="per-scatter-round deadline in ms (default: the "
                             "DeadlinePolicy default, 30000)")
@@ -468,8 +463,9 @@ def main(argv=None) -> int:
                        help="admission bound: shed queries (ServerOverloaded) "
                             "past this many pending (default: unbounded)")
     serve.add_argument("--transport", choices=["fork", "socket"], default="fork",
-                       help="scatter transport: fork pools (default) or TCP "
-                            "frames to shard-host processes (--hosts)")
+                       help="where the lanes' shard hosts run: forked locally "
+                            "(default) or as shard-host processes reached "
+                            "over TCP (--hosts)")
     serve.add_argument("--hosts", default="",
                        help="comma-separated host:port list of running "
                             "shard-host processes (--transport socket)")
@@ -493,9 +489,7 @@ def main(argv=None) -> int:
                             help="shared-memory arena name to probe at "
                                  "startup (fail fast before serving)")
     shard_host.add_argument("--fault", default="none",
-                            help="socket fault to inject host-side: none, "
-                                 "drop-frame:N, stall-read:N[:S] or "
-                                 "refuse-accept")
+                            help=f"fault to inject host-side: {_FAULTS}")
     shard_host.set_defaults(func=_cmd_shard_host)
 
     stats = sub.add_parser("stats", help="print dataset statistics")

@@ -334,9 +334,9 @@ class MaxBRSTkNNEngine:
         """Materialize the shm arena + payload codec (idempotent).
 
         Returns the arena, or ``None`` when ``config.use_shm`` is off.
-        Must run before pool workers fork so they inherit shm-backed
-        views through copy-on-write; respawned workers re-attach by
-        name (:func:`repro.serve.pool._init_worker`).
+        Must run before local shard hosts fork so they inherit the
+        shm-backed views through copy-on-write (a re-forked host
+        inherits them the same way).
         """
         if not self.config.use_shm:
             return None

@@ -62,7 +62,6 @@ __all__ = [
     "encode_gather_payload",
     "decode_gather_payload",
     "resolve_ref",
-    "payload_nbytes",
 ]
 
 _RSK_MAGIC = b"RSK1"
@@ -76,11 +75,6 @@ class ArenaRef:
     column: str
     kind: str   # "rsk" | "blob"
     count: int  # entries (rsk) or bytes (blob): sanity + introspection
-
-
-def payload_nbytes(obj) -> int:
-    """Bytes ``obj`` occupies on the worker pipe (pickle size)."""
-    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 # ----------------------------------------------------------------------

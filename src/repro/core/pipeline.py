@@ -27,13 +27,13 @@ transport is where lanes run — the :class:`Transport` protocol:
 collected; ``collect(ticket) -> chunks`` runs the transport's own
 recovery ladder and raises :class:`ScatterFailure` once it is
 exhausted, leaving the round's retry/byte counters on the
-:class:`Ticket`.  Three implementations:
+:class:`Ticket`.  Two implementations:
 
 * :class:`InlineTransport` — the calling process; no wire, no ladder.
-* :class:`repro.serve.pool.PoolTransport` — one supervised fork pool
-  over pipes (worker death / deadline => respawn + retry).
-* :class:`repro.serve.transport.SocketTransport` — shard host processes
-  over TCP frames (host death => re-scatter to a survivor).
+* :class:`repro.serve.transport.SocketTransport` — one lane per alive
+  shard host, forked locally on a socketpair or remote over TCP, every
+  lane a frame (host death or deadline => re-scatter to a survivor,
+  task error => retry on the same host).
 
 A lane whose ladder is exhausted re-runs its payloads in-process
 against the coordinator's dataset: ``execute_shard_payload`` is pure,
@@ -44,10 +44,9 @@ Executors are lane *builders*, and there is one way to build them:
 ``indexed-search`` chunks of queries, ``refine`` ranges of user rows —
 and each payload goes to the lane carrying the least work so far.
 :class:`LocalExecutor` (one engine) runs every round inline;
-:class:`ShardedExecutor` deals over the engine's worker pool or the
-alive shard hosts (its ``transport`` is swapped by
-``ShardedEngine.start_pools`` / ``connect_hosts``) — the only owner of
-worker processes.
+:class:`ShardedExecutor` deals over the engine's alive shard hosts (its
+``transport`` is swapped by ``ShardedEngine.start_pools`` /
+``connect_hosts``) — the only owner of worker processes.
 
 Pipelines by mode:
 
@@ -118,13 +117,13 @@ __all__ = [
 
 
 class ScatterFailure(RuntimeError):
-    """A pooled scatter round failed to produce results.
+    """A remote scatter round failed to produce results.
 
-    The pool-transport half of the scatter contract: raised (or
-    subclassed — see :mod:`repro.serve.errors`) when a worker pool
-    could not complete a round for *transport* reasons — a worker
-    process died, the round outlived its deadline, the pool is closed
-    or broken.  Executors catch exactly this type and re-run the same
+    The transport half of the scatter contract: raised (or subclassed —
+    see :mod:`repro.serve.errors`) when a lane's hosts could not
+    complete a round within the ladder's budget — a host died, the
+    round outlived its deadline, the payload raised on every try, no
+    host is left.  Executors catch exactly this type and re-run the same
     payloads in-process: ``execute_shard_payload`` is pure, so the
     degraded round is bitwise-identical, only slower.  Genuine task
     exceptions (bugs that would reproduce in-process) are re-raised to
@@ -146,7 +145,7 @@ class StageStats:
     time_s: float = 0.0
     io_node_visits: int = 0
     io_invfile_blocks: int = 0
-    retries: int = 0        # supervised pool rounds re-dispatched
+    retries: int = 0        # lane frames re-sent by the ladder
     degraded: int = 0       # lanes that fell back to in-process
     #: Serialized bytes crossing the pool pipes this stage: dispatched
     #: payloads out, returned chunks in.  0 for in-process rounds (the
@@ -185,7 +184,7 @@ class FlushReport:
 
     @property
     def total_retries(self) -> int:
-        """Pool rounds re-dispatched across every stage of this flush."""
+        """Lane frames re-sent across every stage of this flush."""
         return sum(st.retries for st in self.stages)
 
     @property
@@ -195,12 +194,12 @@ class FlushReport:
 
     @property
     def payload_bytes_out(self) -> int:
-        """Serialized payload bytes dispatched to pools this flush."""
+        """Frame bytes dispatched to the lanes' hosts this flush."""
         return sum(st.payload_bytes_out for st in self.stages)
 
     @property
     def payload_bytes_in(self) -> int:
-        """Serialized result bytes collected from pools this flush."""
+        """Frame bytes collected from the lanes' hosts this flush."""
         return sum(st.payload_bytes_in for st in self.stages)
 
     def snapshot(self) -> dict:
@@ -716,7 +715,7 @@ class DeriveThresholdsStage(Stage):
 class Lane:
     """One addressed unit of a scatter round."""
 
-    wire_id: int             # lane index: which worker pool / host answers
+    wire_id: int             # lane index: which host answers
     payloads: List[tuple]
     dataset: object          # what an inline or degraded run executes against
     context: object = None   # ... and its worker context (MIUR-tree / engine)
@@ -749,9 +748,6 @@ class Transport(Protocol):
     #: the MIUR-tree as worker context).
     serves_indexed: bool
 
-    def chunk_width(self) -> int:
-        """Worker chunks one lane splits into."""
-
     def lanes(self) -> int:
         """Fixed lanes a round deals its payloads over."""
 
@@ -770,9 +766,6 @@ class InlineTransport:
 
     remote = False
     serves_indexed = True
-
-    def chunk_width(self) -> int:
-        return 1
 
     def lanes(self) -> int:
         return 1
@@ -804,7 +797,7 @@ def run_round(
                 _wire.encode_shard_payload(codec, p) for p in lane.payloads
             ]
     # Everything is dispatched before anything is collected, so lanes
-    # run concurrently even with one worker / one host each.
+    # run concurrently on their hosts.
     tickets = transport.dispatch(lanes)
     returned: List[list] = []
     degraded: List[int] = []
@@ -905,8 +898,7 @@ class _ExecutorBase:
     ) -> Tuple[list, List[int], List[int], List[int], int, int]:
         """Deal ``payloads`` over the transport's lanes and run the round.
 
-        A pool's workers pull their lane's payloads one by one, but a
-        lane is fixed up front — so each payload goes to the lane
+        A lane is fixed up front, so each payload goes to the lane
         carrying the least work so far (``stage.weight``; lanes fill in
         order: no gaps).  Returns ``(chunks in payload order, lane of
         each payload, retries per lane, degraded (0/1) per lane, bytes
@@ -943,13 +935,12 @@ class _ExecutorBase:
         ``split`` deals select's queries into balanced payloads whatever
         their k, and chunks indexed-search's per k — uneven chunks for
         :meth:`_deal` to level."""
-        per_lane = transport.chunk_width()
-        payloads = stage.split(ctx, transport.lanes() * per_lane)
+        payloads = stage.split(ctx, transport.lanes())
         chunks, lane_of, retries, degraded, bytes_out, bytes_in = self._deal(
             stage, ctx, payloads, transport, dataset, context
         )
         stage.merge(ctx, chunks)
-        return (len(set(lane_of)) * per_lane, len(ctx.require("queries")),
+        return (len(set(lane_of)), len(ctx.require("queries")),
                 sum(retries), sum(degraded), bytes_out, bytes_in)
 
 
@@ -994,9 +985,9 @@ class ShardedExecutor(_ExecutorBase):
     Every scatter stage deals its payloads over the same full-dataset
     lanes: the refine one user-row range per configured lane
     (``num_shards``), the query-axis stages their payloads (select one
-    per worker / host, indexed-search per-k chunks).  ``transport`` is
+    per host, indexed-search per-k chunks).  ``transport`` is
     :data:`INLINE` until the engine's ``start_pools`` /
-    ``connect_hosts`` swap in the pipe / socket one.  Refine results
+    ``connect_hosts`` swap in the socket one.  Refine results
     memoize on the engine across flushes, so a warm flush is one round.
     """
 
@@ -1071,10 +1062,7 @@ class ShardedExecutor(_ExecutorBase):
         plan = ctx.require("plan")
         indexed = stage.name == "indexed-search"
         transport = self.transport
-        width = (
-            transport.lanes() * transport.chunk_width()
-            if transport.serves_indexed or not indexed else 0
-        )
+        width = transport.lanes() if transport.serves_indexed or not indexed else 0
         # Fan out only when it can pay off AND I/O stays replayable:
         # the indexed search reads MIUR pages, so a warm LRU buffer
         # (global access order) forces the inline, ledger-free path.

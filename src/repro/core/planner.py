@@ -89,8 +89,8 @@ class EngineCapabilities:
     #: decomposition).
     num_shards: int = 1
     #: Width of the sharded engine's query-axis fan-out (selection /
-    #: indexed search) — pool workers, or alive shard hosts on the
-    #: socket transport (0 = those rounds run in-process).
+    #: indexed search) — the alive shard hosts, local or remote
+    #: (0 = those rounds run in-process).
     search_workers: int = 0
 
     @classmethod
@@ -157,7 +157,7 @@ def search_fans_out(
 
     The ONE predicate behind ``QueryPlan.explain()`` and the executor's
     query-axis lane builder: any fan-out width ships the round — a
-    1-worker pool or a 1-host registry included — unless there
+    single host included — unless there
     is a single query to search or the observed planner pulled the
     searches in-process.
     """

@@ -6,9 +6,11 @@ The top layer of the typed API (see ``repro/core/config.py`` and
 * :class:`ServerConfig` — micro-batch window (``max_batch`` /
   ``max_wait_ms``), workers per lane, and the
   :class:`~repro.core.config.QueryOptions` every request runs with;
-* :class:`PersistentWorkerPool` — fork-once worker pool whose workers
-  inherit the dataset (and pre-built ``DatasetArrays``) at startup —
-  the lanes of a :class:`ShardedEngine`;
+* :class:`ShardHost` — the one worker runtime: a full-dataset replica
+  behind the frame loop, forked locally on a socketpair
+  (:class:`PersistentWorkerPool`, inheriting the dataset and its
+  pre-built ``DatasetArrays``) or run as a ``repro shard-host`` process
+  over TCP — the lanes of a :class:`ShardedEngine`;
 * :class:`MaxBRSTkNNServer` — asyncio front-end: ``await
   server.submit(query)`` futures are collected into micro-batches
   (flush on ``max_batch`` or ``max_wait_ms``; ``max_wait_ms="auto"``
@@ -16,7 +18,7 @@ The top layer of the typed API (see ``repro/core/config.py`` and
   ``query_batch``, so concurrent callers share the top-k phase without
   coordinating;
 * :class:`ShardedEngine` — one engine dealing each flush over N
-  full-dataset lanes (fork workers or shard hosts) with an exact
+  full-dataset lanes (shard hosts, local or remote) with an exact
   scatter/gather merge, and the only owner of worker processes; the
   server takes either engine type unchanged (``make_engine`` picks by
   ``EngineConfig.num_shards``).
@@ -43,11 +45,11 @@ from .errors import (
     WorkerCrashed,
 )
 from .faults import FaultPlan, InjectedFault
-from .pool import PersistentWorkerPool, PoolHealth, PoolState
+from .pool import PersistentWorkerPool
 from .server import MaxBRSTkNNServer
 from .sharded import ShardedEngine, make_engine
 from .shardhost import ShardHost, WorkloadSpec, make_workload
-from .transport import FrameCodec, ShardHostClient, ShardRegistry
+from .transport import FrameCodec, ShardHostClient, ShardRegistry, SocketTransport
 
 __all__ = [
     "AdaptiveWaitController",
@@ -59,8 +61,6 @@ __all__ = [
     "MaxBRSTkNNServer",
     "PersistentWorkerPool",
     "PoolFailure",
-    "PoolHealth",
-    "PoolState",
     "PoolUnavailable",
     "RetryPolicy",
     "ScatterTaskError",
@@ -73,6 +73,7 @@ __all__ = [
     "ShardHostClient",
     "ShardRegistry",
     "ShardedEngine",
+    "SocketTransport",
     "WorkerCrashed",
     "WorkloadSpec",
     "make_engine",

@@ -32,16 +32,17 @@ def _require_positive_float(name: str, value, *, allow_zero: bool = False) -> No
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """How many times a failed pool round is re-dispatched, and how fast.
+    """How many times a failed lane is re-sent, and how fast hosts
+    come back.
 
-    A round that fails for transport reasons (worker death, deadline) is
-    retried up to ``max_retries`` times — after a pool respawn when the
-    workers died, directly when only the task failed.  Each respawn
-    sleeps a capped exponential backoff,
-    ``min(backoff_cap_s, backoff_base_s * 2**consecutive_failures)``,
-    so a persistently dying pool cannot fork-bomb the host.
-    ``max_retries=0`` disables retry: the first failure degrades the
-    round to in-process execution immediately.
+    A lane whose host died or missed the deadline is re-scattered to a
+    surviving host; one whose payload raised (an ``ERROR`` frame) is
+    re-sent to the same host — up to ``max_retries`` times, then the
+    lane degrades to in-process execution (``max_retries=0``: at the
+    first failure).  Re-forking a dead local host first sleeps a capped
+    exponential backoff in the host's consecutive deaths,
+    ``min(backoff_cap_s, backoff_base_s * 2**(deaths - 1))``, so a host
+    that keeps dying cannot fork-bomb the machine.
     """
 
     max_retries: int = 1
@@ -56,7 +57,7 @@ class RetryPolicy:
         _require_positive_float("backoff_cap_s", self.backoff_cap_s)
 
     def backoff_s(self, consecutive_failures: int) -> float:
-        """Sleep before the respawn after the N-th consecutive failure."""
+        """Sleep before the re-fork after the N-th consecutive death."""
         return min(
             self.backoff_cap_s,
             self.backoff_base_s * (2 ** max(0, consecutive_failures - 1)),
@@ -65,24 +66,23 @@ class RetryPolicy:
 
 @dataclass(frozen=True, slots=True)
 class DeadlinePolicy:
-    """Per-scatter-round deadline (the anti-wedge bound).
+    """Read deadline of one lane's answer (the anti-wedge bound).
 
-    Without it, a worker hung mid-task parks ``AsyncResult.get()`` —
-    and with it every pending future in the server — forever.  The
-    supervised pool polls the round every ``poll_interval_s`` and
-    declares :class:`~repro.serve.errors.FlushDeadlineExceeded` once
-    ``flush_deadline_s`` has elapsed, which triggers the retry /
-    degrade ladder.  ``flush_deadline_s=None`` disables the deadline
-    (worker-death detection still applies).
+    Without it, a host hung mid-payload parks the flush — and with it
+    every pending future in the server — forever.  The coordinator's
+    read of a lane's answer raises
+    :class:`~repro.serve.errors.FlushDeadlineExceeded` once
+    ``flush_deadline_s`` has elapsed; the host is then treated as dead
+    (a local one is killed and re-forked) and the lane takes the
+    retry / degrade ladder.  ``flush_deadline_s=None`` disables the
+    deadline (a dead host still surfaces as EOF).
     """
 
     flush_deadline_s: Optional[float] = 30.0
-    poll_interval_s: float = 0.02
 
     def __post_init__(self) -> None:
         if self.flush_deadline_s is not None:
             _require_positive_float("flush_deadline_s", self.flush_deadline_s)
-        _require_positive_float("poll_interval_s", self.poll_interval_s)
 
 
 class AdaptiveWaitController:
@@ -173,10 +173,11 @@ class ServerConfig:
         Upper clamp (latency budget) for the adaptive window; only read
         when ``max_wait_ms="auto"``.
     pool_workers:
-        Fork workers per lane of a
+        Local shard hosts forked per lane of a
         :class:`~repro.serve.sharded.ShardedEngine` (the server calls
-        its ``start_pools``); ``0`` (default) runs every round
-        in-process — right for CPU-starved hosts.  A plain engine has
+        its ``start_pools``, which forks ``num_shards * pool_workers``
+        hosts on socketpairs); ``0`` (default) runs every round
+        in-process — right for CPU-starved machines.  A plain engine has
         no lanes: the server refuses it with ``pool_workers > 0``.
     options:
         The :class:`QueryOptions` every submitted query is answered
@@ -188,16 +189,16 @@ class ServerConfig:
         default :class:`~repro.core.config.CachePolicy`, or pass a
         policy directly.  Normalized to ``None`` or a ``CachePolicy``.
     shutdown_timeout_s:
-        Bound on worker-pool shutdown in :meth:`MaxBRSTkNNServer.stop`:
-        a pool whose workers died mid-task gets ``terminate()``d (with
-        a warning) instead of hanging ``join()`` forever.  ``None``
-        waits unbounded (the pre-PR-6 behavior).
+        Bound on the local hosts' shutdown in
+        :meth:`MaxBRSTkNNServer.stop`: a host stopped or hung mid-task
+        is SIGKILLed (with a warning) instead of waited for forever.
+        ``None`` waits unbounded.
     retry:
-        :class:`RetryPolicy` governing how failed pool scatter rounds
-        are re-dispatched (respawn + retry before degrading).
+        :class:`RetryPolicy` governing how failed lanes are re-sent
+        (re-scatter / re-fork + retry before degrading).
     deadline:
-        :class:`DeadlinePolicy` bounding every pool scatter round, so a
-        hung worker can never wedge a flush.
+        :class:`DeadlinePolicy` bounding every lane's answer, so a hung
+        host can never wedge a flush.
     max_pending:
         Admission bound: ``submit()`` raises
         :class:`~repro.serve.errors.ServerOverloaded` (and counts the
@@ -205,7 +206,7 @@ class ServerConfig:
         (default) admits unboundedly.
     faults:
         Optional :class:`~repro.serve.faults.FaultPlan` injected into
-        every pool the server starts — test/CI hook; ``None`` in
+        the local hosts the server starts — test/CI hook; ``None`` in
         production.
     """
 
@@ -318,13 +319,13 @@ class ServerStats:
     queue_depth_peak: int = 0  # deepest pending queue seen at a flush
     last_wait_ms: float = 0.0  # window used by the most recent batch
     # -- fault tolerance (the recovery ladder, made observable) --------
-    pool_respawns: int = 0     # pools rebuilt after worker death
-    worker_deaths: int = 0     # dead-worker detections across pools
-    deadline_hits: int = 0     # scatter rounds past flush_deadline_s
-    flush_retries: int = 0     # scatter rounds re-dispatched
+    pool_respawns: int = 0     # dead hosts brought back (re-fork / reconnect)
+    worker_deaths: int = 0     # hosts found dead (EOF, reset, deadline)
+    deadline_hits: int = 0     # lane answers past flush_deadline_s
+    flush_retries: int = 0     # lane frames re-sent
     degraded_flushes: int = 0  # flushes that fell back to in-process
     queries_shed: int = 0      # rejected with ServerOverloaded
-    #: Serialized payload bytes that crossed pool pipes (dispatched +
+    #: Frame bytes that crossed the lanes' sockets (dispatched +
     #: collected), summed over executed flushes — the zero-copy tier's
     #: win is this counter shrinking, not a claim.
     bytes_shipped: int = 0

@@ -6,22 +6,22 @@ Three families, by who observes them:
   raised to ``submit()`` callers.  Both subclass :class:`ServingError`
   (itself a ``RuntimeError``, so pre-existing ``except RuntimeError``
   call sites keep working) and are terminal for that request only.
-* **Pool transport** (:class:`PoolFailure` and its subclasses
+* **Host transport** (:class:`PoolFailure` and its subclasses
   :class:`WorkerCrashed`, :class:`FlushDeadlineExceeded`,
-  :class:`PoolUnavailable`) — raised by the supervised pool when a
-  scatter round fails for reasons *outside* the task code: a worker
-  process died, the round missed its deadline, the pool is closed or
-  terminally broken.  They subclass
+  :class:`PoolUnavailable`) — raised on the coordinator when a lane's
+  shard host fails for reasons *outside* the task code: the host died
+  (EOF / reset), its answer missed the read deadline, no host is left
+  or the fleet is closed.  They subclass
   :class:`~repro.core.pipeline.ScatterFailure`, which the pipeline
   executors catch to degrade the round to in-process execution —
   results stay bitwise-identical because the worker entry point is
   pure.
-* **Task errors** (:class:`ScatterTaskError`) — an exception raised by
-  the payload itself inside a worker.  Also a ``ScatterFailure`` (so a
-  *transient* task error is retried and, past the budget, the flush
-  degrades to in-process — where a genuine bug reproduces and
-  propagates authentically, with the original exception chained as
-  ``__cause__``).
+* **Task errors** (:class:`ScatterTaskError`) — a host answered an
+  ``ERROR`` frame: the payload itself raised there.  Also a
+  ``ScatterFailure`` (so a
+  *transient* task error is retried on the same host and, past the
+  budget, the lane degrades to in-process — where a genuine bug
+  reproduces and propagates authentically).
 """
 
 from __future__ import annotations
@@ -62,26 +62,25 @@ class ServerOverloaded(ServingError):
 
 
 class PoolFailure(ScatterFailure):
-    """A worker-pool scatter round failed for transport reasons."""
+    """A lane's shard host failed for transport reasons."""
 
 
 class WorkerCrashed(PoolFailure):
-    """A worker process died mid-round (its task is lost forever —
-    without supervision the round's result would simply never arrive)."""
+    """A shard host died mid-round (EOF or reset: its answer is lost)."""
 
 
 class FlushDeadlineExceeded(PoolFailure):
-    """A scatter round outlived ``DeadlinePolicy.flush_deadline_s``."""
+    """A lane's answer outlived ``DeadlinePolicy.flush_deadline_s``."""
 
 
 class PoolUnavailable(PoolFailure):
-    """The pool is closed, or broken past repair (respawn failed).
+    """No host can take the lane: all are dead (or could not be
+    brought back), the fleet is closed, or a host refused to connect.
 
-    Terminal for the pool: the supervisor will not retry on it, and
-    executors fall back to in-process execution until the pool is
-    rebuilt.
+    Terminal for the round: the ladder does not retry it, and
+    ``run_round`` runs the lane in-process.
     """
 
 
 class ScatterTaskError(ScatterFailure):
-    """A scatter task raised inside a worker (original as __cause__)."""
+    """A payload raised on its host (answered with an ERROR frame)."""

@@ -4,58 +4,55 @@ Recovery code that only runs when production breaks is recovery code
 that has never run.  This module makes every failure domain of the
 serving runtime *triggerable on demand*, deterministically, so the
 seeded test suites (``tests/serve/test_faults_*``) and the CI
-``fault-smoke`` job can drive worker death, task hangs, shard
-exceptions and whole-pool loss through the exact code paths production
-would take — and assert bitwise result identity on the other side.
+``fault-smoke`` job can drive host death, task hangs, task exceptions
+and whole-fleet loss through the exact code paths production would
+take — and assert bitwise result identity on the other side.
 
-A :class:`FaultPlan` is a frozen description of *what* to break and
-*when*:
+Every lane is a :class:`~repro.serve.shardhost.ShardHost` — a forked
+local child on a socketpair or a ``repro shard-host`` process over TCP
+— and a :class:`FaultPlan` is a frozen description of *what* to break
+and *when*.  Host-side faults fire inside the ``ShardHost`` frame loop,
+so local and remote hosts honour all of them:
 
-* ``kill_worker_on_task=N`` — the worker running its N-th task (0-based,
-  counted per worker process) exits hard via ``os._exit``: no cleanup,
-  no exception, exactly what the OOM killer or a segfault looks like to
-  the parent.
-* ``hang_on_task=N`` — the N-th task sleeps ``hang_s`` seconds instead
-  of finishing, exercising the flush-deadline path.
-* ``exception_on_shard=K`` — any refine task for lane ``K`` (the K-th
-  user-row range) raises :class:`InjectedFault`, exercising the
-  task-exception retry path.
-* ``exception_on_task=N`` — the N-th task raises whatever it carries
-  (covers selection / indexed-search payloads, which name no lane).
-* ``break_dispatch`` / ``break_respawn`` — parent-side hooks: dispatch
-  fails as if the pool transport were gone; respawn fails as if forking
-  were impossible (driving the pool into its terminal BROKEN state and
-  the executors into in-process degradation).
-
-The **socket transport** (:mod:`repro.serve.transport`) adds a
-host-side fault family, enforced inside the shard-host frame loop
-(:mod:`repro.serve.shardhost`) so the coordinator's recovery runs over
-real TCP failures, not simulated ones:
-
+* ``kill_worker_on_task=N`` — the host running its N-th payload
+  (0-based, counted per host process) exits hard via ``os._exit``: no
+  cleanup, no answer, exactly what the OOM killer or a segfault looks
+  like to the coordinator (EOF, :class:`~repro.serve.errors.WorkerCrashed`).
+* ``hang_on_task=N`` — the N-th payload sleeps ``hang_s`` seconds
+  instead of finishing, exercising the read deadline.
+* ``exception_on_shard=K`` — any refine payload for lane ``K`` (the
+  K-th user-row range) raises :class:`InjectedFault`: an ``ERROR``
+  frame, the task-error retry path.
+* ``exception_on_task=N`` — the N-th payload raises (covers selection /
+  indexed-search payloads, which name no lane).
 * ``drop_connection_on_frame=N`` — the host closes the connection
-  abruptly instead of answering its N-th scatter frame (0-based,
-  counted per host process, fires once): the coordinator sees EOF /
-  reset, i.e. :class:`~repro.serve.errors.WorkerCrashed`.
+  abruptly instead of answering its N-th scatter frame (fires once):
+  the coordinator sees EOF / reset.
 * ``stall_read_on_frame=N`` — the host sleeps ``stall_s`` seconds
   before answering its N-th scatter frame (fires once), driving the
-  coordinator's read timeout
+  coordinator's read deadline
   (:class:`~repro.serve.errors.FlushDeadlineExceeded`).
-* ``refuse_accept`` — the host closes every accepted connection before
-  reading a byte: persistent refusal of service, the socket analog of
-  ``pool_loss`` (the coordinator degrades to in-process execution).
+* ``refuse_accept`` — the host closes every connection before reading
+  a byte: persistent refusal of service.
 
-Determinism comes from **generation gating**: worker-side faults are
-armed only while the pool is in one of the listed ``generations``
-(default: only generation 0, the pool as first forked).  After the
-supervisor respawns the pool, generation 1's workers run fault-free, so
-"kill → respawn → retry succeeds" is a deterministic sequence, not a
-race.  ``generations=None`` arms the fault forever (for tests of
-persistent degradation).
+Two faults fire on the coordinator, in the
+:class:`~repro.serve.transport.ShardRegistry` that owns the hosts:
 
-The plan rides into workers through the same fork-registry mechanism as
-the dataset (:mod:`repro.serve.pool`), so arming a fault costs nothing
-on the payload path and a ``FaultPlan(...)``-free pool has zero
-overhead beyond one ``is None`` check per task.
+* ``break_dispatch`` — sending a frame fails as if the host were gone;
+* ``break_respawn`` — bringing a dead host back (re-forking a local
+  one, reconnecting a remote one) fails, so the host stays out of
+  rotation for good and rounds degrade to in-process execution.
+
+Determinism comes from **generation gating**: a plan is armed only
+while the host runs one of the listed ``generations`` (default: only
+generation 0, the host as first forked; a remote host is always
+generation 0).  A re-forked local host is generation 1 and runs
+fault-free, so "kill → re-fork → retry succeeds" is a deterministic
+sequence, not a race.  ``generations=None`` arms the fault forever
+(for tests of persistent degradation).
+
+:func:`parse_fault` is the one ``--fault`` vocabulary of ``repro
+serve`` and ``repro shard-host``.
 """
 
 from __future__ import annotations
@@ -65,20 +62,20 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["FaultPlan", "InjectedFault", "KILL_EXIT_CODE"]
+__all__ = ["FaultPlan", "InjectedFault", "KILL_EXIT_CODE", "parse_fault"]
 
-#: Exit status of a worker felled by ``kill_worker_on_task`` — distinct
-#: from 0 so the supervisor's exitcode sweep sees an abnormal death.
+#: Exit status of a host felled by ``kill_worker_on_task`` — distinct
+#: from 0, so an exit status read after the fact shows the abnormal death.
 KILL_EXIT_CODE = 3
 
 
 class InjectedFault(RuntimeError):
-    """Raised inside a worker (or parent hook) by an armed FaultPlan."""
+    """Raised inside a shard host (or coordinator hook) by an armed FaultPlan."""
 
 
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
-    """What to break, and in which pool generations."""
+    """What to break, and in which host generations."""
 
     kill_worker_on_task: Optional[int] = None
     hang_on_task: Optional[int] = None
@@ -87,7 +84,7 @@ class FaultPlan:
     exception_on_task: Optional[int] = None
     break_dispatch: bool = False
     break_respawn: bool = False
-    # -- socket transport faults (enforced host-side, fire once) -------
+    # -- frame faults (fire once per host process) ----------------------
     drop_connection_on_frame: Optional[int] = None
     stall_read_on_frame: Optional[int] = None
     stall_s: float = 5.0
@@ -113,7 +110,7 @@ class FaultPlan:
 
     # -- arming --------------------------------------------------------
     def armed(self, generation: int) -> bool:
-        """Is this plan live in pool ``generation``?"""
+        """Is this plan live in host ``generation``?"""
         return self.generations is None or generation in self.generations
 
     # -- worker-side hook ----------------------------------------------
@@ -123,19 +120,19 @@ class FaultPlan:
         generation: int,
         lane: Optional[int],
     ) -> None:
-        """Fire (or not) for one task about to run inside a worker.
+        """Fire (or not) for one payload about to run inside a host.
 
-        Called from the pool's worker entry points with the worker's
-        own 0-based task counter; deterministic because each worker
-        counts its own tasks and faults are generation-gated.
+        Called from the ``ShardHost`` frame loop with the host's own
+        0-based payload counter; deterministic because each host counts
+        its own payloads and faults are generation-gated.
         """
         if not self.armed(generation):
             return
         if self.kill_worker_on_task is not None and \
                 task_index == self.kill_worker_on_task:
-            # A hard exit, not an exception: the parent must discover
-            # the death from the process table, exactly as for a
-            # segfault or the OOM killer.
+            # A hard exit, not an exception: the coordinator must
+            # discover the death from the dropped connection, exactly
+            # as for a segfault or the OOM killer.
             os._exit(KILL_EXIT_CODE)
         if self.hang_on_task is not None and task_index == self.hang_on_task:
             time.sleep(self.hang_s)
@@ -155,32 +152,33 @@ class FaultPlan:
     # -- convenience constructors (the CLI's --fault vocabulary) -------
     @classmethod
     def kill_worker(cls, task: int = 0, **kwargs) -> "FaultPlan":
-        """First generation's worker dies on its ``task``-th task."""
+        """A first-generation host dies on its ``task``-th payload."""
         return cls(kill_worker_on_task=task, **kwargs)
 
     @classmethod
     def hang_task(cls, task: int = 0, hang_s: float = 30.0, **kwargs) -> "FaultPlan":
-        """First generation's ``task``-th task outlives any deadline."""
+        """A first-generation host's ``task``-th payload outlives any
+        deadline."""
         return cls(hang_on_task=task, hang_s=hang_s, **kwargs)
 
     @classmethod
     def shard_exception(cls, shard_id: int = 0, **kwargs) -> "FaultPlan":
-        """Refine tasks for lane ``shard_id`` raise (first generation only)."""
+        """Refine payloads for lane ``shard_id`` raise (first generation only)."""
         return cls(exception_on_shard=shard_id, **kwargs)
 
     @classmethod
     def pool_loss(cls, **kwargs) -> "FaultPlan":
-        """Dispatch and respawn both fail, forever: pools are simply
+        """Dispatch and re-fork both fail, forever: the hosts are simply
         gone, and serving must degrade to in-process execution."""
         kwargs.setdefault("generations", None)
         return cls(break_dispatch=True, break_respawn=True, **kwargs)
 
-    # -- socket transport faults (the shard-host --fault vocabulary) ---
+    # -- frame faults ---------------------------------------------------
     @classmethod
     def drop_connection(cls, frame: int = 0, **kwargs) -> "FaultPlan":
         """The host drops the connection on its ``frame``-th scatter
         frame instead of answering (fires once): coordinator-side EOF,
-        i.e. ``WorkerCrashed`` over TCP."""
+        i.e. ``WorkerCrashed``."""
         return cls(drop_connection_on_frame=frame, **kwargs)
 
     @classmethod
@@ -191,6 +189,42 @@ class FaultPlan:
 
     @classmethod
     def refuse(cls, **kwargs) -> "FaultPlan":
-        """The host closes every accepted connection before reading:
-        persistent refusal (the socket analog of ``pool_loss``)."""
+        """The host closes every connection before reading: persistent
+        refusal of service."""
         return cls(refuse_accept=True, **kwargs)
+
+
+def parse_fault(spec: str) -> Optional[FaultPlan]:
+    """The ``--fault`` vocabulary of ``repro serve`` and ``repro
+    shard-host``: ``none`` | ``kill-worker[:N]`` | ``hang-task[:N[:S]]``
+    | ``shard-exception[:K]`` | ``pool-loss`` | ``drop-frame[:N]`` |
+    ``stall-read[:N[:S]]`` | ``refuse-accept`` → a :class:`FaultPlan`
+    (``None`` for ``none``).  ``N`` counts payloads (frames for the
+    frame faults) per host, ``S`` is seconds; malformed specs raise
+    :class:`ValueError`."""
+    name, _, rest = spec.strip().partition(":")
+    index_s, _, seconds_s = rest.partition(":")
+    try:
+        index = int(index_s or 0)
+        seconds = float(seconds_s) if seconds_s else None
+    except ValueError:
+        raise ValueError(f"malformed fault {spec!r}") from None
+    timed = {} if seconds is None else {"hang_s": seconds}
+    stalled = {} if seconds is None else {"stall_s": seconds}
+    plans = {
+        "kill-worker": lambda: FaultPlan.kill_worker(index),
+        "hang-task": lambda: FaultPlan.hang_task(index, **timed),
+        "shard-exception": lambda: FaultPlan.shard_exception(index),
+        "pool-loss": FaultPlan.pool_loss,
+        "drop-frame": lambda: FaultPlan.drop_connection(index),
+        "stall-read": lambda: FaultPlan.stall_read(index, **stalled),
+        "refuse-accept": FaultPlan.refuse,
+    }
+    if name == "none":
+        return None
+    if name not in plans:
+        raise ValueError(
+            f"unknown fault {spec!r} (expected none, "
+            + ", ".join(plans) + ")"
+        )
+    return plans[name]()

@@ -55,8 +55,8 @@ class MaxBRSTkNNServer:
     The engine may be a plain :class:`MaxBRSTkNNEngine` or a
     :class:`~repro.serve.sharded.ShardedEngine` — the submit/flush path
     is identical.  Worker processes belong to the sharded engine's
-    lanes: ``config.pool_workers > 0`` starts them
-    (:meth:`ShardedEngine.start_pools`, that many workers per lane) and
+    lanes: ``config.pool_workers > 0`` forks them
+    (:meth:`ShardedEngine.start_pools`, that many shard hosts per lane) and
     is refused with a ``ValueError`` for a plain engine, which always
     answers in-process.
     """
@@ -106,7 +106,7 @@ class MaxBRSTkNNServer:
         Both kernel caches are built eagerly here — the
         :class:`~repro.core.kernels.DatasetArrays` *and* the
         :class:`~repro.core.kernels.TreeArrays` of the object tree — so
-        the first query pays no build cost and lane workers fork *after*
+        the first query pays no build cost and lane hosts fork *after*
         the arrays exist, inheriting them through copy-on-write instead
         of rebuilding per process.
         """
@@ -121,8 +121,8 @@ class MaxBRSTkNNServer:
         if self.config.pool_workers > 0:
             cfg = self.config
             try:
-                # pool_workers sizes the engine's pool per lane.  A
-                # failed start reaps its own partial state before raising.
+                # pool_workers sizes the engine's local hosts per lane.
+                # A failed start reaps its own partial state before raising.
                 self.engine.start_pools(
                     cfg.pool_workers,
                     retry=cfg.retry, deadline=cfg.deadline, faults=cfg.faults,
@@ -177,7 +177,7 @@ class MaxBRSTkNNServer:
                 ))
         self._sync_fault_counters()
         if self.config.pool_workers > 0:
-            # Bounded shutdown: a pool worker killed or hung mid-task
+            # Bounded shutdown: a local host stopped or hung mid-task
             # must not stall stop() forever (config.shutdown_timeout_s;
             # None waits unbounded).  Blocking the loop is intended: the
             # flusher has drained and no queries are in flight.
@@ -185,7 +185,7 @@ class MaxBRSTkNNServer:
             self.engine.close_pools(  # repro: noqa[AB402]
                 timeout_s=self.config.shutdown_timeout_s
             )
-        # Unlink the arena after the workers are gone (close_pools
+        # Unlink the arena after the hosts are gone (close_pools
         # already did; close_arena is idempotent) — a stopped server
         # leaves /dev/shm clean.
         close_arena = getattr(self.engine, "close_arena", None)
@@ -264,11 +264,12 @@ class MaxBRSTkNNServer:
         return snap
 
     def _sync_fault_counters(self) -> None:
-        """Mirror pool-level fault totals onto ``ServerStats``.
+        """Mirror the engine's fault totals onto ``ServerStats``.
 
-        The engine's pools own the ground truth (their counters survive
-        respawns and banking on close); the server copies the totals so
-        one ``stats.snapshot()`` tells the whole recovery story.
+        The engine's host fleet owns the ground truth (its counters
+        survive re-forks and are banked on close); the server copies the
+        totals so one ``stats.snapshot()`` tells the whole recovery
+        story.
         """
         engine_counters = getattr(self.engine, "fault_counters", None)
         totals = engine_counters() if callable(engine_counters) else {}

@@ -33,12 +33,15 @@ The flow is driven by the unified phase pipeline — a
 stages the single-engine path does (only the refine differs) and deals
 each scatter round's payloads over the lanes, which
 :func:`~repro.core.pipeline.run_round` carries over whichever transport
-this engine installed (inline by default, one fork pool after
-:meth:`ShardedEngine.start_pools`, shard hosts after
-:meth:`ShardedEngine.connect_hosts`) — and ``Mode.INDEXED`` rides
-the same machinery: one central MIUR-root walk per pool generation
-(cross-k, exactly like joint mode), then the per-query best-first
-searches fan out over the pool against read-only
+this engine installed: inline by default, or a
+:class:`~repro.serve.transport.SocketTransport` over ONE fleet of
+shard hosts (:class:`~repro.serve.shardhost.ShardHost`) — forked local hosts after
+:meth:`ShardedEngine.start_pools`, remote ``repro shard-host``
+processes after :meth:`ShardedEngine.connect_hosts`.  ``Mode.INDEXED``
+rides the same machinery: one central MIUR-root walk per pool
+generation (cross-k, exactly like joint mode), then the per-query
+best-first searches fan out over local hosts (which inherited the
+MIUR-tree) against read-only
 :meth:`~repro.storage.pager.PageStore.ledger_view` stores whose
 :class:`~repro.storage.pager.IOCharge` ledgers replay onto the
 coordinator's counter at gather time.  (Indexed flushes have no refine
@@ -50,15 +53,14 @@ single-engine answer, for any lane count, every transport and both
 modes — property-tested in ``tests/serve/test_lanes.py``.
 
 Execution is in-process by default (deterministic, zero setup); call
-:meth:`ShardedEngine.start_pools` to fork ONE
-:class:`~repro.serve.pool.PersistentWorkerPool` of ``num_shards``
-workers that inherit the dataset and its pre-built ``DatasetArrays``
-(and, when the engine indexes users, the MIUR-tree as worker context)
-through copy-on-write.  A cold micro-batch fans out twice over it
-(refine, then select) and a warm one once, which is what the
-:class:`~repro.serve.server.MaxBRSTkNNServer` flush path rides:
-``ServerConfig.pool_workers`` sizes this pool per lane.  These lanes are
-the only worker processes a query ever reaches; a plain
+:meth:`ShardedEngine.start_pools` to fork ``num_shards ×
+workers_per_lane`` hosts that inherit the dataset and its pre-built
+``DatasetArrays`` (and, when the engine indexes users, the MIUR-tree as
+worker context) through copy-on-write.  A cold micro-batch fans out
+twice over them (refine, then select) and a warm one once, which is
+what the :class:`~repro.serve.server.MaxBRSTkNNServer` flush path
+rides: ``ServerConfig.pool_workers`` sizes the fleet per lane.  These
+hosts are the only worker processes a query ever reaches; a plain
 :class:`MaxBRSTkNNEngine` answers in-process.
 """
 
@@ -77,7 +79,8 @@ from ..core.planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
 from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
 from ..model.dataset import Dataset
 from .errors import PoolUnavailable
-from .pool import PersistentWorkerPool, PoolTransport
+from .pool import PersistentWorkerPool
+from .transport import ShardRegistry, SocketTransport
 
 __all__ = ["ShardRuntimeStats", "ShardedEngine", "make_engine"]
 
@@ -111,8 +114,8 @@ class ShardRuntimeStats:
 
 
 def _add_counters(totals: Dict[str, int], counters: Dict[str, int]) -> None:
-    """Add a pool health snapshot's / host registry's fault counters
-    onto ``totals`` (closing ones are banked so totals stay monotone)."""
+    """Add a fleet's fault counters onto ``totals`` (closing fleets
+    are banked so totals stay monotone)."""
     for key in totals:
         totals[key] += counters[key]
 
@@ -155,8 +158,8 @@ class ShardedEngine:
                 user_row_ranges(len(dataset.users), config.num_shards)
             )
         ]
-        # Global super-user, built eagerly so the pool's forked workers
-        # inherit it instead of rebuilding it each.
+        # Global super-user, built eagerly so forked hosts inherit it
+        # instead of rebuilding it each.
         self._su = dataset.super_user if dataset.users else None
         #: Merged refine results per k — value-stable across pool
         #: re-walks by subsumption.  (The per-k ``SharedTopK`` the
@@ -164,14 +167,12 @@ class ShardedEngine:
         #: walk's time and I/O, so it is memoized on the traversal pool
         #: itself, ``root._traversal_pool.by_k``, and dies with it.)
         self._merged_by_k: Dict[int, MergedThresholds] = {}
-        self._pool: Optional[PersistentWorkerPool] = None
-        self._pools_started = False
-        #: Socket transport state (connect_hosts/close_hosts): the
-        #: registry of shard host processes, or None on the fork path.
-        self._registry = None
-        self._hosts_connected = False
-        #: Fault counters of pools already closed, so `fault_counters()`
-        #: stays monotone across pool generations and restarts.
+        #: The ONE fleet the lanes run on: forked local hosts
+        #: (start_pools) or remote shard-host processes (connect_hosts);
+        #: None while every round runs in-process.
+        self._registry: Optional[ShardRegistry] = None
+        #: Fault counters of fleets already closed, so `fault_counters()`
+        #: stays monotone across restarts.
         self._closed_fault_totals: Dict[str, int] = {
             "respawns": 0, "worker_deaths": 0, "deadline_hits": 0, "retries": 0,
         }
@@ -214,11 +215,10 @@ class ShardedEngine:
         return self._executor.last_flush_report
 
     def _search_width(self) -> int:
-        """Query-axis fan-out width: alive shard hosts on the socket
-        transport, else the pool's workers (0 = none)."""
-        if self._registry is not None:
-            return len(self._registry.alive_hosts())
-        return self._pool.workers if self._pool is not None else 0
+        """Query-axis fan-out width: the fleet's alive hosts (0 = none)."""
+        if self._registry is None:
+            return 0
+        return len(self._registry.alive_hosts())
 
     def capabilities(self) -> EngineCapabilities:
         return replace(
@@ -230,7 +230,7 @@ class ShardedEngine:
     def _planning_caps(self, options: QueryOptions) -> EngineCapabilities:
         caps = self.capabilities()
         if options.mode is Mode.INDEXED and not self._executor.transport.serves_indexed:
-            # Shard hosts hold no MIUR-tree: indexed searches stay on
+            # Remote hosts hold no MIUR-tree: indexed searches stay on
             # the coordinator, so the plan must not claim a fan-out.
             caps = replace(caps, search_workers=0)
         return caps
@@ -271,8 +271,8 @@ class ShardedEngine:
 
     def prewarm_kernels(self) -> None:
         """Build every kernel cache up front (server startup hook), so
-        first-query latency pays no build cost and a pool forked later
-        inherits everything via copy-on-write."""
+        first-query latency pays no build cost and hosts forked later
+        inherit everything via copy-on-write."""
         self.root.prewarm_kernels()
 
     # ------------------------------------------------------------------
@@ -295,7 +295,7 @@ class ShardedEngine:
         self.root.close_arena()
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Fleet lifecycle: forked local hosts or remote shard hosts
     # ------------------------------------------------------------------
     def start_pools(
         self,
@@ -305,11 +305,12 @@ class ShardedEngine:
         deadline=None,
         faults=None,
     ) -> "ShardedEngine":
-        """Fork the worker pool: ``num_shards * workers_per_lane``
-        processes, each a full-dataset lane.
+        """Fork the local fleet: ``num_shards * workers_per_lane``
+        :class:`~repro.serve.shardhost.ShardHost` processes, each a
+        full-dataset lane on a socketpair.
 
-        Workers inherit the dataset (and its pre-built
-        ``DatasetArrays``) via copy-on-write at fork time — plus the
+        Hosts inherit the dataset (and its pre-built ``DatasetArrays``
+        and the arena) via copy-on-write at fork time — plus the
         MIUR-tree as worker context when the engine indexes users — and
         answer every scatter round: the cold refine (which ships only
         the traversal pool's reference and a row range), the joint
@@ -317,42 +318,38 @@ class ShardedEngine:
         error (mirrors the server lifecycle); a failed construction
         leaves the engine in its in-process state.
 
-        ``retry`` / ``deadline`` are the supervision policies
+        ``retry`` / ``deadline`` are the ladder's policies
         (:class:`~repro.serve.config.RetryPolicy` /
-        :class:`~repro.serve.config.DeadlinePolicy`) the pool runs
-        under; ``faults`` is an optional
-        :class:`~repro.serve.faults.FaultPlan` for deterministic fault
-        injection.
+        :class:`~repro.serve.config.DeadlinePolicy`); ``faults`` is an
+        optional :class:`~repro.serve.faults.FaultPlan` for
+        deterministic fault injection.
         """
-        if self._pools_started:
-            raise RuntimeError("worker pool already started")
-        if self._hosts_connected:
-            raise RuntimeError("cannot start pools: shard hosts are connected")
+        if self._registry is not None:
+            raise RuntimeError(
+                "worker pool already started" if self._forked()
+                else "cannot start pools: shard hosts are connected"
+            )
         if workers_per_lane < 1:
             raise ValueError(f"workers_per_lane must be >= 1, got {workers_per_lane}")
         try:
             # Materialize the arena (config.use_shm) BEFORE the fork:
-            # workers inherit the shm-backed views via copy-on-write
-            # and respawned generations re-attach it by this name.
-            arena = self.root.ensure_arena()
-            self._pool = PersistentWorkerPool(
+            # hosts inherit the shm-backed views via copy-on-write.
+            self.root.ensure_arena()
+            pool = PersistentWorkerPool(
                 self.dataset, self.config.num_shards * workers_per_lane,
                 context=self.root.user_tree,
                 retry=retry, deadline=deadline, faults=faults,
-                arena_name=arena.name if arena is not None else None,
             )
         except BaseException:
-            # _pools_started is still False, so the caller (e.g. the
-            # server's start()) will never call close_pools() for us —
-            # release the arena here.
-            self.close_pools()
+            # No fleet is attached, so the caller (e.g. the server's
+            # start()) will never close one for us — release the arena.
+            self.root.close_arena()
             raise
-        self._executor.transport = PoolTransport(self._pool)
-        self._pools_started = True
+        self._attach(pool)
         return self
 
     def close_pools(self, timeout_s: Optional[float] = None) -> None:
-        """Shut the worker pool down (idempotent).
+        """Shut the local fleet down (idempotent).
 
         ``timeout_s`` bounds the shutdown (see
         :meth:`~repro.serve.pool.PersistentWorkerPool.close`); ``None``
@@ -360,112 +357,101 @@ class ShardedEngine:
         ``RuntimeWarning``, never an exception, so the arena is always
         released behind it.
         """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            _add_counters(self._closed_fault_totals, pool.health.snapshot())
-            try:
-                pool.close(timeout_s=timeout_s)
-            except Exception as exc:  # noqa: BLE001 - warn, keep tearing down
-                warnings.warn(
-                    f"worker pool failed to close cleanly: {exc!r}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        # Unlink the arena only after every worker process is gone:
-        # live attachments keep their mappings (POSIX semantics), but a
-        # clean close leaves /dev/shm empty — the leak criterion the
-        # shm tests scan for.
-        self.root.close_arena()
-        if self._pools_started:
-            self._executor.transport = INLINE
-        self._pools_started = False
+        if self._forked():
+            self._detach(timeout_s)
+        elif self._registry is None:
+            self.root.close_arena()
 
-    # ------------------------------------------------------------------
-    # Shard host lifecycle (the socket transport)
-    # ------------------------------------------------------------------
     def connect_hosts(
         self, hosts, *, retry=None, deadline=None, connect_timeout_s: float = 5.0
     ) -> "ShardedEngine":
-        """Scatter to shard host processes over TCP (socket analog of
-        :meth:`start_pools`).
+        """Scatter to remote shard host processes over TCP.
 
         ``hosts`` is a ``"host:port,host:port"`` string or a sequence
         of specs/pairs — one entry per ``repro shard-host`` process,
         each of which rebuilt this engine's exact dataset from the
         shared workload spec (:mod:`repro.serve.shardhost`).  The
         executor's transport becomes a
-        :class:`~repro.serve.transport.SocketTransport`; pipeline stages
-        run unchanged, scatter rounds — refine ranges and joint
-        selections alike, one lane per alive host — cross TCP as
+        :class:`~repro.serve.transport.SocketTransport` over them, the
+        same one local hosts run behind; pipeline stages run unchanged,
+        scatter rounds — refine ranges and joint selections alike, one
+        lane per alive host — cross TCP as
         :class:`~repro.serve.transport.FrameCodec` frames carrying the
-        arena-codec payloads verbatim.  ``retry`` / ``deadline`` are
-        the same supervision policies the fork pool takes; host death
-        re-scatters a round to a surviving host, exhaustion degrades it
-        to in-process execution — results bitwise-identical throughout.
-        A host whose ``PONG`` carries another dataset's digest
+        arena-codec payloads verbatim.  ``retry`` / ``deadline`` are the
+        ladder's policies; a dead host comes back only through a
+        heartbeat (``_registry.ping_all()``).  A host whose ``PONG``
+        carries another dataset's digest
         (:meth:`~repro.model.dataset.Dataset.fingerprint`) is refused
         with :class:`~repro.serve.errors.PoolUnavailable`.
 
-        Mutually exclusive with :meth:`start_pools` (one transport at a
+        Mutually exclusive with :meth:`start_pools` (one fleet at a
         time); undo with :meth:`close_hosts`.
         """
-        if self._pools_started:
-            raise RuntimeError("cannot connect hosts: the fork pool is running")
-        if self._hosts_connected:
-            raise RuntimeError("shard hosts already connected")
-        from .transport import ShardRegistry, SocketTransport
-
+        if self._registry is not None:
+            raise RuntimeError(
+                "cannot connect hosts: the fork pool is running" if self._forked()
+                else "shard hosts already connected"
+            )
         # Materialize the arena (config.use_shm) BEFORE the first
         # scatter so payload encoding has refs to ship; hosts attach
         # the segments lazily, by name, as foreign attachers.
         self.root.ensure_arena()
         registry = ShardRegistry.from_specs(
-            hosts, connect_timeout_s=connect_timeout_s
+            hosts, connect_timeout_s=connect_timeout_s,
+            dataset=self.dataset, retry=retry, deadline=deadline,
         )
-        registry.connect_all()
         try:
+            registry.connect_all()
             registry.verify_replicas(self.dataset.fingerprint())
         except PoolUnavailable:
             registry.close()
+            self.root.close_arena()
             raise
-        self._registry = registry
-        self._executor.transport = SocketTransport(
-            registry, self.dataset, retry=retry, deadline=deadline
-        )
-        self._hosts_connected = True
+        self._attach(registry)
         return self
 
     def close_hosts(self) -> None:
-        """Drop the host connections and restore in-process scatter
-        (idempotent).  Registry fault counters are banked so
-        :meth:`fault_counters` stays monotone, mirroring pool close."""
-        if not self._hosts_connected:
-            return
-        _add_counters(self._closed_fault_totals, self._registry.fault_counters())
-        self._registry.close()
-        self._registry = None
+        """Drop the remote host connections and restore in-process
+        scatter (idempotent)."""
+        if self._registry is not None and not self._forked():
+            self._detach(None)
+
+    def _forked(self) -> bool:
+        return self._registry is not None and self._registry.forked
+
+    def _attach(self, registry: ShardRegistry) -> None:
+        self._registry = registry
+        self._executor.transport = SocketTransport(registry)
+
+    def _detach(self, timeout_s: Optional[float]) -> None:
+        """Close the fleet (its counters banked, so
+        :meth:`fault_counters` stays monotone), then release the arena
+        — only after every host is gone: live attachments keep their
+        mappings (POSIX), but a clean close leaves /dev/shm empty."""
+        registry, self._registry = self._registry, None
         self._executor.transport = INLINE
-        self._hosts_connected = False
+        _add_counters(self._closed_fault_totals, registry.fault_counters())
+        try:
+            registry.close(timeout_s)
+        except Exception as exc:  # noqa: BLE001 - warn, keep tearing down
+            warnings.warn(
+                f"worker pool failed to close cleanly: {exc!r}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         self.root.close_arena()
 
     def fault_counters(self) -> Dict[str, int]:
-        """Respawn/death/deadline/retry totals across every pool and
-        host registry this engine ever ran (live plus banked)."""
+        """Respawn/death/deadline/retry totals across every fleet this
+        engine ever ran (live plus banked)."""
         totals = dict(self._closed_fault_totals)
-        if self._pool is not None:
-            _add_counters(totals, self._pool.health.snapshot())
         if self._registry is not None:
             _add_counters(totals, self._registry.fault_counters())
         return totals
 
     def pool_health(self) -> List[dict]:
-        """Typed health snapshot of the live pool / every shard host."""
-        rows = []
-        if self._pool is not None:
-            rows.append({"pool": "workers", **self._pool.health.snapshot()})
-        if self._registry is not None:
-            rows.extend(self._registry.health_rows())
-        return rows
+        """One health row per host of the live fleet."""
+        return self._registry.health_rows() if self._registry is not None else []
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -1,47 +1,58 @@
-"""Shard host process: one engine replica behind a TCP frame loop.
+"""Shard host: one engine replica behind the frame loop — every lane.
 
-``python -m repro shard-host --listen 127.0.0.1:0 ...`` builds the
-FULL dataset from the same workload flags and seed as the coordinator
-and answers every lane against it — a cold flush's refine rounds (each
-payload names the user rows it covers) and every flush's ``select``
-round alike.  Dataset generation is deterministic, so every host's
-replica is bitwise-identical to the coordinator's — which is what makes
-re-scattering a failed round to *any* surviving host trivially
-result-identical.  The host does not take that on faith: it answers a
-``PING`` with its replica's digest, and
-:meth:`~repro.serve.sharded.ShardedEngine.connect_hosts` refuses a host
-whose digest is not the coordinator's.
+A lane of a sharded engine is a :class:`ShardHost` wherever it runs:
 
-The host then serves the :class:`~repro.serve.transport.FrameCodec`
-protocol over asyncio: a ``SCATTER`` frame carrying a lane's payload
-round runs :func:`~repro.core.pipeline.execute_shard_payload` against
-the local replica and answers one ``RESULT`` frame
-whose body is the chunks, funnelled through
-:func:`~repro.core.payload.encode_gather_payload` — the same bytes the
-fork-pool path moves, minus the fork.
+* **local** — :class:`~repro.serve.pool.PersistentWorkerPool` forks the
+  host from the coordinator after the arena and the kernel arrays
+  exist, on one end of a ``socket.socketpair()``: the child inherits
+  the dataset, its arrays and the MIUR-tree (its worker context, so
+  indexed searches fan out too) through copy-on-write and runs
+  :meth:`ShardHost.serve_socket`;
+* **remote** — ``python -m repro shard-host --listen 127.0.0.1:0 ...``
+  builds the FULL dataset from the same workload flags and seed as the
+  coordinator and serves the frame loop over TCP (asyncio,
+  :meth:`ShardHost.start`).  Dataset generation is deterministic, so
+  every replica is bitwise-identical to the coordinator's — which is
+  what makes re-scattering a failed round to *any* surviving host
+  result-identical.  The host does not take that on faith: it answers
+  a ``PING`` with its replica's digest, and
+  :meth:`~repro.serve.sharded.ShardedEngine.connect_hosts` refuses a
+  host whose digest is not the coordinator's.
 
-Shared-memory discipline: the host is a *foreign attacher* of the
+Both speak the :class:`~repro.serve.transport.FrameCodec` protocol
+through one frame handler: a ``SCATTER`` frame carrying a lane's
+payloads runs :func:`~repro.core.pipeline.execute_shard_payload` on
+each against the local replica and answers one ``RESULT`` frame whose
+body is the chunks, funnelled through
+:func:`~repro.core.payload.encode_gather_payload`; a payload exception
+answers an ``ERROR`` frame.
+
+Shared-memory discipline: a remote host is a *foreign attacher* of the
 coordinator's arena (payloads carry
 :class:`~repro.core.payload.ArenaRef` descriptors that resolve by
-segment name), so startup enables
+segment name), so :func:`run_host` enables
 :func:`repro.storage.shm.set_untracked_attach` — attaching must not
 register the coordinator's segments with this process's
 resource_tracker, or the host's exit would unlink them under the
-coordinator (see ``tests/storage/test_shm.py``).
+coordinator (see ``tests/storage/test_shm.py``).  A forked host maps
+the arena it inherited.
 
-Fault injection (the CI ``multihost-smoke`` / fault suites): the
-``--fault`` vocabulary maps onto the socket fields of
-:class:`~repro.serve.faults.FaultPlan` and is enforced HERE, in the
-frame loop, so the coordinator's recovery ladder runs over real TCP
-failures — dropped connections, stalled reads, refused service.
+Fault injection: every :class:`~repro.serve.faults.FaultPlan` host-side
+fault — kill, hang, task exception, dropped frame, stalled read,
+refused service — fires HERE, in the frame handler, so the
+coordinator's recovery ladder runs over real failures on local and
+remote hosts alike.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
+import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..core.payload import encode_gather_payload
 from ..core.pipeline import execute_shard_payload
 from ..model.dataset import Dataset
 from .faults import FaultPlan
@@ -51,7 +62,6 @@ __all__ = [
     "ShardHost",
     "WorkloadSpec",
     "make_workload",
-    "parse_socket_fault",
     "run_host",
     "workload_spec_from_args",
 ]
@@ -146,52 +156,67 @@ def make_workload(spec: WorkloadSpec):
 
 
 # ----------------------------------------------------------------------
-# Fault vocabulary (the shard-host --fault flag)
-# ----------------------------------------------------------------------
-
-def parse_socket_fault(spec: str) -> Optional[FaultPlan]:
-    """``none`` | ``drop-frame:N`` | ``stall-read:N[:SECONDS]`` |
-    ``refuse-accept`` → a socket-fault :class:`FaultPlan` (or None)."""
-    if spec == "none":
-        return None
-    name, _, rest = spec.partition(":")
-    if name == "drop-frame":
-        return FaultPlan.drop_connection(int(rest or 0))
-    if name == "stall-read":
-        frame_s, _, stall = rest.partition(":")
-        return FaultPlan.stall_read(
-            int(frame_s or 0), stall_s=float(stall) if stall else 5.0
-        )
-    if name == "refuse-accept":
-        return FaultPlan.refuse()
-    raise ValueError(
-        f"unknown socket fault {spec!r} (expected none, drop-frame:N, "
-        f"stall-read:N[:S] or refuse-accept)"
-    )
-
-
-# ----------------------------------------------------------------------
 # The host
 # ----------------------------------------------------------------------
 
-class ShardHost:
-    """Frame-serving loop over a local full-dataset replica.
+def _payload_lane(payload) -> Optional[int]:
+    """Refine lane (row range index) a scatter payload carries (None
+    for selection / indexed-search payloads)."""
+    if isinstance(payload, tuple) and payload and payload[0] == "refine":
+        return payload[3]
+    return None
 
-    Embeddable (the transport tests run hosts on background threads)
-    and the engine behind the ``repro shard-host`` process.  One frame
-    at a time per connection; independent connections are served
-    concurrently by asyncio, which is what lets a retry connection
-    proceed while a stalled one sleeps.
+
+def _read_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
+    """``n`` bytes off a blocking socket, or None at EOF / reset."""
+    buf = bytearray(n)
+    view, got = memoryview(buf), 0
+    while got < n:
+        try:
+            chunk = sock.recv_into(view[got:])
+        except ConnectionResetError:
+            return None
+        if not chunk:
+            return None
+        got += chunk
+    return bytes(buf)
+
+
+class ShardHost:
+    """Frame handler over a local full-dataset replica.
+
+    Serves TCP connections on asyncio (:meth:`start`: the ``repro
+    shard-host`` process, and the embedded hosts of the transport
+    tests, on background threads) or one connected socket blocking
+    (:meth:`serve_socket`: a forked local lane).  One frame at a time
+    per connection; independent TCP connections are served concurrently
+    by asyncio, which is what lets a retry connection proceed while a
+    stalled one sleeps.
+
+    ``context`` is the worker context payloads run with (a forked host
+    holds the MIUR-tree; a remote one holds none, so it serves no
+    indexed search).  ``generation`` is the host's incarnation — 0 as
+    first started, +1 per re-fork — against which ``fault`` is armed.
     """
 
-    def __init__(self, dataset: Dataset, fault: Optional[FaultPlan] = None) -> None:
+    def __init__(
+        self,
+        dataset: Dataset,
+        fault: Optional[FaultPlan] = None,
+        *,
+        context=None,
+        generation: int = 0,
+    ) -> None:
         self.dataset = dataset
         self.fault = fault
+        self.context = context
+        self.generation = generation
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        #: Scatter frames seen, process-wide — the deterministic clock
-        #: the fire-once socket faults count against.
+        #: Scatter frames / payloads seen, process-wide — the
+        #: deterministic clocks the frame and task faults count against.
         self.scatter_frames = 0
+        self.tasks = 0
         self._fired: set = set()
         self._fingerprint: Optional[str] = None
 
@@ -220,20 +245,87 @@ class ShardHost:
         async with self._server:
             await self._server.serve_forever()
 
-    # -- frame loop ----------------------------------------------------
+    # -- the frame handler (one for both loops) -------------------------
+    def _armed(self) -> Optional[FaultPlan]:
+        fault = self.fault
+        return fault if fault is not None and fault.armed(self.generation) else None
+
+    def _refuses(self) -> bool:
+        """Persistent refusal of service: close before reading a byte."""
+        fault = self._armed()
+        return fault is not None and fault.refuse_accept
+
     def _fire_once(self, key: str) -> bool:
         if key in self._fired:
             return False
         self._fired.add(key)
         return True
 
+    def _frame_fault(self) -> Tuple[bool, float]:
+        """Count one scatter frame: ``(drop the connection instead of
+        answering, seconds to stall before answering)``."""
+        index = self.scatter_frames
+        self.scatter_frames += 1
+        fault = self._armed()
+        if fault is None:
+            return False, 0.0
+        if fault.drop_connection_on_frame == index and self._fire_once("drop"):
+            return True, 0.0
+        if fault.stall_read_on_frame == index and self._fire_once("stall"):
+            return False, fault.stall_s
+        return False, 0.0
+
+    def answer(
+        self, kind: int, flush_seq: int, shard_id: int, epoch: int, body: bytes
+    ) -> Optional[bytes]:
+        """The frame answering one request frame (None: nothing to send)."""
+        if kind == FrameCodec.PING:
+            # The PONG body is this replica's dataset digest: the
+            # coordinator refuses a host built from other data.
+            return FrameCodec.pack(
+                FrameCodec.PONG, flush_seq, shard_id, epoch,
+                self.fingerprint.encode("ascii"),
+            )
+        if kind != FrameCodec.SCATTER:
+            return None  # coordinators never send anything else
+        return self._run_round(flush_seq, shard_id, epoch, body)
+
+    def _run_round(
+        self, flush_seq: int, shard_id: int, epoch: int, body: bytes
+    ) -> bytes:
+        """Execute one scatter round against the local replica.
+
+        CPU-bound work runs inline (one round at a time per host); a
+        payload exception answers an ERROR frame so the coordinator can
+        retry or degrade the round instead of hanging.
+        """
+        try:
+            chunks = []
+            for payload in FrameCodec.decode_body(body):
+                index = self.tasks
+                self.tasks += 1
+                if self.fault is not None:
+                    self.fault.worker_hook(
+                        index, self.generation, _payload_lane(payload)
+                    )
+                chunks.append(encode_gather_payload(
+                    execute_shard_payload(self.dataset, payload, context=self.context)
+                ))
+            rbody = FrameCodec.encode_body(chunks)
+            return FrameCodec.pack(
+                FrameCodec.RESULT, flush_seq, shard_id, epoch, rbody
+            )
+        except Exception as exc:  # noqa: BLE001 - answer typed, keep serving
+            rbody = FrameCodec.encode_body((type(exc).__name__, str(exc)))
+            return FrameCodec.pack(
+                FrameCodec.ERROR, flush_seq, shard_id, epoch, rbody
+            )
+
+    # -- the two loops -------------------------------------------------
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        fault = self.fault
-        if fault is not None and fault.refuse_accept:
-            # Persistent refusal of service: close before reading a
-            # byte, every connection — the socket analog of pool_loss.
+        if self._refuses():
             writer.close()
             return
         try:
@@ -246,68 +338,50 @@ class ShardHost:
                     FrameCodec.unpack_header(header)
                 )
                 body = await reader.readexactly(length) if length else b""
-                if kind == FrameCodec.PING:
-                    # The PONG body is this replica's dataset digest: the
-                    # coordinator refuses a host built from other data.
-                    writer.write(FrameCodec.pack(
-                        FrameCodec.PONG, flush_seq, shard_id, epoch,
-                        self.fingerprint.encode("ascii"),
-                    ))
+                if kind == FrameCodec.SCATTER:
+                    drop, stall_s = self._frame_fault()
+                    if drop:
+                        # Abort, don't linger: the coordinator must see a
+                        # reset/EOF with its round in flight.
+                        writer.transport.abort()
+                        return
+                    if stall_s:
+                        await asyncio.sleep(stall_s)
+                response = self.answer(kind, flush_seq, shard_id, epoch, body)
+                if response is not None:
+                    writer.write(response)
                     await writer.drain()
-                    continue
-                if kind != FrameCodec.SCATTER:
-                    continue  # coordinators never send anything else
-                frame_index = self.scatter_frames
-                self.scatter_frames += 1
-                if (
-                    fault is not None
-                    and fault.drop_connection_on_frame == frame_index
-                    and self._fire_once("drop")
-                ):
-                    # Abort, don't linger: the coordinator must see a
-                    # reset/EOF with its round in flight (WorkerCrashed).
-                    writer.transport.abort()
-                    return
-                if (
-                    fault is not None
-                    and fault.stall_read_on_frame == frame_index
-                    and self._fire_once("stall")
-                ):
-                    await asyncio.sleep(fault.stall_s)
-                response = self._run_round(flush_seq, shard_id, epoch, body)
-                writer.write(response)
-                await writer.drain()
         finally:
             writer.close()
 
-    def _run_round(
-        self, flush_seq: int, shard_id: int, epoch: int, body: bytes
-    ) -> bytes:
-        """Execute one scatter round against the local replica.
-
-        CPU-bound work runs inline (one round at a time per host, like
-        a one-worker pool); a payload exception answers an ERROR frame
-        so the coordinator can degrade the round instead of hanging.
-        """
-        from ..core.payload import encode_gather_payload
-
-        try:
-            payloads = FrameCodec.decode_body(body)
-            chunks = [
-                encode_gather_payload(
-                    execute_shard_payload(self.dataset, payload)
+    def serve_socket(self, sock: socket.socket) -> None:
+        """The frame loop on one connected socket, blocking, until the
+        peer closes it (a forked local lane's whole life)."""
+        with sock:
+            if self._refuses():
+                return
+            while True:
+                header = _read_exactly(sock, FrameCodec.HEADER_SIZE)
+                if header is None:
+                    return
+                kind, flush_seq, shard_id, epoch, length = (
+                    FrameCodec.unpack_header(header)
                 )
-                for payload in payloads
-            ]
-            rbody = FrameCodec.encode_body(chunks)
-            return FrameCodec.pack(
-                FrameCodec.RESULT, flush_seq, shard_id, epoch, rbody
-            )
-        except Exception as exc:  # noqa: BLE001 - answer typed, keep serving
-            rbody = FrameCodec.encode_body((type(exc).__name__, str(exc)))
-            return FrameCodec.pack(
-                FrameCodec.ERROR, flush_seq, shard_id, epoch, rbody
-            )
+                body = _read_exactly(sock, length) if length else b""
+                if body is None:
+                    return
+                if kind == FrameCodec.SCATTER:
+                    drop, stall_s = self._frame_fault()
+                    if drop:
+                        return  # closing is the drop: EOF at the coordinator
+                    if stall_s:
+                        time.sleep(stall_s)
+                response = self.answer(kind, flush_seq, shard_id, epoch, body)
+                if response is not None:
+                    try:
+                        sock.sendall(response)
+                    except OSError:
+                        return  # the coordinator hung up mid-answer
 
 
 #: ``mallopt`` parameter number of glibc's ``M_TOP_PAD``.
@@ -319,11 +393,13 @@ def _pad_heap() -> None:
     """Keep 16 MB free at the top of the C heap (glibc only).
 
     A select payload allocates and frees ~2 MB of array temporaries.
-    The host's replica is built from columns, so its heap is compact:
+    A host's replica is built from columns, so its heap is compact:
     glibc trims the freed top back to the OS after every payload and
     the next one faults it in again — ~510 minor page faults a payload,
     ~8 % of a warm ``serve-socket`` flush (2 vCPU, 4k/400 cell).  With
     a 16 MB top pad the heap keeps those pages between payloads.
+    Remote hosts pad at startup (:func:`run_host`), forked local hosts
+    right after the fork.
     """
     import ctypes
     import ctypes.util

@@ -1,42 +1,53 @@
-"""Multi-host scatter: socket transport over arena descriptors.
+"""Scatter over shard hosts: one frame protocol, one client, one ladder.
 
-The fork pools of :mod:`repro.serve.pool` cap scatter parallelism at
-one machine: every worker is a child of the serving process.  This
-module carries the exact same scatter contract over TCP to independent
-**shard host processes** (:mod:`repro.serve.shardhost`), each owning a
-local engine replica, so the scatter rounds fan out across processes
-that share nothing with the coordinator but a workload spec and — with
-``use_shm`` — the shared-memory arena.
-
-Three layers, coordinator side:
+Every lane of a sharded engine is a
+:class:`~repro.serve.shardhost.ShardHost` holding a full replica of the
+dataset — a local child forked by
+:class:`~repro.serve.pool.PersistentWorkerPool` on a
+``socket.socketpair()``, or an independent ``repro shard-host`` process
+reached over TCP that shares nothing with the coordinator but a
+workload spec and, with ``use_shm``, the shared-memory arena.  The
+coordinator reaches both kinds through the same layers:
 
 * :class:`FrameCodec` — the wire format.  Length-prefixed frames with a
   fixed 21-byte header (magic, kind, flush sequence, shard id, epoch,
-  body length) and a pickled body.  Scatter bodies carry the PR 9
-  payloads **verbatim** — :class:`~repro.core.payload.ArenaRef`
-  descriptors pickle as the same few hundred bytes that cross a fork
-  pipe; result bodies carry the compact gather frames of
-  :func:`~repro.core.payload.encode_gather_payload` (refine) or the
-  per-query results (select).  Every pickle
-  on the socket path funnels through this class (the ``TR701`` lint
-  contract).
-* :class:`ShardHostClient` / :class:`ShardRegistry` — one blocking
-  client per shard host with send/recv byte counters, plus the registry
-  that assigns lanes to surviving hosts, marks hosts dead, and
-  aggregates fault counters in the same vocabulary as
-  :class:`~repro.serve.pool.PoolHealth` (so
-  ``ShardedEngine.fault_counters()`` and the server's stats mirror work
-  unchanged).
-* :class:`SocketTransport` — the socket lane of
-  :func:`~repro.core.pipeline.run_round`: one lane per alive host,
-  for refine and select rounds alike, instead of a fork pool.
-  Failures map onto the existing taxonomy (EOF/reset →
-  :class:`WorkerCrashed`, read timeout → :class:`FlushDeadlineExceeded`,
-  refused/exhausted → :class:`PoolUnavailable`); the retry ladder
-  re-scatters a failed lane to the next surviving host, and past the
-  budget ``run_round`` degrades it to in-process execution —
-  bitwise-identical results either way, because
+  body length) and a pickled body.  Scatter bodies carry the payloads
+  **verbatim** — :class:`~repro.core.payload.ArenaRef` descriptors
+  pickle as a few hundred bytes; result bodies carry the compact gather
+  frames of :func:`~repro.core.payload.encode_gather_payload` (refine)
+  or the per-query results (select).  Every pickle on the socket path
+  funnels through this class (the ``TR701`` lint contract), and every
+  byte a round moves is a frame byte: ``Ticket.bytes_out`` /
+  ``bytes_in`` are frame lengths.
+* :class:`ShardHostClient` — one blocking client per host with
+  send/recv byte counters (``LocalHostClient`` in
+  :mod:`repro.serve.pool` is the same client, forking its host instead
+  of connecting to it).
+* :class:`ShardRegistry` — the fleet: lane→host assignment over the
+  surviving hosts, the per-lane :meth:`~ShardRegistry.dispatch` /
+  :meth:`~ShardRegistry.collect` ladder, host death and revival, and
+  the fault counters ``ShardedEngine.fault_counters()`` and the
+  server's stats mirror.
+* :class:`SocketTransport` — the lane of
+  :func:`~repro.core.pipeline.run_round`: one lane per alive host, for
+  refine and select rounds alike.
+
+The ladder is the same for every host:
+
+* EOF or connection reset → :class:`WorkerCrashed`: the host is dead;
+  the lane is re-scattered to a surviving host (a local host is
+  re-forked first, after the :class:`RetryPolicy` backoff);
+* read past the deadline → :class:`FlushDeadlineExceeded`: the same (a
+  stalled local child is killed first, with a bounded wait);
+* an ``ERROR`` frame → :class:`ScatterTaskError`: the payload raised;
+  the round is retried on the same host, which stays alive;
+* retry budget spent, or no host left → the failure propagates and
+  ``run_round`` runs the lane in-process — bitwise-identical results
+  either way, because
   :func:`~repro.core.pipeline.execute_shard_payload` is pure.
+
+A dead host comes back by re-fork (local) or by a heartbeat reconnect
+(:meth:`ShardRegistry.ping_all`, remote).
 """
 
 from __future__ import annotations
@@ -46,11 +57,18 @@ import pickle
 import socket
 import struct
 import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.pipeline import Lane, ScatterFailure, Ticket
 from .config import DeadlinePolicy, RetryPolicy
-from .errors import FlushDeadlineExceeded, PoolUnavailable, WorkerCrashed
+from .errors import (
+    FlushDeadlineExceeded,
+    PoolUnavailable,
+    ScatterTaskError,
+    WorkerCrashed,
+)
+from .faults import FaultPlan
 
 _log = logging.getLogger("repro.serve.transport")
 
@@ -102,7 +120,7 @@ class FrameCodec:
 
     Bodies are pickles: a scatter body is the round's payload list
     (small tuples of queries and :class:`~repro.core.payload.ArenaRef`
-    descriptors — the PR 9 codec output, shipped verbatim), a result
+    descriptors — the arena codec's output, shipped verbatim), a result
     body is the list of chunks the host produced (``bytes`` from
     :func:`~repro.core.payload.encode_gather_payload` for a refine
     round, per-query results for a select round), an error body is a
@@ -153,20 +171,24 @@ class FrameCodec:
 
 
 class ShardHostClient:
-    """Blocking TCP client for one shard host, with byte counters.
+    """Blocking client for one shard host, with byte counters.
 
     Error mapping (all callers rely on it):
 
     * connect refused / unreachable → :class:`PoolUnavailable`;
     * EOF / connection reset mid-round → :class:`WorkerCrashed` (the
-      host died with our round in flight — same semantics as a dead
-      fork worker);
+      host died with our round in flight);
     * read past the deadline → :class:`FlushDeadlineExceeded`.
 
     ``bytes_sent`` / ``bytes_received`` count actual wire bytes (frame
-    headers included) — the numbers behind the multi-host bench's
-    |U|/N scaling claim.
+    headers included).  ``generation`` is the host incarnation the
+    client talks to (a remote host is always 0), ``failures`` the
+    consecutive deaths the revival backoff is computed from.
     """
+
+    #: Hosts this client forks (and re-forks) itself; remote ones are
+    #: reconnected by heartbeat.
+    forked = False
 
     def __init__(self, host: str, port: int, *,
                  connect_timeout_s: float = 5.0) -> None:
@@ -178,11 +200,21 @@ class ShardHostClient:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.rounds = 0
+        self.generation = 0
+        self.failures = 0
+        #: Revival failed (re-fork refused): out of rotation for good.
+        self.broken = False
         self.last_error: Optional[str] = None
 
     @property
     def addr(self) -> str:
         return f"{self.host}:{self.port}"
+
+    @property
+    def state(self) -> str:
+        if self.alive:
+            return "healthy"
+        return "broken" if self.broken else "dead"
 
     def connect(self) -> None:
         if self._sock is not None:
@@ -212,8 +244,7 @@ class ShardHostClient:
     # -- frame I/O -----------------------------------------------------
     def send_frame(self, frame: bytes) -> None:
         if self._sock is None:
-            self.connect()
-        assert self._sock is not None
+            raise WorkerCrashed(f"shard host {self.addr} is not connected")
         try:
             self._sock.sendall(frame)
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
@@ -293,7 +324,8 @@ class ShardHostClient:
         return body.decode("ascii")
 
     def ping(self, timeout_s: float = 2.0) -> bool:
-        """One PING/PONG round trip; marks the client dead on failure."""
+        """One PING/PONG round trip on the open connection; closes the
+        client on failure."""
         try:
             self.send_frame(FrameCodec.pack(FrameCodec.PING, 0, -1, 0))
             kind, *_ = self.recv_frame(timeout_s)
@@ -306,24 +338,58 @@ class ShardHostClient:
         return True
 
 
-class ShardRegistry:
-    """The coordinator's view of the shard host fleet.
+@dataclass(slots=True)
+class Inflight:
+    """One lane's frame on the fleet: where it went and what it cost."""
 
-    Static host list for now; liveness comes from :meth:`ping_all`
-    heartbeats and from in-band failures (the executor marks a host
-    dead the moment a round on it crashes or misses its deadline).
-    Lane→host assignment is deterministic over the *surviving* hosts
-    — ``lane % len(alive)`` — so a re-scatter after a death lands on a
-    well-defined survivor.
+    wire_id: int
+    flush_seq: int
+    epoch: int
+    body: bytes
+    client: Optional[ShardHostClient] = None
+    sent: bool = False       # the frame is on ``client`` awaiting its answer
+    retries: int = 0         # re-sends the ladder used
+    bytes_out: int = 0       # frame bytes sent (re-sends included)
+    bytes_in: int = 0        # frame bytes of the answer
+
+
+class ShardRegistry:
+    """The coordinator's fleet of shard hosts, and the ladder over it.
+
+    Lane→host assignment is deterministic over the *surviving* hosts —
+    ``lane % len(alive)`` — so a re-scatter after a death lands on a
+    well-defined survivor.  Liveness comes from in-band failures (a
+    round that crashes or misses its deadline marks its host dead) and
+    from :meth:`ping_all` heartbeats.  ``dataset`` is what the rounds'
+    payloads were encoded against (its ``epoch`` stamps every frame);
+    ``retry`` / ``deadline`` bound the ladder; ``faults`` arms the
+    coordinator-side hooks of a :class:`~repro.serve.faults.FaultPlan`
+    (``break_dispatch`` / ``break_respawn``).
     """
 
-    def __init__(self, clients: Sequence[ShardHostClient]) -> None:
+    #: Remote hosts hold no MIUR-tree: indexed searches stay home.
+    serves_indexed = False
+    #: The hosts are children of this process (PersistentWorkerPool).
+    forked = False
+
+    def __init__(
+        self,
+        clients: Sequence[ShardHostClient],
+        dataset=None,
+        *,
+        retry: Optional[RetryPolicy] = None,
+        deadline: Optional[DeadlinePolicy] = None,
+        faults: Optional[FaultPlan] = None,
+    ) -> None:
         if not clients:
             raise ValueError("at least one shard host is required")
         self.clients = list(clients)
-        #: Same vocabulary as PoolHealth, so ``fault_counters()`` and
-        #: the server's stats mirror fold these in unchanged:
-        #: host deaths count as worker deaths, re-scatters as retries.
+        self.dataset = dataset
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.deadline = deadline if deadline is not None else DeadlinePolicy()
+        self.faults = faults
+        #: Monotone fault counters: host deaths, revivals, deadline
+        #: hits, re-sends.
         self.counters: Dict[str, int] = {
             "respawns": 0, "worker_deaths": 0, "deadline_hits": 0, "retries": 0,
         }
@@ -331,6 +397,13 @@ class ShardRegistry:
         #: per downtime — the client closes its own socket before the
         #: registry hears about the failure, so ``alive`` can't dedupe).
         self._dead_counted: set = set()
+        self._flush_seq = 0
+        #: Answers read off a connection while waiting for a different
+        #: lane's.  After a re-scatter two lanes share one host, so
+        #: their answers interleave; frames for a sibling lane of the
+        #: SAME round are kept here for that lane's collector, keyed
+        #: ``(flush_seq, shard_id)``.  Cleared per round.
+        self._stash: Dict[Tuple[int, int], Tuple[int, bytes]] = {}
 
     @classmethod
     def from_specs(
@@ -338,11 +411,12 @@ class ShardRegistry:
         specs: Union[str, Sequence[Union[str, Tuple[str, int]]]],
         *,
         connect_timeout_s: float = 5.0,
+        **kwargs,
     ) -> "ShardRegistry":
         return cls([
             ShardHostClient(host, port, connect_timeout_s=connect_timeout_s)
             for host, port in parse_host_specs(specs)
-        ])
+        ], **kwargs)
 
     def connect_all(self) -> None:
         """Connect every host; raise ``PoolUnavailable`` if none came up."""
@@ -364,7 +438,7 @@ class ShardRegistry:
         dataset it built (:meth:`~repro.model.dataset.Dataset.fingerprint`);
         one that differs raises :class:`PoolUnavailable` naming the host
         and both digests.  A host that does not answer is left to the
-        rounds' own failure handling, as before this check existed.
+        rounds' own failure handling.
         """
         for client in self.alive_hosts():
             try:
@@ -393,6 +467,7 @@ class ShardRegistry:
             )
         return alive[shard_id % len(alive)]
 
+    # -- death and revival ---------------------------------------------
     def mark_dead(
         self, client: ShardHostClient, reason: Exception, flush_seq: int = 0
     ) -> None:
@@ -401,6 +476,7 @@ class ShardRegistry:
         if id(client) not in self._dead_counted:
             self._dead_counted.add(id(client))
             self.counters["worker_deaths"] += 1
+            client.failures += 1
             _log.warning(
                 "shard host %s marked dead: flush_seq=%d reason=%r",
                 client.addr, flush_seq, reason,
@@ -408,26 +484,166 @@ class ShardRegistry:
         client.close()
         client.last_error = repr(reason)
 
+    def revive(self, client: ShardHostClient) -> bool:
+        """Bring a dead host back into rotation: re-fork a local one
+        (after the capped exponential :class:`RetryPolicy` backoff, so
+        a host that keeps dying cannot fork-bomb the machine), reconnect
+        a remote one.  False if it stays dead."""
+        plan = self.faults
+        if plan is not None and plan.break_respawn and plan.armed(client.generation):
+            client.broken = True
+            client.last_error = "injected respawn failure (FaultPlan.break_respawn)"
+            return False
+        if client.forked:
+            backoff = self.retry.backoff_s(client.failures)
+            if backoff > 0:
+                time.sleep(backoff)
+        try:
+            client.connect()
+        except ScatterFailure as exc:
+            client.broken = client.forked
+            client.last_error = repr(exc)
+            return False
+        client.broken = False
+        if id(client) in self._dead_counted:
+            self._dead_counted.discard(id(client))
+            self.counters["respawns"] += 1
+            _log.info("shard host %s resurrected", client.addr)
+        return True
+
     def ping_all(self, timeout_s: float = 2.0) -> Dict[str, bool]:
         """Heartbeat sweep: one PING round trip per host.
 
-        Dead hosts are pinged too — ``ping`` reconnects first, so a
+        Dead hosts are revived first (reconnected, or re-forked), so a
         restarted host process resurrects into the rotation (and a
         later death counts again).
         """
         results: Dict[str, bool] = {}
         for client in self.clients:
-            ok = client.ping(timeout_s)
-            if ok:
-                if id(client) in self._dead_counted:
-                    self._dead_counted.discard(id(client))
-                    _log.info("shard host %s resurrected by heartbeat",
-                              client.addr)
-            else:
+            ok = (client.alive or self.revive(client)) and client.ping(timeout_s)
+            if not ok:
                 self.mark_dead(client, RuntimeError("heartbeat ping failed"))
             results[client.addr] = ok
         return results
 
+    # -- the ladder ----------------------------------------------------
+    def next_round(self) -> None:
+        """Open a scatter round: a fresh flush sequence, and any answers
+        orphaned by an abandoned earlier round dropped."""
+        self._flush_seq += 1
+        self._stash.clear()
+
+    def dispatch(self, payloads: Sequence[tuple], wire_id: int = 0) -> Inflight:
+        """Send one lane's payloads to its host; never raises a
+        :class:`ScatterFailure` (a failed send is :meth:`collect`'s to
+        recover)."""
+        inflight = Inflight(
+            wire_id, self._flush_seq, getattr(self.dataset, "epoch", 0),
+            FrameCodec.encode_body(list(payloads)),
+        )
+        try:
+            inflight.client = self.host_for(wire_id)
+            self._send(inflight)
+        except ScatterFailure as exc:
+            self._note_failure(inflight, exc)
+        return inflight
+
+    def collect(self, inflight: Inflight) -> list:
+        """One lane's chunks, through the ladder (module docstring);
+        past the budget the last failure propagates."""
+        failure: Optional[ScatterFailure] = None
+        for attempt in range(self.retry.max_retries + 1):
+            if attempt:
+                inflight.retries += 1
+                self.counters["retries"] += 1
+            try:
+                kind, rbody = self._answer(inflight)
+            except PoolUnavailable:
+                raise  # no host left to retry on
+            except ScatterFailure as exc:
+                failure = exc
+                self._note_failure(inflight, exc)
+                continue
+            inflight.bytes_in += FrameCodec.HEADER_SIZE + len(rbody)
+            if kind == FrameCodec.ERROR:
+                failure = self._task_error(inflight, rbody)
+                inflight.sent = False  # retry on the same, living host
+                continue
+            inflight.client.failures = 0
+            return FrameCodec.decode_body(rbody)
+        assert failure is not None
+        raise failure
+
+    def _send(self, inflight: Inflight) -> None:
+        plan = self.faults
+        client = inflight.client
+        if plan is not None and plan.break_dispatch and plan.armed(client.generation):
+            raise WorkerCrashed("injected dispatch loss (FaultPlan.break_dispatch)")
+        frame = FrameCodec.pack(
+            FrameCodec.SCATTER, inflight.flush_seq, inflight.wire_id,
+            inflight.epoch, inflight.body,
+        )
+        client.send_frame(frame)
+        inflight.bytes_out += len(frame)
+        inflight.sent = True
+
+    def _answer(self, inflight: Inflight) -> Tuple[int, bytes]:
+        """``(kind, body)`` of this lane's answer, (re-)sending first if
+        needed.  A sibling lane's collector may already have read it
+        off a shared connection."""
+        stashed = self._stash.pop((inflight.flush_seq, inflight.wire_id), None)
+        if stashed is not None:
+            return stashed
+        if inflight.client is None:
+            inflight.client = self.host_for(inflight.wire_id)
+        if not inflight.sent:
+            self._send(inflight)
+        return self._recv_matching(inflight)
+
+    def _recv_matching(self, inflight: Inflight) -> Tuple[int, bytes]:
+        """Read frames until this lane's answer arrives.
+
+        After a re-scatter a host connection can carry rounds for more
+        than one lane; answers arrive in the host's execution order,
+        not ours.  Answers for sibling lanes of the same round are
+        stashed for their own collectors; anything stale (an abandoned
+        earlier round) is discarded.
+        """
+        client = inflight.client
+        while True:
+            kind, seq, sid, _ep, rbody = client.recv_frame(
+                self.deadline.flush_deadline_s
+            )
+            if seq != inflight.flush_seq or kind not in (
+                FrameCodec.RESULT, FrameCodec.ERROR
+            ):
+                continue  # stale frame from an abandoned round
+            if sid == inflight.wire_id:
+                return kind, rbody
+            self._stash[(seq, sid)] = (kind, rbody)
+
+    def _task_error(self, inflight: Inflight, rbody: bytes) -> ScatterTaskError:
+        name, message = FrameCodec.decode_body(rbody)
+        client = inflight.client
+        client.last_error = f"{name}: {message}"
+        return ScatterTaskError(
+            f"shard host {client.addr} answered round "
+            f"(seq={inflight.flush_seq}, shard={inflight.wire_id}) with "
+            f"remote error {name}: {message}"
+        )
+
+    def _note_failure(self, inflight: Inflight, exc: Exception) -> None:
+        """A lost host: count it, take it out of rotation (a local one
+        is killed and re-forked) and leave the lane unsent."""
+        if isinstance(exc, FlushDeadlineExceeded):
+            self.counters["deadline_hits"] += 1
+        client, inflight.client, inflight.sent = inflight.client, None, False
+        if client is not None:
+            self.mark_dead(client, exc, inflight.flush_seq)
+            if client.forked:
+                self.revive(client)
+
+    # -- reporting and shutdown ----------------------------------------
     def fault_counters(self) -> Dict[str, int]:
         return dict(self.counters)
 
@@ -435,8 +651,9 @@ class ShardRegistry:
         """Per-host rows in the ``pool_health()`` display shape."""
         return [
             {
-                "pool": f"host-{client.addr}",
-                "state": "healthy" if client.alive else "dead",
+                "pool": client.addr if client.forked else f"host-{client.addr}",
+                "state": client.state,
+                "generation": client.generation,
                 "rounds": client.rounds,
                 "bytes_sent": client.bytes_sent,
                 "bytes_received": client.bytes_received,
@@ -449,162 +666,45 @@ class ShardRegistry:
         received = sum(c.bytes_received for c in self.clients)
         return sent, received
 
-    def close(self) -> None:
+    def close(self, timeout_s: Optional[float] = None) -> None:
+        """Drop every connection (``timeout_s`` bounds a local fleet's
+        shutdown; remote hosts are only disconnected)."""
         for client in self.clients:
             client.close()
 
 
 class SocketTransport:
-    """The socket lane of :func:`repro.core.pipeline.run_round`.
-
-    One lane per alive host, each answered against the host's
-    full-dataset replica: a cold flush's refine ranges, then every
-    flush's ``select`` chunks — a few KB each way per warm flush,
-    independent of |U|.  Indexed searches never come here: hosts hold
-    no MIUR-tree and the I/O must replay on the coordinator's counter.
-
-    Per failed lane the ladder is: mark the host dead, re-scatter the
-    *same* frame body to the next surviving host (``RetryPolicy``
-    budget), and past the budget — or with no survivors —
-    :meth:`collect` raises :class:`PoolUnavailable` for ``run_round`` to
-    degrade the lane in-process.
-    """
+    """The lane of :func:`repro.core.pipeline.run_round` over a fleet:
+    one lane per alive host, each answered against the host's
+    full-dataset replica — a cold flush's refine ranges, then every
+    flush's ``select`` payloads.  With no host left the single lane
+    finds none and degrades through the ladder like any other round."""
 
     remote = True
-    serves_indexed = False
 
-    def __init__(
-        self,
-        registry: ShardRegistry,
-        dataset,
-        *,
-        retry: Optional[RetryPolicy] = None,
-        deadline: Optional[DeadlinePolicy] = None,
-    ) -> None:
+    def __init__(self, registry: ShardRegistry) -> None:
         self.registry = registry
-        self.dataset = dataset
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.deadline = deadline if deadline is not None else DeadlinePolicy()
-        self._flush_seq = 0
-        #: RESULT bodies read off a connection while waiting for a
-        #: different lane's answer.  After a re-scatter two lanes
-        #: share one host connection, so round responses interleave;
-        #: frames for a sibling lane of the SAME flush round are
-        #: stashed here for that lane's collector, keyed
-        #: ``(flush_seq, shard_id)``.  Cleared per scatter round.
-        self._stash: Dict[Tuple[int, int], bytes] = {}
 
-    def chunk_width(self) -> int:
-        return 1  # a host runs one frame at a time per connection
+    @property
+    def serves_indexed(self) -> bool:
+        return self.registry.serves_indexed
 
     def lanes(self) -> int:
-        # One lane per alive host.  With none left the single lane finds
-        # no host and degrades through the ladder like any other round.
         return max(1, len(self.registry.alive_hosts()))
 
     def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
-        self._flush_seq += 1
-        self._stash.clear()  # orphans of abandoned earlier rounds
-        epoch = getattr(self.dataset, "epoch", 0)
-        tickets = []
-        for lane in lanes:
-            body = FrameCodec.encode_body(lane.payloads)
-            frame = FrameCodec.pack(
-                FrameCodec.SCATTER, self._flush_seq, lane.wire_id, epoch, body
-            )
-            ticket = Ticket(lane)
-            client = None
-            try:
-                client = self.registry.host_for(lane.wire_id)
-                client.send_frame(frame)
-            except ScatterFailure as exc:
-                self._note_failure(client, exc)
-                client = None
-            else:
-                ticket.bytes_out = len(frame)
-            ticket.handle = (body, epoch, client)
-            tickets.append(ticket)
-        return tickets
+        registry = self.registry
+        registry.next_round()
+        return [
+            Ticket(lane, handle=registry.dispatch(lane.payloads, lane.wire_id))
+            for lane in lanes
+        ]
 
     def collect(self, ticket: Ticket) -> list:
-        """One lane's answer, re-scattering across survivors."""
-        body, epoch, client = ticket.handle
-        shard_id, flush_seq = ticket.lane.wire_id, self._flush_seq
-        attempts = self.retry.max_retries + 1
-        for attempt in range(attempts):
-            # A sibling lane's collector may already have read our
-            # answer off a shared connection.
-            rbody = self._stash.pop((flush_seq, shard_id), None)
-            if rbody is None:
-                try:
-                    if client is None:
-                        # (Re-)dispatch: the first send already failed,
-                        # or a retry after a death — pick a survivor.
-                        client = self.registry.host_for(shard_id)
-                        frame = FrameCodec.pack(
-                            FrameCodec.SCATTER, flush_seq, shard_id, epoch, body
-                        )
-                        client.send_frame(frame)
-                        ticket.bytes_out += len(frame)
-                    rbody = self._recv_matching(
-                        client, flush_seq, shard_id,
-                        self.deadline.flush_deadline_s,
-                    )
-                except PoolUnavailable:
-                    raise  # no survivor left to retry on
-                except ScatterFailure as exc:
-                    self._note_failure(client, exc)
-                    client = None
-                    if attempt + 1 < attempts:
-                        ticket.retries += 1
-                        self.registry.counters["retries"] += 1
-                    continue
-            ticket.bytes_in += FrameCodec.HEADER_SIZE + len(rbody)
-            return FrameCodec.decode_body(rbody)
-        raise PoolUnavailable(
-            f"no shard host answered round (seq={flush_seq}, "
-            f"shard={shard_id}) within {self.retry.max_retries} retries"
-        )
-
-    def _recv_matching(
-        self,
-        client: ShardHostClient,
-        flush_seq: int,
-        shard_id: int,
-        deadline_s: Optional[float],
-    ) -> bytes:
-        """Read frames until this round's RESULT body arrives.
-
-        After a re-scatter a host connection can carry rounds for more
-        than one lane; responses arrive in the host's execution order,
-        not ours.  RESULT frames for sibling lanes of the same flush
-        round are stashed for their own collectors; anything stale (an
-        abandoned earlier round) is discarded.
-        """
-        while True:
-            kind, seq, sid, _ep, rbody = client.recv_frame(deadline_s)
-            if seq != flush_seq:
-                continue  # stale frame from an abandoned round
-            if kind == FrameCodec.RESULT:
-                if sid == shard_id:
-                    return rbody
-                self._stash[(seq, sid)] = rbody
-                continue
-            if kind == FrameCodec.ERROR and sid == shard_id:
-                # A task error on the host: treat like a crashed round
-                # (the host engine is a replica; a genuine payload bug
-                # reproduces identically — and authentically — on the
-                # in-process degrade path).
-                raise WorkerCrashed(
-                    f"shard host {client.addr} answered round "
-                    f"(seq={flush_seq}, shard={shard_id}) with remote "
-                    f"error {FrameCodec.decode_body(rbody)!r}"
-                )
-
-    def _note_failure(
-        self, client: Optional[ShardHostClient], exc: Exception
-    ) -> None:
-        if isinstance(exc, FlushDeadlineExceeded):
-            self.registry.counters["deadline_hits"] += 1
-        if client is not None:
-            self.registry.mark_dead(client, exc, self._flush_seq)
+        inflight = ticket.handle
+        try:
+            return self.registry.collect(inflight)
+        finally:
+            ticket.retries = inflight.retries
+            ticket.bytes_out = inflight.bytes_out
+            ticket.bytes_in = inflight.bytes_in

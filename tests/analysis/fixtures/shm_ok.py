@@ -10,13 +10,13 @@ def ships_by_name(codec, rsk):
 
 
 def pickles_plain_values(payload):
-    # Pickling untainted values is the normal pipe path.
+    # Pickling untainted values is the normal frame path.
     return pickle.dumps(payload)  # noqa: F821
 
 
-def measures_payload_bytes(payload):
-    # payload_nbytes pickles internally but takes plain payloads.
-    return payload_nbytes(payload)  # noqa: F821
+def frames_plain_payloads(payloads):
+    # The frame codec pickles internally but takes plain payloads.
+    return FrameCodec.encode_body(payloads)  # noqa: F821
 
 
 def reads_column_by_name(arena_name, column):

@@ -39,7 +39,7 @@ class TestLintCommand:
         assert rc == 1
         data = json.loads(capsys.readouterr().out)
         rules = {f["rule"] for f in data["findings"]}
-        assert {"PB201", "PB202", "PB203"} <= rules
+        assert rules == {"PB202"}
 
     def test_nonexistent_path_exits_two(self, capsys):
         rc = main(["lint", "definitely/not/a/path"])
@@ -63,11 +63,13 @@ class TestLintCommand:
         out = capsys.readouterr().out
         for family in (
             "stage-contract", "pool-boundary", "kernel-identity",
-            "async-blocking", "fault-tolerance",
+            "async-blocking", "shm-payload", "transport",
         ):
             assert family in out
-        for code in ("SC101", "PB201", "KI301", "AB401", "FT501"):
+        for code in ("SC101", "PB202", "KI301", "AB401", "TR701"):
             assert code in out
+        for gone in ("fault-tolerance", "FT501", "PB201", "PB203"):
+            assert gone not in out
 
     def test_disk_cache_file_is_written(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"

@@ -10,15 +10,6 @@ def rules_at(report):
 
 
 class TestPoolBoundaryViolations:
-    def test_lambda_into_map(self, lint_fixture):
-        report, path = lint_fixture("pool_bad.py", PoolBoundaryChecker())
-        assert ("PB201", line_of(path, "lambda x: x + 1")) in rules_at(report)
-
-    def test_closure_into_map(self, lint_fixture):
-        report, path = lint_fixture("pool_bad.py", PoolBoundaryChecker())
-        assert ("PB201", line_of(path, "pool.map(helper, items)")) in \
-            rules_at(report)
-
     def test_classmethod_constructor_taints_name(self, lint_fixture):
         # Dataset.synthetic() -> dataset -> ("refine", dataset, ...)
         report, path = lint_fixture("pool_bad.py", PoolBoundaryChecker())
@@ -30,17 +21,6 @@ class TestPoolBoundaryViolations:
         assert ("PB202", line_of(path, "DatasetArrays(None)")) in \
             rules_at(report)
 
-    def test_bound_method_as_pool_function(self, lint_fixture):
-        report, path = lint_fixture("pool_bad.py", PoolBoundaryChecker())
-        assert ("PB203", line_of(path, "pool.map(self.process, items)")) in \
-            rules_at(report)
-
-    def test_pool_construction_keywords(self, lint_fixture):
-        report, path = lint_fixture("pool_bad.py", PoolBoundaryChecker())
-        found = rules_at(report)
-        assert ("PB201", line_of(path, "initializer=lambda: None")) in found
-        assert ("PB202", line_of(path, "initargs=(tree,)")) in found
-
     def test_payload_tuple_outside_submit_site(self, lint_fixture):
         report, path = lint_fixture("pool_bad.py", PoolBoundaryChecker())
         assert ("PB202", line_of(path, '("indexed_search", queries, store)')) \
@@ -50,16 +30,15 @@ class TestPoolBoundaryViolations:
         report, _ = lint_fixture("pool_bad.py", PoolBoundaryChecker())
         assert report.findings
         assert all(f.severity == "error" for f in report.findings)
+        assert {f.rule for f in report.findings} == {"PB202"}
 
 
 class TestPoolBoundaryCleanCode:
-    def test_token_registry_discipline_is_clean(self, lint_fixture):
+    def test_plain_payloads_are_clean(self, lint_fixture):
         report, _ = lint_fixture("pool_ok.py", PoolBoundaryChecker())
         assert report.findings == []
 
     def test_shipped_pool_module_is_clean(self):
-        # The real PersistentWorkerPool is the reference implementation
-        # of the discipline this checker enforces.
         import repro.serve.pool as pool_mod
 
         from repro.analysis import run_paths

@@ -7,6 +7,7 @@ the acceptance bar every recovery path must clear.
 """
 
 import asyncio
+import os
 import random
 import threading
 
@@ -109,3 +110,26 @@ class HostThread:
 
         self.loop.call_soon_threadsafe(_cancel)
         self.thread.join(10)
+
+
+def live_children(zombies=False):
+    """``pid -> command line`` of this process's children, straight from
+    /proc (live ones only, unless ``zombies``); multiprocessing's
+    resource tracker — the interpreter's own helper, alive until exit —
+    is left out."""
+    me, children = os.getpid(), {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmd = handle.read().replace(b"\0", b" ").decode(errors="replace")
+        except OSError:
+            continue  # exited while we were listing
+        if int(ppid) != me or "resource_tracker" in cmd:
+            continue
+        if zombies or state != "Z":
+            children[int(entry)] = cmd
+    return children

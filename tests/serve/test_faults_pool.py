@@ -1,22 +1,27 @@
-"""Supervised pool recovery: every injected fault, deterministically.
+"""One fault ladder for every host: each failure class, local and remote.
 
-The recovery ladder under test (:class:`PersistentWorkerPool`):
+Every lane is a :class:`~repro.serve.shardhost.ShardHost`, forked
+locally on a socketpair (``start_pools``) or embedded as a TCP host on
+a background thread (``connect_hosts``) — the coordinator reaches both
+through the same :class:`~repro.serve.transport.ShardRegistry` ladder:
 
-* worker death   -> ``WorkerCrashed``        -> respawn (new generation) + retry
-* round hang     -> ``FlushDeadlineExceeded`` -> respawn + retry
-* task exception -> ``ScatterTaskError``      -> plain retry (workers are fine)
-* retries exhausted / pool broken -> a ``ScatterFailure`` the executor
-  catches to run the round in-process (degraded, identical results)
+* death (EOF / reset)   -> ``WorkerCrashed``        -> host dead, lane
+  re-scattered to a survivor (a local host is re-forked first);
+* deadline              -> ``FlushDeadlineExceeded`` -> the same (a
+  stalled local host is killed first);
+* task error (ERROR frame) -> ``ScatterTaskError``  -> retry on the
+  same host, which stays alive;
+* dispatch loss / failed re-fork -> past the budget, or with no host
+  left, ``run_round`` degrades the lane in-process.
 
-Determinism comes from generation gating: worker-side faults are armed
-only in generation 0 by default, so "fault -> respawn -> retry
-succeeds" is a sequence, not a race.  Every recovery test asserts exact
-health-counter values *and* bitwise result identity with in-process
-execution.  The ladder runs under a lane engine's warm flush: its one
-scatter round is the ``select`` round over the engine's pool.
+Each class runs against both kinds of host and asserts exact counters
+*and* bitwise result identity with in-process execution.  Determinism
+comes from generation gating: host-side faults are armed only in
+generation 0 by default, so "kill -> re-fork -> retry succeeds" is a
+sequence, not a race.  Local faults hit every forked host (both are
+generation 0); remote ones hit embedded host 0 only.
 """
 
-import multiprocessing
 import os
 import signal
 import time
@@ -27,122 +32,210 @@ from repro import QueryOptions
 from repro.serve import (
     DeadlinePolicy,
     FaultPlan,
-    FlushDeadlineExceeded,
     PersistentWorkerPool,
-    PoolState,
     PoolUnavailable,
     RetryPolicy,
-    WorkerCrashed,
+    ShardHost,
 )
-from repro.serve.pool import PoolDispatch
 
-from .conftest import assert_results_equal, build_dataset, build_lanes, make_queries
+from .conftest import HostThread, assert_results_equal, build_dataset, build_lanes, make_queries
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="PersistentWorkerPool requires the fork start method",
+    not hasattr(os, "fork"), reason="local shard hosts require os.fork"
 )
 
-#: Fast supervision for tests: retry once, no backoff sleep, tight polls.
+#: Fast ladder for tests: retry once, no backoff sleep.
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
-FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
+FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0)
+SHORT_DEADLINE = DeadlinePolicy(flush_deadline_s=0.3)
 OPTIONS = QueryOptions()
 
 
-def pooled_lanes(faults, *, deadline=FAST_DEADLINE, workers=2, seed=0):
-    """A lane engine (one lane per worker) whose in-process reference
-    flush warmed every threshold, then forked with ``faults`` armed:
-    its next flush is exactly one pooled ``select`` round."""
-    engine, rng, vocab = build_lanes(seed=seed, num_shards=workers)
-    queries = make_queries(rng, vocab, 8)
-    reference = engine.query_batch(queries, OPTIONS)
-    engine.start_pools(1, retry=FAST_RETRY, deadline=deadline, faults=faults)
-    return engine, queries, reference
+class Fleet:
+    """A 2-lane engine whose in-process reference flush warmed every
+    threshold, then attached to two hosts of one kind: its next flush
+    is exactly one ``select`` round, one payload per host."""
 
+    def __init__(self, kind, host_fault=None, coordinator_fault=None,
+                 deadline=FAST_DEADLINE, seed=0):
+        self.engine, rng, vocab = build_lanes(seed=seed)
+        self.queries = make_queries(rng, vocab, 8)
+        self.reference = self.engine.query_batch(self.queries, OPTIONS)
+        self.hosts = []
+        if kind == "local":
+            plan = host_fault or coordinator_fault
+            self.engine.start_pools(
+                1, retry=FAST_RETRY, deadline=deadline, faults=plan
+            )
+        else:
+            dataset = self.engine.dataset
+            self.hosts = [
+                HostThread(ShardHost(dataset, fault=host_fault if i == 0 else None))
+                for i in range(2)
+            ]
+            self.engine.connect_hosts(
+                [f"127.0.0.1:{h.port}" for h in self.hosts],
+                retry=FAST_RETRY, deadline=deadline,
+            )
+            self.engine._registry.faults = coordinator_fault
+        self.registry = self.engine._registry
 
-def run_identity(faults, *, deadline=FAST_DEADLINE, workers=2, seed=0):
-    """One pooled round under ``faults``; asserts identity with the
-    in-process answer and returns (health, state-before-close, report)."""
-    engine, queries, reference = pooled_lanes(
-        faults, deadline=deadline, workers=workers, seed=seed
-    )
-    with engine:
-        faulted = engine.query_batch(queries, OPTIONS)
-        state = engine._pool.health.state
-        health = engine._pool.health
-    assert_results_equal(faulted, reference)
-    report = engine.last_flush_report
-    assert report.stage("refine").items == 0  # warm: select is the one round
-    return health, state, report
-
-
-class TestRecoveryLadder:
-    def test_worker_kill_respawns_and_retries_to_identity(self):
-        health, state, report = run_identity(FaultPlan.kill_worker())
-        assert state is PoolState.HEALTHY
-        assert health.worker_deaths == 1
-        assert health.respawns == 1
-        assert health.retries == 1
-        assert health.generation == 1
-        assert health.deadline_hits == 0
-        assert health.consecutive_failures == 0  # reset by the clean retry
-        assert report.degraded_lanes == 0
-
-    def test_hung_round_hits_deadline_then_recovers(self):
-        health, state, report = run_identity(
-            FaultPlan.hang_task(hang_s=30.0),
-            deadline=DeadlinePolicy(flush_deadline_s=0.3, poll_interval_s=0.01),
+    def flush(self):
+        """The faulted flush: identity, then ``(counters, select stats)``."""
+        served = self.engine.query_batch(self.queries, OPTIONS)
+        assert_results_equal(served, self.reference)
+        report = self.engine.last_flush_report
+        assert report.stage("refine").items == 0  # warm: select is the one round
+        select = report.stage("select")
+        return self.engine.fault_counters(), (
+            select.scatter_width, select.retries, select.degraded
         )
-        assert state is PoolState.HEALTHY
-        assert health.deadline_hits == 1
-        assert health.respawns == 1
-        assert health.retries == 1
-        assert health.worker_deaths == 0
-        assert report.degraded_lanes == 0
 
-    def test_task_exception_retries_without_respawn(self):
-        # One worker, so its task counter is deterministic: task 0
-        # raises, the retry re-runs every chunk at indices >= 1.
-        health, state, report = run_identity(
-            FaultPlan(exception_on_task=0), workers=1
+    def close(self):
+        self.engine.close_pools(timeout_s=10.0)
+        self.engine.close_hosts()
+        for host in self.hosts:
+            host.stop()
+
+
+@pytest.fixture
+def fleet():
+    opened = []
+
+    def open_(*args, **kwargs):
+        opened.append(Fleet(*args, **kwargs))
+        return opened[-1]
+
+    try:
+        yield open_
+    finally:
+        for made in opened:
+            made.close()
+
+
+def counts(totals):
+    return (totals["worker_deaths"], totals["respawns"],
+            totals["deadline_hits"], totals["retries"])
+
+
+# ----------------------------------------------------------------------
+# The matrix: failure class x kind of host
+# ----------------------------------------------------------------------
+
+class TestDeath:
+    def test_local_hosts_are_reforked_and_the_lanes_retried(self, fleet):
+        made = fleet("local", host_fault=FaultPlan.kill_worker())
+        totals, select = made.flush()
+        # Both generation-0 hosts die on their first payload; each is
+        # re-forked (generation 1) and its lane retried there.
+        assert counts(totals) == (2, 2, 0, 2)
+        assert select == (2, 2, 0)
+        assert [c.generation for c in made.registry.clients] == [1, 1]
+        assert all(row["state"] == "healthy" for row in made.engine.pool_health())
+
+    def test_a_remote_host_drop_rescatters_to_the_survivor(self, fleet):
+        made = fleet("remote", host_fault=FaultPlan.drop_connection(0))
+        totals, select = made.flush()
+        assert counts(totals) == (1, 0, 0, 1)
+        assert select == (2, 1, 0)
+        assert [row["state"] for row in made.engine.pool_health()] == \
+            ["dead", "healthy"]
+
+
+class TestDeadline:
+    def test_stalled_local_hosts_are_killed_and_reforked(self, fleet):
+        made = fleet("local", host_fault=FaultPlan.hang_task(hang_s=30.0),
+                     deadline=SHORT_DEADLINE)
+        stalled = made.registry.pids()
+        totals, select = made.flush()
+        assert counts(totals) == (2, 2, 2, 2)
+        assert select == (2, 2, 0)
+        assert not set(stalled) & set(made.registry.pids())
+        assert not any(os.path.exists(f"/proc/{pid}") for pid in stalled)
+
+    def test_a_stalled_remote_host_leaves_rotation(self, fleet):
+        made = fleet("remote", host_fault=FaultPlan.stall_read(0, stall_s=30.0),
+                     deadline=SHORT_DEADLINE)
+        totals, select = made.flush()
+        assert counts(totals) == (1, 0, 1, 1)
+        assert select == (2, 1, 0)
+
+
+class TestTaskError:
+    def test_a_local_task_error_retries_on_the_same_host(self, fleet):
+        made = fleet("local", host_fault=FaultPlan(exception_on_task=0))
+        pids = made.registry.pids()
+        totals, select = made.flush()
+        # Payload 0 raised on each host; the retry re-ran it there as
+        # payload 1.  Nobody died, nobody was re-forked.
+        assert counts(totals) == (0, 0, 0, 2)
+        assert select == (2, 2, 0)
+        assert made.registry.pids() == pids
+        assert "InjectedFault" in made.registry.clients[0].last_error
+
+    def test_a_remote_task_error_retries_on_the_same_host(self, fleet):
+        made = fleet("remote", host_fault=FaultPlan(exception_on_task=0))
+        totals, select = made.flush()
+        assert counts(totals) == (0, 0, 0, 1)
+        assert select == (2, 1, 0)
+        assert all(row["state"] == "healthy" for row in made.engine.pool_health())
+
+
+class TestDispatchLoss:
+    PLAN = FaultPlan(break_dispatch=True, generations=None)
+
+    def test_lost_local_dispatch_degrades_every_lane(self, fleet):
+        made = fleet("local", coordinator_fault=self.PLAN)
+        totals, select = made.flush()
+        # Every send fails: each host is found dead and re-forked, the
+        # retry's send fails again, and both lanes run in-process.
+        assert select == (2, 2, 2)
+        assert totals["retries"] == 2
+        assert totals["respawns"] == totals["worker_deaths"] > 0
+        assert all(row["state"] == "healthy" for row in made.engine.pool_health())
+
+    def test_lost_remote_dispatch_degrades_every_lane(self, fleet):
+        made = fleet("remote", coordinator_fault=self.PLAN)
+        totals, select = made.flush()
+        # Remote hosts are not revived in-band: after both sends fail
+        # there is no host left, and nothing to retry on.
+        assert counts(totals) == (2, 0, 0, 0)
+        assert select == (2, 0, 2)
+
+
+class TestFailedRefork:
+    def test_a_local_host_that_cannot_come_back_is_broken(self, fleet):
+        made = fleet("local", host_fault=FaultPlan(
+            kill_worker_on_task=0, break_respawn=True
+        ))
+        totals, select = made.flush()
+        assert (totals["worker_deaths"], totals["respawns"]) == (2, 0)
+        assert select[0] == 2 and select[2] == 2  # both lanes in-process
+        assert [row["state"] for row in made.engine.pool_health()] == \
+            ["broken", "broken"]
+        assert made.engine.capabilities().search_workers == 0
+        # The next flush finds no host at all: one lane, degraded.
+        made.engine.clear_topk_cache()
+        assert_results_equal(
+            made.engine.query_batch(made.queries, OPTIONS), made.reference
         )
-        assert state is PoolState.HEALTHY
-        assert health.retries == 1
-        assert health.respawns == 0
-        assert health.worker_deaths == 0
-        assert health.generation == 0  # the workers were never torn down
-        assert report.degraded_lanes == 0
+        assert made.engine.last_flush_report.stage("select").scatter_width <= 1
 
-    def test_persistent_dispatch_failure_degrades_round_in_process(self):
-        # Dispatch fails in every generation: retry ladder exhausts
-        # (respawn succeeds, re-dispatch fails again) and the executor
-        # runs the round in-process — results still identical.
-        health, state, report = run_identity(
-            FaultPlan(break_dispatch=True, generations=None)
-        )
-        assert state is PoolState.HEALTHY  # the respawn itself worked
-        assert health.respawns == 1
-        assert health.retries == 1
-        assert report.degraded_lanes == 1
+    def test_a_remote_host_that_cannot_come_back_stays_out(self, fleet):
+        made = fleet("remote", host_fault=FaultPlan.drop_connection(0),
+                     coordinator_fault=FaultPlan(break_respawn=True))
+        totals, select = made.flush()
+        assert counts(totals) == (1, 0, 0, 1)
+        sweep = made.registry.ping_all(timeout_s=1.0)
+        assert list(sweep.values()) == [False, True]
+        assert [row["state"] for row in made.engine.pool_health()] == \
+            ["broken", "healthy"]
+        assert made.engine.fault_counters()["respawns"] == 0
 
-    def test_broken_pool_is_terminal_and_skipped(self):
-        engine, queries, reference = pooled_lanes(FaultPlan.pool_loss(), seed=1)
-        with engine:
-            pool = engine._pool
-            # Dispatch fails, then the respawn fails too: BROKEN.
-            first = engine.query_batch(queries, OPTIONS)
-            assert engine.last_flush_report.degraded_lanes == 1
-            assert pool.health.state is PoolState.BROKEN
-            assert not pool.available
-            with pytest.raises(PoolUnavailable):
-                pool.respawn()
-            # A broken pool is skipped outright on later flushes
-            # (degraded before any dispatch), never revived.
-            engine.clear_topk_cache()
-            second = engine.query_batch(queries, OPTIONS)
-        assert_results_equal(first, reference)
-        assert_results_equal(second, reference)
 
+# ----------------------------------------------------------------------
+# Local-only mechanics
+# ----------------------------------------------------------------------
 
 class TestBackoff:
     def test_backoff_is_capped_exponential(self):
@@ -154,62 +247,29 @@ class TestBackoff:
         assert retry.backoff_s(10) == pytest.approx(0.4)  # capped
 
 
-class _NeverReady:
-    """Stand-in async result that never completes: the pre-supervision
-    pool would block on it forever; collect() must not."""
-
-    def ready(self):
-        return False
-
-    def wait(self, timeout):
-        time.sleep(min(timeout, 0.001))
-
-
-def _ticket(pool, deadline_s=None, generation=None):
-    return PoolDispatch(
-        async_result=_NeverReady(),
-        payloads=[],
-        generation=pool.health.generation if generation is None else generation,
-        deadline_s=deadline_s,
-    )
+def _zombie(pid, timeout_s=5.0):
+    """Wait until ``pid`` is dead but unreaped (its sockets closed)."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        with open(f"/proc/{pid}/stat") as fh:
+            if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                return
+        time.sleep(0.005)
+    raise AssertionError(f"host {pid} did not die")
 
 
-class TestCollectSupervision:
-    """collect() raises typed failures instead of hanging."""
-
-    def test_worker_death_is_detected_not_waited_out(self):
-        dataset, _, _ = build_dataset(seed=2)
-        with PersistentWorkerPool(
-            dataset, 2, retry=FAST_RETRY, deadline=FAST_DEADLINE
-        ) as pool:
-            victim = pool._pool._pool[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            with pytest.raises(WorkerCrashed):
-                pool.collect(_ticket(pool, deadline_s=10.0))
-            assert pool.health.worker_deaths == 1
-            # Recovery: a respawn leaves the pool dispatchable again.
-            pool.respawn()
-            assert pool.health.state is PoolState.HEALTHY
-            assert pool.available
-
-    def test_deadline_is_typed_and_counted(self):
-        dataset, _, _ = build_dataset(seed=2)
-        with PersistentWorkerPool(
-            dataset, 1, retry=FAST_RETRY, deadline=FAST_DEADLINE
-        ) as pool:
-            with pytest.raises(FlushDeadlineExceeded):
-                pool.collect(_ticket(pool, deadline_s=0.05))
-            assert pool.health.deadline_hits == 1
-
-    def test_stale_generation_raises_pool_unavailable(self):
-        dataset, _, _ = build_dataset(seed=2)
-        with PersistentWorkerPool(
-            dataset, 1, retry=FAST_RETRY, deadline=FAST_DEADLINE
-        ) as pool:
-            stale = _ticket(pool)
-            pool.respawn()  # the round's workers are gone with its generation
-            with pytest.raises(PoolUnavailable):
-                pool.collect(stale)
+def test_a_host_killed_between_rounds_is_found_and_reforked(fleet):
+    made = fleet("local")
+    victim = made.registry.pids()[0]
+    os.kill(victim, signal.SIGKILL)
+    _zombie(victim)
+    totals, select = made.flush()
+    # The send finds the dead host, which is re-forked before the lane
+    # is collected: the first attempt already runs on generation 1.
+    assert counts(totals) == (1, 1, 0, 0)
+    assert select == (2, 0, 0)
+    assert victim not in made.registry.pids()
+    assert made.registry.clients[0].generation == 1
 
 
 class TestCloseLifecycle:
@@ -218,28 +278,15 @@ class TestCloseLifecycle:
         pool = PersistentWorkerPool(dataset, 1)
         pool.close(timeout_s=10.0)
         pool.close(timeout_s=10.0)  # must not raise
-        assert pool.health.state is PoolState.CLOSED
-
-    def test_close_during_respawn_window_does_not_raise(self):
-        # Mid-respawn the worker set is torn down (_pool is None);
-        # close() arriving in that window must still succeed.
-        dataset, _, _ = build_dataset(seed=3)
-        pool = PersistentWorkerPool(dataset, 1)
-        raw, pool._pool = pool._pool, None
-        pool.health.state = PoolState.RESPAWNING
-        pool.close(timeout_s=1.0)
-        assert pool.health.state is PoolState.CLOSED
-        raw.terminate()
-        raw.join()
+        assert [c.state for c in pool.clients] == ["dead"]
 
     def test_after_close_every_entry_point_is_typed_unavailable(self):
         dataset, _, _ = build_dataset(seed=3)
         pool = PersistentWorkerPool(dataset, 1)
         pool.close(timeout_s=10.0)
         with pytest.raises(PoolUnavailable):
-            pool.dispatch([])
+            pool.collect(pool.dispatch([]))
         with pytest.raises(PoolUnavailable):
-            pool.run_supervised([])
-        with pytest.raises(PoolUnavailable):
-            pool.respawn()
-        assert not pool.available
+            pool.clients[0].connect()  # no re-fork after close
+        assert not pool.revive(pool.clients[0])
+        assert pool.pids() == []

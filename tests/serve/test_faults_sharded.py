@@ -1,13 +1,14 @@
 """Sharded engine under injected faults: re-dispatch identity, lane
-degradation, and pool teardown.
+degradation, and fleet teardown.
 
-Every round of a sharded engine rides ONE pool, so a fault is scoped by
-*what the task carries* — ``exception_on_shard`` fires on refine tasks
-for one lane (row range) — and by pool generation; these tests break
-one round and assert the others kept their pooled fast path.
+Every lane of a sharded engine is one forked shard host, so a fault is
+scoped by *what the payload carries* — ``exception_on_shard`` fires on
+refine payloads for one lane (row range) — and by host generation;
+these tests break one lane and assert the others kept their remote
+fast path.
 """
 
-import multiprocessing
+import os
 import warnings
 
 import pytest
@@ -18,12 +19,11 @@ from repro.serve import DeadlinePolicy, FaultPlan, RetryPolicy, ShardedEngine
 from .conftest import assert_results_equal, build_dataset, make_queries
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="shard pools require the fork start method",
+    not hasattr(os, "fork"), reason="local shard hosts require os.fork"
 )
 
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
-FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
+FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0)
 OPTIONS = QueryOptions()
 
 
@@ -70,18 +70,18 @@ def test_lane_exception_retries_then_degrades_only_the_refine_round():
     finally:
         pooled.close_pools(timeout_s=10.0)
     assert_results_equal(results, reference)
-    # Lane 0's refine task raised in generation 0, the round was
-    # retried there (the workers never died, so no respawn disarmed the
-    # plan), raised again and ran in-process — both ranges, since they
-    # rode one pool lane; the select round stayed on its pooled path.
+    # Lane 0's refine payload raised in generation 0 (an ERROR frame),
+    # was retried on the same host (it never died, so no re-fork
+    # disarmed the plan), raised again and ran in-process — only its
+    # own range; lane 1's range and the select round stayed remote.
     totals = pooled.fault_counters()
     assert totals["retries"] == 1
     assert totals["respawns"] == 0
     assert totals["worker_deaths"] == 0
     assert (report.stage("refine").retries, report.stage("refine").degraded) == (1, 1)
     assert (report.stage("select").retries, report.stage("select").degraded) == (0, 0)
-    assert [rows[i]["retries"] for i in (0, 1)] == [1, 1]
-    assert [rows[i]["degraded_rounds"] for i in (0, 1)] == [1, 1]
+    assert [rows[i]["retries"] for i in (0, 1)] == [1, 0]
+    assert [rows[i]["degraded_rounds"] for i in (0, 1)] == [1, 0]
 
 
 def test_worker_kill_recovers_in_indexed_mode():
@@ -116,21 +116,23 @@ def test_pool_loss_breaks_the_pool_and_degrades_in_process():
     finally:
         pooled.close_pools(timeout_s=10.0)
     assert_results_equal(results, reference)
-    assert len(health) == 1, "expected the one live pool in the health report"
+    assert len(health) == 2, "expected one health row per local host"
     assert all(row["state"] == "broken" for row in health)
     assert all(row["degraded_rounds"] >= 1 for row in rows.values())
-    # No round was ever re-dispatched: respawn itself is what failed.
+    # No lane was ever re-sent: both sends failed at dispatch and the
+    # re-forks failed too, so no host was left to retry on.
     assert pooled.fault_counters()["retries"] == 0
 
 
 def test_close_pools_turns_a_close_failure_into_a_warning():
     pooled, _, _, _ = build_pair(seed=4, use_shm=True)
     pooled.start_pools(1)
-    pool, arena = pooled._pool, pooled.arena_name
+    pool, arena = pooled._registry, pooled.arena_name
+    pids = pool.pids()
     real_close = pool.close
 
     def bad_close(timeout_s=None):
-        real_close(timeout_s=timeout_s)  # actually release the workers
+        real_close(timeout_s=timeout_s)  # actually release the hosts
         raise RuntimeError("injected close failure")
 
     pool.close = bad_close
@@ -141,8 +143,9 @@ def test_close_pools_turns_a_close_failure_into_a_warning():
     assert len(runtime) == 1
     assert "failed to close cleanly" in str(runtime[0].message)
     assert "injected close failure" in str(runtime[0].message)
-    # The teardown still completed: pool slot cleared, arena released.
-    assert pooled._pool is None and pooled.arena_name is None
+    # The teardown still completed: fleet slot cleared, arena released.
+    assert pooled._registry is None and pooled.arena_name is None
+    assert not any(os.path.exists(f"/proc/{pid}") for pid in pids)
     assert arena is not None
     # Idempotent second close: silent.
     with warnings.catch_warnings():

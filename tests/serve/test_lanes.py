@@ -10,7 +10,7 @@ keyword-less users and all three transports — and the oracle
 (:mod:`repro.oracle`) agrees with both sides — and two seeded mutants
 of the dealing show it has teeth.  Below it, the
 regression test for what the change is for: a 2-lane engine runs 2
-worker processes, not 4.
+worker processes (forked shard hosts), not 4.
 """
 
 import multiprocessing
@@ -37,7 +37,7 @@ from repro.spatial.geometry import Point
 from repro.storage.shm import arena_segments
 
 from ..conftest import make_random_objects, make_random_users
-from .conftest import HostThread
+from .conftest import HostThread, live_children
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 VOCAB = 16
@@ -202,26 +202,6 @@ def test_a_mutated_dealing_fails_the_property(mutant, monkeypatch):
 # What the change is for: one pool of num_shards workers
 # ----------------------------------------------------------------------
 
-def live_children():
-    """``pid -> command line`` of this process's live (non-zombie)
-    children, straight from /proc; multiprocessing's resource tracker —
-    the interpreter's own helper, alive until exit — is left out."""
-    me, children = os.getpid(), {}
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as handle:
-                state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
-            with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                cmd = handle.read().replace(b"\0", b" ").decode(errors="replace")
-        except OSError:
-            continue  # exited while we were listing
-        if int(ppid) == me and state != "Z" and "resource_tracker" not in cmd:
-            children[int(entry)] = cmd
-    return children
-
-
 @pytest.mark.skipif(
     not (HAS_FORK and os.path.isdir("/proc")), reason="needs fork and /proc"
 )
@@ -244,7 +224,10 @@ def test_two_lane_server_runs_two_workers_and_leaves_nothing_behind():
         async with MaxBRSTkNNServer(engine, config) as server:
             workers = set(live_children()) - before_children
             assert len(workers) == 2  # was 4: two search + two per-shard
-            assert workers == {p.pid for p in multiprocessing.active_children()}
+            # ... and they are the fleet's forked hosts, not a
+            # multiprocessing pool's workers.
+            assert workers == set(engine._registry.pids())
+            assert not multiprocessing.active_children()
             reports = []
             for queries in (cold, warm):
                 served = await server.submit_many(queries)

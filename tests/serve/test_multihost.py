@@ -36,7 +36,7 @@ from .conftest import (
 )
 
 OPTS = QueryOptions(method="approx", mode="joint")
-FAST = DeadlinePolicy(flush_deadline_s=5.0, poll_interval_s=0.01)
+FAST = DeadlinePolicy(flush_deadline_s=5.0)
 
 
 def sharded_with_hosts(num_shards, num_hosts, seed=0, fault_on_host=None,
@@ -248,16 +248,16 @@ def test_drop_on_search_frame_rescatters_the_lane(fault_host, stash_peak):
     )
     try:
         connect(engine, hosts)
-        transport = engine._executor.transport
-        recv_matching, peaks = transport._recv_matching, []
+        registry = engine._registry
+        recv_matching, peaks = registry._recv_matching, []
 
         def spy(*args):
             try:
                 return recv_matching(*args)
             finally:
-                peaks.append(len(transport._stash))
+                peaks.append(len(registry._stash))
 
-        transport._recv_matching = spy
+        registry._recv_matching = spy
         queries = make_queries(rng, vocab, 8, ks=(3, 5))
         served = engine.query_batch(queries, OPTS)
         report = engine.last_flush_report
@@ -269,7 +269,7 @@ def test_drop_on_search_frame_rescatters_the_lane(fault_host, stash_peak):
         assert counters["worker_deaths"] == 1
         assert counters["retries"] == 1
         assert max(peaks) == stash_peak
-        assert not transport._stash
+        assert not registry._stash
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
         )
@@ -478,7 +478,7 @@ def test_stall_read_fault_hits_deadline_then_recovers():
         engine.connect_hosts(
             [f"127.0.0.1:{h.port}" for h in hosts],
             retry=RetryPolicy(max_retries=2),
-            deadline=DeadlinePolicy(flush_deadline_s=0.5, poll_interval_s=0.01),
+            deadline=DeadlinePolicy(flush_deadline_s=0.5),
         )
         config = ServerConfig(
             max_batch=len(queries), max_wait_ms=50.0, pool_workers=0,

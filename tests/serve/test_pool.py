@@ -1,18 +1,24 @@
-"""PersistentWorkerPool: workers must *inherit* the kernel arrays.
+"""PersistentWorkerPool: forked hosts must *inherit* the kernel arrays.
 
 The pool's whole point is forking after ``DatasetArrays`` is built so
-workers share it through copy-on-write.  PR 2 accidentally passed the
-dataset through Pool ``initargs`` — which pickles it per worker, and a
-pickled dataset drops its arrays (``Dataset.__getstate__``), so every
-worker silently rebuilt them.  These are the assertion-backed
-regression tests: the build counter must not move inside a worker, and
-the arrays must refuse pickling outright so the waste can never come
-back quietly.
+its shard hosts share it through copy-on-write.  An earlier version
+passed the dataset through pickled process arguments — and a pickled
+dataset drops its arrays (``Dataset.__getstate__``), so every worker
+silently rebuilt them.  These are the assertion-backed regression
+tests: the build counter must not move inside a host (first forked or
+re-forked), and the arrays must refuse pickling outright so the waste
+can never come back quietly.
+
+The probes run inside the real frame loop: the test swaps the host's
+payload entry for a probe *before* the fork, so the forked host runs
+it on the payloads the coordinator sends.
 """
 
-import multiprocessing
+import os
 import pickle
 import random
+import signal
+import time
 
 import pytest
 
@@ -20,15 +26,12 @@ from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions
 from repro.core.kernels import (
     DatasetArrays, ObjectColumns, arrays_for, object_columns_for,
 )
-from repro.serve import make_engine
-from repro.serve import pool as pool_mod
-from repro.serve.pool import PersistentWorkerPool
+from repro.serve import PersistentWorkerPool, PoolUnavailable, RetryPolicy, make_engine
 
 from ..conftest import make_random_objects, make_random_users
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="PersistentWorkerPool requires the fork start method",
+    not hasattr(os, "fork"), reason="local shard hosts require os.fork"
 )
 
 
@@ -39,29 +42,48 @@ def make_dataset(seed=0):
     return Dataset(objects, users, relevance="LM", alpha=0.5), rng
 
 
-def _probe_worker(_):
-    """Runs inside a forked worker: report its view of the arrays."""
-    ds = pool_mod._WORKER_DATASET
+def _array_probe(dataset, payload, context=None):
+    """Runs inside a forked host: its view of the arrays."""
     return (
         DatasetArrays.build_count,
-        ds is not None,
-        getattr(ds, "_kernel_arrays", None) is not None if ds is not None else False,
+        ObjectColumns.build_count,
+        getattr(dataset, "_kernel_arrays", None) is not None,
+        "columns" in dataset._per_object_set,
+        os.getpid(),
     )
 
 
-def test_workers_inherit_prebuilt_arrays_without_rebuilding():
+@pytest.fixture
+def probing(monkeypatch):
+    """Hosts forked under this fixture answer every payload with
+    :func:`_array_probe`."""
+    monkeypatch.setattr(
+        "repro.serve.shardhost.execute_shard_payload", _array_probe
+    )
+
+
+def probe_all(pool, per_host=2):
+    """Two probe payloads on every host's lane; the answers per lane."""
+    flights = [pool.dispatch([("probe",)] * per_host, lane)
+               for lane in range(pool.workers)]
+    return [pool.collect(flight) for flight in flights]
+
+
+def test_workers_inherit_prebuilt_arrays_without_rebuilding(probing):
     dataset, _ = make_dataset()
     with PersistentWorkerPool(dataset, workers=2) as pool:
         # The pool pre-builds the arrays in the parent, pre-fork.
         assert getattr(dataset, "_kernel_arrays", None) is not None
         parent_builds = DatasetArrays.build_count
-        probes = pool._pool.map(_probe_worker, range(4), chunksize=1)
-    for worker_builds, has_dataset, has_arrays in probes:
-        assert has_dataset, "worker lost the fork-inherited dataset"
-        assert has_arrays, "worker dataset arrived without its arrays"
-        # The counter a worker sees is the parent's value snapshotted at
-        # fork: any rebuild inside the worker would push it past that.
-        assert worker_builds == parent_builds
+        lanes = probe_all(pool)
+        pids = set(pool.pids())
+    assert {probe[4] for lane in lanes for probe in lane} == pids
+    for lane in lanes:
+        for builds, _, has_arrays, _, _ in lane:
+            assert has_arrays, "host dataset arrived without its arrays"
+            # The counter a host sees is the parent's value snapshotted
+            # at fork: any rebuild inside the host would push it past.
+            assert builds == parent_builds
 
 
 def test_arrays_for_memoizes_and_dataset_pickles_without_arrays():
@@ -78,23 +100,18 @@ def test_arrays_for_memoizes_and_dataset_pickles_without_arrays():
     assert getattr(dataset, "_kernel_arrays", None) is arrays
 
 
-def _object_columns_probe(_):
-    """Runs inside a forked worker: its view of the object columns."""
-    ds = pool_mod._WORKER_DATASET
-    return ObjectColumns.build_count, "columns" in ds._per_object_set
-
-
-def test_workers_inherit_object_columns_and_pickles_shed_them():
+def test_workers_inherit_object_columns_and_pickles_shed_them(probing):
     """The per-object-set columns Algorithm 2 gathers from follow the
     same rules as ``DatasetArrays``: built pre-fork, inherited, never
-    rebuilt in a worker, never pickled."""
+    rebuilt in a host, never pickled."""
     dataset, _ = make_dataset(seed=3)
     with PersistentWorkerPool(dataset, workers=2) as pool:
         columns = object_columns_for(dataset)
         assert arrays_for(dataset).objects is columns  # built pre-fork
         parent_builds = ObjectColumns.build_count
-        probes = pool._pool.map(_object_columns_probe, range(4), chunksize=1)
-    assert probes == [(parent_builds, True)] * 4
+        lanes = probe_all(pool)
+    assert [probe[1:4:2] for lane in lanes for probe in lane] == \
+        [(parent_builds, True)] * 4
     with pytest.raises(TypeError, match="copy-on-write"):
         pickle.dumps(columns)
     clone = pickle.loads(pickle.dumps(dataset.with_users(dataset.users[:2])))
@@ -102,8 +119,27 @@ def test_workers_inherit_object_columns_and_pickles_shed_them():
     assert object_columns_for(dataset) is columns
 
 
+def test_a_reforked_host_inherits_the_arrays_too(probing):
+    """A host SIGKILLed between rounds is re-forked (generation 1) by
+    the ladder, and the new child inherits the live arrays instead of
+    rebuilding them."""
+    dataset, _ = make_dataset(seed=6)
+    with PersistentWorkerPool(
+        dataset, workers=1, retry=RetryPolicy(max_retries=1, backoff_base_s=0.0)
+    ) as pool:
+        parent_builds = DatasetArrays.build_count
+        (victim,) = pool.pids()
+        os.kill(victim, signal.SIGKILL)
+        (probe,) = pool.collect(pool.dispatch([("probe",)]))
+        assert probe[0] == parent_builds and probe[2]
+        assert probe[4] != victim
+        assert pool.clients[0].generation == 1
+        assert pool.counters["worker_deaths"] == 1
+        assert pool.counters["respawns"] == 1
+
+
 def test_pool_results_match_inprocess_batches():
-    """The lanes' pool answers what the plain engine answers in-process."""
+    """The lanes' hosts answer what the plain engine answers in-process."""
     dataset, rng = make_dataset(seed=2)
     engine = MaxBRSTkNNEngine(dataset, fanout=4)
     from repro.core.query import MaxBRSTkNNQuery
@@ -127,109 +163,55 @@ def test_pool_results_match_inprocess_batches():
     inprocess = engine.query_batch(queries, QueryOptions())
     with make_engine(dataset, EngineConfig(fanout=4, num_shards=2)) as lanes:
         lanes.start_pools(1)
-        assert isinstance(lanes._pool, PersistentWorkerPool)
+        assert isinstance(lanes._registry, PersistentWorkerPool)
         pooled = lanes.query_batch(queries, QueryOptions())
-    assert lanes._pool is None
+    assert lanes._registry is None
     for a, b in zip(inprocess, pooled):
         assert a.location == b.location
         assert a.keywords == b.keywords
         assert a.brstknn == b.brstknn
 
 
-def _arena_probe_worker(_):
-    """Runs inside a forked worker: its arena attachment + build view."""
-    return (
-        pool_mod._WORKER_ARENA_NAME,
-        pool_mod._WORKER_GENERATION,
-        DatasetArrays.build_count,
-    )
-
-
-class TestArenaReattach:
-    """The zero-copy respawn contract: a generation-N+1 worker maps the
-    arena *by name* (its fork happened after SIGKILL recovery, so it
-    cannot rely on inherited state being the published state) and must
-    not rebuild any kernel arrays doing so."""
-
-    def test_respawned_workers_reattach_arena_by_name(self):
-        from repro.storage.shm import ShmArena
-
-        dataset, _ = make_dataset(seed=6)
-        with ShmArena() as arena:
-            with PersistentWorkerPool(
-                dataset, workers=2, arena_name=arena.name
-            ) as pool:
-                parent_builds = DatasetArrays.build_count
-                probes = pool._pool.map(_arena_probe_worker, range(4), chunksize=1)
-                for name, generation, builds in probes:
-                    assert name == arena.name  # generation 0: initial attach
-                    assert generation == 0
-                    assert builds == parent_builds
-
-                pool.respawn()
-                assert pool.health.generation == 1
-                probes = pool._pool.map(_arena_probe_worker, range(4), chunksize=1)
-                for name, generation, builds in probes:
-                    # The initializer re-ran in the fresh worker set and
-                    # proved attach-by-name against the live arena.
-                    assert name == arena.name
-                    assert generation == 1
-                    # Flat build counter: re-attach maps existing
-                    # segments, it never reconstructs DatasetArrays.
-                    assert builds == parent_builds
-
-    def test_pool_without_arena_leaves_workers_unattached(self):
-        dataset, _ = make_dataset(seed=7)
-        with PersistentWorkerPool(dataset, workers=1) as pool:
-            (name, generation, _), = pool._pool.map(
-                _arena_probe_worker, range(1), chunksize=1
-            )
-            assert name is None
-            assert generation == 0
+def _gone(pid, timeout_s=5.0):
+    """Has ``pid`` exited and been reaped (no /proc entry, or a zombie
+    no longer our child)?"""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if not os.path.exists(f"/proc/{pid}"):
+            return True
+        time.sleep(0.01)
+    return False
 
 
 class TestBoundedShutdown:
-    """close(timeout_s=...) must survive workers that will never exit.
+    """close(timeout_s=...) must survive hosts that will never exit.
 
-    ``Pool.join`` waits for every worker to read its close sentinel; a
-    worker SIGSTOPped (or SIGKILLed) mid-task leaves the sentinel
-    unread and the pre-PR-6 ``close()`` hung the server's ``stop()``
-    forever.  A stopped worker is the harshest case: SIGTERM parks as
-    pending (so ``Pool.terminate()`` hangs too) and only SIGKILL fells
-    it — which is exactly the escalation ``_join_bounded`` implements.
+    A healthy host exits on the EOF of its socket; a host SIGSTOPped
+    mid-task never reads it, so an unbounded close would hang the
+    server's ``stop()`` forever.  SIGKILL fells even a stopped process
+    — which is exactly the escalation ``close`` implements.
     """
 
     def test_close_with_stopped_worker_warns_and_returns(self):
-        import contextlib
-        import os
-        import signal
-        import time
-
         dataset, _ = make_dataset(seed=3)
         pool = PersistentWorkerPool(dataset, workers=1)
-        victim = pool._pool._pool[0]
-        os.kill(victim.pid, signal.SIGSTOP)
-        try:
-            t0 = time.monotonic()
-            with pytest.warns(RuntimeWarning, match="did not shut down"):
-                pool.close(timeout_s=0.5)
-            # Bounded: a few escalation joins, nowhere near unbounded.
-            assert time.monotonic() - t0 < 10.0
-            deadline = time.monotonic() + 5.0
-            while victim.is_alive() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not victim.is_alive(), "SIGKILL escalation missed the worker"
-        finally:
-            # Harmless if the worker is already gone.
-            with contextlib.suppress(ProcessLookupError, PermissionError):
-                os.kill(victim.pid, signal.SIGCONT)
+        (victim,) = pool.pids()
+        os.kill(victim, signal.SIGSTOP)
+        t0 = time.monotonic()
+        with pytest.warns(RuntimeWarning, match="did not shut down"):
+            pool.close(timeout_s=0.5)
+        # Bounded: the timeout plus a kill, nowhere near unbounded.
+        assert time.monotonic() - t0 < 10.0
+        assert _gone(victim), "SIGKILL escalation missed the host"
 
     def test_close_without_timeout_still_waits_unbounded_when_healthy(self):
         dataset, _ = make_dataset(seed=4)
         pool = PersistentWorkerPool(dataset, workers=1)
-        pool.close()  # healthy workers: the unbounded join returns promptly
-        with pytest.raises(RuntimeError):
-            pool.run_supervised([])
+        (pid,) = pool.pids()
+        pool.close()  # healthy hosts: the unbounded wait returns promptly
+        assert _gone(pid)
+        with pytest.raises(PoolUnavailable):
+            pool.collect(pool.dispatch([]))
 
     def test_close_with_timeout_on_healthy_pool_does_not_warn(self):
         import warnings as warnings_mod
@@ -239,3 +221,28 @@ class TestBoundedShutdown:
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
             pool.close(timeout_s=30.0)
+
+
+def test_flush_bytes_are_the_frames_on_the_wire():
+    """What a flush reports shipping is what crossed the hosts'
+    sockets — frame lengths, headers included, counted once, with no
+    second pickle to measure them."""
+    from ..serve.conftest import build_dataset, make_queries
+
+    dataset, rng, vocab = build_dataset(seed=8)
+    with make_engine(
+        dataset, EngineConfig(fanout=4, num_shards=2, use_shm=True)
+    ) as lanes:
+        lanes.start_pools(1)
+        registry = lanes._registry
+        for queries in (make_queries(rng, vocab, 6), make_queries(rng, vocab, 6)):
+            sent, received = registry.bytes_totals()
+            lanes.query_batch(queries, QueryOptions())
+            report = lanes.last_flush_report
+            sent_after, received_after = registry.bytes_totals()
+            assert report.payload_bytes_out == sent_after - sent > 0
+            assert report.payload_bytes_in == received_after - received > 0
+            assert report.payload_bytes_out + report.payload_bytes_in == (
+                sent_after - sent + received_after - received
+            )
+            assert report.stage("select").scatter_width == 2

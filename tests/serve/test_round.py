@@ -1,16 +1,17 @@
-"""The scatter-round contract: ONE loop, three transports.
+"""The scatter-round contract: ONE loop, two transports, two kinds of host.
 
 ``run_round`` is the only dispatch → collect → degrade path and
 ``_deal`` the only lane builder; a transport only decides *where* a
 lane runs.  So the same refine ranges and select chunks must come back
-as the same decoded chunks with the same ``(lanes, chunks, retries,
-degraded)`` accounting whether they ran inline, on a fork pool, or on
-one embedded socket host — and, when the transport fails past its
-budget, as the same chunks with every lost lane counted degraded
-exactly once and re-run in-process for exactly the rows it carried.
+as the same decoded chunks with the same ``(chunks, retries,
+degraded)`` accounting whether they ran inline, on forked local hosts
+(one lane each), or on one embedded socket host — and, when the hosts
+fail past their budget, as the same chunks with every lost lane counted
+degraded exactly once and re-run in-process for exactly the rows it
+carried.
 """
 
-import multiprocessing
+import os
 import threading
 
 import pytest
@@ -37,13 +38,12 @@ from repro.serve import (
 from .conftest import HostThread, build_dataset, make_queries
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the pipe transport requires the fork start method",
+    not hasattr(os, "fork"), reason="local shard hosts require os.fork"
 )
 
 OPTS = QueryOptions()
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
-FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
+FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0)
 STAGES = ("refine", "select")
 
 
@@ -134,13 +134,14 @@ def test_every_transport_returns_the_inline_round(rig, kind):
     transport = rig.install(kind)
     assert transport.remote == (kind != "inline")
     got = rig.rounds(transport)
+    # Inline and one socket host are one lane; start_pools(1) on a
+    # 2-lane engine forks two hosts, one lane each.
+    lanes = 2 if kind == "pool" else 1
     for stage in STAGES:
         chunks, accounting = got[stage]
         assert chunks == expected[stage][0], stage
-        assert accounting == expected[stage][1], stage
-        assert accounting[2:] == (0, [0])
-    assert got["refine"][1][:2] == (1, 2)  # two row ranges down one lane
-    assert got["select"][1][:2] == (1, 2)  # two balanced payloads, ks mixed
+        # two row ranges / two balanced payloads (ks mixed), no ladder
+        assert accounting == (lanes, 2, 0, [0] * lanes), stage
 
 
 @pytest.mark.parametrize("kind", ["pool", "socket"])
@@ -157,19 +158,22 @@ def test_a_transport_past_its_budget_degrades_each_lost_lane_once(rig, kind):
     for stage in STAGES:
         chunks, (width, n_chunks, _, degraded) = got[stage]
         assert chunks == expected[stage][0], stage
-        assert (width, n_chunks) == expected[stage][1][:2], stage
+        assert n_chunks == 2, stage
         assert degraded == [1] * width, stage  # every lane lost, counted once
     counters = rig.engine.fault_counters()
     if kind == "pool":
-        # The respawn itself is what failed: nothing was re-dispatched.
+        # Both sends failed and the re-forks too: no host was left to
+        # re-send to, and the select round found a single, empty lane.
+        assert got["refine"][1][0] == 2 and got["select"][1][0] == 1
         assert counters["retries"] == 0
+        assert counters["worker_deaths"] == 2
     else:
         assert counters["worker_deaths"] == 1
 
 
 def coordinator_refines(monkeypatch):
     """Row ranges refined in THIS process's main thread — i.e. by the
-    in-process degrade, not by a forked worker or an embedded host."""
+    in-process degrade, not by a forked host or an embedded one."""
     import importlib
 
     partial = importlib.import_module("repro.core.partial")
@@ -208,8 +212,8 @@ def test_a_dead_host_degrades_exactly_its_row_range(rig, monkeypatch):
 def test_a_pool_killed_past_its_retries_degrades_the_ranges_it_held(
     rig, monkeypatch
 ):
-    """Every generation's first task dies: kill, respawn, kill again —
-    the pool lane is lost for good and both ranges it carried re-run
+    """Every generation's first payload dies: kill, re-fork, kill again
+    — both local lanes are lost and the ranges they carried re-run
     in-process, each for exactly its rows."""
     expected = rig.rounds(INLINE)
     seen = coordinator_refines(monkeypatch)
@@ -217,17 +221,21 @@ def test_a_pool_killed_past_its_retries_degrades_the_ranges_it_held(
     got = rig.rounds(transport)
     chunks, (lanes, n_chunks, retries, degraded) = got["refine"]
     assert chunks == expected["refine"][0]
-    assert (lanes, n_chunks, retries, degraded) == (1, 2, 1, [1])
+    assert (lanes, n_chunks, retries, degraded) == (2, 2, 2, [1, 1])
     n_users = len(rig.engine.dataset.users)
     assert seen == [(0, n_users // 2), (n_users // 2, n_users)]
-    # The select round rode the same doomed pool: the same ladder again.
+    # The select round rode the same doomed hosts: the same ladder again.
     assert got["select"][0] == expected["select"][0]
-    assert got["select"][1][2:] == (1, [1])
+    assert got["select"][1][2:] == (2, [1, 1])
     counters = rig.engine.fault_counters()
-    assert counters["worker_deaths"] == 4 and counters["respawns"] == 2
-    # Lost tasks never complete, so a graceful join would wait forever.
-    with pytest.warns(RuntimeWarning, match="did not shut down"):
-        rig.engine.close_pools(timeout_s=0.5)
+    assert counters["worker_deaths"] == 8 and counters["respawns"] == 8
+    # Every host standing at the end is a fresh, idle re-fork: the
+    # shutdown is graceful.
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rig.engine.close_pools(timeout_s=5.0)
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +279,9 @@ def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
     assert [[[canon(p) for p in chunk] for chunk in lane] for lane in returned] == [
         [[canon(p) for p in chunk] for chunk in lane] for lane in expected
     ]
-    assert engine.fault_counters()["worker_deaths"] >= 1
+    # A task error, retried on the same (living) host, then degraded.
+    counters = engine.fault_counters()
+    assert (counters["worker_deaths"], counters["retries"]) == (0, 2)
 
 
 def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
@@ -291,7 +301,7 @@ def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
     bad = JointTraversalResult.of_pool(
         CandidatePool.from_columns(unknown, lower, upper), walked.n_lo, 0.0
     )
-    # Workers raise it (a task error: retried, counted), and so does the
+    # Hosts raise it (an ERROR frame: retried, counted), and so does the
     # in-process degrade — the coordinator holds no such object either.
     with pytest.raises(CandidatePoolError, match="does not hold"):
         run_round(RefineStage(), refine_lanes(engine, bad)[:1], transport)
@@ -327,7 +337,8 @@ def test_host_started_with_fewer_users_refuses_the_range_and_degrades(rig):
         [[canon(p) for p in chunk] for chunk in lane] for lane in expected
     ]
     assert "UserRangeError" in engine._registry.clients[0].last_error
-    assert engine.fault_counters()["worker_deaths"] == 1
+    counters = engine.fault_counters()
+    assert (counters["worker_deaths"], counters["retries"]) == (0, 1)
 
 
 def test_pool_workers_refuse_a_range_outside_the_dataset(rig):
@@ -342,7 +353,7 @@ def test_pool_workers_refuse_a_range_outside_the_dataset(rig):
         0, [("refine", walked, [3], 0, None, 0, n_users + 1)],
         engine.dataset,
     )
-    # Workers raise it (a task error: retried, counted), and so does the
+    # Hosts raise it (an ERROR frame: retried, counted), and so does the
     # in-process degrade — the coordinator holds no such row either.
     with pytest.raises(UserRangeError, match="do not fit"):
         run_round(RefineStage(), [lane], transport)

@@ -10,18 +10,18 @@ by arena reference.  Held here, per transport:
   cold one twice, and what comes back is the answers, not ``LU_l``;
 * **delta ship** — warm flushes re-send references only, and a cleared
   cache can never re-ship stale thresholds by identity;
-* **the ladder on the round** — a pool worker killed mid-``select``
-  respawns and retries, a lost pool degrades in-process (host drop /
-  all-hosts-dead live in ``test_multihost.py``).
+* **the ladder on the round** — local hosts killed mid-``select`` are
+  re-forked and the lanes retried, lost hosts degrade in-process (remote
+  host drop / all-hosts-dead live in ``test_multihost.py``).
 """
 
 import logging
-import multiprocessing
+import os
+import pickle
 
 import pytest
 
 from repro import EngineConfig, QueryOptions
-from repro.core.payload import payload_nbytes
 from repro.serve import (
     DeadlinePolicy,
     FaultPlan,
@@ -33,13 +33,16 @@ from repro.serve import (
 from .conftest import HostThread, assert_results_equal, build_dataset, make_queries
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the pipe transport requires the fork start method",
+    not hasattr(os, "fork"), reason="local shard hosts require os.fork"
 )
 
 OPTS = QueryOptions()
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base_s=0.0)
-FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0, poll_interval_s=0.01)
+FAST_DEADLINE = DeadlinePolicy(flush_deadline_s=10.0)
+
+
+def pickled(obj) -> int:
+    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class Served:
@@ -132,10 +135,10 @@ def test_warm_flush_is_one_round_with_a_gather_of_answers(serve, kind):
         chunks = sum(warm[0])
         # What crosses back is the answers themselves (whose BRSTkNN
         # sets grow with |U|) plus per-chunk framing — never LU_l.
-        assert report.payload_bytes_in <= payload_nbytes(results) + 256 * chunks
+        assert report.payload_bytes_in <= pickled(results) + 256 * chunks
         assert report.payload_bytes_in < 16 * 1024
         assert report.payload_bytes_out < 16 * 1024
-        gathered[n_users] = report.payload_bytes_in - payload_nbytes(results)
+        gathered[n_users] = report.payload_bytes_in - pickled(results)
     # ... and the framing does not know |U| at all.
     assert gathered[800] <= gathered[400] + 64
 
@@ -167,12 +170,12 @@ def test_pool_worker_killed_mid_select_respawns_and_retries(serve):
     served.flush(served.queries())
     report = served.engine.last_flush_report
     select = report.stage("select")
-    assert (select.retries, select.degraded) == (1, 0)
+    assert (select.retries, select.degraded) == (2, 0)
     assert report.stage("refine").scatter_width == 0  # memoized: no round
     totals = served.engine.fault_counters()
     assert (totals["worker_deaths"], totals["respawns"], totals["retries"]) \
-        == (1, 1, 1)
-    served.flush(served.queries())  # the respawned generation serves on
+        == (2, 2, 2)
+    served.flush(served.queries())  # the re-forked generation serves on
     assert served.engine.last_flush_report.total_retries == 0
 
 
@@ -182,7 +185,7 @@ def test_lost_pool_degrades_the_select_round_in_process(serve, caplog):
         served.flush(served.queries())
     report = served.engine.last_flush_report
     select = report.stage("select")
-    assert (select.scatter_width, select.degraded) == (2, 1)
+    assert (select.scatter_width, select.degraded) == (2, 2)
     assert report.stage("refine").degraded == 0
     assert all(row["degraded_rounds"] == 0 for row in served.engine.shard_stats())
     assert served.engine.fault_counters()["retries"] == 0
@@ -191,11 +194,12 @@ def test_lost_pool_degrades_the_select_round_in_process(serve, caplog):
 
 
 def test_lost_pool_degrades_both_rounds_of_a_cold_flush(serve):
-    """Refine and select ride the same pool: losing it degrades both,
-    and every refine lane's counters say so."""
+    """Refine and select ride the same hosts: losing them degrades
+    both, and every refine lane's counters say so."""
     served = serve("pool", faults=FaultPlan.pool_loss())
     served.flush(served.queries())
     report = served.engine.last_flush_report
-    assert report.stage("refine").degraded == 1
+    assert report.stage("refine").degraded == 2
+    # No host came back: the select round is one lane, degraded.
     assert report.stage("select").degraded == 1
     assert [row["degraded_rounds"] for row in served.engine.shard_stats()] == [1, 1]

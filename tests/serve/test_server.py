@@ -416,8 +416,8 @@ class TestPersistentPool:
         for query, served in zip(queries, results):
             assert_result_equal(oracle.query(fresh, query, reference), served)
         assert stats.queries_completed == 6
-        # The pool was the engine's: one pool, closed with the server.
-        assert engine._pool is None
+        # The hosts were the engine's: one fleet, closed with the server.
+        assert engine._registry is None
 
     @pytest.mark.skipif(not HAS_FORK, reason="persistent pool requires fork")
     def test_pool_direct_usage_and_close(self):
@@ -425,7 +425,7 @@ class TestPersistentPool:
         plain engine in-process, and a closed pool refuses work."""
         engine, rng, vocab = build_engine(seed=9, num_shards=2)
         engine.start_pools(1)
-        pool = engine._pool
+        pool = engine._registry
         try:
             queries = make_queries(rng, vocab, 4)
             batched = engine.query_batch(queries, QueryOptions())
@@ -436,7 +436,7 @@ class TestPersistentPool:
         for a, b in zip(inprocess, batched):
             assert_result_equal(a, b)
         with pytest.raises(RuntimeError):
-            pool.run_supervised([])
+            pool.collect(pool.dispatch([]))
 
     def test_pool_rejects_bad_worker_count(self):
         engine, _, _ = build_engine()
@@ -445,7 +445,7 @@ class TestPersistentPool:
 
     @pytest.mark.skipif(not HAS_FORK, reason="persistent pool requires fork")
     def test_stop_with_dead_worker_is_bounded(self):
-        """A worker killed mid-life must not hang server.stop() forever."""
+        """A host stopped mid-life must not hang server.stop() forever."""
         import os
         import signal
         import time
@@ -457,11 +457,11 @@ class TestPersistentPool:
 
         async def run():
             server = await MaxBRSTkNNServer(engine, config).start()
-            victim = server.engine._pool._pool._pool[0]
-            # SIGSTOP is the harshest case: the worker never reads the
-            # close sentinel AND leaves SIGTERM pending, so only the
-            # SIGKILL escalation inside the bounded close can reap it.
-            os.kill(victim.pid, signal.SIGSTOP)
+            victim = server.engine._registry.pids()[0]
+            # SIGSTOP is the harshest case: the host never reads its
+            # EOF, so only the SIGKILL escalation inside the bounded
+            # close can reap it.
+            os.kill(victim, signal.SIGSTOP)
             t0 = time.monotonic()
             with pytest.warns(RuntimeWarning, match="did not shut down"):
                 await server.stop()

@@ -520,12 +520,12 @@ class TestServerIntegration:
             async with MaxBRSTkNNServer(
                 engine, ServerConfig(max_batch=4, max_wait_ms=1.0, pool_workers=1)
             ) as server:
-                assert engine._pools_started
+                assert engine._registry is not None and engine._registry.forked
                 return await server.submit_many(queries)
 
         results = asyncio.run(run())
         assert len(results) == 4
-        assert not engine._pools_started  # closed on server stop
+        assert engine._registry is None  # closed on server stop
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         for q, served in zip(queries, results):
             assert_results_equal(oracle.query(single, q, QueryOptions()), served)
@@ -556,16 +556,15 @@ class TestStartPoolsFailure:
         assert set(arena_segments()) == before
         assert engine.arena_name is None
         # ... and the engine is back in its clean in-process state.
-        assert engine._pools_started is False
-        assert engine._pool is None
+        assert engine._registry is None
         queries = make_queries(rng, vocab, 2, ks=(3,))
         assert len(engine.query_batch(queries, QueryOptions())) == 2
         # A later healthy start is not blocked by the failed one.
         monkeypatch.setattr(sharded_mod, "PersistentWorkerPool", real_pool)
         engine.start_pools(1)
         try:
-            assert engine._pools_started is True
-            assert engine._pool.workers == 2
+            assert engine._registry.workers == 2
+            assert len(engine._registry.pids()) == 2
         finally:
             engine.close_pools()
 

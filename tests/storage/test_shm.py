@@ -33,7 +33,6 @@ from repro.core.payload import (
     encode_gather_payload,
     encode_rsk,
     encode_shard_payload,
-    payload_nbytes,
     resolve_ref,
 )
 from repro.storage.shm import ShmArena, ShmArenaError, arena_segments
@@ -464,8 +463,9 @@ def test_killed_worker_leaks_no_segments_and_results_survive():
         assert a.location == b.location
         assert a.keywords == b.keywords
         assert a.brstknn == b.brstknn
-    # The SIGKILLed worker held no arena state (read-copy-close access),
-    # and close_pools destroyed the arena: /dev/shm is clean.
+    # The killed hosts held no arena state of their own (they map what
+    # they inherited), and close_pools destroyed the arena: /dev/shm is
+    # clean.
     assert not any(seg.startswith(arena_name) for seg in arena_segments())
     assert not arena_segments()
 
@@ -491,7 +491,7 @@ def test_gather_partials_round_trip_is_exact():
     assert isinstance(wire, bytes)
     # The whole chunk is one binary block — strictly smaller than the
     # pickled chunk (the 68 KiB gather gap this funnel exists to close).
-    assert len(wire) < payload_nbytes(chunk)
+    assert len(wire) < len(pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL))
     back = decode_gather_payload(wire)
     assert len(back) == len(chunk)
     for orig, got in zip(chunk, back):
