@@ -290,3 +290,33 @@ class TestCloseLifecycle:
             pool.clients[0].connect()  # no re-fork after close
         assert not pool.revive(pool.clients[0])
         assert pool.pids() == []
+
+
+class TestParseFault:
+    """One vocabulary for ``repro serve --fault`` and ``repro shard-host
+    --fault``: every spec names one plan, malformed ones are refused."""
+
+    @pytest.mark.parametrize("spec,plan", [
+        ("none", None),
+        ("kill-worker", FaultPlan.kill_worker(0)),
+        ("kill-worker:2", FaultPlan.kill_worker(2)),
+        ("hang-task:1:0.5", FaultPlan.hang_task(1, hang_s=0.5)),
+        ("shard-exception:1", FaultPlan.shard_exception(1)),
+        ("pool-loss", FaultPlan.pool_loss()),
+        ("drop-frame:3", FaultPlan.drop_connection(3)),
+        ("stall-read:0:2", FaultPlan.stall_read(0, stall_s=2.0)),
+        ("refuse-accept", FaultPlan.refuse()),
+    ])
+    def test_every_spec_names_its_plan(self, spec, plan):
+        from repro.serve.faults import parse_fault
+
+        assert parse_fault(spec) == plan
+
+    @pytest.mark.parametrize("spec", [
+        "explode", "drop-frame:x", "stall-read:0:soon", "kill-worker:-1",
+    ])
+    def test_malformed_specs_are_refused(self, spec):
+        from repro.serve.faults import parse_fault
+
+        with pytest.raises(ValueError):
+            parse_fault(spec)

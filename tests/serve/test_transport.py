@@ -317,3 +317,43 @@ def test_host_answers_a_range_outside_its_replica_with_error_frame():
     (chunk,) = chunks
     (partial,) = decode_gather_payload(chunk)
     assert (partial.shard_id, partial.k, partial.rsk) == (5, 3, {})
+
+
+def test_the_blocking_frame_loop_answers_like_the_tcp_one():
+    """``ShardHost.serve_socket`` — a forked local host's whole life —
+    runs the same handler as the asyncio loop: PONG with the digest,
+    ERROR for a payload that raises, and it returns at the peer's EOF."""
+    from repro.serve.shardhost import ShardHost
+
+    from .conftest import build_dataset
+
+    dataset, _, _ = build_dataset(0)
+    host = ShardHost(dataset)
+    ours, theirs = socket.socketpair()
+    loop = threading.Thread(target=host.serve_socket, args=(theirs,), daemon=True)
+    loop.start()
+    client = ShardHostClient("local", 0)
+    client._sock, client.alive = ours, True
+    assert client.fingerprint(timeout_s=5.0) == dataset.fingerprint()
+    body = FrameCodec.encode_body([("no-such-kind",)])
+    client.send_frame(FrameCodec.pack(FrameCodec.SCATTER, 3, 1, 0, body))
+    kind, seq, shard, _, rbody = client.recv_frame(5.0)
+    assert (kind, seq, shard) == (FrameCodec.ERROR, 3, 1)
+    assert FrameCodec.decode_body(rbody)[0] == "ValueError"
+    client.close()
+    loop.join(5)
+    assert not loop.is_alive()
+
+
+def test_frame_faults_fire_only_in_their_generation():
+    """A re-forked host (generation 1) runs fault-free: the drop armed
+    for generation 0 answers normally there."""
+    from repro.serve.faults import FaultPlan
+    from repro.serve.shardhost import ShardHost
+
+    from .conftest import build_dataset
+
+    dataset, _, _ = build_dataset(0)
+    plan = FaultPlan.drop_connection(0)
+    assert ShardHost(dataset, plan)._frame_fault() == (True, 0.0)
+    assert ShardHost(dataset, plan, generation=1)._frame_fault() == (False, 0.0)

@@ -84,6 +84,17 @@ class TestCLI:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", [
+        ["serve", "--shards", "2", "--pool-workers", "1"],
+        ["shard-host"],
+    ])
+    def test_one_fault_vocabulary_refuses_unknown_specs(self, capsys, command):
+        rc = main([
+            *command, "--objects", "200", "--users", "20", "--fault", "explode",
+        ])
+        assert rc == 2
+        assert "unknown fault 'explode'" in capsys.readouterr().err
+
     def test_serve_command_verifies_against_sequential(self, capsys):
         rc = main([
             "serve", "--objects", "200", "--users", "20", "--locations", "3",
