@@ -1,10 +1,9 @@
 """Contract-aware static analysis for the repro codebase.
 
-``repro lint`` runs six repo-specific AST checkers — Stage I/O
-contract drift, COW-only state in scatter payloads, bitwise-identity
-kernel discipline, async event-loop blocking, shm payload hygiene, and
-the socket-transport pickle funnel — without importing the target
-files.  See
+``repro lint`` runs five repo-specific AST checkers — COW-only state
+in scatter payloads, bitwise-identity kernel discipline, async
+event-loop blocking, shm payload hygiene, and the socket-transport
+pickle funnel — without importing the target files.  See
 :mod:`repro.analysis.engine` for the engine and
 :mod:`repro.analysis.checkers` for the rule families.
 """
@@ -15,7 +14,6 @@ from .checkers import (
     KernelIdentityChecker,
     PoolBoundaryChecker,
     ShmPayloadChecker,
-    StageContractChecker,
     TransportChecker,
     checkers_for,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "ModuleInfo",
     "PoolBoundaryChecker",
     "ShmPayloadChecker",
-    "StageContractChecker",
     "TransportChecker",
     "checkers_for",
     "exit_code",

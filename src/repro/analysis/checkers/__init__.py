@@ -1,4 +1,4 @@
-"""The six repo-specific checker families.
+"""The five repo-specific checker families.
 
 ``ALL_CHECKERS`` is the ordered default set ``repro lint`` runs;
 :func:`checkers_for` resolves ``--rule`` selections (family names or
@@ -14,13 +14,11 @@ from .async_blocking import AsyncBlockingChecker
 from .kernel_identity import KernelIdentityChecker
 from .pool_boundary import PoolBoundaryChecker
 from .shm_payload import ShmPayloadChecker
-from .stage_contract import StageContractChecker
 from .transport import TransportChecker
 
 __all__ = [
     "ALL_CHECKERS",
     "checkers_for",
-    "StageContractChecker",
     "PoolBoundaryChecker",
     "KernelIdentityChecker",
     "AsyncBlockingChecker",
@@ -30,7 +28,6 @@ __all__ = [
 
 #: Default families, in report order.
 ALL_CHECKERS = (
-    StageContractChecker,
     PoolBoundaryChecker,
     KernelIdentityChecker,
     AsyncBlockingChecker,
@@ -42,8 +39,8 @@ ALL_CHECKERS = (
 def checkers_for(rules: Sequence[str]) -> List[Checker]:
     """Instantiate the checkers selected by ``--rule`` tokens.
 
-    Each token may be a family name (``stage-contract``) or one of its
-    rule codes (``SC101`` selects the whole family — suppression, not
+    Each token may be a family name (``pool-boundary``) or one of its
+    rule codes (``PB202`` selects the whole family — suppression, not
     selection, is per-code).  No tokens means every family.
     """
     if not rules:

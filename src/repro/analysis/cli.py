@@ -40,7 +40,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rule", action="append", default=[], metavar="FAMILY",
         help="run only this checker family (repeatable; family name "
-             "like 'stage-contract' or a code like 'SC101')",
+             "like 'pool-boundary' or a code like 'PB202')",
     )
     parser.add_argument(
         "--list-rules", action="store_true",

@@ -1,8 +1,7 @@
 """AST-walking static analysis engine for repo-specific contracts.
 
 The codebase rests on conventions that ordinary linters cannot see:
-:class:`~repro.core.pipeline.Stage` declares the context slots it reads
-and writes, the copy-on-write boundary silently breaks when COW-only
+the copy-on-write boundary silently breaks when COW-only
 state sneaks into scatter payloads, the bitwise-identity kernels in
 :mod:`repro.core.kernels` ban re-associating reductions, and blocking
 calls inside ``async def`` bodies stall the serving event loop.  Each of
@@ -12,13 +11,13 @@ those one-off code-review rules lives here as a :class:`Checker` the
 Design:
 
 * a :class:`Finding` is (rule id, message, file, line, severity) —
-  rule ids are stable codes (``SC101``, ``PB201``, ...) grouped into
-  the four checker families;
+  rule ids are stable codes (``PB202``, ``KI301``, ...) grouped into
+  the five checker families;
 * a :class:`Checker` parses nothing itself — it receives a
   :class:`ModuleInfo` (source + parsed AST) and yields findings, so
   target files are **never imported** (fixtures with deliberate bugs
   and files with missing optional deps lint fine);
-* suppressions are explicit: ``# repro: noqa[SC101]`` on the offending
+* suppressions are explicit: ``# repro: noqa[KI301]`` on the offending
   line silences that code (or a family name, or everything with a bare
   ``# repro: noqa``) — the convention is that every suppression carries
   a comment explaining *why* the violation is intended;
@@ -57,7 +56,7 @@ __all__ = [
 #: Severities, in increasing order of concern.
 SEVERITIES = ("warning", "error")
 
-#: ``# repro: noqa`` / ``# repro: noqa[SC101, pool-boundary]``
+#: ``# repro: noqa`` / ``# repro: noqa[KI301, pool-boundary]``
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_\-, ]+)\])?")
 
 
@@ -65,8 +64,8 @@ _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_\-, ]+)\])?")
 class Finding:
     """One rule violation at a specific source line."""
 
-    rule: str                 # stable code, e.g. "SC101"
-    family: str               # checker family, e.g. "stage-contract"
+    rule: str                 # stable code, e.g. "KI301"
+    family: str               # checker family, e.g. "kernel-identity"
     message: str
     file: str                 # path as given to the engine
     line: int                 # 1-based

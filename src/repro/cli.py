@@ -503,8 +503,8 @@ def main(argv=None) -> int:
 
     lint = sub.add_parser(
         "lint",
-        help="contract-aware static analysis (stage contracts, pool "
-             "boundaries, kernel identity, async blocking)",
+        help="contract-aware static analysis (pool boundaries, kernel "
+             "identity, async blocking, shm hygiene, transport pickles)",
     )
     add_lint_arguments(lint)
     lint.set_defaults(func=run_lint)

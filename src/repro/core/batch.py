@@ -31,12 +31,12 @@ quantity derive pool-independently from one MIUR-root walk at
 per-user top-k per distinct k as before.
 
 Execution strategy is decided by :func:`repro.core.planner.plan_batch`
-and carried out by the unified phase pipeline
+and carried out by :mod:`repro.core.pipeline`, one function per mode
 (:class:`repro.core.pipeline.LocalExecutor` here; the sharded serving
-layer drives the same stages through a
+layer runs the same phases through a
 :class:`~repro.core.pipeline.ShardedExecutor`).  This module keeps the
 phase-1 sharing primitives (pool ensure/derive, the per-query select)
-those stages are built from.
+those phases are built from.
 
 Result contract: every result — location, keywords, BRSTkNN set, and
 every *selection-phase* :class:`QueryStats` counter (pruning,
@@ -323,11 +323,11 @@ def execute_batch(
     queries: Sequence[MaxBRSTkNNQuery],
     plan: QueryPlan,
 ) -> List[MaxBRSTkNNResult]:
-    """Carry out a planned batch through the unified phase pipeline.
+    """Carry out a planned batch through :mod:`repro.core.pipeline`.
 
-    Thin wrapper: a :class:`repro.core.pipeline.LocalExecutor` drives
-    the mode's stage list (traverse → refine → select for joint,
-    root-traverse → search for indexed, topk → select for baseline) on
+    Thin wrapper: a :class:`repro.core.pipeline.LocalExecutor` runs
+    the mode's phases (traverse → refine → select for joint,
+    traverse → indexed-search for indexed, topk → select for baseline) on
     this one engine, in this process; per-stage accounting lands on
     ``engine.last_flush_report``.
     """

@@ -1,22 +1,39 @@
-"""Phase pipeline: typed stages, and ONE scatter round over lanes.
+"""A flush, one function per mode, and ONE scatter round over lanes.
 
-A flush is an :class:`ExecutionPipeline` — an ordered tuple of typed
-:class:`Stage`\\ s, each with declared inputs/outputs over a
-:class:`FlushContext` blackboard and per-phase time/I-O accounting
-(:class:`StageStats`).  Central stages run on the root engine; scatter
-stages obey a **pure scatter contract**::
+A flush runs the paper's phases in a fixed order, one executor method
+per mode, each phase handing its products to the next as arguments and
+recording one :class:`StageStats` (wall time, simulated I/O, scatter
+width and round counters) on the flush's :class:`FlushReport`:
 
-    split(ctx, width)  ->  payload list          (pure, no mutation)
-    run(dataset, payload[, context])             (the worker entry)
-    merge(ctx, chunks in payload order)          (gather, writes outputs)
-
-``run`` is :func:`execute_shard_payload` — the ONE worker entry, called
-by fork-pool workers, shard hosts and in-process execution alike.
+* ``joint``    — traverse → refine → select.  Traverse is Algorithm 1's
+  one cross-k walk (or its memoized pool).  Refine is Algorithm 2: the
+  central per-k derivation on one engine, a scatter of user-row ranges
+  on a sharded one (per-user work, disjoint ``RSk(u)`` union).  Select
+  is Algorithm 3 whole per query on BOTH — its keyword-coverage counts
+  sum over all of ``LU_l``, so it is dealt by query, never by user.
+* ``indexed``  — traverse → indexed-search.  Section 7: every per-k
+  quantity derives pool-independently from one ``k_max`` MIUR-root walk
+  (:mod:`repro.core.indexed_users`), and fanned-out searches run
+  against read-only :meth:`~repro.storage.pager.PageStore.ledger_view`
+  stores whose :class:`~repro.storage.pager.IOCharge` ledgers replay
+  onto the engine's counter at gather time.
+* ``baseline`` — baseline-topk → select (local only; per-user top-k
+  scans, no mergeable group traversal).
 
 The paper's two O(|U|) phases — Algorithm 2's per-user ``RSk(u)``
-refine and Algorithm 3's candidate selection — are the only things ever
-scattered, and every scatter goes through ONE loop,
-:func:`run_round`::
+refine and Algorithm 3's candidate selection (with Section 7's search
+in its place) — are the only things ever scattered.  Each scattered
+phase is a payload builder and a gather around the ONE worker entry,
+:func:`execute_shard_payload` (called by shard hosts and in-process
+execution alike)::
+
+    refine_payloads  -> execute_shard_payload -> merge_refine
+    select_payloads  -> execute_shard_payload -> merge_select
+    indexed_payloads -> execute_shard_payload -> merge_indexed
+
+Builders cut the work — ranges of user rows, chunks of queries — and
+each payload goes to the lane carrying the least work so far; every
+round then goes through ONE loop, :func:`run_round`::
 
     encode -> dispatch every lane -> collect each -> degrade -> decode
 
@@ -39,30 +56,14 @@ A lane whose ladder is exhausted re-runs its payloads in-process
 against the coordinator's dataset: ``execute_shard_payload`` is pure,
 so the degraded answer is bitwise-identical, only slower — and counted.
 
-Executors are lane *builders*, and there is one way to build them:
-``split`` cuts a stage's work into payloads — ``select`` /
-``indexed-search`` chunks of queries, ``refine`` ranges of user rows —
-and each payload goes to the lane carrying the least work so far.
-:class:`LocalExecutor` (one engine) runs every round inline;
-:class:`ShardedExecutor` deals over the engine's alive shard hosts (its
-``transport`` is swapped by ``ShardedEngine.start_pools`` /
-``connect_hosts``) — the only owner of worker processes.
-
-Pipelines by mode:
-
-* ``joint``    — traverse → refine → select.  Refine is the central
-  per-k derivation on one engine and a scatter of user-row ranges on a
-  sharded one (per-user work, disjoint ``RSk(u)`` union); select is
-  Algorithm 3 whole per query on BOTH — its keyword-coverage counts sum
-  over all of ``LU_l``, so it is dealt by query, never by user.
-* ``baseline`` — per-user topk → select (local only; no mergeable
-  group traversal).
-* ``indexed``  — root-traverse → best-first search per query.  Every
-  per-k quantity derives pool-independently from one ``k_max`` walk
-  (:mod:`repro.core.indexed_users`), and fanned-out searches run
-  against read-only :meth:`~repro.storage.pager.PageStore.ledger_view`
-  stores whose :class:`~repro.storage.pager.IOCharge` ledgers replay
-  onto the engine's counter at gather time.
+Two executors run flushes.  :class:`LocalExecutor` (one engine) runs
+the central refine and every query-axis round inline, indexed-search
+ledger-free (the best-first search reads the engine's own page store).
+:class:`ShardedExecutor` scatters the refine by user-row range over the
+engine's lanes and fans a query-axis round out over its alive shard
+hosts when the planner says it pays (its ``transport`` is swapped by
+``ShardedEngine.start_pools`` / ``connect_hosts``) — the only owner of
+worker processes.
 
 Result identity is the invariant throughout: results, I/O traces and
 selection stats equal the single sequential engine's across
@@ -75,10 +76,13 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Protocol,
+    Sequence, Tuple,
+)
 
-from ..storage.pager import IOCharge
 # The payload funnels are called through the module attribute (never
 # imported by name) so a wrapper installed on ``repro.core.payload``
 # sees every call.
@@ -86,6 +90,7 @@ from . import payload as _wire
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .batch import SharedTopK
     from .engine import MaxBRSTkNNEngine
     from .planner import QueryPlan
 
@@ -95,14 +100,12 @@ __all__ = [
     "ScatterFailure",
     "StageStats",
     "FlushReport",
-    "FlushContext",
-    "Stage",
-    "TraverseStage",
-    "RefineStage",
-    "SelectStage",
-    "IndexedSearchStage",
-    "ExecutionPipeline",
-    "build_pipeline",
+    "refine_payloads",
+    "merge_refine",
+    "select_payloads",
+    "merge_select",
+    "indexed_payloads",
+    "merge_indexed",
     "Lane",
     "Ticket",
     "Transport",
@@ -147,9 +150,10 @@ class StageStats:
     io_invfile_blocks: int = 0
     retries: int = 0        # lane frames re-sent by the ladder
     degraded: int = 0       # lanes that fell back to in-process
-    #: Serialized bytes crossing the pool pipes this stage: dispatched
-    #: payloads out, returned chunks in.  0 for in-process rounds (the
-    #: payloads never leave the parent, there is nothing to serialize).
+    #: Frame bytes this stage's round moved to and from the lanes'
+    #: shard hosts, on every lane kind: payload frames out (re-sends
+    #: included), answer frames in.  0 for a round run inline (the
+    #: payloads never leave the process, no frame is built).
     payload_bytes_out: int = 0
     payload_bytes_in: int = 0
 
@@ -210,21 +214,6 @@ class FlushReport:
             "payload_bytes_in": self.payload_bytes_in,
             "stages": [st.snapshot() for st in self.stages],
         }
-
-
-class FlushContext(dict):
-    """The pipeline blackboard: named slots stages read and write.
-
-    A plain dict plus a checked getter so a mis-wired pipeline fails
-    with the missing slot's name instead of a bare ``KeyError``.
-    """
-
-    def require(self, key: str):
-        if key not in self:
-            raise RuntimeError(
-                f"pipeline slot {key!r} not produced by any upstream stage"
-            )
-        return self[key]
 
 
 # ----------------------------------------------------------------------
@@ -332,101 +321,8 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
 
 
 # ----------------------------------------------------------------------
-# Stages
+# Payload builders and gathers of the scattered phases
 # ----------------------------------------------------------------------
-
-class Stage:
-    """One pipeline phase: declared inputs/outputs over the context.
-
-    Central stages implement :meth:`run_central`; scatter stages
-    implement the pure contract :meth:`split` / :func:`run`
-    (= :func:`execute_shard_payload`) / :meth:`merge`.
-    """
-
-    name: str = "stage"
-    scatter: bool = False
-    #: Context slots this stage reads / writes (wiring is validated by
-    #: the executor before the stage runs).
-    inputs: Tuple[str, ...] = ()
-    outputs: Tuple[str, ...] = ()
-    #: Intra-stage slots ``split`` hands to ``merge`` through the
-    #: context; the executor drops them when the stage finishes, so
-    #: they are never visible downstream.
-    scratch: Tuple[str, ...] = ()
-    #: Slots read with ``ctx.get(...)`` that may legitimately be
-    #: absent (executor hints rather than pipeline products).
-    optional: Tuple[str, ...] = ()
-
-    def run_central(self, ctx: FlushContext) -> None:
-        raise NotImplementedError
-
-    def split(self, ctx: FlushContext, width: int) -> List[tuple]:
-        """Cut the stage's work into (about) ``width`` payloads."""
-        raise NotImplementedError
-
-    @staticmethod
-    def weight(payload: tuple) -> int:
-        """Work one payload carries, for dealing payloads over lanes
-        (query-axis payloads: their queries)."""
-        return len(payload[1])
-
-    #: The scatter contract's `run` — stages share the module-level
-    #: worker entry so pooled and in-process execution cannot diverge.
-    run = staticmethod(execute_shard_payload)
-
-    def merge(self, ctx: FlushContext, chunks: list) -> None:
-        """Gather: ``chunks`` answer ``split``'s payloads, in order."""
-        raise NotImplementedError
-
-
-def _key_queries(mode: str, queries, shared_for) -> Tuple[list, dict]:
-    """``(keyed, shared_by_key)`` — the slots :class:`SelectStage`
-    reads: every query keyed to the shared phase-1 state
-    ``shared_for(k)`` returns, which counts one hit per query."""
-    keyed, shared_by_key = [], {}
-    for q in queries:
-        key = (mode, q.k)
-        entry = shared_for(q.k)
-        entry.hits += 1
-        shared_by_key[key] = entry
-        keyed.append((q, key))
-    return keyed, shared_by_key
-
-
-class TraverseStage(Stage):
-    """Phase 1a (central): ensure the cross-k pool, derive group thresholds.
-
-    Joint mode walks (or reuses) the engine's
-    :class:`~repro.core.batch.SharedTraversalPool`; indexed mode the
-    MIUR-root :class:`~repro.core.indexed_users.RootTraversal` pool.
-    Either way ONE tree walk per pool generation serves every k in the
-    batch — ``plan.shared_traversal_k`` names it.
-    """
-
-    name = "traverse"
-    inputs = ("engine", "plan", "queries")
-    outputs = ("pool_state", "group_by_k")
-
-    def run_central(self, ctx: FlushContext) -> None:
-        from .batch import _ensure_traversal_pool
-        from .config import Mode
-        from .indexed_users import ensure_root_pool
-
-        engine = ctx.require("engine")
-        plan = ctx.require("plan")
-        assert plan.shared_traversal_k is not None
-        if plan.mode is Mode.INDEXED:
-            pool = ensure_root_pool(engine, plan.shared_traversal_k)
-        else:
-            pool = _ensure_traversal_pool(engine, plan.shared_traversal_k)
-        pool.hits += len(ctx.require("queries"))
-        ctx["pool_state"] = pool
-        # Both pool kinds memoize the per-k derivation, so repeat
-        # flushes pay a dict hit, not a pass over the pool.
-        ctx["group_by_k"] = {
-            k: pool.rsk_group_for(k) for k in plan.distinct_ks
-        }
-
 
 def user_row_ranges(n_users: int, n_lanes: int) -> List[Tuple[int, int]]:
     """``n_lanes`` contiguous half-open row ranges covering
@@ -436,275 +332,167 @@ def user_row_ranges(n_users: int, n_lanes: int) -> List[Tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-class RefineStage(Stage):
-    """Phase 1b (scatter over user-row ranges): exact ``RSk(u)`` per k.
+def _per_query(queries: Sequence[MaxBRSTkNNQuery], shared_for) -> List["SharedTopK"]:
+    """Each query's phase-1 state — ``shared_for(k)``, one object per k
+    — counting one hit per query."""
+    shared = []
+    for query in queries:
+        entry = shared_for(query.k)
+        entry.hits += 1
+        shared.append(entry)
+    return shared
 
-    ``split`` emits one refine payload per lane, each carrying the
-    shared pool, every missing k — one refinement at the largest serves
-    them all — and its range of ``dataset.users`` rows; ``merge``
-    concatenates the disjoint per-lane ``RSk(u)`` vectors back into the
+
+def refine_payloads(traversal, ks: Sequence[int], n_users: int, width: int) -> List[tuple]:
+    """Phase 1b's scatter over user-row ranges: one refine payload per
+    lane, each carrying the shared pool, every missing k — one
+    refinement at the largest serves them all — and its range of
+    ``dataset.users`` rows."""
+    return [
+        ("refine", traversal, ks, lane, None, lo, hi)
+        for lane, (lo, hi) in enumerate(user_row_ranges(n_users, width))
+    ]
+
+
+def merge_refine(
+    chunks: Sequence[list], ks: Sequence[int], users, merged_by_k: dict,
+    pool, group_by_k: Dict[int, float], queries: Sequence[MaxBRSTkNNQuery],
+) -> List["SharedTopK"]:
+    """Gather a refine round, and each query's phase-1 state from it.
+
+    ``chunks`` answer :func:`refine_payloads`, in order: the disjoint
+    per-lane ``RSk(u)`` vectors concatenate back into the
     sequential-identical vector per k, by user row
     (:func:`repro.core.partial.merge_partials`, which refuses a user
-    reported twice or not at all) and emits what :class:`SelectStage`
-    reads: one :class:`~repro.core.batch.SharedTopK` per k over the
-    merged vector.  That state is memoized in the traversal pool's
-    ``by_k`` — so it lives exactly as long as the walk whose time and
-    I/O it reports, and warm flushes hand the codec the same object to
-    delta-ship.  The executor calls ``merge`` with no chunks when every
-    k is already merged.
+    reported twice or not at all), stored in ``merged_by_k``.  Returns
+    what the select phase reads: per query, the one
+    :class:`~repro.core.batch.SharedTopK` of its k over the merged
+    vector.  That state is memoized in the traversal pool's ``by_k`` —
+    so it lives exactly as long as the walk whose time and I/O it
+    reports, and warm flushes hand the codec the same object to
+    delta-ship.  With no chunks (every k already merged) it only
+    hands out the memoized states.
     """
+    from .batch import SharedTopK
+    from .partial import merge_partials
 
-    name = "refine"
-    scatter = True
-    inputs = ("engine", "pool_state", "need_ks", "plan", "queries",
-              "group_by_k")
-    outputs = ("merged_by_k", "keyed", "shared_by_key")
+    by_k: Dict[int, list] = {k: [] for k in ks}
+    for partial in (p for chunk in chunks for p in chunk):
+        by_k[partial.k].append(partial)
+    for k in ks:
+        merged_by_k[k] = merge_partials(by_k[k], users)
 
-    def split(self, ctx: FlushContext, width: int) -> List[tuple]:
-        traversal = ctx.require("pool_state").traversal
-        ks = ctx.require("need_ks")
-        n_users = len(ctx.require("engine").dataset.users)
-        return [
-            ("refine", traversal, ks, lane, None, lo, hi)
-            for lane, (lo, hi) in enumerate(user_row_ranges(n_users, width))
-        ]
+    def shared_for(k: int):
+        entry = pool.by_k.get(k)
+        if entry is None:
+            entry = pool.by_k[k] = SharedTopK(
+                rsk=merged_by_k[k].rsk,
+                rsk_group=group_by_k[k],
+                topk_time_s=pool.topk_time_s + merged_by_k[k].time_s,
+                io_node_visits=pool.io_node_visits,
+                io_invfile_blocks=pool.io_invfile_blocks,
+            )
+        return entry
 
-    @staticmethod
-    def weight(payload: tuple) -> int:
-        return payload[6] - payload[5]  # user rows
-
-    def merge(self, ctx: FlushContext, chunks: list) -> None:
-        from .batch import SharedTopK
-        from .partial import merge_partials
-
-        ks = ctx.require("need_ks")
-        by_k: Dict[int, list] = {k: [] for k in ks}
-        for partial in (p for chunk in chunks for p in chunk):
-            by_k[partial.k].append(partial)
-        merged = ctx.setdefault("merged_by_k", {})
-        users = ctx.require("engine").dataset.users
-        for k in ks:
-            merged[k] = merge_partials(by_k[k], users)
-        pool = ctx.require("pool_state")
-        group_by_k = ctx.require("group_by_k")
-
-        def shared_for(k: int):
-            entry = pool.by_k.get(k)
-            if entry is None:
-                entry = pool.by_k[k] = SharedTopK(
-                    rsk=merged[k].rsk,
-                    rsk_group=group_by_k[k],
-                    topk_time_s=pool.topk_time_s + merged[k].time_s,
-                    io_node_visits=pool.io_node_visits,
-                    io_invfile_blocks=pool.io_invfile_blocks,
-                )
-            return entry
-
-        ctx["keyed"], ctx["shared_by_key"] = _key_queries(
-            ctx.require("plan").mode.value, ctx.require("queries"), shared_for
-        )
+    return _per_query(queries, shared_for)
 
 
-class SelectStage(Stage):
-    """Phase 2 (scatter over queries): Algorithm 3 whole, one answer per
-    query (``items`` counts queries, however a payload stacks them).
+def select_payloads(
+    queries: Sequence[MaxBRSTkNNQuery], shared: Sequence["SharedTopK"],
+    plan: "QueryPlan", width: int,
+) -> Tuple[List[tuple], List[List[int]]]:
+    """Phase 2's scatter over queries: Algorithm 3 whole, one answer per
+    query.  ``(payloads, query indices of each payload)``.
 
-    Both executors run :func:`repro.core.batch._select_payload` against the
-    full dataset — one round, the flush's queries dealt into
-    ``min(width, n)`` payloads whose sizes differ by at most one,
-    whatever their k: ``k`` only changes the thresholds Algorithm 3
-    reads, so a payload carries each query's own ``SharedTopK`` (queries
-    of one k share the object, which the codec ships once — a
-    delta-shipped arena reference on warm flushes) and answers its
-    queries as one stacked selection per keyword side.  Queries are
-    ordered by keyword side before the cut, so a side's queries share
-    payloads — and thereby selection contexts — where they can.
+    The flush's queries are dealt into ``min(width, n)`` payloads whose
+    sizes differ by at most one, whatever their k: ``k`` only changes
+    the thresholds Algorithm 3 reads, so a payload carries each query's
+    own ``shared[i]`` (queries of one k share the object, which the
+    codec ships once — a delta-shipped arena reference on warm flushes)
+    and answers its queries as one stacked selection per keyword side.
+    Queries are ordered by keyword side before the cut, so a side's
+    queries share payloads — and thereby selection contexts — where
+    they can.
     """
+    from .candidate_selection import _keyword_side
 
-    name = "select"
-    scatter = True
-    inputs = ("keyed", "shared_by_key", "plan")
-    outputs = ("results",)
-    scratch = ("select_index_groups",)
-
-    def split(self, ctx: FlushContext, width: int) -> List[tuple]:
-        from .candidate_selection import _keyword_side
-
-        plan = ctx.require("plan")
-        keyed = ctx.require("keyed")
-        shared_by_key = ctx.require("shared_by_key")
-        by_side: Dict[tuple, List[int]] = {}
-        for i, (query, _) in enumerate(keyed):
-            by_side.setdefault(_keyword_side(query), []).append(i)
-        order = [i for members in by_side.values() for i in members]
-        index_groups = [
-            order[lo:hi]
-            for lo, hi in user_row_ranges(len(order), max(1, min(width, len(order))))
-        ]
-        ctx["select_index_groups"] = index_groups
-        return [
-            ("select", [keyed[i][0] for i in chunk],
-             tuple(shared_by_key[keyed[i][1]] for i in chunk),
-             plan.mode.value, plan.method.value)
-            for chunk in index_groups
-        ]
-
-    def merge(self, ctx: FlushContext, chunks: list) -> None:
-        keyed = ctx.require("keyed")
-        index_groups = ctx.require("select_index_groups")
-        results: List[Optional[MaxBRSTkNNResult]] = [None] * len(keyed)
-        for indices, group in zip(index_groups, chunks):
-            for i, result in zip(indices, group):
-                results[i] = result
-        ctx["results"] = results
+    by_side: Dict[tuple, List[int]] = {}
+    for i, query in enumerate(queries):
+        by_side.setdefault(_keyword_side(query), []).append(i)
+    order = [i for members in by_side.values() for i in members]
+    index_groups = [
+        order[lo:hi]
+        for lo, hi in user_row_ranges(len(order), max(1, min(width, len(order))))
+    ]
+    payloads = [
+        ("select", [queries[i] for i in chunk],
+         tuple(shared[i] for i in chunk),
+         plan.mode.value, plan.method.value)
+        for chunk in index_groups
+    ]
+    return payloads, index_groups
 
 
-class IndexedSearchStage(Stage):
-    """Indexed phase 2 (scatter over queries): best-first MIUR searches.
+def merge_select(index_groups: Sequence[List[int]], chunks: Sequence[list]) -> list:
+    """Gather a query-axis round: ``chunks`` answer the payloads whose
+    query indices ``index_groups`` lists; results come back in flush
+    order."""
+    results: list = [None] * sum(len(indices) for indices in index_groups)
+    for indices, group in zip(index_groups, chunks):
+        for i, result in zip(indices, group):
+            results[i] = result
+    return results
 
-    Queries chunk per k (the traversal pool pickles once per chunk) and
-    run against read-only ledger stores; ``merge`` replays every
-    :class:`~repro.storage.pager.IOCharge` onto the engine's shared
-    counter in query order, reproducing the sequential totals exactly.
+
+def indexed_payloads(
+    queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan", pool,
+    group_by_k: Dict[int, float], users_total: int, width: int, store=None,
+) -> Tuple[List[tuple], List[List[int]]]:
+    """Section 7's scatter over queries: best-first MIUR searches.
+    ``(payloads, query indices of each payload)``.
+
+    Queries chunk per k (the traversal pool pickles once per chunk).
+    Fan-out passes ``store``: each query then gets its own read-only
+    ledger view of it.  ``store=None`` is the in-process form, which
+    charges the real store and builds no views — a warm LRU buffer
+    forbids them.
     """
-
-    name = "indexed-search"
-    scatter = True
-    inputs = ("queries", "pool_state", "group_by_k", "plan", "store",
-              "users_total", "io_counter")
-    outputs = ("results",)
-    scratch = ("indexed_index_groups",)
-    optional = ("use_ledgers",)
-
-    def split(self, ctx: FlushContext, width: int) -> List[tuple]:
-        plan = ctx.require("plan")
-        queries = ctx.require("queries")
-        pool = ctx.require("pool_state")
-        group_by_k = ctx.require("group_by_k")
-        users_total = ctx.require("users_total")
-        store = ctx.require("store")
-        # Fan-out gets one read-only ledger view per query (the
-        # executor sets the flag; in-process execution charges the real
-        # store and never builds views — a warm LRU buffer forbids them).
-        use_ledgers = bool(ctx.get("use_ledgers"))
-        traversal = pool.traversal
-        by_k: Dict[int, List[int]] = {}
-        for i, q in enumerate(queries):
-            by_k.setdefault(q.k, []).append(i)
-        payloads, index_groups = [], []
-        for k, indices in by_k.items():
-            n_chunks = max(1, min(width, len(indices)))
-            for c in range(n_chunks):
-                chunk = indices[c::n_chunks]
-                views = (
-                    [store.ledger_view() for _ in chunk] if use_ledgers else None
-                )
-                payloads.append(
-                    ("indexed_search", [queries[i] for i in chunk], views,
-                     traversal, group_by_k[k], users_total,
-                     pool.topk_time_s, pool.io_node_visits,
-                     pool.io_invfile_blocks, plan.method.value)
-                )
-                index_groups.append(chunk)
-        ctx["indexed_index_groups"] = index_groups
-        return payloads
-
-    def merge(self, ctx: FlushContext, chunks: list) -> None:
-        queries = ctx.require("queries")
-        io_counter = ctx.require("io_counter")
-        index_groups = ctx.require("indexed_index_groups")
-        results: List[Optional[MaxBRSTkNNResult]] = [None] * len(queries)
-        charges: List[Optional[IOCharge]] = [None] * len(queries)
-        for indices, group in zip(index_groups, chunks):
-            for i, (result, charge) in zip(indices, group):
-                results[i] = result
-                charges[i] = charge
-        # Replay ledgers in query order: addition commutes, so the
-        # shared counter ends exactly where sequential execution would.
-        for charge in charges:
-            if charge is not None:
-                charge.apply(io_counter)
-        ctx["results"] = results
+    traversal = pool.traversal
+    by_k: Dict[int, List[int]] = {}
+    for i, q in enumerate(queries):
+        by_k.setdefault(q.k, []).append(i)
+    payloads, index_groups = [], []
+    for k, indices in by_k.items():
+        n_chunks = max(1, min(width, len(indices)))
+        for c in range(n_chunks):
+            chunk = indices[c::n_chunks]
+            views = (
+                [store.ledger_view() for _ in chunk] if store is not None else None
+            )
+            payloads.append(
+                ("indexed_search", [queries[i] for i in chunk], views,
+                 traversal, group_by_k[k], users_total,
+                 pool.topk_time_s, pool.io_node_visits,
+                 pool.io_invfile_blocks, plan.method.value)
+            )
+            index_groups.append(chunk)
+    return payloads, index_groups
 
 
-# ----------------------------------------------------------------------
-# Pipelines
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExecutionPipeline:
-    """An ordered, validated tuple of stages for one plan."""
-
-    mode: str
-    stages: Tuple[Stage, ...]
-
-    def stage_names(self) -> Tuple[str, ...]:
-        return tuple(stage.name for stage in self.stages)
-
-
-def build_pipeline(plan: "QueryPlan", sharded: bool) -> ExecutionPipeline:
-    """The stage list executing ``plan`` on the given executor kind."""
-    from .config import Mode
-
-    if plan.mode is Mode.INDEXED:
-        stages: Tuple[Stage, ...] = (TraverseStage(), IndexedSearchStage())
-    elif plan.mode is Mode.JOINT:
-        # Refine is the one stage that differs: scattered by user-row
-        # range when sharded, the central per-k derivation on one
-        # engine (both memoize per k on the pool).
-        refine = RefineStage() if sharded else DeriveThresholdsStage()
-        stages = (TraverseStage(), refine, SelectStage())
-    else:  # baseline: per-user top-k phase 1, fused per-query phase 2
-        stages = (BaselineTopkStage(), SelectStage())
-    return ExecutionPipeline(mode=plan.mode.value, stages=stages)
-
-
-class BaselineTopkStage(Stage):
-    """Baseline phase 1 (central): per-user top-k scans per distinct k."""
-
-    name = "baseline-topk"
-    inputs = ("engine", "plan", "queries")
-    outputs = ("keyed", "shared_by_key")
-
-    def run_central(self, ctx: FlushContext) -> None:
-        from .batch import _compute_shared_baseline
-
-        engine = ctx.require("engine")
-        mode = ctx.require("plan").mode.value
-        cache = engine._shared_topk_cache
-
-        def shared_for(k: int):
-            if (mode, k) not in cache:
-                cache[mode, k] = _compute_shared_baseline(engine, k)
-            return cache[mode, k]
-
-        ctx["keyed"], ctx["shared_by_key"] = _key_queries(
-            mode, ctx.require("queries"), shared_for
-        )
-
-
-class DeriveThresholdsStage(Stage):
-    """Local joint phase 1b (central): per-k thresholds off the pool.
-
-    The unscattered refine: Algorithm 2 over the full user set,
-    memoized per k on the engine's pool (``pool.by_k``) — value- and
-    hit-count-compatible with the pre-pipeline batch path.
-    """
-
-    name = "refine"
-    inputs = ("engine", "plan", "queries", "pool_state")
-    outputs = ("keyed", "shared_by_key")
-
-    def run_central(self, ctx: FlushContext) -> None:
-        from .batch import _derive_shared_topk
-
-        engine = ctx.require("engine")
-        plan = ctx.require("plan")
-        pool = ctx.require("pool_state")
-        ctx["keyed"], ctx["shared_by_key"] = _key_queries(
-            plan.mode.value, ctx.require("queries"),
-            lambda k: _derive_shared_topk(engine, pool, k),
-        )
+def merge_indexed(
+    index_groups: Sequence[List[int]], chunks: Sequence[list], io_counter,
+) -> List[MaxBRSTkNNResult]:
+    """Gather an indexed-search round: results in flush order, and every
+    :class:`~repro.storage.pager.IOCharge` replayed onto the engine's
+    shared counter in query order, reproducing the sequential totals
+    exactly."""
+    answers = merge_select(index_groups, chunks)
+    # Replay ledgers in query order: addition commutes, so the
+    # shared counter ends exactly where sequential execution would.
+    for _, charge in answers:
+        if charge is not None:
+            charge.apply(io_counter)
+    return [result for result, _ in answers]
 
 
 # ----------------------------------------------------------------------
@@ -781,15 +569,16 @@ INLINE = InlineTransport()
 
 
 def run_round(
-    stage: "Stage", lanes: Sequence[Lane], transport: Transport, codec=None
+    phase: str, lanes: Sequence[Lane], transport: Transport, codec=None
 ) -> Tuple[List[list], List[int], List[int], int, int]:
     """THE scatter round — the only place a round is dispatched and
     collected: encode, start every lane, then collect each through the
     transport's ladder, re-running a lost lane in-process.
 
     Returns ``(chunks per lane, retries per lane, degraded (0/1) per
-    lane, bytes out, bytes in)``.  ``codec`` is the engine's arena
-    codec (``None``: payloads cross as plain pickles).
+    lane, bytes out, bytes in)``.  ``phase`` names the round in logs;
+    ``codec`` is the engine's arena codec (``None``: payloads cross as
+    plain pickles).
     """
     if transport.remote and codec is not None:
         for lane in lanes:
@@ -810,7 +599,7 @@ def run_round(
             # in-process merge to the unchanged answer.
             _log.warning(
                 "degrading %s round in-process: lane=%d retries_used=%d "
-                "reason=%r", stage.name, ticket.lane.wire_id, ticket.retries,
+                "reason=%r", phase, ticket.lane.wire_id, ticket.retries,
                 exc,
             )
             returned.append(ticket.lane.run_inprocess())
@@ -830,161 +619,253 @@ def run_round(
 
 
 # ----------------------------------------------------------------------
-# Executors (lane builders)
+# Executors: one method per mode, phases timed into the flush report
 # ----------------------------------------------------------------------
 
-class _ExecutorBase:
-    """Shared drive loop: wiring validation + per-stage accounting."""
+@contextmanager
+def _phase(report: FlushReport, name: str, io, items: int) -> Iterator[StageStats]:
+    """Time one phase into a :class:`StageStats` appended to ``report``:
+    its wall time and the simulated I/O it charged to ``io``.  A
+    scattered phase fills its round's width and counters in on the
+    yielded stats."""
+    stats = StageStats(stage=name, items=items)
+    before = io.snapshot()
+    t0 = time.perf_counter()
+    yield stats
+    stats.time_s = time.perf_counter() - t0
+    delta = io.snapshot() - before
+    stats.io_node_visits = delta.node_visits
+    stats.io_invfile_blocks = delta.invfile_blocks
+    report.stages.append(stats)
 
-    def _drive(self, pipeline: ExecutionPipeline, ctx: FlushContext) -> List[MaxBRSTkNNResult]:
-        report = FlushReport(mode=pipeline.mode, batch_size=len(ctx["queries"]))
-        io = ctx.get("io_counter")
-        for stage in pipeline.stages:
-            for slot in stage.inputs:
-                if slot not in ctx:
-                    raise RuntimeError(
-                        f"stage {stage.name!r} needs slot {slot!r} which no "
-                        f"upstream stage produced (pipeline "
-                        f"{pipeline.stage_names()})"
-                    )
-            before = io.snapshot() if io is not None else None
-            t0 = time.perf_counter()
-            if stage.scatter:
-                (width, items, retries, degraded,
-                 bytes_out, bytes_in) = self._run_scatter(stage, ctx)
-            else:
-                stage.run_central(ctx)
-                width, items, retries, degraded = 1, len(ctx["queries"]), 0, 0
-                bytes_out = bytes_in = 0
-            stats = StageStats(
-                stage=stage.name,
-                items=items,
-                scatter_width=width,
-                time_s=time.perf_counter() - t0,
-                retries=retries,
-                degraded=degraded,
-                payload_bytes_out=bytes_out,
-                payload_bytes_in=bytes_in,
-            )
-            if io is not None:
-                delta = io.snapshot() - before
-                stats.io_node_visits = delta.node_visits
-                stats.io_invfile_blocks = delta.invfile_blocks
-            report.stages.append(stats)
-            for slot in stage.outputs:
-                if slot not in ctx:
-                    raise RuntimeError(
-                        f"stage {stage.name!r} declared output {slot!r} but "
-                        "did not produce it"
-                    )
-            # Scratch slots are split->merge plumbing, not products:
-            # drop them so downstream stages can only see declared
-            # outputs (keeps the declared contract enforceable).
-            for slot in stage.scratch:
-                ctx.pop(slot, None)
+
+class _DealtRound(NamedTuple):
+    """One dealt scatter round, as :func:`_deal` returns it."""
+
+    chunks: list            # answers, in payload order
+    lane_of: List[int]      # the lane each payload ran on
+    retries: List[int]      # per lane
+    degraded: List[int]     # per lane (0/1)
+    bytes_out: int
+    bytes_in: int
+
+    def record(self, stats: StageStats, width: int) -> None:
+        """Put the round's width and counters on its phase's stats."""
+        stats.scatter_width = width
+        stats.retries = sum(self.retries)
+        stats.degraded = sum(self.degraded)
+        stats.payload_bytes_out = self.bytes_out
+        stats.payload_bytes_in = self.bytes_in
+
+
+def _deal(
+    phase: str, payloads: List[tuple], weights: Sequence[int],
+    transport: Transport, dataset, context=None, codec=None,
+) -> _DealtRound:
+    """Deal ``payloads`` over the transport's lanes and run the round.
+
+    A lane is fixed up front, so each payload goes to the lane carrying
+    the least work so far (``weights[i]``: payload ``i``'s queries or
+    user rows; lanes fill in order: no gaps).  ``dataset`` / ``context``
+    are what a lane run inline or degraded executes against; ``codec``
+    as for :func:`run_round`.
+    """
+    n_lanes = transport.lanes()
+    load = [0] * n_lanes
+    lane_of: List[int] = []
+    for weight in weights:
+        lane_of.append(load.index(min(load)))
+        load[lane_of[-1]] += weight
+    engaged = sorted(set(lane_of))
+    lanes = [
+        Lane(at, [p for p, to in zip(payloads, lane_of) if to == at],
+             dataset, context)
+        for at in engaged
+    ]
+    returned, used, lost, bytes_out, bytes_in = run_round(
+        phase, lanes, transport, codec
+    )
+    retries, degraded = [0] * n_lanes, [0] * n_lanes
+    for at, lane_retries, lane_lost in zip(engaged, used, lost):
+        retries[at], degraded[at] = lane_retries, lane_lost
+    answered = dict(zip(engaged, map(iter, returned)))
+    return _DealtRound([next(answered[at]) for at in lane_of], lane_of,
+                       retries, degraded, bytes_out, bytes_in)
+
+
+def _traverse(report: FlushReport, engine, queries, plan: "QueryPlan"):
+    """Phase 1a (central): ensure the cross-k pool, derive group
+    thresholds.  ``(pool, group threshold by k)``.
+
+    Joint mode walks (or reuses) the engine's
+    :class:`~repro.core.batch.SharedTraversalPool`; indexed mode the
+    MIUR-root :class:`~repro.core.indexed_users.RootTraversal` pool.
+    Either way ONE tree walk per pool generation serves every k in the
+    batch — ``plan.shared_traversal_k`` names it.
+    """
+    from .batch import _ensure_traversal_pool
+    from .config import Mode
+    from .indexed_users import ensure_root_pool
+
+    with _phase(report, "traverse", engine.io, len(queries)):
+        assert plan.shared_traversal_k is not None
+        if plan.mode is Mode.INDEXED:
+            pool = ensure_root_pool(engine, plan.shared_traversal_k)
+        else:
+            pool = _ensure_traversal_pool(engine, plan.shared_traversal_k)
+        pool.hits += len(queries)
+        # Both pool kinds memoize the per-k derivation, so repeat
+        # flushes pay a dict hit, not a pass over the pool.
+        group_by_k = {k: pool.rsk_group_for(k) for k in plan.distinct_ks}
+    return pool, group_by_k
+
+
+def _baseline_topk(report: FlushReport, engine, queries, plan: "QueryPlan"):
+    """Baseline phase 1 (central): per-user top-k scans per distinct k,
+    cached on the engine.  Each query's phase-1 state."""
+    from .batch import _compute_shared_baseline
+
+    mode = plan.mode.value
+    cache = engine._shared_topk_cache
+
+    def shared_for(k: int):
+        if (mode, k) not in cache:
+            cache[mode, k] = _compute_shared_baseline(engine, k)
+        return cache[mode, k]
+
+    with _phase(report, "baseline-topk", engine.io, len(queries)):
+        return _per_query(queries, shared_for)
+
+
+class _Executor:
+    """Runs one planned flush: one method per mode, each a fixed
+    sequence of phases.  Subclasses say how the refine runs and where a
+    query-axis round goes (:meth:`_search_transport`)."""
+
+    engine: "MaxBRSTkNNEngine"  # pools, page store, I/O counter, codec
+    dataset: object             # what inline and degraded lanes run against
+    last_flush_report: Optional[FlushReport]
+
+    def execute(self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan") -> List[MaxBRSTkNNResult]:
+        from .config import Mode
+
+        queries = list(queries)
+        report = FlushReport(mode=plan.mode.value, batch_size=len(queries))
+        if plan.mode is Mode.JOINT:
+            results = self._joint(report, queries, plan)
+        elif plan.mode is Mode.INDEXED:
+            results = self._indexed(report, queries, plan)
+        else:
+            results = self._baseline(report, queries, plan)
         self.last_flush_report = report
-        return ctx.require("results")
+        return results
 
-    def _run_scatter(
-        self, stage: Stage, ctx: FlushContext
-    ) -> Tuple[int, int, int, int, int, int]:
-        """Run one scatter stage: ``(width, items, retries, degraded,
-        payload_bytes_out, payload_bytes_in)``."""
+    def _joint(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
+        """traverse → refine → select."""
+        pool, group_by_k = _traverse(report, self.engine, queries, plan)
+        shared = self._refine(report, queries, plan, pool, group_by_k)
+        return self._select(report, queries, shared, plan)
+
+    def _indexed(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
+        """traverse → indexed-search."""
+        pool, group_by_k = _traverse(report, self.engine, queries, plan)
+        return self._indexed_search(report, queries, plan, pool, group_by_k)
+
+    def _baseline(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
+        """baseline-topk → select."""
+        shared = _baseline_topk(report, self.engine, queries, plan)
+        return self._select(report, queries, shared, plan)
+
+    def _refine(self, report, queries, plan, pool, group_by_k) -> List["SharedTopK"]:
+        """Phase 1b: exact ``RSk(u)`` per k; each query's phase-1 state."""
         raise NotImplementedError
 
-    def _deal(
-        self, stage: Stage, ctx: FlushContext, payloads: List[tuple],
-        transport: Transport, dataset, context,
-    ) -> Tuple[list, List[int], List[int], List[int], int, int]:
-        """Deal ``payloads`` over the transport's lanes and run the round.
+    def _search_transport(self, n_queries: int, plan: "QueryPlan", indexed: bool) -> Transport:
+        """Where this flush's query-axis round runs."""
+        raise NotImplementedError
 
-        A lane is fixed up front, so each payload goes to the lane
-        carrying the least work so far (``stage.weight``; lanes fill in
-        order: no gaps).  Returns ``(chunks in payload order, lane of
-        each payload, retries per lane, degraded (0/1) per lane, bytes
-        out, bytes in)``.
-        """
-        n_lanes = transport.lanes()
-        load = [0] * n_lanes
-        lane_of: List[int] = []
-        for payload in payloads:
-            lane_of.append(load.index(min(load)))
-            load[lane_of[-1]] += stage.weight(payload)
-        engaged = sorted(set(lane_of))
-        lanes = [
-            Lane(at, [p for p, to in zip(payloads, lane_of) if to == at],
-                 dataset, context)
-            for at in engaged
-        ]
-        returned, used, lost, bytes_out, bytes_in = run_round(
-            stage, lanes, transport,
-            getattr(ctx.require("engine"), "payload_codec", None),
+    def _query_round(
+        self, stats: StageStats, phase: str, payloads: List[tuple],
+        transport: Transport, context,
+    ) -> list:
+        dealt = _deal(
+            phase, payloads, [len(p[1]) for p in payloads], transport,
+            self.dataset, context, self.engine.payload_codec,
         )
-        retries, degraded = [0] * n_lanes, [0] * n_lanes
-        for at, lane_retries, lane_lost in zip(engaged, used, lost):
-            retries[at], degraded[at] = lane_retries, lane_lost
-        answered = dict(zip(engaged, map(iter, returned)))
-        return ([next(answered[at]) for at in lane_of], lane_of,
-                retries, degraded, bytes_out, bytes_in)
+        dealt.record(stats, len(set(dealt.lane_of)))
+        return dealt.chunks
 
-    def _scatter_queries(
-        self, stage: Stage, ctx: FlushContext, transport: Transport,
-        dataset, context,
-    ) -> Tuple[int, int, int, int, int, int]:
-        """One query-axis round over the transport's whole width:
-        ``split`` deals select's queries into balanced payloads whatever
-        their k, and chunks indexed-search's per k — uneven chunks for
-        :meth:`_deal` to level."""
-        payloads = stage.split(ctx, transport.lanes())
-        chunks, lane_of, retries, degraded, bytes_out, bytes_in = self._deal(
-            stage, ctx, payloads, transport, dataset, context
-        )
-        stage.merge(ctx, chunks)
-        return (len(set(lane_of)), len(ctx.require("queries")),
-                sum(retries), sum(degraded), bytes_out, bytes_in)
+    def _select(self, report, queries, shared, plan) -> List[MaxBRSTkNNResult]:
+        """Phase 2 (query axis): Algorithm 3 whole, one answer per query
+        (``items`` counts queries, however a payload stacks them)."""
+        engine = self.engine
+        with _phase(report, "select", engine.io, len(queries)) as stats:
+            transport = self._search_transport(len(queries), plan, indexed=False)
+            payloads, index_groups = select_payloads(
+                queries, shared, plan, transport.lanes()
+            )
+            chunks = self._query_round(
+                stats, "select", payloads, transport, engine.user_tree
+            )
+            return merge_select(index_groups, chunks)
+
+    def _indexed_search(self, report, queries, plan, pool, group_by_k) -> List[MaxBRSTkNNResult]:
+        """Indexed phase 2 (query axis): best-first MIUR searches, each
+        query's simulated I/O replayed in query order."""
+        engine = self.engine
+        with _phase(report, "indexed-search", engine.io, len(queries)) as stats:
+            transport = self._search_transport(len(queries), plan, indexed=True)
+            # Fan-out reads ledger views against the inherited MIUR-tree;
+            # in-process the chunks read the engine's own store and take
+            # the ENGINE as their context.
+            fan_out = transport.remote
+            payloads, index_groups = indexed_payloads(
+                queries, plan, pool, group_by_k,
+                len(engine.user_tree) if engine.user_tree is not None else 0,
+                transport.lanes(), store=engine.store if fan_out else None,
+            )
+            chunks = self._query_round(
+                stats, "indexed-search", payloads, transport,
+                engine.user_tree if fan_out else engine,
+            )
+            return merge_indexed(index_groups, chunks, engine.io)
 
 
-class LocalExecutor(_ExecutorBase):
-    """Drives the pipeline on one engine, in this process.
+class LocalExecutor(_Executor):
+    """Runs a flush on one engine, in this process.
 
-    Only the query axis scatters here (the refine is the central
-    derivation), and only over :data:`INLINE`: ``select`` and
-    ``indexed-search`` run as one inline round, the latter ledger-free
-    (the best-first search reads the engine's own page store).
+    The refine is the central derivation, and the query-axis round runs
+    over :data:`INLINE`: ``select`` and ``indexed-search`` as one inline
+    round, the latter ledger-free (the best-first search reads the
+    engine's own page store).
     """
 
     def __init__(self, engine: "MaxBRSTkNNEngine") -> None:
         self.engine = engine
+        self.dataset = engine.dataset
         self.last_flush_report: Optional[FlushReport] = None
 
-    def execute(self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan") -> List[MaxBRSTkNNResult]:
+    def _refine(self, report, queries, plan, pool, group_by_k) -> List["SharedTopK"]:
+        """The unscattered refine: Algorithm 2 over the full user set,
+        memoized per k on the engine's pool (``pool.by_k``)."""
+        from .batch import _derive_shared_topk
+
         engine = self.engine
-        ctx = FlushContext(
-            engine=engine,
-            plan=plan,
-            queries=list(queries),
-            io_counter=engine.io,
-            store=engine.store,
-            users_total=len(engine.user_tree) if engine.user_tree is not None else 0,
-        )
-        pipeline = build_pipeline(plan, sharded=False)
-        return self._drive(pipeline, ctx)
+        with _phase(report, "refine", engine.io, len(queries)):
+            return _per_query(
+                queries, lambda k: _derive_shared_topk(engine, pool, k)
+            )
 
-    def _run_scatter(
-        self, stage: Stage, ctx: FlushContext
-    ) -> Tuple[int, int, int, int, int, int]:
-        engine = self.engine
-        # Ledger-free indexed chunks take the ENGINE as their context.
-        context = engine if stage.name == "indexed-search" else engine.user_tree
-        return self._scatter_queries(stage, ctx, INLINE, engine.dataset, context)
+    def _search_transport(self, n_queries: int, plan: "QueryPlan", indexed: bool) -> Transport:
+        return INLINE
 
 
-class ShardedExecutor(_ExecutorBase):
-    """Drives the pipeline over a :class:`~repro.serve.sharded.ShardedEngine`.
+class ShardedExecutor(_Executor):
+    """Runs a flush over a :class:`~repro.serve.sharded.ShardedEngine`.
 
-    Every scatter stage deals its payloads over the same full-dataset
+    Every scattered phase deals its payloads over the same full-dataset
     lanes: the refine one user-row range per configured lane
-    (``num_shards``), the query-axis stages their payloads (select one
+    (``num_shards``), the query-axis phase its payloads (select one
     per host, indexed-search per-k chunks).  ``transport`` is
     :data:`INLINE` until the engine's ``start_pools`` /
     ``connect_hosts`` swap in the socket one.  Refine results
@@ -996,71 +877,63 @@ class ShardedExecutor(_ExecutorBase):
         self.transport: Transport = INLINE
         self.last_flush_report: Optional[FlushReport] = None
 
+    @property
+    def engine(self) -> "MaxBRSTkNNEngine":
+        return self.sharded.root
+
+    @property
+    def dataset(self):
+        return self.sharded.dataset
+
     def execute(self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan") -> List[MaxBRSTkNNResult]:
-        from .config import Mode
+        results = super().execute(queries, plan)
+        # The query-axis phase ends every sharded flush (joint, indexed).
+        self.sharded._search_s += self.last_flush_report.stages[-1].time_s
+        return results
 
+    def _refine(self, report, queries, plan, pool, group_by_k) -> List["SharedTopK"]:
+        """Phase 1b scattered over user-row ranges, for every k no
+        earlier flush merged."""
         sharded = self.sharded
-        root = sharded.root
-        ctx = FlushContext(
-            engine=root,
-            plan=plan,
-            queries=list(queries),
-            io_counter=root.io,
-            merged_by_k=sharded._merged_by_k,
-            store=root.store,
-            users_total=len(root.user_tree) if root.user_tree is not None else 0,
-        )
-        if plan.mode is Mode.JOINT:
-            ctx["need_ks"] = [
-                k for k in plan.distinct_ks if k not in sharded._merged_by_k
-            ]
-        pipeline = build_pipeline(plan, sharded=True)
-        return self._drive(pipeline, ctx)
+        merged_by_k = sharded._merged_by_k
+        users = sharded.dataset.users
+        need_ks = [k for k in plan.distinct_ks if k not in merged_by_k]
+        items = len(need_ks)
+        with _phase(report, "refine", self.engine.io, items) as stats:
+            if not items:
+                # every k already merged (memoized across flushes): no
+                # round, the merge only hands out the memoized state
+                stats.scatter_width = 0
+                return merge_refine(
+                    [], need_ks, users, merged_by_k, pool, group_by_k, queries
+                )
+            payloads = refine_payloads(
+                pool.traversal, need_ks, len(users), sharded.config.num_shards
+            )
+            dealt = _deal(
+                "refine", payloads, [p[6] - p[5] for p in payloads],
+                self.transport, sharded.dataset, None, self.engine.payload_codec,
+            )
+            dealt.record(stats, len(payloads))
+            for lane, chunk, at in zip(sharded.lane_stats, dealt.chunks, dealt.lane_of):
+                lane.scatter_flushes += 1
+                lane.queue_depth_peak = max(lane.queue_depth_peak, items)
+                lane.retries += dealt.retries[at]
+                lane.degraded_rounds += dealt.degraded[at]
+                lane.refine_tasks += items
+                lane.refine_time_s += sum(p.time_s for p in chunk)
+            # The one cross-lane merge: what gather_stats() reports.
+            t_merge = time.perf_counter()
+            shared = merge_refine(
+                dealt.chunks, need_ks, users, merged_by_k, pool, group_by_k,
+                queries,
+            )
+            sharded._merge_s += time.perf_counter() - t_merge
+            return shared
 
-    def _run_scatter(
-        self, stage: Stage, ctx: FlushContext
-    ) -> Tuple[int, int, int, int, int, int]:
-        if stage.name == "refine":
-            return self._scatter_refine(stage, ctx)
-        return self._scatter_search(stage, ctx)
-
-    def _scatter_refine(
-        self, stage: Stage, ctx: FlushContext
-    ) -> Tuple[int, int, int, int, int, int]:
-        sharded = self.sharded
-        items = len(ctx.require("need_ks"))
-        if not items:
-            # every k already merged (memoized across flushes): no
-            # round, merge only keys the queries to the memoized state
-            stage.merge(ctx, [])
-            return 0, 0, 0, 0, 0, 0
-        payloads = stage.split(ctx, sharded.config.num_shards)
-        chunks, lane_of, retries, degraded, bytes_out, bytes_in = self._deal(
-            stage, ctx, payloads, self.transport, sharded.dataset, None
-        )
-        for stats, chunk, at in zip(sharded.lane_stats, chunks, lane_of):
-            stats.scatter_flushes += 1
-            stats.queue_depth_peak = max(stats.queue_depth_peak, items)
-            stats.retries += retries[at]
-            stats.degraded_rounds += degraded[at]
-            stats.refine_tasks += items
-            stats.refine_time_s += sum(p.time_s for p in chunk)
-        # The one cross-lane merge: what gather_stats() reports.
-        t_merge = time.perf_counter()
-        stage.merge(ctx, chunks)
-        sharded._merge_s += time.perf_counter() - t_merge
-        return (len(payloads), items, sum(retries), sum(degraded),
-                bytes_out, bytes_in)
-
-    def _scatter_search(
-        self, stage: Stage, ctx: FlushContext
-    ) -> Tuple[int, int, int, int, int, int]:
+    def _search_transport(self, n_queries: int, plan: "QueryPlan", indexed: bool) -> Transport:
         from .planner import search_fans_out
 
-        sharded = self.sharded
-        root = sharded.root
-        plan = ctx.require("plan")
-        indexed = stage.name == "indexed-search"
         transport = self.transport
         width = transport.lanes() if transport.serves_indexed or not indexed else 0
         # Fan out only when it can pay off AND I/O stays replayable:
@@ -1068,17 +941,10 @@ class ShardedExecutor(_ExecutorBase):
         # (global access order) forces the inline, ledger-free path.
         fan_out = (
             transport.remote
-            and search_fans_out(width, len(ctx.require("queries")), plan.shard)
-            and (not indexed or root.store.buffer is None)
+            and search_fans_out(width, n_queries, plan.shard)
+            and (not indexed or self.engine.store.buffer is None)
         )
-        ctx["use_ledgers"] = fan_out and indexed
-        t0 = time.perf_counter()
-        if fan_out:
-            sharded._search_flushes += 1
-        # Ledger-free indexed chunks take the ENGINE as their context.
-        context = root if indexed and not fan_out else root.user_tree
-        accounting = self._scatter_queries(
-            stage, ctx, transport if fan_out else INLINE, sharded.dataset, context
-        )
-        sharded._search_s += time.perf_counter() - t0
-        return accounting
+        if not fan_out:
+            return INLINE
+        self.sharded._search_flushes += 1
+        return transport

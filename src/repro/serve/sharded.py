@@ -28,9 +28,9 @@ partitioned; work is *dealt*:
   tree walk (same I/O trace as a single engine) and the group threshold
   ``RSk(us)``.
 
-The flow is driven by the unified phase pipeline — a
-:class:`~repro.core.pipeline.ShardedExecutor` runs the same typed
-stages the single-engine path does (only the refine differs) and deals
+The flow is driven by :mod:`repro.core.pipeline` — a
+:class:`~repro.core.pipeline.ShardedExecutor` runs the same per-mode
+phases the single-engine path does (only the refine differs) and deals
 each scatter round's payloads over the lanes, which
 :func:`~repro.core.pipeline.run_round` carries over whichever transport
 this engine installed: inline by default, or a
@@ -373,7 +373,7 @@ class ShardedEngine:
         shared workload spec (:mod:`repro.serve.shardhost`).  The
         executor's transport becomes a
         :class:`~repro.serve.transport.SocketTransport` over them, the
-        same one local hosts run behind; pipeline stages run unchanged,
+        same one local hosts run behind; the flush's phases run unchanged,
         scatter rounds — refine ranges and joint selections alike, one
         lane per alive host — cross TCP as
         :class:`~repro.serve.transport.FrameCodec` frames carrying the
@@ -505,7 +505,7 @@ class ShardedEngine:
         return self._execute_batch(queries, plan)
 
     # ------------------------------------------------------------------
-    # Scatter/gather execution (driven by the unified phase pipeline)
+    # Scatter/gather execution (driven by repro.core.pipeline)
     # ------------------------------------------------------------------
     def _execute_batch(
         self, queries: List[MaxBRSTkNNQuery], plan: QueryPlan

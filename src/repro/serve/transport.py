@@ -178,6 +178,8 @@ class ShardHostClient:
     * connect refused / unreachable → :class:`PoolUnavailable`;
     * EOF / connection reset mid-round → :class:`WorkerCrashed` (the
       host died with our round in flight);
+    * a header that does not parse → :class:`WorkerCrashed` too: the
+      stream is garbled past recovery, so the connection is closed;
     * read past the deadline → :class:`FlushDeadlineExceeded`.
 
     ``bytes_sent`` / ``bytes_received`` count actual wire bytes (frame
@@ -267,7 +269,15 @@ class ShardHostClient:
             raise WorkerCrashed(f"shard host {self.addr} is not connected")
         started = time.perf_counter()
         header = self._recv_exactly(FrameCodec.HEADER_SIZE, deadline_s, started)
-        kind, flush_seq, shard_id, epoch, length = FrameCodec.unpack_header(header)
+        try:
+            kind, flush_seq, shard_id, epoch, length = FrameCodec.unpack_header(header)
+        except ValueError as exc:
+            # Where the next frame starts is unknowable now: drop the
+            # connection, like a host that died mid-frame.
+            self.close()
+            raise WorkerCrashed(
+                f"shard host {self.addr} sent a garbled frame header: {exc}"
+            ) from exc
         body = (
             self._recv_exactly(length, deadline_s, started) if length else b""
         )
@@ -558,19 +568,20 @@ class ShardRegistry:
                 self.counters["retries"] += 1
             try:
                 kind, rbody = self._answer(inflight)
+                inflight.bytes_in += FrameCodec.HEADER_SIZE + len(rbody)
+                answer = self._decode(inflight, rbody)
             except PoolUnavailable:
                 raise  # no host left to retry on
             except ScatterFailure as exc:
                 failure = exc
                 self._note_failure(inflight, exc)
                 continue
-            inflight.bytes_in += FrameCodec.HEADER_SIZE + len(rbody)
             if kind == FrameCodec.ERROR:
-                failure = self._task_error(inflight, rbody)
+                failure = self._task_error(inflight, answer)
                 inflight.sent = False  # retry on the same, living host
                 continue
             inflight.client.failures = 0
-            return FrameCodec.decode_body(rbody)
+            return answer
         assert failure is not None
         raise failure
 
@@ -622,8 +633,23 @@ class ShardRegistry:
                 return kind, rbody
             self._stash[(seq, sid)] = (kind, rbody)
 
-    def _task_error(self, inflight: Inflight, rbody: bytes) -> ScatterTaskError:
-        name, message = FrameCodec.decode_body(rbody)
+    def _decode(self, inflight: Inflight, rbody: bytes):
+        """A RESULT or ERROR body.  One that does not decode means the
+        host's stream is garbled: :class:`WorkerCrashed`, connection
+        closed, so the ladder takes the host out of rotation."""
+        try:
+            return FrameCodec.decode_body(rbody)
+        except Exception as exc:  # noqa: BLE001 - any unpickling failure
+            client = inflight.client
+            if client is not None:
+                client.close()
+            raise WorkerCrashed(
+                f"shard host {client.addr if client else '?'} sent an "
+                f"undecodable answer body: {exc!r}"
+            ) from exc
+
+    def _task_error(self, inflight: Inflight, error: Tuple[str, str]) -> ScatterTaskError:
+        name, message = error
         client = inflight.client
         client.last_error = f"{name}: {message}"
         return ScatterTaskError(

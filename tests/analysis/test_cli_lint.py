@@ -18,16 +18,16 @@ class TestLintCommand:
         assert "suppressed" in out
 
     def test_lint_fixture_exits_one_with_findings(self, capsys):
-        rc = main(["lint", str(FIXTURES / "stage_bad.py")])
+        rc = main(["lint", str(FIXTURES / "kernel_bad.py")])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "SC101" in out
-        assert "SC102" in out
+        assert "KI301" in out
+        assert "KI302" in out
 
     def test_rule_selection_filters_families(self, capsys):
-        # kernel-identity has nothing to say about a stage fixture.
+        # kernel-identity has nothing to say about a pool fixture.
         rc = main([
-            "lint", str(FIXTURES / "stage_bad.py"), "--rule", "kernel-identity",
+            "lint", str(FIXTURES / "pool_bad.py"), "--rule", "kernel-identity",
         ])
         assert rc == 0
         assert "0 finding(s)" in capsys.readouterr().out
@@ -62,13 +62,16 @@ class TestLintCommand:
         assert rc == 0
         out = capsys.readouterr().out
         for family in (
-            "stage-contract", "pool-boundary", "kernel-identity",
+            "pool-boundary", "kernel-identity",
             "async-blocking", "shm-payload", "transport",
         ):
             assert family in out
-        for code in ("SC101", "PB202", "KI301", "AB401", "TR701"):
+        for code in ("PB202", "KI301", "AB401", "SM601", "TR701"):
             assert code in out
-        for gone in ("fault-tolerance", "FT501", "PB201", "PB203"):
+        for gone in (
+            "stage-contract", "SC101", "fault-tolerance", "FT501", "PB201",
+            "PB203",
+        ):
             assert gone not in out
 
     def test_disk_cache_file_is_written(self, capsys, tmp_path):

@@ -52,8 +52,8 @@ class TestSuppressions:
         assert suppressed_rules("x = 1  # repro: noqa") == frozenset()
 
     def test_codes_and_families_parse(self):
-        rules = suppressed_rules("x = 1  # repro: noqa[SC101, pool-boundary]")
-        assert rules == frozenset({"SC101", "pool-boundary"})
+        rules = suppressed_rules("x = 1  # repro: noqa[KI301, pool-boundary]")
+        assert rules == frozenset({"KI301", "pool-boundary"})
 
     def test_family_name_suppresses_family_codes(self, tmp_path):
         target = tmp_path / "t.py"
@@ -64,7 +64,7 @@ class TestSuppressions:
 
     def test_unrelated_code_does_not_suppress(self, tmp_path):
         target = tmp_path / "t.py"
-        target.write_text("def f():  # repro: noqa[SC101]\n    pass\n")
+        target.write_text("def f():  # repro: noqa[KI301]\n    pass\n")
         report = run_paths([str(target)], [FlagEveryDef()])
         assert len(report.findings) == 1
 
@@ -143,11 +143,24 @@ class TestFilesAndErrors:
         with pytest.raises(LintUsageError, match="unknown rule"):
             checkers_for(["definitely-not-a-rule"])
 
+    def test_no_rules_selects_the_five_families(self):
+        assert [c.name for c in checkers_for([])] == [
+            "pool-boundary", "kernel-identity", "async-blocking",
+            "shm-payload", "transport",
+        ]
+
+    @pytest.mark.parametrize("retired", ["stage-contract", "SC101", "SC106"])
+    def test_retired_stage_contract_rules_are_unknown(self, retired):
+        # The family went with the Stage framework it checked; selecting
+        # it must fail loudly, not lint nothing.
+        with pytest.raises(LintUsageError, match="unknown rule"):
+            checkers_for([retired])
+
     def test_rule_selection_by_family_and_code(self):
-        by_family = checkers_for(["stage-contract"])
-        by_code = checkers_for(["SC101"])
-        assert [c.name for c in by_family] == ["stage-contract"]
-        assert [c.name for c in by_code] == ["stage-contract"]
+        by_family = checkers_for(["kernel-identity"])
+        by_code = checkers_for(["KI302"])
+        assert [c.name for c in by_family] == ["kernel-identity"]
+        assert [c.name for c in by_code] == ["kernel-identity"]
 
     def test_syntax_error_becomes_e000(self, tmp_path):
         target = tmp_path / "broken.py"

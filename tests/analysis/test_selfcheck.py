@@ -22,14 +22,3 @@ class TestSelfCheck:
         # removed without updating the rationale trail.
         report = run_paths([str(SRC)], checkers_for([]))
         assert report.suppressed == 1
-
-    def test_pipeline_stages_declare_their_scratch(self):
-        # The drift this PR fixed stays fixed: the scatter stages
-        # declare their split->merge plumbing slots.
-        from repro.core.pipeline import IndexedSearchStage, SelectStage
-
-        assert SelectStage.scratch == ("select_index_groups",)
-        assert IndexedSearchStage.scratch == ("indexed_index_groups",)
-        assert IndexedSearchStage.optional == ("use_ledgers",)
-        assert "users_total" in IndexedSearchStage.inputs
-        assert "io_counter" in IndexedSearchStage.inputs

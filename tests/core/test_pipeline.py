@@ -1,14 +1,19 @@
-"""The unified phase pipeline: stage contracts and executor identity.
+"""The flush's phases: payload round-trips and executor identity.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
-* **Stage round-trips** — the refine stage's ``merge(split(...))`` over
+* **Refine round-trips** — ``merge_refine(refine_payloads(...))`` over
   any number of user-row ranges reconstructs the sequential inputs
   *exactly* (same rsk maps, and from them the
-  very phase-1 state the single engine hands its ``select`` stage),
-  because ``run`` is the shared worker entry both executors use.
-* **Pipeline shapes** — ``build_pipeline`` wires the right typed
-  stages per (mode, executor), with validated inputs/outputs.
+  very phase-1 state the single engine hands its select phase),
+  because ``execute_shard_payload`` is the shared worker entry both
+  executors use.
+* **Query-axis round-trips** — ``merge_select(select_payloads(...))``
+  and ``merge_indexed(indexed_payloads(...))`` answer like the single
+  engine's flush at any width, the latter charging the same I/O.
+* **Phase lists** — each (mode, executor) flush records the right
+  phases, in order, on ``last_flush_report``, each timed by ``_phase``
+  into a snapshot row of the same fields.
 * **Executor identity** — the LocalExecutor (via ``query_batch``) and
   the ShardedExecutor (via ``ShardedEngine``) produce bitwise-equal
   results; per-stage accounting lands on ``last_flush_report``.
@@ -30,10 +35,15 @@ from repro import (
 from repro.core.batch import _ensure_traversal_pool, derive_rsk_group
 from repro.core.payload import decode_shard_payload
 from repro.core.pipeline import (
-    FlushContext,
-    RefineStage,
-    build_pipeline,
+    FlushReport,
+    _phase,
     execute_shard_payload,
+    indexed_payloads,
+    merge_indexed,
+    merge_refine,
+    merge_select,
+    refine_payloads,
+    select_payloads,
 )
 from repro.core.planner import plan_batch
 from repro.spatial.geometry import Point
@@ -68,31 +78,42 @@ def make_queries(rng, vocab, count, ks=(3, 5)):
     ]
 
 
-def scatter_context(dataset, queries):
-    """A joint-mode FlushContext as the refine stage finds it."""
-    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-    plan = plan_batch(
-        QueryOptions(), engine.capabilities(),
-        [q.k for q in queries],
-    )
-    pool = _ensure_traversal_pool(engine, plan.shared_traversal_k)
-    ctx = FlushContext(
-        engine=engine,
-        plan=plan,
-        queries=list(queries),
-        pool_state=pool,
-        need_ks=list(plan.distinct_ks),
-        group_by_k={k: derive_rsk_group(pool, k) for k in plan.distinct_ks},
-    )
-    return engine, ctx
+class Refine:
+    """A joint-mode flush as its refine phase finds it: the walked pool,
+    every k still to refine, and the merged maps so far."""
+
+    def __init__(self, dataset, queries):
+        self.dataset = dataset
+        self.queries = list(queries)
+        self.engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        self.plan = plan = plan_batch(
+            QueryOptions(), self.engine.capabilities(),
+            [q.k for q in queries],
+        )
+        self.pool = _ensure_traversal_pool(self.engine, plan.shared_traversal_k)
+        self.need_ks = list(plan.distinct_ks)
+        self.group_by_k = {
+            k: derive_rsk_group(self.pool, k) for k in plan.distinct_ks
+        }
+        self.merged_by_k = {}
+
+    def payloads(self, lanes):
+        return refine_payloads(
+            self.pool.traversal, self.need_ks, len(self.dataset.users), lanes
+        )
+
+    def run_lanes(self, lanes):
+        """One chunk per refine payload, through the shared worker entry."""
+        return [execute_shard_payload(self.dataset, p) for p in self.payloads(lanes)]
+
+    def merge(self, chunks):
+        return merge_refine(
+            chunks, self.need_ks, self.dataset.users, self.merged_by_k,
+            self.pool, self.group_by_k, self.queries,
+        )
 
 
-def run_lanes(stage, ctx, dataset, lanes):
-    """One chunk per refine payload, through the shared worker entry."""
-    return [execute_shard_payload(dataset, p) for p in stage.split(ctx, lanes)]
-
-
-class TestStageRoundTrips:
+class TestRefineRoundTrips:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("lanes", [1, 2, 3, 7, 64])
     def test_refine_merge_split_roundtrips_to_sequential(self, seed, lanes):
@@ -100,21 +121,20 @@ class TestStageRoundTrips:
         uneven ranges and more lanes than users included."""
         dataset, rng, vocab = build_dataset(seed=seed)
         queries = make_queries(rng, vocab, 4, ks=(2, 5))
-        engine, ctx = scatter_context(dataset, queries)
-        stage = RefineStage()
-        payloads = stage.split(ctx, lanes)
+        refine = Refine(dataset, queries)
+        payloads = refine.payloads(lanes)
         assert [p[4] for p in payloads] == [None] * lanes  # the full dataset
         assert [p[3] for p in payloads] == list(range(lanes))
-        stage.merge(ctx, run_lanes(stage, ctx, dataset, lanes))
-        pool = ctx["pool_state"]
-        for k in ctx["need_ks"]:
+        refine.merge(refine.run_lanes(lanes))
+        pool = refine.pool
+        for k in refine.need_ks:
             sequential = {
                 uid: res.kth_score
                 for uid, res in oracle.individual_topk(
                     pool.traversal, dataset, k
                 ).items()
             }
-            merged = ctx["merged_by_k"][k]
+            merged = refine.merged_by_k[k]
             assert merged.rsk == sequential  # exact, not approx
             assert list(merged.rsk) == list(sequential)  # in row order
             assert merged.users_total == len(dataset.users)
@@ -124,7 +144,7 @@ class TestStageRoundTrips:
     def test_refine_merge_emits_the_single_engines_select_inputs(
         self, seed, num_shards
     ):
-        """What ``RefineStage.merge`` hands ``SelectStage`` is, per k,
+        """What ``merge_refine`` hands the select phase is, per k,
         the state the single engine derives from the same walk: equal
         thresholds, group threshold and walk I/O — one object per k
         (memoized on the pool, so warm flushes re-ship it by identity)
@@ -133,93 +153,223 @@ class TestStageRoundTrips:
 
         dataset, rng, vocab = build_dataset(seed=seed + 10)
         queries = make_queries(rng, vocab, 5, ks=(2, 3))
-        engine, ctx = scatter_context(dataset, queries)
-        stage = RefineStage()
-        stage.merge(ctx, run_lanes(stage, ctx, dataset, num_shards))
-        assert [q for q, _ in ctx["keyed"]] == queries
-        assert [key for _, key in ctx["keyed"]] == [("joint", q.k) for q in queries]
-        pool = ctx["pool_state"]
+        refine = Refine(dataset, queries)
+        shared = refine.merge(refine.run_lanes(num_shards))
+        pool = refine.pool
+        # each query gets its k's one state, memoized on the pool
+        assert len(shared) == len(queries)
+        assert all(s is pool.by_k[q.k] for s, q in zip(shared, queries))
         reference = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         ref_pool = _ensure_traversal_pool(reference, pool.k)
         for k in (2, 3):
-            shared = ctx["shared_by_key"]["joint", k]
+            entry = shared[[q.k for q in queries].index(k)]
             single = _derive_shared_topk(reference, ref_pool, k)
-            assert shared.rsk == single.rsk
-            assert shared.rsk == oracle.individual_topk(
+            assert entry.rsk == single.rsk
+            assert entry.rsk == oracle.individual_topk(
                 ref_pool.traversal, dataset, pool.k
             ).rsk(k)
-            assert shared.rsk_group == single.rsk_group
-            assert shared.io_node_visits == single.io_node_visits
-            assert shared.io_invfile_blocks == single.io_invfile_blocks
-            assert shared.hits == sum(q.k == k for q in queries)
-            assert pool.by_k[k] is shared
-        # A warm flush: nothing to refine, merge only re-keys the
-        # queries to the SAME memoized objects.
-        first = dict(ctx["shared_by_key"])
-        ctx["need_ks"] = []
-        stage.merge(ctx, [])
-        assert all(ctx["shared_by_key"][key] is first[key] for key in first)
+            assert entry.rsk_group == single.rsk_group
+            assert entry.io_node_visits == single.io_node_visits
+            assert entry.io_invfile_blocks == single.io_invfile_blocks
+            assert entry.hits == sum(q.k == k for q in queries)
+            assert pool.by_k[k] is entry
+        # A warm flush: nothing to refine, merge only hands the queries
+        # the SAME memoized objects.
+        refine.need_ks = []
+        warm = refine.merge([])
+        assert all(a is b for a, b in zip(warm, shared))
 
     def test_merge_rejects_overlapping_and_missing_lanes(self):
         """The refine merge is a *disjoint cover* — a lane answered
         twice, or not at all, raises."""
         dataset, rng, vocab = build_dataset(seed=2)
         queries = make_queries(rng, vocab, 2, ks=(3,))
-        engine, ctx = scatter_context(dataset, queries)
-        stage = RefineStage()
-        chunks = run_lanes(stage, ctx, dataset, 2)
+        refine = Refine(dataset, queries)
+        chunks = refine.run_lanes(2)
         with pytest.raises(ValueError, match="re-reports"):
-            stage.merge(ctx, [chunks[0], chunks[0]])  # same users twice
+            refine.merge([chunks[0], chunks[0]])  # same users twice
         with pytest.raises(ValueError, match="first missing"):
-            stage.merge(ctx, [chunks[0]])  # lane 1 never answered
+            refine.merge([chunks[0]])  # lane 1 never answered
+
+
+def answer_key(result):
+    return (
+        result.location, result.keywords, result.brstknn,
+        result.stats.locations_pruned,
+        result.stats.keyword_combinations_scored,
+    )
+
+
+class TestQueryAxisRoundTrips:
+    """``merge_*(*_payloads(...))`` through the shared worker entry
+    answers like the single engine's flush, whatever the width."""
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_select_round_answers_like_query_batch(self, width):
+        dataset, rng, vocab = build_dataset(seed=11)
+        queries = make_queries(rng, vocab, 5, ks=(2, 3))
+        refine = Refine(dataset, queries)
+        shared = refine.merge(refine.run_lanes(2))
+        payloads, index_groups = select_payloads(
+            queries, shared, refine.plan, width
+        )
+        assert len(payloads) == min(width, len(queries))
+        assert sorted(i for group in index_groups for i in group) == list(
+            range(len(queries))
+        )
+        results = merge_select(
+            index_groups, [execute_shard_payload(dataset, p) for p in payloads]
+        )
+        reference = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        expected = reference.query_batch(queries, QueryOptions())
+        assert [answer_key(r) for r in results] == [
+            answer_key(r) for r in expected
+        ]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_indexed_round_answers_and_charges_like_query_batch(self, width):
+        """Ledger views replayed by ``merge_indexed`` charge the shared
+        counter exactly what the inline search phase charges."""
+        from repro.core.indexed_users import ensure_root_pool
+
+        dataset, rng, vocab = build_dataset(seed=12)
+        queries = make_queries(rng, vocab, 6, ks=(2, 4))
+        config = EngineConfig(fanout=4, index_users=True)
+        engine = MaxBRSTkNNEngine(dataset, config)
+        plan = plan_batch(
+            QueryOptions(mode="indexed"), engine.capabilities(),
+            [q.k for q in queries],
+        )
+        pool = ensure_root_pool(engine, plan.shared_traversal_k)
+        group_by_k = {k: pool.rsk_group_for(k) for k in plan.distinct_ks}
+        before = engine.io.snapshot()
+        payloads, index_groups = indexed_payloads(
+            queries, plan, pool, group_by_k, len(engine.user_tree), width,
+            store=engine.store,
+        )
+        # per-k chunks, each k cut into min(width, its queries) payloads
+        assert len(payloads) == sum(min(width, 3) for _ in (2, 4))
+        for payload, group in zip(payloads, index_groups):
+            assert len({queries[i].k for i in group}) == 1
+            assert payload[1] == [queries[i] for i in group]
+        assert sorted(i for group in index_groups for i in group) == list(
+            range(len(queries))
+        )
+        chunks = [
+            execute_shard_payload(dataset, p, engine.user_tree) for p in payloads
+        ]
+        results = merge_indexed(index_groups, chunks, engine.io)
+        charged = engine.io.snapshot() - before
+
+        reference = MaxBRSTkNNEngine(dataset, config)
+        expected = reference.query_batch(queries, QueryOptions(mode="indexed"))
+        search = reference.last_flush_report.stage("indexed-search")
+        assert [answer_key(r) for r in results] == [
+            answer_key(r) for r in expected
+        ]
+        assert (charged.node_visits, charged.invfile_blocks) == (
+            search.io_node_visits, search.io_invfile_blocks,
+        )
+        assert charged.node_visits + charged.invfile_blocks > 0
+
+
+class TestPhaseTiming:
+    def test_a_phase_records_its_time_and_io_on_the_report(self):
+        """``_phase`` appends one ``StageStats`` per phase, charged with
+        the I/O its body drew from the counter and nothing else."""
+        dataset, _, _ = build_dataset(seed=3)
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        report = FlushReport(mode="joint", batch_size=2)
+        _ensure_traversal_pool(engine, 2)  # I/O before the phase: not its
+        with _phase(report, "traverse", engine.io, 2) as stats:
+            assert report.stages == []  # appended when the phase ends
+            pool = _ensure_traversal_pool(engine, 4)  # outgrown: re-walked
+        with _phase(report, "refine", engine.io, 1):
+            pass
+        assert report.stages == [stats, report.stages[1]]
+        assert (stats.stage, stats.items, stats.scatter_width) == (
+            "traverse", 2, 1,
+        )
+        assert stats.time_s > 0
+        assert (stats.io_node_visits, stats.io_invfile_blocks) == (
+            pool.io_node_visits, pool.io_invfile_blocks,
+        )
+        assert stats.io_node_visits > 0
+        idle = report.stages[1]
+        assert (idle.stage, idle.io_node_visits, idle.io_invfile_blocks) == (
+            "refine", 0, 0,
+        )
+
+
+STAGE_FIELDS = [
+    "stage", "items", "scatter_width", "time_ms", "io_node_visits",
+    "io_invfile_blocks", "retries", "degraded", "payload_bytes_out",
+    "payload_bytes_in",
+]
 
 
 class TestPipelineShapes:
-    def test_stage_lists_per_mode_and_executor(self):
+    @pytest.mark.parametrize("mode, sharded", [
+        ("joint", False), ("joint", True), ("indexed", False),
+        ("indexed", True), ("baseline", False),
+    ])
+    def test_snapshot_fields_per_mode_and_engine(self, mode, sharded):
+        """``FlushReport.snapshot()`` — what ``--explain`` and the stats
+        surfaces print — keeps one row of the same fields per phase, and
+        its byte totals are the phases' sums."""
+        from repro.serve import ShardedEngine
+
+        dataset, rng, vocab = build_dataset(seed=7)
+        config = EngineConfig(fanout=4, index_users=True)
+        engine = (
+            ShardedEngine(dataset, config.with_(num_shards=2)) if sharded
+            else MaxBRSTkNNEngine(dataset, config)
+        )
+        queries = make_queries(rng, vocab, 4, ks=(3, 5))
+        engine.query_batch(queries, QueryOptions(mode=mode))
+        snap = engine.last_flush_report.snapshot()
+        assert list(snap) == [
+            "mode", "batch_size", "payload_bytes_out", "payload_bytes_in",
+            "stages",
+        ]
+        assert (snap["mode"], snap["batch_size"]) == (mode, len(queries))
+        for row in snap["stages"]:
+            assert list(row) == STAGE_FIELDS
+        for total in ("payload_bytes_out", "payload_bytes_in"):
+            assert snap[total] == sum(row[total] for row in snap["stages"])
+        # The query-axis phase ends every flush and counts queries.
+        assert snap["stages"][-1]["items"] == len(queries)
+        if mode == "joint":
+            refine = snap["stages"][1]
+            assert refine["scatter_width"] == (2 if sharded else 1)
+
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_stage_lists_per_mode_and_executor(self, sharded):
+        """Each mode's flush records its phases, in order, on both
+        engine kinds (baseline runs on one engine only)."""
+        from repro.serve import ShardedEngine
+
         dataset, rng, vocab = build_dataset()
-        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        caps = engine.capabilities()
-        joint = plan_batch(QueryOptions(), caps, [3, 5])
-        indexed = plan_batch(
-            QueryOptions(mode="indexed"), caps, [3, 5]
+        config = EngineConfig(fanout=4, index_users=True)
+        engine = (
+            ShardedEngine(dataset, config.with_(num_shards=2)) if sharded
+            else MaxBRSTkNNEngine(dataset, config)
         )
-        baseline = plan_batch(
-            QueryOptions(mode="baseline"), caps, [3]
-        )
-        assert build_pipeline(joint, sharded=False).stage_names() == (
-            "traverse", "refine", "select",
-        )
-        assert build_pipeline(joint, sharded=True).stage_names() == (
-            "traverse", "refine", "select",
-        )
-        assert build_pipeline(indexed, sharded=False).stage_names() == (
-            "traverse", "indexed-search",
-        )
-        assert build_pipeline(indexed, sharded=True).stage_names() == (
-            "traverse", "indexed-search",
-        )
-        assert build_pipeline(baseline, sharded=False).stage_names() == (
-            "baseline-topk", "select",
-        )
-
-    def test_stages_declare_io_slots(self):
-        dataset, _, _ = build_dataset()
-        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        plan = plan_batch(QueryOptions(), engine.capabilities(), [3])
-        pipeline = build_pipeline(plan, sharded=True)
-        produced = {"engine", "plan", "queries", "io_counter", "need_ks",
-                    "merged_by_k", "users_total", "store"}
-        for stage in pipeline.stages:
-            assert stage.inputs, stage.name
-            missing = [s for s in stage.inputs if s not in produced]
-            assert not missing, (stage.name, missing)
-            produced |= set(stage.outputs)
-        assert "results" in produced
-
-    def test_context_require_names_the_missing_slot(self):
-        ctx = FlushContext()
-        with pytest.raises(RuntimeError, match="merged_by_k"):
-            ctx.require("merged_by_k")
+        queries = make_queries(rng, vocab, 3, ks=(3, 5))
+        expected = {
+            "joint": ["traverse", "refine", "select"],
+            "indexed": ["traverse", "indexed-search"],
+        }
+        if not sharded:
+            expected["baseline"] = ["baseline-topk", "select"]
+        for mode, stages in expected.items():
+            engine.query_batch(queries, QueryOptions(mode=mode))
+            report = engine.last_flush_report
+            assert report.mode == mode
+            assert report.batch_size == len(queries)
+            assert [s.stage for s in report.stages] == stages
+            assert [st["stage"] for st in report.snapshot()["stages"]] == stages
 
 
 class TestFlushReports:

@@ -22,6 +22,7 @@ sequence, not a race.  Local faults hit every forked host (both are
 generation 0); remote ones hit embedded host 0 only.
 """
 
+import functools
 import os
 import signal
 import time
@@ -37,6 +38,7 @@ from repro.serve import (
     RetryPolicy,
     ShardHost,
 )
+from repro.serve.transport import FrameCodec
 
 from .conftest import HostThread, assert_results_equal, build_dataset, build_lanes, make_queries
 
@@ -57,7 +59,7 @@ class Fleet:
     is exactly one ``select`` round, one payload per host."""
 
     def __init__(self, kind, host_fault=None, coordinator_fault=None,
-                 deadline=FAST_DEADLINE, seed=0):
+                 deadline=FAST_DEADLINE, seed=0, first_host=ShardHost):
         self.engine, rng, vocab = build_lanes(seed=seed)
         self.queries = make_queries(rng, vocab, 8)
         self.reference = self.engine.query_batch(self.queries, OPTIONS)
@@ -70,8 +72,8 @@ class Fleet:
         else:
             dataset = self.engine.dataset
             self.hosts = [
-                HostThread(ShardHost(dataset, fault=host_fault if i == 0 else None))
-                for i in range(2)
+                HostThread(first_host(dataset, fault=host_fault)),
+                HostThread(ShardHost(dataset)),
             ]
             self.engine.connect_hosts(
                 [f"127.0.0.1:{h.port}" for h in self.hosts],
@@ -231,6 +233,44 @@ class TestFailedRefork:
         assert [row["state"] for row in made.engine.pool_health()] == \
             ["broken", "healthy"]
         assert made.engine.fault_counters()["respawns"] == 0
+
+
+class GarblingHost(ShardHost):
+    """A host whose first ``SCATTER`` answer arrives garbled: its frame
+    magic (``part="header"``) or its pickled body (``part="body"``)."""
+
+    def __init__(self, dataset, part, fault=None):
+        super().__init__(dataset, fault=fault)
+        self.part = part
+        self.garbled = False
+
+    def answer(self, kind, flush_seq, shard_id, epoch, body):
+        frame = super().answer(kind, flush_seq, shard_id, epoch, body)
+        if kind != FrameCodec.SCATTER or self.garbled:
+            return frame
+        self.garbled = True
+        if self.part == "header":
+            return b"JUNK" + frame[4:]
+        size = FrameCodec.HEADER_SIZE
+        return frame[:size] + b"\x00" * (len(frame) - size)
+
+
+class TestGarbledFrame:
+    @pytest.mark.parametrize("part", ["header", "body"])
+    def test_a_garbled_answer_takes_its_host_out_of_rotation(self, fleet, part):
+        """The garbling host is found dead once, its lane re-scattered
+        to the survivor; the flush and every later one answer like the
+        in-process run, and nothing counts again."""
+        made = fleet("remote", first_host=functools.partial(GarblingHost, part=part))
+        totals, select = made.flush()
+        assert counts(totals) == (1, 0, 0, 1)
+        assert select == (2, 1, 0)
+        assert [row["state"] for row in made.engine.pool_health()] == \
+            ["dead", "healthy"]
+        for _ in range(2):
+            totals, select = made.flush()
+            assert counts(totals) == (1, 0, 0, 1)
+            assert select[1:] == (0, 0)
 
 
 # ----------------------------------------------------------------------

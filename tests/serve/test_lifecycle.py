@@ -5,6 +5,8 @@ faults and fleet changes against a :class:`MaxBRSTkNNServer` over a
 2-lane :class:`ShardedEngine` with forked local hosts:
 
 * ``submit`` — a burst of concurrent queries, left in flight;
+* ``cancel`` — cancel one caller still awaiting its answer (queued,
+  or in a flush running that moment);
 * ``kill_host`` — SIGKILL one local host (possibly mid-flush);
 * ``stall_host`` — SIGSTOP one, past the short read deadline;
 * ``close_pools`` / ``start_pools`` — take the fleet down and back up
@@ -15,14 +17,18 @@ faults and fleet changes against a :class:`MaxBRSTkNNServer` over a
 
 Invariants, after every step: every answer ``==`` a fresh sequential
 engine's, ``submitted = completed + failed + cancelled + shed +
-in_flight``, and the fault counters never go down.  After ``stop`` (and
-at teardown) every future has resolved exactly once, and no child
+in_flight``, and the fault counters never go down.  After ``drain``
+every query is completed or cancelled, and the server counts no more
+cancellations than callers saw (a cancel landing just after the answer
+counts as completed there).  After ``stop`` (and at teardown) every
+future has resolved exactly once, nothing is in flight, and no child
 process and no ``/dev/shm`` arena segment is left.
 """
 
 import asyncio
 import os
 import signal
+import time
 import warnings
 
 import pytest
@@ -62,6 +68,10 @@ CONFIG = ServerConfig(
 )
 
 
+#: The outcome of a caller cancelled while awaiting its answer.
+CANCELLED = "cancelled"
+
+
 def key(result):
     return (result.location, result.keywords, result.brstknn)
 
@@ -96,11 +106,16 @@ class ServedLanes(RuleBasedStateMachine):
         self.tasks = []
         #: One entry per resolution of each submitted query's future.
         self.outcomes = {}
+        #: Queries whose ``submit`` the server has taken.
+        self.accepted = set()
 
     # -- helpers -------------------------------------------------------
     async def _one(self, index, query):
+        self.accepted.add(index)
         try:
             result = await self.server.submit(query)
+        except asyncio.CancelledError:
+            self.outcomes[index].append(CANCELLED)
         except Exception as exc:  # noqa: BLE001 - recorded, checked below
             self.outcomes[index].append(exc)
         else:
@@ -110,6 +125,11 @@ class ServedLanes(RuleBasedStateMachine):
         pending = [task for task in self.tasks if not task.done()]
         if pending:
             self.loop.run_until_complete(asyncio.gather(*pending))
+        # A cancelled caller's entry stays in flight until the flusher
+        # reaches it and drops it unexecuted: let the flusher catch up.
+        deadline = time.monotonic() + 10.0
+        while self.server.stats.in_flight and time.monotonic() < deadline:
+            self.loop.run_until_complete(asyncio.sleep(0.005))
 
     def _hosts(self):
         registry = self.engine._registry
@@ -137,12 +157,28 @@ class ServedLanes(RuleBasedStateMachine):
         self.loop.run_until_complete(asyncio.sleep(0.002))
 
     @precondition(lambda self: self.running)
+    @rule(which=st.integers(0, 63))
+    def cancel(self, which):
+        waiting = [
+            task for task in self.tasks
+            if not task.done() and int(task.get_name()) in self.accepted
+        ]
+        if not waiting:
+            return
+        task = waiting[which % len(waiting)]
+        task.cancel()
+        self.loop.run_until_complete(asyncio.sleep(0))
+        assert self.outcomes[int(task.get_name())] == [CANCELLED]
+
+    @precondition(lambda self: self.running)
     @rule()
     def drain(self):
         self._drain()
         stats = self.server.stats
         assert stats.in_flight == 0
-        assert stats.queries_completed == len(self.outcomes)
+        assert stats.queries_completed + stats.queries_cancelled == len(self.outcomes)
+        seen_cancelled = sum(seen == [CANCELLED] for seen in self.outcomes.values())
+        assert stats.queries_cancelled <= seen_cancelled
 
     @precondition(lambda self: self.running and self._hosts())
     @rule(which=st.integers(0, 1))
@@ -191,7 +227,8 @@ class ServedLanes(RuleBasedStateMachine):
         for task in getattr(self, "tasks", []):
             index = int(task.get_name())
             for outcome in self.outcomes[index]:
-                assert outcome == self.expected[index % len(self.queries)]
+                if outcome != CANCELLED:
+                    assert outcome == self.expected[index % len(self.queries)]
 
     @invariant()
     def every_query_is_accounted_for(self):
@@ -216,6 +253,7 @@ class ServedLanes(RuleBasedStateMachine):
         for index, seen in self.outcomes.items():
             assert len(seen) == 1, f"query {index} resolved {len(seen)} times"
         assert all(task.done() for task in self.tasks)
+        assert self.server.stats.in_flight == 0
         assert set(live_children(zombies=True)) <= self.children
         assert own_segments() <= self.segments
 

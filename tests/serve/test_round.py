@@ -18,14 +18,15 @@ import pytest
 
 from repro import EngineConfig, QueryOptions
 from repro.core.partial import PartialResult
+from repro.core import pipeline
+from repro.core.batch import _ensure_traversal_pool
 from repro.core.pipeline import (
     INLINE,
-    FlushContext,
     Lane,
-    RefineStage,
-    SelectStage,
-    TraverseStage,
+    merge_refine,
+    refine_payloads,
     run_round,
+    select_payloads,
 )
 from repro.serve import (
     DeadlinePolicy,
@@ -92,30 +93,32 @@ class Rig:
         over ``transport``."""
         engine, root = self.engine, self.engine.root
         plan = engine.plan(OPTS, ks=[q.k for q in self.queries])
-        ctx = FlushContext(
-            engine=root, plan=plan, queries=list(self.queries),
-            merged_by_k={}, need_ks=list(plan.distinct_ks),
-        )
-        TraverseStage().run_central(ctx)
+        ks = list(plan.distinct_ks)
+        pool = _ensure_traversal_pool(root, plan.shared_traversal_k)
+        group_by_k = {k: pool.rsk_group_for(k) for k in ks}
         # A fresh per-k state every call, like a freshly walked pool.
-        ctx["pool_state"].by_k.clear()
+        pool.by_k.clear()
+        users = engine.dataset.users
         out = {}
 
-        def run(stage, payloads):
-            chunks, lane_of, retries, degraded, _, _ = engine._executor._deal(
-                stage, ctx, payloads, transport, engine.dataset, None
+        def run(phase, payloads, weights):
+            chunks, lane_of, retries, degraded, _, _ = pipeline._deal(
+                phase, payloads, weights, transport, engine.dataset, None
             )
-            out[stage.name] = (
+            out[phase] = (
                 [[canon(item) for item in chunk] for chunk in chunks],
                 (len(set(lane_of)), len(chunks), sum(retries), degraded),
             )
             return chunks
 
-        refine = RefineStage()
-        refine.merge(ctx, run(refine, refine.split(ctx, 2)))
+        refine = refine_payloads(pool.traversal, ks, len(users), 2)
+        shared = merge_refine(
+            run("refine", refine, [p[6] - p[5] for p in refine]),
+            ks, users, {}, pool, group_by_k, self.queries,
+        )
         # Algorithm 3 whole, against the full dataset and the merged map.
-        select = SelectStage()
-        run(select, select.split(ctx, 2))
+        select, _ = select_payloads(self.queries, shared, plan, 2)
+        run("select", select, [len(p[1]) for p in select])
         return out
 
 
@@ -261,7 +264,7 @@ def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
     engine = rig.engine
     full = engine.dataset
     walked = joint_traversal(engine.root.object_tree, full, 3)
-    expected, *_ = run_round(RefineStage(), refine_lanes(engine, walked), INLINE)
+    expected, *_ = run_round("refine", refine_lanes(engine, walked), INLINE)
     # A host whose replica lost an object after the connect-time digest
     # check (a mismatch at connect is refused outright).
     host = ShardHost(full)
@@ -273,7 +276,7 @@ def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
     kept = [o for o in full.objects if o.item_id != int(walked.pool.ids[0])]
     host.dataset = Dataset(kept, full.users, relevance="LM")
     returned, _, degraded, _, _ = run_round(
-        RefineStage(), refine_lanes(engine, walked), engine._executor.transport
+        "refine", refine_lanes(engine, walked), engine._executor.transport
     )
     assert degraded == [1, 1]  # an ERROR frame each, never a wrong row
     assert [[[canon(p) for p in chunk] for chunk in lane] for lane in returned] == [
@@ -304,7 +307,7 @@ def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
     # Hosts raise it (an ERROR frame: retried, counted), and so does the
     # in-process degrade — the coordinator holds no such object either.
     with pytest.raises(CandidatePoolError, match="does not hold"):
-        run_round(RefineStage(), refine_lanes(engine, bad)[:1], transport)
+        run_round("refine", refine_lanes(engine, bad)[:1], transport)
     assert engine.fault_counters()["retries"] == 1
 
 
@@ -320,7 +323,7 @@ def test_host_started_with_fewer_users_refuses_the_range_and_degrades(rig):
     engine = rig.engine
     full = engine.dataset
     walked = joint_traversal(engine.root.object_tree, full, 3)
-    expected, *_ = run_round(RefineStage(), refine_lanes(engine, walked), INLINE)
+    expected, *_ = run_round("refine", refine_lanes(engine, walked), INLINE)
     host = ShardHost(full)
     rig.hosts = [HostThread(host)]
     engine.connect_hosts(
@@ -329,7 +332,7 @@ def test_host_started_with_fewer_users_refuses_the_range_and_degrades(rig):
     )
     host.dataset = Dataset(full.objects, full.users[:-1], relevance="LM")
     returned, _, degraded, _, _ = run_round(
-        RefineStage(), refine_lanes(engine, walked), engine._executor.transport
+        "refine", refine_lanes(engine, walked), engine._executor.transport
     )
     # Lane 0's rows exist on the short host too; lane 1 reaches past it.
     assert degraded == [0, 1]
@@ -356,5 +359,5 @@ def test_pool_workers_refuse_a_range_outside_the_dataset(rig):
     # Hosts raise it (an ERROR frame: retried, counted), and so does the
     # in-process degrade — the coordinator holds no such row either.
     with pytest.raises(UserRangeError, match="do not fit"):
-        run_round(RefineStage(), [lane], transport)
+        run_round("refine", [lane], transport)
     assert engine.fault_counters()["retries"] == 1

@@ -1,11 +1,11 @@
 """The select round deals queries, not (k, lane) cells.
 
 ``k`` changes nothing in Algorithm 3 but the thresholds it reads, so
-``SelectStage.split`` cuts a flush's queries into ``min(width, n)``
+``select_payloads`` cuts a flush's queries into ``min(width, n)``
 payloads whose sizes differ by at most one, whatever their k, each
 query carrying its own k's ``SharedTopK``.  Here: the cut itself over
 drawn flushes (sizes, coverage, the state each query is paired with,
-the keyword-side order, ``merge`` restoring flush order), then the
+the keyword-side order, ``merge_select`` restoring flush order), then the
 payload count of a warm mixed-k flush of 8 on every transport — 2 on a
 2-lane engine, 1 in-process — with answers ``==`` the single engine's.
 """
@@ -20,7 +20,7 @@ from repro import EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions,
 from repro.core import pipeline
 from repro.core.batch import SharedTopK
 from repro.core.candidate_selection import _keyword_side
-from repro.core.pipeline import FlushContext, SelectStage
+from repro.core.pipeline import merge_select, select_payloads
 from repro.core.planner import EngineCapabilities, plan_batch
 from repro.serve import ShardedEngine
 from repro.spatial.geometry import Point
@@ -32,9 +32,9 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 SIDES = [((), (1, 2, 3), 2), ((), (1, 2, 3), 1), (((4, 1),), (2, 5), 2)]
 
 
-def drawn_context(ks, sides):
-    """A flush context holding what ``SelectStage.split`` reads: every
-    query keyed to its k's one ``SharedTopK``."""
+def drawn_flush(ks, sides):
+    """What ``select_payloads`` reads: the flush's queries, each paired
+    with its k's one ``SharedTopK``, and the plan."""
     queries = [
         MaxBRSTkNNQuery(
             ox=STObject(item_id=-(i + 1), location=Point(0, 0), terms=dict(terms)),
@@ -42,17 +42,14 @@ def drawn_context(ks, sides):
         )
         for i, (k, (terms, keywords, ws)) in enumerate(zip(ks, sides))
     ]
-    shared_by_key = {
-        ("joint", k): SharedTopK(rsk={}, rsk_group=0.0, topk_time_s=0.0,
-                                 io_node_visits=0, io_invfile_blocks=0)
+    shared_by_k = {
+        k: SharedTopK(rsk={}, rsk_group=0.0, topk_time_s=0.0,
+                      io_node_visits=0, io_invfile_blocks=0)
         for k in set(ks)
     }
     engine = MaxBRSTkNNEngine(build_dataset(0, 4)[0], EngineConfig(fanout=4))
     plan = plan_batch(QueryOptions(), EngineCapabilities.of(engine), list(ks))
-    return FlushContext(
-        plan=plan, keyed=[(q, ("joint", q.k)) for q in queries],
-        shared_by_key=shared_by_key,
-    )
+    return queries, [shared_by_k[q.k] for q in queries], shared_by_k, plan
 
 
 @given(
@@ -64,28 +61,28 @@ def drawn_context(ks, sides):
 def test_split_deals_balanced_payloads_whatever_their_k(data, n, width):
     ks = data.draw(st.lists(st.sampled_from([2, 4, 7]), min_size=n, max_size=n))
     sides = data.draw(st.lists(st.sampled_from(SIDES), min_size=n, max_size=n))
-    ctx = drawn_context(ks, sides)
-    stage = SelectStage()
-    payloads = stage.split(ctx, width)
-    keyed = ctx["keyed"]
+    flush, shared_of, shared_by_k, plan = drawn_flush(ks, sides)
+    payloads, index_groups = select_payloads(flush, shared_of, plan, width)
 
     assert len(payloads) == min(width, n)
     sizes = [len(payload[1]) for payload in payloads]
     assert max(sizes) - min(sizes) <= 1
     dealt = [q for payload in payloads for q in payload[1]]
-    assert sorted(map(id, dealt)) == sorted(id(q) for q, _ in keyed)
+    assert sorted(map(id, dealt)) == sorted(id(q) for q in flush)
     for kind, queries, shared, mode, method in payloads:
         assert (kind, mode, method) == ("select", "joint", "approx")
         assert len(shared) == len(queries)
         for query, entry in zip(queries, shared):
-            assert entry is ctx["shared_by_key"]["joint", query.k]
+            assert entry is shared_by_k[query.k]
     # Ordered by keyword side before the cut: a side's queries are one
     # run of the dealt order, so payloads x sides cells stay few.
     runs = [_keyword_side(q) for q in dealt]
     assert len([a for a, b in zip(runs, runs[1:]) if a != b]) == len(set(runs)) - 1
 
-    stage.merge(ctx, [[("answer", id(q)) for q in p[1]] for p in payloads])
-    assert ctx["results"] == [("answer", id(q)) for q, _ in keyed]
+    results = merge_select(
+        index_groups, [[("answer", id(q)) for q in p[1]] for p in payloads]
+    )
+    assert results == [("answer", id(q)) for q in flush]
 
 
 # ----------------------------------------------------------------------
@@ -97,10 +94,10 @@ def count_select_payloads(monkeypatch):
     counted = []
     real = pipeline.run_round
 
-    def spy(stage, lanes, transport, codec=None):
-        if stage.name == "select":
+    def spy(phase, lanes, transport, codec=None):
+        if phase == "select":
             counted.append(sum(len(lane.payloads) for lane in lanes))
-        return real(stage, lanes, transport, codec)
+        return real(phase, lanes, transport, codec)
 
     monkeypatch.setattr(pipeline, "run_round", spy)
     return counted

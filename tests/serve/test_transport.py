@@ -173,6 +173,55 @@ def test_client_counts_wire_bytes():
     client.close()
 
 
+def test_garbled_header_maps_to_worker_crashed_and_drops_the_connection():
+    """Past a header that does not parse, where the next frame starts is
+    unknowable: the client closes, like a host that died mid-frame."""
+    ours, theirs = socket.socketpair()
+    client = ShardHostClient("local", 0)
+    client._sock, client.alive = ours, True
+    frame = FrameCodec.pack(FrameCodec.RESULT, 1, 0, 0, b"x")
+    theirs.sendall(b"JUNK" + frame[4:])
+    with pytest.raises(WorkerCrashed, match="garbled frame header"):
+        client.recv_frame(5.0)
+    assert not client.alive
+    with pytest.raises(WorkerCrashed, match="not connected"):
+        client.recv_frame(5.0)
+    theirs.close()
+
+
+@pytest.mark.parametrize(
+    "kind", [FrameCodec.RESULT, FrameCodec.ERROR], ids=["result", "error"]
+)
+def test_undecodable_answer_body_takes_the_host_out_of_rotation(kind):
+    """A RESULT or ERROR body that does not unpickle is a dead host, not
+    a bare decode error: counted once, disconnected, the lane left for
+    the ladder to re-send (here: no survivor, so the pool is gone)."""
+    ours, theirs = socket.socketpair()
+    garbled = b"\x80garbled"
+
+    def peer():
+        header = theirs.recv(FrameCodec.HEADER_SIZE, socket.MSG_WAITALL)
+        _, seq, sid, epoch, length = FrameCodec.unpack_header(header)
+        theirs.recv(length, socket.MSG_WAITALL)
+        theirs.sendall(FrameCodec.pack(kind, seq, sid, epoch, garbled))
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    client = ShardHostClient("local", 0)
+    client._sock, client.alive = ours, True
+    registry = ShardRegistry([client])
+    registry.next_round()
+    inflight = registry.dispatch([("no-such-kind",)])
+    with pytest.raises(PoolUnavailable):
+        registry.collect(inflight)
+    thread.join(5)
+    assert not client.alive
+    assert registry.counters["worker_deaths"] == 1
+    assert "undecodable answer body" in client.last_error
+    assert inflight.bytes_in == FrameCodec.HEADER_SIZE + len(garbled)
+    theirs.close()
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
