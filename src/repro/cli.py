@@ -249,8 +249,8 @@ def _cmd_serve(args) -> int:
         async with MaxBRSTkNNServer(engine, config) as server:
             if args.explain:
                 # Inside the server context: a sharded engine's local
-                # hosts are forked, so explain()
-                # reports the execution that will actually happen.
+                # hosts are forked, so explain() reports the execution
+                # that will actually happen.
                 print(engine.plan(options, ks=[q.k for q in queries]).explain())
             async def timed(q):
                 t0 = time.perf_counter()
@@ -267,12 +267,6 @@ def _cmd_serve(args) -> int:
     finally:
         if args.transport == "socket":
             engine.close_hosts()
-    if args.explain and args.shards > 1:
-        # The same plan again, now that the lane engine's FlushHistory
-        # holds the served flushes: decisions rendered "static" on the
-        # cold engine re-resolve as "observed" from measured timings.
-        print("plan after serving (flush history warm):")
-        print(engine.plan(options, ks=[q.k for q in queries]).explain())
     latencies.sort()
     qps = len(queries) / elapsed if elapsed > 0 else float("inf")
     print(f"served {len(queries)} concurrent queries in {1000 * elapsed:.1f} ms "

@@ -780,7 +780,7 @@ class _Executor:
         """Phase 1b: exact ``RSk(u)`` per k; each query's phase-1 state."""
         raise NotImplementedError
 
-    def _search_transport(self, n_queries: int, plan: "QueryPlan", indexed: bool) -> Transport:
+    def _search_transport(self, n_queries: int, indexed: bool) -> Transport:
         """Where this flush's query-axis round runs."""
         raise NotImplementedError
 
@@ -800,7 +800,7 @@ class _Executor:
         (``items`` counts queries, however a payload stacks them)."""
         engine = self.engine
         with _phase(report, "select", engine.io, len(queries)) as stats:
-            transport = self._search_transport(len(queries), plan, indexed=False)
+            transport = self._search_transport(len(queries), indexed=False)
             payloads, index_groups = select_payloads(
                 queries, shared, plan, transport.lanes()
             )
@@ -814,7 +814,7 @@ class _Executor:
         query's simulated I/O replayed in query order."""
         engine = self.engine
         with _phase(report, "indexed-search", engine.io, len(queries)) as stats:
-            transport = self._search_transport(len(queries), plan, indexed=True)
+            transport = self._search_transport(len(queries), indexed=True)
             # Fan-out reads ledger views against the inherited MIUR-tree;
             # in-process the chunks read the engine's own store and take
             # the ENGINE as their context.
@@ -856,7 +856,7 @@ class LocalExecutor(_Executor):
                 queries, lambda k: _derive_shared_topk(engine, pool, k)
             )
 
-    def _search_transport(self, n_queries: int, plan: "QueryPlan", indexed: bool) -> Transport:
+    def _search_transport(self, n_queries: int, indexed: bool) -> Transport:
         return INLINE
 
 
@@ -931,7 +931,7 @@ class ShardedExecutor(_Executor):
             sharded._merge_s += time.perf_counter() - t_merge
             return shared
 
-    def _search_transport(self, n_queries: int, plan: "QueryPlan", indexed: bool) -> Transport:
+    def _search_transport(self, n_queries: int, indexed: bool) -> Transport:
         from .planner import search_fans_out
 
         transport = self.transport
@@ -941,7 +941,7 @@ class ShardedExecutor(_Executor):
         # (global access order) forces the inline, ledger-free path.
         fan_out = (
             transport.remote
-            and search_fans_out(width, n_queries, plan.shard)
+            and search_fans_out(width, n_queries)
             and (not indexed or self.engine.store.buffer is None)
         )
         if not fan_out:

@@ -16,29 +16,16 @@ the object tree against the MIUR-tree root summary depends only on
 ``(dataset, k)``), so batched indexed queries amortize the same phase
 batched joint queries always did.
 
-Planning on a lane engine is also *adaptive*: a
-:class:`~repro.serve.sharded.ShardedEngine` passes its
-:class:`~repro.core.history.FlushHistory`, and the planner consults the
-observed per-item stage costs at the flush's signature before shipping
-the query-axis round over the lanes — measured sub-millisecond work
-stays in-process (a lane round-trip costs more than it saves).  A plain
-engine never leaves its process, so it has no adaptive point.  Every
-such decision is a :class:`PlanDecision` on the plan, rendered by
-``explain()`` with an ``observed`` rationale; a cold engine (fewer than
-``MIN_OBSERVED_FLUSHES`` flushes recorded at the signature) falls back
-to the static plan and says so.
-
-``QueryPlan.explain()`` renders the decisions as text — the serving
+``QueryPlan.explain()`` renders the plan as text — the serving
 layer and the CLI surface it for observability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .config import Method, Mode, QueryOptions
-from .history import FlushHistory, FlushSignature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import MaxBRSTkNNEngine
@@ -47,22 +34,10 @@ __all__ = [
     "EngineCapabilities",
     "ShardPlan",
     "QueryPlan",
-    "PlanDecision",
     "plan_query",
     "plan_batch",
     "search_fans_out",
-    "MIN_OBSERVED_FLUSHES",
-    "INPROCESS_STAGE_MS",
 ]
-
-#: Flushes a signature must accumulate before observed costs override
-#: the static plan — one or two flushes still carry warm-up noise
-#: (kernel array builds, pool forks, cold page store).
-MIN_OBSERVED_FLUSHES = 3
-
-#: Per-item stage cost (ms) under which dispatching that stage's items
-#: to a process pool cannot pay for the pickle/IPC round-trip.
-INPROCESS_STAGE_MS = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +51,6 @@ class EngineCapabilities:
     """
 
     has_user_tree: bool
-    num_users: int = 0
-    num_objects: int = 0
     traversal_pool_k: Optional[int] = None
     #: The k of the engine's memoized cross-k MIUR-root pool (indexed
     #: batches), if one exists — the indexed twin of
@@ -99,27 +72,9 @@ class EngineCapabilities:
         root_pool = engine._root_pool
         return cls(
             has_user_tree=engine.user_tree is not None,
-            num_users=len(engine.dataset.users),
-            num_objects=engine.dataset.num_objects,
             traversal_pool_k=pool.k if pool is not None else None,
             root_pool_k=root_pool.k if root_pool is not None else None,
         )
-
-
-@dataclass(frozen=True, slots=True)
-class PlanDecision:
-    """One planner choice, with its provenance.
-
-    ``source`` is ``"observed"`` when the choice came from measured
-    :class:`~repro.core.history.FlushHistory` costs, ``"static"`` when
-    the planner had no (or not yet enough) history at the flush's
-    signature and fell back to the capability-driven default.
-    """
-
-    name: str
-    choice: str
-    source: str
-    rationale: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,29 +98,17 @@ class ShardPlan:
 
     num_shards: int
     search_workers: int = 0
-    #: Observed decision: run the per-query selections / indexed
-    #: searches in-process even though a search fan-out exists
-    #: (measured sub-millisecond items cannot pay for the dispatch).
-    search_inprocess: bool = False
 
 
-def search_fans_out(
-    search_workers: int, batch_size: int, shard: Optional[ShardPlan]
-) -> bool:
+def search_fans_out(search_workers: int, batch_size: int) -> bool:
     """Does a sharded flush's query-axis round (selection, or indexed
     search) leave the coordinator?
 
     The ONE predicate behind ``QueryPlan.explain()`` and the executor's
     query-axis lane builder: any fan-out width ships the round — a
-    single host included — unless there
-    is a single query to search or the observed planner pulled the
-    searches in-process.
+    single host included — unless there is a single query to search.
     """
-    return (
-        search_workers >= 1
-        and batch_size > 1
-        and not (shard is not None and shard.search_inprocess)
-    )
+    return search_workers >= 1 and batch_size > 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,11 +149,6 @@ class QueryPlan:
         Scatter/gather layout when the executing engine is sharded
         (:class:`ShardPlan`); ``None`` for single-engine execution,
         which runs every phase in-process.
-    decisions:
-        The :class:`PlanDecision` trail — what the planner chose at
-        each adaptive point and whether measured history or the static
-        default drove it.  Empty when planning ran without a
-        :class:`~repro.core.history.FlushHistory`.
     """
 
     mode: Mode
@@ -221,7 +159,6 @@ class QueryPlan:
     shared_traversal: bool
     shared_traversal_k: Optional[int] = None
     shard: Optional[ShardPlan] = None
-    decisions: Tuple[PlanDecision, ...] = ()
 
     # ------------------------------------------------------------------
     def explain(self) -> str:
@@ -269,9 +206,8 @@ class QueryPlan:
         # search) leaves the coordinator over the search lanes.
         lanes = (
             self.shard.search_workers
-            if self.shard is not None and search_fans_out(
-                self.shard.search_workers, self.batch_size, self.shard
-            )
+            if self.shard is not None
+            and search_fans_out(self.shard.search_workers, self.batch_size)
             else 0
         )
         if self.shard is not None:
@@ -314,8 +250,6 @@ class QueryPlan:
             lines.append(f"  phase 2 (candidate selection): search lanes x{lanes}")
         else:
             lines.append("  phase 2 (candidate selection): in-process")
-        for d in self.decisions:
-            lines.append(f"  {d.source}: {d.name} -> {d.choice} ({d.rationale})")
         return "\n".join(lines)
 
 
@@ -339,69 +273,10 @@ def _shard_plan(caps: EngineCapabilities) -> Optional[ShardPlan]:
     )
 
 
-def _consult_history(
-    history: FlushHistory,
-    options: QueryOptions,
-    shard: ShardPlan,
-) -> Tuple[ShardPlan, Tuple[PlanDecision, ...]]:
-    """Apply the observed-cost model to a lane engine's query-axis round.
-
-    Returns ``(shard, decisions)``.  The one adaptive point — the
-    selection / indexed search fan-out over the lanes — emits exactly
-    one :class:`PlanDecision`: ``observed`` when the signature has
-    accumulated ``MIN_OBSERVED_FLUSHES`` flushes of history (whether or
-    not the measurement changed the choice), ``static`` while the engine
-    is cold at this signature.
-    """
-    if shard.search_workers <= 0:
-        return shard, ()
-    sig = FlushSignature(mode=options.mode.value, scatter_width=shard.num_shards)
-    obs = history.observe(sig)
-    stage = "indexed-search" if options.mode is Mode.INDEXED else "select"
-    ms = (
-        obs.per_item_ms(stage)
-        if obs is not None and obs.flushes >= MIN_OBSERVED_FLUSHES
-        else None
-    )
-    fan_out = f"search fan-out x{shard.search_workers}"
-    if ms is not None and ms < INPROCESS_STAGE_MS:
-        shard = replace(shard, search_inprocess=True)
-        decision = PlanDecision(
-            name="search-fanout", choice="in-process", source="observed",
-            rationale=(
-                f"searches averaged {ms:.3f} ms/query over the last "
-                f"{obs.flushes} flushes — under the "
-                f"{INPROCESS_STAGE_MS:.1f} ms/item bar, the search "
-                f"fan-out cannot pay for its dispatch round-trip"
-            ),
-        )
-    elif ms is not None:
-        decision = PlanDecision(
-            name="search-fanout", choice=fan_out, source="observed",
-            rationale=(
-                f"searches averaged {ms:.3f} ms/query over the last "
-                f"{obs.flushes} flushes — heavy enough that dispatch pays"
-            ),
-        )
-    else:
-        why = (
-            f"no flush history at signature {sig.mode}/x{sig.scatter_width} "
-            "yet (cold engine)"
-            if obs is None else
-            f"only {obs.flushes} flush(es) recorded at this signature "
-            f"(need {MIN_OBSERVED_FLUSHES}) — static plan until seasoned"
-        )
-        decision = PlanDecision(
-            name="search-fanout", choice=fan_out, source="static", rationale=why
-        )
-    return shard, (decision,)
-
-
 def plan_query(
     options: QueryOptions,
     caps: EngineCapabilities,
     k: int = 0,
-    history: Optional[FlushHistory] = None,
 ) -> QueryPlan:
     """Plan one query.  Single queries never share or fan out.
 
@@ -412,7 +287,7 @@ def plan_query(
     _validate(options, caps)
     if caps.num_shards > 1 and k:
         # batch of one, shared pool
-        return plan_batch(options, caps, [k], history=history)
+        return plan_batch(options, caps, [k])
     return QueryPlan(
         mode=options.mode,
         method=options.method,
@@ -428,16 +303,12 @@ def plan_batch(
     options: QueryOptions,
     caps: EngineCapabilities,
     ks: Sequence[int],
-    history: Optional[FlushHistory] = None,
 ) -> QueryPlan:
     """Plan a batch: share phase 1 per distinct k.
 
     ``ks`` are the queries' ``k`` values (one per query, duplicates
     expected).  Phase 2 leaves the process only over a lane engine's
-    lanes (``caps.num_shards > 1``); with ``history``, observed
-    per-item costs at the flush's signature may pull that round back
-    in-process (see :func:`_consult_history`); the decision trail lands
-    on ``QueryPlan.decisions``.
+    lanes (``caps.num_shards > 1``).
     """
     _validate(options, caps)
     indexed = options.mode is Mode.INDEXED
@@ -456,10 +327,6 @@ def plan_batch(
         shared_traversal_k = max(distinct_ks + pool_k)
     else:
         shared_traversal_k = None
-    shard = _shard_plan(caps)
-    decisions: Tuple[PlanDecision, ...] = ()
-    if history is not None and shard is not None:
-        shard, decisions = _consult_history(history, options, shard)
     return QueryPlan(
         mode=options.mode,
         method=options.method,
@@ -468,6 +335,5 @@ def plan_batch(
         shared_topk=not indexed,
         shared_traversal=indexed,
         shared_traversal_k=shared_traversal_k,
-        shard=shard,
-        decisions=decisions,
+        shard=_shard_plan(caps),
     )

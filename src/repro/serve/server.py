@@ -170,7 +170,9 @@ class MaxBRSTkNNServer:
         )
         while self._pending:
             _, future = self._pending.popleft()
-            if not future.done():
+            if future.cancelled():  # its caller gave up while it queued
+                self.stats.queries_cancelled += 1
+            elif not future.done():
                 self.stats.queries_failed += 1
                 future.set_exception(ServerStopped(
                     f"server stopped before this query was flushed{detail}"

@@ -72,7 +72,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.config import EngineConfig, Mode, QueryOptions, coerce_options
 from ..core.engine import MaxBRSTkNNEngine
-from ..core.history import FlushHistory, signature_of
 from ..core.partial import MergedThresholds
 from ..core.pipeline import INLINE, FlushReport, ShardedExecutor, user_row_ranges
 from ..core.planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
@@ -182,11 +181,6 @@ class ShardedEngine:
         self._search_s = 0.0
         self._search_flushes = 0
         self._executor = ShardedExecutor(self)
-        #: Observed-cost feedback for the planner: ring buffers of
-        #: executed-flush accounting per (mode, lane count)
-        #: signature (:mod:`repro.core.history`).  Survives
-        #: :meth:`clear_topk_cache` — it holds timings, never answers.
-        self.flush_history = FlushHistory()
 
     # ------------------------------------------------------------------
     # Introspection / engine-compatible surface
@@ -242,8 +236,8 @@ class ShardedEngine:
         options = options if options is not None else QueryOptions.default()
         caps = self._planning_caps(options)
         if ks:
-            return plan_batch(options, caps, list(ks), history=self.flush_history)
-        return plan_query(options, caps, history=self.flush_history)
+            return plan_batch(options, caps, list(ks))
+        return plan_query(options, caps)
 
     def shard_stats(self) -> List[dict]:
         """Per-lane refine counters (queue depth, flushes, times)."""
@@ -481,10 +475,7 @@ class ShardedEngine:
         # ShardedEngine is indistinguishable from a single engine in
         # the capabilities, but execution always needs the shared-pool
         # batch plan (shared_traversal_k) regardless of shard count.
-        plan = plan_batch(
-            opts, self._planning_caps(opts), [query.k],
-            history=self.flush_history,
-        )
+        plan = plan_batch(opts, self._planning_caps(opts), [query.k])
         return self._execute_batch([query], plan)[0]
 
     def query_batch(
@@ -498,10 +489,7 @@ class ShardedEngine:
         queries = list(queries)
         if not queries:
             return []
-        plan = plan_batch(
-            opts, self._planning_caps(opts), [q.k for q in queries],
-            history=self.flush_history,
-        )
+        plan = plan_batch(opts, self._planning_caps(opts), [q.k for q in queries])
         return self._execute_batch(queries, plan)
 
     # ------------------------------------------------------------------
@@ -520,12 +508,7 @@ class ShardedEngine:
                 f"sharded execution covers mode=joint and mode=indexed only "
                 f"(got mode={plan.mode})"
             )
-        results = self._executor.execute(queries, plan)
-        if self._executor.last_flush_report is not None:
-            self.flush_history.record(
-                signature_of(plan), self._executor.last_flush_report
-            )
-        return results
+        return self._executor.execute(queries, plan)
 
 
 def make_engine(

@@ -128,7 +128,7 @@ class TestSearchFanoutPredicate:
             QueryOptions(), self.sharded_caps(search_workers),
             ks=[3, 5],
         )
-        fans_out = search_fans_out(search_workers, plan.batch_size, plan.shard)
+        fans_out = search_fans_out(search_workers, plan.batch_size)
         assert fans_out == (search_workers >= 1)
         text = plan.explain()
         lanes = f"in one round over {search_workers} full-dataset lane(s)"
@@ -153,189 +153,14 @@ class TestSearchFanoutPredicate:
         assert (f"worker pool x{search_workers}" in text) == fans_out
         assert ("in-process per query" in text) == (not fans_out)
 
-    def test_single_query_and_observed_verdict_keep_the_searches_home(self):
-        from dataclasses import replace
-
+    def test_single_query_keeps_the_searches_home(self):
         from repro.core.planner import search_fans_out
 
         plan = plan_batch(
             QueryOptions(), self.sharded_caps(2), ks=[3]
         )
-        assert not search_fans_out(2, plan.batch_size, plan.shard)
+        assert not search_fans_out(2, plan.batch_size)
         assert "against the full dataset) runs in-process" in plan.explain()
-        pulled = replace(plan.shard, search_inprocess=True)
-        assert not search_fans_out(2, 8, pulled)
-        assert search_fans_out(2, 8, None)  # 1-shard engines carry no ShardPlan
-
-
-class TestObservedPlanning:
-    """FlushHistory-driven decisions: observed costs vs static fallback."""
-
-    @staticmethod
-    def seasoned_history(signature, stage="select", per_item_ms=0.1, items=4,
-                         flushes=3):
-        from repro.core.history import FlushHistory
-        from repro.core.pipeline import FlushReport, StageStats
-
-        history = FlushHistory()
-        for _ in range(flushes):
-            history.record(signature, FlushReport(
-                mode=signature.mode,
-                batch_size=items,
-                stages=[StageStats(
-                    stage=stage, items=items,
-                    time_s=per_item_ms * items / 1000.0,
-                )],
-            ))
-        return history
-
-    @pytest.mark.parametrize("mode,stage", [
-        ("joint", "select"), ("indexed", "indexed-search"),
-    ])
-    @pytest.mark.parametrize("per_item_ms", [0.1, 5.0])
-    def test_single_engine_has_no_adaptive_point(self, mode, stage, per_item_ms):
-        """A plain engine never ships a round, so even a seasoned
-        history at its signature decides nothing."""
-        from repro.core.history import FlushSignature
-
-        history = self.seasoned_history(
-            FlushSignature(mode=mode, scatter_width=1),
-            stage=stage, per_item_ms=per_item_ms,
-        )
-        plan = plan_batch(
-            QueryOptions(mode=mode), CAPS, ks=[3, 3],
-            history=history,
-        )
-        assert plan.decisions == ()
-        assert plan.shard is None
-
-    def test_no_history_no_decisions(self):
-        plan = plan_batch(QueryOptions(), self.sharded_caps(), ks=[3, 3])
-        assert plan.decisions == ()
-
-    def test_cold_engine_falls_back_to_static(self):
-        from repro.core.history import FlushHistory
-
-        plan = plan_batch(
-            QueryOptions(), self.sharded_caps(), ks=[3, 3],
-            history=FlushHistory(),
-        )
-        assert plan.shard.search_inprocess is False  # static plan untouched
-        (decision,) = plan.decisions
-        assert decision.source == "static"
-        assert "cold engine" in decision.rationale
-        assert "static: search-fanout -> search fan-out x2" in plan.explain()
-
-    def test_unseasoned_history_stays_static(self):
-        history = self.seasoned_history(
-            self.sharded_signature(), per_item_ms=0.1, flushes=2
-        )
-        plan = plan_batch(
-            QueryOptions(), self.sharded_caps(), ks=[3, 3],
-            history=history,
-        )
-        assert plan.shard.search_inprocess is False
-        (decision,) = plan.decisions
-        assert decision.source == "static"
-        assert "need 3" in decision.rationale
-
-    def test_lanes_without_workers_have_no_adaptive_point(self):
-        history = self.seasoned_history(self.sharded_signature(), per_item_ms=0.1)
-        plan = plan_batch(
-            QueryOptions(), self.sharded_caps(search_workers=0),
-            ks=[3, 3], history=history,
-        )
-        assert plan.decisions == ()
-
-    @staticmethod
-    def sharded_caps(search_workers=2):
-        from dataclasses import replace
-
-        return replace(CAPS, num_shards=2, search_workers=search_workers)
-
-    @staticmethod
-    def sharded_signature():
-        from repro.core.history import FlushSignature
-
-        return FlushSignature(mode="joint", scatter_width=2)
-
-    def test_sharded_sub_ms_search_goes_in_process(self):
-        history = self.seasoned_history(
-            self.sharded_signature(), stage="select", per_item_ms=0.2
-        )
-        plan = plan_batch(
-            QueryOptions(), self.sharded_caps(), ks=[3, 3],
-            history=history,
-        )
-        assert plan.shard.search_inprocess is True
-        by_name = {d.name: d for d in plan.decisions}
-        assert by_name["search-fanout"].source == "observed"
-        assert by_name["search-fanout"].choice == "in-process"
-        # The search fan-out is the sharded planner's one adaptive point.
-        assert set(by_name) == {"search-fanout"}
-        assert "against the full dataset) runs in-process" in plan.explain()
-
-    def test_sharded_joint_fanout_reads_the_select_stage(self):
-        """The joint search-fanout decision follows the stage list: a
-        history that only ever timed a stage named ``search`` (the old
-        second round) must leave it static, a heavy ``select`` keeps
-        the fan-out with an observed rationale."""
-        stale = self.seasoned_history(
-            self.sharded_signature(), stage="search", per_item_ms=0.2
-        )
-        plan = plan_batch(
-            QueryOptions(), self.sharded_caps(), ks=[3, 3],
-            history=stale,
-        )
-        (decision,) = plan.decisions
-        assert (decision.name, decision.source) == ("search-fanout", "static")
-        heavy = self.seasoned_history(
-            self.sharded_signature(), stage="select", per_item_ms=2.5
-        )
-        plan = plan_batch(
-            QueryOptions(), self.sharded_caps(), ks=[3, 3],
-            history=heavy,
-        )
-        (decision,) = plan.decisions
-        assert decision.source == "observed"
-        assert decision.choice == "search fan-out x2"
-        assert plan.shard.search_inprocess is False
-
-    def test_engine_records_history_and_plans_observed(self, tiny_dataset):
-        """End to end: flushes season a lane engine's own history."""
-        import random
-
-        from repro import MaxBRSTkNNQuery
-        from repro.model.objects import STObject
-        from repro.serve import ShardedEngine
-        from repro.spatial.geometry import Point
-
-        engine = ShardedEngine(tiny_dataset, EngineConfig(fanout=4, num_shards=2))
-        rng = random.Random(5)
-        queries = [
-            MaxBRSTkNNQuery(
-                ox=STObject(
-                    item_id=-(i + 1),
-                    location=Point(rng.uniform(0, 10), rng.uniform(0, 10)),
-                    terms={},
-                ),
-                locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10))],
-                keywords=sorted(rng.sample(range(16), 4)),
-                ws=1,
-                k=3,
-            )
-            for i in range(4)
-        ]
-        options = QueryOptions()
-        with engine.start_pools(1):
-            cold = engine.plan(options, ks=[q.k for q in queries])
-            assert [d.source for d in cold.decisions] == ["static"]
-            for _ in range(3):
-                engine.query_batch(queries, options)
-            assert len(engine.flush_history) >= 3
-            warm = engine.plan(options, ks=[q.k for q in queries])
-        assert [d.source for d in warm.decisions] == ["observed"]
-        assert "observed:" in warm.explain()
 
 
 class TestEnginePlan:
@@ -351,7 +176,6 @@ class TestEnginePlan:
         engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
         caps = engine.capabilities()
         assert caps.has_user_tree is False
-        assert caps.num_users == len(tiny_dataset.users)
         indexed = MaxBRSTkNNEngine(
             tiny_dataset, EngineConfig(fanout=4, index_users=True)
         )

@@ -27,7 +27,6 @@ from repro import (
 from repro.core import candidate_selection
 from repro.core.batch import _derive_shared_topk, _ensure_traversal_pool
 from repro.core.candidate_selection import SelectionBatch, select_candidate
-from repro.core.history import FlushSignature
 from repro.core.kernels import SelectionContext
 from repro.core.pipeline import execute_shard_payload
 from repro.core.query import QueryStats
@@ -517,7 +516,8 @@ class TestCostShape:
 
     def test_row_budget_splits_a_payload_into_passes(self, monkeypatch):
         """8 queries x 5 locations under a 12-row budget: passes of two
-        queries — four block calls, still one context."""
+        queries — four block calls, still one context; a flush's select
+        stage still counts the 8 queries, not the passes."""
         engine, queries = engine_and_queries(8)
         shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
         monkeypatch.setattr(candidate_selection, "STACK_ROWS", 12)
@@ -526,6 +526,9 @@ class TestCostShape:
             engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")
         )
         assert calls == {"contexts": 1, "blocks": 4}
+        sharded = ShardedEngine(engine.dataset, EngineConfig(fanout=4, num_shards=2))
+        sharded.query_batch(queries, QueryOptions())
+        assert sharded.last_flush_report.stage("select").items == len(queries)
 
     def test_selection_time_is_shared_out(self):
         """Each query's ``selection_time_s`` is its own work plus a share
@@ -544,23 +547,3 @@ class TestCostShape:
         assert all(t > 0.0 for t in times)
         assert sum(times) <= wall
 
-
-# ----------------------------------------------------------------------
-# The planner's unit: the select stage still counts queries
-# ----------------------------------------------------------------------
-
-def test_select_items_count_queries_not_passes():
-    """``FlushHistory.per_item_ms("select")`` — what the search fan-out
-    bar is compared with — divides by queries however few passes the
-    stacked selection took."""
-    engine, queries = engine_and_queries(6)
-    sharded = ShardedEngine(engine.dataset, EngineConfig(fanout=4, num_shards=2))
-    select_ms = 0.0
-    for _ in range(3):
-        sharded.query_batch(queries, QueryOptions())
-        select = sharded.last_flush_report.stage("select")
-        assert select.items == len(queries)
-        select_ms += 1000.0 * select.time_s
-    observed = sharded.flush_history.observe(FlushSignature(mode="joint", scatter_width=2))
-    assert observed.flushes == 3
-    assert observed.per_item_ms("select") == pytest.approx(select_ms / (3 * len(queries)))

@@ -231,6 +231,48 @@ class TestStopSemantics:
         assert stats.queries_failed == 2
         assert stats.in_flight == 0
 
+    def test_cancelled_leftover_of_a_crashed_flusher_counts_as_cancelled(self):
+        # A caller that gave up on a query the dead flusher left queued
+        # resolved its own future: stop() counts it cancelled, not
+        # dropped, so the counters still balance.
+        engine, rng, vocab = build_engine(seed=7)
+        first, second, third = make_queries(rng, vocab, 3)
+
+        async def run():
+            server = MaxBRSTkNNServer(
+                engine, ServerConfig(max_batch=2, max_wait_ms=0.0)
+            )
+            await server.start()
+
+            async def boom(batch):
+                raise _FlusherCrash("injected flusher crash")
+
+            server._execute = boom
+            in_flush = asyncio.create_task(server.submit(first))
+            await asyncio.sleep(0.05)  # flusher flushes and dies
+            queued = asyncio.create_task(server.submit(second))
+            abandoned = asyncio.create_task(server.submit(third))
+            await asyncio.sleep(0.01)
+            assert len(server._pending) == 2
+            abandoned.cancel()
+            with pytest.raises(_FlusherCrash):
+                await server.stop()
+            with pytest.raises(ServerStopped):
+                await in_flush
+            with pytest.raises(ServerStopped):
+                await queued
+            with pytest.raises(asyncio.CancelledError):
+                await abandoned
+            return server.stats
+
+        stats = asyncio.run(run())
+        assert stats.queries_cancelled == 1
+        assert stats.in_flight == 0
+        assert stats.queries_submitted == (
+            stats.queries_completed + stats.queries_failed
+            + stats.queries_cancelled
+        )
+
     def test_submit_while_stopping_is_typed(self):
         engine, rng, vocab = build_engine(seed=6)
         (query,) = make_queries(rng, vocab, 1)

@@ -17,6 +17,7 @@ import pytest
 
 from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, oracle
 from repro.core.config import QueryOptions
+from repro.datagen import query_pool
 from repro.serve import (
     DeadlinePolicy,
     FaultPlan,
@@ -26,7 +27,9 @@ from repro.serve import (
     ServerConfig,
     ShardHost,
     ShardedEngine,
+    WorkloadSpec,
 )
+from repro.serve.shardhost import make_workload
 
 from .conftest import (
     HostThread,
@@ -317,10 +320,10 @@ def test_host_fanout_is_reported_and_explained():
         assert engine.capabilities().search_workers == 2
         assert engine.gather_stats()["search_workers"] == 2
         plan = engine.plan(OPTS, ks=[3, 5])
-        (fanout,) = [d for d in plan.decisions if d.name == "search-fanout"]
-        assert fanout.choice == "search fan-out x2"
+        assert plan.shard.search_workers == 2
         text = plan.explain()
         assert "in one round over 2 full-dataset lane(s)" in text
+        assert "phase 2 (candidate selection): search lanes x2" in text
         assert "root pool" not in text
         hosts[0].stop()
         engine._registry.ping_all(timeout_s=0.2)
@@ -333,40 +336,33 @@ def test_host_fanout_is_reported_and_explained():
 
 
 @pytest.mark.parametrize("transport", ["pool", "socket"])
-def test_seasoned_sub_ms_searches_stay_in_process(transport):
-    """A history under the INPROCESS_STAGE_MS bar pulls the selections
-    back onto the coordinator — on the socket path as on the pool path."""
-    from repro.core.history import FlushSignature
-    from repro.core.pipeline import FlushReport, StageStats
-    from repro.core.planner import INPROCESS_STAGE_MS
-
-    engine, hosts, rng, vocab = sharded_with_hosts(
-        2, 2 if transport == "socket" else 0, seed=14
-    )
+def test_sub_ms_selections_keep_fanning_out(transport):
+    """Planning reads no timings: flush after flush of sub-millisecond
+    selections (smoke-scale data, 4 candidate locations), every
+    multi-query select round still ships to both hosts, and the plan is
+    the one the engine made cold."""
+    dataset, workload = make_workload(WorkloadSpec(objects=300, users=40, seed=0))
+    engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
+    hosts = [HostThread(ShardHost(dataset)) for _ in range(2)] \
+        if transport == "socket" else []
+    queries = query_pool(workload, 8, num_locations=4, ws=2, k=3, seed=0)
+    ks = [q.k for q in queries]
     try:
         if transport == "socket":
             connect(engine, hosts)
         else:
             engine.start_pools(1)
-        signature = FlushSignature(mode="joint", scatter_width=2)
-        for _ in range(3):
-            engine.flush_history.record(signature, FlushReport(
-                mode="joint", batch_size=8, stages=[StageStats(
-                    stage="select", items=8,
-                    time_s=8 * 0.2 * INPROCESS_STAGE_MS / 1000.0,
-                )],
-            ))
-        queries = make_queries(rng, vocab, 8, ks=(3, 5))
-        plan = engine.plan(OPTS, ks=[q.k for q in queries])
-        assert plan.shard.search_workers == 2
-        assert plan.shard.search_inprocess is True
-        served = engine.query_batch(queries, OPTS)
-        select = engine.last_flush_report.stage("select")
-        assert select.scatter_width == 1
-        assert select.payload_bytes_out == 0
-        assert engine.gather_stats()["search_flushes"] == 0
+        cold = engine.plan(OPTS, ks=ks)
+        assert cold.shard.search_workers == 2
+        for flush in range(24):
+            served = engine.query_batch(queries, OPTS)
+            select = engine.last_flush_report.stage("select")
+            assert select.scatter_width == 2, f"flush {flush} ran in-process"
+            assert select.items == len(queries)
+        assert engine.gather_stats()["search_flushes"] == 24
+        assert engine.plan(OPTS, ks=ks) == cold
         assert_results_equal(
-            served, reference_results(engine.dataset, queries, engine)
+            served, reference_results(dataset, queries, engine)
         )
     finally:
         engine.close_pools()
@@ -380,9 +376,11 @@ def test_one_host_registry_ships_the_searches_and_explain_says_so():
     try:
         connect(engine, hosts)
         queries = make_queries(rng, vocab, 4, ks=(3, 5))
-        text = engine.plan(OPTS, ks=[q.k for q in queries]).explain()
+        plan = engine.plan(OPTS, ks=[q.k for q in queries])
+        assert plan.shard.search_workers == 1
+        text = plan.explain()
         assert "in one round over 1 full-dataset lane(s)" in text
-        assert "search-fanout -> search fan-out x1" in text
+        assert "phase 2 (candidate selection): search lanes x1" in text
         served = engine.query_batch(queries, OPTS)
         select = engine.last_flush_report.stage("select")
         assert select.scatter_width == 1
