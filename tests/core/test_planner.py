@@ -3,7 +3,12 @@
 import pytest
 
 from repro import EngineConfig, MaxBRSTkNNEngine, Method, Mode, QueryOptions
-from repro.core.planner import EngineCapabilities, plan_batch, plan_query
+from repro.core.planner import (
+    EngineCapabilities,
+    ShardPlan,
+    plan_batch,
+    plan_query,
+)
 
 CAPS = EngineCapabilities(has_user_tree=True)
 CAPS_NO_TREE = EngineCapabilities(has_user_tree=False)
@@ -153,6 +158,23 @@ class TestSearchFanoutPredicate:
         assert (f"worker pool x{search_workers}" in text) == fans_out
         assert ("in-process per query" in text) == (not fans_out)
 
+    @pytest.mark.parametrize("search_workers,batch_size,ships", [
+        (0, 1, False),
+        (0, 8, False),   # no alive host: the round stays home
+        (1, 0, False),   # an empty flush has nothing to search
+        (1, 1, False),
+        (1, 2, True),    # a single host still takes a multi-query round
+        (2, 1, False),
+        (2, 8, True),
+        (4, 8, True),
+    ])
+    def test_predicate_reads_only_width_and_batch_size(
+        self, search_workers, batch_size, ships
+    ):
+        from repro.core.planner import search_fans_out
+
+        assert search_fans_out(search_workers, batch_size) is ships
+
     def test_single_query_keeps_the_searches_home(self):
         from repro.core.planner import search_fans_out
 
@@ -161,6 +183,82 @@ class TestSearchFanoutPredicate:
         )
         assert not search_fans_out(2, plan.batch_size)
         assert "against the full dataset) runs in-process" in plan.explain()
+
+
+class TestPurePlanning:
+    """A plan is a function of (QueryOptions, EngineCapabilities, ks)
+    alone: equal inputs give equal plans, however often it is asked."""
+
+    @staticmethod
+    def lane_caps(**fields):
+        from dataclasses import replace
+
+        return replace(CAPS, num_shards=2, search_workers=2, **fields)
+
+    @pytest.mark.parametrize("mode", ["joint", "indexed"])
+    def test_same_inputs_same_plan(self, mode):
+        options = QueryOptions(mode=mode)
+        first = plan_batch(options, self.lane_caps(), ks=[3, 5, 3])
+        for _ in range(5):
+            again = plan_batch(
+                QueryOptions(mode=mode), self.lane_caps(), ks=[3, 5, 3]
+            )
+            assert again == first
+            assert hash(again) == hash(first)
+            assert again.explain() == first.explain()
+
+    @pytest.mark.parametrize("mode", ["joint", "indexed"])
+    def test_single_query_on_lanes_is_a_batch_of_one(self, mode):
+        options = QueryOptions(mode=mode)
+        caps = self.lane_caps()
+        single = plan_query(options, caps, k=5)
+        assert single == plan_batch(options, caps, ks=[5])
+        assert single.batch_size == 1
+        assert single.shared_traversal_k == 5
+        assert "search lanes" not in single.explain()
+        assert "fans out" not in single.explain()
+
+    def test_single_query_without_k_keeps_the_lane_layout(self):
+        plan = plan_query(QueryOptions(), self.lane_caps())
+        assert plan.batch_size == 1
+        assert plan.distinct_ks == ()
+        assert plan.shared_traversal_k is None
+        assert plan.shard == ShardPlan(num_shards=2, search_workers=2)
+
+    @pytest.mark.parametrize("num_shards,search_workers", [
+        (2, 0), (2, 2), (3, 1), (4, 3),
+    ])
+    def test_shard_plan_mirrors_the_capabilities(
+        self, num_shards, search_workers
+    ):
+        from dataclasses import replace
+
+        caps = replace(
+            CAPS, num_shards=num_shards, search_workers=search_workers
+        )
+        plan = plan_batch(QueryOptions(), caps, ks=[3, 3])
+        assert plan.shard == ShardPlan(
+            num_shards=num_shards, search_workers=search_workers
+        )
+        assert f"refine by user row range x{num_shards}" in plan.explain()
+
+    @pytest.mark.parametrize("pool_k,walk_k", [(None, 7), (5, 7), (9, 9)])
+    def test_joint_plan_names_the_longest_walk(self, pool_k, walk_k):
+        """The warm traversal pool is a capability like any other: a
+        longer earlier walk serves the batch, a shorter one does not."""
+        caps = self.lane_caps(traversal_pool_k=pool_k)
+        plan = plan_batch(QueryOptions(), caps, ks=[3, 7])
+        assert plan.shared_traversal_k == walk_k
+        assert f"one MIR-tree walk at k={walk_k}" in plan.explain()
+
+    @pytest.mark.parametrize("entry", ["batch", "query"])
+    def test_baseline_is_rejected_on_lanes(self, entry):
+        options = QueryOptions(mode="baseline")
+        with pytest.raises(ValueError, match="no mergeable"):
+            if entry == "batch":
+                plan_batch(options, self.lane_caps(), ks=[3, 3])
+            else:
+                plan_query(options, self.lane_caps(), k=3)
 
 
 class TestEnginePlan:
@@ -180,6 +278,53 @@ class TestEnginePlan:
             tiny_dataset, EngineConfig(fanout=4, index_users=True)
         )
         assert indexed.capabilities().has_user_tree is True
+
+    @pytest.mark.parametrize("mode", ["joint", "indexed"])
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_serving_leaves_the_plan_unchanged(
+        self, tiny_dataset, num_shards, mode
+    ):
+        """Flushes change no planning input except the memoized walk's
+        k, so a batch planned again at the same ks gets the same plan —
+        the pure plan of the engine's current capabilities."""
+        import random
+
+        from repro import MaxBRSTkNNQuery
+        from repro.model.objects import STObject
+        from repro.serve import ShardedEngine
+        from repro.spatial.geometry import Point
+
+        config = EngineConfig(
+            fanout=4, num_shards=num_shards, index_users=True
+        )
+        engine = (
+            ShardedEngine(tiny_dataset, config) if num_shards > 1
+            else MaxBRSTkNNEngine(tiny_dataset, config)
+        )
+        rng = random.Random(5)
+        queries = [
+            MaxBRSTkNNQuery(
+                ox=STObject(
+                    item_id=-(i + 1),
+                    location=Point(rng.uniform(0, 10), rng.uniform(0, 10)),
+                    terms={},
+                ),
+                locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10))],
+                keywords=sorted(rng.sample(range(16), 4)),
+                ws=1,
+                k=k,
+            )
+            for i, k in enumerate([3, 5, 3, 5])
+        ]
+        options = QueryOptions(mode=mode)
+        ks = [q.k for q in queries]
+        cold = engine.plan(options, ks=ks)
+        for _ in range(3):
+            engine.query_batch(queries, options)
+        warm = engine.plan(options, ks=ks)
+        assert warm == cold
+        assert warm == plan_batch(options, engine.capabilities(), ks)
+        assert (warm.shard is not None) == (num_shards > 1)
 
     def test_default_plan_uses_default_options(self, tiny_dataset):
         engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))

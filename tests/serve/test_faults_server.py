@@ -273,6 +273,49 @@ class TestStopSemantics:
             + stats.queries_cancelled
         )
 
+    def test_crashed_flusher_whose_leftovers_all_cancelled_balances(self):
+        # Every caller behind the dead flusher gave up: stop() fails
+        # only the crashed batch and counts each leftover cancelled.
+        engine, rng, vocab = build_engine(seed=8)
+        first, *rest = make_queries(rng, vocab, 3)
+
+        async def run():
+            server = MaxBRSTkNNServer(
+                engine, ServerConfig(max_batch=2, max_wait_ms=0.0)
+            )
+            await server.start()
+
+            async def boom(batch):
+                raise _FlusherCrash("injected flusher crash")
+
+            server._execute = boom
+            in_flush = asyncio.create_task(server.submit(first))
+            await asyncio.sleep(0.05)  # flusher flushes and dies
+            abandoned = [
+                asyncio.create_task(server.submit(query)) for query in rest
+            ]
+            await asyncio.sleep(0.01)
+            assert len(server._pending) == 2
+            for task in abandoned:
+                task.cancel()
+            with pytest.raises(_FlusherCrash):
+                await server.stop()
+            with pytest.raises(ServerStopped):
+                await in_flush
+            for task in abandoned:
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+            return server.stats
+
+        stats = asyncio.run(run())
+        assert stats.queries_failed == 1
+        assert stats.queries_cancelled == 2
+        assert stats.in_flight == 0
+        assert stats.queries_submitted == (
+            stats.queries_completed + stats.queries_failed
+            + stats.queries_cancelled
+        )
+
     def test_submit_while_stopping_is_typed(self):
         engine, rng, vocab = build_engine(seed=6)
         (query,) = make_queries(rng, vocab, 1)

@@ -369,6 +369,36 @@ def test_sub_ms_selections_keep_fanning_out(transport):
         teardown(engine, hosts)
 
 
+def test_sub_ms_indexed_searches_keep_fanning_out():
+    """The indexed twin: forked lanes hold the MIUR-tree, so flush after
+    flush of small indexed batches ships its searches to both hosts
+    and the plan stays the cold one."""
+    dataset, workload = make_workload(WorkloadSpec(objects=300, users=40, seed=0))
+    engine = ShardedEngine(
+        dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
+    )
+    queries = query_pool(workload, 8, num_locations=4, ws=2, k=3, seed=0)
+    ks = [q.k for q in queries]
+    opts = QueryOptions(method="approx", mode="indexed")
+    try:
+        engine.start_pools(1)
+        cold = engine.plan(opts, ks=ks)
+        assert cold.shard.search_workers == 2
+        assert "fans out over the worker pool x2" in cold.explain()
+        for flush in range(20):
+            served = engine.query_batch(queries, opts)
+            search = engine.last_flush_report.stage("indexed-search")
+            assert search.scatter_width == 2, f"flush {flush} ran in-process"
+            assert search.items == len(queries)
+        assert engine.gather_stats()["search_flushes"] == 20
+        assert engine.plan(opts, ks=ks) == cold
+        assert_results_equal(
+            served, reference_results(dataset, queries, engine, mode="indexed")
+        )
+    finally:
+        engine.close_pools()
+
+
 def test_one_host_registry_ships_the_searches_and_explain_says_so():
     """A fan-out of width 1 is still a fan-out: explain() and the
     executor decide it with the same predicate."""
