@@ -15,8 +15,7 @@ Commands
                 host, rebuilt from the same workload spec as the
                 coordinator;
 ``report``      shortcut to :mod:`repro.bench.report`;
-``stats``       print Table 4-style statistics of a generated dataset;
-``lint``        contract-aware static analysis (:mod:`repro.analysis`).
+``stats``       print Table 4-style statistics of a generated dataset.
 
 All query commands build one :class:`repro.core.config.QueryOptions`
 from their flags; ``--shards N`` builds the engine through
@@ -35,7 +34,6 @@ import time
 from typing import List
 
 from . import MaxBRSTkNNEngine, MaxBRSTkNNQuery
-from .analysis.cli import add_lint_arguments, run_lint
 from .core.config import CachePolicy, EngineConfig, QueryOptions
 from .datagen import query_pool
 
@@ -325,9 +323,9 @@ def _cmd_serve(args) -> int:
             return 1
         print(f"verify: served results == sequential on {len(queries)} queries "
               f"(mode={args.mode}, shards={args.shards})")
-        print("verify: dynamic check passed; run `python -m repro lint src/` "
-              "for the static contract checks (stage I/O, pool boundary, "
-              "kernel identity, async blocking)")
+        print("verify: dynamic check passed; the static contracts (pool "
+              "boundary, kernel identity, async blocking, shm, transport) "
+              "are tests/test_source_contracts.py")
     return 0
 
 
@@ -494,14 +492,6 @@ def main(argv=None) -> int:
     report.add_argument("--figure")
     report.add_argument("--quick", action="store_true")
     report.set_defaults(func=_cmd_report)
-
-    lint = sub.add_parser(
-        "lint",
-        help="contract-aware static analysis (pool boundaries, kernel "
-             "identity, async blocking, shm hygiene, transport pickles)",
-    )
-    add_lint_arguments(lint)
-    lint.set_defaults(func=run_lint)
 
     args = parser.parse_args(argv)
     return args.func(args)

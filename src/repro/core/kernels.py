@@ -54,9 +54,9 @@ entries the mask keeps, longest first, so the segments that still have
 a ``j``-th kept entry are a prefix of that order, and column ``j`` is
 one add of those entries into that prefix of accumulators — each
 segment's kept weights enter its ``0.0`` accumulator once each, left to
-right, exactly the scalar ``total += w`` sequence.  ``repro lint``
-(KI301/KI302) bans ``hypot`` / ``fsum`` / ``@`` / ``.sum`` / ``einsum``
-inside them.
+right, exactly the scalar ``total += w`` sequence.  KI301/KI302 in
+``tests/test_source_contracts.py`` ban ``hypot`` / ``fsum`` / ``@`` /
+``.sum`` / ``einsum`` inside them.
 
 Array layout
 ------------

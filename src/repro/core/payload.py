@@ -357,8 +357,8 @@ def decode_shard_payload(payload: tuple) -> tuple:
 # Scatter payloads got the codec in PR 9; the *returned* chunks still
 # crossed back as pickles.  These funnels turn a whole refine chunk into
 # ONE self-describing binary block — no pickle at all on the O(|U|) gather
-# direction, which is what the socket transport frames verbatim and
-# what ``payload_bytes_in`` measures on the fork-pool pipe.  Every
+# direction, which is what a host's answer frame carries verbatim,
+# forked or remote, and what ``payload_bytes_in`` measures.  Every
 # other chunk shape (selection results, indexed ``(result, charge)``
 # pairs, empty lists) passes through unchanged, so the decode funnel is
 # safe to apply unconditionally at every collect site.

@@ -122,9 +122,9 @@ class Dataset:
         """Pickle without the cached numpy kernel arrays.
 
         The arrays (``repro.core.kernels.DatasetArrays`` and the
-        per-object-set ``ObjectColumns``) refuse to be pickled —
-        fork-pool workers must inherit them via copy-on-write, never
-        through a pipe — so a dataset crossing a process boundary drops
+        per-object-set ``ObjectColumns``) refuse to be pickled — forked
+        shard hosts inherit them via copy-on-write, never through a
+        socket — so a dataset crossing a process boundary drops
         them and rebuilds lazily on first vectorized use.
         """
         state = self.__dict__.copy()

@@ -182,11 +182,10 @@ class MaxBRSTkNNServer:
             # Bounded shutdown: a local host stopped or hung mid-task
             # must not stall stop() forever (config.shutdown_timeout_s;
             # None waits unbounded).  Blocking the loop is intended: the
-            # flusher has drained and no queries are in flight.
+            # flusher has drained and no queries are in flight (the one
+            # AB402 entry in tests/test_source_contracts.py's ALLOWED).
             # close_pools is idempotent, so a failed start is fine too.
-            self.engine.close_pools(  # repro: noqa[AB402]
-                timeout_s=self.config.shutdown_timeout_s
-            )
+            self.engine.close_pools(timeout_s=self.config.shutdown_timeout_s)
         # Unlink the arena after the hosts are gone (close_pools
         # already did; close_arena is idempotent) — a stopped server
         # leaves /dev/shm clean.

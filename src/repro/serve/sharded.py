@@ -383,7 +383,7 @@ class ShardedEngine:
         """
         if self._registry is not None:
             raise RuntimeError(
-                "cannot connect hosts: the fork pool is running" if self._forked()
+                "cannot connect hosts: local hosts are running" if self._forked()
                 else "shard hosts already connected"
             )
         # Materialize the arena (config.use_shm) BEFORE the first

@@ -446,7 +446,7 @@ def test_connect_hosts_excludes_fork_pools():
             engine.start_pools(1)
         engine.close_hosts()
         engine.start_pools(1)
-        with pytest.raises(RuntimeError, match="fork pool is running"):
+        with pytest.raises(RuntimeError, match="local hosts are running"):
             engine.connect_hosts([f"127.0.0.1:{hosts[0].port}"])
         engine.close_pools()
     finally:

@@ -105,7 +105,7 @@ class TestCLI:
         assert "served 6 concurrent queries" in out
         assert "verify: served results == sequential" in out
         # --verify points at the static half of the verification story.
-        assert "repro lint src/" in out
+        assert "tests/test_source_contracts.py" in out
 
     def test_serve_sharded_with_auto_wait_verifies(self, capsys):
         rc = main([
