@@ -36,10 +36,16 @@ from repro.core.query import QueryStats
 from repro.model.objects import STObject
 from repro.oracle import _hw_entries
 from repro.spatial.geometry import Point
+from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
 from ..conftest import make_random_objects, make_random_users
 
 MEASURES = ["LM", "TF", "KO"]
+#: The weights of the spatial half drawn: both ends (text only, space
+#: only) and two mixes.
+ALPHAS = [0.0, 0.3, 0.5, 1.0]
+#: L1, L2 and L-infinity.
+METRICS = [MANHATTAN, EUCLIDEAN, CHEBYSHEV]
 
 
 class Case(NamedTuple):
@@ -50,11 +56,12 @@ class Case(NamedTuple):
 
 
 def build_case(
-    seed, measure="LM", ws=2, ox_terms=False, wide=False, n_locations=6, plant="mixed"
+    seed, measure="LM", ws=2, ox_terms=False, wide=False, n_locations=6, plant="mixed",
+    alpha=0.5, metric=EUCLIDEAN,
 ):
-    """One selection problem.  ``wide``: |W| = 100 candidates of which
-    more than 62 are held by some user (two de-dup key words).  The
-    candidate list always carries two terms no user holds.
+    """One selection problem under ``alpha`` and ``metric``.  ``wide``:
+    |W| = 100 candidates of which more than 62 are held by some user.
+    The candidate list always carries two terms no user holds.
 
     Thresholds (``plant="mixed"``) mix the realistic (k-th best object
     score), the extreme (0 — won by everyone; 2 — out of reach) and
@@ -62,12 +69,14 @@ def build_case(
     to evaluate.  ``plant="hw"`` puts *every* user's threshold on one of
     their own ``HW_{w,u}`` scores at the first location: the LUW lists
     then promise users the greedy prefixes do not deliver, which is what
-    sends Section 6.2.1 into its fallback pass."""
+    sends Section 6.2.1 into its fallback pass.  Every planted tie is
+    computed by the dataset itself, so it sits on the drawn ``alpha``
+    and metric."""
     rng = random.Random(seed)
     vocab = 100 if wide else 14
     objects = make_random_objects(40, vocab, rng)
     users = make_random_users(60 if wide else 14, vocab, rng)
-    ds = Dataset(objects, users, relevance=measure, alpha=0.5)
+    ds = Dataset(objects, users, relevance=measure, alpha=alpha, metric=metric)
     ox = STObject(
         item_id=-1,
         location=Point(5, 5),
@@ -173,11 +182,17 @@ class TestKernelEqualsOracle:
         ox_terms=st.booleans(),
         wide=st.booleans(),
         plant=st.sampled_from(["mixed", "hw"]),
+        alpha=st.sampled_from(ALPHAS),
+        metric=st.sampled_from(METRICS),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_per_location_selection(self, seed, measure, ws, ox_terms, wide, plant, data):
-        case = build_case(seed, measure, ws, ox_terms, wide, plant=plant)
+    def test_per_location_selection(
+        self, seed, measure, ws, ox_terms, wide, plant, alpha, metric, data
+    ):
+        case = build_case(
+            seed, measure, ws, ox_terms, wide, plant=plant, alpha=alpha, metric=metric
+        )
         got, want = location_answers(case, draw_subsets(case, data))
         assert got == want
 
@@ -189,15 +204,19 @@ class TestKernelEqualsOracle:
         wide=st.booleans(),
         plant=st.sampled_from(["mixed", "hw"]),
         group=st.sampled_from(["off", "low", "min"]),
+        alpha=st.sampled_from(ALPHAS),
+        metric=st.sampled_from(METRICS),
     )
     @settings(max_examples=60, deadline=None)
     def test_per_query_answer_and_counters(
-        self, seed, measure, ws, ox_terms, wide, plant, group
+        self, seed, measure, ws, ox_terms, wide, plant, group, alpha, metric
     ):
         """``rsk_group`` off (0), low (the keyword-free acceptance path
         opens: ``lower_group >= rsk_group > 0``) or ``min RSk(u)``
         (locations get pruned)."""
-        case = build_case(seed, measure, ws, ox_terms, wide, plant=plant)
+        case = build_case(
+            seed, measure, ws, ox_terms, wide, plant=plant, alpha=alpha, metric=metric
+        )
         rsk_group = {"off": 0.0, "low": 0.02, "min": min(case.rsk.values())}[group]
         got, want = query_answers(case, rsk_group)
         assert got == want
@@ -207,14 +226,18 @@ class TestKernelEqualsOracle:
         measure=st.sampled_from(MEASURES),
         ws=st.integers(0, 3),
         accept=st.booleans(),
+        alpha=st.sampled_from(ALPHAS),
+        metric=st.sampled_from(METRICS),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_search_over_hand_built_shortlists(self, seed, measure, ws, accept, data):
+    def test_search_over_hand_built_shortlists(
+        self, seed, measure, ws, accept, alpha, metric, data
+    ):
         """Shortlists that differ per location, are empty or hold one
         user, carry no array rows, and (``accept``) open the
         keyword-free acceptance path at every location."""
-        case = build_case(seed, measure, ws)
+        case = build_case(seed, measure, ws, alpha=alpha, metric=metric)
         shortlists = [
             LocationShortlist(
                 location=loc, users=users, upper_group=1.0,
@@ -237,10 +260,12 @@ class TestKernelEqualsOracle:
         measure=st.sampled_from(MEASURES),
         ws=st.integers(0, 3),
         wide=st.booleans(),
+        alpha=st.sampled_from(ALPHAS),
+        metric=st.sampled_from(METRICS),
     )
     @settings(max_examples=40, deadline=None)
-    def test_locations_at_once_equal_one_by_one(self, seed, measure, ws, wide):
-        case = build_case(seed, measure, ws, wide=wide)
+    def test_locations_at_once_equal_one_by_one(self, seed, measure, ws, wide, alpha, metric):
+        case = build_case(seed, measure, ws, wide=wide, alpha=alpha, metric=metric)
         ds, q = case.ds, case.query
         arrays = arrays_for(ds)
         rows = [arrays.rows_for(users) for users in seeded_subsets(case)]
@@ -401,10 +426,16 @@ class TestEarlyTermination:
         assert answer(got) == answer(want)
         assert evaluated == [min(block, len(shortlists))]
 
-    @given(seed=st.integers(0, 10_000), measure=st.sampled_from(MEASURES), ws=st.integers(0, 3))
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(MEASURES),
+        ws=st.integers(0, 3),
+        alpha=st.sampled_from(ALPHAS),
+        metric=st.sampled_from(METRICS),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_block_size_never_changes_the_answer(self, seed, measure, ws):
-        case = build_case(seed, measure, ws, n_locations=9)
+    def test_block_size_never_changes_the_answer(self, seed, measure, ws, alpha, metric):
+        case = build_case(seed, measure, ws, n_locations=9, alpha=alpha, metric=metric)
         answers = []
         for block in (1, 4, 32):
             saved = candidate_selection.LOCATION_BLOCK
@@ -510,10 +541,12 @@ def test_exact_ties_at_one_location_of_several(monkeypatch):
 # ----------------------------------------------------------------------
 
 def seeded_cases():
+    """36 cases: every (alpha, metric) pair three times over."""
     for seed in range(36):
         yield build_case(
             seed, MEASURES[seed % 3], ws=1 + seed % 3, ox_terms=bool(seed % 2),
             wide=seed % 4 == 3, plant="hw" if seed % 5 == 4 else "mixed",
+            alpha=ALPHAS[(seed + seed // 4) % 4], metric=METRICS[seed // 12 % 3],
         )
 
 

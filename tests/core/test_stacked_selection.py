@@ -34,10 +34,13 @@ from repro.core.thresholds import Thresholds
 from repro.model.objects import STObject
 from repro.serve.sharded import ShardedEngine
 from repro.spatial.geometry import Point
+from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
 from ..conftest import make_random_objects, make_random_users
 
 MEASURES = ["LM", "TF", "KO"]
+ALPHAS = [0.0, 0.3, 0.5, 1.0]
+METRICS = [MANHATTAN, EUCLIDEAN, CHEBYSHEV]
 VOCAB = 14
 
 #: (LOCATION_BLOCK, STACK_ROWS) settings: one block per query and one
@@ -55,19 +58,21 @@ def budget(block, rows):
         candidate_selection.LOCATION_BLOCK, candidate_selection.STACK_ROWS = saved
 
 
-def build_batch(seed, measure, n_queries):
-    """One dataset, thresholds and a batch over it.
+def build_batch(seed, measure, n_queries, alpha=0.5, metric=EUCLIDEAN):
+    """One dataset under ``alpha`` and ``metric``, thresholds and a batch
+    over it.
 
     Keyword sides: two share ``ox.d = ∅`` and ``W`` and differ only in
     ``ws``; one has a non-empty ``ox.d``; one has another ``W``.  The
     batch holds queries of up to 40 locations (past a 32-block), a query
     repeated as the same object and as an equal copy, and a query
     (``ws = 0``, bare ``ox.d``) whose locations all lie past ``dmax`` of
-    every user, so any ``RSk(us) > 0`` prunes every one of them."""
+    every user, so any ``RSk(us) > 0`` prunes every one of them (if
+    ``alpha > 0``: at 0 no location is worse than another)."""
     rng = random.Random(seed)
     objects = make_random_objects(40, VOCAB, rng)
     users = make_random_users(16, VOCAB, rng)
-    ds = Dataset(objects, users, relevance=measure, alpha=0.5)
+    ds = Dataset(objects, users, relevance=measure, alpha=alpha, metric=metric)
     rsk = {}
     for u in users:
         kind = rng.choice(["kth", "kth", "kth", "zero", "far"])
@@ -155,10 +160,14 @@ def rsk_groups(rsk):
     measure=st.sampled_from(MEASURES),
     n_queries=st.integers(1, 7),
     group=st.integers(0, 2),
+    alpha=st.sampled_from(ALPHAS),
+    metric=st.sampled_from(METRICS),
 )
 @settings(max_examples=25, deadline=None)
-def test_stacked_batch_equals_oracle_per_query(block, rows, seed, measure, n_queries, group):
-    ds, rsk, queries = build_batch(seed, measure, n_queries)
+def test_stacked_batch_equals_oracle_per_query(
+    block, rows, seed, measure, n_queries, group, alpha, metric
+):
+    ds, rsk, queries = build_batch(seed, measure, n_queries, alpha, metric)
     rsk_group = rsk_groups(rsk)[group]
     want = oracle_answers(ds, rsk, rsk_group, queries)
     with budget(block, rows):
@@ -225,7 +234,9 @@ def mismatches():
     differs from the oracle's; a crash counts as one."""
     bad = 0
     for seed in range(8):
-        ds, rsk, queries = build_batch(seed, MEASURES[seed % 3], 6)
+        ds, rsk, queries = build_batch(
+            seed, MEASURES[seed % 3], 6, ALPHAS[seed % 4], METRICS[seed % 3]
+        )
         for rsk_group in rsk_groups(rsk)[:2]:
             want = oracle_answers(ds, rsk, rsk_group, queries)
             for block, rows in BUDGETS[:4]:
@@ -282,13 +293,13 @@ def thresholds_at(ds, base, k):
     return Thresholds(np.array([u.item_id for u in ds.users]), np.array(values))
 
 
-def build_cross_k_batch(seed, measure, n_queries):
+def build_cross_k_batch(seed, measure, n_queries, alpha=0.5, metric=EUCLIDEAN):
     """``build_batch``'s queries, each given one of ``CROSS_KS`` — the
     two first distinct queries different ones, the query pruned whole a
     k with ``RSk(us) > 0``, the repeated object one k for both copies
     and its equal copy its own draw — and per k its own pair
     ``(RSk(u), RSk(us))``, one ``RSk(us)`` being 0.0."""
-    ds, rsk, queries = build_batch(seed, measure, n_queries)
+    ds, rsk, queries = build_batch(seed, measure, n_queries, alpha, metric)
     rng = random.Random(seed)
     pairs = {}
     for k, group in zip(CROSS_KS, range(3)):
@@ -328,12 +339,16 @@ def cross_k_oracle(ds, pairs, queries):
     seed=st.integers(0, 10_000),
     measure=st.sampled_from(MEASURES),
     n_queries=st.integers(1, 7),
+    alpha=st.sampled_from(ALPHAS),
+    metric=st.sampled_from(METRICS),
 )
 @settings(max_examples=20, deadline=None)
-def test_cross_k_batch_equals_oracle_per_query(block, rows, seed, measure, n_queries):
+def test_cross_k_batch_equals_oracle_per_query(
+    block, rows, seed, measure, n_queries, alpha, metric
+):
     """Every query of a payload mixing ks and keyword sides answers
     ``==`` the oracle run with that query's own thresholds."""
-    ds, pairs, queries = build_cross_k_batch(seed, measure, n_queries)
+    ds, pairs, queries = build_cross_k_batch(seed, measure, n_queries, alpha, metric)
     want = cross_k_oracle(ds, pairs, queries)
     with budget(block, rows):
         got = cross_k_stacked(ds, pairs, queries)
@@ -364,7 +379,9 @@ def cross_k_mismatches():
     the oracle's; a crash counts as one."""
     bad = 0
     for seed in range(8):
-        ds, pairs, queries = build_cross_k_batch(seed, MEASURES[seed % 3], 6)
+        ds, pairs, queries = build_cross_k_batch(
+            seed, MEASURES[seed % 3], 6, ALPHAS[seed % 4], METRICS[seed % 3]
+        )
         want = cross_k_oracle(ds, pairs, queries)
         for block, rows in BUDGETS[:4]:
             with budget(block, rows):
