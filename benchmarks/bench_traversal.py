@@ -42,7 +42,14 @@ sections:
    k's thresholds, still one ``SelectionBatch`` — checked against the
    oracle run with each query's own thresholds; and, where stacking
    cannot share, the queries given one keyword side each, one by one
-   and as one batch.
+   and as one batch.  The ``select-flush`` row is the warm select of a
+   served flush: 8 queries of the end-to-end benchmark's shape (|L| =
+   20, ws = 2, k cycling 5/10/20, one keyword side) as one
+   ``SelectionBatch``, reported as best-of-N ms per query and as the
+   ``SS(l, u)`` rows computed per location — 1 when each pass computes
+   a location's spatial row once and every decision reads it in place;
+   the run fails above 1 (a decision recomputing it has crept back)
+   or on any answer that differs from ``oracle.select_candidate``.
 6. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to the oracle's per-k sequential
@@ -180,6 +187,31 @@ def time_select(queries, dataset, pairs, side, repeats, stacked=False):
         return answers
 
     return best_of(repeats, run)
+
+
+#: The end-to-end benchmark's query shape (``benchmarks/e2e``): 20
+#: candidate locations, ``ws = 2``, ``k`` cycling over these; one flush
+#: of 8 is what the ``select-flush`` row selects.
+FLUSH_KS = (5, 10, 20)
+FLUSH_QUERIES = 8
+
+
+def spatial_rows(run):
+    """``run()``'s result and the ``SS(l, u)`` rows it computed
+    (``DatasetArrays.spatial_matrix`` rows, summed over its calls)."""
+    rows = []
+    kernel = DatasetArrays.spatial_matrix
+
+    def spy(self, locations):
+        rows.append(len(locations))
+        return kernel(self, locations)
+
+    DatasetArrays.spatial_matrix = spy
+    try:
+        result = run()
+    finally:
+        DatasetArrays.spatial_matrix = kernel
+    return result, sum(rows)
 
 
 def refine_cells(traversal, dataset, k):
@@ -451,6 +483,49 @@ def main(argv=None) -> int:
         return 1
     print("equivalence check: engine mixed-k stacked selections identical to the oracle's")
 
+    # The warm select of a served flush: 8 queries of the e2e shape as
+    # one SelectionBatch, each reading its own k's thresholds.
+    flush = [
+        dataclasses.replace(q, k=FLUSH_KS[i % len(FLUSH_KS)])
+        for i, q in enumerate(query_pool(
+            workload, FLUSH_QUERIES, num_locations=20, ws=2, k=config.k,
+            seed=config.seed, seed_stride=101,
+        ))
+    ]
+    assert len({_keyword_side(q) for q in flush}) == 1
+    flush_pool = _ensure_traversal_pool(engine, max(FLUSH_KS))
+    flush_pairs = [
+        (entry.rsk, entry.rsk_group)
+        for q in flush
+        for entry in [_derive_shared_topk(engine, flush_pool, q.k)]
+    ]
+    flush_s, flush_answers = time_select(
+        flush, engine.dataset, flush_pairs, "engine", args.repeats, stacked=True,
+    )
+    _, computed = spatial_rows(lambda: time_select(
+        flush, engine.dataset, flush_pairs, "engine", 1, stacked=True,
+    ))
+    flush_ms_per_query = 1000 * flush_s / len(flush)
+    rows_per_location = computed / sum(len(q.locations) for q in flush)
+    print(
+        f"select-flush engine : {flush_ms_per_query:8.3f} ms/query  "
+        f"({len(flush)} queries x {len(flush[0].locations)} locations, "
+        f"k in {{{','.join(map(str, FLUSH_KS))}}}, one SelectionBatch; "
+        f"{rows_per_location:.3f} spatial rows per location)",
+        flush=True,
+    )
+    _, flush_oracle = time_select(flush, engine.dataset, flush_pairs, "oracle", 1)
+    if flush_answers != flush_oracle:
+        print("EQUIVALENCE FAILURE: engine select-flush answers differ from "
+              "oracle.select_candidate's")
+        return 1
+    if rows_per_location > 1:
+        print(f"ACCEPTANCE FAILURE: select-flush computed {rows_per_location:.3f} "
+              "spatial rows per location (a pass computes each row once)")
+        return 1
+    print("equivalence check: engine select-flush identical to the oracle's; "
+          "one spatial row per location at most")
+
     # Where stacking cannot share: every query its own keyword side
     # (its own ox.d term and ws), one by one vs one SelectionBatch.
     terms = queries[0].keywords
@@ -533,6 +608,8 @@ def main(argv=None) -> int:
             "select_batch_speedup_numpy": select_batch_speedup,
             "select_batch_mixed_k_s": select_mixed_timings,
             "select_distinct_sides_s": distinct_timings,
+            "select_flush_ms_per_query": flush_ms_per_query,
+            "select_flush_spatial_rows_per_location": rows_per_location,
             "mixed_k": {
                 "ks": mixed_ks,
                 "queries": len(queries),

@@ -68,7 +68,7 @@ from ..model.dataset import Dataset
 from ..model.objects import SuperUser, User
 from ..spatial.geometry import Point
 from .bounds import BoundCalculator
-from .kernels import SelectionContext, arrays_for, np
+from .kernels import SelectionContext, _row_counts, arrays_for, np
 from .keyword_selection import (
     BlockSelection,
     KeywordSelection,
@@ -129,37 +129,36 @@ def _keyword_side(query: MaxBRSTkNNQuery) -> tuple:
 
 
 def _group_bounds(
-    bounds: BoundCalculator,
-    query: MaxBRSTkNNQuery,
+    arrays,
+    queries: Sequence[MaxBRSTkNNQuery],
     su: SuperUser,
-    rsk_group: float,
+    rsk_groups: Sequence[float],
     texts: Tuple[float, float],
-) -> Tuple[List[LocationShortlist], int]:
-    """The scalar group bounds ``UBL(l, us)`` / ``LBL(l, us)`` of every
-    location: the survivors (``LU_l`` still empty) and the pruned count.
-    ``texts`` are the location-independent text terms of both bounds."""
-    upper_text, lower_text = texts
-    shortlists: List[LocationShortlist] = []
-    pruned = 0
-    for idx, loc in enumerate(query.locations):
-        ub_group = bounds.location_upper_group(
-            loc, query.ox, query.keywords, query.ws, su, text=upper_text
-        )
-        if ub_group < rsk_group:
-            pruned += 1
-            continue
-        shortlists.append(
-            LocationShortlist(
-                location=loc,
-                users=[],
-                upper_group=ub_group,
-                lower_group=bounds.location_lower_group(
-                    loc, query.ox, su, text=lower_text
-                ),
-                index=idx,
-            )
-        )
-    return shortlists, pruned
+) -> list:
+    """The group bounds ``UBL(l, us)`` / ``LBL(l, us)`` of every location
+    of ``queries`` (one keyword side: ``texts`` are its
+    location-independent text terms of both bounds) as one array
+    expression, bitwise ``BoundCalculator``'s ``location_upper_group`` /
+    ``location_lower_group``.  Per query, against its own ``RSk(us)``
+    ``rsk_groups[i]``: the positions in ``query.locations`` of the
+    survivors (``UBL(l, us) >= RSk(us)``), their ``UBL`` and ``LBL``,
+    and the pruned count."""
+    alpha = arrays.dataset.alpha
+    near, far = arrays.group_spatial_bounds(
+        [loc for query in queries for loc in query.locations], su.mbr
+    )
+    upper = alpha * near + texts[0]
+    lower = alpha * far + texts[1]
+    found, start = [], 0
+    for query, rsk_group in zip(queries, rsk_groups):
+        end = start + len(query.locations)
+        keep = np.flatnonzero(~(upper[start:end] < rsk_group))
+        found.append((
+            keep, upper[start:end][keep], lower[start:end][keep],
+            end - start - len(keep),
+        ))
+        start = end
+    return found
 
 
 def _group_texts(
@@ -171,18 +170,19 @@ def _group_texts(
     )
 
 
-def _shortlist_rows(
+def _shortlist_mask(
     ctx: SelectionContext, rows, locations: Sequence[Point], at: Sequence[int]
-) -> list:
-    """``LU_l`` of every location as user rows: the mask
-    ``UBL(l, u) >= RSk(u)`` against threshold row ``at[i]`` of ``ctx``
-    for location ``i``, ``STACK_ROWS`` locations per kernel pass."""
-    found = []
+):
+    """``LU_l`` of every location as one ``L x U`` mask: ``UBL(l, u) >=
+    RSk(u)`` for the users at ``rows``, against threshold row ``at[i]``
+    of ``ctx`` for location ``i``, ``STACK_ROWS`` locations per kernel
+    pass."""
+    masks = []
     for start in range(0, len(locations), STACK_ROWS):
         end = start + STACK_ROWS
         ctx.move_to(locations[start:end], at[start:end])
-        found.extend(rows[keep] for keep in ctx.shortlist(rows))
-    return found
+        masks.append(ctx.shortlist(rows))
+    return masks[0] if len(masks) == 1 else np.concatenate(masks)
 
 
 def shortlist_locations(
@@ -201,8 +201,9 @@ def shortlist_locations(
     (pass 0.0 to disable group pruning, e.g. when thresholds come from
     the per-user baseline).  Only the spatial term of either bound
     depends on the location: both group text terms are computed once
-    here, and the per-user ``UBL(l, u) >= RSk(u)`` test — the hot loop
-    of Algorithm 3 — is one ``L x U`` mask per block of surviving
+    here, the group bounds of every location are one array expression,
+    and the per-user ``UBL(l, u) >= RSk(u)`` test — the hot loop of
+    Algorithm 3 — is one ``L x U`` mask per block of surviving
     locations from a :class:`~repro.core.kernels.SelectionContext`;
     membership is guaranteed identical to the oracle's user-by-user
     scan (guard-banded re-check), and the shortlists carry their users'
@@ -210,20 +211,27 @@ def shortlist_locations(
     """
     su = dataset.super_user if super_user is None else super_user
     bounds = bounds or BoundCalculator(dataset)
-    shortlists, pruned = _group_bounds(
-        bounds, query, su, rsk_group, _group_texts(bounds, query, su)
+    arrays = arrays_for(dataset)
+    [(keep, upper, lower, pruned)] = _group_bounds(
+        arrays, [query], su, [rsk_group], _group_texts(bounds, query, su)
     )
+    shortlists = [
+        LocationShortlist(
+            location=query.locations[idx], users=[], upper_group=ub,
+            lower_group=lb, index=idx,
+        )
+        for idx, ub, lb in zip(keep.tolist(), upper.tolist(), lower.tolist())
+    ]
     if shortlists:
-        arrays = arrays_for(dataset)
         ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
         rows = arrays.rows_for(users)
         at = ctx.admit(rows, rsk)
-        found = _shortlist_rows(
+        mask = _shortlist_mask(
             ctx, rows, [sl.location for sl in shortlists], [at] * len(shortlists)
         )
-        for sl, lu in zip(shortlists, found):
-            sl.rows = lu
-            sl.users = arrays.users[lu].tolist()
+        for sl, lu in zip(shortlists, mask[:, rows]):
+            sl.rows = rows[lu]
+            sl.users = arrays.users[sl.rows].tolist()
     return shortlists, pruned
 
 
@@ -316,9 +324,12 @@ def search_shortlists(
     ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
     lu = [arrays.rows_for(sl.users) if sl.rows is None else sl.rows for sl in shortlists]
     at = ctx.admit(np.concatenate([np.empty(0, dtype=np.intp), *lu]), rsk)
-    search = _Search(query, rsk_group, at, list(shortlists), 0)
-    search.enqueue(lu)
-    _search_rounds(ctx, [search])
+    search = _Search(
+        query, rsk_group, at, [sl.location for sl in shortlists],
+        [sl.lower_group for sl in shortlists], 0,
+    )
+    search.enqueue([len(rows) for rows in lu], range(len(lu)))
+    _search_rounds(ctx, [search], arrays.membership(lu))
     return search.result(arrays, stats)
 
 
@@ -405,8 +416,8 @@ class _Search:
     """
 
     __slots__ = (
-        "query", "rsk_group", "at", "shortlists", "pruned", "scored", "time_s",
-        "queue", "pos", "best_location", "best_keywords", "best_count",
+        "query", "rsk_group", "at", "locations", "lower", "pruned", "scored",
+        "time_s", "queue", "pos", "best_location", "best_keywords", "best_count",
         "best_won",
     )
 
@@ -415,13 +426,15 @@ class _Search:
         query: MaxBRSTkNNQuery,
         rsk_group: float,
         at: int,
-        shortlists: List[LocationShortlist],
+        locations: List[Point],
+        lower: List[float],
         pruned: int,
     ) -> None:
         self.query = query
         self.rsk_group = rsk_group  # this query's own RSk(us)
         self.at = at  # the context's threshold row of this query's RSk(u)
-        self.shortlists = shortlists  # the group bound's survivors
+        self.locations = locations  # the group bound's survivors
+        self.lower = lower  # and their LBL(l, us)
         self.pruned = pruned
         self.scored = 0
         self.time_s = 0.0  # selection time charged to this query
@@ -432,16 +445,13 @@ class _Search:
         self.best_count = 0
         self.best_won = None
 
-    def enqueue(self, rows: Sequence) -> None:
-        """Algorithm 3's queue over the survivors, ``rows[i]`` being
-        ``LU_l`` of ``shortlists[i]``: ``(|LU_l|, location,
-        LBL(l, us), rows)`` entries, stably sorted by size."""
+    def enqueue(self, sizes: Sequence[int], rows: Sequence[int]) -> None:
+        """Algorithm 3's queue over the survivors, ``sizes[i]`` being
+        ``|LU_l|`` of ``locations[i]`` and ``rows[i]`` its row of the
+        membership mask: ``(|LU_l|, location, LBL(l, us), row)``
+        entries, stably sorted by size."""
         self.queue = sorted(
-            (
-                (len(lu), sl.location, sl.lower_group, lu)
-                for sl, lu in zip(self.shortlists, rows)
-            ),
-            key=lambda entry: -entry[0],
+            zip(sizes, self.locations, self.lower, rows), key=lambda entry: -entry[0]
         )
 
     def block(self) -> List[tuple]:
@@ -499,12 +509,13 @@ class _Search:
         )
 
 
-def _search_rounds(ctx: SelectionContext, searches: Sequence[_Search]) -> None:
+def _search_rounds(ctx: SelectionContext, searches: Sequence[_Search], member) -> None:
     """Walk every search's queue, stacked: round ``r`` scores block
     ``r`` of each search line 3.10 has not stopped in ONE
     :func:`select_greedy_block` call, each location against its own
-    search's threshold row, then each search replays its own rows.
-    Replay time is charged to its search."""
+    search's threshold row and with its own row of ``member`` (the
+    searches' ``LU_l`` masks, which the queue entries index), then each
+    search replays its own rows.  Replay time is charged to its search."""
     while True:
         blocks = [(search, search.block()) for search in searches]
         blocks = [(search, block) for search, block in blocks if block]
@@ -512,15 +523,16 @@ def _search_rounds(ctx: SelectionContext, searches: Sequence[_Search]) -> None:
             return
         entries = [entry for _, block in blocks for entry in block]
         selection = select_greedy_block(
-            ctx, [entry[1] for entry in entries], [entry[3] for entry in entries],
+            ctx, [entry[1] for entry in entries],
+            member[[entry[3] for entry in entries]],
             [search.at for search, block in blocks for _ in block],
         )
-        base_counts = selection.base.sum(axis=1).tolist()
-        counts = selection.won.sum(axis=1).tolist()
         start = 0
         for search, block in blocks:
             t0 = time.perf_counter()
-            search.replay(block, selection, start, base_counts, counts)
+            search.replay(
+                block, selection, start, selection.base_counts, selection.counts
+            )
             search.time_s += time.perf_counter() - t0
             start += len(block)
 
@@ -531,7 +543,7 @@ def _passes(searches: Sequence[_Search]) -> Iterator[List[_Search]]:
     part: List[_Search] = []
     rows = 0
     for search in searches:
-        n = len(search.shortlists)
+        n = len(search.locations)
         if part and rows + n > STACK_ROWS:
             yield part
             part, rows = [], 0
@@ -630,14 +642,19 @@ class SelectionBatch:
             t0 = time.perf_counter()
             first = queries[members[0]]
             ctx = SelectionContext(arrays, first.ox, first.keywords, first.ws)
-            texts = _group_texts(bounds, first, su)
+            survivors = _group_bounds(
+                arrays, [queries[i] for i in members], su,
+                [self.thresholds[i][1] for i in members],
+                _group_texts(bounds, first, su),
+            )
             shared = (time.perf_counter() - t0) / len(members)
-            for i in members:
+            for i, (keep, _, lower, pruned) in zip(members, survivors):
                 t0 = time.perf_counter()
                 rsk, rsk_group = self.thresholds[i]
                 searches[i] = _Search(
                     queries[i], rsk_group, ctx.admit(rows, rsk),
-                    *_group_bounds(bounds, queries[i], su, rsk_group, texts),
+                    [queries[i].locations[idx] for idx in keep.tolist()],
+                    lower.tolist(), pruned,
                 )
                 searches[i].time_s = shared + time.perf_counter() - t0
             # Grouped by threshold row, a round's locations read their
@@ -656,16 +673,21 @@ class SelectionBatch:
 
 
 def _run_pass(ctx: SelectionContext, rows, part: List[_Search]) -> None:
-    """One stacked pass: ``SS(l, u)`` of the pass's locations once (the
-    greedy rounds gather its rows), ``LU_l`` of all of them in one mask,
-    each against its own query's threshold row, then the rounds."""
-    locations = [sl.location for search in part for sl in search.shortlists]
+    """One stacked pass: ``alpha * SS(l, u)`` of the pass's locations
+    once (every decision of the pass reads its rows), ``LU_l`` of all of
+    them in one mask, each against its own query's threshold row, then
+    the rounds, each reading its locations' rows of that mask."""
+    locations = [loc for search in part for loc in search.locations]
     if not locations:
         return
     ctx.pin(locations if len(locations) <= STACK_ROWS else ())
-    at = [search.at for search in part for _ in search.shortlists]
-    found = iter(_shortlist_rows(ctx, rows, locations, at))
+    at = [search.at for search in part for _ in search.locations]
+    member = _shortlist_mask(ctx, rows, locations, at)
+    sizes = _row_counts(member).tolist()
+    start = 0
     for search in part:
-        search.enqueue([next(found) for _ in search.shortlists])
-    _search_rounds(ctx, part)
+        end = start + len(search.locations)
+        search.enqueue(sizes[start:end], range(start, end))
+        start = end
+    _search_rounds(ctx, part, member)
     ctx.pin(())

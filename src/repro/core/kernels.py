@@ -29,11 +29,15 @@ exact re-check resolves exactly as the oracle does.  Their
 values are never returned.  Algorithm 3's selection kernel
 (:class:`SelectionContext`) is of this kind throughout, and its
 decisions are matrices — one row per candidate location — so the band
-is two-dimensional (:func:`_guarded_ge`): an entry reaches the scalar
+is two-dimensional (:func:`_banded`): each decision compares ``alpha *
+SS(l, u)`` with ``θ = RSk(u) - (1 - alpha) * TS`` moved to the right
+(the same ``STS`` units, so the band covers the same ``STS`` interval
+at every ``alpha``, 0 and 1 included), and an entry reaches the scalar
 re-check (``dataset.sts_parts`` for a ``LUW`` pair or a recount,
 ``BoundCalculator.location_upper_user`` for a shortlist row) only if it
-lies inside the band *and* its user belongs to that row's location;
-every other entry of the matrix is trusted or masked.
+lies strictly inside ``(θ - GUARD_EPS, θ + GUARD_EPS)`` *and* its user
+belongs to that row's location; every other entry of the matrix is
+trusted or masked.
 
 **Bitwise kernels** (:meth:`DatasetArrays.sts_pairs`, the traversal
 kernels of :class:`TreeArrays` / :class:`CandidatePoolArrays`).  Their
@@ -77,20 +81,24 @@ itself, so clones from ``with_alpha``/``with_users`` get their own):
 Query-time documents become weight vectors over the same term columns
 and text sums become one mat-vec per location/document.
 
-:class:`SelectionContext` is Algorithm 3's selection for one query,
-laid out location-major.  **Per query** (dropped with it): ``RSk(u)``
-by user row (one row per k the context serves), the text half of
-``UBL(l, u)``, one full-length text-score
+:class:`SelectionContext` is Algorithm 3's selection for one keyword
+side ``(ox.d, W, ws)`` — every query of a ``select`` payload that shares
+it, whatever its ``k`` — laid out location-major.  **Per context**
+(dropped with it): one ``RSk(u)`` row per distinct threshold vector
+(one per k), the text half of ``UBL(l, u)``, one full-length text-score
 row per distinct augmented document (new ones scored in one stacked
-pass), and the greedy selector's ``HW_{w,u}`` pair table
+pass), the greedy selector's ``HW_{w,u}`` pair table
 (:class:`PairTable`) built by array operations — candidate ranks from a
-row-wise ``cumsum``, the sets bit-packed into integer keys to
-de-duplicate them.  **Per block of candidate locations**: the spatial
-scores as one ``L x U`` matrix, and on it the shortlist mask
-(``L x U``), the ``LUW`` pass (``L x P`` over the pairs), the greedy
-max-coverage of all ``L`` locations at once and the recounts (one row
-per ``(location, keyword set)``).  Winner sets stay boolean rows; only
-a query's final answer becomes a ``frozenset``.
+row-wise ``cumsum``, each pair's set a short row of key indices,
+de-duplicated by one ``lexsort`` — and, per threshold row, the ``θ`` of
+every decision.  **Per pass of candidate locations**: ``alpha * SS`` as
+one ``L x U`` matrix, computed once, which every decision reads in
+place: the shortlist mask (``L x U``), the ``LUW`` pass (``L x P`` over
+the pairs), the greedy max-coverage of all ``L`` locations at once
+(gains counted by an exact product with a pair-to-key one-hot) and the
+recounts (one row per ``(location, keyword set)``, the rows of one set
+and threshold row compared as one run).  Winner sets stay boolean rows;
+only a query's final answer becomes a ``frozenset``.
 """
 
 from __future__ import annotations
@@ -180,29 +188,38 @@ def _normalized_text(sums, z):
         return np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
 
 
-def _guarded_ge(scores, thresholds, exact: Callable[..., bool], where=None):
-    """Guard-banded ``scores >= thresholds`` as a boolean array of any rank.
+def _guarded_ge(scores, thresholds, exact: Callable[[int], bool]):
+    """Guard-banded ``scores >= thresholds`` over a vector.
 
     Comparisons decided by ``GUARD_EPS`` or more are trusted; every
-    entry inside the band is decided by ``exact(*index)`` — the scalar
-    code path — so ties resolve exactly as the oracle resolves them.
-    ``where`` (optional, boolean, same shape) masks the entries that are
-    asked at all: the rest come back ``False`` and never reach ``exact``.
+    entry inside the band is decided by ``exact(i)`` — the scalar code
+    path — so ties resolve exactly as the oracle resolves them.
     """
-    return _guarded_margin(scores - thresholds, exact, where)
-
-
-def _guarded_margin(margin, exact: Callable[..., bool], where=None):
-    """:func:`_guarded_ge` from ``margin = scores - thresholds``, which
-    it overwrites (the band test takes its absolute value in place)."""
+    margin = scores - thresholds
     passed = margin >= GUARD_EPS
-    banded = np.abs(margin, out=margin) < GUARD_EPS
-    if where is not None:
-        passed &= where
-        banded &= where
-    for index in np.argwhere(banded).tolist():
-        passed[tuple(index)] = exact(*index)
+    for i in np.flatnonzero(np.abs(margin, out=margin) < GUARD_EPS).tolist():
+        passed[i] = exact(i)
     return passed
+
+
+def _distinct_rows(keys) -> Tuple["np.ndarray", "np.ndarray"]:
+    """The distinct rows of an integer matrix with at least one column,
+    in lexicographic order, and each row's index among them — what
+    ``np.unique(keys, axis=0, return_inverse=True)`` returns, from one
+    ``lexsort`` instead of a sort of structured rows."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[order] = np.cumsum(first) - 1
+    return ordered[first], ids
+
+
+def _xy_of(locations: Sequence[Point]) -> "np.ndarray":
+    """Coordinates of ``locations``, ``L x 2``."""
+    xy = np.array([(loc.x, loc.y) for loc in locations], dtype=np.float64)
+    return xy.reshape(len(locations), 2)
 
 
 def _rows_of_ids(ids, order, wanted, what: str):
@@ -215,40 +232,6 @@ def _rows_of_ids(ids, order, wanted, what: str):
     if not np.array_equal(ids[rows], wanted):
         raise KeyError(f"{what} id not in this dataset")
     return rows
-
-
-#: Boolean columns per ``int64`` word of :func:`_pack_rows`.
-_WORD_BITS = 62
-
-
-def _pack_rows(mask) -> "np.ndarray":
-    """Boolean rows bit-packed into exact ``int64`` words, ``n x words``:
-    an integer key per row however wide the rows are."""
-    return np.stack(
-        [
-            mask[:, start : start + _WORD_BITS]
-            @ (1 << np.arange(min(_WORD_BITS, mask.shape[1] - start)))
-            for start in range(0, max(mask.shape[1], 1), _WORD_BITS)
-        ],
-        axis=1,
-    )
-
-
-def _unpack_rows(words, width: int) -> "np.ndarray":
-    """Inverse of :func:`_pack_rows` for rows ``width`` columns wide."""
-    bits = (words[:, :, None] >> np.arange(_WORD_BITS)) & 1
-    return bits.reshape(len(words), words.shape[1] * _WORD_BITS)[:, :width].astype(bool)
-
-
-def _row_labels(words) -> "np.ndarray":
-    """One dense label per *distinct* row of an integer matrix: 1-D
-    ``np.unique`` folded over the columns (``np.unique(axis=0)`` on the
-    boolean rows these words pack is ~30x slower at 1200 x 20)."""
-    labels = np.zeros(len(words), dtype=np.intp)
-    for column in words.T:
-        column = np.unique(column, return_inverse=True)[1]
-        labels = np.unique(labels * len(words) + column, return_inverse=True)[1]
-    return labels
 
 
 class ObjectColumns:
@@ -479,17 +462,44 @@ class DatasetArrays:
     # Score kernels (vectorized over users)
     # ------------------------------------------------------------------
     def spatial_matrix(self, locations: Sequence[Point]):
-        """``SS(l, u)`` of every user at every location, ``L x U``."""
+        """``SS(l, u)`` of every user at every location, ``L x U`` —
+        guard-banded: it feeds decisions only."""
         ds = self.dataset
-        xy = np.array([(loc.x, loc.y) for loc in locations], dtype=np.float64)
-        xy = xy.reshape(len(locations), 2)
-        ss = _pairwise_norm(
+        xy = _xy_of(locations)
+        ss = _norm_of_differences(
             self.user_xy[:, 0] - xy[:, 0:1], self.user_xy[:, 1] - xy[:, 1:2],
             ds.metric.p,
         )
         ss /= ds.dmax
         np.subtract(1.0, ss, out=ss)
-        return np.clip(ss, 0.0, 1.0, out=ss)
+        # A distance is never negative: 1 - d / dmax never exceeds 1.
+        return np.maximum(ss, 0.0, out=ss)
+
+    def group_spatial_bounds(self, locations: Sequence[Point], rect):
+        """``SS`` of every location to the nearest and to the farthest
+        point of ``rect`` (a super-user MBR): the spatial halves of
+        ``UBL(l, us)`` / ``LBL(l, us)`` for all of a query's locations —
+        **bitwise** :meth:`BoundCalculator.min_spatial_pr` /
+        :meth:`~BoundCalculator.max_spatial_pr`, operation for operation
+        as ``LpMetric``'s point-to-rect distances and
+        ``Dataset.spatial_score_from_distance``."""
+        xy = _xy_of(locations)
+        x, y = xy[:, 0], xy[:, 1]
+        p, dmax = self.dataset.metric.p, self.dataset.dmax
+        near = _pairwise_norm(
+            np.maximum(np.maximum(rect.min_x - x, 0.0), x - rect.max_x),
+            np.maximum(np.maximum(rect.min_y - y, 0.0), y - rect.max_y),
+            p,
+        )
+        far = _pairwise_norm(
+            np.maximum(np.abs(x - rect.min_x), np.abs(x - rect.max_x)),
+            np.maximum(np.abs(y - rect.min_y), np.abs(y - rect.max_y)),
+            p,
+        )
+        return (
+            np.maximum(0.0, np.minimum(1.0, 1.0 - near / dmax)),
+            np.maximum(0.0, np.minimum(1.0, 1.0 - far / dmax)),
+        )
 
     def spatial_scores(self, location: Point, rows=None):
         """``SS(location, u)`` for every selected user."""
@@ -547,7 +557,7 @@ class DatasetArrays:
         rows = self.rows_for(users)
         ctx.admit(rows, rsk)
         ctx.move_to([location])
-        won = ctx.recount(self.membership([rows]), [0], [frozenset(keywords)])
+        won = ctx.recount(self.membership([rows]), [0], [frozenset(keywords)], [0])
         return frozenset(self.user_ids[won[0]].tolist())
 
     # ------------------------------------------------------------------
@@ -636,27 +646,83 @@ class DatasetArrays:
 
 
 class PairTable(NamedTuple):
-    """The greedy selector's ``HW_{w,u}`` pairs of one query, flat.
+    """The greedy selector's ``HW_{w,u}`` pairs of one keyword side, flat.
 
     Pair ``p`` is (user row ``row[p]``, candidate ``terms[key[p]]``);
     its most optimistic keyword set ``HW_{w,u}`` is ``hw[doc[p]]`` and
     scores ``ts[p]`` against that user's keywords.  ``terms`` ascends,
     so an ``argmax`` over the key axis breaks ties the way
-    ``greedy_max_coverage`` does, and the pairs are sorted by key:
-    those of key ``k`` start at ``starts[k]``.  ``held[u, k]`` says
-    whether user row ``u`` holds ``terms[k]``; ``pair_of[k, u]`` is that
-    pair's index, ``len(row)`` where there is none (row ``-1``: all none).
+    ``greedy_max_coverage`` does.  ``held[u, k]`` says whether user row
+    ``u`` holds ``terms[k]``; ``pair_of[k, u]`` is that pair's index,
+    ``len(row)`` where there is none (row ``-1``: all none).
+    ``onehot[p, k]`` is 1 where ``key[p] == k``: a ``float32`` product
+    with it counts the pairs of every key exactly (counts stay far below
+    ``2**24``).
     """
 
     terms: List[int]
     held: "np.ndarray"
     row: "np.ndarray"
     key: "np.ndarray"
-    starts: "np.ndarray"
+    onehot: "np.ndarray"
     pair_of: "np.ndarray"
     doc: "np.ndarray"
     hw: List[FrozenSet[int]]
     ts: "np.ndarray"
+
+
+def _banded(scores, runs, exact: Callable[[int, int], bool], where=None):
+    """Guard-banded ``scores >= θ``, where rows ``lo:hi`` of ``scores``
+    share one threshold vector ``θ``: ``runs`` lists ``(lo, hi, (low,
+    high))`` with ``low = θ - GUARD_EPS`` and ``high = θ + GUARD_EPS``.
+
+    An entry at or above ``high`` passes and one at or below ``low``
+    fails, trusted; an entry strictly between is decided by ``exact(i,
+    j)`` — the scalar path.  ``where`` (optional) is ``(rows, mask)``:
+    entries of those rows are asked only where the matching ``mask`` row
+    is true (the rest fail and never reach ``exact``); other rows are
+    asked whole.
+    """
+    passed = np.empty(scores.shape, dtype=bool)
+    band = np.empty(scores.shape, dtype=bool)
+    for lo, hi, (low, high) in runs:
+        np.greater_equal(scores[lo:hi], high, out=passed[lo:hi])
+        np.greater(scores[lo:hi], low, out=band[lo:hi])
+    band ^= passed  # passed entries are above ``low`` too
+    if where is not None:
+        rows, mask = where
+        passed[rows] &= mask
+        band[rows] &= mask
+    if band.any():
+        for i, j in np.argwhere(band).tolist():
+            passed[i, j] = exact(i, j)
+    return passed
+
+
+def _partial_rows(member, index=None, cols=None):
+    """``where`` for :func:`_banded` from a membership mask: the
+    decision rows (``member`` rows ``index[i]``) whose location leaves
+    some user out, with their membership (columns ``cols``) — ``None``
+    when every location holds every user, so nothing is masked."""
+    full = member.all(axis=1)
+    if index is not None:
+        full = full[index]
+    rows = np.flatnonzero(~full)
+    if not len(rows):
+        return None
+    mask = member[rows if index is None else index[rows]]
+    return rows, mask if cols is None else mask[:, cols]
+
+
+def _row_counts(mask, weights=None) -> "np.ndarray":
+    """``True`` entries per row of a boolean matrix (an entry of column
+    ``j`` counted ``weights[j]`` times: non-negative integers), as one
+    floating-point product — exact, every partial sum being an integer
+    the float type holds (``float32`` below ``2**24``)."""
+    weights = np.ones(mask.shape[1], dtype=np.intp) if weights is None else weights
+    bound = mask.shape[1] * int(weights.max(initial=1))
+    dtype = np.float32 if bound < 2**24 else np.float64
+    return (mask.astype(dtype) @ weights.astype(dtype)).astype(np.intp)
 
 
 class SelectionContext:
@@ -672,33 +738,35 @@ class SelectionContext:
     queries of one ``select`` payload so): ``k`` only decides which
     ``RSk(u)`` row a location reads.
 
+    Every decision is therefore one compare of ``alpha * SS(l, u)``
+    against a location-independent threshold ``θ = RSk(u) - (1 - alpha)
+    * TS(u)`` — ``STS >= RSk(u)`` with the text half moved to the right.
+
     **Once per context**, filled lazily, all by array operations:
 
     * one threshold row per distinct
       :class:`~repro.core.thresholds.Thresholds` admitted
       (:meth:`admit`: ``RSk(u)`` by user row, the vector's own column),
-      and per current location the row it reads (:meth:`move_to`) —
-      one broadcast vector when the locations share a row (one query,
-      one k, the indexed search's single location), one per run of
-      locations that share one otherwise (:meth:`_less_rsk`; no
-      threshold matrix is ever gathered);
+      and per current location the row it reads (:meth:`move_to`);
     * the candidates' optimistic weights (:meth:`_candidates`), read by
       both of the next two;
     * the text half of ``UBL(l, u)`` (:meth:`upper_text`);
     * one full-length ``TS`` vector per distinct keyword set
       (:meth:`text`), any number of new sets scored in one stacked pass;
     * the :class:`PairTable` of every user's ``HW_{w,u}`` pairs
-      (:meth:`pairs`).
+      (:meth:`pairs`);
+    * per threshold row, the ``θ`` of each decision — ``UBL``'s per
+      user, ``LUW``'s per pair, a recount's per user and keyword set —
+      as the two edges of its guard band (:meth:`_bar`).
 
-    **Once per block of locations** (:meth:`move_to`): ``SS`` as an
-    ``L x U`` matrix, computed once per location while it is pinned
-    (:meth:`pin`).  The decisions asked there are matrices too —
-    :meth:`shortlist` (``L x U``), :meth:`luw` (``L x P`` over the
-    pairs), :meth:`cover` (greedy max-coverage for all ``L`` at once)
-    and :meth:`recount` (one row per ``(location, keyword set)``).
-    Every decision goes through :func:`_guarded_ge`; an entry inside the
-    band — and only such an entry, of a user that belongs to the
-    location — is decided by the scalar ``dataset.sts_parts`` /
+    **Once per pass of locations** (:meth:`pin`): ``alpha * SS`` as an
+    ``L x U`` matrix, one row per location, which every decision then
+    reads in place — :meth:`shortlist` (``L x U``), :meth:`luw` (``L x
+    P`` over the pairs), :meth:`cover` (greedy max-coverage for all
+    ``L`` at once) and :meth:`recount` (one row per ``(location, keyword
+    set)``).  Every decision goes through :func:`_banded`; an entry
+    inside the band — and only such an entry, of a user that belongs to
+    the location — is decided by the scalar ``dataset.sts_parts`` /
     ``BoundCalculator.location_upper_user`` call the oracle makes.
     """
 
@@ -718,16 +786,25 @@ class SelectionContext:
         self._rows: List[np.ndarray] = []
         self._row_of: Dict[int, Tuple[int, Thresholds]] = {}
         #: What the current locations read (:meth:`move_to`): the one
-        #: row they share (``_loc_rows`` None), else each one's row.
+        #: row ``_row`` they share (``_loc_rows`` None), else each one's.
         self.rsk = None
+        self._row = -1
         self._loc_rows = None
         self._weights: Optional[Tuple[List[int], List[float]]] = None
         self._upper_text = None
         self._text = np.empty((0, arrays.num_users))  # one row per keyword set
         self._text_row: Dict[FrozenSet[int], int] = {}
         self._pairs: Optional[PairTable] = None
-        self._pinned: Dict[Point, int] = {}
+        self._bars: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        #: The pinned locations (held, so their ids stay theirs) and the
+        #: row of each, by ``id``.
+        self._pinned_locations: Sequence[Point] = ()
+        self._pinned: Dict[int, int] = {}
         self._pinned_ss = None
+        #: ``alpha * SS`` rows the current locations read: ``_ss`` itself
+        #: (``_ss_rows`` None) or its rows ``_ss_rows``.
+        self._ss = None
+        self._ss_rows = None
 
     # -- once per context ----------------------------------------------
     def admit(self, rows, rsk: Thresholds) -> int:
@@ -756,9 +833,9 @@ class SelectionContext:
             raise KeyError(f"no RSk(u) for users {missing[:5].tolist()}")
         return entry[0]
 
-    def text(self, keyword_sets: Sequence[FrozenSet[int]]):
-        """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set.
-        Sets not met before in this query are scored in one stacked pass."""
+    def _text_rows(self, keyword_sets: Sequence[FrozenSet[int]]) -> List[int]:
+        """Rows of :meth:`text`'s matrix holding these sets; sets not met
+        before in this context are scored in one stacked pass."""
         known = self._text_row
         missing = [ks for ks in dict.fromkeys(keyword_sets) if ks not in known]
         if missing:
@@ -771,7 +848,12 @@ class SelectionContext:
             self._text = np.concatenate(
                 (self._text, _normalized_text(weights @ a.user_terms.T, a.user_z))
             )
-        return self._text[[known[ks] for ks in keyword_sets]]
+        return [known[ks] for ks in keyword_sets]
+
+    def text(self, keyword_sets: Sequence[FrozenSet[int]]):
+        """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set."""
+        rows = self._text_rows(keyword_sets)  # may grow the matrix
+        return self._text[rows]
 
     def _candidates(self) -> Tuple[List[int], List[float]]:
         """The candidates some user holds, ascending, and the optimistic
@@ -819,62 +901,88 @@ class SelectionContext:
         Candidates are ranked once by ``(-optimistic weight, term)``
         (the user-independent key ``_hw_entries`` sorts by); a row-wise
         ``cumsum`` over the held ones is each user's rank among their
-        useful candidates, so ``rank <= ws`` is the user's ``top`` set
-        and ``rank <= ws - 1`` the ``head`` every other ``w`` joins.
-        The sets stay bit-packed until they are de-duplicated: only the
-        distinct ones become documents, scored in one :meth:`text` pass.
+        useful candidates.  A pair whose ``w`` ranks within ``ws`` takes
+        the user's ``ws`` best as its set, any other pair the ``ws - 1``
+        best and ``w``: each set is a row of at most ``max(ws, 1)`` key
+        indices, sorted, and the distinct rows are the documents, scored
+        in one :meth:`text` pass.
         """
         if self._pairs is not None:
             return self._pairs
         a = self.arrays
         terms, weight = self._candidates()
-        ranked = sorted(range(len(terms)), key=lambda k: (-weight[k], terms[k]))
+        n = len(terms)
+        ranked = sorted(range(n), key=lambda k: (-weight[k], terms[k]))
         held = a.user_terms[:, [a.term_col[t] for t in terms]] > 0.0
-        rank = np.empty(held.shape, dtype=np.intp)
+        rank = np.zeros(held.shape, dtype=np.intp)
         rank[:, ranked] = np.cumsum(held[:, ranked], axis=1)
-        top = held & (rank <= self.ws)
-        head = held & (rank <= self.ws - 1)
-        key, row = np.nonzero(held.T)
-        words = np.where(
-            top[row, key][:, None],
-            _pack_rows(top)[row],
-            _pack_rows(head)[row] | _pack_rows(np.eye(len(terms), dtype=bool))[key],
-        )
-        doc = _row_labels(words)
-        first = np.empty(int(doc.max()) + 1 if len(doc) else 0, dtype=np.intp)
-        first[doc] = np.arange(len(doc))  # any pair of a set: the same words
-        d, k = np.nonzero(_unpack_rows(words[first], len(terms)))
-        members = [terms[i] for i in k.tolist()]
-        ends = np.cumsum(np.bincount(d, minlength=len(first))).tolist()
-        hw = [frozenset(members[s:e]) for s, e in zip([0] + ends, ends)]
-        pair_of = np.full((len(terms) + 1, a.num_users), len(row), dtype=np.intp)
+        row, key = np.nonzero(held)
+        width = max(self.ws, 1)
+        # best[u, j]: the user's held candidate of rank j + 1 (n: none).
+        best = np.full((a.num_users, width), n, dtype=np.intp)
+        top = held & (rank <= width)
+        u, k = np.nonzero(top)
+        best[u, rank[u, k] - 1] = k
+        keys = best[row]
+        outside = rank[row, key] > self.ws
+        keys[outside, width - 1] = key[outside]
+        unique, doc = _distinct_rows(np.sort(keys, axis=1))
+        hw = [frozenset(terms[k] for k in keys if k < n) for keys in unique.tolist()]
+        pair_of = np.full((n + 1, a.num_users), len(row), dtype=np.intp)
         pair_of[key, row] = np.arange(len(row))
+        onehot = np.zeros((len(row), n), dtype=np.float32)
+        onehot[np.arange(len(row)), key] = 1.0
         self._pairs = PairTable(
-            terms, held, row, key,
-            starts=np.searchsorted(key, np.arange(len(terms))),
-            pair_of=pair_of, doc=doc, hw=hw,
+            terms, held, row, key, onehot, pair_of, doc, hw,
             ts=self.text(hw)[doc, row] if hw else np.empty(0),
         )
         return self._pairs
 
-    # -- once per block of locations -----------------------------------
+    def _bar(self, kind, row: int, keywords: Optional[FrozenSet[int]] = None):
+        """The guard band's edges ``(θ - GUARD_EPS, θ + GUARD_EPS)`` of
+        one decision against threshold row ``row``, ``θ = RSk(u) - (1 -
+        alpha) * TS`` with the text half of ``kind``: ``"ubl"`` (per user,
+        :meth:`upper_text`), ``"pairs"`` (per pair, its ``HW_{w,u}``) or
+        ``"set"`` (per user, ``keywords`` added to ``ox.d``)."""
+        cache_key = (kind, row, keywords)
+        edges = self._bars.get(cache_key)
+        if edges is None:
+            rest = 1.0 - self.arrays.dataset.alpha
+            rsk = self._rows[row]
+            if kind == "ubl":
+                theta = rsk - rest * self.upper_text()
+            elif kind == "pairs":
+                t = self.pairs()
+                theta = rsk[t.row] - rest * t.ts
+            else:
+                theta = rsk - rest * self.text([keywords])[0]
+            edges = self._bars[cache_key] = (theta - GUARD_EPS, theta + GUARD_EPS)
+        return edges
+
+    # -- once per pass of locations ------------------------------------
     def pin(self, locations: Sequence[Point]) -> None:
-        """Compute ``SS(l, u)`` of ``locations`` now and keep it: until
-        the next pin, :meth:`move_to` gathers their rows instead of
-        recomputing them (every row is its location's alone, so a
-        gathered row holds the bits a fresh one would).  ``pin(())``
+        """Compute ``alpha * SS(l, u)`` of ``locations`` now and keep it:
+        until the next pin, :meth:`move_to` reads their rows in place
+        instead of recomputing them (every row is its location's alone)
+        when it is handed these very ``Point`` objects.  ``pin(())``
         releases the matrix."""
-        self._pinned = {loc: i for i, loc in enumerate(locations)}
-        self._pinned_ss = self.arrays.spatial_matrix(locations) if locations else None
+        self._pinned_locations = locations
+        self._pinned = {id(loc): i for i, loc in enumerate(locations)}
+        self._pinned_ss = self._spatial_of(locations) if locations else None
+
+    def _spatial_of(self, locations: Sequence[Point]):
+        ss = self.arrays.spatial_matrix(locations)
+        ss *= self.arrays.dataset.alpha
+        return ss
 
     def move_to(self, locations: Sequence[Point], at=None) -> None:
         """Make ``locations`` the subject of the decisions that follow:
-        the one computation a location costs, ``SS(l, u)``, as ``L x U``
-        (rows of the pinned matrix where every location is pinned), and
-        the threshold row each reads — ``at``, a row :meth:`admit`
-        returned, for all of them or one per location (``None``: the
-        row admitted last).  Locations that all read one row keep it as
-        ``rsk``, the one-query case."""
+        the one computation a location costs, ``alpha * SS(l, u)`` (rows
+        of the pinned matrix where every location is a pinned one), and the
+        threshold row each reads — ``at``, a row :meth:`admit` returned,
+        for all of them or one per location (``None``: the row admitted
+        last).  Locations that all read one row keep it as ``rsk``, the
+        one-query case."""
         self.locations = locations
         per_location = None
         if at is None:
@@ -885,12 +993,23 @@ class SelectionContext:
             if (per_location == at).all():
                 per_location = None
         self._loc_rows = per_location
+        self._row = at
         self.rsk = self._rows[at] if per_location is None and at >= 0 else None
-        where = [self._pinned.get(loc, -1) for loc in locations]
+        where = [self._pinned.get(id(loc), -1) for loc in locations]
         if self._pinned and -1 not in where:
-            self.ss = self._pinned_ss[where]
+            self._ss = self._pinned_ss
+            whole = where == list(range(len(self._pinned_ss)))
+            self._ss_rows = None if whole else np.array(where)
         else:
-            self.ss = self.arrays.spatial_matrix(locations)
+            self._ss, self._ss_rows = self._spatial_of(locations), None
+
+    def spatial(self, index=None):
+        """``alpha * SS(l, u)`` of every user at the current locations
+        (rows ``index`` of them): a copy unless read whole in pin order."""
+        rows = self._ss_rows
+        if index is None:
+            return self._ss if rows is None else self._ss[rows]
+        return self._ss[index if rows is None else rows[np.asarray(index)]]
 
     def _threshold(self, l: int, row: int) -> float:
         """``RSk(u)`` of user row ``row`` as location ``l`` reads it."""
@@ -898,40 +1017,36 @@ class SelectionContext:
             return self.rsk[row]
         return self._rows[self._loc_rows[l]][row]
 
-    def _less_rsk(self, scores, cols=slice(None), index=None):
-        """``scores`` less ``RSk(u)``, in place: entry ``(i, j)`` less the
-        threshold of user row ``cols[j]`` as location ``index[i]`` reads
-        it (``index`` None: row ``i`` is location ``i``).  Locations
-        sharing a row subtract it as one broadcast vector, run by run —
-        no threshold matrix is gathered."""
+    def _runs(self, n: int, index=None):
+        """``(lo, hi, threshold row)`` runs over ``n`` decision rows, row
+        ``i`` being current location ``index[i]`` (``index`` None: row
+        ``i`` is location ``i``): locations that share a threshold row
+        compare with it as one broadcast vector, run by run."""
         if self._loc_rows is None:
-            scores -= self.rsk[cols]
-            return scores
+            return [(0, n, self._row)]
         rows = self._loc_rows if index is None else self._loc_rows[index]
         cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
-            scores[lo:hi] -= self._rows[rows[lo]][cols]
-        return scores
-
-    def location_upper(self, rows):
-        """``UBL(l, u)`` as ``L x len(rows)``: column ``i`` is user row
-        ``rows[i]``."""
-        alpha = self.arrays.dataset.alpha
-        return alpha * self.ss[:, rows] + (1.0 - alpha) * self.upper_text()[rows]
+        return [(lo, hi, int(rows[lo])) for lo, hi in zip([0, *cuts], [*cuts, n])]
 
     def shortlist(self, rows):
-        """``UBL(l, u) >= RSk(u)``, laid out as :meth:`location_upper`,
-        scalar-exact."""
+        """``UBL(l, u) >= RSk(u)`` of every current location and user, ``L
+        x U``, scalar-exact; users outside ``rows`` are never asked."""
         ds = self.arrays.dataset
+        ss = self.spatial()
 
-        def exact(l: int, i: int) -> bool:
+        def exact(l: int, u: int) -> bool:
             ub = BoundCalculator(ds).location_upper_user(
-                self.locations[l], self.ox, self.candidate_terms, self.ws,
-                ds.users[rows[i]],
+                self.locations[l], self.ox, self.candidate_terms, self.ws, ds.users[u],
             )
-            return ub >= self._threshold(l, rows[i])
+            return ub >= self._threshold(l, u)
 
-        return _guarded_margin(self._less_rsk(self.location_upper(rows), rows), exact)
+        where = None
+        if len(rows) < self.arrays.num_users:
+            cols = np.zeros((1, self.arrays.num_users), dtype=bool)
+            cols[0, rows] = True
+            where = (np.arange(len(ss)), cols)
+        runs = [(lo, hi, self._bar("ubl", r)) for lo, hi, r in self._runs(len(ss))]
+        return _banded(ss, runs, exact, where)
 
     def _wins(self, l: int, keywords: FrozenSet[int], row: int) -> bool:
         """The scalar decision behind every banded ``STS >= RSk(u)``."""
@@ -945,61 +1060,76 @@ class SelectionContext:
         users by ``member`` (``L x U``) — reaches ``RSk(u)`` there under
         ``HW_{w,u}``, i.e. is in ``LUW_w`` for ``w = terms[key[p]]``."""
         t = self.pairs()
-        alpha = self.arrays.dataset.alpha
-        scores = self.ss[:, t.row]
-        scores *= alpha
-        scores += (1.0 - alpha) * t.ts
+        ss = self.spatial()[:, t.row]
 
         def exact(l: int, p: int) -> bool:
             return self._wins(l, t.hw[t.doc[p]], t.row[p])
 
-        return _guarded_margin(
-            self._less_rsk(scores, t.row), exact, where=member[:, t.row]
-        )
+        runs = [(lo, hi, self._bar("pairs", r)) for lo, hi, r in self._runs(len(ss))]
+        return _banded(ss, runs, exact, _partial_rows(member, cols=t.row))
 
     def cover(self, passed):
         """Greedy max-coverage over the ``LUW_w`` sets of :meth:`luw`,
         every location at once: ``ws`` rounds of "count each key's
         not-yet-covered users, take the ``argmax``" — ties to the lowest
         term id, a location stops when no key adds a user, exactly as
-        ``greedy_max_coverage``.  Returns the chosen keys (``L x ws``
-        indices into ``terms``, ``-1`` = stopped) and ``|covered|``."""
+        ``greedy_max_coverage``.  A key's count is its users' pairs, one
+        each, so the pick's count is what it adds to ``|covered|``; a
+        pick covers its users' pairs of every key (``pair_of`` of the
+        picked key, read at each pair's user).  Returns the chosen keys
+        (``L x ws`` indices into ``terms``, ``-1`` = stopped) and
+        ``|covered|``."""
         t = self.pairs()
         lanes = np.arange(len(passed))
         chosen = np.full((len(passed), max(self.ws, 0)), -1, dtype=np.intp)
-        covered = np.zeros((len(passed), self.arrays.num_users), dtype=bool)
-        # A false column at index len(row): where pair_of points for "no pair".
-        padded = np.concatenate((passed, np.zeros((len(passed), 1), dtype=bool)), axis=1)
+        coverage = np.zeros(len(passed), dtype=np.intp)
+        fresh = passed
         for step in range(self.ws if passed.any() else 0):
-            gains = np.add.reduceat(
-                passed & ~covered[:, t.row], t.starts, axis=1, dtype=np.intp
-            )
+            gains = fresh.astype(np.float32) @ t.onehot
             pick = gains.argmax(axis=1)
-            pick[gains[lanes, pick] == 0] = -1
+            gain = gains[lanes, pick].astype(np.intp)
+            pick[gain == 0] = -1
             if (pick < 0).all():
                 break
             chosen[:, step] = pick
-            covered |= np.take_along_axis(padded, t.pair_of[pick], axis=1)
-        return chosen, covered.sum(axis=1)
+            coverage += gain
+            if step + 1 < self.ws:
+                # A false column at index len(row): where pair_of
+                # points for "no pair" (and row -1, a stopped pick).
+                padded = np.concatenate(
+                    (passed, np.zeros((len(passed), 1), dtype=bool)), axis=1
+                )
+                gone = np.empty(passed.shape, dtype=bool)
+                for key in np.unique(pick).tolist():
+                    rows = np.flatnonzero(pick == key)
+                    gone[rows] = padded[rows][:, t.pair_of[key][t.row]]
+                np.logical_not(gone, out=gone)
+                gone &= fresh
+                fresh = gone
+        return chosen, coverage
 
-    def sts(self, index, keyword_sets: Sequence[FrozenSet[int]]):
-        """``STS(l, ox.d ∪ keyword_sets[i], u)`` of every user at location
-        ``index[i]``: one row per evaluation."""
-        alpha = self.arrays.dataset.alpha
-        return alpha * self.ss[index] + (1.0 - alpha) * self.text(keyword_sets)
-
-    def recount(self, member, index, keyword_sets: Sequence[FrozenSet[int]]):
-        """Actual BRSTkNN rows, laid out as :meth:`sts`: entry ``(i, u)``
-        says user row ``u`` — one of location ``index[i]``'s users by
-        ``member`` — has ``STS >= RSk(u)`` there."""
+    def recount(self, member, index, keyword_sets: Sequence[FrozenSet[int]], which):
+        """Actual BRSTkNN rows: entry ``(i, u)`` says user row ``u`` — one
+        of location ``index[i]``'s users by ``member`` — has ``STS >=
+        RSk(u)`` there with ``keyword_sets[which[i]]`` added to ``ox.d``.
+        Rows that share their set and threshold row compare as one run,
+        so callers list those together."""
+        index = np.asarray(index, dtype=np.intp)
+        which = np.asarray(which, dtype=np.intp)
+        ss = self.spatial(index)
 
         def exact(i: int, row: int) -> bool:
-            return self._wins(index[i], keyword_sets[i], row)
+            return self._wins(int(index[i]), keyword_sets[which[i]], row)
 
-        return _guarded_margin(
-            self._less_rsk(self.sts(index, keyword_sets), index=index), exact,
-            where=member[index],
-        )
+        self._text_rows(keyword_sets)  # every new set in one stacked pass
+        runs = []
+        for lo, hi, r in self._runs(len(index), index):
+            cuts = (np.flatnonzero(which[lo + 1 : hi] != which[lo : hi - 1]) + lo + 1).tolist()
+            runs.extend(
+                (a, b, self._bar("set", r, keyword_sets[which[a]]))
+                for a, b in zip([lo, *cuts], [*cuts, hi])
+            )
+        return _banded(ss, runs, exact, _partial_rows(member, index))
 
 
 # ----------------------------------------------------------------------

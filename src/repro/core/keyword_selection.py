@@ -46,7 +46,7 @@ from ..model.dataset import Dataset
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
 from .bounds import augmented_document
-from .kernels import SelectionContext, arrays_for, np
+from .kernels import SelectionContext, _distinct_rows, _row_counts, arrays_for, np
 
 __all__ = [
     "KeywordSelection",
@@ -112,7 +112,9 @@ def select_keywords_greedy(
         ctx = cache["context"] = SelectionContext(
             arrays, ox, candidate_keywords, ws
         )
-    block = select_greedy_block(ctx, [location], [arrays.rows_for(users)], rsk)
+    block = select_greedy_block(
+        ctx, [location], arrays.membership([arrays.rows_for(users)]), rsk
+    )
     winners = frozenset(arrays.user_ids[block.won[0]].tolist())
     return block.keywords[0], winners, block.scored[0]
 
@@ -127,67 +129,89 @@ class BlockSelection(NamedTuple):
     #: ``L x U`` boolean: the users the bare ``ox.d`` wins (Algorithm 3's
     #: keyword-free acceptance path asks for exactly this recount).
     base: "np.ndarray"
+    #: ``|won[l]|`` and ``|base[l]|``.
+    counts: List[int]
+    base_counts: List[int]
+
+
+def _prefixes(chosen, terms: Sequence[int]):
+    """Every greedy prefix of every location, as recount rows: per row
+    its location, its length and its set (an index into the returned
+    distinct sets), grouped by set — the empty prefix first.  ``chosen``
+    is :meth:`SelectionContext.cover`'s ``L x ws`` keys, ``-1`` past a
+    location's stop."""
+    depth = np.count_nonzero(chosen >= 0, axis=1)
+    sets: List[FrozenSet[int]] = [frozenset()]
+    locs, ends, which = [np.arange(len(chosen))], [0], [np.zeros(len(chosen), dtype=np.intp)]
+    for end in range(1, chosen.shape[1] + 1):
+        live = np.flatnonzero(depth >= end)
+        if not len(live):
+            break
+        unique, ids = _distinct_rows(np.sort(chosen[live, :end], axis=1))
+        order = np.argsort(ids, kind="stable")
+        locs.append(live[order])
+        ends.append(end)
+        which.append(ids[order] + len(sets))
+        sets.extend(frozenset(terms[k] for k in keys) for keys in unique.tolist())
+    lengths = np.repeat(ends, [len(rows) for rows in locs])
+    return np.concatenate(locs), lengths, np.concatenate(which), sets, depth
 
 
 def select_greedy_block(
     ctx: SelectionContext,
     locations: Sequence[Point],
-    rows: Sequence,
+    member,
     rsk: Mapping[int, float] | Sequence[int],
 ) -> BlockSelection:
     """:func:`select_keywords_greedy` at several locations in one pass.
 
-    The engine's whole Section 6.2.1: ``rows[l]`` are the user
-    rows of ``LU_l`` (:meth:`DatasetArrays.rows_for`); ``rsk`` is the
-    ``RSk(u)`` mapping every location reads, or — locations of queries
-    with different ``k`` — the threshold row ``ctx`` admitted each
-    location's vector as (:meth:`SelectionContext.admit`).  One ``LUW`` pass,
-    one batched greedy max-coverage and one recount call cover the
-    block; winner sets stay boolean rows.  Only the fallback pass —
-    rare, and sequential by nature — runs per location, each of its
-    steps one recount call.  Same decisions, ``scored`` included, as the
-    scalar selector called once per location.
+    The engine's whole Section 6.2.1: ``member`` is ``L x U`` boolean,
+    row ``l`` the users of ``LU_l`` (:meth:`DatasetArrays.membership`
+    lays row lists out so); ``rsk`` is the ``RSk(u)`` mapping every
+    location reads, or — locations of queries with different ``k`` —
+    the threshold row ``ctx`` admitted each location's vector as
+    (:meth:`SelectionContext.admit`).  One ``LUW`` pass, one batched
+    greedy max-coverage and one recount call cover the block; winner
+    sets stay boolean rows.  Only the fallback pass — rare, and
+    sequential by nature — runs per location, each of its steps one
+    recount call.  Same decisions, ``scored`` included, as the scalar
+    selector called once per location.
     """
     ws = ctx.ws
-    member = ctx.arrays.membership(rows)
     if isinstance(rsk, Mapping):
-        rsk = ctx.admit(np.nonzero(member.any(axis=0))[0], rsk)
+        rsk = ctx.admit(np.flatnonzero(member.any(axis=0)), rsk)
     ctx.move_to(locations, rsk)
     table = ctx.pairs()
     passed = ctx.luw(member)
     chosen, coverage = ctx.cover(passed)
-    scored = (member @ table.held.sum(axis=1)).tolist()
 
     # The LUW lists are optimistic, and under length-normalized measures
     # a longer keyword set can score *worse*: every greedy prefix is
     # recounted, the empty one first.
-    index: List[int] = []
-    prefixes: List[FrozenSet[int]] = []
-    spans: List[range] = []  # per location, its rows of the recount
-    for l, keys in enumerate(chosen.tolist()):
-        picked = [table.terms[k] for k in keys if k >= 0]
-        spans.append(range(len(index), len(index) + len(picked) + 1))
-        for end in range(len(picked) + 1):
-            index.append(l)
-            prefixes.append(frozenset(picked[:end]))
-    won = ctx.recount(member, index, prefixes)
-    counts = won.sum(axis=1).tolist()
-    # Strict improvement in prefix order = the first maximum.
-    best = [max(span, key=lambda i: (counts[i], -i)) for span in spans]
-    for l, span in enumerate(spans):
-        scored[l] += len(span) - 1
-    keywords = [prefixes[i] for i in best]
-    base = won[[span[0] for span in spans]]
+    locs, lengths, which, sets, depth = _prefixes(chosen, table.terms)
+    won = ctx.recount(member, locs, sets, which)
+    n = len(locations)
+    counts = np.full((n, ws + 1), -1, dtype=np.intp)
+    counts[locs, lengths] = _row_counts(won)
+    at = np.zeros((n, ws + 1), dtype=np.intp)
+    at[locs, lengths] = np.arange(len(locs))
+    best = at[np.arange(n), counts.argmax(axis=1)]  # strict improvement: the first maximum
+    keywords = [sets[i] for i in which[best].tolist()]
+    base = won[at[:, 0]]
+    best_counts = counts.max(axis=1)
+    scored = (_row_counts(member, table.held.sum(axis=1)) + depth).tolist()
     won = won[best]
 
     # Fallback pass: greedy on the *true* objective where the LUW
     # optimism demonstrably misled (see the scalar selector,
     # repro.oracle.select_keywords_greedy); the better of the two greedy
-    # answers is kept.
-    any_luw = passed.any(axis=1).tolist()
-    for l, (i, covered) in enumerate(zip(best, coverage.tolist())):
-        if any_luw[l] and counts[i] >= 0.8 * covered:
-            continue
+    # answers is kept.  Without ws it has no step to take.
+    fallback = (
+        np.flatnonzero((chosen[:, 0] < 0) | (best_counts < 0.8 * coverage)).tolist()
+        if ws > 0 else []
+    )
+    best_counts = best_counts.tolist()
+    for l in fallback:
         sizes = np.bincount(table.key[passed[l]], minlength=len(table.terms))
         pool = sorted(
             np.nonzero(table.held[member[l]].any(axis=0))[0].tolist(),
@@ -195,6 +219,7 @@ def select_greedy_block(
         )[: 2 * ws + 6]
         current: FrozenSet[int] = frozenset()
         current_won = base[l]
+        current_count = int(counts[l, 0])
         for _ in range(ws):
             trials = [
                 current | {table.terms[k]} for k in pool
@@ -202,16 +227,19 @@ def select_greedy_block(
             ]
             if not trials:
                 break
-            trial_won = ctx.recount(member, [l] * len(trials), trials)
+            trial_won = ctx.recount(member, [l] * len(trials), trials, range(len(trials)))
             scored[l] += len(trials)
-            trial_counts = trial_won.sum(axis=1)
+            trial_counts = _row_counts(trial_won)
             step = int(trial_counts.argmax())  # first maximum, in pool order
-            if trial_counts[step] <= current_won.sum():
+            if trial_counts[step] <= current_count:
                 break
             current, current_won = trials[step], trial_won[step]
-        if current_won.sum() > counts[i]:
-            keywords[l], won[l] = current, current_won
-    return BlockSelection(keywords, won, scored, base)
+            current_count = int(trial_counts[step])
+        if current_count > best_counts[l]:
+            keywords[l], won[l], best_counts[l] = current, current_won, current_count
+    return BlockSelection(
+        keywords, won, scored, base, best_counts, counts[:, 0].tolist()
+    )
 
 
 def select_keywords_exact(

@@ -100,9 +100,10 @@ def kernel_cover(sets, budget):
     row = np.array([r for _, r in pairs], dtype=np.intp)
     pair_of = np.full((len(keys) + 1, len(universe)), len(row), dtype=np.intp)
     pair_of[key, row] = np.arange(len(row))
+    onehot = np.zeros((len(row), len(keys)), dtype=np.float32)
+    onehot[np.arange(len(row)), key] = 1.0
     table = PairTable(
-        terms=keys, held=None, row=row, key=key,
-        starts=np.searchsorted(key, np.arange(len(keys))),
+        terms=keys, held=None, row=row, key=key, onehot=onehot,
         pair_of=pair_of, doc=None, hw=None, ts=None,
     )
     ctx = SimpleNamespace(

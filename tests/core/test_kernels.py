@@ -11,15 +11,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Dataset, MaxBRSTkNNQuery, oracle
+from repro.core import candidate_selection
 from repro.core.bounds import BoundCalculator, augmented_document
 from repro.core.candidate_selection import shortlist_locations
 from repro.core.joint_topk import individual_topk, joint_traversal
 from repro.core.kernels import GUARD_EPS, SelectionContext, arrays_for
 from repro.core.keyword_selection import compute_brstknn, select_keywords_greedy
 from repro.index.irtree import MIRTree
-from repro.model.objects import STObject
+from repro.model.objects import STObject, SuperUser
 from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
@@ -49,7 +52,9 @@ def test_sts_kernel_matches_scalar(measure, alpha, seed):
         doc = {t: rng.randint(1, 3) for t in rng.sample(range(20), rng.randint(0, 5))}
         ctx = SelectionContext(arrays, STObject(item_id=-1, location=loc, terms=doc))
         ctx.move_to([loc])
-        scores = ctx.sts([0], [frozenset()])[0]
+        # What a recount compares: alpha * SS against RSk(u) less the
+        # (1 - alpha) * TS half.
+        scores = ctx.spatial()[0] + (1.0 - alpha) * ctx.text([frozenset()])[0]
         for i, u in enumerate(ds.users):
             assert math.isclose(
                 scores[i], ds.sts_parts(loc, doc, u), rel_tol=0.0, abs_tol=TOL
@@ -86,8 +91,10 @@ def test_location_bounds_match_scalar(measure, vocab, ws):
     ctx.admit(rows, {u.item_id: 0.5 for u in ds.users})
     locations = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)]
     ctx.move_to(locations)
-    lower = ctx.sts(range(len(locations)), [frozenset()] * len(locations))
-    for loc, ub, lb in zip(locations, ctx.location_upper(rows), lower):
+    spatial, rest = ctx.spatial(), 1.0 - ds.alpha
+    upper = spatial + rest * ctx.upper_text()
+    lower = spatial + rest * ctx.text([frozenset()])[0]
+    for loc, ub, lb in zip(locations, upper, lower):
         for i, u in enumerate(ds.users):
             assert math.isclose(
                 ub[i],
@@ -138,7 +145,7 @@ def test_shortlist_kernel_exact_membership(seed):
     rows = arrays.rows_for(ds.users)
     ctx.admit(rows, rsk)
     ctx.move_to([loc])
-    vectorized = [u.item_id for u in arrays.users[rows[ctx.shortlist(rows)[0]]]]
+    vectorized = [u.item_id for u in arrays.users[ctx.shortlist(rows)[0]]]
     assert scalar == vectorized
 
 
@@ -249,3 +256,80 @@ def test_arrays_cache_does_not_leak_datasets():
     gc.collect()
     assert ref() is None
 
+
+
+# ----------------------------------------------------------------------
+# Group bounds: all of a query's locations at once, bit for bit
+# ----------------------------------------------------------------------
+
+def around_mbr(mbr, rng):
+    """Locations inside the MBR, on its corners and edges, just outside
+    it and far outside it (past ``dmax`` of every user)."""
+    xs = (mbr.min_x, mbr.max_x, (mbr.min_x + mbr.max_x) / 2)
+    ys = (mbr.min_y, mbr.max_y, (mbr.min_y + mbr.max_y) / 2)
+    on = [Point(x, y) for x in xs for y in ys]
+    inside = [
+        Point(rng.uniform(mbr.min_x, mbr.max_x), rng.uniform(mbr.min_y, mbr.max_y))
+        for _ in range(4)
+    ]
+    outside = [
+        Point(mbr.min_x - rng.uniform(0.0, 2.0), rng.uniform(-5.0, 15.0)),
+        Point(rng.uniform(-5.0, 15.0), mbr.max_y + rng.uniform(0.0, 2.0)),
+        Point(math.nextafter(mbr.max_x, math.inf), mbr.min_y),
+        Point(-1000.0, 1000.0),
+    ]
+    return on + inside + outside
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    measure=st.sampled_from(["LM", "TF", "KO"]),
+    alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    metric=st.sampled_from([MANHATTAN, EUCLIDEAN, CHEBYSHEV]),
+    ws=st.integers(0, 3),
+    ox_terms=st.booleans(),
+    group=st.sampled_from(["dataset", "subset"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_group_bounds_equal_the_scalar_ones_bitwise(
+    seed, measure, alpha, metric, ws, ox_terms, group
+):
+    """``UBL(l, us)`` / ``LBL(l, us)`` of every location as one array
+    expression are ``BoundCalculator``'s floats — inside, on and outside
+    the MBR, under every drawn alpha and metric — and the survivors are
+    the locations the scalar test keeps, ties at ``RSk(us)`` included."""
+    ds, rng = build(seed, measure=measure, alpha=alpha, metric=metric)
+    su = ds.super_user if group == "dataset" else SuperUser.from_users(
+        rng.sample(ds.users, rng.randint(1, 5)), ds.relevance
+    )
+    ox = STObject(
+        item_id=-1, location=Point(5, 5),
+        terms={t: rng.randint(1, 2) for t in rng.sample(range(20), 3)} if ox_terms else {},
+    )
+    candidates = sorted(rng.sample(range(20), 6))
+    locations = around_mbr(su.mbr, rng)
+    rng.shuffle(locations)
+    query = MaxBRSTkNNQuery(ox=ox, locations=locations, keywords=candidates, ws=ws, k=1)
+    bounds = BoundCalculator(ds)
+    texts = candidate_selection._group_texts(bounds, query, su)
+    upper = [
+        bounds.location_upper_group(loc, ox, candidates, ws, su, text=texts[0])
+        for loc in locations
+    ]
+    lower = [bounds.location_lower_group(loc, ox, su, text=texts[1]) for loc in locations]
+
+    near, far = arrays_for(ds).group_spatial_bounds(locations, su.mbr)
+    assert near.tolist() == [bounds.min_spatial_pr(loc, su.mbr) for loc in locations]
+    assert far.tolist() == [bounds.max_spatial_pr(loc, su.mbr) for loc in locations]
+    rsk_groups = (0.0, rng.choice(upper), 2.0)
+    # One call for a keyword side's queries: here one query three times,
+    # under three RSk(us).
+    found = candidate_selection._group_bounds(
+        arrays_for(ds), [query] * 3, su, rsk_groups, texts
+    )
+    for rsk_group, (keep, ub, lb, pruned) in zip(rsk_groups, found):
+        want = [i for i, value in enumerate(upper) if not value < rsk_group]
+        assert keep.tolist() == want
+        assert pruned == len(locations) - len(want)
+        assert ub.tolist() == [upper[i] for i in want]
+        assert lb.tolist() == [lower[i] for i in want]

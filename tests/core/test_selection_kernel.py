@@ -270,15 +270,19 @@ class TestKernelEqualsOracle:
         arrays = arrays_for(ds)
         rows = [arrays.rows_for(users) for users in seeded_subsets(case)]
         at_once = select_greedy_block(
-            SelectionContext(arrays, q.ox, q.keywords, q.ws), q.locations, rows, case.rsk
+            SelectionContext(arrays, q.ox, q.keywords, q.ws), q.locations,
+            arrays.membership(rows), case.rsk,
         )
         single = SelectionContext(arrays, q.ox, q.keywords, q.ws)
         for l, (loc, r) in enumerate(zip(q.locations, rows)):
-            one = select_greedy_block(single, [loc], [r], case.rsk)
+            one = select_greedy_block(single, [loc], arrays.membership([r]), case.rsk)
             assert one.keywords[0] == at_once.keywords[l]
             assert one.scored[0] == at_once.scored[l]
             assert (one.won[0] == at_once.won[l]).all()
             assert (one.base[0] == at_once.base[l]).all()
+            assert (one.counts[0], one.base_counts[0]) == (
+                at_once.counts[l], at_once.base_counts[l]
+            )
 
     @given(
         seed=st.integers(0, 10_000),
@@ -312,26 +316,68 @@ class TestKernelEqualsOracle:
         assert len(set(map(frozenset, (hw for _, _, hw in want)))) == len(table.hw)
 
 
-def test_wide_case_needs_two_key_words():
-    """The ``wide`` cases above really leave one ``int64`` behind."""
+def test_wide_case_holds_more_candidates_than_an_int64_has_bits():
+    """The ``wide`` cases above really hold a candidate table wider than
+    any one-word bit set of the keys could be."""
     case = build_case(1, wide=True)
     q = case.query
     ctx = SelectionContext(arrays_for(case.ds), q.ox, q.keywords, q.ws)
-    assert len(ctx.pairs().terms) > kernels._WORD_BITS
+    assert len(ctx.pairs().terms) > 64
 
 
-@pytest.mark.parametrize("width", [0, 1, 20, 62, 63, 130])
-def test_row_labels_partition_rows_like_unique(width):
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_distinct_rows_are_np_unique_rows(width):
+    """The pair table's and the prefixes' de-duplication is
+    ``np.unique(axis=0, return_inverse=True)``, rows and labels alike."""
     rng = np.random.default_rng(width)
-    mask = rng.random((300, width)) < 0.5
-    mask[100:200] = mask[:100]  # guaranteed repeats
-    words = kernels._pack_rows(mask)
-    assert (kernels._unpack_rows(words, width) == mask).all()
-    labels = kernels._row_labels(words)
-    want = np.unique(mask, axis=0, return_inverse=True)[1].ravel()
-    # same partition: each label pairs with exactly one reference label
-    assert len(set(zip(labels.tolist(), want.tolist()))) == len(set(want.tolist()))
-    assert sorted(set(labels.tolist())) == list(range(labels.max() + 1))
+    keys = rng.integers(0, 4, size=(300, width))
+    keys[100:200] = keys[:100]  # guaranteed repeats
+    rows, ids = kernels._distinct_rows(keys)
+    want_rows, want_ids = np.unique(keys, axis=0, return_inverse=True)
+    assert rows.tolist() == want_rows.tolist()
+    assert ids.tolist() == want_ids.reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("users", [0, 1, 400, 70_000])
+def test_row_counts_are_exact(users):
+    """Counts (and weighted counts, past the ``float32`` bound) as one
+    product are the integer sums, to the unit."""
+    rng = np.random.default_rng(users)
+    mask = rng.random((5, users)) < 0.7
+    weights = rng.integers(0, 300, size=users)
+    assert kernels._row_counts(mask).tolist() == mask.sum(axis=1).tolist()
+    assert kernels._row_counts(mask, weights).tolist() == (mask @ weights).tolist()
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_band_holds_every_entry_within_guard_eps_of_the_threshold(alpha):
+    """``_banded`` in ``STS`` units at every alpha: entries of ``alpha *
+    SS`` strictly within ``GUARD_EPS`` of ``θ`` reach the scalar
+    decision, the rest are decided by the comparison alone; a
+    ``where`` row asks only its members."""
+    eps = kernels.GUARD_EPS
+    theta = np.array([0.25, 0.5, 0.75])
+    offsets = np.array([-2 * eps, -0.5 * eps, 0.0, 0.5 * eps, 2 * eps])
+    scores = alpha * 0.5 + offsets[:, None] + (theta - alpha * 0.5)  # 5 x 3
+    asked = []
+    passed = kernels._banded(
+        scores, [(0, 5, (theta - eps, theta + eps))],
+        lambda i, j: asked.append((i, j)) or j == 0,
+    )
+    inside = np.abs(scores - theta) < eps
+    assert sorted(asked) == sorted(map(tuple, np.argwhere(inside).tolist()))
+    outside = ~inside
+    assert (passed[outside] == (scores >= theta)[outside]).all()
+    assert (passed[inside] == (np.arange(3) == 0)[None, :].repeat(5, 0)[inside]).all()
+
+    asked.clear()
+    where = (np.array([2]), np.array([[False, True, False]]))
+    masked = kernels._banded(
+        scores, [(0, 5, (theta - eps, theta + eps))], lambda i, j: asked.append((i, j)) or True,
+        where,
+    )
+    assert (2, 0) not in asked and (2, 2) not in asked and (2, 1) in asked
+    assert not masked[2, 0] and not masked[2, 2]
 
 
 # ----------------------------------------------------------------------
@@ -579,19 +625,21 @@ class TestMutantsAreCaught:
             ), dtype=np.intp)
             lanes = np.arange(len(passed))
             chosen = np.full((len(passed), max(self.ws, 0)), -1, dtype=np.intp)
+            coverage = np.zeros(len(passed), dtype=np.intp)
             covered = np.zeros((len(passed), self.arrays.num_users), dtype=bool)
             padded = np.concatenate(
                 (passed, np.zeros((len(passed), 1), dtype=bool)), axis=1
             )
             for step in range(self.ws if passed.any() else 0):
-                gains = np.add.reduceat(
-                    passed & ~covered[:, t.row], t.starts, axis=1, dtype=np.intp
-                )
+                fresh = passed & ~covered[:, t.row]
+                gains = fresh.astype(np.float32) @ t.onehot
                 pick = order[gains[:, order].argmax(axis=1)]  # the mutation
-                pick[gains[lanes, pick] == 0] = -1
+                gain = gains[lanes, pick].astype(np.intp)
+                pick[gain == 0] = -1
                 chosen[:, step] = pick
+                coverage += gain
                 covered |= np.take_along_axis(padded, t.pair_of[pick], axis=1)
-            return chosen, covered.sum(axis=1)
+            return chosen, coverage
 
         monkeypatch.setattr(SelectionContext, "cover", cover)
         assert mismatches()

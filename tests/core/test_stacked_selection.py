@@ -24,10 +24,11 @@ from hypothesis import strategies as st
 from repro import (
     Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions, oracle,
 )
-from repro.core import candidate_selection
+from repro.core import candidate_selection, kernels
+from repro.core.bounds import BoundCalculator
 from repro.core.batch import _derive_shared_topk, _ensure_traversal_pool
 from repro.core.candidate_selection import SelectionBatch, select_candidate
-from repro.core.kernels import SelectionContext
+from repro.core.kernels import DatasetArrays, SelectionContext
 from repro.core.pipeline import execute_shard_payload
 from repro.core.query import QueryStats
 from repro.core.thresholds import Thresholds
@@ -546,6 +547,68 @@ class TestCostShape:
         sharded = ShardedEngine(engine.dataset, EngineConfig(fanout=4, num_shards=2))
         sharded.query_batch(queries, QueryOptions())
         assert sharded.last_flush_report.stage("select").items == len(queries)
+
+    def test_a_pass_computes_its_spatial_rows_once(self, monkeypatch):
+        """A warm flush of 8 queries x 20 locations (the benchmark's
+        query shape) is two passes (120 + 40 rows) of several rounds
+        each: ``spatial_matrix`` runs once per pass — one row per
+        surviving location, never again per round — the group bounds
+        make no per-location scalar call, no round rebuilds a
+        membership mask from row lists, and the pair table is built
+        once for the one context.  Answers stay the oracle's."""
+        engine, queries = engine_and_queries(8, n_locations=20)
+        shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
+        want = [
+            (r.location, r.keywords, r.brstknn, r.stats.keyword_combinations_scored)
+            for r in (
+                oracle.select_candidate(
+                    engine.dataset, q, shared.rsk, rsk_group=shared.rsk_group,
+                    stats=QueryStats(),
+                )
+                for q in queries
+            )
+        ]
+        calls = {"passes": 0, "spatial": [], "scalar bounds": 0, "membership": 0,
+                 "pair tables": 0, "blocks": 0}
+        spatial = DatasetArrays.spatial_matrix
+        run_pass = candidate_selection._run_pass
+        block = candidate_selection.select_greedy_block
+        pair_table = kernels.PairTable
+
+        def count(key, original):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        def spy_spatial(self, locations):
+            calls["spatial"].append(len(locations))
+            return spatial(self, locations)
+
+        monkeypatch.setattr(DatasetArrays, "spatial_matrix", spy_spatial)
+        monkeypatch.setattr(candidate_selection, "_run_pass", count("passes", run_pass))
+        monkeypatch.setattr(candidate_selection, "select_greedy_block", count("blocks", block))
+        monkeypatch.setattr(kernels, "PairTable", count("pair tables", pair_table))
+        monkeypatch.setattr(
+            DatasetArrays, "membership", count("membership", DatasetArrays.membership)
+        )
+        for name in ("location_upper_group", "location_lower_group"):
+            monkeypatch.setattr(
+                BoundCalculator, name, count("scalar bounds", getattr(BoundCalculator, name))
+            )
+        monkeypatch.setattr(candidate_selection, "LOCATION_BLOCK", 8)
+        got = execute_shard_payload(
+            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")
+        )
+        survivors = 8 * 20 - sum(r.stats.locations_pruned for r in got)
+        assert calls["passes"] == 2 and calls["blocks"] > calls["passes"]
+        assert len(calls["spatial"]) == 2 and sum(calls["spatial"]) == survivors
+        assert calls["scalar bounds"] == calls["membership"] == 0
+        assert calls["pair tables"] == 1
+        assert [
+            (r.location, r.keywords, r.brstknn, r.stats.keyword_combinations_scored)
+            for r in got
+        ] == want
 
     def test_selection_time_is_shared_out(self):
         """Each query's ``selection_time_s`` is its own work plus a share

@@ -36,3 +36,9 @@ def sts_pairs(user_terms, obj_weights, obj_rows, user_rows):
     # Allowlisted name (Algorithm 2's pair kernel): the text sums
     # smuggled in as one product instead of left-to-right adds.
     return np.matmul(user_terms[user_rows], obj_weights[obj_rows].T)  # KI302
+
+
+def group_spatial_bounds(gap_x, gap_y, dmax):
+    # Allowlisted name (the group bounds' spatial halves): libm hypot
+    # where the scalar metric writes sqrt(dx*dx + dy*dy).
+    return 1.0 - np.hypot(gap_x, gap_y) / dmax  # KI301 (hypot)

@@ -151,6 +151,7 @@ IDENTITY_FUNCTIONS = frozenset({
     "node_rsk",
     "weights_of",
     "sts_pairs",
+    "group_spatial_bounds",
 })
 
 #: Opts any other function in, on its ``def`` line.
@@ -390,20 +391,33 @@ def test_time_sleep_seeded_into_submit_is_ab401():
     assert ("AB401", first.lineno, "MaxBRSTkNNServer.submit") in check("\n".join(lines))
 
 
-def test_hypot_seeded_into_sts_pairs_is_ki301():
+def seed_hypot(kernel: str):
+    """``core/kernels.py`` as it is, the same source with the first
+    one-line binary expression of ``kernel`` wrapped in ``math.hypot``,
+    and the finding that must flag it."""
     source = (SRC / "core" / "kernels.py").read_text()
     expr = next(
         node
-        for node in ast.walk(find_def(ast.parse(source), "DatasetArrays.sts_pairs"))
+        for node in ast.walk(find_def(ast.parse(source), kernel))
         if isinstance(node, ast.BinOp) and node.lineno == node.end_lineno
     )
     lines = source.splitlines()
     text = lines[expr.lineno - 1]
     lo, hi = expr.col_offset, expr.end_col_offset
     lines[expr.lineno - 1] = f"{text[:lo]}math.hypot({text[lo:hi]}, 0.0){text[hi:]}"
-    seeded = ("KI301", expr.lineno, "DatasetArrays.sts_pairs")
+    return source, "\n".join(lines), ("KI301", expr.lineno, kernel)
+
+
+def test_hypot_seeded_into_sts_pairs_is_ki301():
+    source, seeded_source, seeded = seed_hypot("DatasetArrays.sts_pairs")
     assert seeded not in check(source)
-    assert seeded in check("\n".join(lines))
+    assert seeded in check(seeded_source)
+
+
+def test_hypot_seeded_into_group_spatial_bounds_is_ki301():
+    source, seeded_source, seeded = seed_hypot("DatasetArrays.group_spatial_bounds")
+    assert seeded not in check(source)
+    assert seeded in check(seeded_source)
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +441,7 @@ EXPECTED = [
     ("kernel_bad.py", "KI302", "np.einsum"),
     ("kernel_bad.py", "KI302", "block @ w"),
     ("kernel_bad.py", "KI302", "np.matmul(user_terms"),
+    ("kernel_bad.py", "KI301", "np.hypot(gap_x, gap_y)"),
     ("pool_bad.py", "PB202", '("refine", dataset, queries)'),
     ("pool_bad.py", "PB202", "DatasetArrays(None)"),
     ("pool_bad.py", "PB202", '("indexed_search", queries, store)'),
