@@ -44,10 +44,11 @@ that share ``(ox.d, W, ws)`` differ only in their locations and their
 thresholds — so a :class:`SelectionBatch` answers each such group of a
 ``select`` payload with ONE context (one keyword side, one threshold
 row per distinct ``RSk(u)`` vector, each location row reading its own
-query's), one shortlist pass over every surviving location and,
-round by round, one :func:`select_greedy_block` call over block ``r``
-of every query that line 3.10 has not stopped; each query then replays
-its own rows.  Passes hold at most ``STACK_ROWS`` locations, so a batch
+query's), one spatial row per surviving location per pass, one
+shortlist mask over all of them — which is also every round's
+membership — and, round by round, one :func:`select_greedy_block` call
+over block ``r`` of every query that line 3.10 has not stopped; each
+query then replays its own rows.  Passes hold at most ``STACK_ROWS`` locations, so a batch
 of any size keeps its temporaries bounded.  A single query is the
 one-query batch: there is one greedy code path.  The queue loop itself
 — what the exact selector runs, and what the oracle
@@ -563,14 +564,14 @@ class SelectionBatch:
     the keyword side (``UBL`` text half, ``HW_{w,u}`` pair table,
     recounted keyword sets) is computed once per group, every query's
     ``RSk(u)`` vector is one threshold row of the context (queries of
-    equal ``k`` share theirs), and each pass of at most ``STACK_ROWS``
-    locations computes ``SS(l, u)`` once, shortlists every location in
-    one mask and runs its greedy rounds as single
-    :func:`select_greedy_block` calls (:func:`_search_rounds`), each
-    location row reading its own query's thresholds.  The group bounds
-    stay scalar and per query, against the query's own ``RSk(us)``.
-    Every answer and counter is the query's own, ``==`` to the
-    one-query run.
+    equal ``k`` share theirs), the group bounds of all the group's
+    locations are one array expression (each query pruned against its
+    own ``RSk(us)``), and each pass of at most ``STACK_ROWS`` locations
+    computes ``alpha * SS(l, u)`` once, shortlists every location in one
+    mask and runs its greedy rounds as single :func:`select_greedy_block`
+    calls (:func:`_search_rounds`) that read those rows and that mask in
+    place, each location row against its own query's thresholds.  Every
+    answer and counter is the query's own, ``==`` to the one-query run.
 
     ``thresholds[i]`` is query ``i``'s ``(RSk(u), RSk(us))`` pair.
     :func:`select_candidate` is the entry: the first call naming the
@@ -627,8 +628,9 @@ class SelectionBatch:
 
     def _select(self, dataset, super_user, users) -> List[_Search]:
         """Every query's finished search.  ``time_s`` charges each query
-        its own group bounds and replays plus an equal share of its
-        group's setup and of every pass it took part in."""
+        its own admission and replays plus an equal share of its group's
+        setup (the group bounds included) and of every pass it took part
+        in."""
         arrays = arrays_for(dataset)
         su = dataset.super_user if super_user is None else super_user
         bounds = BoundCalculator(dataset)

@@ -833,9 +833,10 @@ class SelectionContext:
             raise KeyError(f"no RSk(u) for users {missing[:5].tolist()}")
         return entry[0]
 
-    def _text_rows(self, keyword_sets: Sequence[FrozenSet[int]]) -> List[int]:
-        """Rows of :meth:`text`'s matrix holding these sets; sets not met
-        before in this context are scored in one stacked pass."""
+    def text(self, keyword_sets: Sequence[FrozenSet[int]]):
+        """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set.
+        Sets not met before in this context are scored in one stacked
+        pass."""
         known = self._text_row
         missing = [ks for ks in dict.fromkeys(keyword_sets) if ks not in known]
         if missing:
@@ -848,12 +849,7 @@ class SelectionContext:
             self._text = np.concatenate(
                 (self._text, _normalized_text(weights @ a.user_terms.T, a.user_z))
             )
-        return [known[ks] for ks in keyword_sets]
-
-    def text(self, keyword_sets: Sequence[FrozenSet[int]]):
-        """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set."""
-        rows = self._text_rows(keyword_sets)  # may grow the matrix
-        return self._text[rows]
+        return self._text[[known[ks] for ks in keyword_sets]]
 
     def _candidates(self) -> Tuple[List[int], List[float]]:
         """The candidates some user holds, ascending, and the optimistic
@@ -904,8 +900,8 @@ class SelectionContext:
         useful candidates.  A pair whose ``w`` ranks within ``ws`` takes
         the user's ``ws`` best as its set, any other pair the ``ws - 1``
         best and ``w``: each set is a row of at most ``max(ws, 1)`` key
-        indices, sorted, and the distinct rows are the documents, scored
-        in one :meth:`text` pass.
+        indices, sorted, and the distinct rows are the documents.  A
+        pair's ``TS`` reads one user's terms of its document's weights.
         """
         if self._pairs is not None:
             return self._pairs
@@ -932,9 +928,15 @@ class SelectionContext:
         pair_of[key, row] = np.arange(len(row))
         onehot = np.zeros((len(row), n), dtype=np.float32)
         onehot[np.arange(len(row)), key] = 1.0
+        # Document weights over the user-term columns, plus the zero
+        # column ``user_term_cols`` pads with.
+        weights = np.zeros((len(hw), a.num_terms + 1))
+        for d, hw_set in enumerate(hw):
+            weights[d, :-1] = a._doc_weight_vector(augmented_document(self.ox.terms, hw_set))
+        sums = weights[doc[:, None], a.user_term_cols[row]].sum(axis=1)
         self._pairs = PairTable(
             terms, held, row, key, onehot, pair_of, doc, hw,
-            ts=self.text(hw)[doc, row] if hw else np.empty(0),
+            ts=_normalized_text(sums, a.user_z[row]),
         )
         return self._pairs
 
@@ -1121,7 +1123,7 @@ class SelectionContext:
         def exact(i: int, row: int) -> bool:
             return self._wins(int(index[i]), keyword_sets[which[i]], row)
 
-        self._text_rows(keyword_sets)  # every new set in one stacked pass
+        self.text(keyword_sets)  # every new set in one stacked pass
         runs = []
         for lo, hi, r in self._runs(len(index), index):
             cuts = (np.flatnonzero(which[lo + 1 : hi] != which[lo : hi - 1]) + lo + 1).tolist()
