@@ -48,8 +48,8 @@ query's), one spatial row per surviving location per pass, one
 shortlist mask over all of them — which is also every round's
 membership — and, round by round, one :func:`select_greedy_block` call
 over block ``r`` of every query that line 3.10 has not stopped; each
-query then replays its own rows.  Passes hold at most ``STACK_ROWS`` locations, so a batch
-of any size keeps its temporaries bounded.  A single query is the
+query then replays its own rows.  Passes hold at most ``STACK_ROWS``
+locations, so a batch of any size keeps its temporaries bounded.  A single query is the
 one-query batch: there is one greedy code path.  The queue loop itself
 — what the exact selector runs, and what the oracle
 (:mod:`repro.oracle`) runs with its scalar selectors — is

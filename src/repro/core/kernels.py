@@ -188,20 +188,6 @@ def _normalized_text(sums, z):
         return np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
 
 
-def _guarded_ge(scores, thresholds, exact: Callable[[int], bool]):
-    """Guard-banded ``scores >= thresholds`` over a vector.
-
-    Comparisons decided by ``GUARD_EPS`` or more are trusted; every
-    entry inside the band is decided by ``exact(i)`` — the scalar code
-    path — so ties resolve exactly as the oracle resolves them.
-    """
-    margin = scores - thresholds
-    passed = margin >= GUARD_EPS
-    for i in np.flatnonzero(np.abs(margin, out=margin) < GUARD_EPS).tolist():
-        passed[i] = exact(i)
-    return passed
-
-
 def _distinct_rows(keys) -> Tuple["np.ndarray", "np.ndarray"]:
     """The distinct rows of an integer matrix with at least one column,
     in lexicographic order, and each row's index among them — what
@@ -536,11 +522,12 @@ class DatasetArrays:
         ts = _normalized_text(sums, self.user_z[rows])
         scores = alpha * self.spatial_scores(location)[rows] + (1.0 - alpha) * ts
 
-        def exact(i: int) -> bool:
+        def exact(_row: int, i: int) -> bool:
             d, u = pairs[i]
             return self.dataset.sts_parts(location, evals[d][0], u) >= rsk[u.item_id]
 
-        flat = iter(_guarded_ge(scores, thr, exact).tolist())
+        band = [(0, 1, (thr - GUARD_EPS, thr + GUARD_EPS))]
+        flat = iter(_banded(scores[None, :], band, exact)[0].tolist())
         return [[next(flat) for _ in members] for _doc, members in evals]
 
     def brstknn(
@@ -1042,11 +1029,9 @@ class SelectionContext:
             )
             return ub >= self._threshold(l, u)
 
-        where = None
-        if len(rows) < self.arrays.num_users:
-            cols = np.zeros((1, self.arrays.num_users), dtype=bool)
-            cols[0, rows] = True
-            where = (np.arange(len(ss)), cols)
+        cols = np.zeros((1, self.arrays.num_users), dtype=bool)
+        cols[0, rows] = True
+        where = None if cols.all() else (np.arange(len(ss)), cols)
         runs = [(lo, hi, self._bar("ubl", r)) for lo, hi, r in self._runs(len(ss))]
         return _banded(ss, runs, exact, where)
 
