@@ -348,7 +348,6 @@ def _cmd_shard_host(args) -> int:
         workload_spec_from_args(args),
         listen=(host, int(port_s)),
         fault=fault,
-        arena=args.arena,
     )
 
 
@@ -432,11 +431,11 @@ def main(argv=None) -> int:
                             "the server (scatter/gather, result-identical)")
     serve.add_argument("--shm", default=False,
                        action=argparse.BooleanOptionalAction,
-                       help="publish the engine's dense arrays into a shared-"
-                            "memory arena and ship scatter payloads through "
-                            "the binary arena codec instead of pickle "
-                            "(--no-shm keeps the fork/COW pickle path; "
-                            "results are identical either way)")
+                       help="ship scatter payload blocks to the shard hosts "
+                            "through a shared-memory arena and the binary "
+                            "arena codec instead of pickle (only rounds that "
+                            "leave the process use it; results are identical "
+                            "either way)")
     serve.add_argument("--cache", action="store_true",
                        help="enable the cross-flush result cache (exact "
                             "repeat queries answered without executing)")
@@ -477,9 +476,6 @@ def main(argv=None) -> int:
                             help="the coordinator's lane count; accepted so "
                                  "launch lines stay valid, unused — a host "
                                  "holds the full dataset and answers any lane")
-    shard_host.add_argument("--arena", default=None,
-                            help="shared-memory arena name to probe at "
-                                 "startup (fail fast before serving)")
     shard_host.add_argument("--fault", default="none",
                             help=f"fault to inject host-side: {_FAULTS}")
     shard_host.set_defaults(func=_cmd_shard_host)

@@ -102,11 +102,12 @@ class EngineConfig:
         engine; a plain :class:`MaxBRSTkNNEngine` refuses configs with
         more — build through :func:`repro.serve.sharded.make_engine`.
     use_shm:
-        Publish the engine's dense arrays into a named
-        :class:`~repro.storage.shm.ShmArena` and ship scatter payloads
-        through the binary arena codec (:mod:`repro.core.payload`)
-        instead of pickle.  Results are bitwise identical either way;
-        ``False`` keeps the pure fork/COW + pickle path.
+        Ship scatter payload blocks through a named
+        :class:`~repro.storage.shm.ShmArena` with the binary arena codec
+        (:mod:`repro.core.payload`) instead of pickling them into the
+        frame.  The arena exists only while a fleet is up, so a plain
+        engine never creates one.  Results are bitwise identical either
+        way.
     """
 
     fanout: int = DEFAULT_FANOUT

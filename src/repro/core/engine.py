@@ -172,11 +172,11 @@ class MaxBRSTkNNEngine:
         #: Per-stage accounting of the most recent pipeline flush
         #: (:class:`repro.core.pipeline.FlushReport`), introspection.
         self.last_flush_report = None
-        #: Zero-copy storage tier (``config.use_shm``): the owned
-        #: :class:`~repro.storage.shm.ShmArena` holding this engine's
-        #: dense columns, and the :class:`~repro.core.payload.PayloadCodec`
-        #: that ships scatter payloads through it.  Both stay ``None``
-        #: until :meth:`ensure_arena` (pool startup / prewarm) runs.
+        #: Shared-memory payload tier (``config.use_shm``): the owned
+        #: :class:`~repro.storage.shm.ShmArena` the
+        #: :class:`~repro.core.payload.PayloadCodec` writes scatter
+        #: payload blocks into.  Both stay ``None`` until
+        #: :meth:`ensure_arena` (fleet start-up) runs.
         self._arena = None
         self._payload_codec = None
 
@@ -315,10 +315,9 @@ class MaxBRSTkNNEngine:
 
         arrays_for(self.dataset)
         tree_arrays_for(self.object_tree)
-        self.ensure_arena()
 
     # ------------------------------------------------------------------
-    # Zero-copy storage tier (config.use_shm)
+    # Shared-memory payload tier (config.use_shm)
     # ------------------------------------------------------------------
     @property
     def payload_codec(self):
@@ -331,29 +330,20 @@ class MaxBRSTkNNEngine:
         return self._arena.name if self._arena is not None else None
 
     def ensure_arena(self):
-        """Materialize the shm arena + payload codec (idempotent).
+        """Create the shm arena + payload codec (idempotent).
 
         Returns the arena, or ``None`` when ``config.use_shm`` is off.
-        Must run before local shard hosts fork so they inherit the
-        shm-backed views through copy-on-write (a re-forked host
-        inherits them the same way).
+        The arena starts empty: it only ever holds the codec's payload
+        blocks, which hosts copy out by name.
         """
         if not self.config.use_shm:
             return None
         if self._arena is not None:
             return self._arena
-        from .kernels import arrays_for, tree_arrays_for
         from .payload import PayloadCodec
         from ..storage.shm import ShmArena
 
-        arena = ShmArena()
-        try:
-            arrays_for(self.dataset).share_into(arena)
-            tree_arrays_for(self.object_tree).share_into(arena)
-        except BaseException:
-            arena.destroy()
-            raise
-        self._arena = arena
+        arena = self._arena = ShmArena()
         self._payload_codec = PayloadCodec(
             arena, epoch_fn=lambda: getattr(self.dataset, "epoch", 0)
         )

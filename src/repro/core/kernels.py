@@ -383,22 +383,6 @@ class DatasetArrays:
             "the Dataset instead; arrays_for() rebuilds lazily on the far side."
         )
 
-    #: Dense buffers the shared-memory tier lifts into arena columns.
-    SHARED_ATTRS = ("user_ids", "user_xy", "user_z", "user_terms")
-
-    def share_into(self, arena, prefix: str = "dataset") -> List[str]:
-        """Move the dense arrays into ``arena`` columns (zero-copy tier).
-
-        Afterwards the attributes are read-only views over named
-        shared-memory segments — byte-identical to the private copies
-        they replace, so every kernel result is unchanged, but any
-        process that attaches the arena maps the same physical pages
-        instead of holding a per-process copy.  The python-side lookup
-        tables (``user_row``, ``term_col``, the doc-vector cache) stay
-        local: they are small and mutable.
-        """
-        return arena.share_arrays(self, self.SHARED_ATTRS, prefix)
-
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
@@ -1273,25 +1257,6 @@ class TreeArrays:
             "forked workers inherit it via copy-on-write (tree_arrays_for)."
         )
 
-    #: Dense buffers the shared-memory tier lifts into arena columns.
-    #: The plain-python twins (``node_start``/``ent_child``/…) stay
-    #: process-local.
-    SHARED_ATTRS = (
-        "ent_rect", "ent_indptr_np", "ent_term_np", "ent_maxw_np",
-        "ent_minw_np", "nio_indptr", "nio_term", "nio_bytes",
-    )
-
-    def share_into(self, arena, prefix: Optional[str] = None) -> List[str]:
-        """Move the flattened tree buffers into ``arena`` columns.
-
-        Same contract as :meth:`DatasetArrays.share_into`: the views are
-        byte-identical, read-only, and mappable by any process that
-        knows the arena name.
-        """
-        if prefix is None:
-            prefix = f"tree.{self.index_name}"
-        return arena.share_arrays(self, self.SHARED_ATTRS, prefix)
-
     # ------------------------------------------------------------------
     def _term_mask(self, terms) -> "np.ndarray":
         """Boolean lookup over term ids; index -1 (padding) stays False."""
@@ -1443,14 +1408,6 @@ class CandidatePoolArrays:
         self.term = objects.term[entries]
         self.minw = objects.weight[entries]
         self.max_term = int(self.term.max()) if len(self.term) else -1
-
-    #: Dense buffers the shared-memory tier lifts into arena columns.
-    SHARED_ATTRS = ("x", "y", "indptr", "term", "minw")
-
-    def share_into(self, arena, prefix: str = "pool") -> List[str]:
-        """Move the flattened pool buffers into ``arena`` columns
-        (same byte-identity contract as :meth:`DatasetArrays.share_into`)."""
-        return arena.share_arrays(self, self.SHARED_ATTRS, prefix)
 
     def node_lower_bounds(self, summary) -> "np.ndarray":
         """``LB(o, summary)`` for every pooled candidate, scalar-bitwise.

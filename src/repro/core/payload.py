@@ -1,28 +1,27 @@
 """Binary scatter-payload codec over the shared-memory arena.
 
-Every flush the executors scatter work to pool workers as payload
-tuples (:func:`repro.core.pipeline.execute_shard_payload`).  Before
-this module, each tuple crossed the worker pipe by pickle — including
-the O(|U|) ``RSk(u)`` map inside every ``select`` payload's shared
-phase-1 states and the traversal pool of every refine round,
-re-serialized per chunk per flush.  The codec replaces the heavy
-element of each payload with an :class:`ArenaRef` — a ~100-byte named
-pointer into the engine's :class:`~repro.storage.shm.ShmArena`.  The
-referenced block is written to shared memory **once** and
-*delta-shipped*: repeat flushes whose shared states / traversal pools
-are unchanged (the memoized common case) re-send only the reference.
-Blocks are keyed on ``Dataset.epoch`` plus the codec's ship sequence,
-so a mutated dataset can never alias a stale block.
+Every scatter round sends payload tuples
+(:func:`repro.core.pipeline.execute_shard_payload`) to shard hosts in
+frames.  With ``use_shm`` the codec replaces the heavy element of each
+payload — the traversal pool of a refine round, the per-k
+``SharedTopK`` states of a select round — with an :class:`ArenaRef`, a
+~100-byte named pointer into the engine's
+:class:`~repro.storage.shm.ShmArena`.  The referenced block is written
+to shared memory **once** and *delta-shipped*: repeat flushes whose
+shared states / traversal pools are unchanged (the memoized common
+case) re-send only the reference.  Blocks are keyed on
+``Dataset.epoch`` plus the codec's ship sequence, so a mutated dataset
+can never alias a stale block.  The arena holds nothing but these
+blocks.
 
 Decoding reconstructs byte-identical values (an ``RSK1`` block becomes
 the same :class:`~repro.core.thresholds.Thresholds` columns, in the same
-order), so results stay bitwise identical to the pickle path — the PR-3
-convention.  The pickle path itself remains intact: payloads
-that never meet a codec (in-process execution, degraded mode,
-``--no-shm``) are passed through untouched, and a worker can always
-decode a codec payload because references resolve by *name* via
+order), so results stay bitwise identical to the pickle path.  Payloads
+that never meet a codec (in-process rounds, degraded mode, ``use_shm``
+off) pass through untouched, and a host can always decode a codec
+payload because references resolve by *name* via
 :meth:`ShmArena.read_column_bytes` (open, copy, close — no lingering
-worker-side mappings, nothing to leak on SIGKILL).
+host-side mappings, nothing to leak on SIGKILL).
 
 Encoding for the two arena block kinds:
 
@@ -156,7 +155,7 @@ class PayloadCodec:
     same :class:`ArenaRef` for every later call with the same object at
     the same dataset epoch (identity-keyed memo with strong references,
     so a recycled ``id()`` can never alias).  If the arena write fails
-    (directory full, shm exhausted) the object is returned unchanged —
+    (shm exhausted, arena closed) the object is returned unchanged —
     the payload simply stays on the pickle path, results unaffected.
     """
 

@@ -326,8 +326,8 @@ class ServerStats:
     degraded_flushes: int = 0  # flushes that fell back to in-process
     queries_shed: int = 0      # rejected with ServerOverloaded
     #: Frame bytes that crossed the lanes' sockets (dispatched +
-    #: collected), summed over executed flushes — the zero-copy tier's
-    #: win is this counter shrinking, not a claim.
+    #: collected), summed over executed flushes — the shared-memory
+    #: payload tier's win is this counter shrinking, not a claim.
     bytes_shipped: int = 0
 
     @property

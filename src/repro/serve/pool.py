@@ -3,12 +3,11 @@
 A serving layer answers many batches over one immutable dataset, so the
 local fleet forks **once**: :class:`PersistentWorkerPool` forks
 ``workers`` children after the dataset's
-:class:`~repro.core.kernels.DatasetArrays` (and, with ``use_shm``, the
-engine's arena) exist, each connected to the coordinator by one end of
-a ``socket.socketpair()``.  A child inherits the dataset, its arrays
-and an optional **context** — the engine passes the MIUR-tree, so
-``indexed_search`` payloads run in the child against read-only ledger
-stores — through copy-on-write, pads its heap
+:class:`~repro.core.kernels.DatasetArrays` exist, each connected to the
+coordinator by one end of a ``socket.socketpair()``.  A child inherits
+the dataset, its arrays and an optional **context** — the engine passes
+the MIUR-tree, so ``indexed_search`` payloads run in the child against
+read-only ledger stores — through copy-on-write, pads its heap
 (:func:`~repro.serve.shardhost._pad_heap`), and runs the same
 :class:`~repro.serve.shardhost.ShardHost` frame handling as ``repro
 shard-host``, blocking on its socket, until the coordinator hangs up.

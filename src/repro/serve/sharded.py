@@ -270,7 +270,7 @@ class ShardedEngine:
         self.root.prewarm_kernels()
 
     # ------------------------------------------------------------------
-    # Zero-copy storage tier (delegated to the root engine)
+    # Shared-memory payload tier (delegated to the root engine)
     # ------------------------------------------------------------------
     @property
     def payload_codec(self):
@@ -303,8 +303,8 @@ class ShardedEngine:
         :class:`~repro.serve.shardhost.ShardHost` processes, each a
         full-dataset lane on a socketpair.
 
-        Hosts inherit the dataset (and its pre-built ``DatasetArrays``
-        and the arena) via copy-on-write at fork time — plus the
+        Hosts inherit the dataset (and its pre-built ``DatasetArrays``)
+        via copy-on-write at fork time — plus the
         MIUR-tree as worker context when the engine indexes users — and
         answer every scatter round: the cold refine (which ships only
         the traversal pool's reference and a row range), the joint
@@ -326,8 +326,9 @@ class ShardedEngine:
         if workers_per_lane < 1:
             raise ValueError(f"workers_per_lane must be >= 1, got {workers_per_lane}")
         try:
-            # Materialize the arena (config.use_shm) BEFORE the fork:
-            # hosts inherit the shm-backed views via copy-on-write.
+            # The payload arena (config.use_shm) BEFORE the fork: it
+            # starts the resource tracker the hosts must share (see
+            # repro.storage.shm); they copy its blocks out by name.
             self.root.ensure_arena()
             pool = PersistentWorkerPool(
                 self.dataset, self.config.num_shards * workers_per_lane,
@@ -386,9 +387,8 @@ class ShardedEngine:
                 "cannot connect hosts: local hosts are running" if self._forked()
                 else "shard hosts already connected"
             )
-        # Materialize the arena (config.use_shm) BEFORE the first
-        # scatter so payload encoding has refs to ship; hosts attach
-        # the segments lazily, by name, as foreign attachers.
+        # The payload arena (config.use_shm), so the first scatter has
+        # somewhere to write its blocks; hosts copy them out by name.
         self.root.ensure_arena()
         registry = ShardRegistry.from_specs(
             hosts, connect_timeout_s=connect_timeout_s,
@@ -420,8 +420,8 @@ class ShardedEngine:
     def _detach(self, timeout_s: Optional[float]) -> None:
         """Close the fleet (its counters banked, so
         :meth:`fault_counters` stays monotone), then release the arena
-        — only after every host is gone: live attachments keep their
-        mappings (POSIX), but a clean close leaves /dev/shm empty."""
+        — only after every host is gone, so no host is left reading a
+        block by name, and a clean close leaves /dev/shm empty."""
         registry, self._registry = self._registry, None
         self._executor.transport = INLINE
         _add_counters(self._closed_fault_totals, registry.fault_counters())

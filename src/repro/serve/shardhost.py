@@ -3,10 +3,10 @@
 A lane of a sharded engine is a :class:`ShardHost` wherever it runs:
 
 * **local** — :class:`~repro.serve.pool.PersistentWorkerPool` forks the
-  host from the coordinator after the arena and the kernel arrays
-  exist, on one end of a ``socket.socketpair()``: the child inherits
-  the dataset, its arrays and the MIUR-tree (its worker context, so
-  indexed searches fan out too) through copy-on-write and runs
+  host from the coordinator after the kernel arrays exist, on one end
+  of a ``socket.socketpair()``: the child inherits the dataset, its
+  arrays and the MIUR-tree (its worker context, so indexed searches
+  fan out too) through copy-on-write and runs
   :meth:`ShardHost.serve_socket`;
 * **remote** — ``python -m repro shard-host --listen 127.0.0.1:0 ...``
   builds the FULL dataset from the same workload flags and seed as the
@@ -27,15 +27,14 @@ body is the chunks, funnelled through
 :func:`~repro.core.payload.encode_gather_payload`; a payload exception
 answers an ``ERROR`` frame.
 
-Shared-memory discipline: a remote host is a *foreign attacher* of the
-coordinator's arena (payloads carry
-:class:`~repro.core.payload.ArenaRef` descriptors that resolve by
-segment name), so :func:`run_host` enables
-:func:`repro.storage.shm.set_untracked_attach` — attaching must not
-register the coordinator's segments with this process's
-resource_tracker, or the host's exit would unlink them under the
-coordinator (see ``tests/storage/test_shm.py``).  A forked host maps
-the arena it inherited.
+Shared-memory discipline: with ``use_shm`` the payloads carry
+:class:`~repro.core.payload.ArenaRef` descriptors, and every host —
+forked or remote — copies the referenced block out of the
+coordinator's arena by segment name and keeps no mapping.  A remote
+host runs its own resource_tracker, so :func:`run_host` enables
+:func:`repro.storage.shm.set_untracked_attach`: opening a segment must
+not register it there, or the host's exit would unlink it under the
+coordinator (see ``tests/storage/test_shm.py``).
 
 Fault injection: every :class:`~repro.serve.faults.FaultPlan` host-side
 fault — kill, hang, task exception, dropped frame, stalled read,
@@ -416,22 +415,18 @@ def run_host(
     *,
     listen: Tuple[str, int] = ("127.0.0.1", 0),
     fault: Optional[FaultPlan] = None,
-    arena: Optional[str] = None,
 ) -> int:
     """Process entry point behind ``repro shard-host`` (blocks forever).
 
     Prints ``SHARDHOST LISTENING <port>`` once bound — the line the
     bench and CI parse to learn an ephemeral port.
     """
-    from ..storage.shm import ShmArena, set_untracked_attach
+    from ..storage.shm import set_untracked_attach
 
-    # Foreign attacher: ArenaRefs in scatter payloads resolve against
-    # the COORDINATOR's segments; registering them with this process's
-    # resource_tracker would unlink them under the coordinator when
-    # this host exits.
+    # ArenaRefs in scatter payloads resolve against the COORDINATOR's
+    # segments; registering them with this process's resource_tracker
+    # would unlink them under the coordinator when this host exits.
     set_untracked_attach(True)
-    if arena:
-        ShmArena.attach(arena).close()  # fail fast on a bad --arena
     host = ShardHost(make_workload(spec)[0], fault=fault)
     _pad_heap()
 

@@ -1,25 +1,27 @@
-"""Zero-copy storage tier: arena lifecycle, codec identity, leak-freedom.
+"""Shared-memory payload tier: arena lifecycle, codec identity, leak-freedom.
 
 Three contracts under test, each an acceptance item of the tier:
 
 * **round-trip identity** — anything placed in a :class:`ShmArena`
-  (numpy columns, byte blobs, codec-encoded payload blocks) comes back
-  bit for bit, including dict insertion order for ``RSk(u)`` maps;
-* **lifecycle** — attach/detach is refcounted, ``close``/``unlink``/
-  ``destroy`` are idempotent, and an abandoned owner is swept by its
-  finalizer: ``/dev/shm`` holds zero ``reproshm-`` segments after any
-  teardown order, including an injected worker SIGKILL mid-flush;
+  (byte blobs, codec-encoded payload blocks) comes back bit for bit
+  when read out by name, including dict insertion order for ``RSk(u)``
+  maps;
+* **lifecycle** — ``close``/``unlink``/``destroy`` are idempotent, and
+  an abandoned owner is swept by its finalizer: ``/dev/shm`` holds zero
+  ``reproshm-`` segments after any teardown order, including an
+  injected worker SIGKILL mid-flush;
 * **codec correctness** — encode/decode are exact inverses over
   randomized ``PartialResult`` inputs, delta shipping memoizes
   by object identity + dataset epoch, and every fallback path keeps the
   payload on plain pickle rather than failing the flush.
 """
 
+import os
 import pickle
 import random
+import re
 import struct
 
-import numpy as np
 import pytest
 
 from repro.core.partial import PartialResult
@@ -35,7 +37,7 @@ from repro.core.payload import (
     encode_shard_payload,
     resolve_ref,
 )
-from repro.storage.shm import ShmArena, ShmArenaError, arena_segments
+from repro.storage.shm import SHM_PREFIX, ShmArena, ShmArenaError, arena_segments
 
 
 def random_rsk(rng, n=None):
@@ -49,132 +51,21 @@ def random_rsk(rng, n=None):
 # Arena: round-trip identity
 # ----------------------------------------------------------------------
 
-def test_array_round_trip_is_bitwise_across_attach():
-    rng = np.random.default_rng(7)
-    originals = {
-        "f64": rng.standard_normal(257),
-        "i64": rng.integers(-(2**62), 2**62, size=(31, 3)),
-        "i32": rng.integers(-(2**31), 2**31, size=11).astype(np.int32),
-        "u8": rng.integers(0, 255, size=1000).astype(np.uint8),
-    }
-    with ShmArena() as arena:
-        for column, arr in originals.items():
-            view = arena.add_array(column, arr)
-            assert view.tobytes() == arr.tobytes()
-            with pytest.raises(ValueError):
-                view[...] = 0  # published state is read-only
-        attached = ShmArena.attach(arena.name)
-        try:
-            for column, arr in originals.items():
-                got = attached.get(column)
-                assert got.dtype == arr.dtype
-                assert got.shape == arr.shape
-                assert got.tobytes() == arr.tobytes()  # bitwise
-        finally:
-            attached.close()
-
-
 def test_bytes_round_trip_and_blob_guard():
     blob = bytes(random.Random(3).randrange(256) for _ in range(4096))
     with ShmArena() as arena:
         arena.add_bytes("blob", blob)
-        assert arena.get_bytes("blob") == blob
+        assert arena.columns() == {"blob": (None, (4096,), 4096)}
         assert ShmArena.read_column_bytes(arena.name, "blob") == blob
-        with pytest.raises(ShmArenaError, match="byte blob"):
-            arena.get("blob")
-
-
-def test_attached_reader_sees_columns_added_after_attach():
-    with ShmArena() as arena:
-        attached = ShmArena.attach(arena.name)
-        try:
-            assert "late" not in attached.columns()
-            arena.add_bytes("late", b"delta-shipped")
-            # get_bytes refreshes the seqlocked directory on a miss.
-            assert attached.get_bytes("late") == b"delta-shipped"
-        finally:
-            attached.close()
-
-
-def test_share_arrays_repoints_attributes_and_skips_none():
-    class Holder:
-        def __init__(self):
-            self.a = np.arange(12, dtype=np.int64)
-            self.b = None
-            self.c = np.linspace(0.0, 1.0, 9)
-
-    holder = Holder()
-    want_a, want_c = holder.a.tobytes(), holder.c.tobytes()
-    with ShmArena() as arena:
-        shared = arena.share_arrays(holder, ("a", "b", "c"), prefix="h")
-        assert shared == ["h.a", "h.c"]
-        assert holder.b is None
-        assert holder.a.tobytes() == want_a
-        assert holder.c.tobytes() == want_c
-        assert holder.a is arena.get("h.a")  # attribute now IS the view
-        with pytest.raises(ShmArenaError, match="already shared"):
-            arena.share_arrays(holder, ("a",), prefix="h")
-
-
-def test_close_restores_shared_attributes_to_private_copies():
-    # SharedMemory.close() unmaps even with numpy views exported, so
-    # teardown must hand the host object private copies back — else any
-    # later engine over the same dataset reads unmapped/recycled pages.
-    class Holder:
-        def __init__(self):
-            self.a = np.arange(12, dtype=np.int64)
-            self.c = np.linspace(0.0, 1.0, 9)
-
-    holder = Holder()
-    want_a, want_c = holder.a.tobytes(), holder.c.tobytes()
-    arena = ShmArena()
-    arena.share_arrays(holder, ("a", "c"), prefix="h")
-    arena.destroy()
-    for attr, want in (("a", want_a), ("c", want_c)):
-        restored = getattr(holder, attr)
-        assert restored.base is None  # private memory, not an shm view
-        assert not restored.flags.writeable
-        assert restored.tobytes() == want
-    # The restored object can be shared again into a fresh arena.
-    with ShmArena() as arena2:
-        arena2.share_arrays(holder, ("a", "c"), prefix="h")
-        assert holder.a.tobytes() == want_a
-    assert holder.a.tobytes() == want_a  # and restored again on exit
-    assert not arena_segments()
-
-
-def test_close_leaves_replaced_attributes_alone():
-    class Holder:
-        def __init__(self):
-            self.a = np.arange(6, dtype=np.int64)
-
-    holder = Holder()
-    arena = ShmArena()
-    arena.share_arrays(holder, ("a",), prefix="h")
-    replacement = np.zeros(3, dtype=np.float32)
-    holder.a = replacement  # e.g. re-shared into a newer arena
-    arena.destroy()
-    assert holder.a is replacement
+        with pytest.raises(ShmArenaError, match="already exists"):
+            arena.add_bytes("blob", b"again")
+        with pytest.raises(ShmArenaError, match="invalid column"):
+            arena.add_bytes("a/b", b"")
 
 
 # ----------------------------------------------------------------------
 # Arena: lifecycle + leak freedom
 # ----------------------------------------------------------------------
-
-def test_attach_is_refcounted_per_process():
-    with ShmArena() as arena:
-        assert ShmArena.attach_count(arena.name) == 0
-        h1 = ShmArena.attach(arena.name)
-        h2 = ShmArena.attach(arena.name)
-        assert h1 is h2  # one shared handle
-        assert ShmArena.attach_count(arena.name) == 2
-        h2.close()
-        assert ShmArena.attach_count(arena.name) == 1
-        h1.close()
-        assert ShmArena.attach_count(arena.name) == 0
-        h1.close()  # extra closes are harmless
-        assert ShmArena.attach_count(arena.name) == 0
-
 
 def test_destroy_leaves_no_segments_and_is_idempotent():
     arena = ShmArena()
@@ -186,8 +77,10 @@ def test_destroy_leaves_no_segments_and_is_idempotent():
     arena.destroy()  # idempotent
     arena.unlink()
     arena.close()
-    with pytest.raises((ShmArenaError, FileNotFoundError)):
-        ShmArena.attach(name)
+    with pytest.raises(FileNotFoundError):
+        ShmArena.read_column_bytes(name, "x")
+    with pytest.raises(ShmArenaError, match="closed arena"):
+        arena.add_bytes("y", b"late")
 
 
 def test_abandoned_owner_is_swept_by_finalizer():
@@ -210,41 +103,24 @@ def test_drop_column_unlinks_and_preserves_directory():
         arena.drop_column("retire")
         assert segment not in arena_segments()
         assert "retire" not in arena.columns()
-        assert arena.get_bytes("keep") == b"live"
+        assert ShmArena.read_column_bytes(arena.name, "keep") == b"live"
         arena.drop_column("retire")  # idempotent
-
-
-def test_attach_only_handle_cannot_mutate():
-    with ShmArena() as arena:
-        arena.add_bytes("x", b"1")
-        attached = ShmArena.attach(arena.name)
-        try:
-            with pytest.raises(ShmArenaError, match="owning"):
-                attached.add_bytes("y", b"2")
-            with pytest.raises(ShmArenaError, match="owning"):
-                attached.drop_column("x")
-        finally:
-            attached.close()
 
 
 def test_unlink_keeps_existing_mappings_valid():
     arena = ShmArena()
-    want = np.arange(64, dtype=np.int64)
-    arena.add_array("x", want)
-    attached = ShmArena.attach(arena.name)
+    arena.add_bytes("x", b"published")
     try:
-        view = attached.get("x")  # mapped while the name still exists
+        assert ShmArena.read_column_bytes(arena.name, "x") == b"published"
         arena.unlink()  # names gone; POSIX keeps the memory for mappings
-        assert view.tobytes() == want.tobytes()
         assert not any(
             seg.startswith(arena.name) for seg in arena_segments()
         )
         # By-name access is now correctly impossible — the exact signal a
         # respawned worker gets if it outlives the arena.
-        with pytest.raises((ShmArenaError, FileNotFoundError)):
+        with pytest.raises(FileNotFoundError):
             ShmArena.read_column_bytes(arena.name, "x")
     finally:
-        attached.close()
         arena.close()
 
 
@@ -429,9 +305,9 @@ def test_engine_results_identical_with_and_without_shm():
 
 @pytest.mark.skipif(not HAS_FORK, reason="needs fork")
 def test_shared_dataset_survives_shm_engine_teardown():
-    # Regression: arena teardown used to unmap the segments backing the
-    # dataset's memoized DatasetArrays/TreeArrays views, so EVERY later
-    # engine over the same dataset (pickle or shm) computed garbage.
+    # Engines over one dataset share its memoized DatasetArrays /
+    # TreeArrays: an shm engine's teardown must leave them usable for
+    # every later engine, pickle or shm.
     from ..serve.conftest import build_dataset
 
     dataset, _, vocab = build_dataset(seed=5)
@@ -463,11 +339,148 @@ def test_killed_worker_leaks_no_segments_and_results_survive():
         assert a.location == b.location
         assert a.keywords == b.keywords
         assert a.brstknn == b.brstknn
-    # The killed hosts held no arena state of their own (they map what
-    # they inherited), and close_pools destroyed the arena: /dev/shm is
-    # clean.
+    # The killed hosts held no arena state of their own (they copy
+    # blocks out by name), and close_pools destroyed the arena: /dev/shm
+    # is clean.
     assert not any(seg.startswith(arena_name) for seg in arena_segments())
     assert not arena_segments()
+
+
+#: A codec block's column: ``<tag>-e<epoch>-f<ship sequence>``.
+CODEC_COLUMN = re.compile(r"-e\d+-f\d+$")
+
+
+def _own_segments():
+    """This process's ``/dev/shm`` segments (arena names carry the pid)."""
+    return arena_segments(f"{SHM_PREFIX}{os.getpid()}-")
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs fork")
+def test_lanes_keep_private_kernel_arrays_and_ship_only_codec_blocks():
+    from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions
+    from repro.core.kernels import arrays_for, tree_arrays_for
+    from repro.serve import ShardedEngine
+
+    from ..serve.conftest import assert_results_equal, build_dataset, make_queries
+
+    dataset, rng, vocab = build_dataset(seed=7)
+    queries = make_queries(rng, vocab, 6)
+    reference = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4)).query_batch(
+        queries, QueryOptions()
+    )
+    engine = ShardedEngine(
+        dataset, EngineConfig(fanout=4, num_shards=2, use_shm=True)
+    )
+    engine.prewarm_kernels()
+    dense = arrays_for(dataset)
+    tree = tree_arrays_for(engine.root.object_tree)
+    user_xy, ent_rect = dense.user_xy, tree.ent_rect
+
+    def arrays_untouched():
+        assert arrays_for(dataset).user_xy is user_xy
+        assert tree_arrays_for(engine.root.object_tree).ent_rect is ent_rect
+
+    arrays_untouched()
+    arena = engine.ensure_arena()
+    assert arena.columns() == {}  # nothing is published up front
+    assert not _own_segments()
+    engine.start_pools(1)
+    try:
+        arrays_untouched()
+        engine.query_batch(queries, QueryOptions())  # cold
+        warm = engine.query_batch(queries, QueryOptions())
+        assert engine.last_flush_report.payload_bytes_out > 0
+        arrays_untouched()
+        columns = arena.columns()
+        assert columns, "the warm flush shipped no codec block"
+        for column, (dtype, shape, nbytes) in columns.items():
+            assert CODEC_COLUMN.search(column), column
+            assert dtype is None and shape == (nbytes,)
+    finally:
+        engine.close_pools()
+    arrays_untouched()
+    assert_results_equal(warm, reference)
+    assert not _own_segments()
+
+
+#: Run in a fresh interpreter, so no earlier test has started the
+#: resource tracker: prints how many processes the forked hosts started.
+_TRACKER_PROBE = """
+import os
+from repro import EngineConfig, QueryOptions
+from repro.serve import ShardedEngine
+from tests.serve.conftest import build_dataset, live_children, make_queries
+
+dataset, rng, vocab = build_dataset(seed=11)
+queries = make_queries(rng, vocab, 6)
+engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2, use_shm=True))
+engine.start_pools(1)
+try:
+    engine.query_batch(queries, QueryOptions())
+    engine.query_batch(queries, QueryOptions())
+    assert engine.payload_codec.arena_bytes_written > 0
+    hosts = set(live_children())
+    assert len(hosts) == 2, hosts
+    grandchildren = 0
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                ppid = int(handle.read().rsplit(")", 1)[1].split()[1])
+        except OSError:
+            continue
+        grandchildren += ppid in hosts
+    print("HOST CHILDREN", grandchildren)
+finally:
+    engine.close_pools()
+"""
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs fork")
+def test_forked_hosts_share_the_owner_resource_tracker():
+    # A forked host that found no tracker at its first block read would
+    # start its own, and that one unlinks the owner's live segments when
+    # the host exits.  The arena starts the tracker before the fork.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=f"{repo / 'src'}{os.pathsep}{repo}")
+    run = subprocess.run(
+        [sys.executable, "-c", _TRACKER_PROBE], cwd=repo, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "HOST CHILDREN 0" in run.stdout, run.stdout
+    assert "leaked shared_memory" not in run.stderr, run.stderr
+
+
+def test_plain_engine_with_use_shm_serves_without_an_arena():
+    import asyncio
+
+    from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions
+    from repro.serve import MaxBRSTkNNServer, ServerConfig
+
+    from ..serve.conftest import assert_results_equal, build_dataset, make_queries
+
+    dataset, rng, vocab = build_dataset(seed=9)
+    queries = make_queries(rng, vocab, 6)
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, use_shm=True))
+    sequential = [engine.query(q, QueryOptions()) for q in queries]
+
+    async def serve():
+        config = ServerConfig(max_batch=6, max_wait_ms=2.0)
+        async with MaxBRSTkNNServer(engine, config) as server:
+            results = await server.submit_many(queries)
+            # The server's start-up prewarm used to publish the kernel
+            # arrays into an arena; a plain engine ships no payloads.
+            assert engine.arena_name is None
+            assert not _own_segments()
+        return results
+
+    assert_results_equal(asyncio.run(serve()), sequential)
+    assert engine.arena_name is None
+    assert not _own_segments()
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +541,7 @@ def test_gather_funnel_falls_back_on_unpackable_contents():
 
 
 # ----------------------------------------------------------------------
-# Foreign-process (untracked) attach: no resource_tracker noise
+# Unrelated-process (untracked) reads: no resource_tracker noise
 # ----------------------------------------------------------------------
 
 def test_untracked_attach_leaves_no_tracker_registration(monkeypatch):
@@ -556,13 +569,8 @@ def test_untracked_attach_leaves_no_tracker_registration(monkeypatch):
         monkeypatch.setattr(shm_mod, "_UNTRACKED_ATTACH", False)
         shm_mod.set_untracked_attach(True)
         assert shm_mod.untracked_attach_enabled()
-        attached = ShmArena.attach(arena.name)
-        try:
-            assert attached.get_bytes("blob") == b"x" * 64
-        finally:
-            attached.close()
         assert ShmArena.read_column_bytes(arena.name, "blob") == b"x" * 64
-        # Attach-side net registrations must be zero: natively (3.13+
+        # Open-side net registrations must be zero: natively (3.13+
         # track=False registers nothing) or by immediate compensation
         # (< 3.13) — either way this process's tracker holds no entry
         # that could unlink the owner's segments at exit.
@@ -595,10 +603,6 @@ def test_tracked_attach_is_the_default(monkeypatch):
         monkeypatch.setattr(
             shm_mod.ShmArena, "_open", staticmethod(spying_open)
         )
-        attached = ShmArena.attach(arena.name)
-        try:
-            assert attached.get_bytes("blob") == b"y" * 8
-        finally:
-            attached.close()
+        assert ShmArena.read_column_bytes(arena.name, "blob") == b"y" * 8
         assert any(not create for _, create in calls)
     assert not any(s.startswith(arena.name) for s in arena_segments())

@@ -95,6 +95,13 @@ class TestCLI:
         assert rc == 2
         assert "unknown fault 'explode'" in capsys.readouterr().err
 
+    def test_shard_host_has_no_arena_option(self, capsys):
+        # Hosts read payload blocks by the name each ArenaRef carries.
+        with pytest.raises(SystemExit) as exc:
+            main(["shard-host", "--arena", "x"])
+        assert exc.value.code == 2
+        assert "--arena" in capsys.readouterr().err
+
     def test_serve_command_verifies_against_sequential(self, capsys):
         rc = main([
             "serve", "--objects", "200", "--users", "20", "--locations", "3",

@@ -515,6 +515,11 @@ FORBIDDEN = {
     "the planner reads no flush timings":
         r"FlushHistory|FlushSignature|ObservedCosts|PlanDecision|_consult_history"
         r"|search_inprocess|flush_history|INPROCESS_STAGE_MS|MIN_OBSERVED_FLUSHES",
+    # Forked hosts inherit the kernel arrays and remote hosts build
+    # their own: the arena holds codec blocks, read out by name.
+    "the arena carries payload blocks only":
+        r"share_into|share_arrays|SHARED_ATTRS|add_array|_restore_shared_attrs"
+        r"|attach_count|ShmArena\.attach\b|--arena",
 }
 
 
@@ -563,6 +568,14 @@ def test_src_names_no_retired_design(design):
     ("the planner reads no flush timings", "engine.flush_history.record(report)"),
     ("the planner reads no flush timings", "INPROCESS_STAGE_MS = 1.0"),
     ("the planner reads no flush timings", "MIN_OBSERVED_FLUSHES = 3"),
+    ("the arena carries payload blocks only", "arrays.share_into(arena)"),
+    ("the arena carries payload blocks only", "arena.share_arrays(obj, attrs, 'h')"),
+    ("the arena carries payload blocks only", "for attr in self.SHARED_ATTRS:"),
+    ("the arena carries payload blocks only", "view = arena.add_array(column, data)"),
+    ("the arena carries payload blocks only", "self._restore_shared_attrs()"),
+    ("the arena carries payload blocks only", "refs = ShmArena.attach_count(name)"),
+    ("the arena carries payload blocks only", "handle = ShmArena.attach(name)"),
+    ("the arena carries payload blocks only", 'parser.add_argument("--arena")'),
 ])
 def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     """The scan above has teeth: each alternative of each regex counts."""
@@ -576,6 +589,10 @@ def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     ("one worker runtime", "results = pool.map(run, payloads)"),
     ("a flush is one function per mode", "context = SelectionContext(batch)"),
     ("the planner reads no flush timings", "history = plan.explain()"),
+    ("the arena carries payload blocks only", "arena.add_bytes(column, data)"),
+    ("the arena carries payload blocks only",
+     "data = ShmArena.read_column_bytes(name, column)"),
+    ("the arena carries payload blocks only", "set_untracked_attach(True)"),
 ])
 def test_the_name_scan_passes_live_names(tmp_path, design, line):
     (tmp_path / "probe.py").write_text(line + "\n")
