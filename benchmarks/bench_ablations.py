@@ -17,7 +17,7 @@ design decisions so a downstream user can tune them:
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine
 from repro.bench.harness import measure_topk_joint, measure_selection
 from repro.datagen import candidate_locations, flickr_like, generate_users
 from repro.index.irtree import IRTree, MIRTree
@@ -53,7 +53,7 @@ def test_ablation_posting_layout_build(benchmark, layout):
 def test_ablation_buffer_pool(benchmark, buffer_pages):
     """Warm-cache upside of the per-user baseline search."""
     dataset = _small_world()
-    engine = MaxBRSTkNNEngine(dataset, buffer_pages=buffer_pages)
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(buffer_pages=buffer_pages))
 
     def run():
         engine.reset_io()

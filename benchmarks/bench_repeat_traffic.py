@@ -45,7 +45,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
+from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.metrics import percentile  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
           f"(pool={args.pool}, stream={args.stream}, zipf_s={args.zipf_s}, "
           f"concurrency={args.concurrency})", flush=True)
     bench = build_workbench(config, cached=False)
-    engine = MaxBRSTkNNEngine(bench.dataset, fanout=config.fanout)
+    engine = MaxBRSTkNNEngine(bench.dataset, EngineConfig(fanout=config.fanout))
     workload = generate_users(
         bench.dataset.objects,
         num_users=config.num_users,
@@ -193,7 +193,8 @@ def main(argv=None) -> int:
     reference = None
     if not args.no_verify:
         ref_engine = MaxBRSTkNNEngine(
-            bench.dataset, fanout=config.fanout, object_tree=engine.object_tree
+            bench.dataset, EngineConfig(fanout=config.fanout),
+            object_tree=engine.object_tree,
         )
         reference = [oracle.query(ref_engine, q, options) for q in pool]
 

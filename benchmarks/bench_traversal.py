@@ -84,12 +84,9 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
+from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
-from repro.core.batch import (  # noqa: E402
-    _derive_shared_topk, _ensure_traversal_pool,
-)
 from repro.core.candidate_selection import (  # noqa: E402
     SelectionBatch, _keyword_side, select_candidate,
 )
@@ -99,6 +96,8 @@ from repro.core.joint_topk import (  # noqa: E402
 from repro.core.kernels import (  # noqa: E402
     GUARD_EPS, DatasetArrays, arrays_for, tree_arrays_for,
 )
+from repro.core.pipeline import FlushReport  # noqa: E402
+from repro.core.planner import plan_batch  # noqa: E402
 from repro.core.query import QueryStats  # noqa: E402
 from repro.datagen.users import generate_users, query_pool  # noqa: E402
 from repro.storage.iostats import IOCounter  # noqa: E402
@@ -196,6 +195,18 @@ FLUSH_KS = (5, 10, 20)
 FLUSH_QUERIES = 8
 
 
+def refined_pairs(engine, queries):
+    """Each query's ``(RSk(u), RSk(us))`` as a joint flush hands them
+    to its select phase: the engine executor's traverse and refine (one
+    walk at the largest k, or the larger pool it already holds)."""
+    plan = plan_batch(QueryOptions(), engine.capabilities(), [q.k for q in queries])
+    report = FlushReport(mode="joint", batch_size=len(queries))
+    executor = engine._executor
+    pool, group_by_k = executor._traverse(report, queries, plan)
+    shared = executor._refine(report, queries, plan, pool, group_by_k)
+    return [(entry.rsk, entry.rsk_group) for entry in shared]
+
+
 def spatial_rows(run):
     """``run()``'s result and the ``SS(l, u)`` rows it computed
     (``DatasetArrays.spatial_matrix`` rows, summed over its calls)."""
@@ -275,7 +286,7 @@ def main(argv=None) -> int:
     print(f"dataset: {config.label()}", flush=True)
     bench = build_workbench(config, cached=False)
     engine = MaxBRSTkNNEngine(
-        bench.dataset, fanout=config.fanout, index_users=True
+        bench.dataset, EngineConfig(fanout=config.fanout, index_users=True)
     )
 
     t0 = time.perf_counter()
@@ -457,13 +468,7 @@ def main(argv=None) -> int:
     # The same queries at their own ks (cycling over mixed_ks), each
     # reading its k's thresholds: one SelectionBatch across k — what a
     # select payload dealt over a mixed-k flush runs.
-    shared_pool = _ensure_traversal_pool(engine, max(q.k for q in selected))
-    by_k = {
-        k: (entry.rsk, entry.rsk_group)
-        for k in {q.k for q in selected}
-        for entry in [_derive_shared_topk(engine, shared_pool, k)]
-    }
-    mixed_pairs = [by_k[q.k] for q in selected]
+    mixed_pairs = refined_pairs(engine, selected)
     select_mixed_timings, mixed_answers = {}, {}
     for side in SIDES:
         select_mixed_timings[side], mixed_answers[side] = time_select(
@@ -473,7 +478,7 @@ def main(argv=None) -> int:
         print(
             f"select-batch mixed-k {side:<7}: "
             f"{1000 * select_mixed_timings[side]:8.2f} ms  ({len(selected)} "
-            f"queries, k in {{{','.join(map(str, sorted(by_k)))}}}"
+            f"queries, k in {{{','.join(map(str, sorted({q.k for q in selected})))}}}"
             + (", one SelectionBatch)" if side == "engine" else ", one by one)"),
             flush=True,
         )
@@ -493,12 +498,7 @@ def main(argv=None) -> int:
         ))
     ]
     assert len({_keyword_side(q) for q in flush}) == 1
-    flush_pool = _ensure_traversal_pool(engine, max(FLUSH_KS))
-    flush_pairs = [
-        (entry.rsk, entry.rsk_group)
-        for q in flush
-        for entry in [_derive_shared_topk(engine, flush_pool, q.k)]
-    ]
+    flush_pairs = refined_pairs(engine, flush)
     flush_s, flush_answers = time_select(
         flush, engine.dataset, flush_pairs, "engine", args.repeats, stacked=True,
     )

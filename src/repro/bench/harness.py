@@ -26,7 +26,7 @@ from typing import Mapping, Tuple
 
 from .. import oracle
 from ..core.baseline import baseline_select_candidate
-from ..core.config import QueryOptions
+from ..core.config import EngineConfig, QueryOptions
 from ..core.engine import MaxBRSTkNNEngine
 from ..core.query import MaxBRSTkNNQuery
 from ..model.dataset import Dataset
@@ -111,7 +111,9 @@ def _build(config: ExperimentConfig) -> Workbench:
         alpha=config.alpha,
         vocabulary=vocab,
     )
-    engine = MaxBRSTkNNEngine(dataset, fanout=config.fanout, index_users=True)
+    engine = MaxBRSTkNNEngine(
+        dataset, EngineConfig(fanout=config.fanout, index_users=True)
+    )
     query = MaxBRSTkNNQuery(
         ox=workload.query_object(),
         locations=list(workload.locations),

@@ -6,7 +6,6 @@ from .bounds import BoundCalculator, augmented_document
 from .candidate_selection import select_candidate, shortlist_locations
 from .engine import MaxBRSTkNNEngine
 from .extensions import Placement, collective_placement, top_placements
-from .indexed_users import indexed_users_maxbrstknn
 from .joint_topk import individual_topk, joint_topk, joint_traversal
 from .kernels import DatasetArrays, TreeArrays, arrays_for, tree_arrays_for
 from .keyword_selection import (
@@ -34,7 +33,6 @@ __all__ = [
     "baseline_select_candidate",
     "collective_placement",
     "compute_brstknn",
-    "indexed_users_maxbrstknn",
     "individual_topk",
     "joint_topk",
     "joint_traversal",

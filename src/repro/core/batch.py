@@ -8,34 +8,30 @@ expensive query-independent phase every single time — the same
 redundancy the joint traversal removed *within* one query, one level
 up.
 
-:func:`query_batch` exploits it — and since PR 3, ``Mode.JOINT``
-batches go further with **cross-k candidate-pool sharing**: one joint
-traversal at ``k_max = max(k)`` produces candidate pools that provably
-subsume the pools of every smaller ``k`` in the batch
-(``RSk_max(us) <= RSk(us)``, so no object a smaller-k traversal keeps
-is ever pruned at ``k_max``), and each k's thresholds are derived from
-the shared pool by Algorithm 2 (:class:`SharedTraversalPool`, memoized
-on the engine across batches).  A mixed-k batch therefore pays for a
-*single* tree walk.  Candidate selection is answered per ``select``
-payload, in this process (a sharded engine deals the flush's queries
-into one balanced payload per lane instead), whatever the queries'
-``k``: each query carries its own k's :class:`SharedTopK`, and queries
-that share ``(ox.d, W, ws)`` are selected as one stacked location block
-over one selection context whose location rows read their own query's
+:func:`query_batch` exploits it — and ``Mode.JOINT`` batches go further
+with **cross-k candidate-pool sharing**: one joint traversal at
+``k_max = max(k)`` produces candidate pools that provably subsume the
+pools of every smaller ``k`` in the batch (``RSk_max(us) <= RSk(us)``,
+so no object a smaller-k traversal keeps is ever pruned at ``k_max``),
+and each k's thresholds are refined from the shared pool by Algorithm 2
+(:class:`SharedTraversalPool`, memoized across batches).  A mixed-k
+batch therefore pays for a *single* tree walk.  Candidate selection is
+answered per ``select`` payload, whatever the queries' ``k``: each query
+carries its own k's :class:`SharedTopK`, and queries that share
+``(ox.d, W, ws)`` are selected as one stacked location block over one
+selection context whose location rows read their own query's
 ``RSk(u)`` (:class:`~repro.core.candidate_selection.SelectionBatch`),
-each answer and counter still the query's own.
-``Mode.INDEXED`` batches pool across k the same way: the node-RSk
-reformulation (:mod:`repro.core.indexed_users`) made every per-k
-quantity derive pool-independently from one MIUR-root walk at
-``k_max``, memoized on the engine as ``engine._root_pool``.  ``Mode.BASELINE`` shares its
-per-user top-k per distinct k as before.
+each answer and counter still the query's own.  ``Mode.INDEXED``
+batches pool across k the same way: the node-RSk reformulation
+(:mod:`repro.core.indexed_users`) made every per-k quantity derive
+pool-independently from one MIUR-root walk at ``k_max``.
+``Mode.BASELINE`` shares its per-user top-k per distinct k.
 
 Execution strategy is decided by :func:`repro.core.planner.plan_batch`
-and carried out by :mod:`repro.core.pipeline`, one function per mode
-(:class:`repro.core.pipeline.LocalExecutor` here; the sharded serving
-layer runs the same phases through a
-:class:`~repro.core.pipeline.ShardedExecutor`).  This module keeps the
-phase-1 sharing primitives (pool ensure/derive, the per-query select)
+and carried out by the engine's one
+:class:`~repro.core.pipeline.Executor`, which also owns the memo (the
+pools and per-k states).  This module keeps the phase-1 sharing
+primitives (the pool walk, the baseline scans, the per-query select)
 those phases are built from.
 
 Result contract: every result — location, keywords, BRSTkNN set, and
@@ -48,8 +44,8 @@ on a fresh engine, or a larger earlier walk the memoized pool kept (a
 cold sequential run of the same query pays a ``k``-walk instead).
 They are identical for every query in the batch, and for same-k
 batches against a fresh (or freshly cleared) engine they coincide with
-the sequential trace exactly.  Only wall-clock timings differ beyond
-that (that is the point).
+the sequential trace exactly — ``engine.query`` is such a batch of one.
+Only wall-clock timings differ beyond that (that is the point).
 """
 
 from __future__ import annotations
@@ -63,12 +59,11 @@ from .candidate_selection import SelectionBatch, select_candidate
 from .config import QueryOptions, coerce_options
 from .joint_topk import (
     JointTraversalResult,
-    TopKTable,
-    derive_rsk_group as _derive_rsk_group_at,
+    derive_rsk_group,
     individual_topk,
     joint_traversal,
 )
-from .planner import EngineCapabilities, QueryPlan, plan_batch
+from .planner import QueryPlan, plan_batch
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,9 +72,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "SharedTopK",
     "SharedTraversalPool",
-    "derive_rsk_group",
     "query_batch",
     "execute_batch",
+    # Not called here any more (refines run through repro.core.partial):
+    # benchmarks/e2e/layers.py still patches it on this module, by name.
+    "individual_topk",
 ]
 
 
@@ -104,15 +101,14 @@ class SharedTraversalPool:
     """Cross-k phase-1 state for ``Mode.JOINT`` batches.
 
     One joint traversal at ``k`` — the largest k any batch has asked
-    this engine for — owns the candidate pools, and one Algorithm 2
-    pass at that same ``k`` owns the per-user top-k scores (``table``);
-    smaller-k thresholds are read off that table and memoized in
-    ``by_k``.  Subsumption argument: an object outside the
-    ``k_max`` pools has ``UB(o, us) < RSk_max(us) <= RSk(us) <=
-    RSk(u)`` for every user and every ``k <= k_max``, so it can appear
-    in nobody's top-k — exactly the objects a dedicated ``k``-traversal
-    is allowed to drop.  Derived thresholds (``RSk(u)`` and
-    ``RSk(us)``) are value-identical to what the dedicated traversal
+    the executor for — owns the candidate pools; each k's thresholds are
+    refined from them (:func:`repro.core.partial.compute_partials`) and
+    the per-k state memoized in ``by_k``.  Subsumption argument: an
+    object outside the ``k_max`` pools has ``UB(o, us) < RSk_max(us)
+    <= RSk(us) <= RSk(u)`` for every user and every ``k <= k_max``, so
+    it can appear in nobody's top-k — exactly the objects a dedicated
+    ``k``-traversal is allowed to drop.  Derived thresholds (``RSk(u)``
+    and ``RSk(us)``) are value-identical to what the dedicated traversal
     would produce, so downstream selection results match sequential
     queries exactly.
     """
@@ -127,24 +123,17 @@ class SharedTraversalPool:
     #: Memoized per-k group thresholds (an order statistic of the pool's
     #: lower bounds; a serving loop asks for the same ks every flush).
     group_by_k: Dict[int, float] = field(default_factory=dict)
-    #: Algorithm 2's table at ``k`` (filled by the first threshold
-    #: derivation after the walk).
-    table: Optional[TopKTable] = None
 
     def rsk_group_for(self, k: int) -> float:
         value = self.group_by_k.get(k)
         if value is None:
-            value = _derive_rsk_group_at(self.traversal, self.k, k)
+            value = derive_rsk_group(self.traversal, self.k, k)
             self.group_by_k[k] = value
         return value
 
 
 def _compute_shared_baseline(engine: "MaxBRSTkNNEngine", k: int) -> SharedTopK:
-    """Baseline phase 1, once per distinct ``k``: per-user top-k scans.
-
-    (Joint batches no longer run a per-k phase 1 — they derive their
-    thresholds from the engine's cross-k :class:`SharedTraversalPool`.)
-    """
+    """Baseline phase 1, once per distinct ``k``: per-user top-k scans."""
     from ..topk.single import topk_all_users_individually
 
     before = engine.io.snapshot()
@@ -163,10 +152,11 @@ def _compute_shared_baseline(engine: "MaxBRSTkNNEngine", k: int) -> SharedTopK:
     )
 
 
-def _ensure_traversal_pool(engine: "MaxBRSTkNNEngine", k: int) -> SharedTraversalPool:
-    """The engine's cross-k pool, (re)walked only when ``k`` outgrows it."""
-    pool = engine._traversal_pool
+def _ensure_traversal_pool(executor, k: int) -> SharedTraversalPool:
+    """The executor's cross-k pool, (re)walked only when ``k`` outgrows it."""
+    pool = executor.traversal_pool
     if pool is None or pool.k < k:
+        engine = executor.engine
         before = engine.io.snapshot()
         t0 = time.perf_counter()
         traversal = joint_traversal(
@@ -175,9 +165,9 @@ def _ensure_traversal_pool(engine: "MaxBRSTkNNEngine", k: int) -> SharedTraversa
         elapsed = time.perf_counter() - t0
         delta = engine.io.snapshot() - before
         engine.traversal_runs += 1
-        # Drop previously derived thresholds: every by_k entry reports
-        # the walk that produced the current pool.
-        pool = SharedTraversalPool(
+        # A fresh by_k: every entry reports the walk that produced the
+        # current pool.
+        pool = executor.traversal_pool = SharedTraversalPool(
             k=k,
             traversal=traversal,
             topk_time_s=elapsed,
@@ -185,57 +175,7 @@ def _ensure_traversal_pool(engine: "MaxBRSTkNNEngine", k: int) -> SharedTraversa
             io_invfile_blocks=delta.invfile_blocks,
             by_k={},
         )
-        engine._traversal_pool = pool
     return pool
-
-
-def derive_rsk_group(pool: SharedTraversalPool, k: int) -> float:
-    """``RSk(us)`` at ``k`` from a pool walked at ``pool.k >= k``.
-
-    Thin wrapper over the shared, pool-independent derivation
-    (:func:`repro.core.joint_topk.derive_rsk_group`), memoized per k on
-    the pool — kept here because the sharded gather and the per-k
-    threshold derivation below both address pools through this module.
-    """
-    return pool.rsk_group_for(k)
-
-
-def _derive_shared_topk(
-    engine: "MaxBRSTkNNEngine", pool: SharedTraversalPool, k: int
-) -> SharedTopK:
-    """Per-k thresholds from the shared pool (Algorithm 2, memoized).
-
-    ``RSk(u)`` values are exactly what a dedicated ``k``-traversal
-    followed by Algorithm 2 yields: the pool contains every object any
-    user can rank in a top-``k`` (``k <= pool.k``), refinement computes
-    exact scores, and ties resolve by ``(score, object id)`` — pool
-    membership beyond the necessary objects cannot change the outcome.
-    That total order also makes a user's top-``k`` the first ``k`` of
-    their top-``pool.k``, so the pool is refined once, at ``pool.k``
-    (whichever ``k`` asks first pays for it), and every ``k`` reads its
-    thresholds off the same :class:`~repro.core.joint_topk.TopKTable`.
-    ``RSk(us)`` equals the k-th best candidate lower bound globally:
-    any object with a top-k lower bound survives the ``k_max`` walk.
-    """
-    if k > pool.k:
-        raise ValueError(f"pool walked at k={pool.k} cannot serve k={k}")
-    entry = pool.by_k.get(k)
-    if entry is not None:
-        return entry
-    t0 = time.perf_counter()
-    if pool.table is None:
-        pool.table = individual_topk(pool.traversal, engine.dataset, pool.k)
-    rsk_group = derive_rsk_group(pool, k)
-    elapsed = time.perf_counter() - t0
-    entry = SharedTopK(
-        rsk=pool.table.rsk(k),
-        rsk_group=rsk_group,
-        topk_time_s=pool.topk_time_s + elapsed,
-        io_node_visits=pool.io_node_visits,
-        io_invfile_blocks=pool.io_invfile_blocks,
-    )
-    pool.by_k[k] = entry
-    return entry
 
 
 def _select_one(
@@ -314,7 +254,7 @@ def query_batch(
     queries = list(queries)
     if not queries:
         return []
-    plan = plan_batch(opts, EngineCapabilities.of(engine), [q.k for q in queries])
+    plan = plan_batch(opts, engine.capabilities(), [q.k for q in queries])
     return execute_batch(engine, queries, plan)
 
 
@@ -323,17 +263,9 @@ def execute_batch(
     queries: Sequence[MaxBRSTkNNQuery],
     plan: QueryPlan,
 ) -> List[MaxBRSTkNNResult]:
-    """Carry out a planned batch through :mod:`repro.core.pipeline`.
-
-    Thin wrapper: a :class:`repro.core.pipeline.LocalExecutor` runs
-    the mode's phases (traverse → refine → select for joint,
-    traverse → indexed-search for indexed, topk → select for baseline) on
-    this one engine, in this process; per-stage accounting lands on
-    ``engine.last_flush_report``.
-    """
-    from .pipeline import LocalExecutor
-
-    executor = LocalExecutor(engine)
-    results = executor.execute(queries, plan)
-    engine.last_flush_report = executor.last_flush_report
-    return results
+    """Carry out a planned batch on the engine's one
+    :class:`~repro.core.pipeline.Executor` (traverse → refine → select
+    for joint, traverse → indexed-search for indexed, topk → select for
+    baseline), against its memo; per-stage accounting lands on
+    ``engine.last_flush_report``."""
+    return engine._executor.execute(queries, plan)

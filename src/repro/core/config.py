@@ -95,7 +95,7 @@ class EngineConfig:
         LRU buffer capacity in pages; 0 = cold queries (paper setting).
     num_shards:
         Lane count of a :class:`~repro.serve.sharded.ShardedEngine`:
-        how many full-dataset lanes (fork workers, shard hosts) a
+        how many full-dataset lanes (forked or remote shard hosts) a
         scatter round is dealt over — the cold refine by user row
         range, the selections by query — with results identical to a
         single engine.  ``1`` (the default) means an ordinary single

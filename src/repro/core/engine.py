@@ -15,9 +15,12 @@ The three layers (see also ``repro/serve`` for the one above):
   validated configuration (enum fields accept their string values);
 * :mod:`repro.core.planner` — resolves options against the engine's
   capabilities into an executable :class:`QueryPlan`;
-* execution — this facade plus :mod:`repro.core.batch`, always in this
-  process (worker processes belong to the lanes of
-  :class:`~repro.serve.sharded.ShardedEngine`).
+* execution — one :class:`~repro.core.pipeline.Executor` per engine,
+  which runs every flush and owns the phase-1 memo (worker processes
+  belong to the lanes of :class:`~repro.serve.sharded.ShardedEngine`).
+  :meth:`MaxBRSTkNNEngine.query` is a batch of one on a fresh executor:
+  its empty memo makes the query cold, as in the paper's per-query
+  setting.
 
 Modes
 -----
@@ -29,8 +32,7 @@ Modes
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,16 +42,20 @@ from ..model.dataset import Dataset
 from ..storage.iostats import IOCounter
 from ..storage.pager import LRUBuffer, PageStore
 from ..topk.single import TopKResult, topk_all_users_individually
-from .baseline import baseline_maxbrstknn
 from .batch import query_batch
 from .candidate_selection import select_candidate
-from .config import EngineConfig, Mode, QueryOptions, coerce_options
-from .indexed_users import indexed_users_maxbrstknn
+from .config import EngineConfig, QueryOptions, coerce_options
 from .joint_topk import TopKTable, individual_topk, joint_traversal
+from .pipeline import Executor
 from .planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
-from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
+from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult
 
-__all__ = ["MaxBRSTkNNEngine"]
+__all__ = [
+    "MaxBRSTkNNEngine",
+    # Not called here any more (selection runs in repro.core.batch):
+    # benchmarks/e2e/layers.py still patches it on this module, by name.
+    "select_candidate",
+]
 
 
 class MaxBRSTkNNEngine:
@@ -60,10 +66,8 @@ class MaxBRSTkNNEngine:
     dataset:
         The bichromatic dataset (objects, users, relevance, alpha).
     config:
-        Typed build configuration (:class:`EngineConfig`).  The legacy
-        ``fanout`` / ``index_users`` / ``buffer_pages`` kwargs still
-        work and map onto an :class:`EngineConfig`; passing both is an
-        error.
+        Typed build configuration (:class:`EngineConfig`; ``None``: the
+        defaults).
     object_tree:
         Optional pre-built MIR-tree over the *same* object set to share
         instead of building one (``repro serve --verify`` builds its
@@ -75,37 +79,13 @@ class MaxBRSTkNNEngine:
         dataset: Dataset,
         config: Optional[EngineConfig] = None,
         *,
-        fanout: Optional[int] = None,
-        index_users: Optional[bool] = None,
-        buffer_pages: Optional[int] = None,
         object_tree: Optional[MIRTree] = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("fanout", fanout),
-                ("index_users", index_users),
-                ("buffer_pages", buffer_pages),
-            )
-            if value is not None
-        }
-        if isinstance(config, int):
-            # Legacy positional fanout: MaxBRSTkNNEngine(ds, 8).
-            if "fanout" in legacy:
-                raise TypeError("MaxBRSTkNNEngine() got two values for 'fanout'")
-            legacy["fanout"] = config
-            config = None
-        if config is not None and not isinstance(config, EngineConfig):
+        config = config if config is not None else EngineConfig()
+        if not isinstance(config, EngineConfig):
             raise TypeError(
                 f"config must be an EngineConfig, got {type(config).__name__}"
             )
-        if config is not None and legacy:
-            raise TypeError(
-                "pass either config=EngineConfig(...) or legacy kwargs, "
-                f"not both (got {sorted(legacy)})"
-            )
-        if config is None:
-            config = EngineConfig(**legacy)
         if config.num_shards != 1:
             raise ValueError(
                 "MaxBRSTkNNEngine runs in one process; for "
@@ -152,19 +132,11 @@ class MaxBRSTkNNEngine:
             self.user_tree = MIURTree(
                 dataset.users, dataset.relevance, fanout=config.fanout
             )
-        #: Per-dataset baseline phase-1 cache: ("baseline", k) -> shared
-        #: per-user top-k state, filled and reused by :meth:`query_batch`.
-        self._shared_topk_cache: Dict[Tuple[str, int], object] = {}
-        #: Cross-k candidate-pool cache for joint batches: one tree
-        #: walk at the largest k seen serves every smaller k (see
-        #: :class:`repro.core.batch.SharedTraversalPool`).
-        self._traversal_pool = None
-        #: Cross-k MIUR-root pool for indexed batches — the indexed
-        #: twin of ``_traversal_pool`` (see
-        #: :class:`repro.core.indexed_users.RootTraversal`): one walk
-        #: at the largest k seen serves every smaller k, since node-RSk
-        #: pruning derives pool-independently.
-        self._root_pool = None
+        #: Runs every flush of :meth:`query_batch` and owns the memo
+        #: it reuses across batches: the cross-k traversal pools (joint
+        #: and MIUR-root), the baseline's per-k scans and the merged
+        #: thresholds (:meth:`clear_topk_cache` drops them).
+        self._executor = Executor(self)
         #: Joint/MIUR-root tree walks this engine has executed (single
         #: queries and batch shared phases alike) — the batch benchmarks
         #: assert a mixed-k batch pays exactly one.
@@ -185,7 +157,7 @@ class MaxBRSTkNNEngine:
     # ------------------------------------------------------------------
     def capabilities(self) -> EngineCapabilities:
         """What this engine can execute (feeds the planner)."""
-        return EngineCapabilities.of(self)
+        return EngineCapabilities.of(self._executor)
 
     def plan(
         self,
@@ -233,55 +205,12 @@ class MaxBRSTkNNEngine:
         with the scalar reference kernels.
         """
         opts = coerce_options(options, api="MaxBRSTkNNEngine.query")
-        plan = plan_query(opts, self.capabilities(), k=query.k)
-        return self._execute_single(query, plan)
-
-    def _execute_single(
-        self, query: MaxBRSTkNNQuery, plan: QueryPlan
-    ) -> MaxBRSTkNNResult:
-        """Run one planned query (always cold: no shared-phase cache)."""
-        if plan.mode is Mode.BASELINE:
-            return baseline_maxbrstknn(
-                self.object_tree, self.dataset, query, store=self.store
-            )
-        if plan.mode is Mode.INDEXED:
-            assert self.user_tree is not None  # planner validated
-            self.traversal_runs += 1
-            return indexed_users_maxbrstknn(
-                self.object_tree,
-                self.user_tree,
-                self.dataset,
-                query,
-                method=plan.method.value,
-                store=self.store,
-            )
-
-        # Deliberately cold (no shared-phase cache): single-query cost
-        # and I/O accounting must match the paper's per-query setting
-        # (Figure 15 measures it).  batch._ensure_traversal_pool mirrors
-        # this block — keep the stats accounting in sync when editing.
-        stats = QueryStats(users_total=len(self.dataset.users))
-        before = self.io.snapshot()
-        t0 = time.perf_counter()
-        self.traversal_runs += 1
-        traversal = joint_traversal(
-            self.object_tree, self.dataset, query.k, store=self.store
-        )
-        table = individual_topk(traversal, self.dataset, query.k)
-        stats.topk_time_s = time.perf_counter() - t0
-        delta = self.io.snapshot() - before
-        stats.io_node_visits = delta.node_visits
-        stats.io_invfile_blocks = delta.invfile_blocks
-
-        rsk = table.rsk(query.k)  # RSk(u) by user row, one vector
-        return select_candidate(  # sets stats.selection_time_s
-            self.dataset,
-            query,
-            rsk,
-            rsk_group=traversal.rsk_group,
-            method=plan.method.value,
-            stats=stats,
-        )
+        # A fresh executor has an empty memo, so the query is cold by
+        # construction: it walks at query.k and memoizes nothing, and
+        # its I/O is the paper's per-query trace (Figure 15 measures it).
+        executor = Executor(self)
+        plan = plan_batch(opts, EngineCapabilities.of(executor), [query.k])
+        return executor.execute([query], plan)[0]
 
     def query_batch(
         self,
@@ -291,17 +220,15 @@ class MaxBRSTkNNEngine:
         """Answer a batch of queries, sharing phase 1 per distinct k.
 
         See :func:`repro.core.batch.query_batch`; the shared phase is
-        memoized on the engine, so consecutive batches with the same k
+        memoized on the engine's executor, so consecutive batches with the same k
         skip it entirely (:meth:`clear_topk_cache` drops it).  The whole
         batch runs in this process.
         """
         return query_batch(self, queries, options)
 
     def clear_topk_cache(self) -> None:
-        """Drop the shared phase-1 caches used by ``query_batch``."""
-        self._shared_topk_cache.clear()
-        self._traversal_pool = None
-        self._root_pool = None
+        """Drop the shared phase-1 memo used by ``query_batch``."""
+        self._executor.clear()
 
     def prewarm_kernels(self) -> None:
         """Build the kernel caches up front (server startup hook).

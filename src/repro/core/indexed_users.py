@@ -39,7 +39,7 @@ single decision.
 
 The search itself (:func:`indexed_search`) is a pure function of
 ``(user_tree, dataset, query, traversal, rsk_group)`` plus a page
-store: forked workers run it against a
+store: shard hosts run it against a
 :meth:`~repro.storage.pager.PageStore.ledger_view` and return the
 :class:`~repro.storage.pager.IOCharge` alongside the result, so the
 engine's shared counter sees exactly the charges an in-process run
@@ -88,7 +88,6 @@ __all__ = [
     "compute_root_traversal",
     "ensure_root_pool",
     "indexed_search",
-    "indexed_users_maxbrstknn",
 ]
 
 #: A shortlist entry: either a resolved user or a whole user node.
@@ -124,7 +123,7 @@ class RootTraversal:
     derives per k, and node-level pruning reads the canonical per-k
     candidate set.  Batched indexed queries therefore share ONE walk at
     ``k_max`` (planned by :func:`repro.core.planner.plan_batch`,
-    memoized on the engine exactly like the joint-mode
+    memoized on the engine's executor exactly like the joint-mode
     :class:`~repro.core.batch.SharedTraversalPool`).
     """
 
@@ -191,19 +190,19 @@ def compute_root_traversal(
     )
 
 
-def ensure_root_pool(engine, k: int) -> RootTraversal:
-    """The engine's cross-k MIUR-root pool, (re)walked only when ``k``
+def ensure_root_pool(executor, k: int) -> RootTraversal:
+    """The executor's cross-k MIUR-root pool, (re)walked only when ``k``
     outgrows it — the indexed twin of
     :func:`repro.core.batch._ensure_traversal_pool`."""
-    pool = engine._root_pool
+    pool = executor.root_pool
     if pool is None or pool.k < k:
+        engine = executor.engine
         assert engine.user_tree is not None  # planner validated
-        pool = compute_root_traversal(
+        pool = executor.root_pool = compute_root_traversal(
             engine.object_tree, engine.user_tree, engine.dataset, k,
             store=engine.store,
         )
         engine.traversal_runs += 1
-        engine._root_pool = pool
     return pool
 
 
@@ -229,7 +228,7 @@ def indexed_search(
     ``canonical`` / ``pool_arrays`` optionally inject the (memoized)
     canonical per-k candidate set — every decision is identical for any
     qualifying pool, which is what lets batch execution share one
-    ``k_max`` walk and fan this search out to forked workers against
+    ``k_max`` walk and fan this search out to shard hosts against
     :meth:`~repro.storage.pager.PageStore.ledger_view` stores.
 
     ``pool_arrays`` answers ``node_rsk(summary, k)`` — ``RSk(node)``,
@@ -387,50 +386,4 @@ def indexed_search(
         keywords=best_keywords,
         brstknn=best_users,
         stats=stats,
-    )
-
-
-def indexed_users_maxbrstknn(
-    object_tree: MIRTree,
-    user_tree: MIURTree,
-    dataset: Dataset,
-    query: MaxBRSTkNNQuery,
-    method: str = "approx",
-    store: Optional[PageStore] = None,
-    shared: Optional[RootTraversal] = None,
-) -> MaxBRSTkNNResult:
-    """Answer a MaxBRSTkNN query with both sets on (simulated) disk.
-
-    ``shared`` injects a precomputed phase-1 :class:`RootTraversal`
-    walked at any ``k >= query.k`` (batch execution: the cross-k pool);
-    when omitted the traversal runs here, cold, at ``query.k``.  The
-    per-query best-first search always starts from fresh caches, and
-    every per-k quantity it reads is derived pool-independently, so
-    results *and stats* are identical either way (top-k phase I/O
-    reports the walk that actually produced the pool, like joint-mode
-    batches).
-    """
-    if method not in ("approx", "exact"):
-        raise ValueError(f"unknown keyword-selection method {method!r}")
-    if shared is None:
-        shared = compute_root_traversal(
-            object_tree, user_tree, dataset, query.k, store=store
-        )
-    stats = QueryStats(
-        users_total=len(user_tree),
-        topk_time_s=shared.topk_time_s,
-        io_node_visits=shared.io_node_visits,
-        io_invfile_blocks=shared.io_invfile_blocks,
-    )
-    return indexed_search(
-        user_tree,
-        dataset,
-        query,
-        shared.traversal,
-        shared.rsk_group_for(query.k),
-        stats,
-        method=method,
-        store=store,
-        canonical=shared.canonical_for(query.k),
-        pool_arrays=shared.pool_arrays_for(dataset, query.k),
     )

@@ -221,10 +221,13 @@ class JointTraversalResult:
     first — then ``RO`` in (stable) descending upper bound.
     ``JointTraversalResult(lo=..., ro=..., rsk_group=...)`` builds the
     pool from two candidate lists (the oracle's walk); the engine's walk
-    hands its column pool to :meth:`of_pool`.
+    hands its column pool to :meth:`of_pool`.  ``refined`` is the last
+    Algorithm 2 table a lane refined from this pool
+    (:func:`repro.core.partial.compute_partials`), kept with the pool
+    like its object rows and never pickled.
     """
 
-    __slots__ = ("pool", "n_lo", "rsk_group")
+    __slots__ = ("pool", "n_lo", "rsk_group", "refined")
 
     def __init__(
         self,
@@ -235,6 +238,7 @@ class JointTraversalResult:
         self.pool = CandidatePool([*lo, *ro])
         self.n_lo = len(lo)
         self.rsk_group = rsk_group  # RSk(us)
+        self.refined = None
 
     @classmethod
     def of_pool(
@@ -242,6 +246,7 @@ class JointTraversalResult:
     ) -> "JointTraversalResult":
         result = cls.__new__(cls)
         result.pool, result.n_lo, result.rsk_group = pool, n_lo, rsk_group
+        result.refined = None
         return result
 
     def __reduce__(self):

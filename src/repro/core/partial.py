@@ -120,7 +120,10 @@ def compute_partials(
     the first ``k`` entries of the top-``max(ks)`` list over the same
     pool (:meth:`~repro.core.joint_topk.TopKTable.rsk`), so each ``k``
     still gets its own :class:`PartialResult`; the first carries the
-    refinement's time.
+    refinement's time.  The table stays on the pool
+    (``traversal.refined``), so a later call for the same replica and
+    rows at no larger a ``k`` reads it instead of refining again — a
+    flush that adds a smaller ``k`` to a walk pays no second pass.
     Example 4's stop is taken per user, so a user's list does not
     depend on which rows it was refined with.
 
@@ -147,7 +150,12 @@ def compute_partials(
     users = dataset.users[lo:hi]
     partials: List[PartialResult] = []
     t0 = time.perf_counter()
-    table = individual_topk(traversal, dataset, max(ks), users=users)
+    refined = traversal.refined
+    if refined is None or refined[:2] != (dataset, (lo, hi)) or refined[2].k < max(ks):
+        refined = traversal.refined = (
+            dataset, (lo, hi), individual_topk(traversal, dataset, max(ks), users=users)
+        )
+    table = refined[2]
     for k in ks:
         rsk = table.rsk(k)
         t1 = time.perf_counter()

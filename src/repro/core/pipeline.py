@@ -6,11 +6,11 @@ recording one :class:`StageStats` (wall time, simulated I/O, scatter
 width and round counters) on the flush's :class:`FlushReport`:
 
 * ``joint``    — traverse → refine → select.  Traverse is Algorithm 1's
-  one cross-k walk (or its memoized pool).  Refine is Algorithm 2: the
-  central per-k derivation on one engine, a scatter of user-row ranges
-  on a sharded one (per-user work, disjoint ``RSk(u)`` union).  Select
-  is Algorithm 3 whole per query on BOTH — its keyword-coverage counts
-  sum over all of ``LU_l``, so it is dealt by query, never by user.
+  one cross-k walk (or its memoized pool).  Refine is Algorithm 2 dealt
+  as user-row ranges — one, run inline, on a plain engine — per-user
+  work whose ``RSk(u)`` vectors merge as a disjoint union.  Select is
+  Algorithm 3 whole per query — its keyword-coverage counts sum over
+  all of ``LU_l``, so it is dealt by query, never by user.
 * ``indexed``  — traverse → indexed-search.  Section 7: every per-k
   quantity derives pool-independently from one ``k_max`` MIUR-root walk
   (:mod:`repro.core.indexed_users`), and fanned-out searches run
@@ -56,14 +56,17 @@ A lane whose ladder is exhausted re-runs its payloads in-process
 against the coordinator's dataset: ``execute_shard_payload`` is pure,
 so the degraded answer is bitwise-identical, only slower — and counted.
 
-Two executors run flushes.  :class:`LocalExecutor` (one engine) runs
-the central refine and every query-axis round inline, indexed-search
-ledger-free (the best-first search reads the engine's own page store).
-:class:`ShardedExecutor` scatters the refine by user-row range over the
-engine's lanes and fans a query-axis round out over its alive shard
-hosts when the planner says it pays (its ``transport`` is swapped by
-``ShardedEngine.start_pools`` / ``connect_hosts``) — the only owner of
-worker processes.
+One :class:`Executor` runs every engine's flushes.  It holds the
+engine, the refine's row-range count (1 on a plain engine,
+``num_shards`` on a :class:`~repro.serve.sharded.ShardedEngine`), the
+transport (:data:`INLINE` until ``start_pools`` / ``connect_hosts`` swap
+in the socket one) and the phase-1 memo.  The refine is always the
+dealt ``refine_payloads -> merge_refine`` round — on a plain engine one
+range, run inline — and a query-axis round leaves the process only over
+a remote transport, when the planner says it pays; inline,
+indexed-search runs ledger-free (the best-first search reads the
+engine's own page store).  ``MaxBRSTkNNEngine.query`` runs a fresh
+executor: its empty memo makes the query cold by construction.
 
 Result identity is the invariant throughout: results, I/O traces and
 selection stats equal the single sequential engine's across
@@ -92,6 +95,7 @@ from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .batch import SharedTopK
     from .engine import MaxBRSTkNNEngine
+    from .partial import MergedThresholds
     from .planner import QueryPlan
 
 _log = logging.getLogger("repro.core.pipeline")
@@ -113,8 +117,8 @@ __all__ = [
     "INLINE",
     "run_round",
     "user_row_ranges",
-    "LocalExecutor",
-    "ShardedExecutor",
+    "ShardRuntimeStats",
+    "Executor",
     "execute_shard_payload",
 ]
 
@@ -126,9 +130,9 @@ class ScatterFailure(RuntimeError):
     see :mod:`repro.serve.errors`) when a lane's hosts could not
     complete a round within the ladder's budget — a host died, the
     round outlived its deadline, the payload raised on every try, no
-    host is left.  Executors catch exactly this type and re-run the same
-    payloads in-process: ``execute_shard_payload`` is pure, so the
-    degraded round is bitwise-identical, only slower.  Genuine task
+    host is left.  :func:`run_round` catches exactly this type and
+    re-runs the same payloads in-process: ``execute_shard_payload`` is
+    pure, so the degraded round is bitwise-identical, only slower.  Genuine task
     exceptions (bugs that would reproduce in-process) are re-raised to
     the caller once retries are exhausted, never swallowed.
     """
@@ -223,10 +227,10 @@ class FlushReport:
 def execute_shard_payload(dataset, payload: tuple, context=None):
     """Run one scatter work item against ``dataset``.
 
-    The ONE implementation behind every transport: forked pool workers
-    call it with their copy-on-write dataset (and ``context`` — the
-    MIUR-tree for indexed search payloads), shard hosts with their
-    replica, in-process lanes pass both explicitly.  Payload kinds:
+    The ONE implementation behind every transport: shard hosts call it
+    with their replica (forked ones inherited it copy-on-write) and
+    ``context`` — the MIUR-tree for indexed search payloads — and
+    inline or degraded lanes pass both explicitly.  Payload kinds:
 
     * ``("refine", traversal, ks, lane, None, lo, hi)`` —
       Algorithm 2 for rows ``[lo, hi)`` of ``dataset.users`` against
@@ -255,8 +259,8 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
       so the gather replays the simulated I/O onto the shared counter.
       ``views=None`` is the ledger-free form, in-process only (a warm
       LRU buffer's global access order forbids views): ``context`` is
-      then the ENGINE, whose real page store is charged directly (the
-      charge slot is ``None``) and whose memoized
+      then the :class:`Executor`, whose engine's real page store is
+      charged directly (the charge slot is ``None``) and whose memoized
       :class:`~repro.core.indexed_users.RootTraversal` supplies the
       per-k canonical pool / kernel arrays instead of a per-chunk
       rebuild.  Decision-identical to the ledger form — both run
@@ -293,10 +297,11 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
         # Chunks are grouped per k, so the canonical pool (and its
         # kernel arrays) is one derivation for the whole chunk.
         if views is None:
-            user_tree, pool, k = context.user_tree, context._root_pool, queries[0].k
+            engine, pool, k = context.engine, context.root_pool, queries[0].k
+            user_tree = engine.user_tree
             canonical = pool.canonical_for(k)
             pool_arrays = pool.pool_arrays_for(dataset, k)
-            views = [(context.store, None)] * len(queries)
+            views = [(engine.store, None)] * len(queries)
         else:
             user_tree = context
             traversal.check(dataset)  # off the wire, like a refine pool
@@ -506,7 +511,7 @@ class Lane:
     wire_id: int             # lane index: which host answers
     payloads: List[tuple]
     dataset: object          # what an inline or degraded run executes against
-    context: object = None   # ... and its worker context (MIUR-tree / engine)
+    context: object = None   # ... and its worker context (MIUR-tree / executor)
 
     def run_inprocess(self) -> list:
         return [
@@ -619,7 +624,7 @@ def run_round(
 
 
 # ----------------------------------------------------------------------
-# Executors: one method per mode, phases timed into the flush report
+# The executor: one method per mode, phases timed into the flush report
 # ----------------------------------------------------------------------
 
 @contextmanager
@@ -693,60 +698,90 @@ def _deal(
                        retries, degraded, bytes_out, bytes_in)
 
 
-def _traverse(report: FlushReport, engine, queries, plan: "QueryPlan"):
-    """Phase 1a (central): ensure the cross-k pool, derive group
-    thresholds.  ``(pool, group threshold by k)``.
+@dataclass(slots=True)
+class ShardRuntimeStats:
+    """Mutable refine counters of one user-row range (``shard_stats()``)."""
 
-    Joint mode walks (or reuses) the engine's
-    :class:`~repro.core.batch.SharedTraversalPool`; indexed mode the
-    MIUR-root :class:`~repro.core.indexed_users.RootTraversal` pool.
-    Either way ONE tree walk per pool generation serves every k in the
-    batch — ``plan.shared_traversal_k`` names it.
+    shard_id: int              # range index
+    users: int                 # user rows the range covers
+    scatter_flushes: int = 0   # refine rounds dealt to this range
+    refine_tasks: int = 0      # (walk, k) refinements executed
+    refine_time_s: float = 0.0
+    #: Most work items (the ks of a refine round) queued for this range
+    #: at the instant of a scatter dispatch.
+    queue_depth_peak: int = 0
+    retries: int = 0           # supervised rounds re-dispatched here
+    degraded_rounds: int = 0   # rounds that fell back to in-process
+
+    def snapshot(self) -> dict:
+        return {
+            "shard": self.shard_id,
+            "users": self.users,
+            "scatter_flushes": self.scatter_flushes,
+            "refine_tasks": self.refine_tasks,
+            "queue_depth_peak": self.queue_depth_peak,
+            "refine_ms": round(1000 * self.refine_time_s, 2),
+            "retries": self.retries,
+            "degraded_rounds": self.degraded_rounds,
+        }
+
+
+class Executor:
+    """Runs an engine's planned flushes and owns its phase-1 memo.
+
+    One method per mode, each a fixed sequence of phases.  ``ranges``
+    is how many user-row ranges the refine is dealt as (1 on a plain
+    engine, ``num_shards`` on a sharded one); ``transport`` is
+    :data:`INLINE` until ``ShardedEngine.start_pools`` /
+    ``connect_hosts`` swap in the socket one.  The memo — the cross-k
+    joint and MIUR-root pools, the baseline's per-k scans and the
+    merged refine thresholds — lives here only, so a fresh executor is
+    a cold engine: ``MaxBRSTkNNEngine.query`` runs on one.
     """
-    from .batch import _ensure_traversal_pool
-    from .config import Mode
-    from .indexed_users import ensure_root_pool
 
-    with _phase(report, "traverse", engine.io, len(queries)):
-        assert plan.shared_traversal_k is not None
-        if plan.mode is Mode.INDEXED:
-            pool = ensure_root_pool(engine, plan.shared_traversal_k)
-        else:
-            pool = _ensure_traversal_pool(engine, plan.shared_traversal_k)
-        pool.hits += len(queries)
-        # Both pool kinds memoize the per-k derivation, so repeat
-        # flushes pay a dict hit, not a pass over the pool.
-        group_by_k = {k: pool.rsk_group_for(k) for k in plan.distinct_ks}
-    return pool, group_by_k
+    def __init__(self, engine: "MaxBRSTkNNEngine", ranges: int = 1) -> None:
+        self.engine = engine
+        self.ranges = ranges
+        self.transport: Transport = INLINE
+        #: Cross-k joint pool (:class:`~repro.core.batch.SharedTraversalPool`).
+        self.traversal_pool = None
+        #: Cross-k MIUR-root pool
+        #: (:class:`~repro.core.indexed_users.RootTraversal`).
+        self.root_pool = None
+        #: Baseline per-user top-k scans, one state per k.
+        self.baseline_by_k: Dict[int, "SharedTopK"] = {}
+        #: Merged refine thresholds per k — value-stable across pool
+        #: re-walks by subsumption.  (The per-k ``SharedTopK`` the
+        #: select round ships also reports the walk's time and I/O, so
+        #: it is memoized on the traversal pool, ``by_k``, and dies
+        #: with it.)
+        self.merged_by_k: Dict[int, "MergedThresholds"] = {}
+        #: Per-range refine counters; range ``i`` is the ``i``-th of
+        #: :func:`user_row_ranges`.
+        self.lane_stats = [
+            ShardRuntimeStats(shard_id=i, users=hi - lo)
+            for i, (lo, hi) in enumerate(
+                user_row_ranges(len(engine.dataset.users), ranges)
+            )
+        ]
+        #: Gather-side accounting: refine-merge and query-axis wall
+        #: time, and the query-axis rounds that left the process.
+        self.merge_s = 0.0
+        self.search_s = 0.0
+        self.search_flushes = 0
 
+    def clear(self) -> None:
+        """Drop the memo: the pools (and with them the per-k states the
+        select round ships), the baseline scans, the merged thresholds."""
+        self.traversal_pool = self.root_pool = None
+        self.baseline_by_k.clear()
+        self.merged_by_k.clear()
 
-def _baseline_topk(report: FlushReport, engine, queries, plan: "QueryPlan"):
-    """Baseline phase 1 (central): per-user top-k scans per distinct k,
-    cached on the engine.  Each query's phase-1 state."""
-    from .batch import _compute_shared_baseline
-
-    mode = plan.mode.value
-    cache = engine._shared_topk_cache
-
-    def shared_for(k: int):
-        if (mode, k) not in cache:
-            cache[mode, k] = _compute_shared_baseline(engine, k)
-        return cache[mode, k]
-
-    with _phase(report, "baseline-topk", engine.io, len(queries)):
-        return _per_query(queries, shared_for)
-
-
-class _Executor:
-    """Runs one planned flush: one method per mode, each a fixed
-    sequence of phases.  Subclasses say how the refine runs and where a
-    query-axis round goes (:meth:`_search_transport`)."""
-
-    engine: "MaxBRSTkNNEngine"  # pools, page store, I/O counter, codec
-    dataset: object             # what inline and degraded lanes run against
-    last_flush_report: Optional[FlushReport]
-
-    def execute(self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan") -> List[MaxBRSTkNNResult]:
+    def execute(
+        self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan"
+    ) -> List[MaxBRSTkNNResult]:
+        """Run one flush; its :class:`FlushReport` lands on the engine's
+        ``last_flush_report``."""
         from .config import Mode
 
         queries = list(queries)
@@ -757,40 +792,129 @@ class _Executor:
             results = self._indexed(report, queries, plan)
         else:
             results = self._baseline(report, queries, plan)
-        self.last_flush_report = report
+        # The query-axis phase ends every flush.
+        self.search_s += report.stages[-1].time_s
+        self.engine.last_flush_report = report
         return results
 
     def _joint(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
         """traverse → refine → select."""
-        pool, group_by_k = _traverse(report, self.engine, queries, plan)
+        pool, group_by_k = self._traverse(report, queries, plan)
         shared = self._refine(report, queries, plan, pool, group_by_k)
         return self._select(report, queries, shared, plan)
 
     def _indexed(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
         """traverse → indexed-search."""
-        pool, group_by_k = _traverse(report, self.engine, queries, plan)
+        pool, group_by_k = self._traverse(report, queries, plan)
         return self._indexed_search(report, queries, plan, pool, group_by_k)
 
     def _baseline(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
         """baseline-topk → select."""
-        shared = _baseline_topk(report, self.engine, queries, plan)
-        return self._select(report, queries, shared, plan)
+        return self._select(report, queries, self._baseline_topk(report, queries), plan)
+
+    def _traverse(self, report, queries, plan):
+        """Phase 1a (central): ensure the cross-k pool, derive group
+        thresholds.  ``(pool, group threshold by k)``.
+
+        Joint mode walks (or reuses) the
+        :class:`~repro.core.batch.SharedTraversalPool`; indexed mode the
+        MIUR-root :class:`~repro.core.indexed_users.RootTraversal` pool.
+        Either way ONE tree walk per pool generation serves every k in
+        the batch — ``plan.shared_traversal_k`` names it.
+        """
+        from .batch import _ensure_traversal_pool
+        from .config import Mode
+        from .indexed_users import ensure_root_pool
+
+        with _phase(report, "traverse", self.engine.io, len(queries)):
+            assert plan.shared_traversal_k is not None
+            ensure = ensure_root_pool if plan.mode is Mode.INDEXED else _ensure_traversal_pool
+            pool = ensure(self, plan.shared_traversal_k)
+            pool.hits += len(queries)
+            # Both pool kinds memoize the per-k derivation, so repeat
+            # flushes pay a dict hit, not a pass over the pool.
+            group_by_k = {k: pool.rsk_group_for(k) for k in plan.distinct_ks}
+        return pool, group_by_k
+
+    def _baseline_topk(self, report, queries) -> List["SharedTopK"]:
+        """Baseline phase 1 (central): per-user top-k scans per distinct
+        k, memoized.  Each query's phase-1 state."""
+        from .batch import _compute_shared_baseline
+
+        memo = self.baseline_by_k
+
+        def shared_for(k: int):
+            if k not in memo:
+                memo[k] = _compute_shared_baseline(self.engine, k)
+            return memo[k]
+
+        with _phase(report, "baseline-topk", self.engine.io, len(queries)):
+            return _per_query(queries, shared_for)
 
     def _refine(self, report, queries, plan, pool, group_by_k) -> List["SharedTopK"]:
-        """Phase 1b: exact ``RSk(u)`` per k; each query's phase-1 state."""
-        raise NotImplementedError
+        """Phase 1b: Algorithm 2 dealt as ``ranges`` user-row ranges, for
+        every k no earlier flush merged; each query's phase-1 state."""
+        engine = self.engine
+        users = engine.dataset.users
+        need_ks = [k for k in plan.distinct_ks if k not in self.merged_by_k]
+        items = len(need_ks)
+        with _phase(report, "refine", engine.io, items) as stats:
+            chunks: list = []
+            if items:
+                payloads = refine_payloads(pool.traversal, need_ks, len(users), self.ranges)
+                dealt = _deal(
+                    "refine", payloads, [p[6] - p[5] for p in payloads],
+                    self.transport, engine.dataset, None, engine.payload_codec,
+                )
+                dealt.record(stats, len(payloads))
+                for lane, chunk, at in zip(self.lane_stats, dealt.chunks, dealt.lane_of):
+                    lane.scatter_flushes += 1
+                    lane.queue_depth_peak = max(lane.queue_depth_peak, items)
+                    lane.retries += dealt.retries[at]
+                    lane.degraded_rounds += dealt.degraded[at]
+                    lane.refine_tasks += items
+                    lane.refine_time_s += sum(p.time_s for p in chunk)
+                chunks = dealt.chunks
+            else:
+                # every k already merged (memoized across flushes): no
+                # round, the merge only hands out the memoized state
+                stats.scatter_width = 0
+            # The one cross-range merge: what gather_stats() reports.
+            t_merge = time.perf_counter()
+            shared = merge_refine(
+                chunks, need_ks, users, self.merged_by_k, pool, group_by_k, queries,
+            )
+            self.merge_s += time.perf_counter() - t_merge
+            return shared
 
     def _search_transport(self, n_queries: int, indexed: bool) -> Transport:
-        """Where this flush's query-axis round runs."""
-        raise NotImplementedError
+        """Where this flush's query-axis round runs: the transport's
+        lanes when it is remote and the round pays, else inline."""
+        from .planner import search_fans_out
+
+        transport = self.transport
+        width = transport.lanes() if transport.serves_indexed or not indexed else 0
+        # Fan out only when it can pay off AND I/O stays replayable:
+        # the indexed search reads MIUR pages, so a warm LRU buffer
+        # (global access order) forces the inline, ledger-free path.
+        fan_out = (
+            transport.remote
+            and search_fans_out(width, n_queries)
+            and (not indexed or self.engine.store.buffer is None)
+        )
+        if not fan_out:
+            return INLINE
+        self.search_flushes += 1
+        return transport
 
     def _query_round(
         self, stats: StageStats, phase: str, payloads: List[tuple],
         transport: Transport, context,
     ) -> list:
+        engine = self.engine
         dealt = _deal(
             phase, payloads, [len(p[1]) for p in payloads], transport,
-            self.dataset, context, self.engine.payload_codec,
+            engine.dataset, context, engine.payload_codec,
         )
         dealt.record(stats, len(set(dealt.lane_of)))
         return dealt.chunks
@@ -816,8 +940,8 @@ class _Executor:
         with _phase(report, "indexed-search", engine.io, len(queries)) as stats:
             transport = self._search_transport(len(queries), indexed=True)
             # Fan-out reads ledger views against the inherited MIUR-tree;
-            # in-process the chunks read the engine's own store and take
-            # the ENGINE as their context.
+            # inline, the chunks read the engine's own store and take
+            # THIS executor (the memo's owner) as their context.
             fan_out = transport.remote
             payloads, index_groups = indexed_payloads(
                 queries, plan, pool, group_by_k,
@@ -826,125 +950,6 @@ class _Executor:
             )
             chunks = self._query_round(
                 stats, "indexed-search", payloads, transport,
-                engine.user_tree if fan_out else engine,
+                engine.user_tree if fan_out else self,
             )
             return merge_indexed(index_groups, chunks, engine.io)
-
-
-class LocalExecutor(_Executor):
-    """Runs a flush on one engine, in this process.
-
-    The refine is the central derivation, and the query-axis round runs
-    over :data:`INLINE`: ``select`` and ``indexed-search`` as one inline
-    round, the latter ledger-free (the best-first search reads the
-    engine's own page store).
-    """
-
-    def __init__(self, engine: "MaxBRSTkNNEngine") -> None:
-        self.engine = engine
-        self.dataset = engine.dataset
-        self.last_flush_report: Optional[FlushReport] = None
-
-    def _refine(self, report, queries, plan, pool, group_by_k) -> List["SharedTopK"]:
-        """The unscattered refine: Algorithm 2 over the full user set,
-        memoized per k on the engine's pool (``pool.by_k``)."""
-        from .batch import _derive_shared_topk
-
-        engine = self.engine
-        with _phase(report, "refine", engine.io, len(queries)):
-            return _per_query(
-                queries, lambda k: _derive_shared_topk(engine, pool, k)
-            )
-
-    def _search_transport(self, n_queries: int, indexed: bool) -> Transport:
-        return INLINE
-
-
-class ShardedExecutor(_Executor):
-    """Runs a flush over a :class:`~repro.serve.sharded.ShardedEngine`.
-
-    Every scattered phase deals its payloads over the same full-dataset
-    lanes: the refine one user-row range per configured lane
-    (``num_shards``), the query-axis phase its payloads (select one
-    per host, indexed-search per-k chunks).  ``transport`` is
-    :data:`INLINE` until the engine's ``start_pools`` /
-    ``connect_hosts`` swap in the socket one.  Refine results
-    memoize on the engine across flushes, so a warm flush is one round.
-    """
-
-    def __init__(self, sharded) -> None:
-        self.sharded = sharded
-        self.transport: Transport = INLINE
-        self.last_flush_report: Optional[FlushReport] = None
-
-    @property
-    def engine(self) -> "MaxBRSTkNNEngine":
-        return self.sharded.root
-
-    @property
-    def dataset(self):
-        return self.sharded.dataset
-
-    def execute(self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan") -> List[MaxBRSTkNNResult]:
-        results = super().execute(queries, plan)
-        # The query-axis phase ends every sharded flush (joint, indexed).
-        self.sharded._search_s += self.last_flush_report.stages[-1].time_s
-        return results
-
-    def _refine(self, report, queries, plan, pool, group_by_k) -> List["SharedTopK"]:
-        """Phase 1b scattered over user-row ranges, for every k no
-        earlier flush merged."""
-        sharded = self.sharded
-        merged_by_k = sharded._merged_by_k
-        users = sharded.dataset.users
-        need_ks = [k for k in plan.distinct_ks if k not in merged_by_k]
-        items = len(need_ks)
-        with _phase(report, "refine", self.engine.io, items) as stats:
-            if not items:
-                # every k already merged (memoized across flushes): no
-                # round, the merge only hands out the memoized state
-                stats.scatter_width = 0
-                return merge_refine(
-                    [], need_ks, users, merged_by_k, pool, group_by_k, queries
-                )
-            payloads = refine_payloads(
-                pool.traversal, need_ks, len(users), sharded.config.num_shards
-            )
-            dealt = _deal(
-                "refine", payloads, [p[6] - p[5] for p in payloads],
-                self.transport, sharded.dataset, None, self.engine.payload_codec,
-            )
-            dealt.record(stats, len(payloads))
-            for lane, chunk, at in zip(sharded.lane_stats, dealt.chunks, dealt.lane_of):
-                lane.scatter_flushes += 1
-                lane.queue_depth_peak = max(lane.queue_depth_peak, items)
-                lane.retries += dealt.retries[at]
-                lane.degraded_rounds += dealt.degraded[at]
-                lane.refine_tasks += items
-                lane.refine_time_s += sum(p.time_s for p in chunk)
-            # The one cross-lane merge: what gather_stats() reports.
-            t_merge = time.perf_counter()
-            shared = merge_refine(
-                dealt.chunks, need_ks, users, merged_by_k, pool, group_by_k,
-                queries,
-            )
-            sharded._merge_s += time.perf_counter() - t_merge
-            return shared
-
-    def _search_transport(self, n_queries: int, indexed: bool) -> Transport:
-        from .planner import search_fans_out
-
-        transport = self.transport
-        width = transport.lanes() if transport.serves_indexed or not indexed else 0
-        # Fan out only when it can pay off AND I/O stays replayable:
-        # the indexed search reads MIUR pages, so a warm LRU buffer
-        # (global access order) forces the inline, ledger-free path.
-        fan_out = (
-            transport.remote
-            and search_fans_out(width, n_queries)
-            and (not indexed or self.engine.store.buffer is None)
-        )
-        if not fan_out:
-            return INLINE
-        self.sharded._search_flushes += 1
-        return transport

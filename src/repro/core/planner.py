@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 from .config import Method, Mode, QueryOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import MaxBRSTkNNEngine
+    from .pipeline import Executor
 
 __all__ = [
     "EngineCapabilities",
@@ -44,7 +44,7 @@ __all__ = [
 class EngineCapabilities:
     """What one engine instance can execute.
 
-    ``traversal_pool_k`` is the ``k`` of the engine's memoized cross-k
+    ``traversal_pool_k`` is the ``k`` of the executor's memoized cross-k
     traversal pool, if one exists — planning reads it so the plan (and
     ``explain()``) names the walk that will actually serve the batch,
     which may be a larger-k walk from an earlier batch.
@@ -67,11 +67,12 @@ class EngineCapabilities:
     search_workers: int = 0
 
     @classmethod
-    def of(cls, engine: "MaxBRSTkNNEngine") -> "EngineCapabilities":
-        pool = engine._traversal_pool
-        root_pool = engine._root_pool
+    def of(cls, executor: "Executor") -> "EngineCapabilities":
+        """What ``executor``'s engine has, and what its memo holds."""
+        pool = executor.traversal_pool
+        root_pool = executor.root_pool
         return cls(
-            has_user_tree=engine.user_tree is not None,
+            has_user_tree=executor.engine.user_tree is not None,
             traversal_pool_k=pool.k if pool is not None else None,
             root_pool_k=root_pool.k if root_pool is not None else None,
         )

@@ -34,7 +34,7 @@ from .core.joint_topk import (
     CandidateObject, JointTraversalResult, TopKTable, canonical_candidates,
 )
 from .core.keyword_selection import KeywordSelection
-from .core.planner import EngineCapabilities, plan_query
+from .core.planner import plan_query
 from .core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 from .model.dataset import Dataset
 from .model.objects import SuperUser, User
@@ -437,7 +437,7 @@ def query(
     the simulated I/O charged to ``engine``'s page store.
     ``Mode.BASELINE`` is scalar in the engine too and runs as such."""
     opts = coerce_options(options, api="repro.oracle.query")
-    plan = plan_query(opts, EngineCapabilities.of(engine), k=query.k)
+    plan = plan_query(opts, engine.capabilities(), k=query.k)
     dataset, store, method = engine.dataset, engine.store, plan.method.value
     if plan.mode is Mode.BASELINE:
         return baseline_maxbrstknn(engine.object_tree, dataset, query, store=store)

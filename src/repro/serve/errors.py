@@ -12,8 +12,9 @@ Three families, by who observes them:
   shard host fails for reasons *outside* the task code: the host died
   (EOF / reset), its answer missed the read deadline, no host is left
   or the fleet is closed.  They subclass
-  :class:`~repro.core.pipeline.ScatterFailure`, which the pipeline
-  executors catch to degrade the round to in-process execution —
+  :class:`~repro.core.pipeline.ScatterFailure`, which
+  :func:`~repro.core.pipeline.run_round` catches to degrade the round
+  to in-process execution —
   results stay bitwise-identical because the worker entry point is
   pure.
 * **Task errors** (:class:`ScatterTaskError`) — a host answered an

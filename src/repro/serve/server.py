@@ -440,8 +440,8 @@ class MaxBRSTkNNServer:
                 try:
                     miss_results = await self._loop.run_in_executor(None, run)
                 except ScatterFailure:
-                    # The executors degrade pool failures in-process
-                    # themselves; one escaping here means the flush
+                    # run_round degrades pool failures in-process
+                    # itself; one escaping here means the flush
                     # died between layers — re-execute the whole flush
                     # once before failing it (identical inputs, so a
                     # success is the identical answer).

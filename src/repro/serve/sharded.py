@@ -3,37 +3,36 @@
 A single :class:`~repro.core.engine.MaxBRSTkNNEngine` is the
 scalability ceiling of the serving stack: however fast the kernels,
 every query runs in one process.  A :class:`ShardedEngine` is that same
-engine — one dataset, one object tree, one page store, one set of
-memoized pools — plus a :class:`~repro.core.pipeline.Transport` to
-``num_shards`` **lanes**, each a full replica of the dataset (a fork
-worker that inherited it copy-on-write, or a ``repro shard-host``
-process that rebuilt it from the workload spec).  Nothing is
-partitioned; work is *dealt*:
+engine — one dataset, one object tree, one page store, one executor
+and its memo — plus a :class:`~repro.core.pipeline.Transport` to
+``num_shards`` **lanes**, each a full replica of the dataset (a forked
+``ShardHost`` that inherited it copy-on-write, or a ``repro
+shard-host`` process that rebuilt it from the workload spec).  Nothing
+is partitioned; work is *dealt*:
 
 * **by user row range** — Algorithm 2's per-user ``RSk(u)`` refinement,
   the O(|U|·pool) phase of a cold flush, is per-user work against one
-  shared traversal pool, so lane ``i`` refines rows ``[i·|U|/n,
-  (i+1)·|U|/n)`` of ``dataset.users`` and the per-lane maps merge back
-  into the exact sequential threshold map
+  shared traversal pool, so range ``i`` covers rows ``[i·|U|/n,
+  (i+1)·|U|/n)`` of ``dataset.users`` and the per-range vectors merge
+  back into the exact sequential threshold vector
   (:mod:`repro.core.partial`): a disjoint union, checked to cover every
   user exactly once, memoized per k, so only a cold flush pays the
   round;
 * **by query** — Algorithm 3 runs whole per query (its keyword-coverage
   counts sum over all of a location's ``LU_l``), so a flush's
   selections go out as ONE ``select`` round over the same lanes, one
-  payload per worker / host whatever the queries' k, each query
-  carrying its k's shared phase-1 state as a delta-shipped arena
-  reference;
+  payload per host whatever the queries' k, each query carrying its
+  k's phase-1 state (the arena codec ships each state's block once
+  and names it on later flushes);
 * everything **aggregate**-dependent stays on the coordinator: the one
   tree walk (same I/O trace as a single engine) and the group threshold
   ``RSk(us)``.
 
-The flow is driven by :mod:`repro.core.pipeline` — a
-:class:`~repro.core.pipeline.ShardedExecutor` runs the same per-mode
-phases the single-engine path does (only the refine differs) and deals
-each scatter round's payloads over the lanes, which
-:func:`~repro.core.pipeline.run_round` carries over whichever transport
-this engine installed: inline by default, or a
+The flow is the root engine's one :class:`~repro.core.pipeline.Executor`
+— the same per-mode phases a plain engine runs, its refine set to
+``num_shards`` ranges — which deals each scatter round's payloads over
+the lanes that :func:`~repro.core.pipeline.run_round` carries over the
+installed transport: inline by default, or a
 :class:`~repro.serve.transport.SocketTransport` over ONE fleet of
 shard hosts (:class:`~repro.serve.shardhost.ShardHost`) — forked local hosts after
 :meth:`ShardedEngine.start_pools`, remote ``repro shard-host``
@@ -67,13 +66,12 @@ hosts are the only worker processes a query ever reaches; a plain
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.config import EngineConfig, Mode, QueryOptions, coerce_options
 from ..core.engine import MaxBRSTkNNEngine
-from ..core.partial import MergedThresholds
-from ..core.pipeline import INLINE, FlushReport, ShardedExecutor, user_row_ranges
+from ..core.pipeline import INLINE, Executor, FlushReport, ShardRuntimeStats
 from ..core.planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
 from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
 from ..model.dataset import Dataset
@@ -82,34 +80,6 @@ from .pool import PersistentWorkerPool
 from .transport import ShardRegistry, SocketTransport
 
 __all__ = ["ShardRuntimeStats", "ShardedEngine", "make_engine"]
-
-
-@dataclass(slots=True)
-class ShardRuntimeStats:
-    """Mutable refine counters of one lane (``shard_stats()``)."""
-
-    shard_id: int              # lane index
-    users: int                 # user rows the lane refines
-    scatter_flushes: int = 0   # refine rounds dealt to this lane
-    refine_tasks: int = 0      # (walk, k) refinements executed
-    refine_time_s: float = 0.0
-    #: Most work items (the ks of a refine round) queued for this lane
-    #: at the instant of a scatter dispatch.
-    queue_depth_peak: int = 0
-    retries: int = 0           # supervised rounds re-dispatched here
-    degraded_rounds: int = 0   # rounds that fell back to in-process
-
-    def snapshot(self) -> dict:
-        return {
-            "shard": self.shard_id,
-            "users": self.users,
-            "scatter_flushes": self.scatter_flushes,
-            "refine_tasks": self.refine_tasks,
-            "queue_depth_peak": self.queue_depth_peak,
-            "refine_ms": round(1000 * self.refine_time_s, 2),
-            "retries": self.retries,
-            "degraded_rounds": self.degraded_rounds,
-        }
 
 
 def _add_counters(totals: Dict[str, int], counters: Dict[str, int]) -> None:
@@ -145,27 +115,17 @@ class ShardedEngine:
         self.config = config
         self.dataset = dataset
         #: THE engine: owns the object tree, the page store / I/O
-        #: counter, the memoized cross-k traversal pools (joint and
-        #: MIUR-root), and — with ``index_users=True`` — the MIUR-tree.
-        #: The one tree walk per pool generation happens HERE —
-        #: identical cost and I/O trace to single-engine serving.
+        #: counter, the executor and its memo (the cross-k traversal
+        #: pools, the merged thresholds) and — with ``index_users=True``
+        #: — the MIUR-tree.  The one tree walk per pool generation
+        #: happens HERE — identical cost and I/O trace to single-engine
+        #: serving.
         self.root = MaxBRSTkNNEngine(dataset, config.with_(num_shards=1))
-        #: Per-lane refine counters; lane ``i`` refines row range ``i``.
-        self.lane_stats: List[ShardRuntimeStats] = [
-            ShardRuntimeStats(shard_id=i, users=hi - lo)
-            for i, (lo, hi) in enumerate(
-                user_row_ranges(len(dataset.users), config.num_shards)
-            )
-        ]
+        # Its one executor, the refine dealt as num_shards row ranges.
+        self.root._executor = Executor(self.root, config.num_shards)
         # Global super-user, built eagerly so forked hosts inherit it
         # instead of rebuilding it each.
         self._su = dataset.super_user if dataset.users else None
-        #: Merged refine results per k — value-stable across pool
-        #: re-walks by subsumption.  (The per-k ``SharedTopK`` the
-        #: select round ships wraps these maps but also reports the
-        #: walk's time and I/O, so it is memoized on the traversal pool
-        #: itself, ``root._traversal_pool.by_k``, and dies with it.)
-        self._merged_by_k: Dict[int, MergedThresholds] = {}
         #: The ONE fleet the lanes run on: forked local hosts
         #: (start_pools) or remote shard-host processes (connect_hosts);
         #: None while every round runs in-process.
@@ -175,12 +135,6 @@ class ShardedEngine:
         self._closed_fault_totals: Dict[str, int] = {
             "respawns": 0, "worker_deaths": 0, "deadline_hits": 0, "retries": 0,
         }
-        #: Gather-side accounting (``gather_stats()``): refine-merge
-        #: and select / indexed-search wall time, fan-out round count.
-        self._merge_s = 0.0
-        self._search_s = 0.0
-        self._search_flushes = 0
-        self._executor = ShardedExecutor(self)
 
     # ------------------------------------------------------------------
     # Introspection / engine-compatible surface
@@ -204,9 +158,14 @@ class ShardedEngine:
         return self.root.traversal_runs
 
     @property
+    def _executor(self) -> Executor:
+        """The root engine's executor: this engine's flushes and memo."""
+        return self.root._executor
+
+    @property
     def last_flush_report(self) -> Optional[FlushReport]:
         """Per-stage accounting of the most recent pipeline flush."""
-        return self._executor.last_flush_report
+        return self.root.last_flush_report
 
     def _search_width(self) -> int:
         """Query-axis fan-out width: the fleet's alive hosts (0 = none)."""
@@ -216,7 +175,7 @@ class ShardedEngine:
 
     def capabilities(self) -> EngineCapabilities:
         return replace(
-            EngineCapabilities.of(self.root),
+            self.root.capabilities(),
             num_shards=self.config.num_shards,
             search_workers=self._search_width(),
         )
@@ -240,17 +199,18 @@ class ShardedEngine:
         return plan_query(options, caps)
 
     def shard_stats(self) -> List[dict]:
-        """Per-lane refine counters (queue depth, flushes, times)."""
-        return [stats.snapshot() for stats in self.lane_stats]
+        """Per-range refine counters (queue depth, flushes, times)."""
+        return [stats.snapshot() for stats in self._executor.lane_stats]
 
     def gather_stats(self) -> dict:
         """Gather-side counters: ``merge_ms`` is the cross-lane ``RSk``
         union of refine rounds; ``search_ms`` / ``search_flushes`` time
         / count the query-axis round (select, indexed-search)."""
+        executor = self._executor
         return {
-            "merge_ms": round(1000 * self._merge_s, 2),
-            "search_ms": round(1000 * self._search_s, 2),
-            "search_flushes": self._search_flushes,
+            "merge_ms": round(1000 * executor.merge_s, 2),
+            "search_ms": round(1000 * executor.search_s, 2),
+            "search_flushes": executor.search_flushes,
             "search_workers": self._search_width(),
         }
 
@@ -258,7 +218,6 @@ class ShardedEngine:
         """Drop the shared pools (and with them the per-k states the
         select round ships) and every merged threshold map."""
         self.root.clear_topk_cache()
-        self._merged_by_k.clear()
 
     def reset_io(self) -> None:
         self.root.reset_io()

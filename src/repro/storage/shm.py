@@ -34,11 +34,11 @@ compensated (an unregister would erase the creator's entry and make
 the final ``unlink()`` raise ``KeyError`` noise in the tracker); the
 owner's ``SharedMemory.unlink`` is the one unregister per segment.  An
 *unrelated* process — a socket-transport shard host
-(:mod:`repro.serve.shardhost`) — runs its OWN tracker, which would
-unlink the creator's live segments when the host exits.  Such a
-process calls :func:`set_untracked_attach`, after which its opens
-register nothing: natively with CPython 3.13's ``track=False``, and
-on older interpreters by compensating the registration at once.
+(:mod:`repro.serve.shardhost`) — would run its OWN tracker, which
+unlinks the creator's live segments when the host exits.  Such a
+process calls :func:`set_untracked_attach`, after which its opens go
+around ``SharedMemory`` (``shm_open`` + ``mmap``): nothing is
+registered and no tracker process is ever started in it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "ShmArena",
@@ -70,10 +70,6 @@ _NAME_LOCK = threading.Lock()
 #: leave no resource_tracker registration in this process.
 _UNTRACKED_ATTACH = False
 
-#: Lazily resolved: does this interpreter's SharedMemory accept the
-#: 3.13+ ``track=`` keyword?  (None = not probed yet.)
-_HAS_TRACK_PARAM: Optional[bool] = None
-
 
 def set_untracked_attach(enabled: bool = True) -> None:
     """Declare this process an *unrelated* reader (shard host).
@@ -94,16 +90,33 @@ def untracked_attach_enabled() -> bool:
     return _UNTRACKED_ATTACH
 
 
-def _track_param_supported() -> bool:
-    global _HAS_TRACK_PARAM
-    if _HAS_TRACK_PARAM is None:
-        import inspect
-        from multiprocessing import shared_memory
+class _UntrackedSegment:
+    """An existing segment mapped without ``SharedMemory``, so no
+    resource tracker hears of it (or is started for it).  Offers what
+    :class:`ShmArena` uses of a segment: ``buf``, ``close()``,
+    ``unlink()``."""
 
-        _HAS_TRACK_PARAM = "track" in inspect.signature(
-            shared_memory.SharedMemory.__init__
-        ).parameters
-    return _HAS_TRACK_PARAM
+    def __init__(self, name: str) -> None:
+        import mmap
+
+        import _posixshmem
+
+        self._name = "/" + name
+        fd = _posixshmem.shm_open(self._name, os.O_RDWR, mode=0o600)
+        try:
+            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+    def unlink(self) -> None:
+        import _posixshmem
+
+        _posixshmem.shm_unlink(self._name)
 
 
 class ShmArenaError(RuntimeError):
@@ -173,19 +186,7 @@ class ShmArena:
         # docstring's resource_tracker paragraphs.
         if create or not _UNTRACKED_ATTACH:
             return shared_memory.SharedMemory(name=name, create=create, size=size)
-        if _track_param_supported():
-            return shared_memory.SharedMemory(name=name, track=False)
-        from multiprocessing import resource_tracker
-
-        seg = shared_memory.SharedMemory(name=name)
-        try:
-            # Compensate the open-side registration in THIS process's
-            # own tracker (safe: nothing else in the process registered
-            # the name — see the module docstring).
-            resource_tracker.unregister(seg._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker gone at shutdown
-            pass
-        return seg
+        return _UntrackedSegment(name)
 
     @staticmethod
     def _unlink_by_name(name: str) -> None:

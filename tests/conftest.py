@@ -69,3 +69,18 @@ def small_flickr():
 @pytest.fixture(params=["LM", "TF", "KO"])
 def measure_name(request):
     return request.param
+
+
+def refined_states(engine, queries):
+    """Each query's phase-1 state (its k's ``SharedTopK``) as a joint
+    flush hands it to the select phase: the engine executor's traverse
+    and refine, against its memo."""
+    from repro import QueryOptions
+    from repro.core.pipeline import FlushReport
+    from repro.core.planner import plan_batch
+
+    plan = plan_batch(QueryOptions(), engine.capabilities(), [q.k for q in queries])
+    report = FlushReport(mode="joint", batch_size=len(queries))
+    executor = engine._executor
+    pool, group_by_k = executor._traverse(report, queries, plan)
+    return executor._refine(report, queries, plan, pool, group_by_k)

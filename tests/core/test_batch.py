@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions, oracle
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions, oracle
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
 
@@ -27,7 +27,8 @@ def build_engine(seed=0, n_obj=70, n_users=14, vocab=18, index_users=False):
     objects = make_random_objects(n_obj, vocab, rng)
     users = make_random_users(n_users, vocab, rng)
     dataset = Dataset(objects, users, relevance="LM", alpha=0.5)
-    return MaxBRSTkNNEngine(dataset, fanout=4, index_users=index_users), rng, vocab
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=index_users))
+    return engine, rng, vocab
 
 
 def make_queries(rng, vocab, count, ks=(3,)):
@@ -132,7 +133,7 @@ def test_traversal_pool_shared_across_ks_and_batches():
     queries = make_queries(rng, vocab, 4, ks=(2, 4))
     assert engine.traversal_runs == 0
     engine.query_batch(queries)
-    pool = engine._traversal_pool
+    pool = engine._executor.traversal_pool
     assert pool is not None
     assert pool.k == 4  # walked once, at k_max
     assert set(pool.by_k) == {2, 4}
@@ -141,41 +142,41 @@ def test_traversal_pool_shared_across_ks_and_batches():
     hits = {k: entry.hits for k, entry in pool.by_k.items()}
     assert hits == {2: 2, 4: 2}
     engine.query_batch(queries)  # same ks: no new walk, no new derivation
-    assert engine._traversal_pool is pool
+    assert engine._executor.traversal_pool is pool
     assert engine.traversal_runs == 1
     assert {k: e.hits for k, e in pool.by_k.items()} == {2: 4, 4: 4}
     # A smaller new k derives from the existing pool without a walk...
     engine.query_batch(make_queries(rng, vocab, 1, ks=(3,)))
     assert engine.traversal_runs == 1
-    assert set(engine._traversal_pool.by_k) == {2, 3, 4}
+    assert set(engine._executor.traversal_pool.by_k) == {2, 3, 4}
     # ...while a larger k forces one fresh walk that replaces the pool.
     engine.query_batch(make_queries(rng, vocab, 2, ks=(6, 2)))
     assert engine.traversal_runs == 2
-    assert engine._traversal_pool.k == 6
-    assert set(engine._traversal_pool.by_k) == {2, 6}
+    assert engine._executor.traversal_pool.k == 6
+    assert set(engine._executor.traversal_pool.by_k) == {2, 6}
     engine.clear_topk_cache()
-    assert engine._traversal_pool is None
-    assert engine._shared_topk_cache == {}
+    assert engine._executor.traversal_pool is None
+    assert engine._executor.merged_by_k == {}
 
 
 def test_mixed_k_batch_refines_the_pool_once(monkeypatch):
-    """ONE Algorithm 2 pass at ``pool.k`` serves every k: a top-k list
-    is a prefix of the top-k' list over the same pool, so the per-k
+    """ONE Algorithm 2 pass serves every k of a walk: a top-k list is a
+    prefix of the top-k' list over the same pool, so the per-k
     thresholds are read off it — and equal a dedicated refinement's."""
     import importlib
 
-    batch = importlib.import_module("repro.core.batch")
-    refine = batch.individual_topk
+    partial = importlib.import_module("repro.core.partial")
+    refine = partial.individual_topk
     refined_at = []
 
     def spy(traversal, dataset, k, **kwargs):
         refined_at.append(k)
         return refine(traversal, dataset, k, **kwargs)
 
-    monkeypatch.setattr(batch, "individual_topk", spy)
+    monkeypatch.setattr(partial, "individual_topk", spy)
     engine, rng, vocab = build_engine(seed=7)
     engine.query_batch(make_queries(rng, vocab, 6, ks=(2, 4, 3)), QueryOptions())
-    pool = engine._traversal_pool
+    pool = engine._executor.traversal_pool
     assert refined_at == [4] and set(pool.by_k) == {2, 3, 4}
     for k, entry in pool.by_k.items():
         dedicated = oracle.individual_topk(pool.traversal, engine.dataset, k)
@@ -224,15 +225,15 @@ def test_baseline_shared_topk_cache_reused_across_batches():
     engine, rng, vocab = build_engine(seed=7)
     queries = make_queries(rng, vocab, 4, ks=(2, 4))
     engine.query_batch(queries, QueryOptions(mode="baseline"))
-    cache = engine._shared_topk_cache
-    assert set(cache) == {("baseline", 2), ("baseline", 4)}
+    cache = engine._executor.baseline_by_k
+    assert set(cache) == {2, 4}
     hits = {key: entry.hits for key, entry in cache.items()}
     engine.query_batch(queries, QueryOptions(mode="baseline"))  # no phase-1 recompute
-    assert set(cache) == {("baseline", 2), ("baseline", 4)}
+    assert set(cache) == {2, 4}
     for key, entry in cache.items():
         assert entry.hits == hits[key] + 2
     engine.clear_topk_cache()
-    assert engine._shared_topk_cache == {}
+    assert engine._executor.baseline_by_k == {}
 
 
 @pytest.mark.skipif(
@@ -311,7 +312,7 @@ def test_indexed_batch_shares_one_kmax_root_traversal():
     before_first = engine.io.snapshot()
     engine.query_batch(queries, QueryOptions(mode="indexed"))
     first_io = (engine.io.snapshot() - before_first).total
-    pool = engine._root_pool
+    pool = engine._executor.root_pool
     assert isinstance(pool, RootTraversal)
     assert pool.k == 5  # walked once, at k_max
     assert engine.traversal_runs == 1
@@ -332,9 +333,9 @@ def test_indexed_batch_shares_one_kmax_root_traversal():
     # ...while a larger k forces one fresh walk that replaces the pool.
     engine.query_batch(make_queries(rng, vocab, 2, ks=(7, 3)), QueryOptions(mode="indexed"))
     assert engine.traversal_runs == 2
-    assert engine._root_pool.k == 7
+    assert engine._executor.root_pool.k == 7
     engine.clear_topk_cache()
-    assert engine._root_pool is None
+    assert engine._executor.root_pool is None
 
 
 def test_indexed_mixed_k_batch_equals_sequential_results():
@@ -365,7 +366,7 @@ def test_indexed_mixed_k_batch_equals_sequential_results():
         walk_io[k] = (t.io_node_visits, t.io_invfile_blocks)
     batched = engine.query_batch(queries, QueryOptions(mode="indexed"))
     assert engine.traversal_runs == 1
-    pool = engine._root_pool
+    pool = engine._executor.root_pool
     assert pool.k == 5
     for q, solo, bat in zip(queries, sequential, batched):
         assert_result_equal(solo, bat)

@@ -117,20 +117,14 @@ class TestSharedDefaultAcrossEntryPoints:
         )
 
         seen = []
-        real_plan_query = engine_mod.plan_query
         real_plan_batch = batch_mod.plan_batch
-        monkeypatch.setattr(
-            engine_mod, "plan_query",
-            lambda opts, caps, k=0, **kw: (
-                seen.append(opts) or real_plan_query(opts, caps, k, **kw)
-            ),
-        )
-        monkeypatch.setattr(
-            batch_mod, "plan_batch",
-            lambda opts, caps, ks, **kw: (
-                seen.append(opts) or real_plan_batch(opts, caps, ks, **kw)
-            ),
-        )
+        for module in (engine_mod, batch_mod):
+            monkeypatch.setattr(
+                module, "plan_batch",
+                lambda opts, caps, ks, **kw: (
+                    seen.append(opts) or real_plan_batch(opts, caps, ks, **kw)
+                ),
+            )
         engine.query(query)
         engine.query_batch([query])
         assert seen == [QueryOptions.default(), QueryOptions.default()]
@@ -169,25 +163,20 @@ class TestEngineConfig:
         assert engine.config.fanout == 4
         assert engine.user_tree is not None
 
-    def test_engine_rejects_config_plus_legacy_kwargs(self, tiny_dataset):
+    @pytest.mark.parametrize("args, kwargs", [
+        pytest.param((4,), {}, id="positional-fanout"),
+        pytest.param((), {"fanout": 4}, id="fanout-kwarg"),
+        pytest.param((), {"index_users": True}, id="index_users-kwarg"),
+        pytest.param((), {"buffer_pages": 8}, id="buffer_pages-kwarg"),
+        pytest.param((EngineConfig(),), {"fanout": 8}, id="config-plus-kwarg"),
+    ])
+    def test_engine_legacy_forms_raise(self, tiny_dataset, args, kwargs):
+        """``config=EngineConfig(...)`` is the one way to configure an
+        engine: the old kwargs and the positional fanout are gone."""
         from repro import MaxBRSTkNNEngine
 
         with pytest.raises(TypeError):
-            MaxBRSTkNNEngine(tiny_dataset, EngineConfig(), fanout=8)
-
-    def test_engine_legacy_kwargs_map_to_config(self, tiny_dataset):
-        from repro import MaxBRSTkNNEngine
-
-        engine = MaxBRSTkNNEngine(tiny_dataset, fanout=4, index_users=True)
-        assert engine.config == EngineConfig(fanout=4, index_users=True)
-
-    def test_engine_legacy_positional_fanout(self, tiny_dataset):
-        from repro import MaxBRSTkNNEngine
-
-        engine = MaxBRSTkNNEngine(tiny_dataset, 4)
-        assert engine.config == EngineConfig(fanout=4)
-        with pytest.raises(TypeError):
-            MaxBRSTkNNEngine(tiny_dataset, 4, fanout=8)
+            MaxBRSTkNNEngine(tiny_dataset, *args, **kwargs)
 
     def test_engine_rejects_wrong_config_type(self, tiny_dataset):
         from repro import MaxBRSTkNNEngine

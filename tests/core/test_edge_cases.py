@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery
 from repro.core.config import QueryOptions
 from repro.core.joint_topk import joint_topk
 from repro.index.irtree import MIRTree
@@ -98,7 +98,7 @@ class TestSingleEntityWorlds:
         objects = [STObject(0, Point(0, 0), {0: 1})]
         users = [User(0, Point(1, 1), {0: 1})]
         ds = Dataset(objects, users)
-        engine = MaxBRSTkNNEngine(ds, index_users=True)
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
         q = MaxBRSTkNNQuery(
             ox=STObject(-1, Point(0.5, 0.5), {}),
             locations=[Point(0.5, 0.5)],

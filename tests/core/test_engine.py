@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro import EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery
 from repro.core.config import QueryOptions
 from repro.core.query import QueryStats
 
@@ -20,7 +20,7 @@ def make_query(workload, ws=2, k=5):
 class TestEngineModes:
     def test_all_modes_agree_on_cardinality(self, small_flickr):
         ds, workload = small_flickr
-        engine = MaxBRSTkNNEngine(ds, index_users=True)
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
         q = make_query(workload)
         results = {
             mode: engine.query(q, QueryOptions(method="exact", mode=mode))
@@ -62,7 +62,7 @@ class TestEngineModes:
 
     def test_indexed_mode_prunes_users(self, small_flickr):
         ds, workload = small_flickr
-        engine = MaxBRSTkNNEngine(ds, index_users=True)
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
         res = engine.query(make_query(workload), QueryOptions(method="approx", mode="indexed"))
         assert 0 <= res.stats.users_pruned <= len(ds.users)
         assert res.stats.users_pruned_pct == pytest.approx(
@@ -92,7 +92,7 @@ class TestTopKEntryPoints:
     def test_buffered_engine_cheaper_io(self, small_flickr):
         ds, _ = small_flickr
         cold = MaxBRSTkNNEngine(ds)
-        warm = MaxBRSTkNNEngine(ds, buffer_pages=10_000)
+        warm = MaxBRSTkNNEngine(ds, EngineConfig(buffer_pages=10_000))
         cold.topk_baseline(5)
         warm.topk_baseline(5)
         assert warm.io.total < cold.io.total

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery, oracle
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, oracle
 from repro.core.config import QueryOptions
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
@@ -30,7 +30,7 @@ def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM
     objects = make_random_objects(n_obj, vocab, rng)
     users = make_random_users(n_users, vocab, rng)
     dataset = Dataset(objects, users, relevance=measure, alpha=alpha)
-    engine = MaxBRSTkNNEngine(dataset, fanout=4, index_users=True)
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
     query = MaxBRSTkNNQuery(
         ox=STObject(item_id=-1, location=Point(5, 5), terms={0: 1}),
         locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)],
@@ -70,6 +70,33 @@ def test_modes_agree_across_vocab_sizes(seed, vocab):
     assert len(set(cards.values())) == 1, cards
 
 
+STAT_FIELDS = (
+    "locations_pruned", "keyword_combinations_scored", "users_pruned",
+    "users_total", "io_node_visits", "io_invfile_blocks",
+)
+
+
+def assert_same_cold_answer(engine, query, options):
+    """``engine.query`` equals ``oracle.query`` on a twin engine: the
+    answer, every non-time stat, and the I/O each charged its engine."""
+    twin = MaxBRSTkNNEngine(engine.dataset, engine.config, object_tree=engine.object_tree)
+    before = twin.io.snapshot()
+    py = oracle.query(twin, query, options)
+    py_io = twin.io.snapshot() - before
+    before = engine.io.snapshot()
+    np_ = engine.query(query, options)
+    np_io = engine.io.snapshot() - before
+    assert (py.location, py.keywords, py.brstknn) == (
+        np_.location, np_.keywords, np_.brstknn,
+    )
+    for field in STAT_FIELDS:
+        assert getattr(py.stats, field) == getattr(np_.stats, field), field
+    assert (py_io.node_visits, py_io.invfile_blocks) == (
+        np_io.node_visits, np_io.invfile_blocks,
+    )
+    assert np_io.node_visits + np_io.invfile_blocks > 0
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
 @pytest.mark.parametrize("mode,method", [
@@ -77,18 +104,31 @@ def test_modes_agree_across_vocab_sizes(seed, vocab):
     ("joint", "exact"),
     ("indexed", "approx"),
     ("indexed", "exact"),
+    ("baseline", "exact"),
 ])
 def test_engine_identical_to_oracle(seed, measure, mode, method):
+    """The cold single query is a contract: answers, every non-time
+    stat and the I/O trace are the oracle's, on every mode."""
     engine, query = build_case(seed, measure=measure)
-    options = QueryOptions(method=method, mode=mode)
-    py = oracle.query(engine, query, options)
-    np_ = engine.query(query, options)
-    assert py.location == np_.location
-    assert py.keywords == np_.keywords
-    assert py.brstknn == np_.brstknn
-    assert py.stats.locations_pruned == np_.stats.locations_pruned
-    assert py.stats.keyword_combinations_scored == np_.stats.keyword_combinations_scored
-    assert py.stats.users_pruned == np_.stats.users_pruned
+    assert_same_cold_answer(engine, query, QueryOptions(method=method, mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["joint", "indexed"])
+def test_query_after_a_warm_batch_is_still_cold(mode):
+    """``engine.query`` after a ``query_batch`` at a larger k still walks
+    at its own k — the I/O of a fresh engine's, not the memoized
+    walk's — and leaves the batch memo (``capabilities()``) as it was."""
+    import dataclasses
+
+    engine, query = build_case(3, k=2)
+    options = QueryOptions(mode=mode)
+    engine.query_batch([dataclasses.replace(query, k=8)], options)
+    caps = engine.capabilities()
+    assert (caps.root_pool_k if mode == "indexed" else caps.traversal_pool_k) == 8
+    runs = engine.traversal_runs
+    assert_same_cold_answer(engine, query, options)
+    assert engine.traversal_runs == runs + 1  # its own walk, at k=2
+    assert engine.capabilities() == caps
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -120,7 +160,7 @@ def test_indexed_search_late_users_identical_result_and_stats(seed, measure):
     objects = make_random_objects(80, 16, rng, space=40.0)
     users = make_random_users(30, 16, rng, space=40.0)
     dataset = Dataset(objects, users, relevance=measure, alpha=0.9)
-    engine = MaxBRSTkNNEngine(dataset, fanout=4, index_users=True)
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
     query = MaxBRSTkNNQuery(
         ox=STObject(item_id=-1, location=Point(20, 20), terms={0: 1}),
         locations=[Point(rng.uniform(0, 40), rng.uniform(0, 40)) for _ in range(8)],
@@ -148,20 +188,18 @@ def test_indexed_pipeline_identical_to_oracle(seed, method):
     best-first search alone over one shared walk's pool — the oracle's
     scalar leaves (Algorithm 2, ``RSk(node)``, keyword selection) against
     the engine's kernels, counters and I/O charges included."""
-    from repro.core.indexed_users import (
-        compute_root_traversal, indexed_search, indexed_users_maxbrstknn,
-    )
+    from repro.core.indexed_users import compute_root_traversal, indexed_search
     from repro.core.query import QueryStats
 
     engine, query = build_case(seed + 7)
-    engine_side = MaxBRSTkNNEngine(engine.dataset, fanout=4, index_users=True)
-    pairs = []
-    for side, maxbrstknn in ((engine_side, indexed_users_maxbrstknn),
-                             (engine, oracle.indexed_users_maxbrstknn)):
-        pairs.append(maxbrstknn(
-            side.object_tree, side.user_tree, side.dataset, query,
-            method=method, store=side.store,
-        ))
+    engine_side = MaxBRSTkNNEngine(engine.dataset, EngineConfig(fanout=4, index_users=True))
+    pairs = [
+        engine_side.query(query, QueryOptions(mode="indexed", method=method)),
+        oracle.indexed_users_maxbrstknn(
+            engine.object_tree, engine.user_tree, engine.dataset, query,
+            method=method, store=engine.store,
+        ),
+    ]
     shared = compute_root_traversal(
         engine.object_tree, engine.user_tree, engine.dataset, query.k + 2
     )

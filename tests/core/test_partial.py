@@ -48,7 +48,7 @@ class TestRowRanges:
 class TestRefineMerge:
     def test_union_equals_central_refinement(self):
         dataset, engine, _ = build()
-        pool = _ensure_traversal_pool(engine, 3)
+        pool = _ensure_traversal_pool(engine._executor, 3)
         partials = [
             compute_partials(dataset, pool.traversal, [3], shard_id=i, rows=rows)[0]
             for i, rows in enumerate(user_row_ranges(len(dataset.users), 3))
@@ -61,7 +61,7 @@ class TestRefineMerge:
 
     def test_empty_range_answers_an_empty_partial(self):
         dataset, engine, _ = build()
-        pool = _ensure_traversal_pool(engine, 3)
+        pool = _ensure_traversal_pool(engine._executor, 3)
         (empty,) = compute_partials(dataset, pool.traversal, [3], rows=(5, 5))
         assert empty.rsk == {} and empty.users_total == 0
 
@@ -74,7 +74,7 @@ class TestRefineMerge:
 
         partial_mod = importlib.import_module("repro.core.partial")
         dataset, engine, _ = build()
-        pool = _ensure_traversal_pool(engine, 3)
+        pool = _ensure_traversal_pool(engine._executor, 3)
         monkeypatch.setattr(
             partial_mod, "individual_topk",
             lambda *a, **k: pytest.fail("refined a bad range"),

@@ -6,17 +6,19 @@ Four layers of guarantees:
   any number of user-row ranges reconstructs the sequential inputs
   *exactly* (same rsk maps, and from them the
   very phase-1 state the single engine hands its select phase),
-  because ``execute_shard_payload`` is the shared worker entry both
-  executors use.
+  because ``execute_shard_payload`` is the worker entry every range
+  runs through, inline or on a shard host.
 * **Query-axis round-trips** — ``merge_select(select_payloads(...))``
   and ``merge_indexed(indexed_payloads(...))`` answer like the single
   engine's flush at any width, the latter charging the same I/O.
-* **Phase lists** — each (mode, executor) flush records the right
+* **Phase lists** — each (mode, engine kind) flush records the right
   phases, in order, on ``last_flush_report``, each timed by ``_phase``
-  into a snapshot row of the same fields.
-* **Executor identity** — the LocalExecutor (via ``query_batch``) and
-  the ShardedExecutor (via ``ShardedEngine``) produce bitwise-equal
-  results; per-stage accounting lands on ``last_flush_report``.
+  into a snapshot row of the same fields, with one refine accounting:
+  ``items`` counts the ks refined, ``scatter_width`` the row ranges.
+* **Executor identity** — the one executor on a plain engine (one
+  range) and on a ``ShardedEngine`` (``num_shards`` ranges) produces
+  bitwise-equal results; per-stage accounting lands on
+  ``last_flush_report``.
 """
 
 import random
@@ -32,7 +34,7 @@ from repro import (
     STObject,
     oracle,
 )
-from repro.core.batch import _ensure_traversal_pool, derive_rsk_group
+from repro.core.batch import _ensure_traversal_pool
 from repro.core.payload import decode_shard_payload
 from repro.core.pipeline import (
     FlushReport,
@@ -48,7 +50,7 @@ from repro.core.pipeline import (
 from repro.core.planner import plan_batch
 from repro.spatial.geometry import Point
 
-from ..conftest import make_random_objects, make_random_users
+from ..conftest import make_random_objects, make_random_users, refined_states
 
 
 def build_dataset(seed=0, n_obj=60, n_users=20, vocab=16):
@@ -90,11 +92,11 @@ class Refine:
             QueryOptions(), self.engine.capabilities(),
             [q.k for q in queries],
         )
-        self.pool = _ensure_traversal_pool(self.engine, plan.shared_traversal_k)
+        self.pool = _ensure_traversal_pool(
+            self.engine._executor, plan.shared_traversal_k
+        )
         self.need_ks = list(plan.distinct_ks)
-        self.group_by_k = {
-            k: derive_rsk_group(self.pool, k) for k in plan.distinct_ks
-        }
+        self.group_by_k = {k: self.pool.rsk_group_for(k) for k in plan.distinct_ks}
         self.merged_by_k = {}
 
     def payloads(self, lanes):
@@ -149,8 +151,6 @@ class TestRefineRoundTrips:
         thresholds, group threshold and walk I/O — one object per k
         (memoized on the pool, so warm flushes re-ship it by identity)
         with one hit per query."""
-        from repro.core.batch import _derive_shared_topk
-
         dataset, rng, vocab = build_dataset(seed=seed + 10)
         queries = make_queries(rng, vocab, 5, ks=(2, 3))
         refine = Refine(dataset, queries)
@@ -160,10 +160,12 @@ class TestRefineRoundTrips:
         assert len(shared) == len(queries)
         assert all(s is pool.by_k[q.k] for s, q in zip(shared, queries))
         reference = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        ref_pool = _ensure_traversal_pool(reference, pool.k)
+        singles = refined_states(reference, queries)
+        ref_pool = reference._executor.traversal_pool
+        assert ref_pool.k == pool.k
         for k in (2, 3):
             entry = shared[[q.k for q in queries].index(k)]
-            single = _derive_shared_topk(reference, ref_pool, k)
+            single = singles[[q.k for q in queries].index(k)]
             assert entry.rsk == single.rsk
             assert entry.rsk == oracle.individual_topk(
                 ref_pool.traversal, dataset, pool.k
@@ -240,7 +242,7 @@ class TestQueryAxisRoundTrips:
             QueryOptions(mode="indexed"), engine.capabilities(),
             [q.k for q in queries],
         )
-        pool = ensure_root_pool(engine, plan.shared_traversal_k)
+        pool = ensure_root_pool(engine._executor, plan.shared_traversal_k)
         group_by_k = {k: pool.rsk_group_for(k) for k in plan.distinct_ks}
         before = engine.io.snapshot()
         payloads, index_groups = indexed_payloads(
@@ -280,10 +282,10 @@ class TestPhaseTiming:
         dataset, _, _ = build_dataset(seed=3)
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         report = FlushReport(mode="joint", batch_size=2)
-        _ensure_traversal_pool(engine, 2)  # I/O before the phase: not its
+        _ensure_traversal_pool(engine._executor, 2)  # I/O before the phase: not its
         with _phase(report, "traverse", engine.io, 2) as stats:
             assert report.stages == []  # appended when the phase ends
-            pool = _ensure_traversal_pool(engine, 4)  # outgrown: re-walked
+            pool = _ensure_traversal_pool(engine._executor, 4)  # outgrown: re-walked
         with _phase(report, "refine", engine.io, 1):
             pass
         assert report.stages == [stats, report.stages[1]]
@@ -340,14 +342,16 @@ class TestPipelineShapes:
         # The query-axis phase ends every flush and counts queries.
         assert snap["stages"][-1]["items"] == len(queries)
         if mode == "joint":
+            # One refine accounting on both engine kinds: the ks it
+            # refined, dealt as one row range per configured range.
             refine = snap["stages"][1]
-            assert refine["scatter_width"] == (2 if sharded else 1)
+            assert (refine["items"], refine["scatter_width"]) == (2, 2 if sharded else 1)
 
 
     @pytest.mark.parametrize("sharded", [False, True])
-    def test_stage_lists_per_mode_and_executor(self, sharded):
-        """Each mode's flush records its phases, in order, on both
-        engine kinds (baseline runs on one engine only)."""
+    def test_stage_lists_per_mode_and_engine_kind(self, sharded):
+        """The one executor records each mode's phases, in order, on
+        both engine kinds (baseline runs on a plain engine only)."""
         from repro.serve import ShardedEngine
 
         dataset, rng, vocab = build_dataset()
@@ -372,8 +376,21 @@ class TestPipelineShapes:
             assert [st["stage"] for st in report.snapshot()["stages"]] == stages
 
 
+def assert_refine_accounting(engine, queries, ranges):
+    """A cold joint flush refines every distinct k in one round of
+    ``ranges`` row ranges; the warm repeat refines nothing (width 0)."""
+    n_ks = len({q.k for q in queries})
+    engine.query_batch(queries, QueryOptions())
+    refine = engine.last_flush_report.stage("refine")
+    assert (refine.items, refine.scatter_width) == (n_ks, ranges)
+    engine.query_batch(queries, QueryOptions())
+    refine = engine.last_flush_report.stage("refine")
+    assert (refine.items, refine.scatter_width) == (0, 0)
+    assert engine.last_flush_report.stage("select").items == len(queries)
+
+
 class TestFlushReports:
-    def test_local_joint_flush_report(self):
+    def test_plain_joint_flush_report(self):
         dataset, rng, vocab = build_dataset(seed=4)
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         queries = make_queries(rng, vocab, 4, ks=(2, 4))
@@ -387,6 +404,8 @@ class TestFlushReports:
         traverse = report.stage("traverse")
         assert traverse.io_node_visits + traverse.io_invfile_blocks > 0
         assert report.stage("select").io_node_visits == 0
+        engine.clear_topk_cache()
+        assert_refine_accounting(engine, queries, ranges=1)
 
     def test_local_indexed_flush_report_charges_search_io(self):
         dataset, rng, vocab = build_dataset(seed=5)
@@ -412,6 +431,8 @@ class TestFlushReports:
         ]
         assert report.stage("refine").scatter_width == 2
         assert report.stage("select").items == 4
+        sharded.clear_topk_cache()
+        assert_refine_accounting(sharded, queries, ranges=2)
 
 
 class TestSelectPayload:
@@ -421,11 +442,7 @@ class TestSelectPayload:
     def test_select_payload_equals_the_select_one_loop(self, mode):
         """Plain and arena-encoded, ``execute_shard_payload`` on a
         ``("select", ...)`` chunk is the per-query ``_select_one`` loop."""
-        from repro.core.batch import (
-            _compute_shared_baseline,
-            _derive_shared_topk,
-            _select_one,
-        )
+        from repro.core.batch import _compute_shared_baseline, _select_one
         from repro.core.payload import ArenaRef, PayloadCodec, encode_shard_payload
         from repro.storage.shm import ShmArena
 
@@ -435,8 +452,7 @@ class TestSelectPayload:
         if mode == "baseline":
             shared = _compute_shared_baseline(engine, 3)
         else:
-            pool = _ensure_traversal_pool(engine, 3)
-            shared = _derive_shared_topk(engine, pool, 3)
+            shared = refined_states(engine, queries)[0]
         expected = [
             _select_one(dataset, q, shared, mode, "approx")
             for q in queries
@@ -463,7 +479,7 @@ class TestSelectPayload:
         ``SharedTopK`` once — its repeats share the reference, and the
         next flush's payload re-sends it as a delta hit — and decodes to
         the plain payload's answers."""
-        from repro.core.batch import _derive_shared_topk, _select_one
+        from repro.core.batch import _select_one
         from repro.core.payload import (
             ArenaRef, PayloadCodec, _clear_ref_cache, encode_shard_payload,
         )
@@ -472,8 +488,7 @@ class TestSelectPayload:
         dataset, rng, vocab = build_dataset(seed=9)
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         queries = make_queries(rng, vocab, 6, ks=(3, 5, 3))
-        pool = _ensure_traversal_pool(engine, 5)
-        shared = tuple(_derive_shared_topk(engine, pool, q.k) for q in queries)
+        shared = tuple(refined_states(engine, queries))
         assert len({id(s) for s in shared}) == 2
 
         def key(r):

@@ -26,7 +26,6 @@ from repro import (
 )
 from repro.core import candidate_selection, kernels
 from repro.core.bounds import BoundCalculator
-from repro.core.batch import _derive_shared_topk, _ensure_traversal_pool
 from repro.core.candidate_selection import SelectionBatch, select_candidate
 from repro.core.kernels import DatasetArrays, SelectionContext
 from repro.core.pipeline import execute_shard_payload
@@ -37,7 +36,7 @@ from repro.serve.sharded import ShardedEngine
 from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
-from ..conftest import make_random_objects, make_random_users
+from ..conftest import make_random_objects, make_random_users, refined_states
 
 MEASURES = ["LM", "TF", "KO"]
 ALPHAS = [0.0, 0.3, 0.5, 1.0]
@@ -473,7 +472,7 @@ class TestCostShape:
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_a_payload_is_one_context_and_one_block_call(self, n, monkeypatch):
         engine, queries = engine_and_queries(n)
-        shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
+        shared = refined_states(engine, queries)[0]
         want = [
             (r.location, r.keywords, r.brstknn, r.stats.keyword_combinations_scored)
             for r in (
@@ -498,10 +497,9 @@ class TestCostShape:
         """Six same-side queries over three ks: one context (one threshold
         row per k), one block call, every answer the oracle's at its k."""
         engine, queries = engine_and_queries(6)
-        pool = _ensure_traversal_pool(engine, 6)
         for q, k in zip(queries, (2, 4, 6, 2, 4, 6)):
             q.k = k
-        shared = tuple(_derive_shared_topk(engine, pool, q.k) for q in queries)
+        shared = tuple(refined_states(engine, queries))
         want = [
             (r.location, r.keywords, r.brstknn, r.stats.keyword_combinations_scored)
             for r in (
@@ -537,7 +535,7 @@ class TestCostShape:
         queries — four block calls, still one context; a flush's select
         stage still counts the 8 queries, not the passes."""
         engine, queries = engine_and_queries(8)
-        shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
+        shared = refined_states(engine, queries)[0]
         monkeypatch.setattr(candidate_selection, "STACK_ROWS", 12)
         calls = count_kernel_calls(monkeypatch)
         execute_shard_payload(
@@ -557,7 +555,7 @@ class TestCostShape:
         membership mask from row lists, and the pair table is built
         once for the one context.  Answers stay the oracle's."""
         engine, queries = engine_and_queries(8, n_locations=20)
-        shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
+        shared = refined_states(engine, queries)[0]
         want = [
             (r.location, r.keywords, r.brstknn, r.stats.keyword_combinations_scored)
             for r in (
@@ -617,7 +615,7 @@ class TestCostShape:
         import time
 
         engine, queries = engine_and_queries(6)
-        shared = _derive_shared_topk(engine, _ensure_traversal_pool(engine, 3), 3)
+        shared = refined_states(engine, queries)[0]
         t0 = time.perf_counter()
         got = execute_shard_payload(
             engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")

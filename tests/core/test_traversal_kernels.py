@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Dataset, MaxBRSTkNNEngine, QueryOptions, oracle
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle
 from repro.core.joint_topk import (
     CandidatePoolError, canonical_candidates, derive_rsk_group, individual_topk,
     joint_traversal,
@@ -71,7 +71,7 @@ def random_engine(seed, index_users=False, twins=0):
         alpha=rng.choice([0.0, 0.25, 0.5, 0.9, 1.0]),
     )
     engine = MaxBRSTkNNEngine(
-        dataset, fanout=rng.choice([3, 4, 8]), index_users=index_users
+        dataset, EngineConfig(fanout=rng.choice([3, 4, 8]), index_users=index_users)
     )
     return engine, rng
 
@@ -278,7 +278,7 @@ def test_mixed_k_batch_runs_one_traversal_and_matches_sequential():
     runs_before = engine.traversal_runs
     batched = engine.query_batch(queries, QueryOptions())
     assert engine.traversal_runs == runs_before + 1  # exactly one walk
-    assert engine._traversal_pool.k == 10
+    assert engine._executor.traversal_pool.k == 10
     for solo, bat in zip(sequential, batched):
         assert solo.location == bat.location
         assert solo.keywords == bat.keywords

@@ -7,7 +7,7 @@ baseline pipeline, on both dataset flavours and all three measures.
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery
 from repro.core.config import QueryOptions
 from repro.datagen import candidate_locations, flickr_like, generate_users, yelp_like
 
@@ -37,7 +37,7 @@ class TestOptimizedEqualsBaseline:
     @pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
     def test_exact_joint_equals_baseline(self, kind, measure):
         ds, query = build_workload(kind, seed=31, measure=measure)
-        engine = MaxBRSTkNNEngine(ds, index_users=True)
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
         joint = engine.query(query, QueryOptions(method="exact", mode="joint"))
         base = engine.query(query, QueryOptions(method="exact", mode="baseline"))
         indexed = engine.query(query, QueryOptions(method="exact", mode="indexed"))

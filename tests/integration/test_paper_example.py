@@ -14,6 +14,7 @@ import pytest
 
 from repro import (
     Dataset,
+    EngineConfig,
     MaxBRSTkNNEngine,
     MaxBRSTkNNQuery,
     Point,
@@ -61,7 +62,7 @@ class TestFigure1:
     @pytest.mark.parametrize("method", ["approx", "exact"])
     def test_optimum_is_l1_sushi_with_three_users(self, figure1, mode, method):
         dataset, query, locations, kw = figure1
-        engine = MaxBRSTkNNEngine(dataset, fanout=4, index_users=True)
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
         if mode == "baseline" and method == "approx":
             pytest.skip("baseline has no approximate variant")
         result = engine.query(query, QueryOptions(method=method, mode=mode))

@@ -127,10 +127,10 @@ def check_lanes_equal_single_engine(seed, n_users, lanes, ks, transport):
         # One walk, one refinement at k_max: every k's RSk map is the
         # single engine's, value for value and in its row order.
         assert sharded.traversal_runs == single.traversal_runs == 1
-        pool = single._traversal_pool
+        pool = single._executor.traversal_pool
         scalar = oracle.individual_topk(pool.traversal, dataset, pool.k)
         for k in set(ks):
-            merged = sharded._merged_by_k[k].rsk
+            merged = sharded._executor.merged_by_k[k].rsk
             central = pool.by_k[k].rsk
             assert merged == central and list(merged) == list(central)
             assert merged.values.tolist() == scalar.rsk(k).values.tolist()

@@ -141,7 +141,7 @@ def test_a_reforked_host_inherits_the_arrays_too(probing):
 def test_pool_results_match_inprocess_batches():
     """The lanes' hosts answer what the plain engine answers in-process."""
     dataset, rng = make_dataset(seed=2)
-    engine = MaxBRSTkNNEngine(dataset, fanout=4)
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     from repro.core.query import MaxBRSTkNNQuery
     from repro.model.objects import STObject
     from repro.spatial.geometry import Point

@@ -94,7 +94,7 @@ class Rig:
         engine, root = self.engine, self.engine.root
         plan = engine.plan(OPTS, ks=[q.k for q in self.queries])
         ks = list(plan.distinct_ks)
-        pool = _ensure_traversal_pool(root, plan.shared_traversal_k)
+        pool = _ensure_traversal_pool(root._executor, plan.shared_traversal_k)
         group_by_k = {k: pool.rsk_group_for(k) for k in ks}
         # A fresh per-k state every call, like a freshly walked pool.
         pool.by_k.clear()

@@ -21,7 +21,7 @@ from repro.core import pipeline
 from repro.core.batch import SharedTopK
 from repro.core.candidate_selection import _keyword_side
 from repro.core.pipeline import merge_select, select_payloads
-from repro.core.planner import EngineCapabilities, plan_batch
+from repro.core.planner import plan_batch
 from repro.serve import ShardedEngine
 from repro.spatial.geometry import Point
 
@@ -48,7 +48,7 @@ def drawn_flush(ks, sides):
         for k in set(ks)
     }
     engine = MaxBRSTkNNEngine(build_dataset(0, 4)[0], EngineConfig(fanout=4))
-    plan = plan_batch(QueryOptions(), EngineCapabilities.of(engine), list(ks))
+    plan = plan_batch(QueryOptions(), engine.capabilities(), list(ks))
     return queries, [shared_by_k[q.k] for q in queries], shared_by_k, plan
 
 

@@ -144,19 +144,22 @@ class TestEquivalenceProperty:
         queries = make_queries(rng, vocab, 6, ks=(2, 4, 6))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         reference = single.query_batch(queries, QueryOptions())
+        # A plain engine is the one-range case: one refinement, every user.
+        assert refined == [(len(dataset.users), len(dataset.users), 6)]
+        refined.clear()
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
         results = sharded.query_batch(queries, QueryOptions())
-        lanes = sharded.lane_stats
+        lanes = sharded._executor.lane_stats
         assert len(lanes) == num_shards
         assert sum(lane.users for lane in lanes) == len(dataset.users)
         assert refined == [(len(dataset.users), lane.users, 6) for lane in lanes]
         for lane in lanes:
             assert lane.refine_tasks == 3
         for k in (2, 4, 6):
-            merged = sharded._merged_by_k[k]
+            merged = sharded._executor.merged_by_k[k]
             assert merged.users_total == len(dataset.users)
-            assert merged.rsk == single._traversal_pool.by_k[k].rsk
-            assert list(merged.rsk) == list(single._traversal_pool.by_k[k].rsk)
+            assert merged.rsk == single._executor.traversal_pool.by_k[k].rsk
+            assert list(merged.rsk) == list(single._executor.traversal_pool.by_k[k].rsk)
         for a, b in zip(reference, results):
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
@@ -170,7 +173,7 @@ class TestEquivalenceProperty:
         first = sharded.query_batch(queries, QueryOptions())
         second = sharded.query_batch(queries, QueryOptions())
         assert sharded.traversal_runs == 1
-        for lane in sharded.lane_stats:
+        for lane in sharded._executor.lane_stats:
             assert lane.refine_tasks == 1  # memoized across batches
         for a, b, c in zip(reference, first, second):
             assert_results_equal(a, b)
@@ -222,19 +225,19 @@ class TestEquivalenceProperty:
         assert walks[0] != walks[1]  # the two walks' I/O really differ
         assert walks[2] == walks[3] == walks[1]
         assert sharded.traversal_runs == 2
-        for lane in sharded.lane_stats:
+        for lane in sharded._executor.lane_stats:
             assert lane.refine_tasks == 2  # k=5 once, k=20 once
         # Warm flushes hand the codec ONE object per k to delta-ship,
         # counting a hit per query served.
-        shared = sharded.root._traversal_pool.by_k[5]
+        shared = sharded._executor.traversal_pool.by_k[5]
         assert shared.hits == 6
         flush(queries_at(5, count=2))
-        assert sharded.root._traversal_pool.by_k[5] is shared
+        assert sharded._executor.traversal_pool.by_k[5] is shared
         assert shared.hits == 8
         single.clear_topk_cache()
         sharded.clear_topk_cache()
         assert flush(queries_at(5)) == walks[0]  # a fresh k=5 walk again
-        assert sharded.root._traversal_pool.by_k[5] is not shared
+        assert sharded._executor.traversal_pool.by_k[5] is not shared
 
 
 class TestIndexedEquivalenceProperty:

@@ -335,14 +335,14 @@ def test_host_answers_a_range_outside_its_replica_with_error_frame():
     """A host whose user set disagrees with the coordinator's must not
     answer the round against the wrong rows: typed ERROR frame, echoing
     the lane the round was dealt to."""
-    from repro import MaxBRSTkNNEngine
+    from repro import EngineConfig, MaxBRSTkNNEngine
     from repro.core.joint_topk import joint_traversal
     from repro.serve.shardhost import ShardHost
 
     from .conftest import build_dataset
 
     dataset, _, _ = build_dataset(0)
-    tree = MaxBRSTkNNEngine(dataset, fanout=4).object_tree
+    tree = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4)).object_tree
     walked = joint_traversal(tree, dataset, 3)
     host = ShardHost(dataset)
     n_users = len(dataset.users)

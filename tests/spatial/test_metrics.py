@@ -100,13 +100,13 @@ class TestEndToEndWithLpMetrics:
             assert results[u.item_id].kth_score == pytest.approx(gold, abs=1e-9)
 
     def test_engine_modes_agree_under_l1(self):
-        from repro import MaxBRSTkNNEngine, MaxBRSTkNNQuery, STObject
+        from repro import EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, STObject
 
         rng = random.Random(56)
         objects = make_random_objects(60, 10, rng)
         users = make_random_users(12, 10, rng)
         ds = Dataset(objects, users, relevance="LM", alpha=0.5, metric=MANHATTAN)
-        engine = MaxBRSTkNNEngine(ds, index_users=True)
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
         q = MaxBRSTkNNQuery(
             ox=STObject(-1, Point(5, 5), {}),
             locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)],

@@ -586,6 +586,41 @@ def test_untracked_attach_leaves_no_tracker_registration(monkeypatch):
     assert not any(s.startswith(arena.name) for s in arena_segments())
 
 
+#: Run in a fresh interpreter (a remote shard host's situation): reads
+#: the owner's block in untracked mode, then reports the tracker pid.
+_UNTRACKED_READER = """
+import sys
+from multiprocessing import resource_tracker
+from repro.storage.shm import ShmArena, set_untracked_attach
+
+set_untracked_attach(True)
+assert ShmArena.read_column_bytes(sys.argv[1], "blob") == b"z" * 32
+print("TRACKER PID", resource_tracker._resource_tracker._pid)
+"""
+
+
+def test_untracked_reader_starts_no_resource_tracker():
+    """An unrelated reader starts no tracker of its own — one would sit
+    idle in every remote host and, at its exit, unlink what the host
+    had registered — and the owner's segment outlives the reader."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    with ShmArena() as arena:
+        arena.add_bytes("blob", b"z" * 32)
+        run = subprocess.run(
+            [sys.executable, "-c", _UNTRACKED_READER, arena.name], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "TRACKER PID None" in run.stdout, run.stdout
+        assert f"{arena.name}.blob" in arena_segments()
+        assert ShmArena.read_column_bytes(arena.name, "blob") == b"z" * 32
+
+
 def test_tracked_attach_is_the_default(monkeypatch):
     from repro.storage import shm as shm_mod
 

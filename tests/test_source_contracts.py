@@ -520,6 +520,10 @@ FORBIDDEN = {
     "the arena carries payload blocks only":
         r"share_into|share_arrays|SHARED_ATTRS|add_array|_restore_shared_attrs"
         r"|attach_count|ShmArena\.attach\b|--arena",
+    # Every engine's flushes run on one Executor (a plain engine is the
+    # one-range inline case), and engine.query is a cold batch of one.
+    "one executor":
+        r"LocalExecutor|ShardedExecutor|_execute_single|_derive_shared_topk",
 }
 
 
@@ -576,6 +580,10 @@ def test_src_names_no_retired_design(design):
     ("the arena carries payload blocks only", "refs = ShmArena.attach_count(name)"),
     ("the arena carries payload blocks only", "handle = ShmArena.attach(name)"),
     ("the arena carries payload blocks only", 'parser.add_argument("--arena")'),
+    ("one executor", "executor = LocalExecutor(engine)"),
+    ("one executor", "self._executor = ShardedExecutor(self)"),
+    ("one executor", "return self._execute_single(query, plan)"),
+    ("one executor", "shared = _derive_shared_topk(engine, pool, k)"),
 ])
 def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     """The scan above has teeth: each alternative of each regex counts."""
@@ -593,6 +601,7 @@ def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     ("the arena carries payload blocks only",
      "data = ShmArena.read_column_bytes(name, column)"),
     ("the arena carries payload blocks only", "set_untracked_attach(True)"),
+    ("one executor", "executor = Executor(self.root, config.num_shards)"),
 ])
 def test_the_name_scan_passes_live_names(tmp_path, design, line):
     (tmp_path / "probe.py").write_text(line + "\n")
