@@ -103,3 +103,13 @@ class TestMeasurements:
         unindexed, indexed, pruned = measure_user_index(bench)
         assert unindexed > 0 and indexed > 0
         assert 0.0 <= pruned <= 100.0
+
+    def test_user_index_metrics_pinned_on_the_fig15_cell(self):
+        """Fig. 15's column, exact, on a small Section 7 cell (Area 40,
+        alpha 0.9, fanout 8): the flat-file JOINT I/O, the MIUR-tree
+        search's I/O and its users pruned %, through the oracle path."""
+        cell = DEFAULTS.with_(
+            num_objects=600, num_users=200, area=40.0, alpha=0.9,
+            num_locations=10, fanout=8,
+        )
+        assert measure_user_index(build_workbench(cell, cached=False)) == (707, 759, 12.0)

@@ -13,23 +13,48 @@ Two families of guarantees:
   stats for every mode and method.
 """
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, oracle
 from repro.core.config import QueryOptions
-from repro.model.objects import STObject
+from repro.model.objects import STObject, User
 from repro.spatial.geometry import Point
+from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
 from ..conftest import make_random_objects, make_random_users
 
 
-def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM"):
+def plant_degenerate(objects, users, rng):
+    """Two keyword-less users (one on another user's point) and objects
+    duplicating other objects' points — and one a user's."""
+    users = users + [
+        User(item_id=len(users), location=users[0].location),
+        User(item_id=len(users) + 1,
+             location=Point(rng.uniform(0, 10), rng.uniform(0, 10))),
+    ]
+    twins = [
+        STObject(item_id=len(objects) + i, location=objects[i].location,
+                 terms=dict(objects[-1 - i].terms))
+        for i in range(3)
+    ]
+    twins.append(STObject(item_id=len(objects) + 3, location=users[1].location,
+                          terms=dict(objects[0].terms)))
+    return objects + twins, users
+
+
+def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM",
+               metric=EUCLIDEAN, plant=False):
     rng = random.Random(seed)
     objects = make_random_objects(n_obj, vocab, rng)
     users = make_random_users(n_users, vocab, rng)
-    dataset = Dataset(objects, users, relevance=measure, alpha=alpha)
+    if plant:
+        objects, users = plant_degenerate(objects, users, rng)
+    dataset = Dataset(objects, users, relevance=measure, alpha=alpha, metric=metric)
     engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
     query = MaxBRSTkNNQuery(
         ox=STObject(item_id=-1, location=Point(5, 5), terms={0: 1}),
@@ -97,20 +122,56 @@ def assert_same_cold_answer(engine, query, options):
     assert np_io.node_visits + np_io.invfile_blocks > 0
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
-@pytest.mark.parametrize("mode,method", [
-    ("joint", "approx"),
-    ("joint", "exact"),
-    ("indexed", "approx"),
-    ("indexed", "exact"),
-    ("baseline", "exact"),
-])
-def test_engine_identical_to_oracle(seed, measure, mode, method):
-    """The cold single query is a contract: answers, every non-time
-    stat and the I/O trace are the oracle's, on every mode."""
-    engine, query = build_case(seed, measure=measure)
-    assert_same_cold_answer(engine, query, QueryOptions(method=method, mode=mode))
+#: (mode, method) pairs the oracle equality is drawn over.
+MODE_METHODS = [
+    (mode, method)
+    for mode in ("joint", "baseline", "indexed")
+    for method in ("approx", "exact")
+]
+
+
+@given(
+    seed=st.one_of(st.integers(0, 7), st.just(42), st.integers(0, 10_000)),
+    measure=st.sampled_from(["LM", "TF", "KO"]),
+    alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    metric=st.sampled_from([EUCLIDEAN, MANHATTAN, CHEBYSHEV]),
+    k=st.integers(1, 8),
+    mode_method=st.sampled_from(MODE_METHODS),
+    plant=st.booleans(),
+    other_ks=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_engine_identical_to_oracle(
+    seed, measure, alpha, metric, k, mode_method, plant, other_ks
+):
+    """The oracle contract, drawn: a cold ``engine.query`` is
+    ``oracle.query`` — answer, every non-time stat and the I/O trace —
+    and each answer of a mixed-k ``query_batch`` on the same engine is
+    the per-query oracle's (answer and selection counters; a batch's
+    top-k stats describe its one shared walk).  Keyword-less users and
+    duplicate points are planted on half the draws."""
+    mode, method = mode_method
+    engine, query = build_case(
+        seed, alpha=alpha, k=k, measure=measure, metric=metric, plant=plant
+    )
+    options = QueryOptions(method=method, mode=mode)
+    assert_same_cold_answer(engine, query, options)
+
+    batch = [query] + [dataclasses.replace(query, k=kk) for kk in other_ks]
+    twin = MaxBRSTkNNEngine(engine.dataset, engine.config, object_tree=engine.object_tree)
+    for got, q in zip(engine.query_batch(batch, options), batch):
+        want = oracle.query(twin, q, options)
+        assert (got.location, got.keywords, got.brstknn) == (
+            want.location, want.keywords, want.brstknn,
+        )
+        for field in BATCH_STAT_FIELDS:
+            assert getattr(got.stats, field) == getattr(want.stats, field), field
+
+
+#: What a batch answer shares with the per-query oracle's stats.
+BATCH_STAT_FIELDS = (
+    "locations_pruned", "keyword_combinations_scored", "users_pruned", "users_total",
+)
 
 
 @pytest.mark.parametrize("mode", ["joint", "indexed"])
@@ -118,8 +179,6 @@ def test_query_after_a_warm_batch_is_still_cold(mode):
     """``engine.query`` after a ``query_batch`` at a larger k still walks
     at its own k — the I/O of a fresh engine's, not the memoized
     walk's — and leaves the batch memo (``capabilities()``) as it was."""
-    import dataclasses
-
     engine, query = build_case(3, k=2)
     options = QueryOptions(mode=mode)
     engine.query_batch([dataclasses.replace(query, k=8)], options)
@@ -129,22 +188,6 @@ def test_query_after_a_warm_batch_is_still_cold(mode):
     assert_same_cold_answer(engine, query, options)
     assert engine.traversal_runs == runs + 1  # its own walk, at k=2
     assert engine.capabilities() == caps
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("k", [1, 3, 8])
-def test_engine_identical_to_oracle_across_k_and_alpha(alpha, k):
-    """Parametrized over k and alpha, including the pure-spatial and
-    pure-textual corners where scores tie heavily."""
-    engine, query = build_case(42, alpha=alpha, k=k)
-    options = QueryOptions(method="approx", mode="joint")
-    py = oracle.query(engine, query, options)
-    np_ = engine.query(query, options)
-    assert (py.location, py.keywords, py.brstknn) == (
-        np_.location,
-        np_.keywords,
-        np_.brstknn,
-    )
 
 
 @pytest.mark.parametrize("seed", range(4))
