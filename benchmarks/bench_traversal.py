@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     print(f"dataset: {config.label()}", flush=True)
     bench = build_workbench(config, cached=False)
     engine = MaxBRSTkNNEngine(
-        bench.dataset, EngineConfig(fanout=config.fanout, index_users=True)
+        bench.dataset, EngineConfig(fanout=config.fanout)
     )
 
     t0 = time.perf_counter()

@@ -1,7 +1,8 @@
 """Experiment harness: build workloads, run pipelines, collect metrics.
 
 One :class:`ExperimentConfig` cell maps to one :class:`Workbench` — the
-dataset, the engine with both indexes, and the query — and the harness
+dataset, the engine, the MIUR-tree over the users, and the query — and
+the harness
 functions compute exactly the four quantities the paper's figures plot:
 
 * **MRPU** — mean runtime per user of the top-k phase (ms);
@@ -14,7 +15,9 @@ report generator never rebuild indexes redundantly.
 
 The joint pipeline and the selectors are timed in their scalar form —
 the oracle's (:mod:`repro.oracle`) — so every column compares like with
-like: scalar Joint against the scalar per-user Baseline.
+like: scalar Joint against the scalar per-user Baseline.  Section 7
+(Figure 15) exists only there: :func:`repro.oracle.indexed_users_maxbrstknn`
+over the workbench's own MIUR-tree.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from ..core.baseline import baseline_select_candidate
 from ..core.config import EngineConfig, QueryOptions
 from ..core.engine import MaxBRSTkNNEngine
 from ..core.query import MaxBRSTkNNQuery
+from ..index.miurtree import MIURTree
 from ..model.dataset import Dataset
 from ..datagen.synthetic import flickr_like, yelp_like
 from ..datagen.users import candidate_locations, generate_users
@@ -74,6 +78,8 @@ class Workbench:
     config: ExperimentConfig
     dataset: Dataset
     engine: MaxBRSTkNNEngine
+    #: Section 7's R-tree over the users (same fanout as the engine's).
+    user_tree: MIURTree
     query: MaxBRSTkNNQuery
     #: RSk(u) computed once by the joint pipeline (candidate-selection
     #: benchmarks reuse it so they time *selection* only, as the paper
@@ -111,9 +117,8 @@ def _build(config: ExperimentConfig) -> Workbench:
         alpha=config.alpha,
         vocabulary=vocab,
     )
-    engine = MaxBRSTkNNEngine(
-        dataset, EngineConfig(fanout=config.fanout, index_users=True)
-    )
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=config.fanout))
+    user_tree = MIURTree(dataset.users, dataset.relevance, fanout=config.fanout)
     query = MaxBRSTkNNQuery(
         ox=workload.query_object(),
         locations=list(workload.locations),
@@ -121,7 +126,9 @@ def _build(config: ExperimentConfig) -> Workbench:
         ws=config.ws,
         k=config.k,
     )
-    bench = Workbench(config=config, dataset=dataset, engine=engine, query=query)
+    bench = Workbench(
+        config=config, dataset=dataset, engine=engine, user_tree=user_tree, query=query
+    )
     traversal = oracle.joint_traversal(engine.object_tree, dataset, config.k)
     table = oracle.individual_topk(traversal, dataset, config.k)
     bench.rsk = table.rsk(config.k)
@@ -246,10 +253,9 @@ def measure_user_index(bench: Workbench) -> Tuple[int, int, float]:
     unindexed_io = engine.io.total
 
     engine.reset_io()
-    assert engine.user_tree is not None
     result = oracle.indexed_users_maxbrstknn(
         engine.object_tree,
-        engine.user_tree,
+        bench.user_tree,
         bench.dataset,
         bench.query,
         method="approx",

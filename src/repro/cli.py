@@ -73,9 +73,7 @@ def _make_query_pool(workload, args, count: int) -> List[MaxBRSTkNNQuery]:
 
 def _cmd_demo(args) -> int:
     dataset, workload = _make_workload(args)
-    engine = MaxBRSTkNNEngine(
-        dataset, EngineConfig(index_users=(args.mode == "indexed"))
-    )
+    engine = MaxBRSTkNNEngine(dataset)
     options = _query_options(args)
     query = MaxBRSTkNNQuery(
         ox=workload.query_object(),
@@ -96,10 +94,6 @@ def _cmd_demo(args) -> int:
     print(f"simulated I/O: {result.stats.io_total} "
           f"({result.stats.io_node_visits} node visits, "
           f"{result.stats.io_invfile_blocks} list blocks)")
-    if args.mode == "indexed":
-        print(f"users pruned: {result.stats.users_pruned} / "
-              f"{result.stats.users_total} "
-              f"({result.stats.users_pruned_pct:.1f}%)")
     return 0
 
 
@@ -121,7 +115,7 @@ def _cmd_batch(args) -> int:
     ks = [q.k for q in queries]
     try:
         # Plan before forking: an impossible request (baseline over
-        # lanes, indexed without a user tree) is refused up front.
+        # lanes) is refused up front.
         engine.plan(options, ks=ks)
     except ValueError as exc:
         print(f"batch: {exc}", file=sys.stderr)
@@ -160,8 +154,7 @@ def _cmd_serve(args) -> int:
         print("serve: --shards must be >= 1", file=sys.stderr)
         return 2
     if args.shards > 1 and args.mode == "baseline":
-        print("serve: --shards requires --mode joint or --mode indexed",
-              file=sys.stderr)
+        print("serve: --shards requires --mode joint", file=sys.stderr)
         return 2
     try:
         max_wait_ms = "auto" if args.max_wait_ms == "auto" else float(args.max_wait_ms)
@@ -214,11 +207,7 @@ def _cmd_serve(args) -> int:
     dataset, workload = _make_workload(args)
     engine = make_engine(
         dataset,
-        EngineConfig(
-            index_users=(args.mode == "indexed"),
-            num_shards=args.shards,
-            use_shm=args.shm,
-        ),
+        EngineConfig(num_shards=args.shards, use_shm=args.shm),
     )
     options = _query_options(args)
     config = ServerConfig(
@@ -299,16 +288,10 @@ def _cmd_serve(args) -> int:
         mismatches = 0
         # Verify against the oracle's cold, sequential, all-scalar
         # answers on an INDEPENDENT single engine — for both the sharded
-        # front-end and the plain one, and for mode=indexed as well as
-        # joint (the reference engine builds its own MIUR-tree when the
-        # served mode needs one; the immutable object MIR-tree is
-        # shared, so that is the only extra index build).  No kernel,
-        # memoized pool or cache is shared between the two sides.
-        ref_engine = MaxBRSTkNNEngine(
-            dataset,
-            EngineConfig(index_users=(args.mode == "indexed")),
-            object_tree=engine.object_tree,
-        )
+        # front-end and the plain one (the immutable object MIR-tree is
+        # shared, so no index is rebuilt).  No kernel, memoized pool or
+        # cache is shared between the two sides.
+        ref_engine = MaxBRSTkNNEngine(dataset, object_tree=engine.object_tree)
         for query, served in zip(queries, results):
             solo = oracle.query(ref_engine, query, options)
             if (
@@ -382,11 +365,11 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_query_args(p: argparse.ArgumentParser, modes=("joint", "baseline", "indexed")) -> None:
+def _add_query_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--ws", type=int, default=2)
     p.add_argument("--method", choices=["approx", "exact"], default="approx")
-    p.add_argument("--mode", choices=list(modes), default="joint")
+    p.add_argument("--mode", choices=["joint", "baseline"], default="joint")
     p.add_argument("--explain", action="store_true",
                    help="print the resolved QueryPlan before running")
 

@@ -21,11 +21,8 @@ carries its own k's :class:`SharedTopK`, and queries that share
 ``(ox.d, W, ws)`` are selected as one stacked location block over one
 selection context whose location rows read their own query's
 ``RSk(u)`` (:class:`~repro.core.candidate_selection.SelectionBatch`),
-each answer and counter still the query's own.  ``Mode.INDEXED``
-batches pool across k the same way: the node-RSk reformulation
-(:mod:`repro.core.indexed_users`) made every per-k quantity derive
-pool-independently from one MIUR-root walk at ``k_max``.
-``Mode.BASELINE`` shares its per-user top-k per distinct k.
+each answer and counter still the query's own.  ``Mode.BASELINE``
+shares its per-user top-k per distinct k.
 
 Execution strategy is decided by :func:`repro.core.planner.plan_batch`
 and carried out by the engine's one
@@ -265,7 +262,6 @@ def execute_batch(
 ) -> List[MaxBRSTkNNResult]:
     """Carry out a planned batch on the engine's one
     :class:`~repro.core.pipeline.Executor` (traverse → refine → select
-    for joint, traverse → indexed-search for indexed, topk → select for
-    baseline), against its memo; per-stage accounting lands on
+    for joint, topk → select for baseline), against its memo; per-stage accounting lands on
     ``engine.last_flush_report``."""
     return engine._executor.execute(queries, plan)

@@ -3,8 +3,7 @@
 Under repeated traffic (the Zipf-shaped streams
 ``benchmarks/bench_repeat_traffic.py`` models) most flushes re-answer
 queries the server has answered before.  The engine-level memoization
-(:class:`~repro.core.batch.SharedTraversalPool`,
-:class:`~repro.core.indexed_users.RootTraversal`) already removes the
+(:class:`~repro.core.batch.SharedTraversalPool`) already removes the
 *query-independent* phase-1 work across flushes; this module removes
 the rest for exact repeats: a bounded LRU of full
 :class:`~repro.core.query.MaxBRSTkNNResult` objects keyed by

@@ -2,8 +2,8 @@
 
 Two frozen dataclasses carry every knob of the query surface:
 
-* :class:`EngineConfig` — how indexes are built (fanout, MIUR-tree,
-  buffer pages); one value per engine lifetime.
+* :class:`EngineConfig` — how indexes are built (fanout, buffer
+  pages) and served (lanes, shm); one value per engine lifetime.
 * :class:`QueryOptions` — how one query (or batch) is answered
   (method / mode as :class:`enum.Enum`\\ s); validated on
   construction, shared by every entry point, with **one** default:
@@ -78,7 +78,6 @@ class Mode(_CoercingEnum):
 
     JOINT = "joint"        # Section 5: joint top-k + Algorithm 3
     BASELINE = "baseline"  # Section 4: per-user top-k + exhaustive scan
-    INDEXED = "indexed"    # Section 7: users on disk under the MIUR-tree
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +87,7 @@ class EngineConfig:
     Attributes
     ----------
     fanout:
-        R-tree fanout for every tree (objects and users).
-    index_users:
-        Also build the MIUR-tree so ``Mode.INDEXED`` is available.
+        R-tree fanout of the MIR-tree over the objects.
     buffer_pages:
         LRU buffer capacity in pages; 0 = cold queries (paper setting).
     num_shards:
@@ -111,7 +108,6 @@ class EngineConfig:
     """
 
     fanout: int = DEFAULT_FANOUT
-    index_users: bool = False
     buffer_pages: int = 0
     num_shards: int = 1
     use_shm: bool = False
@@ -120,10 +116,6 @@ class EngineConfig:
         _require_int("fanout", self.fanout, minimum=2)
         _require_int("buffer_pages", self.buffer_pages, minimum=0)
         _require_int("num_shards", self.num_shards, minimum=1)
-        if not isinstance(self.index_users, bool):
-            raise ValueError(
-                f"index_users must be a bool, got {self.index_users!r}"
-            )
         if not isinstance(self.use_shm, bool):
             raise ValueError(f"use_shm must be a bool, got {self.use_shm!r}")
 
@@ -146,7 +138,7 @@ class CachePolicy:
     track_thresholds:
         Also count the warm tier: queries that *miss* the exact-result
         cache but land on a ``k`` the engine's memoized
-        ``SharedTopK``/``RootTraversal`` pools have already walked —
+        ``SharedTopK`` pools have already walked —
         they skip the tree walk and threshold derivation even though
         the full selection re-runs.  Surfaced as
         ``cache_threshold_hits`` in :class:`~repro.serve.config.ServerStats`.

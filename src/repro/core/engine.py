@@ -1,11 +1,10 @@
 """High-level facade: build indexes once, answer queries many times.
 
 ``MaxBRSTkNNEngine`` wires together everything the paper's pipeline
-needs — the MIR-tree over objects, optionally an MIUR-tree over users,
-the simulated page store, the joint top-k, and the candidate selection
-— behind the layered typed API:
+needs — the MIR-tree over objects, the simulated page store, the joint
+top-k, and the candidate selection — behind the layered typed API:
 
->>> engine = MaxBRSTkNNEngine(dataset, EngineConfig(index_users=True))
+>>> engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=8))
 >>> result = engine.query(q, options=QueryOptions(method=Method.EXACT))
 >>> result.cardinality, sorted(result.keywords)
 
@@ -27,7 +26,12 @@ Modes
 * ``Mode.JOINT`` (default): users in memory, joint top-k (Section 5)
   then Algorithm 3 candidate selection.
 * ``Mode.BASELINE``: Section 4's per-user top-k + exhaustive scan.
-* ``Mode.INDEXED``: users on disk under the MIUR-tree (Section 7).
+
+Section 7 (users on disk under an MIUR-tree) is not an engine mode: no
+measured cell made it beat ``Mode.JOINT`` in time or I/O, so it lives
+as reference code, :func:`repro.oracle.indexed_users_maxbrstknn`, which
+runs against an engine's MIR-tree and page store and which Figure 15
+measures.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..index.irtree import MIRTree
-from ..index.miurtree import MIURTree
 from ..model.dataset import Dataset
 from ..storage.iostats import IOCounter
 from ..storage.pager import LRUBuffer, PageStore
@@ -125,20 +128,13 @@ class MaxBRSTkNNEngine:
             self.object_tree = MIRTree(
                 dataset.objects, dataset.relevance, fanout=config.fanout
             )
-        self.user_tree: Optional[MIURTree] = None
-        if config.index_users:
-            if not dataset.users:
-                raise ValueError("cannot index an empty user set")
-            self.user_tree = MIURTree(
-                dataset.users, dataset.relevance, fanout=config.fanout
-            )
         #: Runs every flush of :meth:`query_batch` and owns the memo
-        #: it reuses across batches: the cross-k traversal pools (joint
-        #: and MIUR-root), the baseline's per-k scans and the merged
-        #: thresholds (:meth:`clear_topk_cache` drops them).
+        #: it reuses across batches: the cross-k traversal pool, the
+        #: baseline's per-k scans and the merged thresholds
+        #: (:meth:`clear_topk_cache` drops them).
         self._executor = Executor(self)
-        #: Joint/MIUR-root tree walks this engine has executed (single
-        #: queries and batch shared phases alike) — the batch benchmarks
+        #: Joint tree walks this engine has executed (single queries
+        #: and batch shared phases alike) — the batch benchmarks
         #: assert a mixed-k batch pays exactly one.
         self.traversal_runs = 0
         #: Per-stage accounting of the most recent pipeline flush

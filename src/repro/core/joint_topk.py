@@ -94,7 +94,7 @@ class CandidateObject:
 
     The oracle's walk builds one per pooled object.  The engine's pool
     builds them only for whoever reads it as a sequence (the oracle's
-    Algorithm 2 and ``_node_rsk``, tests) — see :class:`CandidatePool`.
+    Algorithm 2 and Section 7 search, tests) — see :class:`CandidatePool`.
     """
 
     obj: STObject
@@ -200,8 +200,7 @@ class CandidatePool(Sequence[CandidateObject]):
     def object_rows(self, objects):
         """Each candidate's row in ``objects`` (an
         :class:`~repro.core.kernels.ObjectColumns`), one vectorised
-        look-up; the pool remembers its last one (the indexed search
-        refines the same pool once per MIUR leaf)."""
+        look-up; the pool remembers its last one."""
         if self._rows is not None and self._rows[0] is objects:
             return self._rows[1]
         try:
@@ -293,8 +292,8 @@ def joint_traversal(
 ) -> JointTraversalResult:
     """Algorithm 1: single best-lower-bound-first traversal for a group.
 
-    ``super_user`` defaults to the dataset-wide super-user; the
-    MIUR-tree mode of Section 7 passes node summaries instead.
+    ``super_user`` defaults to the dataset-wide super-user; Section 7's
+    search (:mod:`repro.oracle`) passes the MIUR-tree root's summary.
 
     Wave-vectorized over the flattened
     :class:`~repro.core.kernels.TreeArrays` (built once per tree): every
@@ -414,9 +413,8 @@ def derive_rsk_group(traversal: JointTraversalResult, walk_k: int, k: int) -> fl
     object whose lower bound ranks top-``k`` (such an object has
     ``UB >= LB >= RSk(us) >= RSk_walk(us)``, so no walk at ``walk_k``
     prunes it), and extra candidates sit strictly below the k-th rank.
-    Shared by joint cross-k pool sharing (:mod:`repro.core.batch`), the
-    sharded gather, and the indexed MIUR-root pool
-    (:mod:`repro.core.indexed_users`).
+    Shared by joint cross-k pool sharing (:mod:`repro.core.batch`) and
+    the sharded gather.
 
     The order statistic is one ``np.partition`` of the ``lower``
     column: the same element of the same multiset a sort picks, so the
@@ -444,9 +442,10 @@ def canonical_candidates(  # repro: identity-kernel
     this set survives *any* qualifying walk — the filtered set, and
     therefore every bound computed over it, is identical whether the
     pool came from a dedicated ``k``-walk or a shared ``k_max`` walk.
-    This is what makes node-level ``RSk`` pruning (Section 7)
-    tie-break-stable under cross-k pool sharing: the k-th best node
-    lower bound is an order statistic of a *canonical* multiset.
+    This is what makes node-level ``RSk`` pruning (Section 7,
+    :func:`repro.oracle.indexed_search`) tie-break-stable under any
+    qualifying walk: the k-th best node lower bound is an order
+    statistic of a *canonical* multiset.
     Candidates are returned in a total, pool-independent order —
     (lower bound desc, object id asc) — so downstream consumers never
     see pool-dependent tie ordering.  The pool is filtered and ordered

@@ -40,7 +40,7 @@ belongs to that row's location; every other entry of the matrix is
 trusted or masked.
 
 **Bitwise kernels** (:meth:`DatasetArrays.sts_pairs`, the traversal
-kernels of :class:`TreeArrays` / :class:`CandidatePoolArrays`).  Their
+kernels of :class:`TreeArrays`).  Their
 floats *are* the scalar path's floats, so they may be returned and
 compared with ``==``.  That holds because every operation is a
 correctly-rounded IEEE-754 op written as the scalar code writes it
@@ -122,7 +122,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "GUARD_EPS",
-    "CandidatePoolArrays",
     "DatasetArrays",
     "ObjectColumns",
     "SelectionContext",
@@ -228,8 +227,7 @@ class ObjectColumns:
     :attr:`~repro.model.dataset.Dataset.object_weights`, bitwise the
     floats ``relevance.document_weights`` returns, which is what
     :meth:`TextRelevance.score` adds up — each object's entries in
-    ascending term order, the bound kernels' summation order
-    (:class:`CandidatePoolArrays` gathers its segments from here).
+    ascending term order, the bound kernels' summation order.
     Nothing here depends on the users or on ``alpha``, so ``with_alpha``
     / ``with_users`` clones share one instance through
     ``Dataset._per_object_set`` (see :func:`object_columns_for`), and
@@ -785,8 +783,7 @@ class SelectionContext:
         raises instead of mis-reading — and hold a value for every user
         at ``rows``.  (A plain mapping by user id is laid out first, as
         a row of its own, for callers off the refine path: tests,
-        scalar-oracle helpers, the indexed search's per-location
-        vectors.)"""
+        scalar-oracle helpers.)"""
         if not isinstance(rsk, Thresholds):
             rsk = Thresholds.over(self.arrays.user_ids, rsk)
         entry = self._row_of.get(id(rsk))
@@ -1357,98 +1354,6 @@ class FrontierBounds:
             )
             if held
         }
-
-
-class CandidatePoolArrays:
-    """Flattened candidate pool for vectorized node-level ``RSk`` bounds.
-
-    The indexed-users pipeline (Section 7) computes, per visited
-    MIUR-tree node, the k-th best candidate *lower* bound w.r.t. the
-    node's summary (``_node_rsk`` in :mod:`repro.core.indexed_users`) —
-    a scalar loop over the whole candidate pool per node, the next
-    Python hot spot after the PR 3 frontier work.  This class flattens
-    the pool **once per query** (point coordinates plus one CSR of
-    ``(term, min weight)`` in ascending term order) and evaluates every
-    candidate's ``LB(o, node)`` as a few array passes per node.
-
-    The pool is named by object id — all a pool that crossed a process
-    boundary carries — and flattened by gathering the candidates' rows
-    and CSR segments out of the dataset's :class:`ObjectColumns`: array
-    operations, whichever replica of the object set runs them.  A
-    segment is the object's *whole* document, where the scalar
-    candidates' weight dicts hold only the terms of the walk's
-    super-user; the difference never reaches a sum, because ``MinTS``
-    reads the intersection terms of a summary of (some of) that
-    super-user's users, all of which the restriction keeps.
-
-    Exactness contract — the PR 3 convention, not a guard band: every
-    expression mirrors the scalar :class:`~repro.core.bounds
-    .BoundCalculator` operation for operation (point-rect max distance
-    written exactly as ``LpMetric.max_distance_rects`` reads for a
-    degenerate rect; ``MinTS`` summed ascending-term, strictly left to
-    right via :func:`_masked_segment_sums`), so the returned lower
-    bounds — and hence every ``RSk(node)`` and every admission decision
-    of the best-first search — are **bitwise identical** to the scalar
-    path (property-tested in ``tests/core/test_node_rsk_kernel.py``).
-    """
-
-    def __init__(self, dataset: "Dataset", candidates) -> None:
-        """``candidates``: a :class:`repro.core.joint_topk.CandidatePool`."""
-        self.dataset = dataset
-        self.size = len(candidates)
-        objects = object_columns_for(dataset)
-        rows = candidates.object_rows(objects)
-        self.x = objects.xy[rows, 0]
-        self.y = objects.xy[rows, 1]
-        starts = objects.indptr[rows]
-        counts = objects.indptr[rows + 1] - starts
-        self.indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
-        # Entry j of candidate i sits at starts[i] + j in the object CSR.
-        entries = np.repeat(starts - self.indptr[:-1], counts) + np.arange(self.indptr[-1])
-        self.term = objects.term[entries]
-        self.minw = objects.weight[entries]
-        self.max_term = int(self.term.max()) if len(self.term) else -1
-
-    def node_lower_bounds(self, summary) -> "np.ndarray":
-        """``LB(o, summary)`` for every pooled candidate, scalar-bitwise.
-
-        Mirrors ``BoundCalculator.node_lower`` for a point rect:
-        ``alpha * MaxSS + (1 - alpha) * MinTS``.
-        """
-        ds = self.dataset
-        mbr = summary.mbr
-        # Point-rect max distance exactly as LpMetric.max_distance_rects
-        # with a degenerate rect (min == max == the candidate's point).
-        dx = np.maximum(np.abs(self.x - mbr.min_x), np.abs(mbr.max_x - self.x))
-        dy = np.maximum(np.abs(self.y - mbr.min_y), np.abs(mbr.max_y - self.y))
-        d = _pairwise_norm(dx, dy, ds.metric.p)
-        ss_worst = np.maximum(0.0, np.minimum(1.0, 1.0 - d / ds.dmax))
-        if summary.max_normalizer > 0.0 and summary.intersection_terms:
-            mask = np.zeros(self.max_term + 2, dtype=bool)
-            for t in summary.intersection_terms:
-                if 0 <= t <= self.max_term:
-                    mask[t] = True
-            sums = _masked_segment_sums(self.minw, mask[self.term], self.indptr)
-            mints = np.minimum(1.0, sums / summary.max_normalizer)
-        else:
-            mints = np.zeros(self.size)
-        alpha = ds.alpha
-        return alpha * ss_worst + (1.0 - alpha) * mints
-
-    def node_rsk(self, summary, k: int) -> float:
-        """k-th best candidate lower bound w.r.t. ``summary``.
-
-        Identical to the scalar ``_node_rsk``: the bound values are
-        bitwise-equal, and selecting the order statistic with an O(n)
-        ``np.partition`` returns the same element of the same multiset
-        the scalar sort-then-index picks (no NaNs can occur — every
-        bound is a finite combination of clamped [0, 1] terms).
-        """
-        if self.size < k:
-            return 0.0
-        lows = self.node_lower_bounds(summary)
-        idx = self.size - k
-        return float(np.partition(lows, idx)[idx])
 
 
 def _masked_segment_sums(values, mask, indptr):

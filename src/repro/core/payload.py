@@ -316,14 +316,6 @@ def encode_shard_payload(codec: PayloadCodec, payload: tuple) -> tuple:
             "select", queries, tuple(refs[id(state)] for state in shared),
             mode, method,
         )
-    if kind == "indexed_search":
-        (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
-         io_node_visits, io_invfile_blocks, method) = payload
-        return (
-            "indexed_search", queries, views, codec.ship(traversal, "root-trav"),
-            rsk_group, users_total, topk_time_s, io_node_visits,
-            io_invfile_blocks, method,
-        )
     return payload  # unknown kinds pass through untouched
 
 
@@ -339,14 +331,6 @@ def decode_shard_payload(payload: tuple) -> tuple:
     if kind == "select":
         _, queries, shared, mode, method = payload
         return ("select", queries, tuple(map(_maybe, shared)), mode, method)
-    if kind == "indexed_search":
-        (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
-         io_node_visits, io_invfile_blocks, method) = payload
-        return (
-            "indexed_search", queries, views, _maybe(traversal), rsk_group,
-            users_total, topk_time_s, io_node_visits, io_invfile_blocks,
-            method,
-        )
     return payload
 
 
@@ -358,8 +342,7 @@ def decode_shard_payload(payload: tuple) -> tuple:
 # ONE self-describing binary block — no pickle at all on the O(|U|) gather
 # direction, which is what a host's answer frame carries verbatim,
 # forked or remote, and what ``payload_bytes_in`` measures.  Every
-# other chunk shape (selection results, indexed ``(result, charge)``
-# pairs, empty lists) passes through unchanged, so the decode funnel is
+# other chunk shape (selection results, empty lists) passes through unchanged, so the decode funnel is
 # safe to apply unconditionally at every collect site.
 
 _GATHER_PARTIALS_MAGIC = b"GPR1"

@@ -11,25 +11,17 @@ width and round counters) on the flush's :class:`FlushReport`:
   work whose ``RSk(u)`` vectors merge as a disjoint union.  Select is
   Algorithm 3 whole per query — its keyword-coverage counts sum over
   all of ``LU_l``, so it is dealt by query, never by user.
-* ``indexed``  — traverse → indexed-search.  Section 7: every per-k
-  quantity derives pool-independently from one ``k_max`` MIUR-root walk
-  (:mod:`repro.core.indexed_users`), and fanned-out searches run
-  against read-only :meth:`~repro.storage.pager.PageStore.ledger_view`
-  stores whose :class:`~repro.storage.pager.IOCharge` ledgers replay
-  onto the engine's counter at gather time.
 * ``baseline`` — baseline-topk → select (local only; per-user top-k
   scans, no mergeable group traversal).
 
 The paper's two O(|U|) phases — Algorithm 2's per-user ``RSk(u)``
-refine and Algorithm 3's candidate selection (with Section 7's search
-in its place) — are the only things ever scattered.  Each scattered
-phase is a payload builder and a gather around the ONE worker entry,
-:func:`execute_shard_payload` (called by shard hosts and in-process
-execution alike)::
+refine and Algorithm 3's candidate selection — are the only things
+ever scattered.  Each scattered phase is a payload builder and a
+gather around the ONE worker entry, :func:`execute_shard_payload`
+(called by shard hosts and in-process execution alike)::
 
-    refine_payloads  -> execute_shard_payload -> merge_refine
-    select_payloads  -> execute_shard_payload -> merge_select
-    indexed_payloads -> execute_shard_payload -> merge_indexed
+    refine_payloads -> execute_shard_payload -> merge_refine
+    select_payloads -> execute_shard_payload -> merge_select
 
 Builders cut the work — ranges of user rows, chunks of queries — and
 each payload goes to the lane carrying the least work so far; every
@@ -37,8 +29,8 @@ round then goes through ONE loop, :func:`run_round`::
 
     encode -> dispatch every lane -> collect each -> degrade -> decode
 
-A :class:`Lane` is ``(wire id, payloads, degrade dataset, worker
-context)``; every lane, on every transport, holds the full dataset.  A
+A :class:`Lane` is ``(wire id, payloads, degrade dataset)``; every
+lane, on every transport, holds the full dataset.  A
 transport is where lanes run — the :class:`Transport` protocol:
 ``dispatch(lanes) -> tickets`` starts every lane before any is
 collected; ``collect(ticket) -> chunks`` runs the transport's own
@@ -63,14 +55,16 @@ transport (:data:`INLINE` until ``start_pools`` / ``connect_hosts`` swap
 in the socket one) and the phase-1 memo.  The refine is always the
 dealt ``refine_payloads -> merge_refine`` round — on a plain engine one
 range, run inline — and a query-axis round leaves the process only over
-a remote transport, when the planner says it pays; inline,
-indexed-search runs ledger-free (the best-first search reads the
-engine's own page store).  ``MaxBRSTkNNEngine.query`` runs a fresh
-executor: its empty memo makes the query cold by construction.
+a remote transport, when the planner says it pays.
+``MaxBRSTkNNEngine.query`` runs a fresh executor: its empty memo makes
+the query cold by construction.
+
+Section 7's MIUR-tree search is not an executor mode: it is reference
+code, :func:`repro.oracle.indexed_search`, which Figure 15 measures.
 
 Result identity is the invariant throughout: results, I/O traces and
-selection stats equal the single sequential engine's across
-``{joint, indexed}`` × lane counts × mixed-k × transports
+selection stats equal the single sequential engine's across lane
+counts × mixed-k × transports
 (``tests/core/test_pipeline.py``,
 ``tests/serve/test_sharded.py``, ``tests/serve/test_multihost.py``).
 """
@@ -90,7 +84,7 @@ from typing import (
 # imported by name) so a wrapper installed on ``repro.core.payload``
 # sees every call.
 from . import payload as _wire
-from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
+from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .batch import SharedTopK
@@ -108,8 +102,6 @@ __all__ = [
     "merge_refine",
     "select_payloads",
     "merge_select",
-    "indexed_payloads",
-    "merge_indexed",
     "Lane",
     "Ticket",
     "Transport",
@@ -228,9 +220,10 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     """Run one scatter work item against ``dataset``.
 
     The ONE implementation behind every transport: shard hosts call it
-    with their replica (forked ones inherited it copy-on-write) and
-    ``context`` — the MIUR-tree for indexed search payloads — and
-    inline or degraded lanes pass both explicitly.  Payload kinds:
+    with their replica (forked ones inherited it copy-on-write), and
+    inline or degraded lanes pass the coordinator's.  ``context`` is
+    accepted and unused (the traced benchmark probe passes it).
+    Payload kinds:
 
     * ``("refine", traversal, ks, lane, None, lo, hi)`` —
       Algorithm 2 for rows ``[lo, hi)`` of ``dataset.users`` against
@@ -249,23 +242,6 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
       queries that share ``(ox.d, W, ws)`` stacked over one selection
       context, whatever their k — every other payload query by query;
       one answer per query either way.
-    * ``("indexed_search", queries, views, traversal, rsk_group,
-      users_total, topk_time_s, io_node_visits, io_invfile_blocks,
-      method)`` — per-query best-first MIUR searches, each
-      against its own read-only
-      :meth:`~repro.storage.pager.PageStore.ledger_view` (``views``
-      aligns with ``queries``; a view is a tiny (store, charge) pair,
-      so shipping them is free); returns ``(result, IOCharge)`` pairs
-      so the gather replays the simulated I/O onto the shared counter.
-      ``views=None`` is the ledger-free form, in-process only (a warm
-      LRU buffer's global access order forbids views): ``context`` is
-      then the :class:`Executor`, whose engine's real page store is
-      charged directly (the charge slot is ``None``) and whose memoized
-      :class:`~repro.core.indexed_users.RootTraversal` supplies the
-      per-k canonical pool / kernel arrays instead of a per-chunk
-      rebuild.  Decision-identical to the ledger form — both run
-      :func:`~repro.core.indexed_users.indexed_search` on the same
-      derived inputs.
     """
     from .partial import compute_partials
 
@@ -283,45 +259,6 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
 
         _, queries, shared, mode, method = payload
         return _select_payload(dataset, queries, shared, mode, method)
-    if kind == "indexed_search":
-        from .indexed_users import indexed_search
-        from .joint_topk import canonical_candidates
-        from .kernels import CandidatePoolArrays
-
-        (_, queries, views, traversal, rsk_group, users_total, topk_time_s,
-         io_node_visits, io_invfile_blocks, method) = payload
-        if context is None:
-            raise RuntimeError(
-                "indexed_search payload needs the MIUR-tree as worker context"
-            )
-        # Chunks are grouped per k, so the canonical pool (and its
-        # kernel arrays) is one derivation for the whole chunk.
-        if views is None:
-            engine, pool, k = context.engine, context.root_pool, queries[0].k
-            user_tree = engine.user_tree
-            canonical = pool.canonical_for(k)
-            pool_arrays = pool.pool_arrays_for(dataset, k)
-            views = [(engine.store, None)] * len(queries)
-        else:
-            user_tree = context
-            traversal.check(dataset)  # off the wire, like a refine pool
-            canonical = canonical_candidates(traversal, rsk_group)
-            pool_arrays = CandidatePoolArrays(dataset, canonical)
-        out = []
-        for query, (store, charge) in zip(queries, views):
-            stats = QueryStats(
-                users_total=users_total,
-                topk_time_s=topk_time_s,
-                io_node_visits=io_node_visits,
-                io_invfile_blocks=io_invfile_blocks,
-            )
-            result = indexed_search(
-                user_tree, dataset, query, traversal, rsk_group, stats,
-                method=method, store=store,
-                canonical=canonical, pool_arrays=pool_arrays,
-            )
-            out.append((result, charge))
-        return out
     raise ValueError(f"unknown shard payload kind {kind!r}")
 
 
@@ -449,57 +386,6 @@ def merge_select(index_groups: Sequence[List[int]], chunks: Sequence[list]) -> l
     return results
 
 
-def indexed_payloads(
-    queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan", pool,
-    group_by_k: Dict[int, float], users_total: int, width: int, store=None,
-) -> Tuple[List[tuple], List[List[int]]]:
-    """Section 7's scatter over queries: best-first MIUR searches.
-    ``(payloads, query indices of each payload)``.
-
-    Queries chunk per k (the traversal pool pickles once per chunk).
-    Fan-out passes ``store``: each query then gets its own read-only
-    ledger view of it.  ``store=None`` is the in-process form, which
-    charges the real store and builds no views — a warm LRU buffer
-    forbids them.
-    """
-    traversal = pool.traversal
-    by_k: Dict[int, List[int]] = {}
-    for i, q in enumerate(queries):
-        by_k.setdefault(q.k, []).append(i)
-    payloads, index_groups = [], []
-    for k, indices in by_k.items():
-        n_chunks = max(1, min(width, len(indices)))
-        for c in range(n_chunks):
-            chunk = indices[c::n_chunks]
-            views = (
-                [store.ledger_view() for _ in chunk] if store is not None else None
-            )
-            payloads.append(
-                ("indexed_search", [queries[i] for i in chunk], views,
-                 traversal, group_by_k[k], users_total,
-                 pool.topk_time_s, pool.io_node_visits,
-                 pool.io_invfile_blocks, plan.method.value)
-            )
-            index_groups.append(chunk)
-    return payloads, index_groups
-
-
-def merge_indexed(
-    index_groups: Sequence[List[int]], chunks: Sequence[list], io_counter,
-) -> List[MaxBRSTkNNResult]:
-    """Gather an indexed-search round: results in flush order, and every
-    :class:`~repro.storage.pager.IOCharge` replayed onto the engine's
-    shared counter in query order, reproducing the sequential totals
-    exactly."""
-    answers = merge_select(index_groups, chunks)
-    # Replay ledgers in query order: addition commutes, so the
-    # shared counter ends exactly where sequential execution would.
-    for _, charge in answers:
-        if charge is not None:
-            charge.apply(io_counter)
-    return [result for result, _ in answers]
-
-
 # ----------------------------------------------------------------------
 # The scatter round: lanes, transports, one loop
 # ----------------------------------------------------------------------
@@ -511,13 +397,9 @@ class Lane:
     wire_id: int             # lane index: which host answers
     payloads: List[tuple]
     dataset: object          # what an inline or degraded run executes against
-    context: object = None   # ... and its worker context (MIUR-tree / executor)
 
     def run_inprocess(self) -> list:
-        return [
-            execute_shard_payload(self.dataset, payload, context=self.context)
-            for payload in self.payloads
-        ]
+        return [execute_shard_payload(self.dataset, payload) for payload in self.payloads]
 
 
 @dataclass(slots=True)
@@ -537,9 +419,6 @@ class Transport(Protocol):
     #: Payloads leave the process: arena-encoded going out,
     #: gather-decoded coming back, bytes counted.
     remote: bool
-    #: Lanes can run ``indexed_search`` payloads (the far side holds
-    #: the MIUR-tree as worker context).
-    serves_indexed: bool
 
     def lanes(self) -> int:
         """Fixed lanes a round deals its payloads over."""
@@ -558,7 +437,6 @@ class InlineTransport:
     """Lanes run in the calling process: no wire, no recovery ladder."""
 
     remote = False
-    serves_indexed = True
 
     def lanes(self) -> int:
         return 1
@@ -665,15 +543,15 @@ class _DealtRound(NamedTuple):
 
 def _deal(
     phase: str, payloads: List[tuple], weights: Sequence[int],
-    transport: Transport, dataset, context=None, codec=None,
+    transport: Transport, dataset, codec=None,
 ) -> _DealtRound:
     """Deal ``payloads`` over the transport's lanes and run the round.
 
     A lane is fixed up front, so each payload goes to the lane carrying
     the least work so far (``weights[i]``: payload ``i``'s queries or
-    user rows; lanes fill in order: no gaps).  ``dataset`` / ``context``
-    are what a lane run inline or degraded executes against; ``codec``
-    as for :func:`run_round`.
+    user rows; lanes fill in order: no gaps).  ``dataset`` is what a
+    lane run inline or degraded executes against; ``codec`` as for
+    :func:`run_round`.
     """
     n_lanes = transport.lanes()
     load = [0] * n_lanes
@@ -683,8 +561,7 @@ def _deal(
         load[lane_of[-1]] += weight
     engaged = sorted(set(lane_of))
     lanes = [
-        Lane(at, [p for p, to in zip(payloads, lane_of) if to == at],
-             dataset, context)
+        Lane(at, [p for p, to in zip(payloads, lane_of) if to == at], dataset)
         for at in engaged
     ]
     returned, used, lost, bytes_out, bytes_in = run_round(
@@ -734,8 +611,8 @@ class Executor:
     engine, ``num_shards`` on a sharded one); ``transport`` is
     :data:`INLINE` until ``ShardedEngine.start_pools`` /
     ``connect_hosts`` swap in the socket one.  The memo — the cross-k
-    joint and MIUR-root pools, the baseline's per-k scans and the
-    merged refine thresholds — lives here only, so a fresh executor is
+    joint pool, the baseline's per-k scans and the merged refine
+    thresholds — lives here only, so a fresh executor is
     a cold engine: ``MaxBRSTkNNEngine.query`` runs on one.
     """
 
@@ -745,9 +622,6 @@ class Executor:
         self.transport: Transport = INLINE
         #: Cross-k joint pool (:class:`~repro.core.batch.SharedTraversalPool`).
         self.traversal_pool = None
-        #: Cross-k MIUR-root pool
-        #: (:class:`~repro.core.indexed_users.RootTraversal`).
-        self.root_pool = None
         #: Baseline per-user top-k scans, one state per k.
         self.baseline_by_k: Dict[int, "SharedTopK"] = {}
         #: Merged refine thresholds per k — value-stable across pool
@@ -771,9 +645,9 @@ class Executor:
         self.search_flushes = 0
 
     def clear(self) -> None:
-        """Drop the memo: the pools (and with them the per-k states the
+        """Drop the memo: the pool (and with it the per-k states the
         select round ships), the baseline scans, the merged thresholds."""
-        self.traversal_pool = self.root_pool = None
+        self.traversal_pool = None
         self.baseline_by_k.clear()
         self.merged_by_k.clear()
 
@@ -788,8 +662,6 @@ class Executor:
         report = FlushReport(mode=plan.mode.value, batch_size=len(queries))
         if plan.mode is Mode.JOINT:
             results = self._joint(report, queries, plan)
-        elif plan.mode is Mode.INDEXED:
-            results = self._indexed(report, queries, plan)
         else:
             results = self._baseline(report, queries, plan)
         # The query-axis phase ends every flush.
@@ -803,11 +675,6 @@ class Executor:
         shared = self._refine(report, queries, plan, pool, group_by_k)
         return self._select(report, queries, shared, plan)
 
-    def _indexed(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
-        """traverse → indexed-search."""
-        pool, group_by_k = self._traverse(report, queries, plan)
-        return self._indexed_search(report, queries, plan, pool, group_by_k)
-
     def _baseline(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
         """baseline-topk → select."""
         return self._select(report, queries, self._baseline_topk(report, queries), plan)
@@ -816,23 +683,18 @@ class Executor:
         """Phase 1a (central): ensure the cross-k pool, derive group
         thresholds.  ``(pool, group threshold by k)``.
 
-        Joint mode walks (or reuses) the
-        :class:`~repro.core.batch.SharedTraversalPool`; indexed mode the
-        MIUR-root :class:`~repro.core.indexed_users.RootTraversal` pool.
-        Either way ONE tree walk per pool generation serves every k in
-        the batch — ``plan.shared_traversal_k`` names it.
+        ONE walk of the :class:`~repro.core.batch.SharedTraversalPool`
+        per pool generation serves every k in the batch —
+        ``plan.shared_traversal_k`` names it.
         """
         from .batch import _ensure_traversal_pool
-        from .config import Mode
-        from .indexed_users import ensure_root_pool
 
         with _phase(report, "traverse", self.engine.io, len(queries)):
             assert plan.shared_traversal_k is not None
-            ensure = ensure_root_pool if plan.mode is Mode.INDEXED else _ensure_traversal_pool
-            pool = ensure(self, plan.shared_traversal_k)
+            pool = _ensure_traversal_pool(self, plan.shared_traversal_k)
             pool.hits += len(queries)
-            # Both pool kinds memoize the per-k derivation, so repeat
-            # flushes pay a dict hit, not a pass over the pool.
+            # The pool memoizes the per-k derivation, so repeat flushes
+            # pay a dict hit, not a pass over the pool.
             group_by_k = {k: pool.rsk_group_for(k) for k in plan.distinct_ks}
         return pool, group_by_k
 
@@ -864,7 +726,7 @@ class Executor:
                 payloads = refine_payloads(pool.traversal, need_ks, len(users), self.ranges)
                 dealt = _deal(
                     "refine", payloads, [p[6] - p[5] for p in payloads],
-                    self.transport, engine.dataset, None, engine.payload_codec,
+                    self.transport, engine.dataset, engine.payload_codec,
                 )
                 dealt.record(stats, len(payloads))
                 for lane, chunk, at in zip(self.lane_stats, dealt.chunks, dealt.lane_of):
@@ -887,69 +749,29 @@ class Executor:
             self.merge_s += time.perf_counter() - t_merge
             return shared
 
-    def _search_transport(self, n_queries: int, indexed: bool) -> Transport:
+    def _search_transport(self, n_queries: int) -> Transport:
         """Where this flush's query-axis round runs: the transport's
         lanes when it is remote and the round pays, else inline."""
         from .planner import search_fans_out
 
         transport = self.transport
-        width = transport.lanes() if transport.serves_indexed or not indexed else 0
-        # Fan out only when it can pay off AND I/O stays replayable:
-        # the indexed search reads MIUR pages, so a warm LRU buffer
-        # (global access order) forces the inline, ledger-free path.
-        fan_out = (
-            transport.remote
-            and search_fans_out(width, n_queries)
-            and (not indexed or self.engine.store.buffer is None)
-        )
-        if not fan_out:
+        if not (transport.remote and search_fans_out(transport.lanes(), n_queries)):
             return INLINE
         self.search_flushes += 1
         return transport
-
-    def _query_round(
-        self, stats: StageStats, phase: str, payloads: List[tuple],
-        transport: Transport, context,
-    ) -> list:
-        engine = self.engine
-        dealt = _deal(
-            phase, payloads, [len(p[1]) for p in payloads], transport,
-            engine.dataset, context, engine.payload_codec,
-        )
-        dealt.record(stats, len(set(dealt.lane_of)))
-        return dealt.chunks
 
     def _select(self, report, queries, shared, plan) -> List[MaxBRSTkNNResult]:
         """Phase 2 (query axis): Algorithm 3 whole, one answer per query
         (``items`` counts queries, however a payload stacks them)."""
         engine = self.engine
         with _phase(report, "select", engine.io, len(queries)) as stats:
-            transport = self._search_transport(len(queries), indexed=False)
+            transport = self._search_transport(len(queries))
             payloads, index_groups = select_payloads(
                 queries, shared, plan, transport.lanes()
             )
-            chunks = self._query_round(
-                stats, "select", payloads, transport, engine.user_tree
+            dealt = _deal(
+                "select", payloads, [len(p[1]) for p in payloads], transport,
+                engine.dataset, engine.payload_codec,
             )
-            return merge_select(index_groups, chunks)
-
-    def _indexed_search(self, report, queries, plan, pool, group_by_k) -> List[MaxBRSTkNNResult]:
-        """Indexed phase 2 (query axis): best-first MIUR searches, each
-        query's simulated I/O replayed in query order."""
-        engine = self.engine
-        with _phase(report, "indexed-search", engine.io, len(queries)) as stats:
-            transport = self._search_transport(len(queries), indexed=True)
-            # Fan-out reads ledger views against the inherited MIUR-tree;
-            # inline, the chunks read the engine's own store and take
-            # THIS executor (the memo's owner) as their context.
-            fan_out = transport.remote
-            payloads, index_groups = indexed_payloads(
-                queries, plan, pool, group_by_k,
-                len(engine.user_tree) if engine.user_tree is not None else 0,
-                transport.lanes(), store=engine.store if fan_out else None,
-            )
-            chunks = self._query_round(
-                stats, "indexed-search", payloads, transport,
-                engine.user_tree if fan_out else self,
-            )
-            return merge_indexed(index_groups, chunks, engine.io)
+            dealt.record(stats, len(set(dealt.lane_of)))
+            return merge_select(index_groups, dealt.chunks)

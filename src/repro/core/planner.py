@@ -2,19 +2,11 @@
 
 The middle layer of the typed API.  :class:`QueryOptions` says what the
 caller *wants*; :class:`EngineCapabilities` says what the engine *has*
-(an MIUR-tree? lanes?); the planner resolves the pair into an
-executable :class:`QueryPlan` — which pipeline runs, whether the shared
-top-k cache applies, and whether phase 2 leaves the coordinator — and
-rejects impossible combinations up front (``Mode.INDEXED`` without a
-user tree, ``Mode.BASELINE`` on lanes) before any work is done.
-
-Planning is also where batch execution strategies are chosen.  In
-particular, ``Mode.INDEXED`` batches used to fall back silently to
-sequential per-query engine calls; the planner now routes them through
-a **shared root traversal** per distinct ``k`` (the joint traversal of
-the object tree against the MIUR-tree root summary depends only on
-``(dataset, k)``), so batched indexed queries amortize the same phase
-batched joint queries always did.
+(lanes? a memoized walk?); the planner resolves the pair into an
+executable :class:`QueryPlan` — which pipeline runs, which tree walk
+serves the batch, and whether phase 2 leaves the coordinator — and
+rejects impossible combinations (``Mode.BASELINE`` on lanes) before
+any work is done.
 
 ``QueryPlan.explain()`` renders the plan as text — the serving
 layer and the CLI surface it for observability.
@@ -50,32 +42,22 @@ class EngineCapabilities:
     which may be a larger-k walk from an earlier batch.
     """
 
-    has_user_tree: bool
     traversal_pool_k: Optional[int] = None
-    #: The k of the engine's memoized cross-k MIUR-root pool (indexed
-    #: batches), if one exists — the indexed twin of
-    #: ``traversal_pool_k``.
-    root_pool_k: Optional[int] = None
     #: > 1 when the engine is a ShardedEngine dealing work over that
     #: many full-dataset lanes; plans then carry a ShardPlan and reject
     #: baseline mode (the only pipeline without a mergeable
     #: decomposition).
     num_shards: int = 1
-    #: Width of the sharded engine's query-axis fan-out (selection /
-    #: indexed search) — the alive shard hosts, local or remote
-    #: (0 = those rounds run in-process).
+    #: Width of the sharded engine's query-axis fan-out (selection) —
+    #: the alive shard hosts, local or remote (0 = that round runs
+    #: in-process).
     search_workers: int = 0
 
     @classmethod
     def of(cls, executor: "Executor") -> "EngineCapabilities":
         """What ``executor``'s engine has, and what its memo holds."""
         pool = executor.traversal_pool
-        root_pool = executor.root_pool
-        return cls(
-            has_user_tree=executor.engine.user_tree is not None,
-            traversal_pool_k=pool.k if pool is not None else None,
-            root_pool_k=root_pool.k if root_pool is not None else None,
-        )
+        return cls(traversal_pool_k=pool.k if pool is not None else None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +84,8 @@ class ShardPlan:
 
 
 def search_fans_out(search_workers: int, batch_size: int) -> bool:
-    """Does a sharded flush's query-axis round (selection, or indexed
-    search) leave the coordinator?
+    """Does a sharded flush's query-axis round (selection) leave the
+    coordinator?
 
     The ONE predicate behind ``QueryPlan.explain()`` and the executor's
     query-axis lane builder: any fan-out width ships the round — a
@@ -127,10 +109,7 @@ class QueryPlan:
         runs once per entry.
     shared_topk:
         Phase 1 (top-k thresholds) is shared per distinct ``k`` and
-        memoized on the engine (joint / baseline batches).
-    shared_traversal:
-        Phase 1 is a shared MIUR-root joint traversal per distinct
-        ``k`` (indexed batches) instead of a per-query one.
+        memoized on the engine (every batch).
     shared_traversal_k:
         The single ``k`` of the shared tree walk serving this batch —
         ``max(distinct_ks)``, or the engine's existing pool ``k`` when
@@ -140,12 +119,8 @@ class QueryPlan:
         pool of every smaller ``k`` (``RSk_max(us) <= RSk(us)``, so
         nothing a smaller-k traversal keeps is pruned), so a mixed-k
         batch pays for **one** tree walk and derives each k's
-        thresholds from the shared pool.  Joint batches have pooled
-        this way since PR 3; indexed batches joined in PR 5 once
-        node-level ``RSk`` pruning was reformulated over the canonical
-        per-k candidate set (pool-size-independent, so the best-first
-        search makes identical decisions under any qualifying walk).
-        ``None`` for baseline batches (no group traversal).
+        thresholds from the shared pool.  ``None`` for baseline
+        batches (no group traversal).
     shard:
         Scatter/gather layout when the executing engine is sharded
         (:class:`ShardPlan`); ``None`` for single-engine execution,
@@ -157,7 +132,6 @@ class QueryPlan:
     batch_size: int
     distinct_ks: Tuple[int, ...]
     shared_topk: bool
-    shared_traversal: bool
     shared_traversal_k: Optional[int] = None
     shard: Optional[ShardPlan] = None
 
@@ -173,15 +147,7 @@ class QueryPlan:
             f"plan: {scope} -> mode={self.mode} method={self.method}"
         ]
         ks = ",".join(str(k) for k in self.distinct_ks) or "?"
-        if self.shared_traversal_k is not None and self.mode is Mode.INDEXED:
-            lines.append(
-                f"  phase 1 (MIUR-root joint traversal): one walk at "
-                f"k={self.shared_traversal_k} reused for k={ks} — per-k "
-                f"thresholds, group bounds and node-RSk pruning all derive "
-                f"pool-independently from the canonical candidate set, "
-                f"memoized on the engine"
-            )
-        elif self.shared_traversal_k is not None:
+        if self.shared_traversal_k is not None:
             lines.append(
                 f"  phase 1 (joint traversal): one MIR-tree walk at "
                 f"k={self.shared_traversal_k} reused for k={ks} (the k_max "
@@ -193,18 +159,13 @@ class QueryPlan:
                 f"  phase 1 (top-k thresholds): shared once per distinct k "
                 f"(k={ks}), memoized on the engine across batches"
             )
-        elif self.shared_traversal:
-            lines.append(
-                f"  phase 1 (MIUR-root joint traversal): shared once per "
-                f"distinct k (k={ks}), memoized on the engine across batches"
-            )
         else:
             lines.append(
                 "  phase 1 (top-k): cold per query (single-query cost matches "
                 "the paper's per-query setting)"
             )
-        # A sharded flush's query-axis round (selection / indexed
-        # search) leaves the coordinator over the search lanes.
+        # A sharded flush's query-axis round (selection) leaves the
+        # coordinator over the search lanes.
         lanes = (
             self.shard.search_workers
             if self.shard is not None
@@ -212,42 +173,21 @@ class QueryPlan:
             else 0
         )
         if self.shard is not None:
-            sp = self.shard
-            if self.mode is Mode.INDEXED:
-                lines.append(
-                    f"  scatter: {sp.num_shards} full-dataset lanes; indexed "
-                    f"flushes run one central MIUR-root walk, then fan the "
-                    f"per-query searches out (no refine round — pruning "
-                    f"replaces the O(|U|) refine)"
-                )
-            else:
-                lines.append(
-                    f"  scatter: refine by user row range x{sp.num_shards} "
-                    f"over full-dataset lanes, once per (walk, k), memoized "
-                    f"across batches (a warm flush skips the round)"
-                )
-                select = (
-                    f"in one round over {lanes} full-dataset lane(s)"
-                    if lanes else "in-process"
-                )
-                lines.append(
-                    "  gather: merge=ordered-union — disjoint RSk union into the "
-                    f"sequential threshold map; selection (Algorithm 3 whole, "
-                    f"per query, against the full dataset) runs {select}"
-                )
-        if self.mode is Mode.INDEXED:
-            if lanes:
-                lines.append(
-                    f"  phase 2 (best-first MIUR search): fans out over the "
-                    f"worker pool x{lanes} against "
-                    f"read-only ledger stores (IOCharge replayed at gather)"
-                )
-            else:
-                lines.append(
-                    "  phase 2 (best-first MIUR search): in-process per query "
-                    "(charges the engine's page store directly)"
-                )
-        elif lanes:
+            lines.append(
+                f"  scatter: refine by user row range x{self.shard.num_shards} "
+                f"over full-dataset lanes, once per (walk, k), memoized "
+                f"across batches (a warm flush skips the round)"
+            )
+            select = (
+                f"in one round over {lanes} full-dataset lane(s)"
+                if lanes else "in-process"
+            )
+            lines.append(
+                "  gather: merge=ordered-union — disjoint RSk union into the "
+                f"sequential threshold map; selection (Algorithm 3 whole, "
+                f"per query, against the full dataset) runs {select}"
+            )
+        if lanes:
             lines.append(f"  phase 2 (candidate selection): search lanes x{lanes}")
         else:
             lines.append("  phase 2 (candidate selection): in-process")
@@ -258,12 +198,10 @@ def _validate(options: QueryOptions, caps: EngineCapabilities) -> None:
     """Shared option/capability checks."""
     if caps.num_shards > 1 and options.mode is Mode.BASELINE:
         raise ValueError(
-            f"sharded engines execute mode=joint or mode=indexed (got "
+            f"sharded engines execute mode=joint only (got "
             f"mode={options.mode}): the baseline pipeline has no mergeable "
             "per-user decomposition"
         )
-    if options.mode is Mode.INDEXED and not caps.has_user_tree:
-        raise ValueError("engine built without index_users=True")
 
 
 def _shard_plan(caps: EngineCapabilities) -> Optional[ShardPlan]:
@@ -281,21 +219,16 @@ def plan_query(
 ) -> QueryPlan:
     """Plan one query.  Single queries never share or fan out.
 
-    On a sharded engine a single query still scatters (it is executed
-    as a batch of one against the shared pool — ``shared_traversal_k``
-    names the walk, exactly like :func:`plan_batch` does).
+    What ``engine.plan()`` describes; execution plans every flush,
+    ``engine.query``'s batch of one included, with :func:`plan_batch`.
     """
     _validate(options, caps)
-    if caps.num_shards > 1 and k:
-        # batch of one, shared pool
-        return plan_batch(options, caps, [k])
     return QueryPlan(
         mode=options.mode,
         method=options.method,
         batch_size=1,
         distinct_ks=(k,) if k else (),
         shared_topk=False,
-        shared_traversal=False,
         shard=_shard_plan(caps),
     )
 
@@ -312,29 +245,21 @@ def plan_batch(
     lanes (``caps.num_shards > 1``).
     """
     _validate(options, caps)
-    indexed = options.mode is Mode.INDEXED
     distinct_ks = tuple(sorted(set(ks)))
-    # Both group-traversal modes run one tree walk at k_max and reuse
-    # its pool for every smaller k (joint since PR 3; indexed since the
-    # PR 5 node-RSk reformulation made its per-k derivations
-    # pool-independent).  An engine pool already walked at a larger k
+    # A joint batch runs one tree walk at k_max and reuses its pool for
+    # every smaller k.  An engine pool already walked at a larger k
     # serves this batch without re-walking — the plan names that walk
     # so explain() and the stats contract stay truthful.
-    if indexed and distinct_ks:
-        pool_k = (caps.root_pool_k,) if caps.root_pool_k else ()
-        shared_traversal_k: Optional[int] = max(distinct_ks + pool_k)
-    elif options.mode is Mode.JOINT and distinct_ks:
+    shared_traversal_k: Optional[int] = None
+    if options.mode is Mode.JOINT and distinct_ks:
         pool_k = (caps.traversal_pool_k,) if caps.traversal_pool_k else ()
         shared_traversal_k = max(distinct_ks + pool_k)
-    else:
-        shared_traversal_k = None
     return QueryPlan(
         mode=options.mode,
         method=options.method,
         batch_size=len(ks),
         distinct_ks=distinct_ks,
-        shared_topk=not indexed,
-        shared_traversal=indexed,
+        shared_topk=True,
         shared_traversal_k=shared_traversal_k,
         shard=_shard_plan(caps),
     )

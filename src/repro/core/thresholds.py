@@ -30,8 +30,7 @@ __all__ = ["Thresholds"]
 
 class Thresholds(Mapping[int, float]):
     """``RSk(u)`` per user: ``values[i]`` is the threshold of user
-    ``ids[i]``.  NaN marks a user whose threshold is not known yet (the
-    indexed search refines users leaf by leaf)."""
+    ``ids[i]``."""
 
     __slots__ = ("ids", "values", "_by_id")
 

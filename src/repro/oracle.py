@@ -1,17 +1,24 @@
 """The scalar reference the engine's kernels are held to.
 
-The engine (:mod:`repro.core`) runs Algorithms 1–3 and Section 7's
-search as numpy kernels.  This module states them one ``(user,
-object/location)`` pair at a time through ``Dataset.sts`` /
-``sts_parts`` and :class:`~repro.core.bounds.BoundCalculator`, as the
-paper does; every kernel must equal it — pools, I/O and ``RSk(u)``
-bitwise, every selection decision and counter exactly.  Only tests,
-``repro serve --verify`` and :mod:`repro.bench` import it.  Where the
-two share control flow — Algorithm 3's queue loop, the exact selector,
-the best-first MIUR search — the loop lives once in :mod:`repro.core`
-and these functions pass it their scalar leaves.  :func:`query` is the
-cold, sequential, all-scalar answer to one query, its I/O charged to
-the engine's page store.
+The engine (:mod:`repro.core`) runs Algorithms 1–3 as numpy kernels.
+This module states them one ``(user, object/location)`` pair at a time
+through ``Dataset.sts`` / ``sts_parts`` and
+:class:`~repro.core.bounds.BoundCalculator`, as the paper does; every
+kernel must equal it — pools, I/O and ``RSk(u)`` bitwise, every
+selection decision and counter exactly.  Only tests, ``repro serve
+--verify`` and :mod:`repro.bench` import it.  Where the two share
+control flow — Algorithm 3's queue loop, the exact selector — the loop
+lives once in :mod:`repro.core` and these functions pass it their
+scalar leaves.  :func:`query` is the cold, sequential, all-scalar
+answer to one query, its I/O charged to the engine's page store.
+
+Section 7 — users on disk under an MIUR-tree — lives only here
+(:func:`indexed_search`, :func:`indexed_users_maxbrstknn`): its
+best-first search over user nodes never beat ``Mode.JOINT`` in time or
+I/O on any measured cell, so it is not an engine mode.  Figure 15
+(:func:`repro.bench.harness.measure_user_index`) runs it against an
+engine's MIR-tree and page store and a caller-built
+:class:`~repro.index.miurtree.MIURTree`.
 """
 
 from __future__ import annotations
@@ -19,13 +26,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .core import candidate_selection, indexed_users, keyword_selection
+from .core import candidate_selection, keyword_selection
 from .core.baseline import baseline_maxbrstknn
 from .core.bounds import BoundCalculator, augmented_document, candidate_term_weight
 from .core.config import Mode, QueryOptions, coerce_options
@@ -37,8 +44,9 @@ from .core.keyword_selection import KeywordSelection
 from .core.planner import plan_query
 from .core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 from .model.dataset import Dataset
+from .index.miurtree import UserNodeView
 from .model.objects import SuperUser, User
-from .spatial.geometry import Rect
+from .spatial.geometry import Point, Rect
 from .topk.single import TopKResult
 
 __all__ = [
@@ -383,20 +391,123 @@ def _node_rsk(
     return lows[k - 1] if len(lows) >= k else 0.0
 
 
+@dataclass
+class _LocationState:
+    """One location's shortlist ``LU_l`` during the MIUR search: resolved
+    users and whole user nodes."""
+
+    location: Point
+    entries: List[object]
+
+    def user_count(self) -> int:
+        return sum(
+            e.user_count if isinstance(e, UserNodeView) else 1 for e in self.entries
+        )
+
+    def nodes(self) -> List[UserNodeView]:
+        return [e for e in self.entries if isinstance(e, UserNodeView)]
+
+
 def indexed_search(
     user_tree, dataset, query, traversal, rsk_group, stats, method="approx",
     store=None, canonical=None,
 ) -> MaxBRSTkNNResult:
-    """Section 7's best-first MIUR search with scalar ``RSk(node)``,
-    Algorithm 2 and keyword selection."""
+    """Section 7's best-first MIUR search (phase 2), pair by pair.
+
+    Best-first over locations as Algorithm 3, except that a location's
+    shortlist may hold whole user *nodes*, admitted by ``UBL(l, node) >=
+    RSk(node)``: both sides bound every user below (``UBL(l, node) >=
+    UBL(l, u)``, ``RSk(node) <= RSk(u)``), so a failed test prunes the
+    subtree without resolving any user's top-k.  ``RSk(node)`` is the
+    k-th best lower bound w.r.t. the node's summary over the
+    **canonical** candidate set of ``traversal`` (any walk at ``k >=
+    query.k``), so every decision is the same whichever qualifying walk
+    kept the pool.  Expanding a node resolves its leaf users' ``RSk(u)``
+    by Algorithm 2.  ``stats`` arrives primed with the phase-1 fields;
+    the search adds its selection counters, its I/O and
+    ``users_pruned`` — the users whose top-k was never resolved, Figure
+    15's metric.
+    """
+    if method not in ("approx", "exact"):
+        raise ValueError(f"unknown keyword-selection method {method!r}")
+    bounds = BoundCalculator(dataset)
     if canonical is None:
         canonical = canonical_candidates(traversal, rsk_group)
-    node_bounds = partial(_node_rsk, canonical, BoundCalculator(dataset))
-    return indexed_users.indexed_search(
-        user_tree, dataset, query, traversal, rsk_group, stats,
-        method=method, store=store, canonical=canonical,
-        pool_arrays=SimpleNamespace(node_rsk=node_bounds),
-        refine=individual_topk, select=_selector(method),
+    select = _selector(method)
+    counter = store.counter if store is not None else None
+    before = counter.snapshot() if counter is not None else None
+    t0 = time.perf_counter()
+    ox, keywords, ws = query.ox, query.keywords, query.ws
+
+    rsk: Dict[int, float] = {}  # resolved users' exact RSk(u)
+    node_rsk: Dict[int, float] = {}  # by page id
+
+    def admits(loc, entry) -> bool:
+        if isinstance(entry, UserNodeView):
+            if entry.page_id not in node_rsk:
+                node_rsk[entry.page_id] = _node_rsk(
+                    canonical, bounds, entry.summary, query.k
+                )
+            ub = bounds.location_upper_group(loc, ox, keywords, ws, entry.summary)
+            return ub >= node_rsk[entry.page_id]
+        return bounds.location_upper_user(loc, ox, keywords, ws, entry) >= rsk[entry.item_id]
+
+    # Every location starts from the root, once the group bound keeps it.
+    root = user_tree.root
+    states: List[_LocationState] = []
+    for loc in query.locations:
+        if bounds.location_upper_group(loc, ox, keywords, ws, root.summary) < rsk_group:
+            stats.locations_pruned += 1
+        else:
+            states.append(_LocationState(loc, [root]))
+    order = itertools.count()
+    heap = [(-st.user_count(), next(order), st) for st in states]
+    heapq.heapify(heap)
+
+    best_location, best_keywords, best_users = None, frozenset(), frozenset()
+    while heap:
+        neg_count, _, st = heapq.heappop(heap)
+        if -neg_count <= len(best_users):
+            break  # no shortlist left can beat the best answer
+        nodes = st.nodes()
+        if nodes:
+            # Expand the node with the most users below it, and refresh
+            # every state holding it, so each node is read at most once.
+            node = max(nodes, key=lambda v: v.user_count)
+            child_views, leaf_users = user_tree.read_children(node, store)
+            fresh = [u for u in leaf_users if u.item_id not in rsk]
+            if fresh:
+                got = individual_topk(traversal, dataset, query.k, users=fresh)
+                rsk.update(got.rsk(query.k).items())
+            replacements = list(child_views) + list(leaf_users)
+            for other in states:
+                if any(e.page_id == node.page_id for e in other.nodes()):
+                    other.entries = [
+                        e for e in other.entries
+                        if not (isinstance(e, UserNodeView) and e.page_id == node.page_id)
+                    ] + [r for r in replacements if admits(other.location, r)]
+            heapq.heappush(heap, (-st.user_count(), next(order), st))
+            continue
+        if not st.entries:
+            continue
+        chosen, winners, scored = select(
+            dataset, ox, st.location, keywords, ws, st.entries, rsk
+        )
+        stats.keyword_combinations_scored += scored
+        if len(winners) > len(best_users):
+            best_location, best_keywords, best_users = st.location, chosen, winners
+
+    stats.users_pruned = stats.users_total - len(rsk)
+    stats.selection_time_s = time.perf_counter() - t0
+    if counter is not None:
+        delta = counter.snapshot() - before
+        stats.io_node_visits += delta.node_visits
+        stats.io_invfile_blocks += delta.invfile_blocks
+    if best_location is None and query.locations:
+        best_location = query.locations[0]
+    return MaxBRSTkNNResult(
+        location=best_location, keywords=best_keywords, brstknn=best_users,
+        stats=stats,
     )
 
 
@@ -405,8 +516,6 @@ def indexed_users_maxbrstknn(
 ) -> MaxBRSTkNNResult:
     """A cold Section 7 query: the scalar walk against the MIUR-tree
     root summary, then :func:`indexed_search`."""
-    if method not in ("approx", "exact"):
-        raise ValueError(f"unknown keyword-selection method {method!r}")
     counter = store.counter if store is not None else None
     before = counter.snapshot() if counter is not None else None
     t0 = time.perf_counter()
@@ -441,10 +550,6 @@ def query(
     dataset, store, method = engine.dataset, engine.store, plan.method.value
     if plan.mode is Mode.BASELINE:
         return baseline_maxbrstknn(engine.object_tree, dataset, query, store=store)
-    if plan.mode is Mode.INDEXED:
-        return indexed_users_maxbrstknn(
-            engine.object_tree, engine.user_tree, dataset, query, method, store
-        )
     stats = QueryStats(users_total=len(dataset.users))
     before = engine.io.snapshot()
     t0 = time.perf_counter()

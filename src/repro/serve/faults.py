@@ -23,8 +23,8 @@ so local and remote hosts honour all of them:
 * ``exception_on_shard=K`` — any refine payload for lane ``K`` (the
   K-th user-row range) raises :class:`InjectedFault`: an ``ERROR``
   frame, the task-error retry path.
-* ``exception_on_task=N`` — the N-th payload raises (covers selection /
-  indexed-search payloads, which name no lane).
+* ``exception_on_task=N`` — the N-th payload raises (covers selection
+  payloads, which name no lane).
 * ``drop_connection_on_frame=N`` — the host closes the connection
   abruptly instead of answering its N-th scatter frame (fires once):
   the coordinator sees EOF / reset.

@@ -5,9 +5,7 @@ local fleet forks **once**: :class:`PersistentWorkerPool` forks
 ``workers`` children after the dataset's
 :class:`~repro.core.kernels.DatasetArrays` exist, each connected to the
 coordinator by one end of a ``socket.socketpair()``.  A child inherits
-the dataset, its arrays and an optional **context** — the engine passes
-the MIUR-tree, so ``indexed_search`` payloads run in the child against
-read-only ledger stores — through copy-on-write, pads its heap
+the dataset and its arrays through copy-on-write, pads its heap
 (:func:`~repro.serve.shardhost._pad_heap`), and runs the same
 :class:`~repro.serve.shardhost.ShardHost` frame handling as ``repro
 shard-host``, blocking on its socket, until the coordinator hangs up.
@@ -76,9 +74,7 @@ def _host_main(pool: "PersistentWorkerPool", sock: socket.socket, generation: in
         for end in list(_COORDINATOR_ENDS):
             end.close()
         _pad_heap()
-        ShardHost(
-            pool.dataset, pool.faults, context=pool.context, generation=generation
-        ).serve_socket(sock)
+        ShardHost(pool.dataset, pool.faults, generation=generation).serve_socket(sock)
         code = 0
     finally:
         os._exit(code)
@@ -168,9 +164,6 @@ class PersistentWorkerPool(ShardRegistry):
         snapshot).
     workers:
         Number of host processes (>= 1), one lane each.
-    context:
-        Optional object hosts inherit via copy-on-write and run their
-        payloads with (the sharded engine passes the MIUR-tree).
     retry / deadline:
         The ladder's policies (:class:`~repro.serve.config.RetryPolicy`,
         :class:`~repro.serve.config.DeadlinePolicy`); defaults retry
@@ -181,14 +174,12 @@ class PersistentWorkerPool(ShardRegistry):
         coordinator-side hooks fire here).
     """
 
-    serves_indexed = True  # every host holds the MIUR-tree it inherited
     forked = True
 
     def __init__(
         self,
         dataset: "Dataset",
         workers: int,
-        context=None,
         *,
         retry: Optional[RetryPolicy] = None,
         deadline: Optional[DeadlinePolicy] = None,
@@ -200,7 +191,9 @@ class PersistentWorkerPool(ShardRegistry):
             raise RuntimeError("PersistentWorkerPool requires os.fork")
         arrays_for(dataset)  # build before forking: shared via COW
         self.workers = workers
-        self.context = context
+        #: What hosts pass ``execute_shard_payload`` as ``context``:
+        #: nothing (the traced benchmark probe reads the attribute).
+        self.context = None
         #: Guards forks against a concurrent close().
         self._lock = threading.Lock()
         self._closed = False

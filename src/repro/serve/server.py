@@ -382,18 +382,13 @@ class MaxBRSTkNNServer:
         """Cache misses landing on an already-walked ``k`` (warm tier).
 
         These queries still execute, but the engine's memoized
-        ``SharedTraversalPool`` / ``RootTraversal`` serves their phase-1
-        thresholds without a tree walk — the cache's warmer tier, worth
-        counting separately from exact-result hits.
+        ``SharedTraversalPool`` serves their phase-1 thresholds without a
+        tree walk — the cache's warmer tier, worth counting separately
+        from exact-result hits.
         """
-        caps = self.engine.capabilities()
-        mode = self.config.options.mode
-        if mode is Mode.INDEXED:
-            pool_k = caps.root_pool_k
-        elif mode is Mode.JOINT:
-            pool_k = caps.traversal_pool_k
-        else:  # baseline has no cross-k pool
-            pool_k = None
+        if self.config.options.mode is not Mode.JOINT:
+            return 0  # baseline has no cross-k pool
+        pool_k = self.engine.capabilities().traversal_pool_k
         if pool_k is None:
             return 0
         return sum(1 for q in queries if q.k <= pool_k)

@@ -36,26 +36,18 @@ installed transport: inline by default, or a
 :class:`~repro.serve.transport.SocketTransport` over ONE fleet of
 shard hosts (:class:`~repro.serve.shardhost.ShardHost`) — forked local hosts after
 :meth:`ShardedEngine.start_pools`, remote ``repro shard-host``
-processes after :meth:`ShardedEngine.connect_hosts`.  ``Mode.INDEXED``
-rides the same machinery: one central MIUR-root walk per pool
-generation (cross-k, exactly like joint mode), then the per-query
-best-first searches fan out over local hosts (which inherited the
-MIUR-tree) against read-only
-:meth:`~repro.storage.pager.PageStore.ledger_view` stores whose
-:class:`~repro.storage.pager.IOCharge` ledgers replay onto the
-coordinator's counter at gather time.  (Indexed flushes have no refine
-round: MIUR pruning *replaces* the O(|U|) refine.)
+processes after :meth:`ShardedEngine.connect_hosts`.  Lanes serve
+``Mode.JOINT`` only: the baseline has no mergeable decomposition.
 
 The headline guarantee is **result identity**: locations, keyword
 sets, BRSTkNN sets, I/O counters and selection stats all equal the
-single-engine answer, for any lane count, every transport and both
-modes — property-tested in ``tests/serve/test_lanes.py``.
+single-engine answer, for any lane count and every transport —
+property-tested in ``tests/serve/test_lanes.py``.
 
 Execution is in-process by default (deterministic, zero setup); call
 :meth:`ShardedEngine.start_pools` to fork ``num_shards ×
 workers_per_lane`` hosts that inherit the dataset and its pre-built
-``DatasetArrays`` (and, when the engine indexes users, the MIUR-tree as
-worker context) through copy-on-write.  A cold micro-batch fans out
+``DatasetArrays`` through copy-on-write.  A cold micro-batch fans out
 twice over them (refine, then select) and a warm one once, which is
 what the :class:`~repro.serve.server.MaxBRSTkNNServer` flush path
 rides: ``ServerConfig.pool_workers`` sizes the fleet per lane.  These
@@ -92,8 +84,8 @@ def _add_counters(totals: Dict[str, int], counters: Dict[str, int]) -> None:
 class ShardedEngine:
     """One engine + a transport to ``num_shards`` full-dataset lanes.
 
-    Drop-in for :class:`MaxBRSTkNNEngine` wherever ``Mode.JOINT`` or
-    ``Mode.INDEXED`` queries are served: ``query`` / ``query_batch`` /
+    Drop-in for :class:`MaxBRSTkNNEngine` wherever ``Mode.JOINT``
+    queries are served: ``query`` / ``query_batch`` /
     ``plan`` / ``capabilities`` / ``clear_topk_cache`` match, and
     :class:`~repro.serve.server.MaxBRSTkNNServer` takes either engine
     type unchanged.
@@ -104,8 +96,7 @@ class ShardedEngine:
         The full bichromatic dataset.
     config:
         :class:`EngineConfig` with ``num_shards`` (>= 1), the lane
-        count.  ``index_users=True`` builds the MIUR-tree (indexed
-        flushes are central + search fan-out).
+        count.
     """
 
     def __init__(self, dataset: Dataset, config: Optional[EngineConfig] = None) -> None:
@@ -116,9 +107,8 @@ class ShardedEngine:
         self.dataset = dataset
         #: THE engine: owns the object tree, the page store / I/O
         #: counter, the executor and its memo (the cross-k traversal
-        #: pools, the merged thresholds) and — with ``index_users=True``
-        #: — the MIUR-tree.  The one tree walk per pool generation
-        #: happens HERE — identical cost and I/O trace to single-engine
+        #: pool, the merged thresholds).  The one tree walk per pool
+        #: generation happens HERE — identical cost and I/O trace to single-engine
         #: serving.
         self.root = MaxBRSTkNNEngine(dataset, config.with_(num_shards=1))
         # Its one executor, the refine dealt as num_shards row ranges.
@@ -142,10 +132,6 @@ class ShardedEngine:
     @property
     def object_tree(self):
         return self.root.object_tree
-
-    @property
-    def user_tree(self):
-        return self.root.user_tree
 
     @property
     def io(self):
@@ -180,20 +166,12 @@ class ShardedEngine:
             search_workers=self._search_width(),
         )
 
-    def _planning_caps(self, options: QueryOptions) -> EngineCapabilities:
-        caps = self.capabilities()
-        if options.mode is Mode.INDEXED and not self._executor.transport.serves_indexed:
-            # Remote hosts hold no MIUR-tree: indexed searches stay on
-            # the coordinator, so the plan must not claim a fan-out.
-            caps = replace(caps, search_workers=0)
-        return caps
-
     def plan(
         self, options: Optional[QueryOptions] = None, ks: Sequence[int] = ()
     ) -> QueryPlan:
         """Resolve options against the lane layout without executing."""
         options = options if options is not None else QueryOptions.default()
-        caps = self._planning_caps(options)
+        caps = self.capabilities()
         if ks:
             return plan_batch(options, caps, list(ks))
         return plan_query(options, caps)
@@ -205,7 +183,7 @@ class ShardedEngine:
     def gather_stats(self) -> dict:
         """Gather-side counters: ``merge_ms`` is the cross-lane ``RSk``
         union of refine rounds; ``search_ms`` / ``search_flushes`` time
-        / count the query-axis round (select, indexed-search)."""
+        / count the query-axis round (select)."""
         executor = self._executor
         return {
             "merge_ms": round(1000 * executor.merge_s, 2),
@@ -263,11 +241,9 @@ class ShardedEngine:
         full-dataset lane on a socketpair.
 
         Hosts inherit the dataset (and its pre-built ``DatasetArrays``)
-        via copy-on-write at fork time — plus the
-        MIUR-tree as worker context when the engine indexes users — and
-        answer every scatter round: the cold refine (which ships only
-        the traversal pool's reference and a row range), the joint
-        ``select`` and the ``indexed-search``.  Idempotent start is an
+        via copy-on-write at fork time and answer every scatter round:
+        the cold refine (which ships only the traversal pool's
+        reference and a row range) and the ``select``.  Idempotent start is an
         error (mirrors the server lifecycle); a failed construction
         leaves the engine in its in-process state.
 
@@ -291,7 +267,6 @@ class ShardedEngine:
             self.root.ensure_arena()
             pool = PersistentWorkerPool(
                 self.dataset, self.config.num_shards * workers_per_lane,
-                context=self.root.user_tree,
                 retry=retry, deadline=deadline, faults=faults,
             )
         except BaseException:
@@ -425,16 +400,16 @@ class ShardedEngine:
 
         Unlike a cold single-engine ``query``, the shared traversal
         pool is memoized across calls — thresholds derived from it are
-        value-identical to dedicated walks (PR 3's subsumption
-        guarantee; PR 5 extended it to the indexed node-RSk), so
-        results still match sequential queries exactly.
+        value-identical to dedicated walks (the k_max pool subsumes
+        every smaller k's), so results still match sequential queries
+        exactly.
         """
         opts = coerce_options(options, api="ShardedEngine.query")
         # Plan as a batch of one directly (not plan_query): a 1-shard
         # ShardedEngine is indistinguishable from a single engine in
         # the capabilities, but execution always needs the shared-pool
         # batch plan (shared_traversal_k) regardless of shard count.
-        plan = plan_batch(opts, self._planning_caps(opts), [query.k])
+        plan = plan_batch(opts, self.capabilities(), [query.k])
         return self._execute_batch([query], plan)[0]
 
     def query_batch(
@@ -448,7 +423,7 @@ class ShardedEngine:
         queries = list(queries)
         if not queries:
             return []
-        plan = plan_batch(opts, self._planning_caps(opts), [q.k for q in queries])
+        plan = plan_batch(opts, self.capabilities(), [q.k for q in queries])
         return self._execute_batch(queries, plan)
 
     # ------------------------------------------------------------------
@@ -464,8 +439,7 @@ class ShardedEngine:
             # 1-shard ShardedEngine is indistinguishable there, so
             # enforce the group-traversal contract here too.
             raise ValueError(
-                f"sharded execution covers mode=joint and mode=indexed only "
-                f"(got mode={plan.mode})"
+                f"sharded execution covers mode=joint only (got mode={plan.mode})"
             )
         return self._executor.execute(queries, plan)
 

@@ -4,9 +4,8 @@ A lane of a sharded engine is a :class:`ShardHost` wherever it runs:
 
 * **local** — :class:`~repro.serve.pool.PersistentWorkerPool` forks the
   host from the coordinator after the kernel arrays exist, on one end
-  of a ``socket.socketpair()``: the child inherits the dataset, its
-  arrays and the MIUR-tree (its worker context, so indexed searches
-  fan out too) through copy-on-write and runs
+  of a ``socket.socketpair()``: the child inherits the dataset and its
+  arrays through copy-on-write and runs
   :meth:`ShardHost.serve_socket`;
 * **remote** — ``python -m repro shard-host --listen 127.0.0.1:0 ...``
   builds the FULL dataset from the same workload flags and seed as the
@@ -160,7 +159,7 @@ def make_workload(spec: WorkloadSpec):
 
 def _payload_lane(payload) -> Optional[int]:
     """Refine lane (row range index) a scatter payload carries (None
-    for selection / indexed-search payloads)."""
+    for selection payloads)."""
     if isinstance(payload, tuple) and payload and payload[0] == "refine":
         return payload[3]
     return None
@@ -192,9 +191,7 @@ class ShardHost:
     by asyncio, which is what lets a retry connection proceed while a
     stalled one sleeps.
 
-    ``context`` is the worker context payloads run with (a forked host
-    holds the MIUR-tree; a remote one holds none, so it serves no
-    indexed search).  ``generation`` is the host's incarnation — 0 as
+    ``generation`` is the host's incarnation — 0 as
     first started, +1 per re-fork — against which ``fault`` is armed.
     """
 
@@ -203,12 +200,10 @@ class ShardHost:
         dataset: Dataset,
         fault: Optional[FaultPlan] = None,
         *,
-        context=None,
         generation: int = 0,
     ) -> None:
         self.dataset = dataset
         self.fault = fault
-        self.context = context
         self.generation = generation
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -308,7 +303,7 @@ class ShardHost:
                         index, self.generation, _payload_lane(payload)
                     )
                 chunks.append(encode_gather_payload(
-                    execute_shard_payload(self.dataset, payload, context=self.context)
+                    execute_shard_payload(self.dataset, payload)
                 ))
             rbody = FrameCodec.encode_body(chunks)
             return FrameCodec.pack(

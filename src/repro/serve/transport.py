@@ -377,8 +377,6 @@ class ShardRegistry:
     (``break_dispatch`` / ``break_respawn``).
     """
 
-    #: Remote hosts hold no MIUR-tree: indexed searches stay home.
-    serves_indexed = False
     #: The hosts are children of this process (PersistentWorkerPool).
     forked = False
 
@@ -710,10 +708,6 @@ class SocketTransport:
 
     def __init__(self, registry: ShardRegistry) -> None:
         self.registry = registry
-
-    @property
-    def serves_indexed(self) -> bool:
-        return self.registry.serves_indexed
 
     def lanes(self) -> int:
         return max(1, len(self.registry.alive_hosts()))

@@ -14,15 +14,13 @@ extension useful for the ablation benchmark on caching behaviour.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from .iostats import IOCounter, IOSnapshot, PAGE_SIZE_BYTES
+from .iostats import IOCounter, PAGE_SIZE_BYTES
 
 __all__ = [
-    "IOCharge",
     "PageStore",
     "LRUBuffer",
     "NODE_HEADER_BYTES",
@@ -85,57 +83,6 @@ class LRUBuffer:
         return self.hits / total if total else 0.0
 
 
-@dataclass(slots=True)
-class IOCharge:
-    """A portable simulated-I/O ledger.
-
-    Execution that cannot (or must not) touch an engine's shared
-    :class:`~repro.storage.iostats.IOCounter` — a forked worker running
-    one query's best-first MIUR search, say — charges its page accesses
-    here instead, and the ledger travels back with the result to be
-    :meth:`apply`\\ 'd to the real counter.  The charging surface
-    mirrors ``IOCounter`` exactly (``visit_node`` / ``load_bytes`` /
-    ``load_blocks``, same block rounding), so a :class:`PageStore` can
-    use an ``IOCharge`` as its counter and the recorded charges are
-    bit-for-bit what the shared counter would have accumulated —
-    summing ledgers in any order reproduces the sequential totals.
-    """
-
-    node_visits: int = 0
-    invfile_blocks: int = 0
-    page_size: int = PAGE_SIZE_BYTES
-
-    @property
-    def total(self) -> int:
-        return self.node_visits + self.invfile_blocks
-
-    # -- IOCounter-compatible charging surface -------------------------
-    def visit_node(self) -> None:
-        self.node_visits += 1
-
-    def load_bytes(self, num_bytes: int) -> None:
-        if num_bytes <= 0:
-            return
-        self.invfile_blocks += math.ceil(num_bytes / self.page_size)
-
-    def load_blocks(self, blocks: int) -> None:
-        if blocks > 0:
-            self.invfile_blocks += blocks
-
-    def snapshot(self) -> IOSnapshot:
-        return IOSnapshot(self.node_visits, self.invfile_blocks)
-
-    # -- Ledger operations ---------------------------------------------
-    def apply(self, counter: IOCounter) -> None:
-        """Replay the ledger onto a real counter (gather side)."""
-        counter.node_visits += self.node_visits
-        counter.invfile_blocks += self.invfile_blocks
-
-    def add(self, other: "IOCharge") -> None:
-        self.node_visits += other.node_visits
-        self.invfile_blocks += other.invfile_blocks
-
-
 @dataclass
 class PageStore:
     """Charges simulated I/O for node and inverted-list accesses.
@@ -148,30 +95,6 @@ class PageStore:
     counter: IOCounter
     buffer: Optional[LRUBuffer] = None
     page_size: int = PAGE_SIZE_BYTES
-
-    def ledger_view(self) -> Tuple["PageStore", IOCharge]:
-        """A read-only execution view of this store plus its ledger.
-
-        The returned store shares nothing mutable with ``self``: it has
-        the same size model (``page_size``) but charges a fresh
-        :class:`IOCharge` instead of the shared counter, so concurrent
-        executions (forked search workers) cannot race on — or, worse,
-        silently drop — counter updates.  The caller applies the ledger
-        back with :meth:`IOCharge.apply` once the partial result is
-        gathered.
-
-        Refuses stores with an LRU buffer attached: buffer hits depend
-        on global access order, which per-execution ledgers cannot
-        reproduce — callers must keep buffered execution in-process.
-        """
-        if self.buffer is not None:
-            raise ValueError(
-                "ledger_view() requires a cold store (no LRU buffer): "
-                "buffer hit patterns depend on global access order and "
-                "cannot be replayed from per-execution ledgers"
-            )
-        charge = IOCharge(page_size=self.page_size)
-        return PageStore(counter=charge, page_size=self.page_size), charge
 
     def read_node(self, index_name: str, page_id: int) -> None:
         """Charge one I/O for visiting a tree node (unless buffered)."""

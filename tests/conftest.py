@@ -71,6 +71,20 @@ def measure_name(request):
     return request.param
 
 
+def section7(engine, query, method="approx"):
+    """Section 7's answer to ``query`` — the oracle's MIUR-tree search
+    (not an engine mode) — over a fresh MIUR-tree of the engine's
+    fanout, charged to the engine's page store."""
+    from repro import oracle
+    from repro.index.miurtree import MIURTree
+
+    ds = engine.dataset
+    user_tree = MIURTree(ds.users, ds.relevance, fanout=engine.config.fanout)
+    return oracle.indexed_users_maxbrstknn(
+        engine.object_tree, user_tree, ds, query, method=method, store=engine.store
+    )
+
+
 def refined_states(engine, queries):
     """Each query's phase-1 state (its k's ``SharedTopK``) as a joint
     flush hands it to the select phase: the engine executor's traverse

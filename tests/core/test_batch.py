@@ -22,12 +22,12 @@ from repro.spatial.geometry import Point
 
 from ..conftest import make_random_objects, make_random_users
 
-def build_engine(seed=0, n_obj=70, n_users=14, vocab=18, index_users=False):
+def build_engine(seed=0, n_obj=70, n_users=14, vocab=18):
     rng = random.Random(seed)
     objects = make_random_objects(n_obj, vocab, rng)
     users = make_random_users(n_users, vocab, rng)
     dataset = Dataset(objects, users, relevance="LM", alpha=0.5)
-    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=index_users))
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     return engine, rng, vocab
 
 
@@ -96,17 +96,6 @@ def test_batch_equals_sequential(mode):
             assert (
                 bat.stats.io_invfile_blocks == kmax_solo.stats.io_invfile_blocks
             )
-
-
-def test_batch_equals_sequential_indexed():
-    engine, rng, vocab = build_engine(index_users=True)
-    queries = make_queries(rng, vocab, 3)
-    options = QueryOptions(mode="indexed")
-    sequential = [oracle.query(engine, q, options) for q in queries]
-    batched = engine.query_batch(queries, options)
-    for solo, bat in zip(sequential, batched):
-        assert_result_equal(solo, bat)
-        assert_stats_equal(solo.stats, bat.stats)
 
 
 def test_empty_batch():
@@ -298,107 +287,6 @@ def test_batch_rejects_unknown_mode():
     queries = make_queries(rng, vocab, 1)
     with pytest.raises(ValueError):
         engine.query_batch(queries, QueryOptions(mode="warp"))
-
-
-def test_indexed_batch_shares_one_kmax_root_traversal():
-    """mode="indexed" batches share ONE MIUR-root walk at k_max across
-    every k in the batch (cross-k pool sharing, PR 5)."""
-    from repro import QueryOptions
-    from repro.core.indexed_users import RootTraversal
-
-    engine, rng, vocab = build_engine(seed=13, index_users=True)
-    queries = make_queries(rng, vocab, 4, ks=(3, 5))
-    assert engine.traversal_runs == 0
-    before_first = engine.io.snapshot()
-    engine.query_batch(queries, QueryOptions(mode="indexed"))
-    first_io = (engine.io.snapshot() - before_first).total
-    pool = engine._executor.root_pool
-    assert isinstance(pool, RootTraversal)
-    assert pool.k == 5  # walked once, at k_max
-    assert engine.traversal_runs == 1
-    assert pool.hits == 4
-    # A second identical batch reuses phase 1 entirely and pays
-    # strictly less real I/O: only the per-query searches remain.
-    before_second = engine.io.snapshot()
-    engine.query_batch(queries, QueryOptions(mode="indexed"))
-    second_io = (engine.io.snapshot() - before_second).total
-    assert engine.traversal_runs == 1
-    assert pool.hits == 8
-    traversal_io = pool.io_node_visits + pool.io_invfile_blocks
-    assert traversal_io > 0
-    assert second_io == first_io - traversal_io
-    # A smaller new k derives from the existing pool without a walk...
-    engine.query_batch(make_queries(rng, vocab, 1, ks=(2,)), QueryOptions(mode="indexed"))
-    assert engine.traversal_runs == 1
-    # ...while a larger k forces one fresh walk that replaces the pool.
-    engine.query_batch(make_queries(rng, vocab, 2, ks=(7, 3)), QueryOptions(mode="indexed"))
-    assert engine.traversal_runs == 2
-    assert engine._executor.root_pool.k == 7
-    engine.clear_topk_cache()
-    assert engine._executor.root_pool is None
-
-
-def test_indexed_mixed_k_batch_equals_sequential_results():
-    """Mixed-k indexed batches: ONE walk, results bitwise-identical to
-    cold sequential queries (the node-RSk reformulation at work), and
-    search-phase I/O matching the sequential trace exactly — the top-k
-    share reports the shared k_max walk, the same stats contract joint
-    batches have had since PR 3."""
-    from repro import QueryOptions
-    from repro.core.indexed_users import compute_root_traversal
-
-    engine, rng, vocab = build_engine(seed=23, index_users=True)
-    queries = make_queries(rng, vocab, 6, ks=(2, 4, 5))
-    fresh, _, _ = build_engine(seed=23, index_users=True)
-    sequential = [
-        oracle.query(fresh, q, QueryOptions(mode="indexed"))
-        for q in queries
-    ]
-    # Cold per-k walk I/O, to split the sequential stats into their
-    # walk and search shares.
-    walker, _, _ = build_engine(seed=23, index_users=True)
-    walk_io = {}
-    for k in (2, 4, 5):
-        t = compute_root_traversal(
-            walker.object_tree, walker.user_tree, walker.dataset, k,
-            store=walker.store,
-        )
-        walk_io[k] = (t.io_node_visits, t.io_invfile_blocks)
-    batched = engine.query_batch(queries, QueryOptions(mode="indexed"))
-    assert engine.traversal_runs == 1
-    pool = engine._executor.root_pool
-    assert pool.k == 5
-    for q, solo, bat in zip(queries, sequential, batched):
-        assert_result_equal(solo, bat)
-        assert_selection_stats_equal(solo.stats, bat.stats)
-        # walk share: batched reports the k_max walk, uniform across
-        # the batch; search share: identical MIUR page reads.
-        solo_search = (
-            solo.stats.io_node_visits - walk_io[q.k][0],
-            solo.stats.io_invfile_blocks - walk_io[q.k][1],
-        )
-        bat_search = (
-            bat.stats.io_node_visits - pool.io_node_visits,
-            bat.stats.io_invfile_blocks - pool.io_invfile_blocks,
-        )
-        assert solo_search == bat_search
-
-
-def test_indexed_batch_stats_match_sequential_per_phase():
-    """Indexed stats now carry top-k I/O + per-phase timings, batch == solo."""
-    from repro import QueryOptions
-
-    engine, rng, vocab = build_engine(seed=15, index_users=True)
-    queries = make_queries(rng, vocab, 3)
-    sequential = [
-        oracle.query(engine, q, QueryOptions(mode="indexed"))
-        for q in queries
-    ]
-    batched = engine.query_batch(queries, QueryOptions(mode="indexed"))
-    for solo, bat in zip(sequential, batched):
-        assert solo.stats.io_total > 0
-        assert bat.stats.io_node_visits == solo.stats.io_node_visits
-        assert bat.stats.io_invfile_blocks == solo.stats.io_invfile_blocks
 
 
 def test_batch_method_exact_matches_sequential():

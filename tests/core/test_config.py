@@ -11,7 +11,7 @@ from repro.core.config import coerce_options
 class TestEnums:
     def test_string_coercion(self):
         assert Method.coerce("exact") is Method.EXACT
-        assert Mode.coerce("indexed") is Mode.INDEXED
+        assert Mode.coerce("baseline") is Mode.BASELINE
 
     def test_coercion_is_case_insensitive(self):
         assert Method.coerce("EXACT") is Method.EXACT
@@ -25,6 +25,8 @@ class TestEnums:
             Method.coerce("fuzzy")
         with pytest.raises(ValueError):
             Mode.coerce("turbo")
+        with pytest.raises(ValueError):
+            Mode.coerce("indexed")  # Section 7 is reference code, not a mode
 
     def test_str_mixin(self):
         # Enums render as their value (log/CLI friendly) and compare to it.
@@ -133,8 +135,12 @@ class TestSharedDefaultAcrossEntryPoints:
 class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.index_users is False
         assert config.buffer_pages == 0
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "fanout", "buffer_pages", "num_shards", "use_shm",
+        ]
+        with pytest.raises(TypeError):
+            EngineConfig(index_users=True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -148,7 +154,7 @@ class TestEngineConfig:
         {"fanout": True},
         {"buffer_pages": True},
         {"num_shards": True},
-        {"index_users": 1},
+        {"use_shm": 1},
     ])
     def test_bools_are_not_ints(self, kwargs):
         with pytest.raises(ValueError):
@@ -157,11 +163,9 @@ class TestEngineConfig:
     def test_engine_accepts_config(self, tiny_dataset):
         from repro import MaxBRSTkNNEngine
 
-        engine = MaxBRSTkNNEngine(
-            tiny_dataset, EngineConfig(fanout=4, index_users=True)
-        )
+        engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
         assert engine.config.fanout == 4
-        assert engine.user_tree is not None
+        assert engine.object_tree.fanout == 4
 
     @pytest.mark.parametrize("args, kwargs", [
         pytest.param((4,), {}, id="positional-fanout"),

@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
 from repro.core.config import QueryOptions
 from repro.core.joint_topk import joint_topk
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject, User
 from repro.spatial.geometry import Point
 
-from ..conftest import make_random_objects, make_random_users
+from ..conftest import make_random_objects, make_random_users, section7
 
 
 class TestDegenerateGeometry:
@@ -98,7 +98,7 @@ class TestSingleEntityWorlds:
         objects = [STObject(0, Point(0, 0), {0: 1})]
         users = [User(0, Point(1, 1), {0: 1})]
         ds = Dataset(objects, users)
-        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
+        engine = MaxBRSTkNNEngine(ds)
         q = MaxBRSTkNNQuery(
             ox=STObject(-1, Point(0.5, 0.5), {}),
             locations=[Point(0.5, 0.5)],
@@ -106,16 +106,15 @@ class TestSingleEntityWorlds:
             ws=1,
             k=1,
         )
-        for mode in ("joint", "baseline", "indexed"):
-            res = engine.query(q, QueryOptions(method="exact", mode=mode))
-            # ox matches the user's keyword and is closer than o0? Either
-            # way all modes must agree.
-            assert res.cardinality in (0, 1)
-        cards = {
-            mode: engine.query(q, QueryOptions(method="exact", mode=mode)).cardinality
-            for mode in ("joint", "baseline", "indexed")
-        }
-        assert len(set(cards.values())) == 1
+        results = [
+            engine.query(q, QueryOptions(method="exact", mode=mode))
+            for mode in ("joint", "baseline")
+        ]
+        results.append(section7(engine, q, "exact"))
+        # ox matches the user's keyword and is closer than o0? Either
+        # way all modes (and Section 7's search) must agree.
+        cards = {res.cardinality for res in results}
+        assert len(cards) == 1 and cards <= {0, 1}
 
     def test_k_equals_collection_size_everyone_wins(self):
         """With k = |O| every object is in every top-k, so any placement

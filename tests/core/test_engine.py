@@ -6,6 +6,8 @@ from repro import EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery
 from repro.core.config import QueryOptions
 from repro.core.query import QueryStats
 
+from ..conftest import section7
+
 
 def make_query(workload, ws=2, k=5):
     return MaxBRSTkNNQuery(
@@ -20,12 +22,13 @@ def make_query(workload, ws=2, k=5):
 class TestEngineModes:
     def test_all_modes_agree_on_cardinality(self, small_flickr):
         ds, workload = small_flickr
-        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
+        engine = MaxBRSTkNNEngine(ds)
         q = make_query(workload)
         results = {
             mode: engine.query(q, QueryOptions(method="exact", mode=mode))
-            for mode in ("baseline", "joint", "indexed")
+            for mode in ("baseline", "joint")
         }
+        results["indexed"] = section7(engine, q, "exact")
         cards = {m: r.cardinality for m, r in results.items()}
         assert cards["baseline"] == cards["joint"] == cards["indexed"], cards
 
@@ -38,12 +41,6 @@ class TestEngineModes:
         assert approx.cardinality <= exact.cardinality
         if exact.cardinality:
             assert approx.cardinality / exact.cardinality >= 0.6
-
-    def test_indexed_mode_requires_user_tree(self, small_flickr):
-        ds, workload = small_flickr
-        engine = MaxBRSTkNNEngine(ds)
-        with pytest.raises(ValueError):
-            engine.query(make_query(workload), QueryOptions(mode="indexed"))
 
     def test_unknown_mode_rejected(self, small_flickr):
         ds, workload = small_flickr
@@ -60,10 +57,9 @@ class TestEngineModes:
         assert res.stats.io_total > 0
         assert res.stats.users_total == len(ds.users)
 
-    def test_indexed_mode_prunes_users(self, small_flickr):
+    def test_section7_counts_pruned_users(self, small_flickr):
         ds, workload = small_flickr
-        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
-        res = engine.query(make_query(workload), QueryOptions(method="approx", mode="indexed"))
+        res = section7(MaxBRSTkNNEngine(ds), make_query(workload), "approx")
         assert 0 <= res.stats.users_pruned <= len(ds.users)
         assert res.stats.users_pruned_pct == pytest.approx(
             100.0 * res.stats.users_pruned / len(ds.users)

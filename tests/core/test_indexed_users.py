@@ -1,4 +1,5 @@
-"""Tests for the MIUR-tree query mode (Section 7)."""
+"""Section 7 — users under the MIUR-tree — as the oracle runs it
+(:func:`repro.oracle.indexed_users_maxbrstknn`; not an engine mode)."""
 
 import random
 
@@ -9,7 +10,7 @@ from repro.core.config import QueryOptions
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
 
-from ..conftest import make_random_objects, make_random_users
+from ..conftest import make_random_objects, make_random_users, section7
 
 
 def build(seed, n_obj=80, n_users=40, vocab=14, n_locs=5):
@@ -28,13 +29,11 @@ def build(seed, n_obj=80, n_users=40, vocab=14, n_locs=5):
     return ds, query
 
 
-def indexed_engine(ds):
-    return MaxBRSTkNNEngine(ds, EngineConfig(fanout=4, index_users=True))
-
-
-def indexed(ds, query, method):
-    """A cold ``mode="indexed"`` query on a fresh indexed engine."""
-    return indexed_engine(ds).query(query, QueryOptions(mode="indexed", method=method))
+def indexed(ds, query, method="approx", engine=None):
+    """A cold Section 7 query, charged to ``engine``'s page store (a
+    fresh engine's by default)."""
+    engine = engine if engine is not None else MaxBRSTkNNEngine(ds, EngineConfig(fanout=4))
+    return section7(engine, query, method)
 
 
 class TestCorrectness:
@@ -76,6 +75,6 @@ class TestPruning:
 
     def test_io_charged(self):
         ds, query = build(13)
-        engine = indexed_engine(ds)
-        engine.query(query, QueryOptions(mode="indexed"))
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(fanout=4))
+        indexed(ds, query, engine=engine)
         assert engine.io.total > 0

@@ -220,7 +220,7 @@ class TestSelectionContextReuse:
             pool = [uid for uid in ids if i >= 3 or uid not in latecomers]
             chosen = data.draw(st.sets(st.sampled_from(pool)))
             subset = [u for u in ds.users if u.item_id in chosen]
-            # indexed_search's shape: a mapping holding this location's users only
+            # Section 7's shape: a mapping holding this location's users only
             visits.append((loc, subset, {u.item_id: rsk[u.item_id] for u in subset}))
         cache = {}
         for loc, subset, local_rsk in visits:

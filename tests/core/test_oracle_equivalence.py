@@ -2,8 +2,9 @@
 
 Two families of guarantees:
 
-* **Across modes** — ``joint``, ``baseline`` and ``indexed`` implement
-  one problem definition, so with the exact keyword selector they must
+* **Across modes** — ``joint``, ``baseline`` and Section 7's MIUR-tree
+  search (:func:`repro.oracle.indexed_users_maxbrstknn`) implement one
+  problem definition, so with the exact keyword selector they must
   agree on the optimal cardinality (the baseline is the exhaustive
   oracle; locations/keyword sets may differ only between equal-quality
   ties).
@@ -22,11 +23,12 @@ from hypothesis import strategies as st
 
 from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, oracle
 from repro.core.config import QueryOptions
+from repro.index.miurtree import MIURTree
 from repro.model.objects import STObject, User
 from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
-from ..conftest import make_random_objects, make_random_users
+from ..conftest import make_random_objects, make_random_users, section7
 
 
 def plant_degenerate(objects, users, rng):
@@ -55,7 +57,7 @@ def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM
     if plant:
         objects, users = plant_degenerate(objects, users, rng)
     dataset = Dataset(objects, users, relevance=measure, alpha=alpha, metric=metric)
-    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     query = MaxBRSTkNNQuery(
         ox=STObject(item_id=-1, location=Point(5, 5), terms={0: 1}),
         locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)],
@@ -66,15 +68,24 @@ def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM
     return engine, query
 
 
+def exact_answers(engine, query):
+    """The exact answer of each mode: the engine's ``joint`` and
+    ``baseline``, and the oracle's Section 7 search over a fresh
+    MIUR-tree (``indexed``)."""
+    results = {
+        mode: engine.query(query, QueryOptions(method="exact", mode=mode))
+        for mode in ("joint", "baseline")
+    }
+    results["indexed"] = section7(engine, query, "exact")
+    return results
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
 def test_modes_agree_on_optimal_cardinality(seed, k, alpha):
     engine, query = build_case(seed, k=k, alpha=alpha)
-    results = {
-        mode: engine.query(query, QueryOptions(method="exact", mode=mode))
-        for mode in ("joint", "baseline", "indexed")
-    }
+    results = exact_answers(engine, query)
     cards = {mode: r.cardinality for mode, r in results.items()}
     assert len(set(cards.values())) == 1, cards
     # joint and indexed run the same Algorithm 3+4; their chosen
@@ -88,10 +99,7 @@ def test_modes_agree_on_optimal_cardinality(seed, k, alpha):
 @pytest.mark.parametrize("vocab", [8, 32])
 def test_modes_agree_across_vocab_sizes(seed, vocab):
     engine, query = build_case(seed + 100, vocab=vocab)
-    cards = {
-        mode: engine.query(query, QueryOptions(method="exact", mode=mode)).cardinality
-        for mode in ("joint", "baseline", "indexed")
-    }
+    cards = {mode: r.cardinality for mode, r in exact_answers(engine, query).items()}
     assert len(set(cards.values())) == 1, cards
 
 
@@ -124,9 +132,7 @@ def assert_same_cold_answer(engine, query, options):
 
 #: (mode, method) pairs the oracle equality is drawn over.
 MODE_METHODS = [
-    (mode, method)
-    for mode in ("joint", "baseline", "indexed")
-    for method in ("approx", "exact")
+    (mode, method) for mode in ("joint", "baseline") for method in ("approx", "exact")
 ]
 
 
@@ -174,16 +180,15 @@ BATCH_STAT_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("mode", ["joint", "indexed"])
-def test_query_after_a_warm_batch_is_still_cold(mode):
+def test_query_after_a_warm_batch_is_still_cold():
     """``engine.query`` after a ``query_batch`` at a larger k still walks
     at its own k — the I/O of a fresh engine's, not the memoized
     walk's — and leaves the batch memo (``capabilities()``) as it was."""
     engine, query = build_case(3, k=2)
-    options = QueryOptions(mode=mode)
+    options = QueryOptions(mode="joint")
     engine.query_batch([dataclasses.replace(query, k=8)], options)
     caps = engine.capabilities()
-    assert (caps.root_pool_k if mode == "indexed" else caps.traversal_pool_k) == 8
+    assert caps.traversal_pool_k == 8
     runs = engine.traversal_runs
     assert_same_cold_answer(engine, query, options)
     assert engine.traversal_runs == runs + 1  # its own walk, at k=2
@@ -191,73 +196,29 @@ def test_query_after_a_warm_batch_is_still_cold(mode):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("measure", ["LM", "TF"])
-def test_indexed_search_late_users_identical_result_and_stats(seed, measure):
-    """``indexed_search`` shares one greedy-selector cache over a query's
-    locations but hands each call a fresh ``local_rsk`` holding only that
-    location's users.  With scattered users and many locations, most
-    users are first resolved at a late location: the engine's selection
-    context must take their thresholds from the call that introduces
-    them."""
-    rng = random.Random(1000 + seed)
-    objects = make_random_objects(80, 16, rng, space=40.0)
-    users = make_random_users(30, 16, rng, space=40.0)
-    dataset = Dataset(objects, users, relevance=measure, alpha=0.9)
-    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-    query = MaxBRSTkNNQuery(
-        ox=STObject(item_id=-1, location=Point(20, 20), terms={0: 1}),
-        locations=[Point(rng.uniform(0, 40), rng.uniform(0, 40)) for _ in range(8)],
-        keywords=sorted(rng.sample(range(16), 6)),
-        ws=2,
-        k=3,
-    )
-    options = QueryOptions(method="approx", mode="indexed")
-    py = oracle.query(engine, query, options)
-    np_ = engine.query(query, options)
-    assert (py.location, py.keywords, py.brstknn) == (
-        np_.location, np_.keywords, np_.brstknn,
-    )
-    for field in (
-        "locations_pruned", "keyword_combinations_scored", "users_pruned",
-        "users_total", "io_node_visits", "io_invfile_blocks",
-    ):
-        assert getattr(py.stats, field) == getattr(np_.stats, field), field
-
-
-@pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("method", ["approx", "exact"])
-def test_indexed_pipeline_identical_to_oracle(seed, method):
-    """Section 7 piece by piece: the cold indexed query, and the
-    best-first search alone over one shared walk's pool — the oracle's
-    scalar leaves (Algorithm 2, ``RSk(node)``, keyword selection) against
-    the engine's kernels, counters and I/O charges included."""
-    from repro.core.indexed_users import compute_root_traversal, indexed_search
+def test_indexed_search_decides_the_same_over_a_larger_walk(seed, method):
+    """Section 7's search reads only the canonical per-k candidate set:
+    fed a walk at ``k + 2``, :func:`repro.oracle.indexed_search` gives
+    the cold query's answer and selection counters."""
+    from repro.core.joint_topk import derive_rsk_group
     from repro.core.query import QueryStats
 
     engine, query = build_case(seed + 7)
-    engine_side = MaxBRSTkNNEngine(engine.dataset, EngineConfig(fanout=4, index_users=True))
-    pairs = [
-        engine_side.query(query, QueryOptions(mode="indexed", method=method)),
-        oracle.indexed_users_maxbrstknn(
-            engine.object_tree, engine.user_tree, engine.dataset, query,
-            method=method, store=engine.store,
-        ),
-    ]
-    shared = compute_root_traversal(
-        engine.object_tree, engine.user_tree, engine.dataset, query.k + 2
+    dataset = engine.dataset
+    user_tree = MIURTree(dataset.users, dataset.relevance, fanout=4)
+    cold = oracle.indexed_users_maxbrstknn(
+        engine.object_tree, user_tree, dataset, query, method=method,
     )
-    for search in (indexed_search, oracle.indexed_search):
-        pairs.append(search(
-            engine.user_tree, engine.dataset, query, shared.traversal,
-            shared.rsk_group_for(query.k), QueryStats(users_total=12),
-            method=method, canonical=shared.canonical_for(query.k),
-        ))
-    for got, want in (pairs[:2], pairs[2:]):
-        assert (got.location, got.keywords, got.brstknn) == (
-            want.location, want.keywords, want.brstknn,
-        )
-        for field in (
-            "locations_pruned", "keyword_combinations_scored", "users_pruned",
-            "io_node_visits", "io_invfile_blocks",
-        ):
-            assert getattr(got.stats, field) == getattr(want.stats, field), field
+    walk = oracle.joint_traversal(
+        engine.object_tree, dataset, query.k + 2, super_user=user_tree.root.summary,
+    )
+    shared = oracle.indexed_search(
+        user_tree, dataset, query, walk, derive_rsk_group(walk, query.k + 2, query.k),
+        QueryStats(users_total=len(user_tree)), method=method,
+    )
+    assert (shared.location, shared.keywords, shared.brstknn) == (
+        cold.location, cold.keywords, cold.brstknn,
+    )
+    for field in ("locations_pruned", "keyword_combinations_scored", "users_pruned"):
+        assert getattr(shared.stats, field) == getattr(cold.stats, field), field

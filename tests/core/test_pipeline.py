@@ -9,8 +9,7 @@ Four layers of guarantees:
   because ``execute_shard_payload`` is the worker entry every range
   runs through, inline or on a shard host.
 * **Query-axis round-trips** — ``merge_select(select_payloads(...))``
-  and ``merge_indexed(indexed_payloads(...))`` answer like the single
-  engine's flush at any width, the latter charging the same I/O.
+  answers like the single engine's flush at any width.
 * **Phase lists** — each (mode, engine kind) flush records the right
   phases, in order, on ``last_flush_report``, each timed by ``_phase``
   into a snapshot row of the same fields, with one refine accounting:
@@ -40,8 +39,6 @@ from repro.core.pipeline import (
     FlushReport,
     _phase,
     execute_shard_payload,
-    indexed_payloads,
-    merge_indexed,
     merge_refine,
     merge_select,
     refine_payloads,
@@ -228,53 +225,6 @@ class TestQueryAxisRoundTrips:
             answer_key(r) for r in expected
         ]
 
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_indexed_round_answers_and_charges_like_query_batch(self, width):
-        """Ledger views replayed by ``merge_indexed`` charge the shared
-        counter exactly what the inline search phase charges."""
-        from repro.core.indexed_users import ensure_root_pool
-
-        dataset, rng, vocab = build_dataset(seed=12)
-        queries = make_queries(rng, vocab, 6, ks=(2, 4))
-        config = EngineConfig(fanout=4, index_users=True)
-        engine = MaxBRSTkNNEngine(dataset, config)
-        plan = plan_batch(
-            QueryOptions(mode="indexed"), engine.capabilities(),
-            [q.k for q in queries],
-        )
-        pool = ensure_root_pool(engine._executor, plan.shared_traversal_k)
-        group_by_k = {k: pool.rsk_group_for(k) for k in plan.distinct_ks}
-        before = engine.io.snapshot()
-        payloads, index_groups = indexed_payloads(
-            queries, plan, pool, group_by_k, len(engine.user_tree), width,
-            store=engine.store,
-        )
-        # per-k chunks, each k cut into min(width, its queries) payloads
-        assert len(payloads) == sum(min(width, 3) for _ in (2, 4))
-        for payload, group in zip(payloads, index_groups):
-            assert len({queries[i].k for i in group}) == 1
-            assert payload[1] == [queries[i] for i in group]
-        assert sorted(i for group in index_groups for i in group) == list(
-            range(len(queries))
-        )
-        chunks = [
-            execute_shard_payload(dataset, p, engine.user_tree) for p in payloads
-        ]
-        results = merge_indexed(index_groups, chunks, engine.io)
-        charged = engine.io.snapshot() - before
-
-        reference = MaxBRSTkNNEngine(dataset, config)
-        expected = reference.query_batch(queries, QueryOptions(mode="indexed"))
-        search = reference.last_flush_report.stage("indexed-search")
-        assert [answer_key(r) for r in results] == [
-            answer_key(r) for r in expected
-        ]
-        assert (charged.node_visits, charged.invfile_blocks) == (
-            search.io_node_visits, search.io_invfile_blocks,
-        )
-        assert charged.node_visits + charged.invfile_blocks > 0
-
-
 class TestPhaseTiming:
     def test_a_phase_records_its_time_and_io_on_the_report(self):
         """``_phase`` appends one ``StageStats`` per phase, charged with
@@ -312,8 +262,7 @@ STAGE_FIELDS = [
 
 class TestPipelineShapes:
     @pytest.mark.parametrize("mode, sharded", [
-        ("joint", False), ("joint", True), ("indexed", False),
-        ("indexed", True), ("baseline", False),
+        ("joint", False), ("joint", True), ("baseline", False),
     ])
     def test_snapshot_fields_per_mode_and_engine(self, mode, sharded):
         """``FlushReport.snapshot()`` — what ``--explain`` and the stats
@@ -322,7 +271,7 @@ class TestPipelineShapes:
         from repro.serve import ShardedEngine
 
         dataset, rng, vocab = build_dataset(seed=7)
-        config = EngineConfig(fanout=4, index_users=True)
+        config = EngineConfig(fanout=4)
         engine = (
             ShardedEngine(dataset, config.with_(num_shards=2)) if sharded
             else MaxBRSTkNNEngine(dataset, config)
@@ -355,16 +304,13 @@ class TestPipelineShapes:
         from repro.serve import ShardedEngine
 
         dataset, rng, vocab = build_dataset()
-        config = EngineConfig(fanout=4, index_users=True)
+        config = EngineConfig(fanout=4)
         engine = (
             ShardedEngine(dataset, config.with_(num_shards=2)) if sharded
             else MaxBRSTkNNEngine(dataset, config)
         )
         queries = make_queries(rng, vocab, 3, ks=(3, 5))
-        expected = {
-            "joint": ["traverse", "refine", "select"],
-            "indexed": ["traverse", "indexed-search"],
-        }
+        expected = {"joint": ["traverse", "refine", "select"]}
         if not sharded:
             expected["baseline"] = ["baseline-topk", "select"]
         for mode, stages in expected.items():
@@ -406,17 +352,6 @@ class TestFlushReports:
         assert report.stage("select").io_node_visits == 0
         engine.clear_topk_cache()
         assert_refine_accounting(engine, queries, ranges=1)
-
-    def test_local_indexed_flush_report_charges_search_io(self):
-        dataset, rng, vocab = build_dataset(seed=5)
-        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        queries = make_queries(rng, vocab, 3, ks=(3,))
-        engine.query_batch(queries, QueryOptions(mode="indexed"))
-        report = engine.last_flush_report
-        assert [s.stage for s in report.stages] == ["traverse", "indexed-search"]
-        search = report.stage("indexed-search")
-        # The best-first search reads MIUR pages through the store.
-        assert search.io_node_visits + search.io_invfile_blocks > 0
 
     def test_sharded_flush_report(self):
         from repro.serve import ShardedEngine

@@ -10,8 +10,7 @@ from repro.core.planner import (
     plan_query,
 )
 
-CAPS = EngineCapabilities(has_user_tree=True)
-CAPS_NO_TREE = EngineCapabilities(has_user_tree=False)
+CAPS = EngineCapabilities()
 
 
 class TestPlanQuery:
@@ -19,14 +18,13 @@ class TestPlanQuery:
         plan = plan_query(QueryOptions(), CAPS, k=5)
         assert plan.batch_size == 1
         assert plan.shared_topk is False
-        assert plan.shared_traversal is False
+        assert plan.shared_traversal_k is None
         assert plan.shard is None
 
-    def test_indexed_requires_user_tree(self):
-        with pytest.raises(ValueError, match="index_users"):
-            plan_query(QueryOptions(mode="indexed"), CAPS_NO_TREE)
-        plan = plan_query(QueryOptions(mode="indexed"), CAPS)
-        assert plan.mode is Mode.INDEXED
+    def test_modes_are_joint_and_baseline(self):
+        assert [mode.value for mode in Mode] == ["joint", "baseline"]
+        with pytest.raises(ValueError, match="unknown mode 'indexed'"):
+            QueryOptions(mode="indexed")
 
 
 class TestPlanBatch:
@@ -35,43 +33,21 @@ class TestPlanBatch:
         assert plan.batch_size == 5
         assert plan.distinct_ks == (3, 5)
         assert plan.shared_topk is True
-        assert plan.shared_traversal is False
 
     def test_joint_batch_pools_across_k(self):
         """Joint batches share ONE traversal at k_max across all ks."""
         plan = plan_batch(QueryOptions(), CAPS, ks=[1, 5, 10, 5])
         assert plan.shared_traversal_k == 10
-        # Baseline batches do not pool across k (no group traversal)...
+        # Baseline batches do not pool across k (no group traversal).
         assert (
             plan_batch(QueryOptions(mode="baseline"), CAPS, ks=[1, 5])
             .shared_traversal_k
             is None
         )
-        # ...but indexed batches do, since the node-RSk reformulation
-        # made every per-k derivation pool-independent (PR 5).
-        assert (
-            plan_batch(QueryOptions(mode="indexed"), CAPS, ks=[1, 5])
-            .shared_traversal_k
-            == 5
-        )
         # Single queries stay cold: no pool.
         assert plan_query(QueryOptions(), CAPS, k=7).shared_traversal_k is None
 
-    def test_indexed_batch_shares_root_traversal(self):
-        plan = plan_batch(QueryOptions(mode="indexed"), CAPS, ks=[3, 3, 7])
-        assert plan.shared_traversal is True
-        assert plan.shared_topk is False
-        assert plan.distinct_ks == (3, 7)
-        assert plan.shared_traversal_k == 7
-
-    def test_indexed_batch_reuses_a_larger_existing_pool(self):
-        from dataclasses import replace
-
-        warm = replace(CAPS, root_pool_k=9)
-        plan = plan_batch(QueryOptions(mode="indexed"), warm, ks=[3, 7])
-        assert plan.shared_traversal_k == 9  # names the walk actually used
-
-    @pytest.mark.parametrize("mode", ["joint", "baseline", "indexed"])
+    @pytest.mark.parametrize("mode", ["joint", "baseline"])
     def test_single_engine_batches_stay_in_process(self, mode):
         """Without lanes nothing leaves the process: no ShardPlan, and
         explain() names no pool or fan-out for phase 2."""
@@ -107,14 +83,6 @@ class TestExplain:
         assert "one MIR-tree walk at k=10" in text
         assert "reused for k=1,5,10" in text
 
-    def test_indexed_batch_explain(self):
-        text = plan_batch(
-            QueryOptions(mode="indexed"), CAPS, ks=[4, 4]
-        ).explain()
-        assert "MIUR-root joint traversal" in text
-        assert "in-process per query" in text
-
-
 class TestSearchFanoutPredicate:
     """explain() and the executor's lane builder share ONE predicate:
     any fan-out width >= 1 ships a multi-query round."""
@@ -147,16 +115,6 @@ class TestSearchFanoutPredicate:
                 in text) == fans_out
         assert ("phase 2 (candidate selection): in-process" in text) \
             == (not fans_out)
-
-    @pytest.mark.parametrize("search_workers", [0, 1, 2])
-    def test_indexed_phase_2_line_follows_the_predicate(self, search_workers):
-        text = plan_batch(
-            QueryOptions(mode="indexed"), self.sharded_caps(search_workers),
-            ks=[4, 4],
-        ).explain()
-        fans_out = search_workers >= 1
-        assert (f"worker pool x{search_workers}" in text) == fans_out
-        assert ("in-process per query" in text) == (not fans_out)
 
     @pytest.mark.parametrize("search_workers,batch_size,ships", [
         (0, 1, False),
@@ -195,33 +153,21 @@ class TestPurePlanning:
 
         return replace(CAPS, num_shards=2, search_workers=2, **fields)
 
-    @pytest.mark.parametrize("mode", ["joint", "indexed"])
-    def test_same_inputs_same_plan(self, mode):
-        options = QueryOptions(mode=mode)
-        first = plan_batch(options, self.lane_caps(), ks=[3, 5, 3])
+    def test_same_inputs_same_plan(self):
+        first = plan_batch(QueryOptions(), self.lane_caps(), ks=[3, 5, 3])
         for _ in range(5):
-            again = plan_batch(
-                QueryOptions(mode=mode), self.lane_caps(), ks=[3, 5, 3]
-            )
+            again = plan_batch(QueryOptions(), self.lane_caps(), ks=[3, 5, 3])
             assert again == first
             assert hash(again) == hash(first)
             assert again.explain() == first.explain()
 
-    @pytest.mark.parametrize("mode", ["joint", "indexed"])
-    def test_single_query_on_lanes_is_a_batch_of_one(self, mode):
-        options = QueryOptions(mode=mode)
-        caps = self.lane_caps()
-        single = plan_query(options, caps, k=5)
-        assert single == plan_batch(options, caps, ks=[5])
-        assert single.batch_size == 1
-        assert single.shared_traversal_k == 5
-        assert "search lanes" not in single.explain()
-        assert "fans out" not in single.explain()
-
-    def test_single_query_without_k_keeps_the_lane_layout(self):
-        plan = plan_query(QueryOptions(), self.lane_caps())
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_single_query_keeps_the_lane_layout(self, k):
+        """``plan_query`` describes a query on lanes without planning it
+        as a batch (execution plans every flush with ``plan_batch``)."""
+        plan = plan_query(QueryOptions(), self.lane_caps(), k=k)
         assert plan.batch_size == 1
-        assert plan.distinct_ks == ()
+        assert plan.distinct_ks == ((k,) if k else ())
         assert plan.shared_traversal_k is None
         assert plan.shard == ShardPlan(num_shards=2, search_workers=2)
 
@@ -272,18 +218,10 @@ class TestEnginePlan:
 
     def test_engine_capabilities(self, tiny_dataset):
         engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
-        caps = engine.capabilities()
-        assert caps.has_user_tree is False
-        indexed = MaxBRSTkNNEngine(
-            tiny_dataset, EngineConfig(fanout=4, index_users=True)
-        )
-        assert indexed.capabilities().has_user_tree is True
+        assert engine.capabilities() == EngineCapabilities()
 
-    @pytest.mark.parametrize("mode", ["joint", "indexed"])
     @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_serving_leaves_the_plan_unchanged(
-        self, tiny_dataset, num_shards, mode
-    ):
+    def test_serving_leaves_the_plan_unchanged(self, tiny_dataset, num_shards):
         """Flushes change no planning input except the memoized walk's
         k, so a batch planned again at the same ks gets the same plan —
         the pure plan of the engine's current capabilities."""
@@ -294,9 +232,7 @@ class TestEnginePlan:
         from repro.serve import ShardedEngine
         from repro.spatial.geometry import Point
 
-        config = EngineConfig(
-            fanout=4, num_shards=num_shards, index_users=True
-        )
+        config = EngineConfig(fanout=4, num_shards=num_shards)
         engine = (
             ShardedEngine(tiny_dataset, config) if num_shards > 1
             else MaxBRSTkNNEngine(tiny_dataset, config)
@@ -316,7 +252,7 @@ class TestEnginePlan:
             )
             for i, k in enumerate([3, 5, 3, 5])
         ]
-        options = QueryOptions(mode=mode)
+        options = QueryOptions()
         ks = [q.k for q in queries]
         cold = engine.plan(options, ks=ks)
         for _ in range(3):

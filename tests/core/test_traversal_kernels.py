@@ -31,6 +31,7 @@ from repro.core.joint_topk import (
     joint_traversal,
 )
 from repro.core.kernels import TreeArrays, tree_arrays_for
+from repro.index.miurtree import MIURTree
 from repro.model.objects import STObject, SuperUser, User
 from repro.spatial.geometry import Point
 from repro.storage.iostats import IOCounter
@@ -43,7 +44,7 @@ WALK = {"oracle": oracle.joint_traversal, "engine": joint_traversal}
 REFINE = {"oracle": oracle.individual_topk, "engine": individual_topk}
 
 
-def random_engine(seed, index_users=False, twins=0):
+def random_engine(seed, twins=0):
     rng = random.Random(seed)
     vocab = rng.choice([8, 20, 60])
     objects = make_random_objects(rng.randint(30, 140), vocab, rng)
@@ -70,10 +71,15 @@ def random_engine(seed, index_users=False, twins=0):
         relevance=rng.choice(["LM", "TF", "KO"]),
         alpha=rng.choice([0.0, 0.25, 0.5, 0.9, 1.0]),
     )
-    engine = MaxBRSTkNNEngine(
-        dataset, EngineConfig(fanout=rng.choice([3, 4, 8]), index_users=index_users)
-    )
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=rng.choice([3, 4, 8])))
     return engine, rng
+
+
+def miur_root(engine):
+    """Section 7's super-user: the root summary of a MIUR-tree over the
+    engine's users."""
+    ds = engine.dataset
+    return MIURTree(ds.users, ds.relevance, fanout=engine.config.fanout).root.summary
 
 
 def assert_traversals_identical(a, b):
@@ -92,10 +98,10 @@ def assert_traversals_identical(a, b):
 @pytest.mark.parametrize("seed", range(8))
 def test_traversal_identical_to_oracle_on_random_trees(seed):
     """engine == oracle: pools, threshold, and I/O trace, bitwise."""
-    engine, rng = random_engine(seed, index_users=True)
+    engine, rng = random_engine(seed)
     summaries = [
         None,  # dataset-wide super-user
-        engine.user_tree.root.summary,  # MIUR root (indexed phase 1)
+        miur_root(engine),  # MIUR root (Section 7's walk)
         SuperUser.from_users(  # a proper subgroup
             engine.dataset.users[: max(2, len(engine.dataset.users) // 2)],
             engine.dataset.relevance,
@@ -155,11 +161,11 @@ class TestColumnPool:
     def test_columns_and_views_equal_the_oracle_walk(
         self, seed, k, twins, group, buffer
     ):
-        engine, _ = random_engine(seed, index_users=True, twins=twins)
+        engine, _ = random_engine(seed, twins=twins)
         ds = engine.dataset
         su = {
             "all": None,
-            "miur-root": engine.user_tree.root.summary,
+            "miur-root": miur_root(engine),
             "half": SuperUser.from_users(
                 ds.users[: max(2, len(ds.users) // 2)], ds.relevance
             ),

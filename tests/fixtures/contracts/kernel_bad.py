@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 
-def node_lower_bounds(dx, dy, weights, starts):
+def frontier_bounds(dx, dy, weights, starts):
     # Allowlisted name: every banned op below must fire.
     dist = np.hypot(dx, dy)  # KI301 (hypot)
     total = math.fsum(weights)  # KI301 (fsum)

@@ -19,5 +19,5 @@ def arrays_constructed_inline(registry, queries):
 
 def payload_tuple_outside_dispatch(queries):
     store = PageStore("pages.bin")  # noqa: F821
-    work = ("indexed_search", queries, store)  # PB202 (payload tuple)
+    work = ("select", queries, store)  # PB202 (payload tuple)
     return work

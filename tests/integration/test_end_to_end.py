@@ -7,9 +7,11 @@ baseline pipeline, on both dataset flavours and all three measures.
 
 import pytest
 
-from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
 from repro.core.config import QueryOptions
 from repro.datagen import candidate_locations, flickr_like, generate_users, yelp_like
+
+from ..conftest import section7
 
 
 def build_workload(kind, seed, measure="LM", alpha=0.5, n_obj=200, n_users=25):
@@ -37,10 +39,10 @@ class TestOptimizedEqualsBaseline:
     @pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
     def test_exact_joint_equals_baseline(self, kind, measure):
         ds, query = build_workload(kind, seed=31, measure=measure)
-        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
+        engine = MaxBRSTkNNEngine(ds)
         joint = engine.query(query, QueryOptions(method="exact", mode="joint"))
         base = engine.query(query, QueryOptions(method="exact", mode="baseline"))
-        indexed = engine.query(query, QueryOptions(method="exact", mode="indexed"))
+        indexed = section7(engine, query, "exact")
         assert joint.cardinality == base.cardinality == indexed.cardinality
 
     @pytest.mark.parametrize("seed", [41, 42, 43])

@@ -24,6 +24,8 @@ from repro import (
 from repro.core.config import QueryOptions
 from repro.text.vocabulary import Vocabulary
 
+from ..conftest import section7
+
 
 @pytest.fixture(scope="module")
 def figure1():
@@ -62,10 +64,13 @@ class TestFigure1:
     @pytest.mark.parametrize("method", ["approx", "exact"])
     def test_optimum_is_l1_sushi_with_three_users(self, figure1, mode, method):
         dataset, query, locations, kw = figure1
-        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         if mode == "baseline" and method == "approx":
             pytest.skip("baseline has no approximate variant")
-        result = engine.query(query, QueryOptions(method=method, mode=mode))
+        if mode == "indexed":  # Section 7: the oracle's MIUR-tree search
+            result = section7(engine, query, method)
+        else:
+            result = engine.query(query, QueryOptions(method=method, mode=mode))
         assert result.cardinality == 3
         # The narrative's optimum: menu 'sushi', winning u1, u2, u3.
         # (In this coordinate layout more than one location achieves the

@@ -43,23 +43,15 @@ def serve_waves(engine, config, waves, between=None):
 
 
 class TestCachedServingIdentity:
-    @pytest.mark.parametrize("mode", ["joint", "indexed"])
     @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_repeat_wave_hits_and_stays_identical(self, mode, num_shards):
+    def test_repeat_wave_hits_and_stays_identical(self, num_shards):
         dataset, rng, vocab = build_dataset(seed=num_shards)
-        engine = make_engine(
-            dataset,
-            EngineConfig(
-                fanout=4,
-                index_users=(mode == "indexed"),
-                num_shards=num_shards,
-            ),
-        )
+        engine = make_engine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
         config = ServerConfig(
             max_batch=32,
             max_wait_ms=2.0,
-            options=QueryOptions(mode=mode),
+            options=QueryOptions(),
             cache=True,
         )
         (first, second), stats, snap = serve_waves(
@@ -70,12 +62,9 @@ class TestCachedServingIdentity:
         assert snap["cache_entries"] == len(queries)
         # Fresh sequential reference: no pools, caches or memos shared
         # with the served engine.
-        ref = MaxBRSTkNNEngine(
-            dataset, EngineConfig(fanout=4, index_users=(mode == "indexed"))
-        )
-        reference = QueryOptions(mode=mode)
+        ref = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         for query, a, b in zip(queries, first, second):
-            solo = oracle.query(ref, query, reference)
+            solo = oracle.query(ref, query, QueryOptions())
             assert_result_equal(solo, a)
             assert_result_equal(solo, b)
 

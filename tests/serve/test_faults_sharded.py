@@ -84,24 +84,6 @@ def test_lane_exception_retries_then_degrades_only_the_refine_round():
     assert [rows[i]["degraded_rounds"] for i in (0, 1)] == [1, 0]
 
 
-def test_worker_kill_recovers_in_indexed_mode():
-    pooled, inproc, rng, vocab = build_pair(seed=2, index_users=True)
-    options = QueryOptions(mode="indexed")
-    queries = make_queries(rng, vocab, 8)
-    reference = inproc.query_batch(queries, options)
-    pooled.start_pools(
-        1, retry=FAST_RETRY, deadline=FAST_DEADLINE, faults=FaultPlan.kill_worker(),
-    )
-    try:
-        results = pooled.query_batch(queries, options)
-    finally:
-        pooled.close_pools(timeout_s=10.0)
-    assert_results_equal(results, reference)
-    totals = pooled.fault_counters()
-    assert totals["worker_deaths"] >= 1
-    assert totals["retries"] == totals["worker_deaths"]
-
-
 def test_pool_loss_breaks_the_pool_and_degrades_in_process():
     pooled, inproc, rng, vocab = build_pair(seed=3)
     queries = make_queries(rng, vocab, 8)

@@ -73,18 +73,14 @@ def teardown(engine, hosts):
         h.stop()
 
 
-def reference_results(dataset, queries, engine, mode="joint"):
-    ref = MaxBRSTkNNEngine(
-        dataset,
-        EngineConfig(fanout=4, index_users=(mode == "indexed")),
-        object_tree=engine.object_tree,
-    )
-    opts = QueryOptions(method="approx", mode=mode)
+def reference_results(dataset, queries, engine):
+    ref = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4), object_tree=engine.object_tree)
+    opts = QueryOptions(method="approx", mode="joint")
     return [oracle.query(ref, q, opts) for q in queries]
 
 
 # ----------------------------------------------------------------------
-# Identity: lane counts x host counts x modes x mixed k
+# Identity: lane counts x host counts x mixed k
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("num_shards,num_hosts", [(2, 2), (4, 4), (4, 2)])
@@ -143,37 +139,6 @@ def test_lanes_balance_uneven_per_k_chunks_and_row_ranges():
         assert loads == {"refine": [11, 5], "select": [4, 4]}
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
-        )
-    finally:
-        teardown(engine, hosts)
-
-
-def test_socket_scatter_indexed_mode_matches_sequential():
-    dataset, rng, vocab = build_dataset(3)
-    engine = ShardedEngine(
-        dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
-    )
-    hosts = [HostThread(ShardHost(dataset)) for _ in range(2)]
-    try:
-        connect(engine, hosts)
-        queries = make_queries(rng, vocab, 6, ks=(3, 5))
-        opts = QueryOptions(method="approx", mode="indexed")
-        served = engine.query_batch(queries, opts)
-        # Hosts hold no MIUR-tree: the indexed searches stay on the
-        # coordinator and charge the shared counter exactly as without
-        # hosts.
-        search = engine.last_flush_report.stage("indexed-search")
-        assert search.scatter_width == 1
-        assert search.payload_bytes_out == 0
-        assert "search-fanout" not in engine.plan(opts, ks=[3, 5]).explain()
-        plain = ShardedEngine(
-            dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
-        )
-        plain.query_batch(queries, opts)
-        assert engine.io.snapshot() == plain.io.snapshot()
-        assert_results_equal(
-            served,
-            reference_results(engine.dataset, queries, engine, mode="indexed"),
         )
     finally:
         teardown(engine, hosts)
@@ -367,36 +332,6 @@ def test_sub_ms_selections_keep_fanning_out(transport):
     finally:
         engine.close_pools()
         teardown(engine, hosts)
-
-
-def test_sub_ms_indexed_searches_keep_fanning_out():
-    """The indexed twin: forked lanes hold the MIUR-tree, so flush after
-    flush of small indexed batches ships its searches to both hosts
-    and the plan stays the cold one."""
-    dataset, workload = make_workload(WorkloadSpec(objects=300, users=40, seed=0))
-    engine = ShardedEngine(
-        dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
-    )
-    queries = query_pool(workload, 8, num_locations=4, ws=2, k=3, seed=0)
-    ks = [q.k for q in queries]
-    opts = QueryOptions(method="approx", mode="indexed")
-    try:
-        engine.start_pools(1)
-        cold = engine.plan(opts, ks=ks)
-        assert cold.shard.search_workers == 2
-        assert "fans out over the worker pool x2" in cold.explain()
-        for flush in range(20):
-            served = engine.query_batch(queries, opts)
-            search = engine.last_flush_report.stage("indexed-search")
-            assert search.scatter_width == 2, f"flush {flush} ran in-process"
-            assert search.items == len(queries)
-        assert engine.gather_stats()["search_flushes"] == 20
-        assert engine.plan(opts, ks=ks) == cold
-        assert_results_equal(
-            served, reference_results(dataset, queries, engine, mode="indexed")
-        )
-    finally:
-        engine.close_pools()
 
 
 def test_one_host_registry_ships_the_searches_and_explain_says_so():

@@ -199,15 +199,16 @@ class TestLifecycle:
 
 class TestErrors:
     def test_failing_batch_fails_the_futures_and_keeps_serving(self):
-        engine, rng, vocab = build_engine(seed=7)  # no user tree
+        # Lanes cannot run the baseline: every flush is refused.
+        engine, rng, vocab = build_engine(seed=7, num_shards=2)
         queries = make_queries(rng, vocab, 2)
         bad = ServerConfig(
-            max_batch=4, max_wait_ms=1.0, options=QueryOptions(mode="indexed")
+            max_batch=4, max_wait_ms=1.0, options=QueryOptions(mode="baseline")
         )
 
         async def run():
             async with MaxBRSTkNNServer(engine, bad) as server:
-                with pytest.raises(ValueError, match="index_users"):
+                with pytest.raises(ValueError, match="no mergeable"):
                     await asyncio.gather(*(server.submit(q) for q in queries))
                 return server.stats
 

@@ -4,7 +4,7 @@ For randomized datasets and mixed-k batches a ``ShardedEngine`` returns
 *exactly* the single-engine answer — results (location, keywords,
 BRSTkNN), I/O counters and selection stats.  The joint-mode property
 over lane counts and transports lives in ``test_lanes.py``;
-here: both keyword selectors, indexed mode, memoization across flushes,
+here: both keyword selectors, memoization across flushes,
 edge cases and the pool / server plumbing.
 """
 
@@ -240,150 +240,6 @@ class TestEquivalenceProperty:
         assert sharded._executor.traversal_pool.by_k[5] is not shared
 
 
-class TestIndexedEquivalenceProperty:
-    """PR 5 acceptance: ``Mode.INDEXED`` rides the same scatter — results,
-    I/O traces and selection stats bitwise-identical to the single
-    sequential engine, one k_max walk per flush."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_indexed_sharded_equals_single_engine_batch(self, seed, num_shards):
-        dataset, rng, vocab = build_dataset(seed=seed)
-        queries = make_queries(rng, vocab, 6, ks=(2, 4, 6))  # mixed k
-        single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        options = QueryOptions(mode="indexed")
-        reference = single.query_batch(queries, options)
-        assert single.traversal_runs == 1  # indexed cross-k sharing
-
-        sharded = ShardedEngine(
-            dataset,
-            EngineConfig(fanout=4, num_shards=num_shards, index_users=True),
-        )
-        results = sharded.query_batch(queries, options)
-        assert sharded.traversal_runs == 1  # one k_max walk per flush
-        for a, b in zip(reference, results):
-            assert_results_equal(a, b)
-            assert_stats_equal(a, b)
-            assert a.stats.users_pruned == b.stats.users_pruned
-        # The shared I/O counter ends exactly where the single engine's
-        # did (walk + every search's MIUR page reads).
-        assert sharded.io.snapshot().total == single.io.snapshot().total
-
-    def test_indexed_sharded_equals_cold_sequential_results(self):
-        """Results (not just batch-vs-batch) match truly cold per-query
-        sequential execution — the node-RSk reformulation guarantee."""
-        dataset, rng, vocab = build_dataset(seed=11)
-        queries = make_queries(rng, vocab, 6, ks=(3, 5))
-        options = QueryOptions(mode="indexed")
-        sequential = []
-        for q in queries:
-            fresh = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-            sequential.append(fresh.query(q, options))
-        sharded = ShardedEngine(
-            dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
-        )
-        for a, b in zip(sequential, sharded.query_batch(queries, options)):
-            assert_results_equal(a, b)
-            # Selection stats (pruning, combinations, users pruned) are
-            # cold-identical; top-k I/O reports the shared walk instead.
-            assert a.stats.locations_pruned == b.stats.locations_pruned
-            assert (
-                a.stats.keyword_combinations_scored
-                == b.stats.keyword_combinations_scored
-            )
-            assert a.stats.users_pruned == b.stats.users_pruned
-
-    @pytest.mark.parametrize("method", ["approx", "exact"])
-    def test_indexed_both_selectors(self, method):
-        dataset, rng, vocab = build_dataset(seed=12)
-        queries = make_queries(rng, vocab, 4, ks=(3,))
-        single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        options = QueryOptions(mode="indexed", method=method)
-        reference = single.query_batch(queries, options)
-        sharded = ShardedEngine(
-            dataset, EngineConfig(fanout=4, num_shards=3, index_users=True)
-        )
-        for a, b in zip(reference, sharded.query_batch(queries, options)):
-            assert_results_equal(a, b)
-            assert_stats_equal(a, b)
-
-    def test_indexed_sharded_matches_the_oracle(self):
-        dataset, rng, vocab = build_dataset(seed=13)
-        queries = make_queries(rng, vocab, 6, ks=(3, 5))
-        single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        reference = [
-            oracle.query(single, q, QueryOptions(mode="indexed")) for q in queries
-        ]
-        sharded = ShardedEngine(
-            dataset,
-            EngineConfig(fanout=4, num_shards=2, index_users=True),
-        )
-        for a, b in zip(
-            reference,
-            sharded.query_batch(queries, QueryOptions(mode="indexed")),
-        ):
-            assert_results_equal(a, b)
-            assert_selection_stats_equal(a, b)
-
-    @pytest.mark.skipif(not HAS_FORK, reason="search pool requires fork")
-    def test_indexed_search_pool_fanout_matches_in_process(self):
-        """The per-query searches fan out over the worker pool with
-        IOCharge ledgers — results AND the shared counter identical to
-        the in-process path."""
-        dataset, rng, vocab = build_dataset(seed=14)
-        queries = make_queries(rng, vocab, 6, ks=(3, 5))
-        options = QueryOptions(mode="indexed")
-        inproc = ShardedEngine(
-            dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
-        )
-        reference = inproc.query_batch(queries, options)
-        pooled = ShardedEngine(
-            dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
-        )
-        pooled.start_pools(1)
-        try:
-            results = pooled.query_batch(queries, options)
-        finally:
-            pooled.close_pools()
-        for a, b in zip(reference, results):
-            assert_results_equal(a, b)
-            assert_stats_equal(a, b)
-            assert a.stats.users_pruned == b.stats.users_pruned
-        assert pooled.io.snapshot().total == inproc.io.snapshot().total
-
-    def test_indexed_single_query_matches_sequential(self):
-        dataset, rng, vocab = build_dataset(seed=15)
-        query = make_queries(rng, vocab, 1, ks=(4,))[0]
-        single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
-        solo = oracle.query(single, query, QueryOptions(mode="indexed"))
-        for num_shards in (1, 2):
-            sharded = ShardedEngine(
-                dataset,
-                EngineConfig(fanout=4, num_shards=num_shards, index_users=True),
-            )
-            assert_results_equal(
-                solo,
-                sharded.query(query, QueryOptions(mode="indexed")),
-            )
-
-    def test_indexed_plan_reports_pooling_and_fanout(self):
-        dataset, _, _ = build_dataset(seed=16)
-        sharded = ShardedEngine(
-            dataset, EngineConfig(fanout=4, num_shards=2, index_users=True)
-        )
-        text = sharded.plan(QueryOptions(mode="indexed"), ks=[3, 5]).explain()
-        assert "MIUR-root joint traversal" in text
-        assert "one walk at k=5" in text
-        assert "in-process per query" in text  # no pool running
-        sharded.start_pools(1)
-        try:
-            text = sharded.plan(QueryOptions(mode="indexed"), ks=[3, 5]).explain()
-            assert "worker pool x2" in text
-            assert "ledger" in text
-        finally:
-            sharded.close_pools()
-
-
 class TestEdgeCases:
     def test_more_shards_than_users(self):
         dataset, rng, vocab = build_dataset(seed=3, n_users=3)
@@ -422,18 +278,6 @@ class TestValidation:
             sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
             with pytest.raises(ValueError, match="baseline|joint"):
                 sharded.query(query, QueryOptions(mode="baseline"))
-
-    def test_sharded_indexed_requires_user_tree(self):
-        dataset, rng, vocab = build_dataset()
-        query = make_queries(rng, vocab, 1)[0]
-        sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
-        with pytest.raises(ValueError, match="index_users"):
-            sharded.query(query, QueryOptions(mode="indexed"))
-
-    def test_sharded_accepts_index_users(self):
-        dataset, _, _ = build_dataset()
-        sharded = ShardedEngine(dataset, EngineConfig(num_shards=2, index_users=True))
-        assert sharded.user_tree is sharded.root.user_tree is not None
 
     def test_sharded_rejects_external_pool(self):
         # The engine owns its worker pool (start_pools / connect_hosts);

@@ -4,7 +4,6 @@ import pytest
 
 from repro.storage.iostats import IOCounter
 from repro.storage.pager import (
-    IOCharge,
     LRUBuffer,
     PageStore,
     NODE_HEADER_BYTES,
@@ -80,79 +79,3 @@ class TestPageStore:
     def test_size_model(self):
         assert PageStore.node_bytes(10) == NODE_HEADER_BYTES + 10 * SPATIAL_ENTRY_BYTES
         assert PageStore.posting_list_bytes(5, 12) == TERM_HEADER_BYTES + 60
-
-
-class TestIOCharge:
-    def test_charging_surface_matches_iocounter_rounding(self):
-        """IOCharge duck-types IOCounter: same charges, same block
-        rounding, so a ledger replay is bit-for-bit the shared trace."""
-        counter = IOCounter()
-        charge = IOCharge()
-        for sink in (counter, charge):
-            sink.visit_node()
-            sink.load_bytes(1)        # rounds up to 1 block
-            sink.load_bytes(4096)     # exactly 1 block
-            sink.load_bytes(4097)     # 2 blocks
-            sink.load_bytes(0)        # no charge
-            sink.load_blocks(3)
-        assert charge.node_visits == counter.node_visits
-        assert charge.invfile_blocks == counter.invfile_blocks
-        assert charge.snapshot() == counter.snapshot()
-        assert charge.total == counter.total
-
-    def test_apply_replays_onto_a_counter(self):
-        counter = IOCounter(node_visits=2, invfile_blocks=5)
-        charge = IOCharge(node_visits=3, invfile_blocks=7)
-        charge.apply(counter)
-        assert counter.node_visits == 5
-        assert counter.invfile_blocks == 12
-
-    def test_add_merges_ledgers(self):
-        a = IOCharge(node_visits=1, invfile_blocks=2)
-        a.add(IOCharge(node_visits=3, invfile_blocks=4))
-        assert (a.node_visits, a.invfile_blocks) == (4, 6)
-
-
-class TestLedgerView:
-    def test_ledger_view_is_isolated_from_shared_counter(self):
-        counter = IOCounter()
-        store = PageStore(counter=counter)
-        view, charge = store.ledger_view()
-        view.read_node("tree", 1)
-        view.read_inverted_list("tree", 1, 0, 5000)
-        assert counter.total == 0        # shared state untouched
-        assert charge.node_visits == 1
-        assert charge.invfile_blocks == 2
-        charge.apply(counter)
-        assert counter.node_visits == 1
-        assert counter.invfile_blocks == 2
-
-    def test_ledger_view_replay_equals_direct_charging(self):
-        """N interleaved executions replayed in any order reproduce the
-        sequential totals exactly."""
-        direct = IOCounter()
-        direct_store = PageStore(counter=direct)
-        shared = IOCounter()
-        shared_store = PageStore(counter=shared)
-        charges = []
-        for i in range(4):
-            view, charge = shared_store.ledger_view()
-            for store in (direct_store, view):
-                store.read_node("t", i)
-                store.read_inverted_list("t", i, 0, 1000 * (i + 1))
-            charges.append(charge)
-        for charge in reversed(charges):  # order must not matter
-            charge.apply(shared)
-        assert shared.snapshot() == direct.snapshot()
-
-    def test_ledger_view_inherits_page_size(self):
-        store = PageStore(counter=IOCounter(), page_size=1024)
-        view, charge = store.ledger_view()
-        assert view.page_size == 1024
-        view.read_inverted_list("t", 0, 0, 1025)
-        assert charge.invfile_blocks == 2  # rounded at 1 kB pages
-
-    def test_ledger_view_refuses_buffered_stores(self):
-        store = PageStore(counter=IOCounter(), buffer=LRUBuffer(8))
-        with pytest.raises(ValueError, match="cold store"):
-            store.ledger_view()

@@ -521,7 +521,7 @@ def test_gather_funnel_is_identity_on_plain_chunks():
     plain = [
         [],                                   # empty chunk
         ["result-a", "result-b"],             # select-result-ish chunk
-        [(object(), None)],                   # indexed (result, charge)-ish
+        [(object(), None)],                   # a chunk of pairs
         ("refine", None, [3], 0, None, 0, 3),  # a payload tuple, not a chunk
         None,
     ]

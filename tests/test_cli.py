@@ -22,13 +22,13 @@ class TestCLI:
         assert "|BRSTkNN|=" in out
         assert "simulated I/O" in out
 
-    def test_demo_indexed_mode(self, capsys):
-        rc = main([
-            "demo", "--objects", "200", "--users", "20", "--locations", "3",
-            "--mode", "indexed", "--k", "3",
-        ])
-        assert rc == 0
-        assert "users pruned" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["demo", "batch", "serve"])
+    def test_mode_choices_are_joint_and_baseline(self, command, capsys):
+        """Section 7 is reference code (``repro.oracle``), not a mode."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--mode", "indexed"])
+        assert exc.value.code == 2
+        assert "choose from 'joint', 'baseline'" in capsys.readouterr().err
 
     def test_demo_exact_yelp(self, capsys):
         rc = main([
@@ -130,33 +130,6 @@ class TestCLI:
         assert (
             "verify: served results == sequential on 6 queries "
             "(mode=joint, shards=2)" in out
-        )
-
-    def test_serve_sharded_indexed_verifies(self, capsys):
-        rc = main([
-            "serve", "--objects", "200", "--users", "20", "--locations", "3",
-            "--k", "3", "--queries", "6", "--max-batch", "4",
-            "--shards", "2", "--mode", "indexed", "--verify", "--explain",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "MIUR-root joint traversal" in out
-        assert (
-            "verify: served results == sequential on 6 queries "
-            "(mode=indexed, shards=2)" in out
-        )
-
-    def test_serve_indexed_verifies_against_sequential(self, capsys):
-        rc = main([
-            "serve", "--objects", "200", "--users", "20", "--locations", "3",
-            "--k", "3", "--queries", "4", "--max-batch", "4",
-            "--mode", "indexed", "--verify",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert (
-            "verify: served results == sequential on 4 queries "
-            "(mode=indexed, shards=1)" in out
         )
 
     def test_serve_rejects_bad_max_wait(self, capsys):

@@ -115,7 +115,7 @@ def calls_inside(tree: ast.Module, classes) -> set:
 
 #: The kinds ``core.pipeline.execute_shard_payload`` dispatches on: a
 #: tuple led by one of them is a scatter payload.
-PAYLOAD_KINDS = frozenset({"refine", "select", "indexed_search"})
+PAYLOAD_KINDS = frozenset({"refine", "select"})
 
 #: Types (and their lazy factories) that stay behind the fork.
 COW_ONLY = frozenset({
@@ -147,8 +147,6 @@ IDENTITY_FUNCTIONS = frozenset({
     "_pairwise_norm",
     "_masked_segment_sums",
     "frontier_bounds",
-    "node_lower_bounds",
-    "node_rsk",
     "weights_of",
     "sts_pairs",
     "group_spatial_bounds",
@@ -222,7 +220,7 @@ def async_blocking(tree, lines):
 #: and its views, and the kernel array bundles published into it.
 SHM_BACKED = frozenset({
     "ShmArena", "add_array", "share_arrays",
-    "DatasetArrays", "TreeArrays", "CandidatePoolArrays",
+    "DatasetArrays", "TreeArrays",
     "arrays_for", "tree_arrays_for",
 })
 
@@ -444,7 +442,7 @@ EXPECTED = [
     ("kernel_bad.py", "KI301", "np.hypot(gap_x, gap_y)"),
     ("pool_bad.py", "PB202", '("refine", dataset, queries)'),
     ("pool_bad.py", "PB202", "DatasetArrays(None)"),
-    ("pool_bad.py", "PB202", '("indexed_search", queries, store)'),
+    ("pool_bad.py", "PB202", '("select", queries, store)'),
     ("shm_bad.py", "SM601", "pickle.dumps(view)"),
     ("shm_bad.py", "SM601", "pickle.dumps(handle)"),
     ("shm_bad.py", "SM601", "pickle.dumps(arrays, protocol=5)"),
@@ -524,6 +522,12 @@ FORBIDDEN = {
     # one-range inline case), and engine.query is a cold batch of one.
     "one executor":
         r"LocalExecutor|ShardedExecutor|_execute_single|_derive_shared_topk",
+    # Section 7's MIUR-tree search is reference code in repro.oracle:
+    # no engine mode, config switch, payload kind, I/O ledger or pool
+    # array serves it.  (\b keeps the user_index_users sweep key live.)
+    "section 7 is reference only":
+        r"Mode\.INDEXED|\bindex_users\b|RootTraversal|ensure_root_pool|ledger_view"
+        r"|IOCharge|serves_indexed|indexed_payloads|merge_indexed|CandidatePoolArrays",
 }
 
 
@@ -584,6 +588,16 @@ def test_src_names_no_retired_design(design):
     ("one executor", "self._executor = ShardedExecutor(self)"),
     ("one executor", "return self._execute_single(query, plan)"),
     ("one executor", "shared = _derive_shared_topk(engine, pool, k)"),
+    ("section 7 is reference only", "if plan.mode is Mode.INDEXED:"),
+    ("section 7 is reference only", "config = EngineConfig(index_users=True)"),
+    ("section 7 is reference only", "pool = RootTraversal(k, walk, 0.0, 0, 0)"),
+    ("section 7 is reference only", "pool = ensure_root_pool(self, k)"),
+    ("section 7 is reference only", "view, charge = store.ledger_view()"),
+    ("section 7 is reference only", "charge = IOCharge()"),
+    ("section 7 is reference only", "serves_indexed = True"),
+    ("section 7 is reference only", "payloads = indexed_payloads(queries, plan)"),
+    ("section 7 is reference only", "return merge_indexed(groups, chunks, io)"),
+    ("section 7 is reference only", "arrays = CandidatePoolArrays(ds, pool)"),
 ])
 def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     """The scan above has teeth: each alternative of each regex counts."""
@@ -602,6 +616,9 @@ def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
      "data = ShmArena.read_column_bytes(name, column)"),
     ("the arena carries payload blocks only", "set_untracked_attach(True)"),
     ("one executor", "executor = Executor(self.root, config.num_shards)"),
+    ("section 7 is reference only", '"user_index_users": [125, 250, 500, 1000, 2000],'),
+    ("section 7 is reference only", "result = oracle.indexed_users_maxbrstknn(*args)"),
+    ("section 7 is reference only", "return indexed_search(tree, ds, q, walk, g, s)"),
 ])
 def test_the_name_scan_passes_live_names(tmp_path, design, line):
     (tmp_path / "probe.py").write_text(line + "\n")
