@@ -2,8 +2,8 @@
 
 One :class:`ExperimentConfig` cell maps to one :class:`Workbench` — the
 dataset, the engine, the MIUR-tree over the users, and the query — and
-the harness
-functions compute exactly the four quantities the paper's figures plot:
+the harness functions compute exactly the four quantities the paper's
+figures plot:
 
 * **MRPU** — mean runtime per user of the top-k phase (ms);
 * **MIOCPU** — mean simulated I/O cost per user of the top-k phase;

@@ -43,8 +43,8 @@ from .core.joint_topk import (
 from .core.keyword_selection import KeywordSelection
 from .core.planner import plan_query
 from .core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
-from .model.dataset import Dataset
 from .index.miurtree import UserNodeView
+from .model.dataset import Dataset
 from .model.objects import SuperUser, User
 from .spatial.geometry import Point, Rect
 from .topk.single import TopKResult
@@ -410,7 +410,7 @@ class _LocationState:
 
 def indexed_search(
     user_tree, dataset, query, traversal, rsk_group, stats, method="approx",
-    store=None, canonical=None,
+    store=None,
 ) -> MaxBRSTkNNResult:
     """Section 7's best-first MIUR search (phase 2), pair by pair.
 
@@ -431,8 +431,7 @@ def indexed_search(
     if method not in ("approx", "exact"):
         raise ValueError(f"unknown keyword-selection method {method!r}")
     bounds = BoundCalculator(dataset)
-    if canonical is None:
-        canonical = canonical_candidates(traversal, rsk_group)
+    canonical = canonical_candidates(traversal, rsk_group)
     select = _selector(method)
     counter = store.counter if store is not None else None
     before = counter.snapshot() if counter is not None else None

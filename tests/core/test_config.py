@@ -25,8 +25,10 @@ class TestEnums:
             Method.coerce("fuzzy")
         with pytest.raises(ValueError):
             Mode.coerce("turbo")
-        with pytest.raises(ValueError):
-            Mode.coerce("indexed")  # Section 7 is reference code, not a mode
+        # Section 7 is reference code (repro.oracle), not a mode.
+        assert [mode.value for mode in Mode] == ["joint", "baseline"]
+        with pytest.raises(ValueError, match="unknown mode 'indexed'"):
+            QueryOptions(mode="indexed")
 
     def test_str_mixin(self):
         # Enums render as their value (log/CLI friendly) and compare to it.

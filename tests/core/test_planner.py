@@ -21,11 +21,6 @@ class TestPlanQuery:
         assert plan.shared_traversal_k is None
         assert plan.shard is None
 
-    def test_modes_are_joint_and_baseline(self):
-        assert [mode.value for mode in Mode] == ["joint", "baseline"]
-        with pytest.raises(ValueError, match="unknown mode 'indexed'"):
-            QueryOptions(mode="indexed")
-
 
 class TestPlanBatch:
     def test_shares_topk_per_distinct_k(self):
