@@ -85,6 +85,21 @@ def section7(engine, query, method="approx"):
     )
 
 
+def won_users(dataset, query, location, keywords):
+    """The users ``query.ox`` at ``location`` with ``keywords`` wins,
+    re-scored from scratch: each user's ``RSk(u)`` by one full scan of
+    the objects, no tree, no bound."""
+    from repro import oracle
+
+    rsk = {}
+    for user in dataset.users:
+        scores = sorted((dataset.sts(o, user) for o in dataset.objects), reverse=True)
+        rsk[user.item_id] = scores[min(query.k, len(scores)) - 1]
+    return oracle.compute_brstknn(
+        dataset, query.ox, location, keywords, dataset.users, rsk
+    )
+
+
 def refined_states(engine, queries):
     """Each query's phase-1 state (its k's ``SharedTopK``) as a joint
     flush hands it to the select phase: the engine executor's traverse

@@ -1,15 +1,19 @@
-"""Section 7's ``RSk(node)`` (the oracle's ``_node_rsk``) is
-pool-independent: any walk at ``k_max >= k`` gives the dedicated
-``k``-walk's group threshold, canonical candidates and node bounds, so
+"""Section 7's ``RSk(node)`` (the oracle's ``_node_rsk``) is a sound
+lower bound of every ``RSk(u)`` below the node, whichever walk (the
+oracle's or the engine's) keeps the pool, and it is pool-independent:
+any walk at ``k_max >= k`` gives the dedicated ``k``-walk's group
+threshold, canonical candidates and node bounds, so
 :func:`repro.oracle.indexed_search` decides the same over either."""
 
 import random
 
 import pytest
 
-from repro import Dataset, EngineConfig, MaxBRSTkNNEngine
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, oracle
 from repro.core.bounds import BoundCalculator
-from repro.core.joint_topk import canonical_candidates, derive_rsk_group, joint_traversal
+from repro.core.joint_topk import (
+    CandidatePool, canonical_candidates, derive_rsk_group, joint_traversal,
+)
 from repro.index.miurtree import MIURTree
 from repro.oracle import _node_rsk
 
@@ -46,6 +50,49 @@ def root_walk(engine, user_tree, k):
         engine.object_tree, engine.dataset, k,
         super_user=user_tree.root.summary, store=engine.store,
     )
+
+
+def nodes_with_users(user_tree):
+    """``(summary, users below)`` for every node of the MIUR-tree."""
+
+    def collect(node):
+        if node.is_leaf:
+            return [user_tree.user_by_id(e.item) for e in node.entries]
+        return [u for c in node.children for u in collect(c)]
+
+    for node in user_tree.rtree.iter_nodes():
+        yield user_tree.summary_of(node), collect(node)
+
+
+def scanned_rsk(dataset, user, k):
+    """``RSk(u)`` by one full scan of the objects."""
+    scores = sorted((dataset.sts(o, user) for o in dataset.objects), reverse=True)
+    return scores[min(k, len(scores)) - 1]
+
+
+@pytest.mark.parametrize("walk", [oracle.joint_traversal, joint_traversal],
+                         ids=["oracle-walk", "engine-walk"])
+@pytest.mark.parametrize("seed", range(8))
+def test_node_rsk_bounds_every_user_below(seed, walk):
+    """``RSk(node) <= RSk(u)`` for every user below every node, at every
+    k, over the canonical pool of either walk — the half of the pruning
+    test that lets a failed ``UBL(l, node) >= RSk(node)`` drop a subtree
+    without losing a winnable user."""
+    dataset, engine, user_tree = build_engine(seed)
+    bounds = BoundCalculator(dataset)
+    positive = 0
+    for k in (1, 2, 5, 9):
+        traversal = walk(
+            engine.object_tree, dataset, k,
+            super_user=user_tree.root.summary, store=engine.store,
+        )
+        canonical = canonical_candidates(traversal, traversal.rsk_group)
+        rsk = {u.item_id: scanned_rsk(dataset, u, k) for u in dataset.users}
+        for summary, users in nodes_with_users(user_tree):
+            value = _node_rsk(canonical, bounds, summary, k)
+            assert value <= min(rsk[u.item_id] for u in users)
+            positive += value > 0.0
+    assert positive  # the bound is not vacuously 0 everywhere
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -102,3 +149,14 @@ def test_pool_smaller_than_k_gives_zero():
     big_k = len(canonical) + 1
     bounds = BoundCalculator(dataset)
     assert _node_rsk(canonical, bounds, dataset.super_user, big_k) == 0.0
+
+
+def test_empty_pool_gives_zero():
+    rng = random.Random(1)
+    dataset = Dataset(
+        make_random_objects(20, 10, rng),
+        make_random_users(6, 10, rng),
+        relevance="LM",
+    )
+    bounds = BoundCalculator(dataset)
+    assert _node_rsk(CandidatePool([]), bounds, dataset.super_user, 1) == 0.0

@@ -7,7 +7,8 @@ Two families of guarantees:
   problem definition, so with the exact keyword selector they must
   agree on the optimal cardinality (the baseline is the exhaustive
   oracle; locations/keyword sets may differ only between equal-quality
-  ties).
+  ties), and every answer's BRSTkNN set is what its location and
+  keywords win under a from-scratch re-scoring.
 * **Engine against oracle** — the engine's numpy kernels are a pure
   acceleration of the scalar reference (:func:`repro.oracle.query`):
   identical location, keyword set, BRSTkNN user set, and deterministic
@@ -28,7 +29,7 @@ from repro.model.objects import STObject, User
 from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
-from ..conftest import make_random_objects, make_random_users, section7
+from ..conftest import make_random_objects, make_random_users, section7, won_users
 
 
 def plant_degenerate(objects, users, rng):
@@ -136,27 +137,57 @@ MODE_METHODS = [
 ]
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
+@pytest.mark.parametrize("mode,method", [
+    ("joint", "approx"),
+    ("joint", "exact"),
+    ("baseline", "exact"),
+])
+def test_engine_identical_to_oracle(seed, measure, mode, method):
+    """The cold single query is a contract, on fixed cells: answers,
+    every non-time stat and the I/O trace are the oracle's."""
+    engine, query = build_case(seed, measure=measure)
+    assert_same_cold_answer(engine, query, QueryOptions(method=method, mode=mode))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_engine_identical_to_oracle_across_k_and_alpha(alpha, k):
+    """Fixed cells over k and alpha, including the pure-spatial and
+    pure-textual corners where scores tie heavily."""
+    engine, query = build_case(42, alpha=alpha, k=k)
+    options = QueryOptions(method="approx", mode="joint")
+    py = oracle.query(engine, query, options)
+    np_ = engine.query(query, options)
+    assert (py.location, py.keywords, py.brstknn) == (
+        np_.location,
+        np_.keywords,
+        np_.brstknn,
+    )
+
+
+@pytest.mark.parametrize("mode,method", MODE_METHODS)
 @given(
     seed=st.one_of(st.integers(0, 7), st.just(42), st.integers(0, 10_000)),
     measure=st.sampled_from(["LM", "TF", "KO"]),
     alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     metric=st.sampled_from([EUCLIDEAN, MANHATTAN, CHEBYSHEV]),
     k=st.integers(1, 8),
-    mode_method=st.sampled_from(MODE_METHODS),
     plant=st.booleans(),
     other_ks=st.lists(st.integers(1, 8), min_size=1, max_size=3),
 )
-@settings(max_examples=60, deadline=None)
-def test_engine_identical_to_oracle(
-    seed, measure, alpha, metric, k, mode_method, plant, other_ks
+@settings(max_examples=20, deadline=None)
+def test_engine_identical_to_oracle_drawn(
+    mode, method, seed, measure, alpha, metric, k, plant, other_ks
 ):
-    """The oracle contract, drawn: a cold ``engine.query`` is
-    ``oracle.query`` — answer, every non-time stat and the I/O trace —
-    and each answer of a mixed-k ``query_batch`` on the same engine is
-    the per-query oracle's (answer and selection counters; a batch's
-    top-k stats describe its one shared walk).  Keyword-less users and
-    duplicate points are planted on half the draws."""
-    mode, method = mode_method
+    """The oracle contract, drawn for each (mode, method): a cold
+    ``engine.query`` is ``oracle.query`` — answer, every non-time stat
+    and the I/O trace — and each answer of a mixed-k ``query_batch`` on
+    the same engine is the per-query oracle's (answer and selection
+    counters; a batch's top-k stats describe its one shared walk).
+    Keyword-less users and duplicate points are planted on half the
+    draws.  Every cell of the two fixed tables above is drawable."""
     engine, query = build_case(
         seed, alpha=alpha, k=k, measure=measure, metric=metric, plant=plant
     )
@@ -222,3 +253,52 @@ def test_indexed_search_decides_the_same_over_a_larger_walk(seed, method):
     )
     for field in ("locations_pruned", "keyword_combinations_scored", "users_pruned"):
         assert getattr(shared.stats, field) == getattr(cold.stats, field), field
+
+
+def assert_section7_like_joint(engine, query, method):
+    """Section 7's pruning keeps the answer: its MIUR-tree search wins
+    as many users as the engine's ``joint`` query with the same
+    selector (the two may pick different equal-quality ties), and each
+    answer's BRSTkNN set is exactly the users its location and keyword
+    set win."""
+    indexed = section7(engine, query, method)
+    joint = engine.query(query, QueryOptions(method=method, mode="joint"))
+    assert indexed.cardinality == joint.cardinality
+    for result in (indexed, joint):
+        assert result.keywords <= set(query.keywords)
+        assert len(result.keywords) <= query.ws
+        assert result.brstknn == won_users(
+            engine.dataset, query, result.location, result.keywords
+        )
+    assert indexed.stats.users_total == len(engine.dataset.users)
+    assert 0 <= indexed.stats.users_pruned <= indexed.stats.users_total
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
+@pytest.mark.parametrize("method", ["approx", "exact"])
+def test_section7_wins_as_many_users_as_joint(seed, measure, method):
+    engine, query = build_case(seed, measure=measure)
+    assert_section7_like_joint(engine, query, method)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("measure", ["LM", "TF"])
+def test_section7_resolves_late_users_like_joint(seed, measure):
+    """Scattered users and many locations: most users are first resolved
+    at a late location, and some subtrees are pruned whole — the search
+    must still win what the joint query wins."""
+    rng = random.Random(1000 + seed)
+    objects = make_random_objects(80, 16, rng, space=40.0)
+    users = make_random_users(30, 16, rng, space=40.0)
+    dataset = Dataset(objects, users, relevance=measure, alpha=0.9)
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+    query = MaxBRSTkNNQuery(
+        ox=STObject(item_id=-1, location=Point(20, 20), terms={0: 1}),
+        locations=[Point(rng.uniform(0, 40), rng.uniform(0, 40)) for _ in range(8)],
+        keywords=sorted(rng.sample(range(16), 6)),
+        ws=2,
+        k=3,
+    )
+    for method in ("approx", "exact"):
+        assert_section7_like_joint(engine, query, method)

@@ -12,13 +12,20 @@ from repro.text.relevance import make_relevance
 from ..conftest import make_random_objects, make_random_users
 
 
-@pytest.fixture(scope="module")
-def built():
+@pytest.fixture(
+    scope="module",
+    params=[(m, f) for m in ("LM", "TF", "KO") for f in (4, 8)],
+    ids=lambda p: f"{p[0]}-fanout{p[1]}",
+)
+def built(request):
+    """Each measure (their user normalizers differ) at the unit-test
+    fanout and at Fig. 15's."""
+    measure, fanout = request.param
     rng = random.Random(123)
     objects = make_random_objects(40, 15, rng)
     users = make_random_users(60, 15, rng)
-    rel = make_relevance("LM").fit([o.terms for o in objects])
-    tree = MIURTree(users, rel, fanout=4)
+    rel = make_relevance(measure).fit([o.terms for o in objects])
+    tree = MIURTree(users, rel, fanout=fanout)
     return users, rel, tree
 
 

@@ -26,7 +26,7 @@ from repro import (
 from repro.serve import MaxBRSTkNNServer, ServerConfig, ShardedEngine, make_engine
 from repro.spatial.geometry import Point
 
-from ..conftest import make_random_objects, make_random_users
+from ..conftest import make_random_objects, make_random_users, section7, won_users
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -238,6 +238,23 @@ class TestEquivalenceProperty:
         sharded.clear_topk_cache()
         assert flush(queries_at(5)) == walks[0]  # a fresh k=5 walk again
         assert sharded._executor.traversal_pool.by_k[5] is not shared
+
+
+class TestSection7Reference:
+    """Section 7's MIUR-tree search is reference code in
+    :mod:`repro.oracle`, not an engine mode: the sharded joint answers
+    are held to it and to a from-scratch re-scoring."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_sharded_batch_wins_as_many_users_as_section7(self, seed, num_shards):
+        dataset, rng, vocab = build_dataset(seed=seed)
+        queries = make_queries(rng, vocab, 6, ks=(2, 4, 6))  # mixed k
+        sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
+        single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        for query, got in zip(queries, sharded.query_batch(queries, QueryOptions())):
+            assert got.cardinality == section7(single, query).cardinality
+            assert got.brstknn == won_users(dataset, query, got.location, got.keywords)
 
 
 class TestEdgeCases:
