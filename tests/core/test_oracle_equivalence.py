@@ -12,10 +12,12 @@ Two families of guarantees:
 * **Engine against oracle** — the engine's numpy kernels are a pure
   acceleration of the scalar reference (:func:`repro.oracle.query`):
   identical location, keyword set, BRSTkNN user set, and deterministic
-  stats for every mode and method.
+  stats for every mode and method, on every engine shape — a plain
+  engine or a ``ShardedEngine`` with inline or forked lanes.
 """
 
 import dataclasses
+import multiprocessing
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, orac
 from repro.core.config import QueryOptions
 from repro.index.miurtree import MIURTree
 from repro.model.objects import STObject, User
+from repro.serve import ShardedEngine
 from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
@@ -50,15 +53,23 @@ def plant_degenerate(objects, users, rng):
     return objects + twins, users
 
 
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
 def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM",
-               metric=EUCLIDEAN, plant=False):
+               metric=EUCLIDEAN, plant=False, lanes=None):
+    """A random dataset's engine and query.  ``lanes=None`` builds a
+    plain engine, ``lanes=N`` a ``ShardedEngine`` with N inline lanes."""
     rng = random.Random(seed)
     objects = make_random_objects(n_obj, vocab, rng)
     users = make_random_users(n_users, vocab, rng)
     if plant:
         objects, users = plant_degenerate(objects, users, rng)
     dataset = Dataset(objects, users, relevance=measure, alpha=alpha, metric=metric)
-    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+    if lanes is None:
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+    else:
+        engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=lanes))
     query = MaxBRSTkNNQuery(
         ox=STObject(item_id=-1, location=Point(5, 5), terms={0: 1}),
         locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)],
@@ -110,10 +121,18 @@ STAT_FIELDS = (
 )
 
 
+def twin_of(engine):
+    """A plain one-range engine over ``engine``'s dataset and tree, for
+    the oracle to run on."""
+    return MaxBRSTkNNEngine(
+        engine.dataset, engine.config.with_(num_shards=1), object_tree=engine.object_tree
+    )
+
+
 def assert_same_cold_answer(engine, query, options):
     """``engine.query`` equals ``oracle.query`` on a twin engine: the
     answer, every non-time stat, and the I/O each charged its engine."""
-    twin = MaxBRSTkNNEngine(engine.dataset, engine.config, object_tree=engine.object_tree)
+    twin = twin_of(engine)
     before = twin.io.snapshot()
     py = oracle.query(twin, query, options)
     py_io = twin.io.snapshot() - before
@@ -176,26 +195,42 @@ def test_engine_identical_to_oracle_across_k_and_alpha(alpha, k):
     k=st.integers(1, 8),
     plant=st.booleans(),
     other_ks=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    lanes=st.sampled_from([None, 1, 2, 4]),
 )
 @settings(max_examples=20, deadline=None)
 def test_engine_identical_to_oracle_drawn(
-    mode, method, seed, measure, alpha, metric, k, plant, other_ks
+    mode, method, seed, measure, alpha, metric, k, plant, other_ks, lanes
 ):
-    """The oracle contract, drawn for each (mode, method): a cold
-    ``engine.query`` is ``oracle.query`` — answer, every non-time stat
-    and the I/O trace — and each answer of a mixed-k ``query_batch`` on
-    the same engine is the per-query oracle's (answer and selection
-    counters; a batch's top-k stats describe its one shared walk).
-    Keyword-less users and duplicate points are planted on half the
-    draws.  Every cell of the two fixed tables above is drawable."""
+    """The oracle contract, drawn for each (mode, method) and engine
+    shape (a plain engine, or a ``ShardedEngine`` with 1, 2 or 4 inline
+    lanes): a cold ``engine.query`` is ``oracle.query`` — answer, every
+    non-time stat and the I/O trace — and each answer of a mixed-k
+    ``query_batch`` on the same engine is the per-query oracle's (answer
+    and selection counters; a batch's top-k stats describe its one
+    shared walk).  A ``ShardedEngine`` refuses the baseline, whatever
+    its lane count.  Keyword-less users and duplicate points are planted
+    on half the draws.  Every cell of the two fixed tables above is
+    drawable."""
     engine, query = build_case(
-        seed, alpha=alpha, k=k, measure=measure, metric=metric, plant=plant
+        seed, alpha=alpha, k=k, measure=measure, metric=metric, plant=plant,
+        lanes=lanes,
     )
     options = QueryOptions(method=method, mode=mode)
-    assert_same_cold_answer(engine, query, options)
-
     batch = [query] + [dataclasses.replace(query, k=kk) for kk in other_ks]
-    twin = MaxBRSTkNNEngine(engine.dataset, engine.config, object_tree=engine.object_tree)
+    if lanes is not None and mode == "baseline":
+        with pytest.raises(ValueError, match="joint"):
+            engine.query(query, options)
+        with pytest.raises(ValueError, match="joint"):
+            engine.query_batch(batch, options)
+        return
+    assert_same_batch_answers(engine, batch, options)
+
+
+def assert_same_batch_answers(engine, batch, options):
+    """A cold ``engine.query`` of ``batch[0]``, then ``query_batch(batch)``
+    on the same engine, each equal to the oracle's."""
+    assert_same_cold_answer(engine, batch[0], options)
+    twin = twin_of(engine)
     for got, q in zip(engine.query_batch(batch, options), batch):
         want = oracle.query(twin, q, options)
         assert (got.location, got.keywords, got.brstknn) == (
@@ -203,6 +238,20 @@ def test_engine_identical_to_oracle_drawn(
         )
         for field in BATCH_STAT_FIELDS:
             assert getattr(got.stats, field) == getattr(want.stats, field), field
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="forked shard hosts need fork")
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize("method", ["approx", "exact"])
+def test_forked_fleet_identical_to_oracle(seed, method):
+    """The same equality over a 2-lane fleet of forked shard hosts: the
+    cold query's refine and the batch's refine and select rounds cross
+    the socketpairs."""
+    engine, query = build_case(seed, plant=True, lanes=2)
+    batch = [query] + [dataclasses.replace(query, k=kk) for kk in (2, 7, 2)]
+    with engine.start_pools():
+        assert_same_batch_answers(engine, batch, QueryOptions(method=method))
+        assert engine.last_flush_report.stage("select").scatter_width == 2
 
 
 #: What a batch answer shares with the per-query oracle's stats.

@@ -56,7 +56,7 @@ def canon(item):
 
 
 class Rig:
-    """A 2-lane engine as scaffold: its root engine and transports,
+    """A 2-lane engine as scaffold: its executor and transports,
     with the two rounds dealt by hand through the executor."""
 
     def __init__(self, seed=0):
@@ -91,10 +91,10 @@ class Rig:
         """``{stage: (canonical chunks in payload order, (lanes, chunks,
         retries, degraded per lane))}`` for the two scatter stages
         over ``transport``."""
-        engine, root = self.engine, self.engine.root
+        engine = self.engine
         plan = engine.plan(OPTS, ks=[q.k for q in self.queries])
         ks = list(plan.distinct_ks)
-        pool = _ensure_traversal_pool(root._executor, plan.shared_traversal_k)
+        pool = _ensure_traversal_pool(engine._executor, plan.shared_traversal_k)
         group_by_k = {k: pool.rsk_group_for(k) for k in ks}
         # A fresh per-k state every call, like a freshly walked pool.
         pool.by_k.clear()
@@ -263,7 +263,7 @@ def test_host_whose_replica_lacks_a_pooled_object_degrades_the_lane(rig):
 
     engine = rig.engine
     full = engine.dataset
-    walked = joint_traversal(engine.root.object_tree, full, 3)
+    walked = joint_traversal(engine.object_tree, full, 3)
     expected, *_ = run_round("refine", refine_lanes(engine, walked), INLINE)
     # A host whose replica lost an object after the connect-time digest
     # check (a mismatch at connect is refused outright).
@@ -297,7 +297,7 @@ def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
     engine = rig.engine
     transport = rig.install("pool")
     walked = joint_traversal(
-        engine.root.object_tree, engine.dataset, 3
+        engine.object_tree, engine.dataset, 3
     )
     ids, lower, upper = walked.pool.ids, walked.pool.lower, walked.pool.upper
     unknown = np.where(np.arange(len(ids)) == 1, -1, ids)  # -1: no wrapped row
@@ -322,7 +322,7 @@ def test_host_started_with_fewer_users_refuses_the_range_and_degrades(rig):
 
     engine = rig.engine
     full = engine.dataset
-    walked = joint_traversal(engine.root.object_tree, full, 3)
+    walked = joint_traversal(engine.object_tree, full, 3)
     expected, *_ = run_round("refine", refine_lanes(engine, walked), INLINE)
     host = ShardHost(full)
     rig.hosts = [HostThread(host)]
@@ -350,7 +350,7 @@ def test_pool_workers_refuse_a_range_outside_the_dataset(rig):
 
     engine = rig.engine
     transport = rig.install("pool")
-    walked = joint_traversal(engine.root.object_tree, engine.dataset, 3)
+    walked = joint_traversal(engine.object_tree, engine.dataset, 3)
     n_users = len(engine.dataset.users)
     lane = Lane(
         0, [("refine", walked, [3], 0, None, 0, n_users + 1)],

@@ -373,12 +373,12 @@ def test_lanes_keep_private_kernel_arrays_and_ship_only_codec_blocks():
     )
     engine.prewarm_kernels()
     dense = arrays_for(dataset)
-    tree = tree_arrays_for(engine.root.object_tree)
+    tree = tree_arrays_for(engine.object_tree)
     user_xy, ent_rect = dense.user_xy, tree.ent_rect
 
     def arrays_untouched():
         assert arrays_for(dataset).user_xy is user_xy
-        assert tree_arrays_for(engine.root.object_tree).ent_rect is ent_rect
+        assert tree_arrays_for(engine.object_tree).ent_rect is ent_rect
 
     arrays_untouched()
     arena = engine.ensure_arena()
