@@ -91,13 +91,13 @@ class EngineConfig:
     buffer_pages:
         LRU buffer capacity in pages; 0 = cold queries (paper setting).
     num_shards:
-        Lane count of a :class:`~repro.serve.sharded.ShardedEngine`:
-        how many full-dataset lanes (forked or remote shard hosts) a
-        scatter round is dealt over — the cold refine by user row
-        range, the selections by query — with results identical to a
-        single engine.  ``1`` (the default) means an ordinary single
-        engine; a plain :class:`MaxBRSTkNNEngine` refuses configs with
-        more — build through :func:`repro.serve.sharded.make_engine`.
+        Lane count: how many user-row ranges the cold refine is dealt
+        as — run inline, or over the full-dataset shard hosts (forked
+        or remote) of a :class:`~repro.serve.sharded.ShardedEngine`'s
+        fleet, which also take the selections by query — with results
+        identical to a single range.  ``1`` is the default;
+        :func:`repro.serve.sharded.make_engine` builds a
+        ``ShardedEngine`` for more.
     use_shm:
         Ship scatter payload blocks through a named
         :class:`~repro.storage.shm.ShmArena` with the binary arena codec

@@ -15,11 +15,13 @@ The three layers (see also ``repro/serve`` for the one above):
 * :mod:`repro.core.planner` — resolves options against the engine's
   capabilities into an executable :class:`QueryPlan`;
 * execution — one :class:`~repro.core.pipeline.Executor` per engine,
-  which runs every flush and owns the phase-1 memo (worker processes
-  belong to the lanes of :class:`~repro.serve.sharded.ShardedEngine`).
-  :meth:`MaxBRSTkNNEngine.query` is a batch of one on a fresh executor:
-  its empty memo makes the query cold, as in the paper's per-query
-  setting.
+  which runs every flush and owns the phase-1 memo.  It deals the
+  refine as ``EngineConfig.num_shards`` user-row ranges, run inline
+  until a fleet of shard hosts attaches (worker processes belong to the
+  fleet of :class:`~repro.serve.sharded.ShardedEngine`, which is this
+  engine plus its fleet).  :meth:`MaxBRSTkNNEngine.query` is a batch of
+  one on a fresh executor: its empty memo makes the query cold, as in
+  the paper's per-query setting.
 
 Modes
 -----
@@ -77,6 +79,10 @@ class MaxBRSTkNNEngine:
         reference engine over the served engine's tree).
     """
 
+    #: Whether a fleet of shard hosts can attach (a ShardedEngine); the
+    #: planner then refuses the baseline, whatever the lane count.
+    takes_fleet = False
+
     def __init__(
         self,
         dataset: Dataset,
@@ -88,12 +94,6 @@ class MaxBRSTkNNEngine:
         if not isinstance(config, EngineConfig):
             raise TypeError(
                 f"config must be an EngineConfig, got {type(config).__name__}"
-            )
-        if config.num_shards != 1:
-            raise ValueError(
-                "MaxBRSTkNNEngine runs in one process; for "
-                f"num_shards={config.num_shards} build a "
-                "repro.serve.sharded.ShardedEngine (or make_engine(dataset, config))"
             )
         self.config = config
         self.dataset = dataset
@@ -128,11 +128,12 @@ class MaxBRSTkNNEngine:
             self.object_tree = MIRTree(
                 dataset.objects, dataset.relevance, fanout=config.fanout
             )
-        #: Runs every flush of :meth:`query_batch` and owns the memo
-        #: it reuses across batches: the cross-k traversal pool, the
-        #: baseline's per-k scans and the merged thresholds
-        #: (:meth:`clear_topk_cache` drops them).
-        self._executor = Executor(self)
+        #: Runs every flush of :meth:`query_batch`, its refine dealt as
+        #: ``num_shards`` row ranges, and owns the memo it reuses across
+        #: batches: the cross-k traversal pool, the baseline's per-k
+        #: scans and the merged thresholds (:meth:`clear_topk_cache`
+        #: drops them).
+        self._executor = Executor(self, config.num_shards)
         #: Joint tree walks this engine has executed (single queries
         #: and batch shared phases alike) — the batch benchmarks
         #: assert a mixed-k batch pays exactly one.
@@ -204,7 +205,9 @@ class MaxBRSTkNNEngine:
         # A fresh executor has an empty memo, so the query is cold by
         # construction: it walks at query.k and memoizes nothing, and
         # its I/O is the paper's per-query trace (Figure 15 measures it).
-        executor = Executor(self)
+        # It deals the refine like the engine's own, over its transport.
+        executor = Executor(self, self._executor.ranges)
+        executor.transport = self._executor.transport
         plan = plan_batch(opts, EngineCapabilities.of(executor), [query.k])
         return executor.execute([query], plan)[0]
 
@@ -217,8 +220,8 @@ class MaxBRSTkNNEngine:
 
         See :func:`repro.core.batch.query_batch`; the shared phase is
         memoized on the engine's executor, so consecutive batches with the same k
-        skip it entirely (:meth:`clear_topk_cache` drops it).  The whole
-        batch runs in this process.
+        skip it entirely (:meth:`clear_topk_cache` drops it).  The batch
+        runs in this process unless a fleet is attached.
         """
         return query_batch(self, queries, options)
 
@@ -282,6 +285,23 @@ class MaxBRSTkNNEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def shard_stats(self) -> List[dict]:
+        """Per-range refine counters (queue depth, flushes, times)."""
+        return [stats.snapshot() for stats in self._executor.lane_stats]
+
+    def gather_stats(self) -> dict:
+        """Gather-side counters: ``merge_ms`` is the cross-range ``RSk``
+        union of refine rounds; ``search_ms`` / ``search_flushes`` time
+        / count the query-axis round (select); ``search_workers`` is
+        the hosts that round can leave to."""
+        executor = self._executor
+        return {
+            "merge_ms": round(1000 * executor.merge_s, 2),
+            "search_ms": round(1000 * executor.search_s, 2),
+            "search_flushes": executor.search_flushes,
+            "search_workers": executor.transport.hosts(),
+        }
+
     def reset_io(self) -> None:
         self.io.reset()
         if self.store.buffer is not None:

@@ -77,7 +77,6 @@ __all__ = [
     "individual_topk",
     "joint_topk",
     "derive_rsk_group",
-    "canonical_candidates",
 ]
 
 
@@ -428,32 +427,6 @@ def derive_rsk_group(traversal: JointTraversalResult, walk_k: int, k: int) -> fl
     if not 0 < k <= len(pool):
         return 0.0
     return float(np.partition(pool.lower, len(pool) - k)[len(pool) - k])
-
-
-def canonical_candidates(  # repro: identity-kernel
-    traversal: JointTraversalResult, rsk_group: float
-) -> CandidatePool:
-    """The pool-independent candidate set at one ``k``.
-
-    ``{o : UB(o, us) >= RSk_k(us)}``, read off any pool walked at
-    ``walk_k >= k`` by filtering on the group upper bound.  The
-    traversal only ever prunes entries whose upper bound is below its
-    (monotone-increasing, hence final) threshold, so every object in
-    this set survives *any* qualifying walk — the filtered set, and
-    therefore every bound computed over it, is identical whether the
-    pool came from a dedicated ``k``-walk or a shared ``k_max`` walk.
-    This is what makes node-level ``RSk`` pruning (Section 7,
-    :func:`repro.oracle.indexed_search`) tie-break-stable under any
-    qualifying walk: the k-th best node lower bound is an order
-    statistic of a *canonical* multiset.
-    Candidates are returned in a total, pool-independent order —
-    (lower bound desc, object id asc) — so downstream consumers never
-    see pool-dependent tie ordering.  The pool is filtered and ordered
-    by array operations.
-    """
-    pool = traversal.pool
-    kept = np.flatnonzero(pool.upper >= rsk_group)
-    return pool.take(kept[np.lexsort((pool.ids[kept], -pool.lower[kept]))])
 
 
 def _ragged_rows(user_pos, values, n_rows: int):

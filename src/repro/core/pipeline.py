@@ -7,10 +7,11 @@ width and round counters) on the flush's :class:`FlushReport`:
 
 * ``joint``    — traverse → refine → select.  Traverse is Algorithm 1's
   one cross-k walk (or its memoized pool).  Refine is Algorithm 2 dealt
-  as user-row ranges — one, run inline, on a plain engine — per-user
-  work whose ``RSk(u)`` vectors merge as a disjoint union.  Select is
-  Algorithm 3 whole per query — its keyword-coverage counts sum over
-  all of ``LU_l``, so it is dealt by query, never by user.
+  as ``EngineConfig.num_shards`` user-row ranges — run inline until a
+  fleet attaches — per-user work whose ``RSk(u)`` vectors merge as a
+  disjoint union.  Select is Algorithm 3 whole per query — its
+  keyword-coverage counts sum over all of ``LU_l``, so it is dealt by
+  query, never by user.
 * ``baseline`` — baseline-topk → select (local only; per-user top-k
   scans, no mergeable group traversal).
 
@@ -49,15 +50,16 @@ against the coordinator's dataset: ``execute_shard_payload`` is pure,
 so the degraded answer is bitwise-identical, only slower — and counted.
 
 One :class:`Executor` runs every engine's flushes.  It holds the
-engine, the refine's row-range count (1 on a plain engine,
-``num_shards`` on a :class:`~repro.serve.sharded.ShardedEngine`), the
-transport (:data:`INLINE` until ``start_pools`` / ``connect_hosts`` swap
-in the socket one) and the phase-1 memo.  The refine is always the
-dealt ``refine_payloads -> merge_refine`` round — on a plain engine one
-range, run inline — and a query-axis round leaves the process only over
-a remote transport, when the planner says it pays.
-``MaxBRSTkNNEngine.query`` runs a fresh executor: its empty memo makes
-the query cold by construction.
+engine, the refine's row-range count (``EngineConfig.num_shards``), the
+transport (:data:`INLINE` until a
+:class:`~repro.serve.sharded.ShardedEngine`'s ``start_pools`` /
+``connect_hosts`` swap in the socket one) and the phase-1 memo.  The
+refine is always the dealt ``refine_payloads -> merge_refine`` round —
+its ranges run inline while no fleet is attached — and a query-axis
+round leaves the process only over a remote transport, when the
+planner says it pays.  ``MaxBRSTkNNEngine.query`` runs a fresh executor
+with the same ranges and transport: its empty memo makes the query
+cold by construction.
 
 Section 7's MIUR-tree search is not an executor mode: it is reference
 code, :func:`repro.oracle.indexed_search`, which Figure 15 measures.
@@ -423,6 +425,9 @@ class Transport(Protocol):
     def lanes(self) -> int:
         """Fixed lanes a round deals its payloads over."""
 
+    def hosts(self) -> int:
+        """Alive shard hosts the lanes reach (0: the calling process)."""
+
     def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
         """Start every lane of one round.  Never raises
         :class:`ScatterFailure`: a failed start is :meth:`collect`'s to
@@ -440,6 +445,9 @@ class InlineTransport:
 
     def lanes(self) -> int:
         return 1
+
+    def hosts(self) -> int:
+        return 0
 
     def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
         return [Ticket(lane) for lane in lanes]
@@ -607,8 +615,8 @@ class Executor:
     """Runs an engine's planned flushes and owns its phase-1 memo.
 
     One method per mode, each a fixed sequence of phases.  ``ranges``
-    is how many user-row ranges the refine is dealt as (1 on a plain
-    engine, ``num_shards`` on a sharded one); ``transport`` is
+    is how many user-row ranges the refine is dealt as (the engine's
+    ``num_shards``); ``transport`` is
     :data:`INLINE` until ``ShardedEngine.start_pools`` /
     ``connect_hosts`` swap in the socket one.  The memo — the cross-k
     joint pool, the baseline's per-k scans and the merged refine

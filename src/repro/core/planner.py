@@ -43,21 +43,30 @@ class EngineCapabilities:
     """
 
     traversal_pool_k: Optional[int] = None
-    #: > 1 when the engine is a ShardedEngine dealing work over that
-    #: many full-dataset lanes; plans then carry a ShardPlan and reject
-    #: baseline mode (the only pipeline without a mergeable
-    #: decomposition).
+    #: > 1 when the engine deals its refine over that many full-dataset
+    #: lanes (``EngineConfig.num_shards``); plans then carry a
+    #: ShardPlan and reject baseline mode (the only pipeline without a
+    #: mergeable decomposition).
     num_shards: int = 1
-    #: Width of the sharded engine's query-axis fan-out (selection) —
-    #: the alive shard hosts, local or remote (0 = that round runs
-    #: in-process).
+    #: Width of the query-axis fan-out (selection) — the alive shard
+    #: hosts of the engine's fleet, local or remote (0 = that round
+    #: runs in-process).
     search_workers: int = 0
+    #: The engine takes a fleet (a ShardedEngine): baseline mode is
+    #: rejected on it at any lane count, one included.
+    fleet: bool = False
 
     @classmethod
     def of(cls, executor: "Executor") -> "EngineCapabilities":
-        """What ``executor``'s engine has, and what its memo holds."""
+        """What ``executor``'s engine has — its refine ranges, the hosts
+        its transport reaches — and what its memo holds."""
         pool = executor.traversal_pool
-        return cls(traversal_pool_k=pool.k if pool is not None else None)
+        return cls(
+            traversal_pool_k=pool.k if pool is not None else None,
+            num_shards=executor.ranges,
+            search_workers=executor.transport.hosts(),
+            fleet=executor.engine.takes_fleet,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,9 +116,6 @@ class QueryPlan:
     distinct_ks:
         Sorted distinct ``k`` values across the batch; the shared phase
         runs once per entry.
-    shared_topk:
-        Phase 1 (top-k thresholds) is shared per distinct ``k`` and
-        memoized on the engine (every batch).
     shared_traversal_k:
         The single ``k`` of the shared tree walk serving this batch —
         ``max(distinct_ks)``, or the engine's existing pool ``k`` when
@@ -131,7 +137,6 @@ class QueryPlan:
     method: Method
     batch_size: int
     distinct_ks: Tuple[int, ...]
-    shared_topk: bool
     shared_traversal_k: Optional[int] = None
     shard: Optional[ShardPlan] = None
 
@@ -154,7 +159,7 @@ class QueryPlan:
                 f"pool subsumes every smaller k), per-k thresholds derived "
                 f"from the shared pool and memoized on the engine"
             )
-        elif self.shared_topk:
+        elif self.batch_size > 1:
             lines.append(
                 f"  phase 1 (top-k thresholds): shared once per distinct k "
                 f"(k={ks}), memoized on the engine across batches"
@@ -196,7 +201,7 @@ class QueryPlan:
 
 def _validate(options: QueryOptions, caps: EngineCapabilities) -> None:
     """Shared option/capability checks."""
-    if caps.num_shards > 1 and options.mode is Mode.BASELINE:
+    if (caps.num_shards > 1 or caps.fleet) and options.mode is Mode.BASELINE:
         raise ValueError(
             f"sharded engines execute mode=joint only (got "
             f"mode={options.mode}): the baseline pipeline has no mergeable "
@@ -228,7 +233,6 @@ def plan_query(
         method=options.method,
         batch_size=1,
         distinct_ks=(k,) if k else (),
-        shared_topk=False,
         shard=_shard_plan(caps),
     )
 
@@ -259,7 +263,6 @@ def plan_batch(
         method=options.method,
         batch_size=len(ks),
         distinct_ks=distinct_ks,
-        shared_topk=True,
         shared_traversal_k=shared_traversal_k,
         shard=_shard_plan(caps),
     )

@@ -13,9 +13,10 @@ scalar leaves.  :func:`query` is the cold, sequential, all-scalar
 answer to one query, its I/O charged to the engine's page store.
 
 Section 7 — users on disk under an MIUR-tree — lives only here
-(:func:`indexed_search`, :func:`indexed_users_maxbrstknn`): its
-best-first search over user nodes never beat ``Mode.JOINT`` in time or
-I/O on any measured cell, so it is not an engine mode.  Figure 15
+(:func:`canonical_candidates`, :func:`indexed_search`,
+:func:`indexed_users_maxbrstknn`): its best-first search over user
+nodes never beat ``Mode.JOINT`` in time or I/O on any measured cell, so
+it is not an engine mode.  Figure 15
 (:func:`repro.bench.harness.measure_user_index`) runs it against an
 engine's MIR-tree and page store and a caller-built
 :class:`~repro.index.miurtree.MIURTree`.
@@ -38,7 +39,7 @@ from .core.bounds import BoundCalculator, augmented_document, candidate_term_wei
 from .core.config import Mode, QueryOptions, coerce_options
 from .core.candidate_selection import LocationShortlist
 from .core.joint_topk import (
-    CandidateObject, JointTraversalResult, TopKTable, canonical_candidates,
+    CandidateObject, CandidatePool, JointTraversalResult, TopKTable,
 )
 from .core.keyword_selection import KeywordSelection
 from .core.planner import plan_query
@@ -59,6 +60,7 @@ __all__ = [
     "select_keywords_exact",
     "search_shortlists",
     "select_candidate",
+    "canonical_candidates",
     "indexed_search",
     "indexed_users_maxbrstknn",
     "query",
@@ -406,6 +408,32 @@ class _LocationState:
 
     def nodes(self) -> List[UserNodeView]:
         return [e for e in self.entries if isinstance(e, UserNodeView)]
+
+
+def canonical_candidates(  # repro: identity-kernel
+    traversal: JointTraversalResult, rsk_group: float
+) -> CandidatePool:
+    """The pool-independent candidate set at one ``k``.
+
+    ``{o : UB(o, us) >= RSk_k(us)}``, read off any pool walked at
+    ``walk_k >= k`` by filtering on the group upper bound.  The
+    traversal only ever prunes entries whose upper bound is below its
+    (monotone-increasing, hence final) threshold, so every object in
+    this set survives *any* qualifying walk — the filtered set, and
+    therefore every bound computed over it, is identical whether the
+    pool came from a dedicated ``k``-walk or a shared ``k_max`` walk.
+    This is what makes node-level ``RSk`` pruning (Section 7,
+    :func:`indexed_search`) tie-break-stable under any qualifying walk:
+    the k-th best node lower bound is an order statistic of a
+    *canonical* multiset.
+    Candidates are returned in a total, pool-independent order —
+    (lower bound desc, object id asc) — so downstream consumers never
+    see pool-dependent tie ordering.  The pool is filtered and ordered
+    by array operations.
+    """
+    pool = traversal.pool
+    kept = np.flatnonzero(pool.upper >= rsk_group)
+    return pool.take(kept[np.lexsort((pool.ids[kept], -pool.lower[kept]))])
 
 
 def indexed_search(

@@ -17,11 +17,12 @@ The top layer of the typed API (see ``repro/core/config.py`` and
   tunes the window from the observed arrival rate) and executed through
   ``query_batch``, so concurrent callers share the top-k phase without
   coordinating;
-* :class:`ShardedEngine` — one engine dealing each flush over N
-  full-dataset lanes (shard hosts, local or remote) with an exact
-  scatter/gather merge, and the only owner of worker processes; the
-  server takes either engine type unchanged (``make_engine`` picks by
-  ``EngineConfig.num_shards``).
+* :class:`ShardedEngine` — the engine plus its fleet: a
+  :class:`~repro.core.engine.MaxBRSTkNNEngine` that can attach N
+  full-dataset lanes (shard hosts, local or remote) to deal each flush
+  over, with an exact scatter/gather merge, and the only owner of
+  worker processes; the server takes either engine type unchanged
+  (``make_engine`` picks by ``EngineConfig.num_shards``).
 
 >>> async with MaxBRSTkNNServer(engine) as server:
 ...     results = await asyncio.gather(*(server.submit(q) for q in qs))

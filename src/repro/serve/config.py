@@ -177,8 +177,8 @@ class ServerConfig:
         :class:`~repro.serve.sharded.ShardedEngine` (the server calls
         its ``start_pools``, which forks ``num_shards * pool_workers``
         hosts on socketpairs); ``0`` (default) runs every round
-        in-process — right for CPU-starved machines.  A plain engine has
-        no lanes: the server refuses it with ``pool_workers > 0``.
+        in-process — right for CPU-starved machines.  A plain engine takes
+        no fleet: the server refuses it with ``pool_workers > 0``.
     options:
         The :class:`QueryOptions` every submitted query is answered
         with (one server = one contract; run several servers for mixed

@@ -53,9 +53,9 @@ class MaxBRSTkNNServer:
     must come from the event loop the server was started on.
 
     The engine may be a plain :class:`MaxBRSTkNNEngine` or a
-    :class:`~repro.serve.sharded.ShardedEngine` — the submit/flush path
-    is identical.  Worker processes belong to the sharded engine's
-    lanes: ``config.pool_workers > 0`` forks them
+    :class:`~repro.serve.sharded.ShardedEngine` — the engine plus its
+    fleet — and the submit/flush path is identical.  Worker processes
+    belong to the fleet: ``config.pool_workers > 0`` forks them
     (:meth:`ShardedEngine.start_pools`, that many shard hosts per lane) and
     is refused with a ``ValueError`` for a plain engine, which always
     answers in-process.
@@ -116,7 +116,6 @@ class MaxBRSTkNNServer:
         self._stopping = False
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
-        # Both engine types declare this hook.
         self.engine.prewarm_kernels()
         if self.config.pool_workers > 0:
             cfg = self.config
@@ -189,9 +188,7 @@ class MaxBRSTkNNServer:
         # Unlink the arena after the hosts are gone (close_pools
         # already did; close_arena is idempotent) — a stopped server
         # leaves /dev/shm clean.
-        close_arena = getattr(self.engine, "close_arena", None)
-        if callable(close_arena):
-            close_arena()
+        self.engine.close_arena()
         self._started = False
         if flusher_error is not None:
             raise flusher_error
@@ -240,22 +237,19 @@ class MaxBRSTkNNServer:
     def stats_snapshot(self) -> dict:
         """Server counters plus per-lane and adaptive-window detail.
 
-        Extends :meth:`ServerStats.snapshot` with the sharded engine's
-        per-lane queue depth / flush counters (when the engine exposes
-        ``shard_stats``) and the adaptive controller's current state
-        (when ``max_wait_ms="auto"``).
+        Extends :meth:`ServerStats.snapshot` with the engine's per-range
+        refine counters (queue depth, flushes) and the adaptive
+        controller's current state (when ``max_wait_ms="auto"``).
         """
         snap = self.stats.snapshot()
-        shard_stats = getattr(self.engine, "shard_stats", None)
-        if shard_stats is not None:
-            snap["shards"] = shard_stats()
+        snap["shards"] = self.engine.shard_stats()
         if self._wait is not None:
             snap["adaptive_wait_ms"] = round(self._wait.window_ms(), 3)
             if self._wait.ewma_ms is not None:
                 snap["adaptive_ewma_ms"] = round(self._wait.ewma_ms, 3)
         if self._cache is not None:
             snap["cache_entries"] = len(self._cache)
-        codec = getattr(self.engine, "payload_codec", None)
+        codec = self.engine.payload_codec
         if codec is not None:
             snap["shm_codec"] = codec.stats_snapshot()
         self._sync_fault_counters()
@@ -296,7 +290,7 @@ class MaxBRSTkNNServer:
             return
         if error is not None:
             return  # the flush failed outright; no report to read
-        report = getattr(self.engine, "last_flush_report", None)
+        report = self.engine.last_flush_report
         if report is None:
             return
         self.stats.bytes_shipped += (

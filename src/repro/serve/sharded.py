@@ -1,14 +1,14 @@
-"""Sharded execution: one engine, N full-dataset lanes.
+"""Sharded execution: the engine plus its fleet.
 
 A single :class:`~repro.core.engine.MaxBRSTkNNEngine` is the
 scalability ceiling of the serving stack: however fast the kernels,
 every query runs in one process.  A :class:`ShardedEngine` is that same
 engine — one dataset, one object tree, one page store, one executor
-and its memo — plus a :class:`~repro.core.pipeline.Transport` to
-``num_shards`` **lanes**, each a full replica of the dataset (a forked
-``ShardHost`` that inherited it copy-on-write, or a ``repro
-shard-host`` process that rebuilt it from the workload spec).  Nothing
-is partitioned; work is *dealt*:
+and its memo — plus its **fleet**: the shard hosts its executor's
+transport reaches, ``num_shards`` **lanes**, each a full replica of the
+dataset (a forked ``ShardHost`` that inherited it copy-on-write, or a
+``repro shard-host`` process that rebuilt it from the workload spec).
+Nothing is partitioned; work is *dealt*:
 
 * **by user row range** — Algorithm 2's per-user ``RSk(u)`` refinement,
   the O(|U|·pool) phase of a cold flush, is per-user work against one
@@ -28,16 +28,17 @@ is partitioned; work is *dealt*:
   tree walk (same I/O trace as a single engine) and the group threshold
   ``RSk(us)``.
 
-The flow is the root engine's one :class:`~repro.core.pipeline.Executor`
-— the same per-mode phases a plain engine runs, its refine set to
-``num_shards`` ranges — which deals each scatter round's payloads over
-the lanes that :func:`~repro.core.pipeline.run_round` carries over the
-installed transport: inline by default, or a
-:class:`~repro.serve.transport.SocketTransport` over ONE fleet of
-shard hosts (:class:`~repro.serve.shardhost.ShardHost`) — forked local hosts after
-:meth:`ShardedEngine.start_pools`, remote ``repro shard-host``
+The flow is the engine's one :class:`~repro.core.pipeline.Executor` —
+its refine set to ``num_shards`` ranges, as on any engine built with
+that config — which deals each scatter round's payloads over the lanes
+that :func:`~repro.core.pipeline.run_round` carries over the installed
+transport: inline until a fleet attaches, then a
+:class:`~repro.serve.transport.SocketTransport` over ONE fleet of shard
+hosts (:class:`~repro.serve.shardhost.ShardHost`) — forked local hosts
+after :meth:`ShardedEngine.start_pools`, remote ``repro shard-host``
 processes after :meth:`ShardedEngine.connect_hosts`.  Lanes serve
-``Mode.JOINT`` only: the baseline has no mergeable decomposition.
+``Mode.JOINT`` only: the baseline has no mergeable decomposition, and
+the planner refuses it on a ``ShardedEngine`` at any lane count.
 
 The headline guarantee is **result identity**: locations, keyword
 sets, BRSTkNN sets, I/O counters and selection stats all equal the
@@ -58,20 +59,21 @@ hosts are the only worker processes a query ever reaches; a plain
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
-from ..core.config import EngineConfig, Mode, QueryOptions, coerce_options
+from ..core.config import EngineConfig
 from ..core.engine import MaxBRSTkNNEngine
-from ..core.pipeline import INLINE, Executor, FlushReport, ShardRuntimeStats
-from ..core.planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
-from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
+from ..core.pipeline import INLINE
+
+# Re-exported: the planner entry points, bound here by name for
+# benchmarks/e2e/layers.py's probe.
+from ..core.planner import plan_batch, plan_query
 from ..model.dataset import Dataset
 from .errors import PoolUnavailable
 from .pool import PersistentWorkerPool
 from .transport import ShardRegistry, SocketTransport
 
-__all__ = ["ShardRuntimeStats", "ShardedEngine", "make_engine"]
+__all__ = ["ShardedEngine", "make_engine", "plan_batch", "plan_query"]
 
 
 def _add_counters(totals: Dict[str, int], counters: Dict[str, int]) -> None:
@@ -81,14 +83,14 @@ def _add_counters(totals: Dict[str, int], counters: Dict[str, int]) -> None:
         totals[key] += counters[key]
 
 
-class ShardedEngine:
-    """One engine + a transport to ``num_shards`` full-dataset lanes.
+class ShardedEngine(MaxBRSTkNNEngine):
+    """The engine plus its fleet of ``num_shards`` full-dataset lanes.
 
-    Drop-in for :class:`MaxBRSTkNNEngine` wherever ``Mode.JOINT``
-    queries are served: ``query`` / ``query_batch`` /
-    ``plan`` / ``capabilities`` / ``clear_topk_cache`` match, and
-    :class:`~repro.serve.server.MaxBRSTkNNServer` takes either engine
-    type unchanged.
+    Everything a query touches is :class:`MaxBRSTkNNEngine`'s; this
+    class adds only the fleet's lifecycle — :meth:`start_pools` /
+    :meth:`close_pools`, :meth:`connect_hosts` / :meth:`close_hosts` —
+    and its counters.  :class:`~repro.serve.server.MaxBRSTkNNServer`
+    takes either engine type unchanged.
 
     Parameters
     ----------
@@ -99,23 +101,14 @@ class ShardedEngine:
         count.
     """
 
+    takes_fleet = True
+
     def __init__(self, dataset: Dataset, config: Optional[EngineConfig] = None) -> None:
-        config = config if config is not None else EngineConfig()
-        if not isinstance(config, EngineConfig):
-            raise TypeError(f"config must be an EngineConfig, got {type(config).__name__}")
-        self.config = config
-        self.dataset = dataset
-        #: THE engine: owns the object tree, the page store / I/O
-        #: counter, the executor and its memo (the cross-k traversal
-        #: pool, the merged thresholds).  The one tree walk per pool
-        #: generation happens HERE — identical cost and I/O trace to single-engine
-        #: serving.
-        self.root = MaxBRSTkNNEngine(dataset, config.with_(num_shards=1))
-        # Its one executor, the refine dealt as num_shards row ranges.
-        self.root._executor = Executor(self.root, config.num_shards)
-        # Global super-user, built eagerly so forked hosts inherit it
-        # instead of rebuilding it each.
-        self._su = dataset.super_user if dataset.users else None
+        super().__init__(dataset, config)
+        # The global super-user, built now so forked hosts inherit it
+        # instead of each building its own.
+        if dataset.users:
+            dataset.super_user
         #: The ONE fleet the lanes run on: forked local hosts
         #: (start_pools) or remote shard-host processes (connect_hosts);
         #: None while every round runs in-process.
@@ -125,105 +118,6 @@ class ShardedEngine:
         self._closed_fault_totals: Dict[str, int] = {
             "respawns": 0, "worker_deaths": 0, "deadline_hits": 0, "retries": 0,
         }
-
-    # ------------------------------------------------------------------
-    # Introspection / engine-compatible surface
-    # ------------------------------------------------------------------
-    @property
-    def object_tree(self):
-        return self.root.object_tree
-
-    @property
-    def io(self):
-        return self.root.io
-
-    @property
-    def traversal_runs(self) -> int:
-        """Tree walks executed — one per pool generation, like a
-        single engine's batch path (lanes never walk)."""
-        return self.root.traversal_runs
-
-    @property
-    def _executor(self) -> Executor:
-        """The root engine's executor: this engine's flushes and memo."""
-        return self.root._executor
-
-    @property
-    def last_flush_report(self) -> Optional[FlushReport]:
-        """Per-stage accounting of the most recent pipeline flush."""
-        return self.root.last_flush_report
-
-    def _search_width(self) -> int:
-        """Query-axis fan-out width: the fleet's alive hosts (0 = none)."""
-        if self._registry is None:
-            return 0
-        return len(self._registry.alive_hosts())
-
-    def capabilities(self) -> EngineCapabilities:
-        return replace(
-            self.root.capabilities(),
-            num_shards=self.config.num_shards,
-            search_workers=self._search_width(),
-        )
-
-    def plan(
-        self, options: Optional[QueryOptions] = None, ks: Sequence[int] = ()
-    ) -> QueryPlan:
-        """Resolve options against the lane layout without executing."""
-        options = options if options is not None else QueryOptions.default()
-        caps = self.capabilities()
-        if ks:
-            return plan_batch(options, caps, list(ks))
-        return plan_query(options, caps)
-
-    def shard_stats(self) -> List[dict]:
-        """Per-range refine counters (queue depth, flushes, times)."""
-        return [stats.snapshot() for stats in self._executor.lane_stats]
-
-    def gather_stats(self) -> dict:
-        """Gather-side counters: ``merge_ms`` is the cross-lane ``RSk``
-        union of refine rounds; ``search_ms`` / ``search_flushes`` time
-        / count the query-axis round (select)."""
-        executor = self._executor
-        return {
-            "merge_ms": round(1000 * executor.merge_s, 2),
-            "search_ms": round(1000 * executor.search_s, 2),
-            "search_flushes": executor.search_flushes,
-            "search_workers": self._search_width(),
-        }
-
-    def clear_topk_cache(self) -> None:
-        """Drop the shared pools (and with them the per-k states the
-        select round ships) and every merged threshold map."""
-        self.root.clear_topk_cache()
-
-    def reset_io(self) -> None:
-        self.root.reset_io()
-
-    def prewarm_kernels(self) -> None:
-        """Build every kernel cache up front (server startup hook), so
-        first-query latency pays no build cost and hosts forked later
-        inherit everything via copy-on-write."""
-        self.root.prewarm_kernels()
-
-    # ------------------------------------------------------------------
-    # Shared-memory payload tier (delegated to the root engine)
-    # ------------------------------------------------------------------
-    @property
-    def payload_codec(self):
-        """The root engine's arena codec (``None`` without ``use_shm``)."""
-        return self.root.payload_codec
-
-    @property
-    def arena_name(self) -> Optional[str]:
-        return self.root.arena_name
-
-    def ensure_arena(self):
-        """Materialize the ONE arena (root-owned) for the whole engine."""
-        return self.root.ensure_arena()
-
-    def close_arena(self) -> None:
-        self.root.close_arena()
 
     # ------------------------------------------------------------------
     # Fleet lifecycle: forked local hosts or remote shard hosts
@@ -264,7 +158,7 @@ class ShardedEngine:
             # The payload arena (config.use_shm) BEFORE the fork: it
             # starts the resource tracker the hosts must share (see
             # repro.storage.shm); they copy its blocks out by name.
-            self.root.ensure_arena()
+            self.ensure_arena()
             pool = PersistentWorkerPool(
                 self.dataset, self.config.num_shards * workers_per_lane,
                 retry=retry, deadline=deadline, faults=faults,
@@ -272,7 +166,7 @@ class ShardedEngine:
         except BaseException:
             # No fleet is attached, so the caller (e.g. the server's
             # start()) will never close one for us — release the arena.
-            self.root.close_arena()
+            self.close_arena()
             raise
         self._attach(pool)
         return self
@@ -289,7 +183,7 @@ class ShardedEngine:
         if self._forked():
             self._detach(timeout_s)
         elif self._registry is None:
-            self.root.close_arena()
+            self.close_arena()
 
     def connect_hosts(
         self, hosts, *, retry=None, deadline=None, connect_timeout_s: float = 5.0
@@ -323,7 +217,7 @@ class ShardedEngine:
             )
         # The payload arena (config.use_shm), so the first scatter has
         # somewhere to write its blocks; hosts copy them out by name.
-        self.root.ensure_arena()
+        self.ensure_arena()
         registry = ShardRegistry.from_specs(
             hosts, connect_timeout_s=connect_timeout_s,
             dataset=self.dataset, retry=retry, deadline=deadline,
@@ -333,7 +227,7 @@ class ShardedEngine:
             registry.verify_replicas(self.dataset.fingerprint())
         except PoolUnavailable:
             registry.close()
-            self.root.close_arena()
+            self.close_arena()
             raise
         self._attach(registry)
         return self
@@ -367,7 +261,7 @@ class ShardedEngine:
                 RuntimeWarning,
                 stacklevel=3,
             )
-        self.root.close_arena()
+        self.close_arena()
 
     def fault_counters(self) -> Dict[str, int]:
         """Respawn/death/deadline/retry totals across every fleet this
@@ -387,61 +281,6 @@ class ShardedEngine:
     def __exit__(self, *exc_info) -> None:
         self.close_pools()
         self.close_hosts()
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        query: MaxBRSTkNNQuery,
-        options: Optional[QueryOptions] = None,
-    ) -> MaxBRSTkNNResult:
-        """Answer one query (executed as a scatter/gather batch of one).
-
-        Unlike a cold single-engine ``query``, the shared traversal
-        pool is memoized across calls — thresholds derived from it are
-        value-identical to dedicated walks (the k_max pool subsumes
-        every smaller k's), so results still match sequential queries
-        exactly.
-        """
-        opts = coerce_options(options, api="ShardedEngine.query")
-        # Plan as a batch of one directly (not plan_query): a 1-shard
-        # ShardedEngine is indistinguishable from a single engine in
-        # the capabilities, but execution always needs the shared-pool
-        # batch plan (shared_traversal_k) regardless of shard count.
-        plan = plan_batch(opts, self.capabilities(), [query.k])
-        return self._execute_batch([query], plan)[0]
-
-    def query_batch(
-        self,
-        queries: Sequence[MaxBRSTkNNQuery],
-        options: Optional[QueryOptions] = None,
-    ) -> List[MaxBRSTkNNResult]:
-        """Answer a batch: one shared walk, one scatter round per phase
-        over the lanes (:meth:`start_pools` / :meth:`connect_hosts`)."""
-        opts = coerce_options(options, api="ShardedEngine.query_batch")
-        queries = list(queries)
-        if not queries:
-            return []
-        plan = plan_batch(opts, self.capabilities(), [q.k for q in queries])
-        return self._execute_batch(queries, plan)
-
-    # ------------------------------------------------------------------
-    # Scatter/gather execution (driven by repro.core.pipeline)
-    # ------------------------------------------------------------------
-    def _execute_batch(
-        self, queries: List[MaxBRSTkNNQuery], plan: QueryPlan
-    ) -> List[MaxBRSTkNNResult]:
-        if self._su is None:
-            raise ValueError("dataset has no users to aggregate")
-        if plan.shared_traversal_k is None or plan.mode is Mode.BASELINE:
-            # The planner rejects baseline for num_shards > 1; a
-            # 1-shard ShardedEngine is indistinguishable there, so
-            # enforce the group-traversal contract here too.
-            raise ValueError(
-                f"sharded execution covers mode=joint only (got mode={plan.mode})"
-            )
-        return self._executor.execute(queries, plan)
 
 
 def make_engine(

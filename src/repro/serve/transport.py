@@ -710,7 +710,10 @@ class SocketTransport:
         self.registry = registry
 
     def lanes(self) -> int:
-        return max(1, len(self.registry.alive_hosts()))
+        return max(1, self.hosts())
+
+    def hosts(self) -> int:
+        return len(self.registry.alive_hosts())
 
     def dispatch(self, lanes: Sequence[Lane]) -> List[Ticket]:
         registry = self.registry

@@ -156,14 +156,6 @@ class Rect:
             max(self.max_y, other.max_y),
         )
 
-    def extend_point(self, p: Point) -> "Rect":
-        return Rect(
-            min(self.min_x, p.x),
-            min(self.min_y, p.y),
-            max(self.max_x, p.x),
-            max(self.max_y, p.y),
-        )
-
     def enlargement(self, other: "Rect") -> float:
         """Area growth needed to also cover ``other`` (R-tree heuristic)."""
         return self.union(other).area - self.area

@@ -21,15 +21,11 @@ import pytest
 
 from repro import Dataset
 from repro.core.bounds import BoundCalculator, augmented_document
-from repro.core.joint_topk import (
-    canonical_candidates,
-    individual_topk,
-    joint_traversal,
-)
+from repro.core.joint_topk import individual_topk, joint_traversal
 from repro.index.irtree import MIRTree
 from repro.index.miurtree import MIURTree
 from repro.model.objects import STObject, SuperUser
-from repro.oracle import _node_rsk
+from repro.oracle import _node_rsk, canonical_candidates
 from repro.spatial.geometry import Point
 
 from ..conftest import make_random_objects, make_random_users

@@ -11,11 +11,9 @@ import pytest
 
 from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, oracle
 from repro.core.bounds import BoundCalculator
-from repro.core.joint_topk import (
-    CandidatePool, canonical_candidates, derive_rsk_group, joint_traversal,
-)
+from repro.core.joint_topk import CandidatePool, derive_rsk_group, joint_traversal
 from repro.index.miurtree import MIURTree
-from repro.oracle import _node_rsk
+from repro.oracle import _node_rsk, canonical_candidates
 
 from ..conftest import make_random_objects, make_random_users
 

@@ -275,6 +275,21 @@ def test_query_after_a_warm_batch_is_still_cold():
     assert engine.capabilities() == caps
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_sharded_query_after_a_warm_batch_is_still_cold(lanes):
+    """The same on a ``ShardedEngine``: its ``query`` is the engine's
+    cold batch of one, not a read of the flush memo."""
+    engine, query = build_case(3, k=2, lanes=lanes)
+    options = QueryOptions(mode="joint")
+    engine.query_batch([dataclasses.replace(query, k=8)], options)
+    caps = engine.capabilities()
+    assert caps.traversal_pool_k == 8
+    runs = engine.traversal_runs
+    assert_same_cold_answer(engine, query, options)
+    assert engine.traversal_runs == runs + 1
+    assert engine.capabilities() == caps
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("method", ["approx", "exact"])
 def test_indexed_search_decides_the_same_over_a_larger_walk(seed, method):

@@ -17,9 +17,9 @@ class TestPlanQuery:
     def test_single_query_never_shares_or_fans_out(self):
         plan = plan_query(QueryOptions(), CAPS, k=5)
         assert plan.batch_size == 1
-        assert plan.shared_topk is False
         assert plan.shared_traversal_k is None
         assert plan.shard is None
+        assert "phase 1 (top-k): cold per query" in plan.explain()
 
 
 class TestPlanBatch:
@@ -27,7 +27,10 @@ class TestPlanBatch:
         plan = plan_batch(QueryOptions(), CAPS, ks=[3, 5, 3, 5, 3])
         assert plan.batch_size == 5
         assert plan.distinct_ks == (3, 5)
-        assert plan.shared_topk is True
+        assert "per-k thresholds derived from the shared pool" in plan.explain()
+        baseline = plan_batch(QueryOptions(mode="baseline"), CAPS, ks=[3, 5, 3])
+        assert "phase 1 (top-k thresholds): shared once per distinct k (k=3,5)" \
+            in baseline.explain()
 
     def test_joint_batch_pools_across_k(self):
         """Joint batches share ONE traversal at k_max across all ks."""

@@ -27,8 +27,7 @@ from hypothesis import strategies as st
 
 from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle
 from repro.core.joint_topk import (
-    CandidatePoolError, canonical_candidates, derive_rsk_group, individual_topk,
-    joint_traversal,
+    CandidatePoolError, derive_rsk_group, individual_topk, joint_traversal,
 )
 from repro.core.kernels import TreeArrays, tree_arrays_for
 from repro.index.miurtree import MIURTree
@@ -203,8 +202,8 @@ class TestColumnPool:
         for small in {1, min(k, 3), k}:
             group_rsk = derive_rsk_group(columns, k, small)
             assert group_rsk == derive_rsk_group(py, k, small)
-            canonical = canonical_candidates(columns, group_rsk)
-            assert list(canonical) == list(canonical_candidates(py, group_rsk))
+            canonical = oracle.canonical_candidates(columns, group_rsk)
+            assert list(canonical) == list(oracle.canonical_candidates(py, group_rsk))
 
     def test_pool_crosses_a_process_boundary_as_columns_only(self):
         engine, _ = random_engine(6)

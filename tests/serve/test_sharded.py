@@ -108,6 +108,29 @@ class TestEquivalenceProperty:
             assert_results_equal(a, b)
             assert_selection_stats_equal(a, b)
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_plain_engine_with_num_shards_matches_the_oracle(self, num_shards):
+        """A plain engine built with ``num_shards=N`` deals its refine as
+        N inline row ranges: each cold query is the oracle's — answer,
+        stats and I/O trace — and so is each answer of a batch."""
+        dataset, rng, vocab = build_dataset(seed=6)
+        queries = make_queries(rng, vocab, 3, ks=(3, 5))
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
+        twin = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4), object_tree=engine.object_tree)
+        for query in queries:
+            before = twin.io.snapshot()
+            want = oracle.query(twin, query, QueryOptions())
+            want_io = twin.io.snapshot() - before
+            before = engine.io.snapshot()
+            got = engine.query(query, QueryOptions())
+            assert engine.io.snapshot() - before == want_io
+            assert_results_equal(want, got)
+            assert_stats_equal(want, got)
+        for query, got in zip(queries, engine.query_batch(queries, QueryOptions())):
+            assert_results_equal(oracle.query(twin, query, QueryOptions()), got)
+        assert engine.last_flush_report.stage("refine").scatter_width == num_shards
+        assert len(engine.shard_stats()) == num_shards
+
     def test_single_query_matches_sequential(self):
         dataset, rng, vocab = build_dataset(seed=2)
         query = make_queries(rng, vocab, 1, ks=(4,))[0]
@@ -280,11 +303,6 @@ class TestEdgeCases:
 
 
 class TestValidation:
-    def test_plain_engine_rejects_shard_config(self):
-        dataset, _, _ = build_dataset()
-        with pytest.raises(ValueError, match="ShardedEngine"):
-            MaxBRSTkNNEngine(dataset, EngineConfig(num_shards=2))
-
     def test_sharded_rejects_baseline_mode(self):
         dataset, rng, vocab = build_dataset()
         query = make_queries(rng, vocab, 1)[0]

@@ -528,7 +528,13 @@ FORBIDDEN = {
     "section 7 is reference only":
         r"Mode\.INDEXED|\bindex_users\b|RootTraversal|ensure_root_pool|ledger_view"
         r"|IOCharge|serves_indexed|indexed_payloads|merge_indexed|CandidatePoolArrays",
+    # Section 7's canonical candidate set is read by the oracle's
+    # MIUR-tree search only: it lives beside it, never in the engine.
+    "section 7's candidate set stays in repro.oracle": r"canonical_candidates",
 }
+
+#: A design whose scan covers one package of src/ only.
+SCOPE = {"section 7's candidate set stays in repro.oracle": "repro/core"}
 
 
 def mentions(root: Path, pattern: str) -> list:
@@ -547,7 +553,7 @@ def mentions(root: Path, pattern: str) -> list:
 
 @pytest.mark.parametrize("design", sorted(FORBIDDEN))
 def test_src_names_no_retired_design(design):
-    assert mentions(SRC.parent, FORBIDDEN[design]) == []
+    assert mentions(SRC.parent / SCOPE.get(design, ""), FORBIDDEN[design]) == []
 
 
 @pytest.mark.parametrize("design, line", [
@@ -598,6 +604,8 @@ def test_src_names_no_retired_design(design):
     ("section 7 is reference only", "payloads = indexed_payloads(queries, plan)"),
     ("section 7 is reference only", "return merge_indexed(groups, chunks, io)"),
     ("section 7 is reference only", "arrays = CandidatePoolArrays(ds, pool)"),
+    ("section 7's candidate set stays in repro.oracle",
+     "canonical = canonical_candidates(walk, rsk_group)"),
 ])
 def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     """The scan above has teeth: each alternative of each regex counts."""
@@ -615,7 +623,7 @@ def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     ("the arena carries payload blocks only",
      "data = ShmArena.read_column_bytes(name, column)"),
     ("the arena carries payload blocks only", "set_untracked_attach(True)"),
-    ("one executor", "executor = Executor(self.root, config.num_shards)"),
+    ("one executor", "self._executor = Executor(self, config.num_shards)"),
     ("section 7 is reference only", '"user_index_users": [125, 250, 500, 1000, 2000],'),
     ("section 7 is reference only", "result = oracle.indexed_users_maxbrstknn(*args)"),
     ("section 7 is reference only", "return indexed_search(tree, ds, q, walk, g, s)"),
