@@ -306,9 +306,8 @@ class TestValidation:
     def test_sharded_rejects_baseline_mode(self):
         dataset, rng, vocab = build_dataset()
         query = make_queries(rng, vocab, 1)[0]
-        # num_shards=1 included: the planner cannot tell a 1-shard
-        # ShardedEngine apart, so the engine enforces the
-        # group-traversal-only contract itself.
+        # num_shards=1 included: a ShardedEngine takes a fleet, so the
+        # planner refuses the baseline whatever its lane count.
         for num_shards in (1, 2):
             sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
             with pytest.raises(ValueError, match="baseline|joint"):
