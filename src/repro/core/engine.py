@@ -205,8 +205,9 @@ class MaxBRSTkNNEngine:
         # A fresh executor has an empty memo, so the query is cold by
         # construction: it walks at query.k and memoizes nothing, and
         # its I/O is the paper's per-query trace (Figure 15 measures it).
-        # It deals the refine like the engine's own, over its transport.
-        executor = Executor(self, self._executor.ranges)
+        # It deals the refine like the engine's own, over its transport,
+        # and keeps its one-shot pool out of the codec's delta memo.
+        executor = Executor(self, self._executor.ranges, one_shot=True)
         executor.transport = self._executor.transport
         plan = plan_batch(opts, EngineCapabilities.of(executor), [query.k])
         return executor.execute([query], plan)[0]

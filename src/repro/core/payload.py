@@ -53,6 +53,7 @@ from .thresholds import Thresholds
 
 __all__ = [
     "ArenaRef",
+    "OneShotCodec",
     "PayloadCodec",
     "encode_rsk",
     "decode_rsk",
@@ -238,10 +239,7 @@ class PayloadCodec:
         pin its memory) and scheduled for retirement immediately — the
         column is dropped once it is ``RETIRE_LAG`` ships cold.
 
-        No caller is left in ``src/`` (its one user, the search-stage
-        item blocks, is gone); it stays because ``benchmarks/e2e``
-        wraps it by name and a gain-claiming PR may not edit that —
-        the next benchmark-only PR can release it.
+        :class:`OneShotCodec` ships a cold query's round with it.
         """
         if self._broken:
             return obj
@@ -289,6 +287,26 @@ class PayloadCodec:
             "delta_hits": self.delta_hits,
             "inline_fallbacks": self.inline_fallbacks,
         }
+
+
+class OneShotCodec:
+    """One round's view of a :class:`PayloadCodec` for objects that
+    never ship again (a cold query's pool and per-k states).
+
+    Each object is written once per round with
+    :meth:`PayloadCodec.ship_once`, so every lane's payload references
+    the one block, and it stays out of the delta memo: it neither pins
+    its memory there nor evicts the engine's memoized pool.
+    """
+
+    def __init__(self, codec: PayloadCodec) -> None:
+        self.codec = codec
+        self._refs: dict = {}
+
+    def ship(self, obj, tag: str, kind: str = "blob"):
+        if id(obj) not in self._refs:
+            self._refs[id(obj)] = self.codec.ship_once(obj, tag, kind)
+        return self._refs[id(obj)]
 
 
 # ----------------------------------------------------------------------

@@ -624,9 +624,15 @@ class Executor:
     a cold engine: ``MaxBRSTkNNEngine.query`` runs on one.
     """
 
-    def __init__(self, engine: "MaxBRSTkNNEngine", ranges: int = 1) -> None:
+    def __init__(
+        self, engine: "MaxBRSTkNNEngine", ranges: int = 1, one_shot: bool = False
+    ) -> None:
         self.engine = engine
         self.ranges = ranges
+        #: Serves one flush only (``engine.query``'s cold batch of one):
+        #: nothing it ships repeats, so its rounds encode through a
+        #: :class:`~repro.core.payload.OneShotCodec`, not the delta memo.
+        self.one_shot = one_shot
         self.transport: Transport = INLINE
         #: Cross-k joint pool (:class:`~repro.core.batch.SharedTraversalPool`).
         self.traversal_pool = None
@@ -651,6 +657,14 @@ class Executor:
         self.merge_s = 0.0
         self.search_s = 0.0
         self.search_flushes = 0
+
+    def _codec(self):
+        """What this executor's rounds encode with: the engine's arena
+        codec (``None``: plain pickles), one-shot on a cold executor."""
+        codec = self.engine.payload_codec
+        if codec is not None and self.one_shot:
+            return _wire.OneShotCodec(codec)
+        return codec
 
     def clear(self) -> None:
         """Drop the memo: the pool (and with it the per-k states the
@@ -734,7 +748,7 @@ class Executor:
                 payloads = refine_payloads(pool.traversal, need_ks, len(users), self.ranges)
                 dealt = _deal(
                     "refine", payloads, [p[6] - p[5] for p in payloads],
-                    self.transport, engine.dataset, engine.payload_codec,
+                    self.transport, engine.dataset, self._codec(),
                 )
                 dealt.record(stats, len(payloads))
                 for lane, chunk, at in zip(self.lane_stats, dealt.chunks, dealt.lane_of):
@@ -779,7 +793,7 @@ class Executor:
             )
             dealt = _deal(
                 "select", payloads, [len(p[1]) for p in payloads], transport,
-                engine.dataset, engine.payload_codec,
+                engine.dataset, self._codec(),
             )
             dealt.record(stats, len(set(dealt.lane_of)))
             return merge_select(index_groups, dealt.chunks)

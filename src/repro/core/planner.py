@@ -44,15 +44,15 @@ class EngineCapabilities:
 
     traversal_pool_k: Optional[int] = None
     #: > 1 when the engine deals its refine over that many full-dataset
-    #: lanes (``EngineConfig.num_shards``); plans then carry a
-    #: ShardPlan and reject baseline mode (the only pipeline without a
-    #: mergeable decomposition).
+    #: lanes (``EngineConfig.num_shards``); joint plans then carry a
+    #: ShardPlan (the baseline has no refine to deal).
     num_shards: int = 1
     #: Width of the query-axis fan-out (selection) — the alive shard
     #: hosts of the engine's fleet, local or remote (0 = that round
     #: runs in-process).
     search_workers: int = 0
-    #: The engine takes a fleet (a ShardedEngine): baseline mode is
+    #: The engine takes a fleet (a ShardedEngine): baseline mode, the
+    #: only pipeline without a mergeable per-user decomposition, is
     #: rejected on it at any lane count, one included.
     fleet: bool = False
 
@@ -76,7 +76,7 @@ class ShardPlan:
     Attributes
     ----------
     num_shards:
-        The ShardedEngine's lane count (``EngineConfig.num_shards``):
+        The engine's lane count (``EngineConfig.num_shards``):
         the cold refine is dealt as that many user-row ranges.
 
     The gather is an *ordered union*: the refine round's per-lane
@@ -201,7 +201,7 @@ class QueryPlan:
 
 def _validate(options: QueryOptions, caps: EngineCapabilities) -> None:
     """Shared option/capability checks."""
-    if (caps.num_shards > 1 or caps.fleet) and options.mode is Mode.BASELINE:
+    if caps.fleet and options.mode is Mode.BASELINE:
         raise ValueError(
             f"sharded engines execute mode=joint only (got "
             f"mode={options.mode}): the baseline pipeline has no mergeable "
@@ -209,8 +209,10 @@ def _validate(options: QueryOptions, caps: EngineCapabilities) -> None:
         )
 
 
-def _shard_plan(caps: EngineCapabilities) -> Optional[ShardPlan]:
-    if caps.num_shards <= 1:
+def _shard_plan(
+    options: QueryOptions, caps: EngineCapabilities
+) -> Optional[ShardPlan]:
+    if caps.num_shards <= 1 or options.mode is not Mode.JOINT:
         return None
     return ShardPlan(
         num_shards=caps.num_shards, search_workers=caps.search_workers
@@ -233,7 +235,7 @@ def plan_query(
         method=options.method,
         batch_size=1,
         distinct_ks=(k,) if k else (),
-        shard=_shard_plan(caps),
+        shard=_shard_plan(options, caps),
     )
 
 
@@ -264,5 +266,5 @@ def plan_batch(
         batch_size=len(ks),
         distinct_ks=distinct_ks,
         shared_traversal_k=shared_traversal_k,
-        shard=_shard_plan(caps),
+        shard=_shard_plan(options, caps),
     )

@@ -208,9 +208,10 @@ def test_engine_identical_to_oracle_drawn(
     ``query_batch`` on the same engine is the per-query oracle's (answer
     and selection counters; a batch's top-k stats describe its one
     shared walk).  A ``ShardedEngine`` refuses the baseline, whatever
-    its lane count.  Keyword-less users and duplicate points are planted
-    on half the draws.  Every cell of the two fixed tables above is
-    drawable."""
+    its lane count, so a baseline draw with lanes also holds a plain
+    engine with that many ranges, which runs it inline, to the oracle.
+    Keyword-less users and duplicate points are planted on half the
+    draws.  Every cell of the two fixed tables above is drawable."""
     engine, query = build_case(
         seed, alpha=alpha, k=k, measure=measure, metric=metric, plant=plant,
         lanes=lanes,
@@ -222,7 +223,9 @@ def test_engine_identical_to_oracle_drawn(
             engine.query(query, options)
         with pytest.raises(ValueError, match="joint"):
             engine.query_batch(batch, options)
-        return
+        engine = MaxBRSTkNNEngine(
+            engine.dataset, engine.config, object_tree=engine.object_tree
+        )
     assert_same_batch_answers(engine, batch, options)
 
 

@@ -197,12 +197,25 @@ class TestPurePlanning:
 
     @pytest.mark.parametrize("entry", ["batch", "query"])
     def test_baseline_is_rejected_on_lanes(self, entry):
+        """A fleet engine (a ``ShardedEngine``) refuses the baseline."""
         options = QueryOptions(mode="baseline")
         with pytest.raises(ValueError, match="no mergeable"):
             if entry == "batch":
-                plan_batch(options, self.lane_caps(), ks=[3, 3])
+                plan_batch(options, self.lane_caps(fleet=True), ks=[3, 3])
             else:
-                plan_query(options, self.lane_caps(), k=3)
+                plan_query(options, self.lane_caps(fleet=True), k=3)
+
+    @pytest.mark.parametrize("entry", ["batch", "query"])
+    def test_baseline_on_fleetless_lanes_runs_in_process(self, entry):
+        """Without a fleet the baseline runs inline whatever the range
+        count: no ShardPlan, since it has no refine to deal."""
+        options = QueryOptions(mode="baseline")
+        if entry == "batch":
+            plan = plan_batch(options, self.lane_caps(), ks=[3, 3])
+        else:
+            plan = plan_query(options, self.lane_caps(), k=3)
+        assert plan.shard is None
+        assert "scatter" not in plan.explain()
 
 
 class TestEnginePlan:

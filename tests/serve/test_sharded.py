@@ -313,6 +313,20 @@ class TestValidation:
             with pytest.raises(ValueError, match="baseline|joint"):
                 sharded.query(query, QueryOptions(mode="baseline"))
 
+    def test_plain_engine_with_ranges_runs_the_baseline(self):
+        # Only a fleet refuses the baseline: a plain engine built with
+        # num_shards=2 runs it in process, as the oracle does.
+        dataset, rng, vocab = build_dataset()
+        queries = make_queries(rng, vocab, 3, ks=(2, 4))
+        options = QueryOptions(mode="baseline")
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, num_shards=2))
+        twin = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4), object_tree=engine.object_tree)
+        want = [oracle.query(twin, q, options) for q in queries]
+        for query, expected in zip(queries, want):
+            assert_results_equal(engine.query(query, options), expected)
+        for got, expected in zip(engine.query_batch(queries, options), want):
+            assert_results_equal(got, expected)
+
     def test_sharded_rejects_external_pool(self):
         # The engine owns its worker pool (start_pools / connect_hosts);
         # query_batch has no way to be handed another one.

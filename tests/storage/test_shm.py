@@ -218,9 +218,8 @@ def test_superseded_blocks_retire_after_the_lag():
 
 
 def test_ship_once_writes_unmemoized_blocks_that_retire():
-    # No src/ caller is left (benchmarks/e2e wraps it by name), so this
-    # is the method's whole contract: a fresh column per call, never a
-    # delta hit, dropped once RETIRE_LAG ships cold.
+    # A fresh column per call, never a delta hit, dropped once
+    # RETIRE_LAG ships cold.
     with ShmArena() as arena:
         codec = PayloadCodec(arena)
         items = [("q0", [1, 2, 3])]
@@ -400,6 +399,46 @@ def test_lanes_keep_private_kernel_arrays_and_ship_only_codec_blocks():
         engine.close_pools()
     arrays_untouched()
     assert_results_equal(warm, reference)
+    assert not _own_segments()
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs fork")
+def test_cold_queries_on_a_fleet_stay_out_of_the_delta_memo():
+    # engine.query walks a pool for its one query: the refine round
+    # writes it once (both lanes read the one block) and keeps it out
+    # of the delta memo, so cold queries neither pin their pools there
+    # nor evict the batch memo's entries, which the next warm flush
+    # still delta-hits.
+    from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle
+    from repro.serve import ShardedEngine
+
+    from ..serve.conftest import assert_results_equal, build_dataset, make_queries
+
+    dataset, rng, vocab = build_dataset(seed=7)
+    queries = make_queries(rng, vocab, 6)
+    engine = ShardedEngine(
+        dataset, EngineConfig(fanout=4, num_shards=2, use_shm=True)
+    )
+    twin = MaxBRSTkNNEngine(
+        dataset, EngineConfig(fanout=4), object_tree=engine.object_tree
+    )
+    engine.start_pools(1)
+    try:
+        engine.query_batch(queries, QueryOptions())
+        codec = engine.payload_codec
+        memo, written = list(codec._memo), codec._seq
+        for query in queries:
+            got = engine.query(query, QueryOptions())
+            want = oracle.query(twin, query, QueryOptions())
+            assert_results_equal([got], [want])
+            assert engine.last_flush_report.stage("refine").scatter_width == 2
+        assert list(codec._memo) == memo
+        assert codec._seq == written + len(queries)  # one block per round
+        hits = codec.delta_hits
+        engine.query_batch(queries, QueryOptions())
+        assert codec.delta_hits > hits and codec._seq == written + len(queries)
+    finally:
+        engine.close_pools()
     assert not _own_segments()
 
 
