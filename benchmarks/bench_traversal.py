@@ -50,6 +50,14 @@ sections:
    a location's spatial row once and every decision reads it in place;
    the run fails above 1 (a decision recomputing it has crept back)
    or on any answer that differs from ``oracle.select_candidate``.
+   Beside it, the same flush under two keyword-side mixes: ``shared``
+   (the e2e shape's one side, which the dataset's side map stores on
+   the first run and every later run reads) and ``mixed`` (a distinct
+   ``ox.d``, a drawn ``|W|`` and ``ws`` in {1, 2, 3} per query, every
+   run after an epoch bump: no side ever repeats, each is built — the
+   map's miss path).  Each prints ms per query, the share of the flush
+   spent in the keyword side and the side map's hits and misses per
+   flush, and fails on any answer that differs from the oracle's.
 6. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to the oracle's per-k sequential
@@ -77,6 +85,7 @@ import dataclasses
 import json
 import os
 import pickle
+import random
 import sys
 import time
 
@@ -94,7 +103,7 @@ from repro.core.joint_topk import (  # noqa: E402
     RO_BLOCK, individual_topk, joint_traversal,
 )
 from repro.core.kernels import (  # noqa: E402
-    GUARD_EPS, DatasetArrays, arrays_for, tree_arrays_for,
+    GUARD_EPS, DatasetArrays, KeywordSide, arrays_for, tree_arrays_for,
 )
 from repro.core.pipeline import FlushReport  # noqa: E402
 from repro.core.planner import plan_batch  # noqa: E402
@@ -193,6 +202,78 @@ def time_select(queries, dataset, pairs, side, repeats, stacked=False):
 #: of 8 is what the ``select-flush`` row selects.
 FLUSH_KS = (5, 10, 20)
 FLUSH_QUERIES = 8
+
+
+def time_flush(flush, dataset, pairs, repeats, fresh):
+    """Best-of-N seconds and the answers of ``flush`` selected as one
+    ``SelectionBatch`` (``fresh``: each run after a dataset epoch bump,
+    so it finds none of its keyword sides stored)."""
+    def run():
+        if fresh:
+            dataset.bump_epoch()
+        return time_select(flush, dataset, pairs, "engine", 1, stacked=True)[1]
+
+    return best_of(repeats, run)
+
+
+def keyword_side_cost(dataset, run):
+    """One ``run()``: the share of its wall time spent in
+    ``KeywordSide``'s fills and reads (text rows, ``UBL`` text half, pair
+    table, group text terms) and the side map's hits and misses."""
+    spent, depth = [0.0], [0]
+    names = ("text", "upper_text", "pairs", "group_texts")
+    originals = {name: getattr(KeywordSide, name) for name in names}
+
+    def timed(method):
+        def wrapper(self, *args):
+            depth[0] += 1
+            t0 = time.perf_counter()
+            try:
+                return method(self, *args)
+            finally:
+                depth[0] -= 1
+                if not depth[0]:
+                    spent[0] += time.perf_counter() - t0
+        return wrapper
+
+    for name, method in originals.items():
+        setattr(KeywordSide, name, timed(method))
+    before = arrays_for(dataset).side_stats()
+    try:
+        t0 = time.perf_counter()
+        run()
+        total = time.perf_counter() - t0
+    finally:
+        for name, method in originals.items():
+            setattr(KeywordSide, name, method)
+    after = arrays_for(dataset).side_stats()
+    return {
+        "side_share": spent[0] / total if total else 0.0,
+        "side_hits": after["hits"] - before["hits"],
+        "side_misses": after["misses"] - before["misses"],
+    }
+
+
+def mixed_sides(flush, seed):
+    """``flush`` with no keyword side repeated: per query a distinct
+    ``ox.d`` (one or two of its candidates, drawn), a drawn prefix of
+    ``W`` (two keywords at least) and ``ws`` drawn from 1, 2, 3."""
+    rng = random.Random(seed)
+    keywords = flush[0].keywords
+    seen, mixed = set(), []
+    for q in flush:
+        while True:
+            terms = {t: rng.randint(1, 2) for t in rng.sample(keywords, rng.randint(1, 2))}
+            query = dataclasses.replace(
+                q, ox=dataclasses.replace(q.ox, terms=terms),
+                keywords=keywords[: rng.randint(2, len(keywords))],
+                ws=rng.choice((1, 2, 3)),
+            )
+            if tuple(terms.items()) not in seen:
+                seen.add(tuple(terms.items()))
+                mixed.append(query)
+                break
+    return mixed
 
 
 def refined_pairs(engine, queries):
@@ -526,6 +607,45 @@ def main(argv=None) -> int:
     print("equivalence check: engine select-flush identical to the oracle's; "
           "one spatial row per location at most")
 
+    # The same flush under two keyword-side mixes: the e2e shape's one
+    # shared side, stored by the first run and read by the rest, and a
+    # mix where no side repeats, every run after an epoch bump, so each
+    # run builds all of its sides — the miss path.
+    flush_mix = {}
+    for mix, queries_of_mix, fresh in (
+        ("shared", flush, False), ("mixed", mixed_sides(flush, config.seed), True),
+    ):
+        n_sides = len({_keyword_side(q) for q in queries_of_mix})
+        assert n_sides == (1 if mix == "shared" else len(queries_of_mix))
+        mix_pairs = flush_pairs if mix == "shared" else refined_pairs(engine, queries_of_mix)
+        mix_s, mix_answers = time_flush(
+            queries_of_mix, engine.dataset, mix_pairs, args.repeats, fresh
+        )
+        cost = keyword_side_cost(engine.dataset, lambda: time_flush(
+            queries_of_mix, engine.dataset, mix_pairs, 1, fresh
+        ))
+        flush_mix[mix] = {
+            "keyword_sides": n_sides,
+            "ms_per_query": 1000 * mix_s / len(queries_of_mix),
+            **cost,
+        }
+        print(
+            f"select-flush {mix:<6} keyword sides: "
+            f"{flush_mix[mix]['ms_per_query']:8.3f} ms/query  ({n_sides} side(s); "
+            f"keyword side {100 * cost['side_share']:.1f}% of the flush, side map "
+            f"hits {cost['side_hits']} misses {cost['side_misses']} per flush)",
+            flush=True,
+        )
+        _, mix_oracle = time_select(
+            queries_of_mix, engine.dataset, mix_pairs, "oracle", 1
+        )
+        if mix_answers != mix_oracle:
+            print(f"EQUIVALENCE FAILURE: engine select-flush {mix}-sides answers "
+                  "differ from oracle.select_candidate's")
+            return 1
+    print("equivalence check: engine select-flush identical to the oracle's "
+          "under both keyword-side mixes")
+
     # Where stacking cannot share: every query its own keyword side
     # (its own ox.d term and ws), one by one vs one SelectionBatch.
     terms = queries[0].keywords
@@ -610,6 +730,7 @@ def main(argv=None) -> int:
             "select_distinct_sides_s": distinct_timings,
             "select_flush_ms_per_query": flush_ms_per_query,
             "select_flush_spatial_rows_per_location": rows_per_location,
+            "select_flush_keyword_sides": flush_mix,
             "mixed_k": {
                 "ks": mixed_ks,
                 "queries": len(queries),

@@ -42,12 +42,14 @@ temporaries stay bounded however many locations a query brings.
 The rows need not belong to one query, nor to one ``k``.  Queries
 that share ``(ox.d, W, ws)`` differ only in their locations and their
 thresholds — so a :class:`SelectionBatch` answers each such group of a
-``select`` payload with ONE context (one keyword side, one threshold
-row per distinct ``RSk(u)`` vector, each location row reading its own
-query's), one spatial row per surviving location per pass, one
-shortlist mask over all of them — which is also every round's
-membership — and, round by round, one :func:`select_greedy_block` call
-over block ``r`` of every query that line 3.10 has not stopped; each
+``select`` payload with ONE context (one keyword side — stored per
+dataset epoch and side, so later payloads and flushes of the side
+rebuild none of it — one threshold row per distinct ``RSk(u)``
+vector, each location row reading its own query's), one spatial row
+per surviving location per pass, one shortlist mask over all of them
+— which is also every round's membership — and, round by round, one
+:func:`select_greedy_block` call over block ``r`` of every query that
+line 3.10 has not stopped; each
 query then replays its own rows.  Passes hold at most ``STACK_ROWS``
 locations, so a batch of any size keeps its temporaries bounded.  A single query is the
 one-query batch: there is one greedy code path.  The queue loop itself
@@ -68,8 +70,7 @@ from typing import (
 from ..model.dataset import Dataset
 from ..model.objects import SuperUser, User
 from ..spatial.geometry import Point
-from .bounds import BoundCalculator
-from .kernels import SelectionContext, _row_counts, arrays_for, np
+from .kernels import SelectionContext, _row_counts, arrays_for, keyword_side_key, np
 from .keyword_selection import (
     BlockSelection,
     KeywordSelection,
@@ -123,10 +124,12 @@ class LocationShortlist:
 
 
 def _keyword_side(query: MaxBRSTkNNQuery) -> tuple:
-    """What a :class:`~repro.core.kernels.SelectionContext` fixes besides
-    ``RSk(u)``: ``ox.d`` (in its own order, which scalar sums follow),
-    ``W`` and ``ws``.  Queries with equal keys share one context."""
-    return (tuple(query.ox.terms.items()), tuple(query.keywords), query.ws)
+    """``query``'s :func:`~repro.core.kernels.keyword_side_key`: what a
+    :class:`~repro.core.kernels.SelectionContext` fixes besides
+    ``RSk(u)``.  Queries with equal keys share one context, and every
+    context of a key reads one stored
+    :class:`~repro.core.kernels.KeywordSide`."""
+    return keyword_side_key(query.ox, query.keywords, query.ws)
 
 
 def _group_bounds(
@@ -162,15 +165,6 @@ def _group_bounds(
     return found
 
 
-def _group_texts(
-    bounds: BoundCalculator, query: MaxBRSTkNNQuery, su: SuperUser
-) -> Tuple[float, float]:
-    return (
-        bounds.group_upper_text(query.ox, query.keywords, query.ws, su),
-        bounds.group_lower_text(query.ox, su),
-    )
-
-
 def _shortlist_mask(
     ctx: SelectionContext, rows, locations: Sequence[Point], at: Sequence[int]
 ):
@@ -193,7 +187,6 @@ def shortlist_locations(
     rsk_group: float,
     super_user: Optional[SuperUser] = None,
     users: Optional[Sequence[User]] = None,
-    bounds: Optional[BoundCalculator] = None,
 ) -> Tuple[List[LocationShortlist], int]:
     """Build ``LU_l`` for every surviving location.
 
@@ -201,20 +194,20 @@ def shortlist_locations(
     group bound.  ``rsk_group`` is ``RSk(us)`` from the joint traversal
     (pass 0.0 to disable group pruning, e.g. when thresholds come from
     the per-user baseline).  Only the spatial term of either bound
-    depends on the location: both group text terms are computed once
-    here, the group bounds of every location are one array expression,
-    and the per-user ``UBL(l, u) >= RSk(u)`` test — the hot loop of
-    Algorithm 3 — is one ``L x U`` mask per block of surviving
-    locations from a :class:`~repro.core.kernels.SelectionContext`;
+    depends on the location: both group text terms are read off the
+    query's stored keyword side, the group bounds of every location are
+    one array expression, and the per-user ``UBL(l, u) >= RSk(u)`` test
+    — the hot loop of Algorithm 3 — is one ``L x U`` mask per block of
+    surviving locations from a :class:`~repro.core.kernels.SelectionContext`;
     membership is guaranteed identical to the oracle's user-by-user
     scan (guard-banded re-check), and the shortlists carry their users'
     array rows for the search.
     """
     su = dataset.super_user if super_user is None else super_user
-    bounds = bounds or BoundCalculator(dataset)
     arrays = arrays_for(dataset)
+    ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
     [(keep, upper, lower, pruned)] = _group_bounds(
-        arrays, [query], su, [rsk_group], _group_texts(bounds, query, su)
+        arrays, [query], su, [rsk_group], ctx.side.group_texts(su)
     )
     shortlists = [
         LocationShortlist(
@@ -224,7 +217,6 @@ def shortlist_locations(
         for idx, ub, lb in zip(keep.tolist(), upper.tolist(), lower.tolist())
     ]
     if shortlists:
-        ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
         rows = arrays.rows_for(users)
         at = ctx.admit(rows, rsk)
         mask = _shortlist_mask(
@@ -562,8 +554,11 @@ class SelectionBatch:
     ``(ox.d, W, ws)`` are answered by ONE
     :class:`~repro.core.kernels.SelectionContext`, whatever their ``k``:
     the keyword side (``UBL`` text half, ``HW_{w,u}`` pair table,
-    recounted keyword sets) is computed once per group, every query's
-    ``RSk(u)`` vector is one threshold row of the context (queries of
+    recounted keyword sets, group text terms) is read off the
+    :class:`~repro.core.kernels.KeywordSide` the dataset's arrays keep
+    for it — built by the first payload of that side in this process,
+    not by each payload — every query's ``RSk(u)`` vector is one
+    threshold row of the context (queries of
     equal ``k`` share theirs), the group bounds of all the group's
     locations are one array expression (each query pruned against its
     own ``RSk(us)``), and each pass of at most ``STACK_ROWS`` locations
@@ -633,7 +628,6 @@ class SelectionBatch:
         in."""
         arrays = arrays_for(dataset)
         su = dataset.super_user if super_user is None else super_user
-        bounds = BoundCalculator(dataset)
         rows = arrays.rows_for(users)
         queries = self.queries
         groups: Dict[tuple, List[int]] = {}
@@ -647,7 +641,7 @@ class SelectionBatch:
             survivors = _group_bounds(
                 arrays, [queries[i] for i in members], su,
                 [self.thresholds[i][1] for i in members],
-                _group_texts(bounds, first, su),
+                ctx.side.group_texts(su),
             )
             shared = (time.perf_counter() - t0) / len(members)
             for i, (keep, _, lower, pruned) in zip(members, survivors):

@@ -294,13 +294,21 @@ class MaxBRSTkNNEngine:
         """Gather-side counters: ``merge_ms`` is the cross-range ``RSk``
         union of refine rounds; ``search_ms`` / ``search_flushes`` time
         / count the query-axis round (select); ``search_workers`` is
-        the hosts that round can leave to."""
+        the hosts that round can leave to.  ``side_hits`` /
+        ``side_misses`` / ``side_entries`` / ``side_bytes`` are this
+        process's keyword-side map (``DatasetArrays.side``): how often
+        a selection found its side stored, how many sides are, and the
+        bytes their arrays hold (each shard host keeps its own map)."""
+        from .kernels import arrays_for
+
         executor = self._executor
+        sides = arrays_for(self.dataset).side_stats()
         return {
             "merge_ms": round(1000 * executor.merge_s, 2),
             "search_ms": round(1000 * executor.search_s, 2),
             "search_flushes": executor.search_flushes,
             "search_workers": executor.transport.hosts(),
+            **{f"side_{name}": value for name, value in sides.items()},
         }
 
     def reset_io(self) -> None:

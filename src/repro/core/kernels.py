@@ -83,26 +83,33 @@ and text sums become one mat-vec per location/document.
 
 :class:`SelectionContext` is Algorithm 3's selection for one keyword
 side ``(ox.d, W, ws)`` — every query of a ``select`` payload that shares
-it, whatever its ``k`` — laid out location-major.  **Per context**
-(dropped with it): one ``RSk(u)`` row per distinct threshold vector
-(one per k), the text half of ``UBL(l, u)``, one full-length text-score
-row per distinct augmented document (new ones scored in one stacked
-pass), the greedy selector's ``HW_{w,u}`` pair table
-(:class:`PairTable`) built by array operations — candidate ranks from a
-row-wise ``cumsum``, each pair's set a short row of key indices,
-de-duplicated by one ``lexsort`` — and, per threshold row, the ``θ`` of
-every decision.  **Per pass of candidate locations**: ``alpha * SS`` as
-one ``L x U`` matrix, computed once, which every decision reads in
-place: the shortlist mask (``L x U``), the ``LUW`` pass (``L x P`` over
-the pairs), the greedy max-coverage of all ``L`` locations at once
-(gains counted by an exact product with a pair-to-key one-hot) and the
-recounts (one row per ``(location, keyword set)``, the rows of one set
-and threshold row compared as one run).  Winner sets stay boolean rows;
-only a query's final answer becomes a ``frozenset``.
+it, whatever its ``k`` — laid out location-major.  **Per (dataset
+epoch, keyword side) per process** (:class:`KeywordSide`, kept in
+:meth:`DatasetArrays.side`'s bounded map and read by every context of
+that side, in any payload and any later flush): the text half of
+``UBL(l, u)``, one full-length text-score row per distinct augmented
+document (new ones scored in one stacked pass), the greedy selector's
+``HW_{w,u}`` pair table (:class:`PairTable`) built by array operations
+— candidate ranks from a row-wise ``cumsum``, each pair's set a short
+row of key indices, de-duplicated by one ``lexsort`` — and the group
+bounds' text terms.  **Per context** (dropped with it): one ``RSk(u)``
+row per distinct threshold vector (one per k) and, per threshold row,
+the ``θ`` of every decision.  **Per pass of candidate locations**:
+``alpha * SS`` as one ``L x U`` matrix, computed once, which every
+decision reads in place: the shortlist mask (``L x U``), the ``LUW``
+pass (``L x P`` over the pairs), the greedy max-coverage of all ``L``
+locations at once (gains counted by an exact product with a
+pair-to-key one-hot) and the recounts (one row per ``(location,
+keyword set)``, the rows of one set and threshold row compared as one
+run).  Winner sets stay boolean rows; only a query's final answer
+becomes a ``frozenset``.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
+from collections import OrderedDict
 from typing import (
     TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping,
     NamedTuple, Optional, Sequence, Tuple,
@@ -122,12 +129,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "GUARD_EPS",
+    "SIDES_MAX",
     "DatasetArrays",
+    "KeywordSide",
     "ObjectColumns",
     "SelectionContext",
     "TreeArrays",
     "FrontierBounds",
     "arrays_for",
+    "keyword_side_key",
     "object_columns_for",
     "tree_arrays_for",
 ]
@@ -137,6 +147,11 @@ __all__ = [
 #: reduction and the scalar sum of the same values (scores sum tens of
 #: values bounded by 1, so the true difference is ~1e-15).
 GUARD_EPS = 1e-9
+
+#: Keyword sides one :class:`DatasetArrays` keeps (:meth:`DatasetArrays.side`),
+#: least recently used first out.  A served workload repeats a handful
+#: of sides; an evicted side only costs its rebuild on next use.
+SIDES_MAX = 16
 
 
 def _pairwise_norm(dx, dy, p: float):
@@ -372,6 +387,12 @@ class DatasetArrays:
         ))
         self._doc_vec_cache: Dict[frozenset, "np.ndarray"] = {}
         self._id_order = None  # argsort of user_ids, built by rows_of_ids
+        #: Algorithm 3's keyword sides by (dataset epoch, side key), at
+        #: most ``SIDES_MAX``; see :meth:`side`.
+        self._sides: "OrderedDict[tuple, KeywordSide]" = OrderedDict()
+        self._sides_lock = threading.Lock()
+        self.side_hits = 0
+        self.side_misses = 0
 
     def __reduce__(self):
         raise TypeError(
@@ -395,6 +416,41 @@ class DatasetArrays:
         if self._id_order is None:
             self._id_order = np.argsort(self.user_ids, kind="stable")
         return _rows_of_ids(self.user_ids, self._id_order, user_ids, "user")
+
+    def side(
+        self, ox: STObject, candidate_terms: Iterable[int] = (), ws: int = 0
+    ) -> "KeywordSide":
+        """The :class:`KeywordSide` of ``(ox.d, candidate_terms, ws)`` at
+        the dataset's current epoch: the stored one (a hit), else a new
+        one stored (a miss).  Storing a side drops every side of an
+        older epoch — a mutated dataset never matches them again — and,
+        past ``SIDES_MAX``, the least recently used one."""
+        key = (self.dataset.epoch, keyword_side_key(ox, candidate_terms, ws))
+        with self._sides_lock:
+            side = self._sides.get(key)
+            if side is not None:
+                self.side_hits += 1
+                self._sides.move_to_end(key)
+                return side
+            self.side_misses += 1
+            for stale in [k for k in self._sides if k[0] != key[0]]:
+                del self._sides[stale]
+            side = self._sides[key] = KeywordSide(self, ox, candidate_terms, ws)
+            if len(self._sides) > SIDES_MAX:
+                self._sides.popitem(last=False)
+            return side
+
+    def side_stats(self) -> dict:
+        """The side map's ``hits``, ``misses``, ``entries`` and the
+        ``bytes`` its sides' arrays hold."""
+        with self._sides_lock:
+            sides = list(self._sides.values())
+        return {
+            "hits": self.side_hits,
+            "misses": self.side_misses,
+            "entries": len(sides),
+            "bytes": sum(side.nbytes() for side in sides),
+        }
 
     def membership(self, rows_per_location: Sequence) -> "np.ndarray":
         """``L x U`` boolean: which user rows belong to which location."""
@@ -521,7 +577,8 @@ class DatasetArrays:
         rsk: Mapping[int, float],
     ) -> frozenset:
         """Vectorized :func:`~repro.core.keyword_selection.compute_brstknn`:
-        one recount row through a throw-away :class:`SelectionContext`."""
+        one recount row through a throw-away :class:`SelectionContext`
+        over the stored side of ``(ox.d, (), 0)``."""
         ctx = SelectionContext(self, ox)
         rows = self.rows_for(users)
         ctx.admit(rows, rsk)
@@ -694,6 +751,216 @@ def _row_counts(mask, weights=None) -> "np.ndarray":
     return (mask.astype(dtype) @ weights.astype(dtype)).astype(np.intp)
 
 
+def keyword_side_key(ox: STObject, keywords: Iterable[int], ws: int) -> tuple:
+    """What a :class:`KeywordSide` is: ``ox.d`` (in its own order, which
+    scalar sums follow), ``W`` and ``ws``.  The one key of the side map
+    (:meth:`DatasetArrays.side`) and of the selection's grouping by side
+    (``candidate_selection._keyword_side``): equal keys, one side."""
+    return (tuple(ox.terms.items()), tuple(keywords), ws)
+
+
+class KeywordSide:
+    """What Algorithm 3 computes from ``ox.d``, ``W`` and ``ws`` alone.
+
+    Only the location and ``RSk(u)`` vary while Algorithm 3 runs, so
+    everything that reads neither is a function of the keyword side and
+    the dataset: built once per (dataset epoch, keyword side) per
+    process and kept in :meth:`DatasetArrays.side`'s bounded map, where
+    every :class:`SelectionContext` of that side — any payload, any
+    ``k``, any later flush — reads it.  Filled lazily, all by array
+    operations:
+
+    * the candidates' optimistic weights (:meth:`_candidates`), read by
+      both of the next two;
+    * the text half of ``UBL(l, u)`` (:meth:`upper_text`);
+    * the :class:`PairTable` of every user's ``HW_{w,u}`` pairs
+      (:meth:`pairs`);
+    * one full-length ``TS`` vector per distinct keyword set
+      (:meth:`text`), any number of new sets scored in one stacked pass;
+    * the location-independent text terms of ``UBL(l, us)`` /
+      ``LBL(l, us)`` per super-user (:meth:`group_texts`).
+
+    A filled value is never changed.  Fills run under the side's lock,
+    and a new text row is stored before the index naming it, so two
+    threads selecting on one side never read a row that is not there.
+    """
+
+    #: Super-users whose group text terms one side keeps (the engine
+    #: asks for ``dataset.super_user`` only).
+    GROUP_TEXTS_MAX = 4
+
+    def __init__(
+        self,
+        arrays: "DatasetArrays",
+        ox: STObject,
+        candidate_terms: Iterable[int] = (),
+        ws: int = 0,
+    ) -> None:
+        self.arrays = arrays
+        # Copies: the side must keep holding what its key says, whatever
+        # the caller does with its query afterwards.  (``copy`` builds no
+        # new object through ``__init__``: the query's ox is not part of
+        # ``O``.)
+        self.ox = copy.copy(ox)
+        self.ox.terms = dict(ox.terms)
+        self.candidate_terms = tuple(candidate_terms)
+        self.ws = ws
+        self._lock = threading.RLock()
+        self._weights: Optional[Tuple[List[int], List[float]]] = None
+        self._upper_text = None
+        self._pairs: Optional[PairTable] = None
+        self._text = np.empty((0, arrays.num_users))  # one row per keyword set
+        self._text_row: Dict[FrozenSet[int], int] = {}
+        self._group_texts: Dict[int, tuple] = {}
+
+    def _once(self, attr: str, build: Callable[[], object]):
+        """``attr``, built by ``build`` on first use, under the lock."""
+        value = getattr(self, attr)
+        if value is None:
+            with self._lock:
+                value = getattr(self, attr)
+                if value is None:
+                    value = build()
+                    setattr(self, attr, value)
+        return value
+
+    def nbytes(self) -> int:
+        """Bytes of the arrays this side holds so far."""
+        parts = [self._text, self._upper_text]
+        if self._pairs is not None:
+            parts.extend(v for v in self._pairs if isinstance(v, np.ndarray))
+        return sum(part.nbytes for part in parts if part is not None)
+
+    def text(self, keyword_sets: Sequence[FrozenSet[int]]):
+        """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set.
+        Sets not met before on this side are scored in one stacked
+        pass."""
+        known = self._text_row
+        if any(ks not in known for ks in keyword_sets):
+            with self._lock:
+                missing = [ks for ks in dict.fromkeys(keyword_sets) if ks not in known]
+                if missing:
+                    a = self.arrays
+                    weights = np.stack([
+                        a._doc_weight_vector(augmented_document(self.ox.terms, ks))
+                        for ks in missing
+                    ])
+                    rows = _normalized_text(weights @ a.user_terms.T, a.user_z)
+                    start = len(self._text)
+                    # The rows first, then the indices that name them.
+                    self._text = np.concatenate((self._text, rows))
+                    known.update(zip(missing, range(start, start + len(missing))))
+        return self._text[[known[ks] for ks in keyword_sets]]
+
+    def _candidates(self) -> Tuple[List[int], List[float]]:
+        """The candidates some user holds, ascending, and the optimistic
+        weight of adding each to ``ox.d`` alone (Lemma 3's per-term
+        bound, :func:`~repro.core.bounds.candidate_term_weight`)."""
+        def build():
+            a = self.arrays
+            rel = a.dataset.relevance
+            terms = sorted(t for t in set(self.candidate_terms) if t in a.term_col)
+            return terms, [candidate_term_weight(rel, self.ox.terms, t) for t in terms]
+
+        return self._once("_weights", build)
+
+    def upper_text(self):
+        """Text half of ``UBL(l, u)`` for every user (Lemma 3, per-user):
+        ``ox.d``'s weights plus the user's ``ws`` largest candidate gains
+        — a candidate already in ``ox.d`` gains only its increase."""
+        def build():
+            a = self.arrays
+            sums = a.user_terms @ a._doc_weight_vector(self.ox.terms)
+            if self.ws > 0:
+                rel, base = a.dataset.relevance, self.ox.terms
+                cols, gains = [], []
+                for t, optimistic in zip(*self._candidates()):
+                    gain = (
+                        optimistic - rel.term_weight(t, base) if t in base
+                        else optimistic
+                    )
+                    if gain > 0.0:
+                        cols.append(a.term_col[t])
+                        gains.append(gain)
+                if cols:
+                    per_user = a.user_terms[:, cols] * np.array(gains)
+                    if len(cols) > self.ws:
+                        per_user = -np.sort(-per_user, axis=1)[:, : self.ws]
+                    sums = sums + per_user.sum(axis=1)
+            return _normalized_text(sums, a.user_z)
+
+        return self._once("_upper_text", build)
+
+    def pairs(self) -> PairTable:
+        """Every user's ``(HW_{w,u}, w)`` entries — what
+        ``repro.oracle._hw_entries`` lists user by user — at once.
+
+        Candidates are ranked once by ``(-optimistic weight, term)``
+        (the user-independent key ``_hw_entries`` sorts by); a row-wise
+        ``cumsum`` over the held ones is each user's rank among their
+        useful candidates.  A pair whose ``w`` ranks within ``ws`` takes
+        the user's ``ws`` best as its set, any other pair the ``ws - 1``
+        best and ``w``: each set is a row of at most ``max(ws, 1)`` key
+        indices, sorted, and the distinct rows are the documents.  A
+        pair's ``TS`` reads one user's terms of its document's weights.
+        """
+        return self._once("_pairs", self._build_pairs)
+
+    def _build_pairs(self) -> PairTable:
+        a = self.arrays
+        terms, weight = self._candidates()
+        n = len(terms)
+        ranked = sorted(range(n), key=lambda k: (-weight[k], terms[k]))
+        held = a.user_terms[:, [a.term_col[t] for t in terms]] > 0.0
+        rank = np.zeros(held.shape, dtype=np.intp)
+        rank[:, ranked] = np.cumsum(held[:, ranked], axis=1)
+        row, key = np.nonzero(held)
+        width = max(self.ws, 1)
+        # best[u, j]: the user's held candidate of rank j + 1 (n: none).
+        best = np.full((a.num_users, width), n, dtype=np.intp)
+        top = held & (rank <= width)
+        u, k = np.nonzero(top)
+        best[u, rank[u, k] - 1] = k
+        keys = best[row]
+        outside = rank[row, key] > self.ws
+        keys[outside, width - 1] = key[outside]
+        unique, doc = _distinct_rows(np.sort(keys, axis=1))
+        hw = [frozenset(terms[k] for k in keys if k < n) for keys in unique.tolist()]
+        pair_of = np.full((n + 1, a.num_users), len(row), dtype=np.intp)
+        pair_of[key, row] = np.arange(len(row))
+        onehot = np.zeros((len(row), n), dtype=np.float32)
+        onehot[np.arange(len(row)), key] = 1.0
+        # Document weights over the user-term columns, plus the zero
+        # column ``user_term_cols`` pads with.
+        weights = np.zeros((len(hw), a.num_terms + 1))
+        for d, hw_set in enumerate(hw):
+            weights[d, :-1] = a._doc_weight_vector(augmented_document(self.ox.terms, hw_set))
+        sums = weights[doc[:, None], a.user_term_cols[row]].sum(axis=1)
+        return PairTable(
+            terms, held, row, key, onehot, pair_of, doc, hw,
+            ts=_normalized_text(sums, a.user_z[row]),
+        )
+
+    def group_texts(self, su) -> Tuple[float, float]:
+        """The text terms of ``UBL(l, us)`` and ``LBL(l, us)`` for the
+        super-user ``su``: the same at every location, so computed once
+        per side and super-user (held with it, so its ``id`` stays its
+        own) — :class:`BoundCalculator`'s ``group_upper_text`` /
+        ``group_lower_text``."""
+        entry = self._group_texts.get(id(su))
+        if entry is None or entry[0] is not su:
+            with self._lock:
+                bounds = BoundCalculator(self.arrays.dataset)
+                entry = (su, (
+                    bounds.group_upper_text(self.ox, self.candidate_terms, self.ws, su),
+                    bounds.group_lower_text(self.ox, su),
+                ))
+                if len(self._group_texts) >= self.GROUP_TEXTS_MAX:
+                    self._group_texts.pop(next(iter(self._group_texts)))
+                self._group_texts[id(su)] = entry
+        return entry[1]
+
+
 class SelectionContext:
     """Algorithm 3's selection for one keyword side, location-major.
 
@@ -711,19 +978,19 @@ class SelectionContext:
     against a location-independent threshold ``θ = RSk(u) - (1 - alpha)
     * TS(u)`` — ``STS >= RSk(u)`` with the text half moved to the right.
 
+    **Once per (dataset epoch, keyword side) per process**: the
+    :class:`KeywordSide` — candidate weights, the text half of ``UBL(l,
+    u)``, the :class:`PairTable`, one ``TS`` row per keyword set and the
+    group text terms — which the context takes from
+    :meth:`DatasetArrays.side`'s map (:meth:`text`, :meth:`upper_text`
+    and :meth:`pairs` read it).
+
     **Once per context**, filled lazily, all by array operations:
 
     * one threshold row per distinct
       :class:`~repro.core.thresholds.Thresholds` admitted
       (:meth:`admit`: ``RSk(u)`` by user row, the vector's own column),
       and per current location the row it reads (:meth:`move_to`);
-    * the candidates' optimistic weights (:meth:`_candidates`), read by
-      both of the next two;
-    * the text half of ``UBL(l, u)`` (:meth:`upper_text`);
-    * one full-length ``TS`` vector per distinct keyword set
-      (:meth:`text`), any number of new sets scored in one stacked pass;
-    * the :class:`PairTable` of every user's ``HW_{w,u}`` pairs
-      (:meth:`pairs`);
     * per threshold row, the ``θ`` of each decision — ``UBL``'s per
       user, ``LUW``'s per pair, a recount's per user and keyword set —
       as the two edges of its guard band (:meth:`_bar`).
@@ -747,8 +1014,9 @@ class SelectionContext:
         ws: int = 0,
     ) -> None:
         self.arrays = arrays
-        self.ox = ox
-        self.candidate_terms = candidate_terms
+        self.side = arrays.side(ox, candidate_terms, ws)
+        self.ox = self.side.ox
+        self.candidate_terms = self.side.candidate_terms
         self.ws = ws
         #: Threshold rows: row ``r`` is the ``values`` of the ``r``-th
         #: distinct :class:`Thresholds` admitted (identity-keyed, held).
@@ -759,11 +1027,6 @@ class SelectionContext:
         self.rsk = None
         self._row = -1
         self._loc_rows = None
-        self._weights: Optional[Tuple[List[int], List[float]]] = None
-        self._upper_text = None
-        self._text = np.empty((0, arrays.num_users))  # one row per keyword set
-        self._text_row: Dict[FrozenSet[int], int] = {}
-        self._pairs: Optional[PairTable] = None
         self._bars: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
         #: The pinned locations (held, so their ids stay theirs) and the
         #: row of each, by ``id``.
@@ -802,111 +1065,16 @@ class SelectionContext:
         return entry[0]
 
     def text(self, keyword_sets: Sequence[FrozenSet[int]]):
-        """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set.
-        Sets not met before in this context are scored in one stacked
-        pass."""
-        known = self._text_row
-        missing = [ks for ks in dict.fromkeys(keyword_sets) if ks not in known]
-        if missing:
-            a = self.arrays
-            weights = np.stack([
-                a._doc_weight_vector(augmented_document(self.ox.terms, ks))
-                for ks in missing
-            ])
-            known.update(zip(missing, range(len(known), len(known) + len(missing))))
-            self._text = np.concatenate(
-                (self._text, _normalized_text(weights @ a.user_terms.T, a.user_z))
-            )
-        return self._text[[known[ks] for ks in keyword_sets]]
-
-    def _candidates(self) -> Tuple[List[int], List[float]]:
-        """The candidates some user holds, ascending, and the optimistic
-        weight of adding each to ``ox.d`` alone (Lemma 3's per-term
-        bound, :func:`~repro.core.bounds.candidate_term_weight`)."""
-        if self._weights is None:
-            a = self.arrays
-            rel = a.dataset.relevance
-            terms = sorted(t for t in set(self.candidate_terms) if t in a.term_col)
-            self._weights = (
-                terms, [candidate_term_weight(rel, self.ox.terms, t) for t in terms]
-            )
-        return self._weights
+        """The side's ``TS`` rows of ``keyword_sets`` (:meth:`KeywordSide.text`)."""
+        return self.side.text(keyword_sets)
 
     def upper_text(self):
-        """Text half of ``UBL(l, u)`` for every user (Lemma 3, per-user):
-        ``ox.d``'s weights plus the user's ``ws`` largest candidate gains
-        — a candidate already in ``ox.d`` gains only its increase."""
-        if self._upper_text is None:
-            a = self.arrays
-            sums = a.user_terms @ a._doc_weight_vector(self.ox.terms)
-            if self.ws > 0:
-                rel, base = a.dataset.relevance, self.ox.terms
-                cols, gains = [], []
-                for t, optimistic in zip(*self._candidates()):
-                    gain = (
-                        optimistic - rel.term_weight(t, base) if t in base
-                        else optimistic
-                    )
-                    if gain > 0.0:
-                        cols.append(a.term_col[t])
-                        gains.append(gain)
-                if cols:
-                    per_user = a.user_terms[:, cols] * np.array(gains)
-                    if len(cols) > self.ws:
-                        per_user = -np.sort(-per_user, axis=1)[:, : self.ws]
-                    sums = sums + per_user.sum(axis=1)
-            self._upper_text = _normalized_text(sums, a.user_z)
-        return self._upper_text
+        """The side's text half of ``UBL(l, u)`` (:meth:`KeywordSide.upper_text`)."""
+        return self.side.upper_text()
 
     def pairs(self) -> PairTable:
-        """Every user's ``(HW_{w,u}, w)`` entries — what
-        ``repro.oracle._hw_entries`` lists user by user — at once.
-
-        Candidates are ranked once by ``(-optimistic weight, term)``
-        (the user-independent key ``_hw_entries`` sorts by); a row-wise
-        ``cumsum`` over the held ones is each user's rank among their
-        useful candidates.  A pair whose ``w`` ranks within ``ws`` takes
-        the user's ``ws`` best as its set, any other pair the ``ws - 1``
-        best and ``w``: each set is a row of at most ``max(ws, 1)`` key
-        indices, sorted, and the distinct rows are the documents.  A
-        pair's ``TS`` reads one user's terms of its document's weights.
-        """
-        if self._pairs is not None:
-            return self._pairs
-        a = self.arrays
-        terms, weight = self._candidates()
-        n = len(terms)
-        ranked = sorted(range(n), key=lambda k: (-weight[k], terms[k]))
-        held = a.user_terms[:, [a.term_col[t] for t in terms]] > 0.0
-        rank = np.zeros(held.shape, dtype=np.intp)
-        rank[:, ranked] = np.cumsum(held[:, ranked], axis=1)
-        row, key = np.nonzero(held)
-        width = max(self.ws, 1)
-        # best[u, j]: the user's held candidate of rank j + 1 (n: none).
-        best = np.full((a.num_users, width), n, dtype=np.intp)
-        top = held & (rank <= width)
-        u, k = np.nonzero(top)
-        best[u, rank[u, k] - 1] = k
-        keys = best[row]
-        outside = rank[row, key] > self.ws
-        keys[outside, width - 1] = key[outside]
-        unique, doc = _distinct_rows(np.sort(keys, axis=1))
-        hw = [frozenset(terms[k] for k in keys if k < n) for keys in unique.tolist()]
-        pair_of = np.full((n + 1, a.num_users), len(row), dtype=np.intp)
-        pair_of[key, row] = np.arange(len(row))
-        onehot = np.zeros((len(row), n), dtype=np.float32)
-        onehot[np.arange(len(row)), key] = 1.0
-        # Document weights over the user-term columns, plus the zero
-        # column ``user_term_cols`` pads with.
-        weights = np.zeros((len(hw), a.num_terms + 1))
-        for d, hw_set in enumerate(hw):
-            weights[d, :-1] = a._doc_weight_vector(augmented_document(self.ox.terms, hw_set))
-        sums = weights[doc[:, None], a.user_term_cols[row]].sum(axis=1)
-        self._pairs = PairTable(
-            terms, held, row, key, onehot, pair_of, doc, hw,
-            ts=_normalized_text(sums, a.user_z[row]),
-        )
-        return self._pairs
+        """The side's ``HW_{w,u}`` pair table (:meth:`KeywordSide.pairs`)."""
+        return self.side.pairs()
 
     def _bar(self, kind, row: int, keywords: Optional[FrozenSet[int]] = None):
         """The guard band's edges ``(θ - GUARD_EPS, θ + GUARD_EPS)`` of

@@ -89,29 +89,24 @@ def select_keywords_greedy(
     ws: int,
     users: Sequence[User],
     rsk: Mapping[int, float],
-    cache: Optional[Dict] = None,
 ) -> KeywordSelection:
     """Section 6.2.1: greedy approximate keyword selection at ``location``.
 
     ``users`` is the shortlist ``LU_l`` of Algorithm 3 (only they can be
     BRSTkNNs by the location upper bound); ``rsk`` maps user id to
-    ``RSk(u)``.  ``cache`` is an optional per-query scratch dict
-    (Algorithm 3 calls this once per candidate location): it keeps the
-    query's :class:`~repro.core.kernels.SelectionContext`, whose
-    optimistic keyword weights and ``HW`` sets depend only on ``(ox,
-    candidate_keywords, ws)``, and this call runs as the one-location
-    case of :func:`select_greedy_block`, the kernel Algorithm 3 feeds a
-    block of locations at a time.  The scalar selector scoring pair by
-    pair at every location (:func:`repro.oracle.select_keywords_greedy`)
-    is the oracle that kernel is tested against.
+    ``RSk(u)``.  The call runs as the one-location case of
+    :func:`select_greedy_block`, the kernel Algorithm 3 feeds a block of
+    locations at a time, over a fresh
+    :class:`~repro.core.kernels.SelectionContext` whose keyword side —
+    the optimistic keyword weights and ``HW`` sets, which depend only
+    on ``(ox, candidate_keywords, ws)`` — is the one the dataset's
+    arrays keep for it: a caller visiting location after location
+    builds it once.  The scalar selector scoring pair by pair at every
+    location (:func:`repro.oracle.select_keywords_greedy`) is the
+    oracle that kernel is tested against.
     """
-    cache = cache if cache is not None else {}
     arrays = arrays_for(dataset)
-    ctx = cache.get("context")
-    if ctx is None:
-        ctx = cache["context"] = SelectionContext(
-            arrays, ox, candidate_keywords, ws
-        )
+    ctx = SelectionContext(arrays, ox, candidate_keywords, ws)
     block = select_greedy_block(
         ctx, [location], arrays.membership([arrays.rows_for(users)]), rsk
     )

@@ -773,11 +773,14 @@ class Executor:
 
     def _search_transport(self, n_queries: int) -> Transport:
         """Where this flush's query-axis round runs: the transport's
-        lanes when it is remote and the round pays, else inline."""
+        lanes when it is remote and the round pays, else inline.  The
+        decision reads the alive hosts — what the plan's phase-2 line
+        reads — not the lane count, which never drops below one: a
+        fleet with no host left selects in-process, as its plan says."""
         from .planner import search_fans_out
 
         transport = self.transport
-        if not (transport.remote and search_fans_out(transport.lanes(), n_queries)):
+        if not (transport.remote and search_fans_out(transport.hosts(), n_queries)):
             return INLINE
         self.search_flushes += 1
         return transport

@@ -184,14 +184,17 @@ def test_exact_ties_take_the_scalar_recheck(monkeypatch):
         rsk.update({uid: bump(score) for uid, score in exact.items()})
         py = oracle.select_keywords_greedy(ds, ox, loc, candidates, 1, ds.users, rsk)
         del rescored[:]
-        cache = {}
         assert select_keywords_greedy(
-            ds, ox, loc, candidates, 1, ds.users, rsk, cache=cache
+            ds, ox, loc, candidates, 1, ds.users, rsk
         ) == py
         assert {pair_user.item_id, recount_user.item_id} <= set(rescored)
         import numpy as np
 
-        ctx, arrays = cache["context"], arrays_for(ds)
+        # A context over the keyword side the selector stored.
+        arrays = arrays_for(ds)
+        ctx = SelectionContext(arrays, ox, candidates, 1)
+        ctx.admit(arrays.rows_for(ds.users), rsk)
+        ctx.move_to([loc])
         table = ctx.pairs()
         (pair,) = np.nonzero(
             (table.row == arrays.user_row[pair_user.item_id])
@@ -311,7 +314,11 @@ def test_group_bounds_equal_the_scalar_ones_bitwise(
     rng.shuffle(locations)
     query = MaxBRSTkNNQuery(ox=ox, locations=locations, keywords=candidates, ws=ws, k=1)
     bounds = BoundCalculator(ds)
-    texts = candidate_selection._group_texts(bounds, query, su)
+    # The text terms the query's stored keyword side holds for ``su``.
+    texts = arrays_for(ds).side(ox, candidates, ws).group_texts(su)
+    assert texts == (
+        bounds.group_upper_text(ox, candidates, ws, su), bounds.group_lower_text(ox, su)
+    )
     upper = [
         bounds.location_upper_group(loc, ox, candidates, ws, su, text=texts[0])
         for loc in locations

@@ -196,7 +196,8 @@ class TestGreedySelection:
 
 
 class TestSelectionContextReuse:
-    """The engine's selector keeps one per-query context in ``cache``;
+    """The engine's selector reads the keyword side the dataset's arrays
+    keep, so every call after the first at a new location reuses it;
     the oracle's, called fresh at every location, is its reference."""
 
     @given(
@@ -222,11 +223,8 @@ class TestSelectionContextReuse:
             subset = [u for u in ds.users if u.item_id in chosen]
             # Section 7's shape: a mapping holding this location's users only
             visits.append((loc, subset, {u.item_id: rsk[u.item_id] for u in subset}))
-        cache = {}
         for loc, subset, local_rsk in visits:
-            got = select_keywords_greedy(
-                ds, ox, loc, cands, ws, subset, local_rsk, cache=cache
-            )
+            got = select_keywords_greedy(ds, ox, loc, cands, ws, subset, local_rsk)
             want = oracle.select_keywords_greedy(
                 ds, ox, loc, cands, ws, subset, local_rsk
             )
@@ -242,11 +240,8 @@ class TestSelectionContextReuse:
             ws = 0
         else:
             cands = [1000, 1001]  # terms no user holds
-        cache = {}
         for location in (loc, Point(1, 1)):
-            got = select_keywords_greedy(
-                ds, ox, location, cands, ws, users, rsk, cache=cache
-            )
+            got = select_keywords_greedy(ds, ox, location, cands, ws, users, rsk)
             want = oracle.select_keywords_greedy(
                 ds, ox, location, cands, ws, users, rsk
             )

@@ -16,6 +16,7 @@ Two families of guarantees:
   engine or a ``ShardedEngine`` with inline or forked lanes.
 """
 
+import contextlib
 import dataclasses
 import multiprocessing
 import random
@@ -25,7 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, oracle
+from repro.core import kernels
 from repro.core.config import QueryOptions
+from repro.core.kernels import arrays_for
 from repro.index.miurtree import MIURTree
 from repro.model.objects import STObject, User
 from repro.serve import ShardedEngine
@@ -186,6 +189,39 @@ def test_engine_identical_to_oracle_across_k_and_alpha(alpha, k):
     )
 
 
+def keyword_sides(query, n):
+    """``query`` and ``n - 1`` queries of other keyword sides: their own
+    ``ox.d``, a shorter ``W`` and ``ws`` from 1 to 3."""
+    return [query] + [
+        dataclasses.replace(
+            query, ox=STObject(item_id=-1, location=query.ox.location, terms={i: 1 + i % 2}),
+            keywords=query.keywords[i:], ws=1 + i % 3,
+        )
+        for i in range(1, n)
+    ]
+
+
+@contextlib.contextmanager
+def sides_bounded_at(bound, arrays):
+    """``kernels.SIDES_MAX`` at ``bound`` while inside, and every side
+    lookup on ``arrays`` checked to leave at most ``bound`` stored."""
+    saved = kernels.SIDES_MAX
+    kernels.SIDES_MAX = bound
+    lookup = arrays.side
+
+    def side(*args):
+        found = lookup(*args)
+        assert len(arrays._sides) <= bound
+        return found
+
+    arrays.side = side
+    try:
+        yield
+    finally:
+        kernels.SIDES_MAX = saved
+        del arrays.side
+
+
 @pytest.mark.parametrize("mode,method", MODE_METHODS)
 @given(
     seed=st.one_of(st.integers(0, 7), st.just(42), st.integers(0, 10_000)),
@@ -196,10 +232,14 @@ def test_engine_identical_to_oracle_across_k_and_alpha(alpha, k):
     plant=st.booleans(),
     other_ks=st.lists(st.integers(1, 8), min_size=1, max_size=3),
     lanes=st.sampled_from([None, 1, 2, 4]),
+    sides=st.integers(1, 3),
+    bump=st.booleans(),
+    bound=st.sampled_from([1, 2, kernels.SIDES_MAX]),
 )
 @settings(max_examples=20, deadline=None)
 def test_engine_identical_to_oracle_drawn(
-    mode, method, seed, measure, alpha, metric, k, plant, other_ks, lanes
+    mode, method, seed, measure, alpha, metric, k, plant, other_ks, lanes,
+    sides, bump, bound,
 ):
     """The oracle contract, drawn for each (mode, method) and engine
     shape (a plain engine, or a ``ShardedEngine`` with 1, 2 or 4 inline
@@ -211,13 +251,22 @@ def test_engine_identical_to_oracle_drawn(
     its lane count, so a baseline draw with lanes also holds a plain
     engine with that many ranges, which runs it inline, to the oracle.
     Keyword-less users and duplicate points are planted on half the
-    draws.  Every cell of the two fixed tables above is drawable."""
+    draws.  Every cell of the two fixed tables above is drawable.
+
+    The batch mixes 1 to 3 keyword sides and runs twice: the second
+    flush selects over the sides the first one stored in the dataset's
+    side map (while the map holds them all, a joint flush hits it and
+    misses none) — or, after an epoch bump, must miss and store sides of
+    the new epoch only.  The map, bounded at 1, 2 or ``SIDES_MAX``
+    sides, never holds more."""
     engine, query = build_case(
         seed, alpha=alpha, k=k, measure=measure, metric=metric, plant=plant,
         lanes=lanes,
     )
     options = QueryOptions(method=method, mode=mode)
-    batch = [query] + [dataclasses.replace(query, k=kk) for kk in other_ks]
+    batch = keyword_sides(query, sides) + [
+        dataclasses.replace(query, k=kk) for kk in other_ks
+    ]
     if lanes is not None and mode == "baseline":
         with pytest.raises(ValueError, match="joint"):
             engine.query(query, options)
@@ -226,13 +275,27 @@ def test_engine_identical_to_oracle_drawn(
         engine = MaxBRSTkNNEngine(
             engine.dataset, engine.config, object_tree=engine.object_tree
         )
-    assert_same_batch_answers(engine, batch, options)
+    arrays = arrays_for(engine.dataset)
+    with sides_bounded_at(bound, arrays):
+        assert_same_batch_answers(engine, batch, options)
+        first = arrays.side_stats()
+        if bump:
+            engine.dataset.bump_epoch()
+        assert_same_flush_answers(engine, batch, options)
+        second = arrays.side_stats()
+    if mode != "joint":
+        return  # the baseline selects without Algorithm 3's kernels
+    if bump:
+        assert second["misses"] > first["misses"]
+        assert {key[0] for key in arrays._sides} == {engine.dataset.epoch}
+    elif bound == kernels.SIDES_MAX:
+        assert second["hits"] > first["hits"]
+        assert second["misses"] == first["misses"]
 
 
-def assert_same_batch_answers(engine, batch, options):
-    """A cold ``engine.query`` of ``batch[0]``, then ``query_batch(batch)``
-    on the same engine, each equal to the oracle's."""
-    assert_same_cold_answer(engine, batch[0], options)
+def assert_same_flush_answers(engine, batch, options):
+    """``query_batch(batch)`` on ``engine``, each answer and selection
+    counter equal to the per-query oracle's."""
     twin = twin_of(engine)
     for got, q in zip(engine.query_batch(batch, options), batch):
         want = oracle.query(twin, q, options)
@@ -241,6 +304,13 @@ def assert_same_batch_answers(engine, batch, options):
         )
         for field in BATCH_STAT_FIELDS:
             assert getattr(got.stats, field) == getattr(want.stats, field), field
+
+
+def assert_same_batch_answers(engine, batch, options):
+    """A cold ``engine.query`` of ``batch[0]``, then ``query_batch(batch)``
+    on the same engine, each equal to the oracle's."""
+    assert_same_cold_answer(engine, batch[0], options)
+    assert_same_flush_answers(engine, batch, options)
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="forked shard hosts need fork")

@@ -135,13 +135,14 @@ def query_answers(case, rsk_group=0.0):
 
 def location_answers(case, subsets):
     """``select_keywords_greedy`` at every location over that location's
-    user subset: the engine through ONE cache (the per-query context),
-    the oracle fresh each time.  The per-location ``==`` triples."""
-    q, cache = case.query, {}
+    user subset: the engine through ONE stored keyword side (built at
+    the first location, read at the rest), the oracle fresh each time.
+    The per-location ``==`` triples."""
+    q = case.query
     got, want = [], []
     for loc, users in zip(q.locations, subsets):
         args = (case.ds, q.ox, loc, q.keywords, q.ws, users, case.rsk)
-        got.append(select_keywords_greedy(*args, cache=cache))
+        got.append(select_keywords_greedy(*args))
         want.append(oracle.select_keywords_greedy(*args))
     return got, want
 

@@ -15,6 +15,8 @@ reads its neighbour's rows, a group key without ``ws``) must be caught.
 
 import contextlib
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -154,6 +156,36 @@ def rsk_groups(rsk):
 # Property: stacked == oracle, query by query
 # ----------------------------------------------------------------------
 
+def stacked_in_threads(ds, rsk, rsk_group, queries, threads):
+    """``stacked_answers`` run by ``threads`` threads at once, released
+    together and switching as often as the interpreter allows: on a
+    fresh dataset they race to build and fill the same stored keyword
+    sides.  One answer list per thread (``None``: the thread raised).
+    Afterwards every stored side names each of its text rows exactly
+    once — what a lost or doubled row append would break."""
+    start = threading.Barrier(threads, timeout=60)
+    out = [None] * threads
+
+    def run(i):
+        start.wait()
+        out[i] = stacked_answers(ds, rsk, rsk_group, queries)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for side in kernels.arrays_for(ds)._sides.values():
+        assert sorted(side._text_row.values()) == list(range(len(side._text)))
+    return out
+
+
 @pytest.mark.parametrize("block,rows", BUDGETS)
 @given(
     seed=st.integers(0, 10_000),
@@ -162,17 +194,20 @@ def rsk_groups(rsk):
     group=st.integers(0, 2),
     alpha=st.sampled_from(ALPHAS),
     metric=st.sampled_from(METRICS),
+    threads=st.sampled_from([1, 2, 4]),
 )
 @settings(max_examples=25, deadline=None)
 def test_stacked_batch_equals_oracle_per_query(
-    block, rows, seed, measure, n_queries, group, alpha, metric
+    block, rows, seed, measure, n_queries, group, alpha, metric, threads
 ):
+    """Each answer of the stacked batch is the oracle's — also when two
+    or four threads select the batch at once over one dataset's keyword
+    sides."""
     ds, rsk, queries = build_batch(seed, measure, n_queries, alpha, metric)
     rsk_group = rsk_groups(rsk)[group]
-    want = oracle_answers(ds, rsk, rsk_group, queries)
     with budget(block, rows):
-        got = stacked_answers(ds, rsk, rsk_group, queries)
-    assert got == want
+        got = stacked_in_threads(ds, rsk, rsk_group, queries, threads)
+    assert got == [oracle_answers(ds, rsk, rsk_group, queries)] * threads
 
 
 def test_drawn_batches_reach_every_path(monkeypatch):

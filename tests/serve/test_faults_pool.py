@@ -206,7 +206,7 @@ class TestDispatchLoss:
 
 
 class TestFailedRefork:
-    def test_a_local_host_that_cannot_come_back_is_broken(self, fleet):
+    def test_a_local_host_that_cannot_come_back_is_broken(self, fleet, caplog):
         made = fleet("local", host_fault=FaultPlan(
             kill_worker_on_task=0, break_respawn=True
         ))
@@ -216,12 +216,22 @@ class TestFailedRefork:
         assert [row["state"] for row in made.engine.pool_health()] == \
             ["broken", "broken"]
         assert made.engine.capabilities().search_workers == 0
-        # The next flush finds no host at all: one lane, degraded.
+        # The next flush finds no host at all, and its plan says so: the
+        # select round runs in-process — no round over the dead fleet,
+        # so nothing degrades, warns or counts as a search flush.
+        plan = made.engine.plan(OPTIONS, [q.k for q in made.queries])
+        assert "phase 2 (candidate selection): in-process" in plan.explain()
+        before = made.engine.gather_stats()["search_flushes"]
         made.engine.clear_topk_cache()
-        assert_results_equal(
-            made.engine.query_batch(made.queries, OPTIONS), made.reference
-        )
-        assert made.engine.last_flush_report.stage("select").scatter_width <= 1
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="repro.core.pipeline"):
+            assert_results_equal(
+                made.engine.query_batch(made.queries, OPTIONS), made.reference
+            )
+        select = made.engine.last_flush_report.stage("select")
+        assert (select.scatter_width, select.retries, select.degraded) == (1, 0, 0)
+        assert made.engine.gather_stats()["search_flushes"] == before
+        assert not [r for r in caplog.records if "degrading select" in r.getMessage()]
 
     def test_a_remote_host_that_cannot_come_back_stays_out(self, fleet):
         made = fleet("remote", host_fault=FaultPlan.drop_connection(0),

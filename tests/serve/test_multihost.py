@@ -192,10 +192,13 @@ def test_all_hosts_dead_degrades_in_process():
         queries = make_queries(rng, vocab, 4, ks=(3, 5))
         served = engine.query_batch(queries, OPTS)
         report = engine.last_flush_report
-        assert report.degraded_lanes > 0
-        # No host left for the select lane either: one lane, degraded.
+        assert report.stage("refine").degraded > 0
+        # The refine found both hosts dead: with no host left, the select
+        # round runs in-process, as the plan then says — one lane, no
+        # round over the dead fleet to degrade, no search flush counted.
         select = report.stage("select")
-        assert (select.scatter_width, select.degraded) == (1, 1)
+        assert (select.scatter_width, select.degraded) == (1, 0)
+        assert engine.gather_stats()["search_flushes"] == 0
         assert engine.fault_counters()["worker_deaths"] == 2
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
@@ -267,7 +270,11 @@ def test_host_death_and_degrade_are_logged(caplog):
         assert "flush_seq=1" in deaths[0] and "reason=" in deaths[0]
         degrades = [r.getMessage() for r in records if "degrading" in r.getMessage()]
         assert degrades, "every in-process degrade must be logged"
-        assert any("select round" in m and "lane=0" in m for m in degrades)
+        # The second flush's refine finds host 1 dead too and degrades;
+        # its select round then has no host to leave to and runs
+        # in-process, with nothing to degrade.
+        assert any("refine round" in m and "lane=0" in m for m in degrades)
+        assert not any("select round" in m for m in degrades)
         assert all("retries_used=" in m for m in degrades)
     finally:
         teardown(engine, hosts)

@@ -193,13 +193,18 @@ def test_lost_pool_degrades_the_select_round_in_process(serve, caplog):
     assert any("degrading select round in-process: lane=0" in m for m in messages)
 
 
-def test_lost_pool_degrades_both_rounds_of_a_cold_flush(serve):
-    """Refine and select ride the same hosts: losing them degrades
-    both, and every refine lane's counters say so."""
+def test_lost_pool_degrades_the_refine_of_a_cold_flush(serve):
+    """Refine and select ride the same hosts: losing them in the refine
+    degrades both refine lanes, and every refine lane's counters say
+    so; the select round after it finds no host left and runs
+    in-process, as the plan then says — nothing left to degrade."""
     served = serve("pool", faults=FaultPlan.pool_loss())
     served.flush(served.queries())
     report = served.engine.last_flush_report
     assert report.stage("refine").degraded == 2
-    # No host came back: the select round is one lane, degraded.
-    assert report.stage("select").degraded == 1
+    select = report.stage("select")
+    assert (select.scatter_width, select.degraded) == (1, 0)
+    assert "phase 2 (candidate selection): in-process" in served.engine.plan(
+        ks=[q.k for q in served.queries()]
+    ).explain()
     assert [row["degraded_rounds"] for row in served.engine.shard_stats()] == [1, 1]
