@@ -232,7 +232,8 @@ class BoundCalculator:
         self, ox: STObject, candidate_terms: Iterable[int], ws: int, su: SuperUser
     ) -> float:
         """The text term of ``UBL(l, us)``, ``(1 - alpha)`` included: the
-        same at every location, so Algorithm 3 computes it once per query."""
+        same at every location, so the engine computes it once per keyword
+        side and super-user (``KeywordSide.group_texts``)."""
         if su.min_normalizer <= 0.0:
             return 0.0
         rel = self.dataset.relevance
