@@ -42,22 +42,23 @@ sections:
    k's thresholds, still one ``SelectionBatch`` — checked against the
    oracle run with each query's own thresholds; and, where stacking
    cannot share, the queries given one keyword side each, one by one
-   and as one batch.  The ``select-flush`` row is the warm select of a
-   served flush: 8 queries of the end-to-end benchmark's shape (|L| =
-   20, ws = 2, k cycling 5/10/20, one keyword side) as one
+   and as one batch.  Every engine run of these rows starts after a
+   dataset epoch bump, so it builds its keyword sides itself (the side
+   map's miss path) instead of reading the sides an earlier repeat
+   stored.  The ``select-flush`` row is the warm select of a served
+   flush: 8 queries of the end-to-end benchmark's shape (|L| = 20, ws =
+   2, k cycling 5/10/20, one keyword side: ``shared``) as one
    ``SelectionBatch``, reported as best-of-N ms per query and as the
    ``SS(l, u)`` rows computed per location — 1 when each pass computes
    a location's spatial row once and every decision reads it in place;
    the run fails above 1 (a decision recomputing it has crept back)
    or on any answer that differs from ``oracle.select_candidate``.
-   Beside it, the same flush under two keyword-side mixes: ``shared``
-   (the e2e shape's one side, which the dataset's side map stores on
-   the first run and every later run reads) and ``mixed`` (a distinct
-   ``ox.d``, a drawn ``|W|`` and ``ws`` in {1, 2, 3} per query, every
-   run after an epoch bump: no side ever repeats, each is built — the
-   map's miss path).  Each prints ms per query, the share of the flush
-   spent in the keyword side and the side map's hits and misses per
-   flush, and fails on any answer that differs from the oracle's.
+   Beside it the same flush with no keyword side repeated (``mixed``:
+   a distinct ``ox.d``, a drawn ``|W|`` and ``ws`` in {1, 2, 3} per
+   query).  Both print ms per query, the share of the flush spent in
+   the keyword side (what a stored side saves a flush that repeats
+   it) and the side map's hits and misses per flush, and fail on any
+   answer that differs from the oracle's.
 6. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to the oracle's per-k sequential
@@ -178,8 +179,13 @@ def time_frontier_bounds(engine, repeats):
 def time_select(queries, dataset, pairs, side, repeats, stacked=False):
     """Algorithm 3 over fixed thresholds — ``pairs[i]`` is query ``i``'s
     ``(RSk(u), RSk(us))`` — one answer tuple per query (``stacked``: the
-    engine's queries as one ``SelectionBatch``, whatever their k)."""
+    engine's queries as one ``SelectionBatch``, whatever their k).  Each
+    engine run starts after a dataset epoch bump, so it finds none of
+    its keyword sides stored and builds each once, as a select payload
+    on a new side does."""
     def run():
+        if side == "engine":
+            dataset.bump_epoch()
         batch = SelectionBatch(queries, pairs) if stacked else None
         extra = {} if batch is None else {"batch": batch}
         answers = []
@@ -202,18 +208,6 @@ def time_select(queries, dataset, pairs, side, repeats, stacked=False):
 #: of 8 is what the ``select-flush`` row selects.
 FLUSH_KS = (5, 10, 20)
 FLUSH_QUERIES = 8
-
-
-def time_flush(flush, dataset, pairs, repeats, fresh):
-    """Best-of-N seconds and the answers of ``flush`` selected as one
-    ``SelectionBatch`` (``fresh``: each run after a dataset epoch bump,
-    so it finds none of its keyword sides stored)."""
-    def run():
-        if fresh:
-            dataset.bump_epoch()
-        return time_select(flush, dataset, pairs, "engine", 1, stacked=True)[1]
-
-    return best_of(repeats, run)
 
 
 def keyword_side_cost(dataset, run):
@@ -569,8 +563,11 @@ def main(argv=None) -> int:
         return 1
     print("equivalence check: engine mixed-k stacked selections identical to the oracle's")
 
-    # The warm select of a served flush: 8 queries of the e2e shape as
-    # one SelectionBatch, each reading its own k's thresholds.
+    # The warm select of a served flush: 8 queries of the e2e shape (one
+    # keyword side) as one SelectionBatch, each reading its own k's
+    # thresholds — and the same flush with no side repeated.  Every run
+    # builds its sides (time_select bumps the epoch), so a row's
+    # keyword-side share is what a stored side saves a flush of it.
     flush = [
         dataclasses.replace(q, k=FLUSH_KS[i % len(FLUSH_KS)])
         for i, q in enumerate(query_pool(
@@ -578,73 +575,48 @@ def main(argv=None) -> int:
             seed=config.seed, seed_stride=101,
         ))
     ]
-    assert len({_keyword_side(q) for q in flush}) == 1
-    flush_pairs = refined_pairs(engine, flush)
-    flush_s, flush_answers = time_select(
-        flush, engine.dataset, flush_pairs, "engine", args.repeats, stacked=True,
-    )
+    flush_mix, pairs_of = {}, {}
+    for mix, mix_queries in (("shared", flush), ("mixed", mixed_sides(flush, config.seed))):
+        n_sides = len({_keyword_side(q) for q in mix_queries})
+        assert n_sides == (1 if mix == "shared" else len(mix_queries))
+        mix_pairs = pairs_of[mix] = refined_pairs(engine, mix_queries)
+        mix_s, mix_answers = time_select(
+            mix_queries, engine.dataset, mix_pairs, "engine", args.repeats, stacked=True,
+        )
+        cost = keyword_side_cost(engine.dataset, lambda: time_select(
+            mix_queries, engine.dataset, mix_pairs, "engine", 1, stacked=True,
+        ))
+        flush_mix[mix] = {
+            "keyword_sides": n_sides,
+            "ms_per_query": 1000 * mix_s / len(mix_queries),
+            **cost,
+        }
+        print(
+            f"select-flush engine {mix:<6}: {flush_mix[mix]['ms_per_query']:8.3f} ms/query  "
+            f"({len(mix_queries)} queries x {len(mix_queries[0].locations)} locations, "
+            f"k in {{{','.join(map(str, FLUSH_KS))}}}, one SelectionBatch; "
+            f"{n_sides} keyword side(s), {100 * cost['side_share']:.1f}% of the flush, "
+            f"side map hits {cost['side_hits']} misses {cost['side_misses']} per flush)",
+            flush=True,
+        )
+        _, mix_oracle = time_select(mix_queries, engine.dataset, mix_pairs, "oracle", 1)
+        if mix_answers != mix_oracle:
+            print(f"EQUIVALENCE FAILURE: engine select-flush {mix} answers differ "
+                  "from oracle.select_candidate's")
+            return 1
+    flush_ms_per_query = flush_mix["shared"]["ms_per_query"]
     _, computed = spatial_rows(lambda: time_select(
-        flush, engine.dataset, flush_pairs, "engine", 1, stacked=True,
+        flush, engine.dataset, pairs_of["shared"], "engine", 1, stacked=True,
     ))
-    flush_ms_per_query = 1000 * flush_s / len(flush)
     rows_per_location = computed / sum(len(q.locations) for q in flush)
-    print(
-        f"select-flush engine : {flush_ms_per_query:8.3f} ms/query  "
-        f"({len(flush)} queries x {len(flush[0].locations)} locations, "
-        f"k in {{{','.join(map(str, FLUSH_KS))}}}, one SelectionBatch; "
-        f"{rows_per_location:.3f} spatial rows per location)",
-        flush=True,
-    )
-    _, flush_oracle = time_select(flush, engine.dataset, flush_pairs, "oracle", 1)
-    if flush_answers != flush_oracle:
-        print("EQUIVALENCE FAILURE: engine select-flush answers differ from "
-              "oracle.select_candidate's")
-        return 1
+    print(f"select-flush engine shared: {rows_per_location:.3f} spatial rows per location",
+          flush=True)
     if rows_per_location > 1:
         print(f"ACCEPTANCE FAILURE: select-flush computed {rows_per_location:.3f} "
               "spatial rows per location (a pass computes each row once)")
         return 1
-    print("equivalence check: engine select-flush identical to the oracle's; "
-          "one spatial row per location at most")
-
-    # The same flush under two keyword-side mixes: the e2e shape's one
-    # shared side, stored by the first run and read by the rest, and a
-    # mix where no side repeats, every run after an epoch bump, so each
-    # run builds all of its sides — the miss path.
-    flush_mix = {}
-    for mix, queries_of_mix, fresh in (
-        ("shared", flush, False), ("mixed", mixed_sides(flush, config.seed), True),
-    ):
-        n_sides = len({_keyword_side(q) for q in queries_of_mix})
-        assert n_sides == (1 if mix == "shared" else len(queries_of_mix))
-        mix_pairs = flush_pairs if mix == "shared" else refined_pairs(engine, queries_of_mix)
-        mix_s, mix_answers = time_flush(
-            queries_of_mix, engine.dataset, mix_pairs, args.repeats, fresh
-        )
-        cost = keyword_side_cost(engine.dataset, lambda: time_flush(
-            queries_of_mix, engine.dataset, mix_pairs, 1, fresh
-        ))
-        flush_mix[mix] = {
-            "keyword_sides": n_sides,
-            "ms_per_query": 1000 * mix_s / len(queries_of_mix),
-            **cost,
-        }
-        print(
-            f"select-flush {mix:<6} keyword sides: "
-            f"{flush_mix[mix]['ms_per_query']:8.3f} ms/query  ({n_sides} side(s); "
-            f"keyword side {100 * cost['side_share']:.1f}% of the flush, side map "
-            f"hits {cost['side_hits']} misses {cost['side_misses']} per flush)",
-            flush=True,
-        )
-        _, mix_oracle = time_select(
-            queries_of_mix, engine.dataset, mix_pairs, "oracle", 1
-        )
-        if mix_answers != mix_oracle:
-            print(f"EQUIVALENCE FAILURE: engine select-flush {mix}-sides answers "
-                  "differ from oracle.select_candidate's")
-            return 1
-    print("equivalence check: engine select-flush identical to the oracle's "
-          "under both keyword-side mixes")
+    print("equivalence check: engine select-flush identical to the oracle's, "
+          "shared and mixed keyword sides; one spatial row per location at most")
 
     # Where stacking cannot share: every query its own keyword side
     # (its own ox.d term and ws), one by one vs one SelectionBatch.

@@ -130,6 +130,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "GUARD_EPS",
     "SIDES_MAX",
+    "SIDE_TEXT_BYTES",
     "DatasetArrays",
     "KeywordSide",
     "ObjectColumns",
@@ -152,6 +153,11 @@ GUARD_EPS = 1e-9
 #: least recently used first out.  A served workload repeats a handful
 #: of sides; an evicted side only costs its rebuild on next use.
 SIDES_MAX = 16
+
+#: Bytes of ``TS`` rows one :class:`KeywordSide` keeps
+#: (:meth:`KeywordSide.text`): a new row that would pass it starts the
+#: rows over from the sets asked for.
+SIDE_TEXT_BYTES = 1 << 20
 
 
 def _pairwise_norm(dx, dy, p: float):
@@ -776,18 +782,17 @@ class KeywordSide:
     * the :class:`PairTable` of every user's ``HW_{w,u}`` pairs
       (:meth:`pairs`);
     * one full-length ``TS`` vector per distinct keyword set
-      (:meth:`text`), any number of new sets scored in one stacked pass;
+      (:meth:`text`), any number of new sets scored in one stacked pass,
+      at most ``SIDE_TEXT_BYTES`` of them;
     * the location-independent text terms of ``UBL(l, us)`` /
-      ``LBL(l, us)`` per super-user (:meth:`group_texts`).
+      ``LBL(l, us)`` for the super-user last asked for
+      (:meth:`group_texts`; the engine asks for ``dataset.super_user``).
 
-    A filled value is never changed.  Fills run under the side's lock,
-    and a new text row is stored before the index naming it, so two
-    threads selecting on one side never read a row that is not there.
+    Fills run under the side's lock.  The weights, ``upper_text`` and
+    the pair table never change once filled; the text rows and the index
+    naming them are replaced together, as one tuple, so a thread
+    selecting on the side never reads a row index against other rows.
     """
-
-    #: Super-users whose group text terms one side keeps (the engine
-    #: asks for ``dataset.super_user`` only).
-    GROUP_TEXTS_MAX = 4
 
     def __init__(
         self,
@@ -809,9 +814,12 @@ class KeywordSide:
         self._weights: Optional[Tuple[List[int], List[float]]] = None
         self._upper_text = None
         self._pairs: Optional[PairTable] = None
-        self._text = np.empty((0, arrays.num_users))  # one row per keyword set
-        self._text_row: Dict[FrozenSet[int], int] = {}
-        self._group_texts: Dict[int, tuple] = {}
+        #: One row per keyword set, and each set's row.
+        self._texts: Tuple["np.ndarray", Dict[FrozenSet[int], int]] = (
+            np.empty((0, arrays.num_users)), {}
+        )
+        #: ``(su, (upper, lower))``: the group text terms of ``su``.
+        self._group: Optional[tuple] = None
 
     def _once(self, attr: str, build: Callable[[], object]):
         """``attr``, built by ``build`` on first use, under the lock."""
@@ -826,7 +834,7 @@ class KeywordSide:
 
     def nbytes(self) -> int:
         """Bytes of the arrays this side holds so far."""
-        parts = [self._text, self._upper_text]
+        parts = [self._texts[0], self._upper_text]
         if self._pairs is not None:
             parts.extend(v for v in self._pairs if isinstance(v, np.ndarray))
         return sum(part.nbytes for part in parts if part is not None)
@@ -834,23 +842,29 @@ class KeywordSide:
     def text(self, keyword_sets: Sequence[FrozenSet[int]]):
         """``TS(ox.d ∪ keywords, u.d)`` of every user: one row per set.
         Sets not met before on this side are scored in one stacked
-        pass."""
-        known = self._text_row
-        if any(ks not in known for ks in keyword_sets):
+        pass; if that would keep more than ``SIDE_TEXT_BYTES``, the
+        side's rows start over from ``keyword_sets``."""
+        rows, row_of = self._texts
+        if any(ks not in row_of for ks in keyword_sets):
             with self._lock:
-                missing = [ks for ks in dict.fromkeys(keyword_sets) if ks not in known]
+                rows, row_of = self._texts
+                missing = [ks for ks in dict.fromkeys(keyword_sets) if ks not in row_of]
                 if missing:
                     a = self.arrays
+                    row_bytes = rows.itemsize * a.num_users
+                    if (len(rows) + len(missing)) * row_bytes > SIDE_TEXT_BYTES:
+                        rows, row_of = rows[:0], {}
+                        missing = list(dict.fromkeys(keyword_sets))
                     weights = np.stack([
                         a._doc_weight_vector(augmented_document(self.ox.terms, ks))
                         for ks in missing
                     ])
-                    rows = _normalized_text(weights @ a.user_terms.T, a.user_z)
-                    start = len(self._text)
-                    # The rows first, then the indices that name them.
-                    self._text = np.concatenate((self._text, rows))
-                    known.update(zip(missing, range(start, start + len(missing))))
-        return self._text[[known[ks] for ks in keyword_sets]]
+                    row_of = {**row_of, **{ks: len(rows) + i for i, ks in enumerate(missing)}}
+                    rows = np.concatenate(
+                        (rows, _normalized_text(weights @ a.user_terms.T, a.user_z))
+                    )
+                    self._texts = (rows, row_of)
+        return rows[[row_of[ks] for ks in keyword_sets]]
 
     def _candidates(self) -> Tuple[List[int], List[float]]:
         """The candidates some user holds, ascending, and the optimistic
@@ -944,20 +958,16 @@ class KeywordSide:
     def group_texts(self, su) -> Tuple[float, float]:
         """The text terms of ``UBL(l, us)`` and ``LBL(l, us)`` for the
         super-user ``su``: the same at every location, so computed once
-        per side and super-user (held with it, so its ``id`` stays its
-        own) — :class:`BoundCalculator`'s ``group_upper_text`` /
+        per side while ``su`` is the super-user asked for —
+        :class:`BoundCalculator`'s ``group_upper_text`` /
         ``group_lower_text``."""
-        entry = self._group_texts.get(id(su))
+        entry = self._group
         if entry is None or entry[0] is not su:
-            with self._lock:
-                bounds = BoundCalculator(self.arrays.dataset)
-                entry = (su, (
-                    bounds.group_upper_text(self.ox, self.candidate_terms, self.ws, su),
-                    bounds.group_lower_text(self.ox, su),
-                ))
-                if len(self._group_texts) >= self.GROUP_TEXTS_MAX:
-                    self._group_texts.pop(next(iter(self._group_texts)))
-                self._group_texts[id(su)] = entry
+            bounds = BoundCalculator(self.arrays.dataset)
+            entry = self._group = (su, (
+                bounds.group_upper_text(self.ox, self.candidate_terms, self.ws, su),
+                bounds.group_lower_text(self.ox, su),
+            ))
         return entry[1]
 
 
@@ -982,8 +992,7 @@ class SelectionContext:
     :class:`KeywordSide` — candidate weights, the text half of ``UBL(l,
     u)``, the :class:`PairTable`, one ``TS`` row per keyword set and the
     group text terms — which the context takes from
-    :meth:`DatasetArrays.side`'s map (:meth:`text`, :meth:`upper_text`
-    and :meth:`pairs` read it).
+    :meth:`DatasetArrays.side`'s map and reads as :attr:`side`.
 
     **Once per context**, filled lazily, all by array operations:
 
@@ -1064,36 +1073,25 @@ class SelectionContext:
             raise KeyError(f"no RSk(u) for users {missing[:5].tolist()}")
         return entry[0]
 
-    def text(self, keyword_sets: Sequence[FrozenSet[int]]):
-        """The side's ``TS`` rows of ``keyword_sets`` (:meth:`KeywordSide.text`)."""
-        return self.side.text(keyword_sets)
-
-    def upper_text(self):
-        """The side's text half of ``UBL(l, u)`` (:meth:`KeywordSide.upper_text`)."""
-        return self.side.upper_text()
-
-    def pairs(self) -> PairTable:
-        """The side's ``HW_{w,u}`` pair table (:meth:`KeywordSide.pairs`)."""
-        return self.side.pairs()
-
     def _bar(self, kind, row: int, keywords: Optional[FrozenSet[int]] = None):
         """The guard band's edges ``(θ - GUARD_EPS, θ + GUARD_EPS)`` of
         one decision against threshold row ``row``, ``θ = RSk(u) - (1 -
         alpha) * TS`` with the text half of ``kind``: ``"ubl"`` (per user,
-        :meth:`upper_text`), ``"pairs"`` (per pair, its ``HW_{w,u}``) or
-        ``"set"`` (per user, ``keywords`` added to ``ox.d``)."""
+        :meth:`KeywordSide.upper_text`), ``"pairs"`` (per pair, its
+        ``HW_{w,u}``) or ``"set"`` (per user, ``keywords`` added to
+        ``ox.d``)."""
         cache_key = (kind, row, keywords)
         edges = self._bars.get(cache_key)
         if edges is None:
             rest = 1.0 - self.arrays.dataset.alpha
             rsk = self._rows[row]
             if kind == "ubl":
-                theta = rsk - rest * self.upper_text()
+                theta = rsk - rest * self.side.upper_text()
             elif kind == "pairs":
-                t = self.pairs()
+                t = self.side.pairs()
                 theta = rsk[t.row] - rest * t.ts
             else:
-                theta = rsk - rest * self.text([keywords])[0]
+                theta = rsk - rest * self.side.text([keywords])[0]
             edges = self._bars[cache_key] = (theta - GUARD_EPS, theta + GUARD_EPS)
         return edges
 
@@ -1195,7 +1193,7 @@ class SelectionContext:
         entry ``(l, p)`` says user ``row[p]`` — one of location ``l``'s
         users by ``member`` (``L x U``) — reaches ``RSk(u)`` there under
         ``HW_{w,u}``, i.e. is in ``LUW_w`` for ``w = terms[key[p]]``."""
-        t = self.pairs()
+        t = self.side.pairs()
         ss = self.spatial()[:, t.row]
 
         def exact(l: int, p: int) -> bool:
@@ -1215,7 +1213,7 @@ class SelectionContext:
         picked key, read at each pair's user).  Returns the chosen keys
         (``L x ws`` indices into ``terms``, ``-1`` = stopped) and
         ``|covered|``."""
-        t = self.pairs()
+        t = self.side.pairs()
         lanes = np.arange(len(passed))
         chosen = np.full((len(passed), max(self.ws, 0)), -1, dtype=np.intp)
         coverage = np.zeros(len(passed), dtype=np.intp)
@@ -1257,7 +1255,7 @@ class SelectionContext:
         def exact(i: int, row: int) -> bool:
             return self._wins(int(index[i]), keyword_sets[which[i]], row)
 
-        self.text(keyword_sets)  # every new set in one stacked pass
+        self.side.text(keyword_sets)  # every new set in one stacked pass
         runs = []
         for lo, hi, r in self._runs(len(index), index):
             cuts = (np.flatnonzero(which[lo + 1 : hi] != which[lo : hi - 1]) + lo + 1).tolist()

@@ -176,7 +176,7 @@ def select_greedy_block(
     if isinstance(rsk, Mapping):
         rsk = ctx.admit(np.flatnonzero(member.any(axis=0)), rsk)
     ctx.move_to(locations, rsk)
-    table = ctx.pairs()
+    table = ctx.side.pairs()
     passed = ctx.luw(member)
     chosen, coverage = ctx.cover(passed)
 

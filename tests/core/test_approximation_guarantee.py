@@ -107,7 +107,8 @@ def kernel_cover(sets, budget):
         pair_of=pair_of, doc=None, hw=None, ts=None,
     )
     ctx = SimpleNamespace(
-        pairs=lambda: table, arrays=SimpleNamespace(num_users=len(universe)),
+        side=SimpleNamespace(pairs=lambda: table),
+        arrays=SimpleNamespace(num_users=len(universe)),
         ws=budget,
     )
     chosen, coverage = SelectionContext.cover(ctx, np.ones((1, len(row)), dtype=bool))
@@ -139,7 +140,7 @@ def luw_instances(case, subsets):
     member = arrays.membership([arrays.rows_for(users) for users in subsets])
     ctx.admit(np.nonzero(member.any(axis=0))[0], case.rsk)
     ctx.move_to(q.locations)
-    table = ctx.pairs()
+    table = ctx.side.pairs()
     passed = ctx.luw(member)
     chosen, coverage = ctx.cover(passed)
     for l in range(len(q.locations)):

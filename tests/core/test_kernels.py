@@ -10,6 +10,8 @@ oracle's decision exactly.
 import math
 import random
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,8 @@ from repro.core import candidate_selection
 from repro.core.bounds import BoundCalculator, augmented_document
 from repro.core.candidate_selection import shortlist_locations
 from repro.core.joint_topk import individual_topk, joint_traversal
-from repro.core.kernels import GUARD_EPS, SelectionContext, arrays_for
+from repro.core import kernels
+from repro.core.kernels import GUARD_EPS, KeywordSide, SelectionContext, arrays_for
 from repro.core.keyword_selection import compute_brstknn, select_keywords_greedy
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject, SuperUser
@@ -54,7 +57,7 @@ def test_sts_kernel_matches_scalar(measure, alpha, seed):
         ctx.move_to([loc])
         # What a recount compares: alpha * SS against RSk(u) less the
         # (1 - alpha) * TS half.
-        scores = ctx.spatial()[0] + (1.0 - alpha) * ctx.text([frozenset()])[0]
+        scores = ctx.spatial()[0] + (1.0 - alpha) * ctx.side.text([frozenset()])[0]
         for i, u in enumerate(ds.users):
             assert math.isclose(
                 scores[i], ds.sts_parts(loc, doc, u), rel_tol=0.0, abs_tol=TOL
@@ -92,8 +95,8 @@ def test_location_bounds_match_scalar(measure, vocab, ws):
     locations = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)]
     ctx.move_to(locations)
     spatial, rest = ctx.spatial(), 1.0 - ds.alpha
-    upper = spatial + rest * ctx.upper_text()
-    lower = spatial + rest * ctx.text([frozenset()])[0]
+    upper = spatial + rest * ctx.side.upper_text()
+    lower = spatial + rest * ctx.side.text([frozenset()])[0]
     for loc, ub, lb in zip(locations, upper, lower):
         for i, u in enumerate(ds.users):
             assert math.isclose(
@@ -149,6 +152,28 @@ def test_shortlist_kernel_exact_membership(seed):
     assert scalar == vectorized
 
 
+def test_side_text_rows_stay_within_their_bytes(monkeypatch):
+    """A keyword side keeps at most ``SIDE_TEXT_BYTES`` of ``TS`` rows:
+    a set that would pass it starts the rows over from the sets asked
+    for, and every row read is still the one an unbounded side holds (to the
+    last bits a different stacking may round)."""
+    ds, rng = build(3)
+    arrays = arrays_for(ds)
+    ox = STObject(item_id=-1, location=Point(5, 5), terms={1: 1})
+    candidates = list(range(8))
+    sets = [frozenset(rng.sample(candidates, rng.randint(0, 2))) for _ in range(12)]
+    assert len(set(sets)) > 3
+    want = dict(zip(sets, KeywordSide(arrays, ox, candidates, 2).text(sets)))
+    monkeypatch.setattr(kernels, "SIDE_TEXT_BYTES", 3 * 8 * arrays.num_users)
+    side = KeywordSide(arrays, ox, candidates, 2)
+    for i in range(len(sets)):
+        asked = sets[i : i + 2]
+        got = side.text(asked)
+        assert np.allclose(got, [want[ks] for ks in asked], rtol=0, atol=1e-12)
+        rows, row_of = side._texts
+        assert len(rows) <= 3 and sorted(row_of.values()) == list(range(len(rows)))
+
+
 def test_exact_ties_take_the_scalar_recheck(monkeypatch):
     """``STS == RSk(u)`` for one HW pair and one recount, ``UBL == RSk(u)``
     for one shortlist row: each banded pair is re-scored by the scalar
@@ -195,7 +220,7 @@ def test_exact_ties_take_the_scalar_recheck(monkeypatch):
         ctx = SelectionContext(arrays, ox, candidates, 1)
         ctx.admit(arrays.rows_for(ds.users), rsk)
         ctx.move_to([loc])
-        table = ctx.pairs()
+        table = ctx.side.pairs()
         (pair,) = np.nonzero(
             (table.row == arrays.user_row[pair_user.item_id])
             & (table.key == table.terms.index(w))

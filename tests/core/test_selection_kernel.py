@@ -300,7 +300,7 @@ class TestKernelEqualsOracle:
         case = build_case(seed, measure, ws, ox_terms, wide)
         ds, q = case.ds, case.query
         arrays = arrays_for(ds)
-        table = SelectionContext(arrays, q.ox, q.keywords, q.ws).pairs()
+        table = SelectionContext(arrays, q.ox, q.keywords, q.ws).side.pairs()
         got = sorted(
             (int(arrays.user_ids[r]), table.terms[k], sorted(table.hw[d]))
             for r, k, d in zip(table.row.tolist(), table.key.tolist(), table.doc.tolist())
@@ -323,7 +323,7 @@ def test_wide_case_holds_more_candidates_than_an_int64_has_bits():
     case = build_case(1, wide=True)
     q = case.query
     ctx = SelectionContext(arrays_for(case.ds), q.ox, q.keywords, q.ws)
-    assert len(ctx.pairs().terms) > 64
+    assert len(ctx.side.pairs().terms) > 64
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 7])
@@ -616,7 +616,7 @@ class TestMutantsAreCaught:
         id, ``repro.oracle.greedy_max_coverage``'s."""
 
         def cover(self, passed):
-            t = self.pairs()
+            t = self.side.pairs()
             rel = self.arrays.dataset.relevance
             order = np.array(sorted(
                 range(len(t.terms)),

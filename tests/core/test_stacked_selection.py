@@ -182,7 +182,8 @@ def stacked_in_threads(ds, rsk, rsk_group, queries, threads):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     for side in kernels.arrays_for(ds)._sides.values():
-        assert sorted(side._text_row.values()) == list(range(len(side._text)))
+        rows, row_of = side._texts
+        assert sorted(row_of.values()) == list(range(len(rows)))
     return out
 
 
@@ -195,18 +196,26 @@ def stacked_in_threads(ds, rsk, rsk_group, queries, threads):
     alpha=st.sampled_from(ALPHAS),
     metric=st.sampled_from(METRICS),
     threads=st.sampled_from([1, 2, 4]),
+    text_rows=st.sampled_from([1, 3, None]),
 )
 @settings(max_examples=25, deadline=None)
 def test_stacked_batch_equals_oracle_per_query(
-    block, rows, seed, measure, n_queries, group, alpha, metric, threads
+    block, rows, seed, measure, n_queries, group, alpha, metric, threads, text_rows
 ):
     """Each answer of the stacked batch is the oracle's — also when two
     or four threads select the batch at once over one dataset's keyword
-    sides."""
+    sides, and when a side keeps only 1 or 3 ``TS`` rows, so its rows
+    start over while other threads read them."""
     ds, rsk, queries = build_batch(seed, measure, n_queries, alpha, metric)
     rsk_group = rsk_groups(rsk)[group]
-    with budget(block, rows):
-        got = stacked_in_threads(ds, rsk, rsk_group, queries, threads)
+    saved = kernels.SIDE_TEXT_BYTES
+    if text_rows is not None:
+        kernels.SIDE_TEXT_BYTES = text_rows * 8 * kernels.arrays_for(ds).num_users
+    try:
+        with budget(block, rows):
+            got = stacked_in_threads(ds, rsk, rsk_group, queries, threads)
+    finally:
+        kernels.SIDE_TEXT_BYTES = saved
     assert got == [oracle_answers(ds, rsk, rsk_group, queries)] * threads
 
 
