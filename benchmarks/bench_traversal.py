@@ -58,7 +58,11 @@ sections:
    query).  Both print ms per query, the share of the flush spent in
    the keyword side (what a stored side saves a flush that repeats
    it) and the side map's hits and misses per flush, and fail on any
-   answer that differs from the oracle's.
+   answer that differs from the oracle's.  The ``select-flush exact``
+   row selects the shared flush with ``method="exact"`` (Algorithm 4
+   on the same block search), engine as one ``SelectionBatch`` against
+   ``oracle.select_candidate(method="exact")`` query by query, ``==``
+   and timed.
 6. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to the oracle's per-k sequential
@@ -72,8 +76,8 @@ Run::
 
 ``--max-slowdown X`` (used by the CI bench-smoke job) fails the run if
 the engine is more than X times slower than the oracle on the walk,
-the refinement, the selection or the stacked selection (same-k and
-mixed-k) — a tiny dataset cannot show the
+the refinement, the selection, the stacked selection (same-k and
+mixed-k) or the exact select-flush — a tiny dataset cannot show the
 speedup, but it catches kernel regressions that make vectorization a
 net loss (a refinement back at per-candidate Python work, a selection
 back at a per-location loop).
@@ -176,23 +180,24 @@ def time_frontier_bounds(engine, repeats):
     ))[0]
 
 
-def time_select(queries, dataset, pairs, side, repeats, stacked=False):
+def time_select(queries, dataset, pairs, side, repeats, stacked=False, method="approx"):
     """Algorithm 3 over fixed thresholds — ``pairs[i]`` is query ``i``'s
-    ``(RSk(u), RSk(us))`` — one answer tuple per query (``stacked``: the
-    engine's queries as one ``SelectionBatch``, whatever their k).  Each
-    engine run starts after a dataset epoch bump, so it finds none of
-    its keyword sides stored and builds each once, as a select payload
-    on a new side does."""
+    ``(RSk(u), RSk(us))`` — one answer tuple per query, keywords chosen
+    by ``method`` (``stacked``: the engine's queries as one
+    ``SelectionBatch``, whatever their k).  Each engine run starts after
+    a dataset epoch bump, so it finds none of its keyword sides stored
+    and builds each once, as a select payload on a new side does."""
     def run():
         if side == "engine":
             dataset.bump_epoch()
-        batch = SelectionBatch(queries, pairs) if stacked else None
+        batch = SelectionBatch(queries, pairs, method) if stacked else None
         extra = {} if batch is None else {"batch": batch}
         answers = []
         for query, (rsk, rsk_group) in zip(queries, pairs):
             stats = QueryStats()
             result = SELECT[side](
-                dataset, query, rsk, rsk_group=rsk_group, stats=stats, **extra
+                dataset, query, rsk, rsk_group=rsk_group, method=method, stats=stats,
+                **extra,
             )
             answers.append((
                 result.location, result.keywords, result.brstknn,
@@ -618,6 +623,27 @@ def main(argv=None) -> int:
     print("equivalence check: engine select-flush identical to the oracle's, "
           "shared and mixed keyword sides; one spatial row per location at most")
 
+    # The shared flush again with Algorithm 4 choosing the keywords: the
+    # same one SelectionBatch and block search, the exact selector.
+    flush_exact, exact_answers = {}, {}
+    for side in SIDES:
+        flush_exact[side], exact_answers[side] = time_select(
+            flush, engine.dataset, pairs_of["shared"], side, args.repeats,
+            stacked=side == "engine", method="exact",
+        )
+        print(
+            f"select-flush exact {side:<7}: "
+            f"{1000 * flush_exact[side] / len(flush):8.3f} ms/query  "
+            f"({len(flush)} queries, "
+            + ("one SelectionBatch)" if side == "engine" else "one by one)"),
+            flush=True,
+        )
+    if exact_answers["engine"] != exact_answers["oracle"]:
+        print("EQUIVALENCE FAILURE: engine select-flush exact answers differ "
+              "from oracle.select_candidate(method='exact')'s")
+        return 1
+    print("equivalence check: engine select-flush exact identical to the oracle's")
+
     # Where stacking cannot share: every query its own keyword side
     # (its own ox.d term and ws), one by one vs one SelectionBatch.
     terms = queries[0].keywords
@@ -703,6 +729,10 @@ def main(argv=None) -> int:
             "select_flush_ms_per_query": flush_ms_per_query,
             "select_flush_spatial_rows_per_location": rows_per_location,
             "select_flush_keyword_sides": flush_mix,
+            "select_flush_exact_s": flush_exact,
+            "select_flush_exact_ms_per_query": {
+                side: 1000 * took / len(flush) for side, took in flush_exact.items()
+            },
             "mixed_k": {
                 "ks": mixed_ks,
                 "queries": len(queries),
@@ -718,6 +748,7 @@ def main(argv=None) -> int:
         ("traversal", timings), ("refine", refine_timings), ("select", select_timings),
         ("select-batch", select_batch_timings),
         ("select-batch mixed-k", select_mixed_timings),
+        ("select-flush exact", flush_exact),
     ):
         if args.max_slowdown is not None and took["engine"] > args.max_slowdown * took["oracle"]:
             print(

@@ -217,14 +217,14 @@ def _select_payload(
     method: str,
 ) -> List[MaxBRSTkNNResult]:
     """Phase 2 for a ``select`` payload's queries, ``shared[i]`` being
-    query ``i``'s phase-1 state (one object per k): the greedy joint
-    selection answers them as one :class:`SelectionBatch` (stacked per
-    keyword side across k, computed inside the first query's
-    :func:`select_candidate` call), the rest one by one.  Answers and
-    selection counters are the per-query ones."""
+    query ``i``'s phase-1 state (one object per k): the joint selection,
+    either method, answers them as one :class:`SelectionBatch` (stacked
+    per keyword side across k, computed inside the first query's
+    :func:`select_candidate` call), the baseline one by one.  Answers
+    and selection counters are the per-query ones."""
     batch = (
-        SelectionBatch(queries, [(s.rsk, s.rsk_group) for s in shared])
-        if mode != "baseline" and method == "approx" else None
+        SelectionBatch(queries, [(s.rsk, s.rsk_group) for s in shared], method)
+        if mode != "baseline" else None
     )
     return [
         _select_one(dataset, query, entry, mode, method, batch)

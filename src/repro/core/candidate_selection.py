@@ -28,16 +28,20 @@ rules:
 **The engine replays the queue over batched outcomes, across the
 payload's queries.**  Nothing is ever pushed back on the queue, so its
 pop order is a sort, known before any keyword is touched; and between
-locations only the spatial score changes.  The greedy search therefore
+locations only the spatial score changes.  The search therefore
 evaluates the queue ``LOCATION_BLOCK`` entries at a time — shortlist
-mask, ``LUW`` pass, greedy max-coverage and recounts as rows of one
-matrix (:class:`~repro.core.kernels.SelectionContext`,
-:func:`~repro.core.keyword_selection.select_greedy_block`) — and then
-walks those outcomes with exactly the rules above, counters included.
-The block is what keeps early termination a *work* saver and not only
-a counting rule: the stop is tested before each block is paid for, so
-at most one block's tail is computed in vain, and the per-block
-temporaries stay bounded however many locations a query brings.
+mask, keyword selection and recounts as rows of one matrix
+(:class:`~repro.core.kernels.SelectionContext`) — and then walks those
+outcomes with exactly the rules above, counters included.  The
+selector is the one thing the method changes: Section 6.2.1's greedy
+(:func:`~repro.core.keyword_selection.select_greedy_block`) or
+Algorithm 4's exact enumeration
+(:func:`~repro.core.keyword_selection.select_exact_block`), two block
+kernels with one answer shape.  The block is what keeps early
+termination a *work* saver and not only a counting rule: the stop is
+tested before each block is paid for, so at most one block's tail is
+computed in vain, and the per-block temporaries stay bounded however
+many locations a query brings.
 
 The rows need not belong to one query, nor to one ``k``.  Queries
 that share ``(ox.d, W, ws)`` differ only in their locations and their
@@ -48,19 +52,16 @@ rebuild none of it — one threshold row per distinct ``RSk(u)``
 vector, each location row reading its own query's), one spatial row
 per surviving location per pass, one shortlist mask over all of them
 — which is also every round's membership — and, round by round, one
-:func:`select_greedy_block` call over block ``r`` of every query that
-line 3.10 has not stopped; each
-query then replays its own rows.  Passes hold at most ``STACK_ROWS``
-locations, so a batch of any size keeps its temporaries bounded.  A single query is the
-one-query batch: there is one greedy code path.  The queue loop itself
-— what the exact selector runs, and what the oracle
-(:mod:`repro.oracle`) runs with its scalar selectors — is
-:func:`_search_queue`.
+selector call over block ``r`` of every query that line 3.10 has not
+stopped; each query then replays its own rows.  Passes hold at most
+``STACK_ROWS`` locations, so a batch of any size keeps its temporaries
+bounded.  A single query is the one-query batch: there is one search,
+for both methods.  The oracle (:mod:`repro.oracle`) pops the queue
+location by location with its scalar selectors.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -71,13 +72,7 @@ from ..model.dataset import Dataset
 from ..model.objects import SuperUser, User
 from ..spatial.geometry import Point
 from .kernels import SelectionContext, _row_counts, arrays_for, keyword_side_key, np
-from .keyword_selection import (
-    BlockSelection,
-    KeywordSelection,
-    compute_brstknn,
-    select_greedy_block,
-    select_keywords_exact,
-)
+from .keyword_selection import BlockSelection, select_exact_block, select_greedy_block
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 #: Candidate locations scored per kernel pass.  Algorithm 3 stops early
@@ -228,6 +223,16 @@ def shortlist_locations(
     return shortlists, pruned
 
 
+def _selector(method: str) -> Callable[..., BlockSelection]:
+    """The block kernel of ``method``: ``"approx"`` (greedy, Section
+    6.2.1) or ``"exact"`` (Algorithm 4, Section 6.2.2)."""
+    if method == "approx":
+        return select_greedy_block
+    if method == "exact":
+        return select_exact_block
+    raise ValueError(f"unknown keyword-selection method {method!r}")
+
+
 def select_candidate(
     dataset: Dataset,
     query: MaxBRSTkNNQuery,
@@ -239,7 +244,8 @@ def select_candidate(
     stats: Optional[QueryStats] = None,
     batch: Optional["SelectionBatch"] = None,
 ) -> MaxBRSTkNNResult:
-    """Algorithm 3: best-first search over candidate locations.
+    """Algorithm 3: best-first search over candidate locations, one
+    search for both keyword selectors.
 
     Parameters
     ----------
@@ -248,38 +254,25 @@ def select_candidate(
     rsk_group:
         ``RSk(us)`` group threshold for whole-location pruning.
     method:
-        ``"approx"`` (greedy, Section 6.2.1) or ``"exact"``
-        (Algorithm 4).
+        The selector: ``"approx"`` (greedy, Section 6.2.1) or
+        ``"exact"`` (Algorithm 4, Section 6.2.2).
     batch:
-        The greedy :class:`SelectionBatch` ``query`` belongs to: the
-        first call naming it answers every query in it (with these
-        ``dataset`` / ``super_user`` / ``users``, which later calls must
-        repeat), the others read their answer.  ``rsk`` / ``rsk_group``
-        must be the pair the batch registered for ``query``.  ``None``:
-        the one-query batch.
+        The :class:`SelectionBatch` ``query`` belongs to, which must
+        select by ``method``: the first call naming it answers every
+        query in it (with these ``dataset`` / ``super_user`` /
+        ``users``, which later calls must repeat), the others read their
+        answer.  ``rsk`` / ``rsk_group`` must be the pair the batch
+        registered for ``query``.  ``None``: the one-query batch.
 
     Sets ``stats.selection_time_s`` (see :class:`QueryStats` for how a
     batch shares its passes out) and adds to the selection counters.
     """
-    if method not in ("approx", "exact"):
-        raise ValueError(f"unknown keyword-selection method {method!r}")
     stats = stats if stats is not None else QueryStats()
-    if method == "approx":
-        if batch is None:
-            batch = SelectionBatch([query], [(rsk, rsk_group)])
-        return batch.answer(dataset, query, rsk, rsk_group, super_user, users, stats)
-    if batch is not None:
-        raise ValueError("a SelectionBatch answers the greedy selection only")
-    t0 = time.perf_counter()
-    shortlists, pruned = shortlist_locations(
-        dataset, query, rsk, rsk_group, super_user=super_user, users=users
-    )
-    stats.locations_pruned += pruned
-    result = search_shortlists(
-        dataset, query, rsk, rsk_group, shortlists, method=method, stats=stats
-    )
-    stats.selection_time_s = time.perf_counter() - t0
-    return result
+    if batch is None:
+        batch = SelectionBatch([query], [(rsk, rsk_group)], method)
+    elif batch.method != method:
+        raise ValueError(f"this selection batch selects by {batch.method!r}")
+    return batch.answer(dataset, query, rsk, rsk_group, super_user, users, stats)
 
 
 def search_shortlists(
@@ -296,23 +289,17 @@ def search_shortlists(
 
     The aggregate-dependent half of :func:`select_candidate` (which is
     :func:`shortlist_locations` + this), kept callable on its own.  The
-    search's every decision (heap order, early termination, the
+    search's every decision (queue order, early termination, the
     keyword-free acceptance path, strict-improvement tie-breaking)
     depends only on the shortlists, ``rsk`` and ``rsk_group``, so
     identical inputs reproduce the sequential answer and the selection
     stats exactly.  ``shortlists`` must be ordered by location
-    ``index`` (the order :func:`shortlist_locations` emits).  The greedy
-    search runs block-wise (:func:`_search_rounds`, one query), the
-    exact one location by location (:func:`_search_queue`).
+    ``index`` (the order :func:`shortlist_locations` emits).  It runs
+    block-wise (:func:`_search_rounds`, one query) with ``method``'s
+    selector.
     """
-    if method not in ("approx", "exact"):
-        raise ValueError(f"unknown keyword-selection method {method!r}")
+    select = _selector(method)
     stats = stats if stats is not None else QueryStats()
-    if method == "exact":
-        return _search_queue(
-            dataset, query, rsk, rsk_group, shortlists, stats,
-            select=select_keywords_exact, brstknn=compute_brstknn,
-        )
     arrays = arrays_for(dataset)
     ctx = SelectionContext(arrays, query.ox, query.keywords, query.ws)
     lu = [arrays.rows_for(sl.users) if sl.rows is None else sl.rows for sl in shortlists]
@@ -322,87 +309,20 @@ def search_shortlists(
         [sl.lower_group for sl in shortlists], 0,
     )
     search.enqueue([len(rows) for rows in lu], range(len(lu)))
-    _search_rounds(ctx, [search], arrays.membership(lu))
+    _search_rounds(ctx, [search], arrays.membership(lu), select)
     return search.result(arrays, stats)
 
 
-def _search_queue(
-    dataset: Dataset,
-    query: MaxBRSTkNNQuery,
-    rsk: Mapping[int, float],
-    rsk_group: float,
-    shortlists: Sequence[LocationShortlist],
-    stats: QueryStats,
-    *,
-    select: Callable[..., KeywordSelection],
-    brstknn: Callable[..., FrozenSet[int]],
-) -> MaxBRSTkNNResult:
-    """:func:`search_shortlists` popping Algorithm 3's queue location by
-    location, scoring with ``select`` (:func:`select_keywords_exact`'s
-    signature) and, on the keyword-free acceptance path, ``brstknn``
-    (:func:`compute_brstknn`'s).  The exact search runs it with those
-    two; the oracle with its scalar selectors, for either method.
-    """
-    # Max-priority queue on |LU_l| (Algorithm 3's QL).
-    heap: List[Tuple[int, int, LocationShortlist]] = []
-    for idx, sl in enumerate(shortlists):
-        heapq.heappush(heap, (-len(sl.users), idx, sl))
-
-    best_location: Optional[Point] = None
-    best_keywords: FrozenSet[int] = frozenset()
-    best_users: FrozenSet[int] = frozenset()
-
-    while heap:
-        neg_size, _, sl = heapq.heappop(heap)
-        if -neg_size <= len(best_users):
-            break  # Line 3.10: upper bound cannot beat the incumbent
-        if sl.lower_group >= rsk_group and rsk_group > 0.0:
-            # Lines 3.11–3.13: keyword-free acceptance path.  The group
-            # lower bound is conservative, so confirm per user with the
-            # original description only.
-            winners = brstknn(
-                dataset, query.ox, sl.location, frozenset(), sl.users, rsk
-            )
-            stats.keyword_combinations_scored += 1
-            if len(winners) > len(best_users):
-                best_location, best_keywords, best_users = (
-                    sl.location,
-                    frozenset(),
-                    winners,
-                )
-            # Keywords can only add winners; still try selection below
-            # unless nothing can improve.
-            if len(winners) == len(sl.users):
-                continue
-        keywords, winners, scored = select(
-            dataset, query.ox, sl.location, query.keywords, query.ws, sl.users, rsk
-        )
-        stats.keyword_combinations_scored += scored
-        if len(winners) > len(best_users):
-            best_location, best_keywords, best_users = sl.location, keywords, winners
-
-    if best_location is None and query.locations:
-        # Nothing reached any user's top-k; return the first location
-        # with the empty keyword set and an empty BRSTkNN (the maximum).
-        best_location = query.locations[0]
-
-    return MaxBRSTkNNResult(
-        location=best_location,
-        keywords=best_keywords,
-        brstknn=best_users,
-        stats=stats,
-    )
-
-
 class _Search:
-    """One query's walk down Algorithm 3's queue, greedy selector.
+    """One query's walk down Algorithm 3's queue, either selector.
 
     Nothing is ever pushed back on the queue, so its pop order is the
     sort by ``(-|LU_l|, position)``.  :meth:`replay` is the scalar loop
-    decision for decision — line 3.10, the keyword-free acceptance
-    path, strict improvement, ``keyword_combinations_scored`` counted
-    for popped locations only — except that what it reads at a location
-    (the bare ``ox.d`` recount, the greedy selection) was computed for
+    (:func:`repro.oracle.search_shortlists`) decision for decision —
+    line 3.10, the keyword-free acceptance path, strict improvement,
+    ``keyword_combinations_scored`` counted for popped locations only —
+    except that what it reads at a location (the bare ``ox.d`` recount,
+    the keyword selection) was computed for
     :meth:`block`'s ``LOCATION_BLOCK`` queue entries at once, possibly
     stacked with other queries' blocks: line 3.10 is tested before a
     block joins a round, so it still saves the work behind it.
@@ -490,7 +410,7 @@ class _Search:
         stats.keyword_combinations_scored += self.scored
         location = self.best_location
         if location is None and self.query.locations:
-            location = self.query.locations[0]  # as _search_queue: nothing won
+            location = self.query.locations[0]  # nothing won: the first
         return MaxBRSTkNNResult(
             location=location,
             keywords=self.best_keywords,
@@ -502,10 +422,15 @@ class _Search:
         )
 
 
-def _search_rounds(ctx: SelectionContext, searches: Sequence[_Search], member) -> None:
+def _search_rounds(
+    ctx: SelectionContext,
+    searches: Sequence[_Search],
+    member,
+    select: Callable[..., BlockSelection],
+) -> None:
     """Walk every search's queue, stacked: round ``r`` scores block
-    ``r`` of each search line 3.10 has not stopped in ONE
-    :func:`select_greedy_block` call, each location against its own
+    ``r`` of each search line 3.10 has not stopped in ONE ``select``
+    call (a block kernel of :func:`_selector`), each location against its own
     search's threshold row and with its own row of ``member`` (the
     searches' ``LU_l`` masks, which the queue entries index), then each
     search replays its own rows.  Replay time is charged to its search."""
@@ -515,7 +440,7 @@ def _search_rounds(ctx: SelectionContext, searches: Sequence[_Search], member) -
         if not blocks:
             return
         entries = [entry for _, block in blocks for entry in block]
-        selection = select_greedy_block(
+        selection = select(
             ctx, [entry[1] for entry in entries],
             member[[entry[3] for entry in entries]],
             [search.at for search, block in blocks for _ in block],
@@ -547,7 +472,8 @@ def _passes(searches: Sequence[_Search]) -> Iterator[List[_Search]]:
 
 
 class SelectionBatch:
-    """The queries of one ``select`` payload, selected together (greedy).
+    """The queries of one ``select`` payload, selected together by one
+    method's selector.
 
     Algorithm 3 varies only the location, and ``k`` enters it only
     through the thresholds — so queries that share their keyword side
@@ -563,12 +489,14 @@ class SelectionBatch:
     locations are one array expression (each query pruned against its
     own ``RSk(us)``), and each pass of at most ``STACK_ROWS`` locations
     computes ``alpha * SS(l, u)`` once, shortlists every location in one
-    mask and runs its greedy rounds as single :func:`select_greedy_block`
-    calls (:func:`_search_rounds`) that read those rows and that mask in
+    mask and runs its rounds as single selector calls
+    (:func:`_search_rounds`) that read those rows and that mask in
     place, each location row against its own query's thresholds.  Every
     answer and counter is the query's own, ``==`` to the one-query run.
 
-    ``thresholds[i]`` is query ``i``'s ``(RSk(u), RSk(us))`` pair.
+    ``thresholds[i]`` is query ``i``'s ``(RSk(u), RSk(us))`` pair;
+    ``method`` names the selector every query of the batch runs
+    (``"approx"`` or ``"exact"``, as :func:`select_candidate`'s).
     :func:`select_candidate` is the entry: the first call naming the
     batch computes every answer, later calls read theirs, and each call
     must pass the pair registered for its query — so the stacked work
@@ -580,7 +508,10 @@ class SelectionBatch:
         self,
         queries: Sequence[MaxBRSTkNNQuery],
         thresholds: Sequence[Tuple[Mapping[int, float], float]],
+        method: str = "approx",
     ) -> None:
+        self.select = _selector(method)
+        self.method = method
         self.queries = list(queries)
         self.thresholds = list(thresholds)
         if len(self.thresholds) != len(self.queries):
@@ -659,7 +590,7 @@ class SelectionBatch:
             for part in _passes(ordered):
                 own = sum(search.time_s for search in part)
                 t0 = time.perf_counter()
-                _run_pass(ctx, rows, part)
+                _run_pass(ctx, rows, part, self.select)
                 shared = time.perf_counter() - t0 - (
                     sum(search.time_s for search in part) - own
                 )
@@ -668,7 +599,12 @@ class SelectionBatch:
         return searches
 
 
-def _run_pass(ctx: SelectionContext, rows, part: List[_Search]) -> None:
+def _run_pass(
+    ctx: SelectionContext,
+    rows,
+    part: List[_Search],
+    select: Callable[..., BlockSelection],
+) -> None:
     """One stacked pass: ``alpha * SS(l, u)`` of the pass's locations
     once (every decision of the pass reads its rows), ``LU_l`` of all of
     them in one mask, each against its own query's threshold row, then
@@ -685,5 +621,5 @@ def _run_pass(ctx: SelectionContext, rows, part: List[_Search]) -> None:
         end = start + len(search.locations)
         search.enqueue(sizes[start:end], range(start, end))
         start = end
-    _search_rounds(ctx, part, member)
+    _search_rounds(ctx, part, member, select)
     ctx.pin(())

@@ -69,8 +69,8 @@ class _CoercingEnum(str, enum.Enum):
 class Method(_CoercingEnum):
     """Keyword-selection method (Section 6)."""
 
-    APPROX = "approx"  # Algorithm 4, greedy with guarantee
-    EXACT = "exact"    # pruned exhaustive subset scan
+    APPROX = "approx"  # Section 6.2.1: greedy max coverage, 1 - 1/e
+    EXACT = "exact"    # Section 6.2.2, Algorithm 4: every set up to ws
 
 
 class Mode(_CoercingEnum):

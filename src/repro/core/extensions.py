@@ -25,7 +25,7 @@ compose with the joint top-k exactly like ``select_candidate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..model.dataset import Dataset
 from ..model.objects import User
@@ -57,6 +57,7 @@ def top_placements(
     limit: int = 3,
     rsk_group: float = 0.0,
     method: str = "approx",
+    users: Optional[Sequence[User]] = None,
 ) -> List[Placement]:
     """The ℓ best placements, one per candidate location, best first.
 
@@ -64,14 +65,15 @@ def top_placements(
     the resulting placements are ranked by cardinality.  Locations whose
     shortlist upper bound cannot beat the current ℓ-th best are skipped,
     mirroring Algorithm 3's early termination but with an ℓ-deep
-    incumbent list.
+    incumbent list.  ``users`` (``None``: all) restricts the users a
+    placement can win, as :func:`shortlist_locations`'s.
     """
     if method not in ("approx", "exact"):
         raise ValueError(f"unknown method {method!r}")
     if limit <= 0:
         return []
     selector = select_keywords_greedy if method == "approx" else select_keywords_exact
-    shortlists, _ = shortlist_locations(dataset, query, rsk, rsk_group)
+    shortlists, _ = shortlist_locations(dataset, query, rsk, rsk_group, users=users)
     shortlists.sort(key=lambda sl: -len(sl.users))
 
     placements: List[Placement] = []
@@ -107,15 +109,16 @@ def collective_placement(
     Each round finds the placement winning the most *uncovered* users,
     commits it, removes its users and (unless ``reuse_locations``) its
     location, and repeats.  Returns the chosen placements and the union
-    of users covered.
+    of users covered.  A round restricts the one ``dataset``'s shortlists
+    to the uncovered users, so ``rsk`` — a mapping by user id or the
+    engine's :class:`~repro.core.thresholds.Thresholds` by user row —
+    is read as it is laid out.
     """
     if num_objects <= 0:
         return [], frozenset()
     covered: set = set()
     remaining_locations = list(query.locations)
     chosen: List[Placement] = []
-    users_by_id: Dict[int, User] = {u.item_id: u for u in dataset.users}
-
     for _ in range(num_objects):
         if not remaining_locations:
             break
@@ -129,9 +132,9 @@ def collective_placement(
             ws=query.ws,
             k=query.k,
         )
-        sub_dataset = dataset.with_users(uncovered_users)
         best = top_placements(
-            sub_dataset, sub_query, rsk, limit=1, rsk_group=0.0, method=method
+            dataset, sub_query, rsk, limit=1, rsk_group=0.0, method=method,
+            users=uncovered_users,
         )
         if not best or best[0].cardinality == 0:
             break

@@ -94,15 +94,16 @@ document (new ones scored in one stacked pass), the greedy selector's
 row of key indices, de-duplicated by one ``lexsort`` — and the group
 bounds' text terms.  **Per context** (dropped with it): one ``RSk(u)``
 row per distinct threshold vector (one per k) and, per threshold row,
-the ``θ`` of every decision.  **Per pass of candidate locations**:
-``alpha * SS`` as one ``L x U`` matrix, computed once, which every
-decision reads in place: the shortlist mask (``L x U``), the ``LUW``
-pass (``L x P`` over the pairs), the greedy max-coverage of all ``L``
-locations at once (gains counted by an exact product with a
-pair-to-key one-hot) and the recounts (one row per ``(location,
-keyword set)``, the rows of one set and threshold row compared as one
-run).  Winner sets stay boolean rows; only a query's final answer
-becomes a ``frozenset``.
+the ``θ`` of the shortlist's and the ``LUW`` pass's decisions.  **Per
+pass of candidate locations**: ``alpha * SS`` as one ``L x U`` matrix,
+computed once, which every decision reads in place: the shortlist mask
+(``L x U``), the ``LUW`` pass (``L x P`` over the pairs), the greedy
+max-coverage of all ``L`` locations at once (gains counted by an exact
+product with a pair-to-key one-hot) and the recounts of either
+selector's keyword sets (one row per ``(location, keyword set)``, the
+rows of one set and threshold row compared as one run, their ``θ``
+kept for the call).  Winner sets stay boolean rows; only a query's
+final answer becomes a ``frozenset``.
 """
 
 from __future__ import annotations
@@ -391,7 +392,6 @@ class DatasetArrays:
             self.user_text[np.unique(self.user_set, return_index=True)[1]],
             np.ones((len(set_ids), 1)),
         ))
-        self._doc_vec_cache: Dict[frozenset, "np.ndarray"] = {}
         self._id_order = None  # argsort of user_ids, built by rows_of_ids
         #: Algorithm 3's keyword sides by (dataset epoch, side key), at
         #: most ``SIDES_MAX``; see :meth:`side`.
@@ -468,24 +468,16 @@ class DatasetArrays:
     def _doc_weight_vector(self, doc: Mapping[int, int]):
         """Document term weights as a vector over the user-term columns.
 
-        For query-time documents only (``ox.d`` and its augmentations);
-        objects of ``O`` have their rows in ``obj_weights``.  Memoized
-        per document content: selection meets the same augmented
-        documents again at later locations and in later queries.
+        For query-time documents only (``ox.d`` and its augmentations),
+        which a :class:`KeywordSide` build scores and the side keeps;
+        objects of ``O`` have their rows in ``obj_weights``.
         """
-        key = frozenset(doc.items())
-        w = self._doc_vec_cache.get(key)
-        if w is not None:
-            return w
         w = np.zeros(self.num_terms, dtype=np.float64)
         if doc:
             for tid, wt in self.dataset.relevance.document_weights(doc).items():
                 col = self.term_col.get(tid)
                 if col is not None:
                     w[col] = wt
-        if len(self._doc_vec_cache) >= 4096:  # bound memory across queries
-            self._doc_vec_cache.clear()
-        self._doc_vec_cache[key] = w
         return w
 
     # ------------------------------------------------------------------
@@ -531,49 +523,9 @@ class DatasetArrays:
             np.maximum(0.0, np.minimum(1.0, 1.0 - far / dmax)),
         )
 
-    def spatial_scores(self, location: Point, rows=None):
-        """``SS(location, u)`` for every selected user."""
-        scores = self.spatial_matrix([location])[0]
-        return scores if rows is None else scores[rows]
-
     # ------------------------------------------------------------------
     # Decision kernels (guard-banded; results match the oracle)
     # ------------------------------------------------------------------
-    def threshold_mask_many(
-        self,
-        location: Point,
-        evals: Sequence[Tuple[Mapping[int, int], Sequence[User]]],
-        rsk: Mapping[int, float],
-    ) -> List[List[bool]]:
-        """Guard-banded ``STS(location, doc, u) >= RSk(u)`` for many
-        (document, users) groups at one location in one kernel dispatch.
-
-        All (user, document) pairs share one spatial-score vector and
-        one gathered text reduction, which matters when the groups are
-        small (the exact selector's memo states: many padded documents
-        with a handful of users each).  Pairs inside the guard band are
-        re-scored with the scalar path, ties included.
-        """
-        if not evals:
-            return []
-        pairs = [(d, u) for d, (_doc, members) in enumerate(evals) for u in members]
-        rows = np.array([self.user_row[u.item_id] for _, u in pairs], dtype=np.intp)
-        docs = np.array([d for d, _ in pairs], dtype=np.intp)
-        thr = np.array([rsk[u.item_id] for _, u in pairs], dtype=np.float64)
-        w_mat = np.stack([self._doc_weight_vector(doc) for doc, _ in evals])
-        sums = np.einsum("ij,ij->i", self.user_terms[rows], w_mat[docs])
-        alpha = self.dataset.alpha
-        ts = _normalized_text(sums, self.user_z[rows])
-        scores = alpha * self.spatial_scores(location)[rows] + (1.0 - alpha) * ts
-
-        def exact(_row: int, i: int) -> bool:
-            d, u = pairs[i]
-            return self.dataset.sts_parts(location, evals[d][0], u) >= rsk[u.item_id]
-
-        band = [(0, 1, (thr - GUARD_EPS, thr + GUARD_EPS))]
-        flat = iter(_banded(scores[None, :], band, exact)[0].tolist())
-        return [[next(flat) for _ in members] for _doc, members in evals]
-
     def brstknn(
         self,
         ox: STObject,
@@ -1000,19 +952,22 @@ class SelectionContext:
       :class:`~repro.core.thresholds.Thresholds` admitted
       (:meth:`admit`: ``RSk(u)`` by user row, the vector's own column),
       and per current location the row it reads (:meth:`move_to`);
-    * per threshold row, the ``θ`` of each decision — ``UBL``'s per
-      user, ``LUW``'s per pair, a recount's per user and keyword set —
-      as the two edges of its guard band (:meth:`_bar`).
+    * per threshold row, the ``θ`` of ``UBL``'s decisions (per user)
+      and ``LUW``'s (per pair) as the two edges of its guard band
+      (:meth:`_bar`); a recount's, per user and keyword set, live for
+      its call only.
 
     **Once per pass of locations** (:meth:`pin`): ``alpha * SS`` as an
     ``L x U`` matrix, one row per location, which every decision then
-    reads in place — :meth:`shortlist` (``L x U``), :meth:`luw` (``L x
-    P`` over the pairs), :meth:`cover` (greedy max-coverage for all
-    ``L`` at once) and :meth:`recount` (one row per ``(location, keyword
-    set)``).  Every decision goes through :func:`_banded`; an entry
-    inside the band — and only such an entry, of a user that belongs to
-    the location — is decided by the scalar ``dataset.sts_parts`` /
-    ``BoundCalculator.location_upper_user`` call the oracle makes.
+    reads in place — :meth:`shortlist` (``L x U``), the greedy
+    selector's :meth:`luw` (``L x P`` over the pairs) and :meth:`cover`
+    (greedy max-coverage for all ``L`` at once), and :meth:`recount`
+    (one row per ``(location, keyword set)``), which scores the greedy
+    prefixes and Algorithm 4's combinations alike.  Every decision goes
+    through :func:`_banded`; an entry inside the band — and only such an
+    entry, of a user that belongs to the location — is decided by the
+    scalar ``dataset.sts_parts`` / ``BoundCalculator.location_upper_user``
+    call the oracle makes.
     """
 
     def __init__(
@@ -1073,25 +1028,23 @@ class SelectionContext:
             raise KeyError(f"no RSk(u) for users {missing[:5].tolist()}")
         return entry[0]
 
-    def _bar(self, kind, row: int, keywords: Optional[FrozenSet[int]] = None):
+    def _bar(self, kind, row: int):
         """The guard band's edges ``(θ - GUARD_EPS, θ + GUARD_EPS)`` of
         one decision against threshold row ``row``, ``θ = RSk(u) - (1 -
         alpha) * TS`` with the text half of ``kind``: ``"ubl"`` (per user,
-        :meth:`KeywordSide.upper_text`), ``"pairs"`` (per pair, its
-        ``HW_{w,u}``) or ``"set"`` (per user, ``keywords`` added to
-        ``ox.d``)."""
-        cache_key = (kind, row, keywords)
+        :meth:`KeywordSide.upper_text`) or ``"pairs"`` (per pair, its
+        ``HW_{w,u}``).  A recount's per-set edges live for its call
+        (:meth:`recount`)."""
+        cache_key = (kind, row)
         edges = self._bars.get(cache_key)
         if edges is None:
             rest = 1.0 - self.arrays.dataset.alpha
             rsk = self._rows[row]
             if kind == "ubl":
                 theta = rsk - rest * self.side.upper_text()
-            elif kind == "pairs":
+            else:
                 t = self.side.pairs()
                 theta = rsk[t.row] - rest * t.ts
-            else:
-                theta = rsk - rest * self.side.text([keywords])[0]
             edges = self._bars[cache_key] = (theta - GUARD_EPS, theta + GUARD_EPS)
         return edges
 
@@ -1255,14 +1208,19 @@ class SelectionContext:
         def exact(i: int, row: int) -> bool:
             return self._wins(int(index[i]), keyword_sets[which[i]], row)
 
-        self.side.text(keyword_sets)  # every new set in one stacked pass
-        runs = []
+        spans, rows, sets = [], [], []
         for lo, hi, r in self._runs(len(index), index):
             cuts = (np.flatnonzero(which[lo + 1 : hi] != which[lo : hi - 1]) + lo + 1).tolist()
-            runs.extend(
-                (a, b, self._bar("set", r, keyword_sets[which[a]]))
-                for a, b in zip([lo, *cuts], [*cuts, hi])
-            )
+            for a, b in zip([lo, *cuts], [*cuts, hi]):
+                spans.append((a, b))
+                rows.append(r)
+                sets.append(which[a])
+        # Every run's θ in one expression, kept for this call only: a
+        # recount of Algorithm 4's combinations meets thousands of sets.
+        texts = self.side.text(keyword_sets)  # every new set in one stacked pass
+        theta = np.stack(self._rows)[rows] - (1.0 - self.arrays.dataset.alpha) * texts[sets]
+        low, high = theta - GUARD_EPS, theta + GUARD_EPS
+        runs = [(a, b, (low[i], high[i])) for i, (a, b) in enumerate(spans)]
         return _banded(ss, runs, exact, _partial_rows(member, index))
 
 

@@ -1,51 +1,51 @@
-"""Candidate keyword selection: greedy approximation and pruned exact.
+"""Candidate keyword selection: greedy approximation and exact.
 
 Lemma 1 reduces Maximum Coverage to keyword selection, so even with one
 candidate location the problem is NP-hard.  Section 6.2 gives two
-solvers, both implemented here:
+solvers, both implemented here as block kernels over a
+:class:`~repro.core.kernels.SelectionContext` — several locations in
+one pass, one answer shape (:class:`BlockSelection`) — so Algorithm 3's
+one search (:mod:`repro.core.candidate_selection`) runs either:
 
-**Greedy approximation (Section 6.2.1).**  For each candidate keyword
-``w`` a user list ``LUW_w`` is precomputed: user ``u`` enters the list
-when placing ``ox`` at the chosen location with the *most optimistic*
-keyword set containing ``w`` (``HW_{w,u}``: the ``ws`` highest-weight
-candidates from ``W ∩ u.d`` including ``w``) reaches ``RSk(u)``.  The
-classic max-coverage greedy then picks ``ws`` keywords maximizing the
-union of their lists; since the lists are optimistic, the *actual*
-BRSTkNN of the chosen set is recomputed before the caller compares
-candidates.  Greedy max coverage is the best possible polynomial
-approximation (``1 − 1/e``) unless P = NP.
+**Greedy approximation (Section 6.2.1, :func:`select_greedy_block`).**
+For each candidate keyword ``w`` a user list ``LUW_w`` is precomputed:
+user ``u`` enters the list when placing ``ox`` at the chosen location
+with the *most optimistic* keyword set containing ``w`` (``HW_{w,u}``:
+the ``ws`` highest-weight candidates from ``W ∩ u.d`` including ``w``)
+reaches ``RSk(u)``.  The classic max-coverage greedy then picks ``ws``
+keywords maximizing the union of their lists; since the lists are
+optimistic, the *actual* BRSTkNN of the chosen set is recomputed before
+the caller compares candidates.  Greedy max coverage is the best
+possible polynomial approximation (``1 − 1/e``) unless P = NP.
 
-**Exact (Section 6.2.2, Algorithm 4).**  Enumerates combinations of
-size up to ``ws`` ("up to" rather than the paper's "exactly":
-Definition 1 asks for ``|W'| <= ws``, and under length-normalized
-measures a smaller set can strictly beat every size-``ws`` set) of the
-*useful* candidates (``W ∩ Wu`` where ``Wu`` is the union of the
-shortlisted users' keywords) with the paper's prunings — users outside
-``LU_l`` are never touched; a combination is scored against a user only
-through a memoized per-user won/lost table keyed by ``(combo ∩ u.d,
-|combo|)`` (at a fixed location a user's STS depends on nothing else;
-see the comment in :func:`select_keywords_exact`), which
-turns the scan into set intersections.  The paper's further shortcut
-(users won by location alone count for every combination, lines
-4.6–4.7) is applied *per combination size* instead of globally: under
-length-normalized measures a bare-document win can be lost again once
-unmatched keywords dilute the document, so the global version
-over-counts (the cross-method equivalence tests caught it against the
-exhaustive baseline).
+**Exact (Section 6.2.2, Algorithm 4, :func:`select_exact_block`).**
+Enumerates the combinations of size up to ``ws`` ("up to" rather than
+the paper's "exactly": Definition 1 asks for ``|W'| <= ws``, and under
+length-normalized measures a smaller set can strictly beat every
+size-``ws`` set) of the *useful* candidates (``W ∩ Wu`` where ``Wu`` is
+the union of the shortlisted users' keywords); users outside ``LU_l``
+are never touched.  Every combination is recounted exactly.  The
+paper's further shortcut (users won by location alone count for every
+combination, lines 4.6–4.7) is not taken: under length-normalized
+measures a bare-document win can be lost again once unmatched keywords
+dilute the document, so it over-counts (the cross-method equivalence
+tests caught it against the exhaustive baseline).
+
+:func:`select_keywords_greedy` and :func:`select_keywords_exact` are
+the one-location cases; :mod:`repro.oracle` holds the scalar selectors
+they are tested against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
-    Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence, Tuple,
 )
 
 from ..model.dataset import Dataset
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
-from .bounds import augmented_document
 from .kernels import SelectionContext, _distinct_rows, _row_counts, arrays_for, np
 
 __all__ = [
@@ -53,9 +53,17 @@ __all__ = [
     "BlockSelection",
     "compute_brstknn",
     "select_greedy_block",
+    "select_exact_block",
     "select_keywords_greedy",
     "select_keywords_exact",
 ]
+
+#: Recount rows one :func:`select_exact_block` call scores at once.
+#: Algorithm 4 enumerates up to ``C(|W|, ws)`` keyword sets per location
+#: (6 195 at |W| = 20, ws <= 4), so a block's (location, set) rows go
+#: this many at a time and each set's ``θ`` row lives for one recount
+#: call: at |U| = 400 a call's ``rows x U`` temporaries stay under ~4 MB.
+EXACT_ROWS = 1024
 
 
 #: Result of one keyword-selection call: the chosen keyword set, the
@@ -96,22 +104,13 @@ def select_keywords_greedy(
     BRSTkNNs by the location upper bound); ``rsk`` maps user id to
     ``RSk(u)``.  The call runs as the one-location case of
     :func:`select_greedy_block`, the kernel Algorithm 3 feeds a block of
-    locations at a time, over a fresh
-    :class:`~repro.core.kernels.SelectionContext` whose keyword side —
-    the optimistic keyword weights and ``HW`` sets, which depend only
-    on ``(ox, candidate_keywords, ws)`` — is the one the dataset's
-    arrays keep for it: a caller visiting location after location
-    builds it once.  The scalar selector scoring pair by pair at every
-    location (:func:`repro.oracle.select_keywords_greedy`) is the
+    locations at a time.  The scalar selector scoring pair by pair at
+    every location (:func:`repro.oracle.select_keywords_greedy`) is the
     oracle that kernel is tested against.
     """
-    arrays = arrays_for(dataset)
-    ctx = SelectionContext(arrays, ox, candidate_keywords, ws)
-    block = select_greedy_block(
-        ctx, [location], arrays.membership([arrays.rows_for(users)]), rsk
+    return _one_location(
+        select_greedy_block, dataset, ox, location, candidate_keywords, ws, users, rsk
     )
-    winners = frozenset(arrays.user_ids[block.won[0]].tolist())
-    return block.keywords[0], winners, block.scored[0]
 
 
 class BlockSelection(NamedTuple):
@@ -237,6 +236,95 @@ def select_greedy_block(
     )
 
 
+def select_exact_block(
+    ctx: SelectionContext,
+    locations: Sequence[Point],
+    member,
+    rsk: Mapping[int, float] | Sequence[int],
+) -> BlockSelection:
+    """:func:`select_keywords_exact` at several locations in one pass:
+    Section 6.2.2 on :func:`select_greedy_block`'s arguments and answer.
+
+    Per location, ``useful_l`` is ``W ∩`` the keywords of its users (row
+    ``l`` of ``member``), and every combination of ``useful_l`` of size
+    1 to ``min(ws, |useful_l|)``, in ``itertools.combinations`` order,
+    is one recount row beside the bare ``ox.d``'s; the first maximum
+    wins, so a set must beat the bare count strictly.  The recount is
+    exact, so no memo of padded documents stands in for it.  Rows are
+    scored ``EXACT_ROWS`` at a time, sorted by threshold row and set, so
+    rows sharing both compare as one run.  ``scored`` is 1 (the bare
+    recount) plus the location's combinations.
+    """
+    if isinstance(rsk, Mapping):
+        rsk = ctx.admit(np.flatnonzero(member.any(axis=0)), rsk)
+    ctx.move_to(locations, rsk)
+    arrays, n = ctx.arrays, len(locations)
+    terms = sorted(t for t in set(ctx.candidate_terms) if t in arrays.term_col)
+    holders = arrays.user_terms[:, [arrays.term_col[t] for t in terms]].astype(np.float32)
+    useful = (member.astype(np.float32) @ holders) > 0
+
+    # Every location's keyword sets as ids into ``sets``, the bare ox.d
+    # (id 0) first, then Algorithm 4's combinations in enumeration order.
+    set_id: Dict[FrozenSet[int], int] = {frozenset(): 0}
+    enumerated: Dict[Tuple[int, ...], List[int]] = {}
+    per_location = []
+    for row in useful.tolist():
+        key = tuple(t for t, held in zip(terms, row) if held)
+        if key not in enumerated:
+            enumerated[key] = [0] + [
+                set_id.setdefault(frozenset(combo), len(set_id))
+                for size in range(1, min(ctx.ws, len(key)) + 1)
+                for combo in combinations(key, size)
+            ]
+        per_location.append(enumerated[key])
+    sets = list(set_id)
+    scored = [len(ids) for ids in per_location]
+    loc = np.repeat(np.arange(n), scored)
+    which = np.array([i for ids in per_location for i in ids], dtype=np.intp)
+    pos = np.arange(len(loc)) - np.repeat(np.cumsum([0, *scored])[:-1], scored)
+    at = np.broadcast_to(np.asarray(rsk, dtype=np.intp), (n,))
+    order = np.lexsort((loc, which, at[loc]))
+
+    # Per location, the best row so far keyed by (count, earliest
+    # position): rows of one location hold distinct positions, so the
+    # largest key is the first maximum in enumeration order.
+    span = max(scored, default=1)
+    best = np.full(n, -1, dtype=np.int64)
+    won = np.zeros(member.shape, dtype=bool)
+    base = np.zeros(member.shape, dtype=bool)
+    chosen = np.zeros(n, dtype=np.intp)
+    for start in range(0, len(order), EXACT_ROWS):
+        rows = order[start : start + EXACT_ROWS]
+        at_row = loc[rows]
+        ids, local = np.unique(which[rows], return_inverse=True)
+        rows_won = ctx.recount(member, at_row, [sets[i] for i in ids.tolist()], local)
+        key = _row_counts(rows_won) * span + (span - 1 - pos[rows])
+        top = best.copy()
+        np.maximum.at(top, at_row, key)
+        hit = key == top[at_row]
+        best[at_row[hit]], won[at_row[hit]] = key[hit], rows_won[hit]
+        chosen[at_row[hit]] = which[rows[hit]]
+        bare = pos[rows] == 0
+        base[at_row[bare]] = rows_won[bare]
+    return BlockSelection(
+        [sets[i] for i in chosen.tolist()], won, scored, base,
+        (best // span).tolist(), _row_counts(base).tolist(),
+    )
+
+
+def _one_location(select, dataset, ox, location, candidate_keywords, ws, users, rsk):
+    """``select`` (:func:`select_greedy_block` or
+    :func:`select_exact_block`) at ``location`` alone, over a fresh
+    :class:`~repro.core.kernels.SelectionContext` whose keyword side is
+    the one the dataset's arrays keep for ``(ox, candidate_keywords,
+    ws)``: a caller visiting location after location builds it once."""
+    arrays = arrays_for(dataset)
+    ctx = SelectionContext(arrays, ox, candidate_keywords, ws)
+    block = select(ctx, [location], arrays.membership([arrays.rows_for(users)]), rsk)
+    winners = frozenset(arrays.user_ids[block.won[0]].tolist())
+    return block.keywords[0], winners, block.scored[0]
+
+
 def select_keywords_exact(
     dataset: Dataset,
     ox: STObject,
@@ -245,123 +333,11 @@ def select_keywords_exact(
     ws: int,
     users: Sequence[User],
     rsk: Mapping[int, float],
-    mask_many: Optional[Callable[..., List[List[bool]]]] = None,
 ) -> KeywordSelection:
-    """Algorithm 4: exact keyword selection with pruning at ``location``.
-
-    ``mask_many(location, [(document, users), ...], rsk)`` decides
-    ``STS(location, document, u) >= RSk(u)`` for groups of users; it
-    defaults to the guard-banded
-    :meth:`~repro.core.kernels.DatasetArrays.threshold_mask_many`, and
-    the oracle passes its pair-by-pair scan
-    (:func:`repro.oracle.select_keywords_exact`).
-    """
-    if mask_many is None:
-        mask_many = arrays_for(dataset).threshold_mask_many
-    # Pruning 1+2: only shortlisted users; only candidates some
-    # shortlisted user actually has.
-    wu: Set[int] = set()
-    for u in users:
-        wu |= u.keyword_set
-    useful = sorted(set(candidate_keywords) & wu)
-
-    # Definition 1 asks for |W'| <= ws, and under length-normalized
-    # measures (LM) adding a keyword can *lower* other term weights, so
-    # a smaller set can strictly beat every size-ws set.  The paper's
-    # Algorithm 4 enumerates only size-ws combinations (implicitly
-    # assuming monotone text scores); to stay exact for all three
-    # measures we enumerate every size from 0 up to ws.
-    #
-    # Scoring is memoized: for a fixed location and combo size s, a
-    # user's STS depends only on (combo ∩ u.d, s) — the other combo
-    # keywords contribute nothing but document length, which filler
-    # terms outside every u.d simulate exactly.  Each user has at most
-    # 2^|W ∩ u.d| * ws reachable states, precomputed once, so the
-    # combinatorial loop reduces to set intersections and lookups.
-    #
-    # NB: Algorithm 4's lines 4.6–4.7 count users whose location-only
-    # lower bound meets RSk(u) for *every* combination.  That shortcut
-    # is unsound for length-normalized measures: a user won by the bare
-    # ``ox.d`` can lose it again once unmatched keywords dilute the
-    # document.  The memo therefore also carries the *empty* matched
-    # subset per size — the user's fate under a combination sharing
-    # nothing with them — and per-size base counts replace the
-    # "always in" set.
-    best_set: FrozenSet[int] = frozenset()
-    bare = mask_many(location, [(augmented_document(ox.terms, ()), users)], rsk)[0]
-    best_users: FrozenSet[int] = frozenset(
-        u.item_id for u, ok in zip(users, bare) if ok
+    """Algorithm 4: exact keyword selection at ``location``, the
+    one-location case of :func:`select_exact_block`.  The scalar
+    selector (:func:`repro.oracle.select_keywords_exact`) is the oracle
+    that kernel is tested against."""
+    return _one_location(
+        select_exact_block, dataset, ox, location, candidate_keywords, ws, users, rsk
     )
-    scored = 1
-    max_size = min(ws, len(useful))
-
-    # won[user_index][(matched_subset, size)] -> bool.  Entries are
-    # grouped by their (subset, size) document first: ``mask_many``
-    # scores each distinct padded document once against every user that
-    # reaches that state.
-    won: List[Dict[Tuple[FrozenSet[int], int], bool]] = [{} for _ in users]
-    user_useful: List[FrozenSet[int]] = []
-    by_keyword: Dict[int, List[int]] = {t: [] for t in useful}
-    fillers = [-(i + 1) for i in range(max_size)]  # pad terms outside any u.d
-    states: Dict[Tuple[FrozenSet[int], int], List[int]] = {}
-    for idx, u in enumerate(users):
-        ku = frozenset(set(useful) & u.keyword_set)
-        user_useful.append(ku)
-        subsets: List[Tuple[int, ...]] = [()]
-        for t in sorted(ku):
-            subsets += [s + (t,) for s in subsets]
-        for sub in subsets:
-            for size in range(max(len(sub), 1), max_size + 1):
-                states.setdefault((frozenset(sub), size), []).append(idx)
-        for t in ku:
-            by_keyword[t].append(idx)
-
-    state_docs = []
-    for (sub, size), indices in states.items():
-        doc = augmented_document(ox.terms, sub)
-        for f in fillers[: size - len(sub)]:
-            doc[f] = 1
-        state_docs.append(((sub, size), doc, indices))
-    masks = mask_many(
-        location,
-        [(doc, [users[idx] for idx in indices]) for _, doc, indices in state_docs],
-        rsk,
-    )
-    for (key, _doc, indices), passed in zip(state_docs, masks):
-        for idx, ok in zip(indices, passed):
-            won[idx][key] = ok
-
-    # Users winning a size-s combination they share no keyword with.
-    empty = frozenset()
-    base_wins = [0] * (max_size + 1)
-    for size in range(1, max_size + 1):
-        base_wins[size] = sum(1 for table in won if table[(empty, size)])
-
-    for size in range(1, max_size + 1):
-        for combo in combinations(useful, size):
-            combo_set = frozenset(combo)
-            count = base_wins[size]
-            touched: Set[int] = set()
-            for t in combo:
-                for idx in by_keyword[t]:
-                    if idx in touched:
-                        continue
-                    touched.add(idx)
-                    matched = combo_set & user_useful[idx]
-                    count += won[idx][(matched, size)] - won[idx][(empty, size)]
-            scored += 1
-            if count > len(best_users):
-                winners = set()
-                doc = augmented_document(ox.terms, combo_set)
-                for idx, u in enumerate(users):
-                    if combo_set & u.keyword_set:
-                        if dataset.sts_parts(location, doc, u) >= rsk[u.item_id]:
-                            winners.add(u.item_id)
-                    elif won[idx][(empty, size)]:
-                        # Sharing nothing with the combo, the padded
-                        # memo document scores term-for-term identically
-                        # to the real augmented one.
-                        winners.add(u.item_id)
-                best_set = combo_set
-                best_users = frozenset(winners)
-    return best_set, best_users, scored

@@ -239,10 +239,10 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     * ``("select", queries, shared, mode, method)`` —
       Algorithm 3 whole, ``shared[i]`` being query ``i``'s phase-1
       state (one ``SharedTopK`` object per k; ``dataset`` = the FULL
-      dataset here): greedy joint payloads as one
+      dataset here): joint payloads, either method, as one
       :class:`~repro.core.candidate_selection.SelectionBatch` — the
       queries that share ``(ox.d, W, ws)`` stacked over one selection
-      context, whatever their k — every other payload query by query;
+      context, whatever their k — baseline payloads query by query;
       one answer per query either way.
     """
     from .partial import compute_partials

@@ -6,10 +6,10 @@ through ``Dataset.sts`` / ``sts_parts`` and
 :class:`~repro.core.bounds.BoundCalculator`, as the paper does; every
 kernel must equal it — pools, I/O and ``RSk(u)`` bitwise, every
 selection decision and counter exactly.  Only tests, ``repro serve
---verify`` and :mod:`repro.bench` import it.  Where the two share
-control flow — Algorithm 3's queue loop, the exact selector — the loop
-lives once in :mod:`repro.core` and these functions pass it their
-scalar leaves.  :func:`query` is the cold, sequential, all-scalar
+--verify`` and :mod:`repro.bench` import it.  Algorithm 3's queue
+pops one location at a time here (:func:`search_shortlists`), scored by
+a scalar selector; the engine runs the same decisions over blocks of
+locations.  :func:`query` is the cold, sequential, all-scalar
 answer to one query, its I/O charged to the engine's page store.
 
 Section 7 — users on disk under an MIUR-tree — lives only here
@@ -33,7 +33,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .core import candidate_selection, keyword_selection
 from .core.baseline import baseline_maxbrstknn
 from .core.bounds import BoundCalculator, augmented_document, candidate_term_weight
 from .core.config import Mode, QueryOptions, coerce_options
@@ -201,15 +200,6 @@ def compute_brstknn(dataset, ox, location, keywords, users, rsk) -> FrozenSet[in
     )
 
 
-def _mask_many(dataset: Dataset, location, evals, rsk) -> List[List[bool]]:
-    """``STS(location, doc, u) >= RSk(u)`` per ``(doc, users)`` group,
-    pair by pair: the leaf :func:`select_keywords_exact` scores with."""
-    return [
-        [dataset.sts_parts(location, doc, u) >= rsk[u.item_id] for u in members]
-        for doc, members in evals
-    ]
-
-
 def greedy_max_coverage(
     sets: Mapping[int, Set[int]], budget: int
 ) -> Tuple[List[int], Set[int]]:
@@ -326,13 +316,111 @@ def select_keywords_greedy(
     return best_set, best_users, scored
 
 
-def select_keywords_exact(dataset, *args) -> KeywordSelection:
-    """Algorithm 4 at one location (the arguments of
-    :func:`repro.core.keyword_selection.select_keywords_exact`), its memo
-    states scored pair by pair."""
-    return keyword_selection.select_keywords_exact(
-        dataset, *args, mask_many=partial(_mask_many, dataset)
+def select_keywords_exact(
+    dataset, ox, location, candidate_keywords, ws, users, rsk
+) -> KeywordSelection:
+    """Algorithm 4 at one location (sets of size up to ``ws`` of the
+    useful candidates, as :mod:`repro.core.keyword_selection` states
+    it), every decision one ``sts_parts`` call.
+
+    Scoring is memoized: for a fixed location and combo size ``s``, a
+    user's ``STS`` depends only on ``(combo ∩ u.d, s)`` — the other
+    combo keywords contribute nothing but document length, which filler
+    terms outside every ``u.d`` simulate exactly.  Each user has at most
+    ``2^|W ∩ u.d| * ws`` reachable states, precomputed once, so the
+    combinatorial loop reduces to set intersections and look-ups.  The
+    memo also carries the *empty* matched subset per size — the user's
+    fate under a combination sharing nothing with them — and per-size
+    base counts replace lines 4.6–4.7's "always in" set, which LM's
+    length normalization makes unsound.
+    """
+    def scan(evals) -> List[List[bool]]:
+        """``STS(location, doc, u) >= RSk(u)`` per ``(doc, users)``."""
+        return [
+            [dataset.sts_parts(location, doc, u) >= rsk[u.item_id] for u in members]
+            for doc, members in evals
+        ]
+
+    wu: Set[int] = set()
+    for u in users:
+        wu |= u.keyword_set
+    useful = sorted(set(candidate_keywords) & wu)
+
+    best_set: FrozenSet[int] = frozenset()
+    bare = scan([(augmented_document(ox.terms, ()), users)])[0]
+    best_users: FrozenSet[int] = frozenset(
+        u.item_id for u, ok in zip(users, bare) if ok
     )
+    scored = 1
+    max_size = min(ws, len(useful))
+
+    # won[user_index][(matched_subset, size)] -> bool.  Entries are
+    # grouped by their (subset, size) document first: each distinct
+    # padded document is built once for every user reaching that state.
+    won: List[Dict[Tuple[FrozenSet[int], int], bool]] = [{} for _ in users]
+    user_useful: List[FrozenSet[int]] = []
+    by_keyword: Dict[int, List[int]] = {t: [] for t in useful}
+    fillers = [-(i + 1) for i in range(max_size)]  # pad terms outside any u.d
+    states: Dict[Tuple[FrozenSet[int], int], List[int]] = {}
+    for idx, u in enumerate(users):
+        ku = frozenset(set(useful) & u.keyword_set)
+        user_useful.append(ku)
+        subsets: List[Tuple[int, ...]] = [()]
+        for t in sorted(ku):
+            subsets += [sub + (t,) for sub in subsets]
+        for sub in subsets:
+            for size in range(max(len(sub), 1), max_size + 1):
+                states.setdefault((frozenset(sub), size), []).append(idx)
+        for t in ku:
+            by_keyword[t].append(idx)
+
+    state_docs = []
+    for (sub, size), indices in states.items():
+        doc = augmented_document(ox.terms, sub)
+        for f in fillers[: size - len(sub)]:
+            doc[f] = 1
+        state_docs.append(((sub, size), doc, indices))
+    masks = scan(
+        [(doc, [users[idx] for idx in indices]) for _, doc, indices in state_docs]
+    )
+    for (key, _doc, indices), passed in zip(state_docs, masks):
+        for idx, ok in zip(indices, passed):
+            won[idx][key] = ok
+
+    # Users winning a size-s combination they share no keyword with.
+    empty = frozenset()
+    base_wins = [0] * (max_size + 1)
+    for size in range(1, max_size + 1):
+        base_wins[size] = sum(1 for table in won if table[(empty, size)])
+
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(useful, size):
+            combo_set = frozenset(combo)
+            count = base_wins[size]
+            touched: Set[int] = set()
+            for t in combo:
+                for idx in by_keyword[t]:
+                    if idx in touched:
+                        continue
+                    touched.add(idx)
+                    matched = combo_set & user_useful[idx]
+                    count += won[idx][(matched, size)] - won[idx][(empty, size)]
+            scored += 1
+            if count > len(best_users):
+                winners = set()
+                doc = augmented_document(ox.terms, combo_set)
+                for idx, u in enumerate(users):
+                    if combo_set & u.keyword_set:
+                        if dataset.sts_parts(location, doc, u) >= rsk[u.item_id]:
+                            winners.add(u.item_id)
+                    elif won[idx][(empty, size)]:
+                        # Sharing nothing with the combo, the padded
+                        # memo document scores term-for-term identically
+                        # to the real augmented one.
+                        winners.add(u.item_id)
+                best_set = combo_set
+                best_users = frozenset(winners)
+    return best_set, best_users, scored
 
 
 def _selector(method: str):
@@ -340,21 +428,56 @@ def _selector(method: str):
     cache for the greedy one)."""
     if method == "approx":
         return partial(select_keywords_greedy, cache={})
-    return select_keywords_exact
+    if method == "exact":
+        return select_keywords_exact
+    raise ValueError(f"unknown keyword-selection method {method!r}")
 
 
 def search_shortlists(
     dataset, query, rsk, rsk_group, shortlists, *, method="approx", stats=None
 ) -> MaxBRSTkNNResult:
     """Algorithm 3's best-first search (the arguments of
-    :func:`repro.core.candidate_selection.search_shortlists`), location
-    by location, with the scalar selectors."""
-    if method not in ("approx", "exact"):
-        raise ValueError(f"unknown keyword-selection method {method!r}")
-    return candidate_selection._search_queue(
-        dataset, query, rsk, rsk_group, shortlists,
-        stats if stats is not None else QueryStats(),
-        select=_selector(method), brstknn=compute_brstknn,
+    :func:`repro.core.candidate_selection.search_shortlists`), its queue
+    popped location by location and scored with the scalar selectors."""
+    select = _selector(method)
+    stats = stats if stats is not None else QueryStats()
+    # Max-priority queue on |LU_l| (Algorithm 3's QL).
+    heap = [(-len(sl.users), idx, sl) for idx, sl in enumerate(shortlists)]
+    heapq.heapify(heap)
+    best_location: Optional[Point] = None
+    best_keywords: FrozenSet[int] = frozenset()
+    best_users: FrozenSet[int] = frozenset()
+    while heap:
+        neg_size, _, sl = heapq.heappop(heap)
+        if -neg_size <= len(best_users):
+            break  # Line 3.10: upper bound cannot beat the incumbent
+        if sl.lower_group >= rsk_group and rsk_group > 0.0:
+            # Lines 3.11–3.13: keyword-free acceptance path.  The group
+            # lower bound is conservative, so confirm per user with the
+            # original description only.
+            winners = compute_brstknn(
+                dataset, query.ox, sl.location, frozenset(), sl.users, rsk
+            )
+            stats.keyword_combinations_scored += 1
+            if len(winners) > len(best_users):
+                best_location, best_keywords, best_users = sl.location, frozenset(), winners
+            # Keywords can only add winners; still try selection below
+            # unless nothing can improve.
+            if len(winners) == len(sl.users):
+                continue
+        keywords, winners, scored = select(
+            dataset, query.ox, sl.location, query.keywords, query.ws, sl.users, rsk
+        )
+        stats.keyword_combinations_scored += scored
+        if len(winners) > len(best_users):
+            best_location, best_keywords, best_users = sl.location, keywords, winners
+    if best_location is None and query.locations:
+        # Nothing reached any user's top-k; return the first location
+        # with the empty keyword set and an empty BRSTkNN (the maximum).
+        best_location = query.locations[0]
+    return MaxBRSTkNNResult(
+        location=best_location, keywords=best_keywords, brstknn=best_users,
+        stats=stats,
     )
 
 
@@ -363,8 +486,7 @@ def select_candidate(
     users=None, stats=None,
 ) -> MaxBRSTkNNResult:
     """Algorithm 3: :func:`shortlist_locations` + :func:`search_shortlists`."""
-    if method not in ("approx", "exact"):
-        raise ValueError(f"unknown keyword-selection method {method!r}")
+    _selector(method)  # an unknown method fails before any work
     stats = stats if stats is not None else QueryStats()
     shortlists, pruned = shortlist_locations(
         dataset, query, rsk, rsk_group, super_user=super_user, users=users
@@ -456,11 +578,9 @@ def indexed_search(
     ``users_pruned`` — the users whose top-k was never resolved, Figure
     15's metric.
     """
-    if method not in ("approx", "exact"):
-        raise ValueError(f"unknown keyword-selection method {method!r}")
+    select = _selector(method)
     bounds = BoundCalculator(dataset)
     canonical = canonical_candidates(traversal, rsk_group)
-    select = _selector(method)
     counter = store.counter if store is not None else None
     before = counter.snapshot() if counter is not None else None
     t0 = time.perf_counter()

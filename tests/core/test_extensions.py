@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from repro import Dataset
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine
 from repro.core.extensions import Placement, collective_placement, top_placements
 from repro.core.joint_topk import joint_topk, joint_traversal
 from repro.core.query import MaxBRSTkNNQuery
+from repro.core.thresholds import Thresholds
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
@@ -109,6 +110,22 @@ class TestCollectivePlacement:
         )
         if len(covered) == len(ds.users):
             assert len(placements) <= len(query.locations)
+
+    @pytest.mark.parametrize("method", ["approx", "exact"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_engine_thresholds_place_as_the_dict_path(self, seed, method):
+        """The engine's own ``RSk(u)`` — ``Thresholds`` by user row —
+        places exactly as the same values keyed by user id, round after
+        round.  (Rounds used to copy the dataset for the uncovered users,
+        whose rebuilt arrays refused the full dataset's row layout from
+        round 2 on.)"""
+        ds, query, _, _ = build(seed, n_locs=8)
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(fanout=4))
+        rsk = engine.topk_joint(query.k).rsk(query.k)
+        assert isinstance(rsk, Thresholds)
+        got = collective_placement(ds, query, rsk, 3, method=method)
+        assert len(got[0]) >= 2
+        assert got == collective_placement(ds, query, dict(rsk), 3, method=method)
 
     def test_zero_objects(self):
         ds, query, rsk, rsk_group = build(16)

@@ -69,7 +69,7 @@ def test_spatial_kernel_matches_all_metrics(metric):
     ds, rng = build(3, metric=metric)
     arrays = arrays_for(ds)
     loc = Point(rng.uniform(0, 10), rng.uniform(0, 10))
-    ss = arrays.spatial_scores(loc)
+    ss = arrays.spatial_matrix([loc])[0]
     for i, u in enumerate(ds.users):
         assert math.isclose(
             ss[i], ds.spatial_score(loc, u.location), rel_tol=0.0, abs_tol=TOL
@@ -257,7 +257,7 @@ def test_user_subset_rows():
     arrays = arrays_for(ds)
     subset = rng.sample(ds.users, 5)
     loc = Point(2, 2)
-    ss = arrays.spatial_scores(loc, arrays.rows_for(subset))
+    ss = arrays.spatial_matrix([loc])[0][arrays.rows_for(subset)]
     for i, u in enumerate(subset):
         assert math.isclose(
             ss[i], ds.spatial_score(loc, u.location), rel_tol=0.0, abs_tol=TOL

@@ -546,37 +546,35 @@ class TestStopAndHoists:
             assert arrays_for(clone).objects is columns
         assert ObjectColumns.build_count == before + 1
 
-    def test_cold_queries_leave_the_document_memo_to_selection(self):
+    def test_cold_queries_leave_the_document_memo_to_selection(self, monkeypatch):
         """Candidate-pool objects used to pass through
-        ``_doc_weight_vector`` — ~a pool's worth of inserts per cold
-        query against a memo that ``clear()``s wholesale at 4096, which
-        evicted the augmented-document vectors it exists for."""
+        ``_doc_weight_vector`` — ~a pool's worth of calls per cold query
+        for documents whose weights ``obj_weights`` already holds.  Only
+        query-time documents (``ox.d`` and its augmentations, which the
+        keyword side scores and keeps) may go through it."""
         from repro.datagen import query_pool
 
         engine, workload = flickr_engine(objects=600, users=40)
         ds = engine.dataset
         object_docs = {frozenset(o.terms.items()) for o in ds.objects}
+        seen = []
+        weigh = DatasetArrays._doc_weight_vector
 
-        class Memo(dict):
-            clears = 0
+        def spy(self, doc):
+            seen.append(frozenset(doc.items()))
+            return weigh(self, doc)
 
-            def clear(self):
-                Memo.clears += 1
-                super().clear()
-
-        arrays = arrays_for(ds)
-        arrays._doc_vec_cache = memo = Memo()
+        monkeypatch.setattr(DatasetArrays, "_doc_weight_vector", spy)
         queries = query_pool(workload, 2, num_locations=5, ws=2, seed=0, seed_stride=101)
-        sizes = []
+        calls = []
         for query in queries:
             # A tf no object carries: ox.d and its augmentations cannot
             # coincide with an object's document.
             query.ox.terms[next(iter(query.keywords))] = 99
             engine.query(query, QueryOptions())
-            sizes.append(len(memo))
-        assert Memo.clears == 0
-        assert memo and not (memo.keys() & object_docs)
-        assert sizes[0] <= sizes[1] < 200  # selection documents only, kept
+            calls.append(len(seen))
+        assert seen and not (set(seen) & object_docs)
+        assert calls[0] <= calls[1] < 200  # selection documents only
 
 
 class TestArrayHandOff:

@@ -1,18 +1,22 @@
-"""Algorithm 3's location-batched selection kernel against its oracle.
+"""Algorithm 3's location-batched selection kernels against their oracle.
 
 The engine evaluates a query's candidate locations as rows of one
 matrix (``repro.core.kernels.SelectionContext``,
-``keyword_selection.select_greedy_block``,
+``keyword_selection.select_greedy_block`` /
+``keyword_selection.select_exact_block``,
 ``candidate_selection._search_rounds``); :mod:`repro.oracle` scores
 pair by pair, location by location.  Everything here
 compares the two with ``==`` — keyword sets, winner sets, the
 ``scored`` / ``keyword_combinations_scored`` counters, the pruned
-count — on drawn instances whose thresholds are *planted ties*
-(``RSk(u)`` set to the very float some evaluated ``STS`` / ``UBL``
-produces), so the guard band's scalar re-check is exercised, not just
-present.  The last class seeds three mutants the properties must catch.
+count — for both selectors, on drawn instances whose thresholds are
+*planted ties* (``RSk(u)`` set to the very float some evaluated ``STS``
+/ ``UBL`` produces), so the guard band's scalar re-check is exercised,
+not just present.  The last classes seed mutants the properties must
+catch.
 """
 
+import contextlib
+import inspect
 import math
 import random
 from typing import NamedTuple
@@ -23,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Dataset, MaxBRSTkNNQuery, oracle
-from repro.core import candidate_selection, kernels
+from repro.core import candidate_selection, keyword_selection, kernels
 from repro.core.bounds import (
     BoundCalculator, augmented_document, candidate_term_weight,
 )
@@ -122,12 +126,13 @@ def answer(result):
     )
 
 
-def query_answers(case, rsk_group=0.0):
+def query_answers(case, rsk_group=0.0, method="approx"):
     """``select_candidate``, engine then oracle: the per-query ``==``
     tuple."""
     return [
         answer(select(
-            case.ds, case.query, case.rsk, rsk_group=rsk_group, stats=QueryStats(),
+            case.ds, case.query, case.rsk, rsk_group=rsk_group, method=method,
+            stats=QueryStats(),
         ))
         for select in (select_candidate, oracle.select_candidate)
     ]
@@ -145,6 +150,50 @@ def location_answers(case, subsets):
         got.append(select_keywords_greedy(*args))
         want.append(oracle.select_keywords_greedy(*args))
     return got, want
+
+
+def exact_block_answers(case, subsets):
+    """``select_exact_block`` over every location at once, each with its
+    own user subset, against ``oracle.select_keywords_exact`` location
+    by location; the bare ``ox.d`` recount rides along, against
+    ``oracle.compute_brstknn``.  The per-location ``==`` tuples."""
+    ds, q = case.ds, case.query
+    arrays = arrays_for(ds)
+    block = keyword_selection.select_exact_block(
+        SelectionContext(arrays, q.ox, q.keywords, q.ws), q.locations,
+        arrays.membership([arrays.rows_for(users) for users in subsets]), case.rsk,
+    )
+    ids = arrays.user_ids
+    got = [
+        (block.keywords[l], frozenset(ids[block.won[l]].tolist()), block.scored[l],
+         frozenset(ids[block.base[l]].tolist()), block.counts[l], block.base_counts[l])
+        for l in range(len(q.locations))
+    ]
+    want = []
+    for loc, users in zip(q.locations, subsets):
+        keywords, won, scored = oracle.select_keywords_exact(
+            ds, q.ox, loc, q.keywords, q.ws, users, case.rsk
+        )
+        base = oracle.compute_brstknn(ds, q.ox, loc, (), users, case.rsk)
+        want.append((keywords, won, scored, base, len(won), len(base)))
+    return got, want
+
+
+@contextlib.contextmanager
+def exact_rows(rows):
+    """``keyword_selection.EXACT_ROWS`` at ``rows`` while inside."""
+    saved = keyword_selection.EXACT_ROWS
+    keyword_selection.EXACT_ROWS = rows
+    try:
+        yield
+    finally:
+        keyword_selection.EXACT_ROWS = saved
+
+
+def exact_ws(ws, wide):
+    """``ws`` capped at 1 on ``wide`` cases: at 2 or 3, Algorithm 4
+    recounts thousands of sets a location there."""
+    return min(ws, 1) if wide else ws
 
 
 def draw_subsets(case, data):
@@ -204,22 +253,53 @@ class TestKernelEqualsOracle:
         ox_terms=st.booleans(),
         wide=st.booleans(),
         plant=st.sampled_from(["mixed", "hw"]),
+        alpha=st.sampled_from(ALPHAS),
+        metric=st.sampled_from(METRICS),
+        rows=st.sampled_from([3, keyword_selection.EXACT_ROWS]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_per_location_exact_selection(
+        self, seed, measure, ws, ox_terms, wide, plant, alpha, metric, rows, data
+    ):
+        """Algorithm 4 over a block of locations, its recount rows going
+        3 at a time (a location's sets split across calls) or
+        ``EXACT_ROWS`` at a time: each location's answer, ``scored``
+        and bare recount are the scalar selector's there."""
+        case = build_case(
+            seed, measure, exact_ws(ws, wide), ox_terms, wide, plant=plant,
+            alpha=alpha, metric=metric,
+        )
+        with exact_rows(rows):
+            got, want = exact_block_answers(case, draw_subsets(case, data))
+        assert got == want
+
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(MEASURES),
+        ws=st.integers(0, 3),
+        ox_terms=st.booleans(),
+        wide=st.booleans(),
+        plant=st.sampled_from(["mixed", "hw"]),
         group=st.sampled_from(["off", "low", "min"]),
         alpha=st.sampled_from(ALPHAS),
         metric=st.sampled_from(METRICS),
+        method=st.sampled_from(["approx", "exact"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_per_query_answer_and_counters(
-        self, seed, measure, ws, ox_terms, wide, plant, group, alpha, metric
+        self, seed, measure, ws, ox_terms, wide, plant, group, alpha, metric, method
     ):
         """``rsk_group`` off (0), low (the keyword-free acceptance path
         opens: ``lower_group >= rsk_group > 0``) or ``min RSk(u)``
-        (locations get pruned)."""
+        (locations get pruned), either selector."""
+        if method == "exact":
+            ws = exact_ws(ws, wide)
         case = build_case(
             seed, measure, ws, ox_terms, wide, plant=plant, alpha=alpha, metric=metric
         )
         rsk_group = {"off": 0.0, "low": 0.02, "min": min(case.rsk.values())}[group]
-        got, want = query_answers(case, rsk_group)
+        got, want = query_answers(case, rsk_group, method)
         assert got == want
 
     @given(
@@ -229,11 +309,12 @@ class TestKernelEqualsOracle:
         accept=st.booleans(),
         alpha=st.sampled_from(ALPHAS),
         metric=st.sampled_from(METRICS),
+        method=st.sampled_from(["approx", "exact"]),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
     def test_search_over_hand_built_shortlists(
-        self, seed, measure, ws, accept, alpha, metric, data
+        self, seed, measure, ws, accept, alpha, metric, method, data
     ):
         """Shortlists that differ per location, are empty or hold one
         user, carry no array rows, and (``accept``) open the
@@ -250,7 +331,8 @@ class TestKernelEqualsOracle:
         ]
         got, want = [
             answer(search(
-                case.ds, case.query, case.rsk, 0.5, shortlists, stats=QueryStats(),
+                case.ds, case.query, case.rsk, 0.5, shortlists, method=method,
+                stats=QueryStats(),
             ))
             for search in (search_shortlists, oracle.search_shortlists)
         ]
@@ -587,12 +669,14 @@ def test_exact_ties_at_one_location_of_several(monkeypatch):
 # Seeded mutants: the properties have teeth
 # ----------------------------------------------------------------------
 
-def seeded_cases():
-    """36 cases: every (alpha, metric) pair three times over."""
+def seeded_cases(exact=False):
+    """36 cases: every (alpha, metric) pair three times over (``exact``:
+    ``ws`` as :func:`exact_ws` caps it)."""
     for seed in range(36):
+        ws, wide = 1 + seed % 3, seed % 4 == 3
         yield build_case(
-            seed, MEASURES[seed % 3], ws=1 + seed % 3, ox_terms=bool(seed % 2),
-            wide=seed % 4 == 3, plant="hw" if seed % 5 == 4 else "mixed",
+            seed, MEASURES[seed % 3], ws=exact_ws(ws, wide) if exact else ws,
+            ox_terms=bool(seed % 2), wide=wide, plant="hw" if seed % 5 == 4 else "mixed",
             alpha=ALPHAS[(seed + seed // 4) % 4], metric=METRICS[seed // 12 % 3],
         )
 
@@ -661,3 +745,45 @@ class TestMutantsAreCaught:
 
         monkeypatch.setattr(SelectionContext, "_wins", wins)
         assert mismatches()
+
+
+def exact_mismatches():
+    """Seeded cases on which ``select_exact_block`` differs from the
+    scalar Algorithm 4 somewhere, or an exact query from the oracle's."""
+    bad = 0
+    for case in seeded_cases(exact=True):
+        got, want = exact_block_answers(case, seeded_subsets(case))
+        bad += got != want or len(set(query_answers(case, 0.02, "exact"))) > 1
+    return bad
+
+
+def mutate(monkeypatch, old, new):
+    """``select_exact_block`` rebuilt from its source with ``old``
+    replaced by ``new``, installed where the engine and the tests above
+    look it up."""
+    source = inspect.getsource(keyword_selection.select_exact_block)
+    assert source.count(old) == 1
+    namespace = dict(vars(keyword_selection))
+    exec("from __future__ import annotations\n" + source.replace(old, new), namespace)
+    for module in (keyword_selection, candidate_selection):
+        monkeypatch.setattr(module, "select_exact_block", namespace["select_exact_block"])
+
+
+class TestExactMutantsAreCaught:
+    def test_unmutated_exact_kernel_is_clean(self):
+        assert exact_mismatches() == 0
+
+    def test_last_maximum_wins(self, monkeypatch):
+        """Ties to the latest row (a combination tying the bare count
+        replaces it) instead of the first maximum."""
+        mutate(monkeypatch, "(span - 1 - pos[rows])", "pos[rows]")
+        assert exact_mismatches()
+
+    def test_combinations_of_all_of_w(self, monkeypatch):
+        """Every candidate some user holds, not only ``LU_l``'s: the
+        same winners, more sets scored."""
+        mutate(
+            monkeypatch, "useful = (member.astype(np.float32) @ holders) > 0",
+            "useful = np.ones((n, len(terms)), dtype=bool)",
+        )
+        assert exact_mismatches()

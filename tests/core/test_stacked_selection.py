@@ -1,15 +1,16 @@
-"""Algorithm 3 once per ``select`` payload: the stacked greedy selection.
+"""Algorithm 3 once per ``select`` payload: the stacked selection.
 
 A :class:`~repro.core.candidate_selection.SelectionBatch` answers the
 queries of one payload (one ``RSk(u)`` vector, one ``RSk(us)``) with one
 selection context per keyword side ``(ox.d, W, ws)``, one shortlist
-mask per pass and one ``select_greedy_block`` call per round, then
-replays each query over its own rows.  Everything here holds it to
+mask per pass and one selector call per round — ``select_greedy_block``
+or ``select_exact_block``, by the batch's method — then replays each
+query over its own rows.  Everything here holds it to
 :func:`repro.oracle.select_candidate`, run query by query, with ``==``
 on ``(location, keywords, brstknn, locations_pruned,
-keyword_combinations_scored)`` — at several block sizes and row
-budgets, so multi-round and multi-pass stacking both run — and pins
-the cost shape the stacking buys.  Two seeded mutants (a replay that
+keyword_combinations_scored)`` — for both methods, at several block
+sizes and row budgets, so multi-round and multi-pass stacking both run
+— and pins the cost shape the stacking buys.  Two seeded mutants (a replay that
 reads its neighbour's rows, a group key without ``ws``) must be caught.
 """
 
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from repro import (
     Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions, oracle,
 )
-from repro.core import candidate_selection, kernels
+from repro.core import candidate_selection, keyword_selection, kernels
 from repro.core.bounds import BoundCalculator
 from repro.core.candidate_selection import SelectionBatch, select_candidate
 from repro.core.kernels import DatasetArrays, SelectionContext
@@ -127,21 +128,25 @@ def answer(result, stats):
     )
 
 
-def stacked_answers(ds, rsk, rsk_group, queries):
-    batch = SelectionBatch(queries, [(rsk, rsk_group)] * len(queries))
+def stacked_answers(ds, rsk, rsk_group, queries, method="approx"):
+    batch = SelectionBatch(queries, [(rsk, rsk_group)] * len(queries), method)
     out = []
     for q in queries:
         stats = QueryStats()
-        result = select_candidate(ds, q, rsk, rsk_group=rsk_group, stats=stats, batch=batch)
+        result = select_candidate(
+            ds, q, rsk, rsk_group=rsk_group, method=method, stats=stats, batch=batch,
+        )
         out.append(answer(result, stats))
     return out
 
 
-def oracle_answers(ds, rsk, rsk_group, queries):
+def oracle_answers(ds, rsk, rsk_group, queries, method="approx"):
     out = []
     for q in queries:
         stats = QueryStats()
-        result = oracle.select_candidate(ds, q, rsk, rsk_group=rsk_group, stats=stats)
+        result = oracle.select_candidate(
+            ds, q, rsk, rsk_group=rsk_group, method=method, stats=stats,
+        )
         out.append(answer(result, stats))
     return out
 
@@ -156,7 +161,7 @@ def rsk_groups(rsk):
 # Property: stacked == oracle, query by query
 # ----------------------------------------------------------------------
 
-def stacked_in_threads(ds, rsk, rsk_group, queries, threads):
+def stacked_in_threads(ds, rsk, rsk_group, queries, threads, method):
     """``stacked_answers`` run by ``threads`` threads at once, released
     together and switching as often as the interpreter allows: on a
     fresh dataset they race to build and fill the same stored keyword
@@ -168,7 +173,7 @@ def stacked_in_threads(ds, rsk, rsk_group, queries, threads):
 
     def run(i):
         start.wait()
-        out[i] = stacked_answers(ds, rsk, rsk_group, queries)
+        out[i] = stacked_answers(ds, rsk, rsk_group, queries, method)
 
     workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
     interval = sys.getswitchinterval()
@@ -197,26 +202,31 @@ def stacked_in_threads(ds, rsk, rsk_group, queries, threads):
     metric=st.sampled_from(METRICS),
     threads=st.sampled_from([1, 2, 4]),
     text_rows=st.sampled_from([1, 3, None]),
+    method=st.sampled_from(["approx", "exact"]),
+    exact_rows=st.sampled_from([7, keyword_selection.EXACT_ROWS]),
 )
 @settings(max_examples=25, deadline=None)
 def test_stacked_batch_equals_oracle_per_query(
-    block, rows, seed, measure, n_queries, group, alpha, metric, threads, text_rows
+    block, rows, seed, measure, n_queries, group, alpha, metric, threads, text_rows,
+    method, exact_rows,
 ):
-    """Each answer of the stacked batch is the oracle's — also when two
-    or four threads select the batch at once over one dataset's keyword
-    sides, and when a side keeps only 1 or 3 ``TS`` rows, so its rows
-    start over while other threads read them."""
+    """Each answer of the stacked batch is the oracle's, for either
+    method — also when two or four threads select the batch at once
+    over one dataset's keyword sides, when a side keeps only 1 or 3
+    ``TS`` rows, so its rows start over while other threads read them,
+    and when Algorithm 4's recount rows go 7 at a time."""
     ds, rsk, queries = build_batch(seed, measure, n_queries, alpha, metric)
     rsk_group = rsk_groups(rsk)[group]
-    saved = kernels.SIDE_TEXT_BYTES
+    saved = kernels.SIDE_TEXT_BYTES, keyword_selection.EXACT_ROWS
     if text_rows is not None:
         kernels.SIDE_TEXT_BYTES = text_rows * 8 * kernels.arrays_for(ds).num_users
+    keyword_selection.EXACT_ROWS = exact_rows
     try:
         with budget(block, rows):
-            got = stacked_in_threads(ds, rsk, rsk_group, queries, threads)
+            got = stacked_in_threads(ds, rsk, rsk_group, queries, threads, method)
     finally:
-        kernels.SIDE_TEXT_BYTES = saved
-    assert got == [oracle_answers(ds, rsk, rsk_group, queries)] * threads
+        kernels.SIDE_TEXT_BYTES, keyword_selection.EXACT_ROWS = saved
+    assert got == [oracle_answers(ds, rsk, rsk_group, queries, method)] * threads
 
 
 def test_drawn_batches_reach_every_path(monkeypatch):
@@ -245,13 +255,19 @@ def test_drawn_batches_reach_every_path(monkeypatch):
     assert taken
 
 
-def test_exact_method_refuses_a_batch():
+def test_exact_batch_equals_oracle_per_query():
+    """An EXACT batch answers each query as the oracle's Algorithm 4
+    does, and a call naming the other method is refused."""
     ds, rsk, queries = build_batch(1, "LM", 2)
-    with pytest.raises(ValueError, match="greedy"):
-        select_candidate(
-            ds, queries[0], rsk, method="exact",
-            batch=SelectionBatch(queries, [(rsk, 0.0)] * len(queries)),
+    for rsk_group in rsk_groups(rsk):
+        assert stacked_answers(ds, rsk, rsk_group, queries, "exact") == oracle_answers(
+            ds, rsk, rsk_group, queries, "exact"
         )
+    batch = SelectionBatch(queries, [(rsk, 0.0)] * len(queries), "exact")
+    with pytest.raises(ValueError, match="selects by 'exact'"):
+        select_candidate(ds, queries[0], rsk, batch=batch)
+    with pytest.raises(ValueError, match="unknown keyword-selection method"):
+        SelectionBatch(queries, [(rsk, 0.0)] * len(queries), "magic")
 
 
 def test_batch_refuses_other_inputs_and_strangers():
@@ -357,23 +373,27 @@ def build_cross_k_batch(seed, measure, n_queries, alpha=0.5, metric=EUCLIDEAN):
     return ds, pairs, queries
 
 
-def cross_k_stacked(ds, pairs, queries):
-    batch = SelectionBatch(queries, [pairs[q.k] for q in queries])
+def cross_k_stacked(ds, pairs, queries, method="approx"):
+    batch = SelectionBatch(queries, [pairs[q.k] for q in queries], method)
     out = []
     for q in queries:
         stats = QueryStats()
         rsk, rsk_group = pairs[q.k]
-        result = select_candidate(ds, q, rsk, rsk_group=rsk_group, stats=stats, batch=batch)
+        result = select_candidate(
+            ds, q, rsk, rsk_group=rsk_group, method=method, stats=stats, batch=batch,
+        )
         out.append(answer(result, stats))
     return out
 
 
-def cross_k_oracle(ds, pairs, queries):
+def cross_k_oracle(ds, pairs, queries, method="approx"):
     out = []
     for q in queries:
         stats = QueryStats()
         rsk, rsk_group = pairs[q.k]
-        result = oracle.select_candidate(ds, q, rsk, rsk_group=rsk_group, stats=stats)
+        result = oracle.select_candidate(
+            ds, q, rsk, rsk_group=rsk_group, method=method, stats=stats,
+        )
         out.append(answer(result, stats))
     return out
 
@@ -385,17 +405,19 @@ def cross_k_oracle(ds, pairs, queries):
     n_queries=st.integers(1, 7),
     alpha=st.sampled_from(ALPHAS),
     metric=st.sampled_from(METRICS),
+    method=st.sampled_from(["approx", "exact"]),
 )
 @settings(max_examples=20, deadline=None)
 def test_cross_k_batch_equals_oracle_per_query(
-    block, rows, seed, measure, n_queries, alpha, metric
+    block, rows, seed, measure, n_queries, alpha, metric, method
 ):
     """Every query of a payload mixing ks and keyword sides answers
-    ``==`` the oracle run with that query's own thresholds."""
+    ``==`` the oracle run with that query's own thresholds, for either
+    method."""
     ds, pairs, queries = build_cross_k_batch(seed, measure, n_queries, alpha, metric)
-    want = cross_k_oracle(ds, pairs, queries)
+    want = cross_k_oracle(ds, pairs, queries, method)
     with budget(block, rows):
-        got = cross_k_stacked(ds, pairs, queries)
+        got = cross_k_stacked(ds, pairs, queries, method)
     assert got == want
 
 
@@ -472,21 +494,27 @@ class TestCrossKMutantsAreCaught:
 # ----------------------------------------------------------------------
 
 def count_kernel_calls(monkeypatch):
-    """Counters of ``SelectionContext`` builds and ``select_greedy_block``
-    calls (the one the candidate search makes)."""
+    """Counters of ``SelectionContext`` builds and selector calls
+    (``select_greedy_block`` or ``select_exact_block``, the ones the
+    candidate search makes)."""
     calls = {"contexts": 0, "blocks": 0}
-    init, block = SelectionContext.__init__, candidate_selection.select_greedy_block
+    init = SelectionContext.__init__
 
     def counting_init(self, *args, **kwargs):
         calls["contexts"] += 1
         init(self, *args, **kwargs)
 
-    def counting_block(*args):
-        calls["blocks"] += 1
-        return block(*args)
+    def counting(block):
+        def counting_block(*args):
+            calls["blocks"] += 1
+            return block(*args)
+        return counting_block
 
     monkeypatch.setattr(SelectionContext, "__init__", counting_init)
-    monkeypatch.setattr(candidate_selection, "select_greedy_block", counting_block)
+    for name in ("select_greedy_block", "select_exact_block"):
+        monkeypatch.setattr(
+            candidate_selection, name, counting(getattr(candidate_selection, name))
+        )
     return calls
 
 
@@ -513,8 +541,9 @@ def engine_and_queries(n, n_locations=5, seed=4):
 
 
 class TestCostShape:
+    @pytest.mark.parametrize("method", ["approx", "exact"])
     @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_a_payload_is_one_context_and_one_block_call(self, n, monkeypatch):
+    def test_a_payload_is_one_context_and_one_block_call(self, n, method, monkeypatch):
         engine, queries = engine_and_queries(n)
         shared = refined_states(engine, queries)[0]
         want = [
@@ -522,14 +551,14 @@ class TestCostShape:
             for r in (
                 oracle.select_candidate(
                     engine.dataset, q, shared.rsk, rsk_group=shared.rsk_group,
-                    stats=QueryStats(),
+                    method=method, stats=QueryStats(),
                 )
                 for q in queries
             )
         ]
         calls = count_kernel_calls(monkeypatch)
         got = execute_shard_payload(
-            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")
+            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", method)
         )
         assert calls == {"contexts": 1, "blocks": 1}
         assert [

@@ -531,10 +531,18 @@ FORBIDDEN = {
     # Section 7's canonical candidate set is read by the oracle's
     # MIUR-tree search only: it lives beside it, never in the engine.
     "section 7's candidate set stays in repro.oracle": r"canonical_candidates",
+    # Both keyword selectors are block kernels under one search: the
+    # scalar queue loop and Algorithm 4's per-location memo (its state
+    # scorer, its document-vector memo) are the oracle's alone.
+    "one search for both selectors":
+        r"_search_queue|threshold_mask_many|_doc_vec_cache|mask_many",
 }
 
 #: A design whose scan covers one package of src/ only.
-SCOPE = {"section 7's candidate set stays in repro.oracle": "repro/core"}
+SCOPE = {
+    "section 7's candidate set stays in repro.oracle": "repro/core",
+    "one search for both selectors": "repro/core",
+}
 
 
 def mentions(root: Path, pattern: str) -> list:
@@ -606,6 +614,13 @@ def test_src_names_no_retired_design(design):
     ("section 7 is reference only", "arrays = CandidatePoolArrays(ds, pool)"),
     ("section 7's candidate set stays in repro.oracle",
      "canonical = canonical_candidates(walk, rsk_group)"),
+    ("one search for both selectors",
+     "return _search_queue(ds, q, rsk, g, lists, stats, select=scan)"),
+    ("one search for both selectors",
+     "masks = arrays.threshold_mask_many(location, evals, rsk)"),
+    ("one search for both selectors", "self._doc_vec_cache = {}"),
+    ("one search for both selectors",
+     "return select_keywords_exact(*args, mask_many=scan)"),
 ])
 def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     """The scan above has teeth: each alternative of each regex counts."""
@@ -627,6 +642,11 @@ def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     ("section 7 is reference only", '"user_index_users": [125, 250, 500, 1000, 2000],'),
     ("section 7 is reference only", "result = oracle.indexed_users_maxbrstknn(*args)"),
     ("section 7 is reference only", "return indexed_search(tree, ds, q, walk, g, s)"),
+    ("one search for both selectors", "_search_rounds(ctx, [search], member, select)"),
+    ("one search for both selectors",
+     "selection = select_exact_block(ctx, locations, member, at)"),
+    ("one search for both selectors", "won = ctx.recount(member, index, sets, which)"),
+    ("one search for both selectors", "vector = arrays._doc_weight_vector(doc)"),
 ])
 def test_the_name_scan_passes_live_names(tmp_path, design, line):
     (tmp_path / "probe.py").write_text(line + "\n")
