@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         workload, args.queries, num_locations=spec.locations,
         k=args.k, seed=spec.seed, seed_stride=101,
     )
-    options = QueryOptions(method="approx", mode="joint")
+    options = QueryOptions(method="approx")
 
     print(f"workload: objects={spec.objects} users={spec.users} "
           f"queries={len(queries)} batch={args.batch_size} "

@@ -280,7 +280,7 @@ def refined_pairs(engine, queries):
     to its select phase: the engine executor's traverse and refine (one
     walk at the largest k, or the larger pool it already holds)."""
     plan = plan_batch(QueryOptions(), engine.capabilities(), [q.k for q in queries])
-    report = FlushReport(mode="joint", batch_size=len(queries))
+    report = FlushReport(batch_size=len(queries))
     executor = engine._executor
     pool, group_by_k = executor._traverse(report, queries, plan)
     shared = executor._refine(report, queries, plan, pool, group_by_k)

@@ -55,7 +55,7 @@ def main() -> None:
     )
 
     t0 = time.perf_counter()
-    flat = engine.query(query, QueryOptions(method="approx", mode="joint"))
+    flat = engine.query(query, QueryOptions(method="approx"))
     t_flat = time.perf_counter() - t0
 
     t0 = time.perf_counter()

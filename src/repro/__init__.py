@@ -18,32 +18,33 @@ Quickstart
 >>> engine = MaxBRSTkNNEngine(ds)
 """
 
-from .core.config import EngineConfig, Method, Mode, QueryOptions
-from .core.engine import MaxBRSTkNNEngine
-from .core.planner import QueryPlan
-from .core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
-from .model.dataset import Dataset, DatasetStats
-from .model.objects import STObject, SuperUser, User
-from .spatial.geometry import Point, Rect
+from importlib import import_module
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "Dataset",
-    "DatasetStats",
-    "EngineConfig",
-    "MaxBRSTkNNEngine",
-    "MaxBRSTkNNQuery",
-    "MaxBRSTkNNResult",
-    "Method",
-    "Mode",
-    "QueryOptions",
-    "QueryPlan",
-    "QueryStats",
-    "Point",
-    "Rect",
-    "STObject",
-    "SuperUser",
-    "User",
-    "__version__",
-]
+#: Each public name and the module defining it, imported on first
+#: access: ``import repro`` loads no numpy, so ``python -m repro`` can
+#: pin BLAS threads before it does (:mod:`repro.__main__`).
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "core.config": ("EngineConfig", "Method", "QueryOptions"),
+        "core.engine": ("MaxBRSTkNNEngine",),
+        "core.planner": ("QueryPlan",),
+        "core.query": ("MaxBRSTkNNQuery", "MaxBRSTkNNResult", "QueryStats"),
+        "model.dataset": ("Dataset", "DatasetStats"),
+        "model.objects": ("STObject", "SuperUser", "User"),
+        "spatial.geometry": ("Point", "Rect"),
+    }.items()
+    for name in names
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -249,7 +249,7 @@ def measure_user_index(bench: Workbench) -> Tuple[int, int, float]:
     engine = bench.engine
     engine.reset_io()
     engine.store.counter.load_bytes(_user_file_bytes(bench.dataset))
-    engine.query(bench.query, QueryOptions(method="approx", mode="joint"))
+    engine.query(bench.query, QueryOptions(method="approx"))
     unindexed_io = engine.io.total
 
     engine.reset_io()

@@ -51,7 +51,7 @@ def _make_workload(args):
 
 def _query_options(args) -> QueryOptions:
     """One QueryOptions from the shared CLI flags."""
-    return QueryOptions(method=args.method, mode=getattr(args, "mode", "joint"))
+    return QueryOptions(method=args.method)
 
 
 #: Why worker flags need lanes (the server's refusal says the same).
@@ -113,13 +113,6 @@ def _cmd_batch(args) -> int:
     options = _query_options(args)
     queries = _make_query_pool(workload, args, args.batch_size)
     ks = [q.k for q in queries]
-    try:
-        # Plan before forking: an impossible request (baseline over
-        # lanes) is refused up front.
-        engine.plan(options, ks=ks)
-    except ValueError as exc:
-        print(f"batch: {exc}", file=sys.stderr)
-        return 2
     lanes = engine.start_pools() if args.shards > 1 else contextlib.nullcontext()
     with lanes:
         if args.explain:  # after the fork: the plan names the lanes
@@ -152,9 +145,6 @@ def _cmd_serve(args) -> int:
         return 2
     if args.shards < 1:
         print("serve: --shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.shards > 1 and args.mode == "baseline":
-        print("serve: --shards requires --mode joint", file=sys.stderr)
         return 2
     try:
         max_wait_ms = "auto" if args.max_wait_ms == "auto" else float(args.max_wait_ms)
@@ -302,10 +292,10 @@ def _cmd_serve(args) -> int:
                 mismatches += 1
         if mismatches:
             print(f"VERIFY FAILURE: {mismatches} served results != sequential "
-                  f"(mode={args.mode})")
+                  f"(method={args.method})")
             return 1
         print(f"verify: served results == sequential on {len(queries)} queries "
-              f"(mode={args.mode}, shards={args.shards})")
+              f"(method={args.method}, shards={args.shards})")
         print("verify: dynamic check passed; the static contracts (pool "
               "boundary, kernel identity, async blocking, shm, transport) "
               "are tests/test_source_contracts.py")
@@ -369,7 +359,6 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--ws", type=int, default=2)
     p.add_argument("--method", choices=["approx", "exact"], default="approx")
-    p.add_argument("--mode", choices=["joint", "baseline"], default="joint")
     p.add_argument("--explain", action="store_true",
                    help="print the resolved QueryPlan before running")
 

@@ -8,8 +8,8 @@ expensive query-independent phase every single time — the same
 redundancy the joint traversal removed *within* one query, one level
 up.
 
-:func:`query_batch` exploits it — and ``Mode.JOINT`` batches go further
-with **cross-k candidate-pool sharing**: one joint traversal at
+:func:`query_batch` exploits it, and goes further with **cross-k
+candidate-pool sharing**: one joint traversal at
 ``k_max = max(k)`` produces candidate pools that provably subsume the
 pools of every smaller ``k`` in the batch (``RSk_max(us) <= RSk(us)``,
 so no object a smaller-k traversal keeps is ever pruned at ``k_max``),
@@ -21,15 +21,14 @@ carries its own k's :class:`SharedTopK`, and queries that share
 ``(ox.d, W, ws)`` are selected as one stacked location block over one
 selection context whose location rows read their own query's
 ``RSk(u)`` (:class:`~repro.core.candidate_selection.SelectionBatch`),
-each answer and counter still the query's own.  ``Mode.BASELINE``
-shares its per-user top-k per distinct k.
+each answer and counter still the query's own.
 
 Execution strategy is decided by :func:`repro.core.planner.plan_batch`
 and carried out by the engine's one
 :class:`~repro.core.pipeline.Executor`, which also owns the memo (the
-pools and per-k states).  This module keeps the phase-1 sharing
-primitives (the pool walk, the baseline scans, the per-query select)
-those phases are built from.
+pools and per-k states).  This module keeps the primitives those
+phases are built from: the shared pool walk and the per-payload
+select.
 
 Result contract: every result — location, keywords, BRSTkNN set, and
 every *selection-phase* :class:`QueryStats` counter (pruning,
@@ -49,9 +48,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .baseline import baseline_select_candidate
 from .candidate_selection import SelectionBatch, select_candidate
 from .config import QueryOptions, coerce_options
 from .joint_topk import (
@@ -62,6 +60,7 @@ from .joint_topk import (
 )
 from .planner import QueryPlan, plan_batch
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
+from .thresholds import Thresholds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import MaxBRSTkNNEngine
@@ -79,13 +78,12 @@ __all__ = [
 
 @dataclass(slots=True)
 class SharedTopK:
-    """Query-independent phase-1 state for one ``(mode, k)`` cell.
+    """Query-independent phase-1 state for one ``k``.
 
-    ``rsk`` is a :class:`~repro.core.thresholds.Thresholds` by user row
-    on the joint paths (a plain dict for the baseline's per-user scans):
-    two arrays, so the state pickles small into ``select`` payloads."""
+    ``rsk`` is the merged refine's ``RSk(u)`` by user row: two arrays,
+    so the state pickles small into ``select`` payloads."""
 
-    rsk: Mapping[int, float]
+    rsk: Thresholds
     rsk_group: float
     topk_time_s: float
     io_node_visits: int
@@ -95,7 +93,7 @@ class SharedTopK:
 
 @dataclass(slots=True)
 class SharedTraversalPool:
-    """Cross-k phase-1 state for ``Mode.JOINT`` batches.
+    """Cross-k phase-1 state of a batch.
 
     One joint traversal at ``k`` — the largest k any batch has asked
     the executor for — owns the candidate pools; each k's thresholds are
@@ -129,26 +127,6 @@ class SharedTraversalPool:
         return value
 
 
-def _compute_shared_baseline(engine: "MaxBRSTkNNEngine", k: int) -> SharedTopK:
-    """Baseline phase 1, once per distinct ``k``: per-user top-k scans."""
-    from ..topk.single import topk_all_users_individually
-
-    before = engine.io.snapshot()
-    t0 = time.perf_counter()
-    per_user = topk_all_users_individually(
-        engine.object_tree, engine.dataset, k, store=engine.store
-    )
-    elapsed = time.perf_counter() - t0
-    delta = engine.io.snapshot() - before
-    return SharedTopK(
-        rsk={uid: res.kth_score for uid, res in per_user.items()},
-        rsk_group=0.0,
-        topk_time_s=elapsed,
-        io_node_visits=delta.node_visits,
-        io_invfile_blocks=delta.invfile_blocks,
-    )
-
-
 def _ensure_traversal_pool(executor, k: int) -> SharedTraversalPool:
     """The executor's cross-k pool, (re)walked only when ``k`` outgrows it."""
     pool = executor.traversal_pool
@@ -179,7 +157,6 @@ def _select_one(
     dataset,
     query: MaxBRSTkNNQuery,
     shared: SharedTopK,
-    mode: str,
     method: str,
     batch: Optional[SelectionBatch] = None,
 ) -> MaxBRSTkNNResult:
@@ -191,20 +168,15 @@ def _select_one(
         io_node_visits=shared.io_node_visits,
         io_invfile_blocks=shared.io_invfile_blocks,
     )
-    if mode == "baseline":
-        t0 = time.perf_counter()
-        result = baseline_select_candidate(dataset, query, shared.rsk, stats=stats)
-        stats.selection_time_s = time.perf_counter() - t0
-    else:
-        result = select_candidate(
-            dataset,
-            query,
-            shared.rsk,
-            rsk_group=shared.rsk_group,
-            method=method,
-            stats=stats,
-            batch=batch,
-        )
+    result = select_candidate(
+        dataset,
+        query,
+        shared.rsk,
+        rsk_group=shared.rsk_group,
+        method=method,
+        stats=stats,
+        batch=batch,
+    )
     result.stats = stats
     return result
 
@@ -213,21 +185,17 @@ def _select_payload(
     dataset,
     queries: Sequence[MaxBRSTkNNQuery],
     shared: Sequence[SharedTopK],
-    mode: str,
     method: str,
 ) -> List[MaxBRSTkNNResult]:
     """Phase 2 for a ``select`` payload's queries, ``shared[i]`` being
-    query ``i``'s phase-1 state (one object per k): the joint selection,
-    either method, answers them as one :class:`SelectionBatch` (stacked
-    per keyword side across k, computed inside the first query's
-    :func:`select_candidate` call), the baseline one by one.  Answers
-    and selection counters are the per-query ones."""
-    batch = (
-        SelectionBatch(queries, [(s.rsk, s.rsk_group) for s in shared], method)
-        if mode != "baseline" else None
-    )
+    query ``i``'s phase-1 state (one object per k): either method
+    answers them as one :class:`SelectionBatch` (stacked per keyword
+    side across k, computed inside the first query's
+    :func:`select_candidate` call).  Answers and selection counters are
+    the per-query ones."""
+    batch = SelectionBatch(queries, [(s.rsk, s.rsk_group) for s in shared], method)
     return [
-        _select_one(dataset, query, entry, mode, method, batch)
+        _select_one(dataset, query, entry, method, batch)
         for query, entry in zip(queries, shared)
     ]
 
@@ -261,7 +229,7 @@ def execute_batch(
     plan: QueryPlan,
 ) -> List[MaxBRSTkNNResult]:
     """Carry out a planned batch on the engine's one
-    :class:`~repro.core.pipeline.Executor` (traverse → refine → select
-    for joint, topk → select for baseline), against its memo; per-stage accounting lands on
+    :class:`~repro.core.pipeline.Executor` (traverse → refine →
+    select), against its memo; per-stage accounting lands on
     ``engine.last_flush_report``."""
     return engine._executor.execute(queries, plan)

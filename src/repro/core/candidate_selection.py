@@ -187,8 +187,8 @@ def shortlist_locations(
 
     Returns the shortlists plus the number of locations pruned by the
     group bound.  ``rsk_group`` is ``RSk(us)`` from the joint traversal
-    (pass 0.0 to disable group pruning, e.g. when thresholds come from
-    the per-user baseline).  Only the spatial term of either bound
+    (pass 0.0 to disable group pruning, e.g. for thresholds not derived
+    from one traversal pool).  Only the spatial term of either bound
     depends on the location: both group text terms are read off the
     query's stored keyword side, the group bounds of every location are
     one array expression, and the per-user ``UBL(l, u) >= RSk(u)`` test

@@ -5,7 +5,7 @@ Two frozen dataclasses carry every knob of the query surface:
 * :class:`EngineConfig` — how indexes are built (fanout, buffer
   pages) and served (lanes, shm); one value per engine lifetime.
 * :class:`QueryOptions` — how one query (or batch) is answered
-  (method / mode as :class:`enum.Enum`\\ s); validated on
+  (the keyword selector, a :class:`enum.Enum`); validated on
   construction, shared by every entry point, with **one** default:
   :meth:`QueryOptions.default`.
 
@@ -26,7 +26,6 @@ from ..spatial.rtree import DEFAULT_FANOUT
 
 __all__ = [
     "Method",
-    "Mode",
     "CachePolicy",
     "EngineConfig",
     "QueryOptions",
@@ -47,37 +46,25 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-class _CoercingEnum(str, enum.Enum):
-    """String-valued enum that accepts its own values case-insensitively."""
+class Method(str, enum.Enum):
+    """Keyword-selection method (Section 6); accepts its values as
+    strings, case-insensitively."""
+
+    APPROX = "approx"  # Section 6.2.1: greedy max coverage, 1 - 1/e
+    EXACT = "exact"    # Section 6.2.2, Algorithm 4: every set up to ws
 
     @classmethod
-    def coerce(cls, value: Union[str, "_CoercingEnum"]) -> "_CoercingEnum":
+    def coerce(cls, value: Union[str, "Method"]) -> "Method":
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
             with contextlib.suppress(ValueError):
                 return cls(value.lower())
         valid = ", ".join(repr(m.value) for m in cls)
-        raise ValueError(
-            f"unknown {cls.__name__.lower()} {value!r}; expected one of {valid}"
-        )
+        raise ValueError(f"unknown method {value!r}; expected one of {valid}")
 
-    def __str__(self) -> str:  # "joint", not "Mode.JOINT", in messages
+    def __str__(self) -> str:  # "exact", not "Method.EXACT", in messages
         return self.value
-
-
-class Method(_CoercingEnum):
-    """Keyword-selection method (Section 6)."""
-
-    APPROX = "approx"  # Section 6.2.1: greedy max coverage, 1 - 1/e
-    EXACT = "exact"    # Section 6.2.2, Algorithm 4: every set up to ws
-
-
-class Mode(_CoercingEnum):
-    """Query pipeline."""
-
-    JOINT = "joint"        # Section 5: joint top-k + Algorithm 3
-    BASELINE = "baseline"  # Section 4: per-user top-k + exhaustive scan
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,19 +154,18 @@ class QueryOptions:
     ----------
     method:
         Keyword selector; strings are coerced (``"exact"`` works).
-    mode:
-        Pipeline; strings are coerced.
 
-    The single shared default (:meth:`default`) serves ``query`` and
-    ``query_batch`` alike.
+    Every query runs the one pipeline (joint top-k, then Algorithm 3);
+    Section 4's exhaustive baseline is reference code,
+    :func:`repro.core.baseline.baseline_maxbrstknn`.  The single shared
+    default (:meth:`default`) serves ``query`` and ``query_batch``
+    alike.
     """
 
     method: Method = Method.APPROX
-    mode: Mode = Mode.JOINT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method.coerce(self.method))
-        object.__setattr__(self, "mode", Mode.coerce(self.mode))
 
     @classmethod
     def default(cls) -> "QueryOptions":

@@ -23,17 +23,18 @@ The three layers (see also ``repro/serve`` for the one above):
   one on a fresh executor: its empty memo makes the query cold, as in
   the paper's per-query setting.
 
-Modes
------
-* ``Mode.JOINT`` (default): users in memory, joint top-k (Section 5)
-  then Algorithm 3 candidate selection.
-* ``Mode.BASELINE``: Section 4's per-user top-k + exhaustive scan.
+Every query runs one pipeline: users in memory, joint top-k
+(Section 5), then Algorithm 3 candidate selection.  The paper's other
+two strategies are reference code, not engine options:
 
-Section 7 (users on disk under an MIUR-tree) is not an engine mode: no
-measured cell made it beat ``Mode.JOINT`` in time or I/O, so it lives
-as reference code, :func:`repro.oracle.indexed_users_maxbrstknn`, which
-runs against an engine's MIR-tree and page store and which Figure 15
-measures.
+* Section 4's baseline (per-user top-k + exhaustive scan) is
+  :func:`repro.core.baseline.baseline_maxbrstknn`; its top-k half,
+  the per-user scans Figure 5 measures, is also
+  :meth:`MaxBRSTkNNEngine.topk_baseline`.
+* Section 7 (users on disk under an MIUR-tree) never beat the joint
+  pipeline in time or I/O on a measured cell; it is
+  :func:`repro.oracle.indexed_users_maxbrstknn`, which runs against an
+  engine's MIR-tree and page store and which Figure 15 measures.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class MaxBRSTkNNEngine:
         instead of building one (``repro serve --verify`` builds its
         reference engine over the served engine's tree).
     """
-
-    #: Whether a fleet of shard hosts can attach (a ShardedEngine); the
-    #: planner then refuses the baseline, whatever the lane count.
-    takes_fleet = False
 
     def __init__(
         self,
@@ -130,9 +127,8 @@ class MaxBRSTkNNEngine:
             )
         #: Runs every flush of :meth:`query_batch`, its refine dealt as
         #: ``num_shards`` row ranges, and owns the memo it reuses across
-        #: batches: the cross-k traversal pool, the baseline's per-k
-        #: scans and the merged thresholds (:meth:`clear_topk_cache`
-        #: drops them).
+        #: batches: the cross-k traversal pool and the merged thresholds
+        #: (:meth:`clear_topk_cache` drops them).
         self._executor = Executor(self, config.num_shards)
         #: Joint tree walks this engine has executed (single queries
         #: and batch shared phases alike) — the batch benchmarks

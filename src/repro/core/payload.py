@@ -325,15 +325,12 @@ def encode_shard_payload(codec: PayloadCodec, payload: tuple) -> tuple:
         # Each query's phase-1 state (an O(|U|) ``SharedTopK``, one
         # object per k) delta-ships as a blob reference: shipped once
         # per payload per k, and a memo hit on every later payload.
-        _, queries, shared, mode, method = payload
+        _, queries, shared, method = payload
         refs = {}
         for state in shared:
             if id(state) not in refs:
                 refs[id(state)] = codec.ship(state, "topk")
-        return (
-            "select", queries, tuple(refs[id(state)] for state in shared),
-            mode, method,
-        )
+        return ("select", queries, tuple(refs[id(state)] for state in shared), method)
     return payload  # unknown kinds pass through untouched
 
 
@@ -347,8 +344,8 @@ def decode_shard_payload(payload: tuple) -> tuple:
     if kind == "refine":
         return ("refine", _maybe(payload[1])) + payload[2:]
     if kind == "select":
-        _, queries, shared, mode, method = payload
-        return ("select", queries, tuple(map(_maybe, shared)), mode, method)
+        _, queries, shared, method = payload
+        return ("select", queries, tuple(map(_maybe, shared)), method)
     return payload
 
 

@@ -1,19 +1,21 @@
-"""A flush, one function per mode, and ONE scatter round over lanes.
+"""A flush, one pipeline, and ONE scatter round over lanes.
 
-A flush runs the paper's phases in a fixed order, one executor method
-per mode, each phase handing its products to the next as arguments and
+A flush runs the paper's phases in a fixed order — traverse → refine →
+select — each phase handing its products to the next as arguments and
 recording one :class:`StageStats` (wall time, simulated I/O, scatter
-width and round counters) on the flush's :class:`FlushReport`:
+width and round counters) on the flush's :class:`FlushReport`.
+Traverse is Algorithm 1's one cross-k walk (or its memoized pool).
+Refine is Algorithm 2 dealt as ``EngineConfig.num_shards`` user-row
+ranges — run inline until a fleet attaches — per-user work whose
+``RSk(u)`` vectors merge as a disjoint union.  Select is Algorithm 3
+whole per query — its keyword-coverage counts sum over all of
+``LU_l``, so it is dealt by query, never by user.
 
-* ``joint``    — traverse → refine → select.  Traverse is Algorithm 1's
-  one cross-k walk (or its memoized pool).  Refine is Algorithm 2 dealt
-  as ``EngineConfig.num_shards`` user-row ranges — run inline until a
-  fleet attaches — per-user work whose ``RSk(u)`` vectors merge as a
-  disjoint union.  Select is Algorithm 3 whole per query — its
-  keyword-coverage counts sum over all of ``LU_l``, so it is dealt by
-  query, never by user.
-* ``baseline`` — baseline-topk → select (local only; per-user top-k
-  scans, no mergeable group traversal).
+Section 4's baseline (per-user top-k, then an exhaustive scan) and
+Section 7's MIUR-tree search are not pipelines: they are reference
+code, :func:`repro.core.baseline.baseline_maxbrstknn` and
+:func:`repro.oracle.indexed_search`, which tests and the figure
+harness (Figures 5 and 15) call directly.
 
 The paper's two O(|U|) phases — Algorithm 2's per-user ``RSk(u)``
 refine and Algorithm 3's candidate selection — are the only things
@@ -60,9 +62,6 @@ round leaves the process only over a remote transport, when the
 planner says it pays.  ``MaxBRSTkNNEngine.query`` runs a fresh executor
 with the same ranges and transport: its empty memo makes the query
 cold by construction.
-
-Section 7's MIUR-tree search is not an executor mode: it is reference
-code, :func:`repro.oracle.indexed_search`, which Figure 15 measures.
 
 Result identity is the invariant throughout: results, I/O traces and
 selection stats equal the single sequential engine's across lane
@@ -174,7 +173,6 @@ class StageStats:
 class FlushReport:
     """Per-stage accounting of one executed flush (introspection)."""
 
-    mode: str
     batch_size: int
     stages: List[StageStats] = field(default_factory=list)
 
@@ -206,7 +204,6 @@ class FlushReport:
 
     def snapshot(self) -> dict:
         return {
-            "mode": self.mode,
             "batch_size": self.batch_size,
             "payload_bytes_out": self.payload_bytes_out,
             "payload_bytes_in": self.payload_bytes_in,
@@ -236,14 +233,13 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
       gathered by them.
       (Slot 4 is always ``None``: the traced benchmark probe reads it
       as "which dataset answers", ``None`` meaning the full one.)
-    * ``("select", queries, shared, mode, method)`` —
+    * ``("select", queries, shared, method)`` —
       Algorithm 3 whole, ``shared[i]`` being query ``i``'s phase-1
       state (one ``SharedTopK`` object per k; ``dataset`` = the FULL
-      dataset here): joint payloads, either method, as one
+      dataset here), either method, as one
       :class:`~repro.core.candidate_selection.SelectionBatch` — the
       queries that share ``(ox.d, W, ws)`` stacked over one selection
-      context, whatever their k — baseline payloads query by query;
-      one answer per query either way.
+      context, whatever their k — one answer per query.
     """
     from .partial import compute_partials
 
@@ -259,8 +255,8 @@ def execute_shard_payload(dataset, payload: tuple, context=None):
     if kind == "select":
         from .batch import _select_payload
 
-        _, queries, shared, mode, method = payload
-        return _select_payload(dataset, queries, shared, mode, method)
+        _, queries, shared, method = payload
+        return _select_payload(dataset, queries, shared, method)
     raise ValueError(f"unknown shard payload kind {kind!r}")
 
 
@@ -274,17 +270,6 @@ def user_row_ranges(n_users: int, n_lanes: int) -> List[Tuple[int, int]]:
     n_lanes`` cuts (lanes beyond ``n_users`` get empty ranges)."""
     cuts = [i * n_users // n_lanes for i in range(n_lanes + 1)]
     return list(zip(cuts, cuts[1:]))
-
-
-def _per_query(queries: Sequence[MaxBRSTkNNQuery], shared_for) -> List["SharedTopK"]:
-    """Each query's phase-1 state — ``shared_for(k)``, one object per k
-    — counting one hit per query."""
-    shared = []
-    for query in queries:
-        entry = shared_for(query.k)
-        entry.hits += 1
-        shared.append(entry)
-    return shared
 
 
 def refine_payloads(traversal, ks: Sequence[int], n_users: int, width: int) -> List[tuple]:
@@ -326,7 +311,8 @@ def merge_refine(
     for k in ks:
         merged_by_k[k] = merge_partials(by_k[k], users)
 
-    def shared_for(k: int):
+    shared = []
+    for k in (query.k for query in queries):
         entry = pool.by_k.get(k)
         if entry is None:
             entry = pool.by_k[k] = SharedTopK(
@@ -336,9 +322,9 @@ def merge_refine(
                 io_node_visits=pool.io_node_visits,
                 io_invfile_blocks=pool.io_invfile_blocks,
             )
-        return entry
-
-    return _per_query(queries, shared_for)
+        entry.hits += 1
+        shared.append(entry)
+    return shared
 
 
 def select_payloads(
@@ -370,8 +356,7 @@ def select_payloads(
     ]
     payloads = [
         ("select", [queries[i] for i in chunk],
-         tuple(shared[i] for i in chunk),
-         plan.mode.value, plan.method.value)
+         tuple(shared[i] for i in chunk), plan.method.value)
         for chunk in index_groups
     ]
     return payloads, index_groups
@@ -510,7 +495,7 @@ def run_round(
 
 
 # ----------------------------------------------------------------------
-# The executor: one method per mode, phases timed into the flush report
+# The executor: one pipeline, phases timed into the flush report
 # ----------------------------------------------------------------------
 
 @contextmanager
@@ -614,13 +599,12 @@ class ShardRuntimeStats:
 class Executor:
     """Runs an engine's planned flushes and owns its phase-1 memo.
 
-    One method per mode, each a fixed sequence of phases.  ``ranges``
+    Every flush is one fixed sequence of phases.  ``ranges``
     is how many user-row ranges the refine is dealt as (the engine's
     ``num_shards``); ``transport`` is
     :data:`INLINE` until ``ShardedEngine.start_pools`` /
     ``connect_hosts`` swap in the socket one.  The memo — the cross-k
-    joint pool, the baseline's per-k scans and the merged refine
-    thresholds — lives here only, so a fresh executor is
+    joint pool and the merged refine thresholds — lives here only, so a fresh executor is
     a cold engine: ``MaxBRSTkNNEngine.query`` runs on one.
     """
 
@@ -636,8 +620,6 @@ class Executor:
         self.transport: Transport = INLINE
         #: Cross-k joint pool (:class:`~repro.core.batch.SharedTraversalPool`).
         self.traversal_pool = None
-        #: Baseline per-user top-k scans, one state per k.
-        self.baseline_by_k: Dict[int, "SharedTopK"] = {}
         #: Merged refine thresholds per k — value-stable across pool
         #: re-walks by subsumption.  (The per-k ``SharedTopK`` the
         #: select round ships also reports the walk's time and I/O, so
@@ -668,38 +650,24 @@ class Executor:
 
     def clear(self) -> None:
         """Drop the memo: the pool (and with it the per-k states the
-        select round ships), the baseline scans, the merged thresholds."""
+        select round ships) and the merged thresholds."""
         self.traversal_pool = None
-        self.baseline_by_k.clear()
         self.merged_by_k.clear()
 
     def execute(
         self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan"
     ) -> List[MaxBRSTkNNResult]:
-        """Run one flush; its :class:`FlushReport` lands on the engine's
-        ``last_flush_report``."""
-        from .config import Mode
-
+        """Run one flush — traverse → refine → select; its
+        :class:`FlushReport` lands on the engine's ``last_flush_report``."""
         queries = list(queries)
-        report = FlushReport(mode=plan.mode.value, batch_size=len(queries))
-        if plan.mode is Mode.JOINT:
-            results = self._joint(report, queries, plan)
-        else:
-            results = self._baseline(report, queries, plan)
+        report = FlushReport(batch_size=len(queries))
+        pool, group_by_k = self._traverse(report, queries, plan)
+        shared = self._refine(report, queries, plan, pool, group_by_k)
+        results = self._select(report, queries, shared, plan)
         # The query-axis phase ends every flush.
         self.search_s += report.stages[-1].time_s
         self.engine.last_flush_report = report
         return results
-
-    def _joint(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
-        """traverse → refine → select."""
-        pool, group_by_k = self._traverse(report, queries, plan)
-        shared = self._refine(report, queries, plan, pool, group_by_k)
-        return self._select(report, queries, shared, plan)
-
-    def _baseline(self, report, queries, plan) -> List[MaxBRSTkNNResult]:
-        """baseline-topk → select."""
-        return self._select(report, queries, self._baseline_topk(report, queries), plan)
 
     def _traverse(self, report, queries, plan):
         """Phase 1a (central): ensure the cross-k pool, derive group
@@ -719,21 +687,6 @@ class Executor:
             # pay a dict hit, not a pass over the pool.
             group_by_k = {k: pool.rsk_group_for(k) for k in plan.distinct_ks}
         return pool, group_by_k
-
-    def _baseline_topk(self, report, queries) -> List["SharedTopK"]:
-        """Baseline phase 1 (central): per-user top-k scans per distinct
-        k, memoized.  Each query's phase-1 state."""
-        from .batch import _compute_shared_baseline
-
-        memo = self.baseline_by_k
-
-        def shared_for(k: int):
-            if k not in memo:
-                memo[k] = _compute_shared_baseline(self.engine, k)
-            return memo[k]
-
-        with _phase(report, "baseline-topk", self.engine.io, len(queries)):
-            return _per_query(queries, shared_for)
 
     def _refine(self, report, queries, plan, pool, group_by_k) -> List["SharedTopK"]:
         """Phase 1b: Algorithm 2 dealt as ``ranges`` user-row ranges, for

@@ -3,10 +3,9 @@
 The middle layer of the typed API.  :class:`QueryOptions` says what the
 caller *wants*; :class:`EngineCapabilities` says what the engine *has*
 (lanes? a memoized walk?); the planner resolves the pair into an
-executable :class:`QueryPlan` — which pipeline runs, which tree walk
-serves the batch, and whether phase 2 leaves the coordinator — and
-rejects impossible combinations (``Mode.BASELINE`` on lanes) before
-any work is done.
+executable :class:`QueryPlan` — which keyword selector runs, which
+tree walk serves the batch, and whether phase 2 leaves the
+coordinator.
 
 ``QueryPlan.explain()`` renders the plan as text — the serving
 layer and the CLI surface it for observability.
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from .config import Method, Mode, QueryOptions
+from .config import Method, QueryOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pipeline import Executor
@@ -44,17 +43,13 @@ class EngineCapabilities:
 
     traversal_pool_k: Optional[int] = None
     #: > 1 when the engine deals its refine over that many full-dataset
-    #: lanes (``EngineConfig.num_shards``); joint plans then carry a
-    #: ShardPlan (the baseline has no refine to deal).
+    #: lanes (``EngineConfig.num_shards``); plans then carry a
+    #: ShardPlan.
     num_shards: int = 1
     #: Width of the query-axis fan-out (selection) — the alive shard
     #: hosts of the engine's fleet, local or remote (0 = that round
     #: runs in-process).
     search_workers: int = 0
-    #: The engine takes a fleet (a ShardedEngine): baseline mode, the
-    #: only pipeline without a mergeable per-user decomposition, is
-    #: rejected on it at any lane count, one included.
-    fleet: bool = False
 
     @classmethod
     def of(cls, executor: "Executor") -> "EngineCapabilities":
@@ -65,7 +60,6 @@ class EngineCapabilities:
             traversal_pool_k=pool.k if pool is not None else None,
             num_shards=executor.ranges,
             search_workers=executor.transport.hosts(),
-            fleet=executor.engine.takes_fleet,
         )
 
 
@@ -109,8 +103,8 @@ class QueryPlan:
 
     Attributes
     ----------
-    mode / method:
-        The validated pipeline and keyword selector.
+    method:
+        The validated keyword selector.
     batch_size:
         Number of queries this plan covers (1 = single query).
     distinct_ks:
@@ -125,15 +119,14 @@ class QueryPlan:
         pool of every smaller ``k`` (``RSk_max(us) <= RSk(us)``, so
         nothing a smaller-k traversal keeps is pruned), so a mixed-k
         batch pays for **one** tree walk and derives each k's
-        thresholds from the shared pool.  ``None`` for baseline
-        batches (no group traversal).
+        thresholds from the shared pool.  ``None`` for a single query
+        (:func:`plan_query`), which walks cold at its own k.
     shard:
         Scatter/gather layout when the executing engine is sharded
         (:class:`ShardPlan`); ``None`` for single-engine execution,
         which runs every phase in-process.
     """
 
-    mode: Mode
     method: Method
     batch_size: int
     distinct_ks: Tuple[int, ...]
@@ -149,7 +142,7 @@ class QueryPlan:
             else f"batch of {self.batch_size}"
         )
         lines = [
-            f"plan: {scope} -> mode={self.mode} method={self.method}"
+            f"plan: {scope} -> method={self.method}"
         ]
         ks = ",".join(str(k) for k in self.distinct_ks) or "?"
         if self.shared_traversal_k is not None:
@@ -158,11 +151,6 @@ class QueryPlan:
                 f"k={self.shared_traversal_k} reused for k={ks} (the k_max "
                 f"pool subsumes every smaller k), per-k thresholds derived "
                 f"from the shared pool and memoized on the engine"
-            )
-        elif self.batch_size > 1:
-            lines.append(
-                f"  phase 1 (top-k thresholds): shared once per distinct k "
-                f"(k={ks}), memoized on the engine across batches"
             )
         else:
             lines.append(
@@ -199,20 +187,8 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def _validate(options: QueryOptions, caps: EngineCapabilities) -> None:
-    """Shared option/capability checks."""
-    if caps.fleet and options.mode is Mode.BASELINE:
-        raise ValueError(
-            f"sharded engines execute mode=joint only (got "
-            f"mode={options.mode}): the baseline pipeline has no mergeable "
-            "per-user decomposition"
-        )
-
-
-def _shard_plan(
-    options: QueryOptions, caps: EngineCapabilities
-) -> Optional[ShardPlan]:
-    if caps.num_shards <= 1 or options.mode is not Mode.JOINT:
+def _shard_plan(caps: EngineCapabilities) -> Optional[ShardPlan]:
+    if caps.num_shards <= 1:
         return None
     return ShardPlan(
         num_shards=caps.num_shards, search_workers=caps.search_workers
@@ -229,13 +205,11 @@ def plan_query(
     What ``engine.plan()`` describes; execution plans every flush,
     ``engine.query``'s batch of one included, with :func:`plan_batch`.
     """
-    _validate(options, caps)
     return QueryPlan(
-        mode=options.mode,
         method=options.method,
         batch_size=1,
         distinct_ks=(k,) if k else (),
-        shard=_shard_plan(options, caps),
+        shard=_shard_plan(caps),
     )
 
 
@@ -250,21 +224,19 @@ def plan_batch(
     expected).  Phase 2 leaves the process only over a lane engine's
     lanes (``caps.num_shards > 1``).
     """
-    _validate(options, caps)
     distinct_ks = tuple(sorted(set(ks)))
-    # A joint batch runs one tree walk at k_max and reuses its pool for
+    # A batch runs one tree walk at k_max and reuses its pool for
     # every smaller k.  An engine pool already walked at a larger k
     # serves this batch without re-walking — the plan names that walk
     # so explain() and the stats contract stay truthful.
     shared_traversal_k: Optional[int] = None
-    if options.mode is Mode.JOINT and distinct_ks:
+    if distinct_ks:
         pool_k = (caps.traversal_pool_k,) if caps.traversal_pool_k else ()
         shared_traversal_k = max(distinct_ks + pool_k)
     return QueryPlan(
-        mode=options.mode,
         method=options.method,
         batch_size=len(ks),
         distinct_ks=distinct_ks,
         shared_traversal_k=shared_traversal_k,
-        shard=_shard_plan(options, caps),
+        shard=_shard_plan(caps),
     )

@@ -15,8 +15,8 @@ answer to one query, its I/O charged to the engine's page store.
 Section 7 — users on disk under an MIUR-tree — lives only here
 (:func:`canonical_candidates`, :func:`indexed_search`,
 :func:`indexed_users_maxbrstknn`): its best-first search over user
-nodes never beat ``Mode.JOINT`` in time or I/O on any measured cell, so
-it is not an engine mode.  Figure 15
+nodes never beat the engine's joint pipeline in time or I/O on any
+measured cell, so it is not part of the engine.  Figure 15
 (:func:`repro.bench.harness.measure_user_index`) runs it against an
 engine's MIR-tree and page store and a caller-built
 :class:`~repro.index.miurtree.MIURTree`.
@@ -33,15 +33,13 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .core.baseline import baseline_maxbrstknn
 from .core.bounds import BoundCalculator, augmented_document, candidate_term_weight
-from .core.config import Mode, QueryOptions, coerce_options
+from .core.config import QueryOptions, coerce_options
 from .core.candidate_selection import LocationShortlist
 from .core.joint_topk import (
     CandidateObject, CandidatePool, JointTraversalResult, TopKTable,
 )
 from .core.keyword_selection import KeywordSelection
-from .core.planner import plan_query
 from .core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 from .index.miurtree import UserNodeView
 from .model.dataset import Dataset
@@ -690,13 +688,9 @@ def query(
     """The cold, sequential, all-scalar answer to ``query`` on ``engine``
     (a :class:`~repro.core.engine.MaxBRSTkNNEngine`): what
     ``engine.query(query, options)`` must return, stats included, with
-    the simulated I/O charged to ``engine``'s page store.
-    ``Mode.BASELINE`` is scalar in the engine too and runs as such."""
-    opts = coerce_options(options, api="repro.oracle.query")
-    plan = plan_query(opts, engine.capabilities(), k=query.k)
-    dataset, store, method = engine.dataset, engine.store, plan.method.value
-    if plan.mode is Mode.BASELINE:
-        return baseline_maxbrstknn(engine.object_tree, dataset, query, store=store)
+    the simulated I/O charged to ``engine``'s page store."""
+    method = coerce_options(options, api="repro.oracle.query").method.value
+    dataset, store = engine.dataset, engine.store
     stats = QueryStats(users_total=len(dataset.users))
     before = engine.io.snapshot()
     t0 = time.perf_counter()

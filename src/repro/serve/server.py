@@ -26,7 +26,6 @@ from functools import partial
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..core.cache import ResultCache
-from ..core.config import Mode
 from ..core.engine import MaxBRSTkNNEngine
 from ..core.pipeline import ScatterFailure
 from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
@@ -380,8 +379,6 @@ class MaxBRSTkNNServer:
         tree walk — the cache's warmer tier, worth counting separately
         from exact-result hits.
         """
-        if self.config.options.mode is not Mode.JOINT:
-            return 0  # baseline has no cross-k pool
         pool_k = self.engine.capabilities().traversal_pool_k
         if pool_k is None:
             return 0

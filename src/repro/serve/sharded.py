@@ -36,9 +36,7 @@ transport: inline until a fleet attaches, then a
 :class:`~repro.serve.transport.SocketTransport` over ONE fleet of shard
 hosts (:class:`~repro.serve.shardhost.ShardHost`) — forked local hosts
 after :meth:`ShardedEngine.start_pools`, remote ``repro shard-host``
-processes after :meth:`ShardedEngine.connect_hosts`.  Lanes serve
-``Mode.JOINT`` only: the baseline has no mergeable decomposition, and
-the planner refuses it on a ``ShardedEngine`` at any lane count.
+processes after :meth:`ShardedEngine.connect_hosts`.
 
 The headline guarantee is **result identity**: locations, keyword
 sets, BRSTkNN sets, I/O counters and selection stats all equal the
@@ -100,8 +98,6 @@ class ShardedEngine(MaxBRSTkNNEngine):
         :class:`EngineConfig` with ``num_shards`` (>= 1), the lane
         count.
     """
-
-    takes_fleet = True
 
     def __init__(self, dataset: Dataset, config: Optional[EngineConfig] = None) -> None:
         super().__init__(dataset, config)

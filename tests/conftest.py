@@ -71,9 +71,19 @@ def measure_name(request):
     return request.param
 
 
+def section4(engine, query):
+    """Section 4's answer to ``query`` — the exhaustive baseline
+    (reference code, not an engine option): per-user top-k over the
+    engine's MIR-tree, charged to its page store, then a scan of every
+    location and keyword set of up to ``ws`` keywords."""
+    from repro.core.baseline import baseline_maxbrstknn
+
+    return baseline_maxbrstknn(engine.object_tree, engine.dataset, query, store=engine.store)
+
+
 def section7(engine, query, method="approx"):
     """Section 7's answer to ``query`` — the oracle's MIUR-tree search
-    (not an engine mode) — over a fresh MIUR-tree of the engine's
+    (reference code, not an engine option) — over a fresh MIUR-tree of the engine's
     fanout, charged to the engine's page store."""
     from repro import oracle
     from repro.index.miurtree import MIURTree
@@ -101,7 +111,7 @@ def won_users(dataset, query, location, keywords):
 
 
 def refined_states(engine, queries):
-    """Each query's phase-1 state (its k's ``SharedTopK``) as a joint
+    """Each query's phase-1 state (its k's ``SharedTopK``) as a
     flush hands it to the select phase: the engine executor's traverse
     and refine, against its memo."""
     from repro import QueryOptions
@@ -109,7 +119,7 @@ def refined_states(engine, queries):
     from repro.core.planner import plan_batch
 
     plan = plan_batch(QueryOptions(), engine.capabilities(), [q.k for q in queries])
-    report = FlushReport(mode="joint", batch_size=len(queries))
+    report = FlushReport(batch_size=len(queries))
     executor = engine._executor
     pool, group_by_k = executor._traverse(report, queries, plan)
     return executor._refine(report, queries, plan, pool, group_by_k)

@@ -72,30 +72,27 @@ def assert_selection_stats_equal(a, b):
     assert a.users_pruned == b.users_pruned
 
 
-@pytest.mark.parametrize("mode", ["joint", "baseline"])
-def test_batch_equals_sequential(mode):
+@pytest.mark.parametrize("method", ["approx", "exact"])
+def test_batch_equals_sequential(method):
     engine, rng, vocab = build_engine()
     queries = make_queries(rng, vocab, 6, ks=(3, 5))  # mixed k values
-    sequential = [oracle.query(engine, q, QueryOptions(mode=mode)) for q in queries]
-    batched = engine.query_batch(queries, QueryOptions(mode=mode))
+    options = QueryOptions(method=method)
+    sequential = [oracle.query(engine, q, options) for q in queries]
+    batched = engine.query_batch(queries, options)
     assert len(batched) == len(sequential)
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
         assert_selection_stats_equal(solo.stats, bat.stats)
-        if mode == "baseline":
-            # Baseline phase 1 runs per distinct k: exact sequential trace.
-            assert_stats_equal(solo.stats, bat.stats)
-    if mode == "joint":
-        # Cross-k pool sharing: every query reports the one shared walk,
-        # whose I/O is the sequential k_max (= 5 here) traversal's.
-        kmax_solo = next(
-            s for q, s in zip(queries, sequential) if q.k == 5
+    # Cross-k pool sharing: every query reports the one shared walk,
+    # whose I/O is the sequential k_max (= 5 here) traversal's.
+    kmax_solo = next(
+        s for q, s in zip(queries, sequential) if q.k == 5
+    )
+    for bat in batched:
+        assert bat.stats.io_node_visits == kmax_solo.stats.io_node_visits
+        assert (
+            bat.stats.io_invfile_blocks == kmax_solo.stats.io_invfile_blocks
         )
-        for bat in batched:
-            assert bat.stats.io_node_visits == kmax_solo.stats.io_node_visits
-            assert (
-                bat.stats.io_invfile_blocks == kmax_solo.stats.io_invfile_blocks
-            )
 
 
 def test_empty_batch():
@@ -210,21 +207,6 @@ def test_warm_pool_plan_and_stats_name_the_walk_actually_used():
         assert_selection_stats_equal(warm.stats, ref.stats)
 
 
-def test_baseline_shared_topk_cache_reused_across_batches():
-    engine, rng, vocab = build_engine(seed=7)
-    queries = make_queries(rng, vocab, 4, ks=(2, 4))
-    engine.query_batch(queries, QueryOptions(mode="baseline"))
-    cache = engine._executor.baseline_by_k
-    assert set(cache) == {2, 4}
-    hits = {key: entry.hits for key, entry in cache.items()}
-    engine.query_batch(queries, QueryOptions(mode="baseline"))  # no phase-1 recompute
-    assert set(cache) == {2, 4}
-    for key, entry in cache.items():
-        assert entry.hits == hits[key] + 2
-    engine.clear_topk_cache()
-    assert engine._executor.baseline_by_k == {}
-
-
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="worker lanes require the fork start method",
@@ -282,11 +264,11 @@ def test_plain_engine_batch_never_forks(monkeypatch):
     assert "phase 2 (candidate selection): in-process" in text
 
 
-def test_batch_rejects_unknown_mode():
+def test_batch_rejects_unknown_method():
     engine, rng, vocab = build_engine()
     queries = make_queries(rng, vocab, 1)
     with pytest.raises(ValueError):
-        engine.query_batch(queries, QueryOptions(mode="warp"))
+        engine.query_batch(queries, QueryOptions(method="warp"))
 
 
 def test_batch_method_exact_matches_sequential():

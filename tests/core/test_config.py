@@ -4,35 +4,29 @@ import dataclasses
 
 import pytest
 
-from repro import EngineConfig, Method, Mode, QueryOptions
+from repro import EngineConfig, Method, QueryOptions
 from repro.core.config import coerce_options
 
 
 class TestEnums:
     def test_string_coercion(self):
         assert Method.coerce("exact") is Method.EXACT
-        assert Mode.coerce("baseline") is Mode.BASELINE
 
     def test_coercion_is_case_insensitive(self):
         assert Method.coerce("EXACT") is Method.EXACT
-        assert Mode.coerce("Joint") is Mode.JOINT
+        assert Method.coerce("Approx") is Method.APPROX
 
     def test_enum_passthrough(self):
         assert Method.coerce(Method.APPROX) is Method.APPROX
 
     def test_unknown_values_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method 'fuzzy'"):
             Method.coerce("fuzzy")
-        with pytest.raises(ValueError):
-            Mode.coerce("turbo")
-        # Section 7 is reference code (repro.oracle), not a mode.
-        assert [mode.value for mode in Mode] == ["joint", "baseline"]
-        with pytest.raises(ValueError, match="unknown mode 'indexed'"):
-            QueryOptions(mode="indexed")
+        assert [method.value for method in Method] == ["approx", "exact"]
 
     def test_str_mixin(self):
         # Enums render as their value (log/CLI friendly) and compare to it.
-        assert str(Mode.JOINT) == "joint"
+        assert str(Method.EXACT) == "exact"
         assert Method.EXACT == "exact"
 
 
@@ -40,23 +34,26 @@ class TestQueryOptions:
     def test_defaults(self):
         opts = QueryOptions()
         assert opts.method is Method.APPROX
-        assert opts.mode is Mode.JOINT
 
-    def test_two_fields(self):
+    def test_one_field(self):
         # The kernels are not a choice: numpy is the engine, and
         # repro.oracle is the scalar reference tests compare it with.
-        assert [f.name for f in dataclasses.fields(QueryOptions)] == ["method", "mode"]
+        # Nor is the pipeline: Sections 4 and 7 are reference code.
+        assert [f.name for f in dataclasses.fields(QueryOptions)] == ["method"]
 
     def test_strings_coerce_in_constructor(self):
-        opts = QueryOptions(method="exact", mode="baseline")
+        opts = QueryOptions(method="exact")
         assert opts.method is Method.EXACT
-        assert opts.mode is Mode.BASELINE
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             QueryOptions(method="fuzzy")
-        with pytest.raises(ValueError):
-            QueryOptions(mode="turbo")
+
+    def test_mode_is_not_an_option(self):
+        # One pipeline: Section 4's baseline is core.baseline's
+        # reference code, Section 7's search repro.oracle's.
+        with pytest.raises(TypeError):
+            QueryOptions(mode="baseline")
 
     def test_backend_is_not_an_option(self):
         with pytest.raises(TypeError):
@@ -75,7 +72,6 @@ class TestQueryOptions:
     def test_with_(self):
         opts = QueryOptions().with_(method="exact")
         assert opts.method is Method.EXACT
-        assert opts.mode is Mode.JOINT
         assert QueryOptions().method is Method.APPROX  # original untouched
 
     def test_shared_default(self):
@@ -86,7 +82,7 @@ class TestQueryOptions:
         """
         default = QueryOptions.default()
         assert default == QueryOptions()
-        assert (default.method, default.mode) == (Method.APPROX, Mode.JOINT)
+        assert default.method is Method.APPROX
 
 
 class TestSharedDefaultAcrossEntryPoints:

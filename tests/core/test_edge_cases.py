@@ -11,7 +11,7 @@ from repro.index.irtree import MIRTree
 from repro.model.objects import STObject, User
 from repro.spatial.geometry import Point
 
-from ..conftest import make_random_objects, make_random_users, section7
+from ..conftest import make_random_objects, make_random_users, section4, section7
 
 
 class TestDegenerateGeometry:
@@ -107,12 +107,12 @@ class TestSingleEntityWorlds:
             k=1,
         )
         results = [
-            engine.query(q, QueryOptions(method="exact", mode=mode))
-            for mode in ("joint", "baseline")
+            engine.query(q, QueryOptions(method="exact")),
+            section4(engine, q),
+            section7(engine, q, "exact"),
         ]
-        results.append(section7(engine, q, "exact"))
         # ox matches the user's keyword and is closer than o0? Either
-        # way all modes (and Section 7's search) must agree.
+        # way the engine and Sections 4 and 7 must agree.
         cards = {res.cardinality for res in results}
         assert len(cards) == 1 and cards <= {0, 1}
 
@@ -132,5 +132,5 @@ class TestSingleEntityWorlds:
             k=10,
         )
         res = engine.query(q, QueryOptions(method="exact"))
-        base = engine.query(q, QueryOptions(method="exact", mode="baseline"))
+        base = section4(engine, q)
         assert res.cardinality == base.cardinality

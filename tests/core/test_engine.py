@@ -1,4 +1,5 @@
-"""Tests for the engine facade and mode/method agreement."""
+"""Tests for the engine facade and its agreement with the reference
+strategies (Sections 4 and 7) and between methods."""
 
 import pytest
 
@@ -6,7 +7,7 @@ from repro import EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery
 from repro.core.config import QueryOptions
 from repro.core.query import QueryStats
 
-from ..conftest import section7
+from ..conftest import section4, section7
 
 
 def make_query(workload, ws=2, k=5):
@@ -25,10 +26,10 @@ class TestEngineModes:
         engine = MaxBRSTkNNEngine(ds)
         q = make_query(workload)
         results = {
-            mode: engine.query(q, QueryOptions(method="exact", mode=mode))
-            for mode in ("baseline", "joint")
+            "baseline": section4(engine, q),
+            "joint": engine.query(q, QueryOptions(method="exact")),
+            "indexed": section7(engine, q, "exact"),
         }
-        results["indexed"] = section7(engine, q, "exact")
         cards = {m: r.cardinality for m, r in results.items()}
         assert cards["baseline"] == cards["joint"] == cards["indexed"], cards
 
@@ -36,22 +37,22 @@ class TestEngineModes:
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
         q = make_query(workload)
-        exact = engine.query(q, QueryOptions(method="exact", mode="joint"))
-        approx = engine.query(q, QueryOptions(method="approx", mode="joint"))
+        exact = engine.query(q, QueryOptions(method="exact"))
+        approx = engine.query(q, QueryOptions(method="approx"))
         assert approx.cardinality <= exact.cardinality
         if exact.cardinality:
             assert approx.cardinality / exact.cardinality >= 0.6
 
-    def test_unknown_mode_rejected(self, small_flickr):
+    def test_unknown_method_rejected(self, small_flickr):
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
         with pytest.raises(ValueError):
-            engine.query(make_query(workload), QueryOptions(mode="turbo"))
+            engine.query(make_query(workload), QueryOptions(method="turbo"))
 
     def test_stats_populated(self, small_flickr):
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
-        res = engine.query(make_query(workload), QueryOptions(method="approx", mode="joint"))
+        res = engine.query(make_query(workload), QueryOptions(method="approx"))
         assert isinstance(res.stats, QueryStats)
         assert res.stats.topk_time_s > 0
         assert res.stats.io_total > 0

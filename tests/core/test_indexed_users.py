@@ -41,7 +41,7 @@ class TestCorrectness:
     def test_exact_cardinality_matches_flat_mode(self, seed):
         ds, query = build(seed)
         engine = MaxBRSTkNNEngine(ds)
-        flat = engine.query(query, QueryOptions(method="exact", mode="joint"))
+        flat = engine.query(query, QueryOptions(method="exact"))
         assert indexed(ds, query, "exact").cardinality == flat.cardinality
 
     @pytest.mark.parametrize("seed", range(3))

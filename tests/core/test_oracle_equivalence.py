@@ -2,18 +2,20 @@
 
 Two families of guarantees:
 
-* **Across modes** — ``joint``, ``baseline`` and Section 7's MIUR-tree
-  search (:func:`repro.oracle.indexed_users_maxbrstknn`) implement one
+* **Across strategies** — the engine's joint pipeline, Section 4's
+  exhaustive baseline (:func:`repro.core.baseline.baseline_maxbrstknn`)
+  and Section 7's MIUR-tree search
+  (:func:`repro.oracle.indexed_users_maxbrstknn`) implement one
   problem definition, so with the exact keyword selector they must
-  agree on the optimal cardinality (the baseline is the exhaustive
-  oracle; locations/keyword sets may differ only between equal-quality
-  ties), and every answer's BRSTkNN set is what its location and
-  keywords win under a from-scratch re-scoring.
+  agree on the optimal cardinality (the baseline is the brute-force
+  reference; locations/keyword sets may differ only between
+  equal-quality ties), and every answer's BRSTkNN set is what its
+  location and keywords win under a from-scratch re-scoring.
 * **Engine against oracle** — the engine's numpy kernels are a pure
   acceleration of the scalar reference (:func:`repro.oracle.query`):
   identical location, keyword set, BRSTkNN user set, and deterministic
-  stats for every mode and method, on every engine shape — a plain
-  engine or a ``ShardedEngine`` with inline or forked lanes.
+  stats for either method, on every engine shape — a plain engine or a
+  ``ShardedEngine`` with inline or forked lanes.
 """
 
 import contextlib
@@ -35,7 +37,9 @@ from repro.serve import ShardedEngine
 from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
-from ..conftest import make_random_objects, make_random_users, section7, won_users
+from ..conftest import (
+    make_random_objects, make_random_users, section4, section7, won_users,
+)
 
 
 def plant_degenerate(objects, users, rng):
@@ -84,15 +88,14 @@ def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM
 
 
 def exact_answers(engine, query):
-    """The exact answer of each mode: the engine's ``joint`` and
-    ``baseline``, and the oracle's Section 7 search over a fresh
-    MIUR-tree (``indexed``)."""
-    results = {
-        mode: engine.query(query, QueryOptions(method="exact", mode=mode))
-        for mode in ("joint", "baseline")
+    """The exact answer of each strategy: the engine's (``joint``),
+    Section 4's brute-force scan (``baseline``) and the oracle's
+    Section 7 search over a fresh MIUR-tree (``indexed``)."""
+    return {
+        "joint": engine.query(query, QueryOptions(method="exact")),
+        "baseline": section4(engine, query),
+        "indexed": section7(engine, query, "exact"),
     }
-    results["indexed"] = section7(engine, query, "exact")
-    return results
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -101,7 +104,7 @@ def exact_answers(engine, query):
 def test_modes_agree_on_optimal_cardinality(seed, k, alpha):
     engine, query = build_case(seed, k=k, alpha=alpha)
     results = exact_answers(engine, query)
-    cards = {mode: r.cardinality for mode, r in results.items()}
+    cards = {name: r.cardinality for name, r in results.items()}
     assert len(set(cards.values())) == 1, cards
     # joint and indexed run the same Algorithm 3+4; their chosen
     # keyword sets must also win the same number of users when the
@@ -114,7 +117,7 @@ def test_modes_agree_on_optimal_cardinality(seed, k, alpha):
 @pytest.mark.parametrize("vocab", [8, 32])
 def test_modes_agree_across_vocab_sizes(seed, vocab):
     engine, query = build_case(seed + 100, vocab=vocab)
-    cards = {mode: r.cardinality for mode, r in exact_answers(engine, query).items()}
+    cards = {name: r.cardinality for name, r in exact_answers(engine, query).items()}
     assert len(set(cards.values())) == 1, cards
 
 
@@ -153,24 +156,14 @@ def assert_same_cold_answer(engine, query, options):
     assert np_io.node_visits + np_io.invfile_blocks > 0
 
 
-#: (mode, method) pairs the oracle equality is drawn over.
-MODE_METHODS = [
-    (mode, method) for mode in ("joint", "baseline") for method in ("approx", "exact")
-]
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
-@pytest.mark.parametrize("mode,method", [
-    ("joint", "approx"),
-    ("joint", "exact"),
-    ("baseline", "exact"),
-])
-def test_engine_identical_to_oracle(seed, measure, mode, method):
+@pytest.mark.parametrize("method", ["approx", "exact"])
+def test_engine_identical_to_oracle(seed, measure, method):
     """The cold single query is a contract, on fixed cells: answers,
     every non-time stat and the I/O trace are the oracle's."""
     engine, query = build_case(seed, measure=measure)
-    assert_same_cold_answer(engine, query, QueryOptions(method=method, mode=mode))
+    assert_same_cold_answer(engine, query, QueryOptions(method=method))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -179,7 +172,7 @@ def test_engine_identical_to_oracle_across_k_and_alpha(alpha, k):
     """Fixed cells over k and alpha, including the pure-spatial and
     pure-textual corners where scores tie heavily."""
     engine, query = build_case(42, alpha=alpha, k=k)
-    options = QueryOptions(method="approx", mode="joint")
+    options = QueryOptions(method="approx")
     py = oracle.query(engine, query, options)
     np_ = engine.query(query, options)
     assert (py.location, py.keywords, py.brstknn) == (
@@ -222,7 +215,7 @@ def sides_bounded_at(bound, arrays):
         del arrays.side
 
 
-@pytest.mark.parametrize("mode,method", MODE_METHODS)
+@pytest.mark.parametrize("method", ["approx", "exact"])
 @given(
     seed=st.one_of(st.integers(0, 7), st.just(42), st.integers(0, 10_000)),
     measure=st.sampled_from(["LM", "TF", "KO"]),
@@ -238,19 +231,16 @@ def sides_bounded_at(bound, arrays):
 )
 @settings(max_examples=20, deadline=None)
 def test_engine_identical_to_oracle_drawn(
-    mode, method, seed, measure, alpha, metric, k, plant, other_ks, lanes,
+    method, seed, measure, alpha, metric, k, plant, other_ks, lanes,
     sides, bump, bound,
 ):
-    """The oracle contract, drawn for each (mode, method) and engine
-    shape (a plain engine, or a ``ShardedEngine`` with 1, 2 or 4 inline
-    lanes): a cold ``engine.query`` is ``oracle.query`` — answer, every
+    """The oracle contract, drawn for each method and engine shape (a
+    plain engine, or a ``ShardedEngine`` with 1, 2 or 4 inline lanes):
+    a cold ``engine.query`` is ``oracle.query`` — answer, every
     non-time stat and the I/O trace — and each answer of a mixed-k
     ``query_batch`` on the same engine is the per-query oracle's (answer
     and selection counters; a batch's top-k stats describe its one
-    shared walk).  A ``ShardedEngine`` refuses the baseline, whatever
-    its lane count, so a baseline draw with lanes also holds a plain
-    engine with that many ranges, which runs it inline, to the oracle.
-    Keyword-less users and duplicate points are planted on half the
+    shared walk).  Keyword-less users and duplicate points are planted on half the
     draws.  Every cell of the two fixed tables above is drawable.
 
     The batch mixes 1 to 3 keyword sides and runs twice: the second
@@ -263,18 +253,10 @@ def test_engine_identical_to_oracle_drawn(
         seed, alpha=alpha, k=k, measure=measure, metric=metric, plant=plant,
         lanes=lanes,
     )
-    options = QueryOptions(method=method, mode=mode)
+    options = QueryOptions(method=method)
     batch = keyword_sides(query, sides) + [
         dataclasses.replace(query, k=kk) for kk in other_ks
     ]
-    if lanes is not None and mode == "baseline":
-        with pytest.raises(ValueError, match="joint"):
-            engine.query(query, options)
-        with pytest.raises(ValueError, match="joint"):
-            engine.query_batch(batch, options)
-        engine = MaxBRSTkNNEngine(
-            engine.dataset, engine.config, object_tree=engine.object_tree
-        )
     arrays = arrays_for(engine.dataset)
     with sides_bounded_at(bound, arrays):
         assert_same_batch_answers(engine, batch, options)
@@ -283,8 +265,6 @@ def test_engine_identical_to_oracle_drawn(
             engine.dataset.bump_epoch()
         assert_same_flush_answers(engine, batch, options)
         second = arrays.side_stats()
-    if mode != "joint":
-        return  # the baseline selects without Algorithm 3's kernels
     if bump:
         assert second["misses"] > first["misses"]
         assert {key[0] for key in arrays._sides} == {engine.dataset.epoch}
@@ -338,7 +318,7 @@ def test_query_after_a_warm_batch_is_still_cold():
     at its own k — the I/O of a fresh engine's, not the memoized
     walk's — and leaves the batch memo (``capabilities()``) as it was."""
     engine, query = build_case(3, k=2)
-    options = QueryOptions(mode="joint")
+    options = QueryOptions()
     engine.query_batch([dataclasses.replace(query, k=8)], options)
     caps = engine.capabilities()
     assert caps.traversal_pool_k == 8
@@ -353,7 +333,7 @@ def test_sharded_query_after_a_warm_batch_is_still_cold(lanes):
     """The same on a ``ShardedEngine``: its ``query`` is the engine's
     cold batch of one, not a read of the flush memo."""
     engine, query = build_case(3, k=2, lanes=lanes)
-    options = QueryOptions(mode="joint")
+    options = QueryOptions()
     engine.query_batch([dataclasses.replace(query, k=8)], options)
     caps = engine.capabilities()
     assert caps.traversal_pool_k == 8
@@ -399,7 +379,7 @@ def assert_section7_like_joint(engine, query, method):
     answer's BRSTkNN set is exactly the users its location and keyword
     set win."""
     indexed = section7(engine, query, method)
-    joint = engine.query(query, QueryOptions(method=method, mode="joint"))
+    joint = engine.query(query, QueryOptions(method=method))
     assert indexed.cardinality == joint.cardinality
     for result in (indexed, joint):
         assert result.keywords <= set(query.keywords)

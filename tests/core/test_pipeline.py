@@ -10,7 +10,7 @@ Four layers of guarantees:
   runs through, inline or on a shard host.
 * **Query-axis round-trips** — ``merge_select(select_payloads(...))``
   answers like the single engine's flush at any width.
-* **Phase lists** — each (mode, engine kind) flush records the right
+* **Phase lists** — a flush on either engine kind records the right
   phases, in order, on ``last_flush_report``, each timed by ``_phase``
   into a snapshot row of the same fields, with one refine accounting:
   ``items`` counts the ks refined, ``scatter_width`` the row ranges.
@@ -78,7 +78,7 @@ def make_queries(rng, vocab, count, ks=(3, 5)):
 
 
 class Refine:
-    """A joint-mode flush as its refine phase finds it: the walked pool,
+    """A flush as its refine phase finds it: the walked pool,
     every k still to refine, and the merged maps so far."""
 
     def __init__(self, dataset, queries):
@@ -231,7 +231,7 @@ class TestPhaseTiming:
         the I/O its body drew from the counter and nothing else."""
         dataset, _, _ = build_dataset(seed=3)
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        report = FlushReport(mode="joint", batch_size=2)
+        report = FlushReport(batch_size=2)
         _ensure_traversal_pool(engine._executor, 2)  # I/O before the phase: not its
         with _phase(report, "traverse", engine.io, 2) as stats:
             assert report.stages == []  # appended when the phase ends
@@ -261,10 +261,8 @@ STAGE_FIELDS = [
 
 
 class TestPipelineShapes:
-    @pytest.mark.parametrize("mode, sharded", [
-        ("joint", False), ("joint", True), ("baseline", False),
-    ])
-    def test_snapshot_fields_per_mode_and_engine(self, mode, sharded):
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_snapshot_fields_per_engine(self, sharded):
         """``FlushReport.snapshot()`` — what ``--explain`` and the stats
         surfaces print — keeps one row of the same fields per phase, and
         its byte totals are the phases' sums."""
@@ -277,30 +275,28 @@ class TestPipelineShapes:
             else MaxBRSTkNNEngine(dataset, config)
         )
         queries = make_queries(rng, vocab, 4, ks=(3, 5))
-        engine.query_batch(queries, QueryOptions(mode=mode))
+        engine.query_batch(queries, QueryOptions())
         snap = engine.last_flush_report.snapshot()
         assert list(snap) == [
-            "mode", "batch_size", "payload_bytes_out", "payload_bytes_in",
-            "stages",
+            "batch_size", "payload_bytes_out", "payload_bytes_in", "stages",
         ]
-        assert (snap["mode"], snap["batch_size"]) == (mode, len(queries))
+        assert snap["batch_size"] == len(queries)
         for row in snap["stages"]:
             assert list(row) == STAGE_FIELDS
         for total in ("payload_bytes_out", "payload_bytes_in"):
             assert snap[total] == sum(row[total] for row in snap["stages"])
         # The query-axis phase ends every flush and counts queries.
         assert snap["stages"][-1]["items"] == len(queries)
-        if mode == "joint":
-            # One refine accounting on both engine kinds: the ks it
-            # refined, dealt as one row range per configured range.
-            refine = snap["stages"][1]
-            assert (refine["items"], refine["scatter_width"]) == (2, 2 if sharded else 1)
+        # One refine accounting on both engine kinds: the ks it
+        # refined, dealt as one row range per configured range.
+        refine = snap["stages"][1]
+        assert (refine["items"], refine["scatter_width"]) == (2, 2 if sharded else 1)
 
 
     @pytest.mark.parametrize("sharded", [False, True])
-    def test_stage_lists_per_mode_and_engine_kind(self, sharded):
-        """The one executor records each mode's phases, in order, on
-        both engine kinds (baseline runs on a plain engine only)."""
+    def test_stage_list_per_engine_kind(self, sharded):
+        """The one executor records the pipeline's phases, in order, on
+        both engine kinds, for either keyword selector."""
         from repro.serve import ShardedEngine
 
         dataset, rng, vocab = build_dataset()
@@ -310,13 +306,10 @@ class TestPipelineShapes:
             else MaxBRSTkNNEngine(dataset, config)
         )
         queries = make_queries(rng, vocab, 3, ks=(3, 5))
-        expected = {"joint": ["traverse", "refine", "select"]}
-        if not sharded:
-            expected["baseline"] = ["baseline-topk", "select"]
-        for mode, stages in expected.items():
-            engine.query_batch(queries, QueryOptions(mode=mode))
+        stages = ["traverse", "refine", "select"]
+        for method in ("approx", "exact"):
+            engine.query_batch(queries, QueryOptions(method=method))
             report = engine.last_flush_report
-            assert report.mode == mode
             assert report.batch_size == len(queries)
             assert [s.stage for s in report.stages] == stages
             assert [st["stage"] for st in report.snapshot()["stages"]] == stages
@@ -343,7 +336,6 @@ class TestFlushReports:
         engine.query_batch(queries, QueryOptions())
         report = engine.last_flush_report
         assert report is not None
-        assert report.mode == "joint"
         assert report.batch_size == 4
         assert [s.stage for s in report.stages] == ["traverse", "refine", "select"]
         # The one tree walk's I/O lands on the traverse stage.
@@ -373,26 +365,20 @@ class TestFlushReports:
 class TestSelectPayload:
     """``select`` is a payload kind of the ONE worker entry."""
 
-    @pytest.mark.parametrize("mode", ["joint", "baseline"])
-    def test_select_payload_equals_the_select_one_loop(self, mode):
+    @pytest.mark.parametrize("method", ["approx", "exact"])
+    def test_select_payload_equals_the_select_one_loop(self, method):
         """Plain and arena-encoded, ``execute_shard_payload`` on a
         ``("select", ...)`` chunk is the per-query ``_select_one`` loop."""
-        from repro.core.batch import _compute_shared_baseline, _select_one
+        from repro.core.batch import _select_one
         from repro.core.payload import ArenaRef, PayloadCodec, encode_shard_payload
         from repro.storage.shm import ShmArena
 
         dataset, rng, vocab = build_dataset(seed=8)
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         queries = make_queries(rng, vocab, 3, ks=(3,))
-        if mode == "baseline":
-            shared = _compute_shared_baseline(engine, 3)
-        else:
-            shared = refined_states(engine, queries)[0]
-        expected = [
-            _select_one(dataset, q, shared, mode, "approx")
-            for q in queries
-        ]
-        payload = ("select", queries, (shared,) * len(queries), mode, "approx")
+        shared = refined_states(engine, queries)[0]
+        expected = [_select_one(dataset, q, shared, method) for q in queries]
+        payload = ("select", queries, (shared,) * len(queries), method)
         with ShmArena() as arena:
             encoded = encode_shard_payload(PayloadCodec(arena), payload)
             # the O(|U|) state ships by name, once
@@ -433,10 +419,10 @@ class TestSelectPayload:
             )
 
         expected = [
-            key(_select_one(dataset, q, s, "joint", "approx"))
+            key(_select_one(dataset, q, s, "approx"))
             for q, s in zip(queries, shared)
         ]
-        payload = ("select", queries, shared, "joint", "approx")
+        payload = ("select", queries, shared, "approx")
         with ShmArena() as arena:
             codec = PayloadCodec(arena)
             encoded = encode_shard_payload(codec, payload)

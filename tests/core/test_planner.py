@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, MaxBRSTkNNEngine, Method, Mode, QueryOptions
+from repro import EngineConfig, MaxBRSTkNNEngine, Method, QueryOptions
 from repro.core.planner import (
     EngineCapabilities,
     ShardPlan,
@@ -28,28 +28,19 @@ class TestPlanBatch:
         assert plan.batch_size == 5
         assert plan.distinct_ks == (3, 5)
         assert "per-k thresholds derived from the shared pool" in plan.explain()
-        baseline = plan_batch(QueryOptions(mode="baseline"), CAPS, ks=[3, 5, 3])
-        assert "phase 1 (top-k thresholds): shared once per distinct k (k=3,5)" \
-            in baseline.explain()
 
     def test_joint_batch_pools_across_k(self):
         """Joint batches share ONE traversal at k_max across all ks."""
         plan = plan_batch(QueryOptions(), CAPS, ks=[1, 5, 10, 5])
         assert plan.shared_traversal_k == 10
-        # Baseline batches do not pool across k (no group traversal).
-        assert (
-            plan_batch(QueryOptions(mode="baseline"), CAPS, ks=[1, 5])
-            .shared_traversal_k
-            is None
-        )
         # Single queries stay cold: no pool.
         assert plan_query(QueryOptions(), CAPS, k=7).shared_traversal_k is None
 
-    @pytest.mark.parametrize("mode", ["joint", "baseline"])
-    def test_single_engine_batches_stay_in_process(self, mode):
+    @pytest.mark.parametrize("method", ["approx", "exact"])
+    def test_single_engine_batches_stay_in_process(self, method):
         """Without lanes nothing leaves the process: no ShardPlan, and
         explain() names no pool or fan-out for phase 2."""
-        plan = plan_batch(QueryOptions(mode=mode), CAPS, ks=[3, 3, 5])
+        plan = plan_batch(QueryOptions(method=method), CAPS, ks=[3, 3, 5])
         assert plan.shard is None
         text = plan.explain()
         for absent in ("fork pool", "worker pool", "lane", "fan-out", "scatter"):
@@ -62,7 +53,7 @@ class TestExplain:
     def test_single_query_explain(self):
         text = plan_query(QueryOptions(), CAPS, k=7).explain()
         assert text.splitlines()[0] == (
-            "plan: single query -> mode=joint method=approx"
+            "plan: single query -> method=approx"
         )
         assert "cold per query" in text
 
@@ -195,28 +186,6 @@ class TestPurePlanning:
         assert plan.shared_traversal_k == walk_k
         assert f"one MIR-tree walk at k={walk_k}" in plan.explain()
 
-    @pytest.mark.parametrize("entry", ["batch", "query"])
-    def test_baseline_is_rejected_on_lanes(self, entry):
-        """A fleet engine (a ``ShardedEngine``) refuses the baseline."""
-        options = QueryOptions(mode="baseline")
-        with pytest.raises(ValueError, match="no mergeable"):
-            if entry == "batch":
-                plan_batch(options, self.lane_caps(fleet=True), ks=[3, 3])
-            else:
-                plan_query(options, self.lane_caps(fleet=True), k=3)
-
-    @pytest.mark.parametrize("entry", ["batch", "query"])
-    def test_baseline_on_fleetless_lanes_runs_in_process(self, entry):
-        """Without a fleet the baseline runs inline whatever the range
-        count: no ShardPlan, since it has no refine to deal."""
-        options = QueryOptions(mode="baseline")
-        if entry == "batch":
-            plan = plan_batch(options, self.lane_caps(), ks=[3, 3])
-        else:
-            plan = plan_query(options, self.lane_caps(), k=3)
-        assert plan.shard is None
-        assert "scatter" not in plan.explain()
-
 
 class TestEnginePlan:
     def test_engine_plan_wrapper(self, tiny_dataset):
@@ -277,4 +246,3 @@ class TestEnginePlan:
         engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
         plan = engine.plan()
         assert plan.method is Method.APPROX
-        assert plan.mode is Mode.JOINT

@@ -519,7 +519,7 @@ def count_kernel_calls(monkeypatch):
 
 
 def engine_and_queries(n, n_locations=5, seed=4):
-    """A joint engine and ``n`` same-side queries (``ox.d = ∅``, one
+    """An engine and ``n`` same-side queries (``ox.d = ∅``, one
     ``W``, ``ws = 2``) as the benchmark's query pool has them."""
     rng = random.Random(seed)
     ds = Dataset(
@@ -558,7 +558,7 @@ class TestCostShape:
         ]
         calls = count_kernel_calls(monkeypatch)
         got = execute_shard_payload(
-            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", method)
+            engine.dataset, ("select", queries, (shared,) * len(queries), method)
         )
         assert calls == {"contexts": 1, "blocks": 1}
         assert [
@@ -585,7 +585,7 @@ class TestCostShape:
         ]
         calls = count_kernel_calls(monkeypatch)
         got = execute_shard_payload(
-            engine.dataset, ("select", queries, shared, "joint", "approx")
+            engine.dataset, ("select", queries, shared, "approx")
         )
         assert calls == {"contexts": 1, "blocks": 1}
         assert [
@@ -612,7 +612,7 @@ class TestCostShape:
         monkeypatch.setattr(candidate_selection, "STACK_ROWS", 12)
         calls = count_kernel_calls(monkeypatch)
         execute_shard_payload(
-            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")
+            engine.dataset, ("select", queries, (shared,) * len(queries), "approx")
         )
         assert calls == {"contexts": 1, "blocks": 4}
         sharded = ShardedEngine(engine.dataset, EngineConfig(fanout=4, num_shards=2))
@@ -669,7 +669,7 @@ class TestCostShape:
             )
         monkeypatch.setattr(candidate_selection, "LOCATION_BLOCK", 8)
         got = execute_shard_payload(
-            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")
+            engine.dataset, ("select", queries, (shared,) * len(queries), "approx")
         )
         survivors = 8 * 20 - sum(r.stats.locations_pruned for r in got)
         assert calls["passes"] == 2 and calls["blocks"] > calls["passes"]
@@ -691,7 +691,7 @@ class TestCostShape:
         shared = refined_states(engine, queries)[0]
         t0 = time.perf_counter()
         got = execute_shard_payload(
-            engine.dataset, ("select", queries, (shared,) * len(queries), "joint", "approx")
+            engine.dataset, ("select", queries, (shared,) * len(queries), "approx")
         )
         wall = time.perf_counter() - t0
         times = [r.stats.selection_time_s for r in got]

@@ -11,7 +11,7 @@ from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
 from repro.core.config import QueryOptions
 from repro.datagen import candidate_locations, flickr_like, generate_users, yelp_like
 
-from ..conftest import section7
+from ..conftest import section4, section7
 
 
 def build_workload(kind, seed, measure="LM", alpha=0.5, n_obj=200, n_users=25):
@@ -40,8 +40,8 @@ class TestOptimizedEqualsBaseline:
     def test_exact_joint_equals_baseline(self, kind, measure):
         ds, query = build_workload(kind, seed=31, measure=measure)
         engine = MaxBRSTkNNEngine(ds)
-        joint = engine.query(query, QueryOptions(method="exact", mode="joint"))
-        base = engine.query(query, QueryOptions(method="exact", mode="baseline"))
+        joint = engine.query(query, QueryOptions(method="exact"))
+        base = section4(engine, query)
         indexed = section7(engine, query, "exact")
         assert joint.cardinality == base.cardinality == indexed.cardinality
 
@@ -49,16 +49,16 @@ class TestOptimizedEqualsBaseline:
     def test_seeds(self, seed):
         ds, query = build_workload("flickr", seed=seed)
         engine = MaxBRSTkNNEngine(ds)
-        joint = engine.query(query, QueryOptions(method="exact", mode="joint"))
-        base = engine.query(query, QueryOptions(method="exact", mode="baseline"))
+        joint = engine.query(query, QueryOptions(method="exact"))
+        base = section4(engine, query)
         assert joint.cardinality == base.cardinality
 
     @pytest.mark.parametrize("alpha", [0.1, 0.9])
     def test_alpha_extremes(self, alpha):
         ds, query = build_workload("flickr", seed=44, alpha=alpha)
         engine = MaxBRSTkNNEngine(ds)
-        joint = engine.query(query, QueryOptions(method="exact", mode="joint"))
-        base = engine.query(query, QueryOptions(method="exact", mode="baseline"))
+        joint = engine.query(query, QueryOptions(method="exact"))
+        base = section4(engine, query)
         assert joint.cardinality == base.cardinality
 
 
@@ -103,8 +103,8 @@ class TestPerformanceShape:
         for seed in (61, 62, 63):
             ds, query = build_workload("flickr", seed=seed)
             engine = MaxBRSTkNNEngine(ds)
-            exact = engine.query(query, QueryOptions(method="exact", mode="joint"))
-            approx = engine.query(query, QueryOptions(method="approx", mode="joint"))
+            exact = engine.query(query, QueryOptions(method="exact"))
+            approx = engine.query(query, QueryOptions(method="approx"))
             if exact.cardinality:
                 ratios.append(approx.cardinality / exact.cardinality)
         assert ratios and min(ratios) >= 0.6  # paper reports 0.6–1.0

@@ -24,7 +24,7 @@ from repro import (
 from repro.core.config import QueryOptions
 from repro.text.vocabulary import Vocabulary
 
-from ..conftest import section7
+from ..conftest import section4, section7
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +67,12 @@ class TestFigure1:
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         if mode == "baseline" and method == "approx":
             pytest.skip("baseline has no approximate variant")
-        if mode == "indexed":  # Section 7: the oracle's MIUR-tree search
+        if mode == "baseline":  # Section 4: the exhaustive scan
+            result = section4(engine, query)
+        elif mode == "indexed":  # Section 7: the oracle's MIUR-tree search
             result = section7(engine, query, method)
         else:
-            result = engine.query(query, QueryOptions(method=method, mode=mode))
+            result = engine.query(query, QueryOptions(method=method))
         assert result.cardinality == 3
         # The narrative's optimum: menu 'sushi', winning u1, u2, u3.
         # (In this coordinate layout more than one location achieves the

@@ -38,7 +38,7 @@ from .conftest import (
     make_queries,
 )
 
-OPTS = QueryOptions(method="approx", mode="joint")
+OPTS = QueryOptions(method="approx")
 FAST = DeadlinePolicy(flush_deadline_s=5.0)
 
 
@@ -75,7 +75,7 @@ def teardown(engine, hosts):
 
 def reference_results(dataset, queries, engine):
     ref = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4), object_tree=engine.object_tree)
-    opts = QueryOptions(method="approx", mode="joint")
+    opts = QueryOptions(method="approx")
     return [oracle.query(ref, q, opts) for q in queries]
 
 

@@ -69,8 +69,8 @@ def test_split_deals_balanced_payloads_whatever_their_k(data, n, width):
     assert max(sizes) - min(sizes) <= 1
     dealt = [q for payload in payloads for q in payload[1]]
     assert sorted(map(id, dealt)) == sorted(id(q) for q in flush)
-    for kind, queries, shared, mode, method in payloads:
-        assert (kind, mode, method) == ("select", "joint", "approx")
+    for kind, queries, shared, method in payloads:
+        assert (kind, method) == ("select", "approx")
         assert len(shared) == len(queries)
         for query, entry in zip(queries, shared):
             assert entry is shared_by_k[query.k]

@@ -199,22 +199,32 @@ class TestLifecycle:
 
 class TestErrors:
     def test_failing_batch_fails_the_futures_and_keeps_serving(self):
-        # Lanes cannot run the baseline: every flush is refused.
+        # The executor refuses every flush until the switch is flipped.
         engine, rng, vocab = build_engine(seed=7, num_shards=2)
         queries = make_queries(rng, vocab, 2)
-        bad = ServerConfig(
-            max_batch=4, max_wait_ms=1.0, options=QueryOptions(mode="baseline")
-        )
+        execute = engine._executor.execute
+        refusing = [True]
+
+        def refuse_while_switched(batch, plan):
+            if refusing[0]:
+                raise ValueError("flush refused")
+            return execute(batch, plan)
+
+        engine._executor.execute = refuse_while_switched
+        config = ServerConfig(max_batch=4, max_wait_ms=1.0)
 
         async def run():
-            async with MaxBRSTkNNServer(engine, bad) as server:
-                with pytest.raises(ValueError, match="no mergeable"):
+            async with MaxBRSTkNNServer(engine, config) as server:
+                with pytest.raises(ValueError, match="flush refused"):
                     await asyncio.gather(*(server.submit(q) for q in queries))
-                return server.stats
+                refusing[0] = False
+                served = await server.submit(queries[0])
+                return server.stats, served
 
-        stats = asyncio.run(run())
+        stats, served = asyncio.run(run())
         assert stats.queries_failed >= 1
         assert stats.in_flight == 0
+        assert served.location is not None
 
     def test_invalid_server_config(self):
         with pytest.raises(ValueError):

@@ -242,7 +242,7 @@ def test_shard_payload_encode_decode_inverse_and_passthrough():
         for payload in (
             ("refine", {"pool": [1, 2, 3]}, [2, 4], 1, None, 0, 5),
             ("select", ["q0", "q1", "q2"],
-             ({"shared": rsk}, {"k": 2}, {"shared": rsk}), "joint", "greedy"),
+             ({"shared": rsk}, {"k": 2}, {"shared": rsk}), "greedy"),
         ):
             encoded = encode_shard_payload(codec, payload)
             assert encoded[0] == payload[0]

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.__main__ import BLAS_THREAD_VARS, pin_blas_threads
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestCLI:
@@ -23,12 +31,13 @@ class TestCLI:
         assert "simulated I/O" in out
 
     @pytest.mark.parametrize("command", ["demo", "batch", "serve"])
-    def test_mode_choices_are_joint_and_baseline(self, command, capsys):
-        """Section 7 is reference code (``repro.oracle``), not a mode."""
+    def test_mode_is_not_a_flag(self, command, capsys):
+        """One pipeline: Section 4's baseline and Section 7's search are
+        reference code (``repro.core.baseline``, ``repro.oracle``)."""
         with pytest.raises(SystemExit) as exc:
-            main([command, "--mode", "indexed"])
+            main([command, "--mode", "joint"])
         assert exc.value.code == 2
-        assert "choose from 'joint', 'baseline'" in capsys.readouterr().err
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     def test_demo_exact_yelp(self, capsys):
         rc = main([
@@ -60,14 +69,6 @@ class TestCLI:
         assert "search lanes x2" in out  # the plan names the started lanes
         assert "shards=2" in out
         assert multiprocessing.active_children() == []
-
-    def test_batch_refuses_baseline_over_lanes(self, capsys):
-        rc = main([
-            "batch", "--objects", "200", "--users", "20", "--batch-size", "2",
-            "--shards", "2", "--mode", "baseline",
-        ])
-        assert rc == 2
-        assert "no mergeable per-user decomposition" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--pool-workers", "2"],
@@ -129,7 +130,7 @@ class TestCLI:
         assert "adaptive_wait_ms" in out
         assert (
             "verify: served results == sequential on 6 queries "
-            "(mode=joint, shards=2)" in out
+            "(method=approx, shards=2)" in out
         )
 
     def test_serve_rejects_bad_max_wait(self, capsys):
@@ -139,13 +140,55 @@ class TestCLI:
         ])
         assert rc == 2
 
-    def test_serve_rejects_sharded_baseline(self, capsys):
-        rc = main([
-            "serve", "--objects", "200", "--users", "20", "--queries", "2",
-            "--shards", "2", "--mode", "baseline",
-        ])
-        assert rc == 2
-
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestBlasPin:
+    """``python -m repro serve`` / ``shard-host`` pin BLAS to one thread
+    where the operator left the variables unset."""
+
+    @pytest.mark.parametrize("command", ["serve", "shard-host"])
+    def test_serving_commands_set_unset_variables(self, command):
+        environ = {}
+        pin_blas_threads([command, "--shards", "2"], environ)
+        assert environ == {name: "1" for name in BLAS_THREAD_VARS}
+
+    def test_an_operator_value_is_left_alone(self):
+        environ = {"OPENBLAS_NUM_THREADS": "4"}
+        pin_blas_threads(["serve"], environ)
+        assert environ == {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}
+
+    @pytest.mark.parametrize("argv", [
+        ["demo"], ["batch", "--shards", "2"], ["stats"], ["report"],
+        ["demo", "serve"], [],
+    ])
+    def test_other_commands_are_ignored(self, argv):
+        environ = {}
+        pin_blas_threads(argv, environ)
+        assert environ == {}
+
+    def test_the_pin_lands_before_numpy_loads(self):
+        """``python -m repro`` imports the package first: it must not
+        load numpy, or the variables are read too late."""
+        script = (
+            "import os, runpy, sys\n"
+            "import repro\n"
+            "loaded_early = 'numpy' in sys.modules\n"
+            "sys.argv = ['repro', 'serve', '--queries', '0']\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(loaded_early, 'numpy' in sys.modules,"
+            " [os.environ.get(v) for v in %r])\n" % (BLAS_THREAD_VARS,)
+        )
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = str(SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[-2] == "False True ['1', '1']"

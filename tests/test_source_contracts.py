@@ -536,6 +536,13 @@ FORBIDDEN = {
     # scorer, its document-vector memo) are the oracle's alone.
     "one search for both selectors":
         r"_search_queue|threshold_mask_many|_doc_vec_cache|mask_many",
+    # Section 4's per-user top-k + exhaustive scan is reference code
+    # (core/baseline.py, called by tests and Figure 5): every engine
+    # runs one pipeline, so no mode, flag, memo, phase or fleet
+    # refusal serves it.
+    "section 4's baseline is reference only":
+        r"\bMode\b|\.mode\b|--mode\b|baseline_by_k|_baseline_topk"
+        r"|_compute_shared_baseline|baseline-topk|takes_fleet|caps\.fleet",
 }
 
 #: A design whose scan covers one package of src/ only.
@@ -621,6 +628,20 @@ def test_src_names_no_retired_design(design):
     ("one search for both selectors", "self._doc_vec_cache = {}"),
     ("one search for both selectors",
      "return select_keywords_exact(*args, mask_many=scan)"),
+    ("section 4's baseline is reference only",
+     "options = QueryOptions(method=Method.EXACT, pipeline=Mode.BASELINE)"),
+    ("section 4's baseline is reference only", "if plan.mode is not None:"),
+    ("section 4's baseline is reference only",
+     'p.add_argument("--mode", choices=["joint", "baseline"])'),
+    ("section 4's baseline is reference only", "self.baseline_by_k = {}"),
+    ("section 4's baseline is reference only",
+     "shared = self._baseline_topk(report, queries)"),
+    ("section 4's baseline is reference only",
+     "memo[k] = _compute_shared_baseline(engine, k)"),
+    ("section 4's baseline is reference only",
+     'with _phase(report, "baseline-topk", io, n):'),
+    ("section 4's baseline is reference only", "takes_fleet = True"),
+    ("section 4's baseline is reference only", "if caps.fleet:"),
 ])
 def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     """The scan above has teeth: each alternative of each regex counts."""
@@ -647,6 +668,14 @@ def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
      "selection = select_exact_block(ctx, locations, member, at)"),
     ("one search for both selectors", "won = ctx.recount(member, index, sets, which)"),
     ("one search for both selectors", "vector = arrays._doc_weight_vector(doc)"),
+    ("section 4's baseline is reference only",
+     "result = baseline_maxbrstknn(engine.object_tree, ds, q, store=store)"),
+    ("section 4's baseline is reference only", "per_user = engine.topk_baseline(k)"),
+    ("section 4's baseline is reference only",
+     "result = baseline_select_candidate(ds, q, rsk)"),
+    ("section 4's baseline is reference only",
+     "fd = shm_open(name, os.O_RDWR, mode=0o600)"),
+    ("section 4's baseline is reference only", "#: The ONE fleet the lanes run on"),
 ])
 def test_the_name_scan_passes_live_names(tmp_path, design, line):
     (tmp_path / "probe.py").write_text(line + "\n")
