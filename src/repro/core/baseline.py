@@ -7,14 +7,16 @@ steps, with no pruning beyond the relevance condition itself:
    individually over the IR-tree (``repro.topk.single``), yielding
    ``RSk(u)`` for each user.
 2. **Exhaustive candidate scan.**  Every tuple ``<l, c>`` of a candidate
-   location and a size-``ws`` keyword combination is scored against
-   every user sharing a keyword with ``ox.d ∪ c``; the tuple with the
-   most BRSTkNNs wins.  The baseline returns *exactly* ``ws`` keywords
-   (a quirk the paper points out), so when fewer useful keywords exist
-   it simply pads with whatever candidates remain.
+   location and a keyword combination is scored against every user;
+   the tuple with the most BRSTkNNs wins.  The paper's baseline scores
+   size-``ws`` combinations only; this one scans every size from 0 to
+   ``ws`` (see :func:`baseline_select_candidate`), so it is a true
+   optimum.
 
-This is also the correctness oracle: the optimized exact engine must
-match its cardinality on every input (tests enforce this).
+It is reference code, not an engine option: the engine's exact method
+must match its cardinality on every input
+(``tests/core/test_whole_query_bounds.py`` and the cross-checks that
+call it directly).
 """
 
 from __future__ import annotations
