@@ -230,14 +230,16 @@ class MaxBRSTkNNEngine:
         """Build the kernel caches up front (server startup hook).
 
         ``DatasetArrays`` (with the per-object-set ``ObjectColumns``
-        Algorithm 2 gathers from) plus the object tree's ``TreeArrays``
-        — so the first query pays no build cost and lane workers forked
-        later inherit them through copy-on-write.
+        Algorithm 2 gathers from), the object tree's ``TreeArrays`` and
+        their bound wave for the dataset-wide super-user at the current
+        epoch (``TreeArrays.wave``, what every walk of this engine
+        reads) — so the first query pays no build cost and lane workers
+        forked later inherit them through copy-on-write.
         """
         from .kernels import arrays_for, tree_arrays_for
 
         arrays_for(self.dataset)
-        tree_arrays_for(self.object_tree)
+        tree_arrays_for(self.object_tree).wave(self.dataset, self.store)
 
     # ------------------------------------------------------------------
     # Shared-memory payload tier (config.use_shm)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -82,9 +83,10 @@ __all__ = [
 
 class CandidatePoolError(ValueError):
     """A candidate pool does not fit the dataset it is refined against:
-    its columns disagree in length, ``n_lo`` lies outside them, or it
-    names an object id the object set does not hold (a pool that crossed
-    a process boundary meets a replica's dataset, not the walk's)."""
+    its columns disagree in length, ``n_lo`` lies outside them, a bound
+    is not finite or ``RO``'s upper bounds rise, or it names an object
+    id the object set does not hold (a pool that crossed a process
+    boundary meets a replica's dataset, not the walk's)."""
 
 
 @dataclass(slots=True)
@@ -266,9 +268,11 @@ class JointTraversalResult:
     def check(self, dataset: Dataset) -> None:
         """Raise :class:`CandidatePoolError` unless this pool can be
         refined against ``dataset``: the columns agree in length,
-        ``n_lo`` lies inside them and ``dataset`` holds every object
-        they name — what must hold before anything slices or gathers by
-        them (a pool off the wire is outside input)."""
+        ``n_lo`` lies inside them, every bound is finite, ``RO``'s
+        ``upper`` column never rises (Example 4's stop bisects it) and
+        ``dataset`` holds every object they name — what must hold before
+        anything slices or gathers by them (a pool off the wire is
+        outside input)."""
         pool = self.pool
         if not 0 <= self.n_lo <= len(pool):
             raise CandidatePoolError(
@@ -278,6 +282,14 @@ class JointTraversalResult:
             raise CandidatePoolError(
                 f"candidate pool columns disagree: {len(pool.ids)} ids, "
                 f"{len(pool.lower)} lower, {len(pool.upper)} upper bounds"
+            )
+        if not (np.isfinite(pool.lower).all() and np.isfinite(pool.upper).all()):
+            raise CandidatePoolError("candidate pool holds a non-finite bound")
+        ro_upper = pool.upper[self.n_lo:]
+        if (ro_upper[1:] > ro_upper[:-1]).any():
+            raise CandidatePoolError(
+                "candidate pool's RO upper bounds rise: Example 4's stop "
+                "needs them in descending order"
             )
         pool.object_rows(object_columns_for(dataset))
 
@@ -294,20 +306,32 @@ def joint_traversal(
     ``super_user`` defaults to the dataset-wide super-user; Section 7's
     search (:mod:`repro.oracle`) passes the MIUR-tree root's summary.
 
-    Wave-vectorized over the flattened
-    :class:`~repro.core.kernels.TreeArrays` (built once per tree): every
-    entry bound is an O(1) lookup into :meth:`TreeArrays.frontier_bounds`
-    (one vectorized wave over all tree entries per traversal), each
-    expanded node's children are pruned with one array comparison, and
-    node visits charge their precomputed inverted-list blocks instead of
-    walking the inverted files.  The control flow is the scalar walk's
-    (:func:`repro.oracle.joint_traversal`) statement for statement —
-    same priority-queue discipline, same tie-breaking counter sequence,
-    same admit logic — and the bounds are bitwise identical to the
-    scalar :class:`~repro.core.bounds.BoundCalculator` (the exactness
-    contract in :mod:`repro.core.kernels`), so the returned pools,
-    ``rsk_group``, and every simulated-I/O charge match the oracle
-    exactly.
+    Every entry bound is an O(1) lookup into one
+    :class:`~repro.core.kernels.FrontierBounds` — a vectorized wave over
+    all entries of the flattened :class:`~repro.core.kernels.TreeArrays`,
+    bitwise the scalar :class:`~repro.core.bounds.BoundCalculator`'s
+    values (the exactness contract in :mod:`repro.core.kernels`).  The
+    dataset-wide super-user's wave is kept per dataset epoch
+    (:meth:`TreeArrays.wave`); an explicit ``super_user`` gets its own.
+    Each expanded node's children are pruned against ``RSk(us)`` and
+    node visits charge their precomputed inverted-list blocks, so the
+    I/O trace is the scalar walk's (:func:`repro.oracle.joint_traversal`).
+
+    The walk returns the scalar walk's pool, ``rsk_group`` and I/O
+    bitwise, but pushes fewer entries.  Once ``LO`` is full, ``RSk(us)``
+    only rises, so a leaf entry with ``LB <= RSk(us)`` at its push can
+    never enter ``LO``: its pop changes no state, and decides only
+    whether it joins ``RO`` (``UB >= RSk(us)`` then) and where.  Such an
+    entry is *deferred*: it takes its tie-break ``count`` as the scalar
+    walk would, but is not pushed; a leaf whose largest ``LB`` is at most
+    ``RSk(us)`` defers all its survivors at once.  After the walk
+    :func:`_settle_deferred` finds, as array passes, the main pop each
+    deferred entry's scalar pop precedes — the first later one whose
+    ``(key, count)`` exceeds its own (pops are not monotone in key: a
+    child's ``LB`` is at least its parent's) — reads ``RSk(us)`` there,
+    and places its ``RO`` append before that pop's own
+    (:func:`_append_order`), which is what ``RO``'s stable sort by
+    ``-UB`` reads among twins.
 
     ``LO`` and ``RO`` hold tree-entry indices where the scalar walk
     holds :class:`CandidateObject` values; the result's id / bound columns
@@ -315,11 +339,15 @@ def joint_traversal(
     """
     if k <= 0:
         return JointTraversalResult(lo=[], ro=[], rsk_group=0.0)
-    su = dataset.super_user if super_user is None else super_user
     ta = tree_arrays_for(tree)
-    fb = ta.frontier_bounds(dataset, su, store=store)
-    lb_arr, ub_arr = fb.lb.tolist(), fb.ub.tolist()  # O(1) cheap reads
-    neg_lb = (-fb.lb).tolist()  # the priority-queue keys, negated once
+    if super_user is None:
+        su = dataset.super_user
+        fb = ta.wave(dataset, store)
+    else:
+        su = super_user
+        fb = ta.frontier_bounds(dataset, su, store=store)
+    lb_arr, ub_arr, neg_lb = fb.lb_list, fb.ub_list, fb.keys
+    leaf_max_lb, ub_sorted = fb.leaf_max_lb, fb.ub_sorted
     node_start, node_end = ta.node_start, ta.node_end
     node_is_leaf, child = ta.node_is_leaf, ta.ent_child
     push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
@@ -327,7 +355,7 @@ def joint_traversal(
     # PQ payload encoding: >= 0 is an object's entry index; < 0 is a
     # node encoded as -(node_index + 1).  Unique tie-breaks mean payloads
     # are never compared: ``count`` takes the values the scalar walk's
-    # ``itertools.count`` takes, at the same pushes.
+    # ``itertools.count`` takes, at the same pushes (deferred ones too).
     pq: List[Tuple[float, int, int]] = [(0.0, 0, -(ta.root_index + 1))]
     count = 1
 
@@ -335,11 +363,19 @@ def joint_traversal(
     # Once it holds k entries, ``rsk`` is its minimum, lo_heap[0][0].
     lo_heap: List[Tuple[float, int, int]] = []
     ro: List[int] = []
+    ro_at: List[int] = []   # the main pop each RO append happened at
     rsk = float("-inf")
     full = False
+    popped: List[Tuple[float, int, int]] = []  # every main pop, in order
+    bars: List[float] = []  # RSk(us) as each main pop meets it
+    leaves: List[Tuple[int, int, int, int, float]] = []  # see _settle_deferred
 
     while pq:
-        code = pop(pq)[2]
+        item = pop(pq)
+        at = len(popped)
+        popped.append(item)
+        bars.append(rsk)
+        code = item[2]
         if code >= 0:
             # Lines 1.9–1.18 over entry indices (the scalar ``admit``).
             lower = lb_arr[code]
@@ -357,8 +393,10 @@ def joint_traversal(
                 rsk = lo_heap[0][0]
                 if ub_arr[displaced] >= rsk:
                     ro.append(displaced)
+                    ro_at.append(at)
             else:
                 ro.append(code)
+                ro_at.append(at)
             continue
         nidx = -code - 1
         if store is not None:
@@ -374,23 +412,37 @@ def joint_traversal(
                     store, ta.index_name, page, su.union_terms
                 )
         # The node's whole child wave, pruned against RSk(us) — -inf, so
-        # pruning nothing, until LO is full; the bounds themselves were
-        # one vectorized evaluation.
-        if node_is_leaf[nidx]:
-            for i in range(node_start[nidx], node_end[nidx]):
-                if ub_arr[i] >= rsk:
-                    push(pq, (neg_lb[i], count, i))
-                    count += 1
-        else:
-            for i in range(node_start[nidx], node_end[nidx]):
+        # pruning nothing, until LO is full.
+        start, end = node_start[nidx], node_end[nidx]
+        if not node_is_leaf[nidx]:
+            for i in range(start, end):
                 if ub_arr[i] >= rsk:
                     push(pq, (neg_lb[i], count, -(child[i] + 1)))
                     count += 1
+        elif not full:
+            for i in range(start, end):
+                push(pq, (neg_lb[i], count, i))
+                count += 1
+        else:
+            leaves.append((at, start, end, count, rsk))
+            if leaf_max_lb[nidx] <= rsk:
+                count += _leaf_survivors(ub_sorted, start, end, rsk)
+            else:
+                for i in range(start, end):
+                    if ub_arr[i] >= rsk:
+                        if lb_arr[i] > rsk:
+                            push(pq, (neg_lb[i], count, i))
+                        count += 1
 
     # The scalar walk's two stable sorts, on the same keys (RO's as one
-    # stable argsort: the same permutation).
+    # stable argsort of its appends in the scalar order: the same
+    # permutation).
     lo = [idx for _, __, idx in sorted(lo_heap, key=lambda t: -t[0])]
     ro = np.array(ro, dtype=np.intp)
+    if leaves:
+        deferred, before, rank = _settle_deferred(fb, popped, bars + [rsk], leaves)
+        order = _append_order(np.array(ro_at, dtype=np.intp), before, rank)
+        ro = np.concatenate((ro, deferred))[order]
     ro = ro[np.argsort(-fb.ub[ro], kind="stable")]
     entries = np.concatenate((np.array(lo, dtype=np.intp), ro))
     pool = CandidatePool.from_columns(
@@ -400,6 +452,92 @@ def joint_traversal(
     return JointTraversalResult.of_pool(
         pool, len(lo), rsk if rsk != float("-inf") else 0.0
     )
+
+
+def _leaf_survivors(ub_sorted, start: int, end: int, rsk: float) -> int:
+    """How many entries of a leaf's span the scalar walk pushes — those
+    with ``UB >= RSk(us)``, what ``count`` advances by — as one bisection
+    of the span's ascending ``UB`` (``FrontierBounds.ub_sorted``)."""
+    return end - bisect_left(ub_sorted, rsk, start, end)
+
+
+def _settle_deferred(fb, popped, bars, leaves):
+    """The deferred leaf entries that join ``RO``, where, and in what
+    order among themselves.
+
+    ``leaves`` holds one ``(pop, start, end, count, rsk)`` per leaf the
+    walk expanded with ``LO`` full: the index of the main pop that
+    expanded it, its entry span, ``count`` and ``RSk(us)`` then.  Its
+    survivors (``UB >= rsk``) took consecutive counts from ``count``; the
+    deferred ones among them are those with ``LB <= rsk``.  ``popped`` is
+    every main pop's ``(key, count, code)`` and ``bars[j]`` the
+    ``RSk(us)`` main pop ``j`` met (one more: the final one).
+
+    A deferred entry pops, in the scalar walk, just before the first
+    main pop after its leaf's whose ``(key, count)`` exceeds its own (or
+    after the last), so it joins ``RO`` iff ``UB >= bars`` there.
+    Returns, for those that join, the entry indices, the main pop each
+    precedes, and their rank among all pops in ``(key, count)`` order —
+    the order of deferred pops between two main pops.
+    """
+    pops, starts, ends, counts, rsks = (np.array(column) for column in zip(*leaves))
+    lengths = ends - starts
+    leaf = np.repeat(np.arange(len(leaves)), lengths)
+    first = np.cumsum(lengths) - lengths
+    entry = starts[leaf] + np.arange(int(lengths.sum())) - first[leaf]
+    bar = rsks[leaf]
+    survives = fb.ub[entry] >= bar
+    taken = np.concatenate(([0], np.cumsum(survives)))
+    given = counts[leaf] + taken[:-1] - taken[first][leaf]
+    deferred = survives & (fb.lb[entry] <= bar)
+    entry, given, after = entry[deferred], given[deferred], pops[leaf][deferred]
+
+    # Ranks over main and deferred pops together, in (key, count) order:
+    # counts are unique, so key rank x (count bound) + count is one
+    # distinct integer per pop, in that order (no float lexsort).
+    n_main = len(popped)
+    keys = np.concatenate((np.fromiter((p[0] for p in popped), np.float64, n_main),
+                           -fb.lb[entry]))
+    ticks = np.concatenate((np.fromiter((p[1] for p in popped), np.int64, n_main),
+                            given))
+    key_rank = np.unique(keys, return_inverse=True)[1].reshape(-1)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[np.argsort(key_rank * (int(ticks.max()) + 1) + ticks)] = np.arange(len(keys))
+    before = _first_greater_after(rank[:n_main], after + 1, rank[n_main:])
+    joins = fb.ub[entry] >= np.array(bars)[before]
+    return entry[joins], before[joins], rank[n_main:][joins]
+
+
+def _first_greater_after(values, starts, bars):
+    """Per query ``i``, the first index ``j >= starts[i]`` with
+    ``values[j] > bars[i]``, or ``len(values)``: binary lifting over a
+    sparse table of window maxima, ``log2(len(values))`` array steps."""
+    n = len(values)
+    tables = [values]  # tables[L][j] = max(values[j : j + 2**L])
+    while 1 << len(tables) <= n:
+        prev, width = tables[-1], 1 << (len(tables) - 1)
+        tables.append(np.maximum(prev[:-width], prev[width:]))
+    pos = np.asarray(starts, dtype=np.intp).copy()
+    for level in range(len(tables) - 1, -1, -1):
+        table = tables[level]
+        fits = pos < len(table)
+        clear = fits & (table[np.minimum(pos, len(table) - 1)] <= bars)
+        pos[clear] += 1 << level
+    return pos
+
+
+def _append_order(main_at, deferred_at, deferred_rank):
+    """The permutation of ``[main appends, deferred appends]`` into the
+    scalar walk's ``RO`` append order: by the main pop each happened at
+    or precedes — a deferred pop comes before that pop, a main append
+    (the popped object or the one it displaced) at it — and deferred
+    pops between two main pops in ``(key, count)`` order (their rank
+    among all pops).  At most one main append happens per pop, so every
+    sort key is distinct."""
+    bound = int(deferred_rank.max()) + 1 if len(deferred_rank) else 0
+    pos = np.concatenate((main_at, deferred_at))
+    sub = np.concatenate((np.full(len(main_at), bound), deferred_rank))
+    return np.argsort(pos * (bound + 1) + sub)
 
 
 def derive_rsk_group(traversal: JointTraversalResult, walk_k: int, k: int) -> float:  # repro: identity-kernel

@@ -758,6 +758,45 @@ class TestArrayHandOff:
             oracle_partials(ds, walked, [5])[0][1]
         )
 
+    def test_a_pool_whose_bounds_cannot_hold_is_refused(self):
+        """Example 4's stop bisects ``RO``'s ``upper`` column as a
+        non-increasing one: reversed, or with a ``NaN`` in either
+        column, it would refine silently to wrong ``RSk(u)``."""
+        import numpy as np
+
+        engine, _ = flickr_engine(objects=300, users=30)
+        ds = engine.dataset
+        walked = joint_traversal(engine.object_tree, ds, 5)
+        pool, n_lo = walked.pool, walked.n_lo
+        assert len(np.unique(pool.upper[n_lo:])) > 1
+
+        def arrived(order=None, lower=pool.lower, upper=pool.upper):
+            index = np.arange(len(pool.ids)) if order is None else order
+            return JointTraversalResult.of_pool(
+                CandidatePool.from_columns(pool.ids[index], lower[index], upper[index]),
+                n_lo, walked.rsk_group,
+            )
+
+        n = len(pool.ids)
+        reversed_ro = np.concatenate((np.arange(n_lo), np.arange(n - 1, n_lo - 1, -1)))
+        nan_lower, nan_upper, inf_upper = (
+            pool.lower.copy(), pool.upper.copy(), pool.upper.copy()
+        )
+        nan_lower[n_lo + 1] = np.nan
+        nan_upper[0] = np.nan
+        inf_upper[n_lo] = np.inf
+        for bad, match in (
+            (arrived(order=reversed_ro), "rise"),
+            (arrived(lower=nan_lower), "non-finite"),
+            (arrived(upper=nan_upper), "non-finite"),
+            (arrived(upper=inf_upper), "non-finite"),
+        ):
+            with pytest.raises(CandidatePoolError, match=match):
+                compute_partials(ds, bad, [5])
+        assert compute_partials(ds, arrived(), [5])[0].rsk == (
+            oracle_partials(ds, walked, [5])[0][1]
+        )
+
 
 # ----------------------------------------------------------------------
 # Seeded mutants of the per-user stop: the properties have teeth

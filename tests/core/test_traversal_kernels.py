@@ -12,12 +12,27 @@ Two families of guarantees:
   entry-index heaps (``CandidatePool``); its object views are built on
   demand and must be the oracle walk's objects.
 
+  The drawn walks hold planted ties (``twins``): the engine defers the
+  leaf entries that can no longer enter ``LO`` and settles them after
+  the walk, and only the scalar walk's exact pop positions and counter
+  values order tied entries as it does — seeded mutants of that
+  settling must fail the property (:class:`TestDeferredMutantsAreCaught`).
+
 * **Cross-k subsumption.**  The candidate pool of a ``k_max``
   traversal subsumes the pool of every smaller ``k`` and yields
   value-identical per-k thresholds, which is what lets a mixed-k batch
   pay for a single tree walk (``repro.core.batch.SharedTraversalPool``).
+
+* **One bound wave per dataset epoch.**  The dataset-wide super-user's
+  :class:`~repro.core.kernels.FrontierBounds` is kept on the tree's
+  arrays (``TreeArrays.wave``): cold queries walk, charge and answer as
+  the oracle does without rebuilding it, an epoch bump rebuilds it, an
+  explicit ``super_user=`` walks on bounds of its own.
 """
 
+import dataclasses
+import functools
+import importlib
 import pickle
 import random
 
@@ -29,7 +44,7 @@ from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle
 from repro.core.joint_topk import (
     CandidatePoolError, derive_rsk_group, individual_topk, joint_traversal,
 )
-from repro.core.kernels import TreeArrays, tree_arrays_for
+from repro.core.kernels import FrontierBounds, TreeArrays, tree_arrays_for
 from repro.index.miurtree import MIURTree
 from repro.model.objects import STObject, SuperUser, User
 from repro.spatial.geometry import Point
@@ -41,6 +56,10 @@ from ..conftest import make_random_objects, make_random_users
 #: Algorithms 1 and 2 by side: the oracle's scalar forms, the engine's.
 WALK = {"oracle": oracle.joint_traversal, "engine": joint_traversal}
 REFINE = {"oracle": oracle.individual_topk, "engine": individual_topk}
+
+# ``repro.core`` re-exports the joint_topk *function* under the
+# submodule's own name; fetch the module itself (for the mutants).
+joint_topk_module = importlib.import_module("repro.core.joint_topk")
 
 
 def random_engine(seed, twins=0):
@@ -74,6 +93,20 @@ def random_engine(seed, twins=0):
     return engine, rng
 
 
+@functools.lru_cache(maxsize=None)
+def generated_engine(seed):
+    """A small cell of the benchmark's generator (clustered objects and
+    users, ``benchmarks/e2e``'s shape): unlike uniform random trees, its
+    walks expand nodes after deferring entries whose children raise
+    ``RSk(us)``, so a deferred entry's pop meets a threshold below the
+    final one."""
+    from repro.serve import WorkloadSpec
+    from repro.serve.shardhost import make_workload
+
+    dataset, _ = make_workload(WorkloadSpec(objects=300, users=30, seed=seed))
+    return MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+
+
 def miur_root(engine):
     """Section 7's super-user: the root summary of a MIUR-tree over the
     engine's users."""
@@ -97,7 +130,7 @@ def assert_traversals_identical(a, b):
 @pytest.mark.parametrize("seed", range(8))
 def test_traversal_identical_to_oracle_on_random_trees(seed):
     """engine == oracle: pools, threshold, and I/O trace, bitwise."""
-    engine, rng = random_engine(seed)
+    engine, rng = random_engine(seed, twins=(0, 12, 60)[seed % 3])
     summaries = [
         None,  # dataset-wide super-user
         miur_root(engine),  # MIUR root (Section 7's walk)
@@ -127,23 +160,63 @@ def test_traversal_identical_to_oracle_on_random_trees(seed):
             assert counters[0].invfile_blocks == counters[1].invfile_blocks
 
 
-def test_traversal_identical_to_oracle_with_buffered_store():
-    """The LRU-buffer fallback path charges exactly like the scalar one."""
-    engine, _ = random_engine(3)
+@pytest.mark.parametrize("twins", [0, 60])
+def test_traversal_identical_to_oracle_with_buffered_store(twins):
+    """The LRU-buffer fallback path charges exactly like the scalar one,
+    on a bound wave kept from a cold-store walk's epoch or built for it,
+    walk after walk on one buffer."""
+    engine, _ = random_engine(3, twins=twins)
+    engine.prewarm_kernels()  # keeps the engine's cold-store wave
     for capacity in (0, 16):
         stores = []
         for _ in range(2):
             counter = IOCounter()
             stores.append(PageStore(counter=counter, buffer=LRUBuffer(capacity)))
-        py = oracle.joint_traversal(
-            engine.object_tree, engine.dataset, 4, store=stores[0]
-        )
-        np_ = joint_traversal(engine.object_tree, engine.dataset, 4, store=stores[1])
-        assert_traversals_identical(py, np_)
-        assert stores[0].counter.node_visits == stores[1].counter.node_visits
-        assert stores[0].counter.invfile_blocks == stores[1].counter.invfile_blocks
-        assert stores[0].buffer.hits == stores[1].buffer.hits
-        assert stores[0].buffer.misses == stores[1].buffer.misses
+        for k in (4, 4, 9):
+            py = oracle.joint_traversal(
+                engine.object_tree, engine.dataset, k, store=stores[0]
+            )
+            np_ = joint_traversal(engine.object_tree, engine.dataset, k, store=stores[1])
+            assert_traversals_identical(py, np_)
+            assert stores[0].counter.node_visits == stores[1].counter.node_visits
+            assert stores[0].counter.invfile_blocks == stores[1].counter.invfile_blocks
+            assert stores[0].buffer.hits == stores[1].buffer.hits
+            assert stores[0].buffer.misses == stores[1].buffer.misses
+
+
+def walk_pair(engine, k, group="all", buffer=None):
+    """The oracle's walk and the engine's on ``engine`` at ``k`` for the
+    ``group`` super-user, each charging a page store of its own (an LRU
+    buffer of ``buffer`` pages, or cold): ``(oracle, engine, stores)``."""
+    ds = engine.dataset
+    su = {
+        "all": None,
+        "miur-root": miur_root(engine),
+        "half": SuperUser.from_users(
+            ds.users[: max(2, len(ds.users) // 2)], ds.relevance
+        ),
+    }[group]
+    stores = [
+        PageStore(counter=IOCounter(), buffer=None if buffer is None else LRUBuffer(buffer))
+        for _ in range(2)
+    ]
+    py, columns = (
+        walk(engine.object_tree, ds, k, super_user=su, store=store)
+        for store, walk in zip(stores, (oracle.joint_traversal, joint_traversal))
+    )
+    return py, columns, stores
+
+
+def walk_trace(walk, store):
+    """What must be ``==`` between the two walks: pool ids / lower /
+    upper in pool order, ``n_lo``, ``rsk_group``, the store's charges
+    (read off columns: no view is built)."""
+    counter, buffer = store.counter, store.buffer
+    return (
+        walk.pool.ids.tolist(), walk.pool.lower.tolist(), walk.pool.upper.tolist(),
+        walk.n_lo, walk.rsk_group, counter.node_visits, counter.invfile_blocks,
+        None if buffer is None else (buffer.hits, buffer.misses),
+    )
 
 
 class TestColumnPool:
@@ -153,45 +226,21 @@ class TestColumnPool:
         seed=st.integers(0, 10_000),
         k=st.sampled_from([1, 2, 5, 11, 400]),
         twins=st.sampled_from([0, 12, 60]),
-        group=st.sampled_from(["all", "miur-root", "half"]),
-        buffer=st.sampled_from([None, 0, 16]),
+        source=st.sampled_from(["random", "random", "generated"]),
+        group=st.sampled_from(["all", "all", "miur-root", "half"]),
+        buffer=st.sampled_from([None, None, 0, 16]),
     )
     @settings(max_examples=40, deadline=None)
     def test_columns_and_views_equal_the_oracle_walk(
-        self, seed, k, twins, group, buffer
+        self, seed, k, twins, source, group, buffer
     ):
-        engine, _ = random_engine(seed, twins=twins)
-        ds = engine.dataset
-        su = {
-            "all": None,
-            "miur-root": miur_root(engine),
-            "half": SuperUser.from_users(
-                ds.users[: max(2, len(ds.users) // 2)], ds.relevance
-            ),
-        }[group]
-        stores = [
-            PageStore(
-                counter=IOCounter(),
-                buffer=None if buffer is None else LRUBuffer(buffer),
-            )
-            for _ in range(2)
-        ]
-        py, columns = (
-            walk(engine.object_tree, ds, k, super_user=su, store=store)
-            for store, walk in zip(stores, (oracle.joint_traversal, joint_traversal))
+        engine = (
+            random_engine(seed, twins=twins)[0] if source == "random"
+            else generated_engine(seed % 7)
         )
+        py, columns, stores = walk_pair(engine, k, group, buffer)
         pool = columns.pool
-        assert pool.ids.tolist() == [c.obj.item_id for c in py.pool]
-        assert pool.lower.tolist() == [c.lower for c in py.pool]
-        assert pool.upper.tolist() == [c.upper for c in py.pool]
-        assert (columns.n_lo, columns.rsk_group) == (py.n_lo, py.rsk_group)
-        for a, b in zip(stores, stores[1:]):
-            assert a.counter.node_visits == b.counter.node_visits
-            assert a.counter.invfile_blocks == b.counter.invfile_blocks
-            if buffer is not None:
-                assert (a.buffer.hits, a.buffer.misses) == (
-                    b.buffer.hits, b.buffer.misses
-                )
+        assert walk_trace(columns, stores[1]) == walk_trace(py, stores[0])
         # Everything above — and sizing LO / RO, as the pool-size probe
         # does — read columns only; the views are the oracle walk's.
         assert len(columns.lo) + len(columns.ro) == len(py.pool)
@@ -228,6 +277,173 @@ class TestColumnPool:
         assert len(arrived.lo) == walked.n_lo
         with pytest.raises(CandidatePoolError, match="process boundary"):
             arrived.ro[0]
+
+
+# ----------------------------------------------------------------------
+# Seeded mutants of the deferred leaf entries: the property has teeth
+# ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=1)
+def sweep_walks():
+    """A fixed sweep of what the drawn property draws: random trees with
+    60 planted twins at k = 2 and 11, and generated cells at k = 1, 5
+    and 20."""
+    return [
+        (random_engine(seed, twins=60)[0], k) for seed in range(16) for k in (2, 11)
+    ] + [(generated_engine(seed), k) for seed in range(4) for k in (1, 5, 20)]
+
+
+def sweep_mismatches() -> int:
+    """Walks of the sweep where the engine's trace is not the oracle's."""
+    return sum(
+        walk_trace(columns, stores[1]) != walk_trace(py, stores[0])
+        for py, columns, stores in (walk_pair(engine, k) for engine, k in sweep_walks())
+    )
+
+
+class TestDeferredMutantsAreCaught:
+    """Each mutant of how the walk settles its deferred leaf entries —
+    the three traps of pushing fewer heap entries than the scalar walk
+    — makes the engine's walk differ from the oracle's on the sweep."""
+
+    def test_unmutated_sweep_is_clean(self):
+        assert sweep_mismatches() == 0
+
+    def test_deferred_entry_resolved_at_the_final_rsk(self, monkeypatch):
+        """``UB >= RSk(us)`` read at the walk's end, not at the entry's
+        pop: an entry the scalar walk drops before a later node's
+        children raise ``RSk(us)`` joins ``RO`` (and vice versa never)."""
+        settle = joint_topk_module._settle_deferred
+
+        def at_the_end(fb, popped, bars, leaves):
+            return settle(fb, popped, [bars[-1]] * len(bars), leaves)
+
+        monkeypatch.setattr(joint_topk_module, "_settle_deferred", at_the_end)
+        assert sweep_mismatches()
+
+    def test_deferred_pop_placed_by_key_alone(self, monkeypatch):
+        """A deferred entry placed before the first main pop of a greater
+        ``(key, count)`` anywhere in the walk, not the first one *after*
+        its leaf's: pops are not monotone in key."""
+        first_greater = joint_topk_module._first_greater_after
+        monkeypatch.setattr(
+            joint_topk_module, "_first_greater_after",
+            lambda values, starts, bars: first_greater(values, 0 * starts, bars),
+        )
+        assert sweep_mismatches()
+
+    def test_deferred_appends_ordered_by_key(self, monkeypatch):
+        """Deferred ``RO`` appends in ``(key, count)`` order after the
+        main ones, not at their pop positions: tied ``UB`` land out of
+        the scalar walk's order in ``RO``'s stable sort."""
+        import numpy as np
+
+        def by_key(main_at, deferred_at, deferred_rank):
+            return np.concatenate((
+                np.arange(len(main_at)), len(main_at) + np.argsort(deferred_rank),
+            ))
+
+        monkeypatch.setattr(joint_topk_module, "_append_order", by_key)
+        assert sweep_mismatches()
+
+    def test_bulk_leaf_that_does_not_advance_count(self, monkeypatch):
+        """A leaf deferred whole that takes no tie-break counts: later
+        pushes reuse them, and twins pop (and enter ``LO``) out of the
+        scalar walk's order."""
+        monkeypatch.setattr(joint_topk_module, "_leaf_survivors", lambda *args: 0)
+        assert sweep_mismatches()
+
+
+# ----------------------------------------------------------------------
+# The bound wave: once per dataset epoch
+# ----------------------------------------------------------------------
+
+class TestKeptWave:
+    """``TreeArrays.wave``: the dataset-wide super-user's bounds, built
+    by ``prewarm_kernels`` (or the first walk) and read by every cold
+    query of the epoch, which still walks and charges in full."""
+
+    @staticmethod
+    def cold_queries(query):
+        return [dataclasses.replace(query, k=k) for k in (1, 4, 9, 4)]
+
+    def test_built_once_across_cold_queries(self):
+        from .test_oracle_equivalence import assert_same_cold_answer, build_case
+
+        engine, query = build_case(5, plant=True)
+        before = FrontierBounds.build_count
+        engine.prewarm_kernels()
+        wave = tree_arrays_for(engine.object_tree)._wave[2]
+        assert FrontierBounds.build_count == before + 1
+        for q in self.cold_queries(query):
+            assert_same_cold_answer(engine, q, QueryOptions())
+        assert FrontierBounds.build_count == before + 1
+        assert tree_arrays_for(engine.object_tree)._wave[2] is wave
+
+    def test_first_walk_builds_it_without_a_prewarm(self):
+        from .test_oracle_equivalence import assert_same_cold_answer, build_case
+
+        engine, query = build_case(6, plant=True)
+        before = FrontierBounds.build_count
+        for q in self.cold_queries(query):
+            assert_same_cold_answer(engine, q, QueryOptions())
+        assert FrontierBounds.build_count == before + 1
+
+    def test_an_epoch_bump_rebuilds_it(self):
+        from .test_oracle_equivalence import assert_same_cold_answer, build_case
+
+        engine, query = build_case(7, plant=True)
+        engine.prewarm_kernels()
+        arrays = tree_arrays_for(engine.object_tree)
+        wave = arrays._wave[2]
+        for bump in range(1, 3):
+            engine.dataset.bump_epoch()
+            before = FrontierBounds.build_count
+            for q in self.cold_queries(query):
+                assert_same_cold_answer(engine, q, QueryOptions())
+            assert FrontierBounds.build_count == before + 1
+            assert arrays._wave[1][0] == engine.dataset.epoch == bump
+            assert arrays._wave[2] is not wave
+            wave = arrays._wave[2]
+
+    def test_an_explicit_super_user_walks_on_its_own_bounds(self):
+        engine, _ = random_engine(8, twins=12)
+        ds = engine.dataset
+        engine.prewarm_kernels()
+        arrays = tree_arrays_for(engine.object_tree)
+        kept = arrays._wave
+        for su in (ds.super_user, miur_root(engine)):
+            before = FrontierBounds.build_count
+            walked = joint_traversal(engine.object_tree, ds, 5, super_user=su, store=engine.store)
+            want = oracle.joint_traversal(engine.object_tree, ds, 5, super_user=su)
+            assert FrontierBounds.build_count == before + 1
+            assert arrays._wave is kept
+            assert walked.pool.ids.tolist() == want.pool.ids.tolist()
+            assert walked.pool.upper.tolist() == want.pool.upper.tolist()
+        before = FrontierBounds.build_count
+        joint_traversal(engine.object_tree, ds, 5, store=engine.store)
+        assert FrontierBounds.build_count == before
+
+    def test_a_new_dataset_or_page_size_is_a_new_key(self):
+        """The kept wave answers only its own (dataset, epoch, cold page
+        size): a clone at another ``alpha`` over the same tree, a store
+        of another page size or none, each rebuild it — and walk as the
+        oracle does."""
+        engine, _ = random_engine(9, twins=12)
+        ds, tree = engine.dataset, engine.object_tree
+        engine.prewarm_kernels()
+        for dataset, store in (
+            (ds.with_alpha(0.3), engine.store),
+            (ds, PageStore(counter=IOCounter(page_size=512))),
+            (ds, None),
+            (ds, engine.store),
+        ):
+            before = FrontierBounds.build_count
+            walked = joint_traversal(tree, dataset, 5, store=store)
+            assert FrontierBounds.build_count == before + 1
+            want = oracle.joint_traversal(tree, dataset, 5)
+            assert walked.pool.ids.tolist() == want.pool.ids.tolist()
+            assert walked.pool.lower.tolist() == want.pool.lower.tolist()
 
 
 @pytest.mark.parametrize("seed", range(5))
