@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the index and selector design choices.
 
 Not paper figures — these quantify the cost/benefit of individual
 design decisions so a downstream user can tune them:

@@ -1,13 +1,9 @@
-"""Shared fixtures for the figure benchmarks.
+"""Shared fixtures for the pytest-benchmark targets.
 
-Every benchmark module regenerates one paper figure/table.  The full
-sweeps (all values, all measures, averaged seeds) live in
-``python -m repro.bench.report``; the pytest-benchmark targets here time
-the same pipelines on a representative subset of each sweep so that
-``pytest benchmarks/ --benchmark-only`` stays minutes, not hours.  The
-benchmark *names* encode the figure, the series (B/J/E/A), and the swept
-value, so the pytest-benchmark output table reads like the paper's
-series.
+``test_figures.py`` times the cells of every paper figure (the panel
+table ``repro.bench.report.FIGURES``) and ``bench_ablations.py`` the
+design ablations; ``pytest benchmarks/test_figures.py --benchmark-only``
+stays minutes, not hours.
 
 Scale note: ``BENCH_BASE`` shrinks the default cell (|O| = 1500,
 |U| = 150) relative to the report defaults; both are scaled versions of
@@ -26,11 +22,6 @@ from repro.bench.params import DEFAULTS, ExperimentConfig, config_for
 
 #: Base experiment cell for the benchmarks (scaled-down Table 5 bolds).
 BENCH_BASE = DEFAULTS.with_(num_objects=1500, num_users=150)
-
-#: Sparse-user cell for Figure 15 (Section 7's own setting).
-FIG15_BASE = BENCH_BASE.with_(
-    num_objects=1500, area=40.0, alpha=0.9, num_locations=10, fanout=8
-)
 
 _cache: dict = {}
 

@@ -66,6 +66,8 @@ DEFAULTS = ExperimentConfig()
 
 #: Swept values per figure (scaled where the knob is a dataset scale).
 SWEEPS: Dict[str, List] = {
+    # Table 4: the two collections
+    "dataset": ["flickr", "yelp"],
     "k": [1, 5, 10, 20, 50],
     "alpha": [0.1, 0.3, 0.5, 0.7, 0.9],
     "ul": [1, 2, 3, 4, 5, 6],
@@ -85,6 +87,7 @@ SWEEPS: Dict[str, List] = {
 
 #: The unscaled values as the paper lists them (for report headers).
 PAPER_SWEEPS: Dict[str, List] = {
+    "dataset": ["Flickr", "Yelp"],
     "k": [1, 5, 10, 20, 50],
     "alpha": [0.1, 0.3, 0.5, 0.7, 0.9],
     "ul": [1, 2, 3, 4, 5, 6],
@@ -102,6 +105,7 @@ PAPER_SWEEPS: Dict[str, List] = {
 def config_for(param: str, value, base: ExperimentConfig = DEFAULTS) -> ExperimentConfig:
     """Config with one swept knob changed from the defaults."""
     mapping = {
+        "dataset": "dataset",
         "k": "k",
         "alpha": "alpha",
         "ul": "ul",

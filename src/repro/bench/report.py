@@ -5,18 +5,22 @@ the scaled parameters and prints one table per paper figure, in the
 same series layout the paper plots.  ``--quick`` shrinks the grid for a
 fast smoke run; ``--figure fig5`` restricts to one figure.
 
-The output of a full run is what EXPERIMENTS.md records.
+``FIGURES`` is the one description of those experiments: a tuple of
+:class:`Panel` rows per figure, each printed by :func:`run_panel`.
+``benchmarks/test_figures.py`` times the same cells under
+pytest-benchmark.  The output of a full run is what EXPERIMENTS.md
+records (``results/make_experiments_md.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Iterable, List, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .harness import (
     Workbench,
-    approximation_ratio,
     build_workbench,
     clear_cache,
     measure_selection,
@@ -26,7 +30,7 @@ from .harness import (
 )
 from .params import DEFAULTS, SWEEPS, ExperimentConfig, config_for
 
-__all__ = ["run_figure", "run_all", "main", "FIGURES"]
+__all__ = ["Panel", "run_panel", "run_figure", "run_all", "main", "FIGURES"]
 
 
 def _fmt(value) -> str:
@@ -62,231 +66,142 @@ def print_table(title: str, header: Sequence, rows: Dict[str, List], out=sys.std
 
 
 # ----------------------------------------------------------------------
-# Generic sweep drivers
+# The panel table
 # ----------------------------------------------------------------------
 
-def sweep_topk(
-    param: str,
-    values: Iterable,
-    base: ExperimentConfig = DEFAULTS,
-    measures: Sequence[str] = ("LM",),
-) -> Dict[str, List]:
-    """B vs J MRPU and MIOCPU across a sweep (Figures 5a/5b pattern)."""
+_SELECTION = ("baseline", "exact", "approx")
+
+
+@dataclass(frozen=True)
+class Panel:
+    """One printed table: ``param`` swept from ``base``, every cell
+    measured by ``kind`` — ``topk`` (B vs J MRPU / MIOCPU), ``topk_totals``
+    (B vs J total ms / IO), ``selection`` (runtime per method + ratio),
+    ``user_index`` (Figure 15) or ``datasets`` (Table 4)."""
+
+    title: str
+    kind: str
+    param: str
+    base: ExperimentConfig = DEFAULTS
+    #: Relevance measures; ``--quick`` keeps the first.
+    measures: Tuple[str, ...] = ("LM",)
+    #: Candidate-selection methods (``selection`` panels).
+    methods: Tuple[str, ...] = _SELECTION
+    #: Largest swept value a method runs at, in both modes: a panel
+    #: sweeps only the values every one of its methods accepts.
+    caps: Mapping[str, int] = field(default_factory=dict)
+    #: Also print each method's |BRSTkNN| (``selection`` panels).
+    counts: bool = False
+
+    def values(self, quick: bool) -> List:
+        vals = SWEEPS[self.param]
+        if quick:
+            vals = vals[:: max(1, len(vals) // 3)]
+        return [v for v in vals if all(v <= self.caps.get(m, v) for m in self.methods)]
+
+    def measures_for(self, quick: bool) -> Tuple[str, ...]:
+        return self.measures[:1] if quick else self.measures
+
+
+def _cell(panel: Panel, bench: Workbench, m: str) -> List[Tuple[str, object]]:
+    """(row label, value) pairs of one cell, in print order."""
+    if panel.kind == "datasets":
+        return bench.dataset.stats().rows()
+    if panel.kind == "user_index":
+        labels = ("Un-indexed IO", "Indexed IO", "Users pruned %")
+        return list(zip(labels, measure_user_index(bench)))
+    if panel.kind in ("topk", "topk_totals"):
+        b, j = measure_topk_baseline(bench), measure_topk_joint(bench)
+        if panel.kind == "topk_totals":
+            return [("B total ms", b.total_ms), ("J total ms", j.total_ms),
+                    ("B total IO", b.total_io), ("J total IO", j.total_io)]
+        return [(f"{s}({m}) {name}", getattr(met, attr))
+                for s, met in (("B", b), ("J", j))
+                for name, attr in (("MRPU ms", "mrpu_ms"), ("MIOCPU", "miocpu"))]
+    res = {meth: measure_selection(bench, meth) for meth in panel.methods}
+    rows = [(f"{meth[0].upper()}({m}) ms", r.runtime_ms) for meth, r in res.items()]
+    if "exact" in res and "approx" in res:
+        exact_n = res["exact"].cardinality
+        rows.append(
+            (f"ratio({m})", 1.0 if exact_n == 0 else res["approx"].cardinality / exact_n)
+        )
+    if panel.counts:
+        rows += [(f"{meth[0].upper()} |BRSTkNN|", r.cardinality) for meth, r in res.items()]
+    return rows
+
+
+def run_panel(panel: Panel, quick: bool = False, out=sys.stdout) -> None:
+    """Measure every cell of one panel and print its table."""
+    values = panel.values(quick)
     rows: Dict[str, List] = {}
-    for m in measures:
-        for label in ("B", "J"):
-            rows[f"{label}({m}) MRPU ms"] = []
-            rows[f"{label}({m}) MIOCPU"] = []
     for v in values:
-        for m in measures:
-            bench = build_workbench(config_for(param, v, base.with_(measure=m)))
-            for label, fn in (("B", measure_topk_baseline), ("J", measure_topk_joint)):
-                met = fn(bench)
-                rows[f"{label}({m}) MRPU ms"].append(met.mrpu_ms)
-                rows[f"{label}({m}) MIOCPU"].append(met.miocpu)
-    return rows
+        for m in panel.measures_for(quick):
+            bench = build_workbench(config_for(panel.param, v, panel.base.with_(measure=m)))
+            for label, value in _cell(panel, bench, m):
+                rows.setdefault(label, []).append(value)
+    header = [v.capitalize() for v in values] if panel.kind == "datasets" else values
+    print_table(panel.title, header, rows, out)
 
 
-def sweep_selection(
-    param: str,
-    values: Iterable,
-    base: ExperimentConfig = DEFAULTS,
-    measures: Sequence[str] = ("LM",),
-    include_baseline: bool = True,
-) -> Dict[str, List]:
-    """Baseline/Exact/Approx runtimes + ratio (Figures 5c/5d pattern)."""
-    rows: Dict[str, List] = {}
-    methods = (["baseline"] if include_baseline else []) + ["exact", "approx"]
-    for m in measures:
-        for meth in methods:
-            rows[f"{meth[0].upper()}({m}) ms"] = []
-        rows[f"ratio({m})"] = []
-    for v in values:
-        for m in measures:
-            bench = build_workbench(config_for(param, v, base.with_(measure=m)))
-            results = {meth: measure_selection(bench, meth) for meth in methods}
-            for meth in methods:
-                rows[f"{meth[0].upper()}({m}) ms"].append(results[meth].runtime_ms)
-            exact_n = results["exact"].cardinality
-            approx_n = results["approx"].cardinality
-            rows[f"ratio({m})"].append(1.0 if exact_n == 0 else approx_n / exact_n)
-    return rows
+_KMEASURES = ("LM", "TF", "KO")
+_NO_BASELINE = ("exact", "approx")
+_YELP = DEFAULTS.with_(dataset="yelp")
+# The combinatorial methods blow up with ws (that is the figure's
+# point); on a single Python core the baseline scan runs to ws = 3 and
+# the exact method to ws = 6, while the greedy approximation covers the
+# paper's full 1..8.  EXPERIMENTS.md reports the measured growth factors.
+_WS_CAPS = {"baseline": 3, "exact": 6}
+# Section 7's own framing: the MIUR-tree pays off when users are sparse
+# and ranking is spatially dominated (Area 40, alpha 0.9, fanout 8).
+_FIG15 = DEFAULTS.with_(num_objects=2000, area=40.0, alpha=0.9, num_locations=10, fanout=8)
 
-
-def sweep_user_index(values: Iterable, base: ExperimentConfig = DEFAULTS) -> Dict[str, List]:
-    """Figure 15: total I/O un-indexed vs indexed + users pruned %."""
-    rows = {"Un-indexed IO": [], "Indexed IO": [], "Users pruned %": []}
-    for v in values:
-        bench = build_workbench(config_for("user_index_users", v, base))
-        unindexed, indexed, pruned_pct = measure_user_index(bench)
-        rows["Un-indexed IO"].append(unindexed)
-        rows["Indexed IO"].append(indexed)
-        rows["Users pruned %"].append(pruned_pct)
-    return rows
-
-
-def dataset_table(base: ExperimentConfig = DEFAULTS) -> Dict[str, List]:
-    """Table 4: dataset properties for both synthetic collections."""
-    rows: Dict[str, List] = {}
-    for kind in ("flickr", "yelp"):
-        bench = build_workbench(base.with_(dataset=kind))
-        for name, value in bench.dataset.stats().rows():
-            rows.setdefault(name, []).append(value)
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Figure registry
-# ----------------------------------------------------------------------
-
-def _values(param: str, quick: bool) -> List:
-    vals = SWEEPS[param]
-    return vals[:: max(1, len(vals) // 3)] if quick else vals
+FIGURES: Dict[str, Tuple[Panel, ...]] = {
+    "table4": (Panel("Table 4 (Flickr, Yelp)", "datasets", "dataset"),),
+    "fig5": (
+        Panel("Fig 5a/5b vary k", "topk", "k", measures=_KMEASURES),
+        Panel("Fig 5c/5d vary k", "selection", "k", measures=_KMEASURES),
+    ),
+    "fig6": (
+        Panel("Fig 6a/6b vary alpha", "topk", "alpha"),
+        Panel("Fig 6c/6d vary alpha", "selection", "alpha"),
+    ),
+    "fig7": (
+        Panel("Fig 7a/7b vary UL", "topk", "ul"),
+        Panel("Fig 7c/7d vary UL", "selection", "ul"),
+    ),
+    "fig8": (
+        Panel("Fig 8a/8b vary UW", "topk", "uw"),
+        Panel("Fig 8c/8d vary UW", "selection", "uw"),
+    ),
+    "fig9": (Panel("Fig 9a/9b vary Area", "topk", "area"),),
+    "fig10": (Panel("Fig 10 vary |L|", "selection", "num_locations"),),
+    "fig11": (
+        Panel("Fig 11 vary ws (B)", "selection", "ws", methods=("baseline",), caps=_WS_CAPS),
+        Panel("Fig 11 vary ws (E/A/ratio)", "selection", "ws", methods=_NO_BASELINE,
+              caps=_WS_CAPS),
+        Panel("Fig 11 vary ws (A full range)", "selection", "ws", methods=("approx",),
+              caps=_WS_CAPS, counts=True),
+    ),
+    "fig12": (
+        Panel("Fig 12a/12b vary |U|", "topk_totals", "num_users"),
+        Panel("Fig 12c/12d vary |U|", "selection", "num_users"),
+    ),
+    "fig13": (
+        Panel("Fig 13a/13b vary |O|", "topk", "num_objects"),
+        Panel("Fig 13c/13d vary |O|", "selection", "num_objects", methods=_NO_BASELINE),
+    ),
+    "fig14": (
+        Panel("Fig 14a/14b Yelp vary k", "topk", "k", _YELP),
+        Panel("Fig 14c/14d Yelp vary k", "selection", "k", _YELP, methods=_NO_BASELINE),
+    ),
+    "fig15": (Panel("Fig 15 user index", "user_index", "user_index_users", _FIG15),),
+}
 
 
 def run_figure(name: str, quick: bool = False, out=sys.stdout) -> None:
     """Run one registered figure/table and print its series tables."""
-    spec = FIGURES[name]
-    spec(quick, out)
-
-
-def _fig_table4(quick, out):
-    print_table("Table 4 (Flickr, Yelp)", ["Flickr", "Yelp"], dataset_table(), out)
-
-
-def _fig5(quick, out):
-    values = _values("k", quick)
-    measures = ("LM",) if quick else ("LM", "TF", "KO")
-    print_table("Fig 5a/5b vary k", values, sweep_topk("k", values, measures=measures), out)
-    print_table(
-        "Fig 5c/5d vary k", values, sweep_selection("k", values, measures=measures), out
-    )
-
-
-def _fig6(quick, out):
-    values = _values("alpha", quick)
-    print_table("Fig 6a/6b vary alpha", values, sweep_topk("alpha", values), out)
-    print_table("Fig 6c/6d vary alpha", values, sweep_selection("alpha", values), out)
-
-
-def _fig7(quick, out):
-    values = _values("ul", quick)
-    print_table("Fig 7a/7b vary UL", values, sweep_topk("ul", values), out)
-    print_table("Fig 7c/7d vary UL", values, sweep_selection("ul", values), out)
-
-
-def _fig8(quick, out):
-    values = _values("uw", quick)
-    print_table("Fig 8a/8b vary UW", values, sweep_topk("uw", values), out)
-    print_table("Fig 8c/8d vary UW", values, sweep_selection("uw", values), out)
-
-
-def _fig9(quick, out):
-    values = _values("area", quick)
-    print_table("Fig 9a/9b vary Area", values, sweep_topk("area", values), out)
-
-
-def _fig10(quick, out):
-    values = _values("num_locations", quick)
-    print_table(
-        "Fig 10 vary |L|", values, sweep_selection("num_locations", values), out
-    )
-
-
-def _fig11(quick, out):
-    values = _values("ws", quick)
-    # The combinatorial methods blow up with ws (that is the figure's
-    # point); on a single Python core the full grid is capped: the
-    # baseline scan runs to ws = 3 and the exact method to ws = 6,
-    # while the greedy approximation covers the paper's full 1..8.
-    # EXPERIMENTS.md reports the measured growth factors.
-    if quick:
-        print_table("Fig 11 vary ws", values, sweep_selection("ws", values), out)
-        return
-    base_vals = [v for v in values if v <= 3]
-    exact_vals = [v for v in values if v <= 6]
-    print_table(
-        "Fig 11 vary ws (B)", base_vals,
-        {k: v for k, v in sweep_selection("ws", base_vals).items() if k.startswith("B")},
-        out,
-    )
-    rows = sweep_selection("ws", exact_vals, include_baseline=False)
-    print_table("Fig 11 vary ws (E/A/ratio)", exact_vals, rows, out)
-    approx_rows: Dict[str, List] = {"A(LM) ms": [], "A |BRSTkNN|": []}
-    for v in values:
-        bench = build_workbench(config_for("ws", v))
-        res = measure_selection(bench, "approx")
-        approx_rows["A(LM) ms"].append(res.runtime_ms)
-        approx_rows["A |BRSTkNN|"].append(res.cardinality)
-    print_table("Fig 11 vary ws (A full range)", values, approx_rows, out)
-
-
-def _fig12(quick, out):
-    values = _values("num_users", quick)
-    rows_topk: Dict[str, List] = {"B total ms": [], "J total ms": [],
-                                  "B total IO": [], "J total IO": []}
-    for v in values:
-        bench = build_workbench(config_for("num_users", v))
-        b = measure_topk_baseline(bench)
-        j = measure_topk_joint(bench)
-        rows_topk["B total ms"].append(b.total_ms)
-        rows_topk["J total ms"].append(j.total_ms)
-        rows_topk["B total IO"].append(b.total_io)
-        rows_topk["J total IO"].append(j.total_io)
-    print_table("Fig 12a/12b vary |U|", values, rows_topk, out)
-    print_table(
-        "Fig 12c/12d vary |U|", values, sweep_selection("num_users", values), out
-    )
-
-
-def _fig13(quick, out):
-    values = _values("num_objects", quick)
-    print_table("Fig 13a/13b vary |O|", values, sweep_topk("num_objects", values), out)
-    print_table(
-        "Fig 13c/13d vary |O|",
-        values,
-        sweep_selection("num_objects", values, include_baseline=False),
-        out,
-    )
-
-
-def _fig14(quick, out):
-    values = _values("k", quick)
-    base = DEFAULTS.with_(dataset="yelp")
-    print_table("Fig 14a/14b Yelp vary k", values, sweep_topk("k", values, base), out)
-    print_table(
-        "Fig 14c/14d Yelp vary k",
-        values,
-        sweep_selection("k", values, base, include_baseline=False),
-        out,
-    )
-
-
-def _fig15(quick, out):
-    values = _values("user_index_users", quick)
-    # Section 7's own framing: the MIUR-tree pays off when users are
-    # sparse and ranking is spatially dominated; the base cell reflects
-    # that (Area 40, alpha 0.9, fanout 8) — see EXPERIMENTS.md.
-    base = DEFAULTS.with_(
-        num_objects=2000, area=40.0, alpha=0.9, num_locations=10, fanout=8
-    )
-    print_table("Fig 15 user index", values, sweep_user_index(values, base), out)
-
-
-FIGURES: Dict[str, Callable] = {
-    "table4": _fig_table4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
-    "fig14": _fig14,
-    "fig15": _fig15,
-}
+    for panel in FIGURES[name]:
+        run_panel(panel, quick, out)
 
 
 def run_all(quick: bool = False, out=sys.stdout) -> None:

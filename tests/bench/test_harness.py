@@ -113,3 +113,40 @@ class TestMeasurements:
             num_locations=10, fanout=8,
         )
         assert measure_user_index(build_workbench(cell, cached=False)) == (707, 759, 12.0)
+
+
+class TestSection8Shapes:
+    """Section 8's shapes on the tiny cell, deterministic columns only.
+
+    Shapes that do not hold here are recorded in EXPERIMENTS.md, not
+    asserted: at ws = 2 the greedy scores more keyword combinations
+    than the exact search (its prefix evaluations), so A <= E holds from
+    ws = 3 on, where the exact search has combinations to prune.
+    """
+
+    @pytest.fixture(scope="class")
+    def by_k(self):
+        yield {k: build_workbench(config_for("k", k, TINY), cached=False) for k in SWEEPS["k"]}
+
+    def test_joint_reads_less_than_the_baseline_at_every_k(self, by_k):
+        for k, wb in by_k.items():
+            assert measure_topk_joint(wb).miocpu < measure_topk_baseline(wb).miocpu, k
+
+    def test_joint_io_is_flat_in_k(self, by_k):
+        """One shared walk whatever k: 55 I/O for the 30 users."""
+        assert {measure_topk_joint(wb).total_io for wb in by_k.values()} == {55}
+
+    @staticmethod
+    def _combinations_scored(ws):
+        for k in SWEEPS["k"]:
+            wb = build_workbench(config_for("k", k, TINY.with_(ws=ws)), cached=False)
+            yield k, [measure_selection(wb, m).combinations_scored
+                      for m in ("approx", "exact", "baseline")]
+
+    def test_combinations_scored_approx_exact_baseline(self):
+        for k, (a, e, b) in self._combinations_scored(ws=3):
+            assert a <= e <= b, k
+
+    def test_exact_scores_no_more_than_the_baseline_at_ws_2(self):
+        for k, (_, e, b) in self._combinations_scored(ws=2):
+            assert e <= b, k
