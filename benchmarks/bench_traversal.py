@@ -80,7 +80,14 @@ sections:
    (``ru_minflt``) and answers ``==`` ``oracle.query``'s.  It runs
    first, on a fresh process's heap: after the other rows grow the
    heap, the faults a cold refine takes no longer show.  No speed
-   gate: a tiny dataset's query is all fixed cost.
+   gate: a tiny dataset's query is all fixed cost.  Beside it, the same
+   queries' refine split by part (:func:`refine_split`: block-0
+   matrix, top-k, set bounds, later blocks, contenders, exact re-score,
+   table; ``--json``: ``cold_query.refine_split``) and the largest
+   ``|candidate_score_matrix - sts_pairs|`` over every cell they
+   scored, in units of ``DatasetArrays.refine_guard``: above
+   ``MAX_GUARD_RATIO`` (0.25, the derived per-score bound) the run
+   fails.
 
 Run::
 
@@ -101,6 +108,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import pickle
@@ -122,7 +130,7 @@ from repro.core.joint_topk import (  # noqa: E402
     RO_BLOCK, individual_topk, joint_traversal,
 )
 from repro.core.kernels import (  # noqa: E402
-    GUARD_EPS, DatasetArrays, KeywordSide, arrays_for, tree_arrays_for,
+    DatasetArrays, KeywordSide, arrays_for, tree_arrays_for,
 )
 from repro.core.pipeline import FlushReport  # noqa: E402
 from repro.core.planner import plan_batch  # noqa: E402
@@ -130,6 +138,10 @@ from repro.core.query import QueryStats  # noqa: E402
 from repro.datagen.users import generate_users, query_pool  # noqa: E402
 from repro.storage.iostats import IOCounter  # noqa: E402
 from repro.storage.pager import PageStore  # noqa: E402
+
+# ``repro.core`` re-exports the joint_topk *function* under the
+# submodule's own name; fetch the module itself.
+joint_topk_module = importlib.import_module("repro.core.joint_topk")
 
 
 #: The two sides of every comparison: the scalar oracle, the engine.
@@ -354,6 +366,119 @@ def time_cold_queries(engine, queries, repeats):
     }, answers
 
 
+#: Algorithm 2's parts, in the order one refine runs them.
+REFINE_PARTS = (
+    "block0_matrix", "topk", "set_bounds", "later_blocks", "contenders",
+    "exact_rescore", "table",
+)
+
+#: Largest ``max |matrix - exact| / refine_guard`` the cold-query row
+#: accepts: the guard is four times the derived per-score error bound.
+MAX_GUARD_RATIO = 0.25
+
+
+def refine_split(engine, queries, repeats):
+    """Algorithm 2's time in sequential cold ``engine.query`` calls, by
+    part (:data:`REFINE_PARTS`), and how close its single-precision
+    matrices come to the guard.
+
+    The parts are cut from a timeline of one refine: its entry, the
+    ends of the first ``candidate_score_matrix`` call (block 0, the
+    pool's object-row look-up included), the span of
+    ``set_bound_matrix``, of ``_contenders`` and of ``sts_pairs``, and
+    the refine's exit — so they add up to the refine.  ``topk`` runs
+    from block 0's end to the set bounds (block 0's partition and the
+    reach); ``later_blocks`` from there to the contenders.  Per query
+    the round with the fastest refine counts.  The ratio is ``max
+    |candidate_score_matrix - sts_pairs|`` over every cell the refines
+    scored, over ``DatasetArrays.refine_guard``."""
+    import numpy as np
+
+    from repro.core import partial
+
+    spied = (
+        (DatasetArrays, "candidate_score_matrix", "matrix"),
+        (DatasetArrays, "set_bound_matrix", "set_bounds"),
+        (DatasetArrays, "sts_pairs", "exact"),
+        (joint_topk_module, "_contenders", "contenders"),
+        (partial, "individual_topk", "refine"),
+    )
+    original = {label: owner.__dict__[name] for owner, name, label in spied}
+    events, matrices = [], []
+
+    def timed(label):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = original[label](*args, **kwargs)
+            events.append((label, t0, time.perf_counter()))
+            if label == "matrix":
+                matrices.append((args, result))
+            return result
+        return wrapper
+
+    def worst_error():
+        """``max |matrix - exact| / refine_guard`` over the matrices
+        kept since the last call, which it drops."""
+        worst = 0.0
+        for (arrays, obj_rows, *rows), scores in matrices:
+            rows = np.arange(arrays.num_users) if not rows or rows[0] is None else rows[0]
+            exact = original["exact"](
+                arrays, np.tile(obj_rows, len(rows)), np.repeat(rows, len(obj_rows))
+            ).reshape(scores.shape)
+            if scores.size:
+                worst = max(worst, float(np.abs(scores - exact).max()) / arrays.refine_guard)
+        matrices.clear()
+        return worst
+
+    for owner, name, label in spied:
+        setattr(owner, name, timed(label))
+    best = [None] * len(queries)
+    worst = 0.0
+    checked = 0
+    try:
+        for _ in range(repeats):
+            for i, query in enumerate(queries):
+                events.clear()
+                engine.query(query, QueryOptions())
+                parts = _refine_parts(events)
+                if best[i] is None or sum(parts.values()) < sum(best[i].values()):
+                    best[i] = parts
+                checked += len(matrices)
+                worst = max(worst, worst_error())
+    finally:
+        for owner, name, label in spied:
+            setattr(owner, name, original[label])
+    n = len(queries)
+    return {
+        "ms_per_query": {
+            part: 1000 * sum(parts[part] for parts in best) / n for part in REFINE_PARTS
+        },
+        "max_error_over_guard": worst,
+        "matrices_checked": checked,
+    }
+
+
+def _refine_parts(events):
+    """One refine's :data:`REFINE_PARTS` (seconds) from its timeline."""
+    (start, end), = [(t0, t1) for name, t0, t1 in events if name == "refine"]
+    spans = {}
+    for name, t0, t1 in events:
+        spans.setdefault(name, (t0, t1))
+    block0 = spans["matrix"][1] if "matrix" in spans else start
+    contenders = spans.get("contenders", (end, end))
+    bounds = spans.get("set_bounds", (contenders[0], contenders[0]))
+    exact_end = spans.get("exact", (contenders[1], contenders[1]))[1]
+    return {
+        "block0_matrix": block0 - start,
+        "topk": bounds[0] - block0,
+        "set_bounds": bounds[1] - bounds[0],
+        "later_blocks": contenders[0] - bounds[1],
+        "contenders": contenders[1] - contenders[0],
+        "exact_rescore": exact_end - contenders[1],
+        "table": end - exact_end,
+    }
+
+
 def refined_pairs(engine, queries):
     """Each query's ``(RSk(u), RSk(us))`` as a joint flush hands them
     to its select phase: the engine executor's traverse and refine (one
@@ -413,7 +538,7 @@ def refine_cells(traversal, dataset, k):
     reach = len(rows)
     if k <= head < len(rows):
         kth = np.partition(kernel(arrays, rows[:head]), head - k, axis=1)[:, head - k]
-        floor = kth.min() - GUARD_EPS
+        floor = kth.min() - arrays.refine_guard
         reach = head + int(np.searchsorted(-upper[head:], -floor, side="right"))
     return sum(scored), arrays.num_users * reach
 
@@ -479,6 +604,20 @@ def main(argv=None) -> int:
         print("EQUIVALENCE FAILURE: engine cold-query answers differ from oracle.query's")
         return 1
     print("equivalence check: engine cold queries identical to oracle.query's")
+    refine = cold["refine_split"] = refine_split(engine, cold_queries, args.repeats)
+    print(
+        "cold-query refine split (ms/query): " + " / ".join(
+            f"{part} {ms:.3f}" for part, ms in refine["ms_per_query"].items()
+        ) + f"; max |matrix - exact| / guard {refine['max_error_over_guard']:.4f} "
+        f"over {refine['matrices_checked']} matrices",
+        flush=True,
+    )
+    if refine["max_error_over_guard"] > MAX_GUARD_RATIO:
+        print(
+            f"GUARD FAILURE: a single-precision score is off its exact STS by "
+            f"{refine['max_error_over_guard']:.3f} guards (bound {MAX_GUARD_RATIO})"
+        )
+        return 1
 
     timings = {}
     results = {}

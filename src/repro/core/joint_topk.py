@@ -61,7 +61,7 @@ from ..model.dataset import Dataset
 from ..model.objects import STObject, SuperUser, User
 from ..storage.pager import PageStore
 from ..topk.single import TopKResult
-from .kernels import GUARD_EPS, arrays_for, object_columns_for, tree_arrays_for
+from .kernels import arrays_for, object_columns_for, tree_arrays_for
 from .thresholds import Thresholds
 
 #: ``RO`` objects per block of Algorithm 2: Example 4's stop is
@@ -331,7 +331,9 @@ def joint_traversal(
     child's ``LB`` is at least its parent's) — reads ``RSk(us)`` there,
     and places its ``RO`` append before that pop's own
     (:func:`_append_order`), which is what ``RO``'s stable sort by
-    ``-UB`` reads among twins.
+    ``-UB`` reads among twins.  Only an entry that can read either is
+    placed so; every other one joins ``RO`` where its ``UB`` alone puts
+    it (``RO``'s sort reads ``FrontierBounds.ub_rank``).
 
     ``LO`` and ``RO`` hold tree-entry indices where the scalar walk
     holds :class:`CandidateObject` values; the result's id / bound columns
@@ -440,10 +442,10 @@ def joint_traversal(
     lo = [idx for _, __, idx in sorted(lo_heap, key=lambda t: -t[0])]
     ro = np.array(ro, dtype=np.intp)
     if leaves:
-        deferred, before, rank = _settle_deferred(fb, popped, bars + [rsk], leaves)
+        deferred, before, rank, rest = _settle_deferred(fb, popped, bars + [rsk], leaves)
         order = _append_order(np.array(ro_at, dtype=np.intp), before, rank)
-        ro = np.concatenate((ro, deferred))[order]
-    ro = ro[np.argsort(-fb.ub[ro], kind="stable")]
+        ro = np.concatenate((np.concatenate((ro, deferred))[order], rest))
+    ro = ro[np.argsort(fb.ub_rank[ro], kind="stable")]
     entries = np.concatenate((np.array(lo, dtype=np.intp), ro))
     pool = CandidatePool.from_columns(
         ta.ent_object_id[entries], fb.lb[entries], fb.ub[entries],
@@ -476,9 +478,16 @@ def _settle_deferred(fb, popped, bars, leaves):
     A deferred entry pops, in the scalar walk, just before the first
     main pop after its leaf's whose ``(key, count)`` exceeds its own (or
     after the last), so it joins ``RO`` iff ``UB >= bars`` there.
-    Returns, for those that join, the entry indices, the main pop each
-    precedes, and their rank among all pops in ``(key, count)`` order —
-    the order of deferred pops between two main pops.
+    Only the entries whose join test or append position the scalar walk
+    can read are placed so: ``UB`` below the final ``RSk(us)`` (the
+    test reads the bar at the pop; ``RSk(us)`` only rises, so ``UB`` at
+    or above the final one joins wherever it pops), or a ``UB`` another
+    entry shares (``FrontierBounds.ub_tied``: ``RO`` is sorted by
+    ``-UB``, stable, so the append order survives only among ties).
+    Returns, for the placed ones that join, the entry indices, the main
+    pop each precedes, and their rank among those pops in ``(key,
+    count)`` order — the order of deferred pops between two main pops —
+    and the entry indices of the rest, which all join.
     """
     pops, starts, ends, counts, rsks = (np.array(column) for column in zip(*leaves))
     lengths = ends - starts
@@ -490,6 +499,9 @@ def _settle_deferred(fb, popped, bars, leaves):
     taken = np.concatenate(([0], np.cumsum(survives)))
     given = counts[leaf] + taken[:-1] - taken[first][leaf]
     deferred = survives & (fb.lb[entry] <= bar)
+    placed = (fb.ub[entry] < bars[-1]) | fb.ub_tied[entry]
+    rest = entry[deferred & ~placed]
+    deferred &= placed
     entry, given, after = entry[deferred], given[deferred], pops[leaf][deferred]
 
     # Ranks over main and deferred pops together, in (key, count) order:
@@ -505,7 +517,7 @@ def _settle_deferred(fb, popped, bars, leaves):
     rank[np.argsort(key_rank * (int(ticks.max()) + 1) + ticks)] = np.arange(len(keys))
     before = _first_greater_after(rank[:n_main], after + 1, rank[n_main:])
     joins = fb.ub[entry] >= np.array(bars)[before]
-    return entry[joins], before[joins], rank[n_main:][joins]
+    return entry[joins], before[joins], rank[n_main:][joins], rest
 
 
 def _first_greater_after(values, starts, bars):
@@ -691,26 +703,30 @@ def _suffix_max(block_max):
     return np.maximum.accumulate(backward, axis=1, out=backward)[:, ::-1]
 
 
-def _still_active(kth, sets, reaches, block: int):
+def _still_active(kth, sets, reaches, block: int, guard: float):
     """Example 4's stop per keyword set, for ``RO`` block ``block``:
     which of these users — ``kth`` their running k-th best matrix
     scores, ``sets`` their rows of ``reaches`` (:func:`_suffix_max` of
     the set bounds) — some object from that block on may still reach.
-    The guard sits on the conservative side (scores and bounds carry
-    BLAS rounding): a user is retired only when every object from here
-    on has ``STS(o, u) <= UB(o, S(u)) < RSk(u)``."""
-    return kth - GUARD_EPS <= reaches[sets, block]
+    The guard (``DatasetArrays.refine_guard``) sits on the conservative
+    side (scores and bounds carry single-precision rounding): a user is
+    retired only when every object from here on has ``STS(o, u) <=
+    UB(o, S(u)) < RSk(u)``."""
+    return kth - guard <= reaches[sets, block]
 
 
-def _contenders(blocks, kth):
+def _contenders(blocks, kth, guard: float):
     """``(user position, pool position)`` of every scored cell that
-    reaches its user's final k-th best matrix score minus ``GUARD_EPS``
-    — per user a superset of the scalar top-k, ties included.
+    reaches its user's final k-th best matrix score minus ``guard`` —
+    per user a superset of the scalar top-k, ties included.
     ``blocks`` holds ``(user positions, first pool position, scores)``
     per scored block."""
     user_pos, col = [], []
     for block_users, start, scores in blocks:
-        u, c = np.nonzero(scores >= (kth[block_users] - GUARD_EPS)[:, None])
+        # One flat index per cell: a 2-D np.nonzero costs ~3x as much.
+        u, c = np.divmod(
+            np.flatnonzero(scores >= (kth[block_users] - guard)[:, None]), scores.shape[1]
+        )
         user_pos.append(block_users[u])
         col.append(start + c)
     return np.concatenate(user_pos), np.concatenate(col)
@@ -728,7 +744,9 @@ def individual_topk(
     scanned in descending group upper bound and the scan stops per user
     as soon as ``UB(o, us) < RSk(u)`` — no later object can qualify.
     Users x objects are scored as matrices, one block of ``RO`` at a
-    time — guard-banded blocks, exact contenders — and the answer is a
+    time — guard-banded single-precision blocks
+    (:meth:`DatasetArrays.candidate_score_matrix`), exact contenders —
+    and the answer is a
     :class:`TopKTable` whose floats are the scalar scan's
     (:func:`repro.oracle.individual_topk`).
 
@@ -749,7 +767,14 @@ def individual_topk(
     user is a superset of what the scalar scan visits for them: an
     object left out has ``STS(o, u) <= UB(o, S(u)) < RSk(u)``.
 
-    **Contenders.**  Per user, every scored cell within ``GUARD_EPS`` of
+    **The guard.**  Every decision on matrix scores and set bounds —
+    the stop, the reach, each block's floor and the contenders — is
+    taken ``DatasetArrays.refine_guard`` on the safe side: four times
+    the worst-case float32 error of one score
+    (:func:`~repro.core.kernels.refine_guard` derives it from the unit
+    roundoff and the term-column count).
+
+    **Contenders.**  Per user, every scored cell within the guard of
     the *final* k-th best (:func:`_contenders`) is re-scored by the
     bitwise pair kernel (:meth:`DatasetArrays.sts_pairs`); the
     :class:`TopKTable` sorts each user's exact scores, so the ``RSk(u)``
@@ -774,27 +799,30 @@ def individual_topk(
     obj_rows = pool.object_rows(arrays.objects)
     ids, upper = pool.ids, pool.upper
     n = len(obj_rows)
+    guard = arrays.refine_guard
 
     def top_k(best, scores):
         """The k best of every row of ``best`` and ``scores`` side by
         side, the k-th best first."""
-        both = np.hstack((best, scores))
+        both = np.hstack((best, scores)) if best.shape[1] else scores.copy()
         both.partition(both.shape[1] - k, axis=1)
         return both[:, -k:]
 
     stop = min(n, traversal.n_lo + RO_BLOCK)
     active = np.arange(len(users))
-    scores = arrays.candidate_score_matrix(obj_rows[:stop], user_rows)
+    scores = arrays.candidate_score_matrix(
+        obj_rows[:stop], None if users is dataset.users else user_rows
+    )
     blocks = [(active, 0, scores)]
     # -inf until a user has k scores: nobody stops on fewer.
-    best = top_k(np.full((len(users), k), -math.inf), scores)
+    best = top_k(np.full((len(users), max(k - stop, 0)), -math.inf, dtype=scores.dtype), scores)
     kth = best[:, 0].copy()
     neg_upper = -upper
     first = stop
     # No user needs an object past the first UB(o, us) below the weakest
     # k-th best: the reach, which only shrinks from here.
     reach = first + int(
-        np.searchsorted(neg_upper[first:], GUARD_EPS - kth.min(), side="right")
+        np.searchsorted(neg_upper[first:], guard - kth.min(), side="right")
     )
     if first < reach:
         # Every block but a last cut short starts at first + j * RO_BLOCK.
@@ -806,12 +834,12 @@ def individual_topk(
     while stop < reach:
         start = stop
         block = (start - first) // RO_BLOCK
-        active = active[_still_active(kth[active], sets[active], reaches, block)]
+        active = active[_still_active(kth[active], sets[active], reaches, block, guard)]
         if not len(active):
             break
         # ... and only up to the first UB(o, us) no active user reaches
         # (at least one object: reaches[:, block] <= UB(o, us) at start).
-        floor = kth[active].min() - GUARD_EPS
+        floor = kth[active].min() - guard
         reach = start + int(np.searchsorted(neg_upper[start:reach], -floor, side="right"))
         stop = min(reach, start + RO_BLOCK)
         scores = arrays.candidate_score_matrix(obj_rows[start:stop], user_rows[active])
@@ -823,7 +851,7 @@ def individual_topk(
             best[grew] = top_k(best[grew], scores[improved])
             kth[grew] = best[grew, 0]
 
-    user_pos, col = _contenders(blocks, kth)
+    user_pos, col = _contenders(blocks, kth, guard)
     exact = arrays.sts_pairs(obj_rows[col], user_rows[user_pos])
     return TopKTable.of_contenders(user_ids, k, user_pos, exact, ids[col])
 

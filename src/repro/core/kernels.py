@@ -13,8 +13,8 @@ this module evaluates as array arithmetic instead of Python loops.
 Exactness contract
 ------------------
 The engine must return *identical results* to the oracle (the
-equivalence tests enforce it).  Two kinds of kernel keep that promise
-in two ways.
+equivalence tests enforce it).  Three kinds of kernel keep that promise
+in three ways.
 
 **Guard-banded kernels** (the matrix and mat-vec kernels: BLAS
 products, numpy reductions).  Floating-point sums evaluated in a
@@ -39,6 +39,24 @@ lies strictly inside ``(θ - GUARD_EPS, θ + GUARD_EPS)`` *and* its user
 belongs to that row's location; every other entry of the matrix is
 trusted or masked.
 
+**Single-precision guard-banded kernels** (Algorithm 2's
+:meth:`DatasetArrays.candidate_score_matrix` and
+:meth:`DatasetArrays.set_bound_matrix`).  Their decisions — which user
+an ``RO`` block is still scored for, how far ``RO`` is read, which
+cells are re-scored — never need more than a few significant digits,
+so they run on float32 copies of the folded operands (``obj_xy32``,
+``obj_weights32``, ``user_xy32``, ``user_text32``, ``set_text32``:
+each the float64 fold rounded once), half the bytes per pass and twice
+the values per vector op.  Their band is not ``GUARD_EPS`` but
+``DatasetArrays.refine_guard``, derived (:func:`refine_guard`) from
+float32's unit roundoff and the term-column count ``T``: four times the
+worst-case error of one score, ``(T + 16) * 2**-24`` at unit coordinate
+span — ``8.6e-6`` at the benchmark's default cell.  Their values are
+never returned: every cell a decision keeps is re-scored by the bitwise
+:meth:`DatasetArrays.sts_pairs`, and only those floats leave Algorithm 2.
+Algorithm 3 stays in float64 under ``GUARD_EPS``: its band re-check is
+a scalar call per entry, so a wider band would cost there.
+
 **Bitwise kernels** (:meth:`DatasetArrays.sts_pairs`, the traversal
 kernels of :class:`TreeArrays`).  Their
 floats *are* the scalar path's floats, so they may be returned and
@@ -60,7 +78,8 @@ one add of those entries into that prefix of accumulators — each
 segment's kept weights enter its ``0.0`` accumulator once each, left to
 right, exactly the scalar ``total += w`` sequence.  KI301/KI302 in
 ``tests/test_source_contracts.py`` ban ``hypot`` / ``fsum`` / ``@`` /
-``.sum`` / ``einsum`` inside them.
+``.sum`` / ``einsum`` inside them, and KI303 any single-precision
+dtype or float32 operand.
 
 Array layout
 ------------
@@ -76,7 +95,10 @@ itself, so clones from ``with_alpha``/``with_users`` get their own):
 * a dense user/term incidence matrix over the *union of user keywords*
   (terms no user holds can never contribute to any text score);
 * the object weights mapped onto those term columns ``(N, T + 1)``, so
-  a refinement gathers candidate rows by id.
+  a refinement gathers candidate rows by id;
+* Algorithm 2's single-precision operands: folded object and user
+  coordinates, object weights, users' and keyword sets' folded term
+  rows (``N x (T + 3)`` + ``U x (T + 2)`` + ``S x (T + 1)`` float32).
 
 Query-time documents become weight vectors over the same term columns
 and text sums become one mat-vec per location/document.
@@ -149,6 +171,52 @@ __all__ = [
 #: reduction and the scalar sum of the same values (scores sum tens of
 #: values bounded by 1, so the true difference is ~1e-15).
 GUARD_EPS = 1e-9
+
+
+def refine_guard(num_terms: int, span: float) -> float:
+    """The guard band of Algorithm 2's decisions on single-precision
+    scores: ``4 * (T + 16 * X) * u``, with ``u = 2**-24`` the unit
+    roundoff of IEEE-754 single precision, ``T`` the term columns and
+    ``X = max(1, span)``, ``span`` the largest folded coordinate
+    (``alpha * extent / dmax``: at most ``alpha`` wherever ``dmax``
+    spans the users too).
+
+    **Per score** (:meth:`DatasetArrays.candidate_score_matrix`), to
+    first order in ``u``:
+
+    * *text* — every product ``t_j * w_j`` of a user's folded row and an
+      object's weights carries three roundings (both inputs rounded to
+      float32, the product), and a sum of at most ``T`` non-negative
+      addends, in any association order, at most ``T - 1`` more, each
+      relative to the exact sum.  That sum is ``(1 - alpha) * sums / Z``,
+      at most ``1 - alpha`` (an object's weight never exceeds the
+      collection maximum ``Z`` sums), and the cap at ``1 - alpha``
+      rounded to float32 adds one more: ``(T + 3) * u * (1 - alpha)``;
+    * *space* — a folded coordinate is off by ``u * X``, a difference of
+      two by ``2uX`` plus its own rounding, ``u`` times itself; the norm
+      of the differences (``||e||_p <= ||e||_1`` for the error vector)
+      is then off by ``4uX + 2u * n``, and evaluating it (squares, add,
+      ``sqrt``; or ``**p``, add, ``**(1/p)`` with ``1/p`` itself rounded,
+      which adds ``u * n * |ln n| <= u / e``) by ``3u * n + u / 2``.
+      Only ``n <= alpha + O(u)`` reaches the score — ``max(0, alpha -
+      n)`` clips the rest on both sides — and ``alpha - n`` with
+      ``alpha`` rounded adds ``2u * alpha``: ``u * (4X + 8)`` in all;
+    * the final add: ``u`` (the score is at most 1).
+
+    So ``|score - STS| <= E = (T + 16 * X) * u``.  The set bound
+    (:meth:`DatasetArrays.set_bound_matrix`) sums ``T + 1`` terms whose
+    last is the spatial half (times an exact ``1``) and reads the same
+    gap arithmetic: it is off by at most ``E`` too.
+
+    **Per decision** (:func:`repro.core.joint_topk.individual_topk`),
+    ``4E`` covers each comparison's worst case: a contender test
+    compares two scores (``2E``), a stop compares a score with a set
+    bound (``2E``) capped by ``UB(o, us)`` rounded to float32 (``u``),
+    and ``θ - guard`` rounds once more (``u``).  At the benchmark's
+    default cell (``T = 20``, ``X = 1``) the guard is ``8.6e-6``.
+    """
+    return 4.0 * (num_terms + 16.0 * max(1.0, span)) * 2.0 ** -24
+
 
 #: Keyword sides one :class:`DatasetArrays` keeps (:meth:`DatasetArrays.side`),
 #: least recently used first out.  A served workload repeats a handful
@@ -365,20 +433,27 @@ class DatasetArrays:
         self.obj_weights = self.objects.weights_over(union)
 
         # Algorithm 2's operands with alpha folded in (the guard-banded
-        # candidate_score_matrix and set_bound_matrix).  Coordinates are
-        # moved to the data's own corner, then scaled by alpha / dmax:
-        # norms of them are alpha * dist / dmax.
+        # candidate_score_matrix and set_bound_matrix), in single
+        # precision: each is the float64 fold rounded once to float32.
+        # Coordinates are moved to the data's own corner, then scaled by
+        # alpha / dmax: norms of them are alpha * dist / dmax.
         alpha = dataset.alpha
         points = np.concatenate((self.objects.xy, self.user_xy))
         corner = points.min(axis=0) if len(points) else np.zeros(2)
-        self.obj_xy_folded = (self.objects.xy - corner) * (alpha / dataset.dmax)
-        self.user_xy_folded = (self.user_xy - corner) * (alpha / dataset.dmax)
+        obj_xy = (self.objects.xy - corner) * (alpha / dataset.dmax)
+        user_xy = (self.user_xy - corner) * (alpha / dataset.dmax)
+        self.obj_xy32 = obj_xy.astype(np.float32)
+        self.user_xy32 = user_xy.astype(np.float32)
+        #: ``obj_weights`` rounded to float32, its zero column included
+        #: (:meth:`set_bound_matrix` writes the spatial half there).
+        self.obj_weights32 = self.obj_weights.astype(np.float32)
         #: Each user's term row times ``(1 - alpha) / Z(u.d)`` (zero where
         #: ``Z = 0``): one product gives ``(1 - alpha) * sums / Z``.
         fold = np.divide(
             1.0 - alpha, self.user_z, out=np.zeros(self.num_users), where=self.user_z > 0.0
         )
-        self.user_text = self.user_terms * fold[:, None]
+        user_text = self.user_terms * fold[:, None]
+        self.user_text32 = user_text.astype(np.float32)
         #: Keyword-set id of every user: equal sets share ``Z(u.d)``, so a
         #: set's folded row scores the text half of all its holders.
         set_ids: Dict[FrozenSet[int], int] = {}
@@ -387,11 +462,15 @@ class DatasetArrays:
             dtype=np.intp,
         )
         #: One folded row per set, plus a last column of ones that adds
-        #: whatever an object row carries in ``obj_weights``' zero column.
-        self.set_text = np.hstack((
-            self.user_text[np.unique(self.user_set, return_index=True)[1]],
+        #: whatever an object row carries in ``obj_weights32``' zero column.
+        self.set_text32 = np.hstack((
+            user_text[np.unique(self.user_set, return_index=True)[1]],
             np.ones((len(set_ids), 1)),
-        ))
+        )).astype(np.float32)
+        #: The band Algorithm 2's decisions read around these operands'
+        #: scores (:func:`refine_guard`).
+        span = max(float(obj_xy.max(initial=0.0)), float(user_xy.max(initial=0.0)))
+        self.refine_guard = refine_guard(self.num_terms, span)
         self._id_order = None  # argsort of user_ids, built by rows_of_ids
         #: Algorithm 3's keyword sides by (dataset epoch, side key), at
         #: most ``SIDES_MAX``; see :meth:`side`.
@@ -548,21 +627,25 @@ class DatasetArrays:
     # Candidate-pool scoring (Algorithm 2 refinement)
     # ------------------------------------------------------------------
     def candidate_score_matrix(self, obj_rows, rows=None) -> "np.ndarray":
-        """``STS(o, u)`` for selected users x object rows, guard-banded.
+        """``STS(o, u)`` for selected users x object rows, guard-banded,
+        in single precision.
 
-        One BLAS product for the text sums over rows that fold in
-        ``(1 - alpha) / Z(u.d)``, and distances between coordinates
-        pre-scaled by ``alpha / dmax`` — so values may differ from the
-        scalar score in the last ulps and only ever feed decisions taken
-        ``GUARD_EPS`` on the safe side (Algorithm 2's stop and its
-        contender selection); returned scores come from
-        :meth:`sts_pairs`.  Every step after the two coordinate
-        differences and the product writes into one of those buffers.
+        One float32 BLAS product for the text sums over rows that fold
+        in ``(1 - alpha) / Z(u.d)``, and distances between coordinates
+        pre-scaled by ``alpha / dmax`` — so a value is off the scalar
+        score by at most ``refine_guard / 4`` (:func:`refine_guard`
+        derives it) and only ever feeds decisions taken ``refine_guard``
+        on the safe side (Algorithm 2's stop and its contender
+        selection); returned scores come from :meth:`sts_pairs`.  Every
+        step after the two coordinate differences and the product writes
+        into one of those buffers.
         """
         alpha = self.dataset.alpha
-        user_xy = self.user_xy_folded if rows is None else self.user_xy_folded[rows]
-        user_text = self.user_text if rows is None else self.user_text[rows]
-        obj_xy = self.obj_xy_folded[obj_rows]
+        user_xy = self.user_xy32 if rows is None else np.take(self.user_xy32, rows, axis=0)
+        user_text = (
+            self.user_text32 if rows is None else np.take(self.user_text32, rows, axis=0)
+        )
+        obj_xy = np.take(self.obj_xy32, obj_rows, axis=0)
         score = _norm_of_differences(
             user_xy[:, 0:1] - obj_xy[:, 0], user_xy[:, 1:2] - obj_xy[:, 1],
             self.dataset.metric.p,
@@ -570,7 +653,8 @@ class DatasetArrays:
         # alpha * max(0, 1 - dist / dmax), from alpha * dist / dmax.
         np.subtract(alpha, score, out=score)
         np.maximum(score, 0.0, out=score)
-        text = user_text @ self.obj_weights[obj_rows, : self.num_terms].T
+        weights = np.take(self.obj_weights32, obj_rows, axis=0)
+        text = user_text @ weights[:, : self.num_terms].T
         np.minimum(text, 1.0 - alpha, out=text)
         score += text
         return score
@@ -578,9 +662,9 @@ class DatasetArrays:
     def set_bound_matrix(self, obj_rows, user_rows):
         """``UB(o, S) = alpha * SS_best(o, MBR) + (1 - alpha) * TS(o, S)``
         per keyword set ``S`` held at ``user_rows`` x object row, with
-        ``MBR`` the box of those users — guard-banded, like
-        :meth:`candidate_score_matrix`.  Returns the matrix and each
-        user row's row in it.
+        ``MBR`` the box of those users — guard-banded and in single
+        precision, like :meth:`candidate_score_matrix`.  Returns the
+        matrix and each user row's row in it.
 
         Every holder ``u`` of ``S`` among ``user_rows`` has
         ``SS(o, u) <= SS_best(o, MBR)`` and ``TS(o, u) = TS(o, S)`` (the
@@ -589,16 +673,16 @@ class DatasetArrays:
         ``TS`` enters without its ``min(1, .)``, which only lowers it,
         so the spatial half rides in the product as one more column.
         """
-        users = self.user_xy_folded[user_rows]
-        obj_xy = self.obj_xy_folded[obj_rows]
+        users = np.take(self.user_xy32, user_rows, axis=0)
+        obj_xy = np.take(self.obj_xy32, obj_rows, axis=0)
         gap = np.maximum(users.min(axis=0) - obj_xy, obj_xy - users.max(axis=0))
         np.maximum(gap, 0.0, out=gap)
         spatial = _norm_of_differences(gap[:, 0], gap[:, 1], self.dataset.metric.p)
-        weights = self.obj_weights[obj_rows]  # a copy: its zero column is ours
+        weights = np.take(self.obj_weights32, obj_rows, axis=0)  # its zero column is ours
         np.subtract(self.dataset.alpha, spatial, out=weights[:, -1])
         np.maximum(weights[:, -1], 0.0, out=weights[:, -1])
         sets, column = np.unique(self.user_set[user_rows], return_inverse=True)
-        return self.set_text[sets] @ weights.T, column
+        return np.take(self.set_text32, sets, axis=0) @ weights.T, column
 
     def sts_pairs(self, obj_rows, user_rows) -> "np.ndarray":
         """``STS(o, u)`` per (object row, user row) pair — **bitwise**
@@ -612,19 +696,24 @@ class DatasetArrays:
         (``user_term_cols``, captured from the same ``set`` at build
         time), where a term the object lacks — or a padding slot —
         adds an exact ``+ 0.0``; ``Z(u.d)`` is the scalar normalizer of
-        that set.  No reduction, no matrix product, no ``hypot``.
+        that set.  No reduction, no matrix product, no ``hypot``.  Every
+        gather is a ``take`` (the pair weights one flat ``take`` of the
+        ``(pair, term slot)`` cells), which moves the same bits.
         """
         ds = self.dataset
         alpha = ds.alpha
-        obj_xy = self.objects.xy[obj_rows]
-        user_xy = self.user_xy[user_rows]
+        obj_xy = np.take(self.objects.xy, obj_rows, axis=0)
+        user_xy = np.take(self.user_xy, user_rows, axis=0)
         d = _pairwise_norm(
             obj_xy[:, 0] - user_xy[:, 0], obj_xy[:, 1] - user_xy[:, 1], ds.metric.p
         )
         ss = np.maximum(0.0, np.minimum(1.0, 1.0 - d / ds.dmax))
+        cells = np.take(self.user_term_cols, user_rows, axis=0)
+        cells += (np.asarray(obj_rows) * self.obj_weights.shape[1])[:, None]
+        weights = np.take(self.obj_weights, cells)
         total = np.zeros(len(obj_rows))
-        for cols in self.user_term_cols[user_rows].T:
-            total += self.obj_weights[obj_rows, cols]
+        for column in weights.T:
+            total += column
         ts = _normalized_text(total, self.user_z[user_rows])
         return alpha * ss + (1.0 - alpha) * ts
 
@@ -1487,6 +1576,10 @@ class FrontierBounds:
     queue's keys) element-wise, and per expanded leaf ``leaf_max_lb``
     (every node's largest entry ``LB``, ``inf`` for an empty one) and
     ``ub_sorted`` (``ub`` ascending within every node's entry span).
+    ``RO``'s final order reads ``ub_rank`` (each entry's dense rank by
+    descending ``ub``: equal ``ub``, equal rank — ``uint16`` while the
+    ranks fit, so its stable sort is a radix sort) and ``ub_tied``
+    (whether another entry has the same ``ub``).
     ``node_blocks`` is a plain list (read one node at a time).  Nothing
     here changes after the build, so one instance serves any number of
     walks (:meth:`TreeArrays.wave`).
@@ -1494,7 +1587,8 @@ class FrontierBounds:
 
     __slots__ = (
         "arrays", "lb", "ub", "in_union", "node_blocks",
-        "lb_list", "ub_list", "keys", "leaf_max_lb", "ub_sorted",
+        "lb_list", "ub_list", "keys", "leaf_max_lb", "ub_sorted", "ub_rank",
+        "ub_tied",
     )
 
     #: Process-wide construction counter (see DatasetArrays.build_count).
@@ -1521,6 +1615,9 @@ class FrontierBounds:
         order = np.argsort(ub)
         node = np.repeat(np.arange(len(starts)), sizes)[order]
         self.ub_sorted = ub[order[np.argsort(node, kind="stable")]].tolist()
+        distinct, rank, counts = np.unique(-ub, return_inverse=True, return_counts=True)
+        self.ub_rank = rank.astype(np.uint16 if len(distinct) <= 1 << 16 else np.intp)
+        self.ub_tied = counts[rank] > 1
 
     def weights_of(self, entry: int) -> Dict[int, Tuple[float, float]]:
         """The entry's ``{term: (maxw, minw)}`` restricted to the union —

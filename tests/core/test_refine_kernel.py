@@ -6,12 +6,15 @@ Two kernels carry the refinement (``repro.core.kernels``):
   floats ``individual_topk`` returns.  Its property is ``==`` against
   :meth:`Dataset.sts`, never ``approx``;
 * :meth:`DatasetArrays.candidate_score_matrix` — the guard-banded
-  matrix that only decides which pairs the pair kernel sees (Example
-  4's stop, taken per user block by block, and the contender sets).
+  single-precision matrix that only decides which pairs the pair
+  kernel sees (Example 4's stop, taken per user block by block, and
+  the contender sets), within the derived ``refine_guard`` of the
+  exact scores.
 
 :mod:`repro.oracle` is the reference throughout; the last classes hold what
 the array hand-off is *for* (no per-candidate object on the cold path,
-a pool that ships as columns) and three seeded mutants of the stop.
+a pool that ships as columns) and seeded mutants of the stop and its
+guard.
 """
 
 import importlib
@@ -157,6 +160,85 @@ class TestPairKernelBitwise:
             arrays.user_term_cols = np.sort(arrays.user_term_cols, axis=1)
             caught += bool(pair_mismatches(ds, arrays, ds.users))
         assert caught
+
+
+#: A vocabulary wide enough that the users' union spans >= 150 term
+#: columns: the guard grows with T, so the property must reach a wide T.
+WIDE_TERMS = [5 + 11 * i for i in range(180)]
+
+
+def build_wide_dataset(seed, measure, p, alpha, clustered, duplicates):
+    """Objects with long documents over :data:`WIDE_TERMS`, users whose
+    keyword sets cover every one of them (``T = 180``) plus a user with
+    none (``Z = 0``).  ``clustered`` puts every point in a box a
+    thousandth of the space wide; ``duplicates`` repeats objects (same
+    point, same document) and puts users on object points."""
+    rng = random.Random(seed)
+    centre = Point(rng.uniform(0, 10), rng.uniform(0, 10))
+
+    def point():
+        if clustered:
+            return Point(centre.x + rng.uniform(0, 1e-2), centre.y + rng.uniform(0, 1e-2))
+        return Point(rng.uniform(0, 10), rng.uniform(0, 10))
+
+    objects = [
+        STObject(
+            item_id=i, location=point(),
+            terms={t: rng.randint(1, 4) for t in rng.sample(WIDE_TERMS, rng.randint(1, 40))},
+        )
+        for i in range(50)
+    ]
+    if duplicates:
+        objects += [
+            STObject(item_id=50 + i, location=o.location, terms=dict(o.terms))
+            for i, o in enumerate(rng.sample(objects, 10))
+        ]
+    users = []
+    for i in range(30):
+        terms = WIDE_TERMS[6 * i : 6 * i + 6] + rng.sample(WIDE_TERMS, rng.randint(0, 8))
+        location = rng.choice(objects).location if duplicates and i % 3 == 0 else point()
+        users.append(User(item_id=i, location=location, terms=dict.fromkeys(terms, 1)))
+    users.append(User(item_id=30, location=point(), terms={}))
+    return Dataset(objects, users, relevance=measure, alpha=alpha, metric=LpMetric(p))
+
+
+class TestRefineGuardIsSound:
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(["LM", "TF", "KO"]),
+        alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+        clustered=st.booleans(),
+        duplicates=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_and_set_bounds_within_a_quarter_guard(
+        self, seed, measure, alpha, p, clustered, duplicates, data
+    ):
+        """``refine_guard / 4`` is the per-score error bound the guard is
+        derived from: the float32 matrix stays within it of the exact
+        ``sts_pairs`` on every (user, object) cell, and the float32 set
+        bound stays above every holder's exact ``STS`` less it — over
+        all users and over a lane's row range (its own MBR)."""
+        import numpy as np
+
+        ds = build_wide_dataset(seed, measure, p, alpha, clustered, duplicates)
+        arrays = arrays_for(ds)
+        assert arrays.num_terms >= 150
+        quarter = arrays.refine_guard / 4
+        objects = np.arange(len(ds.objects))
+        users = np.arange(len(ds.users))
+        exact = arrays.sts_pairs(
+            np.tile(objects, len(users)), np.repeat(users, len(objects))
+        ).reshape(len(users), len(objects))
+        matrix = arrays.candidate_score_matrix(objects)
+        assert np.abs(matrix - exact).max() <= quarter
+        lo = data.draw(st.integers(0, len(users) - 1))
+        hi = data.draw(st.integers(lo + 1, len(users)))
+        for rows in (users, users[lo:hi]):
+            bounds, column = arrays.set_bound_matrix(objects, rows)
+            assert (bounds[column] >= exact[rows] - quarter).all()
 
 
 #: Algorithm 2 and Algorithm 1 by side: the engine's kernels, the oracle's
@@ -829,10 +911,10 @@ def tight_pool(seed):
 
 def rounded_up_pools(seeds=range(40)):
     """Pools planted on a cell ``(o, u)`` the guard band exists for: the
-    matrix scores it above ``STS(o, u)``, by the BLAS product's last
-    ulp.  ``o`` is ``LO``; its twin — smaller id, so it wins the tie —
-    closes ``RO`` behind a crowd ``u`` scores lower, with ``UB`` exactly
-    ``STS(o, u)``: barely not prunable."""
+    single-precision matrix scores it above ``STS(o, u)``.  ``o`` is
+    ``LO``; its twin — smaller id, so it wins the tie — closes ``RO``
+    behind a crowd ``u`` scores lower, with ``UB`` exactly ``STS(o,
+    u)``: barely not prunable."""
     import numpy as np
 
     def planted(ds, matrix):
@@ -883,21 +965,29 @@ class TestStopMutantsAreCaught:
         assert stop_mismatches(rounded_up_pools(), 1) == 0
 
     def test_guard_band_dropped_from_the_activity_test(self, monkeypatch):
-        """``kth <= UB`` on matrix scores: a k-th best the BLAS product
-        rounded up retires its user one object before the tie winner."""
+        """``kth <= UB`` on matrix scores: a k-th best float32 rounded up
+        retires its user one object before the tie winner."""
         monkeypatch.setattr(
             joint_topk_module, "_still_active",
-            lambda kth, sets, reaches, block: kth <= reaches[sets, block],
+            lambda kth, sets, reaches, block, guard: kth <= reaches[sets, block],
         )
+        assert stop_mismatches(rounded_up_pools(), 1)
+
+    def test_single_precision_under_the_double_precision_guard(self, monkeypatch):
+        """The float32 operands read against the old float64 band
+        (``GUARD_EPS = 1e-9``): a score float32 rounded up by more than
+        that cuts the reach before the tie winner."""
+        from repro.core import kernels
+
+        monkeypatch.setattr(kernels, "refine_guard", lambda num_terms, span: kernels.GUARD_EPS)
         assert stop_mismatches(rounded_up_pools(), 1)
 
     def test_user_retired_one_block_early(self, monkeypatch):
         """The stop read off the *next* block's bound."""
-        from repro.core.kernels import GUARD_EPS
 
-        def early(kth, sets, reaches, block):
+        def early(kth, sets, reaches, block, guard):
             ahead = min(block + 1, reaches.shape[1] - 1)
-            return kth - GUARD_EPS <= reaches[sets, ahead]
+            return kth - guard <= reaches[sets, ahead]
 
         monkeypatch.setattr(joint_topk_module, "_still_active", early)
         assert stop_mismatches(map(tight_pool, range(24)), 3)
@@ -909,8 +999,8 @@ class TestStopMutantsAreCaught:
 
         def text_only(self, obj_rows, user_rows):
             sets, column = np.unique(self.user_set[user_rows], return_inverse=True)
-            # obj_weights' last column is zero: the spatial column left out.
-            return self.set_text[sets] @ self.obj_weights[obj_rows].T, column
+            # obj_weights32's last column is zero: the spatial column left out.
+            return self.set_text32[sets] @ self.obj_weights32[obj_rows].T, column
 
         monkeypatch.setattr(DatasetArrays, "set_bound_matrix", text_only)
         assert stop_mismatches(map(tight_pool, range(24)), 3)
@@ -923,10 +1013,9 @@ class TestStopMutantsAreCaught:
 
     def test_user_read_against_a_neighbouring_set(self, monkeypatch):
         """Column off by one: a user stopped on another set's bound."""
-        from repro.core.kernels import GUARD_EPS
 
-        def neighbour(kth, sets, reaches, block):
-            return kth - GUARD_EPS <= reaches[(sets + 1) % len(reaches), block]
+        def neighbour(kth, sets, reaches, block, guard):
+            return kth - guard <= reaches[(sets + 1) % len(reaches), block]
 
         monkeypatch.setattr(joint_topk_module, "_still_active", neighbour)
         assert stop_mismatches(map(tight_pool, range(24)), 3)
@@ -942,12 +1031,13 @@ class TestStopMutantsAreCaught:
         superset and the exact re-score returns the same lists.)"""
         import numpy as np
 
-        from repro.core.kernels import GUARD_EPS
-
-        def block_local(blocks, kth):
+        def block_local(blocks, kth, guard):
             user_pos, col = [], []
             for block_users, start, scores in blocks:
-                u, c = np.nonzero(scores >= (kth[block_users] - GUARD_EPS)[:, None])
+                u, c = np.divmod(
+                    np.flatnonzero(scores >= (kth[block_users] - guard)[:, None]),
+                    scores.shape[1],
+                )
                 user_pos.append(u)  # the mutation: not block_users[u]
                 col.append(start + c)
             return np.concatenate(user_pos), np.concatenate(col)

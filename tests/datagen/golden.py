@@ -109,8 +109,8 @@ def cell_digests(name: str, seed: int) -> Dict[str, str]:
         out[f"{measure}/dataset_arrays"] = _digest(*(
             getattr(arrays, attr) for attr in (
                 "user_ids", "user_xy", "user_z", "user_terms", "user_term_cols",
-                "obj_weights", "obj_xy_folded", "user_xy_folded", "user_text",
-                "user_set", "set_text",
+                "obj_weights", "obj_xy32", "obj_weights32", "user_xy32",
+                "user_text32", "user_set", "set_text32",
             )
         ))
         for fanout in FANOUTS:

@@ -7,6 +7,12 @@ vocabulary, the users, ``W`` and the e2e query pool's locations, and —
 per measure (LM/TF/KO) and, for the tree, per fanout (4/32) — the
 relevance weights and maxima, ``ObjectColumns``, ``DatasetArrays``,
 ``TreeArrays`` and every node's posting-list sizes.
+
+The ``DatasetArrays`` digests were re-recorded when Algorithm 2's
+operands moved to single precision (``obj_xy32`` ... ``set_text32`` in
+place of the float64 ``obj_xy_folded`` ... ``set_text``): every float32
+operand was checked equal, bit for bit, to the float64 one it replaced
+rounded to float32, on all six cells and three measures.
 """
 
 import json

@@ -42,3 +42,12 @@ def group_spatial_bounds(gap_x, gap_y, dmax):
     # Allowlisted name (the group bounds' spatial halves): libm hypot
     # where the scalar metric writes sqrt(dx*dx + dy*dy).
     return 1.0 - np.hypot(gap_x, gap_y) / dmax  # KI301 (hypot)
+
+
+def single_precision_kernel(arrays, obj_rows):  # repro: identity-kernel
+    # Single precision inside an identity kernel: a float32 copy, a
+    # float32 dtype string and a guard-banded float32 operand all round
+    # the scalar path's floats.
+    weights = arrays.obj_weights[obj_rows].astype(np.float32)  # KI303
+    xy = np.asarray(arrays.user_xy, dtype="f4")  # KI303
+    return weights, xy, arrays.obj_xy32[obj_rows]  # KI303

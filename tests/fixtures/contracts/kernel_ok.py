@@ -19,8 +19,8 @@ def frontier_bounds(dx, dy):
 
 def guard_banded_scores(terms, w):
     # NOT an identity kernel (not allowlisted, no marker): reductions
-    # are allowed under the weaker guard-band contract.
-    return terms @ w + math.fsum(w)
+    # and single precision are allowed under the guard-band contract.
+    return terms.astype(np.float32) @ w + math.fsum(w)
 
 
 def sts_pairs(user_term_cols, obj_weights, obj_rows, user_rows):

@@ -15,6 +15,11 @@ free names) are checked like any other module.
   re-associates a floating-point sum (``.sum``, ``einsum``, ``dot``,
   ``@``, ``reduceat``, ...), nested helpers included.  Builtin ``sum``
   stays legal: it adds left to right, the scalar reference's own order.
+* ``KI303`` — nor do they touch single precision: no ``float32`` /
+  ``float16`` / ``single`` / ``half`` name, attribute or dtype string,
+  and no attribute of the guard-banded refine's float32 operands
+  (``FLOAT32_OPERANDS``).  Those operands round the scalar path's
+  floats once; one of them inside a bitwise kernel breaks its ``==``.
 * ``AB401``–``AB404`` — an ``async def`` body (not the sync defs nested
   in it, which run in an executor) never blocks the event loop: no
   ``time.sleep``, no pool/thread join or close, no ``open``, no
@@ -166,8 +171,18 @@ REASSOCIATING = frozenset({
 })
 
 
+#: KI303: single-precision dtypes, by name, attribute or dtype string.
+SINGLE_PRECISION = frozenset({"float32", "float16", "single", "half", "f4", "f2"})
+
+#: KI303: the float32 operands ``DatasetArrays`` keeps for Algorithm 2's
+#: guard-banded refine (``candidate_score_matrix``, ``set_bound_matrix``).
+FLOAT32_OPERANDS = frozenset({
+    "obj_xy32", "obj_weights32", "user_xy32", "user_text32", "set_text32",
+})
+
+
 def kernel_identity(tree, lines):
-    """KI301/KI302 anywhere inside an identity kernel."""
+    """KI301/KI302/KI303 anywhere inside an identity kernel."""
     for kernel in ast.walk(tree):
         if not isinstance(kernel, FUNCTIONS) or not (
             kernel.name in IDENTITY_FUNCTIONS
@@ -185,6 +200,15 @@ def kernel_identity(tree, lines):
                 yield "KI302", node.lineno
             elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 yield "KI302", node.lineno
+            elif (
+                (isinstance(node, ast.Name) and node.id in SINGLE_PRECISION)
+                or (
+                    isinstance(node, ast.Attribute)
+                    and (node.attr in SINGLE_PRECISION or node.attr in FLOAT32_OPERANDS)
+                )
+                or (isinstance(node, ast.Constant) and node.value in SINGLE_PRECISION)
+            ):
+                yield "KI303", node.lineno
 
 
 #: A receiver or method that names a process, pool or thread (a no-arg
@@ -366,6 +390,17 @@ def test_every_identity_function_is_a_kernel(name):
     assert name in {node.name for node in ast.walk(tree) if isinstance(node, FUNCTIONS)}
 
 
+def test_every_float32_operand_is_a_dataset_arrays_attribute():
+    """Renaming an operand must not let it back into a bitwise kernel."""
+    init = find_def(ast.parse((SRC / "core" / "kernels.py").read_text()), "DatasetArrays.__init__")
+    assigned = {
+        node.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    assert FLOAT32_OPERANDS <= assigned
+
+
 def test_payload_kinds_are_the_kinds_execute_shard_payload_runs():
     tree = ast.parse((SRC / "core" / "pipeline.py").read_text())
     dispatched = {
@@ -418,6 +453,23 @@ def test_hypot_seeded_into_group_spatial_bounds_is_ki301():
     assert seeded in check(seeded_source)
 
 
+def test_float32_operand_seeded_into_sts_pairs_is_ki303():
+    """The pair kernel reading the refine's float32 weights in place of
+    ``obj_weights``: one attribute renamed, in memory."""
+    source = (SRC / "core" / "kernels.py").read_text()
+    read = next(
+        node
+        for node in ast.walk(find_def(ast.parse(source), "DatasetArrays.sts_pairs"))
+        if isinstance(node, ast.Attribute) and node.attr == "obj_weights"
+    )
+    lines = source.splitlines()
+    text = lines[read.lineno - 1]
+    lines[read.lineno - 1] = text[: read.end_col_offset] + "32" + text[read.end_col_offset :]
+    seeded = ("KI303", read.lineno, "DatasetArrays.sts_pairs")
+    assert seeded not in check(source)
+    assert seeded in check("\n".join(lines))
+
+
 # ----------------------------------------------------------------------
 # Every rule fires on exactly its fixture lines
 # ----------------------------------------------------------------------
@@ -440,6 +492,9 @@ EXPECTED = [
     ("kernel_bad.py", "KI302", "block @ w"),
     ("kernel_bad.py", "KI302", "np.matmul(user_terms"),
     ("kernel_bad.py", "KI301", "np.hypot(gap_x, gap_y)"),
+    ("kernel_bad.py", "KI303", "astype(np.float32)"),
+    ("kernel_bad.py", "KI303", 'dtype="f4"'),
+    ("kernel_bad.py", "KI303", "arrays.obj_xy32[obj_rows]"),
     ("pool_bad.py", "PB202", '("refine", dataset, queries)'),
     ("pool_bad.py", "PB202", "DatasetArrays(None)"),
     ("pool_bad.py", "PB202", '("select", queries, store)'),
