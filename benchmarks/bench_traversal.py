@@ -67,7 +67,14 @@ sections:
    row selects the shared flush with ``method="exact"`` (Algorithm 4
    on the same block search), engine as one ``SelectionBatch`` against
    ``oracle.select_candidate(method="exact")`` query by query, ``==``
-   and timed.
+   and timed.  Each of the three select-flush rows also runs one flush
+   under :func:`selection_passes`: it prints the largest ``|alpha * SS32
+   - alpha * SS|`` over every cell of its single-precision spatial
+   rows, in units of the ``select_guard`` each pass read, the in-band
+   entries ``_banded`` handed to the scalar re-check and ``_banded``'s
+   ms per flush (``--json``: ``select_flush_keyword_sides.<mix>.passes``,
+   ``select_flush_exact_passes``); above ``MAX_GUARD_RATIO`` (0.25, the
+   derived per-cell bound) the run fails.
 6. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to the oracle's per-k sequential
@@ -120,6 +127,15 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
+# One BLAS thread where the caller left it unset, before numpy loads (as
+# ``python -m repro serve`` pins it; importing ``repro.__main__`` loads
+# no numpy): on a small box, OpenBLAS's thread per CPU stalls the small
+# products of these rows intermittently.
+from repro.__main__ import BLAS_THREAD_VARS  # noqa: E402
+
+for _name in BLAS_THREAD_VARS:
+    os.environ.setdefault(_name, "1")
+
 from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
@@ -129,6 +145,7 @@ from repro.core.candidate_selection import (  # noqa: E402
 from repro.core.joint_topk import (  # noqa: E402
     RO_BLOCK, individual_topk, joint_traversal,
 )
+from repro.core import kernels  # noqa: E402
 from repro.core.kernels import (  # noqa: E402
     DatasetArrays, KeywordSide, arrays_for, tree_arrays_for,
 )
@@ -372,8 +389,9 @@ REFINE_PARTS = (
     "exact_rescore", "table",
 )
 
-#: Largest ``max |matrix - exact| / refine_guard`` the cold-query row
-#: accepts: the guard is four times the derived per-score error bound.
+#: Largest ``max |matrix - exact| / guard`` the cold-query row (over
+#: ``refine_guard``) and the select-flush rows (over ``select_guard``)
+#: accept: each guard is four times its derived per-score error bound.
 MAX_GUARD_RATIO = 0.25
 
 
@@ -491,22 +509,77 @@ def refined_pairs(engine, queries):
     return [(entry.rsk, entry.rsk_group) for entry in shared]
 
 
-def spatial_rows(run):
-    """``run()``'s result and the ``SS(l, u)`` rows it computed
-    (``DatasetArrays.spatial_matrix`` rows, summed over its calls)."""
-    rows = []
-    kernel = DatasetArrays.spatial_matrix
+def selection_passes(run):
+    """``run()``'s result and what its selection passes did: the
+    ``SS(l, u)`` rows computed (``DatasetArrays.spatial_matrix`` rows,
+    summed over its calls); the largest ``|alpha * SS32 - alpha * SS| /
+    select_guard`` over every cell of those calls, ``alpha * SS`` being
+    the scalar float64 value (``_pairwise_norm`` on the float64
+    coordinates, op for op ``Dataset.spatial_score``) and the guard the
+    one the call returned; the in-band entries ``_banded`` handed to its
+    scalar re-check; and ``_banded``'s wall time, those re-checks
+    included."""
+    import numpy as np
+
+    kernel, banded = DatasetArrays.spatial_matrix, kernels._banded
+    rows, worst, rechecks, banded_s = [], [0.0], [0], [0.0]
 
     def spy(self, locations):
+        ss, guard = kernel(self, locations)
         rows.append(len(locations))
-        return kernel(self, locations)
+        ds = self.dataset
+        xy = np.array([(loc.x, loc.y) for loc in locations]).reshape(len(locations), 2)
+        d = kernels._pairwise_norm(
+            self.user_xy[:, 0] - xy[:, 0:1], self.user_xy[:, 1] - xy[:, 1:2], ds.metric.p
+        )
+        exact = ds.alpha * np.maximum(0.0, np.minimum(1.0, 1.0 - d / ds.dmax))
+        if ss.size:
+            worst[0] = max(worst[0], float(np.abs(ss - exact).max()) / guard)
+        return ss, guard
 
-    DatasetArrays.spatial_matrix = spy
+    def counted(scores, runs, exact, where=None):
+        def recheck(i, j):
+            rechecks[0] += 1
+            return exact(i, j)
+
+        t0 = time.perf_counter()
+        try:
+            return banded(scores, runs, recheck, where)
+        finally:
+            banded_s[0] += time.perf_counter() - t0
+
+    DatasetArrays.spatial_matrix, kernels._banded = spy, counted
     try:
         result = run()
     finally:
-        DatasetArrays.spatial_matrix = kernel
-    return result, sum(rows)
+        DatasetArrays.spatial_matrix, kernels._banded = kernel, banded
+    return result, {
+        "spatial_rows": sum(rows),
+        "passes": len(rows),
+        "max_error_over_guard": worst[0],
+        "rechecks": rechecks[0],
+        "banded_ms": 1000 * banded_s[0],
+    }
+
+
+def passes_within_guard(label, passes) -> bool:
+    """Print one flush's :func:`selection_passes` figures; ``False`` (and
+    a failure line) when a float32 ``alpha * SS`` cell is off its scalar
+    value by more than ``MAX_GUARD_RATIO`` of its ``select_guard``."""
+    print(
+        f"{label}: max |alpha*SS32 - alpha*SS| / select_guard "
+        f"{passes['max_error_over_guard']:.4f} over {passes['passes']} pass(es); "
+        f"{passes['rechecks']} in-band scalar re-checks, _banded "
+        f"{passes['banded_ms']:.3f} ms per flush",
+        flush=True,
+    )
+    if passes["max_error_over_guard"] > MAX_GUARD_RATIO:
+        print(
+            f"GUARD FAILURE: a single-precision alpha * SS cell is off its scalar "
+            f"value by {passes['max_error_over_guard']:.3f} guards (bound {MAX_GUARD_RATIO})"
+        )
+        return False
+    return True
 
 
 def refine_cells(traversal, dataset, k):
@@ -843,11 +916,15 @@ def main(argv=None) -> int:
             print(f"EQUIVALENCE FAILURE: engine select-flush {mix} answers differ "
                   "from oracle.select_candidate's")
             return 1
+        _, flush_mix[mix]["passes"] = selection_passes(lambda: time_select(
+            mix_queries, engine.dataset, mix_pairs, "engine", 1, stacked=True,
+        ))
+        if not passes_within_guard(f"select-flush engine {mix}", flush_mix[mix]["passes"]):
+            return 1
     flush_ms_per_query = flush_mix["shared"]["ms_per_query"]
-    _, computed = spatial_rows(lambda: time_select(
-        flush, engine.dataset, pairs_of["shared"], "engine", 1, stacked=True,
-    ))
-    rows_per_location = computed / sum(len(q.locations) for q in flush)
+    rows_per_location = flush_mix["shared"]["passes"]["spatial_rows"] / sum(
+        len(q.locations) for q in flush
+    )
     print(f"select-flush engine shared: {rows_per_location:.3f} spatial rows per location",
           flush=True)
     if rows_per_location > 1:
@@ -875,6 +952,12 @@ def main(argv=None) -> int:
     if exact_answers["engine"] != exact_answers["oracle"]:
         print("EQUIVALENCE FAILURE: engine select-flush exact answers differ "
               "from oracle.select_candidate(method='exact')'s")
+        return 1
+    _, exact_passes = selection_passes(lambda: time_select(
+        flush, engine.dataset, pairs_of["shared"], "engine", 1, stacked=True,
+        method="exact",
+    ))
+    if not passes_within_guard("select-flush exact engine", exact_passes):
         return 1
     print("equivalence check: engine select-flush exact identical to the oracle's")
 
@@ -968,6 +1051,7 @@ def main(argv=None) -> int:
             "select_flush_exact_ms_per_query": {
                 side: 1000 * took / len(flush) for side, took in flush_exact.items()
             },
+            "select_flush_exact_passes": exact_passes,
             "cold_query": cold,
             "mixed_k": {
                 "ks": mixed_ks,

@@ -13,49 +13,47 @@ this module evaluates as array arithmetic instead of Python loops.
 Exactness contract
 ------------------
 The engine must return *identical results* to the oracle (the
-equivalence tests enforce it).  Three kinds of kernel keep that promise
-in three ways.
+equivalence tests enforce it).  Two kinds of kernel keep that promise
+in two ways.
 
-**Guard-banded kernels** (the matrix and mat-vec kernels: BLAS
-products, numpy reductions).  Floating-point sums evaluated in a
-different association order can differ in the last ulp, so every such
-kernel that feeds a *decision* (``score >= threshold``) uses a **guard
-band**: comparisons decided by a margin wider than ``GUARD_EPS`` are
-trusted, while pairs inside the band are re-checked with an exact code
-path.  Accumulated rounding error across the handful of
-``[0, 1]``-bounded terms a score sums is orders of magnitude below
-``GUARD_EPS``, so the band only ever catches genuine ties — which the
-exact re-check resolves exactly as the oracle does.  Their
-values are never returned.  Algorithm 3's selection kernel
-(:class:`SelectionContext`) is of this kind throughout, and its
-decisions are matrices — one row per candidate location — so the band
-is two-dimensional (:func:`_banded`): each decision compares ``alpha *
-SS(l, u)`` with ``θ = RSk(u) - (1 - alpha) * TS`` moved to the right
-(the same ``STS`` units, so the band covers the same ``STS`` interval
-at every ``alpha``, 0 and 1 included), and an entry reaches the scalar
-re-check (``dataset.sts_parts`` for a ``LUW`` pair or a recount,
-``BoundCalculator.location_upper_user`` for a shortlist row) only if it
-lies strictly inside ``(θ - GUARD_EPS, θ + GUARD_EPS)`` *and* its user
-belongs to that row's location; every other entry of the matrix is
-trusted or masked.
-
-**Single-precision guard-banded kernels** (Algorithm 2's
+**Single-precision guard-banded kernels** (the matrix kernels that
+feed a *decision* ``score >= threshold``: Algorithm 2's
 :meth:`DatasetArrays.candidate_score_matrix` and
-:meth:`DatasetArrays.set_bound_matrix`).  Their decisions — which user
-an ``RO`` block is still scored for, how far ``RO`` is read, which
-cells are re-scored — never need more than a few significant digits,
-so they run on float32 copies of the folded operands (``obj_xy32``,
-``obj_weights32``, ``user_xy32``, ``user_text32``, ``set_text32``:
-each the float64 fold rounded once), half the bytes per pass and twice
-the values per vector op.  Their band is not ``GUARD_EPS`` but
-``DatasetArrays.refine_guard``, derived (:func:`refine_guard`) from
-float32's unit roundoff and the term-column count ``T``: four times the
-worst-case error of one score, ``(T + 16) * 2**-24`` at unit coordinate
-span — ``8.6e-6`` at the benchmark's default cell.  Their values are
-never returned: every cell a decision keeps is re-scored by the bitwise
-:meth:`DatasetArrays.sts_pairs`, and only those floats leave Algorithm 2.
-Algorithm 3 stays in float64 under ``GUARD_EPS``: its band re-check is
-a scalar call per entry, so a wider band would cost there.
+:meth:`DatasetArrays.set_bound_matrix`, Algorithm 3's
+:meth:`DatasetArrays.spatial_matrix`).  Their decisions never need
+more than a few significant digits, so they run on float32 copies of
+the folded operands (``obj_xy32``, ``obj_weights32``, ``user_xy32``,
+``user_text32``, ``set_text32``: each the float64 fold rounded once),
+half the bytes per pass and twice the values per vector op.  A
+comparison decided by a margin wider than a **guard band** is trusted;
+an entry inside the band is re-checked by an exact code path, which
+decides it exactly as the oracle does.  Each band is derived from
+float32's unit roundoff ``u = 2**-24`` as four times the worst-case
+error of one score: Algorithm 2's ``DatasetArrays.refine_guard``
+(:func:`refine_guard`, ``(T + 16) * u`` at unit coordinate span and
+``T`` term columns, ``8.6e-6`` at the benchmark's default cell) and
+Algorithm 3's ``select_guard`` (:func:`select_guard`, the space half:
+``(4X + 8) * u``, ``2.9e-6`` at ``X = 1``).  Their values are never
+returned: every cell an Algorithm 2 decision keeps is re-scored by the
+bitwise :meth:`DatasetArrays.sts_pairs`, and only those floats leave
+Algorithm 2.
+
+Algorithm 3's selection (:class:`SelectionContext`) is of this kind
+throughout, and its decisions are matrices — one row per candidate
+location — so the band is two-dimensional (:func:`_banded`): each
+decision compares ``alpha * SS(l, u)`` with ``θ = RSk(u) - (1 - alpha)
+* TS`` moved to the right (the same ``STS`` units, so the band covers
+the same ``STS`` interval at every ``alpha``, 0 and 1 included), ``θ``
+in float64 and its edges ``θ ± guard`` rounded outward to float32
+(:func:`_edges32`), and an entry reaches the scalar re-check
+(``dataset.sts_parts`` for a ``LUW`` pair or a recount,
+``BoundCalculator.location_upper_user`` for a shortlist row) only if it
+lies strictly inside the band *and* its user belongs to that row's
+location; every other entry of the matrix is trusted or masked.  The
+wider band costs little: a warm flush of 8 queries of the benchmark's
+shape (O4000/U400) re-checks 5 entries in all, and Algorithm 4's
+flush of them 408 (``bench_traversal.py``'s ``select-flush`` rows print
+the counts).
 
 **Bitwise kernels** (:meth:`DatasetArrays.sts_pairs`, the traversal
 kernels of :class:`TreeArrays`).  Their
@@ -117,8 +115,9 @@ row of key indices, de-duplicated by one ``lexsort`` — and the group
 bounds' text terms.  **Per context** (dropped with it): one ``RSk(u)``
 row per distinct threshold vector (one per k) and, per threshold row,
 the ``θ`` of the shortlist's and the ``LUW`` pass's decisions.  **Per
-pass of candidate locations**: ``alpha * SS`` as one ``L x U`` matrix,
-computed once, which every decision reads in place: the shortlist mask
+pass of candidate locations**: ``alpha * SS`` as one float32 ``L x U``
+matrix and its guard, computed once, which every decision reads in
+place: the shortlist mask
 (``L x U``), the ``LUW`` pass (``L x P`` over the pairs), the greedy
 max-coverage of all ``L`` locations at once (gains counted by an exact
 product with a pair-to-key one-hot) and the recounts of either
@@ -151,7 +150,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model.dataset import Dataset
 
 __all__ = [
-    "GUARD_EPS",
     "SIDES_MAX",
     "SIDE_TEXT_BYTES",
     "DatasetArrays",
@@ -165,13 +163,6 @@ __all__ = [
     "object_columns_for",
     "tree_arrays_for",
 ]
-
-#: Width of the guard band around decision thresholds.  Must exceed the
-#: worst-case association-order rounding difference between a numpy
-#: reduction and the scalar sum of the same values (scores sum tens of
-#: values bounded by 1, so the true difference is ~1e-15).
-GUARD_EPS = 1e-9
-
 
 def refine_guard(num_terms: int, span: float) -> float:
     """The guard band of Algorithm 2's decisions on single-precision
@@ -216,6 +207,31 @@ def refine_guard(num_terms: int, span: float) -> float:
     default cell (``T = 20``, ``X = 1``) the guard is ``8.6e-6``.
     """
     return 4.0 * (num_terms + 16.0 * max(1.0, span)) * 2.0 ** -24
+
+
+#: What rounding ``θ``, then ``θ ± guard``, to float32 may move a band
+#: edge by at ``|θ| < 2``, with room to spare (:func:`_edges32`).
+EDGE_SLACK = 2.0 ** -22
+
+
+def select_guard(span: float) -> float:
+    """The guard band of Algorithm 3's decisions on single-precision
+    ``alpha * SS`` rows (:meth:`DatasetArrays.spatial_matrix`): ``4 * (4X
+    + 8) * u``, with ``u = 2**-24`` and ``X = max(1, span)``, ``span``
+    the largest folded coordinate magnitude among the users *and the
+    pass's locations* (a candidate location may lie outside the data's
+    box, and a folded coordinate is off by ``u * |c|``).
+
+    The space half of :func:`refine_guard`'s analysis: a cell is off the
+    scalar ``alpha * SS(l, u)`` by at most ``E = (4X + 8) * u`` (the
+    coordinate differences, their norm and ``max(0, alpha - n)``; the
+    scalar's own float64 roundings are ~1e-16).  A decision compares one
+    cell with a float64 ``θ`` whose band edges are rounded outward to
+    float32 (:func:`_edges32`), so ``E`` alone separates a trusted
+    comparison from the scalar one; the factor 4 is the margin
+    :func:`refine_guard` keeps.  At ``X = 1`` the guard is ``2.9e-6``.
+    """
+    return 4.0 * (4.0 * max(1.0, span) + 8.0) * 2.0 ** -24
 
 
 #: Keyword sides one :class:`DatasetArrays` keeps (:meth:`DatasetArrays.side`),
@@ -432,16 +448,19 @@ class DatasetArrays:
         #: ``w(t, o.d)`` by (object row, term column) + one zero column.
         self.obj_weights = self.objects.weights_over(union)
 
-        # Algorithm 2's operands with alpha folded in (the guard-banded
-        # candidate_score_matrix and set_bound_matrix), in single
-        # precision: each is the float64 fold rounded once to float32.
-        # Coordinates are moved to the data's own corner, then scaled by
-        # alpha / dmax: norms of them are alpha * dist / dmax.
+        # The guard-banded kernels' operands with alpha folded in
+        # (Algorithm 2's candidate_score_matrix and set_bound_matrix,
+        # Algorithm 3's spatial_matrix), in single precision: each is the
+        # float64 fold rounded once to float32.  Coordinates are moved to
+        # the data's own corner, then scaled by alpha / dmax: norms of
+        # them are alpha * dist / dmax.
         alpha = dataset.alpha
         points = np.concatenate((self.objects.xy, self.user_xy))
-        corner = points.min(axis=0) if len(points) else np.zeros(2)
-        obj_xy = (self.objects.xy - corner) * (alpha / dataset.dmax)
-        user_xy = (self.user_xy - corner) * (alpha / dataset.dmax)
+        #: The fold of a point: ``(xy - corner) * scale``.
+        self.corner = points.min(axis=0) if len(points) else np.zeros(2)
+        self.scale = alpha / dataset.dmax
+        obj_xy = (self.objects.xy - self.corner) * self.scale
+        user_xy = (self.user_xy - self.corner) * self.scale
         self.obj_xy32 = obj_xy.astype(np.float32)
         self.user_xy32 = user_xy.astype(np.float32)
         #: ``obj_weights`` rounded to float32, its zero column included
@@ -467,10 +486,11 @@ class DatasetArrays:
             user_text[np.unique(self.user_set, return_index=True)[1]],
             np.ones((len(set_ids), 1)),
         )).astype(np.float32)
+        #: The largest folded coordinate (all are non-negative).
+        self.span = max(float(obj_xy.max(initial=0.0)), float(user_xy.max(initial=0.0)))
         #: The band Algorithm 2's decisions read around these operands'
         #: scores (:func:`refine_guard`).
-        span = max(float(obj_xy.max(initial=0.0)), float(user_xy.max(initial=0.0)))
-        self.refine_guard = refine_guard(self.num_terms, span)
+        self.refine_guard = refine_guard(self.num_terms, self.span)
         self._id_order = None  # argsort of user_ids, built by rows_of_ids
         #: Algorithm 3's keyword sides by (dataset epoch, side key), at
         #: most ``SIDES_MAX``; see :meth:`side`.
@@ -562,19 +582,30 @@ class DatasetArrays:
     # ------------------------------------------------------------------
     # Score kernels (vectorized over users)
     # ------------------------------------------------------------------
-    def spatial_matrix(self, locations: Sequence[Point]):
-        """``SS(l, u)`` of every user at every location, ``L x U`` —
-        guard-banded: it feeds decisions only."""
+    def spatial_matrix(self, locations: Sequence[Point]) -> Tuple["np.ndarray", float]:
+        """``alpha * SS(l, u)`` of every user at every location, ``L x
+        U``, guard-banded and in single precision, and the guard its
+        decisions read (:func:`select_guard`).
+
+        The locations are folded as the users are (the data's corner,
+        times ``alpha / dmax``) and rounded once to float32; a cell is
+        ``max(0, alpha - n)`` of the norm ``n`` of the folded
+        differences against ``user_xy32``, so it is off the scalar
+        ``alpha * SS`` by at most a quarter of the returned guard, whose
+        ``X`` covers these locations' folded coordinates too.  It feeds
+        Algorithm 3's decisions only; every step after the two
+        coordinate differences writes into their buffer."""
         ds = self.dataset
-        xy = _xy_of(locations)
+        xy = (_xy_of(locations) - self.corner) * self.scale
+        guard = select_guard(max(self.span, float(np.abs(xy).max(initial=0.0))))
+        xy = xy.astype(np.float32)
         ss = _norm_of_differences(
-            self.user_xy[:, 0] - xy[:, 0:1], self.user_xy[:, 1] - xy[:, 1:2],
+            self.user_xy32[:, 0] - xy[:, 0:1], self.user_xy32[:, 1] - xy[:, 1:2],
             ds.metric.p,
         )
-        ss /= ds.dmax
-        np.subtract(1.0, ss, out=ss)
-        # A distance is never negative: 1 - d / dmax never exceeds 1.
-        return np.maximum(ss, 0.0, out=ss)
+        # alpha * max(0, 1 - dist / dmax), from alpha * dist / dmax.
+        np.subtract(ds.alpha, ss, out=ss)
+        return np.maximum(ss, 0.0, out=ss), guard
 
     def group_spatial_bounds(self, locations: Sequence[Point], rect):
         """``SS`` of every location to the nearest and to the farthest
@@ -744,17 +775,32 @@ class PairTable(NamedTuple):
     ts: "np.ndarray"
 
 
+def _edges32(theta, guard: float):
+    """The band edges ``(θ - guard, θ + guard)`` as float32, rounded
+    outward: ``θ`` rounds once to float32 and each edge once more, and
+    for ``|θ| < 2`` the two roundings move an edge by at most ``2**-24 +
+    2**-23`` — so the guard widened by :data:`EDGE_SLACK` keeps both
+    edges outside the band.  A ``θ`` at 2 or beyond (``-2`` or below)
+    puts both edges above 1 (below 0), where no ``alpha * SS`` in ``[0,
+    alpha]`` lies: every cell then fails (passes) by the comparison
+    alone, as its exact value does."""
+    theta = theta.astype(np.float32)
+    wide = np.float32(guard + EDGE_SLACK)
+    return theta - wide, theta + wide
+
+
 def _banded(scores, runs, exact: Callable[[int, int], bool], where=None):
     """Guard-banded ``scores >= θ``, where rows ``lo:hi`` of ``scores``
     share one threshold vector ``θ``: ``runs`` lists ``(lo, hi, (low,
-    high))`` with ``low = θ - GUARD_EPS`` and ``high = θ + GUARD_EPS``.
+    high))`` with ``(low, high)`` the band's edges (:func:`_edges32`).
 
     An entry at or above ``high`` passes and one at or below ``low``
     fails, trusted; an entry strictly between is decided by ``exact(i,
     j)`` — the scalar path.  ``where`` (optional) is ``(rows, mask)``:
     entries of those rows are asked only where the matching ``mask`` row
     is true (the rest fail and never reach ``exact``); other rows are
-    asked whole.
+    asked whole.  The band's entries are found by one ``flatnonzero``:
+    a 2-D ``argwhere`` over the whole matrix costs several times more.
     """
     passed = np.empty(scores.shape, dtype=bool)
     band = np.empty(scores.shape, dtype=bool)
@@ -766,8 +812,10 @@ def _banded(scores, runs, exact: Callable[[int, int], bool], where=None):
         rows, mask = where
         passed[rows] &= mask
         band[rows] &= mask
-    if band.any():
-        for i, j in np.argwhere(band).tolist():
+    cells = np.flatnonzero(band)
+    if len(cells):
+        rows, cols = np.divmod(cells, scores.shape[1])
+        for i, j in zip(rows.tolist(), cols.tolist()):
             passed[i, j] = exact(i, j)
     return passed
 
@@ -1042,21 +1090,24 @@ class SelectionContext:
       (:meth:`admit`: ``RSk(u)`` by user row, the vector's own column),
       and per current location the row it reads (:meth:`move_to`);
     * per threshold row, the ``θ`` of ``UBL``'s decisions (per user)
-      and ``LUW``'s (per pair) as the two edges of its guard band
-      (:meth:`_bar`); a recount's, per user and keyword set, live for
-      its call only.
+      and ``LUW``'s (per pair) as the two float32 edges of its guard
+      band, per guard (:meth:`_bar`); a recount's, per user and keyword
+      set, live for its call only.
 
-    **Once per pass of locations** (:meth:`pin`): ``alpha * SS`` as an
-    ``L x U`` matrix, one row per location, which every decision then
+    **Once per pass of locations** (:meth:`pin`): ``alpha * SS`` as a
+    float32 ``L x U`` matrix, one row per location, and the
+    :func:`select_guard` that covers it
+    (:meth:`DatasetArrays.spatial_matrix`), which every decision then
     reads in place — :meth:`shortlist` (``L x U``), the greedy
     selector's :meth:`luw` (``L x P`` over the pairs) and :meth:`cover`
     (greedy max-coverage for all ``L`` at once), and :meth:`recount`
     (one row per ``(location, keyword set)``), which scores the greedy
     prefixes and Algorithm 4's combinations alike.  Every decision goes
-    through :func:`_banded`; an entry inside the band — and only such an
-    entry, of a user that belongs to the location — is decided by the
-    scalar ``dataset.sts_parts`` / ``BoundCalculator.location_upper_user``
-    call the oracle makes.
+    through :func:`_banded`, float32 cells against float32 band edges;
+    an entry inside the band — and only such an entry, of a user that
+    belongs to the location — is decided by the scalar
+    ``dataset.sts_parts`` / ``BoundCalculator.location_upper_user`` call
+    the oracle makes, in float64.
     """
 
     def __init__(
@@ -1081,15 +1132,18 @@ class SelectionContext:
         self._row = -1
         self._loc_rows = None
         self._bars: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        #: The pinned locations (held, so their ids stay theirs) and the
-        #: row of each, by ``id``.
+        #: The pinned locations (held, so their ids stay theirs), the
+        #: row of each, by ``id``, and their matrix and guard.
         self._pinned_locations: Sequence[Point] = ()
         self._pinned: Dict[int, int] = {}
         self._pinned_ss = None
+        self._pinned_guard = 0.0
         #: ``alpha * SS`` rows the current locations read: ``_ss`` itself
-        #: (``_ss_rows`` None) or its rows ``_ss_rows``.
+        #: (``_ss_rows`` None) or its rows ``_ss_rows``; ``guard`` is the
+        #: band their decisions read (:func:`select_guard`).
         self._ss = None
         self._ss_rows = None
+        self.guard = 0.0
 
     # -- once per context ----------------------------------------------
     def admit(self, rows, rsk: Thresholds) -> int:
@@ -1118,13 +1172,14 @@ class SelectionContext:
         return entry[0]
 
     def _bar(self, kind, row: int):
-        """The guard band's edges ``(θ - GUARD_EPS, θ + GUARD_EPS)`` of
-        one decision against threshold row ``row``, ``θ = RSk(u) - (1 -
-        alpha) * TS`` with the text half of ``kind``: ``"ubl"`` (per user,
-        :meth:`KeywordSide.upper_text`) or ``"pairs"`` (per pair, its
-        ``HW_{w,u}``).  A recount's per-set edges live for its call
-        (:meth:`recount`)."""
-        cache_key = (kind, row)
+        """The guard band's float32 edges ``(θ - guard, θ + guard)``,
+        rounded outward (:func:`_edges32`), of one decision against
+        threshold row ``row`` under the current locations' ``guard``:
+        ``θ = RSk(u) - (1 - alpha) * TS`` with the text half of ``kind``,
+        ``"ubl"`` (per user, :meth:`KeywordSide.upper_text`) or
+        ``"pairs"`` (per pair, its ``HW_{w,u}``).  Kept per guard; a
+        recount's per-set edges live for its call (:meth:`recount`)."""
+        cache_key = (kind, row, self.guard)
         edges = self._bars.get(cache_key)
         if edges is None:
             rest = 1.0 - self.arrays.dataset.alpha
@@ -1134,24 +1189,22 @@ class SelectionContext:
             else:
                 t = self.side.pairs()
                 theta = rsk[t.row] - rest * t.ts
-            edges = self._bars[cache_key] = (theta - GUARD_EPS, theta + GUARD_EPS)
+            edges = self._bars[cache_key] = _edges32(theta, self.guard)
         return edges
 
     # -- once per pass of locations ------------------------------------
     def pin(self, locations: Sequence[Point]) -> None:
-        """Compute ``alpha * SS(l, u)`` of ``locations`` now and keep it:
-        until the next pin, :meth:`move_to` reads their rows in place
-        instead of recomputing them (every row is its location's alone)
-        when it is handed these very ``Point`` objects.  ``pin(())``
-        releases the matrix."""
+        """Compute ``alpha * SS(l, u)`` of ``locations`` now and keep it,
+        with its guard (:meth:`DatasetArrays.spatial_matrix`): until the
+        next pin, :meth:`move_to` reads their rows in place instead of
+        recomputing them (every row is its location's alone) when it is
+        handed these very ``Point`` objects.  ``pin(())`` releases the
+        matrix."""
         self._pinned_locations = locations
         self._pinned = {id(loc): i for i, loc in enumerate(locations)}
-        self._pinned_ss = self._spatial_of(locations) if locations else None
-
-    def _spatial_of(self, locations: Sequence[Point]):
-        ss = self.arrays.spatial_matrix(locations)
-        ss *= self.arrays.dataset.alpha
-        return ss
+        self._pinned_ss, self._pinned_guard = (
+            self.arrays.spatial_matrix(locations) if locations else (None, 0.0)
+        )
 
     def move_to(self, locations: Sequence[Point], at=None) -> None:
         """Make ``locations`` the subject of the decisions that follow:
@@ -1175,11 +1228,12 @@ class SelectionContext:
         self.rsk = self._rows[at] if per_location is None and at >= 0 else None
         where = [self._pinned.get(id(loc), -1) for loc in locations]
         if self._pinned and -1 not in where:
-            self._ss = self._pinned_ss
+            self._ss, self.guard = self._pinned_ss, self._pinned_guard
             whole = where == list(range(len(self._pinned_ss)))
             self._ss_rows = None if whole else np.array(where)
         else:
-            self._ss, self._ss_rows = self._spatial_of(locations), None
+            self._ss, self.guard = self.arrays.spatial_matrix(locations)
+            self._ss_rows = None
 
     def spatial(self, index=None):
         """``alpha * SS(l, u)`` of every user at the current locations
@@ -1308,7 +1362,7 @@ class SelectionContext:
         # recount of Algorithm 4's combinations meets thousands of sets.
         texts = self.side.text(keyword_sets)  # every new set in one stacked pass
         theta = np.stack(self._rows)[rows] - (1.0 - self.arrays.dataset.alpha) * texts[sets]
-        low, high = theta - GUARD_EPS, theta + GUARD_EPS
+        low, high = _edges32(theta, self.guard)
         runs = [(a, b, (low[i], high[i])) for i, (a, b) in enumerate(spans)]
         return _banded(ss, runs, exact, _partial_rows(member, index))
 

@@ -22,7 +22,7 @@ from repro.core.bounds import BoundCalculator, augmented_document
 from repro.core.candidate_selection import shortlist_locations
 from repro.core.joint_topk import individual_topk, joint_traversal
 from repro.core import kernels
-from repro.core.kernels import GUARD_EPS, KeywordSide, SelectionContext, arrays_for
+from repro.core.kernels import KeywordSide, SelectionContext, arrays_for
 from repro.core.keyword_selection import compute_brstknn, select_keywords_greedy
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject, SuperUser
@@ -30,11 +30,6 @@ from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
 from ..conftest import make_random_objects, make_random_users
-
-#: Element-wise kernels may differ from the scalar reference only far
-#: below the guard band that protects decisions.
-TOL = GUARD_EPS * 1e-3
-
 
 def build(seed, measure="LM", alpha=0.5, vocab=20, n_obj=50, n_users=14, metric=EUCLIDEAN):
     rng = random.Random(seed)
@@ -55,12 +50,12 @@ def test_sts_kernel_matches_scalar(measure, alpha, seed):
         doc = {t: rng.randint(1, 3) for t in rng.sample(range(20), rng.randint(0, 5))}
         ctx = SelectionContext(arrays, STObject(item_id=-1, location=loc, terms=doc))
         ctx.move_to([loc])
-        # What a recount compares: alpha * SS against RSk(u) less the
-        # (1 - alpha) * TS half.
+        # What a recount compares: alpha * SS (float32, off by at most a
+        # quarter guard) against RSk(u) less the (1 - alpha) * TS half.
         scores = ctx.spatial()[0] + (1.0 - alpha) * ctx.side.text([frozenset()])[0]
         for i, u in enumerate(ds.users):
             assert math.isclose(
-                scores[i], ds.sts_parts(loc, doc, u), rel_tol=0.0, abs_tol=TOL
+                scores[i], ds.sts_parts(loc, doc, u), rel_tol=0.0, abs_tol=ctx.guard / 4
             )
 
 
@@ -69,10 +64,11 @@ def test_spatial_kernel_matches_all_metrics(metric):
     ds, rng = build(3, metric=metric)
     arrays = arrays_for(ds)
     loc = Point(rng.uniform(0, 10), rng.uniform(0, 10))
-    ss = arrays.spatial_matrix([loc])[0]
+    (ss,), guard = arrays.spatial_matrix([loc])
     for i, u in enumerate(ds.users):
         assert math.isclose(
-            ss[i], ds.spatial_score(loc, u.location), rel_tol=0.0, abs_tol=TOL
+            ss[i], ds.alpha * ds.spatial_score(loc, u.location),
+            rel_tol=0.0, abs_tol=guard / 4,
         )
 
 
@@ -103,13 +99,13 @@ def test_location_bounds_match_scalar(measure, vocab, ws):
                 ub[i],
                 bounds.location_upper_user(loc, ox, candidates, ws, u),
                 rel_tol=0.0,
-                abs_tol=TOL,
+                abs_tol=ctx.guard / 4,
             )
             assert math.isclose(
                 lb[i],
                 bounds.location_lower_user(loc, ox, u),
                 rel_tol=0.0,
-                abs_tol=TOL,
+                abs_tol=ctx.guard / 4,
             )
 
 
@@ -257,10 +253,11 @@ def test_user_subset_rows():
     arrays = arrays_for(ds)
     subset = rng.sample(ds.users, 5)
     loc = Point(2, 2)
-    ss = arrays.spatial_matrix([loc])[0][arrays.rows_for(subset)]
-    for i, u in enumerate(subset):
+    (ss,), guard = arrays.spatial_matrix([loc])
+    for i, u in zip(arrays.rows_for(subset), subset):
         assert math.isclose(
-            ss[i], ds.spatial_score(loc, u.location), rel_tol=0.0, abs_tol=TOL
+            ss[i], ds.alpha * ds.spatial_score(loc, u.location),
+            rel_tol=0.0, abs_tol=guard / 4,
         )
 
 

@@ -975,11 +975,11 @@ class TestStopMutantsAreCaught:
 
     def test_single_precision_under_the_double_precision_guard(self, monkeypatch):
         """The float32 operands read against the old float64 band
-        (``GUARD_EPS = 1e-9``): a score float32 rounded up by more than
-        that cuts the reach before the tie winner."""
+        (``1e-9``): a score float32 rounded up by more than that cuts the
+        reach before the tie winner."""
         from repro.core import kernels
 
-        monkeypatch.setattr(kernels, "refine_guard", lambda num_terms, span: kernels.GUARD_EPS)
+        monkeypatch.setattr(kernels, "refine_guard", lambda num_terms, span: 1e-9)
         assert stop_mismatches(rounded_up_pools(), 1)
 
     def test_user_retired_one_block_early(self, monkeypatch):

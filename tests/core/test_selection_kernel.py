@@ -43,6 +43,7 @@ from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
 from ..conftest import make_random_objects, make_random_users
+from .test_refine_kernel import build_wide_dataset
 
 MEASURES = ["LM", "TF", "KO"]
 #: The weights of the spatial half drawn: both ends (text only, space
@@ -433,21 +434,32 @@ def test_row_counts_are_exact(users):
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_band_holds_every_entry_within_guard_eps_of_the_threshold(alpha):
-    """``_banded`` in ``STS`` units at every alpha: entries of ``alpha *
-    SS`` strictly within ``GUARD_EPS`` of ``θ`` reach the scalar
-    decision, the rest are decided by the comparison alone; a
+def test_band_holds_every_entry_within_the_guard_of_the_threshold(alpha):
+    """``_banded`` in ``STS`` units at every alpha, on float32 ``alpha *
+    SS`` against ``select_guard``'s band: its float32 edges lie outside
+    ``θ ± guard`` wherever a score in ``[0, 1]`` can be near ``θ``, and
+    beyond 1 (below 0) elsewhere; entries strictly within the band reach
+    the scalar decision, the rest are decided by the comparison alone; a
     ``where`` row asks only its members."""
-    eps = kernels.GUARD_EPS
+    guard = kernels.select_guard(1.0)
+    near = np.random.default_rng(0).uniform(-2, 2, 100_000)
+    low, high = kernels._edges32(near, guard)
+    assert low.dtype == high.dtype == np.float32
+    assert (low <= near - guard).all() and (high >= near + guard).all()
+    assert (high - low <= 2 * guard + 4 * kernels.EDGE_SLACK).all()
+    far = np.array([2.0, 2.5, 1e30, np.inf])
+    assert (kernels._edges32(far, guard)[0] > 1).all()
+    assert (kernels._edges32(-far, guard)[1] < 0).all()
+
     theta = np.array([0.25, 0.5, 0.75])
-    offsets = np.array([-2 * eps, -0.5 * eps, 0.0, 0.5 * eps, 2 * eps])
-    scores = alpha * 0.5 + offsets[:, None] + (theta - alpha * 0.5)  # 5 x 3
+    offsets = np.array([-2 * guard, -0.5 * guard, 0.0, 0.5 * guard, 2 * guard])
+    scores = (alpha * 0.5 + offsets[:, None] + (theta - alpha * 0.5)).astype(np.float32)
+    edges = kernels._edges32(theta, guard)
     asked = []
     passed = kernels._banded(
-        scores, [(0, 5, (theta - eps, theta + eps))],
-        lambda i, j: asked.append((i, j)) or j == 0,
+        scores, [(0, 5, edges)], lambda i, j: asked.append((i, j)) or j == 0,
     )
-    inside = np.abs(scores - theta) < eps
+    inside = np.abs(scores - theta) < guard
     assert sorted(asked) == sorted(map(tuple, np.argwhere(inside).tolist()))
     outside = ~inside
     assert (passed[outside] == (scores >= theta)[outside]).all()
@@ -456,11 +468,56 @@ def test_band_holds_every_entry_within_guard_eps_of_the_threshold(alpha):
     asked.clear()
     where = (np.array([2]), np.array([[False, True, False]]))
     masked = kernels._banded(
-        scores, [(0, 5, (theta - eps, theta + eps))], lambda i, j: asked.append((i, j)) or True,
-        where,
+        scores, [(0, 5, edges)], lambda i, j: asked.append((i, j)) or True, where,
     )
     assert (2, 0) not in asked and (2, 2) not in asked and (2, 1) in asked
     assert not masked[2, 0] and not masked[2, 2]
+
+
+class TestSelectionGuardIsSound:
+    @given(
+        seed=st.integers(0, 10_000),
+        measure=st.sampled_from(MEASURES),
+        alpha=st.sampled_from(ALPHAS),
+        p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+        clustered=st.booleans(),
+        duplicates=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_spatial_rows_within_a_quarter_guard(
+        self, seed, measure, alpha, p, clustered, duplicates, data
+    ):
+        """``select_guard / 4`` is the per-cell error bound the guard is
+        derived from: every float32 ``alpha * SS`` cell of a pass stays
+        within it of the scalar ``alpha * spatial_score`` — at locations
+        inside the data's box, on its very points, and up to three box
+        widths outside it (where the folded coordinates, and ``X``, grow
+        past 1)."""
+        ds = build_wide_dataset(seed, measure, p, alpha, clustered, duplicates)
+        arrays = arrays_for(ds)
+        points = [o.location for o in ds.objects] + [u.location for u in ds.users]
+        xs, ys = [pt.x for pt in points], [pt.y for pt in points]
+        width = max(max(xs) - min(xs), max(ys) - min(ys))
+        spots = data.draw(st.lists(
+            st.one_of(
+                st.tuples(st.floats(-3, 4), st.floats(-3, 4)),
+                st.integers(0, len(points) - 1),
+            ),
+            min_size=1, max_size=8,
+        ))
+        locations = [
+            points[spot] if isinstance(spot, int)
+            else Point(min(xs) + spot[0] * width, min(ys) + spot[1] * width)
+            for spot in spots
+        ]
+        ss, guard = arrays.spatial_matrix(locations)
+        assert ss.dtype == np.float32 and ss.shape == (len(locations), len(ds.users))
+        exact = np.array([
+            [ds.alpha * ds.spatial_score(loc, u.location) for u in ds.users]
+            for loc in locations
+        ])
+        assert np.abs(ss - exact).max() <= guard / 4
 
 
 # ----------------------------------------------------------------------
@@ -744,6 +801,15 @@ class TestMutantsAreCaught:
             return ds.sts_parts(self.locations[l], doc, ds.users[row]) > self.rsk[row]
 
         monkeypatch.setattr(SelectionContext, "_wins", wins)
+        assert mismatches()
+
+    def test_single_precision_under_the_double_precision_band(self, monkeypatch):
+        """The float32 ``alpha * SS`` rows read against the old float64
+        band (``θ ± 1e-9``, no edge slack): a planted tie that float32
+        rounds off by more than that is decided by the comparison alone,
+        the wrong way."""
+        monkeypatch.setattr(kernels, "select_guard", lambda span: 1e-9)
+        monkeypatch.setattr(kernels, "EDGE_SLACK", 0.0)
         assert mismatches()
 
 

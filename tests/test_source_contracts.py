@@ -174,8 +174,9 @@ REASSOCIATING = frozenset({
 #: KI303: single-precision dtypes, by name, attribute or dtype string.
 SINGLE_PRECISION = frozenset({"float32", "float16", "single", "half", "f4", "f2"})
 
-#: KI303: the float32 operands ``DatasetArrays`` keeps for Algorithm 2's
-#: guard-banded refine (``candidate_score_matrix``, ``set_bound_matrix``).
+#: KI303: the float32 operands ``DatasetArrays`` keeps for its guard-banded
+#: kernels (Algorithm 2's ``candidate_score_matrix`` and
+#: ``set_bound_matrix``, Algorithm 3's ``spatial_matrix``).
 FLOAT32_OPERANDS = frozenset({
     "obj_xy32", "obj_weights32", "user_xy32", "user_text32", "set_text32",
 })
