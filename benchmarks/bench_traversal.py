@@ -83,8 +83,14 @@ sections:
    benchmark's shape (|L| = 20, ws = 2, k cycling 5/10/20), each query
    cold (its own walk, refine and selection, as ``paper-cold`` runs
    them): best-of-N ms per query, its traverse / refine / select split
-   (the engine's ``last_flush_report``), minor page faults per query
-   (``ru_minflt``) and answers ``==`` ``oracle.query``'s.  It runs
+   (the engine's ``last_flush_report``), the time outside the three
+   algorithms (wall time minus the time inside ``joint_traversal``,
+   ``individual_topk`` and ``select_candidate``:
+   :func:`inside_algorithms`), minor page faults per query
+   (``ru_minflt``), object id look-ups per query
+   (``ObjectColumns.rows_of_ids`` calls: the run fails on any, since an
+   in-process refine reads the rows its walk handed the pool) and
+   answers ``==`` ``oracle.query``'s.  It runs
    first, on a fresh process's heap: after the other rows grow the
    heap, the faults a cold refine takes no longer show.  No speed
    gate: a tiny dataset's query is all fixed cost.  Beside it, the same
@@ -114,7 +120,9 @@ back at a per-location loop).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import importlib
 import json
 import os
@@ -147,7 +155,7 @@ from repro.core.joint_topk import (  # noqa: E402
 )
 from repro.core import kernels  # noqa: E402
 from repro.core.kernels import (  # noqa: E402
-    DatasetArrays, KeywordSide, arrays_for, tree_arrays_for,
+    DatasetArrays, KeywordSide, ObjectColumns, arrays_for, tree_arrays_for,
 )
 from repro.core.pipeline import FlushReport  # noqa: E402
 from repro.core.planner import plan_batch  # noqa: E402
@@ -349,36 +357,93 @@ def mixed_sides(flush, seed):
     return mixed
 
 
+#: Where a cold ``engine.query`` calls Algorithms 1, 2 and 3: (module,
+#: name) of each call site :func:`inside_algorithms` times.
+ALGORITHM_SITES = (
+    ("repro.core.batch", "joint_traversal"),
+    ("repro.core.partial", "individual_topk"),
+    ("repro.core.batch", "select_candidate"),
+)
+
+
+@contextlib.contextmanager
+def inside_algorithms():
+    """While the block runs: seconds spent inside ``joint_traversal``,
+    ``individual_topk`` and ``select_candidate`` (``"inside_s"``), and
+    the object id look-ups made (``ObjectColumns.rows_of_ids`` calls,
+    ``"look_ups"``)."""
+    seen = {"inside_s": 0.0, "look_ups": 0}
+
+    def timed(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seen["inside_s"] += time.perf_counter() - t0
+        return wrapper
+
+    rows_of_ids = ObjectColumns.rows_of_ids
+
+    def counted(self, object_ids):
+        seen["look_ups"] += 1
+        return rows_of_ids(self, object_ids)
+
+    saved = [
+        (module, name, getattr(module, name))
+        for module, name in (
+            (importlib.import_module(path), name) for path, name in ALGORITHM_SITES
+        )
+    ]
+    try:
+        for module, name, fn in saved:
+            setattr(module, name, timed(fn))
+        ObjectColumns.rows_of_ids = counted
+        yield seen
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+        ObjectColumns.rows_of_ids = rows_of_ids
+
+
 def time_cold_queries(engine, queries, repeats):
     """Sequential cold ``engine.query`` calls, ``repeats`` rounds of
     ``queries``: per query its fastest round's wall time and that
-    round's traverse / refine / select split, the minor page faults per
-    query over all rounds, and the last round's answers."""
+    round's traverse / refine / select split and time outside the three
+    algorithms (:func:`inside_algorithms`), the minor page faults and
+    object id look-ups per query over all rounds, and the last round's
+    answers."""
     import resource
 
     best = [None] * len(queries)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     answers = []
-    for _ in range(repeats):
-        answers = []
-        for i, query in enumerate(queries):
-            t0 = time.perf_counter()
-            result = engine.query(query, QueryOptions())
-            took = time.perf_counter() - t0
-            answers.append((result.location, result.keywords, result.brstknn))
-            if best[i] is None or took < best[i][0]:
-                stages = engine.last_flush_report.stages
-                best[i] = (took, {st.stage: st.time_s for st in stages})
+    with inside_algorithms() as seen:
+        for _ in range(repeats):
+            answers = []
+            for i, query in enumerate(queries):
+                inside = seen["inside_s"]
+                t0 = time.perf_counter()
+                result = engine.query(query, QueryOptions())
+                took = time.perf_counter() - t0
+                answers.append((result.location, result.keywords, result.brstknn))
+                if best[i] is None or took < best[i][0]:
+                    stages = engine.last_flush_report.stages
+                    split = {st.stage: st.time_s for st in stages}
+                    split["outside"] = took - (seen["inside_s"] - inside)
+                    best[i] = (took, split)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     n = len(queries)
     split = {
         phase: 1000 * sum(stages.get(phase, 0.0) for _, stages in best) / n
-        for phase in ("traverse", "refine", "select")
+        for phase in ("traverse", "refine", "select", "outside")
     }
     return {
         "ms_per_query": 1000 * sum(took for took, _ in best) / n,
         "split_ms_per_query": split,
         "minor_faults_per_query": faults / (n * repeats),
+        "object_look_ups_per_query": seen["look_ups"] / (n * repeats),
         "queries": n,
     }, answers
 
@@ -664,11 +729,19 @@ def main(argv=None) -> int:
     print(
         f"cold-query engine: {cold['ms_per_query']:8.3f} ms/query  "
         f"(traverse {split['traverse']:.3f} / refine {split['refine']:.3f} / "
-        f"select {split['select']:.3f} ms; {cold['minor_faults_per_query']:.0f} "
-        f"minor faults per query; {len(cold_queries)} sequential engine.query calls, "
+        f"select {split['select']:.3f} ms, outside the three algorithms "
+        f"{split['outside']:.3f} ms; {cold['minor_faults_per_query']:.0f} "
+        f"minor faults and {cold['object_look_ups_per_query']:g} object id "
+        f"look-ups per query; {len(cold_queries)} sequential engine.query calls, "
         f"k in {{{','.join(map(str, FLUSH_KS))}}})",
         flush=True,
     )
+    if cold["object_look_ups_per_query"]:
+        print(
+            "LOOK-UP FAILURE: an in-process cold query looked object ids up "
+            "instead of reading the rows its walk handed the pool"
+        )
+        return 1
     cold_oracle = [
         (want.location, want.keywords, want.brstknn)
         for want in (oracle.query(engine, q, QueryOptions()) for q in cold_queries)

@@ -32,10 +32,13 @@ tests check this), at a fraction of the I/O.
 
 **The hand-off between the two** is a :class:`CandidatePool`: three
 columns — object ids, ``lower``, ``upper`` — that the walk fills from
-its heaps of tree-entry indices without building one object, that
-Algorithm 2 turns into ``ObjectColumns`` rows with one look-up, and
-that are all a pool carries across a process boundary (object ids are
-what every replica of the object set shares).  The scalar reference of
+its heaps of tree-entry indices without building one object, and that
+are all a pool carries across a process boundary (object ids are what
+every replica of the object set shares).  The walk also hands the pool
+each candidate's object row, which its tree fixes per leaf entry, so
+Algorithm 2 reads ``ObjectColumns`` rows without a look-up; only a
+pool without rows (off the wire, the oracle's, or refined against
+another object set) maps its ids to rows.  The scalar reference of
 both algorithms is :mod:`repro.oracle`.
 
 **What Algorithm 2 hands Algorithm 3** is a :class:`TopKTable` — every
@@ -119,6 +122,12 @@ class CandidatePool(Sequence[CandidateObject]):
     the walk ran in: pickling ships the three columns (``STObject``-free),
     so a pool that crossed a process boundary has no views to give.
 
+    The walk also hands over each candidate's row in its tree's object
+    table (``TreeArrays.ent_object_row``), keyed by that table's id
+    column; slices and :meth:`take` carry the rows, pickling drops them.
+    :meth:`object_rows` reads them when the refine's object set is that
+    table, and looks the ids up otherwise.
+
     ``len()``, slices and :meth:`take` never build a view.
     """
 
@@ -132,15 +141,17 @@ class CandidatePool(Sequence[CandidateObject]):
         self.upper = np.fromiter((c.upper for c in views), np.float64, n)
         self._views: Optional[List[CandidateObject]] = views
         self._source = None  # (FrontierBounds, tree-entry index array)
-        self._rows = None    # (ObjectColumns, rows): the last look-up
+        self._rows = None    # (id column, each candidate's row in it)
 
     @classmethod
-    def from_columns(cls, ids, lower, upper, source=None) -> "CandidatePool":
+    def from_columns(
+        cls, ids, lower, upper, source=None, rows=None
+    ) -> "CandidatePool":
         pool = cls.__new__(cls)
         pool.ids, pool.lower, pool.upper = ids, lower, upper
         pool._views = None
         pool._source = source
-        pool._rows = None
+        pool._rows = rows
         return pool
 
     def __reduce__(self):
@@ -184,11 +195,13 @@ class CandidatePool(Sequence[CandidateObject]):
     def take(self, index) -> "CandidatePool":
         """The sub-pool at ``index`` — a slice or an index array — with
         no view built (views already built are carried over)."""
-        source = self._source
+        source, rows = self._source, self._rows
         if source is not None:
             source = (source[0], source[1][index])
+        if rows is not None:
+            rows = (rows[0], rows[1][index])
         pool = CandidatePool.from_columns(
-            self.ids[index], self.lower[index], self.upper[index], source
+            self.ids[index], self.lower[index], self.upper[index], source, rows
         )
         views = self._views
         if views is not None:
@@ -200,17 +213,26 @@ class CandidatePool(Sequence[CandidateObject]):
 
     def object_rows(self, objects):
         """Each candidate's row in ``objects`` (an
-        :class:`~repro.core.kernels.ObjectColumns`), one vectorised
-        look-up; the pool remembers its last one."""
-        if self._rows is not None and self._rows[0] is objects:
-            return self._rows[1]
+        :class:`~repro.core.kernels.ObjectColumns`).
+
+        A read when the pool holds rows in ``objects``' id column — the
+        engine's walk over a tree of this object set (the engine's
+        dataset and its ``with_alpha`` / ``with_users`` clones share
+        the table): no id is looked up.  Otherwise — a pool off the
+        wire, the oracle's, or one refined against another object set —
+        one vectorised id look-up (``ObjectColumns.rows_of_ids``), kept
+        in place of the rows it had; an id ``objects`` lacks raises
+        :class:`CandidatePoolError`."""
+        held = self._rows
+        if held is not None and held[0] is objects.ids:
+            return held[1]
         try:
             rows = objects.rows_of_ids(self.ids)
         except KeyError as exc:
             raise CandidatePoolError(
                 "candidate pool names an object id this dataset does not hold"
             ) from exc
-        self._rows = (objects, rows)
+        self._rows = (objects.ids, rows)
         return rows
 
 
@@ -272,7 +294,14 @@ class JointTraversalResult:
         ``upper`` column never rises (Example 4's stop bisects it) and
         ``dataset`` holds every object they name — what must hold before
         anything slices or gathers by them (a pool off the wire is
-        outside input)."""
+        outside input).
+
+        The column, ``n_lo`` and bound checks run on every pool.  The
+        last one is :meth:`CandidatePool.object_rows`: a read for the
+        engine's own walk over this object set, whose rows come from
+        its tree, and an id look-up only for a pool without them — one
+        that crossed a process boundary, the oracle's, or one walked
+        over another object set."""
         pool = self.pool
         if not 0 <= self.n_lo <= len(pool):
             raise CandidatePoolError(
@@ -337,7 +366,8 @@ def joint_traversal(
 
     ``LO`` and ``RO`` hold tree-entry indices where the scalar walk
     holds :class:`CandidateObject` values; the result's id / bound columns
-    are three gathers by those indices at the end.
+    and its object rows (``TreeArrays.ent_object_row``, rows of the
+    tree's object table) are four gathers by those indices at the end.
     """
     if k <= 0:
         return JointTraversalResult(lo=[], ro=[], rsk_group=0.0)
@@ -449,7 +479,7 @@ def joint_traversal(
     entries = np.concatenate((np.array(lo, dtype=np.intp), ro))
     pool = CandidatePool.from_columns(
         ta.ent_object_id[entries], fb.lb[entries], fb.ub[entries],
-        source=(fb, entries),
+        source=(fb, entries), rows=(tree.table.ids, ta.ent_object_row[entries]),
     )
     return JointTraversalResult.of_pool(
         pool, len(lo), rsk if rsk != float("-inf") else 0.0

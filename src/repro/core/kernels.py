@@ -313,18 +313,6 @@ def _xy_of(locations: Sequence[Point]) -> "np.ndarray":
     return xy.reshape(len(locations), 2)
 
 
-def _rows_of_ids(ids, order, wanted, what: str):
-    """Row of each ``wanted`` id in the id column ``ids`` (``order`` its
-    stable argsort), one vectorised look-up; ``KeyError`` if any is
-    absent — never a clamped or wrapped neighbour's row."""
-    wanted = np.asarray(wanted, dtype=np.int64)
-    found = np.searchsorted(ids, wanted, sorter=order)
-    rows = order[np.minimum(found, len(ids) - 1)]
-    if not np.array_equal(ids[rows], wanted):
-        raise KeyError(f"{what} id not in this dataset")
-    return rows
-
-
 class ObjectColumns:
     """Array mirror of a dataset's *objects*: built once per object set.
 
@@ -349,8 +337,10 @@ class ObjectColumns:
         table = dataset.table
         self.num_objects = len(table)
         self.ids = table.ids
-        #: ``ids`` ascending, for :meth:`rows_of_ids`.
+        #: ``ids``' stable argsort and ``ids`` in that order, for
+        #: :meth:`rows_of_ids`.
         self._id_order = np.argsort(self.ids, kind="stable")
+        self._ids_ascending = self.ids[self._id_order]
         self.xy = table.xy
         #: Object row of every CSR entry; row ``r`` owns
         #: ``indptr[r]:indptr[r + 1]``.
@@ -369,8 +359,25 @@ class ObjectColumns:
 
     def rows_of_ids(self, object_ids) -> "np.ndarray":
         """Row-index array of the objects with these ids, one vectorised
-        look-up; ``KeyError`` if this object set lacks any of them."""
-        return _rows_of_ids(self.ids, self._id_order, object_ids, "object")
+        look-up; ``KeyError`` if this object set lacks any of them —
+        never a clamped or wrapped neighbour's row.
+
+        The wanted ids are sorted first, so one ``searchsorted`` walks
+        two ascending arrays in step, and the rows are scattered back to
+        the wanted order: ~10x faster than searching unsorted ids through
+        ``sorter=`` for a 405k-id pool over 1M objects, ~3x for a 2.5k-id
+        pool over 4k.  Equal ids get equal rows, so the sort need not be
+        stable."""
+        wanted = np.asarray(object_ids, dtype=np.int64)
+        by = np.argsort(wanted)
+        sought = wanted[by]
+        ascending = self._ids_ascending
+        found = np.minimum(np.searchsorted(ascending, sought), len(ascending) - 1)
+        if not np.array_equal(ascending[found], sought):
+            raise KeyError("object id not in this dataset")
+        rows = np.empty(len(wanted), dtype=np.intp)
+        rows[by] = self._id_order[found]
+        return rows
 
     def weights_over(self, terms: Sequence[int]) -> "np.ndarray":
         """Dense ``(objects, len(terms) + 1)`` weights over ascending
@@ -491,7 +498,6 @@ class DatasetArrays:
         #: The band Algorithm 2's decisions read around these operands'
         #: scores (:func:`refine_guard`).
         self.refine_guard = refine_guard(self.num_terms, self.span)
-        self._id_order = None  # argsort of user_ids, built by rows_of_ids
         #: Algorithm 3's keyword sides by (dataset epoch, side key), at
         #: most ``SIDES_MAX``; see :meth:`side`.
         self._sides: "OrderedDict[tuple, KeywordSide]" = OrderedDict()
@@ -515,12 +521,6 @@ class DatasetArrays:
         if users is None:
             return np.arange(self.num_users)
         return np.array([self.user_row[u.item_id] for u in users], dtype=np.intp)
-
-    def rows_of_ids(self, user_ids) -> "np.ndarray":
-        """:meth:`rows_for` from an id array, one vectorised look-up."""
-        if self._id_order is None:
-            self._id_order = np.argsort(self.user_ids, kind="stable")
-        return _rows_of_ids(self.user_ids, self._id_order, user_ids, "user")
 
     def side(
         self, ox: STObject, candidate_terms: Iterable[int] = (), ws: int = 0
@@ -1475,6 +1475,8 @@ class TreeArrays:
             child[here] = shape.pre[level - 1][member[here]]
         object_id = np.full(len(slots), -1, dtype=np.int64)
         object_id[is_object] = table.ids[rows]
+        object_row = np.full(len(slots), -1, dtype=np.intp)
+        object_row[is_object] = rows
 
         self.root_index = 0
         node_end = np.cumsum(sizes)
@@ -1491,6 +1493,12 @@ class TreeArrays:
         #: What a candidate pool names its objects by: every replica of
         #: the object set shares the ids, not this tree's entry numbering.
         self.ent_object_id = object_id
+        #: Each leaf entry's row in ``tree.table`` (-1 for a child
+        #: pointer): what a walk hands its pool beside the ids, read as
+        #: the pool's object rows wherever the refine's object set is
+        #: this table (:meth:`CandidatePool.object_rows
+        #: <repro.core.joint_topk.CandidatePool.object_rows>`).
+        self.ent_object_row = object_row
         self.ent_indptr_np = np.concatenate(
             ([0], np.cumsum(np.diff(src_ptr)[src_row]))
         ).astype(np.intp)

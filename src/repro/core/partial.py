@@ -41,7 +41,6 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..model.dataset import Dataset
-from ..model.objects import User
 from .candidate_selection import search_shortlists, shortlist_locations
 from .joint_topk import JointTraversalResult, individual_topk
 from .thresholds import Thresholds
@@ -128,10 +127,15 @@ def compute_partials(
     depend on which rows it was refined with.
 
     Pool and range may have crossed a process boundary: both are
-    checked first, so a pool that does not fit this replica — columns
-    of unequal length, ``n_lo`` outside them, an object id ``dataset``
-    does not hold — raises
-    :class:`~repro.core.joint_topk.CandidatePoolError`, and a range
+    checked first (:meth:`~repro.core.joint_topk.JointTraversalResult.
+    check`), so a pool that does not fit this replica — columns of
+    unequal length, ``n_lo`` outside them, a non-finite bound, a rising
+    ``RO`` upper column, an object id ``dataset`` does not hold — raises
+    :class:`~repro.core.joint_topk.CandidatePoolError`.  The id check
+    reads the object rows the engine's walk over ``dataset``'s object
+    set handed the pool, so an in-process refine looks no id up; only
+    a pool without them (decoded off a payload or frame, the oracle's,
+    one walked over another object set) has its ids looked up.  A range
     outside ``0 <= lo <= hi <= len(dataset.users)`` raises
     :class:`UserRangeError` (an ``ERROR`` frame from a shard host, the
     degrade ladder of a worker pool) instead of gathering by a bad
@@ -172,14 +176,15 @@ def compute_partials(
 # ----------------------------------------------------------------------
 
 def merge_partials(
-    partials: Sequence[PartialResult], users: Sequence[User]
+    partials: Sequence[PartialResult], user_ids: np.ndarray
 ) -> MergedThresholds:
     """Concatenate the per-lane ``RSk(u)`` vectors into the sequential
-    vector over ``users`` (the coordinator's ``dataset.users``), by row.
+    vector over ``user_ids`` (the id column of the coordinator's
+    ``dataset.users``, ``DatasetArrays.user_ids``), by row.
 
     Lane contributions are a disjoint cover by construction (each row
     falls in exactly one range); a user reported twice, or one of
-    ``users`` reported by no lane, means the dealing or a remote
+    ``user_ids`` reported by no lane, means the dealing or a remote
     replica is broken, so it raises instead of silently preferring one
     lane's value or serving a short vector.  Both checks are array
     operations on the id columns.  Per-lane times are summed — the
@@ -196,7 +201,7 @@ def merge_partials(
     ids = np.concatenate([c.ids for c in columns])
     values = np.concatenate([c.values for c in columns])
     time_s = sum(p.time_s for p in lanes)
-    want = np.fromiter((u.item_id for u in users), np.int64, len(users))
+    want = np.asarray(user_ids, dtype=np.int64)
     if not np.array_equal(ids, want):
         unique, seen = np.unique(ids, return_counts=True)
         if (seen > 1).any():
@@ -208,7 +213,7 @@ def merge_partials(
         if len(missing) or len(ids) != len(want):
             raise ValueError(
                 f"refine lanes cover {len(ids)} users, the dataset holds "
-                f"{len(users)} (first missing: {missing[:5].tolist()})"
+                f"{len(want)} (first missing: {missing[:5].tolist()})"
             )
         # The same users in another order: back into row order.
         by_id = np.argsort(ids)

@@ -284,14 +284,15 @@ def refine_payloads(traversal, ks: Sequence[int], n_users: int, width: int) -> L
 
 
 def merge_refine(
-    chunks: Sequence[list], ks: Sequence[int], users, merged_by_k: dict,
+    chunks: Sequence[list], ks: Sequence[int], user_ids, merged_by_k: dict,
     pool, group_by_k: Dict[int, float], queries: Sequence[MaxBRSTkNNQuery],
 ) -> List["SharedTopK"]:
     """Gather a refine round, and each query's phase-1 state from it.
 
     ``chunks`` answer :func:`refine_payloads`, in order: the disjoint
     per-lane ``RSk(u)`` vectors concatenate back into the
-    sequential-identical vector per k, by user row
+    sequential-identical vector per k, by user row — ``user_ids``, the
+    dataset's user id column
     (:func:`repro.core.partial.merge_partials`, which refuses a user
     reported twice or not at all), stored in ``merged_by_k``.  Returns
     what the select phase reads: per query, the one
@@ -309,7 +310,7 @@ def merge_refine(
     for partial in (p for chunk in chunks for p in chunk):
         by_k[partial.k].append(partial)
     for k in ks:
-        merged_by_k[k] = merge_partials(by_k[k], users)
+        merged_by_k[k] = merge_partials(by_k[k], user_ids)
 
     shared = []
     for k in (query.k for query in queries):
@@ -691,6 +692,8 @@ class Executor:
     def _refine(self, report, queries, plan, pool, group_by_k) -> List["SharedTopK"]:
         """Phase 1b: Algorithm 2 dealt as ``ranges`` user-row ranges, for
         every k no earlier flush merged; each query's phase-1 state."""
+        from .kernels import arrays_for
+
         engine = self.engine
         users = engine.dataset.users
         need_ks = [k for k in plan.distinct_ks if k not in self.merged_by_k]
@@ -719,7 +722,8 @@ class Executor:
             # The one cross-range merge: what gather_stats() reports.
             t_merge = time.perf_counter()
             shared = merge_refine(
-                chunks, need_ks, users, self.merged_by_k, pool, group_by_k, queries,
+                chunks, need_ks, arrays_for(engine.dataset).user_ids,
+                self.merged_by_k, pool, group_by_k, queries,
             )
             self.merge_s += time.perf_counter() - t_merge
             return shared

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, oracle
@@ -29,6 +30,10 @@ def build(seed=0, n_users=20):
     return dataset, engine, rng
 
 
+def user_ids(users):
+    return np.array([u.item_id for u in users], dtype=np.int64)
+
+
 def partial(lane, rsk, k=3):
     return PartialResult(
         shard_id=lane, k=k, rsk=rsk, users_total=len(rsk), time_s=0.0
@@ -53,7 +58,7 @@ class TestRefineMerge:
             compute_partials(dataset, pool.traversal, [3], shard_id=i, rows=rows)[0]
             for i, rows in enumerate(user_row_ranges(len(dataset.users), 3))
         ]
-        merged = merge_partials(partials, dataset.users)
+        merged = merge_partials(partials, user_ids(dataset.users))
         central = oracle.individual_topk(pool.traversal, dataset, 3)
         assert merged.rsk == {uid: res.kth_score for uid, res in central.items()}
         assert list(merged.rsk) == [u.item_id for u in dataset.users]
@@ -87,20 +92,20 @@ class TestRefineMerge:
         a = partial(0, {users[0].item_id: 0.5})
         b = partial(1, {users[0].item_id: 0.6})
         with pytest.raises(ValueError, match="re-reports"):
-            merge_partials([a, b], users)
+            merge_partials([a, b], user_ids(users))
 
     def test_missing_user_raises(self):
         users = build(n_users=3)[0].users
         a = partial(0, {users[0].item_id: 0.5})
         b = partial(1, {users[2].item_id: 0.6})
         with pytest.raises(ValueError, match="first missing"):
-            merge_partials([a, b], users)
+            merge_partials([a, b], user_ids(users))
 
     def test_unknown_user_raises(self):
         users = build(n_users=1)[0].users
         a = partial(0, {users[0].item_id: 0.5, 10**6: 0.1})
         with pytest.raises(ValueError, match="cover 2 users"):
-            merge_partials([a], users)
+            merge_partials([a], user_ids(users))
 
     def test_mixed_k_raises(self):
         with pytest.raises(ValueError, match="across k"):

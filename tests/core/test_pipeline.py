@@ -34,6 +34,7 @@ from repro import (
     oracle,
 )
 from repro.core.batch import _ensure_traversal_pool
+from repro.core.kernels import arrays_for
 from repro.core.payload import decode_shard_payload
 from repro.core.pipeline import (
     FlushReport,
@@ -107,7 +108,7 @@ class Refine:
 
     def merge(self, chunks):
         return merge_refine(
-            chunks, self.need_ks, self.dataset.users, self.merged_by_k,
+            chunks, self.need_ks, arrays_for(self.dataset).user_ids, self.merged_by_k,
             self.pool, self.group_by_k, self.queries,
         )
 

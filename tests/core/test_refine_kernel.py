@@ -521,7 +521,9 @@ class TestTopKTableExact:
         want = ranked_lists(walked, ds, max(ks), "oracle")
         order = [u.item_id for u in ds.users]
         for k in ks:
-            merged = merge_partials([p for p in partials if p.k == k], ds.users).rsk
+            merged = merge_partials(
+                [p for p in partials if p.k == k], arrays_for(ds).user_ids
+            ).rsk
             assert merged.ids.tolist() == order
             assert merged.values.tolist() == [oracle_rsk(want[uid], k) for uid in order]
 
@@ -878,6 +880,89 @@ class TestArrayHandOff:
         assert compute_partials(ds, arrived(), [5])[0].rsk == (
             oracle_partials(ds, walked, [5])[0][1]
         )
+
+
+def count_object_look_ups(monkeypatch):
+    """The sizes of every ``ObjectColumns.rows_of_ids`` call from here on."""
+    looked_up = []
+    rows_of_ids = ObjectColumns.rows_of_ids
+
+    def spy(self, object_ids):
+        looked_up.append(len(object_ids))
+        return rows_of_ids(self, object_ids)
+
+    monkeypatch.setattr(ObjectColumns, "rows_of_ids", spy)
+    return looked_up
+
+
+class TestRowsFromTheWalk:
+    """The engine's walk hands its pool each candidate's object row; the
+    id look-up runs only on a pool without them."""
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    def test_cold_queries_look_up_no_object_id(self, ranges, monkeypatch):
+        """One refine range or two dealt inline (no fleet): every cold
+        ``engine.query`` reads the walk's rows."""
+        from repro import EngineConfig
+        from repro.datagen import query_pool
+
+        base, workload = flickr_engine(objects=600, users=40)
+        engine = MaxBRSTkNNEngine(base.dataset, EngineConfig(num_shards=ranges))
+        queries = query_pool(workload, 3, num_locations=5, ws=2, seed=0, seed_stride=101)
+        for i, query in enumerate(queries):
+            query.k = (5, 10, 20)[i]
+        looked_up = count_object_look_ups(monkeypatch)
+        options = QueryOptions()
+        got = [engine.query(q, options) for q in queries]
+        assert looked_up == []
+        want = [oracle.query(engine, q, options) for q in queries]
+        assert [(r.location, r.keywords, r.brstknn) for r in got] == [
+            (r.location, r.keywords, r.brstknn) for r in want
+        ]
+
+    def test_clones_of_the_object_set_read_the_rows(self, monkeypatch):
+        """``with_alpha`` / ``with_users`` clones share the table, so
+        their refines read the walk's rows too."""
+        engine, _ = flickr_engine(objects=300, users=30)
+        ds = engine.dataset
+        walked = joint_traversal(engine.object_tree, ds, 5)
+        looked_up = count_object_look_ups(monkeypatch)
+        for clone in (ds.with_alpha(0.3), ds.with_users(ds.users[:10])):
+            compute_partials(clone, walked, [5])
+        assert looked_up == []
+
+    def test_a_pool_off_the_wire_looks_its_ids_up_once(self, monkeypatch):
+        engine, _ = flickr_engine(objects=300, users=30)
+        ds = engine.dataset
+        walked = joint_traversal(engine.object_tree, ds, 5)
+        arrived = pickle.loads(pickle.dumps(walked))
+        looked_up = count_object_look_ups(monkeypatch)
+        lanes = [compute_partials(ds, arrived, [5], rows=rows)[0].rsk
+                 for rows in ((0, 12), (12, 30))]
+        assert looked_up == [len(walked.pool)]
+        whole = oracle_partials(ds, walked, [5])[0][1]
+        assert {**lanes[0], **lanes[1]} == dict(whole)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_pool_refined_against_another_row_order_is_looked_up(
+        self, seed, monkeypatch
+    ):
+        """The same objects in another row order: the walk's rows index
+        the walked table, not this one, so the refine looks the ids up
+        and answers the oracle's thresholds (the pool must leave objects
+        out, or a wrong row map would only permute the same scores)."""
+        engine, _ = flickr_engine(objects=300, users=30)
+        ds = engine.dataset
+        objects = list(ds.objects)
+        random.Random(seed).shuffle(objects)
+        moved = Dataset(objects, ds.users, relevance="LM", alpha=ds.alpha)
+        assert moved.table.ids.tolist() != ds.table.ids.tolist()
+        walked = joint_traversal(engine.object_tree, ds, 5)
+        assert len(walked.pool) < len(objects)
+        looked_up = count_object_look_ups(monkeypatch)
+        got = [(p.k, p.rsk) for p in compute_partials(moved, walked, [1, 5])]
+        assert looked_up == [len(walked.pool)]
+        assert got == oracle_partials(moved, walked, [1, 5])
 
 
 # ----------------------------------------------------------------------

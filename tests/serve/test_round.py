@@ -20,6 +20,7 @@ from repro import EngineConfig, QueryOptions
 from repro.core.partial import PartialResult
 from repro.core import pipeline
 from repro.core.batch import _ensure_traversal_pool
+from repro.core.kernels import arrays_for
 from repro.core.pipeline import (
     INLINE,
     Lane,
@@ -114,7 +115,8 @@ class Rig:
         refine = refine_payloads(pool.traversal, ks, len(users), 2)
         shared = merge_refine(
             run("refine", refine, [p[6] - p[5] for p in refine]),
-            ks, users, {}, pool, group_by_k, self.queries,
+            ks, arrays_for(engine.dataset).user_ids, {}, pool, group_by_k,
+            self.queries,
         )
         # Algorithm 3 whole, against the full dataset and the merged map.
         select, _ = select_payloads(self.queries, shared, plan, 2)
@@ -307,6 +309,40 @@ def test_pool_workers_refuse_a_pool_naming_an_unknown_object(rig):
     # Hosts raise it (an ERROR frame: retried, counted), and so does the
     # in-process degrade — the coordinator holds no such object either.
     with pytest.raises(CandidatePoolError, match="does not hold"):
+        run_round("refine", refine_lanes(engine, bad)[:1], transport)
+    assert engine.fault_counters()["retries"] == 1
+
+
+@pytest.mark.parametrize("kind,forgery", [
+    # (pool, unknown id): test_pool_workers_refuse_a_pool_naming_an_unknown_object
+    ("pool", "nan bound"), ("socket", "unknown id"), ("socket", "nan bound"),
+])
+def test_a_forged_pool_ends_in_the_typed_refusal_on_every_lane(rig, kind, forgery):
+    """A pool off the wire carries no object rows, so every host checks
+    its ids and bounds: a forked lane and an embedded remote lane both
+    answer an ERROR frame (retried, counted), and the in-process degrade
+    refuses the same pool — typed, never a wrong answer or a hang."""
+    import numpy as np
+
+    from repro.core.joint_topk import (
+        CandidatePool, CandidatePoolError, JointTraversalResult, joint_traversal,
+    )
+
+    engine = rig.engine
+    transport = rig.install(kind)
+    walked = joint_traversal(engine.object_tree, engine.dataset, 3)
+    ids, lower, upper = (
+        walked.pool.ids.copy(), walked.pool.lower.copy(), walked.pool.upper.copy()
+    )
+    if forgery == "unknown id":
+        ids[1] = int(engine.dataset.table.ids.max()) + 1
+    else:
+        lower[walked.n_lo] = np.nan
+    bad = JointTraversalResult.of_pool(
+        CandidatePool.from_columns(ids, lower, upper), walked.n_lo, walked.rsk_group
+    )
+    match = "does not hold" if forgery == "unknown id" else "non-finite"
+    with pytest.raises(CandidatePoolError, match=match):
         run_round("refine", refine_lanes(engine, bad)[:1], transport)
     assert engine.fault_counters()["retries"] == 1
 
