@@ -74,7 +74,12 @@ sections:
    entries ``_banded`` handed to the scalar re-check and ``_banded``'s
    ms per flush (``--json``: ``select_flush_keyword_sides.<mix>.passes``,
    ``select_flush_exact_passes``); above ``MAX_GUARD_RATIO`` (0.25, the
-   derived per-cell bound) the run fails.
+   derived per-cell bound) the run fails.  The shared flush also prints
+   its stacked passes per flush and the pass model of
+   :func:`flush_passes` — a pass's fixed ms and its us per location,
+   the line through the best pass times of the 8-query flush and of
+   each query alone (``--json``: ``select_flush_passes``) — and the run
+   fails if the 8 x 20 flush takes more than one pass.
 6. **Cross-k pool sharing** — a mixed-k batch (k in {1, 5, 10}) must
    run exactly **one** traversal (asserted via ``engine.traversal_runs``)
    and return results identical to the oracle's per-k sequential
@@ -102,10 +107,24 @@ sections:
    ``MAX_GUARD_RATIO`` (0.25, the derived per-score bound) the run
    fails.
 
+Every cell is built by ``make_workload``, as ``benchmarks/e2e`` builds
+its own.  ``--cell`` picks it (:data:`CELLS`): ``default`` (the
+end-to-end benchmark's cell) runs every row above; ``selective`` (alpha
+0.9, 50 locations per query drawn over the objects' box, so the group
+bound prunes) and ``scaled`` (O32k/U4k, the cell the byte bound of a
+stacked pass was sized by) run the cold-query row and the select-flush
+row — ms/query, passes and pass model, the guard ratio, locations pruned
+and users won per query — with answers ``==`` the oracle's on the
+cell's sample (every query; one on ``scaled``, where the oracle's
+scalar walk takes ~50 s a query).  ``selective`` fails unless some
+location is pruned.  Every run ends with its wall time and peak RSS.
+
 Run::
 
     python benchmarks/bench_traversal.py              # full, 2x bar
     python benchmarks/bench_traversal.py --tiny       # CI smoke
+    python benchmarks/bench_traversal.py --tiny --cell selective  # CI smoke
+    python benchmarks/bench_traversal.py --cell scaled  # manual, ~1 min
     python benchmarks/bench_traversal.py --json out.json
 
 ``--max-slowdown X`` (used by the CI bench-smoke job) fails the run if
@@ -144,9 +163,11 @@ from repro.__main__ import BLAS_THREAD_VARS  # noqa: E402
 for _name in BLAS_THREAD_VARS:
     os.environ.setdefault(_name, "1")
 
-from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions, oracle  # noqa: E402
-from repro.bench.harness import build_workbench  # noqa: E402
+from repro import (  # noqa: E402
+    EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions, oracle,
+)
 from repro.bench.params import DEFAULTS  # noqa: E402
+from repro.core import candidate_selection  # noqa: E402
 from repro.core.candidate_selection import (  # noqa: E402
     SelectionBatch, _keyword_side, select_candidate,
 )
@@ -160,7 +181,10 @@ from repro.core.kernels import (  # noqa: E402
 from repro.core.pipeline import FlushReport  # noqa: E402
 from repro.core.planner import plan_batch  # noqa: E402
 from repro.core.query import QueryStats  # noqa: E402
-from repro.datagen.users import generate_users, query_pool  # noqa: E402
+from repro.datagen.users import query_pool  # noqa: E402
+from repro.serve import WorkloadSpec  # noqa: E402
+from repro.serve.shardhost import make_workload  # noqa: E402
+from repro.spatial.geometry import Point  # noqa: E402
 from repro.storage.iostats import IOCounter  # noqa: E402
 from repro.storage.pager import PageStore  # noqa: E402
 
@@ -312,26 +336,72 @@ def keyword_side_cost(dataset, run):
     }
 
 
-def user_workload(bench, config):
-    """The workbench's objects with ``config``'s users drawn on them."""
-    return generate_users(
-        bench.dataset.objects,
-        num_users=config.num_users,
-        keywords_per_user=config.ul,
-        unique_keywords=config.uw,
-        area_side=config.area,
-        seed=config.seed,
+#: The cells ``--cell`` builds, each through ``make_workload`` (the one
+#: construction path of the CLI, the shard hosts and ``benchmarks/e2e``):
+#: what the cell changes of the run's config, the candidate locations per
+#: query of its flush, whether they are drawn over the objects' box
+#: rather than the users' area, and how many of its queries the oracle
+#: checks (``None``: all).
+CELLS = {
+    # The end-to-end benchmark's cell: every row below runs on it.
+    "default": {"config": {}, "locations": 20, "over_objects": False, "sample": None},
+    # Where Section 6.1's group bound prunes: alpha 0.9, and locations
+    # anywhere in the objects' box, most of them far from every user.
+    "selective": {
+        "config": {"alpha": 0.9}, "locations": 50, "over_objects": True, "sample": None,
+    },
+    # Ten times the default cell's objects and users: a pass there is
+    # what the byte bound of a stacked pass was sized by.  The oracle's
+    # scalar walk and refine take ~50 s a query here.
+    "scaled": {
+        "config": {"num_objects": 32_000, "num_users": 4_000}, "locations": 20,
+        "over_objects": False, "sample": 1,
+    },
+}
+
+
+def build_cell(config):
+    """``(dataset, workload, query)`` of ``config``'s cell, built by
+    ``make_workload``; ``query`` is the cell's own query (the workload's
+    candidates and locations, ``config``'s ``ws`` and ``k``)."""
+    dataset, workload = make_workload(WorkloadSpec(
+        dataset=config.dataset, objects=config.num_objects, users=config.num_users,
+        ul=config.ul, uw=config.uw, area=config.area, locations=config.num_locations,
+        measure=config.measure, alpha=config.alpha, seed=config.seed,
+    ))
+    query = MaxBRSTkNNQuery(
+        ox=workload.query_object(), locations=list(workload.locations),
+        keywords=list(workload.candidate_keywords), ws=config.ws, k=config.k,
     )
+    return dataset, workload, query
 
 
-def e2e_queries(workload, config):
+def e2e_queries(workload, config, num_locations=20):
     """``FLUSH_QUERIES`` queries of the end-to-end benchmark's shape."""
     return [
         dataclasses.replace(q, k=FLUSH_KS[i % len(FLUSH_KS)])
         for i, q in enumerate(query_pool(
-            workload, FLUSH_QUERIES, num_locations=20, ws=2, k=config.k,
+            workload, FLUSH_QUERIES, num_locations=num_locations, ws=2, k=config.k,
             seed=config.seed, seed_stride=101,
         ))
+    ]
+
+
+def cell_queries(workload, dataset, cell, config):
+    """The flush of ``cell``: :func:`e2e_queries` with the cell's number
+    of locations, drawn over the objects' box where the cell says so."""
+    spec = CELLS[cell]
+    queries = e2e_queries(workload, config, spec["locations"])
+    if not spec["over_objects"]:
+        return queries
+    xy = arrays_for(dataset).objects.xy
+    (x0, y0), (x1, y1) = xy.min(axis=0), xy.max(axis=0)
+    rng = random.Random(config.seed)
+    return [
+        dataclasses.replace(q, locations=[
+            Point(rng.uniform(x0, x1), rng.uniform(y0, y1)) for _ in q.locations
+        ])
+        for q in queries
     ]
 
 
@@ -647,6 +717,71 @@ def passes_within_guard(label, passes) -> bool:
     return True
 
 
+def flush_passes(queries, dataset, pairs, repeats):
+    """The stacked passes (``candidate_selection._run_pass`` calls that
+    hold locations) of ``queries`` selected as one ``SelectionBatch``,
+    and of each query alone, over a stored keyword side (as a served
+    flush reads it): the passes of the whole flush, and the pass model
+    — the line through each pass size's best-of-``repeats`` pass time
+    against the locations it holds, whose intercept is a pass's fixed
+    cost and whose slope its cost per location."""
+    import numpy as np
+
+    run_pass = candidate_selection._run_pass
+    seen = []
+
+    def timed(ctx, rows, part, *args):
+        t0 = time.perf_counter()
+        try:
+            return run_pass(ctx, rows, part, *args)
+        finally:
+            held = sum(len(search.locations) for search in part)
+            if held:
+                seen.append((held, time.perf_counter() - t0))
+
+    def select(batch_queries, batch_pairs):
+        del seen[:]
+        batch = SelectionBatch(batch_queries, batch_pairs)
+        for query, (rsk, rsk_group) in zip(batch_queries, batch_pairs):
+            select_candidate(dataset, query, rsk, rsk_group=rsk_group, batch=batch)
+        return list(seen)
+
+    flushes = [(queries, pairs)] + [([q], [pair]) for q, pair in zip(queries, pairs)]
+    best = {}
+    candidate_selection._run_pass = timed
+    try:
+        select(queries, pairs)  # stores the keyword side: no pass pays its build
+        passes = len(select(queries, pairs))
+        for _ in range(repeats):
+            for flush in flushes:
+                for held, took in select(*flush):
+                    best[held] = min(best.get(held, took), took)
+    finally:
+        candidate_selection._run_pass = run_pass
+    sizes = sorted(best)
+    ms = [1000 * best[held] for held in sizes]
+    slope, fixed = np.polyfit(sizes, ms, 1) if len(sizes) > 1 else (0.0, ms[0])
+    return {
+        "passes_per_flush": passes,
+        "pass_fixed_ms": float(fixed),
+        "pass_us_per_location": 1000 * float(slope),
+        "pass_ms_by_locations": dict(zip(sizes, ms)),
+    }
+
+
+def print_flush_passes(label, stats):
+    """One line of :func:`flush_passes` figures."""
+    print(
+        f"{label}: {stats['passes_per_flush']} pass(es) per flush; pass model "
+        f"{stats['pass_fixed_ms']:.3f} ms fixed + "
+        f"{stats['pass_us_per_location']:.2f} us per location (best pass ms by "
+        "locations held: " + ", ".join(
+            f"{held}: {ms:.3f}" for held, ms in stats["pass_ms_by_locations"].items()
+        ) + ")",
+        flush=True,
+    )
+
+
 def refine_cells(traversal, dataset, k):
     """``(scored, one_shot)`` matrix cells of one engine refinement: what
     the block-wise per-user stop scored, and what the one-shot cut it
@@ -681,6 +816,112 @@ def refine_cells(traversal, dataset, k):
     return sum(scored), arrays.num_users * reach
 
 
+def cold_query_holds(engine, queries, cold, answers, cell) -> bool:
+    """Print the cold-query row of :func:`time_cold_queries`; ``False``
+    (and a failure line) on an object id look-up or on an answer of the
+    cell's oracle sample that differs from ``oracle.query``'s."""
+    split = cold["split_ms_per_query"]
+    print(
+        f"cold-query engine: {cold['ms_per_query']:8.3f} ms/query  "
+        f"(traverse {split['traverse']:.3f} / refine {split['refine']:.3f} / "
+        f"select {split['select']:.3f} ms, outside the three algorithms "
+        f"{split['outside']:.3f} ms; {cold['minor_faults_per_query']:.0f} "
+        f"minor faults and {cold['object_look_ups_per_query']:g} object id "
+        f"look-ups per query; {len(queries)} sequential engine.query calls, "
+        f"k in {{{','.join(map(str, FLUSH_KS))}}})",
+        flush=True,
+    )
+    if cold["object_look_ups_per_query"]:
+        print(
+            "LOOK-UP FAILURE: an in-process cold query looked object ids up "
+            "instead of reading the rows its walk handed the pool"
+        )
+        return False
+    sample = queries[: CELLS[cell]["sample"]]
+    want = [
+        (w.location, w.keywords, w.brstknn)
+        for w in (oracle.query(engine, q, QueryOptions()) for q in sample)
+    ]
+    if answers[: len(sample)] != want:
+        print("EQUIVALENCE FAILURE: engine cold-query answers differ from oracle.query's")
+        return False
+    print(
+        f"equivalence check: engine cold queries identical to oracle.query's "
+        f"({len(sample)} of {len(queries)})"
+    )
+    return True
+
+
+def finish(label, wall) -> dict:
+    """Print and return the run's wall time and peak resident memory."""
+    import resource
+
+    used = {
+        "wall_s": time.perf_counter() - wall,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+    print(f"{label}: {used['wall_s']:.1f} s wall, peak RSS {used['peak_rss_mb']:.0f} MB")
+    return used
+
+
+def run_cell(engine, flush, cold, args, config, wall) -> int:
+    """The rows of a cell other than the default one, after its
+    cold-query row: the select flush of its queries as one
+    ``SelectionBatch`` (ms per query, passes and pass model, the
+    single-precision guard), its answers ``==`` ``oracle.select_candidate``'s
+    on the cell's sample, and the locations pruned and users won per
+    query — the selective cell fails unless its group bound prunes."""
+    dataset = engine.dataset
+    pairs = refined_pairs(engine, flush)
+    took, answers = time_select(flush, dataset, pairs, "engine", args.repeats, stacked=True)
+    sample = flush[: CELLS[args.cell]["sample"]]
+    _, want = time_select(sample, dataset, pairs[: len(sample)], "oracle", 1)
+    if answers[: len(sample)] != want:
+        print("EQUIVALENCE FAILURE: engine select-flush answers differ from "
+              "oracle.select_candidate's")
+        return 1
+    locations = sum(len(q.locations) for q in flush)
+    pruned = sum(answer[3] for answer in answers)
+    won = sum(len(answer[2]) for answer in answers)
+    print(
+        f"select-flush engine: {1000 * took / len(flush):8.3f} ms/query  "
+        f"({len(flush)} queries x {len(flush[0].locations)} locations, one "
+        f"SelectionBatch; {pruned / len(flush):.1f} locations pruned and "
+        f"{won / len(flush):.1f} of {len(dataset.users)} users won per query)",
+        flush=True,
+    )
+    print(f"equivalence check: engine select-flush identical to the oracle's "
+          f"({len(sample)} of {len(flush)})")
+    passes = flush_passes(flush, dataset, pairs, max(args.repeats, 10))
+    print_flush_passes("select-flush engine", passes)
+    _, guarded = selection_passes(lambda: time_select(
+        flush, dataset, pairs, "engine", 1, stacked=True,
+    ))
+    if not passes_within_guard("select-flush engine", guarded):
+        return 1
+    if args.cell == "selective" and not pruned:
+        print(f"ACCEPTANCE FAILURE: the selective cell pruned none of its "
+              f"{locations} locations")
+        return 1
+    used = finish(f"{args.cell} cell", wall)
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump({
+                "benchmark": "traversal",
+                "cell": args.cell,
+                "dataset": config.label(),
+                "cold_query": cold,
+                "select_flush_ms_per_query": 1000 * took / len(flush),
+                "select_flush_passes": passes,
+                "select_flush_guard": guarded,
+                "locations_pruned_per_query": pruned / len(flush),
+                "brstknn_per_query": won / len(flush),
+                **used,
+            }, fh, indent=2, sort_keys=True)
+        print(f"wrote {args.json}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--objects", type=int, default=DEFAULTS.num_objects)
@@ -695,7 +936,13 @@ def main(argv=None) -> int:
     parser.add_argument("--max-slowdown", type=float, default=None,
                         help="fail if the engine is more than X times slower "
                              "than the oracle (CI regression gate)")
+    parser.add_argument("--cell", choices=sorted(CELLS), default="default",
+                        help="the workload cell (see CELLS); every row runs on "
+                             "the default cell, the cold-query and select-flush "
+                             "rows on the others")
     args = parser.parse_args(argv)
+    if args.tiny and args.cell == "scaled":
+        parser.error("the scaled cell has no --tiny form")
 
     config = DEFAULTS.with_(
         num_objects=args.objects, num_users=args.users, k=args.k,
@@ -704,12 +951,12 @@ def main(argv=None) -> int:
     if args.tiny:
         config = config.with_(num_objects=300, num_users=40)
         args.repeats = max(args.repeats, 5)
+    config = config.with_(**CELLS[args.cell]["config"])
 
-    print(f"dataset: {config.label()}", flush=True)
-    bench = build_workbench(config, cached=False)
-    engine = MaxBRSTkNNEngine(
-        bench.dataset, EngineConfig(fanout=config.fanout)
-    )
+    wall = time.perf_counter()
+    print(f"dataset: {config.label()} ({args.cell} cell)", flush=True)
+    dataset, workload, cell_query = build_cell(config)
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=config.fanout))
 
     t0 = time.perf_counter()
     arrays = tree_arrays_for(engine.object_tree)
@@ -723,33 +970,12 @@ def main(argv=None) -> int:
     # The paper's per-query setting: each query of the e2e shape cold,
     # timed first, while the heap is a fresh process's (later rows grow
     # it, and a grown heap hides the page faults a cold refine takes).
-    cold_queries = e2e_queries(user_workload(bench, config), config)
+    cold_queries = cell_queries(workload, dataset, args.cell, config)
     cold, cold_answers = time_cold_queries(engine, cold_queries, args.repeats)
-    split = cold["split_ms_per_query"]
-    print(
-        f"cold-query engine: {cold['ms_per_query']:8.3f} ms/query  "
-        f"(traverse {split['traverse']:.3f} / refine {split['refine']:.3f} / "
-        f"select {split['select']:.3f} ms, outside the three algorithms "
-        f"{split['outside']:.3f} ms; {cold['minor_faults_per_query']:.0f} "
-        f"minor faults and {cold['object_look_ups_per_query']:g} object id "
-        f"look-ups per query; {len(cold_queries)} sequential engine.query calls, "
-        f"k in {{{','.join(map(str, FLUSH_KS))}}})",
-        flush=True,
-    )
-    if cold["object_look_ups_per_query"]:
-        print(
-            "LOOK-UP FAILURE: an in-process cold query looked object ids up "
-            "instead of reading the rows its walk handed the pool"
-        )
+    if not cold_query_holds(engine, cold_queries, cold, cold_answers, args.cell):
         return 1
-    cold_oracle = [
-        (want.location, want.keywords, want.brstknn)
-        for want in (oracle.query(engine, q, QueryOptions()) for q in cold_queries)
-    ]
-    if cold_answers != cold_oracle:
-        print("EQUIVALENCE FAILURE: engine cold-query answers differ from oracle.query's")
-        return 1
-    print("equivalence check: engine cold queries identical to oracle.query's")
+    if args.cell != "default":
+        return run_cell(engine, cold_queries, cold, args, config, wall)
     refine = cold["refine_split"] = refine_split(engine, cold_queries, args.repeats)
     print(
         "cold-query refine split (ms/query): " + " / ".join(
@@ -869,7 +1095,6 @@ def main(argv=None) -> int:
             return 1
     print("hand-off check: cells <= one-shot cut at every k; pools ship as columns")
 
-    workload = user_workload(bench, config)
     mixed_ks = [1, 5, 10]
     queries = []
     for i, q in enumerate(
@@ -883,7 +1108,7 @@ def main(argv=None) -> int:
     # at the default k serve the workbench query and the pool alike.
     select_timings = {}
     answers = {}
-    selected = [bench.query] + queries
+    selected = [cell_query] + queries
     for side in SIDES:
         elapsed, answers[side] = time_select(
             selected, engine.dataset,
@@ -1006,6 +1231,14 @@ def main(argv=None) -> int:
         return 1
     print("equivalence check: engine select-flush identical to the oracle's, "
           "shared and mixed keyword sides; one spatial row per location at most")
+    flush_pass_model = flush_passes(
+        flush, engine.dataset, pairs_of["shared"], max(args.repeats, 10)
+    )
+    print_flush_passes("select-flush engine shared", flush_pass_model)
+    if flush_pass_model["passes_per_flush"] > 1:
+        print(f"ACCEPTANCE FAILURE: the {len(flush)}-query select flush took "
+              f"{flush_pass_model['passes_per_flush']} passes (one holds it)")
+        return 1
 
     # The shared flush again with Algorithm 4 choosing the keywords: the
     # same one SelectionBatch and block search, the exact selector.
@@ -1097,9 +1330,11 @@ def main(argv=None) -> int:
         return 1
     print("cross-k check: one walk, results identical to per-k sequential")
 
+    used = finish("default cell", wall)
     if args.json:
         payload = {
             "benchmark": "traversal",
+            "cell": args.cell,
             "dataset": config.label(),
             "k": config.k,
             "tree_arrays_build_s": build_s,
@@ -1125,6 +1360,7 @@ def main(argv=None) -> int:
                 side: 1000 * took / len(flush) for side, took in flush_exact.items()
             },
             "select_flush_exact_passes": exact_passes,
+            "select_flush_passes": flush_pass_model,
             "cold_query": cold,
             "mixed_k": {
                 "ks": mixed_ks,
@@ -1132,6 +1368,7 @@ def main(argv=None) -> int:
                 "traversals": walks,
                 "batch_s": batch_s,
             },
+            **used,
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

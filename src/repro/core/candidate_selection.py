@@ -53,11 +53,15 @@ vector, each location row reading its own query's), one spatial row
 per surviving location per pass, one shortlist mask over all of them
 — which is also every round's membership — and, round by round, one
 selector call over block ``r`` of every query that line 3.10 has not
-stopped; each query then replays its own rows.  Passes hold at most
-``STACK_ROWS`` locations, so a batch of any size keeps its temporaries
-bounded.  A single query is the one-query batch: there is one search,
-for both methods.  The oracle (:mod:`repro.oracle`) pops the queue
-location by location with its scalar selectors.
+stopped; each query then replays its own rows.  A pass holds as many
+locations as ``PASS_BYTES`` of their ``L x U`` / ``L x P`` temporaries
+allow (:func:`_pass_rows`), so a batch of any size keeps its
+temporaries bounded, and a served micro-batch is one pass: a pass
+costs a fixed part (its calls, whatever their size) plus a part per
+location, and the fixed part is paid once.  A single query is the
+one-query batch: there is one search, for both methods.  The oracle
+(:mod:`repro.oracle`) pops the queue location by location with its
+scalar selectors.
 """
 
 from __future__ import annotations
@@ -75,20 +79,23 @@ from .kernels import SelectionContext, _row_counts, arrays_for, keyword_side_key
 from .keyword_selection import BlockSelection, select_exact_block, select_greedy_block
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
-#: Candidate locations scored per kernel pass.  Algorithm 3 stops early
-#: (line 3.10) and a Fig. 10 query holds |L| = 300 locations, so the
-#: queue is evaluated a block at a time: at most this many selections
-#: are computed past the stop, and the ``L x P`` / ``L x U`` temporaries
-#: stay under ~1 MB at the benchmark's |U| = 400.
+#: Candidate locations scored per selector call of one query.  Algorithm
+#: 3 stops early (line 3.10) and a Fig. 10 query holds |L| = 300
+#: locations, so the queue is evaluated a block at a time: at most this
+#: many selections are computed past the stop.
 LOCATION_BLOCK = 32
 
-#: Location rows one stacked pass of a :class:`SelectionBatch` holds
-#: (4 x ``LOCATION_BLOCK``): queries join a pass while their surviving
-#: locations fit, the rest go into the next pass, so a batch of any
-#: size allocates no more than this many rows of ``L x U`` / ``L x P``
-#: temporaries at once.  A query with more locations than this is a
-#: pass of its own, searched a block at a time as always.
-STACK_ROWS = 128
+#: Bytes of ``L x U`` / ``L x P`` temporaries one stacked pass of a
+#: :class:`SelectionBatch` may hold (:func:`_pass_rows`): queries join a
+#: pass while their surviving locations fit, the rest go into the next
+#: pass, so a batch of any size allocates no more than this at once.  A
+#: query with more locations than a pass holds is a pass of its own,
+#: searched a block at a time as always.  At |U| = 4 000 users with the
+#: benchmark's 3 pairs each (|P| = 12 000) a row takes 64 KB, so 8 MB
+#: hold 125 rows — no more than the 128 a pass held when passes were
+#: counted in rows; at |U| = 400 they hold 1 250, so a served
+#: micro-batch of 8 queries x 20 locations is one pass.
+PASS_BYTES = 8_000_000
 
 __all__ = [
     "select_candidate",
@@ -160,19 +167,32 @@ def _group_bounds(
     return found
 
 
+def _pass_rows(arrays, pairs: int = 0) -> int:
+    """Location rows one pass holds: ``PASS_BYTES`` over what a row's
+    temporaries take — its float32 ``alpha * SS`` row over the users
+    and, for the greedy selector, its float32 ``LUW`` row over the
+    ``pairs`` of the side's pair table (the bool masks beside them are a
+    quarter of that) — and at least one."""
+    return max(1, PASS_BYTES // (4 * max(1, arrays.num_users + pairs)))
+
+
 def _shortlist_mask(
-    ctx: SelectionContext, rows, locations: Sequence[Point], at: Sequence[int]
+    ctx: SelectionContext, rows, locations: Sequence[Point], at: Sequence[int],
+    cap: int,
 ):
     """``LU_l`` of every location as one ``L x U`` mask: ``UBL(l, u) >=
     RSk(u)`` for the users at ``rows``, against threshold row ``at[i]``
-    of ``ctx`` for location ``i``, ``STACK_ROWS`` locations per kernel
-    pass."""
+    of ``ctx`` for location ``i``, at most ``cap`` locations
+    (:func:`_pass_rows`) per kernel pass."""
+    if len(locations) <= cap:
+        ctx.move_to(locations, at)  # the sequence itself: a pinned one is read whole
+        return ctx.shortlist(rows)
     masks = []
-    for start in range(0, len(locations), STACK_ROWS):
-        end = start + STACK_ROWS
+    for start in range(0, len(locations), cap):
+        end = start + cap
         ctx.move_to(locations[start:end], at[start:end])
         masks.append(ctx.shortlist(rows))
-    return masks[0] if len(masks) == 1 else np.concatenate(masks)
+    return np.concatenate(masks)
 
 
 def shortlist_locations(
@@ -215,7 +235,8 @@ def shortlist_locations(
         rows = arrays.rows_for(users)
         at = ctx.admit(rows, rsk)
         mask = _shortlist_mask(
-            ctx, rows, [sl.location for sl in shortlists], [at] * len(shortlists)
+            ctx, rows, [sl.location for sl in shortlists], [at] * len(shortlists),
+            _pass_rows(arrays),
         )
         for sl, lu in zip(shortlists, mask[:, rows]):
             sl.rows = rows[lu]
@@ -374,18 +395,12 @@ class _Search:
             return self.queue[self.pos : self.pos + LOCATION_BLOCK]
         return []
 
-    def replay(
-        self,
-        block: List[tuple],
-        selection: BlockSelection,
-        start: int,
-        base_counts: List[int],
-        counts: List[int],
-    ) -> None:
-        """Pop ``block`` — rows ``start, start + 1, …`` of ``selection``
-        (whose per-row winner counts are ``base_counts`` / ``counts``)."""
+    def replay(self, block: List[tuple], selection: BlockSelection, rows) -> None:
+        """Pop ``block``, whose entries are rows ``rows`` of
+        ``selection``."""
         rsk_group = self.rsk_group
-        for i, (size, location, lower_group, _) in enumerate(block, start):
+        base_counts, counts = selection.base_counts, selection.counts
+        for i, (size, location, lower_group, _) in zip(rows, block):
             if size <= self.best_count:
                 self.pos = len(self.queue)  # Line 3.10: cannot beat the incumbent
                 return
@@ -427,42 +442,50 @@ def _search_rounds(
     searches: Sequence[_Search],
     member,
     select: Callable[..., BlockSelection],
+    locations: Optional[Sequence[Point]] = None,
+    at: Optional[Sequence[int]] = None,
 ) -> None:
     """Walk every search's queue, stacked: round ``r`` scores block
     ``r`` of each search line 3.10 has not stopped in ONE ``select``
     call (a block kernel of :func:`_selector`), each location against its own
     search's threshold row and with its own row of ``member`` (the
     searches' ``LU_l`` masks, which the queue entries index), then each
-    search replays its own rows.  Replay time is charged to its search."""
+    search replays its own rows.  ``locations`` / ``at`` (optional) are
+    the locations of ``member``'s rows and their threshold rows, in
+    order: a round that holds every row then reads ``member`` whole, in
+    that order, instead of gathering its rows in queue order.  Replay
+    time is charged to its search."""
     while True:
         blocks = [(search, search.block()) for search in searches]
         blocks = [(search, block) for search, block in blocks if block]
         if not blocks:
             return
-        entries = [entry for _, block in blocks for entry in block]
-        selection = select(
-            ctx, [entry[1] for entry in entries],
-            member[[entry[3] for entry in entries]],
-            [search.at for search, block in blocks for _ in block],
-        )
+        rows = [entry[3] for _, block in blocks for entry in block]
+        if locations is not None and len(rows) == len(member):
+            selection = select(ctx, locations, member, at)
+        else:
+            selection = select(
+                ctx, [entry[1] for _, block in blocks for entry in block], member[rows],
+                [search.at for search, block in blocks for _ in block],
+            )
+            rows = range(len(rows))
         start = 0
         for search, block in blocks:
             t0 = time.perf_counter()
-            search.replay(
-                block, selection, start, selection.base_counts, selection.counts
-            )
+            search.replay(block, selection, rows[start : start + len(block)])
             search.time_s += time.perf_counter() - t0
             start += len(block)
 
 
-def _passes(searches: Sequence[_Search]) -> Iterator[List[_Search]]:
-    """Consecutive searches, dealt into passes of at most ``STACK_ROWS``
-    surviving locations (a search with more is a pass of its own)."""
+def _passes(searches: Sequence[_Search], cap: int) -> Iterator[List[_Search]]:
+    """Consecutive searches, dealt into passes of at most ``cap``
+    (:func:`_pass_rows`) surviving locations (a search with more is a
+    pass of its own)."""
     part: List[_Search] = []
     rows = 0
     for search in searches:
         n = len(search.locations)
-        if part and rows + n > STACK_ROWS:
+        if part and rows + n > cap:
             yield part
             part, rows = [], 0
         part.append(search)
@@ -487,8 +510,9 @@ class SelectionBatch:
     threshold row of the context (queries of
     equal ``k`` share theirs), the group bounds of all the group's
     locations are one array expression (each query pruned against its
-    own ``RSk(us)``), and each pass of at most ``STACK_ROWS`` locations
-    computes ``alpha * SS(l, u)`` once, shortlists every location in one
+    own ``RSk(us)``), and each pass — as many locations as
+    ``PASS_BYTES`` of temporaries hold (:func:`_pass_rows`) — computes
+    ``alpha * SS(l, u)`` once, shortlists every location in one
     mask and runs its rounds as single selector calls
     (:func:`_search_rounds`) that read those rows and that mask in
     place, each location row against its own query's thresholds.  Every
@@ -587,10 +611,14 @@ class SelectionBatch:
             # Grouped by threshold row, a round's locations read their
             # thresholds in one run per k.
             ordered = sorted((searches[i] for i in members), key=lambda s: s.at)
-            for part in _passes(ordered):
+            cap = _pass_rows(
+                arrays,
+                len(ctx.side.pairs().row) if self.method == "approx" else 0,
+            )
+            for part in _passes(ordered, cap):
                 own = sum(search.time_s for search in part)
                 t0 = time.perf_counter()
-                _run_pass(ctx, rows, part, self.select)
+                _run_pass(ctx, rows, part, self.select, cap)
                 shared = time.perf_counter() - t0 - (
                     sum(search.time_s for search in part) - own
                 )
@@ -604,22 +632,24 @@ def _run_pass(
     rows,
     part: List[_Search],
     select: Callable[..., BlockSelection],
+    cap: int,
 ) -> None:
     """One stacked pass: ``alpha * SS(l, u)`` of the pass's locations
-    once (every decision of the pass reads its rows), ``LU_l`` of all of
-    them in one mask, each against its own query's threshold row, then
-    the rounds, each reading its locations' rows of that mask."""
+    once (every decision of the pass reads its rows) if they fit in
+    ``cap`` rows, ``LU_l`` of all of them in one mask, each against its
+    own query's threshold row, then the rounds, each reading its
+    locations' rows of that mask."""
     locations = [loc for search in part for loc in search.locations]
     if not locations:
         return
-    ctx.pin(locations if len(locations) <= STACK_ROWS else ())
+    ctx.pin(locations if len(locations) <= cap else ())
     at = [search.at for search in part for _ in search.locations]
-    member = _shortlist_mask(ctx, rows, locations, at)
+    member = _shortlist_mask(ctx, rows, locations, at, cap)
     sizes = _row_counts(member).tolist()
     start = 0
     for search in part:
         end = start + len(search.locations)
         search.enqueue(sizes[start:end], range(start, end))
         start = end
-    _search_rounds(ctx, part, member, select)
+    _search_rounds(ctx, part, member, select, locations, at)
     ctx.pin(())

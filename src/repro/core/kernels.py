@@ -209,6 +209,11 @@ def refine_guard(num_terms: int, span: float) -> float:
     return 4.0 * (num_terms + 16.0 * max(1.0, span)) * 2.0 ** -24
 
 
+#: The bits of float32's quiet NaN: or-ed into any float32's bits, they
+#: set every exponent bit and the leading mantissa bit — a NaN
+#: (:meth:`SelectionContext._within`).
+QNAN32 = np.int32(0x7FC00000)
+
 #: What rounding ``θ``, then ``θ ± guard``, to float32 may move a band
 #: edge by at ``|θ| < 2``, with room to spare (:func:`_edges32`).
 EDGE_SLACK = 2.0 ** -22
@@ -308,9 +313,10 @@ def _distinct_rows(keys) -> Tuple["np.ndarray", "np.ndarray"]:
 
 
 def _xy_of(locations: Sequence[Point]) -> "np.ndarray":
-    """Coordinates of ``locations``, ``L x 2``."""
-    xy = np.array([(loc.x, loc.y) for loc in locations], dtype=np.float64)
-    return xy.reshape(len(locations), 2)
+    """Coordinates of ``locations``, ``L x 2`` (each column contiguous)."""
+    return np.array(
+        [[loc.x for loc in locations], [loc.y for loc in locations]], dtype=np.float64
+    ).T
 
 
 class ObjectColumns:
@@ -470,6 +476,8 @@ class DatasetArrays:
         user_xy = (self.user_xy - self.corner) * self.scale
         self.obj_xy32 = obj_xy.astype(np.float32)
         self.user_xy32 = user_xy.astype(np.float32)
+        #: Its two columns, each contiguous (:meth:`spatial_matrix`).
+        self.user_x32, self.user_y32 = np.ascontiguousarray(self.user_xy32.T)
         #: ``obj_weights`` rounded to float32, its zero column included
         #: (:meth:`set_bound_matrix` writes the spatial half there).
         self.obj_weights32 = self.obj_weights.astype(np.float32)
@@ -600,7 +608,7 @@ class DatasetArrays:
         guard = select_guard(max(self.span, float(np.abs(xy).max(initial=0.0))))
         xy = xy.astype(np.float32)
         ss = _norm_of_differences(
-            self.user_xy32[:, 0] - xy[:, 0:1], self.user_xy32[:, 1] - xy[:, 1:2],
+            self.user_x32 - xy[:, 0:1], self.user_y32 - xy[:, 1:2],
             ds.metric.p,
         )
         # alpha * max(0, 1 - dist / dmax), from alpha * dist / dmax.
@@ -761,7 +769,7 @@ class PairTable(NamedTuple):
     ``len(row)`` where there is none (row ``-1``: all none).
     ``onehot[p, k]`` is 1 where ``key[p] == k``: a ``float32`` product
     with it counts the pairs of every key exactly (counts stay far below
-    ``2**24``).
+    ``2**24``).  ``per_user[u]`` is user row ``u``'s pair count.
     """
 
     terms: List[int]
@@ -773,6 +781,7 @@ class PairTable(NamedTuple):
     doc: "np.ndarray"
     hw: List[FrozenSet[int]]
     ts: "np.ndarray"
+    per_user: "np.ndarray" = None
 
 
 def _edges32(theta, guard: float):
@@ -820,30 +829,15 @@ def _banded(scores, runs, exact: Callable[[int, int], bool], where=None):
     return passed
 
 
-def _partial_rows(member, index=None, cols=None):
-    """``where`` for :func:`_banded` from a membership mask: the
-    decision rows (``member`` rows ``index[i]``) whose location leaves
-    some user out, with their membership (columns ``cols``) — ``None``
-    when every location holds every user, so nothing is masked."""
-    full = member.all(axis=1)
-    if index is not None:
-        full = full[index]
-    rows = np.flatnonzero(~full)
-    if not len(rows):
-        return None
-    mask = member[rows if index is None else index[rows]]
-    return rows, mask if cols is None else mask[:, cols]
-
-
 def _row_counts(mask, weights=None) -> "np.ndarray":
     """``True`` entries per row of a boolean matrix (an entry of column
     ``j`` counted ``weights[j]`` times: non-negative integers), as one
     floating-point product — exact, every partial sum being an integer
     the float type holds (``float32`` below ``2**24``)."""
-    weights = np.ones(mask.shape[1], dtype=np.intp) if weights is None else weights
-    bound = mask.shape[1] * int(weights.max(initial=1))
+    bound = mask.shape[1] * (1 if weights is None else int(weights.max(initial=1)))
     dtype = np.float32 if bound < 2**24 else np.float64
-    return (mask.astype(dtype) @ weights.astype(dtype)).astype(np.intp)
+    weights = np.ones(mask.shape[1], dtype=dtype) if weights is None else weights.astype(dtype)
+    return (mask.astype(dtype) @ weights).astype(np.intp)
 
 
 def keyword_side_key(ox: STObject, keywords: Iterable[int], ws: int) -> tuple:
@@ -1041,7 +1035,7 @@ class KeywordSide:
         sums = weights[doc[:, None], a.user_term_cols[row]].sum(axis=1)
         return PairTable(
             terms, held, row, key, onehot, pair_of, doc, hw,
-            ts=_normalized_text(sums, a.user_z[row]),
+            ts=_normalized_text(sums, a.user_z[row]), per_user=held.sum(axis=1),
         )
 
     def group_texts(self, su) -> Tuple[float, float]:
@@ -1126,6 +1120,8 @@ class SelectionContext:
         #: distinct :class:`Thresholds` admitted (identity-keyed, held).
         self._rows: List[np.ndarray] = []
         self._row_of: Dict[int, Tuple[int, Thresholds]] = {}
+        #: ``_rows`` as one matrix, restacked when a row is admitted.
+        self._stacked = None
         #: What the current locations read (:meth:`move_to`): the one
         #: row ``_row`` they share (``_loc_rows`` None), else each one's.
         self.rsk = None
@@ -1133,9 +1129,10 @@ class SelectionContext:
         self._loc_rows = None
         self._bars: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
         #: The pinned locations (held, so their ids stay theirs), the
-        #: row of each, by ``id``, and their matrix and guard.
+        #: row of each, by ``id`` (built on the first look-up), and their
+        #: matrix and guard.
         self._pinned_locations: Sequence[Point] = ()
-        self._pinned: Dict[int, int] = {}
+        self._pinned: Optional[Dict[int, int]] = None
         self._pinned_ss = None
         self._pinned_guard = 0.0
         #: ``alpha * SS`` rows the current locations read: ``_ss`` itself
@@ -1144,6 +1141,8 @@ class SelectionContext:
         self._ss = None
         self._ss_rows = None
         self.guard = 0.0
+        #: ``(member, rows)``: the rows :meth:`_within` read for ``member``.
+        self._masked = None
 
     # -- once per context ----------------------------------------------
     def admit(self, rows, rsk: Thresholds) -> int:
@@ -1198,10 +1197,11 @@ class SelectionContext:
         with its guard (:meth:`DatasetArrays.spatial_matrix`): until the
         next pin, :meth:`move_to` reads their rows in place instead of
         recomputing them (every row is its location's alone) when it is
-        handed these very ``Point`` objects.  ``pin(())`` releases the
-        matrix."""
+        handed these very ``Point`` objects — the matrix whole, without a
+        look-up, when handed the pinned sequence itself.  ``pin(())``
+        releases the matrix."""
         self._pinned_locations = locations
-        self._pinned = {id(loc): i for i, loc in enumerate(locations)}
+        self._pinned = None
         self._pinned_ss, self._pinned_guard = (
             self.arrays.spatial_matrix(locations) if locations else (None, 0.0)
         )
@@ -1226,14 +1226,20 @@ class SelectionContext:
         self._loc_rows = per_location
         self._row = at
         self.rsk = self._rows[at] if per_location is None and at >= 0 else None
-        where = [self._pinned.get(id(loc), -1) for loc in locations]
-        if self._pinned and -1 not in where:
+        self._ss_rows = None
+        self._masked = None
+        if self._pinned_ss is not None:
             self._ss, self.guard = self._pinned_ss, self._pinned_guard
-            whole = where == list(range(len(self._pinned_ss)))
-            self._ss_rows = None if whole else np.array(where)
-        else:
-            self._ss, self.guard = self.arrays.spatial_matrix(locations)
-            self._ss_rows = None
+            if locations is self._pinned_locations:
+                return
+            if self._pinned is None:
+                self._pinned = {id(loc): i for i, loc in enumerate(self._pinned_locations)}
+            where = [self._pinned.get(id(loc), -1) for loc in locations]
+            if -1 not in where:
+                if where != list(range(len(self._pinned_ss))):
+                    self._ss_rows = np.array(where)
+                return
+        self._ss, self.guard = self.arrays.spatial_matrix(locations)
 
     def spatial(self, index=None):
         """``alpha * SS(l, u)`` of every user at the current locations
@@ -1242,6 +1248,23 @@ class SelectionContext:
         if index is None:
             return self._ss if rows is None else self._ss[rows]
         return self._ss[index if rows is None else rows[np.asarray(index)]]
+
+    def _within(self, member):
+        """:meth:`spatial` with NaN wherever ``member`` (``L x U``) leaves
+        the user out of the location's ``LU_l``: a NaN fails every
+        comparison, so such an entry neither passes nor reaches the
+        scalar re-check.  Built bitwise (``QNAN32`` or-ed into the
+        float32 bits makes any value a NaN; a masked select costs
+        several times more) and kept for ``member`` until the next
+        :meth:`move_to`: :meth:`luw` and every :meth:`recount` of a
+        block gather from one copy."""
+        masked = self._masked
+        if masked is None or masked[0] is not member:
+            out = np.invert(member).astype(np.int32)
+            out *= QNAN32
+            out |= self.spatial().view(np.int32)
+            masked = self._masked = (member, out.view(np.float32))
+        return masked[1]
 
     def _threshold(self, l: int, row: int) -> float:
         """``RSk(u)`` of user row ``row`` as location ``l`` reads it."""
@@ -1290,13 +1313,15 @@ class SelectionContext:
         users by ``member`` (``L x U``) — reaches ``RSk(u)`` there under
         ``HW_{w,u}``, i.e. is in ``LUW_w`` for ``w = terms[key[p]]``."""
         t = self.side.pairs()
-        ss = self.spatial()[:, t.row]
+        # ``take``, not ``[:, t.row]``: indexing columns lays the result
+        # out column-major, and every decision after it reads rows.
+        ss = np.take(self._within(member), t.row, axis=1)
 
         def exact(l: int, p: int) -> bool:
             return self._wins(l, t.hw[t.doc[p]], t.row[p])
 
         runs = [(lo, hi, self._bar("pairs", r)) for lo, hi, r in self._runs(len(ss))]
-        return _banded(ss, runs, exact, _partial_rows(member, cols=t.row))
+        return _banded(ss, runs, exact)
 
     def cover(self, passed):
         """Greedy max-coverage over the ``LUW_w`` sets of :meth:`luw`,
@@ -1306,15 +1331,25 @@ class SelectionContext:
         ``greedy_max_coverage``.  A key's count is its users' pairs, one
         each, so the pick's count is what it adds to ``|covered|``; a
         pick covers its users' pairs of every key (``pair_of`` of the
-        picked key, read at each pair's user).  Returns the chosen keys
-        (``L x ws`` indices into ``terms``, ``-1`` = stopped) and
-        ``|covered|``."""
+        picked key, read at each pair's user), one gather of ``passed``'s
+        columns per distinct pick.  Returns the chosen keys (``L x ws``
+        indices into ``terms``, ``-1`` = stopped) and ``|covered|``."""
         t = self.side.pairs()
+        none = len(t.row)  # pair_of's "no pair"
+
+        def covered(rows, key):
+            # The pairs whose user the pick ``key`` covers at ``rows``
+            # (row-major, as ``passed``: see :meth:`luw`).
+            cols = t.pair_of[key][t.row]
+            gone = np.take(rows, cols, axis=1, mode="clip")
+            gone &= cols < none
+            return gone
+
         lanes = np.arange(len(passed))
         chosen = np.full((len(passed), max(self.ws, 0)), -1, dtype=np.intp)
         coverage = np.zeros(len(passed), dtype=np.intp)
         fresh = passed
-        for step in range(self.ws if passed.any() else 0):
+        for step in range(self.ws if len(t.terms) else 0):
             gains = fresh.astype(np.float32) @ t.onehot
             pick = gains.argmax(axis=1)
             gain = gains[lanes, pick].astype(np.intp)
@@ -1324,18 +1359,15 @@ class SelectionContext:
             chosen[:, step] = pick
             coverage += gain
             if step + 1 < self.ws:
-                # A false column at index len(row): where pair_of
-                # points for "no pair" (and row -1, a stopped pick).
-                padded = np.concatenate(
-                    (passed, np.zeros((len(passed), 1), dtype=bool)), axis=1
-                )
-                gone = np.empty(passed.shape, dtype=bool)
-                for key in np.unique(pick).tolist():
-                    rows = np.flatnonzero(pick == key)
-                    gone[rows] = padded[rows][:, t.pair_of[key][t.row]]
-                np.logical_not(gone, out=gone)
-                gone &= fresh
-                fresh = gone
+                keys = np.unique(pick).tolist()
+                if len(keys) == 1:
+                    gone = covered(passed, keys[0])
+                else:
+                    gone = np.empty(passed.shape, dtype=bool)
+                    for key in keys:
+                        picked = np.flatnonzero(pick == key)
+                        gone[picked] = covered(passed[picked], key)
+                fresh = np.greater(fresh, gone, out=gone)  # fresh and not gone
         return chosen, coverage
 
     def recount(self, member, index, keyword_sets: Sequence[FrozenSet[int]], which):
@@ -1346,7 +1378,7 @@ class SelectionContext:
         so callers list those together."""
         index = np.asarray(index, dtype=np.intp)
         which = np.asarray(which, dtype=np.intp)
-        ss = self.spatial(index)
+        ss = np.take(self._within(member), index, axis=0)
 
         def exact(i: int, row: int) -> bool:
             return self._wins(int(index[i]), keyword_sets[which[i]], row)
@@ -1361,10 +1393,12 @@ class SelectionContext:
         # Every run's θ in one expression, kept for this call only: a
         # recount of Algorithm 4's combinations meets thousands of sets.
         texts = self.side.text(keyword_sets)  # every new set in one stacked pass
-        theta = np.stack(self._rows)[rows] - (1.0 - self.arrays.dataset.alpha) * texts[sets]
+        if self._stacked is None or len(self._stacked) != len(self._rows):
+            self._stacked = np.stack(self._rows)
+        theta = self._stacked[rows] - (1.0 - self.arrays.dataset.alpha) * texts[sets]
         low, high = _edges32(theta, self.guard)
         runs = [(a, b, (low[i], high[i])) for i, (a, b) in enumerate(spans)]
-        return _banded(ss, runs, exact, _partial_rows(member, index))
+        return _banded(ss, runs, exact)
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import (
 from ..model.dataset import Dataset
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
-from .kernels import SelectionContext, _distinct_rows, _row_counts, arrays_for, np
+from .kernels import SelectionContext, _row_counts, arrays_for, np
 
 __all__ = [
     "KeywordSelection",
@@ -131,23 +131,40 @@ class BlockSelection(NamedTuple):
 def _prefixes(chosen, terms: Sequence[int]):
     """Every greedy prefix of every location, as recount rows: per row
     its location, its length and its set (an index into the returned
-    distinct sets), grouped by set — the empty prefix first.  ``chosen``
-    is :meth:`SelectionContext.cover`'s ``L x ws`` keys, ``-1`` past a
-    location's stop."""
+    sets), grouped by set — the empty prefix first, row ``l`` of
+    location ``l``.  ``chosen`` is :meth:`SelectionContext.cover`'s ``L
+    x ws`` keys, ``-1`` past a location's stop.  A prefix one key longer
+    is one integer, its shorter prefix's set times the key count plus
+    the key, so one stable ``argsort`` per length groups its rows (a
+    set reached in two pick orders gets two ids: the recount compares
+    its rows as two runs, to the same answer)."""
+    n = len(chosen)
     depth = np.count_nonzero(chosen >= 0, axis=1)
+    keys = len(terms)
     sets: List[FrozenSet[int]] = [frozenset()]
-    locs, ends, which = [np.arange(len(chosen))], [0], [np.zeros(len(chosen), dtype=np.intp)]
+    locs, which = [np.arange(n)], [np.zeros(n, dtype=np.intp)]
+    prefix = which[0].copy()  # each location's set so far
     for end in range(1, chosen.shape[1] + 1):
         live = np.flatnonzero(depth >= end)
         if not len(live):
             break
-        unique, ids = _distinct_rows(np.sort(chosen[live, :end], axis=1))
-        order = np.argsort(ids, kind="stable")
-        locs.append(live[order])
-        ends.append(end)
-        which.append(ids[order] + len(sets))
-        sets.extend(frozenset(terms[k] for k in keys) for keys in unique.tolist())
-    lengths = np.repeat(ends, [len(rows) for rows in locs])
+        code = chosen[live, end - 1]
+        if end > 1:
+            code = code + prefix[live] * keys
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        first = np.ones(len(code), dtype=bool)
+        np.not_equal(code[1:], code[:-1], out=first[1:])
+        ids = np.cumsum(first)
+        ids += len(sets) - 1
+        for grown in code[first].tolist():
+            shorter, key = divmod(grown, keys)
+            sets.append(sets[shorter] | {terms[key]})
+        live = live[order]
+        prefix[live] = ids
+        locs.append(live)
+        which.append(ids)
+    lengths = np.repeat(np.arange(len(locs)), [len(rows) for rows in locs])
     return np.concatenate(locs), lengths, np.concatenate(which), sets, depth
 
 
@@ -187,13 +204,15 @@ def select_greedy_block(
     n = len(locations)
     counts = np.full((n, ws + 1), -1, dtype=np.intp)
     counts[locs, lengths] = _row_counts(won)
-    at = np.zeros((n, ws + 1), dtype=np.intp)
+    at = np.empty((n, ws + 1), dtype=np.intp)
     at[locs, lengths] = np.arange(len(locs))
-    best = at[np.arange(n), counts.argmax(axis=1)]  # strict improvement: the first maximum
+    lanes = np.arange(n)
+    longest = counts.argmax(axis=1)  # strict improvement: the first maximum
+    best = at[lanes, longest]
     keywords = [sets[i] for i in which[best].tolist()]
-    base = won[at[:, 0]]
-    best_counts = counts.max(axis=1)
-    scored = (_row_counts(member, table.held.sum(axis=1)) + depth).tolist()
+    base = won[:n]  # the empty prefixes, location by location
+    best_counts = counts[lanes, longest]
+    scored = (_row_counts(member, table.per_user) + depth).tolist()
     won = won[best]
 
     # Fallback pass: greedy on the *true* objective where the LUW

@@ -9,7 +9,7 @@ query over its own rows.  Everything here holds it to
 :func:`repro.oracle.select_candidate`, run query by query, with ``==``
 on ``(location, keywords, brstknn, locations_pruned,
 keyword_combinations_scored)`` — for both methods, at several block
-sizes and row budgets, so multi-round and multi-pass stacking both run
+sizes and pass budgets, so multi-round and multi-pass stacking both run
 — and pins the cost shape the stacking buys.  Two seeded mutants (a replay that
 reads its neighbour's rows, a group key without ``ws``) must be caught.
 """
@@ -46,19 +46,23 @@ ALPHAS = [0.0, 0.3, 0.5, 1.0]
 METRICS = [MANHATTAN, EUCLIDEAN, CHEBYSHEV]
 VOCAB = 14
 
-#: (LOCATION_BLOCK, STACK_ROWS) settings: one block per query and one
-#: pass per batch, through many rounds and many passes.
-BUDGETS = [(32, 128), (4, 128), (1, 128), (32, 12), (4, 12), (1, 5)]
+#: (LOCATION_BLOCK, PASS_BYTES) settings: one block per query and one
+#: pass per batch, through many rounds and many passes — a location row
+#: of these datasets takes 96–176 bytes of greedy temporaries (64 of
+#: exact ones), so 2 000 bytes hold 11–20 (31) rows, 600 3–6 (9) and 1
+#: byte one location per pass.
+PASS = candidate_selection.PASS_BYTES
+BUDGETS = [(32, PASS), (4, PASS), (1, PASS), (32, 2000), (4, 600), (1, 1)]
 
 
 @contextlib.contextmanager
-def budget(block, rows):
-    saved = candidate_selection.LOCATION_BLOCK, candidate_selection.STACK_ROWS
-    candidate_selection.LOCATION_BLOCK, candidate_selection.STACK_ROWS = block, rows
+def budget(block, pass_bytes):
+    saved = candidate_selection.LOCATION_BLOCK, candidate_selection.PASS_BYTES
+    candidate_selection.LOCATION_BLOCK, candidate_selection.PASS_BYTES = block, pass_bytes
     try:
         yield
     finally:
-        candidate_selection.LOCATION_BLOCK, candidate_selection.STACK_ROWS = saved
+        candidate_selection.LOCATION_BLOCK, candidate_selection.PASS_BYTES = saved
 
 
 def build_batch(seed, measure, n_queries, alpha=0.5, metric=EUCLIDEAN):
@@ -192,7 +196,7 @@ def stacked_in_threads(ds, rsk, rsk_group, queries, threads, method):
     return out
 
 
-@pytest.mark.parametrize("block,rows", BUDGETS)
+@pytest.mark.parametrize("block,pass_bytes", BUDGETS)
 @given(
     seed=st.integers(0, 10_000),
     measure=st.sampled_from(MEASURES),
@@ -207,7 +211,7 @@ def stacked_in_threads(ds, rsk, rsk_group, queries, threads, method):
 )
 @settings(max_examples=25, deadline=None)
 def test_stacked_batch_equals_oracle_per_query(
-    block, rows, seed, measure, n_queries, group, alpha, metric, threads, text_rows,
+    block, pass_bytes, seed, measure, n_queries, group, alpha, metric, threads, text_rows,
     method, exact_rows,
 ):
     """Each answer of the stacked batch is the oracle's, for either
@@ -222,7 +226,7 @@ def test_stacked_batch_equals_oracle_per_query(
         kernels.SIDE_TEXT_BYTES = text_rows * 8 * kernels.arrays_for(ds).num_users
     keyword_selection.EXACT_ROWS = exact_rows
     try:
-        with budget(block, rows):
+        with budget(block, pass_bytes):
             got = stacked_in_threads(ds, rsk, rsk_group, queries, threads, method)
     finally:
         kernels.SIDE_TEXT_BYTES, keyword_selection.EXACT_ROWS = saved
@@ -299,8 +303,8 @@ def mismatches():
         )
         for rsk_group in rsk_groups(rsk)[:2]:
             want = oracle_answers(ds, rsk, rsk_group, queries)
-            for block, rows in BUDGETS[:4]:
-                with budget(block, rows):
+            for block, pass_bytes in BUDGETS[:4]:
+                with budget(block, pass_bytes):
                     try:
                         bad += stacked_answers(ds, rsk, rsk_group, queries) != want
                     except (IndexError, ValueError):
@@ -314,12 +318,12 @@ class TestMutantsAreCaught:
 
     def test_replay_reads_the_neighbours_rows(self, monkeypatch):
         original = candidate_selection._Search.replay
-        previous = [0]
+        previous = [None]
 
-        def replay(self, block, selection, start, base_counts, counts):
-            shifted = previous[0] if start else start  # the query before's offset
-            previous[0] = start
-            return original(self, block, selection, shifted, base_counts, counts)
+        def replay(self, block, selection, rows):
+            theirs = rows if previous[0] is None else previous[0]  # the query before's
+            previous[0] = rows
+            return original(self, block, selection, [*theirs, *rows][: len(block)])
 
         monkeypatch.setattr(candidate_selection._Search, "replay", replay)
         assert mismatches()
@@ -398,7 +402,7 @@ def cross_k_oracle(ds, pairs, queries, method="approx"):
     return out
 
 
-@pytest.mark.parametrize("block,rows", BUDGETS)
+@pytest.mark.parametrize("block,pass_bytes", BUDGETS)
 @given(
     seed=st.integers(0, 10_000),
     measure=st.sampled_from(MEASURES),
@@ -409,16 +413,58 @@ def cross_k_oracle(ds, pairs, queries, method="approx"):
 )
 @settings(max_examples=20, deadline=None)
 def test_cross_k_batch_equals_oracle_per_query(
-    block, rows, seed, measure, n_queries, alpha, metric, method
+    block, pass_bytes, seed, measure, n_queries, alpha, metric, method
 ):
     """Every query of a payload mixing ks and keyword sides answers
     ``==`` the oracle run with that query's own thresholds, for either
     method."""
     ds, pairs, queries = build_cross_k_batch(seed, measure, n_queries, alpha, metric)
     want = cross_k_oracle(ds, pairs, queries, method)
-    with budget(block, rows):
+    with budget(block, pass_bytes):
         got = cross_k_stacked(ds, pairs, queries, method)
     assert got == want
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    measure=st.sampled_from(MEASURES),
+    shape=st.lists(
+        st.tuples(st.integers(1, 12), st.sampled_from(CROSS_KS), st.integers(0, 1)),
+        min_size=1, max_size=9,
+    ),
+    pass_bytes=st.one_of(st.just(1), st.integers(1, 6000)),
+    method=st.sampled_from(["approx", "exact"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_pass_bound_changes_no_answer(seed, measure, shape, pass_bytes, method):
+    """A batch of drawn shape — per query its number of locations, its k
+    (and so its ``RSk(us)``) and one of two keyword sides — answers the same
+    under any bound on a pass's bytes, down to passes of one location:
+    every answer and counter (``locations_pruned`` and
+    ``keyword_combinations_scored`` included) ``==`` the batch run in one
+    pass and ``oracle.select_candidate``'s."""
+    ds, rsk, _ = build_batch(seed, measure, 1)
+    rng = random.Random(seed)
+    pairs = {}
+    for k, group in zip(CROSS_KS, range(3)):
+        vector = thresholds_at(ds, rsk, k)
+        pairs[k] = (vector, [0.0, 0.02, min(v for v in vector.values if v > 0.0)][group])
+    sides = [
+        ({}, sorted(rng.sample(range(VOCAB), 8)), 2),
+        ({t: 1 for t in rng.sample(range(VOCAB), 2)}, sorted(rng.sample(range(VOCAB), 6)), 1),
+    ]
+    queries = [
+        MaxBRSTkNNQuery(
+            ox=STObject(item_id=-(i + 1), location=Point(5, 5), terms=dict(sides[side][0])),
+            locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)],
+            keywords=list(sides[side][1]), ws=sides[side][2], k=k,
+        )
+        for i, (n, k, side) in enumerate(shape)
+    ]
+    one_pass = cross_k_stacked(ds, pairs, queries, method)
+    with budget(candidate_selection.LOCATION_BLOCK, pass_bytes):
+        bounded = cross_k_stacked(ds, pairs, queries, method)
+    assert bounded == one_pass == cross_k_oracle(ds, pairs, queries, method)
 
 
 def test_cross_k_batches_reach_every_path():
@@ -449,8 +495,8 @@ def cross_k_mismatches():
             seed, MEASURES[seed % 3], 6, ALPHAS[seed % 4], METRICS[seed % 3]
         )
         want = cross_k_oracle(ds, pairs, queries)
-        for block, rows in BUDGETS[:4]:
-            with budget(block, rows):
+        for block, pass_bytes in BUDGETS[:4]:
+            with budget(block, pass_bytes):
                 try:
                     bad += cross_k_stacked(ds, pairs, queries) != want
                 except (IndexError, ValueError, KeyError):
@@ -604,12 +650,20 @@ class TestCostShape:
         )
 
     def test_row_budget_splits_a_payload_into_passes(self, monkeypatch):
-        """8 queries x 5 locations under a 12-row budget: passes of two
-        queries — four block calls, still one context; a flush's select
-        stage still counts the 8 queries, not the passes."""
+        """8 queries x 5 locations under a budget of 12 location rows'
+        bytes — a row's float32 ``alpha * SS`` over the users and ``LUW``
+        row over the pairs: passes of two queries — four block calls,
+        still one context; a flush's select stage still counts the 8
+        queries, not the passes."""
         engine, queries = engine_and_queries(8)
         shared = refined_states(engine, queries)[0]
-        monkeypatch.setattr(candidate_selection, "STACK_ROWS", 12)
+        arrays = kernels.arrays_for(engine.dataset)
+        q = queries[0]
+        pairs = len(SelectionContext(arrays, q.ox, q.keywords, q.ws).side.pairs().row)
+        monkeypatch.setattr(
+            candidate_selection, "PASS_BYTES", 12 * 4 * (arrays.num_users + pairs)
+        )
+        assert candidate_selection._pass_rows(arrays, pairs) == 12
         calls = count_kernel_calls(monkeypatch)
         execute_shard_payload(
             engine.dataset, ("select", queries, (shared,) * len(queries), "approx")
@@ -621,8 +675,8 @@ class TestCostShape:
 
     def test_a_pass_computes_its_spatial_rows_once(self, monkeypatch):
         """A warm flush of 8 queries x 20 locations (the benchmark's
-        query shape) is two passes (120 + 40 rows) of several rounds
-        each: ``spatial_matrix`` runs once per pass — one row per
+        query shape) is one pass (160 rows) of several rounds:
+        ``spatial_matrix`` runs once for the pass — one row per
         surviving location, never again per round — the group bounds
         make no per-location scalar call, no round rebuilds a
         membership mask from row lists, and the pair table is built
@@ -672,8 +726,8 @@ class TestCostShape:
             engine.dataset, ("select", queries, (shared,) * len(queries), "approx")
         )
         survivors = 8 * 20 - sum(r.stats.locations_pruned for r in got)
-        assert calls["passes"] == 2 and calls["blocks"] > calls["passes"]
-        assert len(calls["spatial"]) == 2 and sum(calls["spatial"]) == survivors
+        assert calls["passes"] == 1 and calls["blocks"] > calls["passes"]
+        assert len(calls["spatial"]) == 1 and sum(calls["spatial"]) == survivors
         assert calls["scalar bounds"] == calls["membership"] == 0
         assert calls["pair tables"] == 1
         assert [
