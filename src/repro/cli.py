@@ -159,6 +159,11 @@ def _cmd_serve(args) -> int:
     if args.cache_entries < 1:
         print("serve: --cache-entries must be >= 1", file=sys.stderr)
         return 2
+    if args.pool_workers > 1:
+        print(f"serve: --pool-workers is 0 (in-process) or 1 (fork the "
+              f"fleet, one host per shard); size the fleet with --shards: "
+              f"{_NEEDS_LANES}", file=sys.stderr)
+        return 2
     if args.pool_workers > 0 and args.shards < 2:
         print(f"serve: --pool-workers needs lanes: {_NEEDS_LANES}",
               file=sys.stderr)
@@ -252,7 +257,6 @@ def _cmd_serve(args) -> int:
           f"p95 {1000 * percentile(latencies, 0.95):.1f} ms "
           f"(max_batch={config.max_batch}, max_wait_ms={config.max_wait_ms}, "
           f"pool_workers={config.pool_workers}, shards={args.shards})")
-    shard_rows = snapshot.pop("shards", None)
     health_rows = snapshot.pop("pool_health", None)
     codec_row = snapshot.pop("shm_codec", None)
     for name, value in snapshot.items():
@@ -260,12 +264,6 @@ def _cmd_serve(args) -> int:
     if codec_row:
         detail = ", ".join(f"{key}={val}" for key, val in codec_row.items())
         print(f"  shm_codec: {detail}")
-    if shard_rows:
-        for row in shard_rows:
-            detail = ", ".join(
-                f"{key}={val}" for key, val in row.items() if key != "shard"
-            )
-            print(f"  shard[{row['shard']}]: {detail}")
     if health_rows:
         for row in health_rows:
             detail = ", ".join(
@@ -396,11 +394,15 @@ def main(argv=None) -> int:
                        help="micro-batch window in ms, or 'auto' to tune it "
                             "from the observed arrival rate")
     serve.add_argument("--pool-workers", type=int, default=0,
-                       help="local shard hosts forked per lane (needs "
-                            "--shards >= 2; 0 = in-process)")
+                       help="1 = fork the engine's fleet, one shard host "
+                            "per --shards lane (needs --shards >= 2); "
+                            "0 = in-process")
     serve.add_argument("--shards", type=int, default=1,
-                       help="deal each flush over N full-dataset lanes behind "
-                            "the server (scatter/gather, result-identical)")
+                       help="build a fleet engine of N full-dataset lanes "
+                            "behind the server (scatter/gather, "
+                            "result-identical); its hosts are forked by "
+                            "--pool-workers 1 or reached by --transport "
+                            "socket")
     serve.add_argument("--shm", default=False,
                        action=argparse.BooleanOptionalAction,
                        help="ship scatter payload blocks to the shard hosts "

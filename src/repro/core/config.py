@@ -78,13 +78,15 @@ class EngineConfig:
     buffer_pages:
         LRU buffer capacity in pages; 0 = cold queries (paper setting).
     num_shards:
-        Lane count: how many user-row ranges the cold refine is dealt
-        as — run inline, or over the full-dataset shard hosts (forked
-        or remote) of a :class:`~repro.serve.sharded.ShardedEngine`'s
-        fleet, which also take the selections by query — with results
-        identical to a single range.  ``1`` is the default;
+        Fleet size: how many full-dataset shard hosts a
+        :class:`~repro.serve.sharded.ShardedEngine`'s ``start_pools``
+        forks.  Each host is a lane: the cold refine is dealt as one
+        user-row range per lane and the selections by query, with
+        results identical to a single range.  ``1`` is the default;
         :func:`repro.serve.sharded.make_engine` builds a
-        ``ShardedEngine`` for more.
+        ``ShardedEngine`` for more.  A plain engine has no fleet and
+        ignores it, as it ignores ``use_shm``: it refines in one range,
+        in-process.
     use_shm:
         Ship scatter payload blocks through a named
         :class:`~repro.storage.shm.ShmArena` with the binary arena codec

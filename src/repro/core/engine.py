@@ -16,12 +16,12 @@ The three layers (see also ``repro/serve`` for the one above):
   capabilities into an executable :class:`QueryPlan`;
 * execution — one :class:`~repro.core.pipeline.Executor` per engine,
   which runs every flush and owns the phase-1 memo.  It deals the
-  refine as ``EngineConfig.num_shards`` user-row ranges, run inline
-  until a fleet of shard hosts attaches (worker processes belong to the
-  fleet of :class:`~repro.serve.sharded.ShardedEngine`, which is this
-  engine plus its fleet).  :meth:`MaxBRSTkNNEngine.query` is a batch of
-  one on a fresh executor: its empty memo makes the query cold, as in
-  the paper's per-query setting.
+  refine as one user-row range per lane of its transport: one, run
+  inline, until a fleet of shard hosts attaches (worker processes
+  belong to the fleet of :class:`~repro.serve.sharded.ShardedEngine`,
+  which is this engine plus its fleet).  :meth:`MaxBRSTkNNEngine.query`
+  is a batch of one on a fresh executor: its empty memo makes the query
+  cold, as in the paper's per-query setting.
 
 Every query runs one pipeline: users in memory, joint top-k
 (Section 5), then Algorithm 3 candidate selection.  The paper's other
@@ -126,10 +126,17 @@ class MaxBRSTkNNEngine:
                 dataset.objects, dataset.relevance, fanout=config.fanout
             )
         #: Runs every flush of :meth:`query_batch`, its refine dealt as
-        #: ``num_shards`` row ranges, and owns the memo it reuses across
-        #: batches: the cross-k traversal pool and the merged thresholds
-        #: (:meth:`clear_topk_cache` drops them).
-        self._executor = Executor(self, config.num_shards)
+        #: one row range per lane of its transport, and owns the memo it
+        #: reuses across batches: the cross-k traversal pool and the
+        #: merged thresholds (:meth:`clear_topk_cache` drops them).
+        self._executor = Executor(self)
+        #: Gather-side time of every flush, ``engine.query``'s own
+        #: executors included (:meth:`gather_stats`): the refine merge,
+        #: the query-axis phase, and the query-axis rounds that left
+        #: the process.
+        self.merge_s = 0.0
+        self.search_s = 0.0
+        self.search_flushes = 0
         #: Joint tree walks this engine has executed (single queries
         #: and batch shared phases alike) — the batch benchmarks
         #: assert a mixed-k batch pays exactly one.
@@ -203,8 +210,7 @@ class MaxBRSTkNNEngine:
         # its I/O is the paper's per-query trace (Figure 15 measures it).
         # It deals the refine like the engine's own, over its transport,
         # and keeps its one-shot pool out of the codec's delta memo.
-        executor = Executor(self, self._executor.ranges, one_shot=True)
-        executor.transport = self._executor.transport
+        executor = Executor(self, self._executor.transport, one_shot=True)
         plan = plan_batch(opts, EngineCapabilities.of(executor), [query.k])
         return executor.execute([query], plan)[0]
 
@@ -284,10 +290,6 @@ class MaxBRSTkNNEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def shard_stats(self) -> List[dict]:
-        """Per-range refine counters (queue depth, flushes, times)."""
-        return [stats.snapshot() for stats in self._executor.lane_stats]
-
     def gather_stats(self) -> dict:
         """Gather-side counters: ``merge_ms`` is the cross-range ``RSk``
         union of refine rounds; ``search_ms`` / ``search_flushes`` time
@@ -299,13 +301,12 @@ class MaxBRSTkNNEngine:
         bytes their arrays hold (each shard host keeps its own map)."""
         from .kernels import arrays_for
 
-        executor = self._executor
         sides = arrays_for(self.dataset).side_stats()
         return {
-            "merge_ms": round(1000 * executor.merge_s, 2),
-            "search_ms": round(1000 * executor.search_s, 2),
-            "search_flushes": executor.search_flushes,
-            "search_workers": executor.transport.hosts(),
+            "merge_ms": round(1000 * self.merge_s, 2),
+            "search_ms": round(1000 * self.search_s, 2),
+            "search_flushes": self.search_flushes,
+            "search_workers": self._executor.transport.hosts(),
             **{f"side_{name}": value for name, value in sides.items()},
         }
 

@@ -201,35 +201,13 @@ class PayloadCodec:
                 # Same object at a new epoch (or a recycled id): the old
                 # block is superseded — retire it once it's safely cold.
                 self._pending_drops.append((self._seq, entry[2].column))
-            try:
-                data = encode_rsk(obj) if kind == "rsk" else pickle.dumps(
-                    obj, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except (TypeError, ValueError, OverflowError, pickle.PicklingError):
-                # Unencodable (non-int64 keys, unpicklable object):
-                # leave it inline on the pickle path.
-                self.inline_fallbacks += 1
+            ref = self._write(obj, tag, kind, epoch)
+            if ref is None:
                 return obj
-            self._seq += 1
-            column = f"{tag}-e{epoch}-f{self._seq}"
-            try:
-                self.arena.add_bytes(column, data)
-            except (ShmArenaError, OSError):
-                # Arena exhausted or gone: stop trying (every later
-                # payload ships inline — correct, just un-optimized).
-                self.inline_fallbacks += 1
-                self._broken = True
-                return obj
-            count = len(obj) if kind == "rsk" else len(data)
-            ref = ArenaRef(
-                arena=self.arena.name, column=column, kind=kind, count=count
-            )
             self._memo[id(obj)] = (obj, epoch, ref)
             while len(self._memo) > self.MEMO_MAX:
                 _, (_, _, old_ref) = self._memo.popitem(last=False)
                 self._pending_drops.append((self._seq, old_ref.column))
-            self._drain_retired()
-            self.arena_bytes_written += len(data)
             return ref
 
     def ship_once(self, obj, tag: str, kind: str = "blob"):
@@ -245,28 +223,41 @@ class PayloadCodec:
             return obj
         epoch = self.epoch_fn()
         with self._lock:
-            try:
-                data = encode_rsk(obj) if kind == "rsk" else pickle.dumps(
-                    obj, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except (TypeError, ValueError, OverflowError, pickle.PicklingError):
-                self.inline_fallbacks += 1
+            ref = self._write(obj, tag, kind, epoch)
+            if ref is None:
                 return obj
-            self._seq += 1
-            column = f"{tag}-e{epoch}-f{self._seq}"
-            try:
-                self.arena.add_bytes(column, data)
-            except (ShmArenaError, OSError):
-                self.inline_fallbacks += 1
-                self._broken = True
-                return obj
-            self._pending_drops.append((self._seq, column))
-            self._drain_retired()
-            self.arena_bytes_written += len(data)
-            return ArenaRef(
-                arena=self.arena.name, column=column, kind=kind,
-                count=len(obj) if kind == "rsk" else len(data),
+            self._pending_drops.append((self._seq, ref.column))
+            return ref
+
+    def _write(self, obj, tag: str, kind: str, epoch: int) -> Optional[ArenaRef]:
+        """Encode ``obj`` into a fresh arena column and reference it —
+        ``None`` when it stays inline (lock held).  Retires what is
+        safely cold, and counts the bytes written."""
+        try:
+            data = encode_rsk(obj) if kind == "rsk" else pickle.dumps(
+                obj, protocol=pickle.HIGHEST_PROTOCOL
             )
+        except (TypeError, ValueError, OverflowError, pickle.PicklingError):
+            # Unencodable (non-int64 keys, unpicklable object): leave it
+            # inline on the pickle path.
+            self.inline_fallbacks += 1
+            return None
+        self._seq += 1
+        column = f"{tag}-e{epoch}-f{self._seq}"
+        try:
+            self.arena.add_bytes(column, data)
+        except (ShmArenaError, OSError):
+            # Arena exhausted or gone: stop trying (every later payload
+            # ships inline — correct, just un-optimized).
+            self.inline_fallbacks += 1
+            self._broken = True
+            return None
+        self._drain_retired()
+        self.arena_bytes_written += len(data)
+        return ArenaRef(
+            arena=self.arena.name, column=column, kind=kind,
+            count=len(obj) if kind == "rsk" else len(data),
+        )
 
     def _drain_retired(self) -> None:
         """Drop every pending column that is safely cold (lock held)."""

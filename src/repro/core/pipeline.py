@@ -5,11 +5,10 @@ select — each phase handing its products to the next as arguments and
 recording one :class:`StageStats` (wall time, simulated I/O, scatter
 width and round counters) on the flush's :class:`FlushReport`.
 Traverse is Algorithm 1's one cross-k walk (or its memoized pool).
-Refine is Algorithm 2 dealt as ``EngineConfig.num_shards`` user-row
-ranges — run inline until a fleet attaches — per-user work whose
-``RSk(u)`` vectors merge as a disjoint union.  Select is Algorithm 3
-whole per query — its keyword-coverage counts sum over all of
-``LU_l``, so it is dealt by query, never by user.
+Refine is Algorithm 2 dealt as one user-row range per transport lane —
+per-user work whose ``RSk(u)`` vectors merge as a disjoint union.
+Select is Algorithm 3 whole per query — its keyword-coverage counts
+sum over all of ``LU_l``, so it is dealt by query, never by user.
 
 Section 4's baseline (per-user top-k, then an exhaustive scan) and
 Section 7's MIUR-tree search are not pipelines: they are reference
@@ -26,9 +25,9 @@ gather around the ONE worker entry, :func:`execute_shard_payload`
     refine_payloads -> execute_shard_payload -> merge_refine
     select_payloads -> execute_shard_payload -> merge_select
 
-Builders cut the work — ranges of user rows, chunks of queries — and
-each payload goes to the lane carrying the least work so far; every
-round then goes through ONE loop, :func:`run_round`::
+Builders cut the work — ranges of user rows, chunks of queries — into
+at most one payload per lane of the transport; every round then goes
+through ONE loop, :func:`run_round`::
 
     encode -> dispatch every lane -> collect each -> degrade -> decode
 
@@ -41,7 +40,8 @@ recovery ladder and raises :class:`ScatterFailure` once it is
 exhausted, leaving the round's retry/byte counters on the
 :class:`Ticket`.  Two implementations:
 
-* :class:`InlineTransport` — the calling process; no wire, no ladder.
+* :class:`InlineTransport` — the calling process, one lane; no wire,
+  no ladder.
 * :class:`repro.serve.transport.SocketTransport` — one lane per alive
   shard host, forked locally on a socketpair or remote over TCP, every
   lane a frame (host death or deadline => re-scatter to a survivor,
@@ -52,22 +52,21 @@ against the coordinator's dataset: ``execute_shard_payload`` is pure,
 so the degraded answer is bitwise-identical, only slower — and counted.
 
 One :class:`Executor` runs every engine's flushes.  It holds the
-engine, the refine's row-range count (``EngineConfig.num_shards``), the
-transport (:data:`INLINE` until a
+engine, the transport (:data:`INLINE` until a
 :class:`~repro.serve.sharded.ShardedEngine`'s ``start_pools`` /
 ``connect_hosts`` swap in the socket one) and the phase-1 memo.  The
-refine is always the dealt ``refine_payloads -> merge_refine`` round —
-its ranges run inline while no fleet is attached — and a query-axis
-round leaves the process only over a remote transport, when the
-planner says it pays.  ``MaxBRSTkNNEngine.query`` runs a fresh executor
-with the same ranges and transport: its empty memo makes the query
-cold by construction.
+refine is always the ``refine_payloads -> merge_refine`` round, one
+range per lane — a single inline range while no fleet is attached —
+and a query-axis round leaves the process only over a remote
+transport, when the planner says it pays.  ``MaxBRSTkNNEngine.query``
+runs a fresh executor on the same transport: its empty memo makes the
+query cold by construction.
 
 Result identity is the invariant throughout: results, I/O traces and
 selection stats equal the single sequential engine's across lane
 counts × mixed-k × transports
 (``tests/core/test_pipeline.py``,
-``tests/serve/test_sharded.py``, ``tests/serve/test_multihost.py``).
+``tests/serve/test_lanes.py``, ``tests/serve/test_multihost.py``).
 """
 
 from __future__ import annotations
@@ -77,8 +76,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Protocol,
-    Sequence, Tuple,
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple,
 )
 
 # The payload funnels are called through the module attribute (never
@@ -110,7 +108,6 @@ __all__ = [
     "INLINE",
     "run_round",
     "user_row_ranges",
-    "ShardRuntimeStats",
     "Executor",
     "execute_shard_payload",
 ]
@@ -141,7 +138,7 @@ class StageStats:
 
     stage: str
     items: int = 0          # work items (queries, ks) the stage covered
-    scatter_width: int = 1  # lanes (refine: row ranges) the stage fanned out to
+    scatter_width: int = 1  # lanes (one payload each) the stage fanned out to
     time_s: float = 0.0
     io_node_visits: int = 0
     io_invfile_blocks: int = 0
@@ -409,7 +406,8 @@ class Transport(Protocol):
     remote: bool
 
     def lanes(self) -> int:
-        """Fixed lanes a round deals its payloads over."""
+        """Lanes a round's work is cut into, one payload each (the cold
+        refine: one user-row range each)."""
 
     def hosts(self) -> int:
         """Alive shard hosts the lanes reach (0: the calling process)."""
@@ -516,109 +514,50 @@ def _phase(report: FlushReport, name: str, io, items: int) -> Iterator[StageStat
     report.stages.append(stats)
 
 
-class _DealtRound(NamedTuple):
-    """One dealt scatter round, as :func:`_deal` returns it."""
+def _scatter(
+    phase: str, payloads: List[tuple], stats: StageStats, transport: Transport,
+    dataset, codec=None,
+) -> list:
+    """Run ``payloads`` as one round, payload ``i`` on lane ``i``, and
+    put the round's width and counters on its phase's ``stats``.
 
-    chunks: list            # answers, in payload order
-    lane_of: List[int]      # the lane each payload ran on
-    retries: List[int]      # per lane
-    degraded: List[int]     # per lane (0/1)
-    bytes_out: int
-    bytes_in: int
-
-    def record(self, stats: StageStats, width: int) -> None:
-        """Put the round's width and counters on its phase's stats."""
-        stats.scatter_width = width
-        stats.retries = sum(self.retries)
-        stats.degraded = sum(self.degraded)
-        stats.payload_bytes_out = self.bytes_out
-        stats.payload_bytes_in = self.bytes_in
-
-
-def _deal(
-    phase: str, payloads: List[tuple], weights: Sequence[int],
-    transport: Transport, dataset, codec=None,
-) -> _DealtRound:
-    """Deal ``payloads`` over the transport's lanes and run the round.
-
-    A lane is fixed up front, so each payload goes to the lane carrying
-    the least work so far (``weights[i]``: payload ``i``'s queries or
-    user rows; lanes fill in order: no gaps).  ``dataset`` is what a
-    lane run inline or degraded executes against; ``codec`` as for
+    The answers come back in payload order.  ``dataset`` is what a lane
+    run inline or degraded executes against; ``codec`` as for
     :func:`run_round`.
     """
-    n_lanes = transport.lanes()
-    load = [0] * n_lanes
-    lane_of: List[int] = []
-    for weight in weights:
-        lane_of.append(load.index(min(load)))
-        load[lane_of[-1]] += weight
-    engaged = sorted(set(lane_of))
-    lanes = [
-        Lane(at, [p for p, to in zip(payloads, lane_of) if to == at], dataset)
-        for at in engaged
-    ]
-    returned, used, lost, bytes_out, bytes_in = run_round(
-        phase, lanes, transport, codec
+    lanes = [Lane(at, [payload], dataset) for at, payload in enumerate(payloads)]
+    returned, retries, degraded, stats.payload_bytes_out, stats.payload_bytes_in = (
+        run_round(phase, lanes, transport, codec)
     )
-    retries, degraded = [0] * n_lanes, [0] * n_lanes
-    for at, lane_retries, lane_lost in zip(engaged, used, lost):
-        retries[at], degraded[at] = lane_retries, lane_lost
-    answered = dict(zip(engaged, map(iter, returned)))
-    return _DealtRound([next(answered[at]) for at in lane_of], lane_of,
-                       retries, degraded, bytes_out, bytes_in)
-
-
-@dataclass(slots=True)
-class ShardRuntimeStats:
-    """Mutable refine counters of one user-row range (``shard_stats()``)."""
-
-    shard_id: int              # range index
-    users: int                 # user rows the range covers
-    scatter_flushes: int = 0   # refine rounds dealt to this range
-    refine_tasks: int = 0      # (walk, k) refinements executed
-    refine_time_s: float = 0.0
-    #: Most work items (the ks of a refine round) queued for this range
-    #: at the instant of a scatter dispatch.
-    queue_depth_peak: int = 0
-    retries: int = 0           # supervised rounds re-dispatched here
-    degraded_rounds: int = 0   # rounds that fell back to in-process
-
-    def snapshot(self) -> dict:
-        return {
-            "shard": self.shard_id,
-            "users": self.users,
-            "scatter_flushes": self.scatter_flushes,
-            "refine_tasks": self.refine_tasks,
-            "queue_depth_peak": self.queue_depth_peak,
-            "refine_ms": round(1000 * self.refine_time_s, 2),
-            "retries": self.retries,
-            "degraded_rounds": self.degraded_rounds,
-        }
+    stats.scatter_width = len(lanes)
+    stats.retries = sum(retries)
+    stats.degraded = sum(degraded)
+    return [chunks for (chunks,) in returned]
 
 
 class Executor:
     """Runs an engine's planned flushes and owns its phase-1 memo.
 
-    Every flush is one fixed sequence of phases.  ``ranges``
-    is how many user-row ranges the refine is dealt as (the engine's
-    ``num_shards``); ``transport`` is
+    Every flush is one fixed sequence of phases.  ``transport`` is
     :data:`INLINE` until ``ShardedEngine.start_pools`` /
-    ``connect_hosts`` swap in the socket one.  The memo — the cross-k
-    joint pool and the merged refine thresholds — lives here only, so a fresh executor is
-    a cold engine: ``MaxBRSTkNNEngine.query`` runs on one.
+    ``connect_hosts`` swap in the socket one; the cold refine is dealt
+    as one user-row range per lane of it.  The memo — the cross-k joint
+    pool and the merged refine thresholds — lives here only, so a fresh
+    executor is a cold engine: ``MaxBRSTkNNEngine.query`` runs on one.
+    The gather-side times land on the engine (``gather_stats()``),
+    whichever executor ran the flush.
     """
 
     def __init__(
-        self, engine: "MaxBRSTkNNEngine", ranges: int = 1, one_shot: bool = False
+        self, engine: "MaxBRSTkNNEngine", transport: Transport = INLINE,
+        one_shot: bool = False,
     ) -> None:
         self.engine = engine
-        self.ranges = ranges
         #: Serves one flush only (``engine.query``'s cold batch of one):
         #: nothing it ships repeats, so its rounds encode through a
         #: :class:`~repro.core.payload.OneShotCodec`, not the delta memo.
         self.one_shot = one_shot
-        self.transport: Transport = INLINE
+        self.transport = transport
         #: Cross-k joint pool (:class:`~repro.core.batch.SharedTraversalPool`).
         self.traversal_pool = None
         #: Merged refine thresholds per k — value-stable across pool
@@ -627,19 +566,6 @@ class Executor:
         #: it is memoized on the traversal pool, ``by_k``, and dies
         #: with it.)
         self.merged_by_k: Dict[int, "MergedThresholds"] = {}
-        #: Per-range refine counters; range ``i`` is the ``i``-th of
-        #: :func:`user_row_ranges`.
-        self.lane_stats = [
-            ShardRuntimeStats(shard_id=i, users=hi - lo)
-            for i, (lo, hi) in enumerate(
-                user_row_ranges(len(engine.dataset.users), ranges)
-            )
-        ]
-        #: Gather-side accounting: refine-merge and query-axis wall
-        #: time, and the query-axis rounds that left the process.
-        self.merge_s = 0.0
-        self.search_s = 0.0
-        self.search_flushes = 0
 
     def _codec(self):
         """What this executor's rounds encode with: the engine's arena
@@ -666,7 +592,7 @@ class Executor:
         shared = self._refine(report, queries, plan, pool, group_by_k)
         results = self._select(report, queries, shared, plan)
         # The query-axis phase ends every flush.
-        self.search_s += report.stages[-1].time_s
+        self.engine.search_s += report.stages[-1].time_s
         self.engine.last_flush_report = report
         return results
 
@@ -690,31 +616,23 @@ class Executor:
         return pool, group_by_k
 
     def _refine(self, report, queries, plan, pool, group_by_k) -> List["SharedTopK"]:
-        """Phase 1b: Algorithm 2 dealt as ``ranges`` user-row ranges, for
-        every k no earlier flush merged; each query's phase-1 state."""
+        """Phase 1b: Algorithm 2 dealt as one user-row range per lane,
+        for every k no earlier flush merged; each query's phase-1 state."""
         from .kernels import arrays_for
 
         engine = self.engine
-        users = engine.dataset.users
         need_ks = [k for k in plan.distinct_ks if k not in self.merged_by_k]
-        items = len(need_ks)
-        with _phase(report, "refine", engine.io, items) as stats:
+        with _phase(report, "refine", engine.io, len(need_ks)) as stats:
             chunks: list = []
-            if items:
-                payloads = refine_payloads(pool.traversal, need_ks, len(users), self.ranges)
-                dealt = _deal(
-                    "refine", payloads, [p[6] - p[5] for p in payloads],
-                    self.transport, engine.dataset, self._codec(),
+            if need_ks:
+                payloads = refine_payloads(
+                    pool.traversal, need_ks, len(engine.dataset.users),
+                    self.transport.lanes(),
                 )
-                dealt.record(stats, len(payloads))
-                for lane, chunk, at in zip(self.lane_stats, dealt.chunks, dealt.lane_of):
-                    lane.scatter_flushes += 1
-                    lane.queue_depth_peak = max(lane.queue_depth_peak, items)
-                    lane.retries += dealt.retries[at]
-                    lane.degraded_rounds += dealt.degraded[at]
-                    lane.refine_tasks += items
-                    lane.refine_time_s += sum(p.time_s for p in chunk)
-                chunks = dealt.chunks
+                chunks = _scatter(
+                    "refine", payloads, stats, self.transport, engine.dataset,
+                    self._codec(),
+                )
             else:
                 # every k already merged (memoized across flushes): no
                 # round, the merge only hands out the memoized state
@@ -725,7 +643,7 @@ class Executor:
                 chunks, need_ks, arrays_for(engine.dataset).user_ids,
                 self.merged_by_k, pool, group_by_k, queries,
             )
-            self.merge_s += time.perf_counter() - t_merge
+            engine.merge_s += time.perf_counter() - t_merge
             return shared
 
     def _search_transport(self, n_queries: int) -> Transport:
@@ -739,7 +657,7 @@ class Executor:
         transport = self.transport
         if not (transport.remote and search_fans_out(transport.hosts(), n_queries)):
             return INLINE
-        self.search_flushes += 1
+        self.engine.search_flushes += 1
         return transport
 
     def _select(self, report, queries, shared, plan) -> List[MaxBRSTkNNResult]:
@@ -751,9 +669,7 @@ class Executor:
             payloads, index_groups = select_payloads(
                 queries, shared, plan, transport.lanes()
             )
-            dealt = _deal(
-                "select", payloads, [len(p[1]) for p in payloads], transport,
-                engine.dataset, self._codec(),
+            chunks = _scatter(
+                "select", payloads, stats, transport, engine.dataset, self._codec()
             )
-            dealt.record(stats, len(set(dealt.lane_of)))
-            return merge_select(index_groups, dealt.chunks)
+            return merge_select(index_groups, chunks)

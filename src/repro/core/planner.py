@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "EngineCapabilities",
-    "ShardPlan",
     "QueryPlan",
     "plan_query",
     "plan_batch",
@@ -42,48 +41,19 @@ class EngineCapabilities:
     """
 
     traversal_pool_k: Optional[int] = None
-    #: > 1 when the engine deals its refine over that many full-dataset
-    #: lanes (``EngineConfig.num_shards``); plans then carry a
-    #: ShardPlan.
-    num_shards: int = 1
-    #: Width of the query-axis fan-out (selection) — the alive shard
-    #: hosts of the engine's fleet, local or remote (0 = that round
-    #: runs in-process).
-    search_workers: int = 0
+    #: Alive shard hosts the engine's transport reaches, local or
+    #: remote — one lane each (0: every round runs in-process).
+    lanes: int = 0
 
     @classmethod
     def of(cls, executor: "Executor") -> "EngineCapabilities":
-        """What ``executor``'s engine has — its refine ranges, the hosts
-        its transport reaches — and what its memo holds."""
+        """What ``executor``'s engine has — the hosts its transport
+        reaches — and what its memo holds."""
         pool = executor.traversal_pool
         return cls(
             traversal_pool_k=pool.k if pool is not None else None,
-            num_shards=executor.ranges,
-            search_workers=executor.transport.hosts(),
+            lanes=executor.transport.hosts(),
         )
-
-
-@dataclass(frozen=True, slots=True)
-class ShardPlan:
-    """How a batch is dealt over a sharded engine's lanes and gathered.
-
-    Attributes
-    ----------
-    num_shards:
-        The engine's lane count (``EngineConfig.num_shards``):
-        the cold refine is dealt as that many user-row ranges.
-
-    The gather is an *ordered union*: the refine round's per-lane
-    ``RSk(u)`` maps union disjointly, in lane (= row) order, into the
-    sequential threshold map (a user reported twice, or by no lane, is
-    an error).  It is the only cross-lane merge: Algorithm 3 then runs
-    whole per query against that map and the full dataset, so its
-    tie-breaking (summed RSk thresholds, object-id order inside top-k
-    ties) is the single engine's own.
-    """
-
-    num_shards: int
-    search_workers: int = 0
 
 
 def search_fans_out(search_workers: int, batch_size: int) -> bool:
@@ -121,17 +91,23 @@ class QueryPlan:
         batch pays for **one** tree walk and derives each k's
         thresholds from the shared pool.  ``None`` for a single query
         (:func:`plan_query`), which walks cold at its own k.
-    shard:
-        Scatter/gather layout when the executing engine is sharded
-        (:class:`ShardPlan`); ``None`` for single-engine execution,
-        which runs every phase in-process.
+    lanes:
+        Shard hosts the flush's rounds reach (0: in-process).  The cold
+        refine is dealt as one user-row range per lane and gathered as
+        an *ordered union*: the per-lane ``RSk(u)`` maps union
+        disjointly, in lane (= row) order, into the sequential
+        threshold map (a user reported twice, or by no lane, is an
+        error).  It is the only cross-lane merge: Algorithm 3 then runs
+        whole per query against that map and the full dataset, so its
+        tie-breaking is the single engine's own.  A batch's selection
+        fans out over the lanes when :func:`search_fans_out` says so.
     """
 
     method: Method
     batch_size: int
     distinct_ks: Tuple[int, ...]
     shared_traversal_k: Optional[int] = None
-    shard: Optional[ShardPlan] = None
+    lanes: int = 0
 
     # ------------------------------------------------------------------
     def explain(self) -> str:
@@ -157,17 +133,12 @@ class QueryPlan:
                 "  phase 1 (top-k): cold per query (single-query cost matches "
                 "the paper's per-query setting)"
             )
-        # A sharded flush's query-axis round (selection) leaves the
-        # coordinator over the search lanes.
-        lanes = (
-            self.shard.search_workers
-            if self.shard is not None
-            and search_fans_out(self.shard.search_workers, self.batch_size)
-            else 0
-        )
-        if self.shard is not None:
+        # A fleet's query-axis round (selection) leaves the coordinator
+        # over the search lanes.
+        lanes = self.lanes if search_fans_out(self.lanes, self.batch_size) else 0
+        if self.lanes:
             lines.append(
-                f"  scatter: refine by user row range x{self.shard.num_shards} "
+                f"  scatter: refine by user row range x{self.lanes} "
                 f"over full-dataset lanes, once per (walk, k), memoized "
                 f"across batches (a warm flush skips the round)"
             )
@@ -187,14 +158,6 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def _shard_plan(caps: EngineCapabilities) -> Optional[ShardPlan]:
-    if caps.num_shards <= 1:
-        return None
-    return ShardPlan(
-        num_shards=caps.num_shards, search_workers=caps.search_workers
-    )
-
-
 def plan_query(
     options: QueryOptions,
     caps: EngineCapabilities,
@@ -209,7 +172,7 @@ def plan_query(
         method=options.method,
         batch_size=1,
         distinct_ks=(k,) if k else (),
-        shard=_shard_plan(caps),
+        lanes=caps.lanes,
     )
 
 
@@ -221,8 +184,8 @@ def plan_batch(
     """Plan a batch: share phase 1 per distinct k.
 
     ``ks`` are the queries' ``k`` values (one per query, duplicates
-    expected).  Phase 2 leaves the process only over a lane engine's
-    lanes (``caps.num_shards > 1``).
+    expected).  Phase 2 leaves the process only over a fleet's lanes
+    (``caps.lanes >= 1``).
     """
     distinct_ks = tuple(sorted(set(ks)))
     # A batch runs one tree walk at k_max and reuses its pool for
@@ -238,5 +201,5 @@ def plan_batch(
         batch_size=len(ks),
         distinct_ks=distinct_ks,
         shared_traversal_k=shared_traversal_k,
-        shard=_shard_plan(caps),
+        lanes=caps.lanes,
     )

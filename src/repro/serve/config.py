@@ -173,12 +173,13 @@ class ServerConfig:
         Upper clamp (latency budget) for the adaptive window; only read
         when ``max_wait_ms="auto"``.
     pool_workers:
-        Local shard hosts forked per lane of a
+        ``1`` forks the fleet of a
         :class:`~repro.serve.sharded.ShardedEngine` (the server calls
-        its ``start_pools``, which forks ``num_shards * pool_workers``
+        its ``start_pools``, which forks ``EngineConfig.num_shards``
         hosts on socketpairs); ``0`` (default) runs every round
-        in-process — right for CPU-starved machines.  A plain engine takes
-        no fleet: the server refuses it with ``pool_workers > 0``.
+        in-process — right for CPU-starved machines.  Nothing above 1:
+        the fleet is sized by ``num_shards`` alone.  A plain engine
+        takes no fleet: the server refuses it with ``pool_workers=1``.
     options:
         The :class:`QueryOptions` every submitted query is answered
         with (one server = one contract; run several servers for mixed
@@ -250,6 +251,12 @@ class ServerConfig:
                 f"got {self.auto_wait_ceiling_ms!r}"
             )
         _require_int("pool_workers", self.pool_workers, minimum=0)
+        if self.pool_workers > 1:
+            raise ValueError(
+                f"pool_workers must be 0 (in-process) or 1 (fork the "
+                f"engine's fleet), got {self.pool_workers!r}: size the "
+                f"fleet with make_engine(..., EngineConfig(num_shards=N))"
+            )
         if not isinstance(self.options, QueryOptions):
             raise ValueError("options must be a QueryOptions")
         if self.cache is None or self.cache is False:

@@ -54,9 +54,9 @@ class MaxBRSTkNNServer:
     The engine may be a plain :class:`MaxBRSTkNNEngine` or a
     :class:`~repro.serve.sharded.ShardedEngine` — the engine plus its
     fleet — and the submit/flush path is identical.  Worker processes
-    belong to the fleet: ``config.pool_workers > 0`` forks them
-    (:meth:`ShardedEngine.start_pools`, that many shard hosts per lane) and
-    is refused with a ``ValueError`` for a plain engine, which always
+    belong to the fleet: ``config.pool_workers=1`` forks them
+    (:meth:`ShardedEngine.start_pools`, one shard host per lane) and is
+    refused with a ``ValueError`` for a plain engine, which always
     answers in-process.
     """
 
@@ -119,10 +119,8 @@ class MaxBRSTkNNServer:
         if self.config.pool_workers > 0:
             cfg = self.config
             try:
-                # pool_workers sizes the engine's local hosts per lane.
                 # A failed start reaps its own partial state before raising.
                 self.engine.start_pools(
-                    cfg.pool_workers,
                     retry=cfg.retry, deadline=cfg.deadline, faults=cfg.faults,
                 )
             except Exception as exc:  # noqa: BLE001 - degrade, keep serving
@@ -234,14 +232,13 @@ class MaxBRSTkNNServer:
         return list(await asyncio.gather(*(self.submit(q) for q in queries)))
 
     def stats_snapshot(self) -> dict:
-        """Server counters plus per-lane and adaptive-window detail.
+        """Server counters plus per-host and adaptive-window detail.
 
-        Extends :meth:`ServerStats.snapshot` with the engine's per-range
-        refine counters (queue depth, flushes) and the adaptive
-        controller's current state (when ``max_wait_ms="auto"``).
+        Extends :meth:`ServerStats.snapshot` with the adaptive
+        controller's current state (when ``max_wait_ms="auto"``), the
+        codec's counters and one health row per host of the fleet.
         """
         snap = self.stats.snapshot()
-        snap["shards"] = self.engine.shard_stats()
         if self._wait is not None:
             snap["adaptive_wait_ms"] = round(self._wait.window_ms(), 3)
             if self._wait.ewma_ms is not None:

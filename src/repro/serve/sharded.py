@@ -5,16 +5,17 @@ scalability ceiling of the serving stack: however fast the kernels,
 every query runs in one process.  A :class:`ShardedEngine` is that same
 engine — one dataset, one object tree, one page store, one executor
 and its memo — plus its **fleet**: the shard hosts its executor's
-transport reaches, ``num_shards`` **lanes**, each a full replica of the
+transport reaches, one **lane** each, each a full replica of the
 dataset (a forked ``ShardHost`` that inherited it copy-on-write, or a
 ``repro shard-host`` process that rebuilt it from the workload spec).
-Nothing is partitioned; work is *dealt*:
+Nothing is partitioned; work is *dealt*, at most one payload per lane
+per round:
 
 * **by user row range** — Algorithm 2's per-user ``RSk(u)`` refinement,
   the O(|U|·pool) phase of a cold flush, is per-user work against one
-  shared traversal pool, so range ``i`` covers rows ``[i·|U|/n,
-  (i+1)·|U|/n)`` of ``dataset.users`` and the per-range vectors merge
-  back into the exact sequential threshold vector
+  shared traversal pool, so with ``n`` lanes range ``i`` covers rows
+  ``[i·|U|/n, (i+1)·|U|/n)`` of ``dataset.users`` and the per-range
+  vectors merge back into the exact sequential threshold vector
   (:mod:`repro.core.partial`): a disjoint union, checked to cover every
   user exactly once, memoized per k, so only a cold flush pays the
   round;
@@ -28,29 +29,27 @@ Nothing is partitioned; work is *dealt*:
   tree walk (same I/O trace as a single engine) and the group threshold
   ``RSk(us)``.
 
-The flow is the engine's one :class:`~repro.core.pipeline.Executor` —
-its refine set to ``num_shards`` ranges, as on any engine built with
-that config — which deals each scatter round's payloads over the lanes
-that :func:`~repro.core.pipeline.run_round` carries over the installed
-transport: inline until a fleet attaches, then a
+The flow is the engine's one :class:`~repro.core.pipeline.Executor`,
+whose rounds :func:`~repro.core.pipeline.run_round` carries over the
+installed transport: one inline lane until a fleet attaches, then a
 :class:`~repro.serve.transport.SocketTransport` over ONE fleet of shard
-hosts (:class:`~repro.serve.shardhost.ShardHost`) — forked local hosts
-after :meth:`ShardedEngine.start_pools`, remote ``repro shard-host``
-processes after :meth:`ShardedEngine.connect_hosts`.
+hosts (:class:`~repro.serve.shardhost.ShardHost`) — ``num_shards``
+forked local hosts after :meth:`ShardedEngine.start_pools`, remote
+``repro shard-host`` processes after :meth:`ShardedEngine.connect_hosts`.
 
 The headline guarantee is **result identity**: locations, keyword
 sets, BRSTkNN sets, I/O counters and selection stats all equal the
 single-engine answer, for any lane count and every transport —
 property-tested in ``tests/serve/test_lanes.py``.
 
-Execution is in-process by default (deterministic, zero setup); call
-:meth:`ShardedEngine.start_pools` to fork ``num_shards ×
-workers_per_lane`` hosts that inherit the dataset and its pre-built
-``DatasetArrays`` through copy-on-write.  A cold micro-batch fans out
-twice over them (refine, then select) and a warm one once, which is
-what the :class:`~repro.serve.server.MaxBRSTkNNServer` flush path
-rides: ``ServerConfig.pool_workers`` sizes the fleet per lane.  These
-hosts are the only worker processes a query ever reaches; a plain
+Execution is in-process by default (deterministic, zero setup); the
+hosts :meth:`ShardedEngine.start_pools` forks inherit the dataset and
+its pre-built ``DatasetArrays`` through copy-on-write.  A cold
+micro-batch fans out twice over them (refine, then select) and a warm
+one once, which is what the
+:class:`~repro.serve.server.MaxBRSTkNNServer` flush path rides
+(``ServerConfig.pool_workers=1`` starts the fleet).  These hosts are
+the only worker processes a query ever reaches; a plain
 :class:`MaxBRSTkNNEngine` answers in-process.
 """
 
@@ -82,7 +81,7 @@ def _add_counters(totals: Dict[str, int], counters: Dict[str, int]) -> None:
 
 
 class ShardedEngine(MaxBRSTkNNEngine):
-    """The engine plus its fleet of ``num_shards`` full-dataset lanes.
+    """The engine plus its fleet of full-dataset lanes, one per host.
 
     Everything a query touches is :class:`MaxBRSTkNNEngine`'s; this
     class adds only the fleet's lifecycle — :meth:`start_pools` /
@@ -95,8 +94,8 @@ class ShardedEngine(MaxBRSTkNNEngine):
     dataset:
         The full bichromatic dataset.
     config:
-        :class:`EngineConfig` with ``num_shards`` (>= 1), the lane
-        count.
+        :class:`EngineConfig` with ``num_shards`` (>= 1), the hosts
+        :meth:`start_pools` forks.
     """
 
     def __init__(self, dataset: Dataset, config: Optional[EngineConfig] = None) -> None:
@@ -119,14 +118,9 @@ class ShardedEngine(MaxBRSTkNNEngine):
     # Fleet lifecycle: forked local hosts or remote shard hosts
     # ------------------------------------------------------------------
     def start_pools(
-        self,
-        workers_per_lane: int = 1,
-        *,
-        retry=None,
-        deadline=None,
-        faults=None,
+        self, *, retry=None, deadline=None, faults=None
     ) -> "ShardedEngine":
-        """Fork the local fleet: ``num_shards * workers_per_lane``
+        """Fork the local fleet: ``num_shards``
         :class:`~repro.serve.shardhost.ShardHost` processes, each a
         full-dataset lane on a socketpair.
 
@@ -148,15 +142,13 @@ class ShardedEngine(MaxBRSTkNNEngine):
                 "worker pool already started" if self._forked()
                 else "cannot start pools: shard hosts are connected"
             )
-        if workers_per_lane < 1:
-            raise ValueError(f"workers_per_lane must be >= 1, got {workers_per_lane}")
         try:
             # The payload arena (config.use_shm) BEFORE the fork: it
             # starts the resource tracker the hosts must share (see
             # repro.storage.shm); they copy its blocks out by name.
             self.ensure_arena()
             pool = PersistentWorkerPool(
-                self.dataset, self.config.num_shards * workers_per_lane,
+                self.dataset, self.config.num_shards,
                 retry=retry, deadline=deadline, faults=faults,
             )
         except BaseException:

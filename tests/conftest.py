@@ -123,3 +123,69 @@ def refined_states(engine, queries):
     executor = engine._executor
     pool, group_by_k = executor._traverse(report, queries, plan)
     return executor._refine(report, queries, plan, pool, group_by_k)
+
+
+class FrameLanes:
+    """A test transport: ``n`` remote lanes answered in this process.
+
+    Each lane's payloads cross as the body of a scatter frame, which one
+    :class:`~repro.serve.shardhost.ShardHost` over ``dataset`` answers
+    (``ShardHost.answer``), and the chunks come back off the answer
+    frame: a frame round trip with no socket and no fork.  Lanes are
+    answered at dispatch; an ``ERROR`` frame is a lost lane, which the
+    round re-runs in-process.
+    """
+
+    remote = True
+
+    def __init__(self, dataset, n: int) -> None:
+        from repro.serve import ShardHost
+
+        assert n >= 1
+        self.host = ShardHost(dataset)
+        self.n = n
+        self.rounds = 0
+
+    def lanes(self) -> int:
+        return self.n
+
+    def hosts(self) -> int:
+        return self.n
+
+    def dispatch(self, lanes):
+        from repro.core.pipeline import Ticket
+        from repro.serve.transport import FrameCodec
+
+        self.rounds += 1
+        epoch = getattr(self.host.dataset, "epoch", 0)
+        tickets = []
+        for lane in lanes:
+            body = FrameCodec.encode_body(list(lane.payloads))
+            answer = self.host.answer(
+                FrameCodec.SCATTER, self.rounds, lane.wire_id, epoch, body
+            )
+            tickets.append(Ticket(
+                lane, handle=answer,
+                bytes_out=FrameCodec.HEADER_SIZE + len(body), bytes_in=len(answer),
+            ))
+        return tickets
+
+    def collect(self, ticket) -> list:
+        from repro.core.pipeline import ScatterFailure
+        from repro.serve.transport import FrameCodec
+
+        header, body = (ticket.handle[:FrameCodec.HEADER_SIZE],
+                        ticket.handle[FrameCodec.HEADER_SIZE:])
+        kind, seq, shard_id, _, length = FrameCodec.unpack_header(header)
+        assert (seq, shard_id, length) == (self.rounds, ticket.lane.wire_id, len(body))
+        answer = FrameCodec.decode_body(body)
+        if kind == FrameCodec.ERROR:
+            raise ScatterFailure(f"lane {shard_id} answered {answer!r}")
+        return answer
+
+
+def frame_lanes(engine, n: int) -> FrameLanes:
+    """Install ``n`` :class:`FrameLanes` on ``engine``'s executor (its
+    ``engine.query`` executors take the same transport)."""
+    transport = engine._executor.transport = FrameLanes(engine.dataset, n)
+    return transport

@@ -225,7 +225,7 @@ def test_batch_workers_match_inprocess():
     options = QueryOptions()
     inprocess = engine.query_batch(queries, options)
     with make_engine(engine.dataset, EngineConfig(fanout=4, num_shards=2)) as lanes:
-        lanes.start_pools(1)
+        lanes.start_pools()
         fanned = lanes.query_batch(queries, options)
         select = lanes.last_flush_report.stage("select")
     for a, b in zip(inprocess, fanned):

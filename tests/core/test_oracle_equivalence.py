@@ -15,7 +15,8 @@ Two families of guarantees:
   acceleration of the scalar reference (:func:`repro.oracle.query`):
   identical location, keyword set, BRSTkNN user set, and deterministic
   stats for either method, on every engine shape — a plain engine or a
-  ``ShardedEngine`` with inline or forked lanes.
+  ``ShardedEngine`` whose lanes are frames answered in-process
+  (:class:`tests.conftest.FrameLanes`) or forked hosts.
 """
 
 import contextlib
@@ -38,7 +39,8 @@ from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
 from ..conftest import (
-    make_random_objects, make_random_users, section4, section7, won_users,
+    frame_lanes, make_random_objects, make_random_users, section4, section7,
+    won_users,
 )
 
 
@@ -66,7 +68,9 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM",
                metric=EUCLIDEAN, plant=False, lanes=None):
     """A random dataset's engine and query.  ``lanes=None`` builds a
-    plain engine, ``lanes=N`` a ``ShardedEngine`` with N inline lanes."""
+    plain engine, ``lanes=N`` a ``ShardedEngine`` of N hosts whose
+    rounds cross N :class:`~tests.conftest.FrameLanes` until
+    ``start_pools`` forks the hosts."""
     rng = random.Random(seed)
     objects = make_random_objects(n_obj, vocab, rng)
     users = make_random_users(n_users, vocab, rng)
@@ -77,6 +81,7 @@ def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     else:
         engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=lanes))
+        frame_lanes(engine, lanes)
     query = MaxBRSTkNNQuery(
         ox=STObject(item_id=-1, location=Point(5, 5), terms={0: 1}),
         locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)],
@@ -235,7 +240,9 @@ def test_engine_identical_to_oracle_drawn(
     sides, bump, bound,
 ):
     """The oracle contract, drawn for each method and engine shape (a
-    plain engine, or a ``ShardedEngine`` with 1, 2 or 4 inline lanes):
+    plain engine, or a ``ShardedEngine`` with 1, 2 or 4 frame lanes,
+    whose refine ranges are one per lane and whose pools and states
+    are decoded off frames):
     a cold ``engine.query`` is ``oracle.query`` — answer, every
     non-time stat and the I/O trace — and each answer of a mixed-k
     ``query_batch`` on the same engine is the per-query oracle's (answer
@@ -260,6 +267,13 @@ def test_engine_identical_to_oracle_drawn(
     arrays = arrays_for(engine.dataset)
     with sides_bounded_at(bound, arrays):
         assert_same_batch_answers(engine, batch, options)
+        if lanes:
+            # The batch's cold refine: one range per lane; its select
+            # fans out over as many lanes as it has queries to deal.
+            report = engine.last_flush_report
+            assert report.stage("refine").scatter_width == lanes
+            assert report.stage("select").scatter_width == min(lanes, len(batch))
+            assert report.payload_bytes_in > 0 and report.degraded_lanes == 0
         first = arrays.side_stats()
         if bump:
             engine.dataset.bump_epoch()

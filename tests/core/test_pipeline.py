@@ -48,7 +48,9 @@ from repro.core.pipeline import (
 from repro.core.planner import plan_batch
 from repro.spatial.geometry import Point
 
-from ..conftest import make_random_objects, make_random_users, refined_states
+from ..conftest import (
+    frame_lanes, make_random_objects, make_random_users, refined_states,
+)
 
 
 def build_dataset(seed=0, n_obj=60, n_users=20, vocab=16):
@@ -289,9 +291,9 @@ class TestPipelineShapes:
         # The query-axis phase ends every flush and counts queries.
         assert snap["stages"][-1]["items"] == len(queries)
         # One refine accounting on both engine kinds: the ks it
-        # refined, dealt as one row range per configured range.
+        # refined, as one row range per lane — one, with no fleet.
         refine = snap["stages"][1]
-        assert (refine["items"], refine["scatter_width"]) == (2, 2 if sharded else 1)
+        assert (refine["items"], refine["scatter_width"]) == (2, 1)
 
 
     @pytest.mark.parametrize("sharded", [False, True])
@@ -346,12 +348,30 @@ class TestFlushReports:
         engine.clear_topk_cache()
         assert_refine_accounting(engine, queries, ranges=1)
 
+    @pytest.mark.parametrize("lanes", [0, 2])
+    def test_cold_queries_count_their_gather_time_on_the_engine(self, lanes):
+        """``engine.query`` runs a throwaway executor; its refine merge
+        and query-axis time still reach ``gather_stats()``.  A batch of
+        one never fans its selection out, over lanes or not."""
+        dataset, rng, vocab = build_dataset(seed=5)
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
+        if lanes:
+            frame_lanes(engine, lanes)
+        before = engine.gather_stats()
+        for query in make_queries(rng, vocab, 4, ks=(3, 5)):
+            engine.query(query, QueryOptions())
+        after = engine.gather_stats()
+        assert after["merge_ms"] > before["merge_ms"] == 0
+        assert after["search_ms"] > before["search_ms"] == 0
+        assert after["search_flushes"] == before["search_flushes"] == 0
+
     def test_sharded_flush_report(self):
         from repro.serve import ShardedEngine
 
         dataset, rng, vocab = build_dataset(seed=6)
         queries = make_queries(rng, vocab, 4, ks=(3,))
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
+        frame_lanes(sharded, 2)
         sharded.query_batch(queries, QueryOptions())
         report = sharded.last_flush_report
         assert [s.stage for s in report.stages] == [

@@ -3,12 +3,7 @@
 import pytest
 
 from repro import EngineConfig, MaxBRSTkNNEngine, Method, QueryOptions
-from repro.core.planner import (
-    EngineCapabilities,
-    ShardPlan,
-    plan_batch,
-    plan_query,
-)
+from repro.core.planner import EngineCapabilities, plan_batch, plan_query
 
 CAPS = EngineCapabilities()
 
@@ -18,7 +13,7 @@ class TestPlanQuery:
         plan = plan_query(QueryOptions(), CAPS, k=5)
         assert plan.batch_size == 1
         assert plan.shared_traversal_k is None
-        assert plan.shard is None
+        assert plan.lanes == 0
         assert "phase 1 (top-k): cold per query" in plan.explain()
 
 
@@ -38,10 +33,10 @@ class TestPlanBatch:
 
     @pytest.mark.parametrize("method", ["approx", "exact"])
     def test_single_engine_batches_stay_in_process(self, method):
-        """Without lanes nothing leaves the process: no ShardPlan, and
+        """Without lanes nothing leaves the process: no lanes, and
         explain() names no pool or fan-out for phase 2."""
         plan = plan_batch(QueryOptions(method=method), CAPS, ks=[3, 3, 5])
-        assert plan.shard is None
+        assert plan.lanes == 0
         text = plan.explain()
         for absent in ("fork pool", "worker pool", "lane", "fan-out", "scatter"):
             assert absent not in text
@@ -77,10 +72,10 @@ class TestSearchFanoutPredicate:
     any fan-out width >= 1 ships a multi-query round."""
 
     @staticmethod
-    def sharded_caps(search_workers):
+    def sharded_caps(lanes):
         from dataclasses import replace
 
-        return replace(CAPS, num_shards=2, search_workers=search_workers)
+        return replace(CAPS, lanes=lanes)
 
     @pytest.mark.parametrize("search_workers", [0, 1, 2])
     def test_joint_gather_line_follows_the_predicate(self, search_workers):
@@ -95,10 +90,10 @@ class TestSearchFanoutPredicate:
         text = plan.explain()
         lanes = f"in one round over {search_workers} full-dataset lane(s)"
         assert (lanes in text) == fans_out
-        assert ("per query, against the full dataset) runs in-process" in text) \
-            == (not fans_out)
-        assert "refine by user row range x2" in text
-        assert "disjoint RSk union" in text
+        # With no host the refine stays in-process too: one range.
+        assert ("per query, against the full dataset) runs" in text) == fans_out
+        assert (f"refine by user row range x{search_workers}" in text) == fans_out
+        assert ("disjoint RSk union" in text) == fans_out
         # The phase-2 line agrees with the gather line on where it runs.
         assert (f"phase 2 (candidate selection): search lanes x{search_workers}"
                 in text) == fans_out
@@ -140,7 +135,7 @@ class TestPurePlanning:
     def lane_caps(**fields):
         from dataclasses import replace
 
-        return replace(CAPS, num_shards=2, search_workers=2, **fields)
+        return replace(CAPS, lanes=2, **fields)
 
     def test_same_inputs_same_plan(self):
         first = plan_batch(QueryOptions(), self.lane_caps(), ks=[3, 5, 3])
@@ -158,24 +153,21 @@ class TestPurePlanning:
         assert plan.batch_size == 1
         assert plan.distinct_ks == ((k,) if k else ())
         assert plan.shared_traversal_k is None
-        assert plan.shard == ShardPlan(num_shards=2, search_workers=2)
+        assert plan.lanes == 2
 
-    @pytest.mark.parametrize("num_shards,search_workers", [
-        (2, 0), (2, 2), (3, 1), (4, 3),
-    ])
-    def test_shard_plan_mirrors_the_capabilities(
-        self, num_shards, search_workers
-    ):
+    @pytest.mark.parametrize("lanes", [0, 1, 2, 3])
+    def test_the_plan_reads_the_lanes_of_the_capabilities(self, lanes):
+        """One count, the hosts the transport reaches: the refine is
+        dealt as that many ranges and the selections over that many
+        lanes; none means one range, in-process."""
         from dataclasses import replace
 
-        caps = replace(
-            CAPS, num_shards=num_shards, search_workers=search_workers
-        )
-        plan = plan_batch(QueryOptions(), caps, ks=[3, 3])
-        assert plan.shard == ShardPlan(
-            num_shards=num_shards, search_workers=search_workers
-        )
-        assert f"refine by user row range x{num_shards}" in plan.explain()
+        plan = plan_batch(QueryOptions(), replace(CAPS, lanes=lanes), ks=[3, 3])
+        assert plan.lanes == lanes
+        text = plan.explain()
+        assert (f"refine by user row range x{lanes}" in text) == (lanes > 0)
+        assert ("scatter" in text) == (lanes > 0)
+        assert (f"search lanes x{lanes}" in text) == (lanes > 0)
 
     @pytest.mark.parametrize("pool_k,walk_k", [(None, 7), (5, 7), (9, 9)])
     def test_joint_plan_names_the_longest_walk(self, pool_k, walk_k):
@@ -240,7 +232,7 @@ class TestEnginePlan:
         warm = engine.plan(options, ks=ks)
         assert warm == cold
         assert warm == plan_batch(options, engine.capabilities(), ks)
-        assert (warm.shard is not None) == (num_shards > 1)
+        assert warm.lanes == 0  # no fleet attached: in-process
 
     def test_default_plan_uses_default_options(self, tiny_dataset):
         engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))

@@ -40,7 +40,7 @@ from repro.model.objects import STObject, User
 from repro.spatial.geometry import Point
 from repro.spatial.metrics import LpMetric
 
-from ..conftest import make_random_objects, make_random_users
+from ..conftest import frame_lanes, make_random_objects, make_random_users
 
 # ``repro.core`` re-exports the joint_topk *function* under the
 # submodule's own name; fetch the module itself (for RO_BLOCK).
@@ -697,7 +697,7 @@ class TestArrayHandOff:
                 (r.location, r.keywords, r.brstknn) for r in reference
             ]
 
-    @pytest.mark.parametrize("path", ["query", "batch", "lanes-inline", "lanes-pool"])
+    @pytest.mark.parametrize("path", ["query", "batch", "lanes-frames", "lanes-pool"])
     def test_no_per_user_object_between_refine_and_select(self, path, monkeypatch):
         """Refine hands select one ``RSk(u)`` vector on every cold path:
         no ``TopKResult`` is built, in this process or in a pool worker
@@ -752,7 +752,9 @@ class TestArrayHandOff:
             sharded = ShardedEngine(engine.dataset, EngineConfig(num_shards=2))
             try:
                 if path == "lanes-pool":
-                    sharded.start_pools(1)
+                    sharded.start_pools()
+                else:
+                    frame_lanes(sharded, 2)
                 got = sharded.query_batch(queries, options)
                 assert sharded.last_flush_report.degraded_lanes == 0
             finally:
@@ -899,22 +901,28 @@ class TestRowsFromTheWalk:
     """The engine's walk hands its pool each candidate's object row; the
     id look-up runs only on a pool without them."""
 
-    @pytest.mark.parametrize("ranges", [1, 2])
-    def test_cold_queries_look_up_no_object_id(self, ranges, monkeypatch):
-        """One refine range or two dealt inline (no fleet): every cold
-        ``engine.query`` reads the walk's rows."""
-        from repro import EngineConfig
+    @pytest.mark.parametrize("lanes", [0, 1, 2])
+    def test_cold_queries_look_up_only_pools_off_a_frame(self, lanes, monkeypatch):
+        """In-process (one range, no fleet), every cold ``engine.query``
+        reads the walk's rows; over N frame lanes each lane refines a
+        pool decoded off its frame and looks its ids up once."""
         from repro.datagen import query_pool
 
         base, workload = flickr_engine(objects=600, users=40)
-        engine = MaxBRSTkNNEngine(base.dataset, EngineConfig(num_shards=ranges))
+        engine = MaxBRSTkNNEngine(base.dataset)
+        if lanes:
+            frame_lanes(engine, lanes)
         queries = query_pool(workload, 3, num_locations=5, ws=2, seed=0, seed_stride=101)
         for i, query in enumerate(queries):
             query.k = (5, 10, 20)[i]
         looked_up = count_object_look_ups(monkeypatch)
         options = QueryOptions()
-        got = [engine.query(q, options) for q in queries]
-        assert looked_up == []
+        got, pools = [], []
+        for q in queries:
+            got.append(engine.query(q, options))
+            assert engine.last_flush_report.stage("refine").scatter_width == max(1, lanes)
+            pools += [len(joint_traversal(engine.object_tree, engine.dataset, q.k).pool)] * lanes
+        assert looked_up == pools
         want = [oracle.query(engine, q, options) for q in queries]
         assert [(r.location, r.keywords, r.brstknn) for r in got] == [
             (r.location, r.keywords, r.brstknn) for r in want

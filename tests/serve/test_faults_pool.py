@@ -67,7 +67,7 @@ class Fleet:
         if kind == "local":
             plan = host_fault or coordinator_fault
             self.engine.start_pools(
-                1, retry=FAST_RETRY, deadline=deadline, faults=plan
+                retry=FAST_RETRY, deadline=deadline, faults=plan
             )
         else:
             dataset = self.engine.dataset
@@ -215,7 +215,7 @@ class TestFailedRefork:
         assert select[0] == 2 and select[2] == 2  # both lanes in-process
         assert [row["state"] for row in made.engine.pool_health()] == \
             ["broken", "broken"]
-        assert made.engine.capabilities().search_workers == 0
+        assert made.engine.capabilities().lanes == 0
         # The next flush finds no host at all, and its plan says so: the
         # select round runs in-process — no round over the dead fleet,
         # so nothing degrades, warns or counts as a search flush.

@@ -2,15 +2,16 @@
 
 Algorithm 2 refines ``RSk(u)`` per user against one shared candidate
 pool, so a ``ShardedEngine`` deals ``dataset.users`` over its
-full-dataset lanes as contiguous row ranges and must return *exactly*
-the single engine's answer.  The one property here holds that — with
-``==``, never ``approx`` — over lane counts 1…9 (uneven ranges, more
-lanes than it pays to have), mixed k read off one k_max refinement,
-keyword-less users and all three transports — and the oracle
-(:mod:`repro.oracle`) agrees with both sides — and two seeded mutants
-of the dealing show it has teeth.  Below it, the
-regression test for what the change is for: a 2-lane engine runs 2
-worker processes (forked shard hosts), not 4.
+full-dataset lanes as contiguous row ranges, one per lane, and must
+return *exactly* the single engine's answer.  The one property here
+holds that — with ``==``, never ``approx`` — over lane counts 1…9
+(uneven ranges, more lanes than it pays to have), mixed k read off one
+k_max refinement, keyword-less users and all three lane kinds: frames
+answered in this process (:class:`tests.conftest.FrameLanes`), forked
+hosts, and embedded socket hosts — and the oracle (:mod:`repro.oracle`)
+agrees with both sides — and two seeded mutants of the dealing show it
+has teeth.  Below it, the regression test for what the change is for:
+a 2-lane engine runs 2 worker processes (forked shard hosts), not 4.
 """
 
 import multiprocessing
@@ -36,7 +37,7 @@ from repro.serve import MaxBRSTkNNServer, ServerConfig, ShardHost, ShardedEngine
 from repro.spatial.geometry import Point
 from repro.storage.shm import arena_segments
 
-from ..conftest import make_random_objects, make_random_users
+from ..conftest import frame_lanes, make_random_objects, make_random_users
 from .conftest import HostThread, live_children
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -88,13 +89,16 @@ def answer_key(result):
     )
 
 
-def serve_on(engine, transport, hosts):
-    """Install ``transport`` ('inline' | 'pool' | 'socket') on ``engine``."""
-    if transport == "pool":
-        engine.start_pools(1)
-    elif transport == "socket":
-        # Two embedded hosts whatever the lane count: ranges are dealt.
-        hosts.extend(HostThread(ShardHost(engine.dataset)) for _ in range(2))
+def serve_on(engine, transport, lanes, hosts):
+    """Give ``engine`` ``lanes`` lanes of ``transport`` ('frames' |
+    'pool' | 'socket')."""
+    if transport == "frames":
+        frame_lanes(engine, lanes)
+    elif transport == "pool":
+        engine.start_pools()
+    else:
+        # One embedded host per lane: a lane is a host.
+        hosts.extend(HostThread(ShardHost(engine.dataset)) for _ in range(lanes))
         engine.connect_hosts([f"127.0.0.1:{h.port}" for h in hosts])
 
 
@@ -115,11 +119,13 @@ def check_lanes_equal_single_engine(seed, n_users, lanes, ks, transport):
     reference = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=lanes))
     hosts = []
+    reports = []
     try:
-        serve_on(sharded, transport, hosts)
+        serve_on(sharded, transport, lanes, hosts)
         for queries in batches:
             want = single.query_batch(queries, options)
             got = sharded.query_batch(queries, options)
+            reports.append(sharded.last_flush_report)
             assert [answer_key(r) for r in got] == [answer_key(r) for r in want]
             assert [selection_key(r) for r in got] == [
                 selection_key(oracle.query(reference, q, options)) for q in queries
@@ -135,10 +141,13 @@ def check_lanes_equal_single_engine(seed, n_users, lanes, ks, transport):
             assert merged == central and list(merged) == list(central)
             assert merged.values.tolist() == scalar.rsk(k).values.tolist()
         assert sharded.io.snapshot() == single.io.snapshot()  # the I/O trace
-        assert [row["refine_tasks"] for row in sharded.shard_stats()] \
-            == [len(set(ks))] * lanes
-        assert sum(row["users"] for row in sharded.shard_stats()) == n_users
-        assert sharded.last_flush_report.degraded_lanes == 0
+        # The cold flush refined every k in one range per lane; the
+        # warm one reused them.
+        cold, warm = reports
+        assert cold.stage("refine").scatter_width == lanes
+        assert cold.stage("refine").items == len(set(ks))
+        assert warm.stage("refine").scatter_width == 0
+        assert cold.degraded_lanes == warm.degraded_lanes == 0
     finally:
         sharded.close_pools()
         sharded.close_hosts()
@@ -146,7 +155,7 @@ def check_lanes_equal_single_engine(seed, n_users, lanes, ks, transport):
             host.stop()
 
 
-TRANSPORTS = ["inline"] + (["pool", "socket"] if HAS_FORK else [])
+TRANSPORTS = ["frames"] + (["pool", "socket"] if HAS_FORK else [])
 
 
 @given(
@@ -174,7 +183,7 @@ def test_every_lane_count_on_every_transport(lanes, transport):
 
 
 def test_more_lanes_than_users_neither_crash_nor_double_report():
-    check_lanes_equal_single_engine(3, 30, 64, [2, 5], "inline")
+    check_lanes_equal_single_engine(3, 30, 64, [2, 5], "frames")
 
 
 @pytest.mark.parametrize("mutant", ["overlap-by-one-row", "last-range-dropped"])
@@ -195,7 +204,7 @@ def test_a_mutated_dealing_fails_the_property(mutant, monkeypatch):
         overlapping if mutant == "overlap-by-one-row" else dropped,
     )
     with pytest.raises(ValueError, match="re-reports|first missing"):
-        check_lanes_equal_single_engine(5, 20, 3, [2, 4], "inline")
+        check_lanes_equal_single_engine(5, 20, 3, [2, 4], "frames")
 
 
 # ----------------------------------------------------------------------

@@ -204,7 +204,7 @@ class ServedLanes(RuleBasedStateMachine):
     def start_pools(self):
         self._drain()
         self.engine.start_pools(
-            1, retry=CONFIG.retry, deadline=CONFIG.deadline
+            retry=CONFIG.retry, deadline=CONFIG.deadline
         )
         assert len(self._hosts()) == 2
 

@@ -85,6 +85,8 @@ def reference_results(dataset, queries, engine):
 
 @pytest.mark.parametrize("num_shards,num_hosts", [(2, 2), (4, 4), (4, 2)])
 def test_socket_scatter_matches_sequential(num_shards, num_hosts):
+    """Remote hosts size the fleet, whatever ``num_shards`` says: one
+    row range and one select payload per host."""
     engine, hosts, rng, vocab = sharded_with_hosts(num_shards, num_hosts)
     try:
         connect(engine, hosts)
@@ -94,12 +96,10 @@ def test_socket_scatter_matches_sequential(num_shards, num_hosts):
         assert report.degraded_lanes == 0
         assert report.total_retries == 0
         scatter = {s.stage: s for s in report.stages}
-        # One row range per configured lane, dealt over the hosts ...
-        assert scatter["refine"].scatter_width == num_shards
+        # One row range per host ...
+        assert scatter["refine"].scatter_width == num_hosts
         assert scatter["refine"].payload_bytes_out > 0
         assert scatter["refine"].payload_bytes_in > 0
-        assert [row["scatter_flushes"] for row in engine.shard_stats()] \
-            == [1] * num_shards
         # ... and the selections ride the same hosts: one lane each.
         assert scatter["select"].scatter_width == num_hosts
         assert scatter["select"].payload_bytes_out > 0
@@ -113,10 +113,9 @@ def test_socket_scatter_matches_sequential(num_shards, num_hosts):
 
 
 def test_lanes_balance_uneven_per_k_chunks_and_row_ranges():
-    """8 queries over three ks split into chunks of 2,1,2,1,1,1 queries;
-    round-robin would load the lanes 5:3 — each lane must get 4.  The
-    refine's three ranges of 16 users (5, 5, 6) are dealt the same
-    way: least-loaded lane first, ties to the lower lane."""
+    """8 queries over three ks go out as one payload of 4 per host,
+    whatever their k; the refine cuts the 16 users into one range per
+    host (8, 8), however many ``num_shards`` names."""
     engine, hosts, rng, vocab = sharded_with_hosts(3, 2, seed=10)
     try:
         connect(engine, hosts)
@@ -136,7 +135,7 @@ def test_lanes_balance_uneven_per_k_chunks_and_row_ranges():
         transport.dispatch = spy
         queries = make_queries(rng, vocab, 8, ks=(3, 5, 7))
         served = engine.query_batch(queries, OPTS)
-        assert loads == {"refine": [11, 5], "select": [4, 4]}
+        assert loads == {"refine": [8, 8], "select": [4, 4]}
         assert_results_equal(
             served, reference_results(engine.dataset, queries, engine)
         )
@@ -287,21 +286,21 @@ def test_host_death_and_degrade_are_logged(caplog):
 def test_host_fanout_is_reported_and_explained():
     engine, hosts, rng, vocab = sharded_with_hosts(2, 2, seed=13)
     try:
-        assert engine.capabilities().search_workers == 0
+        assert engine.capabilities().lanes == 0
         connect(engine, hosts)
-        assert engine.capabilities().search_workers == 2
+        assert engine.capabilities().lanes == 2
         assert engine.gather_stats()["search_workers"] == 2
         plan = engine.plan(OPTS, ks=[3, 5])
-        assert plan.shard.search_workers == 2
+        assert plan.lanes == 2
         text = plan.explain()
         assert "in one round over 2 full-dataset lane(s)" in text
         assert "phase 2 (candidate selection): search lanes x2" in text
         assert "root pool" not in text
         hosts[0].stop()
         engine._registry.ping_all(timeout_s=0.2)
-        assert engine.capabilities().search_workers == 1
+        assert engine.capabilities().lanes == 1
         engine.close_hosts()
-        assert engine.capabilities().search_workers == 0
+        assert engine.capabilities().lanes == 0
         assert engine.gather_stats()["search_workers"] == 0
     finally:
         teardown(engine, hosts)
@@ -323,9 +322,9 @@ def test_sub_ms_selections_keep_fanning_out(transport):
         if transport == "socket":
             connect(engine, hosts)
         else:
-            engine.start_pools(1)
+            engine.start_pools()
         cold = engine.plan(OPTS, ks=ks)
-        assert cold.shard.search_workers == 2
+        assert cold.lanes == 2
         for flush in range(24):
             served = engine.query_batch(queries, OPTS)
             select = engine.last_flush_report.stage("select")
@@ -349,7 +348,7 @@ def test_one_host_registry_ships_the_searches_and_explain_says_so():
         connect(engine, hosts)
         queries = make_queries(rng, vocab, 4, ks=(3, 5))
         plan = engine.plan(OPTS, ks=[q.k for q in queries])
-        assert plan.shard.search_workers == 1
+        assert plan.lanes == 1
         text = plan.explain()
         assert "in one round over 1 full-dataset lane(s)" in text
         assert "phase 2 (candidate selection): search lanes x1" in text
@@ -385,9 +384,9 @@ def test_connect_hosts_excludes_fork_pools():
     try:
         connect(engine, hosts)
         with pytest.raises(RuntimeError, match="hosts are connected"):
-            engine.start_pools(1)
+            engine.start_pools()
         engine.close_hosts()
-        engine.start_pools(1)
+        engine.start_pools()
         with pytest.raises(RuntimeError, match="local hosts are running"):
             engine.connect_hosts([f"127.0.0.1:{hosts[0].port}"])
         engine.close_pools()

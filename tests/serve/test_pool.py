@@ -162,7 +162,7 @@ def test_pool_results_match_inprocess_batches():
     ]
     inprocess = engine.query_batch(queries, QueryOptions())
     with make_engine(dataset, EngineConfig(fanout=4, num_shards=2)) as lanes:
-        lanes.start_pools(1)
+        lanes.start_pools()
         assert isinstance(lanes._registry, PersistentWorkerPool)
         pooled = lanes.query_batch(queries, QueryOptions())
     assert lanes._registry is None
@@ -233,7 +233,7 @@ def test_flush_bytes_are_the_frames_on_the_wire():
     with make_engine(
         dataset, EngineConfig(fanout=4, num_shards=2, use_shm=True)
     ) as lanes:
-        lanes.start_pools(1)
+        lanes.start_pools()
         registry = lanes._registry
         for queries in (make_queries(rng, vocab, 6), make_queries(rng, vocab, 6)):
             sent, received = registry.bytes_totals()

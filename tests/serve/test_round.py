@@ -1,14 +1,14 @@
 """The scatter-round contract: ONE loop, two transports, two kinds of host.
 
 ``run_round`` is the only dispatch → collect → degrade path and
-``_deal`` the only lane builder; a transport only decides *where* a
-lane runs.  So the same refine ranges and select chunks must come back
-as the same decoded chunks with the same ``(chunks, retries,
-degraded)`` accounting whether they ran inline, on forked local hosts
-(one lane each), or on one embedded socket host — and, when the hosts
-fail past their budget, as the same chunks with every lost lane counted
-degraded exactly once and re-run in-process for exactly the rows it
-carried.
+``_scatter`` the only lane builder (payload ``i`` on lane ``i``); a
+transport only decides *where* a lane runs.  So the same refine ranges
+and select chunks must come back as the same decoded chunks with the
+same ``(chunks, retries, degraded)`` accounting whether they ran
+inline, on forked local hosts (one lane each), or on one embedded
+socket host — and, when the hosts fail past their budget, as the same
+chunks with every lost lane counted degraded exactly once and re-run
+in-process for exactly the rows it carried.
 """
 
 import os
@@ -24,6 +24,7 @@ from repro.core.kernels import arrays_for
 from repro.core.pipeline import (
     INLINE,
     Lane,
+    StageStats,
     merge_refine,
     refine_payloads,
     run_round,
@@ -58,7 +59,8 @@ def canon(item):
 
 class Rig:
     """A 2-lane engine as scaffold: its executor and transports,
-    with the two rounds dealt by hand through the executor."""
+    with the two rounds cut in two by hand and run through the
+    executor's lane builder."""
 
     def __init__(self, seed=0):
         dataset, rng, vocab = build_dataset(seed, n_obj=70, n_users=24, vocab=18)
@@ -70,7 +72,7 @@ class Rig:
         engine = self.engine
         if kind == "pool":
             engine.start_pools(
-                1, retry=retry, deadline=FAST_DEADLINE, faults=faults,
+                retry=retry, deadline=FAST_DEADLINE, faults=faults,
             )
         elif kind == "socket":
             self.hosts = [
@@ -90,8 +92,8 @@ class Rig:
 
     def rounds(self, transport):
         """``{stage: (canonical chunks in payload order, (lanes, chunks,
-        retries, degraded per lane))}`` for the two scatter stages
-        over ``transport``."""
+        retries, degraded lanes))}`` for the two scatter stages over
+        ``transport``."""
         engine = self.engine
         plan = engine.plan(OPTS, ks=[q.k for q in self.queries])
         ks = list(plan.distinct_ks)
@@ -102,25 +104,25 @@ class Rig:
         users = engine.dataset.users
         out = {}
 
-        def run(phase, payloads, weights):
-            chunks, lane_of, retries, degraded, _, _ = pipeline._deal(
-                phase, payloads, weights, transport, engine.dataset, None
+        def run(phase, payloads):
+            stats = StageStats(phase)
+            chunks = pipeline._scatter(
+                phase, payloads, stats, transport, engine.dataset, None
             )
             out[phase] = (
                 [[canon(item) for item in chunk] for chunk in chunks],
-                (len(set(lane_of)), len(chunks), sum(retries), degraded),
+                (stats.scatter_width, len(chunks), stats.retries, stats.degraded),
             )
             return chunks
 
         refine = refine_payloads(pool.traversal, ks, len(users), 2)
         shared = merge_refine(
-            run("refine", refine, [p[6] - p[5] for p in refine]),
-            ks, arrays_for(engine.dataset).user_ids, {}, pool, group_by_k,
-            self.queries,
+            run("refine", refine), ks, arrays_for(engine.dataset).user_ids, {},
+            pool, group_by_k, self.queries,
         )
         # Algorithm 3 whole, against the full dataset and the merged map.
         select, _ = select_payloads(self.queries, shared, plan, 2)
-        run("select", select, [len(p[1]) for p in select])
+        run("select", select)
         return out
 
 
@@ -139,14 +141,12 @@ def test_every_transport_returns_the_inline_round(rig, kind):
     transport = rig.install(kind)
     assert transport.remote == (kind != "inline")
     got = rig.rounds(transport)
-    # Inline and one socket host are one lane; start_pools(1) on a
-    # 2-lane engine forks two hosts, one lane each.
-    lanes = 2 if kind == "pool" else 1
     for stage in STAGES:
         chunks, accounting = got[stage]
         assert chunks == expected[stage][0], stage
-        # two row ranges / two balanced payloads (ks mixed), no ladder
-        assert accounting == (lanes, 2, 0, [0] * lanes), stage
+        # two row ranges / two balanced payloads (ks mixed), one lane
+        # each (one socket host answers both), no ladder
+        assert accounting == (2, 2, 0, 0), stage
 
 
 @pytest.mark.parametrize("kind", ["pool", "socket"])
@@ -163,13 +163,12 @@ def test_a_transport_past_its_budget_degrades_each_lost_lane_once(rig, kind):
     for stage in STAGES:
         chunks, (width, n_chunks, _, degraded) = got[stage]
         assert chunks == expected[stage][0], stage
-        assert n_chunks == 2, stage
-        assert degraded == [1] * width, stage  # every lane lost, counted once
+        assert width == n_chunks == 2, stage
+        assert degraded == 2, stage  # every lane lost, counted once
     counters = rig.engine.fault_counters()
     if kind == "pool":
         # Both sends failed and the re-forks too: no host was left to
-        # re-send to, and the select round found a single, empty lane.
-        assert got["refine"][1][0] == 2 and got["select"][1][0] == 1
+        # re-send to.
         assert counters["retries"] == 0
         assert counters["worker_deaths"] == 2
     else:
@@ -207,7 +206,7 @@ def test_a_dead_host_degrades_exactly_its_row_range(rig, monkeypatch):
     got = rig.rounds(transport)
     chunks, (lanes, n_chunks, retries, degraded) = got["refine"]
     assert chunks == expected["refine"][0]
-    assert (lanes, n_chunks, retries, degraded) == (2, 2, 0, [0, 1])
+    assert (lanes, n_chunks, retries, degraded) == (2, 2, 0, 1)
     n_users = len(rig.engine.dataset.users)
     assert seen == [(n_users // 2, n_users)]
     assert got["select"][0] == expected["select"][0]
@@ -226,12 +225,12 @@ def test_a_pool_killed_past_its_retries_degrades_the_ranges_it_held(
     got = rig.rounds(transport)
     chunks, (lanes, n_chunks, retries, degraded) = got["refine"]
     assert chunks == expected["refine"][0]
-    assert (lanes, n_chunks, retries, degraded) == (2, 2, 2, [1, 1])
+    assert (lanes, n_chunks, retries, degraded) == (2, 2, 2, 2)
     n_users = len(rig.engine.dataset.users)
     assert seen == [(0, n_users // 2), (n_users // 2, n_users)]
     # The select round rode the same doomed hosts: the same ladder again.
     assert got["select"][0] == expected["select"][0]
-    assert got["select"][1][2:] == (2, [1, 1])
+    assert got["select"][1][2:] == (2, 2)
     counters = rig.engine.fault_counters()
     assert counters["worker_deaths"] == 8 and counters["respawns"] == 8
     # Every host standing at the end is a fresh, idle re-fork: the

@@ -6,8 +6,8 @@ payloads whose sizes differ by at most one, whatever their k, each
 query carrying its own k's ``SharedTopK``.  Here: the cut itself over
 drawn flushes (sizes, coverage, the state each query is paired with,
 the keyword-side order, ``merge_select`` restoring flush order), then the
-payload count of a warm mixed-k flush of 8 on every transport — 2 on a
-2-lane engine, 1 in-process — with answers ``==`` the single engine's.
+payload count of a warm mixed-k flush of 8 on every lane kind — 2 over
+2 lanes, 1 in-process — with answers ``==`` the single engine's.
 """
 
 import multiprocessing
@@ -103,7 +103,7 @@ def count_select_payloads(monkeypatch):
     return counted
 
 
-TRANSPORTS = ["inline"] + (["pool", "socket"] if HAS_FORK else [])
+TRANSPORTS = ["frames"] + (["pool", "socket"] if HAS_FORK else [])
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -116,7 +116,7 @@ def test_a_warm_mixed_k_flush_ships_one_payload_per_lane(transport, monkeypatch)
     cold, warm = make_queries(rng, ks), make_queries(rng, ks[::-1])
     hosts = []
     try:
-        serve_on(sharded, transport, hosts)
+        serve_on(sharded, transport, 2, hosts)
         counted = count_select_payloads(monkeypatch)
         for queries in (cold, warm):
             want = single.query_batch(queries, options)
@@ -130,10 +130,8 @@ def test_a_warm_mixed_k_flush_ships_one_payload_per_lane(transport, monkeypatch)
         sharded.close_hosts()
         for host in hosts:
             host.stop()
-    # Inline, the sharded engine runs its select round in-process; the
-    # plain engine's flush is one payload too.
-    lanes = 1 if transport == "inline" else 2
-    assert counted[-1] == lanes
+    # One payload per lane; the plain engine's in-process flush is one.
+    assert counted[-1] == 2
     assert report.stage("select").items == len(warm)
     counted.clear()
     single.query_batch(warm, options)

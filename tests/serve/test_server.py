@@ -413,6 +413,12 @@ class TestPersistentPool:
             MaxBRSTkNNServer(engine, ServerConfig(pool_workers=pool_workers))
         MaxBRSTkNNServer(engine, ServerConfig(pool_workers=0))  # in-process is fine
 
+    def test_pool_workers_above_one_is_refused(self):
+        """``num_shards`` alone sizes the fleet: 1 forks it, nothing
+        multiplies it."""
+        with pytest.raises(ValueError, match=r"EngineConfig\(num_shards=N\)"):
+            ServerConfig(pool_workers=2)
+
     @pytest.mark.skipif(not HAS_FORK, reason="persistent pool requires fork")
     def test_server_with_pool_matches_sequential(self):
         engine, rng, vocab = build_engine(seed=8, num_shards=2)
@@ -435,7 +441,7 @@ class TestPersistentPool:
         """Driving the lanes' pool without a server: answers match the
         plain engine in-process, and a closed pool refuses work."""
         engine, rng, vocab = build_engine(seed=9, num_shards=2)
-        engine.start_pools(1)
+        engine.start_pools()
         pool = engine._registry
         try:
             queries = make_queries(rng, vocab, 4)

@@ -23,10 +23,15 @@ from repro import (
     STObject,
     oracle,
 )
-from repro.serve import MaxBRSTkNNServer, ServerConfig, ShardedEngine, make_engine
+from repro.serve import (
+    MaxBRSTkNNServer, ServerConfig, ShardedEngine, ShardHost, make_engine,
+)
 from repro.spatial.geometry import Point
 
-from ..conftest import make_random_objects, make_random_users, section7, won_users
+from ..conftest import (
+    frame_lanes, make_random_objects, make_random_users, section7, won_users,
+)
+from .conftest import HostThread
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -92,6 +97,7 @@ class TestEquivalenceProperty:
         options = QueryOptions(method=method)
         reference = single.query_batch(queries, options)
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=3))
+        frame_lanes(sharded, 3)
         for a, b in zip(reference, sharded.query_batch(queries, options)):
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
@@ -110,12 +116,16 @@ class TestEquivalenceProperty:
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_plain_engine_with_num_shards_matches_the_oracle(self, num_shards):
-        """A plain engine built with ``num_shards=N`` deals its refine as
-        N inline row ranges: each cold query is the oracle's — answer,
-        stats and I/O trace — and so is each answer of a batch."""
+        """A plain engine ignores ``num_shards``; given N lanes it deals
+        its refine as N row ranges: each cold query is the oracle's —
+        answer, stats and I/O trace — and so is each answer of a
+        batch."""
         dataset, rng, vocab = build_dataset(seed=6)
         queries = make_queries(rng, vocab, 3, ks=(3, 5))
         engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
+        engine.query(queries[0], QueryOptions())
+        assert engine.last_flush_report.stage("refine").scatter_width == 1
+        frame_lanes(engine, num_shards)
         twin = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4), object_tree=engine.object_tree)
         for query in queries:
             before = twin.io.snapshot()
@@ -129,7 +139,6 @@ class TestEquivalenceProperty:
         for query, got in zip(queries, engine.query_batch(queries, QueryOptions())):
             assert_results_equal(oracle.query(twin, query, QueryOptions()), got)
         assert engine.last_flush_report.stage("refine").scatter_width == num_shards
-        assert len(engine.shard_stats()) == num_shards
 
     def test_single_query_matches_sequential(self):
         dataset, rng, vocab = build_dataset(seed=2)
@@ -150,8 +159,10 @@ class TestEquivalenceProperty:
     def test_mixed_k_flush_refines_once_per_lane(self, num_shards, monkeypatch):
         """One Algorithm 2 pass per lane at the flush's largest missing
         k, over the lane's rows of the FULL dataset; every k still gets
-        its own partial, merged map and ``refine_tasks`` tick, identical
-        to the single engine's."""
+        its own partial and merged map, identical to the single
+        engine's."""
+        from repro.core.pipeline import user_row_ranges
+
         import importlib
 
         partial = importlib.import_module("repro.core.partial")
@@ -171,13 +182,12 @@ class TestEquivalenceProperty:
         assert refined == [(len(dataset.users), len(dataset.users), 6)]
         refined.clear()
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
+        frame_lanes(sharded, num_shards)
         results = sharded.query_batch(queries, QueryOptions())
-        lanes = sharded._executor.lane_stats
-        assert len(lanes) == num_shards
-        assert sum(lane.users for lane in lanes) == len(dataset.users)
-        assert refined == [(len(dataset.users), lane.users, 6) for lane in lanes]
-        for lane in lanes:
-            assert lane.refine_tasks == 3
+        ranges = user_row_ranges(len(dataset.users), num_shards)
+        assert refined == [(len(dataset.users), hi - lo, 6) for lo, hi in ranges]
+        refine = sharded.last_flush_report.stage("refine")
+        assert (refine.scatter_width, refine.items) == (num_shards, 3)
         for k in (2, 4, 6):
             merged = sharded._executor.merged_by_k[k]
             assert merged.users_total == len(dataset.users)
@@ -193,11 +203,13 @@ class TestEquivalenceProperty:
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         reference = single.query_batch(queries, QueryOptions())
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
+        frame_lanes(sharded, 2)
         first = sharded.query_batch(queries, QueryOptions())
+        assert sharded.last_flush_report.stage("refine").scatter_width == 2
         second = sharded.query_batch(queries, QueryOptions())
         assert sharded.traversal_runs == 1
-        for lane in sharded._executor.lane_stats:
-            assert lane.refine_tasks == 1  # memoized across batches
+        # memoized across batches: no second refine round
+        assert sharded.last_flush_report.stage("refine").scatter_width == 0
         for a, b, c in zip(reference, first, second):
             assert_results_equal(a, b)
             assert_results_equal(a, c)
@@ -235,9 +247,12 @@ class TestEquivalenceProperty:
         options = QueryOptions()
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
+        frame_lanes(sharded, num_shards)
+        refined = []
 
         def flush(queries):
             results = sharded.query_batch(queries, options)
+            refined.extend(sharded.last_flush_report.stage("refine").items * [queries[0].k])
             for a, b in zip(single.query_batch(queries, options), results):
                 assert_results_equal(a, b)
                 assert_stats_equal(a, b)
@@ -248,8 +263,7 @@ class TestEquivalenceProperty:
         assert walks[0] != walks[1]  # the two walks' I/O really differ
         assert walks[2] == walks[3] == walks[1]
         assert sharded.traversal_runs == 2
-        for lane in sharded._executor.lane_stats:
-            assert lane.refine_tasks == 2  # k=5 once, k=20 once
+        assert refined == [5, 20]  # k=5 once, k=20 once
         # Warm flushes hand the codec ONE object per k to delta-ship,
         # counting a hit per query served.
         shared = sharded._executor.traversal_pool.by_k[5]
@@ -274,6 +288,7 @@ class TestSection7Reference:
         dataset, rng, vocab = build_dataset(seed=seed)
         queries = make_queries(rng, vocab, 6, ks=(2, 4, 6))  # mixed k
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=num_shards))
+        frame_lanes(sharded, num_shards)
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         for query, got in zip(queries, sharded.query_batch(queries, QueryOptions())):
             assert got.cardinality == section7(single, query).cardinality
@@ -286,15 +301,18 @@ class TestEdgeCases:
         queries = make_queries(rng, vocab, 3, ks=(2,))
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         reference = single.query_batch(queries, QueryOptions())
+        from repro.core.pipeline import user_row_ranges
+
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=8))
+        frame_lanes(sharded, 8)
         # 3 users over 8 lanes: five ranges are empty, none overlaps.
-        assert sorted(row["users"] for row in sharded.shard_stats()) \
-            == [0] * 5 + [1] * 3
+        assert sorted(hi - lo for lo, hi in user_row_ranges(3, 8)) == [0] * 5 + [1] * 3
         for a, b in zip(
             reference, sharded.query_batch(queries, QueryOptions())
         ):
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
+        assert sharded.last_flush_report.stage("refine").scatter_width == 8
 
     def test_empty_batch(self):
         dataset, _, _ = build_dataset(seed=5)
@@ -333,7 +351,7 @@ class TestPools:
         single = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
         reference = single.query_batch(queries, QueryOptions())
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
-        sharded.start_pools(1)
+        sharded.start_pools()
         try:
             results = sharded.query_batch(queries, QueryOptions())
         finally:
@@ -341,16 +359,60 @@ class TestPools:
         for a, b in zip(reference, results):
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
-        assert [row["scatter_flushes"] for row in sharded.shard_stats()] == [1, 1]
+        assert sharded.last_flush_report.stage("refine").scatter_width == 2
 
     def test_double_start_raises_and_close_is_idempotent(self):
         dataset, _, _ = build_dataset()
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
-        sharded.start_pools(1)
+        sharded.start_pools()
         with pytest.raises(RuntimeError):
-            sharded.start_pools(1)
+            sharded.start_pools()
         sharded.close_pools()
         sharded.close_pools()
+
+
+class TestTheRefineIsDealtOverTheLanes:
+    """The cold refine's scatter width is the transport's lanes: one
+    range in-process — a plain engine, or a ``ShardedEngine`` before its
+    fleet starts, whatever ``num_shards`` says — and one range per host
+    of a fleet, forked or over sockets."""
+
+    @staticmethod
+    def cold_refine_width(engine):
+        dataset, rng, vocab = build_dataset(seed=2)
+        queries = make_queries(rng, vocab, 4)
+        engine.query(queries[0], QueryOptions())
+        width = engine.last_flush_report.stage("refine").scatter_width
+        engine.clear_topk_cache()
+        engine.query_batch(queries, QueryOptions())
+        assert engine.last_flush_report.stage("refine").scatter_width == width
+        return width
+
+    def test_in_process_is_one_range(self):
+        dataset, _, _ = build_dataset(seed=2)
+        config = EngineConfig(fanout=4, num_shards=2)
+        assert self.cold_refine_width(MaxBRSTkNNEngine(dataset, config)) == 1
+        assert self.cold_refine_width(ShardedEngine(dataset, config)) == 1
+
+    @pytest.mark.skipif(not HAS_FORK, reason="shard pools require fork")
+    def test_a_forked_fleet_is_one_range_per_host(self):
+        dataset, _, _ = build_dataset(seed=2)
+        engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
+        with engine.start_pools():
+            assert len(engine._registry.pids()) == 2
+            assert self.cold_refine_width(engine) == 2
+
+    def test_socket_hosts_are_one_range_each(self):
+        dataset, _, _ = build_dataset(seed=2)
+        engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2))
+        hosts = [HostThread(ShardHost(dataset)) for _ in range(2)]
+        try:
+            engine.connect_hosts([f"127.0.0.1:{h.port}" for h in hosts])
+            assert self.cold_refine_width(engine) == 2
+        finally:
+            engine.close_hosts()
+            for host in hosts:
+                host.stop()
 
 
 class TestServerIntegration:
@@ -372,13 +434,9 @@ class TestServerIntegration:
         results, snapshot = asyncio.run(run())
         for a, b in zip(reference, results):
             assert_results_equal(a, b)
-        # per-lane refine counters surfaced, keyed by lane
-        assert [row["shard"] for row in snapshot["shards"]] == [0, 1]
-        for row in snapshot["shards"]:
-            assert row["scatter_flushes"] >= 1
-            assert row["refine_tasks"] >= 1 and row["refine_ms"] >= 0
-            assert row["queue_depth_peak"] >= 1
-            assert (row["retries"], row["degraded_rounds"]) == (0, 0)
+        # No fleet started: every round ran in-process, one refine range.
+        assert engine.last_flush_report.stage("refine").scatter_width in (0, 1)
+        assert engine.last_flush_report.degraded_lanes == 0
         assert snapshot["queue_depth_peak"] >= 1
 
     @pytest.mark.skipif(not HAS_FORK, reason="shard pools require fork")
@@ -422,7 +480,7 @@ class TestStartPoolsFailure:
         monkeypatch.setattr(sharded_mod, "PersistentWorkerPool", broken)
         before = set(arena_segments())
         with pytest.raises(RuntimeError, match="boom"):
-            engine.start_pools(1)
+            engine.start_pools()
         # The arena materialized for the fork was released again ...
         assert set(arena_segments()) == before
         assert engine.arena_name is None
@@ -432,7 +490,7 @@ class TestStartPoolsFailure:
         assert len(engine.query_batch(queries, QueryOptions())) == 2
         # A later healthy start is not blocked by the failed one.
         monkeypatch.setattr(sharded_mod, "PersistentWorkerPool", real_pool)
-        engine.start_pools(1)
+        engine.start_pools()
         try:
             assert engine._registry.workers == 2
             assert len(engine._registry.pids()) == 2
@@ -444,13 +502,16 @@ class TestPlanner:
     def test_plan_reports_scatter_and_merge(self):
         dataset, _, _ = build_dataset()
         sharded = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=4))
+        # No host yet: one range, in-process.
+        assert "scatter" not in sharded.plan(QueryOptions(), ks=[3, 5]).explain()
+        frame_lanes(sharded, 4)
         text = sharded.plan(QueryOptions(), ks=[3, 5]).explain()
         assert "scatter: refine by user row range x4" in text
         assert "partition" not in text
         assert "merge=ordered-union" in text
         assert "once per (walk, k)" in text
 
-    def test_shard_plan_absent_on_single_engine(self):
+    def test_single_engine_plans_no_lanes(self):
         dataset, _, _ = build_dataset()
-        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
-        assert engine.plan(QueryOptions(), ks=[3]).shard is None
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, num_shards=3))
+        assert engine.plan(QueryOptions(), ks=[3]).lanes == 0

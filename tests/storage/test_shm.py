@@ -275,7 +275,7 @@ def _serving_round(use_shm, faults=None, seed=5, prebuilt=None):
         dataset, EngineConfig(fanout=4, num_shards=2, use_shm=use_shm)
     )
     engine.start_pools(
-        1, faults=faults, retry=RetryPolicy(max_retries=1, backoff_base_s=0.0)
+        faults=faults, retry=RetryPolicy(max_retries=1, backoff_base_s=0.0)
     )
     try:
         arena_name = engine.arena_name
@@ -383,7 +383,7 @@ def test_lanes_keep_private_kernel_arrays_and_ship_only_codec_blocks():
     arena = engine.ensure_arena()
     assert arena.columns() == {}  # nothing is published up front
     assert not _own_segments()
-    engine.start_pools(1)
+    engine.start_pools()
     try:
         arrays_untouched()
         engine.query_batch(queries, QueryOptions())  # cold
@@ -422,7 +422,7 @@ def test_cold_queries_on_a_fleet_stay_out_of_the_delta_memo():
     twin = MaxBRSTkNNEngine(
         dataset, EngineConfig(fanout=4), object_tree=engine.object_tree
     )
-    engine.start_pools(1)
+    engine.start_pools()
     try:
         engine.query_batch(queries, QueryOptions())
         codec = engine.payload_codec
@@ -453,7 +453,7 @@ from tests.serve.conftest import build_dataset, live_children, make_queries
 dataset, rng, vocab = build_dataset(seed=11)
 queries = make_queries(rng, vocab, 6)
 engine = ShardedEngine(dataset, EngineConfig(fanout=4, num_shards=2, use_shm=True))
-engine.start_pools(1)
+engine.start_pools()
 try:
     engine.query_batch(queries, QueryOptions())
     engine.query_batch(queries, QueryOptions())

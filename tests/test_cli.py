@@ -119,14 +119,14 @@ class TestCLI:
         rc = main([
             "serve", "--objects", "200", "--users", "20", "--locations", "3",
             "--k", "3", "--queries", "6", "--max-batch", "4",
-            "--shards", "2", "--max-wait-ms", "auto",
+            "--shards", "2", "--pool-workers", "1", "--max-wait-ms", "auto",
             "--verify", "--explain",
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "scatter: refine by user row range x2" in out
-        assert "shard[0]:" in out  # per-lane refine counters surfaced
-        assert "refine_tasks=" in out and "degraded_rounds=" in out
+        # one health row per forked host, each of which served rounds
+        assert out.count("  pool[local-") == 2 and "rounds=" in out
         assert "adaptive_wait_ms" in out
         assert (
             "verify: served results == sequential on 6 queries "

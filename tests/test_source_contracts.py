@@ -599,6 +599,13 @@ FORBIDDEN = {
     "section 4's baseline is reference only":
         r"\bMode\b|\.mode\b|--mode\b|baseline_by_k|_baseline_topk"
         r"|_compute_shared_baseline|baseline-topk|takes_fleet|caps\.fleet",
+    # The cold refine is dealt as one user-row range per transport lane
+    # (1 inline, one per alive host): no range count beside the lanes,
+    # so no per-range stats, shard plan, least-load dealing or
+    # per-lane worker multiplier.
+    "a refine range is a lane":
+        r"ShardRuntimeStats|lane_stats|shard_stats|ShardPlan|workers_per_lane"
+        r"|_DealtRound",
 }
 
 #: A design whose scan covers one package of src/ only.
@@ -698,6 +705,12 @@ def test_src_names_no_retired_design(design):
      'with _phase(report, "baseline-topk", io, n):'),
     ("section 4's baseline is reference only", "takes_fleet = True"),
     ("section 4's baseline is reference only", "if caps.fleet:"),
+    ("a refine range is a lane", "class ShardRuntimeStats:"),
+    ("a refine range is a lane", "for lane in self._executor.lane_stats:"),
+    ("a refine range is a lane", 'snap["shards"] = self.engine.shard_stats()'),
+    ("a refine range is a lane", "shard: Optional[ShardPlan] = None"),
+    ("a refine range is a lane", "def start_pools(self, workers_per_lane=1):"),
+    ("a refine range is a lane", "class _DealtRound(NamedTuple):"),
 ])
 def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     """The scan above has teeth: each alternative of each regex counts."""
@@ -715,7 +728,7 @@ def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     ("the arena carries payload blocks only",
      "data = ShmArena.read_column_bytes(name, column)"),
     ("the arena carries payload blocks only", "set_untracked_attach(True)"),
-    ("one executor", "self._executor = Executor(self, config.num_shards)"),
+    ("one executor", "self._executor = Executor(self)"),
     ("section 7 is reference only", '"user_index_users": [125, 250, 500, 1000, 2000],'),
     ("section 7 is reference only", "result = oracle.indexed_users_maxbrstknn(*args)"),
     ("section 7 is reference only", "return indexed_search(tree, ds, q, walk, g, s)"),
@@ -732,6 +745,9 @@ def test_the_name_scan_sees_every_retired_name(tmp_path, design, line):
     ("section 4's baseline is reference only",
      "fd = shm_open(name, os.O_RDWR, mode=0o600)"),
     ("section 4's baseline is reference only", "#: The ONE fleet the lanes run on"),
+    ("a refine range is a lane",
+     "payloads = refine_payloads(pool.traversal, ks, n, transport.lanes())"),
+    ("a refine range is a lane", "engine.start_pools(retry=retry)"),
 ])
 def test_the_name_scan_passes_live_names(tmp_path, design, line):
     (tmp_path / "probe.py").write_text(line + "\n")
