@@ -83,27 +83,3 @@ def test_ablation_greedy_prefix_cost(benchmark, ws):
     metrics = run_once(benchmark, measure_selection, bench, "approx")
     benchmark.extra_info["combinations_scored"] = metrics.combinations_scored
 
-
-@pytest.mark.parametrize("variant", ["mir", "mdir"])
-def test_ablation_dir_grouping(benchmark, variant):
-    """Text-aware (DIR-style) vs purely spatial leaf grouping: build
-    cost, leaf text cohesion, and joint-traversal I/O."""
-    from repro.core.joint_topk import joint_traversal
-    from repro.index.dirtree import MDIRTree, leaf_cohesion
-    from repro.index.irtree import MIRTree
-    from repro.storage.iostats import IOCounter
-    from repro.storage.pager import PageStore
-
-    dataset = _small_world(seed=11)
-    by_id = {o.item_id: o for o in dataset.objects}
-
-    def build():
-        if variant == "mir":
-            return MIRTree(dataset.objects, dataset.relevance, fanout=16)
-        return MDIRTree(dataset.objects, dataset.relevance, fanout=16, beta=0.3)
-
-    tree = benchmark.pedantic(build, rounds=1, iterations=1)
-    counter = IOCounter()
-    joint_traversal(tree, dataset, 10, store=PageStore(counter=counter))
-    benchmark.extra_info["leaf_cohesion"] = round(leaf_cohesion(tree, by_id), 4)
-    benchmark.extra_info["traversal_io"] = counter.total

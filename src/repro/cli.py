@@ -147,13 +147,11 @@ def _cmd_serve(args) -> int:
         print("serve: --shards must be >= 1", file=sys.stderr)
         return 2
     try:
-        max_wait_ms = "auto" if args.max_wait_ms == "auto" else float(args.max_wait_ms)
-        if max_wait_ms != "auto" and not (
-            math.isfinite(max_wait_ms) and max_wait_ms >= 0
-        ):
+        max_wait_ms = float(args.max_wait_ms)
+        if not (math.isfinite(max_wait_ms) and max_wait_ms >= 0):
             raise ValueError
     except ValueError:
-        print(f"serve: --max-wait-ms must be a finite number >= 0 or 'auto', "
+        print(f"serve: --max-wait-ms must be a finite number >= 0, "
               f"got {args.max_wait_ms!r}", file=sys.stderr)
         return 2
     if args.cache_entries < 1:
@@ -391,8 +389,7 @@ def main(argv=None) -> int:
                        help="concurrent queries to submit")
     serve.add_argument("--max-batch", type=int, default=32)
     serve.add_argument("--max-wait-ms", default="2.0",
-                       help="micro-batch window in ms, or 'auto' to tune it "
-                            "from the observed arrival rate")
+                       help="fixed micro-batch window in ms")
     serve.add_argument("--pool-workers", type=int, default=0,
                        help="1 = fork the engine's fleet, one shard host "
                             "per --shards lane (needs --shards >= 2); "

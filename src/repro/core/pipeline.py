@@ -625,12 +625,15 @@ class Executor:
         with _phase(report, "refine", engine.io, len(need_ks)) as stats:
             chunks: list = []
             if need_ks:
+                # Like the select round and the plan, read the alive
+                # hosts: a fleet with none left refines in-process.
+                transport = self.transport if self.transport.hosts() else INLINE
                 payloads = refine_payloads(
                     pool.traversal, need_ks, len(engine.dataset.users),
-                    self.transport.lanes(),
+                    transport.lanes(),
                 )
                 chunks = _scatter(
-                    "refine", payloads, stats, self.transport, engine.dataset,
+                    "refine", payloads, stats, transport, engine.dataset,
                     self._codec(),
                 )
             else:
@@ -650,8 +653,8 @@ class Executor:
         """Where this flush's query-axis round runs: the transport's
         lanes when it is remote and the round pays, else inline.  The
         decision reads the alive hosts — what the plan's phase-2 line
-        reads — not the lane count, which never drops below one: a
-        fleet with no host left selects in-process, as its plan says."""
+        and the refine round read — so a fleet with no host left
+        selects in-process, as its plan says."""
         from .planner import search_fans_out
 
         transport = self.transport

@@ -7,7 +7,6 @@ coordinate arrays and every node's summary by segment reductions
 built on first access, for the scalar walks and tests.
 """
 
-from .dirtree import MDIRTree, leaf_cohesion
 from .invfile import InvertedFile, Posting, merge_minmax
 from .irtree import ChildView, IRTree, MIRTree, ObjectView
 from .miurtree import MIURTree, UserNodeView
@@ -16,12 +15,10 @@ __all__ = [
     "ChildView",
     "IRTree",
     "InvertedFile",
-    "MDIRTree",
     "MIRTree",
     "MIURTree",
     "ObjectView",
     "Posting",
     "UserNodeView",
-    "leaf_cohesion",
     "merge_minmax",
 ]

@@ -157,7 +157,7 @@ class IRTree:
         minmax: bool = False,
     ) -> None:
         self._setup(ObjectTable.of(objects), relevance, fanout, minmax)
-        self._index(self._leaf_groups())
+        self._index()
 
     # ------------------------------------------------------------------
     # Construction
@@ -177,11 +177,6 @@ class IRTree:
         self.weights = table.weights(relevance)
         self._rtree: Optional[RTree[int]] = None
         self._invfiles: Dict[int, InvertedFile] = {}
-
-    def _leaf_groups(self):
-        """Leaf grouping of the object rows as ``(order, ptr)``; ``None``
-        packs by STR (the DIR-tree variant groups by text as well)."""
-        return None
 
     def _index(self, leaves=None, upper=None) -> None:
         """Pack the levels and summarise every node, bottom-up."""

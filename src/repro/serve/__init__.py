@@ -3,8 +3,8 @@
 The top layer of the typed API (see ``repro/core/config.py`` and
 ``repro/core/planner.py`` for the two below):
 
-* :class:`ServerConfig` — micro-batch window (``max_batch`` /
-  ``max_wait_ms``), workers per lane, and the
+* :class:`ServerConfig` — micro-batch size and fixed window
+  (``max_batch`` / ``max_wait_ms``), whether the fleet forks, and the
   :class:`~repro.core.config.QueryOptions` every request runs with;
 * :class:`ShardHost` — the one worker runtime: a full-dataset replica
   behind the frame loop, forked locally on a socketpair
@@ -13,10 +13,9 @@ The top layer of the typed API (see ``repro/core/config.py`` and
   over TCP — the lanes of a :class:`ShardedEngine`;
 * :class:`MaxBRSTkNNServer` — asyncio front-end: ``await
   server.submit(query)`` futures are collected into micro-batches
-  (flush on ``max_batch`` or ``max_wait_ms``; ``max_wait_ms="auto"``
-  tunes the window from the observed arrival rate) and executed through
-  ``query_batch``, so concurrent callers share the top-k phase without
-  coordinating;
+  (flush on ``max_batch`` or the fixed ``max_wait_ms`` window) and
+  executed through ``query_batch``, so concurrent callers share the
+  top-k phase without coordinating;
 * :class:`ShardedEngine` — the engine plus its fleet: a
   :class:`~repro.core.engine.MaxBRSTkNNEngine` that can attach N
   full-dataset lanes (shard hosts, local or remote) to deal each flush
@@ -29,7 +28,6 @@ The top layer of the typed API (see ``repro/core/config.py`` and
 """
 
 from .config import (
-    AdaptiveWaitController,
     DeadlinePolicy,
     RetryPolicy,
     ServerConfig,
@@ -53,7 +51,6 @@ from .shardhost import ShardHost, WorkloadSpec, make_workload
 from .transport import FrameCodec, ShardHostClient, ShardRegistry, SocketTransport
 
 __all__ = [
-    "AdaptiveWaitController",
     "DeadlinePolicy",
     "FaultPlan",
     "FlushDeadlineExceeded",

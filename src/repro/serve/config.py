@@ -10,7 +10,6 @@ from ..core.config import CachePolicy, QueryOptions, _require_int
 from .faults import FaultPlan
 
 __all__ = [
-    "AdaptiveWaitController",
     "DeadlinePolicy",
     "RetryPolicy",
     "ServerConfig",
@@ -19,12 +18,11 @@ __all__ = [
 
 
 def _require_positive_float(name: str, value, *, allow_zero: bool = False) -> None:
-    floor_ok = value >= 0 if allow_zero else value > 0
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or not math.isfinite(value)
-        or not floor_ok
+        or not (value >= 0 if allow_zero else value > 0)
     ):
         bound = ">= 0" if allow_zero else "> 0"
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
@@ -85,74 +83,6 @@ class DeadlinePolicy:
             _require_positive_float("flush_deadline_s", self.flush_deadline_s)
 
 
-class AdaptiveWaitController:
-    """EWMA inter-arrival estimator driving ``max_wait_ms="auto"``.
-
-    A fixed micro-batch window is wrong at both ends: under a fast
-    arrival stream a tiny window already collects a full batch (any
-    extra wait is pure latency), while under a sparse stream *no*
-    affordable window collects a second query, so waiting buys nothing.
-    The controller keeps an exponentially weighted moving average of
-    observed inter-arrival times and sizes the window as
-
-    * ``0`` when no second arrival is expected within the ceiling
-      (``ewma >= ceiling_ms``) — flush immediately, batching is hopeless;
-    * otherwise the time to fill the batch at the observed rate,
-      ``ewma * (max_batch - 1)``, clamped into ``[0, ceiling_ms]``.
-
-    The controller is a pure function of the timestamps fed to
-    :meth:`observe` — no clock of its own — so tests drive it with a
-    fake clock (``tests/serve/test_adaptive.py``).
-    """
-
-    def __init__(
-        self, ceiling_ms: float, max_batch: int, smoothing: float = 0.2
-    ) -> None:
-        if not math.isfinite(ceiling_ms) or ceiling_ms < 0:
-            raise ValueError(f"ceiling_ms must be finite and >= 0, got {ceiling_ms!r}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError(f"smoothing must be in (0, 1], got {smoothing!r}")
-        self.ceiling_ms = float(ceiling_ms)
-        self.max_batch = int(max_batch)
-        self.smoothing = float(smoothing)
-        self._last_arrival_s: float | None = None
-        self.ewma_ms: float | None = None
-
-    def observe(self, now_s: float) -> None:
-        """Record one arrival at ``now_s`` (seconds, any monotonic clock).
-
-        Inter-arrival gaps are capped at ``ceiling_ms`` before entering
-        the EWMA: a gap longer than the latency budget carries no more
-        information than "slower than the budget", and letting a long
-        idle period inflate the average would pin the window at zero
-        for the head of every post-idle burst (it would take ~1/
-        smoothing arrivals to recover).
-        """
-        if self._last_arrival_s is not None:
-            delta_ms = max(0.0, (now_s - self._last_arrival_s) * 1000.0)
-            delta_ms = min(delta_ms, self.ceiling_ms)
-            if self.ewma_ms is None:
-                self.ewma_ms = delta_ms
-            else:
-                self.ewma_ms = (
-                    self.smoothing * delta_ms
-                    + (1.0 - self.smoothing) * self.ewma_ms
-                )
-        self._last_arrival_s = now_s
-
-    def window_ms(self) -> float:
-        """Current flush window, clamped into ``[0, ceiling_ms]``."""
-        if self.ewma_ms is None:
-            # No inter-arrival signal yet: wait the full budget so the
-            # first burst has a chance to batch.
-            return self.ceiling_ms
-        if self.ewma_ms >= self.ceiling_ms:
-            return 0.0
-        return min(self.ceiling_ms, self.ewma_ms * (self.max_batch - 1))
-
-
 @dataclass(frozen=True, slots=True)
 class ServerConfig:
     """How a :class:`~repro.serve.server.MaxBRSTkNNServer` batches.
@@ -162,16 +92,11 @@ class ServerConfig:
     max_batch:
         Flush as soon as this many queries are pending.
     max_wait_ms:
-        Flush at most this long after the first query of a batch
-        arrived; ``0`` flushes immediately (micro-batching still picks
-        up everything already pending, so concurrent bursts batch).
-        The string ``"auto"`` enables adaptive batching: the window is
-        tuned per batch from an EWMA of observed inter-arrival times
-        (:class:`AdaptiveWaitController`), clamped to
-        ``[0, auto_wait_ceiling_ms]``.
-    auto_wait_ceiling_ms:
-        Upper clamp (latency budget) for the adaptive window; only read
-        when ``max_wait_ms="auto"``.
+        The fixed flush window, a finite number of milliseconds
+        ``>= 0``: flush at most this long after the first query of a
+        batch arrived; ``0`` flushes immediately (micro-batching still
+        picks up everything already pending, so concurrent bursts
+        batch).
     pool_workers:
         ``1`` forks the fleet of a
         :class:`~repro.serve.sharded.ShardedEngine` (the server calls
@@ -212,10 +137,9 @@ class ServerConfig:
     """
 
     max_batch: int = 32
-    max_wait_ms: Union[float, str] = 2.0
+    max_wait_ms: float = 2.0
     pool_workers: int = 0
     options: QueryOptions = field(default_factory=QueryOptions.default)
-    auto_wait_ceiling_ms: float = 10.0
     cache: Union[CachePolicy, bool, None] = None
     shutdown_timeout_s: Optional[float] = 10.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -225,31 +149,12 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         _require_int("max_batch", self.max_batch, minimum=1)
-        if isinstance(self.max_wait_ms, str):
-            if self.max_wait_ms != "auto":
-                raise ValueError(
-                    f"max_wait_ms must be a finite number >= 0 or 'auto', "
-                    f"got {self.max_wait_ms!r}"
-                )
-        elif (
-            isinstance(self.max_wait_ms, bool)  # bools pass isfinite()
-            or not math.isfinite(self.max_wait_ms)
-            or self.max_wait_ms < 0
-        ):
-            # inf would make partial batches wait forever; NaN fails
-            # every comparison and silently degrades to a zero window.
-            raise ValueError(
-                f"max_wait_ms must be finite and >= 0, got {self.max_wait_ms!r}"
-            )
-        if (
-            isinstance(self.auto_wait_ceiling_ms, bool)
-            or not math.isfinite(self.auto_wait_ceiling_ms)
-            or self.auto_wait_ceiling_ms < 0
-        ):
-            raise ValueError(
-                f"auto_wait_ceiling_ms must be finite and >= 0, "
-                f"got {self.auto_wait_ceiling_ms!r}"
-            )
+        # inf would make partial batches wait forever; NaN fails every
+        # comparison and silently degrades to a zero window.
+        _require_positive_float(
+            "max_wait_ms (the fixed flush window)", self.max_wait_ms,
+            allow_zero=True,
+        )
         _require_int("pool_workers", self.pool_workers, minimum=0)
         if self.pool_workers > 1:
             raise ValueError(
@@ -290,16 +195,6 @@ class ServerConfig:
                 f"faults must be a FaultPlan or None, got {self.faults!r}"
             )
 
-    @property
-    def adaptive(self) -> bool:
-        return self.max_wait_ms == "auto"
-
-    def make_wait_controller(self) -> AdaptiveWaitController:
-        """A fresh controller for this config (``"auto"`` mode only)."""
-        if not self.adaptive:
-            raise ValueError("max_wait_ms is fixed; no controller needed")
-        return AdaptiveWaitController(self.auto_wait_ceiling_ms, self.max_batch)
-
     def with_(self, **kwargs) -> "ServerConfig":
         """Functional update (frozen dataclass)."""
         return replace(self, **kwargs)
@@ -324,7 +219,6 @@ class ServerStats:
     timeout_flushes: int = 0   # max_wait_ms elapsed first
     drain_flushes: int = 0     # flushed during shutdown drain
     queue_depth_peak: int = 0  # deepest pending queue seen at a flush
-    last_wait_ms: float = 0.0  # window used by the most recent batch
     # -- fault tolerance (the recovery ladder, made observable) --------
     pool_respawns: int = 0     # dead hosts brought back (re-fork / reconnect)
     worker_deaths: int = 0     # hosts found dead (EOF, reset, deadline)
@@ -370,7 +264,6 @@ class ServerStats:
             "timeout_flushes": self.timeout_flushes,
             "drain_flushes": self.drain_flushes,
             "queue_depth_peak": self.queue_depth_peak,
-            "last_wait_ms": round(self.last_wait_ms, 3),
             "pool_respawns": self.pool_respawns,
             "worker_deaths": self.worker_deaths,
             "deadline_hits": self.deadline_hits,

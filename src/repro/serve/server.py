@@ -29,7 +29,7 @@ from ..core.cache import ResultCache
 from ..core.engine import MaxBRSTkNNEngine
 from ..core.pipeline import ScatterFailure
 from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
-from .config import AdaptiveWaitController, ServerConfig, ServerStats
+from .config import ServerConfig, ServerStats
 from .errors import ServerOverloaded, ServerStopped
 from .sharded import ShardedEngine
 
@@ -77,9 +77,6 @@ class MaxBRSTkNNServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wakeup: Optional[asyncio.Event] = None
         self._flusher: Optional["asyncio.Task[None]"] = None
-        self._wait: Optional[AdaptiveWaitController] = (
-            self.config.make_wait_controller() if self.config.adaptive else None
-        )
         #: Cross-flush result cache (``config.cache``): exact repeats
         #: skip the pipeline and resolve straight from the LRU, keyed
         #: on (canonical query signature, options, dataset epoch).
@@ -218,8 +215,6 @@ class MaxBRSTkNNServer:
             )
         assert self._loop is not None and self._wakeup is not None
         future: "asyncio.Future[MaxBRSTkNNResult]" = self._loop.create_future()
-        if self._wait is not None:
-            self._wait.observe(self._loop.time())
         self._pending.append((query, future))
         self.stats.queries_submitted += 1
         self._wakeup.set()
@@ -232,17 +227,12 @@ class MaxBRSTkNNServer:
         return list(await asyncio.gather(*(self.submit(q) for q in queries)))
 
     def stats_snapshot(self) -> dict:
-        """Server counters plus per-host and adaptive-window detail.
+        """Server counters plus cache, codec and per-host detail.
 
-        Extends :meth:`ServerStats.snapshot` with the adaptive
-        controller's current state (when ``max_wait_ms="auto"``), the
+        Extends :meth:`ServerStats.snapshot` with the cache's size, the
         codec's counters and one health row per host of the fleet.
         """
         snap = self.stats.snapshot()
-        if self._wait is not None:
-            snap["adaptive_wait_ms"] = round(self._wait.window_ms(), 3)
-            if self._wait.ewma_ms is not None:
-                snap["adaptive_ewma_ms"] = round(self._wait.ewma_ms, 3)
         if self._cache is not None:
             snap["cache_entries"] = len(self._cache)
         codec = self.engine.payload_codec
@@ -310,17 +300,11 @@ class MaxBRSTkNNServer:
                     continue  # raced with a submit between check and clear
                 await self._wakeup.wait()
                 continue
-            # A batch is open: hold it for up to the flush window while
-            # more queries trickle in, unless it fills or we are
-            # draining.  The window is the configured max_wait_ms, or —
-            # in "auto" mode — whatever the adaptive controller derives
-            # from the observed arrival rate for *this* batch.
+            # A batch is open: hold it for up to max_wait_ms while more
+            # queries trickle in, unless it fills or we are draining.
             timed_out = False
-            wait_ms = self._wait.window_ms() if self._wait is not None \
-                else cfg.max_wait_ms
-            self.stats.last_wait_ms = wait_ms
-            if wait_ms > 0:
-                deadline = self._loop.time() + wait_ms / 1000.0
+            if cfg.max_wait_ms > 0:
+                deadline = self._loop.time() + cfg.max_wait_ms / 1000.0
                 while len(self._pending) < cfg.max_batch and not self._stopping:
                     remaining = deadline - self._loop.time()
                     if remaining <= 0:
@@ -343,7 +327,7 @@ class MaxBRSTkNNServer:
                 self.stats.drain_flushes += 1
             elif timed_out:
                 self.stats.timeout_flushes += 1
-            else:  # zero window (fixed or adaptive): flush the pending burst
+            else:  # zero window: flush the pending burst
                 self.stats.timeout_flushes += 1
             try:
                 await self._execute(batch)

@@ -701,8 +701,8 @@ class SocketTransport:
     """The lane of :func:`repro.core.pipeline.run_round` over a fleet:
     one lane per alive host, each answered against the host's
     full-dataset replica — a cold flush's refine ranges, then every
-    flush's ``select`` payloads.  With no host left the single lane
-    finds none and degrades through the ladder like any other round."""
+    flush's ``select`` payloads.  With no host left it has no lane: the
+    executor, reading :meth:`hosts`, runs the round in-process."""
 
     remote = True
 
@@ -710,7 +710,7 @@ class SocketTransport:
         self.registry = registry
 
     def lanes(self) -> int:
-        return max(1, self.hosts())
+        return self.hosts()
 
     def hosts(self) -> int:
         return len(self.registry.alive_hosts())

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["Point", "Rect", "point_distance", "EPSILON"]
+__all__ = ["Point", "Rect", "EPSILON"]
 
 #: Tolerance used when comparing floating point geometry results.
 EPSILON = 1e-9
@@ -52,11 +52,6 @@ class Point:
     def __setstate__(self, state) -> None:
         object.__setattr__(self, "x", state[0])
         object.__setattr__(self, "y", state[1])
-
-
-def point_distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points (module-level convenience)."""
-    return a.distance_to(b)
 
 
 @dataclass(frozen=True, slots=True)

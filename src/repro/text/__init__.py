@@ -1,4 +1,4 @@
-"""Textual substrate: tokenizer, vocabulary, relevance measures."""
+"""Textual substrate: vocabulary and relevance measures."""
 
 from .relevance import (
     KeywordOverlapRelevance,
@@ -8,7 +8,6 @@ from .relevance import (
     make_relevance,
     MEASURES,
 )
-from .tokenizer import tokenize
 from .vocabulary import CollectionStats, Vocabulary
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "TfIdfRelevance",
     "Vocabulary",
     "make_relevance",
-    "tokenize",
 ]

@@ -126,6 +126,71 @@ def test_modes_agree_across_vocab_sizes(seed, vocab):
     assert len(set(cards.values())) == 1, cards
 
 
+def spatial_maxbrknn_world(seed):
+    """Facilities, users and an engine whose alpha = 1 drops the text
+    part of every score, so MaxBRSTkNN reduces to the spatial MaxBRkNN
+    of the paper's related work."""
+    rng = random.Random(seed)
+    facilities = make_random_objects(60, 10, rng)
+    users = make_random_users(15, 10, rng)
+    engine = MaxBRSTkNNEngine(Dataset(facilities, users, relevance="LM", alpha=1.0))
+    return facilities, users, engine, rng
+
+
+def spatial_winners(facilities, users, candidate, k):
+    """The users a new facility at ``candidate`` wins, by brute force:
+    those it is no farther from than their k-th nearest facility.
+    Inclusive — a tie wins, as the engine's >= threshold does."""
+    won = set()
+    for u in users:
+        radius = sorted(o.location.distance_to(u.location) for o in facilities)[k - 1]
+        if u.location.distance_to(candidate) <= radius + 1e-12:
+            won.add(u.item_id)
+    return won
+
+
+def spatial_query(candidates, k):
+    return MaxBRSTkNNQuery(
+        ox=STObject(item_id=-1, location=candidates[0], terms={}),
+        locations=candidates, keywords=[], ws=0, k=k,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 4, 10])
+@pytest.mark.parametrize("seed", range(3))
+def test_alpha_one_is_spatial_maxbrknn(seed, k):
+    """At alpha = 1 the engine's best count is the brute-force MaxBRkNN
+    count over the candidates, and the users it reports are exactly
+    those its location wins.  Independent of every index and of the
+    oracle."""
+    facilities, users, engine, rng = spatial_maxbrknn_world(seed)
+    candidates = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(6)]
+    result = engine.query(spatial_query(candidates, k), QueryOptions(method="exact"))
+    gold = max(len(spatial_winners(facilities, users, p, k)) for p in candidates)
+    assert result.cardinality == gold
+    assert set(result.brstknn) == spatial_winners(facilities, users, result.location, k)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_alpha_one_tie_with_the_kth_facility_wins(seed):
+    """A candidate placed exactly on a user's k-th nearest facility ties
+    that facility's score for the user, and a tie wins: every such user
+    is counted at its candidate."""
+    facilities, users, engine, _ = spatial_maxbrknn_world(seed)
+    k = 4
+    candidates = []
+    for u in users[:6]:
+        kth = sorted(facilities, key=lambda o: o.location.distance_to(u.location))[k - 1]
+        candidates.append(kth.location)
+    for u, p in zip(users, candidates):
+        assert u.item_id in spatial_winners(facilities, users, p, k)
+    result = engine.query(spatial_query(candidates, k), QueryOptions(method="exact"))
+    assert result.cardinality == max(
+        len(spatial_winners(facilities, users, p, k)) for p in candidates
+    )
+    assert set(result.brstknn) == spatial_winners(facilities, users, result.location, k)
+
+
 STAT_FIELDS = (
     "locations_pruned", "keyword_combinations_scored", "users_pruned",
     "users_total", "io_node_visits", "io_invfile_blocks",

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.index.irtree import IRTree, MIRTree
+from repro.spatial.rtree import str_groups
 from repro.storage.iostats import IOCounter
 from repro.storage.pager import PageStore
 from repro.text.relevance import make_relevance
@@ -51,6 +52,30 @@ class TestConstruction:
         _, _, tree = built
         assert tree.minmax
         assert tree.invfile_of(tree.root).minmax
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 65])
+    def test_leaves_are_the_str_groups(self, n):
+        """Below, at and past the fanout: the tree checks out, every
+        object sits in exactly one leaf, and the leaves are the STR
+        partition of the objects' points — the one leaf packing."""
+        rng = random.Random(n)
+        objects = make_random_objects(n, 10, rng)
+        rel = make_relevance("LM").fit([o.terms for o in objects])
+        tree = MIRTree(objects, rel, fanout=8)
+        tree.check_invariants()
+        leaves = sorted(
+            tuple(sorted(e.item for e in node.entries))
+            for node in tree.rtree.iter_nodes()
+            if node.is_leaf
+        )
+        assert sorted(i for leaf in leaves for i in leaf) == \
+            sorted(o.item_id for o in objects)
+        order, ptr = str_groups(tree.table.x, tree.table.y, 8)
+        ids = tree.table.ids
+        assert leaves == sorted(
+            tuple(sorted(ids[order[a:b]].tolist()))
+            for a, b in zip(ptr[:-1], ptr[1:])
+        )
 
     @pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
     def test_all_measures_build(self, measure):

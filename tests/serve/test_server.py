@@ -140,6 +140,28 @@ class TestMicroBatching:
         assert stats.batches_executed == 1
 
 
+    @pytest.mark.parametrize("window", [0.0, 2.0, 20.0])
+    def test_fixed_window_serves_and_reports_no_derived_window(self, window):
+        """The window is the configured number, whatever the traffic:
+        answers stay the oracle's and the snapshot carries no derived
+        window of its own."""
+        engine, rng, vocab = build_engine(seed=11)
+        queries = make_queries(rng, vocab, 8)
+
+        async def run():
+            config = ServerConfig(max_batch=4, max_wait_ms=window)
+            async with MaxBRSTkNNServer(engine, config) as server:
+                results = await server.submit_many(queries)
+                return results, server.stats_snapshot()
+
+        results, snapshot = asyncio.run(run())
+        reference = QueryOptions()
+        for query, served in zip(queries, results):
+            assert_result_equal(oracle.query(engine, query, reference), served)
+        assert snapshot["queries_completed"] == 8
+        assert not {"adaptive_wait_ms", "adaptive_ewma_ms", "last_wait_ms"} \
+            & snapshot.keys()
+
 class TestLifecycle:
     def test_submit_before_start_raises(self):
         engine, rng, vocab = build_engine()
@@ -231,6 +253,8 @@ class TestErrors:
             ServerConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServerConfig(max_wait_ms=-1)
+        with pytest.raises(ValueError, match="fixed flush window"):
+            ServerConfig(max_wait_ms="auto")
         with pytest.raises(ValueError):
             ServerConfig(pool_workers=-1)
         with pytest.raises(ValueError):
@@ -242,15 +266,24 @@ class TestErrors:
         {"max_batch": True},
         {"pool_workers": True},
         {"max_wait_ms": True},
-        {"auto_wait_ceiling_ms": True},
+        {"max_wait_ms": "auto"},  # the window is fixed: no adaptive mode
         {"shutdown_timeout_s": True},
         {"shutdown_timeout_s": 0},
         {"shutdown_timeout_s": float("nan")},
         {"cache": "yes"},
+        # inf would hold a partial batch forever; NaN fails every compare
+        {"max_wait_ms": float("inf")},
+        {"max_wait_ms": float("nan")},
     ])
     def test_bool_and_invalid_scalars_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServerConfig(**kwargs)
+
+    @pytest.mark.parametrize("window", [0, 0.0, 0.25, 2, 10.0])
+    def test_fixed_window_kept_as_given(self, window):
+        config = ServerConfig(max_wait_ms=window)
+        assert config.max_wait_ms == window
+        assert not hasattr(config, "adaptive")
 
     def test_cache_flag_normalizes_to_policy(self):
         from repro.core.config import CachePolicy

@@ -115,11 +115,11 @@ class TestCLI:
         # --verify points at the static half of the verification story.
         assert "tests/test_source_contracts.py" in out
 
-    def test_serve_sharded_with_auto_wait_verifies(self, capsys):
+    def test_serve_sharded_with_fixed_wait_verifies(self, capsys):
         rc = main([
             "serve", "--objects", "200", "--users", "20", "--locations", "3",
             "--k", "3", "--queries", "6", "--max-batch", "4",
-            "--shards", "2", "--pool-workers", "1", "--max-wait-ms", "auto",
+            "--shards", "2", "--pool-workers", "1", "--max-wait-ms", "2",
             "--verify", "--explain",
         ])
         assert rc == 0
@@ -127,16 +127,18 @@ class TestCLI:
         assert "scatter: refine by user row range x2" in out
         # one health row per forked host, each of which served rounds
         assert out.count("  pool[local-") == 2 and "rounds=" in out
-        assert "adaptive_wait_ms" in out
         assert (
             "verify: served results == sequential on 6 queries "
             "(method=approx, shards=2)" in out
         )
 
-    def test_serve_rejects_bad_max_wait(self, capsys):
+    # a word, a negative window, and the two floats no deadline can
+    # use: inf holds a partial batch forever, NaN fails every compare
+    @pytest.mark.parametrize("window", ["soon", "auto", "-1", "inf", "nan"])
+    def test_serve_rejects_bad_max_wait(self, capsys, window):
         rc = main([
             "serve", "--objects", "200", "--users", "20", "--queries", "2",
-            "--max-wait-ms", "soon",
+            "--max-wait-ms", window,
         ])
         assert rc == 2
 
